@@ -1,8 +1,23 @@
+(* Every entry of every naming context lives in one [Content_store].
+   Its slot ids key the two small tables that stand in for a tree:
+   child links, for one-level and subtree walks and the leaf and
+   parent checks, and attribute postings, for indexed candidates.  A
+   slot id is assigned when its DN is first stored, which needs a live
+   parent, and is never reused, so ascending slot order visits parents
+   before their children. *)
+
+module Ids = Set.Make (Int)
+module Vmap = Map.Make (String)
+
+(* The slots holding one normalized value, and how many there are. *)
+type posting = { ids : Ids.t; card : int }
+
 type t = {
   schema : Schema.t;
-  mutable contexts : Dit.t list;  (* deepest suffix first *)
-  index : Index.t;
-  estore : Content_store.t;  (* flat mirror of every context, spine in commit order *)
+  mutable contexts : Dn.t list;  (* suffixes, deepest first *)
+  estore : Content_store.t;  (* every entry; spine in commit order *)
+  mutable kids : Ids.t array;  (* slot id -> child slot ids *)
+  postings : (string, posting Vmap.t ref) Hashtbl.t;  (* attr -> value -> slots *)
   mutable referral_dns : Dn.Set.t;  (* referral objects, for references *)
   log : Changelog.t;
   mutable csn : Csn.t;
@@ -11,11 +26,16 @@ type t = {
 }
 
 let create ?(indexed = []) schema =
+  let postings = Hashtbl.create 16 in
+  List.iter
+    (fun a -> Hashtbl.replace postings (String.lowercase_ascii a) (ref Vmap.empty))
+    ("objectclass" :: indexed);
   {
     schema;
     contexts = [];
-    index = Index.create schema ~attrs:("objectclass" :: indexed);
     estore = Content_store.create ();
+    kids = Array.make 64 Ids.empty;
+    postings;
     referral_dns = Dn.Set.empty;
     log = Changelog.create ();
     csn = Csn.zero;
@@ -25,53 +45,124 @@ let create ?(indexed = []) schema =
 
 let schema t = t.schema
 
-let note_entry t entry ~add =
-  (if add then Index.insert else Index.remove) t.index entry;
-  (* The flat mirror follows every DIT mutation through this one choke
-     point; the stamp is the CSN about to commit (or, on restore, a
-     best-effort bound — the spine order is what cursors rely on). *)
-  (if add then Content_store.upsert t.estore ~csn:(Csn.next t.csn) entry
-   else Content_store.remove t.estore ~csn:(Csn.next t.csn) (Entry.dn entry));
+let no_such_object dn = Error ("no such object: " ^ Dn.to_string dn)
+let no_context dn = Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
+
+(* --- Slots, child links and postings -------------------------------- *)
+
+let find t dn = Content_store.find t.estore dn
+let entry_at t id = Option.get (Content_store.get t.estore id)
+
+let live_id t dn =
+  match Content_store.id_of t.estore dn with
+  | Some id when Option.is_some (Content_store.get t.estore id) -> Some id
+  | Some _ | None -> None
+
+let kids t id = if id < Array.length t.kids then t.kids.(id) else Ids.empty
+
+let set_kids t id ids =
+  let n = Array.length t.kids in
+  if id >= n then begin
+    let grown = Array.make (max (2 * n) (id + 1)) Ids.empty in
+    Array.blit t.kids 0 grown 0 n;
+    t.kids <- grown
+  end;
+  t.kids.(id) <- ids
+
+let is_leaf t id = Ids.is_empty (kids t id)
+
+let context_for t dn =
+  (* contexts are sorted deepest first, so the first covering context
+     is the most specific one. *)
+  List.find_opt (fun s -> Dn.ancestor_of s dn) t.contexts
+
+(* Postings and referral bookkeeping for the entry at slot [id].  Set
+   operations return their argument unchanged when nothing changes, so
+   the cardinality moves only with real membership changes. *)
+let note t id entry ~add =
+  Hashtbl.iter
+    (fun attr table ->
+      let syntax = Schema.syntax_of t.schema attr in
+      List.iter
+        (fun v ->
+          let key = Value.normalize syntax v in
+          let p =
+            Option.value (Vmap.find_opt key !table) ~default:{ ids = Ids.empty; card = 0 }
+          in
+          let ids = (if add then Ids.add else Ids.remove) id p.ids in
+          if ids != p.ids then
+            table :=
+              if Ids.is_empty ids then Vmap.remove key !table
+              else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } !table)
+        (Entry.get entry attr))
+    t.postings;
   if Entry.is_referral entry then
     t.referral_dns <-
       (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
 
+(* The stamp is the CSN about to commit (on restore, a best-effort
+   bound: the spine order is what cursors rely on). *)
+let store t ?parent entry =
+  Content_store.upsert t.estore ~csn:(Csn.next t.csn) entry;
+  let id = Option.get (Content_store.id_of t.estore (Entry.dn entry)) in
+  Option.iter (fun p -> set_kids t p (Ids.add id (kids t p))) parent;
+  note t id entry ~add:true
+
+(* The one insert path: a live DN is replaced in place and keeps its
+   children; a new one is linked under its live parent. *)
+let put t entry =
+  let dn = Entry.dn entry in
+  match live_id t dn with
+  | Some id ->
+      note t id (entry_at t id) ~add:false;
+      store t entry;
+      Ok ()
+  | None -> (
+      let parent_dn = Option.value (Dn.parent dn) ~default:Dn.root in
+      match live_id t parent_dn with
+      | Some parent ->
+          store t ~parent entry;
+          Ok ()
+      | None when context_for t dn = None -> no_context dn
+      | None -> Error ("parent does not exist: " ^ Dn.to_string parent_dn))
+
+let add t entry =
+  let dn = Entry.dn entry in
+  if live_id t dn <> None then Error ("entry already exists: " ^ Dn.to_string dn)
+  else put t entry
+
+(* The one removal path: leaves only, and never a context suffix. *)
+let remove t dn =
+  match live_id t dn with
+  | None -> no_such_object dn
+  | Some id when (not (is_leaf t id)) || List.exists (Dn.equal dn) t.contexts ->
+      Error ("entry is not a leaf: " ^ Dn.to_string dn)
+  | Some id ->
+      let parent = Option.get (Option.bind (Dn.parent dn) (live_id t)) in
+      set_kids t parent (Ids.remove id (kids t parent));
+      note t id (entry_at t id) ~add:false;
+      Content_store.remove t.estore ~csn:(Csn.next t.csn) dn;
+      Ok ()
+
+(* --- Naming contexts and reads ----------------------------------------- *)
+
 let add_context t entry =
   let suffix = Entry.dn entry in
-  let clashes dit =
-    Dn.ancestor_of (Dit.suffix dit) suffix || Dn.ancestor_of suffix (Dit.suffix dit)
-  in
+  let clashes s = Dn.ancestor_of s suffix || Dn.ancestor_of suffix s in
   if List.exists clashes t.contexts then
     Error
       (Printf.sprintf "context %S overlaps an existing naming context"
          (Dn.to_string suffix))
   else begin
-    let by_depth a b = Int.compare (Dn.depth (Dit.suffix b)) (Dn.depth (Dit.suffix a)) in
-    t.contexts <- List.sort by_depth (Dit.create entry :: t.contexts);
-    note_entry t entry ~add:true;
+    let by_depth a b = Int.compare (Dn.depth b) (Dn.depth a) in
+    t.contexts <- List.sort by_depth (suffix :: t.contexts);
+    store t entry;
     Ok ()
   end
 
 let contexts t = t.contexts
-
-let context_for t dn =
-  (* contexts are sorted deepest first, so the first covering context
-     is the most specific one. *)
-  List.find_opt (fun dit -> Dit.contains_dn dit dn) t.contexts
-
-let set_context t dit' =
-  t.contexts <-
-    List.map (fun dit -> if Dn.equal (Dit.suffix dit) (Dit.suffix dit') then dit' else dit)
-      t.contexts
-
-let find t dn =
-  match context_for t dn with None -> None | Some dit -> Dit.find dit dn
-
-let total_entries t = List.fold_left (fun acc dit -> acc + Dit.size dit) 0 t.contexts
-
-let fold_entries t ~init ~f =
-  List.fold_left (fun acc dit -> Dit.fold dit ~init:acc ~f) init t.contexts
-
+let total_entries t = Content_store.size t.estore
+let fold_entries t ~init ~f = Content_store.fold t.estore ~init ~f
 let entries_seq t = Content_store.to_seq t.estore
 let content_store t = t.estore
 
@@ -85,9 +176,9 @@ type search_result = { entries : Entry.t list; references : string list list }
 
 (* Name resolution: walk from the context suffix down to [base]; if a
    referral object sits at or above the base, the client must chase it. *)
-let resolve_base t dit base =
+let resolve_base t suffix base =
   let rec ancestors acc dn =
-    if Dn.equal dn (Dit.suffix dit) then dn :: acc
+    if Dn.equal dn suffix then dn :: acc
     else
       match Dn.parent dn with
       | None -> acc
@@ -98,16 +189,13 @@ let resolve_base t dit base =
     List.find_map
       (fun dn ->
         if Dn.Set.mem dn t.referral_dns then
-          Option.map (fun e -> (dn, Entry.referral_urls e)) (Dit.find dit dn)
+          Option.map (fun e -> (dn, Entry.referral_urls e)) (find t dn)
         else None)
       path
   in
   match referral with
   | Some (dn, urls) -> Error (Base_referral { dn; urls })
-  | None -> (
-      match Dit.find dit base with
-      | None -> Error (No_such_object base)
-      | Some entry -> Ok entry)
+  | None -> ( match find t base with None -> Error (No_such_object base) | Some e -> Ok e)
 
 (* Referral object strictly between [base] (exclusive) and [dn]
    (exclusive)?  Used to cut off index candidates living under
@@ -124,37 +212,54 @@ let crosses_referral t ~base dn =
     in
     go dn
 
-(* Candidate DNs from indexes, if some indexed predicate must hold.
-   Returns [None] when no index applies (fall back to traversal). *)
+let has_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* Candidate slots from postings, with their count (an upper bound for
+   unions), if some indexed predicate must hold.  [None] when no
+   posting applies (fall back to a walk). *)
 let rec index_candidates t filter =
+  let table a = Hashtbl.find_opt t.postings (String.lowercase_ascii a) in
+  let norm a v = Value.normalize (Schema.syntax_of t.schema a) v in
   match filter with
-  | Filter.Pred (Filter.Equality (a, v)) when Index.is_indexed t.index a ->
-      Some (Index.lookup_eq t.index ~attr:a v)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some p; _ }))
-    when Index.is_indexed t.index a ->
-      Some (Index.lookup_prefix t.index ~attr:a p)
+  | Filter.Pred (Filter.Equality (a, v)) ->
+      Option.map
+        (fun tbl ->
+          match Vmap.find_opt (norm a v) !tbl with
+          | Some p -> (p.ids, p.card)
+          | None -> (Ids.empty, 0))
+        (table a)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ })) ->
+      Option.map
+        (fun tbl ->
+          let prefix = norm a init in
+          let rec collect ((ids, n) as acc) seq =
+            match seq () with
+            | Seq.Cons ((key, p), rest) when has_prefix ~prefix key ->
+                collect (Ids.union ids p.ids, n + p.card) rest
+            | Seq.Cons _ | Seq.Nil -> acc
+          in
+          collect (Ids.empty, 0) (Vmap.to_seq_from prefix !tbl))
+        (table a)
   | Filter.And gs ->
-      (* Any conjunct's candidate set over-approximates the result;
-         pick the smallest available.  Cardinal is O(n) on these sets,
-         so compute it once per conjunct instead of re-measuring the
-         running best on every comparison. *)
-      List.filter_map (index_candidates t) gs
-      |> List.fold_left
-           (fun best s ->
-             let n = Dn.Set.cardinal s in
-             match best with
-             | Some (_, bn) when bn <= n -> best
-             | Some _ | None -> Some (s, n))
-           None
-      |> Option.map fst
+      (* Any conjunct's candidates over-approximate the result; take
+         the smallest. *)
+      List.fold_left
+        (fun best g ->
+          match (index_candidates t g, best) with
+          | Some (_, n), Some (_, bn) when bn <= n -> best
+          | (Some _ as c), _ -> c
+          | None, _ -> best)
+        None gs
   | Filter.Or gs ->
-      let sets = List.map (index_candidates t) gs in
-      if List.for_all Option.is_some sets then
-        Some
-          (List.fold_left
-             (fun acc s -> Dn.Set.union acc (Option.get s))
-             Dn.Set.empty sets)
-      else None
+      List.fold_left
+        (fun acc g ->
+          match (acc, index_candidates t g) with
+          | Some (ids, n), Some (ids', n') -> Some (Ids.union ids ids', n + n')
+          | _, None | None, _ -> None)
+        (Some (Ids.empty, 0))
+        gs
   | Filter.Pred _ | Filter.Not _ -> None
 
 let in_scope_references t (q : Query.t) =
@@ -167,25 +272,25 @@ let requested_attrs (q : Query.t) = Query.attr_list q.attrs
 let search t (q : Query.t) =
   match context_for t q.base with
   | None -> Error (No_such_object q.base)
-  | Some dit -> (
+  | Some suffix -> (
       let manage = q.Query.manage_dsa_it in
       let resolved =
         if manage then
           (* manageDsaIT: name resolution sees referral objects as
              plain entries. *)
-          match Dit.find dit q.base with
+          match find t q.base with
           | None -> Error (No_such_object q.base)
           | Some entry -> Ok entry
-        else resolve_base t dit q.base
+        else resolve_base t suffix q.base
       in
       match resolved with
       | Error e -> Error e
-      | Ok _base_entry ->
+      | Ok base_entry ->
           let references =
             if manage then []
             else
               List.filter_map
-                (fun dn -> Option.map Entry.referral_urls (Dit.find dit dn))
+                (fun dn -> Option.map Entry.referral_urls (find t dn))
                 (in_scope_references t q)
           in
           let is_excluded entry =
@@ -199,31 +304,28 @@ let search t (q : Query.t) =
              lookups and value normalization. *)
           let filter_matches = Filter.matcher t.schema q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
-          let collect_traversal () =
-            match q.scope with
-            | Scope.Base -> (
-                match Dit.find dit q.base with
-                | Some e when matches e -> [ e ]
-                | Some _ | None -> [])
-            | Scope.One -> List.filter matches (Dit.children dit q.base)
-            | Scope.Sub ->
-                Dit.fold_subtree dit q.base ~init:[] ~f:(fun acc e ->
-                    if matches e then e :: acc else acc)
-          in
-          let collect_indexed candidates =
-            Dn.Set.fold
-              (fun dn acc ->
-                if not (Query.in_scope q dn) then acc
-                else
-                  match Dit.find dit dn with
-                  | Some e when matches e -> e :: acc
-                  | Some _ | None -> acc)
-              candidates []
+          (* Results come in slot order: ascending ids, parents first. *)
+          let collect ids =
+            Ids.fold
+              (fun id acc ->
+                let e = entry_at t id in
+                if Query.in_scope q (Entry.dn e) && matches e then e :: acc else acc)
+              ids []
+            |> List.rev
           in
           let entries =
-            match index_candidates t q.filter with
-            | Some candidates -> collect_indexed candidates
-            | None -> collect_traversal ()
+            match (index_candidates t q.filter, q.scope) with
+            | Some (candidates, _), _ -> collect candidates
+            | None, Scope.Base -> if matches base_entry then [ base_entry ] else []
+            | None, Scope.One -> collect (kids t (Option.get (live_id t q.base)))
+            | None, Scope.Sub ->
+                let rec walk id acc =
+                  let acc = if matches (entry_at t id) then id :: acc else acc in
+                  Ids.fold walk (kids t id) acc
+                in
+                walk (Option.get (live_id t q.base)) []
+                |> List.sort Int.compare
+                |> List.map (entry_at t)
           in
           let entries = List.map (fun e -> Entry.select e (requested_attrs q)) entries in
           Ok { entries; references })
@@ -249,8 +351,7 @@ let naming_values_present entry =
         (fun e (ava : Dn.ava) -> Entry.add_values e ava.attr [ ava.value ])
         entry avas
 
-let validate_entry t entry =
-  ignore t;
+let validate_entry entry =
   if Entry.object_classes entry = [] then
     Error (Printf.sprintf "entry %S has no objectClass" (Dn.to_string (Entry.dn entry)))
   else Ok ()
@@ -274,131 +375,88 @@ let commit t op ~before ~after ~(mutate : unit -> (unit, string) result) =
       done;
       Ok record
 
-let dit_result dit_res ~on_ok =
-  match dit_res with
-  | Ok dit -> on_ok dit
-  | Error e -> Error (Dit.error_to_string e)
-
 let apply t op =
   (* Post-images carry the committing CSN as modifyTimestamp, which the
      degraded ReSync mode (eq. (3) of the paper) relies on. *)
   let stamp e =
     Entry.replace_values e "modifytimestamp" [ Csn.to_string (Csn.next t.csn) ]
   in
+  let existing dn k =
+    match find t dn with
+    | Some before -> k before
+    | None -> if context_for t dn = None then no_context dn else no_such_object dn
+  in
   match op with
   | Update.Add entry -> (
       let entry = stamp (naming_values_present entry) in
       let dn = Entry.dn entry in
-      match validate_entry t entry with
+      match validate_entry entry with
       | Error _ as e -> e
-      | Ok () -> (
-          match context_for t dn with
-          | None ->
-              Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
-          | Some dit ->
-              commit t op ~before:None ~after:(Some entry) ~mutate:(fun () ->
-                  dit_result (Dit.add dit entry) ~on_ok:(fun dit' ->
-                      set_context t dit';
-                      note_entry t entry ~add:true;
-                      Ok ()))))
-  | Update.Delete dn -> (
-      match context_for t dn with
-      | None -> Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
-      | Some dit -> (
-          match Dit.find dit dn with
-          | None -> Error (Printf.sprintf "no such object: %s" (Dn.to_string dn))
-          | Some before ->
-              commit t op ~before:(Some before) ~after:None ~mutate:(fun () ->
-                  dit_result (Dit.delete dit dn) ~on_ok:(fun dit' ->
-                      set_context t dit';
-                      note_entry t before ~add:false;
-                      Ok ()))))
-  | Update.Modify (dn, items) -> (
-      match context_for t dn with
-      | None -> Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
-      | Some dit -> (
-          match Dit.find dit dn with
-          | None -> Error (Printf.sprintf "no such object: %s" (Dn.to_string dn))
-          | Some before -> (
-              let applied =
-                List.fold_left
-                  (fun acc item ->
-                    match acc with
-                    | Error _ as e -> e
-                    | Ok e -> apply_mod t.schema e item)
-                  (Ok before) items
-              in
-              match applied with
+      | Ok () ->
+          if context_for t dn = None then no_context dn
+          else commit t op ~before:None ~after:(Some entry) ~mutate:(fun () -> add t entry))
+  | Update.Delete dn ->
+      existing dn (fun before ->
+          commit t op ~before:(Some before) ~after:None ~mutate:(fun () -> remove t dn))
+  | Update.Modify (dn, items) ->
+      existing dn (fun before ->
+          let applied =
+            List.fold_left
+              (fun acc item ->
+                match acc with Error _ as e -> e | Ok e -> apply_mod t.schema e item)
+              (Ok before) items
+          in
+          match Result.map stamp applied with
+          | Error _ as e -> e
+          | Ok after -> (
+              match validate_entry after with
               | Error _ as e -> e
-              | Ok after -> (
-                  let after = stamp after in
-                  match validate_entry t after with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      commit t op ~before:(Some before) ~after:(Some after)
-                        ~mutate:(fun () ->
-                          dit_result (Dit.replace dit after) ~on_ok:(fun dit' ->
-                              set_context t dit';
-                              note_entry t before ~add:false;
-                              note_entry t after ~add:true;
-                              Ok ()))))))
-  | Update.Modify_dn { dn; new_rdn; delete_old_rdn; new_superior } -> (
-      match context_for t dn with
-      | None -> Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
-      | Some dit -> (
-          match Dit.find dit dn with
-          | None -> Error (Printf.sprintf "no such object: %s" (Dn.to_string dn))
-          | Some before -> (
-              if Dit.children dit dn <> [] then
+              | Ok () ->
+                  commit t op ~before:(Some before) ~after:(Some after) ~mutate:(fun () ->
+                      put t after)))
+  | Update.Modify_dn { dn; new_rdn; delete_old_rdn; new_superior } ->
+      existing dn (fun before ->
+          if not (is_leaf t (Option.get (live_id t dn))) then
+            Error (Printf.sprintf "modifyDN on non-leaf entry: %s" (Dn.to_string dn))
+          else
+            let parent_dn =
+              match new_superior with
+              | Some sup -> sup
+              | None -> Option.value ~default:Dn.root (Dn.parent dn)
+            in
+            let new_dn = Dn.child parent_dn new_rdn in
+            match context_for t new_dn with
+            | None ->
                 Error
-                  (Printf.sprintf "modifyDN on non-leaf entry: %s" (Dn.to_string dn))
-              else
-                let parent_dn =
-                  match new_superior with
-                  | Some sup -> sup
-                  | None -> Option.value ~default:Dn.root (Dn.parent dn)
-                in
-                let new_dn = Dn.child parent_dn new_rdn in
-                match context_for t new_dn with
-                | None ->
-                    Error
-                      (Printf.sprintf "no naming context for new DN %S"
-                         (Dn.to_string new_dn))
-                | Some target_dit -> (
-                    if not (Dn.equal (Dit.suffix target_dit) (Dit.suffix dit)) then
-                      Error "modifyDN across naming contexts is not supported"
-                    else if Dit.find dit new_dn <> None then
-                      Error
-                        (Printf.sprintf "entry already exists: %s" (Dn.to_string new_dn))
-                    else if Dit.find dit parent_dn = None then
-                      Error
-                        (Printf.sprintf "new superior does not exist: %s"
-                           (Dn.to_string parent_dn))
-                    else
-                      let stripped =
-                        if delete_old_rdn then
-                          match Dn.rdn dn with
-                          | None -> before
-                          | Some avas ->
-                              List.fold_left
-                                (fun e (ava : Dn.ava) ->
-                                  match Entry.delete_values e ava.attr [ ava.value ] with
-                                  | Ok e' -> e'
-                                  | Error _ -> e)
-                                before avas
-                        else before
-                      in
-                      let after =
-                        stamp (naming_values_present (Entry.with_dn stripped new_dn))
-                      in
-                      commit t op ~before:(Some before) ~after:(Some after)
-                        ~mutate:(fun () ->
-                          dit_result (Dit.delete dit dn) ~on_ok:(fun dit' ->
-                              dit_result (Dit.add dit' after) ~on_ok:(fun dit'' ->
-                                  set_context t dit'';
-                                  note_entry t before ~add:false;
-                                  note_entry t after ~add:true;
-                                  Ok ())))))))
+                  (Printf.sprintf "no naming context for new DN %S" (Dn.to_string new_dn))
+            | Some target when not (Dn.ancestor_of target dn) ->
+                Error "modifyDN across naming contexts is not supported"
+            | Some _ ->
+                if find t new_dn <> None then
+                  Error (Printf.sprintf "entry already exists: %s" (Dn.to_string new_dn))
+                else if find t parent_dn = None || Dn.equal parent_dn dn then
+                  (* Checked before mutating: the remove below must
+                     never be left without its add. *)
+                  Error
+                    (Printf.sprintf "new superior does not exist: %s"
+                       (Dn.to_string parent_dn))
+                else
+                  let stripped =
+                    if delete_old_rdn then
+                      match Dn.rdn dn with
+                      | None -> before
+                      | Some avas ->
+                          List.fold_left
+                            (fun e (ava : Dn.ava) ->
+                              match Entry.delete_values e ava.attr [ ava.value ] with
+                              | Ok e' -> e'
+                              | Error _ -> e)
+                            before avas
+                    else before
+                  in
+                  let after = stamp (naming_values_present (Entry.with_dn stripped new_dn)) in
+                  commit t op ~before:(Some before) ~after:(Some after) ~mutate:(fun () ->
+                      Result.bind (remove t dn) (fun () -> add t after)))
 
 let csn t = t.csn
 
@@ -414,27 +472,7 @@ let log_floor t = Changelog.floor t.log
    stamps, so nothing here validates, re-stamps or notifies
    subscribers. *)
 
-let no_context dn =
-  Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
-
-let restore_entry t entry =
-  let dn = Entry.dn entry in
-  match context_for t dn with
-  | None -> no_context dn
-  | Some dit -> (
-      match Dit.find dit dn with
-      | Some old ->
-          dit_result (Dit.replace dit entry) ~on_ok:(fun dit' ->
-              set_context t dit';
-              note_entry t old ~add:false;
-              note_entry t entry ~add:true;
-              Ok ())
-      | None ->
-          dit_result (Dit.add dit entry) ~on_ok:(fun dit' ->
-              set_context t dit';
-              note_entry t entry ~add:true;
-              Ok ()))
-
+let restore_entry = put
 let restore_csn t csn = t.csn <- csn
 
 let restore_log t ~floor records =
@@ -443,49 +481,17 @@ let restore_log t ~floor records =
   List.iter (Changelog.append t.log) records
 
 let replay_record t (r : Update.record) =
-  let delete_image e =
-    let dn = Entry.dn e in
-    match context_for t dn with
-    | None -> no_context dn
-    | Some dit ->
-        dit_result (Dit.delete dit dn) ~on_ok:(fun dit' ->
-            set_context t dit';
-            note_entry t e ~add:false;
-            Ok ())
-  in
-  let add_image e =
-    let dn = Entry.dn e in
-    match context_for t dn with
-    | None -> no_context dn
-    | Some dit ->
-        dit_result (Dit.add dit e) ~on_ok:(fun dit' ->
-            set_context t dit';
-            note_entry t e ~add:true;
-            Ok ())
-  in
   let step =
     match (r.Update.before, r.Update.after) with
     | None, None -> Ok ()
-    | Some b, Some a when Dn.equal (Entry.dn b) (Entry.dn a) -> (
-        (* In-place modify: replace keeps the subtree below. *)
-        let dn = Entry.dn a in
-        match context_for t dn with
-        | None -> no_context dn
-        | Some dit ->
-            dit_result (Dit.replace dit a) ~on_ok:(fun dit' ->
-                set_context t dit';
-                note_entry t b ~add:false;
-                note_entry t a ~add:true;
-                Ok ()))
-    | before, after -> (
+    | Some b, Some a when Dn.equal (Entry.dn b) (Entry.dn a) ->
+        (* In-place modify: the subtree below stays. *)
+        put t a
+    | before, after ->
         (* Delete and modifyDN only commit on leaves, so the old image
-           is deletable; then install the new one, if any. *)
-        let deleted =
-          match before with None -> Ok () | Some b -> delete_image b
-        in
-        match deleted with
-        | Error _ as e -> e
-        | Ok () -> ( match after with None -> Ok () | Some a -> add_image a))
+           is removable; then install the new one, if any. *)
+        let removed = match before with None -> Ok () | Some b -> remove t (Entry.dn b) in
+        Result.bind removed (fun () -> match after with None -> Ok () | Some a -> add t a)
   in
   match step with
   | Error _ as e -> e

@@ -6,7 +6,13 @@
     indexes on configured attributes, assigns a {!Csn.t} to every
     committed update, records pre/post images in an update log and
     notifies subscribers — which is how the ReSync master maintains
-    per-session history. *)
+    per-session history.
+
+    Entries live in one {!Content_store}; child links and attribute
+    postings are keyed by its slot ids.  Slot order — ascending slot
+    id — puts every parent before its children: an id is assigned when
+    a DN is first stored, which needs a live parent, and never
+    reused. *)
 
 type t
 
@@ -20,30 +26,33 @@ val add_context : t -> Entry.t -> (unit, string) result
 (** Installs a new naming context whose suffix entry is given.  Fails
     when the suffix is inside, or encloses, an existing context. *)
 
-val contexts : t -> Dit.t list
-val context_for : t -> Dn.t -> Dit.t option
-(** Most specific naming context whose namespace covers the DN. *)
+val contexts : t -> Dn.t list
+(** Suffixes of the naming contexts, deepest first. *)
+
+val context_for : t -> Dn.t -> Dn.t option
+(** Suffix of the most specific naming context whose namespace covers
+    the DN. *)
 
 val find : t -> Dn.t -> Entry.t option
-(** O(1) lookup across all naming contexts. *)
+(** O(1) lookup across all naming contexts: one hash probe. *)
 
 val total_entries : t -> int
 (** Entries held across all naming contexts. *)
 
 val fold_entries : t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
-(** Folds over every entry in flat-mirror (insertion) order. *)
+(** Folds over every entry in slot order, so parents come before their
+    children. *)
 
 val entries_seq : t -> Entry.t Seq.t
-(** All entries as a sequence over the backend's flat content mirror
-    (insertion order) — the streaming form full-content walks
-    (tombstone replay, anti-entropy tree construction) consume, with
-    no per-walk list copy and no DIT traversal. *)
+(** All entries as a sequence in slot order — the streaming form
+    full-content walks (tombstone replay, anti-entropy tree
+    construction) consume, with no per-walk list copy. *)
 
 val content_store : t -> Content_store.t
-(** The flat {!Content_store} mirror of every naming context,
-    maintained on each commit and restore.  Its change spine is in
-    CSN commit order; readers use it for O(diff) change enumeration
-    and memory-residency reports. *)
+(** The {!Content_store} holding every entry of every naming context,
+    updated on each commit and restore.  Its change spine is in CSN
+    commit order; readers use it for O(diff) change enumeration and
+    memory-residency reports. *)
 
 (** {1 Search} *)
 
@@ -64,7 +73,8 @@ type search_result = {
 
 val search : t -> Query.t -> (search_result, search_error) Stdlib.result
 (** Evaluates the query against the covering naming context, using
-    attribute indexes where the filter allows. *)
+    attribute indexes where the filter allows.  Entries come in slot
+    order. *)
 
 val compare_values : t -> Dn.t -> attr:string -> value:string -> (bool, string) result
 (** The LDAP compare operation (section 2.2): does the entry carry the
@@ -125,5 +135,5 @@ val restore_log : t -> floor:Csn.t -> Update.record list -> unit
 
 val replay_record : t -> Update.record -> (unit, string) result
 (** Replays one WAL record past the snapshot: applies its recorded
-    images to the DIT, appends it to the changelog and advances the
-    CSN to the record's — without re-notifying subscribers. *)
+    images, appends it to the changelog and advances the CSN to the
+    record's — without re-notifying subscribers. *)

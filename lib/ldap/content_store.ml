@@ -1,7 +1,7 @@
 (* DN-keyed content store with interned ids and a change spine.
 
    The store is the shared content shape for every layer that holds a
-   set of entries: backend mirror, consumer replica content, and the
+   set of entries: backend content, consumer replica content, and the
    snapshot-diff cursors the topology nodes serve from.  Three parts:
 
    - [ids]: canonical-DN -> slot id.  A DN is interned once; deleting
@@ -169,10 +169,8 @@ let remove t ?csn dn =
 
 (* --- Access ---------------------------------------------------------- *)
 
-let find t dn =
-  match id_of t dn with
-  | None -> None
-  | Some id -> ( match t.slots.(id) with Some s -> s.entry | None -> None)
+let get t id = match t.slots.(id) with Some s -> s.entry | None -> None
+let find t dn = match id_of t dn with None -> None | Some id -> get t id
 
 let mem t dn = find t dn <> None
 

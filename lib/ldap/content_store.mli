@@ -1,7 +1,7 @@
 (** DN-keyed content store with interned ids and a change spine.
 
     The shared shape for every layer that materializes a set of
-    entries — the backend's flat mirror, consumer replica content, and
+    entries — the backend's entries, consumer replica content, and
     the cursors topology nodes serve snapshot-diffs from.  A store
     maps canonical DNs to entries through dense interned slot ids and
     records every mutation on a bounded {e change spine}: a ring of
@@ -32,6 +32,16 @@ val remove : t -> ?csn:Csn.t -> Dn.t -> unit
 
 val find : t -> Dn.t -> Entry.t option
 (** O(1) lookup by DN. *)
+
+val id_of : t -> Dn.t -> int option
+(** The slot id interned for [dn], live or tombstoned; [None] when the
+    DN was never stored.  Ids are dense, assigned in first-upsert
+    order and never reused. *)
+
+val get : t -> int -> Entry.t option
+(** O(1) access by slot id: the live entry, or [None] for a tombstone
+    or an id not yet allocated.  Raises [Invalid_argument] for an id
+    beyond the slot array. *)
 
 val mem : t -> Dn.t -> bool
 

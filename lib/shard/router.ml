@@ -203,11 +203,7 @@ let reset_timelines t = Array.iter Shard_master.reset_timeline t.shards
 
 let seed_from_backend t source =
   let ( let* ) = Result.bind in
-  let contexts =
-    List.filter_map
-      (fun dit -> Backend.find source (Dit.suffix dit))
-      (Backend.contexts source)
-  in
+  let contexts = List.filter_map (Backend.find source) (Backend.contexts source) in
   let all =
     List.rev (Backend.fold_entries source ~init:[] ~f:(fun acc e -> e :: acc))
   in

@@ -27,14 +27,15 @@ let snapshot_emit backend w =
   DW.close_seq w ml;
   let mc = DW.mark w in
   List.iter
-    (fun dit ->
+    (fun suffix ->
       let mctx = DW.mark w in
-      (* [Dit.fold] yields parent-before-children; consing builds the
-         reverse, which the backwards writer flips back to fold order
-         in the final image. *)
+      (* Slot order puts the suffix first and parents before children;
+         consing builds the reverse, which the backwards writer flips
+         back to slot order in the final image. *)
       List.iter
         (fun e -> DW.entry w e)
-        (Dit.fold dit ~init:[] ~f:(fun acc e -> e :: acc));
+        (Backend.fold_entries backend ~init:[] ~f:(fun acc e ->
+             if Dn.ancestor_of suffix (Entry.dn e) then e :: acc else acc));
       DW.close_seq w mctx)
     (List.rev (Backend.contexts backend));
   DW.close_seq w mc;

@@ -35,6 +35,8 @@ let test_upsert_find_remove () =
   check_int "one live" 1 (Content_store.size s);
   check_int "slot survives" 2 (Content_store.interned s);
   check_bool "gone" true (Content_store.find s (dn "cn=a,o=xyz") = None);
+  let a_id = Option.get (Content_store.id_of s (dn "cn=a,o=xyz")) in
+  check_bool "tombstone empty by id" true (Content_store.get s a_id = None);
   (* Removing an absent DN is a no-op and records no event. *)
   let r = Content_store.rev s in
   Content_store.remove s (dn "cn=zz,o=xyz");
@@ -42,6 +44,9 @@ let test_upsert_find_remove () =
   (* Revival reuses the DN; the store holds it once. *)
   Content_store.upsert s (entry "a" "3");
   check_int "revived" 2 (Content_store.size s);
+  check_bool "revival keeps the slot id" true
+    (Content_store.id_of s (dn "cn=a,o=xyz") = Some a_id
+    && Content_store.get s a_id <> None);
   check_int "revived once" 2
     (List.length
        (List.filter

@@ -89,6 +89,95 @@ let test_backend_recovery () =
         && List.for_all2 Entry.equal expected actual))
     [ "7"; "8"; "9" ]
 
+let unit_entry name =
+  Entry.make (dn (Printf.sprintf "ou=%s,o=xyz" name))
+    [ ("objectclass", [ "organizationalUnit" ]); ("ou", [ name ]) ]
+
+let member name unit_name =
+  Entry.make
+    (dn (Printf.sprintf "cn=%s,ou=%s,o=xyz" name unit_name))
+    [ ("objectclass", [ "inetOrgPerson" ]); ("cn", [ name ]); ("sn", [ name ]);
+      ("departmentNumber", [ "7" ]) ]
+
+let slot_order b =
+  List.rev (Backend.fold_entries b ~init:[] ~f:(fun acc e -> Dn.canonical (Entry.dn e) :: acc))
+
+let search_order b query =
+  match Backend.search b query with
+  | Ok { Backend.entries; _ } -> List.map (fun e -> Dn.canonical (Entry.dn e)) entries
+  | Error _ -> []
+
+let recover_backend m =
+  fst
+    (must
+       (Store.Backend_store.recover ~indexed:[ "departmentnumber" ] schema
+          (Store.Store.create m ~name:"backend")))
+
+let test_snapshot_slot_order () =
+  (* Deletes and a modifyDN leave slot order unlike RDN order: ou=b
+     precedes ou=a, a re-added y keeps its slot, a moved z takes a new
+     one. *)
+  let b = make_backend () in
+  List.iter (apply b)
+    [
+      Update.add (unit_entry "b");
+      Update.add (unit_entry "a");
+      Update.add (member "z" "b");
+      Update.add (member "y" "a");
+      Update.add (member "x" "a");
+      Update.delete (dn "cn=y,ou=a,o=xyz");
+      Update.add (member "y" "a");
+      Update.modify_dn ~new_superior:(dn "ou=a,o=xyz") (dn "cn=z,ou=b,o=xyz")
+        (Result.get_ok (Dn.rdn_of_string "cn=z"));
+      Update.delete (dn "cn=x,ou=a,o=xyz");
+    ];
+  Alcotest.(check (list string))
+    "live slot order"
+    [ "o=xyz"; "ou=b,o=xyz"; "ou=a,o=xyz"; "cn=y,ou=a,o=xyz"; "cn=z,ou=a,o=xyz" ]
+    (slot_order b);
+  let m = Store.Medium.memory () in
+  let bs = Store.Backend_store.attach b (Store.Store.create m ~name:"backend") in
+  Store.Backend_store.checkpoint bs;
+  apply b (Update.add (member "w" "b"));
+  Store.Medium.crash m;
+  let b2 = recover_backend m in
+  Alcotest.(check (list string)) "slot order recovered" (slot_order b) (slot_order b2);
+  check_bool "CSN recovered" true (Csn.equal (Backend.csn b) (Backend.csn b2));
+  List.iter
+    (fun query ->
+      Alcotest.(check (list string))
+        (Query.to_string query) (search_order b query) (search_order b2 query))
+    [ dept_query "7"; Query.make ~base:(dn "o=xyz") (f "(|(cn=*)(ou=*))") ]
+
+let test_restore_rdn_ordered_image () =
+  (* Images written before slot order were depth-first with siblings in
+     RDN order; they still restore, in image order. *)
+  let image_entries =
+    [ org; unit_entry "a"; member "y" "a"; member "z" "a"; unit_entry "b"; member "w" "b" ]
+  in
+  let module Der = Ber_codec.Der in
+  let image =
+    Der.seq
+      [
+        Store.Codec.csn (Csn.of_int 6);
+        Store.Codec.csn Csn.zero;
+        Der.seq [ Der.seq (List.map Der.entry image_entries) ];
+        Der.seq [];
+      ]
+  in
+  let m = Store.Medium.memory () in
+  Store.Store.checkpoint (Store.Store.create m ~name:"backend") image;
+  let b = recover_backend m in
+  Alcotest.(check (list string))
+    "image order" (List.map (fun e -> Dn.canonical (Entry.dn e)) image_entries) (slot_order b);
+  check_int "one level under a" 2
+    (List.length
+       (search_order b (Query.make ~scope:Scope.One ~base:(dn "ou=a,o=xyz") (f "(cn=*)"))));
+  check_int "postings restored" 3 (List.length (search_order b (dept_query "7")));
+  apply b (Update.delete (dn "cn=w,ou=b,o=xyz"));
+  apply b (Update.delete (dn "ou=b,o=xyz"));
+  check_int "child links restored" 4 (Backend.total_entries b)
+
 (* --- Master recovery -------------------------------------------------- *)
 
 let test_master_recovery_keeps_sessions () =
@@ -420,6 +509,8 @@ let test_checkpoint_crash_window_resyncs () =
 let suite =
   [
     Alcotest.test_case "backend recovery" `Quick test_backend_recovery;
+    Alcotest.test_case "snapshot keeps slot order" `Quick test_snapshot_slot_order;
+    Alcotest.test_case "restore rdn-ordered image" `Quick test_restore_rdn_ordered_image;
     Alcotest.test_case "checkpoint crash window" `Quick
       test_checkpoint_crash_window_resyncs;
     Alcotest.test_case "master keeps sessions" `Quick
