@@ -1,7 +1,9 @@
 (* Every entry of every naming context lives in one [Content_store].
    Its slot ids key the two small tables that stand in for a tree:
    child links, for one-level and subtree walks and the leaf and
-   parent checks, and attribute postings, for indexed candidates.  A
+   parent checks, and attribute postings, for indexed candidates.  The
+   postings store their counts, so a conjunction prices its conjuncts
+   and builds the candidate set of the cheapest one only.  A
    slot id is assigned when its DN is first stored, which needs a live
    parent, and is never reused, so ascending slot order visits parents
    before their children. *)
@@ -212,54 +214,59 @@ let crosses_referral t ~base dn =
     in
     go dn
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* Candidate slots from postings, with their count (an upper bound for
-   unions), if some indexed predicate must hold.  [None] when no
-   posting applies (fall back to a walk). *)
-let rec index_candidates t filter =
+(* Candidate slots from postings: a count (an upper bound for unions)
+   and the set, built only when forced.  [None] when no posting applies
+   (fall back to a walk) or the count would pass [limit]; counting
+   stops there. *)
+let rec index_candidates t ~limit filter =
   let table a = Hashtbl.find_opt t.postings (String.lowercase_ascii a) in
   let norm a v = Value.normalize (Schema.syntax_of t.schema a) v in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
-      Option.map
-        (fun tbl ->
-          match Vmap.find_opt (norm a v) !tbl with
-          | Some p -> (p.ids, p.card)
-          | None -> (Ids.empty, 0))
-        (table a)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ })) ->
-      Option.map
-        (fun tbl ->
-          let prefix = norm a init in
-          let rec collect ((ids, n) as acc) seq =
-            match seq () with
-            | Seq.Cons ((key, p), rest) when has_prefix ~prefix key ->
-                collect (Ids.union ids p.ids, n + p.card) rest
-            | Seq.Cons _ | Seq.Nil -> acc
+      Option.bind (table a) (fun tbl ->
+          let n, ids =
+            match Vmap.find_opt (norm a v) !tbl with
+            | Some p -> (p.card, p.ids)
+            | None -> (0, Ids.empty)
           in
-          collect (Ids.empty, 0) (Vmap.to_seq_from prefix !tbl))
-        (table a)
+          if n <= limit then Some (n, Lazy.from_val ids) else None)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ })) ->
+      Option.bind (table a) (fun tbl ->
+          let prefix = norm a init in
+          let rec count n sets seq =
+            if n > limit then None
+            else
+              match seq () with
+              | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
+                  count (n + p.card) (p.ids :: sets) rest
+              | Seq.Cons _ | Seq.Nil ->
+                  Some (n, lazy (List.fold_left Ids.union Ids.empty sets))
+          in
+          count 0 [] (Vmap.to_seq_from prefix !tbl))
   | Filter.And gs ->
-      (* Any conjunct's candidates over-approximate the result; take
-         the smallest. *)
+      (* Any conjunct's candidates over-approximate the result.  Price
+         the equalities first, as one lookup each, so every later
+         conjunct stops counting once it cannot beat the best so far;
+         only the winner's set is ever built. *)
+      let eqs, others =
+        List.partition (function Filter.Pred (Filter.Equality _) -> true | _ -> false) gs
+      in
       List.fold_left
         (fun best g ->
-          match (index_candidates t g, best) with
-          | Some (_, n), Some (_, bn) when bn <= n -> best
-          | (Some _ as c), _ -> c
-          | None, _ -> best)
-        None gs
+          let limit = match best with Some (n, _) -> n - 1 | None -> limit in
+          match index_candidates t ~limit g with Some _ as c -> c | None -> best)
+        None (eqs @ others)
   | Filter.Or gs ->
-      List.fold_left
-        (fun acc g ->
-          match (acc, index_candidates t g) with
-          | Some (ids, n), Some (ids', n') -> Some (Ids.union ids ids', n + n')
-          | _, None | None, _ -> None)
-        (Some (Ids.empty, 0))
-        gs
+      let rec sum n sets = function
+        | [] ->
+            let union acc s = Ids.union acc (Lazy.force s) in
+            Some (n, lazy (List.fold_left union Ids.empty sets))
+        | g :: rest -> (
+            match index_candidates t ~limit:(limit - n) g with
+            | Some (n', s) -> sum (n + n') (s :: sets) rest
+            | None -> None)
+      in
+      sum 0 [] gs
   | Filter.Pred _ | Filter.Not _ -> None
 
 let in_scope_references t (q : Query.t) =
@@ -314,8 +321,8 @@ let search t (q : Query.t) =
             |> List.rev
           in
           let entries =
-            match (index_candidates t q.filter, q.scope) with
-            | Some (candidates, _), _ -> collect candidates
+            match (index_candidates t ~limit:max_int q.filter, q.scope) with
+            | Some (_, candidates), _ -> collect (Lazy.force candidates)
             | None, Scope.Base -> if matches base_entry then [ base_entry ] else []
             | None, Scope.One -> collect (kids t (Option.get (live_id t q.base)))
             | None, Scope.Sub ->

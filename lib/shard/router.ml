@@ -12,7 +12,6 @@ type t = {
   shards : Shard_master.t array;
   transport : Transport.t;
   rt_host : string;
-  owners : (string, okind * Dn.t) Hashtbl.t;
   mutable geo_ok : bool;
   mutable searches : int;
   mutable search_contacts : int;
@@ -32,40 +31,23 @@ let cover t q = Partition.cover ~use_geo:t.geo_ok t.partition q
 let restrict t s q = Partition.restrict t.partition s q
 let shard_host t s = Shard_master.host t.shards.(s)
 
-(* --- Ownership table --------------------------------------------------- *)
+(* --- Ownership ----------------------------------------------------------- *)
 
-let register_owner t dn kind = Hashtbl.replace t.owners (Dn.canonical dn) (kind, dn)
-let forget_owner t dn = Hashtbl.remove t.owners (Dn.canonical dn)
+let kind_of t e =
+  if Partition.is_structural t.partition e then Structural
+  else Owned (Partition.of_entry t.partition e)
 
-(* A rename moves the whole subtree: re-key every tracked descendant. *)
-let regraft_owners t ~old_base ~new_base =
-  let moved =
-    Hashtbl.fold
-      (fun key (kind, dn) acc ->
-        match Dn.relative_to ~ancestor:old_base dn with
-        | Some (_ :: _ as rel) -> (key, kind, rel) :: acc
-        | Some [] | None -> acc)
-      t.owners []
-  in
-  List.iter
-    (fun (key, kind, rel) ->
-      Hashtbl.remove t.owners key;
-      let dn = List.fold_left Dn.child new_base (List.rev rel) in
-      register_owner t dn kind)
-    moved
+(* Every shard holds a structural entry and only its owner holds a
+   keyed one, so the first shard holding [dn] tells which it is. *)
+let owner t dn =
+  Array.find_map (fun sm -> Backend.find (Shard_master.backend sm) dn) t.shards
+  |> Option.map (kind_of t)
 
 let note_geo t after =
   if t.geo_ok && not (Partition.geo_consistent t.partition after) then
     t.geo_ok <- false
 
 (* --- Write routing ----------------------------------------------------- *)
-
-let note_rename t (record : Update.record) =
-  match (record.before, record.after) with
-  | Some b, Some a when not (Dn.equal (Entry.dn b) (Entry.dn a)) ->
-      forget_owner t (Entry.dn b);
-      regraft_owners t ~old_base:(Entry.dn b) ~new_base:(Entry.dn a)
-  | _ -> ()
 
 (* Delete the placeholder/owned copy everywhere but [keep]. *)
 let drop_elsewhere t ~keep dn =
@@ -78,33 +60,24 @@ let apply_owned t s op =
   match Shard_master.apply t.shards.(s) op with
   | Error _ as e -> e
   | Ok record ->
-      note_rename t record;
-      (match (record.before, record.after) with
-      | Some b, None -> forget_owner t (Entry.dn b)
-      | _, Some a ->
-          let adn = Entry.dn a in
+      (match record.after with
+      | None -> ()
+      | Some a -> (
           note_geo t a;
-          if Partition.is_structural t.partition a then begin
-            (* The entry lost its key: it is structural now, so every
-               shard needs the scaffolding copy. *)
-            t.moves <- t.moves + 1;
-            Array.iteri
-              (fun i sm ->
-                if i <> s then ignore (Shard_master.apply sm (Update.add a)))
-              t.shards;
-            register_owner t adn Structural
-          end
-          else begin
-            let s' = Partition.of_entry t.partition a in
-            if s' <> s then begin
+          match kind_of t a with
+          | Structural ->
+              (* The entry lost its key: it is structural now, so every
+                 shard needs the scaffolding copy. *)
               t.moves <- t.moves + 1;
-              ignore (Shard_master.apply t.shards.(s) (Update.delete adn));
-              ignore (Shard_master.apply t.shards.(s') (Update.add a));
-              note_geo t a
-            end;
-            register_owner t adn (Owned s')
-          end
-      | None, None -> ());
+              Array.iteri
+                (fun i sm ->
+                  if i <> s then ignore (Shard_master.apply sm (Update.add a)))
+                t.shards
+          | Owned s' when s' <> s ->
+              t.moves <- t.moves + 1;
+              ignore (Shard_master.apply t.shards.(s) (Update.delete (Entry.dn a)));
+              ignore (Shard_master.apply t.shards.(s') (Update.add a))
+          | Owned _ -> ()));
       Ok record
 
 let apply_structural t op =
@@ -122,28 +95,22 @@ let apply_structural t op =
       (match !err with
       | Some e -> Error ("structural replication: " ^ e)
       | None ->
-          note_rename t record;
           (* A structural rename moves descendants whose geography the
              partition tracks by the old DN: pruning is no longer
              trustworthy. *)
           (match record.op with
           | Update.Modify_dn _ -> t.geo_ok <- false
           | _ -> ());
-          (match (record.before, record.after) with
-          | Some b, None -> forget_owner t (Entry.dn b)
-          | _, Some a ->
-              let adn = Entry.dn a in
-              if Partition.is_structural t.partition a then
-                register_owner t adn Structural
-              else begin
-                (* The entry gained a key: one shard owns it now. *)
-                let s' = Partition.of_entry t.partition a in
-                t.moves <- t.moves + 1;
-                drop_elsewhere t ~keep:s' adn;
-                note_geo t a;
-                register_owner t adn (Owned s')
-              end
-          | None, None -> ());
+          (match record.after with
+          | None -> ()
+          | Some a -> (
+              match kind_of t a with
+              | Structural -> ()
+              | Owned s' ->
+                  (* The entry gained a key: one shard owns it now. *)
+                  t.moves <- t.moves + 1;
+                  drop_elsewhere t ~keep:s' (Entry.dn a);
+                  note_geo t a));
           Ok record)
 
 let route_of_op t op =
@@ -152,22 +119,16 @@ let route_of_op t op =
       (* A DN that already has an owner routes there even if the new
          entry's key says otherwise: the owning shard holds the
          existing entry and correctly rejects the duplicate add. *)
-      match Hashtbl.find_opt t.owners (Dn.canonical (Entry.dn e)) with
-      | Some (kind, _) -> kind
-      | None ->
-          if Partition.is_structural t.partition e then Structural
-          else Owned (Partition.of_entry t.partition e))
-  | Update.Delete dn | Update.Modify (dn, _) | Update.Modify_dn { dn; _ } -> (
-      match Hashtbl.find_opt t.owners (Dn.canonical dn) with
-      | Some (kind, _) -> kind
-      | None -> Structural)
+      match owner t (Entry.dn e) with Some kind -> kind | None -> kind_of t e)
+  | Update.Delete dn | Update.Modify (dn, _) | Update.Modify_dn { dn; _ } ->
+      Option.value (owner t dn) ~default:Structural
 
 (* A modifyDN's target may be held by a shard other than the one owning
    the renamed entry, where the owning shard's local existence check
-   cannot see it.  The owner table is the router's global view of held
-   DNs, so the duplicate target is rejected here with the same error a
-   single master's backend raises — keeping the router observationally
-   equivalent. *)
+   cannot see it.  Probing every shard gives the router's global view
+   of held DNs, so the duplicate target is rejected here with the same
+   error a single master's backend raises — keeping the router
+   observationally equivalent. *)
 let rename_target_clash t op =
   match op with
   | Update.Modify_dn { dn; new_rdn; new_superior; _ } ->
@@ -177,7 +138,7 @@ let rename_target_clash t op =
         | None -> Option.value ~default:Dn.root (Dn.parent dn)
       in
       let new_dn = Dn.child parent_dn new_rdn in
-      if Hashtbl.mem t.owners (Dn.canonical new_dn) then Some new_dn else None
+      if owner t new_dn <> None then Some new_dn else None
   | Update.Add _ | Update.Delete _ | Update.Modify _ -> None
 
 let apply t op =
@@ -220,16 +181,7 @@ let seed_from_backend t source =
       let* () = Shard_master.seed t.shards.(s) ~contexts mine in
       seed_shards (s + 1)
   in
-  let* () = seed_shards 0 in
-  List.iter
-    (fun e ->
-      let kind =
-        if Partition.is_structural t.partition e then Structural
-        else Owned (Partition.of_entry t.partition e)
-      in
-      register_owner t (Entry.dn e) kind)
-    all;
-  Ok ()
+  seed_shards 0
 
 (* --- Search fan-out ---------------------------------------------------- *)
 
@@ -623,7 +575,6 @@ let create ?(host = default_host) partition transport shards =
       shards = Array.copy shards;
       transport;
       rt_host = host;
-      owners = Hashtbl.create 1024;
       geo_ok = true;
       searches = 0;
       search_contacts = 0;
@@ -669,14 +620,15 @@ type report = {
   rp_geo_pruning : bool;
 }
 
+(* Structural entries count once, at shard 0. *)
+let owned t i =
+  Backend.fold_entries (Shard_master.backend t.shards.(i)) ~init:0 ~f:(fun n e ->
+      match kind_of t e with
+      | Owned s when s = i -> n + 1
+      | Structural when i = 0 -> n + 1
+      | Owned _ | Structural -> n)
+
 let report t =
-  let owned = Array.make (Array.length t.shards) 0 in
-  Hashtbl.iter
-    (fun _ (kind, _) ->
-      match kind with
-      | Owned s -> owned.(s) <- owned.(s) + 1
-      | Structural -> owned.(0) <- owned.(0) + 1)
-    t.owners;
   let rp_shards =
     Array.to_list
       (Array.mapi
@@ -685,7 +637,7 @@ let report t =
              ss_id = i;
              ss_host = Shard_master.host sm;
              ss_entries = Shard_master.entries sm;
-             ss_owned = owned.(i);
+             ss_owned = owned t i;
              ss_csn = Shard_master.csn sm;
              ss_sessions = Master.session_count (Shard_master.master sm);
              ss_applied = Shard_master.applied sm;

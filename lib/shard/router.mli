@@ -72,13 +72,15 @@ val replace_shard : t -> int -> Shard_master.t -> unit
 val seed_from_backend : t -> Backend.t -> (unit, string) result
 (** Distributes a source backend's content over the shards through the
     restore path: naming contexts and structural entries everywhere,
-    keyed entries at their owner.  Also builds the ownership table. *)
+    keyed entries at their owner. *)
 
 val apply : t -> Update.op -> (Update.record, string) result
-(** Routes one write to its owning shard (by entry key for adds, by
-    the ownership table otherwise).  Structural writes apply at every
-    shard.  A committed after-image whose key moved ownership is
-    re-homed with a delete at the old shard and an add at the new. *)
+(** Routes one write to the shard holding its DN, read from the shard
+    backends themselves: every shard holds a structural entry, only its
+    owner a keyed one.  An add of a DN no shard holds routes by the new
+    entry's key.  Structural writes apply at every shard.  A committed
+    after-image whose key moved ownership is re-homed with a delete at
+    the old shard and an add at the new. *)
 
 val apply_at : t -> now:int -> Update.op -> int * (Update.record, string) result
 (** {!apply} plus service-time accounting: books the write into the
@@ -113,7 +115,9 @@ type shard_stat = {
   ss_id : int;
   ss_host : string;
   ss_entries : int;  (** Entries held, placeholders included. *)
-  ss_owned : int;  (** Entries this shard owns. *)
+  ss_owned : int;
+      (** Entries this shard owns; structural entries count at shard 0,
+          so the values sum to the number of distinct DNs. *)
   ss_csn : Csn.t;
   ss_sessions : int;
   ss_applied : int;

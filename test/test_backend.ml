@@ -444,6 +444,26 @@ let query_gen =
         map (fun d -> Printf.sprintf "(|(departmentNumber=%s)(serialNumber=0003))" d) dept;
         map (fun d -> Printf.sprintf "(!(departmentNumber=%s))" d) dept;
         return "(objectclass=inetOrgPerson)";
+        (* The shapes a shard's ownership conjunct gives a routed query:
+           an indexed union beside a smaller conjunct is priced only up
+           to the best count so far, ties keep the first conjunct, and
+           an unindexed disjunct leaves its union unindexed. *)
+        map (fun d -> Printf.sprintf "(&(|(serialNumber=00*)(serialNumber=01*))(departmentNumber=%s))" d)
+          dept;
+        map3
+          (fun v w d ->
+            Printf.sprintf "(&(|(serialNumber=%s*)(serialNumber=%s*))(departmentNumber=%s))"
+              (String.sub v 0 3) (String.sub w 0 3) d)
+          value value dept;
+        map (fun v -> Printf.sprintf "(&(serialNumber=00*)(serialNumber=%s))" v) value;
+        map2 (fun v w -> Printf.sprintf "(&(serialNumber=%s)(serialNumber=%s))" v w) value value;
+        map2 (fun d e -> Printf.sprintf "(&(departmentNumber=%s)(departmentNumber=%s))" d e)
+          dept dept;
+        map2
+          (fun v d ->
+            Printf.sprintf "(&(|(serialNumber>=%s)(departmentNumber=%s))(serialNumber=%s*))" v d
+              (String.sub v 0 3))
+          value dept;
       ]
   in
   map3

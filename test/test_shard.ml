@@ -272,8 +272,17 @@ let test_write_routing () =
   check_bool "search sees the write" true
     (search_matches_oracle router source (serial_query 1))
 
+let owned router =
+  List.map (fun st -> st.Router.ss_owned) (Router.report router).Router.rp_shards
+
+let check_owned_total router source =
+  check_int "owned counts sum to distinct DNs" (Backend.total_entries source)
+    (List.fold_left ( + ) 0 (owned router))
+
 let test_ownership_move () =
   let router, _, source = make_router ~shards:2 () in
+  check_owned_total router source;
+  let before = owned router in
   (* Re-key p1-0 from block 1 (shard 1) into block 2 (shard 0). *)
   ignore
     (must
@@ -288,7 +297,7 @@ let test_ownership_move () =
     (search_matches_oracle router source (serial_query 2));
   check_bool "gone from old block" true
     (search_matches_oracle router source (serial_query 1));
-  (* The ownership table re-routed: a follow-up modify lands at shard 0. *)
+  (* Routing follows the entry: a follow-up modify lands at shard 0. *)
   let csn1 = Shard_master.csn (Router.shard router 1) in
   ignore
     (must
@@ -297,7 +306,45 @@ let test_ownership_move () =
              [ Update.replace_values "telephonenumber" [ "555-0002" ] ])));
   check_bool "follow-up at new owner" true
     (Csn.equal (Shard_master.csn (Router.shard router 1)) csn1);
-  check_int "one move recorded" 1 (Router.report router).Router.rp_moves
+  check_int "one move recorded" 1 (Router.report router).Router.rp_moves;
+  Alcotest.(check (list int)) "ownership shifted by one"
+    (match before with [ o0; o1 ] -> [ o0 + 1; o1 - 1 ] | l -> l)
+    (owned router);
+  check_owned_total router source
+
+(* Ownership is read from the shard backends, so a rename needs no
+   bookkeeping: the renamed entry routes to its owner under the new DN,
+   the old DN is gone everywhere, and a target only another shard
+   holds is still seen. *)
+let test_rename_keeps_routing () =
+  let router, _, source = make_router ~shards:2 () in
+  let csn i = Shard_master.csn (Router.shard router i) in
+  let rdn s = match Dn.rdn_of_string s with Ok r -> r | Error e -> failwith e in
+  let renamed = dn "cn=r1,ou=c1,o=shard" in
+  ignore (must (route_apply router source (Update.modify_dn (emp_dn 1 0) (rdn "cn=r1"))));
+  let lands_at_owner what op =
+    let c0 = csn 0 and c1 = csn 1 in
+    ignore (must (route_apply router source op));
+    check_bool (what ^ " at the owner") true (Csn.compare (csn 1) c1 > 0);
+    check_bool (what ^ " not at shard 0") true (Csn.equal (csn 0) c0)
+  in
+  lands_at_owner "modify"
+    (Update.modify renamed [ Update.replace_values "telephonenumber" [ "555-9000" ] ]);
+  let same_error op =
+    match (Router.apply router op, Backend.apply source op) with
+    | Error r, Error o -> Alcotest.(check string) "error as the single master" o r
+    | _ -> Alcotest.fail "expected both to fail"
+  in
+  same_error (Update.delete (emp_dn 1 0));
+  (* p0-0 lives at shard 0 only; the rename runs at shard 1. *)
+  same_error (Update.modify_dn ~new_superior:(country_dn 0) renamed (rdn "cn=p0-0"));
+  (match Router.apply router (Update.modify_dn ~new_superior:(country_dn 0) renamed (rdn "cn=p0-0")) with
+  | Error e ->
+      Alcotest.(check string) "target clash" "entry already exists: cn=p0-0,ou=c0,o=shard" e
+  | Ok _ -> Alcotest.fail "rename onto another shard's DN succeeded");
+  lands_at_owner "delete" (Update.delete renamed);
+  check_bool "search = oracle" true (search_matches_oracle router source broadcast_query);
+  check_owned_total router source
 
 let test_structural_write () =
   let router, _, source = make_router ~shards:2 () in
@@ -596,6 +643,16 @@ let test_shard_crash_recovery () =
   check_bool "post-checkpoint WAL replayed" true
     (List.length recovery.Shard_master.rc_backend.Ldap_store.Store.records >= 2);
   Router.replace_shard router 1 recovered;
+  (* Routing reads the recovered shard's content: a write to an entry
+     it holds lands there and nowhere else. *)
+  let csn0 = Shard_master.csn (Router.shard router 0) in
+  let csn1 = Shard_master.csn recovered in
+  update 2 "555-8003";
+  check_bool "follow-up at the recovered shard" true
+    (Csn.compare (Shard_master.csn recovered) csn1 > 0);
+  check_bool "follow-up not at shard 0" true
+    (Csn.equal (Shard_master.csn (Router.shard router 0)) csn0);
+  check_owned_total router source;
   ignore (sync_router consumer transport router);
   check_bool "resumed consumer converged" true
     (consumer_matches_oracle consumer source);
@@ -809,6 +866,7 @@ let suite =
     Alcotest.test_case "search matches oracle" `Quick test_search_matches_oracle;
     Alcotest.test_case "write routing" `Quick test_write_routing;
     Alcotest.test_case "ownership move" `Quick test_ownership_move;
+    Alcotest.test_case "rename keeps routing" `Quick test_rename_keeps_routing;
     Alcotest.test_case "structural write" `Quick test_structural_write;
     Alcotest.test_case "geo pruning disabled" `Quick
       test_geo_pruning_disabled_by_violation;
