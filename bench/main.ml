@@ -12,14 +12,14 @@
       timed by a hand-rolled warm-up + least-squares harness.
 
    Usage: main.exe [--quick] [--micro-only | --figures-only | --smoke
-                   | micro [--smoke] [--json]
-                   | tree-fanout [--smoke] [--json]
-                   | latency-staleness [--smoke] [--json]
-                   | crash-restart [--smoke] [--json]
-                   | anti-entropy [--smoke] [--json]
-                   | shard [--smoke] [--json]
-                   | scale [--smoke] [--json] [--long-haul]
-                   | adapt [--smoke] [--json]]
+                   | --json]
+          main.exe SWEEP [--quick | --smoke] [--json]
+   where SWEEP is one of micro, tree-fanout, latency-staleness,
+   crash-restart, anti-entropy, shard, scale (also [--long-haul]) or
+   adapt.  An unknown sweep or flag is an error (exit 124), never a
+   silent full run.  A sweep's --json writes BENCH_PRn.json; with
+   --smoke (or --quick) it writes BENCH_PRn.smoke.json instead, so a
+   smoke run never overwrites the committed full-scale results.
 
    micro runs the compiled-vs-interpreted comparison for the hot paths
    (filter bytecode vs AST interpretation, zero-copy DER writer vs
@@ -443,6 +443,13 @@ let write_json ~path ~micro ~fanout =
 
 module T = Ldap_topology
 
+(* Smoke results go beside the committed full-scale ones, never over
+   them. *)
+let bench_path n ~smoke =
+  Printf.sprintf
+    (if smoke then "BENCH_PR%d.smoke.json" else "BENCH_PR%d.json")
+    n
+
 (* Peak process RSS (VmHWM), appended to every BENCH_PR*.json.  Full
    runs only: RSS is inherently nondeterministic, and the smoke outputs
    must diff clean across the CI double runs. *)
@@ -484,7 +491,7 @@ let run_tree_fanout ~smoke ~json () =
          ]
        ~rows ());
   if json then begin
-    let path = "BENCH_PR3.json" in
+    let path = bench_path 3 ~smoke in
     let oc = open_out path in
     Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"tree_fanout\": %s%s\n}\n"
       (if smoke then "smoke" else "default")
@@ -534,7 +541,7 @@ let run_latency_staleness ~smoke ~json () =
          ]
        ~rows:(lat_rows points) ());
   if json then begin
-    let path = "BENCH_PR4.json" in
+    let path = bench_path 4 ~smoke in
     let oc = open_out path in
     Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"latency_staleness\": %s%s\n}\n"
       (if smoke then "smoke" else "default")
@@ -613,7 +620,7 @@ let run_crash_restart ~smoke ~json () =
           reparent.T.Sweep.cp_recover_ticks_max
           durable.T.Sweep.cp_recover_ticks_max));
   if json then begin
-    let path = "BENCH_PR5.json" in
+    let path = bench_path 5 ~smoke in
     let oc = open_out path in
     Printf.fprintf oc
       "{\n  \"config\": \"%s\",\n  \"crash_restart\": %s,\n  \"corruption\": %s%s\n}\n"
@@ -697,7 +704,7 @@ let run_anti_entropy ~smoke ~json () =
            %.2f gate"
           ratio cap));
   if json then begin
-    let path = "BENCH_PR6.json" in
+    let path = bench_path 6 ~smoke in
     let oc = open_out path in
     Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"anti_entropy\": %s%s\n}\n"
       (if smoke then "smoke" else "default")
@@ -781,7 +788,7 @@ let run_shard ~smoke ~json () =
            p.Shard_sweep.sp_speedup)
   | _ -> ());
   if json then begin
-    let path = "BENCH_PR8.json" in
+    let path = bench_path 8 ~smoke in
     let oc = open_out path in
     Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"shard\": %s%s\n}\n"
       (if smoke then "smoke" else "default")
@@ -909,7 +916,7 @@ let run_scale ~smoke ~json () =
      %.2fx over %.1fx leaves (cap %.2fx)\n%!"
     spp_base spp_main live_ratio leaf_ratio allowed;
   if json then begin
-    let path = "BENCH_PR9.json" in
+    let path = bench_path 9 ~smoke in
     let oc = open_out path in
     let out fmt = Printf.fprintf oc fmt in
     out "{\n  \"config\": \"%s\",\n" (if smoke then "smoke" else "default");
@@ -1049,7 +1056,7 @@ let run_adapt ~smoke ~json () =
     sweep.Drift.sw_bp_overflow.Drift.bp_limit lh.Drift.lh_converged
     lh.Drift.lh_participants;
   if json then begin
-    let path = "BENCH_PR10.json" in
+    let path = bench_path 10 ~smoke in
     let oc = open_out path in
     let body = Drift.json_of_sweep sweep in
     (* Splice the long-haul point and (full runs) peak RSS into the
@@ -1286,7 +1293,7 @@ let run_micro7 ~smoke ~json () =
     else T.Sweep.latency_staleness ~config:T.Sweep.lat_smoke_config ()
   in
   if json then begin
-    let path = "BENCH_PR7.json" in
+    let path = bench_path 7 ~smoke in
     let oc = open_out path in
     let out fmt = Printf.fprintf oc fmt in
     out "{\n  \"config\": \"%s\",\n" (if smoke then "smoke" else "default");
@@ -1335,45 +1342,22 @@ let smoke () =
      content plane end to end, gates included. *)
   run_scale ~smoke:true ~json:false ()
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro-only" args in
-  let figures_only = List.mem "--figures-only" args in
-  if List.mem "tree-fanout" args then
-    run_tree_fanout
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "latency-staleness" args then
-    run_latency_staleness
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "crash-restart" args then
-    run_crash_restart
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "anti-entropy" args then
-    run_anti_entropy
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "shard" args then
-    run_shard
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "scale" args then
-    (if List.mem "--long-haul" args then run_scale_long_haul else run_scale)
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "adapt" args then
-    run_adapt
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "micro" args then
-    run_micro7
-      ~smoke:(quick || List.mem "--smoke" args)
-      ~json:(List.mem "--json" args) ()
-  else if List.mem "--smoke" args then smoke ()
-  else if List.mem "--json" args then begin
+open Cmdliner
+
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+let smoke_flag = flag "smoke" "Seconds-scale deterministic subset."
+let json_flag = flag "json" "Write the results as BENCH_PRn.json (BENCH_PRn.smoke.json with --smoke)."
+let quick_flag = flag "quick" "Reduced scale; for a sweep, the same as --smoke."
+
+let sweep name doc run =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (fun quick smoke json -> run ~smoke:(quick || smoke) ~json ())
+      $ quick_flag $ smoke_flag $ json_flag)
+
+let default quick micro_only figures_only smoke_only json =
+  if smoke_only then smoke ()
+  else if json then begin
     let micro = run_micro () in
     let fanout = run_fanout () in
     write_json ~path:"BENCH_PR2.json" ~micro ~fanout
@@ -1385,3 +1369,39 @@ let () =
       ignore (run_fanout ())
     end
   end
+
+let () =
+  let scale =
+    Cmd.v
+      (Cmd.info "scale" ~doc:"Paper-scale content-plane sweep.")
+      Term.(
+        const (fun quick smoke json long_haul ->
+            (if long_haul then run_scale_long_haul else run_scale)
+              ~smoke:(quick || smoke) ~json ())
+        $ quick_flag $ smoke_flag $ json_flag
+        $ flag "long-haul" "Run the long write-pressure scenario instead.")
+  in
+  let cmd =
+    Cmd.group
+      (Cmd.info "main" ~doc:"Paper figures, micro-benchmarks and sweeps.")
+      ~default:
+        Term.(
+          const default $ quick_flag
+          $ flag "micro-only" "Skip the paper figures."
+          $ flag "figures-only" "Skip the micro-benchmarks."
+          $ flag "smoke" "Protocol illustrations plus a tiny lossy-network and scale sweep."
+          $ flag "json" "Micro-benchmarks and fan-out sweep into BENCH_PR2.json.")
+      [
+        sweep "micro" "Compiled-vs-interpreted hot paths." run_micro7;
+        sweep "tree-fanout" "Flat star vs 2-tier tree fan-out sweep." run_tree_fanout;
+        sweep "latency-staleness" "Discrete-event response-time and staleness sweep."
+          run_latency_staleness;
+        sweep "crash-restart" "Durable-store recovery and WAL-corruption sweep."
+          run_crash_restart;
+        sweep "anti-entropy" "Merkle vs cold re-fetch across drift." run_anti_entropy;
+        sweep "shard" "Partitioned-directory sweep." run_shard;
+        scale;
+        sweep "adapt" "Adaptive replication drift sweep." run_adapt;
+      ]
+  in
+  exit (Cmd.eval cmd)

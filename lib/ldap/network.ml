@@ -63,6 +63,9 @@ type t = {
   mutable sync_bytes : int;
   mutable dropped_pdus : int;
   mutable engine : Ldap_sim.Engine.t option;
+  mutable inline : bool;
+      (* An {!await} issued from inside an event is completing its
+         chain on the spot: no leg may be scheduled meanwhile. *)
   links : (string, Ldap_sim.Latency.t) Hashtbl.t;
   mutable default_latency : Ldap_sim.Latency.t;
   mutable rpc_timeout : int option;
@@ -79,6 +82,7 @@ let create () =
     sync_bytes = 0;
     dropped_pdus = 0;
     engine = None;
+    inline = false;
     links = Hashtbl.create 8;
     default_latency = Ldap_sim.Latency.Zero;
     rpc_timeout = None;
@@ -223,46 +227,45 @@ let search t ~from (q : Query.t) =
 let account_push t ~bytes = t.sync_bytes <- t.sync_bytes + bytes
 let account_dropped t = t.dropped_pdus <- t.dropped_pdus + 1
 
-let rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve =
-  t.sync_rpcs <- t.sync_rpcs + 1;
-  let partitioned =
-    match faults with
-    | Some f -> Faults.partitioned f ~a:from ~b:host
-    | None -> false
-  in
-  if partitioned then begin
-    t.dropped_pdus <- t.dropped_pdus + 1;
-    Error (Unreachable host)
-  end
-  else begin
-    t.sync_bytes <- t.sync_bytes + request_bytes;
-    let outcome =
-      match faults with Some f -> Faults.next_outcome f | None -> Faults.Deliver
-    in
-    match outcome with
-    | Faults.Drop_request ->
-        t.dropped_pdus <- t.dropped_pdus + 1;
-        Error Timeout
-    | Faults.Refuse -> Error (Refused "transient refusal")
-    | Faults.Drop_reply ->
-        (* The server processed the request — its side effects stand —
-           but the reply never reaches the client. *)
-        let r = serve () in
-        t.sync_bytes <- t.sync_bytes + reply_bytes r;
-        t.dropped_pdus <- t.dropped_pdus + 1;
-        Error Timeout
-    | Faults.Deliver ->
-        let r = serve () in
-        t.sync_bytes <- t.sync_bytes + reply_bytes r;
-        Ok r
-  end
+(* The one timing decision: legs are engine events unless there is no
+   engine or an inline {!await} is running. *)
+let clock t = if t.inline then None else t.engine
 
-let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
-  let module E = Ldap_sim.Engine in
+let after t ~delay f =
+  match clock t with
+  | Some e -> Ldap_sim.Engine.after e ~delay f
+  | None -> f ()
+
+let await t start =
+  let cell = ref None in
+  let k r = cell := Some r in
+  (match t.engine with
+  | Some e when not (Ldap_sim.Engine.running e) ->
+      start k;
+      Ldap_sim.Engine.run e
+  | Some _ ->
+      (* Inside an event the loop cannot be re-entered: run the chain
+         unclocked. *)
+      let outer = t.inline in
+      t.inline <- true;
+      Fun.protect ~finally:(fun () -> t.inline <- outer) (fun () -> start k)
+  | None -> start k);
+  match !cell with
+  | Some r -> r
+  | None -> invalid_arg "Network.await: the continuation never fired"
+
+let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
   t.sync_rpcs <- t.sync_rpcs + 1;
-  let lat = link_latency t ~a:from ~b:host in
-  let d_req = E.draw e lat in
-  let d_rep = E.draw e lat in
+  (* Latencies are drawn only for timed legs, so an unclocked exchange
+     leaves the engine's random stream untouched. *)
+  let d_req, d_rep =
+    match clock t with
+    | Some e ->
+        let lat = link_latency t ~a:from ~b:host in
+        let d_req = Ldap_sim.Engine.draw e lat in
+        (d_req, Ldap_sim.Engine.draw e lat)
+    | None -> (0, 0)
+  in
   (* Without an explicit timeout, a lost exchange costs exactly the
      round trip it would have taken — the minimal model that still
      makes failures consume virtual time. *)
@@ -276,7 +279,7 @@ let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
   in
   if partitioned then begin
     t.dropped_pdus <- t.dropped_pdus + 1;
-    E.after e ~delay:timeout (fun () -> k (Error (Unreachable host)))
+    after t ~delay:timeout (fun () -> k (Error (Unreachable host)))
   end
   else begin
     t.sync_bytes <- t.sync_bytes + request_bytes;
@@ -286,45 +289,26 @@ let rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
     match outcome with
     | Faults.Drop_request ->
         t.dropped_pdus <- t.dropped_pdus + 1;
-        E.after e ~delay:timeout (fun () -> k (Error Timeout))
+        after t ~delay:timeout (fun () -> k (Error Timeout))
     | Faults.Refuse ->
-        E.after e ~delay:(d_req + d_rep) (fun () ->
+        after t ~delay:(d_req + d_rep) (fun () ->
             k (Error (Refused "transient refusal")))
     | Faults.Drop_reply ->
-        (* The server still processes the request at +d_req; the client
-           times out no earlier than that, so the serve event's side
-           effects are in place when the error is observed (same
-           ordering as the immediate path). *)
-        E.after e ~delay:d_req (fun () ->
+        (* The server still processes the request — its side effects
+           stand — at +d_req; the client times out no earlier than
+           that, so those effects are in place when the error is
+           observed. *)
+        after t ~delay:d_req (fun () ->
             let r = serve () in
             t.sync_bytes <- t.sync_bytes + reply_bytes r;
             t.dropped_pdus <- t.dropped_pdus + 1);
-        E.after e ~delay:(max timeout d_req) (fun () -> k (Error Timeout))
+        after t ~delay:(max timeout d_req) (fun () -> k (Error Timeout))
     | Faults.Deliver ->
-        E.after e ~delay:d_req (fun () ->
+        after t ~delay:d_req (fun () ->
             let r = serve () in
             t.sync_bytes <- t.sync_bytes + reply_bytes r;
-            E.after e ~delay:d_rep (fun () -> k (Ok r)))
+            after t ~delay:d_rep (fun () -> k (Ok r)))
   end
 
-let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
-  match t.engine with
-  | Some e -> rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve k
-  | None -> k (rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve)
-
 let rpc t ?faults ~from ~host ~request_bytes ~reply_bytes serve =
-  match t.engine with
-  | Some e when not (Ldap_sim.Engine.running e) ->
-      (* Synchronous wrapper: schedule the exchange, run the engine to
-         quiescence, hand back the delivered result. *)
-      let cell = ref None in
-      rpc_scheduled t e ?faults ~from ~host ~request_bytes ~reply_bytes serve
-        (fun r -> cell := Some r);
-      Ldap_sim.Engine.run e;
-      (match !cell with
-      | Some r -> r
-      | None -> Error Timeout)
-  | _ ->
-      (* No engine, or called from inside an event callback: the legacy
-         immediate exchange. *)
-      rpc_immediate t ?faults ~from ~host ~request_bytes ~reply_bytes serve
+  await t (rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve)

@@ -9,9 +9,10 @@
     modified bases.  Round trips, PDUs and modelled bytes are counted
     so the referral-cost argument of section 2.3 can be measured.
 
-    Beyond searches, the module provides {!rpc}: a generic synchronous
-    exchange over which higher layers (the ReSync transport) route
-    their traffic.  An optional {!Faults} schedule decides, per
+    Beyond searches, the module provides {!rpc_send}: a generic
+    request/reply exchange over which higher layers (the ReSync
+    transport) route their traffic, and {!await}, which derives every
+    synchronous exchange from its asynchronous form.  An optional {!Faults} schedule decides, per
     exchange, whether the request is lost before reaching the server,
     the server transiently refuses, or the reply is lost after the
     server processed the request — the three failure shapes the ReSync
@@ -41,7 +42,7 @@ type failure =
 
 val failure_to_string : failure -> string
 
-(** Deterministic fault schedules for {!rpc} and persistent pushes. *)
+(** Deterministic fault schedules for {!rpc_send} and persistent pushes. *)
 module Faults : sig
   type outcome = Deliver | Drop_request | Drop_reply | Refuse
 
@@ -78,11 +79,9 @@ end
 val create : unit -> t
 
 val attach_engine : t -> Ldap_sim.Engine.t -> unit
-(** Attaches a discrete-event engine.  From then on {!rpc_send}
-    schedules exchanges as timed events (charging per-link latency) and
-    {!rpc} becomes a thin wrapper that runs the engine to quiescence.
-    Without an engine both behave as immediate calls — the legacy
-    execution model. *)
+(** Attaches a discrete-event engine.  From then on {!rpc_send} and
+    {!after} schedule their legs as timed events (charging per-link
+    latency).  Without an engine every leg completes on the spot. *)
 
 val engine : t -> Ldap_sim.Engine.t option
 (** The attached engine, if any. *)
@@ -127,27 +126,6 @@ val search_no_chase : t -> from:string -> Query.t -> Server.response
 (** One round trip, no chasing: what a minimally directory-enabled
     application sees when it hits a partial replica (section 3.1.1). *)
 
-val rpc :
-  t ->
-  ?faults:Faults.t ->
-  from:string ->
-  host:string ->
-  request_bytes:int ->
-  reply_bytes:('r -> int) ->
-  (unit -> 'r) ->
-  ('r, failure) result
-(** One synchronous request/reply exchange from [from] to [host],
-    serving the request with the given thunk.  The fault schedule is
-    consulted first: a partitioned link or dropped request means the
-    thunk never runs; a dropped {e reply} means the thunk {e did} run —
-    its side effects stand — but the caller only sees [Timeout].  All
-    attempts, bytes and losses are accounted in {!stats}.
-
-    With an engine attached (and not already running), the exchange is
-    scheduled and the engine is run to quiescence before returning, so
-    virtual time advances by the link's round trip.  Called from inside
-    an event callback, it falls back to the immediate exchange. *)
-
 val rpc_send :
   t ->
   ?faults:Faults.t ->
@@ -158,15 +136,50 @@ val rpc_send :
   (unit -> 'r) ->
   (('r, failure) result -> unit) ->
   unit
-(** Asynchronous form of {!rpc}: the continuation receives the result
-    when the reply (or failure) is delivered.  With an engine attached
-    the request is served after one link-latency draw and the reply
-    delivered after a second; failures surface after the RPC timeout
-    ({!set_rpc_timeout}).  Without an engine the continuation runs
-    immediately, preserving the legacy execution model. *)
+(** One request/reply exchange from [from] to [host], serving the
+    request with the given thunk; the continuation receives the result
+    when the reply (or failure) is delivered.  The fault schedule is
+    consulted first: a partitioned link or dropped request means the
+    thunk never runs; a dropped {e reply} means the thunk {e did} run —
+    its side effects stand — but the caller only sees [Timeout].  All
+    attempts, bytes and losses are accounted in {!stats}.
+
+    Each leg is timed through {!after}: with a clock the request is
+    served after one link-latency draw and the reply delivered after a
+    second, and failures surface after the RPC timeout
+    ({!set_rpc_timeout}); unclocked, the continuation runs before
+    [rpc_send] returns and no latency is drawn. *)
+
+val rpc :
+  t ->
+  ?faults:Faults.t ->
+  from:string ->
+  host:string ->
+  request_bytes:int ->
+  reply_bytes:('r -> int) ->
+  (unit -> 'r) ->
+  ('r, failure) result
+(** {!await} of {!rpc_send}. *)
+
+val after : t -> delay:int -> (unit -> unit) -> unit
+(** Runs the thunk [delay] ticks from now on the attached engine, or at
+    once when there is none or an inline {!await} is running.  The
+    single place where an exchange leg or a retry backoff is timed. *)
+
+val await : t -> (('a -> unit) -> unit) -> 'a
+(** [await t start] runs a continuation-passing chain to completion and
+    returns the value it delivered — how every synchronous exchange is
+    derived from its asynchronous form.  With an engine attached and
+    idle, the chain is started and the engine run to quiescence, so
+    virtual time advances by whatever the chain waits.  Without an
+    engine every leg completes on the spot.  Called from inside an
+    event (the engine is running and cannot be re-entered), the chain
+    runs inline and unclocked, as without an engine; legs scheduled
+    after [await] returns or raises are timed again.  Raises
+    [Invalid_argument] if the continuation never fired. *)
 
 val account_push : t -> bytes:int -> unit
 (** Accounts one delivered persistent-search push PDU. *)
 
 val account_dropped : t -> unit
-(** Accounts one PDU lost to faults outside {!rpc} (e.g. a push). *)
+(** Accounts one PDU lost to faults outside {!rpc_send} (e.g. a push). *)

@@ -152,16 +152,14 @@ let remove_durable t q =
           Ldap_store.Store.append d.meta (removed_record ~slot);
           Ldap_store.Store.destroy (consumer_store d slot))
 
+let record_outcome t ~fetch outcome =
+  Stats.add_reply t.stats outcome.Resync.Consumer.reply ~fetch;
+  Stats.record_sync_outcome t.stats outcome
+
 let sync_consumer t consumer ~fetch =
-  match
-    Resync.Consumer.sync_over consumer t.transport ~host:t.master_host
-      ~from:t.host
-  with
-  | Ok outcome ->
-      Stats.add_reply t.stats outcome.Resync.Consumer.reply ~fetch;
-      Stats.record_sync_outcome t.stats outcome;
-      Ok ()
-  | Error e -> Error e
+  Resync.Consumer.sync_over consumer t.transport ~host:t.master_host
+    ~from:t.host
+  |> Result.map (record_outcome t ~fetch)
 
 (* The session fetches the stored query's attributes plus the ones
    its filter mentions, so contained queries can be re-evaluated
@@ -323,43 +321,40 @@ let answer t q =
 
 let record_miss_result t q entries = Query_cache.add t.cache q entries
 
-let sync_where t pred =
-  C.Containment_index.iter t.index ~f:(fun q consumer ->
-      if pred q then
-        match sync_consumer t consumer ~fetch:false with
-        | Ok () -> ()
-        | Error (Resync.Consumer.Exhausted _) ->
-            (* The consumer keeps its cookie and content; the filter
-               stays stale until a later round reaches the master. *)
-            Stats.record_sync_failure t.stats
-        | Error (Resync.Consumer.Rejected msg) ->
-            invalid_arg ("Filter_replica.sync: " ^ msg))
+(* The outcome of one round poll, synchronous or not. *)
+let record_poll t = function
+  | Ok outcome -> record_outcome t ~fetch:false outcome
+  | Error (Resync.Consumer.Exhausted _) ->
+      (* The consumer keeps its cookie and content; the filter stays
+         stale until a later round reaches the master. *)
+      Stats.record_sync_failure t.stats
+  | Error (Resync.Consumer.Rejected msg) ->
+      invalid_arg ("Filter_replica.sync: " ^ msg)
 
-let sync t = sync_where t (fun _ -> true)
-
-let sync_async t k =
-  (* Sequential CPS walk over the stored filters: one in-flight poll per
-     replica at a time, so a slow upstream never interleaves two
-     exchanges for the same consumer. *)
+(* Sequential CPS walk over the selected filters: one in-flight poll
+   per replica at a time, so a slow upstream never interleaves two
+   exchanges for the same consumer. *)
+let sync_where_async t pred k =
   let consumers =
-    C.Containment_index.fold t.index ~init:[] ~f:(fun acc _ c -> c :: acc)
+    C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c ->
+        if pred q then c :: acc else acc)
   in
   let rec go = function
     | [] -> k ()
     | consumer :: rest ->
         Resync.Consumer.sync_async consumer t.transport ~host:t.master_host
           ~from:t.host (fun result ->
-            (match result with
-            | Ok outcome ->
-                Stats.add_reply t.stats outcome.Resync.Consumer.reply ~fetch:false;
-                Stats.record_sync_outcome t.stats outcome
-            | Error (Resync.Consumer.Exhausted _) ->
-                Stats.record_sync_failure t.stats
-            | Error (Resync.Consumer.Rejected msg) ->
-                invalid_arg ("Filter_replica.sync_async: " ^ msg));
+            record_poll t result;
             go rest)
   in
   go (List.rev consumers)
+
+let sync_async t k = sync_where_async t (fun _ -> true) k
+
+let sync_where t pred =
+  Network.await (Resync.Transport.network t.transport) (sync_where_async t pred)
+
+let sync t = sync_where t (fun _ -> true)
 
 let comparisons t =
   C.Containment_index.comparisons t.index + Query_cache.comparisons t.cache

@@ -164,20 +164,20 @@ val record_miss_result : t -> Query.t -> Entry.t list -> unit
 (** Caches the master's answer to a missed user query in the window
     cache (no synchronization — section 7.4). *)
 
-val sync : t -> unit
-(** One poll round over all stored filters (resync traffic).  A filter
-    whose poll exhausts its retry budget is left stale (and counted in
-    {!Stats.t.sync_failures}) rather than aborting the round. *)
-
 val sync_async : t -> (unit -> unit) -> unit
-(** Asynchronous form of {!sync} for event-driven drivers: stored
-    filters are polled sequentially in CPS (one in-flight exchange per
-    replica), and the continuation fires when the round completes.
-    Failure handling matches {!sync}.  Without an engine on the
-    transport's network the continuation runs before the call returns. *)
+(** One poll round over all stored filters (resync traffic): the
+    filters are polled one after another with
+    {!Ldap_resync.Consumer.sync_async} (one in-flight exchange per
+    replica), and the continuation fires when the round completes.  A
+    filter whose poll exhausts its retry budget is left stale (and
+    counted in {!Stats.t.sync_failures}) rather than aborting the
+    round. *)
+
+val sync : t -> unit
+(** {!Ldap.Network.await} of {!sync_async}. *)
 
 val sync_where : t -> (Query.t -> bool) -> unit
-(** Polls only the stored filters satisfying the predicate.  This is
+(** {!sync} restricted to the stored filters satisfying the predicate.  This is
     the flexibility section 3.2 attributes to the filter model: each
     object type (filter) can have its own consistency level, e.g.
     location filters refreshed rarely and person filters often —

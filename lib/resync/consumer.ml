@@ -142,75 +142,44 @@ let default_backoff = 1
 let recovered ~had_cookie (reply : Protocol.reply) =
   had_cookie && reply.Protocol.kind <> Protocol.Incremental
 
-(* Bounded retry with exponential backoff, in modelled ticks: attempt
-   [i] failing costs [backoff * 2^(i-1)] ticks before the next try. *)
-let with_retries ~max_attempts ~backoff ~send ~accept =
-  let rec go attempt waited =
-    match send () with
-    | Ok reply -> Ok (accept reply ~attempts:attempt ~waited)
-    | Error (Transport.Server msg) -> Error (Rejected msg)
-    | Error (Transport.Net failure) ->
-        if attempt >= max_attempts then
-          Error (Exhausted { attempts = attempt; last = failure })
-        else go (attempt + 1) (waited + (backoff * (1 lsl (attempt - 1))))
-  in
-  go 1 0
-
-let sync_async ?(max_attempts = default_attempts) ?(backoff = default_backoff)
-    ?(from = "consumer") t transport ~host k =
+(* The one retry loop, for polls and persist connects alike: [send]
+   makes one attempt, and attempt [i] failing waits
+   [backoff * 2^(i-1)] ticks on a {!Network.after} timer before the
+   next, so the [backoff] stat equals the virtual time spent waiting. *)
+let retrying ~max_attempts ~backoff t transport ~send k =
   let had_cookie = t.cookie <> None in
-  let engine = Network.engine (Transport.network transport) in
   let rec attempt n waited =
-    let request = { Protocol.mode = Protocol.Poll; cookie = t.cookie } in
-    Transport.exchange_async transport ~host ~from request t.query (fun result ->
-        match result with
-        | Ok reply ->
-            apply_reply t reply;
-            k
-              (Ok
-                 {
-                   reply;
-                   attempts = n;
-                   backoff = waited;
-                   resynced = recovered ~had_cookie reply;
-                 })
-        | Error (Transport.Server msg) -> k (Error (Rejected msg))
-        | Error (Transport.Net failure) ->
-            if n >= max_attempts then
-              k (Error (Exhausted { attempts = n; last = failure }))
-            else begin
-              let wait = backoff * (1 lsl (n - 1)) in
-              let retry () = attempt (n + 1) (waited + wait) in
-              match engine with
-              (* The backoff is a real timer: a retrying consumer loses
-                 virtual time equal to the ticks it accounts, so the
-                 [backoff] stat equals elapsed waiting time. *)
-              | Some e -> Ldap_sim.Engine.after e ~delay:wait retry
-              | None -> retry ()
-            end)
+    send (function
+      | Ok reply ->
+          apply_reply t reply;
+          k
+            (Ok
+               {
+                 reply;
+                 attempts = n;
+                 backoff = waited;
+                 resynced = recovered ~had_cookie reply;
+               })
+      | Error (Transport.Server msg) -> k (Error (Rejected msg))
+      | Error (Transport.Net failure) ->
+          if n >= max_attempts then
+            k (Error (Exhausted { attempts = n; last = failure }))
+          else
+            let wait = backoff * (1 lsl (n - 1)) in
+            Network.after (Transport.network transport) ~delay:wait (fun () ->
+                attempt (n + 1) (waited + wait)))
   in
   attempt 1 0
 
-let sync_over ?(max_attempts = default_attempts) ?(backoff = default_backoff)
-    ?(from = "consumer") t transport ~host =
-  match Network.engine (Transport.network transport) with
-  | Some e when not (Ldap_sim.Engine.running e) ->
-      let cell = ref None in
-      sync_async ~max_attempts ~backoff ~from t transport ~host (fun r ->
-          cell := Some r);
-      Ldap_sim.Engine.run e;
-      (match !cell with
-      | Some r -> r
-      | None -> Error (Exhausted { attempts = 0; last = Network.Timeout }))
-  | _ ->
-      let had_cookie = t.cookie <> None in
-      with_retries ~max_attempts ~backoff
-        ~send:(fun () ->
-          let request = { Protocol.mode = Protocol.Poll; cookie = t.cookie } in
-          Transport.exchange transport ~host ~from request t.query)
-        ~accept:(fun reply ~attempts ~waited ->
-          apply_reply t reply;
-          { reply; attempts; backoff = waited; resynced = recovered ~had_cookie reply })
+let sync_async ?(max_attempts = default_attempts) ?(backoff = default_backoff)
+    ?(from = "consumer") t transport ~host k =
+  retrying ~max_attempts ~backoff t transport k ~send:(fun k ->
+      let request = { Protocol.mode = Protocol.Poll; cookie = t.cookie } in
+      Transport.exchange_async transport ~host ~from request t.query k)
+
+let sync_over ?max_attempts ?backoff ?from t transport ~host =
+  Network.await (Transport.network transport)
+    (sync_async ?max_attempts ?backoff ?from t transport ~host)
 
 (* --- Merkle anti-entropy --------------------------------------------- *)
 
@@ -260,24 +229,21 @@ let resume_connection t =
 
 let connect_persist ?(max_attempts = default_attempts) ?(backoff = default_backoff)
     ?(from = "consumer") ?(observe = fun (_ : Action.t) -> ()) t transport ~host =
-  let had_cookie = t.cookie <> None in
   let push a =
     journal_w t (fun w -> action_record w a);
     apply_action t a;
     observe a
   in
-  with_retries ~max_attempts ~backoff
-    ~send:(fun () ->
-      let request = { Protocol.mode = Protocol.Persist; cookie = t.cookie } in
-      match Transport.connect transport ~host ~from ~push request t.query with
-      | Ok (reply, conn) ->
-          (match t.conn with Some old -> Transport.kill old | None -> ());
-          t.conn <- Some conn;
-          Ok reply
-      | Error _ as e -> e)
-    ~accept:(fun reply ~attempts ~waited ->
-      apply_reply t reply;
-      { reply; attempts; backoff = waited; resynced = recovered ~had_cookie reply })
+  Network.await (Transport.network transport)
+    (retrying ~max_attempts ~backoff t transport ~send:(fun k ->
+         let request = { Protocol.mode = Protocol.Persist; cookie = t.cookie } in
+         Transport.connect_async transport ~host ~from ~push request t.query
+           (function
+           | Ok (reply, conn) ->
+               (match t.conn with Some old -> Transport.kill old | None -> ());
+               t.conn <- Some conn;
+               k (Ok reply)
+           | Error e -> k (Error e))))
 
 let ensure_persist ?max_attempts ?backoff ?from ?observe t transport ~host =
   if persist_alive t then Ok None

@@ -67,25 +67,6 @@ val apply_reply : t -> Protocol.reply -> unit
 (** Applies all actions.  For a [Degraded] reply, entries that were
     neither retained nor upserted are pruned (eq. (3)). *)
 
-val sync_over :
-  ?max_attempts:int ->
-  ?backoff:int ->
-  ?from:string ->
-  t ->
-  Transport.t ->
-  host:string ->
-  (outcome, sync_error) result
-(** One poll against the master at [host], with up to [max_attempts]
-    (default 4) transport attempts; attempt [i] failing costs
-    [backoff * 2^(i-1)] ticks (default base 1).  A reply lost after
-    the master processed the poll is recovered on the retry: the
-    master sees the stale acknowledged CSN in the cookie and answers
-    with a degraded resynchronization, which the consumer applies.
-
-    With an engine attached to the transport's network, the backoff is
-    charged as a real timer: the outcome's [backoff] stat equals the
-    virtual time spent waiting between attempts. *)
-
 val sync_async :
   ?max_attempts:int ->
   ?backoff:int ->
@@ -95,10 +76,25 @@ val sync_async :
   host:string ->
   ((outcome, sync_error) result -> unit) ->
   unit
-(** Asynchronous form of {!sync_over}, usable from inside engine event
-    callbacks: each attempt is an {!Transport.exchange_async} exchange
-    and each inter-attempt backoff an engine timer.  Without an engine
-    the continuation runs before [sync_async] returns. *)
+(** One poll against the master at [host] over
+    {!Transport.exchange_async}, with up to [max_attempts] (default 4)
+    attempts; attempt [i] failing waits [backoff * 2^(i-1)] ticks
+    (default base 1) on a {!Ldap.Network.after} timer, so the outcome's
+    [backoff] stat equals the virtual time spent waiting.  A reply lost
+    after the master processed the poll is recovered on the retry: the
+    master sees the stale acknowledged CSN in the cookie and answers
+    with a degraded resynchronization, which the consumer applies.
+    The continuation fires with the outcome. *)
+
+val sync_over :
+  ?max_attempts:int ->
+  ?backoff:int ->
+  ?from:string ->
+  t ->
+  Transport.t ->
+  host:string ->
+  (outcome, sync_error) result
+(** {!Ldap.Network.await} of {!sync_async}. *)
 
 val merkle_sync :
   ?config:Ldap_antientropy.Tree.config ->
@@ -143,7 +139,10 @@ val connect_persist :
     cookie, so a master that pushed actions the consumer never
     received answers with a degraded resync instead of silently
     resuming.  [observe] is called after each applied push
-    (accounting hooks, tests). *)
+    (accounting hooks, tests).
+
+    The {!Ldap.Network.await} of {!Transport.connect_async} attempts
+    under the same retry loop and backoff timer as {!sync_async}. *)
 
 val persist_alive : t -> bool
 (** Whether the current persistent connection is still delivering.

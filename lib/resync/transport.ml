@@ -66,36 +66,17 @@ let loopback m =
   add_master t ~name:loopback_host m;
   t
 
-let exchange_with t ~host ~from ~push request query =
-  match Hashtbl.find_opt t.endpoints host with
-  | None -> Error (Net (Network.Unreachable host))
-  | Some ep -> (
-      let result =
-        Network.rpc t.net ?faults:t.faults ~from ~host
-          ~request_bytes:(Protocol.request_bytes request)
-          ~reply_bytes:(function
-            | Ok reply -> Protocol.reply_bytes reply
-            | Error _ -> Ber.message_overhead)
-          (fun () -> ep.ep_handle ~push request query)
-      in
-      match result with
-      | Ok (Ok reply) -> Ok reply
-      | Ok (Error msg) -> Error (Server msg)
-      | Error failure -> Error (Net failure))
-
-let exchange t ~host ?(from = "consumer") request query =
-  exchange_with t ~host ~from ~push:None request query
-
-let exchange_with_async t ~host ~from ~push request query k =
+(* The one exchange path: endpoint lookup, the RPC, and the mapping of
+   its result onto [error]. *)
+let call t ~host ~from ~request_bytes ~reply_bytes serve k =
   match Hashtbl.find_opt t.endpoints host with
   | None -> k (Error (Net (Network.Unreachable host)))
   | Some ep ->
-      Network.rpc_send t.net ?faults:t.faults ~from ~host
-        ~request_bytes:(Protocol.request_bytes request)
+      Network.rpc_send t.net ?faults:t.faults ~from ~host ~request_bytes
         ~reply_bytes:(function
-          | Ok reply -> Protocol.reply_bytes reply
+          | Ok reply -> reply_bytes reply
           | Error _ -> Ber.message_overhead)
-        (fun () -> ep.ep_handle ~push request query)
+        (fun () -> serve ep)
         (fun result ->
           k
             (match result with
@@ -104,27 +85,24 @@ let exchange_with_async t ~host ~from ~push request query k =
             | Error failure -> Error (Net failure)))
 
 let exchange_async t ~host ?(from = "consumer") request query k =
-  exchange_with_async t ~host ~from ~push:None request query k
+  call t ~host ~from
+    ~request_bytes:(Protocol.request_bytes request)
+    ~reply_bytes:Protocol.reply_bytes
+    (fun ep -> ep.ep_handle ~push:None request query)
+    k
+
+let exchange t ~host ?from request query =
+  Network.await t.net (exchange_async t ~host ?from request query)
 
 (* One Merkle anti-entropy walk step over the same RPC layer as the
    resync exchanges: hash messages and shipped entries pay the same
    fault schedule and byte accounting as everything else. *)
 let tree_exchange t ~host ?(from = "consumer") request query =
-  match Hashtbl.find_opt t.endpoints host with
-  | None -> Error (Net (Network.Unreachable host))
-  | Some ep -> (
-      let result =
-        Network.rpc t.net ?faults:t.faults ~from ~host
-          ~request_bytes:(Ldap_antientropy.Exchange.request_bytes request)
-          ~reply_bytes:(function
-            | Ok reply -> Ldap_antientropy.Exchange.reply_bytes reply
-            | Error _ -> Ber.message_overhead)
-          (fun () -> ep.ep_tree request query)
-      in
-      match result with
-      | Ok (Ok reply) -> Ok reply
-      | Ok (Error msg) -> Error (Server msg)
-      | Error failure -> Error (Net failure))
+  Network.await t.net
+    (call t ~host ~from
+       ~request_bytes:(Ldap_antientropy.Exchange.request_bytes request)
+       ~reply_bytes:Ldap_antientropy.Exchange.reply_bytes
+       (fun ep -> ep.ep_tree request query))
 
 (* --- Persistent connections ------------------------------------------ *)
 
@@ -139,7 +117,7 @@ let kill c = c.alive <- false
 let pause c = c.paused <- true
 let resume c = c.paused <- false
 
-let connect t ~host ?(from = "consumer") ~push request query =
+let connect_async t ~host ?(from = "consumer") ~push request query k =
   let conn = { alive = true; paused = false; last_delivery = 0 } in
   (* Notifications cross the same lossy link as everything else; the
      first one that does not arrive intact breaks the connection, and
@@ -191,10 +169,17 @@ let connect t ~host ?(from = "consumer") ~push request query =
       pc_close = (fun () -> conn.alive <- false);
     }
   in
-  match exchange_with t ~host ~from ~push:(Some channel) request query with
-  | Ok reply -> Ok (reply, conn)
-  | Error e ->
-      (* If the reply was lost the server may hold a session pushing
-         into this closure; killing the handle discards those. *)
-      conn.alive <- false;
-      Error e
+  call t ~host ~from
+    ~request_bytes:(Protocol.request_bytes request)
+    ~reply_bytes:Protocol.reply_bytes
+    (fun ep -> ep.ep_handle ~push:(Some channel) request query)
+    (function
+      | Ok reply -> k (Ok (reply, conn))
+      | Error e ->
+          (* If the reply was lost the server may hold a session pushing
+             into this closure; killing the handle discards those. *)
+          conn.alive <- false;
+          k (Error e))
+
+let connect t ~host ?from ~push request query =
+  Network.await t.net (connect_async t ~host ?from ~push request query)

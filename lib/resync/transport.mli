@@ -83,13 +83,6 @@ val loopback : Master.t -> t
     under {!loopback_host} and no fault schedule: the co-located
     transport used when a caller holds a master directly. *)
 
-val exchange :
-  t -> host:string -> ?from:string -> Protocol.request -> Query.t ->
-  (Protocol.reply, error) result
-(** One poll/sync_end exchange against the endpoint at [host].  [from]
-    (default ["consumer"]) names the client end for partition checks
-    and accounting. *)
-
 val exchange_async :
   t ->
   host:string ->
@@ -98,10 +91,15 @@ val exchange_async :
   Query.t ->
   ((Protocol.reply, error) result -> unit) ->
   unit
-(** Asynchronous form of {!exchange} over {!Ldap.Network.rpc_send}:
-    with an engine attached to the underlying network the exchange is
-    delivered as timed events and the continuation fires when the reply
-    (or failure) arrives; without one it fires immediately. *)
+(** One poll/sync_end exchange against the endpoint at [host], over
+    {!Ldap.Network.rpc_send}; the continuation fires when the reply
+    (or failure) arrives.  [from] (default ["consumer"]) names the
+    client end for partition checks and accounting. *)
+
+val exchange :
+  t -> host:string -> ?from:string -> Protocol.request -> Query.t ->
+  (Protocol.reply, error) result
+(** {!Ldap.Network.await} of {!exchange_async}. *)
 
 val tree_exchange :
   t ->
@@ -111,8 +109,9 @@ val tree_exchange :
   Query.t ->
   (Ldap_antientropy.Exchange.reply, error) result
 (** One Merkle anti-entropy walk step against the endpoint at [host],
-    over the same RPC layer (and fault schedule, and byte accounting)
-    as the resync exchanges. *)
+    over the same exchange path (and fault schedule, and byte
+    accounting) as the resync exchanges; synchronous through
+    {!Ldap.Network.await}. *)
 
 (** A persistent-search connection. *)
 type conn
@@ -132,6 +131,28 @@ val resume : conn -> unit
     next time it touches the session (an update dispatch or an explicit
     flush), not by this call. *)
 
+val connect_async :
+  t ->
+  host:string ->
+  ?from:string ->
+  push:(Action.t -> unit) ->
+  Protocol.request ->
+  Query.t ->
+  ((Protocol.reply * conn, error) result -> unit) ->
+  unit
+(** Establishes a persist-mode session over the same exchange path as
+    {!exchange_async}.  Pushed actions traverse the fault layer: a
+    partitioned link or a lost push marks the connection dead and
+    discards that and all later notifications — the server keeps
+    pushing into the void until the session expires, exactly like a
+    half-open TCP connection.  If the establishment reply itself is
+    lost, the server-side session exists but the returned error
+    carries no connection: the consumer must retry.
+
+    With an engine attached to the network, each delivered push is
+    scheduled after one link-latency draw; deliveries stay FIFO per
+    connection even when a later push draws a smaller latency. *)
+
 val connect :
   t ->
   host:string ->
@@ -140,14 +161,4 @@ val connect :
   Protocol.request ->
   Query.t ->
   (Protocol.reply * conn, error) result
-(** Establishes a persist-mode session.  Pushed actions traverse the
-    fault layer: a partitioned link or a lost push marks the
-    connection dead and discards that and all later notifications —
-    the server keeps pushing into the void until the session expires,
-    exactly like a half-open TCP connection.  If the establishment
-    reply itself is lost, the server-side session exists but the
-    returned error carries no connection: the consumer must retry.
-
-    With an engine attached to the network, each delivered push is
-    scheduled after one link-latency draw; deliveries stay FIFO per
-    connection even when a later push draws a smaller latency. *)
+(** {!Ldap.Network.await} of {!connect_async}. *)

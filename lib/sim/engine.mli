@@ -78,9 +78,9 @@ val run_until : t -> time:int -> unit
     clock to exactly [time].  Same re-entrancy rule as [run]. *)
 
 val running : t -> bool
-(** [true] while [run]/[run_until] is executing events — used by
-    synchronous wrappers to fall back to immediate execution instead of
-    re-entering the loop. *)
+(** [true] while [run]/[run_until] is executing events — how a
+    synchronous caller knows it must complete its work inline instead
+    of re-entering the loop. *)
 
 val pending : t -> int
 (** Number of events currently queued. *)

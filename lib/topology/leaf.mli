@@ -35,13 +35,13 @@ val subscribe : ?max_referrals:int -> t -> Query.t -> (unit, string) result
     [max_referrals] (default 4) tiers — mirroring the search referral
     dance of Figure 2 at subscription time. *)
 
-val sync : t -> unit
-(** One poll round against the parent. *)
-
 val sync_async : t -> (unit -> unit) -> unit
-(** Asynchronous poll round for event-driven drivers: the continuation
-    fires when every subscription's exchange has completed (immediately
-    when the transport's network has no engine attached). *)
+(** One poll round against the parent
+    ({!Ldap_replication.Filter_replica.sync_async}): the continuation
+    fires when every subscription's exchange has completed. *)
+
+val sync : t -> unit
+(** {!Ldap.Network.await} of {!sync_async}. *)
 
 val merkle_sync :
   t ->

@@ -72,14 +72,15 @@ val install_cover : t -> Query.t -> (unit, string) result
 
 val covers : t -> Query.t list
 
-val sync : t -> unit
-(** One poll round against the upstream.  Changes applied here are
-    relayed immediately to persistent downstream sessions; polling
-    downstream sessions pick them up at their next poll. *)
-
 val sync_async : t -> (unit -> unit) -> unit
-(** Asynchronous form of {!sync} for event-driven drivers; the
-    continuation fires when the upstream poll round completes. *)
+(** One poll round against the upstream
+    ({!Ldap_replication.Filter_replica.sync_async}); the continuation
+    fires when it completes.  Changes applied here are relayed
+    immediately to persistent downstream sessions; polling downstream
+    sessions pick them up at their next poll. *)
+
+val sync : t -> unit
+(** {!Ldap.Network.await} of {!sync_async}. *)
 
 val retarget : t -> upstream:string -> unit
 (** Re-parents the node (cookie translation included) — used when its

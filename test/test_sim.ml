@@ -1,7 +1,8 @@
 (* Tests for the discrete-event core: deterministic event ordering,
    latency draws, the engine-backed network and consumer paths, the
-   periodic clock events, and the observational equivalence of the
-   event-driven and legacy synchronous stacks. *)
+   inline run of a synchronous call made from inside an event, the
+   periodic clock events, and the observational equivalence of clocked
+   and unclocked runs. *)
 open Ldap
 module Sim = Ldap_sim
 module Resync = Ldap_resync
@@ -111,9 +112,8 @@ let test_latency_draws () =
 (* --- Engine-backed network ------------------------------------------- *)
 
 let test_rpc_charges_round_trip () =
-  (* The same exchange over the engine and over the legacy immediate
-     path: identical result and accounting; only the engine advances
-     virtual time. *)
+  (* The same exchange with and without an engine: identical result
+     and accounting; only the engine advances virtual time. *)
   let serve () = 41 + 1 in
   let immediate = Network.create () in
   let r0 =
@@ -152,6 +152,113 @@ let test_drop_reply_timing () =
   check_int "client waited the full round trip" 8 (Sim.Engine.now engine);
   check_int "loss accounted" 1 (Network.stats net).Network.dropped_pdus
 
+(* --- Synchronous calls from inside an event ---------------------------- *)
+
+(* A loopback-style stack: one master holding one department-7 entry,
+   reached over a lossy link with a scripted fault sequence. *)
+let inline_stack ~engine =
+  let b = make_backend () in
+  apply b (Update.add (person "a" ~dept:"7" ()));
+  let net = Network.create () in
+  Option.iter (Network.attach_engine net) engine;
+  Network.set_default_latency net (Sim.Latency.Fixed 3);
+  let faults = Network.Faults.create () in
+  Network.Faults.script faults
+    Network.Faults.[ Drop_request; Drop_reply; Drop_request ];
+  let transport = Resync.Transport.create ~faults net in
+  Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
+  (net, faults, transport)
+
+(* Two RPCs (a dropped request, then a dropped reply) and one poll that
+   retries past a dropped request; what each returned plus the
+   network's loss and byte accounting. *)
+let inline_calls net faults transport =
+  let rpc () =
+    Network.rpc net ~faults ~from:"c" ~host:"s" ~request_bytes:10
+      ~reply_bytes:(fun r -> r) (fun () -> 42)
+  in
+  let r1 = rpc () in
+  let r2 = rpc () in
+  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let poll =
+    match Resync.Consumer.sync_over consumer transport ~host:"m" with
+    | Ok o ->
+        Ok
+          ( o.Resync.Consumer.attempts,
+            o.Resync.Consumer.backoff,
+            Resync.Consumer.cookie consumer,
+            Resync.Consumer.size consumer )
+    | Error e -> Error (Resync.Consumer.sync_error_to_string e)
+  in
+  let stats = Network.stats net in
+  (r1, r2, poll, stats.Network.sync_bytes, stats.Network.dropped_pdus)
+
+let test_inline_from_event () =
+  (* Inside an event the engine cannot be re-entered: [rpc] and
+     [sync_over] complete on the spot, exactly as with no engine
+     (backoff included), and leave the clock where the event found
+     it. *)
+  let net, faults, transport = inline_stack ~engine:None in
+  let expected = inline_calls net faults transport in
+  let engine = Sim.Engine.create () in
+  let net, faults, transport = inline_stack ~engine:(Some engine) in
+  let observed = ref None in
+  Sim.Engine.schedule engine ~time:5 (fun () ->
+      let r = inline_calls net faults transport in
+      observed := Some (r, Sim.Engine.now engine));
+  Sim.Engine.run engine;
+  match !observed with
+  | None -> Alcotest.fail "event never ran"
+  | Some (r, now) ->
+      let r1, r2, poll, bytes, dropped = r in
+      let e1, e2, epoll, ebytes, edropped = expected in
+      check_bool "rpc results as without an engine" true (r1 = e1 && r2 = e2);
+      check_bool "faults surfaced" true
+        (r1 = Error Network.Timeout && r2 = Error Network.Timeout);
+      check_bool "poll outcome as without an engine" true (poll = epoll);
+      check_bool "poll retried once" true
+        (match poll with Ok (2, 1, Some _, 1) -> true | _ -> false);
+      check_int "sync_bytes as without an engine" ebytes bytes;
+      check_int "dropped_pdus as without an engine" edropped dropped;
+      check_int "clock unchanged inside the event" 5 now;
+      check_int "nothing left scheduled" 5 (Sim.Engine.now engine)
+
+let test_inline_flag_restored () =
+  (* An [await] that raises inside an event — its chain failed, or its
+     continuation never fired — must not leave later exchanges from the
+     same event running inline: the next [rpc_send] is scheduled. *)
+  let net = Network.create () in
+  check_bool "unclocked await of a chain that never completes" true
+    (match Network.await net (fun _ -> ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  let engine = Sim.Engine.create () in
+  Network.attach_engine net engine;
+  Network.set_default_latency net (Sim.Latency.Fixed 3);
+  let raised = ref [] and delivered_at = ref [] in
+  let send () =
+    Network.rpc_send net ~from:"c" ~host:"s" ~request_bytes:1
+      ~reply_bytes:(fun () -> 1) ignore (fun _ ->
+        delivered_at := Sim.Engine.now engine :: !delivered_at)
+  in
+  Sim.Engine.schedule engine ~time:10 (fun () ->
+      (match
+         Network.rpc net ~from:"c" ~host:"s" ~request_bytes:1
+           ~reply_bytes:(fun () -> 1) (fun () -> failwith "serve")
+       with
+      | _ -> ()
+      | exception Failure _ -> raised := "chain" :: !raised);
+      send ();
+      (match Network.await net (fun _ -> ()) with
+      | () -> ()
+      | exception Invalid_argument _ -> raised := "never" :: !raised);
+      send ();
+      check_bool "both sends still pending in the event" true (!delivered_at = []));
+  Sim.Engine.run engine;
+  Alcotest.(check (list string)) "both awaits raised" [ "never"; "chain" ] !raised;
+  Alcotest.(check (list int)) "sends delivered a round trip later" [ 16; 16 ]
+    !delivered_at
+
 (* --- Backoff as virtual time (the satellite fix) --------------------- *)
 
 let test_backoff_advances_clock () =
@@ -170,16 +277,24 @@ let test_backoff_advances_clock () =
   let t0 = Sim.Engine.now engine in
   Network.Faults.script faults
     [ Network.Faults.Drop_request; Network.Faults.Drop_request ];
-  match Resync.Consumer.sync_over consumer transport ~host:"m" with
-  | Ok o ->
-      check_int "three attempts" 3 o.Resync.Consumer.attempts;
-      (* Links default to zero latency, so every tick of elapsed
-         virtual time is backoff: 1 after the first failure, 2 after
-         the second. *)
-      check_int "backoff stat" 3 o.Resync.Consumer.backoff;
-      check_int "stat equals elapsed virtual time" (Sim.Engine.now engine - t0)
-        o.Resync.Consumer.backoff
-  | Error e -> failwith (Resync.Consumer.sync_error_to_string e)
+  let check_outcome label t0 = function
+    | Ok o ->
+        check_int (label ^ ": three attempts") 3 o.Resync.Consumer.attempts;
+        (* Links default to zero latency, so every tick of elapsed
+           virtual time is backoff: 1 after the first failure, 2 after
+           the second. *)
+        check_int (label ^ ": backoff stat") 3 o.Resync.Consumer.backoff;
+        check_int (label ^ ": stat equals elapsed virtual time")
+          (Sim.Engine.now engine - t0) o.Resync.Consumer.backoff
+    | Error e -> failwith (Resync.Consumer.sync_error_to_string e)
+  in
+  check_outcome "poll" t0 (Resync.Consumer.sync_over consumer transport ~host:"m");
+  (* A persist connect retries through the same loop and timer. *)
+  let t1 = Sim.Engine.now engine in
+  Network.Faults.script faults
+    [ Network.Faults.Drop_request; Network.Faults.Drop_request ];
+  check_outcome "persist" t1
+    (Resync.Consumer.connect_persist consumer transport ~host:"m")
 
 let test_replica_backoff_stat () =
   let b = make_backend () in
@@ -252,11 +367,13 @@ let test_scheduled_revolutions () =
   check_int "three revolutions on the clock" 3
     (Selection.Selector.revolutions selector)
 
-(* --- Engine/legacy equivalence property ------------------------------
-   For the same seed (same update stream, same fault decisions) the
-   event-driven engine and the legacy immediate path must leave the
-   consumer with identical content, cookie and traffic accounting:
-   virtual time reorders nothing observable. *)
+(* --- Clocked/unclocked equivalence property ---------------------------
+   For the same seed (same update stream, same fault decisions) a run
+   with an engine and one without must leave every consumer with
+   identical content, cookie and traffic accounting: virtual time
+   reorders nothing observable.  Each round exercises every derived
+   synchronous form: a consumer poll, a filter replica round and a
+   persist connect. *)
 
 let apply_scripted_ops b prng =
   for _ = 1 to 4 do
@@ -300,28 +417,58 @@ let run_variant ~engine seed =
   let transport = Resync.Transport.create ~faults net in
   Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
   let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let replica =
+    Replication.Filter_replica.create_over ~host:"r" transport ~master_host:"m"
+  in
+  let installed = Replication.Filter_replica.install_filter replica (dept_query "8") in
+  let sorted c =
+    List.sort (fun a b -> Dn.compare (Entry.dn a) (Entry.dn b)) (Resync.Consumer.entries c)
+  in
   let op_prng = Ldap_dirgen.Prng.create (seed + 2) in
+  let persisted = ref [] in
   for _round = 1 to 6 do
     apply_scripted_ops b op_prng;
-    ignore (Resync.Consumer.sync_over ~max_attempts:6 consumer transport ~host:"m")
+    ignore (Resync.Consumer.sync_over ~max_attempts:6 consumer transport ~host:"m");
+    Replication.Filter_replica.sync replica;
+    (* A fresh persist session per round, paused once established: its
+       later pushes stall at the master instead of crossing the lossy
+       link, so the pushes' delivery timing cannot diverge. *)
+    let pc = Resync.Consumer.create schema (dept_query "7") in
+    let r =
+      Result.map
+        (fun o -> o.Resync.Consumer.attempts)
+        (Resync.Consumer.connect_persist ~max_attempts:6 pc transport ~host:"m")
+    in
+    Resync.Consumer.pause_connection pc;
+    persisted := (r, sorted pc, Resync.Consumer.cookie pc) :: !persisted
   done;
-  let entries =
-    List.sort
-      (fun a b -> Dn.compare (Entry.dn a) (Entry.dn b))
-      (Resync.Consumer.entries consumer)
+  let replica_entries =
+    Option.map sorted (Replication.Filter_replica.consumer_for replica (dept_query "8"))
   in
-  (entries, Resync.Consumer.cookie consumer, (Network.stats net).Network.sync_bytes)
+  ( (sorted consumer, Resync.Consumer.cookie consumer, (Network.stats net).Network.sync_bytes),
+    (installed, replica_entries, Replication.Filter_replica.stats replica),
+    !persisted )
+
+let same_entries a b = List.length a = List.length b && List.for_all2 Entry.equal a b
 
 let prop_engine_matches_legacy =
   QCheck.Test.make ~name:"sim: engine and legacy paths are observably identical"
     ~count:40
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let e_entries, e_cookie, e_bytes = run_variant ~engine:true seed in
-      let l_entries, l_cookie, l_bytes = run_variant ~engine:false seed in
-      e_cookie = l_cookie && e_bytes = l_bytes
-      && List.length e_entries = List.length l_entries
-      && List.for_all2 Entry.equal e_entries l_entries)
+      let (e_entries, e_cookie, e_bytes), (e_inst, e_rep, e_stats), e_persist =
+        run_variant ~engine:true seed
+      in
+      let (l_entries, l_cookie, l_bytes), (l_inst, l_rep, l_stats), l_persist =
+        run_variant ~engine:false seed
+      in
+      e_cookie = l_cookie && e_bytes = l_bytes && same_entries e_entries l_entries
+      && e_inst = l_inst && e_stats = l_stats
+      && Option.equal same_entries e_rep l_rep
+      && List.length e_persist = List.length l_persist
+      && List.for_all2
+           (fun (er, ee, ec) (lr, le, lc) -> er = lr && ec = lc && same_entries ee le)
+           e_persist l_persist)
 
 (* --- Latency/staleness sweep shape ----------------------------------- *)
 
@@ -404,6 +551,8 @@ let suite =
     Alcotest.test_case "latency draws" `Quick test_latency_draws;
     Alcotest.test_case "rpc charges round trip" `Quick test_rpc_charges_round_trip;
     Alcotest.test_case "drop_reply timing" `Quick test_drop_reply_timing;
+    Alcotest.test_case "inline from event" `Quick test_inline_from_event;
+    Alcotest.test_case "inline flag restored" `Quick test_inline_flag_restored;
     Alcotest.test_case "backoff advances clock" `Quick test_backoff_advances_clock;
     Alcotest.test_case "replica backoff stat" `Quick test_replica_backoff_stat;
     Alcotest.test_case "scheduled expiry" `Quick test_scheduled_expiry;
