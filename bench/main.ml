@@ -20,6 +20,9 @@
    silent full run.  A sweep's --json writes BENCH_PRn.json; with
    --smoke (or --quick) it writes BENCH_PRn.smoke.json instead, so a
    smoke run never overwrites the committed full-scale results.
+   Every sweep is one row of the sweep table below (subcommand, result
+   file, smoke and default configuration, run); the sweeps themselves
+   live in Ldap_eval and every JSON file goes through Ldap_eval.Json.
 
    micro runs the compiled-vs-interpreted comparison for the hot paths
    (filter bytecode vs AST interpretation, zero-copy DER writer vs
@@ -29,7 +32,7 @@
    the deterministic equivalence counts so CI can diff two runs.
 
    tree-fanout runs the cascading-topology sweep (flat star vs 2-tier
-   tree, Ldap_topology.Sweep); with --json it writes BENCH_PR3.json.
+   tree, Ldap_eval.Sweep); with --json it writes BENCH_PR3.json.
 
    latency-staleness runs the discrete-event sweep (per-poll response
    time and per-update staleness percentiles, star vs tree, clean vs
@@ -66,14 +69,14 @@
    serve_all_p99_us.
 
    scale --long-haul instead runs the long write-pressure scenario
-   (Ldap_adaptive.Drift.run_long_haul): a sustained committed-update
+   (Ldap_eval.Drift.run_long_haul): a sustained committed-update
    stream against a master with both the session-history high-water
    mark and the persist queue bound set, a laggard leaf that never
    polls and a persist leaf that stops draining.  Gates: both
    escalation counters fire, both buffers stay within one action of
    their bounds, and every participant reconverges.
 
-   adapt runs the drift scenario sweep (Ldap_adaptive.Drift): the
+   adapt runs the drift scenario sweep (Ldap_eval.Drift): the
    five-phase shifting workload in delta-transition and cold-swap
    modes plus both persist-backpressure scenarios and the long-haul
    point; with --json it writes BENCH_PR10.json.  Gates: the
@@ -400,48 +403,29 @@ let run_fanout () =
        ~columns:[ "sessions"; "routed ns"; "naive ns"; "speedup" ] ~rows ());
   measured
 
-(* --- JSON dump -------------------------------------------------------- *)
+(* --- The sweep table ---------------------------------------------------
+   Every sweep is one row of [sweeps] (bottom of the file): its
+   subcommand, the BENCH_PRn.json it writes under --json, its smoke and
+   default configurations, and a run that prints its tables, fails the
+   process on a violated gate and returns its JSON fields.  [run_sweep]
+   is the only place a configuration is chosen, and every file goes
+   through the one writer, Eval.Json. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Eval.Json
+module Sweep = Eval.Sweep
+module Drift = Eval.Drift
+module Shard_sweep = Eval.Shard_sweep
 
-let write_json ~path ~micro ~fanout =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  let opt = function Some v -> Printf.sprintf "%.4f" v | None -> "null" in
-  out "{\n  \"micro\": [\n";
-  List.iteri
-    (fun i (name, ns, r2) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}%s\n"
-        (json_escape name) (opt ns) (opt r2)
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n  \"fanout\": [\n";
-  List.iteri
-    (fun i (sessions, routed, naive) ->
-      out
-        "    {\"sessions\": %d, \"routed_ns_per_update\": %.1f, \
-         \"naive_ns_per_update\": %.1f, \"speedup\": %.2f}%s\n"
-        sessions routed naive (naive /. routed)
-        (if i = List.length fanout - 1 then "" else ","))
-    fanout;
-  out "  ],\n  \"peak_rss_kb\": %d\n}\n" (Ldap_topology.Sweep.peak_rss_kb ());
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Cascading topology sweep ----------------------------------------- *)
-
-module T = Ldap_topology
+type sweep =
+  | Sweep : {
+      name : string;
+      doc : string;
+      pr : int option;
+      smoke : 'c;
+      default : 'c;
+      run : 'c -> (string * Json.t) list;
+    }
+      -> sweep
 
 (* Smoke results go beside the committed full-scale ones, never over
    them. *)
@@ -453,192 +437,138 @@ let bench_path n ~smoke =
 (* Peak process RSS (VmHWM), appended to every BENCH_PR*.json.  Full
    runs only: RSS is inherently nondeterministic, and the smoke outputs
    must diff clean across the CI double runs. *)
-let rss_fragment ~smoke =
-  if smoke then ""
-  else Printf.sprintf ",\n  \"peak_rss_kb\": %d" (T.Sweep.peak_rss_kb ())
+let peak_rss () = ("peak_rss_kb", Json.Int (Ldap_topology.Sweep.peak_rss_kb ()))
 
-let run_tree_fanout ~smoke ~json () =
-  let config =
-    if smoke then T.Sweep.smoke_config else T.Sweep.default_config
+(* A sweep whose fields carry their own "config" record keeps it in
+   place of the smoke/default tag. *)
+let run_sweep (Sweep s) ~smoke ~json =
+  let fields = s.run (if smoke then s.smoke else s.default) in
+  match s.pr with
+  | Some n when json ->
+      let path = bench_path n ~smoke in
+      let config =
+        if List.mem_assoc "config" fields then []
+        else [ ("config", Json.String (if smoke then "smoke" else "default")) ]
+      in
+      Json.write path
+        (Json.Obj (config @ fields @ if smoke then [] else [ peak_rss () ]));
+      Printf.printf "wrote %s\n%!" path
+  | _ -> ()
+
+let fanout_json (sessions, routed, naive) =
+  Json.(
+    Obj
+      [
+        ("sessions", Int sessions); ("routed_ns_per_update", float 1 routed);
+        ("naive_ns_per_update", float 1 naive); ("speedup", float 2 (naive /. routed));
+      ])
+
+let write_json ~path ~micro ~fanout =
+  let opt = function Some v -> Json.float 4 v | None -> Json.Null in
+  let micro_row (name, ns, r2) =
+    Json.Obj [ ("name", Json.String name); ("ns_per_run", opt ns); ("r_square", opt r2) ]
   in
-  let points = T.Sweep.tree_fanout ~config () in
-  let rows =
-    List.map
-      (fun (p : T.Sweep.point) ->
+  Json.write path
+    (Json.Obj
+       [ ("micro", Json.list micro_row micro); ("fanout", Json.list fanout_json fanout); peak_rss () ]);
+  Printf.printf "wrote %s\n%!" path
+
+(* --- Cascading topology sweep ----------------------------------------- *)
+
+let run_tree_fanout config =
+  let points = Sweep.tree_fanout ~config () in
+  Eval.Report.print (Eval.Figures.tree_fanout points);
+  let point (p : Sweep.point) =
+    Json.(
+      Obj
         [
-          p.T.Sweep.shape;
-          string_of_int p.T.Sweep.consumers;
-          string_of_int p.T.Sweep.root_sessions;
-          string_of_int p.T.Sweep.build_root_bytes;
-          string_of_int p.T.Sweep.update_root_bytes;
-          string_of_int p.T.Sweep.update_total_bytes;
-          string_of_int p.T.Sweep.convergence_rounds;
+          ("shape", String p.shape); ("consumers", Int p.consumers);
+          ("root_sessions", Int p.root_sessions); ("build_root_bytes", Int p.build_root_bytes);
+          ("update_root_bytes", Int p.update_root_bytes);
+          ("update_total_bytes", Int p.update_total_bytes);
+          ("convergence_rounds", Int p.convergence_rounds);
         ])
-      points
   in
-  Eval.Report.print
-    (Eval.Report.make ~title:"Tree fan-out: flat star vs 2-tier tree"
-       ~notes:
-         [
-           "root sessions and root-link bytes stay flat in the tree (only the";
-           "interior nodes hold root sessions); the star grows both linearly;";
-           "the tree pays one extra convergence round for the extra tier";
-         ]
-       ~columns:
-         [
-           "shape"; "consumers"; "root sessions"; "build root B";
-           "update root B"; "update total B"; "rounds";
-         ]
-       ~rows ());
-  if json then begin
-    let path = bench_path 3 ~smoke in
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"tree_fanout\": %s%s\n}\n"
-      (if smoke then "smoke" else "default")
-      (T.Sweep.json_of_points points)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+  [ ("tree_fanout", Json.list point points) ]
 
 (* --- Latency/staleness sweep ------------------------------------------ *)
 
-let lat_rows points =
-  List.map
-    (fun (p : T.Sweep.lat_point) ->
+let lat_json (p : Sweep.lat_point) =
+  Json.(
+    Obj
       [
-        p.T.Sweep.lp_shape;
-        p.T.Sweep.lp_faults;
-        string_of_int p.T.Sweep.lp_polls;
-        string_of_int p.T.Sweep.lp_resp_p50;
-        string_of_int p.T.Sweep.lp_resp_p90;
-        string_of_int p.T.Sweep.lp_resp_max;
-        string_of_int p.T.Sweep.lp_stale_p50;
-        string_of_int p.T.Sweep.lp_stale_p90;
-        string_of_int p.T.Sweep.lp_stale_max;
-        string_of_int p.T.Sweep.lp_stale_censored;
+        ("shape", String p.lp_shape); ("faults", String p.lp_faults); ("polls", Int p.lp_polls);
+        ("response_p50", Int p.lp_resp_p50); ("response_p90", Int p.lp_resp_p90);
+        ("response_p99", Int p.lp_resp_p99); ("response_max", Int p.lp_resp_max);
+        ("stale_samples", Int p.lp_stale_samples); ("stale_censored", Int p.lp_stale_censored);
+        ("stale_mean", Int p.lp_stale_mean); ("stale_p50", Int p.lp_stale_p50);
+        ("stale_p90", Int p.lp_stale_p90); ("stale_p99", Int p.lp_stale_p99);
+        ("stale_max", Int p.lp_stale_max);
       ])
-    points
 
-let run_latency_staleness ~smoke ~json () =
-  let config =
-    if smoke then T.Sweep.lat_smoke_config else T.Sweep.lat_default_config
-  in
-  let points = T.Sweep.latency_staleness ~config () in
-  Eval.Report.print
-    (Eval.Report.make
-       ~title:"Latency/staleness: star vs tree, clean vs lossy (virtual ticks)"
-       ~notes:
-         [
-           "event-driven run: every participant polls on its own staggered loop";
-           "over links with uniform latency; staleness is commit-to-leaf-ack time.";
-           "expected: tree staleness >= star (extra tier), lossy response >= clean";
-         ]
-       ~columns:
-         [
-           "shape"; "faults"; "polls"; "resp p50"; "resp p90"; "resp max";
-           "stale p50"; "stale p90"; "stale max"; "censored";
-         ]
-       ~rows:(lat_rows points) ());
-  if json then begin
-    let path = bench_path 4 ~smoke in
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"latency_staleness\": %s%s\n}\n"
-      (if smoke then "smoke" else "default")
-      (T.Sweep.json_of_lat_points points)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+let run_latency_staleness config =
+  let points = Sweep.latency_staleness ~config () in
+  Eval.Report.print (Eval.Figures.latency_staleness points);
+  [ ("latency_staleness", Json.list lat_json points) ]
 
-let run_crash_restart ~smoke ~json () =
-  let config =
-    if smoke then T.Sweep.cr_smoke_config else T.Sweep.cr_default_config
-  in
-  let points = T.Sweep.crash_restart ~config () in
-  let corruption = T.Sweep.corruption_sweep ~config () in
-  Eval.Report.print
-    (Eval.Report.make
-       ~title:"Crash/restart recovery: durable resume vs cold re-fetch"
-       ~notes:
-         [
-           "a fraction of star leaves crash mid-run, updates land while down,";
-           "then they restart; durable modes recover from WAL+snapshot and";
-           "resume ReSync from the durable cookie, cold re-fetches everything.";
-           "expected: durable resync bytes < cold; torn tails truncate cleanly";
-         ]
-       ~columns:
-         [
-           "mode"; "affected"; "resync bytes"; "replayed"; "truncated";
-           "recover mean"; "recover max"; "converged";
-         ]
-       ~rows:
-         (List.map
-            (fun (p : T.Sweep.cr_point) ->
-              [
-                p.T.Sweep.cp_mode;
-                string_of_int p.T.Sweep.cp_affected;
-                string_of_int p.T.Sweep.cp_resync_bytes;
-                string_of_int p.T.Sweep.cp_replayed;
-                string_of_int p.T.Sweep.cp_truncated;
-                string_of_int p.T.Sweep.cp_recover_ticks_mean;
-                string_of_int p.T.Sweep.cp_recover_ticks_max;
-                string_of_int p.T.Sweep.cp_converged;
-              ])
-            points)
-       ());
+let run_crash_restart config =
+  let points = Sweep.crash_restart ~config () in
+  let corruption = Sweep.corruption_sweep ~config () in
+  Eval.Report.print (Eval.Figures.crash_restart points);
+  let c = corruption in
   Printf.printf
     "corruption sweep: %d trials, %d recovered, %d truncated, %d discarded, \
      %d merkle-repaired, %d cold-repaired, %d stale, %d panics\n%!"
-    corruption.T.Sweep.cs_trials corruption.T.Sweep.cs_recovered
-    corruption.T.Sweep.cs_truncated corruption.T.Sweep.cs_discarded
-    corruption.T.Sweep.cs_repaired_merkle corruption.T.Sweep.cs_repaired_cold
-    corruption.T.Sweep.cs_stale corruption.T.Sweep.cs_panics;
-  if corruption.T.Sweep.cs_panics > 0 then
+    c.cs_trials c.cs_recovered c.cs_truncated c.cs_discarded c.cs_repaired_merkle
+    c.cs_repaired_cold c.cs_stale c.cs_panics;
+  if c.cs_panics > 0 then
     failwith "crash-restart: corruption sweep panicked";
-  if corruption.T.Sweep.cs_stale > 0 then
+  if c.cs_stale > 0 then
     failwith
       "crash-restart: corruption sweep left a replica serving stale content";
-  (let durable =
-     List.find (fun (p : T.Sweep.cr_point) -> p.T.Sweep.cp_mode = "durable") points
-   in
-   let cold =
-     List.find (fun (p : T.Sweep.cr_point) -> p.T.Sweep.cp_mode = "cold") points
-   in
-   let reparent =
-     List.find (fun (p : T.Sweep.cr_point) -> p.T.Sweep.cp_mode = "reparent") points
-   in
-   if durable.T.Sweep.cp_resync_bytes >= cold.T.Sweep.cp_resync_bytes then
+  (let mode m = List.find (fun (p : Sweep.cr_point) -> p.cp_mode = m) points in
+   let durable = mode "durable" and cold = mode "cold" in
+   let reparent = mode "reparent" in
+   if durable.cp_resync_bytes >= cold.cp_resync_bytes then
      failwith "crash-restart: durable resume did not undercut cold re-fetch";
-   if
-     reparent.T.Sweep.cp_recover_ticks_max
-     > 2 * max 1 durable.T.Sweep.cp_recover_ticks_max
-   then
+   if reparent.cp_recover_ticks_max > 2 * max 1 durable.cp_recover_ticks_max then
      failwith
        (Printf.sprintf
           "crash-restart: reparent heal too slow (max %d ticks vs durable %d)"
-          reparent.T.Sweep.cp_recover_ticks_max
-          durable.T.Sweep.cp_recover_ticks_max));
-  if json then begin
-    let path = bench_path 5 ~smoke in
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n  \"config\": \"%s\",\n  \"crash_restart\": %s,\n  \"corruption\": %s%s\n}\n"
-      (if smoke then "smoke" else "default")
-      (T.Sweep.json_of_cr_points points)
-      (T.Sweep.json_of_corruption corruption)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
-
-(* --- Anti-entropy drift sweep ----------------------------------------- *)
-
-let run_anti_entropy ~smoke ~json () =
-  let config =
-    if smoke then T.Sweep.ae_smoke_config else T.Sweep.ae_default_config
+          reparent.cp_recover_ticks_max durable.cp_recover_ticks_max));
+  let point (p : Sweep.cr_point) =
+    Json.(
+      Obj
+        [
+          ("mode", String p.cp_mode); ("affected", Int p.cp_affected);
+          ("resync_bytes", Int p.cp_resync_bytes); ("replayed", Int p.cp_replayed);
+          ("truncated", Int p.cp_truncated); ("recover_ticks_mean", Int p.cp_recover_ticks_mean);
+          ("recover_ticks_max", Int p.cp_recover_ticks_max); ("converged", Int p.cp_converged);
+        ])
   in
-  let points = T.Sweep.anti_entropy ~config () in
+  Json.
+    [
+      ("crash_restart", list point points);
+      ( "corruption",
+        Obj
+          [
+            ("trials", Int c.cs_trials); ("recovered", Int c.cs_recovered);
+            ("truncated", Int c.cs_truncated); ("discarded", Int c.cs_discarded);
+            ("repaired_merkle", Int c.cs_repaired_merkle);
+            ("repaired_cold", Int c.cs_repaired_cold); ("stale", Int c.cs_stale);
+            ("panics", Int c.cs_panics);
+          ] );
+    ]
+
+(* --- Anti-entropy drift sweep -----------------------------------------
+   The configuration pairs the sweep's with the merkle/cold byte-ratio
+   cap at 10% drift: 0.25 at full scale, 1.0 in the smoke run. *)
+
+let run_anti_entropy (config, cap) =
+  let points = Sweep.anti_entropy ~config () in
+  let ratio (p : Sweep.ae_point) =
+    float_of_int p.ap_merkle_bytes /. float_of_int (max 1 p.ap_cold_bytes)
+  in
   Eval.Report.print
     (Eval.Report.make
        ~title:"Anti-entropy: Merkle reconciliation vs cold re-fetch by drift"
@@ -657,71 +587,61 @@ let run_anti_entropy ~smoke ~json () =
          ]
        ~rows:
          (List.map
-            (fun (p : T.Sweep.ae_point) ->
+            (fun (p : Sweep.ae_point) ->
               [
-                Printf.sprintf "%.2f" p.T.Sweep.ap_drift;
-                string_of_int p.T.Sweep.ap_updates;
-                string_of_int p.T.Sweep.ap_affected;
-                string_of_int p.T.Sweep.ap_merkle_bytes;
-                string_of_int p.T.Sweep.ap_cold_bytes;
-                Printf.sprintf "%.3f"
-                  (float_of_int p.T.Sweep.ap_merkle_bytes
-                  /. float_of_int (max 1 p.T.Sweep.ap_cold_bytes));
-                string_of_int p.T.Sweep.ap_merkle_converged;
-                string_of_int p.T.Sweep.ap_cold_converged;
-                string_of_int p.T.Sweep.ap_merkle_ticks_max;
-                string_of_int p.T.Sweep.ap_cold_ticks_max;
+                Printf.sprintf "%.2f" p.ap_drift;
+                string_of_int p.ap_updates;
+                string_of_int p.ap_affected;
+                string_of_int p.ap_merkle_bytes;
+                string_of_int p.ap_cold_bytes;
+                Printf.sprintf "%.3f" (ratio p);
+                string_of_int p.ap_merkle_converged;
+                string_of_int p.ap_cold_converged;
+                string_of_int p.ap_merkle_ticks_max;
+                string_of_int p.ap_cold_ticks_max;
               ])
             points)
        ());
   List.iter
-    (fun (p : T.Sweep.ae_point) ->
-      if p.T.Sweep.ap_merkle_converged < p.T.Sweep.ap_affected then
+    (fun (p : Sweep.ae_point) ->
+      if p.ap_merkle_converged < p.ap_affected then
         failwith
           (Printf.sprintf
              "anti-entropy: merkle run at drift %.2f left %d replicas diverged"
-             p.T.Sweep.ap_drift
-             (p.T.Sweep.ap_affected - p.T.Sweep.ap_merkle_converged));
-      if p.T.Sweep.ap_cold_converged < p.T.Sweep.ap_affected then
+             p.ap_drift
+             (p.ap_affected - p.ap_merkle_converged));
+      if p.ap_cold_converged < p.ap_affected then
         failwith
           (Printf.sprintf
              "anti-entropy: cold run at drift %.2f left %d replicas diverged"
-             p.T.Sweep.ap_drift
-             (p.T.Sweep.ap_affected - p.T.Sweep.ap_cold_converged)))
+             p.ap_drift
+             (p.ap_affected - p.ap_cold_converged)))
     points;
-  (let headline =
-     List.find (fun (p : T.Sweep.ae_point) -> p.T.Sweep.ap_drift = 0.1) points
-   in
-   let ratio =
-     float_of_int headline.T.Sweep.ap_merkle_bytes
-     /. float_of_int (max 1 headline.T.Sweep.ap_cold_bytes)
-   in
-   let cap = if smoke then 1.0 else 0.25 in
+  (let headline = List.find (fun (p : Sweep.ae_point) -> p.ap_drift = 0.1) points in
+   let ratio = ratio headline in
    if ratio >= cap then
      failwith
        (Printf.sprintf
           "anti-entropy: merkle/cold ratio %.3f at 10%% drift exceeds the \
            %.2f gate"
           ratio cap));
-  if json then begin
-    let path = bench_path 6 ~smoke in
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"anti_entropy\": %s%s\n}\n"
-      (if smoke then "smoke" else "default")
-      (T.Sweep.json_of_ae_points points)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+  let point (p : Sweep.ae_point) =
+    Json.(
+      Obj
+        [
+          ("drift", float 2 p.ap_drift); ("updates", Int p.ap_updates);
+          ("affected", Int p.ap_affected); ("merkle_bytes", Int p.ap_merkle_bytes);
+          ("cold_bytes", Int p.ap_cold_bytes); ("merkle_converged", Int p.ap_merkle_converged);
+          ("cold_converged", Int p.ap_cold_converged);
+          ("merkle_ticks_max", Int p.ap_merkle_ticks_max);
+          ("cold_ticks_max", Int p.ap_cold_ticks_max);
+        ])
+  in
+  [ ("anti_entropy", Json.list point points) ]
 
 (* --- Shard sweep ------------------------------------------------------ *)
 
-module Shard_sweep = Ldap_shard.Sweep
-
-let run_shard ~smoke ~json () =
-  let config =
-    if smoke then Shard_sweep.smoke_config else Shard_sweep.default_config
-  in
+let run_shard config =
   let points = Shard_sweep.run ~config () in
   Eval.Report.print
     (Eval.Report.make
@@ -744,80 +664,121 @@ let run_shard ~smoke ~json () =
          (List.map
             (fun (p : Shard_sweep.point) ->
               [
-                string_of_int p.Shard_sweep.sp_shards;
-                string_of_int p.Shard_sweep.sp_makespan;
-                Printf.sprintf "%.3f" p.Shard_sweep.sp_throughput;
-                Printf.sprintf "%.2fx" p.Shard_sweep.sp_speedup;
-                string_of_int p.Shard_sweep.sp_single_cover_max;
-                Printf.sprintf "%.2f" p.Shard_sweep.sp_fanout_avg;
-                Printf.sprintf "%.3f" p.Shard_sweep.sp_fanout_ratio;
-                Printf.sprintf "%.2f" p.Shard_sweep.sp_plan_hit_ratio;
-                string_of_int p.Shard_sweep.sp_warm_bytes;
-                string_of_int p.Shard_sweep.sp_cold_bytes;
-                string_of_int p.Shard_sweep.sp_wal_replayed;
-                (if p.Shard_sweep.sp_recover_ok then "ok" else "FAIL");
+                string_of_int p.sp_shards;
+                string_of_int p.sp_makespan;
+                Printf.sprintf "%.3f" p.sp_throughput;
+                Printf.sprintf "%.2fx" p.sp_speedup;
+                string_of_int p.sp_single_cover_max;
+                Printf.sprintf "%.2f" p.sp_fanout_avg;
+                Printf.sprintf "%.3f" p.sp_fanout_ratio;
+                Printf.sprintf "%.2f" p.sp_plan_hit_ratio;
+                string_of_int p.sp_warm_bytes;
+                string_of_int p.sp_cold_bytes;
+                string_of_int p.sp_wal_replayed;
+                (if p.sp_recover_ok then "ok" else "FAIL");
               ])
             points)
        ());
   List.iter
     (fun (p : Shard_sweep.point) ->
-      if p.Shard_sweep.sp_single_cover_max <> 1 then
+      if p.sp_single_cover_max <> 1 then
         failwith
           (Printf.sprintf
              "shard: a single-block filter covered %d shards at %d shards"
-             p.Shard_sweep.sp_single_cover_max p.Shard_sweep.sp_shards);
-      if not p.Shard_sweep.sp_recover_ok then
+             p.sp_single_cover_max p.sp_shards);
+      if not p.sp_recover_ok then
         failwith
           (Printf.sprintf "shard: crash recovery diverged at %d shards"
-             p.Shard_sweep.sp_shards);
-      if p.Shard_sweep.sp_warm_bytes >= p.Shard_sweep.sp_cold_bytes then
+             p.sp_shards);
+      if p.sp_warm_bytes >= p.sp_cold_bytes then
         failwith
           (Printf.sprintf
              "shard: composite-cookie resume (%d B) not cheaper than cold \
               re-fetch (%d B) at %d shards"
-             p.Shard_sweep.sp_warm_bytes p.Shard_sweep.sp_cold_bytes
-             p.Shard_sweep.sp_shards))
+             p.sp_warm_bytes p.sp_cold_bytes
+             p.sp_shards))
     points;
   (match
-     List.find_opt (fun (p : Shard_sweep.point) -> p.Shard_sweep.sp_shards = 4) points
+     List.find_opt (fun (p : Shard_sweep.point) -> p.sp_shards = 4) points
    with
-  | Some p when p.Shard_sweep.sp_speedup < 2.0 ->
+  | Some p when p.sp_speedup < 2.0 ->
       failwith
         (Printf.sprintf
            "shard: 4-shard write speedup %.2fx below the 2x gate"
-           p.Shard_sweep.sp_speedup)
+           p.sp_speedup)
   | _ -> ());
-  if json then begin
-    let path = bench_path 8 ~smoke in
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"config\": \"%s\",\n  \"shard\": %s%s\n}\n"
-      (if smoke then "smoke" else "default")
-      (Shard_sweep.json_of_points points)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+  let point (p : Shard_sweep.point) =
+    Json.(
+      Obj
+        [
+          ("shards", Int p.sp_shards); ("makespan", Int p.sp_makespan);
+          ("throughput", float 4 p.sp_throughput); ("speedup", float 3 p.sp_speedup);
+          ("single_cover_max", Int p.sp_single_cover_max);
+          ("fanout_avg", float 3 p.sp_fanout_avg); ("fanout_ratio", float 3 p.sp_fanout_ratio);
+          ("plan_hit_ratio", float 3 p.sp_plan_hit_ratio); ("warm_bytes", Int p.sp_warm_bytes);
+          ("cold_bytes", Int p.sp_cold_bytes); ("wal_replayed", Int p.sp_wal_replayed);
+          ("recover_ok", Bool p.sp_recover_ok);
+        ])
+  in
+  [ ("shard", Json.list point points) ]
 
 (* --- Paper-scale content-plane sweep ---------------------------------- *)
 
-let run_scale ~smoke ~json () =
-  let config =
-    if smoke then T.Sweep.scale_smoke_config else T.Sweep.scale_default_config
+(* One run; [full] adds the wall-clock, RSS and memory fields, which
+   smoke JSON omits so it stays bit-deterministic. *)
+let scale_run_json ~full (r : Sweep.scale_run) =
+  let memory (leaves, live, rss) =
+    Json.(Obj [ ("leaves", Int leaves); ("live_words", Int live); ("vm_rss_kb", Int rss) ])
   in
-  let baseline, main = T.Sweep.scale ~config () in
-  let row label (r : T.Sweep.scale_run) =
+  let searches = if r.sr_query_seconds > 0.0 then float_of_int r.sr_queries /. r.sr_query_seconds else 0.0 in
+  Json.(
+    Obj
+      ([
+         ("employees", Int r.sr_employees); ("entries", Int r.sr_entries);
+         ("filters", Int r.sr_filters); ("nodes", Int r.sr_nodes); ("leaves", Int r.sr_leaves);
+       ]
+      @ (if not full then []
+         else
+           [
+             ("memory", list memory r.sr_memory); ("store_bytes", Int r.sr_store_bytes);
+             ("build_seconds", float 2 r.sr_build_seconds);
+             ("query_seconds", float 3 r.sr_query_seconds);
+             ("search_per_second", float 0 searches);
+             ("serve_p50_us", float 1 r.sr_serve_p50_us);
+             ("serve_p99_us", float 1 r.sr_serve_p99_us);
+             ("serve_all_p99_us", float 1 r.sr_serve_all_p99_us);
+           ])
+      @ [
+          ("polls", Int r.sr_polls); ("scanned", Int r.sr_scanned); ("rescans", Int r.sr_rescans);
+          ("scanned_per_poll", float 2 (Sweep.scanned_per_poll r));
+          ("response_p50", Int r.sr_resp_p50); ("response_p90", Int r.sr_resp_p90);
+          ("response_p99", Int r.sr_resp_p99); ("stale_samples", Int r.sr_stale_samples);
+          ("stale_censored", Int r.sr_stale_censored); ("stale_p50", Int r.sr_stale_p50);
+          ("stale_p99", Int r.sr_stale_p99); ("updates", Int r.sr_updates);
+          ("queries", Int r.sr_queries); ("query_hits", Int r.sr_query_hits);
+          ("mix", Obj (List.map (fun (k, f) -> (k, float 3 f)) r.sr_mix));
+          ("session_pending_total", Int r.sr_pending_total);
+          ("session_pending_max", Int r.sr_pending_max); ("history_size", Int r.sr_history_size);
+          ("seen_residency", Int r.sr_seen_residency);
+          ("cursor_depth_max", Int r.sr_cursor_depth_max);
+        ]))
+
+let run_scale config =
+  let full = config.Sweep.sc_full in
+  let baseline, main = Sweep.scale ~config () in
+  let row label (r : Sweep.scale_run) =
     [
       label;
-      string_of_int r.T.Sweep.sr_entries;
-      string_of_int r.T.Sweep.sr_leaves;
-      string_of_int r.T.Sweep.sr_polls;
-      Printf.sprintf "%.2f" (T.Sweep.scanned_per_poll r);
-      string_of_int r.T.Sweep.sr_rescans;
-      string_of_int r.T.Sweep.sr_resp_p99;
-      string_of_int r.T.Sweep.sr_stale_p99;
-      string_of_int r.T.Sweep.sr_stale_censored;
-      string_of_int r.T.Sweep.sr_pending_max;
-      string_of_int r.T.Sweep.sr_cursor_depth_max;
+      string_of_int r.sr_entries;
+      string_of_int r.sr_leaves;
+      string_of_int r.sr_polls;
+      Printf.sprintf "%.2f" (Sweep.scanned_per_poll r);
+      string_of_int r.sr_rescans;
+      string_of_int r.sr_resp_p99;
+      string_of_int r.sr_stale_p99;
+      string_of_int r.sr_stale_censored;
+      string_of_int r.sr_pending_max;
+      string_of_int r.sr_cursor_depth_max;
     ]
   in
   Eval.Report.print
@@ -854,20 +815,20 @@ let run_scale ~smoke ~json () =
                 (if rss = 0 then "n/a"
                  else Printf.sprintf "%.0f" (float_of_int rss /. 1024.));
               ])
-            main.T.Sweep.sr_memory)
+            main.sr_memory)
        ());
   (* Gates. *)
   List.iter
-    (fun (label, (r : T.Sweep.scale_run)) ->
-      if r.T.Sweep.sr_rescans > 0 then
+    (fun (label, (r : Sweep.scale_run)) ->
+      if r.sr_rescans > 0 then
         failwith
           (Printf.sprintf "scale: %s run fell back to %d full rescans" label
-             r.T.Sweep.sr_rescans);
-      if r.T.Sweep.sr_stale_samples = 0 then
+             r.sr_rescans);
+      if r.sr_stale_samples = 0 then
         failwith (Printf.sprintf "scale: %s run sampled no staleness" label))
     [ ("baseline", baseline); ("full", main) ];
-  let spp_base = T.Sweep.scanned_per_poll baseline in
-  let spp_main = T.Sweep.scanned_per_poll main in
+  let spp_base = Sweep.scanned_per_poll baseline in
+  let spp_main = Sweep.scanned_per_poll main in
   if spp_main > Float.max 4.0 (2.0 *. spp_base) then
     failwith
       (Printf.sprintf
@@ -875,12 +836,12 @@ let run_scale ~smoke ~json () =
           baseline — snapshot-diff serving is not O(diff)"
          spp_main spp_base);
   let leaf_ratio, live_ratio =
-    match main.T.Sweep.sr_memory with
+    match main.sr_memory with
     | [] | [ _ ] -> (1.0, 1.0)
     | (l0, w0, _) :: _ ->
         let ln, wn, _ =
-          List.nth main.T.Sweep.sr_memory
-            (List.length main.T.Sweep.sr_memory - 1)
+          List.nth main.sr_memory
+            (List.length main.sr_memory - 1)
         in
         ( float_of_int ln /. float_of_int (max 1 l0),
           float_of_int wn /. float_of_int (max 1 w0) )
@@ -896,59 +857,68 @@ let run_scale ~smoke ~json () =
           %.2fx) — replica memory is not sublinear in consumer count"
          live_ratio leaf_ratio allowed);
   if
-    (not smoke)
-    && main.T.Sweep.sr_serve_p99_us
-       > 2.0 *. Float.max 50.0 baseline.T.Sweep.sr_serve_p99_us
+    full
+    && main.sr_serve_p99_us
+       > 2.0 *. Float.max 50.0 baseline.sr_serve_p99_us
   then
     failwith
       (Printf.sprintf
          "scale: p99 incremental serve time %.1fus at full size vs %.1fus \
           at baseline exceeds the 2x gate"
-         main.T.Sweep.sr_serve_p99_us baseline.T.Sweep.sr_serve_p99_us);
-  if main.T.Sweep.sr_resp_p99 > 2 * max 1 baseline.T.Sweep.sr_resp_p99 then
+         main.sr_serve_p99_us baseline.sr_serve_p99_us);
+  if main.sr_resp_p99 > 2 * max 1 baseline.sr_resp_p99 then
     failwith
       (Printf.sprintf
          "scale: p99 poll response %d ticks at full size vs %d at baseline \
           exceeds the 2x gate"
-         main.T.Sweep.sr_resp_p99 baseline.T.Sweep.sr_resp_p99);
+         main.sr_resp_p99 baseline.sr_resp_p99);
   Printf.printf
     "scale gates: rescans 0/0, scan-per-poll %.2f vs %.2f, live-words \
      %.2fx over %.1fx leaves (cap %.2fx)\n%!"
     spp_base spp_main live_ratio leaf_ratio allowed;
-  if json then begin
-    let path = bench_path 9 ~smoke in
-    let oc = open_out path in
-    let out fmt = Printf.fprintf oc fmt in
-    out "{\n  \"config\": \"%s\",\n" (if smoke then "smoke" else "default");
-    out "  \"baseline\": %s,\n"
-      (T.Sweep.json_of_scale_run ~full:(not smoke) baseline);
-    out "  \"scale\": %s,\n" (T.Sweep.json_of_scale_run ~full:(not smoke) main);
-    out
-      "  \"gates\": {\"rescans_zero\": true, \"scanned_per_poll_2x\": true, \
-       \"memory_sublinear\": true, \"response_p99_2x\": true, \
-       \"staleness_sampled\": true%s}"
-      (if smoke then ""
-       else
-         Printf.sprintf
-           ", \"serve_p99_2x\": true, \"scanned_per_poll_ratio\": %.3f, \
-            \"live_words_ratio\": %.3f, \"leaf_ratio\": %.2f"
-           (spp_main /. Float.max 0.001 spp_base)
-           live_ratio leaf_ratio);
-    out "%s\n}\n" (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+  let passed names = List.map (fun n -> (n, Json.Bool true)) names in
+  Json.
+    [
+      ("baseline", scale_run_json ~full baseline);
+      ("scale", scale_run_json ~full main);
+      ( "gates",
+        Obj
+          (passed
+             [
+               "rescans_zero"; "scanned_per_poll_2x"; "memory_sublinear";
+               "response_p99_2x"; "staleness_sampled";
+             ]
+          @
+          if not full then []
+          else
+            passed [ "serve_p99_2x" ]
+            @ [
+                ("scanned_per_poll_ratio", float 3 (spp_main /. Float.max 0.001 spp_base));
+                ("live_words_ratio", float 3 live_ratio); ("leaf_ratio", float 2 leaf_ratio);
+              ]) );
+    ]
 
 (* --- Adaptive replication under drift --------------------------------- *)
-
-module Drift = Ldap_adaptive.Drift
 
 let report_cell (r : Ldap_adaptive.Transition.report) =
   Printf.sprintf "%dk %dr %ds %dc -%d" r.kept r.rescoped r.seeded r.cold
     r.removed
 
-let run_adapt ~smoke ~json () =
-  let config = if smoke then Drift.smoke_config else Drift.default_config in
+let lh_json (cfg : Drift.lh_config) (p : Drift.lh_point) =
+  Json.(
+    Obj
+      [
+        ("updates", Int p.lh_committed); ("history_limit", Int cfg.lh_history_limit);
+        ("queue_limit", Int cfg.lh_queue_limit);
+        ("history_overflows", Int p.lh_history_overflows);
+        ("push_overflows", Int p.lh_push_overflows);
+        ("pending_max_seen", Int p.lh_pending_max_seen); ("push_peak", Int p.lh_push_peak);
+        ("converged", Int p.lh_converged); ("participants", Int p.lh_participants);
+      ])
+
+(* The configuration pairs the drift sweep's with the long-haul
+   point's. *)
+let run_adapt (config, lh_config) =
   let sweep = Drift.run ~config () in
   let phase_row mode (p : Drift.phase_point) =
     [
@@ -989,8 +959,8 @@ let run_adapt ~smoke ~json () =
            "run"; "phase"; "queries"; "head"; "tail"; "update B"; "trans B";
            "adapt (drift)"; "plan";
          ]
-       ~rows:(run_rows "delta" sweep.Drift.sw_delta
-              @ run_rows "cold" sweep.Drift.sw_cold)
+       ~rows:(run_rows "delta" sweep.sw_delta
+              @ run_rows "cold" sweep.sw_cold)
        ());
   let bp_row label (p : Drift.bp_point) =
     [
@@ -1021,59 +991,103 @@ let run_adapt ~smoke ~json () =
          ]
        ~rows:
          [
-           bp_row "within-bound" sweep.Drift.sw_bp_stall;
-           bp_row "overflow" sweep.Drift.sw_bp_overflow;
+           bp_row "within-bound" sweep.sw_bp_stall;
+           bp_row "overflow" sweep.sw_bp_overflow;
          ]
        ());
   (* Gates. *)
-  let g = sweep.Drift.sw_gates in
-  let geo r = (Drift.find_phase r "geo-flip").Drift.pp_transition_bytes in
-  if not g.Drift.g_geo_delta_le_half_cold then
+  let g = sweep.sw_gates in
+  let geo r = (Drift.find_phase r "geo-flip").pp_transition_bytes in
+  if not g.g_geo_delta_le_half_cold then
     failwith
       (Printf.sprintf
          "adapt: geo-flip delta transition shipped %d B vs %d B cold — over \
           the 50%% gate"
-         (geo sweep.Drift.sw_delta)
-         (geo sweep.Drift.sw_cold));
-  if not g.Drift.g_hit_ratio_recovers then
+         (geo sweep.sw_delta)
+         (geo sweep.sw_cold));
+  if not g.g_hit_ratio_recovers then
     failwith "adapt: a drift phase's tail hit ratio did not recover";
-  if not g.Drift.g_queue_bounded then
+  if not g.g_queue_bounded then
     failwith "adapt: stalled-leaf persist queue was not bounded at the master";
-  if not g.Drift.g_no_failed_installs then
+  if not g.g_no_failed_installs then
     failwith "adapt: a transition plan left failed installs";
-  let lh_config =
-    if smoke then Drift.lh_smoke_config else Drift.lh_default_config
-  in
   let lh = Drift.run_long_haul lh_config in
   if not (Drift.lh_gates_pass lh_config lh) then
-    failwith ("adapt: long-haul gates failed: " ^ Drift.json_of_lh lh_config lh);
+    failwith ("adapt: long-haul gates failed: " ^ Json.to_string (lh_json lh_config lh));
   Printf.printf
     "adapt gates: geo-flip delta %d B <= 50%% of cold %d B, tails recovered, \
      queue peak %d <= %d+1, long-haul converged %d/%d\n%!"
-    (geo sweep.Drift.sw_delta)
-    (geo sweep.Drift.sw_cold)
-    sweep.Drift.sw_bp_overflow.Drift.bp_queue_peak
-    sweep.Drift.sw_bp_overflow.Drift.bp_limit lh.Drift.lh_converged
-    lh.Drift.lh_participants;
-  if json then begin
-    let path = bench_path 10 ~smoke in
-    let oc = open_out path in
-    let body = Drift.json_of_sweep sweep in
-    (* Splice the long-haul point and (full runs) peak RSS into the
-       sweep object: drop its closing "\n}". *)
-    let body = String.sub body 0 (String.length body - 2) in
-    Printf.fprintf oc "%s,\n  \"long_haul\": %s%s\n}\n" body
-      (Drift.json_of_lh lh_config lh)
-      (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
-
-let run_scale_long_haul ~smoke ~json () =
-  ignore json;
-  let config =
-    if smoke then Drift.lh_smoke_config else Drift.lh_default_config
+    (geo sweep.sw_delta)
+    (geo sweep.sw_cold)
+    sweep.sw_bp_overflow.bp_queue_peak
+    sweep.sw_bp_overflow.bp_limit lh.lh_converged
+    lh.lh_participants;
+  let report (r : Ldap_adaptive.Transition.report) =
+    Json.(
+      Obj
+        [
+          ("kept", Int r.kept); ("rescoped", Int r.rescoped); ("seeded", Int r.seeded);
+          ("cold", Int r.cold); ("removed", Int r.removed); ("failed", Int r.failed);
+        ])
   in
+  let phase (p : Drift.phase_point) =
+    Json.(
+      Obj
+        [
+          ("name", String p.pp_name); ("queries", Int p.pp_queries); ("hits", Int p.pp_hits);
+          ("head_hit", float 4 p.pp_head_hit); ("tail_hit", float 4 p.pp_tail_hit);
+          ("update_bytes", Int p.pp_update_bytes);
+          ("transition_bytes", Int p.pp_transition_bytes);
+          ("adaptations", Int p.pp_adaptations);
+          ("drift_adaptations", Int p.pp_drift_adaptations); ("report", report p.pp_report);
+        ])
+  in
+  let run (r : Drift.run_result) =
+    Json.(
+      Obj
+        [
+          ("mode", String (Ldap_adaptive.Controller.mode_to_string r.rr_mode));
+          ("phases", list phase r.rr_phases); ("transition_bytes", Int r.rr_transition_bytes);
+          ("adaptations", Int r.rr_adaptations);
+          ("drift_adaptations", Int r.rr_drift_adaptations);
+          ("unchanged_checks", Int r.rr_unchanged_checks); ("totals", report r.rr_totals);
+        ])
+  in
+  let bp (p : Drift.bp_point) =
+    Json.(
+      Obj
+        [
+          ("limit", Int p.bp_limit); ("updates", Int p.bp_updates);
+          ("queue_peak", Int p.bp_queue_peak); ("queue_total_after", Int p.bp_queue_total_after);
+          ("overflows", Int p.bp_overflows); ("resets", Int p.bp_resets);
+          ("escalated", Bool p.bp_escalated); ("converged", Bool p.bp_converged);
+        ])
+  in
+  let c = sweep.sw_config in
+  Json.
+    [
+      ( "config",
+        Obj
+          [
+            ("employees", Int c.dr_employees); ("seed", Int c.dr_seed);
+            ("budget", Int c.dr_budget); ("half_life", Int c.dr_half_life);
+            ("phase_queries", Int c.dr_phase_queries);
+          ] );
+      ("delta", run sweep.sw_delta); ("cold", run sweep.sw_cold);
+      ("backpressure_stall", bp sweep.sw_bp_stall);
+      ("backpressure_overflow", bp sweep.sw_bp_overflow);
+      ( "gates",
+        Obj
+          [
+            ("geo_flip_delta_le_half_cold", Bool g.g_geo_delta_le_half_cold);
+            ("hit_ratio_recovers", Bool g.g_hit_ratio_recovers);
+            ("stalled_queue_bounded", Bool g.g_queue_bounded);
+            ("no_failed_installs", Bool g.g_no_failed_installs);
+          ] );
+      ("long_haul", lh_json lh_config lh);
+    ]
+
+let run_scale_long_haul config =
   let p = Drift.run_long_haul config in
   Eval.Report.print
     (Eval.Report.make
@@ -1093,28 +1107,29 @@ let run_scale_long_haul ~smoke ~json () =
        ~rows:
          [
            [
-             string_of_int p.Drift.lh_committed;
+             string_of_int p.lh_committed;
              string_of_int config.Drift.lh_history_limit;
              string_of_int config.Drift.lh_queue_limit;
-             string_of_int p.Drift.lh_history_overflows;
-             string_of_int p.Drift.lh_push_overflows;
-             string_of_int p.Drift.lh_pending_max_seen;
-             string_of_int p.Drift.lh_push_peak;
-             Printf.sprintf "%d/%d" p.Drift.lh_converged
-               p.Drift.lh_participants;
+             string_of_int p.lh_history_overflows;
+             string_of_int p.lh_push_overflows;
+             string_of_int p.lh_pending_max_seen;
+             string_of_int p.lh_push_peak;
+             Printf.sprintf "%d/%d" p.lh_converged
+               p.lh_participants;
            ];
          ]
        ());
   if not (Drift.lh_gates_pass config p) then
     failwith
-      ("scale --long-haul: gates failed: " ^ Drift.json_of_lh config p);
+      ("scale --long-haul: gates failed: " ^ Json.to_string (lh_json config p));
   Printf.printf
     "long-haul gates: %d history + %d push overflows, pending max %d <= \
      %d+1, push peak %d <= %d+1, converged %d/%d\n%!"
-    p.Drift.lh_history_overflows p.Drift.lh_push_overflows
-    p.Drift.lh_pending_max_seen config.Drift.lh_history_limit
-    p.Drift.lh_push_peak config.Drift.lh_queue_limit p.Drift.lh_converged
-    p.Drift.lh_participants
+    p.lh_history_overflows p.lh_push_overflows
+    p.lh_pending_max_seen config.lh_history_limit
+    p.lh_push_peak config.lh_queue_limit p.lh_converged
+    p.lh_participants;
+  []
 
 (* --- Compiled vs interpreted hot paths -------------------------------- *)
 
@@ -1170,7 +1185,7 @@ let str_entry e =
   in
   str_tlv 0x64 (str_tlv 0x04 (Dn.to_string (Entry.dn e)) ^ str_tlv 0x30 attrs)
 
-let run_micro7 ~smoke ~json () =
+let run_micro7 ~smoke =
   (* Equivalence first: the compiled paths must agree with the
      interpreted oracles on every fixture.  The counts are
      deterministic, so the smoke JSON is diffable across runs. *)
@@ -1287,50 +1302,101 @@ let run_micro7 ~smoke ~json () =
      latency/staleness sweep, both now running over the compiled paths
      (predicate-index dispatch, compiled session matchers, writer
      journalling). *)
-  let fanout = if smoke then [] else run_fanout () in
-  let lat =
-    if smoke then []
-    else T.Sweep.latency_staleness ~config:T.Sweep.lat_smoke_config ()
+  let equivalence =
+    Json.(
+      Obj
+        [
+          ("filter_cases", Int !filter_cases);
+          ("filter_agree", Int !filter_agree);
+          ("codec_cases", Int !codec_cases);
+          ("codec_identical", Int !codec_identical);
+          ("symbolic_cases", Int !sym_cases);
+          ("symbolic_agree", Int !sym_agree);
+        ])
   in
-  if json then begin
-    let path = bench_path 7 ~smoke in
-    let oc = open_out path in
-    let out fmt = Printf.fprintf oc fmt in
-    out "{\n  \"config\": \"%s\",\n" (if smoke then "smoke" else "default");
-    out
-      "  \"equivalence\": {\"filter_cases\": %d, \"filter_agree\": %d, \
-       \"codec_cases\": %d, \"codec_identical\": %d, \"symbolic_cases\": %d, \
-       \"symbolic_agree\": %d}"
-      !filter_cases !filter_agree !codec_cases !codec_identical !sym_cases
-      !sym_agree;
-    if not smoke then begin
-      out ",\n  \"micro\": [\n";
-      List.iteri
-        (fun i (name, fi, fc, s) ->
-          out
-            "    {\"name\": \"%s\", \"interpreted_ns\": %.1f, \"compiled_ns\": \
-             %.1f, \"speedup\": %.2f, \"interpreted_r2\": %.4f, \
-             \"compiled_r2\": %.4f}%s\n"
-            (json_escape name) fi.ns fc.ns s fi.r2 fc.r2
-            (if i = List.length timed - 1 then "" else ","))
-        timed;
-      out "  ],\n  \"fanout\": [\n";
-      List.iteri
-        (fun i (sessions, routed, naive) ->
-          out
-            "    {\"sessions\": %d, \"routed_ns_per_update\": %.1f, \
-             \"naive_ns_per_update\": %.1f, \"speedup\": %.2f}%s\n"
-            sessions routed naive (naive /. routed)
-            (if i = List.length fanout - 1 then "" else ","))
-        fanout;
-      out "  ],\n  \"latency_staleness\": %s" (T.Sweep.json_of_lat_points lat)
-    end;
-    out "%s\n}\n" (rss_fragment ~smoke);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-  end
+  if smoke then [ ("equivalence", equivalence) ]
+  else
+    let fanout = run_fanout () in
+    let lat = Sweep.latency_staleness ~config:Sweep.lat_smoke_config () in
+    Json.
+      [
+        ("equivalence", equivalence);
+        ( "micro",
+          list
+            (fun (name, fi, fc, s) ->
+              Obj
+                [
+                  ("name", String name);
+                  ("interpreted_ns", float 1 fi.ns);
+                  ("compiled_ns", float 1 fc.ns);
+                  ("speedup", float 2 s);
+                  ("interpreted_r2", float 4 fi.r2);
+                  ("compiled_r2", float 4 fc.r2);
+                ])
+            timed );
+        ("fanout", list fanout_json fanout);
+        ("latency_staleness", list lat_json lat);
+      ]
 
 (* --- Entry point ------------------------------------------------------ *)
+
+let sweeps =
+  [
+    Sweep
+      {
+        name = "micro"; doc = "Compiled-vs-interpreted hot paths."; pr = Some 7;
+        smoke = true; default = false; run = (fun smoke -> run_micro7 ~smoke);
+      };
+    Sweep
+      {
+        name = "tree-fanout"; doc = "Flat star vs 2-tier tree fan-out sweep."; pr = Some 3;
+        smoke = Sweep.smoke_config; default = Sweep.default_config; run = run_tree_fanout;
+      };
+    Sweep
+      {
+        name = "latency-staleness"; doc = "Discrete-event response-time and staleness sweep.";
+        pr = Some 4; smoke = Sweep.lat_smoke_config; default = Sweep.lat_default_config;
+        run = run_latency_staleness;
+      };
+    Sweep
+      {
+        name = "crash-restart"; doc = "Durable-store recovery and WAL-corruption sweep.";
+        pr = Some 5; smoke = Sweep.cr_smoke_config; default = Sweep.cr_default_config;
+        run = run_crash_restart;
+      };
+    Sweep
+      {
+        name = "anti-entropy"; doc = "Merkle vs cold re-fetch across drift."; pr = Some 6;
+        smoke = (Sweep.ae_smoke_config, 1.0); default = (Sweep.ae_default_config, 0.25);
+        run = run_anti_entropy;
+      };
+    Sweep
+      {
+        name = "shard"; doc = "Partitioned-directory sweep."; pr = Some 8;
+        smoke = Shard_sweep.smoke_config; default = Shard_sweep.default_config; run = run_shard;
+      };
+    Sweep
+      {
+        name = "scale"; doc = "Paper-scale content-plane sweep."; pr = Some 9;
+        smoke = Sweep.scale_smoke_config; default = Sweep.scale_default_config; run = run_scale;
+      };
+    (* Reached as [scale --long-haul]; writes no JSON. *)
+    Sweep
+      {
+        name = "long-haul"; doc = "Run the long write-pressure scenario instead."; pr = None;
+        smoke = Drift.lh_smoke_config; default = Drift.lh_default_config;
+        run = run_scale_long_haul;
+      };
+    Sweep
+      {
+        name = "adapt"; doc = "Adaptive replication drift sweep."; pr = Some 10;
+        smoke = (Drift.smoke_config, Drift.lh_smoke_config);
+        default = (Drift.default_config, Drift.lh_default_config);
+        run = run_adapt;
+      };
+  ]
+
+let sweep name = List.find (fun (Sweep s) -> String.equal s.name name) sweeps
 
 let smoke () =
   Eval.Report.print (Eval.Figures.figure2 ());
@@ -1340,7 +1406,7 @@ let smoke () =
        ~filters:4 ());
   (* The paper-scale sweep, scaled down: every runtest exercises the
      content plane end to end, gates included. *)
-  run_scale ~smoke:true ~json:false ()
+  run_sweep (sweep "scale") ~smoke:true ~json:false
 
 open Cmdliner
 
@@ -1349,11 +1415,22 @@ let smoke_flag = flag "smoke" "Seconds-scale deterministic subset."
 let json_flag = flag "json" "Write the results as BENCH_PRn.json (BENCH_PRn.smoke.json with --smoke)."
 let quick_flag = flag "quick" "Reduced scale; for a sweep, the same as --smoke."
 
-let sweep name doc run =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun quick smoke json -> run ~smoke:(quick || smoke) ~json ())
-      $ quick_flag $ smoke_flag $ json_flag)
+(* One subcommand per row; the long-haul row is reached through the
+   scale subcommand's flag. *)
+let subcommand (Sweep s as row) =
+  let cmd extra pick =
+    Cmd.v (Cmd.info s.name ~doc:s.doc)
+      Term.(
+        const (fun x quick smoke json ->
+            run_sweep (pick x) ~smoke:(quick || smoke) ~json)
+        $ extra $ quick_flag $ smoke_flag $ json_flag)
+  in
+  match s.name with
+  | "long-haul" -> None
+  | "scale" ->
+      let (Sweep lh as long_haul) = sweep "long-haul" in
+      Some (cmd (flag lh.name lh.doc) (fun on -> if on then long_haul else row))
+  | _ -> Some (cmd (Term.const ()) (fun () -> row))
 
 let default quick micro_only figures_only smoke_only json =
   if smoke_only then smoke ()
@@ -1371,16 +1448,6 @@ let default quick micro_only figures_only smoke_only json =
   end
 
 let () =
-  let scale =
-    Cmd.v
-      (Cmd.info "scale" ~doc:"Paper-scale content-plane sweep.")
-      Term.(
-        const (fun quick smoke json long_haul ->
-            (if long_haul then run_scale_long_haul else run_scale)
-              ~smoke:(quick || smoke) ~json ())
-        $ quick_flag $ smoke_flag $ json_flag
-        $ flag "long-haul" "Run the long write-pressure scenario instead.")
-  in
   let cmd =
     Cmd.group
       (Cmd.info "main" ~doc:"Paper figures, micro-benchmarks and sweeps.")
@@ -1391,17 +1458,6 @@ let () =
           $ flag "figures-only" "Skip the micro-benchmarks."
           $ flag "smoke" "Protocol illustrations plus a tiny lossy-network and scale sweep."
           $ flag "json" "Micro-benchmarks and fan-out sweep into BENCH_PR2.json.")
-      [
-        sweep "micro" "Compiled-vs-interpreted hot paths." run_micro7;
-        sweep "tree-fanout" "Flat star vs 2-tier tree fan-out sweep." run_tree_fanout;
-        sweep "latency-staleness" "Discrete-event response-time and staleness sweep."
-          run_latency_staleness;
-        sweep "crash-restart" "Durable-store recovery and WAL-corruption sweep."
-          run_crash_restart;
-        sweep "anti-entropy" "Merkle vs cold re-fetch across drift." run_anti_entropy;
-        sweep "shard" "Partitioned-directory sweep." run_shard;
-        scale;
-        sweep "adapt" "Adaptive replication drift sweep." run_adapt;
-      ]
+      (List.filter_map subcommand sweeps)
   in
   exit (Cmd.eval cmd)

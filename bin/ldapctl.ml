@@ -357,17 +357,10 @@ let topology_cmd =
     in
     let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
     let backend = Dirgen.Enterprise.backend ent in
-    let base = Dirgen.Enterprise.root_dn ent in
-    let all_depts = Dirgen.Enterprise.dept_numbers ent in
-    let filters = min filters (Array.length all_depts) in
-    let query_of d =
-      Query.make ~base
-        (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%s)" d))
-    in
-    let covers = List.init filters (fun i -> query_of all_depts.(i)) in
-    let leaf_queries =
-      List.init leaves (fun i -> query_of all_depts.(i mod filters))
-    in
+    let fleet = Eval.Scenario.fleet ~filters ent in
+    let filters = Array.length fleet.Eval.Scenario.queries in
+    let covers = fleet.Eval.Scenario.covers.(0) in
+    let leaf_queries = Eval.Scenario.leaf_queries fleet leaves in
     match T.Topology.build ~shape ~covers ~leaf_queries backend with
     | Error e ->
         prerr_endline e;
@@ -445,9 +438,7 @@ let store_cmd =
   let run employees seed filters updates torn =
     let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
     let backend = Dirgen.Enterprise.backend ent in
-    let base = Dirgen.Enterprise.root_dn ent in
-    let all_depts = Dirgen.Enterprise.dept_numbers ent in
-    let filters = min filters (Array.length all_depts) in
+    let fleet = Eval.Scenario.fleet ~filters ent in
     let master = Resync.Master.create backend in
     let replica = R.Filter_replica.create master in
     let medium =
@@ -463,19 +454,14 @@ let store_cmd =
     in
     R.Filter_replica.attach_store ~sync:(not torn) replica medium
       ~prefix:"replica";
-    List.iteri
-      (fun i () ->
-        let q =
-          Query.make ~base
-            (Filter.of_string_exn
-               (Printf.sprintf "(departmentNumber=%s)" all_depts.(i)))
-        in
+    Array.iter
+      (fun q ->
         match R.Filter_replica.install_filter replica q with
         | Ok () -> ()
         | Error e ->
             Printf.eprintf "install_filter: %s\n" e;
             exit 1)
-      (List.init filters (fun _ -> ()));
+      fleet.Eval.Scenario.queries;
     R.Filter_replica.sync replica;
     (* Checkpoint establishes the durable baseline; the update batch
        below lands in the WAL tails (unsynced under --torn). *)
@@ -653,9 +639,8 @@ let antientropy_cmd =
 let experiment_cmd =
   let which =
     let doc =
-      "Which experiment: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, \
-       fig9, location, consistency, rootbase, evolution, ablation, overhead, \
-       latency, or all."
+      Printf.sprintf "Which experiment: %s, or all."
+        (String.concat ", " Eval.Figures.experiment_names)
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
   in
@@ -663,44 +648,10 @@ let experiment_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Shrink directory and workload sizes.")
   in
   let run which quick =
-    let config =
-      if quick then
-        { Dirgen.Enterprise.default_config with Dirgen.Enterprise.employees = 4_000 }
-      else Dirgen.Enterprise.default_config
-    in
-    let scenario () = Eval.Scenario.setup ~config () in
-    let scale = if quick then 0.2 else 1.0 in
-    let length n = int_of_float (scale *. float_of_int n) in
-    let intervals =
-      List.map (fun r -> max 1 (int_of_float (scale *. float_of_int r))) [ 10_000; 6_000 ]
-    in
     match String.lowercase_ascii which with
-    | "table1" -> Eval.Report.print (Eval.Figures.table1 ~scale (scenario ()))
-    | "fig2" -> Eval.Report.print (Eval.Figures.figure2 ())
-    | "fig3" -> Eval.Report.print (Eval.Figures.figure3 ())
-    | "fig4" -> Eval.Report.print (Eval.Figures.figure4 ~length:(length 16_000) (scenario ()))
-    | "fig5" ->
-        Eval.Report.print
-          (Eval.Figures.figure5 ~length:(length 30_000) ~intervals (scenario ()))
-    | "fig6" -> Eval.Report.print (Eval.Figures.figure6 ~config ~length:(length 10_000) ())
-    | "fig7" ->
-        Eval.Report.print
-          (Eval.Figures.figure7 ~config ~length:(length 30_000) ~intervals ())
-    | "fig8" -> Eval.Report.print (Eval.Figures.figure8 ~length:(length 16_000) (scenario ()))
-    | "fig9" -> Eval.Report.print (Eval.Figures.figure9 ~length:(length 16_000) (scenario ()))
-    | "location" -> Eval.Report.print (Eval.Figures.location_replication (scenario ()))
-    | "consistency" -> Eval.Report.print (Eval.Figures.consistency_classes ())
-    | "rootbase" -> Eval.Report.print (Eval.Figures.root_base_ablation (scenario ()))
-    | "evolution" -> Eval.Report.print (Eval.Figures.evolution_ablation ())
-    | "ablation" -> Eval.Report.print (Eval.Figures.resync_ablation ())
-    | "overhead" -> Eval.Report.print (Eval.Figures.processing_overhead (scenario ()))
-    | "latency" ->
-        let config =
-          if quick then Ldap_topology.Sweep.lat_smoke_config
-          else Ldap_topology.Sweep.lat_default_config
-        in
-        Eval.Report.print (Eval.Figures.latency_staleness ~config ())
     | "all" -> Eval.Figures.all ~quick ()
+    | name when List.mem name Eval.Figures.experiment_names ->
+        Eval.Figures.run ~quick [ name ]
     | other ->
         Printf.eprintf "unknown experiment %S\n" other;
         exit 1
@@ -812,42 +763,30 @@ let scale_cmd =
   let run employees seed nodes leaves updates history_limit =
     let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
     let backend = Dirgen.Enterprise.backend ent in
-    let base = Dirgen.Enterprise.root_dn ent in
-    let all_depts = Dirgen.Enterprise.dept_numbers ent in
-    let filters = Array.length all_depts in
-    let dept_queries =
-      Array.map
-        (fun d ->
-          Query.make ~base
-            (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%s)" d)))
-        all_depts
-    in
+    let fleet = Eval.Scenario.fleet ~nodes ent in
+    let filters = Array.length fleet.Eval.Scenario.queries in
+    let node_count = Array.length fleet.Eval.Scenario.covers in
     let t = T.Topology.create backend in
     Resync.Master.set_history_limit (T.Topology.master t) (Some history_limit);
-    let node_count = min nodes filters in
-    for i = 0 to node_count - 1 do
-      let covers =
-        List.filter_map
-          (fun j -> if j mod node_count = i then Some dept_queries.(j) else None)
-          (List.init filters Fun.id)
-      in
-      match
-        T.Topology.add_node t
-          ~name:(Printf.sprintf "node%d" i)
-          ~parent:(T.Topology.root t) ~covers
-      with
-      | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "add_node: %s\n" e;
-          exit 1
-    done;
+    Array.iteri
+      (fun i covers ->
+        match
+          T.Topology.add_node t
+            ~name:(Printf.sprintf "node%d" i)
+            ~parent:(T.Topology.root t) ~covers
+        with
+        | Ok _ -> ()
+        | Error e ->
+            Printf.eprintf "add_node: %s\n" e;
+            exit 1)
+      fleet.Eval.Scenario.covers;
     for i = 0 to leaves - 1 do
-      let fidx = i mod filters in
+      let fidx, node = Eval.Scenario.leaf_slot fleet i in
       match
         T.Topology.add_leaf t
           ~name:(Printf.sprintf "leaf%d" i)
-          ~parent:(Printf.sprintf "node%d" (fidx mod node_count))
-          dept_queries.(fidx)
+          ~parent:(Printf.sprintf "node%d" node)
+          fleet.Eval.Scenario.queries.(fidx)
       with
       | Ok _ -> ()
       | Error e ->
@@ -979,6 +918,7 @@ let scale_cmd =
 
 let adapt_cmd =
   let module A = Ldap_adaptive in
+  let module Drift = Eval.Drift in
   let queries_arg =
     Arg.(
       value & opt int 240
@@ -1004,26 +944,26 @@ let adapt_cmd =
   let run employees seed queries budget mode =
     let config =
       {
-        A.Drift.default_config with
-        A.Drift.dr_employees = employees;
+        Drift.default_config with
+        Drift.dr_employees = employees;
         dr_seed = seed;
         dr_phase_queries = queries;
         dr_budget = budget;
       }
     in
-    let r = A.Drift.run_mode config mode in
-    let phase_row tag (p : A.Drift.phase_point) =
+    let r = Drift.run_mode config mode in
+    let phase_row tag (p : Drift.phase_point) =
       [
         tag;
-        p.A.Drift.pp_name;
-        string_of_int p.A.Drift.pp_queries;
-        Printf.sprintf "%.2f" p.A.Drift.pp_head_hit;
-        Printf.sprintf "%.2f" p.A.Drift.pp_tail_hit;
-        string_of_int p.A.Drift.pp_update_bytes;
-        string_of_int p.A.Drift.pp_transition_bytes;
-        Printf.sprintf "%d (%d drift)" p.A.Drift.pp_adaptations
-          p.A.Drift.pp_drift_adaptations;
-        A.Transition.report_to_string p.A.Drift.pp_report;
+        p.Drift.pp_name;
+        string_of_int p.Drift.pp_queries;
+        Printf.sprintf "%.2f" p.Drift.pp_head_hit;
+        Printf.sprintf "%.2f" p.Drift.pp_tail_hit;
+        string_of_int p.Drift.pp_update_bytes;
+        string_of_int p.Drift.pp_transition_bytes;
+        Printf.sprintf "%d (%d drift)" p.Drift.pp_adaptations
+          p.Drift.pp_drift_adaptations;
+        A.Transition.report_to_string p.Drift.pp_report;
       ]
     in
     Eval.Report.print
@@ -1044,15 +984,15 @@ let adapt_cmd =
            ]
          ~rows:
            (List.map
-              (fun (p : A.Drift.phase_point) ->
+              (fun (p : Drift.phase_point) ->
                 phase_row
-                  (if String.equal p.A.Drift.pp_name "join-mid-drift" then
+                  (if String.equal p.Drift.pp_name "join-mid-drift" then
                      "joiner"
                    else "primary")
                   p)
-              r.A.Drift.rr_phases)
+              r.Drift.rr_phases)
          ());
-    let t = r.A.Drift.rr_totals in
+    let t = r.Drift.rr_totals in
     Eval.Report.print
       (Eval.Report.make ~title:"Adaptation summary"
          ~notes:
@@ -1064,23 +1004,23 @@ let adapt_cmd =
          ~columns:[ "metric"; "value" ]
          ~rows:
            [
-             [ "adaptations"; string_of_int r.A.Drift.rr_adaptations ];
+             [ "adaptations"; string_of_int r.Drift.rr_adaptations ];
              [
-               "  drift-triggered"; string_of_int r.A.Drift.rr_drift_adaptations;
+               "  drift-triggered"; string_of_int r.Drift.rr_drift_adaptations;
              ];
-             [ "unchanged checks"; string_of_int r.A.Drift.rr_unchanged_checks ];
-             [ "transition bytes"; string_of_int r.A.Drift.rr_transition_bytes ];
+             [ "unchanged checks"; string_of_int r.Drift.rr_unchanged_checks ];
+             [ "transition bytes"; string_of_int r.Drift.rr_transition_bytes ];
              [ "installs kept"; string_of_int t.A.Transition.kept ];
              [ "installs rescoped"; string_of_int t.A.Transition.rescoped ];
              [ "installs seeded"; string_of_int t.A.Transition.seeded ];
              [ "installs cold"; string_of_int t.A.Transition.cold ];
              [ "filters removed"; string_of_int t.A.Transition.removed ];
-             [ "failed installs"; string_of_int r.A.Drift.rr_failed_installs ];
+             [ "failed installs"; string_of_int r.Drift.rr_failed_installs ];
            ]
          ());
-    if r.A.Drift.rr_failed_installs > 0 then begin
+    if r.Drift.rr_failed_installs > 0 then begin
       Printf.eprintf "warning: %d install(s) failed during transitions\n"
-        r.A.Drift.rr_failed_installs;
+        r.Drift.rr_failed_installs;
       exit 1
     end
   in

@@ -1,4 +1,5 @@
 open Ldap
+open Ldap_adaptive
 module FR = Ldap_replication.Filter_replica
 module Resync = Ldap_resync
 module Enterprise = Ldap_dirgen.Enterprise
@@ -99,10 +100,7 @@ let make_controller cfg mode replica =
     }
     replica
 
-let dept_query fx number =
-  Query.make
-    ~base:(Enterprise.root_dn fx.fx_dir)
-    (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%s)" number))
+let dept_query fx number = Scenario.dept_query fx.fx_dir number
 
 let dept_number ~division ~dept = Printf.sprintf "%02d%02d" division dept
 
@@ -599,16 +597,6 @@ let lh_gates_pass cfg p =
   && p.lh_push_peak <= cfg.lh_queue_limit + 1
   && p.lh_converged = p.lh_participants
 
-let json_of_lh cfg p =
-  Printf.sprintf
-    "{\"updates\": %d, \"history_limit\": %d, \"queue_limit\": %d, \
-     \"history_overflows\": %d, \"push_overflows\": %d, \
-     \"pending_max_seen\": %d, \"push_peak\": %d, \"converged\": %d, \
-     \"participants\": %d}"
-    p.lh_committed cfg.lh_history_limit cfg.lh_queue_limit
-    p.lh_history_overflows p.lh_push_overflows p.lh_pending_max_seen
-    p.lh_push_peak p.lh_converged p.lh_participants
-
 (* --- Whole sweep + gates ----------------------------------------------- *)
 
 type gates = {
@@ -671,59 +659,3 @@ let run ?(config = default_config) () =
 let gates_pass g =
   g.g_geo_delta_le_half_cold && g.g_hit_ratio_recovers && g.g_queue_bounded
   && g.g_no_failed_installs
-
-(* --- JSON -------------------------------------------------------------- *)
-
-let json_of_report (r : Transition.report) =
-  Printf.sprintf
-    "{\"kept\": %d, \"rescoped\": %d, \"seeded\": %d, \"cold\": %d, \
-     \"removed\": %d, \"failed\": %d}"
-    r.Transition.kept r.Transition.rescoped r.Transition.seeded
-    r.Transition.cold r.Transition.removed r.Transition.failed
-
-let json_of_phase p =
-  Printf.sprintf
-    "      {\"name\": \"%s\", \"queries\": %d, \"hits\": %d, \"head_hit\": \
-     %.4f, \"tail_hit\": %.4f, \"update_bytes\": %d, \"transition_bytes\": \
-     %d, \"adaptations\": %d, \"drift_adaptations\": %d, \"report\": %s}"
-    p.pp_name p.pp_queries p.pp_hits p.pp_head_hit p.pp_tail_hit
-    p.pp_update_bytes p.pp_transition_bytes p.pp_adaptations
-    p.pp_drift_adaptations (json_of_report p.pp_report)
-
-let json_of_run r =
-  Printf.sprintf
-    "{\n    \"mode\": \"%s\",\n    \"phases\": [\n%s\n    ],\n    \
-     \"transition_bytes\": %d,\n    \"adaptations\": %d,\n    \
-     \"drift_adaptations\": %d,\n    \"unchanged_checks\": %d,\n    \
-     \"totals\": %s\n  }"
-    (Controller.mode_to_string r.rr_mode)
-    (String.concat ",\n" (List.map json_of_phase r.rr_phases))
-    r.rr_transition_bytes r.rr_adaptations r.rr_drift_adaptations
-    r.rr_unchanged_checks
-    (json_of_report r.rr_totals)
-
-let json_of_bp p =
-  Printf.sprintf
-    "{\"limit\": %d, \"updates\": %d, \"queue_peak\": %d, \
-     \"queue_total_after\": %d, \"overflows\": %d, \"resets\": %d, \
-     \"escalated\": %b, \"converged\": %b}"
-    p.bp_limit p.bp_updates p.bp_queue_peak p.bp_queue_total_after
-    p.bp_overflows p.bp_resets p.bp_escalated p.bp_converged
-
-let json_of_sweep s =
-  let g = s.sw_gates in
-  Printf.sprintf
-    "{\n  \"config\": {\"employees\": %d, \"seed\": %d, \"budget\": %d, \
-     \"half_life\": %d, \"phase_queries\": %d},\n  \"delta\": %s,\n  \
-     \"cold\": %s,\n  \"backpressure_stall\": %s,\n  \
-     \"backpressure_overflow\": %s,\n  \"gates\": {\n    \
-     \"geo_flip_delta_le_half_cold\": %b,\n    \"hit_ratio_recovers\": %b,\n\
-     \    \"stalled_queue_bounded\": %b,\n    \"no_failed_installs\": %b\n  \
-     }\n}"
-    s.sw_config.dr_employees s.sw_config.dr_seed s.sw_config.dr_budget
-    s.sw_config.dr_half_life s.sw_config.dr_phase_queries
-    (json_of_run s.sw_delta) (json_of_run s.sw_cold)
-    (json_of_bp s.sw_bp_stall)
-    (json_of_bp s.sw_bp_overflow)
-    g.g_geo_delta_le_half_cold g.g_hit_ratio_recovers g.g_queue_bounded
-    g.g_no_failed_installs

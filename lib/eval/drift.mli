@@ -21,6 +21,8 @@
     Everything is deterministic — no wall clock, explicit PRNG seeds —
     so CI can diff two runs' JSON byte-for-byte. *)
 
+open Ldap_adaptive
+
 type config = {
   dr_employees : int;
   dr_seed : int;
@@ -141,10 +143,8 @@ val lh_gates_pass : lh_config -> lh_point -> bool
     one-action grace of their bounds, and every participant
     reconverged. *)
 
-val json_of_lh : lh_config -> lh_point -> string
-(** One flat JSON object; deterministic. *)
 
-(** The acceptance gates emitted into [BENCH_PR10.json]. *)
+(** The acceptance gates, written into [BENCH_PR10.json]. *)
 type gates = {
   g_geo_delta_le_half_cold : bool;
       (** Geo-flip delta transition bytes ≤ 50% of cold swap. *)
@@ -170,7 +170,5 @@ val run : ?config:config -> unit -> sweep
     scenarios, gates. *)
 
 val gates_pass : gates -> bool
+(** Every gate holds. *)
 
-val json_of_sweep : sweep -> string
-(** The whole sweep as an indented JSON object — the [BENCH_PR10.json]
-    payload.  Contains no wall-clock fields; byte-deterministic. *)

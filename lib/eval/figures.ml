@@ -1195,160 +1195,180 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
       ]
     ()
 
-(* --- Cascading topology: tree fan-out ---------------------------------- *)
+(* --- Topology sweeps --------------------------------------------------
+   One report per sweep: bench/main.exe prints these over its smoke or
+   default points, and the experiment table below over the same
+   configurations. *)
 
-let tree_fanout ?config () =
-  let points = Ldap_topology.Sweep.tree_fanout ?config () in
-  let rows =
-    List.map
-      (fun (p : Ldap_topology.Sweep.point) ->
-        [
-          p.Ldap_topology.Sweep.shape;
-          string_of_int p.Ldap_topology.Sweep.consumers;
-          string_of_int p.Ldap_topology.Sweep.root_sessions;
-          string_of_int p.Ldap_topology.Sweep.build_root_bytes;
-          string_of_int p.Ldap_topology.Sweep.update_root_bytes;
-          string_of_int p.Ldap_topology.Sweep.update_total_bytes;
-          string_of_int p.Ldap_topology.Sweep.convergence_rounds;
-        ])
-      points
-  in
-  Report.make ~title:"Cascading topology: flat star vs 2-tier tree"
+let tree_fanout points =
+  Report.make ~title:"Tree fan-out: flat star vs 2-tier tree"
     ~notes:
       [
-        "root sessions and root-link bytes grow linearly with consumers in the";
-        "star but stay flat in the tree (only interior nodes talk to the root);";
-        "past the crossover (consumers > arity x filters) the tree's root link";
-        "carries strictly fewer Ber bytes; the tree pays one extra convergence";
-        "round per tier";
+        "root sessions and root-link bytes stay flat in the tree (only the";
+        "interior nodes hold root sessions); the star grows both linearly;";
+        "the tree pays one extra convergence round for the extra tier";
       ]
     ~columns:
       [
-        "shape";
-        "consumers";
-        "root sessions";
-        "build root B";
-        "update root B";
-        "update total B";
-        "rounds";
+        "shape"; "consumers"; "root sessions"; "build root B"; "update root B";
+        "update total B"; "rounds";
       ]
-    ~rows ()
+    ~rows:
+      (List.map
+         (fun (p : Sweep.point) ->
+           [
+             p.Sweep.shape;
+             string_of_int p.Sweep.consumers;
+             string_of_int p.Sweep.root_sessions;
+             string_of_int p.Sweep.build_root_bytes;
+             string_of_int p.Sweep.update_root_bytes;
+             string_of_int p.Sweep.update_total_bytes;
+             string_of_int p.Sweep.convergence_rounds;
+           ])
+         points)
+    ()
 
-(* --- Discrete-event latency/staleness ----------------------------------- *)
-
-let latency_staleness ?config () =
-  let points = Ldap_topology.Sweep.latency_staleness ?config () in
-  let rows =
-    List.map
-      (fun (p : Ldap_topology.Sweep.lat_point) ->
-        [
-          p.Ldap_topology.Sweep.lp_shape;
-          p.Ldap_topology.Sweep.lp_faults;
-          string_of_int p.Ldap_topology.Sweep.lp_polls;
-          string_of_int p.Ldap_topology.Sweep.lp_resp_p50;
-          string_of_int p.Ldap_topology.Sweep.lp_resp_p90;
-          string_of_int p.Ldap_topology.Sweep.lp_resp_max;
-          string_of_int p.Ldap_topology.Sweep.lp_stale_p50;
-          string_of_int p.Ldap_topology.Sweep.lp_stale_p90;
-          string_of_int p.Ldap_topology.Sweep.lp_stale_max;
-          string_of_int p.Ldap_topology.Sweep.lp_stale_censored;
-        ])
-      points
-  in
+let latency_staleness points =
   Report.make
-    ~title:"Latency/staleness under the discrete-event engine (virtual ticks)"
+    ~title:"Latency/staleness: star vs tree, clean vs lossy (virtual ticks)"
     ~notes:
       [
-        "every participant polls on its own staggered clock over links with";
-        "uniform latency; response time is per completed leaf poll, staleness";
-        "is commit-to-leaf-acknowledgement time per (update, leaf) pair.";
-        "tree staleness exceeds star by roughly one extra poll period (the";
-        "interior tier must pull before a leaf can); loss inflates response";
-        "time tails because retry backoff now burns virtual time";
+        "event-driven run: every participant polls on its own staggered loop";
+        "over links with uniform latency; staleness is commit-to-leaf-ack time.";
+        "expected: tree staleness >= star (extra tier), lossy response >= clean";
       ]
     ~columns:
       [
         "shape"; "faults"; "polls"; "resp p50"; "resp p90"; "resp max";
         "stale p50"; "stale p90"; "stale max"; "censored";
       ]
-    ~rows ()
+    ~rows:
+      (List.map
+         (fun (p : Sweep.lat_point) ->
+           [
+             p.Sweep.lp_shape;
+             p.Sweep.lp_faults;
+             string_of_int p.Sweep.lp_polls;
+             string_of_int p.Sweep.lp_resp_p50;
+             string_of_int p.Sweep.lp_resp_p90;
+             string_of_int p.Sweep.lp_resp_max;
+             string_of_int p.Sweep.lp_stale_p50;
+             string_of_int p.Sweep.lp_stale_p90;
+             string_of_int p.Sweep.lp_stale_max;
+             string_of_int p.Sweep.lp_stale_censored;
+           ])
+         points)
+    ()
 
-(* --- Crash/restart recovery --------------------------------------------- *)
-
-let crash_restart ?config () =
-  let points = Ldap_topology.Sweep.crash_restart ?config () in
-  let rows =
-    List.map
-      (fun (p : Ldap_topology.Sweep.cr_point) ->
-        [
-          p.Ldap_topology.Sweep.cp_mode;
-          string_of_int p.Ldap_topology.Sweep.cp_affected;
-          string_of_int p.Ldap_topology.Sweep.cp_resync_bytes;
-          string_of_int p.Ldap_topology.Sweep.cp_replayed;
-          string_of_int p.Ldap_topology.Sweep.cp_truncated;
-          string_of_int p.Ldap_topology.Sweep.cp_recover_ticks_mean;
-          string_of_int p.Ldap_topology.Sweep.cp_recover_ticks_max;
-          string_of_int p.Ldap_topology.Sweep.cp_converged;
-        ])
-      points
-  in
+let crash_restart points =
   Report.make ~title:"Crash/restart recovery: durable resume vs cold re-fetch"
     ~notes:
       [
-        "a fraction of star leaves crash, updates land while they are down,";
-        "then they restart: durable modes recover content + cookie from the";
-        "WAL/snapshot store and resume ReSync incrementally (torn mode first";
-        "truncates the crash-torn journal tail); cold re-subscribes with full";
-        "fetches and reparent is PR 3's no-death cookie-translation baseline.";
-        "resync bytes = upstream Ber bytes affected leaves paid after recovery";
+        "a fraction of star leaves crash mid-run, updates land while down,";
+        "then they restart; durable modes recover from WAL+snapshot and";
+        "resume ReSync from the durable cookie, cold re-fetches everything.";
+        "expected: durable resync bytes < cold; torn tails truncate cleanly";
       ]
     ~columns:
       [
         "mode"; "affected"; "resync bytes"; "replayed"; "truncated";
         "recover mean"; "recover max"; "converged";
       ]
-    ~rows ()
+    ~rows:
+      (List.map
+         (fun (p : Sweep.cr_point) ->
+           [
+             p.Sweep.cp_mode;
+             string_of_int p.Sweep.cp_affected;
+             string_of_int p.Sweep.cp_resync_bytes;
+             string_of_int p.Sweep.cp_replayed;
+             string_of_int p.Sweep.cp_truncated;
+             string_of_int p.Sweep.cp_recover_ticks_mean;
+             string_of_int p.Sweep.cp_recover_ticks_max;
+             string_of_int p.Sweep.cp_converged;
+           ])
+         points)
+    ()
 
-(* --- Everything -------------------------------------------------------- *)
+(* --- The experiment table ---------------------------------------------- *)
 
-let all ?(quick = false) () =
+(* Sizes shared by every experiment of one run.  The scenario is built
+   on first use and shared by every experiment after it, so a run that
+   needs none (fig2, the sweeps) never builds the directory. *)
+type sizing = {
+  quick : bool;
+  config : Dirgen.Enterprise.config;
+  scale : float;
+  scenario : Scenario.t Lazy.t;
+}
+
+let length s n = int_of_float (s.scale *. float_of_int n)
+let interval s r = max 1 (length s r)
+let intervals s = List.map (interval s) [ 10_000; 6_000 ]
+
+let experiments =
+  let sc s = Lazy.force s.scenario in
+  [
+    ("table1", fun s -> table1 ~scale:s.scale (sc s));
+    ("fig2", fun _ -> figure2 ());
+    ("fig3", fun _ -> figure3 ());
+    ("fig4", fun s -> figure4 ~length:(length s 16_000) (sc s));
+    ("fig5", fun s -> figure5 ~length:(length s 30_000) ~intervals:(intervals s) (sc s));
+    ("fig6", fun s -> figure6 ~config:s.config ~length:(length s 10_000) ());
+    ( "fig7",
+      fun s ->
+        figure7 ~config:s.config ~length:(length s 30_000) ~intervals:(intervals s) () );
+    ("fig8", fun s -> figure8 ~length:(length s 16_000) (sc s));
+    ("fig9", fun s -> figure9 ~length:(length s 16_000) (sc s));
+    ("location", fun s -> location_replication ~length:(length s 4_000) (sc s));
+    ("consistency", fun _ -> consistency_classes ());
+    ("rootbase", fun s -> root_base_ablation ~length:(length s 6_000) (sc s));
+    ( "evolution",
+      fun s -> evolution_ablation ~length:(length s 12_000) ~interval:(interval s 2_000) () );
+    ("ablation", fun _ -> resync_ablation ());
+    ("lossy", fun s -> lossy_sync ~updates:(max 100 (length s 2_000)) ());
+    ("overhead", fun s -> processing_overhead (sc s));
+    ( "tree-fanout",
+      fun s ->
+        tree_fanout
+          (Sweep.tree_fanout
+             ~config:(if s.quick then Sweep.smoke_config else Sweep.default_config)
+             ()) );
+    ( "latency",
+      fun s ->
+        latency_staleness
+          (Sweep.latency_staleness
+             ~config:(if s.quick then Sweep.lat_smoke_config else Sweep.lat_default_config)
+             ()) );
+    ( "crash-restart",
+      fun s ->
+        crash_restart
+          (Sweep.crash_restart
+             ~config:(if s.quick then Sweep.cr_smoke_config else Sweep.cr_default_config)
+             ()) );
+  ]
+
+let experiment_names = List.map fst experiments
+
+let run ?(quick = false) names =
   let config =
     if quick then
       { Dirgen.Enterprise.default_config with Dirgen.Enterprise.employees = 4_000 }
     else Dirgen.Enterprise.default_config
   in
-  let scenario = Scenario.setup ~config () in
-  let scale = if quick then 0.2 else 1.0 in
-  let length n = int_of_float (scale *. float_of_int n) in
-  Report.print (table1 ~scale scenario);
-  Report.print (figure2 ());
-  Report.print (figure3 ());
-  Report.print (figure4 ~length:(length 16_000) scenario);
-  let intervals = List.map (fun r -> max 1 (int_of_float (scale *. float_of_int r))) [ 10_000; 6_000 ] in
-  Report.print (figure5 ~length:(length 30_000) ~intervals scenario);
-  Report.print (figure6 ~config ~length:(length 10_000) ());
-  Report.print (figure7 ~config ~length:(length 30_000) ~intervals ());
-  Report.print (figure8 ~length:(length 16_000) scenario);
-  Report.print (figure9 ~length:(length 16_000) scenario);
-  Report.print (location_replication ~length:(length 4_000) scenario);
-  Report.print (consistency_classes ());
-  Report.print (root_base_ablation ~length:(length 6_000) scenario);
-  Report.print (evolution_ablation ~length:(length 12_000) ~interval:(max 1 (int_of_float (scale *. 2000.))) ());
-  Report.print (resync_ablation ());
-  Report.print (lossy_sync ~updates:(max 100 (length 2_000)) ());
-  Report.print (processing_overhead scenario);
-  let sweep_config =
-    if quick then Ldap_topology.Sweep.smoke_config
-    else Ldap_topology.Sweep.default_config
+  let s =
+    {
+      quick;
+      config;
+      scale = (if quick then 0.2 else 1.0);
+      scenario = lazy (Scenario.setup ~config ());
+    }
   in
-  Report.print (tree_fanout ~config:sweep_config ());
-  let lat_config =
-    if quick then Ldap_topology.Sweep.lat_smoke_config
-    else Ldap_topology.Sweep.lat_default_config
-  in
-  Report.print (latency_staleness ~config:lat_config ());
-  let cr_config =
-    if quick then Ldap_topology.Sweep.cr_smoke_config
-    else Ldap_topology.Sweep.cr_default_config
-  in
-  Report.print (crash_restart ~config:cr_config ())
+  List.iter
+    (fun name ->
+      match List.assoc_opt name experiments with
+      | Some table -> Report.print (table s)
+      | None -> invalid_arg ("Figures.run: unknown experiment " ^ name))
+    names
+
+let all ?quick () = run ?quick experiment_names

@@ -96,26 +96,34 @@ val processing_overhead : ?filter_counts:int list -> ?length:int -> Scenario.t -
     stored filters grows (the time side is measured by the Bechamel
     benchmarks). *)
 
-val tree_fanout : ?config:Ldap_topology.Sweep.config -> unit -> Report.table
+val tree_fanout : Sweep.point list -> Report.table
 (** The cascading-topology experiment (section 5 extension): flat star
     vs 2-tier k-ary tree of intermediate nodes at growing consumer
     counts — root sessions, root-link Ber bytes and convergence
-    rounds.  See {!Ldap_topology.Sweep}. *)
+    rounds, one row per {!Sweep.tree_fanout} point. *)
 
-val latency_staleness :
-  ?config:Ldap_topology.Sweep.lat_config -> unit -> Report.table
+val latency_staleness : Sweep.lat_point list -> Report.table
 (** The discrete-event latency/staleness sweep: star vs tree, clean vs
     lossy links, with per-poll response-time and per-update staleness
-    percentiles in virtual ticks.  See
-    {!Ldap_topology.Sweep.latency_staleness}. *)
+    percentiles in virtual ticks, one row per
+    {!Sweep.latency_staleness} point. *)
 
-val crash_restart :
-  ?config:Ldap_topology.Sweep.cr_config -> unit -> Report.table
+val crash_restart : Sweep.cr_point list -> Report.table
 (** The crash/restart recovery sweep: durable-cookie resume (clean and
     torn-tail WAL) vs cold re-fetch vs reparent, comparing resync
-    bytes and virtual recovery time.  See
-    {!Ldap_topology.Sweep.crash_restart}. *)
+    bytes and virtual recovery time, one row per
+    {!Sweep.crash_restart} point. *)
+
+val experiment_names : string list
+(** The experiment table's names, in the order {!all} prints them:
+    table1, fig2 .. fig9, location, consistency, rootbase, evolution,
+    ablation, lossy, overhead, tree-fanout, latency, crash-restart. *)
+
+val run : ?quick:bool -> string list -> unit
+(** Runs the named experiments in order over one shared scenario and
+    prints their tables.  [quick] shrinks directory and workload sizes
+    and runs the sweeps at their smoke configurations.  Raises
+    [Invalid_argument] on a name outside {!experiment_names}. *)
 
 val all : ?quick:bool -> unit -> unit
-(** Runs every reproduction and prints the tables.  [quick] shrinks
-    directory and workload sizes (used by the test suite). *)
+(** [run ?quick experiment_names]: every reproduction. *)

@@ -16,9 +16,16 @@ type table = {
 val make :
   title:string -> ?notes:string list -> ?appendix:string -> columns:string list ->
   rows:string list list -> unit -> table
+(** A table; [notes] default to none and [appendix] to empty.  Rows
+    may be shorter than [columns]. *)
 
 val print : table -> unit
+(** Prints {!to_string} and a blank line to stdout. *)
+
 val to_string : table -> string
+(** The title line, the notes indented three spaces, the header, a
+    rule and the rows with every column padded to its widest cell,
+    then the appendix after a blank line. *)
 
 val fmt_float : float -> string
 (** Three decimals. *)

@@ -14,6 +14,31 @@ let setup ?(config = Dirgen.Enterprise.default_config) () =
   let master = Resync.Master.create (Dirgen.Enterprise.backend enterprise) in
   { enterprise; master }
 
+let dept_query ent number =
+  Query.make
+    ~base:(Dirgen.Enterprise.root_dn ent)
+    (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%s)" number))
+
+type fleet = { queries : Query.t array; covers : Query.t list array }
+
+let fleet ?(nodes = 1) ?filters ent =
+  let depts = Dirgen.Enterprise.dept_numbers ent in
+  let n = min (Option.value ~default:max_int filters) (Array.length depts) in
+  let queries = Array.init n (fun i -> dept_query ent depts.(i)) in
+  let nodes = min nodes n in
+  {
+    queries;
+    covers =
+      Array.init nodes (fun k ->
+          List.filteri (fun j _ -> j mod nodes = k) (Array.to_list queries));
+  }
+
+let leaf_slot f i =
+  let j = i mod Array.length f.queries in
+  (j, j mod Array.length f.covers)
+
+let leaf_queries f n = List.init n (fun i -> f.queries.(fst (leaf_slot f i)))
+
 let select_static ?(max_filters = max_int) ?(min_hits = 2) t ~rules ~train ~budget =
   let backend = Dirgen.Enterprise.backend t.enterprise in
   let candidates = Selection.Candidate.create () in

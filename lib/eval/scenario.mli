@@ -14,6 +14,38 @@ type t = {
 }
 
 val setup : ?config:Dirgen.Enterprise.config -> unit -> t
+(** Builds the directory ([Enterprise.default_config] by default) and
+    a master over its backend. *)
+
+(** {1 Department fleets}
+
+    The replica fleet every topology sweep and [ldapctl] subcommand
+    builds: one [(departmentNumber=d)] query per department, split
+    over a tier of interior nodes, and leaves subscribing them
+    round-robin. *)
+
+val dept_query : Dirgen.Enterprise.t -> string -> Query.t
+(** [(departmentNumber=<number>)] based at the directory root. *)
+
+type fleet = {
+  queries : Query.t array;
+      (** One department query per filter, in directory order. *)
+  covers : Query.t list array;
+      (** Per interior node [k]: the queries whose index is [k] modulo
+          the node count. *)
+}
+
+val fleet : ?nodes:int -> ?filters:int -> Dirgen.Enterprise.t -> fleet
+(** The first [filters] departments (default: all of them) split over
+    [nodes] interior nodes (default 1, capped at the filter count), so
+    [covers.(0)] of a one-node fleet is every query. *)
+
+val leaf_slot : fleet -> int -> int * int
+(** Leaf [i]'s filter index ([i] modulo the filter count) and the
+    node whose covers hold that filter. *)
+
+val leaf_queries : fleet -> int -> Query.t list
+(** The queries of leaves [0 .. n-1], round-robin over the filters. *)
 
 val select_static :
   ?max_filters:int ->
@@ -47,6 +79,7 @@ type drive = {
 }
 
 val no_updates : drive
+(** No periodic syncs and no interleaved updates. *)
 
 val drive_filter :
   t ->

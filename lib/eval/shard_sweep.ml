@@ -1,4 +1,5 @@
 open Ldap
+open Ldap_shard
 module Enterprise = Ldap_dirgen.Enterprise
 module Prng = Ldap_dirgen.Prng
 module Consumer = Ldap_resync.Consumer
@@ -83,11 +84,7 @@ let query_mix ent prng n =
       | 0 | 1 ->
           Query.make ~base:root
             (Filter.of_string_exn (Printf.sprintf "(serialnumber=%s*)" block))
-      | 2 ->
-          Query.make ~base:root
-            (Filter.of_string_exn
-               (Printf.sprintf "(departmentnumber=%s)"
-                  depts.(Prng.int prng (Array.length depts))))
+      | 2 -> Scenario.dept_query ent depts.(Prng.int prng (Array.length depts))
       | 3 ->
           Query.make
             ~base:(Enterprise.country_dn ent country)
@@ -271,24 +268,3 @@ let run ?(config = default_config) () =
     (fun p ->
       { p with sp_speedup = (if base > 0.0 then p.sp_throughput /. base else 0.0) })
     points
-
-let json_of_points points =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"shards\": %d, \"makespan\": %d, \"throughput\": %.4f, \
-            \"speedup\": %.3f, \"single_cover_max\": %d, \"fanout_avg\": %.3f, \
-            \"fanout_ratio\": %.3f, \"plan_hit_ratio\": %.3f, \
-            \"warm_bytes\": %d, \"cold_bytes\": %d, \"wal_replayed\": %d, \
-            \"recover_ok\": %b}%s\n"
-           p.sp_shards p.sp_makespan p.sp_throughput p.sp_speedup
-           p.sp_single_cover_max p.sp_fanout_avg p.sp_fanout_ratio
-           p.sp_plan_hit_ratio p.sp_warm_bytes p.sp_cold_bytes p.sp_wal_replayed
-           p.sp_recover_ok
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string b "  ]";
-  Buffer.contents b

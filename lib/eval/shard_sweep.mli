@@ -62,6 +62,3 @@ type point = {
 val run : ?config:config -> unit -> point list
 (** Runs every shard count over identical seeds, smallest first. *)
 
-val json_of_points : point list -> string
-(** A JSON array (indented for embedding as the [BENCH_PR8.json]
-    [points] field). *)

@@ -1,5 +1,7 @@
 (* Smoke tests for the evaluation harness: the figures must run at a
-   tiny scale and reproduce the paper's qualitative shapes. *)
+   tiny scale and reproduce the paper's qualitative shapes, and the
+   shared helpers (JSON writer, percentile, experiment table, department
+   fleet) must behave as documented. *)
 module D = Ldap_dirgen
 module E = Ldap_eval
 
@@ -117,8 +119,78 @@ let test_overhead_linear () =
   let c_large = fcell t ~row:1 ~col:"comparisons/query" in
   check_bool "cost grows with stored filters" true (c_large > c_small)
 
+(* --- Shared harness helpers --------------------------------------------- *)
+
+let check_string = Alcotest.(check string)
+let check_int = Alcotest.(check int)
+
+let test_json_escapes () =
+  let s v = E.Json.to_string (E.Json.String v) in
+  check_string "quote and backslash" {|"a\"b\\c"|} (s {|a"b\c|});
+  check_string "newline and controls" {|"x\ny\u0001\u001f"|} (s "x\ny\001\031");
+  check_string "member keys escaped too" {|{"k\"": null}|}
+    (E.Json.to_string (E.Json.Obj [ ({|k"|}, E.Json.Null) ]))
+
+let test_json_numbers () =
+  let s = E.Json.to_string in
+  check_string "int" "42" (s (E.Json.Int 42));
+  check_string "negative int" "-7" (s (E.Json.Int (-7)));
+  check_string "two digits" "0.10" (s (E.Json.float 2 0.1));
+  check_string "four digits" "0.7500" (s (E.Json.float 4 0.75));
+  check_string "no digits" "1235" (s (E.Json.float 0 1234.56));
+  check_string "flat object on one line" {|{"a": 1, "b": true, "c": "x"}|}
+    (s (E.Json.Obj [ ("a", E.Json.Int 1); ("b", E.Json.Bool true); ("c", E.Json.String "x") ]));
+  check_string "nested container indented" "{\n  \"l\": [1, 2],\n  \"e\": []\n}"
+    (s (E.Json.Obj [ ("l", E.Json.list (fun i -> E.Json.Int i) [ 1; 2 ]); ("e", E.Json.List []) ]))
+
+let test_percentile () =
+  let pct = E.Sweep.percentile ~empty:0 in
+  check_int "empty" 0 (pct [||] 0.5);
+  check_bool "empty float" true (E.Sweep.percentile ~empty:0.0 [||] 0.99 = 0.0);
+  List.iter (fun p -> check_int "single sample" 7 (pct [| 7 |] p)) [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
+  let known = [| 3; 5; 8; 13; 21; 34; 55; 89; 144; 233 |] in
+  List.iter
+    (fun (p, want) -> check_int (Printf.sprintf "p=%g" p) want (pct known p))
+    [ (0.0, 3); (0.5, 34); (0.9, 144); (0.99, 233); (1.0, 233) ]
+
+(* [ldapctl experiment NAME] accepts exactly [Figures.experiment_names]
+   (plus "all"), and [Figures.all] runs that same list in order. *)
+let test_experiment_table () =
+  Alcotest.(check (list string))
+    "names, in print order"
+    [
+      "table1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9";
+      "location"; "consistency"; "rootbase"; "evolution"; "ablation"; "lossy";
+      "overhead"; "tree-fanout"; "latency"; "crash-restart";
+    ]
+    E.Figures.experiment_names;
+  check_bool "unknown name rejected" true
+    (match E.Figures.run ~quick:true [ "no-such-table" ] with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+let test_department_fleet () =
+  let ent = (Lazy.force scenario).E.Scenario.enterprise in
+  let fleet = E.Scenario.fleet ~nodes:3 ~filters:7 ent in
+  check_int "filters" 7 (Array.length fleet.E.Scenario.queries);
+  check_int "nodes" 3 (Array.length fleet.E.Scenario.covers);
+  check_bool "covers split round-robin" true
+    (List.map List.length (Array.to_list fleet.E.Scenario.covers) = [ 3; 2; 2 ]
+    && List.nth fleet.E.Scenario.covers.(1) 1 == fleet.E.Scenario.queries.(4));
+  check_bool "leaf slots" true
+    (E.Scenario.leaf_slot fleet 9 = (2, 2) && E.Scenario.leaf_slot fleet 10 = (3, 0));
+  check_bool "leaf queries round-robin" true
+    (List.nth (E.Scenario.leaf_queries fleet 8) 7 == fleet.E.Scenario.queries.(0));
+  let one = E.Scenario.fleet ~filters:2 ~nodes:5 ent in
+  check_int "nodes capped at filters" 2 (Array.length one.E.Scenario.covers)
+
 let suite =
   [
+    Alcotest.test_case "json escapes" `Quick test_json_escapes;
+    Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    Alcotest.test_case "percentile" `Quick test_percentile;
+    Alcotest.test_case "experiment table" `Quick test_experiment_table;
+    Alcotest.test_case "department fleet" `Quick test_department_fleet;
     Alcotest.test_case "report format" `Quick test_report_format;
     Alcotest.test_case "plot render" `Quick test_plot_render;
     Alcotest.test_case "figure2 round trips" `Quick test_figure2_round_trips;

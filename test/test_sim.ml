@@ -8,7 +8,7 @@ module Sim = Ldap_sim
 module Resync = Ldap_resync
 module Replication = Ldap_replication
 module Selection = Ldap_selection
-module Topology = Ldap_topology
+module Sweep = Ldap_eval.Sweep
 
 let schema = Schema.default
 let check_bool = Alcotest.(check bool)
@@ -473,21 +473,21 @@ let prop_engine_matches_legacy =
 (* --- Latency/staleness sweep shape ----------------------------------- *)
 
 let test_latency_staleness_ordering () =
-  let config = Topology.Sweep.lat_smoke_config in
-  let points = Topology.Sweep.latency_staleness ~config () in
+  let config = Sweep.lat_smoke_config in
+  let points = Sweep.latency_staleness ~config () in
   check_int "four variants" 4 (List.length points);
   let find shape faults =
     List.find
-      (fun (p : Topology.Sweep.lat_point) ->
-        p.Topology.Sweep.lp_shape = shape && p.Topology.Sweep.lp_faults = faults)
+      (fun (p : Sweep.lat_point) ->
+        p.Sweep.lp_shape = shape && p.Sweep.lp_faults = faults)
       points
   in
-  let tree_shape = Printf.sprintf "tree%d" config.Topology.Sweep.lat_arity in
+  let tree_shape = Printf.sprintf "tree%d" config.Sweep.lat_arity in
   let star_clean = find "star" "clean" and tree_clean = find tree_shape "clean" in
   let star_lossy = find "star" "lossy" and tree_lossy = find tree_shape "lossy" in
   List.iter
-    (fun (p : Topology.Sweep.lat_point) ->
-      check_bool "polls sampled" true (p.Topology.Sweep.lp_polls > 0);
+    (fun (p : Sweep.lat_point) ->
+      check_bool "polls sampled" true (p.Sweep.lp_polls > 0);
       check_bool "staleness sampled" true (p.lp_stale_samples > 0);
       check_bool "nonzero response time" true (p.lp_resp_p50 > 0);
       check_bool "nonzero staleness" true (p.lp_stale_p50 > 0);
@@ -500,12 +500,12 @@ let test_latency_staleness_ordering () =
         && p.lp_stale_p99 <= p.lp_stale_max))
     points;
   check_bool "tree staleness >= star (extra tier)" true
-    (tree_clean.Topology.Sweep.lp_stale_p90 >= star_clean.Topology.Sweep.lp_stale_p90);
+    (tree_clean.Sweep.lp_stale_p90 >= star_clean.Sweep.lp_stale_p90);
   check_bool "lossy response >= clean (retries burn virtual time)" true
-    (star_lossy.Topology.Sweep.lp_resp_p90 >= star_clean.Topology.Sweep.lp_resp_p90
-    && tree_lossy.Topology.Sweep.lp_resp_p90 >= tree_clean.Topology.Sweep.lp_resp_p90);
+    (star_lossy.Sweep.lp_resp_p90 >= star_clean.Sweep.lp_resp_p90
+    && tree_lossy.Sweep.lp_resp_p90 >= tree_clean.Sweep.lp_resp_p90);
   (* Same config, same seed: the sweep is deterministic. *)
-  let points2 = Topology.Sweep.latency_staleness ~config () in
+  let points2 = Sweep.latency_staleness ~config () in
   check_bool "deterministic rerun" true (points = points2)
 
 (* --- Cancellable events ----------------------------------------------- *)
