@@ -39,6 +39,9 @@ type cond = { sym : Symbolic.t; staged : Symbolic.Compiled.cond }
 type 'a t = {
   schema : Schema.t;
   buckets : (string, 'a bucket) Hashtbl.t;  (* shape key -> bucket *)
+  exact : 'a stored Query.Tbl.t;
+      (* every stored query under its exact form: [find] and [mem]
+         answer here without decomposing into a template *)
   conditions : (string * string, cond option) Hashtbl.t;
       (* (incoming shape, stored shape) -> compiled condition *)
   plans : (string * string, plan) Hashtbl.t;
@@ -51,6 +54,7 @@ let create schema =
   {
     schema;
     buckets = Hashtbl.create 64;
+    exact = Query.Tbl.create 64;
     conditions = Hashtbl.create 256;
     plans = Hashtbl.create 256;
     count = 0;
@@ -102,40 +106,34 @@ let add t q payload =
         b
   in
   let fresh = { query = q; values; payload } in
-  let replaced = ref false in
-  bucket.entries <-
-    List.map
-      (fun s ->
-        if Query.equal s.query q then begin
-          replaced := true;
-          fresh
-        end
-        else s)
-      bucket.entries;
-  if !replaced then
-    (* Equal queries have equal hole values, so the replacement lives
-       under the same column keys as its predecessor. *)
-    Hashtbl.iter
-      (fun col column ->
-        match Hashtbl.find_opt column (column_key t bucket col values.(col)) with
-        | Some l -> l := List.map (fun s -> if Query.equal s.query q then fresh else s) !l
-        | None -> ())
-      bucket.columns
-  else begin
-    bucket.entries <- fresh :: bucket.entries;
-    Hashtbl.iter (fun col column -> column_insert t bucket col column fresh) bucket.columns;
-    t.count <- t.count + 1
-  end
+  (match Query.Tbl.find_opt t.exact q with
+  | Some old ->
+      (* Equal queries have equal hole values, so the replacement lives
+         under the same column keys as its predecessor. *)
+      let swap = List.map (fun s -> if s == old then fresh else s) in
+      bucket.entries <- swap bucket.entries;
+      Hashtbl.iter
+        (fun col column ->
+          match Hashtbl.find_opt column (column_key t bucket col values.(col)) with
+          | Some l -> l := swap !l
+          | None -> ())
+        bucket.columns
+  | None ->
+      bucket.entries <- fresh :: bucket.entries;
+      Hashtbl.iter (fun col column -> column_insert t bucket col column fresh) bucket.columns;
+      t.count <- t.count + 1);
+  Query.Tbl.replace t.exact q fresh
 
 let remove t q =
-  let template, values = decompose t q in
-  let key = Template.shape_key template in
-  match Hashtbl.find_opt t.buckets key with
+  match Query.Tbl.find_opt t.exact q with
   | None -> ()
-  | Some bucket ->
-      let before = List.length bucket.entries in
-      bucket.entries <- List.filter (fun s -> not (Query.equal s.query q)) bucket.entries;
-      t.count <- t.count - (before - List.length bucket.entries);
+  | Some s ->
+      Query.Tbl.remove t.exact q;
+      let values = s.values in
+      let key = Template.shape_key (Template.of_filter s.query.Query.filter) in
+      let bucket = Hashtbl.find t.buckets key in
+      bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
+      t.count <- t.count - 1;
       if bucket.entries = [] then Hashtbl.remove t.buckets key
       else
         Hashtbl.iter
@@ -144,30 +142,20 @@ let remove t q =
             match Hashtbl.find_opt column ck with
             | None -> ()
             | Some l -> (
-                match List.filter (fun s -> not (Query.equal s.query q)) !l with
+                match List.filter (fun s' -> s' != s) !l with
                 | [] -> Hashtbl.remove column ck
                 | rest -> l := rest))
           bucket.columns
 
 let find t q =
-  let template, _ = decompose t q in
-  match Hashtbl.find_opt t.buckets (Template.shape_key template) with
-  | None -> None
-  | Some bucket ->
-      List.find_map
-        (fun s -> if Query.equal s.query q then Some s.payload else None)
-        bucket.entries
+  match Query.Tbl.find_opt t.exact q with Some s -> Some s.payload | None -> None
 
-let mem t q =
-  let template, _ = decompose t q in
-  match Hashtbl.find_opt t.buckets (Template.shape_key template) with
-  | None -> false
-  | Some bucket -> List.exists (fun s -> Query.equal s.query q) bucket.entries
-
+let mem t q = Query.Tbl.mem t.exact q
 let length t = t.count
 
 let clear t =
   Hashtbl.reset t.buckets;
+  Query.Tbl.reset t.exact;
   t.count <- 0
 
 let condition t ~incoming_key ~incoming ~bucket_key ~bucket_template =

@@ -22,19 +22,32 @@ open Ldap
 type 'a t
 
 val create : Schema.t -> 'a t
+(** An empty index whose containment checks use the schema's matching
+    rules. *)
 
 val add : 'a t -> Query.t -> 'a -> unit
 (** Stores a query with its payload.  A query equal to an existing one
     replaces its payload. *)
 
 val remove : 'a t -> Query.t -> unit
+(** Drops the stored query equal to the argument; absent queries are
+    ignored. *)
 
 val find : 'a t -> Query.t -> 'a option
-(** Payload of the exact stored query (no containment), if present. *)
+(** Payload of the exact stored query (no containment), if present.
+    Answered from a table keyed by the query itself ({!Ldap.Query.Tbl}),
+    kept in step by {!add}, {!remove} and {!clear}: no template
+    decomposition and no bucket scan. *)
 
 val mem : 'a t -> Query.t -> bool
+(** Whether a query equal to the argument is stored; same table as
+    {!find}. *)
+
 val length : 'a t -> int
+(** Number of stored queries. *)
+
 val clear : 'a t -> unit
+(** Drops every stored query. *)
 
 val find_container : 'a t -> Query.t -> (Query.t * 'a) option
 (** First stored query that semantically contains the argument
@@ -47,7 +60,11 @@ val find_container_where :
     attributes the incoming filter needs. *)
 
 val fold : 'a t -> init:'b -> f:('b -> Query.t -> 'a -> 'b) -> 'b
+(** Folds over every stored query and its payload, in no particular
+    order. *)
+
 val iter : 'a t -> f:(Query.t -> 'a -> unit) -> unit
+(** {!fold} for effects. *)
 
 val comparisons : 'a t -> int
 (** Cumulative number of stored-query checks performed by

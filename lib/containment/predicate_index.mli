@@ -30,6 +30,8 @@ open Ldap
 type t
 
 val create : Schema.t -> t
+(** An empty index; anchors resolve attribute names and matching rules
+    through the schema. *)
 
 val add : t -> int -> Filter.t -> unit
 (** Registers a subscriber id under the filter's anchors (or the
@@ -57,5 +59,10 @@ val affected : t -> before:Entry.t option -> after:Entry.t option -> candidates
     result size, independent of the number of subscribers. *)
 
 val mem : candidates -> int -> bool
+(** Whether the subscriber id is among the candidates. *)
+
 val iter : (int -> unit) -> candidates -> unit
+(** Applies the function to every candidate id once. *)
+
 val count : candidates -> int
+(** Number of distinct candidate ids. *)

@@ -68,4 +68,6 @@ val match_filter : Schema.t -> t -> Filter.t -> string array option
     matching rule. *)
 
 val equal : t -> t -> bool
+
 val pp : Format.formatter -> t -> unit
+(** Prints the template in filter syntax, holes as [_]. *)

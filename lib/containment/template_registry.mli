@@ -18,6 +18,7 @@ type stats = {
 }
 
 val create : Schema.t -> t
+(** A registry with no declared templates. *)
 
 val declare : t -> Template.t -> unit
 (** Registers a template; duplicates (same shape) are ignored. *)
@@ -36,7 +37,10 @@ val admit : t -> Query.t -> bool
 (** [classify] as a boolean, additionally counting an admission. *)
 
 val unclassified : t -> int
+
 val stats_of : t -> Template.t -> stats option
+(** Counters of a declared template (matched by shape); [None] when it
+    was never declared. *)
 
 val report : t -> (string * stats) list
 (** Template shape, observation and admission counts — declared order. *)

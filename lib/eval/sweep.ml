@@ -1156,7 +1156,7 @@ let run_scale_at cfg ~employees =
       (0, 0, 0) (Topology.nodes t)
   in
   let sorted_samples of_node =
-    let arr = Array.of_list (List.concat_map of_node (Topology.nodes t)) in
+    let arr = Array.concat (List.map of_node (Topology.nodes t)) in
     Array.sort compare arr;
     arr
   in

@@ -78,34 +78,53 @@ let context_for t dn =
      is the most specific one. *)
   List.find_opt (fun s -> Dn.ancestor_of s dn) t.contexts
 
-(* Postings and referral bookkeeping for the entry at slot [id].  Set
-   operations return their argument unchanged when nothing changes, so
-   the cardinality moves only with real membership changes. *)
+(* Slot [id] joins or leaves one posting.  Set operations return their
+   argument unchanged when nothing changes, so the cardinality moves
+   only with real membership changes. *)
+let post table key id ~add =
+  let p = Option.value (Vmap.find_opt key !table) ~default:{ ids = Ids.empty; card = 0 } in
+  let ids = (if add then Ids.add else Ids.remove) id p.ids in
+  if ids != p.ids then
+    table :=
+      if Ids.is_empty ids then Vmap.remove key !table
+      else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } !table
+
+let keys t attr values = List.map (Value.normalize (Schema.syntax_of t.schema attr)) values
+
+let note_referral t entry ~add =
+  t.referral_dns <- (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
+
+(* Postings and referral bookkeeping for the entry at slot [id]. *)
 let note t id entry ~add =
   Hashtbl.iter
     (fun attr table ->
-      let syntax = Schema.syntax_of t.schema attr in
-      List.iter
-        (fun v ->
-          let key = Value.normalize syntax v in
-          let p =
-            Option.value (Vmap.find_opt key !table) ~default:{ ids = Ids.empty; card = 0 }
-          in
-          let ids = (if add then Ids.add else Ids.remove) id p.ids in
-          if ids != p.ids then
-            table :=
-              if Ids.is_empty ids then Vmap.remove key !table
-              else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } !table)
-        (Entry.get entry attr))
+      List.iter (fun key -> post table key id ~add) (keys t attr (Entry.get entry attr)))
     t.postings;
-  if Entry.is_referral entry then
-    t.referral_dns <-
-      (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
+  if Entry.is_referral entry then note_referral t entry ~add
+
+(* The same bookkeeping when [entry] replaces [old] at slot [id]: only
+   the values that changed move.  An attribute whose value list is
+   physically the old one — every attribute a modify left alone —
+   costs one comparison. *)
+let renote t id ~old entry =
+  Hashtbl.iter
+    (fun attr table ->
+      let before = Entry.get old attr and after = Entry.get entry attr in
+      if before != after then begin
+        let kb = keys t attr before and ka = keys t attr after in
+        List.iter (fun k -> if not (List.mem k ka) then post table k id ~add:false) kb;
+        List.iter (fun k -> if not (List.mem k kb) then post table k id ~add:true) ka
+      end)
+    t.postings;
+  if Entry.is_referral old <> Entry.is_referral entry then
+    note_referral t entry ~add:(Entry.is_referral entry)
 
 (* The stamp is the CSN about to commit (on restore, a best-effort
    bound: the spine order is what cursors rely on). *)
+let upsert t entry = Content_store.upsert t.estore ~csn:(Csn.next t.csn) entry
+
 let store t ?parent entry =
-  Content_store.upsert t.estore ~csn:(Csn.next t.csn) entry;
+  upsert t entry;
   let id = Option.get (Content_store.id_of t.estore (Entry.dn entry)) in
   Option.iter (fun p -> set_kids t p (Ids.add id (kids t p))) parent;
   note t id entry ~add:true
@@ -116,8 +135,8 @@ let put t entry =
   let dn = Entry.dn entry in
   match live_id t dn with
   | Some id ->
-      note t id (entry_at t id) ~add:false;
-      store t entry;
+      renote t id ~old:(entry_at t id) entry;
+      upsert t entry;
       Ok ()
   | None -> (
       let parent_dn = Option.value (Dn.parent dn) ~default:Dn.root in
@@ -276,7 +295,11 @@ let in_scope_references t (q : Query.t) =
 
 let requested_attrs (q : Query.t) = Query.attr_list q.attrs
 
-let search t (q : Query.t) =
+(* The one candidate walk behind [search] and [count_matching]: folds
+   [f] over the entries [q] selects, unprojected and in slot order
+   (ascending ids, parents first), and pairs the result with the
+   references the walk meets. *)
+let fold_matching t (q : Query.t) ~init ~f =
   match context_for t q.base with
   | None -> Error (No_such_object q.base)
   | Some suffix -> (
@@ -311,20 +334,18 @@ let search t (q : Query.t) =
              lookups and value normalization. *)
           let filter_matches = Filter.matcher t.schema q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
-          (* Results come in slot order: ascending ids, parents first. *)
-          let collect ids =
+          let over ids =
             Ids.fold
               (fun id acc ->
                 let e = entry_at t id in
-                if Query.in_scope q (Entry.dn e) && matches e then e :: acc else acc)
-              ids []
-            |> List.rev
+                if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc)
+              ids init
           in
-          let entries =
+          let acc =
             match (index_candidates t ~limit:max_int q.filter, q.scope) with
-            | Some (_, candidates), _ -> collect (Lazy.force candidates)
-            | None, Scope.Base -> if matches base_entry then [ base_entry ] else []
-            | None, Scope.One -> collect (kids t (Option.get (live_id t q.base)))
+            | Some (_, candidates), _ -> over (Lazy.force candidates)
+            | None, Scope.Base -> if matches base_entry then f init base_entry else init
+            | None, Scope.One -> over (kids t (Option.get (live_id t q.base)))
             | None, Scope.Sub ->
                 let rec walk id acc =
                   let acc = if matches (entry_at t id) then id :: acc else acc in
@@ -332,10 +353,15 @@ let search t (q : Query.t) =
                 in
                 walk (Option.get (live_id t q.base)) []
                 |> List.sort Int.compare
-                |> List.map (entry_at t)
+                |> List.fold_left (fun acc id -> f acc (entry_at t id)) init
           in
-          let entries = List.map (fun e -> Entry.select e (requested_attrs q)) entries in
-          Ok { entries; references })
+          Ok (acc, references))
+
+let search t q =
+  let attrs = requested_attrs q in
+  Result.map
+    (fun (selected, references) -> { entries = List.rev selected; references })
+    (fold_matching t q ~init:[] ~f:(fun acc e -> Entry.select e attrs :: acc))
 
 let compare_values t dn ~attr ~value =
   match find t dn with
@@ -344,8 +370,8 @@ let compare_values t dn ~attr ~value =
       Ok (Entry.has_value ~syntax:(Schema.syntax_of t.schema attr) entry attr value)
 
 let count_matching t q =
-  match search t { q with attrs = Query.Select [ "objectclass" ] } with
-  | Ok { entries; _ } -> List.length entries
+  match fold_matching t q ~init:0 ~f:(fun n _ -> n + 1) with
+  | Ok (n, _) -> n
   | Error _ -> 0
 
 (* --- Updates -------------------------------------------------------- *)

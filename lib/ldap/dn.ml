@@ -2,8 +2,10 @@ type ava = { attr : string; value : string }
 type rdn = ava list
 
 (* [norm] caches the canonical form so comparisons are cheap; it is
-   derived deterministically from [parts]. *)
-type t = { parts : rdn list; norm : string }
+   derived deterministically from [parts].  [starts.(i)] is the offset
+   in [norm] where part [i]'s canonical form begins, so a suffix of
+   parts is a suffix of [norm] and ancestry tests compare in place. *)
+type t = { parts : rdn list; norm : string; starts : int array }
 
 let norm_value v = String.lowercase_ascii (Value.normalize Value.Case_ignore v)
 
@@ -18,9 +20,15 @@ let sort_rdn (r : rdn) : rdn =
     r
 
 let norm_rdn r = String.concat "+" (List.map norm_ava r)
-let norm_of_parts parts = String.concat "," (List.map norm_rdn parts)
 
-let make parts = { parts; norm = norm_of_parts parts }
+let make parts =
+  let norms = Array.of_list (List.map norm_rdn parts) in
+  let starts = Array.make (Array.length norms) 0 in
+  for i = 1 to Array.length norms - 1 do
+    starts.(i) <- starts.(i - 1) + String.length norms.(i - 1) + 1
+  done;
+  { parts; norm = String.concat "," (Array.to_list norms); starts }
+
 let root = make []
 let is_root t = t.parts = []
 
@@ -150,7 +158,7 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 let canonical t = t.norm
 let equal a b = String.equal a.norm b.norm
 let compare a b = String.compare a.norm b.norm
-let depth t = List.length t.parts
+let depth t = Array.length t.starts
 let rdn t = match t.parts with [] -> None | r :: _ -> Some r
 
 let parent t =
@@ -174,16 +182,20 @@ let rdn_of_string s =
       | [ r ] -> Ok r
       | _ -> Error (Printf.sprintf "not a single RDN: %S" s))
 
-let rdn_equal a b = String.equal (norm_rdn a) (norm_rdn b)
-
 let ancestor_of ?(strict = false) a b =
   let da = depth a and db = depth b in
   if da > db || (strict && da = db) then false
   else
-    (* a's parts must equal the last da parts of b. *)
-    let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
-    let tail = drop (db - da) b.parts in
-    List.for_all2 rdn_equal a.parts tail
+    (* a's parts must equal the last da parts of b: [a.norm] is the
+       suffix of [b.norm] from b's part [db - da] on, split at the same
+       part boundaries. *)
+    let off = if da = 0 then String.length b.norm else b.starts.(db - da) in
+    let len = String.length a.norm in
+    let rec same_chars i = i = len || (a.norm.[i] = b.norm.[off + i] && same_chars (i + 1)) in
+    let rec same_starts i =
+      i = da || (b.starts.(db - da + i) - off = a.starts.(i) && same_starts (i + 1))
+    in
+    String.length b.norm - off = len && same_chars 0 && same_starts 0
 
 let parent_of a b = depth b = depth a + 1 && ancestor_of ~strict:true a b
 

@@ -57,6 +57,11 @@ val equal : t -> t -> bool
 (** Structural equality of normalized forms. *)
 
 val compare : t -> t -> int
+(** Total order on normalized forms, agreeing with {!equal}. *)
+
+val hash : t -> int
+(** Hash of the normalized form, consistent with {!equal}; every
+    predicate contributes, however many there are. *)
 
 val compile : Schema.t -> t -> Ldap_compile.Prog.t
 (** [compile schema f] lowers the filter once into the flat bytecode

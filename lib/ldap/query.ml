@@ -74,7 +74,21 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a == b || compare a b = 0
+
+let hash t =
+  let h = Hashtbl.hash (Dn.canonical t.base) in
+  let h = (31 * h) + Filter.hash t.filter in
+  let h = (31 * h) + Hashtbl.hash t.scope in
+  let h = (31 * h) + Hashtbl.hash t.attrs in
+  (31 * h) + Bool.to_int t.manage_dsa_it
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let to_string t =
   let attrs =

@@ -46,5 +46,14 @@ val region_subset : inner:t -> outer:t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Hash consistent with {!equal}: the canonical base, the whole
+    normalized filter, scope, attributes and the manageDsaIT flag all
+    contribute. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by queries up to {!equal}. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -44,8 +44,13 @@ val create :
     loopback transport. *)
 
 val schema : t -> Schema.t
+
 val stats : t -> Stats.t
+(** Counters for queries answered, synchronization and fetch traffic,
+    and replies served downstream. *)
+
 val transport : t -> Ldap_resync.Transport.t
+(** The transport this replica reaches its upstream over. *)
 
 val master_host : t -> string
 (** The endpoint name this replica currently synchronizes from. *)

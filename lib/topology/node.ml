@@ -3,6 +3,25 @@ module C = Ldap_containment
 module Resync = Ldap_resync
 module R = Ldap_replication
 
+(* Per-serve wall-clock samples, unboxed in a growable float array so
+   recording one allocates nothing. *)
+module Samples = struct
+  type t = { mutable data : Float.Array.t; mutable len : int }
+
+  let create () = { data = Float.Array.create 64; len = 0 }
+
+  let push b x =
+    if b.len = Float.Array.length b.data then begin
+      let grown = Float.Array.create (2 * b.len) in
+      Float.Array.blit b.data 0 grown 0 b.len;
+      b.data <- grown
+    end;
+    Float.Array.unsafe_set b.data b.len x;
+    b.len <- b.len + 1
+
+  let to_array b = Array.init b.len (Float.Array.get b.data)
+end
+
 (* A downstream session tracks what it has sent as a cursor over the
    stored consumer's content-store change spine plus a table of sent
    image hashes — never a full entry-map snapshot.  Serving a poll
@@ -19,6 +38,7 @@ type session = {
       (* canonical DN -> (DN, content hash of the sent selected image) *)
   mutable spine_pos : int;  (* store revision this session has consumed *)
   mutable synced_csn : Csn.t;
+  mutable cookie : Csn.t * string;  (* last cookie minted, and its CSN *)
   mutable persist_push : Resync.Protocol.push_channel option;
 }
 
@@ -35,9 +55,8 @@ type t = {
   mutable inc_polls : int;  (* incremental polls served *)
   mutable inc_scanned : int;  (* DNs/entries examined serving them *)
   mutable inc_rescans : int;  (* cursor fell off the spine: full diff *)
-  mutable serve_seconds : float;  (* wall clock inside [handle] *)
-  mutable serve_samples : float list;  (* per-serve wall seconds, newest first *)
-  mutable incr_serve_samples : float list;
+  serve_samples : Samples.t;  (* per-serve wall seconds *)
+  incr_serve_samples : Samples.t;
       (* serve_samples restricted to incremental replies — the
          O(diff)-cost population, free of O(selection) initial and
          degraded transfers *)
@@ -79,19 +98,30 @@ let remove_session t id =
   Hashtbl.remove t.persist id;
   Option.iter (fun idx -> C.Predicate_index.remove idx id) t.dispatch
 
-let store_for t stored =
-  Option.map Resync.Consumer.content
-    (R.Filter_replica.consumer_for t.replica stored)
+(* The helpers below take the stored query's consumer, resolved once
+   per serve. *)
+let consumer_of t stored = R.Filter_replica.consumer_for t.replica stored
+let store_rev c = Content_store.rev (Resync.Consumer.content c)
 
-let store_rev t stored =
-  match store_for t stored with Some st -> Content_store.rev st | None -> 0
+(* The node's own synchronization point for a stored query: the CSN of
+   the cookie its upstream consumer holds.  All CSNs originate at the
+   root backend, so this is directly comparable to whatever any
+   downstream cookie carries. *)
+let node_csn consumer =
+  match Resync.Consumer.cookie consumer with
+  | Some ck -> (
+      match Resync.Protocol.parse_cookie ck with
+      | Some (_, csn) -> csn
+      | None -> Csn.zero)
+  | None -> Csn.zero
 
-let new_session t query ~stored ~persist_push ~csn =
+let new_session t query ~stored ~consumer ~persist_push =
   (* Id 0 is the reserved foreign-session marker (reparent translation):
      an intermediate master must never hand it out either. *)
   if t.next_id = 0 then t.next_id <- 1;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
+  let csn = node_csn consumer in
   let session =
     {
       id;
@@ -99,8 +129,9 @@ let new_session t query ~stored ~persist_push ~csn =
       matcher = Resync.Content.matcher (schema t) query;
       stored;
       seen = Hashtbl.create 64;
-      spine_pos = store_rev t stored;
+      spine_pos = store_rev consumer;
       synced_csn = csn;
+      cookie = (csn, Resync.Protocol.cookie_of ~id ~csn);
       persist_push = None;
     }
   in
@@ -111,27 +142,9 @@ let new_session t query ~stored ~persist_push ~csn =
     t.dispatch;
   session
 
-(* The node's own synchronization point for a stored query: the CSN of
-   the cookie its upstream consumer holds.  All CSNs originate at the
-   root backend, so this is directly comparable to whatever any
-   downstream cookie carries. *)
-let node_csn t stored =
-  match R.Filter_replica.consumer_for t.replica stored with
-  | Some c -> (
-      match Resync.Consumer.cookie c with
-      | Some ck -> (
-          match Resync.Protocol.parse_cookie ck with
-          | Some (_, csn) -> csn
-          | None -> Csn.zero)
-      | None -> Csn.zero)
-  | None -> Csn.zero
-
-let current_content t session =
-  match R.Filter_replica.consumer_for t.replica session.stored with
-  | Some c ->
-      R.Replica.eval_over_entries (schema t) session.query
-        (Resync.Consumer.entries_seq c)
-  | None -> []
+let current_content t session consumer =
+  R.Replica.eval_over_entries (schema t) session.query
+    (Resync.Consumer.entries_seq consumer)
 
 let select_action (q : Query.t) = function
   | Resync.Action.Add e ->
@@ -153,20 +166,30 @@ let reset_seen session entries =
 
 (* --- Replies -------------------------------------------------------- *)
 
+(* The cookie string is minted again only when the session's CSN
+   moved: most polls hand back the one they presented. *)
 let session_cookie session ~mode =
   match mode with
   | Resync.Protocol.Poll | Resync.Protocol.Persist ->
-      Some (Resync.Protocol.cookie_of ~id:session.id ~csn:session.synced_csn)
+      let csn, cookie = session.cookie in
+      if Csn.equal csn session.synced_csn then Some cookie
+      else begin
+        let cookie =
+          Resync.Protocol.cookie_of ~id:session.id ~csn:session.synced_csn
+        in
+        session.cookie <- (session.synced_csn, cookie);
+        Some cookie
+      end
   | Resync.Protocol.Sync_end -> None
 
-let initial_reply t session ~mode =
+let initial_reply t session consumer ~mode =
   (* The cursor position is pinned before the content is read: changes
      racing the read are re-examined on the next poll instead of
      falling between snapshot and cursor. *)
-  session.spine_pos <- store_rev t session.stored;
-  let entries = current_content t session in
+  session.spine_pos <- store_rev consumer;
+  let entries = current_content t session consumer in
   reset_seen session entries;
-  session.synced_csn <- node_csn t session.stored;
+  session.synced_csn <- node_csn consumer;
   {
     Resync.Protocol.kind = Resync.Protocol.Initial_content;
     actions = List.map (fun e -> Resync.Action.Add e) entries;
@@ -181,22 +204,18 @@ let initial_reply t session ~mode =
    history.  A cursor that fell off the trimmed spine rebuilds by one
    full diff against the hash table and resumes streaming.  Deletes
    first, like the master's coalescer. *)
-let incremental_from_spine t session changed =
+let incremental_from_spine t session st changed =
   let select = Query.attr_list session.query.Query.attrs in
-  let st = store_for t session.stored in
   let deletes = ref [] and upserts = ref [] in
   List.iter
     (fun dn ->
       t.inc_scanned <- t.inc_scanned + 1;
       let key = Dn.canonical dn in
       let now =
-        match st with
-        | Some st -> (
-            match Content_store.find st dn with
-            | Some e when Resync.Content.matches session.matcher e ->
-                Some (Entry.select e select)
-            | Some _ | None -> None)
-        | None -> None
+        match Content_store.find st dn with
+        | Some e when Resync.Content.matches session.matcher e ->
+            Some (Entry.select e select)
+        | Some _ | None -> None
       in
       match (now, Hashtbl.find_opt session.seen key) with
       | Some img, Some (_, h0) ->
@@ -214,9 +233,9 @@ let incremental_from_spine t session changed =
     changed;
   List.rev !deletes @ List.rev !upserts
 
-let incremental_by_rescan t session =
+let incremental_by_rescan t session consumer =
   t.inc_rescans <- t.inc_rescans + 1;
-  let current = current_content t session in
+  let current = current_content t session consumer in
   let fresh = Hashtbl.create (max 64 (2 * List.length current)) in
   let upserts =
     List.filter_map
@@ -244,19 +263,19 @@ let incremental_by_rescan t session =
   session.seen <- fresh;
   deletes @ upserts
 
-let incremental_reply t session ~mode =
+let incremental_reply t session consumer ~mode =
   t.inc_polls <- t.inc_polls + 1;
-  let pos = session.spine_pos in
-  session.spine_pos <- store_rev t session.stored;
+  let st = Resync.Consumer.content consumer in
+  let pos = session.spine_pos and rev = Content_store.rev st in
+  session.spine_pos <- rev;
   let actions =
-    match store_for t session.stored with
-    | None -> incremental_by_rescan t session
-    | Some st -> (
-        match Content_store.changes_since st pos with
-        | Some changed -> incremental_from_spine t session changed
-        | None -> incremental_by_rescan t session)
+    if pos >= rev then []  (* the cursor sits at the store's revision *)
+    else
+      match Content_store.changes_since st pos with
+      | Some changed -> incremental_from_spine t session st changed
+      | None -> incremental_by_rescan t session consumer
   in
-  session.synced_csn <- node_csn t session.stored;
+  session.synced_csn <- node_csn consumer;
   {
     Resync.Protocol.kind = Resync.Protocol.Incremental;
     actions;
@@ -267,12 +286,9 @@ let incremental_reply t session ~mode =
    members changed since the cookie's CSN (or lacking a usable
    modifyTimestamp — conservatively treated as changed), [retain] for
    the rest; the downstream prunes everything not mentioned. *)
-let degraded_reply t query ~stored ~since ~mode ~persist_push =
-  let session =
-    new_session t query ~stored ~persist_push ~csn:(node_csn t stored)
-  in
-  session.spine_pos <- store_rev t stored;
-  let members = current_content t session in
+let degraded_reply t query ~stored ~consumer ~since ~mode ~persist_push =
+  let session = new_session t query ~stored ~consumer ~persist_push in
+  let members = current_content t session consumer in
   let actions =
     List.map
       (fun e ->
@@ -289,7 +305,6 @@ let degraded_reply t query ~stored ~since ~mode ~persist_push =
       members
   in
   reset_seen session members;
-  session.synced_csn <- node_csn t stored;
   {
     Resync.Protocol.kind = Resync.Protocol.Degraded;
     actions;
@@ -297,6 +312,53 @@ let degraded_reply t query ~stored ~since ~mode ~persist_push =
   }
 
 (* --- Serving -------------------------------------------------------- *)
+
+(* A poll from a live session presenting the CSN it was last handed,
+   for the query it subscribed, whose stored query is still installed.
+   Containment of that query in the stored one was proved when the
+   session was created and holds while the stored query stays, so such
+   a poll skips admission altogether. *)
+let known_session t (request : Resync.Protocol.request) query =
+  match Option.bind request.cookie Resync.Protocol.parse_cookie with
+  | Some (id, csn) -> (
+      match Hashtbl.find_opt t.sessions id with
+      | Some session
+        when Csn.equal csn session.synced_csn && Query.equal session.query query
+        -> (
+          match consumer_of t session.stored with
+          | Some c -> Some (session, c)
+          | None -> None)
+      | Some _ | None -> None)
+  | None -> None
+
+(* Everything else proves containment first: a new subscription gets
+   initial content; a cookie the node cannot continue gets degraded
+   mode from its CSN.  That covers an unknown session — including the
+   reserved foreign-session id 0 installed by cookie translation when a
+   consumer was re-parented here — and a known one that acknowledges a
+   CSN other than the one it was handed (a reply or pushed action was
+   lost, so its sent-image table reflects sent-not-received state) or
+   whose stored query was removed since. *)
+let admit t (request : Resync.Protocol.request) query ~mode ~persist_push =
+  match R.Filter_replica.containing_consumer t.replica query with
+  | None ->
+      (* Not provably contained in any stored query: refer the
+         subscriber to this node's own upstream. *)
+      Error (referral_error (Referral.make ~host:(upstream t) ()))
+  | Some (stored, consumer) -> (
+      match request.cookie with
+      | None ->
+          let session = new_session t query ~stored ~consumer ~persist_push in
+          Ok (initial_reply t session consumer ~mode)
+      | Some c -> (
+          match Resync.Protocol.parse_cookie c with
+          | None -> Error "malformed cookie"
+          | Some (id, since) ->
+              (match Hashtbl.find_opt t.sessions id with
+              | Some session when Query.equal session.query query ->
+                  remove_session t session.id
+              | Some _ | None -> ());
+              Ok (degraded_reply t query ~stored ~consumer ~since ~mode ~persist_push)))
 
 let handle_inner t ?push (request : Resync.Protocol.request) query =
   t.clock <- t.clock + 1;
@@ -316,71 +378,31 @@ let handle_inner t ?push (request : Resync.Protocol.request) query =
                   actions = [];
                   cookie = None;
                 }))
-  | Resync.Protocol.Poll | Resync.Protocol.Persist -> (
+  | Resync.Protocol.Poll | Resync.Protocol.Persist ->
       if mode = Resync.Protocol.Persist && Option.is_none push then
         Error "persist mode requires a push channel"
       else
-        match R.Filter_replica.containing_consumer t.replica query with
-        | None ->
-            (* Not provably contained in any stored query: refer the
-               subscriber to this node's own upstream. *)
-            Error (referral_error (Referral.make ~host:(upstream t) ()))
-        | Some (stored, _) -> (
-            let persist_push =
-              if mode = Resync.Protocol.Persist then push else None
-            in
-            let reply =
-              match request.cookie with
-              | None ->
-                  let session =
-                    new_session t query ~stored ~persist_push
-                      ~csn:(node_csn t stored)
-                  in
-                  Ok (initial_reply t session ~mode)
-              | Some c -> (
-                  match Resync.Protocol.parse_cookie c with
-                  | None -> Error "malformed cookie"
-                  | Some (id, csn) -> (
-                      match Hashtbl.find_opt t.sessions id with
-                      | Some session
-                        when Query.equal session.query query
-                             && Csn.equal csn session.synced_csn ->
-                          set_persist t session persist_push;
-                          Ok (incremental_reply t session ~mode)
-                      | Some session when Query.equal session.query query ->
-                          (* The downstream acknowledges a CSN other
-                             than the one this session advanced to: a
-                             reply or pushed action was lost.  The
-                             sent-image table reflects sent-not-received
-                             state, so diffing against it would silently
-                             diverge — resynchronize degraded from the
-                             CSN the downstream actually holds. *)
-                          remove_session t session.id;
-                          Ok
-                            (degraded_reply t query ~stored ~since:csn ~mode
-                               ~persist_push)
-                      | Some _ | None ->
-                          (* Unknown session — including the reserved
-                             foreign-session id 0 installed by cookie
-                             translation when a consumer was
-                             re-parented here: degraded mode from the
-                             cookie's CSN. *)
-                          Ok
-                            (degraded_reply t query ~stored ~since:csn ~mode
-                               ~persist_push)))
-            in
-            Result.iter (R.Stats.record_served_reply (stats t)) reply;
-            reply))
+        let persist_push =
+          if mode = Resync.Protocol.Persist then push else None
+        in
+        let reply =
+          match known_session t request query with
+          | Some (session, consumer) ->
+              set_persist t session persist_push;
+              Ok (incremental_reply t session consumer ~mode)
+          | None -> admit t request query ~mode ~persist_push
+        in
+        Result.iter (R.Stats.record_served_reply (stats t)) reply;
+        reply
 
 let handle t ?push request query =
   let t0 = Sys.time () in
   let reply = handle_inner t ?push request query in
   let dt = Sys.time () -. t0 in
-  t.serve_seconds <- t.serve_seconds +. dt;
-  t.serve_samples <- dt :: t.serve_samples;
+  Samples.push t.serve_samples dt;
   (match reply with
   | Ok r when r.Resync.Protocol.kind = Resync.Protocol.Incremental ->
-      t.incr_serve_samples <- dt :: t.incr_serve_samples
+      Samples.push t.incr_serve_samples dt
   | Ok _ | Error _ -> ());
   reply
 
@@ -409,20 +431,20 @@ let antientropy_serve t request query =
         (Ldap_antientropy.Exchange.serve ~content
            ~cookie:(fun () ->
              let session =
-               new_session t query ~stored ~persist_push:None
-                 ~csn:(node_csn t stored)
+               new_session t query ~stored ~consumer:c ~persist_push:None
              in
-             session.spine_pos <- store_rev t stored;
              reset_seen session (List.of_seq (content ()));
              session_cookie session ~mode:Resync.Protocol.Poll)
            request)
 
+(* Counts through the compiled matcher, building no entry. *)
 let estimate t query =
   match R.Filter_replica.containing_consumer t.replica query with
   | Some (_, c) ->
-      List.length
-        (R.Replica.eval_over_entries (schema t) query
-           (Resync.Consumer.entries_seq c))
+      let m = Resync.Content.matcher (schema t) query in
+      Seq.fold_left
+        (fun n e -> if Resync.Content.matches m e then n + 1 else n)
+        0 (Resync.Consumer.entries_seq c)
   | None -> 0
 
 (* --- Persist relay --------------------------------------------------
@@ -437,8 +459,11 @@ let estimate t query =
    own consumers define their synchronization point). *)
 let relay t ~stored ~before ~after =
   if Hashtbl.length t.persist > 0 then begin
-    let csn = node_csn t stored in
-    let rev = store_rev t stored in
+    let csn, rev =
+      match consumer_of t stored with
+      | Some c -> (node_csn c, store_rev c)
+      | None -> (Csn.zero, 0)
+    in
     let candidates =
       Option.map
         (fun idx -> C.Predicate_index.affected idx ~before ~after)
@@ -496,13 +521,14 @@ let relay t ~stored ~before ~after =
 (* --- Scale reporting ------------------------------------------------- *)
 
 let cursor_stats t = (t.inc_polls, t.inc_scanned, t.inc_rescans)
-let serve_seconds t = t.serve_seconds
-let serve_samples t = t.serve_samples
-let incremental_serve_samples t = t.incr_serve_samples
+let serve_samples t = Samples.to_array t.serve_samples
+let incremental_serve_samples t = Samples.to_array t.incr_serve_samples
 
 let cursor_depths t =
   Hashtbl.fold
-    (fun _ s acc -> (store_rev t s.stored - s.spine_pos) :: acc)
+    (fun _ s acc ->
+      let rev = Option.fold ~none:0 ~some:store_rev (consumer_of t s.stored) in
+      (rev - s.spine_pos) :: acc)
     t.sessions []
 
 let seen_residency t =
@@ -541,9 +567,8 @@ let create ?(cache_capacity = 0) ?(dispatch = Resync.Master.Routed) transport
       inc_polls = 0;
       inc_scanned = 0;
       inc_rescans = 0;
-      serve_seconds = 0.0;
-      serve_samples = [];
-      incr_serve_samples = [];
+      serve_samples = Samples.create ();
+      incr_serve_samples = Samples.create ();
     }
   in
   R.Filter_replica.set_on_change replica (fun ~stored ~before ~after ->

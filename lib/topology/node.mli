@@ -26,9 +26,13 @@
     not O(directory) — with the hash table deciding Add vs Modify vs
     no-op per changed DN.  A cursor that fell off the trimmed spine
     rebuilds with one full diff against the hash table and resumes
-    streaming.  Sessions presenting an unknown cookie — or one whose
-    CSN the node cannot match — are answered in degraded mode
-    (eq. (3)) from the cookie's CSN.
+    streaming.  Containment is proved once per session, when it is
+    created: a poll from a live session, for its own query, at the
+    CSN it was handed, whose stored query is still installed, goes
+    straight to its cursor.  Sessions presenting an unknown cookie —
+    or one whose CSN the node cannot match, or whose stored query was
+    removed — are re-admitted and answered in degraded mode (eq. (3))
+    from the cookie's CSN.
     Persist-mode sessions are relayed live: the replica's change
     observer classifies each upstream-applied change against the
     persistent sessions — routed through a
@@ -127,14 +131,11 @@ val cursor_stats : t -> int * int * int
     the change volume, not the directory size, and rescans stay 0
     while cursors keep up with the spine. *)
 
-val serve_seconds : t -> float
-(** Total wall-clock seconds spent inside {!handle}. *)
-
-val serve_samples : t -> float list
-(** Per-serve wall-clock seconds, newest first — the sample set the
+val serve_samples : t -> float array
+(** Per-serve wall-clock seconds, oldest first — the sample set the
     bench harness computes poll-response percentiles from. *)
 
-val incremental_serve_samples : t -> float list
+val incremental_serve_samples : t -> float array
 (** {!serve_samples} restricted to serves that answered with an
     incremental reply — the O(diff)-cost population the scale sweep
     gates on, excluding initial-content and degraded transfers whose

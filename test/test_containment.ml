@@ -371,6 +371,62 @@ let test_numeric_prefix_ranges () =
   check_bool "lexical prefix in le" true (contained "(sn=ab*)" "(sn<=ac)");
   check_bool "lexical prefix not in smaller le" false (contained "(sn=ab*)" "(sn<=ab)")
 
+(* --- Exact-query table -------------------------------------------------- *)
+
+type index_op = Put of Query.t * int | Drop of Query.t | Clear
+
+let query_gen =
+  let open QCheck.Gen in
+  map4
+    (fun base scope filter attrs ->
+      Query.make ~base:(Dn.of_string_exn base) ~scope ~attrs filter)
+    (oneofl [ "o=xyz"; "ou=a,o=xyz" ])
+    (oneofl [ Scope.Sub; Scope.One ])
+    small_filter_gen
+    (oneofl [ Query.All; Query.Select [ "cn" ] ])
+
+let index_op_gen pool =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map2 (fun q i -> Put (q, i)) (oneofl pool) small_nat);
+      (3, map (fun q -> Drop q) (oneofl pool));
+      (1, return Clear);
+    ]
+
+(* [find] and [mem] against a scan of what is stored; probes also use
+   an un-normalized spelling of each query, which must hash and compare
+   as the query itself. *)
+let prop_exact_table_agrees =
+  QCheck.Test.make ~name:"containment index: find/mem = fold scan" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (2 -- 6) query_gen >>= fun pool ->
+         pair (return pool) (list_size (1 -- 20) (index_op_gen pool))))
+    (fun (pool, ops) ->
+      let idx = Containment_index.create schema in
+      List.iter
+        (function
+          | Put (q, i) -> Containment_index.add idx q i
+          | Drop q -> Containment_index.remove idx q
+          | Clear -> Containment_index.clear idx)
+        ops;
+      let scan q =
+        Containment_index.fold idx ~init:None ~f:(fun acc q' i ->
+            if Query.equal q q' then Some i else acc)
+      in
+      Containment_index.length idx
+      = Containment_index.fold idx ~init:0 ~f:(fun n _ _ -> n + 1)
+      && List.for_all
+           (fun q ->
+             let respelled = { q with Query.filter = Filter.And [ q.Query.filter ] } in
+             List.for_all
+               (fun probe ->
+                 Containment_index.find idx probe = scan q
+                 && Containment_index.mem idx probe = Option.is_some (scan q))
+               [ q; respelled ])
+           pool)
+
 let suite =
   [
     Alcotest.test_case "reflexive" `Quick test_reflexive;
@@ -397,4 +453,5 @@ let suite =
     Alcotest.test_case "template registry" `Quick test_registry;
     QCheck_alcotest.to_alcotest prop_containment_sound;
     QCheck_alcotest.to_alcotest prop_same_shape_agrees;
+    QCheck_alcotest.to_alcotest prop_exact_table_agrees;
   ]

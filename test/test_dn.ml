@@ -112,6 +112,34 @@ let prop_canonical_consistent =
     (QCheck.pair dn_arb dn_arb) (fun (a, b) ->
       Dn.equal a b = String.equal (Dn.canonical a) (Dn.canonical b))
 
+(* [ancestor_of] compares canonical strings in place; the oracle
+   compares RDN by RDN.  Values with commas, plus signs and case
+   variants make boundaries inside the canonical string ambiguous. *)
+let prop_ancestor_oracle =
+  let tricky =
+    QCheck.Gen.(
+      map2
+        (fun a v -> { Dn.attr = a; value = v })
+        (oneofl [ "cn"; "ou" ])
+        (oneofl [ "a"; "A"; "a,ou=b"; "b"; "a+cn=b"; "b,cn=a" ]))
+  in
+  let gen = QCheck.Gen.(list_size (0 -- 4) tricky) in
+  QCheck.Test.make ~name:"dn: ancestor_of = per-RDN oracle" ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen gen))
+    (fun (xs, ys) ->
+      let a = Dn.of_rdns (List.map (fun x -> [ x ]) xs) in
+      let b = Dn.of_rdns (List.map (fun y -> [ y ]) (ys @ xs)) in
+      let c = Dn.of_rdns (List.map (fun y -> [ y ]) ys) in
+      let oracle x y =
+        let rx = List.map Dn.rdn_canonical (Dn.rdns x) in
+        let ry = List.map Dn.rdn_canonical (Dn.rdns y) in
+        let dx = List.length rx and dy = List.length ry in
+        dx <= dy && List.filteri (fun i _ -> i >= dy - dx) ry = rx
+      in
+      List.for_all
+        (fun (x, y) -> Dn.ancestor_of x y = oracle x y)
+        [ (a, b); (c, b); (a, c); (c, a); (b, a) ])
+
 let suite =
   [
     Alcotest.test_case "parse/print" `Quick test_parse_print;
@@ -128,4 +156,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parent_ancestor;
     QCheck_alcotest.to_alcotest prop_ancestor_transitive;
     QCheck_alcotest.to_alcotest prop_canonical_consistent;
+    QCheck_alcotest.to_alcotest prop_ancestor_oracle;
   ]

@@ -102,6 +102,45 @@ let test_ber_sizes () =
   check_bool "dn size grows" true
     (Ber.dn_size (dn "cn=a,ou=long-name,o=xyz") > Ber.dn_size (dn "o=xyz"))
 
+(* --- Derived compiled views ------------------------------------------- *)
+
+type value_op = Add_v | Replace_v | Delete_v
+
+(* Attributes of every syntax, values with case and spacing variants so
+   matching-rule canonicalization matters. *)
+let op_gen =
+  let open QCheck.Gen in
+  triple
+    (oneofl [ Add_v; Replace_v; Delete_v ])
+    (oneofl [ "cn"; "age"; "telephoneNumber"; "ref"; "mail"; "objectClass" ])
+    (list_size (0 -- 3) (oneofl [ "a"; "A"; "b  c"; "B C"; "07"; "7"; "+1 555"; "x" ]))
+
+let op_name = function Add_v -> "add" | Replace_v -> "replace" | Delete_v -> "delete"
+
+let apply_value_op e (op, attr, values) =
+  match op with
+  | Add_v -> Entry.add_values e attr values
+  | Replace_v -> Entry.replace_values e attr values
+  | Delete_v -> (
+      match Entry.delete_values e attr values with Ok e' -> e' | Error _ -> e)
+
+let prop_derived_view_equals_rebuilt =
+  QCheck.Test.make ~name:"entry: derived compiled view = rebuilt view" ~count:500
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map
+              (fun (op, a, vs) -> Printf.sprintf "%s %s [%s]" (op_name op) a (String.concat "," vs))
+              ops))
+       QCheck.Gen.(list_size (1 -- 8) op_gen))
+    (fun ops ->
+      let schema = Schema.default in
+      ignore (Entry.compiled schema john);
+      let final = List.fold_left apply_value_op john ops in
+      let rebuilt = Entry.make (Entry.dn final) (Entry.attributes final) in
+      Entry.compiled schema final = Entry.compiled schema rebuilt
+      && Int64.equal (Entry.content_hash64 final) (Entry.content_hash64 rebuilt))
+
 let suite =
   [
     Alcotest.test_case "attribute access" `Quick test_attribute_access;
@@ -113,4 +152,5 @@ let suite =
     Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
     Alcotest.test_case "schema classes" `Quick test_schema_classes;
     Alcotest.test_case "ber sizes" `Quick test_ber_sizes;
+    QCheck_alcotest.to_alcotest prop_derived_view_equals_rebuilt;
   ]

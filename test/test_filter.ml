@@ -183,6 +183,25 @@ let prop_normalize_preserves_semantics =
       let n = Filter.normalize fl in
       Filter.matches schema fl john = Filter.matches schema n john)
 
+(* Comparing and hashing skip renormalizing filters that are already
+   canonical; either way they must agree with the normalized forms. *)
+let prop_compare_hash_normalized =
+  let upcase =
+    Filter.map_pred (function
+      | Filter.Equality (a, v) -> Filter.Equality (String.uppercase_ascii a, v)
+      | Filter.Present a -> Filter.Present (String.uppercase_ascii a)
+      | p -> p)
+  in
+  QCheck.Test.make ~name:"filter: compare/hash agree with normalized forms" ~count:500
+    (QCheck.pair filter_arb filter_arb) (fun (a, b) ->
+      List.for_all
+        (fun (x, y) ->
+          let nx = Filter.normalize x and ny = Filter.normalize y in
+          Filter.compare x y = Filter.compare nx ny
+          && Filter.hash x = Filter.hash nx
+          && ((not (Filter.equal x y)) || Filter.hash x = Filter.hash y))
+        [ (a, b); (a, upcase a); (upcase a, Filter.normalize a); (b, upcase b) ])
+
 let suite =
   [
     Alcotest.test_case "parse basic" `Quick test_parse_basic;
@@ -200,4 +219,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_preserves_semantics;
+    QCheck_alcotest.to_alcotest prop_compare_hash_normalized;
   ]

@@ -123,6 +123,21 @@ let prop_region_subset_oracle =
            (fun d -> List.exists (Dn.equal d) (members outer))
            (members inner))
 
+(* The exact-query table keys on [Query.hash]: queries differing only
+   deep in the filter, like the department covers, must not collide. *)
+let test_hash_spreads_covers () =
+  let base = Dn.of_string_exn "o=xyz" in
+  let covers =
+    List.init 400 (fun i ->
+        Query.make ~base (Filter.of_string_exn (Printf.sprintf "(departmentNumber=%d)" (100 + i))))
+  in
+  let hashes = List.sort_uniq compare (List.map Query.hash covers) in
+  Alcotest.(check int) "distinct hashes" 400 (List.length hashes);
+  let q = List.hd covers in
+  let respelled = { q with Query.filter = Filter.And [ Filter.Or [ q.Query.filter ] ] } in
+  Alcotest.(check bool) "equal queries hash equal" true
+    (Query.equal q respelled && Query.hash q = Query.hash respelled)
+
 let suite =
   [
     Alcotest.test_case "in_scope" `Quick test_in_scope;
@@ -131,5 +146,6 @@ let suite =
     Alcotest.test_case "normalized equality" `Quick test_equality_normalized;
     Alcotest.test_case "referral urls" `Quick test_referral_urls;
     Alcotest.test_case "scope misc" `Quick test_scope_misc;
+    Alcotest.test_case "hash spreads department covers" `Quick test_hash_spreads_covers;
     QCheck_alcotest.to_alcotest prop_region_subset_oracle;
   ]

@@ -163,6 +163,93 @@ let test_admitted_subscription_served_at_node () =
   check_int "update arrived through the node" 3
     (List.length (T.Leaf.content leaf (dept_query 7)))
 
+(* --- Known-session polls ------------------------------------------------ *)
+
+let poll node ?cookie q =
+  T.Node.handle node { Protocol.mode = Protocol.Poll; cookie } q
+
+let reply_of = function
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("poll refused: " ^ e)
+
+let reply_cookie r =
+  match r.Protocol.cookie with Some c -> c | None -> Alcotest.fail "no cookie"
+
+let kind_is k r = r.Protocol.kind = k
+
+(* A session whose stored query was removed must not be served from the
+   removed consumer: it is re-admitted, and served degraded from a
+   container still installed. *)
+let test_removed_cover_fresh_container () =
+  let broad = Query.make ~base:(dn "o=xyz") (f "(departmentNumber=*)") in
+  let _, _, node = node_fixture ~covers:[ dept_query 7; broad ] () in
+  let first = reply_of (poll node (dept_query 7)) in
+  check_int "initial content" 2 (List.length first.Protocol.actions);
+  let again = reply_of (poll node ~cookie:(reply_cookie first) (dept_query 7)) in
+  check_bool "known session polls incrementally" true (kind_is Protocol.Incremental again);
+  R.Filter_replica.remove_filter (T.Node.replica node) (dept_query 7);
+  let moved = reply_of (poll node ~cookie:(reply_cookie again) (dept_query 7)) in
+  check_bool "served degraded from the remaining cover" true (kind_is Protocol.Degraded moved);
+  check_int "both members accounted for" 2 (List.length moved.Protocol.actions);
+  let next = reply_of (poll node ~cookie:(reply_cookie moved) (dept_query 7)) in
+  check_bool "then incrementally again" true (kind_is Protocol.Incremental next);
+  check_int "with nothing new" 0 (List.length next.Protocol.actions)
+
+let test_removed_cover_referral () =
+  let _, _, node = node_fixture () in
+  let first = reply_of (poll node (dept_query 7)) in
+  R.Filter_replica.remove_filter (T.Node.replica node) (dept_query 7);
+  match poll node ~cookie:(reply_cookie first) (dept_query 7) with
+  | Ok _ -> Alcotest.fail "served from a removed cover"
+  | Error msg ->
+      check_bool "referred upstream" true (Option.is_some (T.Node.referral_of_error msg))
+
+let test_csn_mismatch_and_unknown_session_degrade () =
+  let b, t, node = node_fixture () in
+  let first = reply_of (poll node (dept_query 7)) in
+  let id, csn =
+    match Protocol.parse_cookie (reply_cookie first) with
+    | Some ic -> ic
+    | None -> Alcotest.fail "unparsable cookie"
+  in
+  apply b (Update.add (person "d" ~dept:"7" ()));
+  T.Topology.sync_round t;
+  let stale = Protocol.cookie_of ~id ~csn:(Csn.of_int (Csn.to_int csn + 7)) in
+  check_bool "CSN mismatch degrades" true
+    (kind_is Protocol.Degraded (reply_of (poll node ~cookie:stale (dept_query 7))));
+  let unknown = Protocol.cookie_of ~id:999 ~csn in
+  let r = reply_of (poll node ~cookie:unknown (dept_query 7)) in
+  check_bool "unknown session degrades" true (kind_is Protocol.Degraded r);
+  check_int "new member resent, old ones retained" 3 (List.length r.Protocol.actions)
+
+(* The node's serving counters for a fixed script: the values the
+   full admission path produced for every poll before known sessions
+   skipped it. *)
+let test_cursor_stats_fixed_script () =
+  let b, t = build_shape (T.Topology.Tree { arity = 2 }) 24 in
+  update_burst b;
+  for _ = 1 to 3 do
+    T.Topology.sync_round t
+  done;
+  for d = 1 to 8 do
+    apply b
+      (Update.modify
+         (dn (Printf.sprintf "cn=p%d_3,o=xyz" d))
+         [ Update.replace_values "mail" [ Printf.sprintf "m%d@xyz" d ] ]);
+    T.Topology.sync_round t
+  done;
+  T.Topology.sync_round t;
+  let polls, scanned, rescans =
+    List.fold_left
+      (fun (p, s, r) n ->
+        let p', s', r' = T.Node.cursor_stats n in
+        (p + p', s + s', r + r'))
+      (0, 0, 0) (T.Topology.nodes t)
+  in
+  check_int "polls" 288 polls;
+  check_int "scanned" 39 scanned;
+  check_int "rescans" 0 rescans
+
 (* --- Degraded resume through an intermediate node --------------------- *)
 
 let test_reparented_cookie_degrades_with_retain () =
@@ -661,6 +748,13 @@ let suite =
       test_referral_on_uncovered_subscription;
     Alcotest.test_case "admitted subscription served at node" `Quick
       test_admitted_subscription_served_at_node;
+    Alcotest.test_case "removed cover: fresh container" `Quick
+      test_removed_cover_fresh_container;
+    Alcotest.test_case "removed cover: referral" `Quick test_removed_cover_referral;
+    Alcotest.test_case "CSN mismatch and unknown session degrade" `Quick
+      test_csn_mismatch_and_unknown_session_degrade;
+    Alcotest.test_case "cursor stats for a fixed script" `Quick
+      test_cursor_stats_fixed_script;
     Alcotest.test_case "re-parented cookie degrades with retain" `Quick
       test_reparented_cookie_degrades_with_retain;
     Alcotest.test_case "trimmed root history heals through node" `Quick
