@@ -11,10 +11,10 @@ let names = ref (Array.make 64 "")
 let used = ref 0
 
 let intern name =
-  let key = String.lowercase_ascii name in
-  match Hashtbl.find_opt table key with
-  | Some id -> id
-  | None ->
+  let key = Value.lowercase name in
+  match Hashtbl.find table key with
+  | id -> id
+  | exception Not_found ->
       let id = !used in
       if id = Array.length !names then begin
         let bigger = Array.make (2 * id) "" in
@@ -26,7 +26,7 @@ let intern name =
       Hashtbl.add table key id;
       id
 
-let interned name = Hashtbl.find_opt table (String.lowercase_ascii name)
+let interned name = Hashtbl.find_opt table (Value.lowercase name)
 
 let name id =
   if id < 0 || id >= !used then invalid_arg "Attr_id.name: unknown id";

@@ -14,33 +14,62 @@ let syntax_of_string s =
   | "telephone" -> Some Telephone
   | _ -> None
 
+(* The helpers below return their argument itself when it is already
+   in the form asked for, so normalizing a normal value allocates
+   nothing.  The scans are plain recursive functions: the closures of
+   [String.exists] would allocate on every call. *)
+let rec has_upper s i =
+  i < String.length s
+  && (match String.unsafe_get s i with 'A' .. 'Z' -> true | _ -> has_upper s (i + 1))
+
+let lowercase s = if has_upper s 0 then String.lowercase_ascii s else s
+
+let rec has_double_space s i =
+  i < String.length s - 1
+  && ((String.unsafe_get s i = ' ' && String.unsafe_get s (i + 1) = ' ')
+     || has_double_space s (i + 1))
+
+let needs_squash s =
+  let n = String.length s in
+  n > 0 && (s.[0] = ' ' || s.[n - 1] = ' ' || has_double_space s 0)
+
+let rec has_phone_separator s i =
+  i < String.length s
+  && (match String.unsafe_get s i with ' ' | '-' -> true | _ -> has_phone_separator s (i + 1))
+
 (* Squash insignificant spaces per the caseIgnore/caseExact matching
    rules: strip leading/trailing spaces, collapse internal runs. *)
 let squash_spaces s =
-  let b = Buffer.create (String.length s) in
-  let pending_space = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' then (if Buffer.length b > 0 then pending_space := true)
-      else begin
-        if !pending_space then Buffer.add_char b ' ';
-        pending_space := false;
-        Buffer.add_char b c
-      end)
-    s;
-  Buffer.contents b
+  if not (needs_squash s) then s
+  else begin
+    let b = Buffer.create (String.length s) in
+    let pending_space = ref false in
+    String.iter
+      (fun c ->
+        if c = ' ' then (if Buffer.length b > 0 then pending_space := true)
+        else begin
+          if !pending_space then Buffer.add_char b ' ';
+          pending_space := false;
+          Buffer.add_char b c
+        end)
+      s;
+    Buffer.contents b
+  end
 
 let strip_phone s =
-  let b = Buffer.create (String.length s) in
-  String.iter (fun c -> if c <> ' ' && c <> '-' then Buffer.add_char b c) s;
-  Buffer.contents b
+  if not (has_phone_separator s 0) then s
+  else begin
+    let b = Buffer.create (String.length s) in
+    String.iter (fun c -> if c <> ' ' && c <> '-' then Buffer.add_char b c) s;
+    Buffer.contents b
+  end
 
 let normalize syntax v =
   match syntax with
-  | Case_ignore -> String.lowercase_ascii (squash_spaces v)
+  | Case_ignore -> lowercase (squash_spaces v)
   | Case_exact -> squash_spaces v
   | Integer -> String.trim v
-  | Telephone -> String.lowercase_ascii (strip_phone v)
+  | Telephone -> lowercase (strip_phone v)
 
 let canonical syntax v =
   let n = normalize syntax v in

@@ -25,6 +25,10 @@ val syntax_to_string : syntax -> string
 val syntax_of_string : string -> syntax option
 (** Inverse of {!syntax_to_string}; [None] on unknown identifiers. *)
 
+val lowercase : string -> string
+(** [String.lowercase_ascii], except that a string with no uppercase
+    letter is returned itself rather than copied. *)
+
 val normalize : syntax -> string -> string
 (** [normalize syntax v] is the canonical form used for equality,
     ordering, indexing and DN comparison. *)

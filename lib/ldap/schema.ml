@@ -14,26 +14,30 @@ type object_class = {
   oc_may : string list;
 }
 
-type t = { attrs : attribute_type Smap.t; classes : object_class Smap.t }
+type t = {
+  attrs : attribute_type Smap.t;
+  canon : string Smap.t;  (* every name and alias -> canonical name, all lowercased *)
+  classes : object_class Smap.t;
+}
 
-let empty = { attrs = Smap.empty; classes = Smap.empty }
-let key = String.lowercase_ascii
+let empty = { attrs = Smap.empty; canon = Smap.empty; classes = Smap.empty }
+let key = Value.lowercase
 
 let add_attribute t at =
-  let attrs =
-    List.fold_left
-      (fun m name -> Smap.add (key name) at m)
-      t.attrs (at.at_name :: at.at_aliases)
-  in
-  { t with attrs }
+  let names = at.at_name :: at.at_aliases and canonical = key at.at_name in
+  {
+    t with
+    attrs = List.fold_left (fun m name -> Smap.add (key name) at m) t.attrs names;
+    canon = List.fold_left (fun m name -> Smap.add (key name) canonical m) t.canon names;
+  }
 
 let add_object_class t oc = { t with classes = Smap.add (key oc.oc_name) oc t.classes }
 let attribute_type t name = Smap.find_opt (key name) t.attrs
 
 let syntax_of t name =
-  match attribute_type t name with
-  | Some at -> at.at_syntax
-  | None -> Value.Case_ignore
+  match Smap.find (key name) t.attrs with
+  | at -> at.at_syntax
+  | exception Not_found -> Value.Case_ignore
 
 let is_single_valued t name =
   match attribute_type t name with Some at -> at.at_single_value | None -> false
@@ -71,9 +75,8 @@ let allowed_attributes t name =
   dedup (fold_class_chain t name (fun oc acc -> acc @ oc.oc_must @ oc.oc_may) [])
 
 let canonical_attr t name =
-  match attribute_type t name with
-  | Some at -> key at.at_name
-  | None -> key name
+  let k = key name in
+  match Smap.find k t.canon with c -> c | exception Not_found -> k
 
 let at ?(aliases = []) ?(single = false) name syntax =
   { at_name = name; at_aliases = aliases; at_syntax = syntax; at_single_value = single }

@@ -317,6 +317,56 @@ let equivalence_test strategy tag =
        QCheck.Gen.(list_size (80 -- 120) op_gen))
     (equivalent_run strategy)
 
+(* --- Probing without a compiled view ------------------------------------
+   An image no filter has evaluated yet is probed through the slots of
+   its anchored attributes only; the candidates must be the ones its
+   memoized view yields.  Attribute spellings include aliases and
+   uppercase, so the name-to-canonical-id step is exercised. *)
+
+let probe_filters =
+  [
+    "(departmentnumber=7)";
+    "(dept>=8)";
+    "(surname=p1*)";
+    "(|(cn=ada)(mail=*))";
+    "(&(objectclass=inetorgperson)(age<=30))";
+    "(commonName=B*)";
+    "(!(sn=x))";
+  ]
+
+let probe_attr_gen =
+  QCheck.Gen.(
+    pair
+      (oneofl [ "departmentNumber"; "dept"; "SN"; "surname"; "CN"; "commonName"; "mail"; "age"; "l" ])
+      (list_size (1 -- 2) (oneofl [ "7"; "08"; "9"; "p1x"; "P12"; "Ada"; "bob"; " b  c "; "30"; "x" ])))
+
+let candidates c =
+  let ids = ref [] in
+  Predicate_index.iter (fun id -> ids := id :: !ids) c;
+  List.sort Int.compare !ids
+
+let prop_probe_without_view =
+  QCheck.Test.make ~count:300 ~name:"dispatch: probe without a view = probe with one"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let show attrs =
+           String.concat "; "
+             (List.map (fun (n, vs) -> n ^ "=" ^ String.concat "," vs) attrs)
+         in
+         show a ^ " | " ^ show b)
+       QCheck.Gen.(pair (list_size (0 -- 5) probe_attr_gen) (list_size (0 -- 5) probe_attr_gen)))
+    (fun (a, b) ->
+      let idx = Predicate_index.create schema in
+      List.iteri (fun i fs -> Predicate_index.add idx i (f fs)) probe_filters;
+      let image attrs = Entry.make (dn "cn=p,o=xyz") (("objectclass", [ "inetOrgPerson" ]) :: attrs) in
+      let fresh_before = image a and fresh_after = image b in
+      let cold = candidates (Predicate_index.affected idx ~before:(Some fresh_before) ~after:(Some fresh_after)) in
+      let warm_before = image a and warm_after = image b in
+      ignore (Entry.compiled schema warm_before);
+      ignore (Entry.compiled schema warm_after);
+      let warm = candidates (Predicate_index.affected idx ~before:(Some warm_before) ~after:(Some warm_after)) in
+      cold = warm)
+
 let suite =
   [
     Alcotest.test_case "eq anchors" `Quick test_eq_anchor;
@@ -331,4 +381,5 @@ let suite =
     QCheck_alcotest.to_alcotest (equivalence_test Master.Session_history "session-history");
     QCheck_alcotest.to_alcotest (equivalence_test Master.Changelog "changelog");
     QCheck_alcotest.to_alcotest (equivalence_test Master.Tombstone "tombstone");
+    QCheck_alcotest.to_alcotest prop_probe_without_view;
   ]

@@ -75,6 +75,28 @@ let prop_successor_bound =
       let succ = Value.successor_of_prefix prefix in
       String.compare (prefix ^ ext) succ < 0 && String.compare prefix succ < 0)
 
+(* [normalize] returns an already-normal value itself; whether or not
+   it copies, it must agree with the plain definitions of the matching
+   rules. *)
+let prop_normalize_reference =
+  QCheck.Test.make ~name:"value: normalize = reference definitions" ~count:1000
+    QCheck.(
+      pair
+        (oneofl Value.[ Case_ignore; Case_exact; Telephone ])
+        (string_gen_of_size Gen.(0 -- 8) (Gen.oneofl [ 'a'; 'B'; ' '; '-'; '7' ])))
+    (fun (syntax, s) ->
+      let squash v = String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' v)) in
+      let strip v = String.concat "" (String.split_on_char '-' (String.concat "" (String.split_on_char ' ' v))) in
+      let want =
+        match syntax with
+        | Value.Case_ignore -> String.lowercase_ascii (squash s)
+        | Value.Case_exact -> squash s
+        | Value.Telephone -> String.lowercase_ascii (strip s)
+        | Value.Integer -> String.trim s
+      in
+      String.equal (Value.normalize syntax s) want
+      && String.equal (Value.lowercase s) (String.lowercase_ascii s))
+
 let suite =
   [
     Alcotest.test_case "case ignore" `Quick test_case_ignore;
@@ -86,4 +108,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_compare_total_order;
     QCheck_alcotest.to_alcotest prop_successor_bound;
+    QCheck_alcotest.to_alcotest prop_normalize_reference;
   ]
