@@ -105,12 +105,14 @@ let select t =
         | c -> c)
       priced
   in
+  (* The budget test comes first: it is one comparison, and a
+     candidate that does not fit is skipped whether or not a picked
+     filter covers it, so it needs no containment proof. *)
   let picked, _ =
     List.fold_left
       (fun (picked, used) (q, _, size) ->
-        if covered schema picked q then (picked, used)
-        else if used + size <= t.config.size_budget then (q :: picked, used + size)
-        else (picked, used))
+        if used + size > t.config.size_budget || covered schema picked q then (picked, used)
+        else (q :: picked, used + size))
       ([], 0) priced
   in
   List.rev picked
@@ -144,7 +146,11 @@ let force_adapt t = adapt t ~trigger:Forced
 (* Early re-selection fires when some uncovered candidate's decayed
    score dominates the best candidate the stored set already covers —
    the flash-crowd / geography-flip signal that should not wait for
-   the periodic revolution. *)
+   the periodic revolution.  Coverage proofs, not the ranking, are
+   what a check costs; the ranking is best-first, so the first viable
+   candidate of each kind carries its maximum and the search for it
+   stops there (a kind never found, or a best score below zero, counts
+   as 0.0). *)
 let drifted t =
   let schema = FR.schema t.replica in
   let stored = FR.stored_filters t.replica in
@@ -152,15 +158,14 @@ let drifted t =
     List.filter (fun (_, s) -> s >= t.config.min_score)
       (Interest.ranked t.interest)
   in
-  let best_uncovered, best_covered =
-    List.fold_left
-      (fun (bu, bc) (q, score) ->
-        if covered schema stored q then (bu, max bc score)
-        else (max bu score, bc))
-      (0.0, 0.0) viable
+  let best ~is_covered =
+    match List.find_opt (fun (q, _) -> covered schema stored q = is_covered) viable with
+    | Some (_, score) -> max 0.0 score
+    | None -> 0.0
   in
+  let best_uncovered = best ~is_covered:false in
   best_uncovered >= t.config.min_score
-  && best_uncovered > t.config.drift_ratio *. best_covered
+  && best_uncovered > t.config.drift_ratio *. best ~is_covered:true
 
 let observe t q =
   let candidates = Generalize.candidates t.config.rules q in

@@ -79,6 +79,20 @@ val observe : t -> Query.t -> unit
     the stored set identical is skipped (counted in
     {!unchanged_checks}) — no-op transitions cost nothing. *)
 
+val select : t -> Query.t list
+(** The filter set a re-selection would install now, in pick order:
+    the candidates scoring at least [min_score], by decayed score per
+    estimated entry (ties by query string), taken greedily while they
+    fit the size budget and no earlier pick contains them.  Asks the
+    upstream estimator for every candidate's size; changes nothing. *)
+
+val drifted : t -> bool
+(** The drift test {!observe} runs every [drift_check_interval]
+    observations: the best uncovered candidate scores at least
+    [min_score] and more than [drift_ratio] times the best candidate
+    the stored set covers (a kind with no viable candidate, or a
+    best score below zero, counts as 0.0).  Changes nothing. *)
+
 val force_adapt : t -> adaptation option
 (** Re-selects immediately; [None] when the selected set equals the
     stored set. *)

@@ -3,7 +3,9 @@
    child links, for one-level and subtree walks and the leaf and
    parent checks, and attribute postings, for indexed candidates.  The
    postings store their counts, so a conjunction prices its conjuncts
-   and builds the candidate set of the cheapest one only.  A
+   and builds the candidate set of the cheapest one only.  They are
+   keyed by [Value.canonical], so equal Integer spellings ("07", "7")
+   share a key.  A
    slot id is assigned when its DN is first stored, which needs a live
    parent, and is never reused, so ascending slot order visits parents
    before their children. *)
@@ -11,7 +13,7 @@
 module Ids = Set.Make (Int)
 module Vmap = Map.Make (String)
 
-(* The slots holding one normalized value, and how many there are. *)
+(* The slots holding one canonical value, and how many there are. *)
 type posting = { ids : Ids.t; card : int }
 
 type t = {
@@ -25,6 +27,8 @@ type t = {
   mutable csn : Csn.t;
   mutable subscribers : (Update.record -> unit) array;  (* registration order *)
   mutable subscriber_count : int;
+  mutable stamps : int array;  (* slot id -> last posting count that saw it *)
+  mutable stamp : int;
 }
 
 let create ?(indexed = []) schema =
@@ -43,6 +47,8 @@ let create ?(indexed = []) schema =
     csn = Csn.zero;
     subscribers = [||];
     subscriber_count = 0;
+    stamps = [||];
+    stamp = 0;
   }
 
 let schema t = t.schema
@@ -89,7 +95,7 @@ let post table key id ~add =
       if Ids.is_empty ids then Vmap.remove key !table
       else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } !table
 
-let keys t attr values = List.map (Value.normalize (Schema.syntax_of t.schema attr)) values
+let keys t attr values = List.map (Value.canonical (Schema.syntax_of t.schema attr)) values
 
 let note_referral t entry ~add =
   t.referral_dns <- (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
@@ -239,19 +245,22 @@ let crosses_referral t ~base dn =
    stops there. *)
 let rec index_candidates t ~limit filter =
   let table a = Hashtbl.find_opt t.postings (String.lowercase_ascii a) in
-  let norm a v = Value.normalize (Schema.syntax_of t.schema a) v in
+  let syntax a = Schema.syntax_of t.schema a in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
       Option.bind (table a) (fun tbl ->
           let n, ids =
-            match Vmap.find_opt (norm a v) !tbl with
+            match Vmap.find_opt (Value.canonical (syntax a) v) !tbl with
             | Some p -> (p.card, p.ids)
             | None -> (0, Ids.empty)
           in
           if n <= limit then Some (n, Lazy.from_val ids) else None)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ })) ->
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ }))
+    when syntax a <> Value.Integer ->
+      (* Substrings compare normalized forms, which for the other
+         syntaxes are the canonical keys; Integer ones walk. *)
       Option.bind (table a) (fun tbl ->
-          let prefix = norm a init in
+          let prefix = Value.normalize (syntax a) init in
           let rec count n sets seq =
             if n > limit then None
             else
@@ -369,10 +378,68 @@ let compare_values t dn ~attr ~value =
   | Some entry ->
       Ok (Entry.has_value ~syntax:(Schema.syntax_of t.schema attr) entry attr value)
 
+(* Distinct slot ids across the postings whose key starts with
+   [prefix].  A multi-valued entry can sit under several such keys;
+   [t.stamps] marks the ids this count has seen, so no union is
+   built. *)
+let count_prefixed t prefix postings =
+  let interned = Content_store.interned t.estore in
+  if Array.length t.stamps < interned then
+    t.stamps <- Array.make (max interned (2 * Array.length t.stamps)) 0;
+  t.stamp <- t.stamp + 1;
+  let stamps = t.stamps and stamp = t.stamp in
+  let see id n =
+    if stamps.(id) = stamp then n
+    else begin
+      stamps.(id) <- stamp;
+      n + 1
+    end
+  in
+  let rec go n seq =
+    match seq () with
+    | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
+        go (Ids.fold see p.ids n) rest
+    | Seq.Cons _ | Seq.Nil -> n
+  in
+  go 0 (Vmap.to_seq_from prefix postings)
+
+(* The count read off the postings, touching no entry, when they hold
+   exactly the answer: a lone equality or initial-only substring on
+   an indexed attribute whose keys its matching rule compares (not
+   Integer), over the whole of the one naming context (postings span
+   every context), with no referral to exclude.  [None] otherwise. *)
+let posting_count t (q : Query.t) =
+  let applies a =
+    q.scope = Scope.Sub
+    && (not q.manage_dsa_it)
+    && Dn.Set.is_empty t.referral_dns
+    && (match t.contexts with [ suffix ] -> Dn.equal suffix q.base | _ -> false)
+    && Schema.syntax_of t.schema a <> Value.Integer
+  in
+  let table a =
+    if applies a then Hashtbl.find_opt t.postings (String.lowercase_ascii a) else None
+  in
+  match q.filter with
+  | Filter.Pred (Filter.Equality (a, v)) ->
+      Option.map
+        (fun tbl ->
+          match Vmap.find_opt (Value.canonical (Schema.syntax_of t.schema a) v) !tbl with
+          | Some p -> p.card
+          | None -> 0)
+        (table a)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
+      Option.map
+        (fun tbl -> count_prefixed t (Value.normalize (Schema.syntax_of t.schema a) init) !tbl)
+        (table a)
+  | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None
+
 let count_matching t q =
-  match fold_matching t q ~init:0 ~f:(fun n _ -> n + 1) with
-  | Ok (n, _) -> n
-  | Error _ -> 0
+  match posting_count t q with
+  | Some n -> n
+  | None -> (
+      match fold_matching t q ~init:0 ~f:(fun n _ -> n + 1) with
+      | Ok (n, _) -> n
+      | Error _ -> 0)
 
 (* --- Updates -------------------------------------------------------- *)
 

@@ -83,7 +83,12 @@ val compare_values : t -> Dn.t -> attr:string -> value:string -> (bool, string) 
 
 val count_matching : t -> Query.t -> int
 (** Number of entries the query would return; 0 on search errors.
-    Used by the filter-selection algorithm as its size estimate. *)
+    Used by the filter-selection algorithm as its size estimate.  A
+    lone equality or initial-only substring on an indexed, non-Integer
+    attribute, searched over the whole of the backend's one naming
+    context with no referral objects and manageDsaIT off, is counted
+    from the postings without touching an entry; everything else
+    counts the candidate walk {!search} makes. *)
 
 (** {1 Updates} *)
 

@@ -12,6 +12,8 @@ type stats = { mutable hits : int; mutable size : int option }
 type t
 
 val create : unit -> t
+(** An empty candidate table. *)
+
 val observe : t -> Query.t -> unit
 (** Bump the hit count of a candidate (registering it first if new). *)
 
@@ -30,6 +32,8 @@ val invalidate_sizes : t -> unit
 
 val fold : t -> init:'a -> f:('a -> Query.t -> stats -> 'a) -> 'a
 val count : t -> int
+(** Candidates registered so far, keyed by canonical base, scope and
+    normalized filter. *)
 
 val ranked : t -> estimate:(Query.t -> int) -> (Query.t * stats * float) list
 (** Candidates with their benefit/size ratio, best first.  Candidates

@@ -24,7 +24,11 @@ type config = {
 type t
 
 val create : config -> Ldap_replication.Filter_replica.t -> t
+(** A selector with no statistics yet; it drives the given replica's
+    stored filter set and asks its upstream for size estimates. *)
+
 val config : t -> config
+(** The configuration the selector was created with. *)
 
 val observe : t -> Query.t -> unit
 (** Feed one user query: candidate statistics are updated and, at

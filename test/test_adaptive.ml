@@ -459,6 +459,151 @@ let test_backpressure_overflow_escalates () =
   check_bool "content converged after escalation" true
     (content_equal consumer b (dept_query "71"))
 
+(* --- Controller decisions against their definitions --------------------- *)
+
+(* The definitions the controller's early-exit drift test and
+   budget-first selection must agree with: a fold over every viable
+   candidate, and the greedy loop that proves coverage before it
+   checks the budget. *)
+let covered_by stored q =
+  List.exists (fun s -> Ldap_containment.Query_containment.contained schema ~query:q ~stored:s) stored
+
+let viable ctl =
+  let min_score = (A.Controller.config ctl).A.Controller.min_score in
+  List.filter (fun (_, s) -> s >= min_score) (A.Interest.ranked (A.Controller.interest ctl))
+
+let oracle_drifted ctl =
+  let config = A.Controller.config ctl in
+  let stored = FR.stored_filters (A.Controller.replica ctl) in
+  let best_uncovered, best_covered =
+    List.fold_left
+      (fun (bu, bc) (q, score) ->
+        if covered_by stored q then (bu, max bc score) else (max bu score, bc))
+      (0.0, 0.0) (viable ctl)
+  in
+  best_uncovered >= config.A.Controller.min_score
+  && best_uncovered > config.A.Controller.drift_ratio *. best_covered
+
+let oracle_select ctl =
+  let replica = A.Controller.replica ctl in
+  let priced =
+    List.map
+      (fun (q, score) ->
+        let size = max 1 (FR.estimate_size replica q) in
+        (q, score /. float_of_int size, size))
+      (viable ctl)
+    |> List.sort (fun (qa, ra, _) (qb, rb, _) ->
+           match compare rb ra with
+           | 0 -> compare (Query.to_string qa) (Query.to_string qb)
+           | c -> c)
+  in
+  let budget = (A.Controller.config ctl).A.Controller.size_budget in
+  List.rev
+    (fst
+       (List.fold_left
+          (fun (picked, used) (q, _, size) ->
+            if covered_by picked q then (picked, used)
+            else if used + size <= budget then (q :: picked, used + size)
+            else (picked, used))
+          ([], 0) priced))
+
+(* Queries the stream observes, and stored filters that may or may not
+   be among them ("99", "9" and the whole tree never are). *)
+let decision_queries =
+  [|
+    dept_query "71"; dept_query "72"; dept_query "81"; dept_query "82";
+    prefix_query "7"; prefix_query "8";
+  |]
+
+let stray_filters =
+  [|
+    dept_query "71"; prefix_query "7"; prefix_query "8"; dept_query "99";
+    prefix_query "9"; Query.make ~base:(dn "o=xyz") (f "(objectclass=*)");
+  |]
+
+type dstep = Observe of int | Weighted of int * float | Check
+
+let print_dstep = function
+  | Observe i -> Printf.sprintf "obs %s" (Query.to_string decision_queries.(i))
+  | Weighted (i, w) -> Printf.sprintf "credit %s %g" (Query.to_string decision_queries.(i)) w
+  | Check -> "check"
+
+let decision_case_gen =
+  QCheck.Gen.(
+    let step =
+      frequency
+        [
+          (4, map (fun i -> Observe i) (0 -- 5));
+          (4, map2 (fun i w -> Weighted (i, w)) (0 -- 5) (oneofl [ -3.0; -1.0; -0.5; 0.5; 1.0 ]));
+          (2, return Check);
+        ]
+    in
+    let config =
+      map3
+        (fun (min_score, size_budget) (drift_ratio, every) (revolution_interval, mode) ->
+          {
+            A.Controller.default_config with
+            A.Controller.min_score;
+            size_budget;
+            drift_ratio;
+            drift_check_interval = every;
+            revolution_interval;
+            half_life = 8;
+            rules = [ S.Generalize.Prefix_value { attr = "departmentNumber"; keep = 1 } ];
+            mode;
+          })
+        (pair (oneofl [ -5.0; -1.0; 0.0; 0.5; 1.0; 2.0 ]) (oneofl [ 0; 1; 2; 3; 5; 100 ]))
+        (pair (oneofl [ 0.5; 1.0; 1.5; 2.0 ]) (oneofl [ 0; 1; 3 ]))
+        (pair (oneofl [ 0; 4; 7 ]) (oneofl [ A.Controller.Delta; A.Controller.Cold_swap ]))
+    in
+    quad config
+      (list_size (0 -- 8) (pair (0 -- 15) (0 -- 3)))
+      (0 -- 63)
+      (list_size (0 -- 40) step))
+
+let print_decision_case (c, people, mask, steps) =
+  Printf.sprintf "min_score=%g budget=%d ratio=%g drift_every=%d rev=%d people=[%s] stored=%x [%s]"
+    c.A.Controller.min_score c.A.Controller.size_budget c.A.Controller.drift_ratio
+    c.A.Controller.drift_check_interval c.A.Controller.revolution_interval
+    (String.concat ";" (List.map (fun (i, d) -> Printf.sprintf "%d:%s" i pool_depts.(d)) people))
+    mask
+    (String.concat "; " (List.map print_dstep steps))
+
+let prop_controller_decisions =
+  QCheck.Test.make ~name:"adaptive: drifted and select = fold-based definitions" ~count:300
+    (QCheck.make ~print:print_decision_case decision_case_gen)
+    (fun (config, people, mask, steps) ->
+      let b = make_backend () in
+      List.iter
+        (fun (i, d) ->
+          ignore
+            (Backend.apply b
+               (Update.add (person (Printf.sprintf "p%d" i) ~dept:pool_depts.(d) ()))))
+        people;
+      let replica = FR.create (Resync.Master.create b) in
+      Array.iteri
+        (fun i q ->
+          if mask land (1 lsl i) <> 0 then
+            match FR.install_filter replica q with Ok () -> () | Error e -> failwith e)
+        stray_filters;
+      let ctl = A.Controller.create config replica in
+      let agree () =
+        A.Controller.drifted ctl = oracle_drifted ctl
+        && List.equal Query.equal (A.Controller.select ctl) (oracle_select ctl)
+      in
+      List.for_all
+        (fun step ->
+          match step with
+          | Observe i ->
+              A.Controller.observe ctl decision_queries.(i);
+              true
+          | Weighted (i, weight) ->
+              A.Interest.observe ~weight (A.Controller.interest ctl) decision_queries.(i);
+              true
+          | Check -> agree ())
+        steps
+      && agree ())
+
 let suite =
   [
     Alcotest.test_case "interest decay" `Quick test_interest_decay;
@@ -487,4 +632,5 @@ let suite =
       test_backpressure_parks_and_drains;
     Alcotest.test_case "backpressure overflow escalates" `Quick
       test_backpressure_overflow_escalates;
+    QCheck_alcotest.to_alcotest prop_controller_decisions;
   ]

@@ -634,6 +634,140 @@ let prop_postings_follow_modifies =
             (pool @ [ "alice"; "bob"; "carol"; "inetOrgPerson"; "person" ]))
         indexed_attrs)
 
+(* --- Integer postings and counts --------------------------------------- *)
+
+(* Integer equality compares numbers, so "07" and "7" are one value:
+   an indexed attribute must find it under either spelling, as an
+   unindexed one does.  Substrings compare the spelled forms. *)
+let test_integer_spellings () =
+  List.iter
+    (fun indexed ->
+      let label s = Printf.sprintf "%s (%s)" s (String.concat "," indexed) in
+      let b = Backend.create ~indexed schema in
+      (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
+      must_apply b
+        (Update.add
+           (entry "cn=old,o=xyz"
+              [ ("objectclass", [ "inetOrgPerson" ]); ("cn", [ "old" ]); ("sn", [ "o" ]);
+                ("age", [ "07" ]) ]));
+      List.iter
+        (fun (filter, expected) ->
+          let query = q "o=xyz" filter in
+          check_int (label ("search " ^ filter)) expected (search_count b query);
+          check_int (label ("count " ^ filter)) expected (Backend.count_matching b query))
+        [ ("(age=7)", 1); ("(age=07)", 1); ("(age=0*)", 1); ("(age=7*)", 0); ("(age=8)", 0) ])
+    [ [ "age" ]; [] ]
+
+(* [count_matching] equals the length of [search]'s answer over random
+   directories: multi-valued attributes, case and space variants, the
+   [dept] alias spelled on entries, Integer ages indexed or not,
+   referral objects, a second naming context, every scope, bases that
+   are not a suffix, and substrings of every shape. *)
+type cperson = {
+  parent : int;
+  cns : string list;
+  depts : string list;
+  alias : bool;
+  age : string option;
+  referral : bool;
+}
+
+let count_values = [ "ab"; "AB"; "a b"; " A  B "; "abc"; "b" ]
+let count_ages = [ "7"; "07"; " 7"; "70"; "x" ]
+let count_parents = [| "ou=research,o=xyz"; "ou=sales,o=xyz"; "o=abc" |]
+
+let cperson_gen =
+  let open QCheck.Gen in
+  let values = list_size (0 -- 2) (oneofl count_values) in
+  map3
+    (fun (parent, cns) (depts, alias) (age, referral) ->
+      { parent; cns; depts; alias; age; referral })
+    (pair (0 -- 2) (list_size (1 -- 2) (oneofl count_values)))
+    (pair values bool)
+    (pair (opt (oneofl count_ages)) (map (fun k -> k = 0) (0 -- 4)))
+
+let count_filter_gen =
+  let open QCheck.Gen in
+  let attr = oneofl [ "cn"; "departmentNumber"; "dept"; "age"; "serialNumber" ] in
+  let value = oneofl (count_values @ count_ages) in
+  let part = oneofl [ "a"; "A"; "a "; "b"; "0"; "7"; "" ] in
+  map3
+    (fun a (v, p) (shape, p2) ->
+      let sub initial any final = Filter.Pred (Filter.Substrings (a, { Filter.initial; any; final })) in
+      match shape with
+      | 0 | 1 -> Filter.Pred (Filter.Equality (a, v))
+      | 2 | 3 -> sub (Some p) [] None
+      | 4 -> sub (Some p) [ p2 ] None
+      | 5 -> sub None [] (Some p)
+      | _ -> sub (Some p) [] (Some p2))
+    attr (pair value part)
+    (pair (0 -- 6) part)
+
+let count_case_gen =
+  let open QCheck.Gen in
+  let query =
+    map3
+      (fun base scope (filter, manage_dsa_it) ->
+        Query.make ~scope ~manage_dsa_it ~base:(dn base) filter)
+      (oneofl [ "o=xyz"; "o=xyz"; "ou=research,o=xyz"; "o=abc"; "cn=p0,ou=research,o=xyz" ])
+      (frequency [ (1, return Scope.Base); (1, return Scope.One); (3, return Scope.Sub) ])
+      (pair count_filter_gen (map (fun k -> k = 0) (0 -- 4)))
+  in
+  quad bool bool (list_size (0 -- 10) cperson_gen) (list_size (1 -- 8) query)
+
+let print_cperson p =
+  Printf.sprintf "%s cn=[%s] %s=[%s] age=%s%s" count_parents.(p.parent)
+    (String.concat "|" p.cns)
+    (if p.alias then "dept" else "departmentNumber")
+    (String.concat "|" p.depts)
+    (Option.value p.age ~default:"-")
+    (if p.referral then " referral" else "")
+
+let prop_count_is_search_length =
+  QCheck.Test.make ~name:"backend: count_matching = length of search" ~count:400
+    (QCheck.make
+       ~print:(fun (age_indexed, two_contexts, people, queries) ->
+         Printf.sprintf "age indexed %b, two contexts %b; %s; queries %s" age_indexed
+           two_contexts
+           (String.concat "; " (List.map print_cperson people))
+           (String.concat " " (List.map Query.to_string queries)))
+       count_case_gen)
+    (fun (age_indexed, two_contexts, people, queries) ->
+      let indexed = [ "cn"; "departmentnumber"; "dept" ] @ if age_indexed then [ "age" ] else [] in
+      let b = Backend.create ~indexed schema in
+      (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
+      if two_contexts then
+        ignore
+          (Backend.add_context b
+             (entry "o=abc" [ ("objectclass", [ "organization" ]); ("o", [ "abc" ]) ]));
+      must_apply b (Update.add (ou "research" "o=xyz"));
+      must_apply b (Update.add (ou "sales" "o=xyz"));
+      List.iteri
+        (fun i p ->
+          let attrs =
+            [
+              ("objectclass", if p.referral then [ "referral"; "extensibleObject" ] else [ "inetOrgPerson" ]);
+              ("cn", p.cns);
+              ("sn", [ "s" ]);
+              ((if p.alias then "dept" else "departmentNumber"), p.depts);
+              ("age", Option.to_list p.age);
+            ]
+            @ if p.referral then [ ("ref", [ "ldap://hostB/o=xyz" ]) ] else []
+          in
+          ignore
+            (Backend.apply b
+               (Update.add (entry (Printf.sprintf "cn=p%d,%s" i count_parents.(p.parent)) attrs))))
+        people;
+      List.for_all
+        (fun query ->
+          let expected =
+            match Backend.search b query with
+            | Ok r -> List.length r.Backend.entries
+            | Error _ -> 0
+          in
+          Backend.count_matching b query = expected)
+        queries)
+
 let suite =
   [
     Alcotest.test_case "dit basics" `Quick test_dit_basics;
@@ -659,4 +793,6 @@ let suite =
     Alcotest.test_case "figure 2 no chase" `Quick test_figure2_no_chase;
     Alcotest.test_case "base referral" `Quick test_base_referral;
     QCheck_alcotest.to_alcotest prop_postings_follow_modifies;
+    Alcotest.test_case "integer spellings" `Quick test_integer_spellings;
+    QCheck_alcotest.to_alcotest prop_count_is_search_length;
   ]
