@@ -980,6 +980,51 @@ type scale_run = {
   sr_cursor_depth_max : int;
 }
 
+(* Per-serve wall-clock seconds, unboxed in a growable float array so
+   recording one allocates nothing. *)
+module Samples = struct
+  type t = { mutable data : Float.Array.t; mutable len : int }
+
+  let create () = { data = Float.Array.create 64; len = 0 }
+
+  let push b x =
+    if b.len = Float.Array.length b.data then begin
+      let grown = Float.Array.create (2 * b.len) in
+      Float.Array.blit b.data 0 grown 0 b.len;
+      b.data <- grown
+    end;
+    Float.Array.unsafe_set b.data b.len x;
+    b.len <- b.len + 1
+
+  let sorted b =
+    let a = Array.init b.len (Float.Array.get b.data) in
+    Array.sort compare a;
+    a
+end
+
+(* Node serves are timed here, around the node's transport endpoint —
+   the node itself reads no clock: every serve goes into [all], the
+   ones answered with an incremental reply also into [incr]. *)
+let time_serves transport ~host ~all ~incr =
+  match Resync.Transport.endpoint transport host with
+  | None -> invalid_arg ("Sweep.time_serves: no endpoint " ^ host)
+  | Some ep ->
+      Resync.Transport.add_endpoint transport ~name:host
+        {
+          ep with
+          Resync.Transport.ep_handle =
+            (fun ~push request query ->
+              let t0 = Sys.time () in
+              let reply = ep.Resync.Transport.ep_handle ~push request query in
+              let dt = Sys.time () -. t0 in
+              Samples.push all dt;
+              (match reply with
+              | Ok r when r.Resync.Protocol.kind = Resync.Protocol.Incremental ->
+                  Samples.push incr dt
+              | Ok _ | Error _ -> ());
+              reply);
+        }
+
 let run_scale_at cfg ~employees =
   let module Sim = Ldap_sim.Engine in
   let t0 = Sys.time () in
@@ -1008,6 +1053,12 @@ let run_scale_at cfg ~employees =
       | Ok _ -> ()
       | Error e -> failwith ("scale: add_node: " ^ e))
     fleet.Scenario.covers;
+  let serves = Samples.create () and incremental_serves = Samples.create () in
+  List.iter
+    (fun n ->
+      time_serves (Topology.transport t) ~host:(Node.host n) ~all:serves
+        ~incr:incremental_serves)
+    (Topology.nodes t);
   (* Leaves join in batches; after each batch the heap is compacted and
      sampled, so the growth of live words with consumer count is
      measured inside one topology (replicas share interned entries —
@@ -1155,16 +1206,11 @@ let run_scale_at cfg ~employees =
         (a + p, b + s, c + r))
       (0, 0, 0) (Topology.nodes t)
   in
-  let sorted_samples of_node =
-    let arr = Array.concat (List.map of_node (Topology.nodes t)) in
-    Array.sort compare arr;
-    arr
-  in
   (* Gate serve cost on the incremental population only: initial and
      degraded transfers are O(selection) by design and would otherwise
      drown the O(diff) claim at full directory size. *)
-  let serve_sorted = sorted_samples Node.incremental_serve_samples in
-  let serve_all_sorted = sorted_samples Node.serve_samples in
+  let serve_sorted = Samples.sorted incremental_serves in
+  let serve_all_sorted = Samples.sorted serves in
   let pending_total, pending_max =
     Resync.Master.pending_stats (Topology.master t)
   in

@@ -317,7 +317,8 @@ type scale_run = {
   sr_serve_p99_us : float;
       (** Node serve wall time per {e incremental} poll, µs — the
           O(diff)-cost population the gate compares across directory
-          sizes. *)
+          sizes.  Timed by the sweep around each node's transport
+          endpoint ({!Ldap_topology.Node.handle} reads no clock). *)
   sr_serve_all_p99_us : float;
       (** p99 over every serve including initial-content and degraded
           transfers, whose cost is O(selection); reported, not gated. *)

@@ -10,8 +10,12 @@ val message_overhead : int
 (** Per-PDU envelope bytes (message id, operation tag, controls). *)
 
 val dn_size : Dn.t -> int
+(** The DN's string form as one element; built without rendering the
+    string ({!Dn.string_length}). *)
+
 val entry_size : Entry.t -> int
-(** Full entry PDU: DN plus every attribute name and value. *)
+(** Full entry PDU: DN plus every attribute name and value, summed
+    over {!Entry.fold_attributes} without building the attribute list. *)
 
 val entry_size_selected : Entry.t -> string list option -> int
 (** Size after attribute selection ([None] = all attributes). *)

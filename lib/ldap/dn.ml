@@ -135,24 +135,41 @@ let of_string_exn s =
 
 (* --- Printing ------------------------------------------------------ *)
 
+let needs_escape v i =
+  match v.[i] with
+  | ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=' -> true
+  | '#' | ' ' -> i = 0 || i = String.length v - 1
+  | _ -> false
+
 let escape_value v =
   let b = Buffer.create (String.length v) in
   String.iteri
     (fun i c ->
-      let needs_escape =
-        match c with
-        | ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=' -> true
-        | '#' | ' ' -> i = 0 || i = String.length v - 1
-        | _ -> false
-      in
-      if needs_escape then Buffer.add_char b '\\';
+      if needs_escape v i then Buffer.add_char b '\\';
       Buffer.add_char b c)
     v;
   Buffer.contents b
 
+let rec escaped_length v i acc =
+  if i = String.length v then acc
+  else escaped_length v (i + 1) (if needs_escape v i then acc + 2 else acc + 1)
+
+(* [String.length (to_string t)] without building it: each AVA is
+   [attr=value] with the value's escapes, AVAs joined by [+], RDNs by
+   [,]. *)
+let rec avas_length sep acc = function
+  | [] -> acc
+  | a :: rest ->
+      avas_length 1 (acc + sep + String.length a.attr + 1 + escaped_length a.value 0 0) rest
+
+let rec rdns_length sep acc = function
+  | [] -> acc
+  | r :: rest -> rdns_length 1 (avas_length 0 (acc + sep) r) rest
+
 let ava_to_string a = Printf.sprintf "%s=%s" a.attr (escape_value a.value)
 let rdn_to_string r = String.concat "+" (List.map ava_to_string r)
 let to_string t = String.concat "," (List.map rdn_to_string t.parts)
+let string_length t = rdns_length 0 0 t.parts
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let canonical t = t.norm

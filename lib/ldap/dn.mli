@@ -44,9 +44,18 @@ val to_string : t -> string
 (** Prints with RFC 2253 escaping; inverse of {!of_string} up to value
     normalization. *)
 
+val string_length : t -> int
+(** [String.length (to_string dn)], computed without building the
+    string: wire sizes are taken on every reply. *)
+
 val pp : Format.formatter -> t -> unit
+
 val equal : t -> t -> bool
+(** Equality of canonical forms: the same RDN sequence under
+    case-insensitive, space-squashing value matching. *)
+
 val compare : t -> t -> int
+(** Total order on canonical forms, consistent with {!equal}. *)
 
 val canonical : t -> string
 (** Normalized string form: stable key for hash tables and maps.  Equal

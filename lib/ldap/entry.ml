@@ -55,6 +55,19 @@ let attributes t =
       | Some [] | None -> None)
     t.order
 
+let rec fold_order attrs f acc = function
+  | [] -> acc
+  | name :: rest ->
+      let acc =
+        match Smap.find name attrs with
+        | [] -> acc
+        | vs -> f acc name vs
+        | exception Not_found -> acc
+      in
+      fold_order attrs f acc rest
+
+let fold_attributes t ~init ~f = fold_order t.attrs f init t.order
+
 let get t name = match Smap.find (lc name) t.attrs with vs -> vs | exception Not_found -> []
 let has_attribute t name = get t name <> []
 

@@ -19,6 +19,10 @@ val with_dn : t -> Dn.t -> t
 val attributes : t -> (string * string list) list
 (** All attributes in insertion order, names lowercased. *)
 
+val fold_attributes : t -> init:'a -> f:('a -> string -> string list -> 'a) -> 'a
+(** Folds over exactly the pairs {!attributes} lists, in the same
+    order, without building the list. *)
+
 val get : t -> string -> string list
 (** Values of an attribute ([]) if absent); name is case-insensitive. *)
 

@@ -36,7 +36,8 @@ module Faults = struct
   let link_key a b = if a <= b then a ^ "|" ^ b else b ^ "|" ^ a
   let partition t ~a ~b = Hashtbl.replace t.partitions (link_key a b) ()
   let heal t ~a ~b = Hashtbl.remove t.partitions (link_key a b)
-  let partitioned t ~a ~b = Hashtbl.mem t.partitions (link_key a b)
+  let partitioned t ~a ~b =
+    Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (link_key a b)
 
   let next_outcome t =
     match t.script with
@@ -96,10 +97,13 @@ let set_link_latency t ~a ~b lat =
 
 let set_default_latency t lat = t.default_latency <- lat
 
+(* No per-link override set: skip building and hashing the link key. *)
 let link_latency t ~a ~b =
-  match Hashtbl.find_opt t.links (Faults.link_key a b) with
-  | Some lat -> lat
-  | None -> t.default_latency
+  if Hashtbl.length t.links = 0 then t.default_latency
+  else
+    match Hashtbl.find_opt t.links (Faults.link_key a b) with
+    | Some lat -> lat
+    | None -> t.default_latency
 
 let set_rpc_timeout t timeout = t.rpc_timeout <- timeout
 

@@ -69,7 +69,10 @@ module Faults : sig
   (** Severs the (undirected) link between two hosts until {!heal}. *)
 
   val heal : t -> a:string -> b:string -> unit
+
   val partitioned : t -> a:string -> b:string -> bool
+  (** Whether the link between the two hosts is severed.  Cheap when
+      no partition is set: no link key is built. *)
 
   val next_outcome : t -> outcome
   (** Consumes the next scripted outcome, or rolls.  Exposed for
@@ -77,6 +80,8 @@ module Faults : sig
 end
 
 val create : unit -> t
+(** An empty network: no hosts, zeroed counters, no engine, zero
+    latency and no RPC timeout. *)
 
 val attach_engine : t -> Ldap_sim.Engine.t -> unit
 (** Attaches a discrete-event engine.  From then on {!rpc_send} and
@@ -96,7 +101,8 @@ val set_default_latency : t -> Ldap_sim.Latency.t -> unit
     (default {!Ldap_sim.Latency.Zero}). *)
 
 val link_latency : t -> a:string -> b:string -> Ldap_sim.Latency.t
-(** Effective distribution for a link. *)
+(** Effective distribution for a link.  With no per-link setting at
+    all the default is returned without building a link key. *)
 
 val set_rpc_timeout : t -> int option -> unit
 (** Virtual time a client waits before reporting a lost exchange.
@@ -111,8 +117,13 @@ val add_handler : t -> name:string -> (Query.t -> Server.response) -> unit
     endpoints) join the topology alongside full servers. *)
 
 val server : t -> string -> Server.t option
+
 val stats : t -> stats
+(** A snapshot of the traffic counters since creation or the last
+    {!reset_stats}. *)
+
 val reset_stats : t -> unit
+(** Zeroes every traffic counter. *)
 
 val search :
   t -> from:string -> Query.t -> (Entry.t list, string) result

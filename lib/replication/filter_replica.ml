@@ -21,6 +21,10 @@ type t = {
   mutable master_host : string;
   host : string;
   index : Resync.Consumer.t C.Containment_index.t;
+  mutable consumers : (Query.t * Resync.Consumer.t) list;
+      (* [index]'s stored queries and consumers in its fold order, so a
+         poll round walks a list instead of the index's buckets; reset
+         by [reindexed] wherever [index] gains or loses a query *)
   cache : Query_cache.t;
   stats : Stats.t;
   mutable on_change :
@@ -57,11 +61,17 @@ let create_over ?(cache_capacity = 0) ?(host = "replica") transport ~master_host
     master_host;
     host;
     index = C.Containment_index.create schema;
+    consumers = [];
     cache = Query_cache.create schema ~capacity:cache_capacity;
     stats = Stats.create ();
     on_change = None;
     durable = None;
   }
+
+let reindexed t =
+  t.consumers <-
+    List.rev
+      (C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c -> (q, c) :: acc))
 
 let create ?cache_capacity master =
   create_over ?cache_capacity (Resync.Transport.loopback master)
@@ -174,6 +184,7 @@ let make_consumer t q =
 
 let register_consumer t q consumer =
   C.Containment_index.add t.index q consumer;
+  reindexed t;
   install_durable t q consumer
 
 let install_filter t q =
@@ -255,11 +266,9 @@ let install_filter_rescoped t q ~donor =
         | true, Some csn -> (
             let consumer = make_consumer t q in
             Resync.Consumer.apply_reply consumer
-              {
-                Resync.Protocol.kind = Resync.Protocol.Initial_content;
-                actions = seed_entries t q [ dc ];
-                cookie = Some (Resync.Protocol.cookie_of ~id:0 ~csn);
-              };
+              (Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
+                 ~actions:(seed_entries t q [ dc ])
+                 ~cookie:(Some (Resync.Protocol.cookie_of ~id:0 ~csn)));
             match sync_consumer t consumer ~fetch:false with
             | Ok () ->
                 register_consumer t q consumer;
@@ -277,9 +286,11 @@ let remove_filter t q =
       | _ -> ())
   | None -> ());
   remove_durable t q;
-  C.Containment_index.remove t.index q
+  C.Containment_index.remove t.index q;
+  reindexed t
 
-let stored_filters t = C.Containment_index.fold t.index ~init:[] ~f:(fun acc q _ -> q :: acc)
+let consumers t = t.consumers
+let stored_filters t = List.rev_map fst t.consumers
 
 let filter_count t = C.Containment_index.length t.index + Query_cache.length t.cache
 
@@ -333,26 +344,24 @@ let record_poll t = function
 
 (* Sequential CPS walk over the selected filters: one in-flight poll
    per replica at a time, so a slow upstream never interleaves two
-   exchanges for the same consumer. *)
-let sync_where_async t pred k =
-  let consumers =
-    C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c ->
-        if pred q then c :: acc else acc)
-  in
+   exchanges for the same consumer.  The list is the one held when the
+   round starts, whatever installs or removals happen meanwhile. *)
+let poll_round t consumers k =
   let rec go = function
     | [] -> k ()
-    | consumer :: rest ->
+    | (_, consumer) :: rest ->
         Resync.Consumer.sync_async consumer t.transport ~host:t.master_host
           ~from:t.host (fun result ->
             record_poll t result;
             go rest)
   in
-  go (List.rev consumers)
+  go consumers
 
-let sync_async t k = sync_where_async t (fun _ -> true) k
+let sync_async t k = poll_round t t.consumers k
 
 let sync_where t pred =
-  Network.await (Resync.Transport.network t.transport) (sync_where_async t pred)
+  Network.await (Resync.Transport.network t.transport)
+    (poll_round t (List.filter (fun (q, _) -> pred q) t.consumers))
 
 let sync t = sync_where t (fun _ -> true)
 
@@ -398,11 +407,8 @@ let install_filter_seeded t q ~donors =
         | [] -> install_cold t q consumer
         | seed -> (
             Resync.Consumer.apply_reply consumer
-              {
-                Resync.Protocol.kind = Resync.Protocol.Initial_content;
-                actions = seed;
-                cookie = None;
-              };
+              (Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
+                 ~actions:seed ~cookie:None);
             match merkle_consumer t consumer with
             | Ok _ ->
                 register_consumer t q consumer;
@@ -544,6 +550,7 @@ let recover_over ?(cache_capacity = 0) ?(host = "replica") ?(sync = true)
             | Some f -> f ~stored:q ~before ~after
             | None -> ());
         C.Containment_index.add t.index q consumer;
+        reindexed t;
         (* A truncated WAL or a stale generation means durable replay
            lost acknowledged updates: the recovered content may lag the
            CSN any surviving cookie claims, or just silently lag the

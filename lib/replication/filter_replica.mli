@@ -135,6 +135,15 @@ val install_filter_seeded :
     degrades to a cold fetch. *)
 
 val stored_filters : t -> Query.t list
+(** Every stored query, in the reverse of {!consumers}' order. *)
+
+val consumers : t -> (Query.t * Ldap_resync.Consumer.t) list
+(** Every stored query with its consumer, in the order of
+    {!Ldap_containment.Containment_index.fold} over the replica's index
+    — the order a poll round visits them in, which fixes the order of
+    the engine's latency draws.  The list is kept, not rebuilt: reading
+    it allocates nothing. *)
+
 val filter_count : t -> int
 (** Stored filters plus cached user queries — the section 7.4 x-axis. *)
 

@@ -4,6 +4,8 @@ type t = {
   query : Query.t;
   entries : Content_store.t;
   mutable cookie : string option;
+  mutable parsed : string;  (* the cookie [csn] was read from, compared with [==] *)
+  mutable csn : Csn.t option;
   mutable conn : Transport.conn option;
   mutable loopback : (Master.t * Transport.t) option;
   mutable on_change :
@@ -34,6 +36,8 @@ let create schema query =
     query;
     entries = Content_store.create ();
     cookie = None;
+    parsed = "";
+    csn = None;
     conn = None;
     loopback = None;
     on_change = None;
@@ -43,6 +47,19 @@ let create schema query =
 let query t = t.query
 let cookie t = t.cookie
 let set_cookie t c = t.cookie <- c
+
+(* Re-parsed only when the cookie string changes physically: a node
+   hands back the string it was shown while its CSN stands. *)
+let cookie_csn t =
+  match t.cookie with
+  | None -> None
+  | Some c ->
+      if c != t.parsed then begin
+        t.parsed <- c;
+        t.csn <- Option.map snd (Protocol.parse_cookie c)
+      end;
+      t.csn
+
 let set_on_change t f = t.on_change <- Some f
 
 let notify t ~before ~after =
@@ -83,8 +100,12 @@ let prune t ~keep =
 module Der = Ber_codec.Der
 module DW = Der.W
 
-let journal_w t emit =
-  match t.store with Some s -> Ldap_store.Store.append_w s emit | None -> ()
+(* [record w x] emits the record; the closure exists only when there
+   is a store to write to. *)
+let journal_w t record x =
+  match t.store with
+  | Some s -> Ldap_store.Store.append_w s (fun w -> record w x)
+  | None -> ()
 
 (* WAL record kinds: a whole reply (cookie + actions as one record —
    the atomicity boundary), or one pushed persist action.  Emitted
@@ -106,7 +127,7 @@ let apply_reply t (reply : Protocol.reply) =
      journaled as one WAL record before any in-memory mutation, so a
      crash mid-apply replays cookie and content together or not at
      all; the durable cookie can never run ahead of durable content. *)
-  journal_w t (fun w -> reply_record w reply);
+  journal_w t reply_record reply;
   (* The cookie is stored before the actions are applied: an observer
      registered with {!set_on_change} fires during application, and
      anything it derives from this consumer's state — e.g. the CSN an
@@ -197,7 +218,7 @@ let merkle_sync ?config ?max_rounds ?(from = "consumer") t transport ~host =
           List.map (fun dn -> Action.Delete dn) deletes
           @ List.map (fun e -> Action.Add e) upserts
         in
-        apply_reply t { Protocol.kind = Protocol.Incremental; actions; cookie })
+        apply_reply t (Protocol.reply ~kind:Protocol.Incremental ~actions ~cookie))
       ~rpc:(fun request ->
         Transport.tree_exchange transport ~host ~from request t.query
         |> Result.map_error Transport.error_to_string)
@@ -230,7 +251,7 @@ let resume_connection t =
 let connect_persist ?(max_attempts = default_attempts) ?(backoff = default_backoff)
     ?(from = "consumer") ?(observe = fun (_ : Action.t) -> ()) t transport ~host =
   let push a =
-    journal_w t (fun w -> action_record w a);
+    journal_w t action_record a;
     apply_action t a;
     observe a
   in

@@ -46,6 +46,12 @@ val cookie : t -> string option
 (** Opaque resume cookie from the last reply; [None] before the first
     sync. *)
 
+val cookie_csn : t -> Csn.t option
+(** The CSN embedded in {!cookie}; [None] without a cookie or when it
+    does not parse ({!Protocol.parse_cookie}).  The parse is cached
+    and redone only when a different cookie string is stored, so
+    reading it on every poll costs a comparison. *)
+
 val set_cookie : t -> string option -> unit
 (** Overrides the stored resume cookie.  Used when a consumer is
     re-parented to a different upstream: the topology layer installs

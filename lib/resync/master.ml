@@ -601,7 +601,7 @@ let initial_reply t session ~mode =
   let entries = Content.current t.backend session.query in
   let actions = List.map (fun e -> Action.Add e) entries in
   advance_synced t session ~clear:false;
-  { Protocol.kind = Protocol.Initial_content; actions; cookie = session_cookie session ~mode }
+  Protocol.reply ~kind:Protocol.Initial_content ~actions ~cookie:(session_cookie session ~mode)
 
 let incremental_reply t session ~mode =
   let degraded_fallback () =
@@ -630,13 +630,13 @@ let incremental_reply t session ~mode =
     | Tombstone -> (Protocol.Incremental, tombstone_actions t session)
   in
   advance_synced t session ~clear:(t.strategy = Session_history);
-  { Protocol.kind; actions; cookie = session_cookie session ~mode }
+  Protocol.reply ~kind ~actions ~cookie:(session_cookie session ~mode)
 
 let degraded_reply t query ~since ~mode ~persist_push =
   let session = new_session t query ~persist_push in
   let actions = degraded_actions t query ~since in
   advance_synced t session ~clear:false;
-  { Protocol.kind = Protocol.Degraded; actions; cookie = session_cookie session ~mode }
+  Protocol.reply ~kind:Protocol.Degraded ~actions ~cookie:(session_cookie session ~mode)
 
 let handle t ?push (request : Protocol.request) query =
   t.clock <- t.clock + 1;
@@ -651,7 +651,7 @@ let handle t ?push (request : Protocol.request) query =
             | None -> Error "malformed cookie"
             | Some (id, _) ->
                 remove_session t id;
-                Ok { Protocol.kind = Protocol.Incremental; actions = []; cookie = None }))
+                Ok (Protocol.reply ~kind:Protocol.Incremental ~actions:[] ~cookie:None)))
     | Protocol.Poll | Protocol.Persist -> (
         if mode = Protocol.Persist && Option.is_none push then
           Error "persist mode requires a push channel"

@@ -13,13 +13,30 @@ type request = { mode : mode; cookie : string option }
 
 let cookie_of ~id ~csn = Printf.sprintf "rs:%d:%d" id (Ldap.Csn.to_int csn)
 
+(* The decimal number spelled by [s.[i]] up to (not including) [stop]:
+   one or more ASCII digits and nothing else, no larger than [max_int].
+   [-1] when the span is empty, holds anything but a digit, or
+   overflows — OCaml literal syntax (sign, [0x], [0b], [_]) included. *)
+let rec digits s i stop n =
+  if i = stop then n
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if n > (max_int - d) / 10 then -1 else digits s (i + 1) stop ((10 * n) + d)
+    | _ -> -1
+
+let decimal s i stop = if i >= stop then -1 else digits s i stop 0
+
+let rec index_colon s i = if i >= String.length s || s.[i] = ':' then i else index_colon s (i + 1)
+
 let parse_cookie s =
-  match String.split_on_char ':' s with
-  | [ "rs"; id; csn ] -> (
-      match (int_of_string_opt id, int_of_string_opt csn) with
-      | Some id, Some csn -> Some (id, Ldap.Csn.of_int csn)
-      | _ -> None)
-  | _ -> None
+  let n = String.length s in
+  if n < 3 || s.[0] <> 'r' || s.[1] <> 's' || s.[2] <> ':' then None
+  else
+    let c = index_colon s 3 in
+    let id = decimal s 3 c and csn = decimal s (c + 1) n in
+    if id < 0 || csn < 0 then None else Some (id, Ldap.Csn.of_int csn)
 
 let reparent_cookie s =
   match parse_cookie s with
@@ -65,12 +82,10 @@ let parse_composite_cookie s =
       let parse_part p =
         match String.index_opt p '@' with
         | None -> None
-        | Some i -> (
-            let shard = String.sub p 0 i in
+        | Some i ->
+            let shard = decimal p 0 i in
             let component = String.sub p (i + 1) (String.length p - i - 1) in
-            match int_of_string_opt shard with
-            | Some shard when component <> "" -> Some (shard, component)
-            | _ -> None)
+            if shard >= 0 && component <> "" then Some (shard, component) else None
       in
       let rec go acc = function
         | [] -> Some (List.rev acc)
@@ -92,13 +107,24 @@ type reply = {
   kind : reply_kind;
   actions : Action.t list;
   cookie : string option;
+  entries : int;
+  bytes : int;
+  count : int;
 }
 
-let entries_cost r =
-  List.fold_left (fun acc a -> acc + Action.entries_cost a) 0 r.actions
+(* The one walk over a reply's actions: every size the exchange
+   accounts for is read off the record afterwards. *)
+let rec sized kind actions cookie entries bytes count = function
+  | [] -> { kind; actions; cookie; entries; bytes; count }
+  | a :: rest ->
+      sized kind actions cookie (entries + Action.entries_cost a)
+        (bytes + Action.bytes_cost a) (count + 1) rest
 
-let bytes_cost r = List.fold_left (fun acc a -> acc + Action.bytes_cost a) 0 r.actions
-let actions_count r = List.length r.actions
+let reply ~kind ~actions ~cookie = sized kind actions cookie 0 0 0 actions
+
+let entries_cost r = r.entries
+let bytes_cost r = r.bytes
+let actions_count r = r.count
 
 let cookie_bytes = function Some c -> String.length c | None -> 0
 
@@ -117,7 +143,7 @@ let pp_reply ppf r =
     | Incremental -> "incremental"
     | Degraded -> "degraded"
   in
-  Format.fprintf ppf "%s (%d actions)" kind (List.length r.actions)
+  Format.fprintf ppf "%s (%d actions)" kind r.count
 
 (* --- Persist push channels ------------------------------------------- *)
 

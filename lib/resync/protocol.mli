@@ -19,7 +19,11 @@ val cookie_of : id:int -> csn:Ldap.Csn.t -> string
     anywhere parses anywhere.  Session ids start at 1. *)
 
 val parse_cookie : string -> (int * Ldap.Csn.t) option
-(** Session id and CSN embedded in a cookie; [None] if malformed. *)
+(** Session id and CSN embedded in a cookie; [None] if malformed.  A
+    well-formed cookie is exactly [rs:<digits>:<digits>] with both
+    numbers plain ASCII decimal within [max_int]: signs, [0x]/[0o]/[0b]
+    prefixes and [_] separators are rejected.  Allocates nothing but
+    its result. *)
 
 val reparent_cookie : string -> string option
 (** Cookie translation for re-parenting: keeps the CSN (the globally
@@ -41,7 +45,8 @@ val composite_cookie : (int * string) list -> string
 
 val parse_composite_cookie : string -> (int * string) list option
 (** Components of a composite cookie, or [None] if the string is not a
-    well-formed composite ([rsm:] with zero or more components). *)
+    well-formed composite ([rsm:] with zero or more components).  Shard
+    ids follow {!parse_cookie}'s rule: plain ASCII decimal digits. *)
 
 val composite_component : string -> shard:int -> string option
 (** The component for one shard, if the composite holds one. *)
@@ -59,17 +64,30 @@ type reply_kind =
           [retain] actions and the replica must prune everything it
           holds that was neither retained nor added (eq. (3)). *)
 
-type reply = {
+type reply = private {
   kind : reply_kind;
   actions : Action.t list;
   cookie : string option;  (** Present for poll replies. *)
+  entries : int;  (** {!entries_cost}. *)
+  bytes : int;  (** {!bytes_cost}. *)
+  count : int;  (** {!actions_count}. *)
 }
+(** Built only by {!val-reply}, which sizes the actions once: every
+    layer an exchange crosses — the serving node's counters, the
+    network's byte accounting, the consumer's statistics — reads the
+    sizes off the record instead of walking the actions again. *)
+
+val reply : kind:reply_kind -> actions:Action.t list -> cookie:string option -> reply
+(** A reply with its sizes computed in one walk over [actions]. *)
 
 val entries_cost : reply -> int
 (** Total traffic of the reply in entries (the paper's unit). *)
 
 val bytes_cost : reply -> int
+(** Modelled wire size of the actions alone (no envelope, no cookie). *)
+
 val actions_count : reply -> int
+(** Number of actions the reply carries. *)
 
 val request_bytes : request -> int
 (** Modelled wire size of a resync search request PDU: message

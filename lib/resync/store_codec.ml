@@ -94,4 +94,4 @@ let read_reply c =
   let kind = kind_of_code (Der.read_enum inner) in
   let acts = read_actions inner in
   let cookie = read_cookie_opt inner in
-  { Protocol.kind; actions = acts; cookie }
+  Protocol.reply ~kind ~actions:acts ~cookie

@@ -56,8 +56,14 @@ type endpoint = {
 }
 
 val create : ?faults:Network.Faults.t -> Network.t -> t
+(** A transport with no endpoints over [net]; every exchange and push
+    crossing it draws from [faults] when given. *)
+
 val network : t -> Network.t
+(** The network the transport's exchanges are accounted and timed on. *)
+
 val faults : t -> Network.Faults.t option
+(** The fault schedule given at creation. *)
 
 val add_endpoint : t -> name:string -> endpoint -> unit
 (** Registers (or replaces) an endpoint under a host name. *)
@@ -117,6 +123,9 @@ val tree_exchange :
 type conn
 
 val conn_alive : conn -> bool
+(** Whether the connection still delivers: false once a push was lost
+    on the link, or after {!kill} or a server-side close. *)
+
 val kill : conn -> unit
 (** Client-side teardown: subsequent pushes are discarded. *)
 

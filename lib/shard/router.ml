@@ -318,11 +318,8 @@ let merged_reply ~kind ~stale legs =
       (fun a b -> Int.compare (rank a) (rank b))
       (List.concat_map (fun leg -> leg.lg_reply.Protocol.actions) legs)
   in
-  {
-    Protocol.kind;
-    actions;
-    cookie = Some (Protocol.composite_cookie components);
-  }
+  Protocol.reply ~kind ~actions
+    ~cookie:(Some (Protocol.composite_cookie components))
 
 let handle_poll t ~push mode req_cookie q =
   if mode = Protocol.Persist && push = None then
@@ -446,7 +443,7 @@ let handle_sync_end t req_cookie q =
               if s >= 0 && s < Array.length t.shards then
                 sync_end_shard t s comp q)
             comps;
-          Ok { Protocol.kind = Protocol.Incremental; actions = []; cookie = None })
+          Ok (Protocol.reply ~kind:Protocol.Incremental ~actions:[] ~cookie:None))
 
 let ep_handle t ~push (req : Protocol.request) q =
   match req.mode with

@@ -24,7 +24,7 @@ let schedule t ~time run =
       (Printf.sprintf "Engine.schedule: time %d is before now %d" time (now t));
   let seq = t.seq in
   t.seq <- seq + 1;
-  Event.add t.queue { Event.time; seq; run }
+  Event.add t.queue ~time ~seq run
 
 let after t ~delay run = schedule t ~time:(now t + max 0 delay) run
 
@@ -87,12 +87,14 @@ let float01 t =
 let draw t lat = Latency.draw lat ~roll:(fun () -> float01 t)
 
 let step t =
-  match Event.pop t.queue with
-  | None -> false
-  | Some ev ->
-      Clock.advance_to t.clock ev.Event.time;
-      ev.Event.run ();
-      true
+  if Event.is_empty t.queue then false
+  else begin
+    let time = Event.min_time t.queue in
+    let run = Event.pop t.queue in
+    Clock.advance_to t.clock time;
+    run ();
+    true
+  end
 
 let run t =
   if t.running then invalid_arg "Engine.run: engine is already running";
@@ -113,11 +115,8 @@ let run_until t ~time =
   Fun.protect
     ~finally:(fun () -> t.running <- false)
     (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Event.min_time t.queue with
-        | Some next when next <= time -> ignore (step t)
-        | _ -> continue := false
+      while (not (Event.is_empty t.queue)) && Event.min_time t.queue <= time do
+        ignore (step t)
       done;
       Clock.advance_to t.clock time)
 

@@ -45,23 +45,20 @@ let merkle_sync t = R.Filter_replica.merkle_sync_all t.replica
 
 let subscriptions t = R.Filter_replica.stored_filters t.replica
 
-let acked_csn t =
-  (* The CSN this leaf has acknowledged across every subscription: the
-     minimum of its cookies' CSNs (a leaf is only as fresh as its
-     stalest filter).  [Csn.zero] before any successful exchange. *)
-  List.fold_left
-    (fun acc q ->
-      match R.Filter_replica.consumer_for t.replica q with
-      | None -> Csn.zero
-      | Some c -> (
-          match Resync.Consumer.cookie c with
-          | None -> Csn.zero
-          | Some cookie -> (
-              match Resync.Protocol.parse_cookie cookie with
-              | Some (_, csn) -> if Csn.( < ) csn acc then csn else acc
-              | None -> Csn.zero)))
-    (Csn.of_int max_int) (subscriptions t)
-  |> fun m -> if Csn.equal m (Csn.of_int max_int) then Csn.zero else m
+(* The CSN this leaf has acknowledged across every subscription: the
+   minimum of its cookies' CSNs (a leaf is only as fresh as its stalest
+   filter), read from each consumer's cached cookie parse.  [Csn.zero]
+   with no subscription, or once a consumer holds no usable cookie. *)
+let unset = Csn.of_int max_int
+
+let rec min_acked acc = function
+  | [] -> if Csn.equal acc unset then Csn.zero else acc
+  | (_, c) :: rest -> (
+      match Resync.Consumer.cookie_csn c with
+      | Some csn -> min_acked (if Csn.( < ) csn acc then csn else acc) rest
+      | None -> Csn.zero)
+
+let acked_csn t = min_acked unset (R.Filter_replica.consumers t.replica)
 
 let content t q =
   match R.Filter_replica.consumer_for t.replica q with

@@ -3,25 +3,6 @@ module C = Ldap_containment
 module Resync = Ldap_resync
 module R = Ldap_replication
 
-(* Per-serve wall-clock samples, unboxed in a growable float array so
-   recording one allocates nothing. *)
-module Samples = struct
-  type t = { mutable data : Float.Array.t; mutable len : int }
-
-  let create () = { data = Float.Array.create 64; len = 0 }
-
-  let push b x =
-    if b.len = Float.Array.length b.data then begin
-      let grown = Float.Array.create (2 * b.len) in
-      Float.Array.blit b.data 0 grown 0 b.len;
-      b.data <- grown
-    end;
-    Float.Array.unsafe_set b.data b.len x;
-    b.len <- b.len + 1
-
-  let to_array b = Array.init b.len (Float.Array.get b.data)
-end
-
 (* A downstream session tracks what it has sent as a cursor over the
    stored consumer's content-store change spine plus a table of sent
    image hashes — never a full entry-map snapshot.  Serving a poll
@@ -55,11 +36,6 @@ type t = {
   mutable inc_polls : int;  (* incremental polls served *)
   mutable inc_scanned : int;  (* DNs/entries examined serving them *)
   mutable inc_rescans : int;  (* cursor fell off the spine: full diff *)
-  serve_samples : Samples.t;  (* per-serve wall seconds *)
-  incr_serve_samples : Samples.t;
-      (* serve_samples restricted to incremental replies — the
-         O(diff)-cost population, free of O(selection) initial and
-         degraded transfers *)
 }
 
 let replica t = t.replica
@@ -108,12 +84,7 @@ let store_rev c = Content_store.rev (Resync.Consumer.content c)
    root backend, so this is directly comparable to whatever any
    downstream cookie carries. *)
 let node_csn consumer =
-  match Resync.Consumer.cookie consumer with
-  | Some ck -> (
-      match Resync.Protocol.parse_cookie ck with
-      | Some (_, csn) -> csn
-      | None -> Csn.zero)
-  | None -> Csn.zero
+  match Resync.Consumer.cookie_csn consumer with Some csn -> csn | None -> Csn.zero
 
 let new_session t query ~stored ~consumer ~persist_push =
   (* Id 0 is the reserved foreign-session marker (reparent translation):
@@ -190,11 +161,9 @@ let initial_reply t session consumer ~mode =
   let entries = current_content t session consumer in
   reset_seen session entries;
   session.synced_csn <- node_csn consumer;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Initial_content;
-    actions = List.map (fun e -> Resync.Action.Add e) entries;
-    cookie = session_cookie session ~mode;
-  }
+  Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
+    ~actions:(List.map (fun e -> Resync.Action.Add e) entries)
+    ~cookie:(session_cookie session ~mode)
 
 (* Incremental replies stream the stored consumer's change spine from
    the session's cursor: only the DNs mutated since its last poll are
@@ -276,11 +245,8 @@ let incremental_reply t session consumer ~mode =
       | None -> incremental_by_rescan t session consumer
   in
   session.synced_csn <- node_csn consumer;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Incremental;
-    actions;
-    cookie = session_cookie session ~mode;
-  }
+  Resync.Protocol.reply ~kind:Resync.Protocol.Incremental ~actions
+    ~cookie:(session_cookie session ~mode)
 
 (* Degraded mode, eq. (3), against replica content: full entries for
    members changed since the cookie's CSN (or lacking a usable
@@ -305,11 +271,8 @@ let degraded_reply t query ~stored ~consumer ~since ~mode ~persist_push =
       members
   in
   reset_seen session members;
-  {
-    Resync.Protocol.kind = Resync.Protocol.Degraded;
-    actions;
-    cookie = session_cookie session ~mode;
-  }
+  Resync.Protocol.reply ~kind:Resync.Protocol.Degraded ~actions
+    ~cookie:(session_cookie session ~mode)
 
 (* --- Serving -------------------------------------------------------- *)
 
@@ -360,7 +323,7 @@ let admit t (request : Resync.Protocol.request) query ~mode ~persist_push =
               | Some _ | None -> ());
               Ok (degraded_reply t query ~stored ~consumer ~since ~mode ~persist_push)))
 
-let handle_inner t ?push (request : Resync.Protocol.request) query =
+let handle t ?push (request : Resync.Protocol.request) query =
   t.clock <- t.clock + 1;
   let mode = request.Resync.Protocol.mode in
   match mode with
@@ -373,11 +336,8 @@ let handle_inner t ?push (request : Resync.Protocol.request) query =
           | Some (id, _) ->
               remove_session t id;
               Ok
-                {
-                  Resync.Protocol.kind = Resync.Protocol.Incremental;
-                  actions = [];
-                  cookie = None;
-                }))
+                (Resync.Protocol.reply ~kind:Resync.Protocol.Incremental
+                   ~actions:[] ~cookie:None)))
   | Resync.Protocol.Poll | Resync.Protocol.Persist ->
       if mode = Resync.Protocol.Persist && Option.is_none push then
         Error "persist mode requires a push channel"
@@ -392,19 +352,10 @@ let handle_inner t ?push (request : Resync.Protocol.request) query =
               Ok (incremental_reply t session consumer ~mode)
           | None -> admit t request query ~mode ~persist_push
         in
-        Result.iter (R.Stats.record_served_reply (stats t)) reply;
+        (match reply with
+        | Ok r -> R.Stats.record_served_reply (stats t) r
+        | Error _ -> ());
         reply
-
-let handle t ?push request query =
-  let t0 = Sys.time () in
-  let reply = handle_inner t ?push request query in
-  let dt = Sys.time () -. t0 in
-  Samples.push t.serve_samples dt;
-  (match reply with
-  | Ok r when r.Resync.Protocol.kind = Resync.Protocol.Incremental ->
-      Samples.push t.incr_serve_samples dt
-  | Ok _ | Error _ -> ());
-  reply
 
 let abandon t ~cookie =
   match Resync.Protocol.parse_cookie cookie with
@@ -521,8 +472,6 @@ let relay t ~stored ~before ~after =
 (* --- Scale reporting ------------------------------------------------- *)
 
 let cursor_stats t = (t.inc_polls, t.inc_scanned, t.inc_rescans)
-let serve_samples t = Samples.to_array t.serve_samples
-let incremental_serve_samples t = Samples.to_array t.incr_serve_samples
 
 let cursor_depths t =
   Hashtbl.fold
@@ -567,8 +516,6 @@ let create ?(cache_capacity = 0) ?(dispatch = Resync.Master.Routed) transport
       inc_polls = 0;
       inc_scanned = 0;
       inc_rescans = 0;
-      serve_samples = Samples.create ();
-      incr_serve_samples = Samples.create ();
     }
   in
   R.Filter_replica.set_on_change replica (fun ~stored ~before ~after ->

@@ -98,7 +98,9 @@ val handle :
   (Ldap_resync.Protocol.reply, string) result
 (** Serves one downstream resync exchange, mirroring
     {!Ldap_resync.Master.handle}.  A non-admitted subscription fails
-    with a referral error (see {!referral_of_error}). *)
+    with a referral error (see {!referral_of_error}).  The node reads
+    no clock: a harness that wants serve times wraps the node's
+    transport endpoint (as the scale sweep does). *)
 
 val abandon : t -> cookie:string -> unit
 
@@ -130,16 +132,6 @@ val cursor_stats : t -> int * int * int
     the scale sweep's O(diff) evidence: scanned stays proportional to
     the change volume, not the directory size, and rescans stay 0
     while cursors keep up with the spine. *)
-
-val serve_samples : t -> float array
-(** Per-serve wall-clock seconds, oldest first — the sample set the
-    bench harness computes poll-response percentiles from. *)
-
-val incremental_serve_samples : t -> float array
-(** {!serve_samples} restricted to serves that answered with an
-    incremental reply — the O(diff)-cost population the scale sweep
-    gates on, excluding initial-content and degraded transfers whose
-    cost is legitimately O(selection). *)
 
 val cursor_depths : t -> int list
 (** Per-session lag behind the stored consumer's change spine, in

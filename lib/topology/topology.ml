@@ -28,7 +28,7 @@ type driver = {
    exchange is in flight (nothing scheduled to cancel): the in-flight
    continuation re-checks its own token and quietly stops rescheduling
    once a replacement loop owns the name. *)
-type loop_handle = { lh_event : Ldap_sim.Engine.handle; lh_live : bool ref }
+type loop_handle = { mutable lh_event : Ldap_sim.Engine.handle; lh_live : bool ref }
 
 type t = {
   net : Network.t;
@@ -167,8 +167,19 @@ let depth t host =
    continuation must not reschedule). *)
 let launch_loop t d name stagger sync_async ~completed =
   let live = ref true in
-  let alive () = !live && not (Hashtbl.mem t.crashed name) in
-  let record h = Hashtbl.replace t.loops name { lh_event = h; lh_live = live } in
+  let alive () =
+    !live && not (Hashtbl.length t.crashed > 0 && Hashtbl.mem t.crashed name)
+  in
+  (* Registered under [name] once; later occurrences update it in place. *)
+  let registered = ref None in
+  let record h =
+    match !registered with
+    | Some lh -> lh.lh_event <- h
+    | None ->
+        let lh = { lh_event = h; lh_live = live } in
+        registered := Some lh;
+        Hashtbl.replace t.loops name lh
+  in
   let rec poll () =
     if alive () then begin
       let start = Ldap_sim.Engine.now d.dr_engine in

@@ -198,6 +198,88 @@ let prop_search_round_trip =
       | Ok { Ber_codec.op = Ber_codec.Search_request q'; _ } -> Query.equal q q'
       | _ -> false)
 
+(* --- Size model against the string-building definition --------------
+
+   The sizes used to be computed by rendering the DN and listing the
+   attributes; that code is kept here as the oracle the allocation-free
+   [Ber.entry_size]/[dn_size] and [Dn.string_length] must match. *)
+
+module Oracle = struct
+  let element n = n + 2
+  let dn_size dn = element (String.length (Dn.to_string dn))
+
+  let attrs_size attrs =
+    List.fold_left
+      (fun acc (name, values) ->
+        let values_size =
+          List.fold_left (fun a v -> a + element (String.length v)) 0 values
+        in
+        acc + element (element (String.length name) + element values_size))
+      0 attrs
+
+  let entry_size e =
+    Ber.message_overhead + dn_size (Entry.dn e) + element (attrs_size (Entry.attributes e))
+
+  let reply_bytes (r : Ldap_resync.Protocol.reply) =
+    Ber.message_overhead
+    + List.fold_left (fun acc a -> acc + Ldap_resync.Action.bytes_cost a) 0 r.actions
+    + match r.cookie with Some c -> String.length c | None -> 0
+end
+
+(* RDN values built from characters RFC 2253 escapes anywhere, and from
+   the two it escapes only at the ends, so leading '#', leading and
+   trailing spaces all come up. *)
+let rdn_value =
+  let open QCheck.Gen in
+  string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ','; '+'; '"'; '\\'; '<'; '>'; ';'; '='; '#'; ' ' ]) (1 -- 6)
+
+let dn_gen =
+  let open QCheck.Gen in
+  let ava = map2 (fun attr value -> { Dn.attr; value }) (oneofl [ "cn"; "ou"; "uid"; "O" ]) rdn_value in
+  map Dn.of_rdns (list_size (0 -- 4) (list_size (1 -- 3) ava))
+
+(* Entries with repeated attribute names, empty value lists, and value
+   edits after construction — including delete-then-add, which lists an
+   attribute twice in [Entry.attributes]. *)
+let entry_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "cn"; "mail"; "objectClass"; "sn"; "description" ] in
+  let value = string_size ~gen:printable (0 -- 8) in
+  let edit =
+    oneof
+      [
+        map2 (fun n vs e -> Entry.add_values e n vs) name (list_size (0 -- 3) value);
+        map (fun n e -> match Entry.delete_values e n [] with Ok e -> e | Error _ -> e) name;
+        map2 (fun n vs e -> Entry.replace_values e n vs) name (list_size (0 -- 3) value);
+      ]
+  in
+  map3
+    (fun dn attrs edits -> List.fold_left (fun e f -> f e) (Entry.make dn attrs) edits)
+    dn_gen
+    (list_size (0 -- 5) (pair name (list_size (0 -- 3) value)))
+    (list_size (0 -- 4) edit)
+
+let prop_sizes_match_oracle =
+  QCheck.Test.make ~name:"ber: sizes = string-building sizes" ~count:500
+    (QCheck.make QCheck.Gen.(pair entry_gen (list_size (0 -- 3) entry_gen)))
+    (fun (e, more) ->
+      let dns = Dn.root :: Entry.dn e :: List.map Entry.dn more in
+      let reply =
+        Ldap_resync.Protocol.reply ~kind:Ldap_resync.Protocol.Incremental
+          ~actions:
+            (Ldap_resync.Action.Delete (Entry.dn e)
+            :: List.map (fun e -> Ldap_resync.Action.Modify e) (e :: more))
+          ~cookie:(Some "rs:1:2")
+      in
+      List.for_all
+        (fun dn ->
+          Dn.string_length dn = String.length (Dn.to_string dn)
+          && Ber.dn_size dn = Oracle.dn_size dn)
+        dns
+      && List.for_all (fun e -> Ber.entry_size e = Oracle.entry_size e) (e :: more)
+      && Ldap_resync.Protocol.reply_bytes reply = Oracle.reply_bytes reply
+      && Ldap_resync.Protocol.actions_count reply = List.length reply.actions)
+
 let suite =
   [
     Alcotest.test_case "known encoding" `Quick test_known_encoding;
@@ -210,4 +292,5 @@ let suite =
     Alcotest.test_case "long lengths" `Quick test_long_lengths;
     Alcotest.test_case "size model sanity" `Quick test_size_model_sanity;
     QCheck_alcotest.to_alcotest prop_search_round_trip;
+    QCheck_alcotest.to_alcotest prop_sizes_match_oracle;
   ]

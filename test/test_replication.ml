@@ -370,6 +370,103 @@ let test_filter_replica_lossy_transport () =
   check_int "exhaustion recorded" 1 stats.R.Stats.sync_failures;
   check_bool "backoff ticks recorded" true (stats.R.Stats.sync_backoff_ticks >= 1)
 
+(* --- Kept consumer list ------------------------------------------------
+
+   The replica keeps its (query, consumer) list instead of folding the
+   containment index on every poll round.  After any sequence of cold,
+   rescoped (delta) and removal installs and recoveries from the durable
+   store it must equal the index's fold, in order.  The oracle is a
+   shadow index fed the same additions and removals (recovery re-adds
+   the surviving queries in install order, which is slot order). *)
+
+module Cidx = Ldap_containment.Containment_index
+
+type replica_op = Install of int | Rescope of int * int | Remove of int | Recover
+
+let query_pool =
+  [|
+    q "o=xyz" "(departmentNumber=7)";
+    q "o=xyz" "(departmentNumber=8)";
+    q "o=xyz" "(&(objectclass=inetOrgPerson)(departmentNumber=7))";
+    q "o=xyz" "(serialNumber=01*)";
+    q "o=xyz" "(serialNumber=0100001)";
+    q "c=us,o=xyz" "(serialNumber=0100002)";
+    q "c=in,o=xyz" "(sn=c*)";
+    q "o=xyz" "(cn=dara)";
+  |]
+
+let replica_ops =
+  let open QCheck.Gen in
+  let i = int_bound (Array.length query_pool - 1) in
+  list_size (int_range 0 25)
+    (frequency
+       [
+         (4, map (fun i -> Install i) i);
+         (3, map2 (fun i j -> Rescope (i, j)) i i);
+         (3, map (fun i -> Remove i) i);
+         (1, return Recover);
+       ])
+
+let prop_kept_consumers_follow_index =
+  QCheck.Test.make ~name:"filter replica: kept consumers = index fold" ~count:60
+    (QCheck.make replica_ops)
+    (fun ops ->
+      let _, master = make_master () in
+      let medium = Ldap_store.Medium.memory () in
+      let replica = ref (R.Filter_replica.create master) in
+      R.Filter_replica.attach_store !replica medium ~prefix:"r";
+      let shadow = ref (Cidx.create schema) and installed = ref [] in
+      let added qq =
+        if not (Cidx.mem !shadow qq) then begin
+          Cidx.add !shadow qq ();
+          installed := !installed @ [ qq ]
+        end
+      in
+      let removed qq =
+        Cidx.remove !shadow qq;
+        installed := List.filter (fun x -> not (Query.equal x qq)) !installed
+      in
+      let agrees () =
+        let expected = List.rev (Cidx.fold !shadow ~init:[] ~f:(fun acc qq () -> qq :: acc)) in
+        let kept = R.Filter_replica.consumers !replica in
+        List.length kept = List.length expected
+        && List.for_all2
+             (fun (qq, c) e ->
+               Query.equal qq e
+               && match R.Filter_replica.consumer_for !replica qq with
+                  | Some c' -> c' == c
+                  | None -> false)
+             kept expected
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Install i ->
+              must (R.Filter_replica.install_filter !replica query_pool.(i));
+              added query_pool.(i)
+          | Rescope (i, j) ->
+              ignore
+                (must
+                   (R.Filter_replica.install_filter_rescoped !replica query_pool.(i)
+                      ~donor:query_pool.(j)));
+              added query_pool.(i)
+          | Remove i ->
+              R.Filter_replica.remove_filter !replica query_pool.(i);
+              removed query_pool.(i)
+          | Recover ->
+              R.Filter_replica.detach_store !replica;
+              let r, _ =
+                must
+                  (R.Filter_replica.recover_over (R.Filter_replica.transport !replica)
+                     ~master_host:(R.Filter_replica.master_host !replica) medium
+                     ~prefix:"r")
+              in
+              replica := r;
+              shadow := Cidx.create schema;
+              List.iter (fun qq -> Cidx.add !shadow qq ()) !installed);
+          agrees ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "subtree isContained" `Quick test_subtree_is_contained;
@@ -390,4 +487,5 @@ let suite =
     Alcotest.test_case "filter replica lossy transport" `Quick
       test_filter_replica_lossy_transport;
     QCheck_alcotest.to_alcotest prop_no_wrong_answers;
+    QCheck_alcotest.to_alcotest prop_kept_consumers_follow_index;
   ]

@@ -618,7 +618,38 @@ let test_reparent_malformed () =
         (Printf.sprintf "reparent %S" s)
         true
         (Protocol.reparent_cookie s = None))
-    [ ""; "rs"; "rs:"; "rs:1"; "rs:x:2"; "rs:1:y"; "sync:1:2"; "rs:1:2:3" ]
+    [
+      ""; "rs"; "rs:"; "rs:1"; "rs:x:2"; "rs:1:y"; "sync:1:2"; "rs:1:2:3";
+      (* OCaml literal syntax is not decimal digits. *)
+      "rs:0x1:5"; "rs:1:-3"; "rs:-1:3"; "rs:+3:1"; "rs:1:+3"; "rs:1_000:2";
+      "rs:1:2_0"; "rs:0b11:1"; "rs:1:0o7"; "rs:1:0u5";
+      (* Empty, padded or overflowing numbers. *)
+      "rs::5"; "rs:1:"; "rs: 1:2"; "rs:1:2 "; "rs:99999999999999999999:1";
+      "rs:1:4611686018427387904"; "rs:9223372036854775813:1";
+    ];
+  (* Composite shard ids follow the same rule. *)
+  List.iter
+    (fun s ->
+      check_bool
+        (Printf.sprintf "composite %S" s)
+        true
+        (Protocol.parse_composite_cookie s = None))
+    [ "rsm:0x1@rs:1:2"; "rsm:-1@rs:1:2"; "rsm:+1@rs:1:2"; "rsm:1_0@rs:1:2"; "rsm:@rs:1:2" ]
+
+(* Every cookie a server can mint parses back, over the whole range of
+   session ids and CSNs, and so does every composite of them. *)
+let prop_cookie_of_parses_back =
+  let nat = QCheck.oneof [ QCheck.int_bound 1000; QCheck.int_bound max_int; QCheck.always max_int ] in
+  QCheck.Test.make ~name:"resync: cookie_of parses back" ~count:500
+    QCheck.(triple nat nat nat)
+    (fun (id, csn_i, shard) ->
+      let csn = Csn.of_int csn_i in
+      let cookie = Protocol.cookie_of ~id ~csn in
+      let composite = Protocol.composite_cookie [ (shard, cookie) ] in
+      (match Protocol.parse_cookie cookie with
+      | Some (id', csn') -> id' = id && Csn.equal csn' csn
+      | None -> false)
+      && Protocol.parse_composite_cookie composite = Some [ (shard, cookie) ])
 
 let test_session_ids_never_zero () =
   (* Id 0 is the reserved foreign-session marker of reparented cookies:
@@ -670,4 +701,5 @@ let suite =
     Alcotest.test_case "persist advances csn" `Quick test_persist_advances_synced_csn;
     QCheck_alcotest.to_alcotest prop_convergence;
     QCheck_alcotest.to_alcotest prop_convergence_changelog;
+    QCheck_alcotest.to_alcotest prop_cookie_of_parses_back;
   ]

@@ -541,6 +541,80 @@ let test_cancellable_series () =
   Sim.Engine.run e;
   check_int "cancelled after_cancellable never fires" 3 !count
 
+(* --- Event queue order ------------------------------------------------
+
+   A random script of [schedule]s (some of whose events schedule a
+   child when they fire) and [step]s, with delays of 0 to 3 ticks so
+   many events share a time, runs against the engine and against a
+   reference that keeps the pending events in a plain list and always
+   takes the least [(time, seq)] — seq counting schedules in order.
+   Both must fire the same events at the same times. *)
+
+type queue_op = Sched of int * int option | Step
+
+let queue_ops =
+  let open QCheck.Gen in
+  let delay = int_bound 3 in
+  list_size (int_range 0 300)
+    (frequency
+       [
+         (3, map (fun d -> Sched (d, None)) delay);
+         (1, map2 (fun d c -> Sched (d, Some c)) delay delay);
+         (3, return Step);
+       ])
+
+let reference_fires ops =
+  let pending = ref [] and seq = ref 0 and now = ref 0 and fired = ref [] in
+  let add time child =
+    pending := (time, !seq, child) :: !pending;
+    incr seq
+  in
+  let step () =
+    match !pending with
+    | [] -> false
+    | p :: ps ->
+        let least =
+          List.fold_left
+            (fun ((t, s, _) as m) ((t', s', _) as x) ->
+              if t' < t || (t' = t && s' < s) then x else m)
+            p ps
+        in
+        let time, s, child = least in
+        pending := List.filter (fun (_, s', _) -> s' <> s) !pending;
+        now := time;
+        fired := (s, time) :: !fired;
+        Option.iter (fun c -> add (time + c) None) child;
+        true
+  in
+  List.iter
+    (function Sched (d, child) -> add (!now + d) child | Step -> ignore (step ()))
+    ops;
+  while step () do
+    ()
+  done;
+  List.rev !fired
+
+let engine_fires ops =
+  let e = Sim.Engine.create () in
+  let seq = ref 0 and fired = ref [] in
+  let rec add delay child =
+    let s = !seq in
+    incr seq;
+    Sim.Engine.after e ~delay (fun () ->
+        fired := (s, Sim.Engine.now e) :: !fired;
+        Option.iter (fun c -> add c None) child)
+  in
+  List.iter
+    (function Sched (d, child) -> add d child | Step -> ignore (Sim.Engine.step e))
+    ops;
+  Sim.Engine.run e;
+  List.rev !fired
+
+let prop_event_queue_order =
+  QCheck.Test.make ~name:"sim: events fire in (time, seq) order" ~count:300
+    (QCheck.make queue_ops)
+    (fun ops -> engine_fires ops = reference_fires ops)
+
 let suite =
   [
     Alcotest.test_case "event order deterministic" `Quick test_event_order;
@@ -559,4 +633,5 @@ let suite =
     Alcotest.test_case "scheduled revolutions" `Quick test_scheduled_revolutions;
     Alcotest.test_case "latency/staleness ordering" `Quick test_latency_staleness_ordering;
     QCheck_alcotest.to_alcotest prop_engine_matches_legacy;
+    QCheck_alcotest.to_alcotest prop_event_queue_order;
   ]

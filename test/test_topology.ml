@@ -738,6 +738,66 @@ let test_history_hwm_bounds_master () =
   check_bool "fast consumer stayed incremental" true
     ((sync fast).Protocol.kind = Protocol.Incremental)
 
+(* --- Acknowledged CSN --------------------------------------------------
+
+   [Leaf.acked_csn] reads each consumer's cached cookie parse; it must
+   equal the definition that parsed every cookie on every call, through
+   a missing cookie, a reparented (id 0) cookie, an unparsable one, and
+   a cookie replaced by a different string. *)
+
+let parsed_acked_csn leaf =
+  List.fold_left
+    (fun acc q ->
+      match R.Filter_replica.consumer_for (T.Leaf.replica leaf) q with
+      | None -> Csn.zero
+      | Some c -> (
+          match Consumer.cookie c with
+          | None -> Csn.zero
+          | Some cookie -> (
+              match Protocol.parse_cookie cookie with
+              | Some (_, csn) -> if Csn.( < ) csn acc then csn else acc
+              | None -> Csn.zero)))
+    (Csn.of_int max_int) (T.Leaf.subscriptions leaf)
+  |> fun m -> if Csn.equal m (Csn.of_int max_int) then Csn.zero else m
+
+let test_acked_csn_matches_parse () =
+  let b = build_directory () in
+  let t = T.Topology.create b in
+  let leaf = must (T.Topology.add_leaf t ~name:"leaf" ~parent:(T.Topology.root t) (dept_query 1)) in
+  must (T.Leaf.subscribe leaf (dept_query 2));
+  let same label =
+    check_int label
+      (Csn.to_int (parsed_acked_csn leaf))
+      (Csn.to_int (T.Leaf.acked_csn leaf))
+  in
+  same "fresh subscriptions";
+  apply b (Update.add (person "late" ~dept:"2" ()));
+  T.Leaf.sync leaf;
+  same "after a poll";
+  check_bool "acknowledged something" true (Csn.to_int (T.Leaf.acked_csn leaf) > 0);
+  let c1 = Option.get (R.Filter_replica.consumer_for (T.Leaf.replica leaf) (dept_query 1)) in
+  let c2 = Option.get (R.Filter_replica.consumer_for (T.Leaf.replica leaf) (dept_query 2)) in
+  let original = Consumer.cookie c1 in
+  Consumer.set_cookie c1 None;
+  same "no cookie";
+  check_int "no cookie acknowledges nothing" 0 (Csn.to_int (T.Leaf.acked_csn leaf));
+  Consumer.set_cookie c1 (Option.bind original Protocol.reparent_cookie);
+  same "reparented cookie";
+  Consumer.set_cookie c1 (Some "rs:1:0x10");
+  same "unparsable cookie";
+  Consumer.set_cookie c1 (Some (Protocol.cookie_of ~id:9 ~csn:(Csn.of_int 1)));
+  same "replaced cookie";
+  check_int "replaced cookie re-parsed" 1 (Csn.to_int (T.Leaf.acked_csn leaf));
+  let original2 = Consumer.cookie c2 in
+  Consumer.set_cookie c2 (Some "garbage");
+  same "second unparsable";
+  Consumer.set_cookie c1 original;
+  Consumer.set_cookie c2 original2;
+  same "restored cookies";
+  apply b (Update.add (person "later" ~dept:"1" ()));
+  T.Leaf.sync leaf;
+  same "after another poll"
+
 let suite =
   [
     Alcotest.test_case "tree matches star (1000 leaves)" `Slow test_tree_matches_star;
@@ -765,4 +825,5 @@ let suite =
       test_history_hwm_bounds_master;
     QCheck_alcotest.to_alcotest chain_equivalence_test;
     QCheck_alcotest.to_alcotest streaming_materialized_test;
+    Alcotest.test_case "acked csn = parsed cookies" `Quick test_acked_csn_matches_parse;
   ]
