@@ -206,6 +206,15 @@ let emit_search_request w (q : Query.t) =
   Wr.octets w (Dn.to_string q.Query.base);
   Wr.close w ~tag:(app 3) m
 
+(* Backwards writer: the last value goes in first.  Recursing before
+   emitting walks the list from its end without reversing it; value
+   lists are short. *)
+let rec emit_values w = function
+  | [] -> ()
+  | v :: rest ->
+      emit_values w rest;
+      Wr.octets w v
+
 let emit_entry w (e : Entry.t) =
   let m = Wr.mark w in
   let mattrs = Wr.mark w in
@@ -213,11 +222,12 @@ let emit_entry w (e : Entry.t) =
     (fun (name, values) ->
       let mone = Wr.mark w in
       let mvals = Wr.mark w in
-      List.iter (fun v -> Wr.octets w v) (List.rev values);
+      emit_values w values;
       Wr.close w ~tag:tag_set mvals;
       Wr.octets w name;
       Wr.close w ~tag:tag_sequence mone)
-    (List.rev (Entry.attributes e));
+    (Entry.fold_attributes e ~init:[] ~f:(fun acc name values ->
+         (name, values) :: acc));
   Wr.close w ~tag:tag_sequence mattrs;
   Wr.octets w (Dn.to_string (Entry.dn e));
   Wr.close w ~tag:(app 4) m

@@ -32,7 +32,11 @@ type control = {
 type message = { id : int; op : operation; controls : control list }
 
 val manage_dsa_it_oid : string
+(** OID of the manageDsaIT control (RFC 3296): referral objects are
+    returned as ordinary entries instead of being followed. *)
+
 val resync_oid : string
+(** OID under which the paper's resync control travels. *)
 
 val resync_control : mode:string -> cookie:string option -> control
 (** Encodes the paper's [(mode, cookie)] resync control value. *)

@@ -141,15 +141,6 @@ let needs_escape v i =
   | '#' | ' ' -> i = 0 || i = String.length v - 1
   | _ -> false
 
-let escape_value v =
-  let b = Buffer.create (String.length v) in
-  String.iteri
-    (fun i c ->
-      if needs_escape v i then Buffer.add_char b '\\';
-      Buffer.add_char b c)
-    v;
-  Buffer.contents b
-
 let rec escaped_length v i acc =
   if i = String.length v then acc
   else escaped_length v (i + 1) (if needs_escape v i then acc + 2 else acc + 1)
@@ -166,10 +157,45 @@ let rec rdns_length sep acc = function
   | [] -> acc
   | r :: rest -> rdns_length 1 (avas_length 0 (acc + sep) r) rest
 
-let ava_to_string a = Printf.sprintf "%s=%s" a.attr (escape_value a.value)
-let rdn_to_string r = String.concat "+" (List.map ava_to_string r)
-let to_string t = String.concat "," (List.map rdn_to_string t.parts)
+(* The printers render into a string of exactly the length computed
+   above, in the same layout; each returns the next write offset. *)
+let blit_value b pos v =
+  let pos = ref pos in
+  for i = 0 to String.length v - 1 do
+    if needs_escape v i then begin
+      Bytes.set b !pos '\\';
+      incr pos
+    end;
+    Bytes.set b !pos v.[i];
+    incr pos
+  done;
+  !pos
+
+let blit_ava b pos a =
+  let n = String.length a.attr in
+  Bytes.blit_string a.attr 0 b pos n;
+  Bytes.set b (pos + n) '=';
+  blit_value b (pos + n + 1) a.value
+
+let rec blit_joined sep blit b pos = function
+  | [] -> pos
+  | [ x ] -> blit b pos x
+  | x :: rest ->
+      let pos = blit b pos x in
+      Bytes.set b pos sep;
+      blit_joined sep blit b (pos + 1) rest
+
+let blit_avas = blit_joined '+' blit_ava
+let blit_rdns = blit_joined ',' blit_avas
+
+let render length blit x =
+  let b = Bytes.create length in
+  ignore (blit b 0 x);
+  Bytes.unsafe_to_string b
+
+let rdn_to_string r = render (avas_length 0 0 r) blit_avas r
 let string_length t = rdns_length 0 0 t.parts
+let to_string t = render (string_length t) blit_rdns t.parts
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let canonical t = t.norm

@@ -11,6 +11,18 @@ type t = {
   mutable on_change :
     (before:Entry.t option -> after:Entry.t option -> unit) option;
   mutable store : Ldap_store.Store.t option;
+  mutable image : image option;  (* checkpoint cache, only with a store *)
+}
+
+(* What the last checkpoint encoded, indexed by content-store slot id:
+   each live slot's DER entry image ([absent] for a tombstone or a slot
+   not yet seen), each live slot's canonical DN, and the live slot ids
+   in ascending DN order — all as of content revision [rev]. *)
+and image = {
+  mutable der : string array;
+  mutable canon : string array;
+  mutable order : int array;
+  mutable rev : int;
 }
 
 type outcome = {
@@ -42,6 +54,7 @@ let create schema query =
     loopback = None;
     on_change = None;
     store = None;
+    image = None;
   }
 
 let query t = t.query
@@ -291,25 +304,94 @@ let sync t master =
 (* --- Durable state --------------------------------------------------- *)
 
 let attach_store t store = t.store <- Some store
-let detach_store t = t.store <- None
+
+let detach_store t =
+  t.store <- None;
+  t.image <- None
+
 let store t = t.store
+
+(* Compared with [==]: a DER entry image is never empty. *)
+let absent = ""
+
+let sorted_live im =
+  let ids = ref [] in
+  for id = Array.length im.der - 1 downto 0 do
+    if im.der.(id) != absent then ids := id :: !ids
+  done;
+  let order = Array.of_list !ids in
+  Array.sort (fun a b -> String.compare im.canon.(a) im.canon.(b)) order;
+  order
+
+let encode im id e =
+  im.der.(id) <- Der.entry e;
+  im.canon.(id) <- Dn.canonical (Entry.dn e)
+
+let rebuild entries =
+  let n = Content_store.interned entries in
+  let im =
+    { der = Array.make n absent; canon = Array.make n absent; order = [||];
+      rev = Content_store.rev entries }
+  in
+  for id = 0 to n - 1 do
+    Option.iter (encode im id) (Content_store.get entries id)
+  done;
+  im.order <- sorted_live im;
+  im
+
+let grow a n = Array.append a (Array.make (n - Array.length a) absent)
+
+(* Brings the image up to the store's revision by re-encoding only the
+   slots the change spine names; the order is re-sorted only when a
+   slot joined or left the live set.  False, with the image untouched,
+   when the spine no longer reaches back to [im.rev]: the changes are
+   unknown and the caller rebuilds. *)
+let refresh entries im =
+  match Content_store.changes_since entries im.rev with
+  | None -> false
+  | Some dns ->
+      let n = Content_store.interned entries in
+      if n > Array.length im.der then begin
+        im.der <- grow im.der n;
+        im.canon <- grow im.canon n
+      end;
+      let moved = ref false in
+      List.iter
+        (fun dn ->
+          let id = Option.get (Content_store.id_of entries dn) in
+          match Content_store.get entries id with
+          | Some e ->
+              if im.der.(id) == absent then moved := true;
+              encode im id e
+          | None ->
+              if im.der.(id) != absent then begin
+                moved := true;
+                im.der.(id) <- absent
+              end)
+        dns;
+      if !moved then im.order <- sorted_live im;
+      im.rev <- Content_store.rev entries;
+      true
 
 let checkpoint t =
   match t.store with
   | None -> ()
   | Some s ->
+      let im =
+        match t.image with
+        | Some im when refresh t.entries im -> im
+        | Some _ | None -> rebuild t.entries
+      in
+      t.image <- Some im;
       Ldap_store.Store.checkpoint_w s (fun w ->
           let m = DW.mark w in
           let me = DW.mark w in
-          (* Backwards writer: bindings emitted in descending DN order
+          (* Backwards writer: entries prepended in descending DN order
              so the image lists them ascending — byte-identical to the
              Dn.Map-era snapshots whatever the store's slot order. *)
-          let sorted =
-            List.sort
-              (fun a b -> Dn.compare (Entry.dn b) (Entry.dn a))
-              (Content_store.to_list t.entries)
-          in
-          List.iter (fun e -> DW.entry w e) sorted;
+          for i = Array.length im.order - 1 downto 0 do
+            Ldap_compile.Wbuf.prepend_string w im.der.(im.order.(i))
+          done;
           DW.close_seq w me;
           DW.option w (DW.octets w) t.cookie;
           DW.close_seq w m)

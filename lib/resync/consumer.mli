@@ -214,7 +214,8 @@ val attach_store : t -> Ldap_store.Store.t -> unit
     once after attaching to an already-populated consumer. *)
 
 val detach_store : t -> unit
-(** Stops journaling.  A simulated crash detaches the zombie in-memory
+(** Stops journaling and drops the checkpoint cache (see
+    {!checkpoint}).  A simulated crash detaches the zombie in-memory
     consumer so nothing it does afterwards can touch the durable state
     captured at crash time. *)
 
@@ -223,7 +224,19 @@ val store : t -> Ldap_store.Store.t option
 
 val checkpoint : t -> unit
 (** Snapshots cookie + entries and resets the WAL.  No-op without an
-    attached store. *)
+    attached store.
+
+    The image is [SEQUENCE { SEQUENCE { entry... }, cookie option }]
+    with entries in ascending DN order.  A consumer with a store keeps
+    each live entry's DER image, canonical DN and the sorted order from
+    its last checkpoint, and refreshes them from its content store's
+    change spine ({!Ldap.Content_store.changes_since}): the cost is in
+    proportion to the entries changed since the last checkpoint, plus
+    one copy of the image, and the order is re-sorted only when an
+    entry joined or left.  The first checkpoint after attaching or
+    recovering, and any checkpoint after the spine was trimmed past the
+    last one, re-encodes everything.  The cache holds about one image;
+    {!detach_store} drops it. *)
 
 val recover :
   Schema.t ->

@@ -1,15 +1,18 @@
 (** CRC-32 (IEEE 802.3, the zlib polynomial) used to guard every WAL
     record and snapshot image in the durable store.  A checksum
     mismatch on recovery marks the first torn or corrupt record, where
-    replay truncates. *)
+    replay truncates.  Computed slicing-by-8 (eight table lookups per
+    eight input bytes); the output is the bytewise algorithm's. *)
 
 val string : string -> int
 (** Checksum of a whole string, as a non-negative 32-bit value. *)
 
 val sub : string -> pos:int -> len:int -> int
-(** Checksum of a substring. *)
+(** Checksum of a substring.  Raises [Invalid_argument] when the
+    range is not inside the string. *)
 
 val bytes_sub : Bytes.t -> pos:int -> len:int -> int
 (** Checksum of a byte-buffer region in place — lets the zero-copy
     WAL writer frame a record without materializing the payload as a
-    string. *)
+    string.  Raises [Invalid_argument] when the range is not inside
+    the buffer. *)

@@ -41,9 +41,11 @@ end
 type file = {
   buf : Buffer.t;
   mutable synced_len : int;
-  (* Byte lengths of appends since the last sync, oldest first; the
-     head is the append a torn-tail crash tears. *)
-  mutable unsynced : int list;
+  (* Byte length of the first append since the last sync — the one a
+     torn-tail crash tears — or -1 when there is none.  Only the first
+     matters to {!crash}; -1 rather than 0 keeps a zero-byte append
+     counting as unsynced, as it always has. *)
+  mutable first_unsynced : int;
 }
 
 type t = {
@@ -107,7 +109,7 @@ let disk ?(faults = Faults.none) ~dir () =
         let buf = Buffer.create (String.length contents + 64) in
         Buffer.add_string buf contents;
         Hashtbl.replace t.table name
-          { buf; synced_len = String.length contents; unsynced = [] }
+          { buf; synced_len = String.length contents; first_unsynced = -1 }
       end)
     (Sys.readdir dir);
   t
@@ -118,20 +120,22 @@ let file t name =
   match Hashtbl.find_opt t.table name with
   | Some f -> f
   | None ->
-      let f = { buf = Buffer.create 256; synced_len = 0; unsynced = [] } in
+      let f = { buf = Buffer.create 256; synced_len = 0; first_unsynced = -1 } in
       Hashtbl.replace t.table name f;
       f
+
+let note_unsynced f len = if f.first_unsynced < 0 then f.first_unsynced <- len
 
 let append t ~name bytes =
   let f = file t name in
   Buffer.add_string f.buf bytes;
-  f.unsynced <- f.unsynced @ [ String.length bytes ];
+  note_unsynced f (String.length bytes);
   Option.iter (fun dir -> disk_append dir name bytes) t.dir
 
 let append_sub t ~name bytes ~pos ~len =
   let f = file t name in
   Buffer.add_subbytes f.buf bytes pos len;
-  f.unsynced <- f.unsynced @ [ len ];
+  note_unsynced f len;
   Option.iter
     (fun dir -> disk_append dir name (Bytes.sub_string bytes pos len))
     t.dir
@@ -141,15 +145,20 @@ let sync t ~name =
   | None -> ()
   | Some f ->
       f.synced_len <- Buffer.length f.buf;
-      f.unsynced <- []
+      f.first_unsynced <- -1
 
-let write_atomic t ~name contents =
+let write_atomic_sub t ~name bytes ~pos ~len =
   let f = file t name in
   Buffer.clear f.buf;
-  Buffer.add_string f.buf contents;
-  f.synced_len <- String.length contents;
-  f.unsynced <- [];
-  Option.iter (fun dir -> disk_write dir name contents) t.dir
+  Buffer.add_subbytes f.buf bytes pos len;
+  f.synced_len <- len;
+  f.first_unsynced <- -1;
+  Option.iter (fun dir -> disk_write dir name (Bytes.sub_string bytes pos len)) t.dir
+
+(* Read-only: the string is never written through the alias. *)
+let write_atomic t ~name contents =
+  write_atomic_sub t ~name (Bytes.unsafe_of_string contents) ~pos:0
+    ~len:(String.length contents)
 
 let read t ~name =
   match Hashtbl.find_opt t.table name with
@@ -174,7 +183,7 @@ let truncate t ~name n =
       let n = min n (Buffer.length f.buf) in
       Buffer.truncate f.buf n;
       f.synced_len <- min f.synced_len n;
-      f.unsynced <- [];
+      f.first_unsynced <- -1;
       write_through t name ()
 
 let remove t ~name =
@@ -187,12 +196,12 @@ let files t =
 let crash t =
   Hashtbl.iter
     (fun name f ->
-      if f.unsynced <> [] then begin
+      if f.first_unsynced >= 0 then begin
         (match Faults.next_crash t.faults with
         | Faults.Keep_all -> f.synced_len <- Buffer.length f.buf
         | Faults.Lose_unsynced -> Buffer.truncate f.buf f.synced_len
         | Faults.Torn_tail ->
-            let first = List.hd f.unsynced in
+            let first = f.first_unsynced in
             (* Keep a strict prefix of the first unsynced append:
                deterministic, and empty when it was a 1-byte write. *)
             let torn =
@@ -203,7 +212,7 @@ let crash t =
             in
             Buffer.truncate f.buf (f.synced_len + min torn (max 0 (first - 1))));
         f.synced_len <- Buffer.length f.buf;
-        f.unsynced <- [];
+        f.first_unsynced <- -1;
         write_through t name ()
       end)
     t.table

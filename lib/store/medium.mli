@@ -83,6 +83,12 @@ val write_atomic : t -> name:string -> string -> unit
     write-temp-then-rename idiom); a later {!crash} never sees a
     partial image of it. *)
 
+val write_atomic_sub : t -> name:string -> Bytes.t -> pos:int -> len:int -> unit
+(** {!write_atomic} of a byte-buffer region, blitted straight into the
+    file without an intermediate string (the disk write-through path
+    still materializes it) — how a snapshot image framed in a reused
+    buffer is installed with one copy. *)
+
 val read : t -> name:string -> string option
 (** Whole-file contents, or [None] when the file does not exist.
     Subject to the short-read fault. *)

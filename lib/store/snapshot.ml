@@ -1,13 +1,25 @@
-(* Image layout: "SNP1" | 4-byte BE CRC-32 of payload | payload. *)
+(* Image layout: "SNP1" | 4-byte BE CRC-32 of payload | payload.  The
+   payload is emitted backwards into a reused buffer, checksummed in
+   place, the header prepended over it, and the whole image blitted
+   into the medium once. *)
+
+module Wbuf = Ldap_compile.Wbuf
 
 let magic = "SNP1"
+let scratch = Wbuf.create ~capacity:4096 ()
+
+let write_w medium ~name emit =
+  let w = scratch in
+  Wbuf.clear w;
+  emit w;
+  let buf, pos, len = Wbuf.view w in
+  Wal.prepend_be32 w (Crc32.bytes_sub buf ~pos ~len);
+  Wbuf.prepend_string w magic;
+  let buf, pos, len = Wbuf.view w in
+  Medium.write_atomic_sub medium ~name buf ~pos ~len
 
 let write medium ~name payload =
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_string b magic;
-  Buffer.add_string b (Wal.be32 (Crc32.string payload));
-  Buffer.add_string b payload;
-  Medium.write_atomic medium ~name (Buffer.contents b)
+  write_w medium ~name (fun w -> Wbuf.prepend_string w payload)
 
 let read medium ~name =
   match Medium.read medium ~name with

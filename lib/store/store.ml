@@ -44,9 +44,10 @@ let append_w t emit =
 (* Snapshot payload layout: SEQUENCE-free concatenation is avoided on
    purpose — the generation travels as a DER INTEGER followed by the
    client payload as a DER OCTET STRING, so both sides are
-   length-delimited. *)
-let snap_payload gen payload = Der.integer gen ^ Der.octets payload
-
+   length-delimited.  [emit] writes the client payload backwards into
+   the snapshot writer's reused buffer; it is wrapped as the OCTET
+   STRING and the generation prepended in place, so the image reaches
+   the medium with one copy. *)
 let parse_snap s =
   let c = Der.cursor s in
   match
@@ -57,35 +58,19 @@ let parse_snap s =
   | parsed -> Some parsed
   | exception Ldap.Ber_codec.Decode_error _ -> None
 
-let install_snapshot t image =
-  Snapshot.write t.medium ~name:(snap_file t) image;
+let checkpoint_w t emit =
+  t.gen <- t.gen + 1;
+  Snapshot.write_w t.medium ~name:(snap_file t) (fun w ->
+      let m = Der.W.mark w in
+      emit w;
+      Der.W.close_octets w m;
+      Der.W.integer w t.gen);
   Medium.truncate t.medium ~name:(wal_file t) 0;
   Wal.append ~sync:true t.medium ~name:(wal_file t) (header_payload t.gen);
   t.header_written <- true
 
 let checkpoint t payload =
-  t.gen <- t.gen + 1;
-  install_snapshot t (snap_payload t.gen payload)
-
-(* Writer-based checkpoint: the client payload is emitted backwards
-   into a reused buffer and wrapped as the OCTET STRING of the
-   [snap_payload] layout in place; only the final whole-image copy for
-   {!Snapshot.write} remains. *)
-module Wbuf = Ldap_compile.Wbuf
-
-let snap_scratch = Wbuf.create ~capacity:4096 ()
-
-let checkpoint_w t emit =
-  t.gen <- t.gen + 1;
-  let w = snap_scratch in
-  Wbuf.clear w;
-  let m = Der.W.mark w in
-  emit w;
-  (* Close the payload as an OCTET STRING, then prepend the generation
-     INTEGER — the exact [snap_payload] image. *)
-  Der.W.close_octets w m;
-  Der.W.integer w t.gen;
-  install_snapshot t (Wbuf.contents w)
+  checkpoint_w t (fun w -> Ldap_compile.Wbuf.prepend_string w payload)
 
 type recovery = {
   snapshot : string option;

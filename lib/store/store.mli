@@ -39,9 +39,11 @@ val checkpoint : t -> string -> unit
     the WAL to the new generation. *)
 
 val checkpoint_w : t -> (Ldap_compile.Wbuf.t -> unit) -> unit
-(** Writer twin of {!checkpoint}: [emit] produces the snapshot
-    payload into a reused buffer; the installed image is
-    byte-identical to [checkpoint] of the same payload. *)
+(** Writer twin of {!checkpoint}: [emit] writes the snapshot payload
+    backwards into the reused buffer of {!Snapshot.write_w}, where it
+    is framed and checksummed in place and copied into the medium
+    once; the installed image is byte-identical to [checkpoint] of the
+    same payload. *)
 
 type recovery = {
   snapshot : string option;  (** Latest good snapshot payload. *)

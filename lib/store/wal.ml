@@ -1,31 +1,11 @@
 let magic = '\xd1'
 let frame_overhead = 9
 
-let be32 n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.unsafe_to_string b
-
 let read_be32 s pos =
   (Char.code s.[pos] lsl 24)
   lor (Char.code s.[pos + 1] lsl 16)
   lor (Char.code s.[pos + 2] lsl 8)
   lor Char.code s.[pos + 3]
-
-let frame payload =
-  let b = Buffer.create (String.length payload + frame_overhead) in
-  Buffer.add_char b magic;
-  Buffer.add_string b (be32 (String.length payload));
-  Buffer.add_string b (be32 (Crc32.string payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let append ?(sync = true) medium ~name payload =
-  Medium.append medium ~name (frame payload);
-  if sync then Medium.sync medium ~name
 
 (* Zero-copy framing: the payload is emitted backwards into a reused
    buffer, the CRC is computed over the byte region in place, and the
@@ -53,6 +33,9 @@ let append_w ?(sync = true) medium ~name emit =
   let buf, pos, total = Wbuf.view w in
   Medium.append_sub medium ~name buf ~pos ~len:total;
   if sync then Medium.sync medium ~name
+
+let append ?sync medium ~name payload =
+  append_w ?sync medium ~name (fun w -> Wbuf.prepend_string w payload)
 
 type recovery = {
   records : string list;

@@ -11,12 +11,12 @@
 val frame_overhead : int
 (** Framing bytes added per record (magic + length + CRC). *)
 
-val be32 : int -> string
-(** Big-endian 32-bit encoding used by frame headers (shared with
-    {!Snapshot}). *)
+val prepend_be32 : Ldap_compile.Wbuf.t -> int -> unit
+(** Prepends the big-endian 32-bit encoding frame headers use (shared
+    with {!Snapshot}). *)
 
 val read_be32 : string -> int -> int
-(** Inverse of {!be32}, reading at a byte offset. *)
+(** Inverse of {!prepend_be32}, reading at a byte offset. *)
 
 val append : ?sync:bool -> Medium.t -> name:string -> string -> unit
 (** Frames one payload and appends it; syncs by default. *)

@@ -280,6 +280,83 @@ let prop_sizes_match_oracle =
       && Ldap_resync.Protocol.reply_bytes reply = Oracle.reply_bytes reply
       && Ldap_resync.Protocol.actions_count reply = List.length reply.actions)
 
+(* The DN printer and the entry encoder as they were before they
+   stopped allocating: [Printf] per AVA with a [Buffer]-built escape,
+   and an entry image assembled from [Entry.attributes] with every
+   nested TLV materialized as its own string.  Kept as the oracle the
+   in-place printer and the reversed-fold encoder must match byte for
+   byte — LDIF, the wire, WAL records and tombstones all use them. *)
+module Print_oracle = struct
+  let needs_escape v i =
+    match v.[i] with
+    | ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=' -> true
+    | '#' | ' ' -> i = 0 || i = String.length v - 1
+    | _ -> false
+
+  let escape_value v =
+    let b = Buffer.create (String.length v) in
+    String.iteri
+      (fun i c ->
+        if needs_escape v i then Buffer.add_char b '\\';
+        Buffer.add_char b c)
+      v;
+    Buffer.contents b
+
+  let ava_to_string (a : Dn.ava) = Printf.sprintf "%s=%s" a.attr (escape_value a.value)
+  let rdn_to_string r = String.concat "+" (List.map ava_to_string r)
+  let dn_to_string dn = String.concat "," (List.map rdn_to_string (Dn.rdns dn))
+
+  let length n =
+    if n < 0x80 then String.make 1 (Char.chr n)
+    else
+      let rec bytes acc n =
+        if n = 0 then acc else bytes (String.make 1 (Char.chr (n land 0xff)) ^ acc) (n lsr 8)
+      in
+      let bs = bytes "" n in
+      String.make 1 (Char.chr (0x80 lor String.length bs)) ^ bs
+
+  let tlv tag body = String.make 1 (Char.chr tag) ^ length (String.length body) ^ body
+
+  let entry e =
+    let attr (name, values) =
+      tlv 0x30 (tlv 0x04 name ^ tlv 0x31 (String.concat "" (List.map (tlv 0x04) values)))
+    in
+    tlv 0x64
+      (tlv 0x04 (dn_to_string (Entry.dn e))
+      ^ tlv 0x30 (String.concat "" (List.map attr (Entry.attributes e))))
+end
+
+let prop_printers_match_oracle =
+  QCheck.Test.make ~name:"ber: dn printer and entry encoder = list-based oracles"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair entry_gen (list_size (0 -- 3) entry_gen)))
+    (fun (e, more) ->
+      let entries = e :: more in
+      let dns = Dn.root :: List.map Entry.dn entries in
+      List.for_all
+        (fun dn ->
+          Dn.to_string dn = Print_oracle.dn_to_string dn
+          && List.for_all
+               (fun r -> Dn.rdn_to_string r = Print_oracle.rdn_to_string r)
+               (Dn.rdns dn))
+        dns
+      && List.for_all (fun e -> Ber_codec.Der.entry e = Print_oracle.entry e) entries)
+
+let test_printers_fixed_cases () =
+  let check_dn s =
+    let d = dn s in
+    Alcotest.(check string) s (Print_oracle.dn_to_string d) (Dn.to_string d)
+  in
+  List.iter check_dn
+    [ ""; "cn=a\\,b\\+c,o=x"; "cn=\\#lead,o=x"; "cn=\\ pad\\ ,o=x"; "cn=X+sn=Y,ou=a\\;b,o=x";
+      "cn=q\\\"uote\\<\\>\\=,o=x"; "cn=back\\\\slash,o=x" ];
+  (* Delete-then-add lists the attribute twice in [Entry.attributes]. *)
+  let e = Entry.make (dn "cn=a,o=x") [ ("cn", [ "a" ]); ("mail", [ "m@x" ]); ("sn", [ "s" ]) ] in
+  let e = match Entry.delete_values e "mail" [] with Ok e -> e | Error m -> failwith m in
+  let e = Entry.add_values e "mail" [ "n@x"; "o@x" ] in
+  check_bool "delete-then-add entry image" true
+    (Ber_codec.Der.entry e = Print_oracle.entry e)
+
 let suite =
   [
     Alcotest.test_case "known encoding" `Quick test_known_encoding;
@@ -293,4 +370,7 @@ let suite =
     Alcotest.test_case "size model sanity" `Quick test_size_model_sanity;
     QCheck_alcotest.to_alcotest prop_search_round_trip;
     QCheck_alcotest.to_alcotest prop_sizes_match_oracle;
+    QCheck_alcotest.to_alcotest prop_printers_match_oracle;
+    Alcotest.test_case "printers: escapes and repeated attributes" `Quick
+      test_printers_fixed_cases;
   ]

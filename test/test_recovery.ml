@@ -506,6 +506,142 @@ let test_checkpoint_crash_window_resyncs () =
   R.Filter_replica.sync replica2;
   check_bool "cookie resumes incrementally" true (entry_sets_equal c b (dept_query "7"))
 
+(* --- Incremental checkpoint image ≡ full encode (property) ------------- *)
+
+(* The checkpoint body from before the consumer kept its image between
+   checkpoints: sort the whole content by DN and encode every entry.
+   Kept as the oracle every incremental image must equal. *)
+let full_image c =
+  let module DW = Ber_codec.Der.W in
+  let w = Ldap_compile.Wbuf.create () in
+  let m = DW.mark w in
+  let me = DW.mark w in
+  let sorted =
+    List.sort
+      (fun a b -> Dn.compare (Entry.dn b) (Entry.dn a))
+      (Content_store.to_list (Consumer.content c))
+  in
+  List.iter (fun e -> DW.entry w e) sorted;
+  DW.close_seq w me;
+  DW.option w (DW.octets w) (Consumer.cookie c);
+  DW.close_seq w m;
+  Ldap_compile.Wbuf.contents w
+
+(* The consumer payload inside the store's snapshot: generation
+   INTEGER, then the payload as an OCTET STRING. *)
+let snapshot_image medium =
+  let snap = Option.get (Store.Snapshot.read medium ~name:"c.snap") in
+  let cur = Ber_codec.Der.cursor snap in
+  ignore (Ber_codec.Der.read_integer cur);
+  Ber_codec.Der.read_octets cur
+
+(* Escapes, a multi-valued RDN, two spellings of one DN (indices 0
+   and 1 share a slot) and two parents, so ascending DN order differs
+   from insertion order. *)
+let image_dns =
+  Array.map dn
+    [| "cn=Z,o=xyz"; "cn=z,o=xyz"; "cn=a\\,b,ou=x,o=xyz"; "cn=\\#h,o=xyz";
+       "cn=q+sn=r,o=xyz"; "cn=b,ou=x,o=xyz"; "uid=7,o=xyz"; "cn=\\ lead,o=xyz" |]
+
+let image_entry i v =
+  Entry.make image_dns.(i)
+    [ ("objectclass", [ "inetOrgPerson" ]); ("cn", [ "n" ^ string_of_int i ]);
+      ("description", [ String.make (1 + (v * 37 mod 150)) 'd' ]);
+      ("departmentNumber", [ string_of_int v ]) ]
+
+type image_step =
+  | Upsert of int * int
+  | Remove of int
+  | Rename of int * int * int  (* remove the first, add the second *)
+  | Degraded of bool list * int list  (* retain mask over the pool, re-sends *)
+  | Initial of int list
+  | Checkpoint
+  | Trim
+  | Reattach
+
+let image_step_gen =
+  let open QCheck.Gen in
+  let i = int_bound (Array.length image_dns - 1) in
+  frequency
+    [
+      (5, map2 (fun i v -> Upsert (i, v)) i (int_bound 9));
+      (2, map (fun i -> Remove i) i);
+      (2, map3 (fun a b v -> Rename (a, b, v)) i i (int_bound 9));
+      (1, map2 (fun m l -> Degraded (m, l)) (list_repeat (Array.length image_dns) bool)
+           (list_size (0 -- 2) i));
+      (1, map (fun l -> Initial l) (list_size (0 -- 5) i));
+      (4, return Checkpoint);
+      (1, return Trim);
+      (1, return Reattach);
+    ]
+
+let show_step = function
+  | Upsert (i, v) -> Printf.sprintf "upsert %d/%d" i v
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Rename (a, b, v) -> Printf.sprintf "rename %d->%d/%d" a b v
+  | Degraded (m, l) ->
+      Printf.sprintf "degraded [%s] +[%s]"
+        (String.concat "" (List.map (fun b -> if b then "1" else "0") m))
+        (String.concat "," (List.map string_of_int l))
+  | Initial l -> Printf.sprintf "initial [%s]" (String.concat "," (List.map string_of_int l))
+  | Checkpoint -> "checkpoint"
+  | Trim -> "trim"
+  | Reattach -> "reattach"
+
+let prop_incremental_image =
+  QCheck.Test.make ~count:300
+    ~name:"recovery: incremental checkpoint image = full encode"
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+       QCheck.Gen.(list_size (1 -- 40) image_step_gen))
+    (fun steps ->
+      let q = dept_query "7" in
+      let c = Consumer.create schema q in
+      let m = Store.Medium.memory () in
+      let s = Store.Store.create m ~name:"c" in
+      Consumer.attach_store c s;
+      let n = ref 0 in
+      let reply kind actions =
+        incr n;
+        let cookie = if !n mod 5 = 0 then None else Some (Printf.sprintf "rs:1:%d" !n) in
+        Consumer.apply_reply c (Protocol.reply ~kind ~actions ~cookie)
+      in
+      let incremental = reply Protocol.Incremental in
+      let ok = ref true in
+      List.iter
+        (fun step ->
+          match step with
+          | Upsert (i, v) ->
+              let e = image_entry i v in
+              incremental
+                [ (if Consumer.find c (Entry.dn e) = None then Action.Add e else Action.Modify e) ]
+          | Remove i -> incremental [ Action.Delete image_dns.(i) ]
+          | Rename (a, b, v) ->
+              incremental [ Action.Delete image_dns.(a); Action.Add (image_entry b v) ]
+          | Degraded (mask, adds) ->
+              let retained = List.filteri (fun i _ -> List.nth mask i) (Array.to_list image_dns) in
+              reply Protocol.Degraded
+                (List.map (fun d -> Action.Retain d) retained
+                @ List.map (fun i -> Action.Add (image_entry i i)) adds)
+          | Initial l ->
+              reply Protocol.Initial_content (List.map (fun i -> Action.Add (image_entry i 1)) l)
+          | Trim -> Content_store.trim_spine (Consumer.content c) ~keep:0
+          | Reattach ->
+              Consumer.detach_store c;
+              Consumer.attach_store c s
+          | Checkpoint ->
+              Consumer.checkpoint c;
+              if snapshot_image m <> full_image c then ok := false;
+              let r, _ = must (Consumer.recover schema q (Store.Store.create m ~name:"c")) in
+              if
+                Consumer.cookie r <> Consumer.cookie c
+                || not
+                     (let a = canon (Consumer.entries r) and b = canon (Consumer.entries c) in
+                      List.length a = List.length b && List.for_all2 Entry.equal a b)
+              then ok := false)
+        (steps @ [ Checkpoint ]);
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "backend recovery" `Quick test_backend_recovery;
@@ -527,4 +663,5 @@ let suite =
     Alcotest.test_case "topology cold restart" `Quick test_topology_cold_restart;
     Alcotest.test_case "topology restart errors" `Quick
       test_topology_restart_errors;
+    QCheck_alcotest.to_alcotest prop_incremental_image;
   ]

@@ -237,6 +237,127 @@ let prop_every_prefix_recovers =
       done;
       !ok)
 
+(* --- Slicing-by-8 CRC, parent images, unsynced appends ---------------- *)
+
+(* The bytewise table-driven CRC-32 the slicing-by-8 loop replaced,
+   kept as its oracle. *)
+let crc32_bytewise s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_slicing =
+  QCheck.Test.make ~name:"store: slicing-by-8 crc32 = bytewise" ~count:300
+    (QCheck.make
+       ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (0 -- 300)))
+    (fun s ->
+      let n = String.length s in
+      Store.Crc32.string s = crc32_bytewise s ~pos:0 ~len:n
+      && List.for_all
+           (fun pos ->
+             pos > n
+             ||
+             let len = n - pos in
+             let expected = crc32_bytewise s ~pos ~len in
+             Store.Crc32.sub s ~pos ~len = expected
+             && Store.Crc32.bytes_sub (Bytes.of_string s) ~pos ~len = expected
+             && (len = 0
+                || Store.Crc32.sub s ~pos ~len:(len - 1)
+                   = crc32_bytewise s ~pos ~len:(len - 1)))
+           (List.init 10 Fun.id))
+
+let pattern n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+(* Files a store wrote before the snapshot writer and the CRC changed,
+   for the script in [fixed_store_script]: the log after a string
+   checkpoint and two appends (one of them zero-copy), then the
+   snapshot of a 200-byte writer checkpoint and the log after one more
+   append. *)
+let fixed_wal_gen1 =
+  "\xd1\x00\x00\x00\x03\x92\xd9\x0c\xab\x02\x01\x01"
+  ^ "\xd1\x00\x00\x00\x28\xe7\x30\xb7\xea" ^ pattern 40
+  ^ "\xd1\x00\x00\x00\x02\xe3\x00\x68\x9dr3"
+
+let fixed_snap_gen2 =
+  "SNP1\x83\xd0\x4c\xd7\x02\x01\x02\x04\x81\xc8" ^ pattern 200
+
+let fixed_wal_gen2 =
+  "\xd1\x00\x00\x00\x03\x0b\xd0\x5d\x11\x02\x01\x02"
+  ^ "\xd1\x00\x00\x00\x02\x7d\x64\xfd\x3e\x72\x34"
+
+let test_fixed_images () =
+  let file m name = Option.get (Store.Medium.read m ~name) in
+  (* Written now: byte-identical to the fixed files. *)
+  let m = Store.Medium.memory () in
+  let s = Store.Store.create m ~name:"fx" in
+  Store.Store.append s "r1";
+  Store.Store.checkpoint s "state@1";
+  Store.Store.append s (pattern 40);
+  Store.Store.append_w s (fun w -> Ldap_compile.Wbuf.prepend_string w "r3");
+  Alcotest.(check string) "log, generation 1" fixed_wal_gen1 (file m "fx.wal");
+  Store.Store.checkpoint_w s (fun w -> Ldap_compile.Wbuf.prepend_string w (pattern 200));
+  Store.Store.append s "r4";
+  Alcotest.(check string) "snapshot, generation 2" fixed_snap_gen2 (file m "fx.snap");
+  Alcotest.(check string) "log, generation 2" fixed_wal_gen2 (file m "fx.wal");
+  (* Read back: the fixed files recover. *)
+  let r = Store.Wal.recover (
+    let m = Store.Medium.memory () in
+    Store.Medium.write_atomic m ~name:"log" fixed_wal_gen1;
+    m) ~name:"log" in
+  check_string_list "generation 1 records" [ "\x02\x01\x01"; pattern 40; "r3" ]
+    r.Store.Wal.records;
+  let m = Store.Medium.memory () in
+  Store.Medium.write_atomic m ~name:"fx.snap" fixed_snap_gen2;
+  Store.Medium.write_atomic m ~name:"fx.wal" fixed_wal_gen2;
+  let r = Store.Store.recover (Store.Store.create m ~name:"fx") in
+  Alcotest.(check (option string)) "snapshot payload" (Some (pattern 200))
+    r.Store.Store.snapshot;
+  check_string_list "records after the snapshot" [ "r4" ] r.Store.Store.records;
+  check_bool "clean" false r.Store.Store.truncated
+
+let test_many_unsynced_appends () =
+  let base = "synced|" in
+  let first = "0123456789" in
+  let setup ?roll outcome =
+    let faults = Store.Medium.Faults.create ?roll () in
+    let m = Store.Medium.memory ~faults () in
+    Store.Medium.append m ~name:"f" base;
+    Store.Medium.sync m ~name:"f";
+    Store.Medium.append_sub m ~name:"f" (Bytes.of_string first) ~pos:0
+      ~len:(String.length first);
+    for i = 1 to 999 do
+      if i mod 2 = 0 then Store.Medium.append m ~name:"f" "tail"
+      else Store.Medium.append_sub m ~name:"f" (Bytes.of_string "xtailx") ~pos:1 ~len:4
+    done;
+    Store.Medium.Faults.script faults [ outcome ];
+    Store.Medium.crash m;
+    Option.get (Store.Medium.read m ~name:"f")
+  in
+  Alcotest.(check string) "lose_unsynced drops all 1,000" base
+    (setup Store.Medium.Faults.Lose_unsynced);
+  (* Without a roll the tear keeps half of the first append; with one
+     it keeps 1 + roll * (len - 2) bytes of it. *)
+  Alcotest.(check string) "torn tail tears inside the first append"
+    (base ^ String.sub first 0 5)
+    (setup Store.Medium.Faults.Torn_tail);
+  Alcotest.(check string) "rolled torn tail tears inside the first append"
+    (base ^ String.sub first 0 3)
+    (setup ~roll:(fun () -> 0.25) Store.Medium.Faults.Torn_tail);
+  Alcotest.(check string) "keep_all keeps all 1,000"
+    (base ^ first ^ String.concat "" (List.init 999 (fun _ -> "tail")))
+    (setup Store.Medium.Faults.Keep_all)
+
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
@@ -253,4 +374,7 @@ let suite =
     Alcotest.test_case "store destroy" `Quick test_store_destroy;
     QCheck_alcotest.to_alcotest prop_wal_round_trip;
     QCheck_alcotest.to_alcotest prop_every_prefix_recovers;
+    QCheck_alcotest.to_alcotest prop_crc32_slicing;
+    Alcotest.test_case "parent images recover" `Quick test_fixed_images;
+    Alcotest.test_case "1,000 unsynced appends" `Quick test_many_unsynced_appends;
   ]
