@@ -19,11 +19,10 @@ type posting = { ids : Ids.t; card : int }
 type t = {
   schema : Schema.t;
   mutable contexts : Dn.t list;  (* suffixes, deepest first *)
-  estore : Content_store.t;  (* every entry; spine in commit order *)
+  estore : Content_store.t;  (* every entry; its spine is the update log *)
   mutable kids : Ids.t array;  (* slot id -> child slot ids *)
   postings : (string, posting Vmap.t ref) Hashtbl.t;  (* attr -> value -> slots *)
   mutable referral_dns : Dn.Set.t;  (* referral objects, for references *)
-  log : Changelog.t;
   mutable csn : Csn.t;
   mutable subscribers : (Update.record -> unit) array;  (* registration order *)
   mutable subscriber_count : int;
@@ -43,7 +42,6 @@ let create ?(indexed = []) schema =
     kids = Array.make 64 Ids.empty;
     postings;
     referral_dns = Dn.Set.empty;
-    log = Changelog.create ();
     csn = Csn.zero;
     subscribers = [||];
     subscriber_count = 0;
@@ -125,12 +123,8 @@ let renote t id ~old entry =
   if Entry.is_referral old <> Entry.is_referral entry then
     note_referral t entry ~add:(Entry.is_referral entry)
 
-(* The stamp is the CSN about to commit (on restore, a best-effort
-   bound: the spine order is what cursors rely on). *)
-let upsert t entry = Content_store.upsert t.estore ~csn:(Csn.next t.csn) entry
-
 let store t ?parent entry =
-  upsert t entry;
+  Content_store.upsert t.estore entry;
   let id = Option.get (Content_store.id_of t.estore (Entry.dn entry)) in
   Option.iter (fun p -> set_kids t p (Ids.add id (kids t p))) parent;
   note t id entry ~add:true
@@ -142,7 +136,7 @@ let put t entry =
   match live_id t dn with
   | Some id ->
       renote t id ~old:(entry_at t id) entry;
-      upsert t entry;
+      Content_store.upsert t.estore entry;
       Ok ()
   | None -> (
       let parent_dn = Option.value (Dn.parent dn) ~default:Dn.root in
@@ -168,7 +162,7 @@ let remove t dn =
       let parent = Option.get (Option.bind (Dn.parent dn) (live_id t)) in
       set_kids t parent (Ids.remove id (kids t parent));
       note t id (entry_at t id) ~add:false;
-      Content_store.remove t.estore ~csn:(Csn.next t.csn) dn;
+      Content_store.remove t.estore dn;
       Ok ()
 
 (* --- Naming contexts and reads ----------------------------------------- *)
@@ -469,7 +463,7 @@ let commit t op ~before ~after ~(mutate : unit -> (unit, string) result) =
   | Ok () ->
       t.csn <- Csn.next t.csn;
       let record = { Update.csn = t.csn; op; before; after } in
-      Changelog.append t.log record;
+      Content_store.attach t.estore record;
       for i = 0 to t.subscriber_count - 1 do
         t.subscribers.(i) record
       done;
@@ -560,11 +554,11 @@ let apply t op =
 
 let csn t = t.csn
 
-let log_since t since = Changelog.since t.log since
-let log_complete_since t since = Changelog.complete_since t.log since
-let trim_log t ~before = Changelog.trim t.log ~before
-let log_length t = Changelog.length t.log
-let log_floor t = Changelog.floor t.log
+let log_since t since = Content_store.log_since t.estore since
+let log_complete_since t since = Csn.( <= ) (Content_store.log_floor t.estore) since
+let trim_log t ~before = Content_store.trim_log t.estore ~before
+let log_length t = Content_store.log_length t.estore
+let log_floor t = Content_store.log_floor t.estore
 
 (* --- Recovery --------------------------------------------------------
    Hooks for the durable store: rebuild a backend from a snapshot image
@@ -576,14 +570,17 @@ let restore_entry = put
 let restore_csn t csn = t.csn <- csn
 
 let restore_log t ~floor records =
-  if Csn.( < ) Csn.zero floor then
-    Changelog.trim t.log ~before:(Csn.of_int (Csn.to_int floor + 1));
-  List.iter (Changelog.append t.log) records
+  trim_log t ~before:(Csn.next floor);
+  List.iter
+    (fun (r : Update.record) ->
+      let target = match r.after with Some e -> Entry.dn e | None -> Update.op_target r.op in
+      Content_store.restore_record t.estore target r)
+    records
 
 let replay_record t (r : Update.record) =
   let step =
     match (r.Update.before, r.Update.after) with
-    | None, None -> Ok ()
+    | None, None -> Error "record carries no image"
     | Some b, Some a when Dn.equal (Entry.dn b) (Entry.dn a) ->
         (* In-place modify: the subtree below stays. *)
         put t a
@@ -597,7 +594,7 @@ let replay_record t (r : Update.record) =
   | Error _ as e -> e
   | Ok () ->
       t.csn <- r.Update.csn;
-      Changelog.append t.log r;
+      Content_store.attach t.estore r;
       Ok ()
 
 let subscribe t f =

@@ -4,8 +4,9 @@
     This is the building block for both masters and replicas.  It owns
     one or more naming contexts (section 2.3), keeps equality/prefix
     indexes on configured attributes, assigns a {!Csn.t} to every
-    committed update, records pre/post images in an update log and
-    notifies subscribers — which is how the ReSync master maintains
+    committed update, keeps its record (pre/post images) on the
+    content store's change spine — the backend's one update log — and
+    notifies subscribers, which is how the ReSync master maintains
     per-session history.
 
     Entries live in one {!Content_store}; child links and attribute
@@ -51,7 +52,8 @@ val entries_seq : t -> Entry.t Seq.t
 val content_store : t -> Content_store.t
 (** The {!Content_store} holding every entry of every naming context,
     updated on each commit and restore.  Its change spine is in CSN
-    commit order; readers use it for O(diff) change enumeration and
+    commit order and carries each committed record (the update log
+    below); readers use it for O(diff) change enumeration and
     memory-residency reports. *)
 
 (** {1 Search} *)
@@ -94,26 +96,41 @@ val count_matching : t -> Query.t -> int
 
 val apply : t -> Update.op -> (Update.record, string) result
 (** Validates and commits an update, advancing the CSN, maintaining
-    indexes, appending to the log and notifying subscribers. *)
+    indexes, attaching the record to the commit's last spine event and
+    notifying subscribers.  A failed update changes nothing and logs
+    nothing. *)
 
 val csn : t -> Csn.t
 (** CSN of the last committed update. *)
 
+(** {1 Update log}
+
+    The committed records the spine still holds.  Retention is the
+    spine's: at most [2 * ]{!Content_store.default_spine_cap} events,
+    so the log reaches back roughly that many commits unless
+    {!trim_log} cut it shorter. *)
+
 val log_since : t -> Csn.t -> Update.record list
-(** Records with CSN strictly greater than the argument, oldest
-    first.  Empty when the log has been trimmed past that point (the
-    caller must then fall back to a degraded synchronization mode). *)
+(** The retained records with CSN strictly greater than the argument,
+    oldest first.  When records past that point were trimmed this is
+    only the retained suffix: check {!log_complete_since} first and
+    fall back to a degraded synchronization mode when it fails. *)
 
 val log_complete_since : t -> Csn.t -> bool
-(** Whether the log still reaches back to (exclusive) the given CSN. *)
+(** Whether the log still holds every record with CSN strictly
+    greater than the argument: [log_floor t <= csn]. *)
 
 val trim_log : t -> before:Csn.t -> unit
-(** Drops records with CSN < [before]; models bounded history. *)
+(** Drops records with CSN < [before] (with the spine events up to
+    the last of them) and raises {!log_floor} to [before - 1]; models
+    bounded history. *)
 
 val log_length : t -> int
+(** Retained records. *)
 
 val log_floor : t -> Csn.t
-(** The changelog's trim floor: records at or below it are gone. *)
+(** The log's trim floor, which never goes down: records at or below
+    it may be gone, records above it are all retained. *)
 
 val subscribe : t -> (Update.record -> unit) -> unit
 (** Called synchronously, in commit order, after each commit. *)
@@ -135,10 +152,12 @@ val restore_csn : t -> Csn.t -> unit
 (** Sets the committed CSN to the snapshot's value. *)
 
 val restore_log : t -> floor:Csn.t -> Update.record list -> unit
-(** Restores the changelog ring: its trim floor, then the retained
-    records oldest first. *)
+(** Restores the update log: raises its trim floor to [floor], then
+    appends each retained record, oldest first, as a spine event on
+    its target's slot (the post-image's DN, else the deleted one). *)
 
 val replay_record : t -> Update.record -> (unit, string) result
 (** Replays one WAL record past the snapshot: applies its recorded
-    images, appends it to the changelog and advances the CSN to the
-    record's — without re-notifying subscribers. *)
+    images, attaches it to the last spine event that wrote and
+    advances the CSN to the record's — without re-notifying
+    subscribers.  [Error] for a record with neither image. *)

@@ -5,11 +5,17 @@
     the cursors topology nodes serve snapshot-diffs from.  A store
     maps canonical DNs to entries through dense interned slot ids and
     records every mutation on a bounded {e change spine}: a ring of
-    (revision, slot id, CSN stamp) events in commit order.  A reader
-    holding the revision it last consumed can enumerate exactly the
-    DNs changed since — O(diff), not O(directory) — and is told to
-    rescan when the spine was trimmed past its position, never served
-    a silent gap. *)
+    (revision, slot id) events in commit order.  A reader holding the
+    revision it last consumed can enumerate exactly the DNs changed
+    since — O(diff), not O(directory) — and is told to rescan when the
+    spine was trimmed past its position, never served a silent gap.
+
+    A backend's store is also its update log: each committed
+    {!Update.record} rides on the last event its commit wrote (a
+    modifyDN writes two).  Consumer stores carry none.  Trimming the
+    spine, explicitly or by the [2 * spine_cap] bound, releases the
+    records it drops and raises the log's CSN floor to the newest of
+    them; the floor never goes down. *)
 
 type t
 
@@ -21,11 +27,11 @@ val create : ?spine_cap:int -> unit -> t
 val default_spine_cap : int
 (** 16384 events. *)
 
-val upsert : t -> ?csn:Csn.t -> Entry.t -> unit
+val upsert : t -> Entry.t -> unit
 (** Installs (or replaces) the entry under its DN and appends a spine
-    event stamped with [csn] when given. *)
+    event. *)
 
-val remove : t -> ?csn:Csn.t -> Dn.t -> unit
+val remove : t -> Dn.t -> unit
 (** Removes the entry under [dn], appending a spine event.  No-op
     (and no event) when the DN holds no entry.  The slot id survives
     as a tombstone so later events can still name the DN. *)
@@ -83,11 +89,40 @@ val changes_since : t -> int -> Dn.t list option
     the caller must rescan.  [Some []] when nothing changed. *)
 
 val trim_spine : t -> keep:int -> unit
-(** Drops all but the newest [keep] spine events, advancing {!floor}. *)
+(** Drops all but the newest [keep] spine events, advancing {!floor}
+    and releasing the records they carried. *)
+
+(** {1 Update log} *)
+
+val attach : t -> Update.record -> unit
+(** Hangs a committed record on the newest spine event, which the
+    commit has just written.
+    @raise Invalid_argument when that event already carries one. *)
+
+val restore_record : t -> Dn.t -> Update.record -> unit
+(** Appends a spine event on [dn]'s slot carrying the record, leaving
+    the content as it is — how a restored log image rejoins the
+    spine. *)
+
+val log_since : t -> Csn.t -> Update.record list
+(** The retained records with CSN strictly greater than the argument,
+    oldest first; when records past it were trimmed, only the
+    retained suffix ({!log_floor} tells). *)
+
+val log_floor : t -> Csn.t
+(** Records at or below this CSN may have been trimmed; records above
+    it are all retained. *)
+
+val log_length : t -> int
+(** Retained records.  O(1). *)
+
+val trim_log : t -> before:Csn.t -> unit
+(** Drops the spine through the last event carrying a record with CSN
+    below [before], and raises {!log_floor} to [before - 1]. *)
 
 val spine_csn_range : t -> (Csn.t * Csn.t) option
-(** CSN stamps of the oldest and newest buffered events ({!Csn.zero}
-    for events recorded without a stamp); [None] when empty. *)
+(** CSNs of the oldest and newest retained records; [None] when the
+    spine carries none. *)
 
 val approx_bytes : t -> int
 (** Approximate heap footprint of everything reachable from the store

@@ -11,11 +11,29 @@ val zero : t
 (** Before any update. *)
 
 val next : t -> t
+(** The CSN after this one: what the commit following it gets. *)
+
 val compare : t -> t -> int
+(** Commit order. *)
+
 val equal : t -> t -> bool
+(** Same commit. *)
+
 val ( <= ) : t -> t -> bool
+(** Committed at or before. *)
+
 val ( < ) : t -> t -> bool
+(** Committed strictly before. *)
+
 val to_int : t -> int
+(** The commit's sequence number: {!zero} is 0, each {!next} adds 1. *)
+
 val of_int : int -> t
+(** Inverse of {!to_int}, for decoding cookies, journals and
+    modifyTimestamp values. *)
+
 val to_string : t -> string
+(** Decimal form, as written into modifyTimestamp and cookies. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

@@ -23,7 +23,7 @@ type op =
     }
 
 type record = {
-  csn : Csn.t;
+  csn : Csn.t;  (** The commit's CSN, assigned by the backend. *)
   op : op;
   before : Entry.t option;  (** Pre-image; [None] for Add. *)
   after : Entry.t option;  (** Post-image; [None] for Delete. *)
@@ -33,15 +33,30 @@ val op_target : op -> Dn.t
 (** The DN named by the operation (the old DN for Modify_dn). *)
 
 val op_kind_name : op -> string
+(** ["add"], ["delete"], ["modify"] or ["modifyDN"]. *)
 
 val add : Entry.t -> op
+(** Adds the entry under its DN. *)
+
 val delete : Dn.t -> op
+(** Deletes the (leaf) entry at the DN. *)
+
 val modify : Dn.t -> mod_item list -> op
+(** Applies the modifications, in order, to the entry at the DN. *)
+
 val modify_dn : ?new_superior:Dn.t -> ?delete_old_rdn:bool -> Dn.t -> Dn.rdn -> op
-(** [delete_old_rdn] defaults to [true]. *)
+(** Renames the (leaf) entry to the new RDN, under [new_superior] when
+    given.  [delete_old_rdn] defaults to [true]. *)
 
 val add_values : string -> string list -> mod_item
+(** Adds the values to the attribute. *)
+
 val delete_values : string -> string list -> mod_item
+(** Deletes the values from the attribute; an empty list deletes the
+    whole attribute. *)
+
 val replace_values : string -> string list -> mod_item
+(** Replaces every value of the attribute; an empty list deletes it. *)
 
 val pp_op : Format.formatter -> op -> unit
+(** The operation's kind and target DN, for logs and test output. *)

@@ -18,6 +18,14 @@ let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)
   && Ldap_compile.Prog.matches m.prog (Entry.compiled m.mschema entry)
 
+let changed_since since entry =
+  match Entry.get entry "modifytimestamp" with
+  | [ ts ] -> (
+      match int_of_string_opt ts with
+      | Some c -> Csn.( < ) since (Csn.of_int c)
+      | None -> true)
+  | _ -> true
+
 let current backend q =
   match Backend.search backend q with
   | Ok { Backend.entries; _ } -> entries

@@ -26,6 +26,12 @@ val matcher_query : matcher -> Query.t
 val matches : matcher -> Entry.t -> bool
 (** Compiled equivalent of [member schema q entry]. *)
 
+val changed_since : Csn.t -> Entry.t -> bool
+(** Whether the entry's modifyTimestamp (the CSN that last wrote it)
+    is newer than [since] — the eq. (3) test for "changed since the
+    cookie".  An entry without one usable timestamp counts as
+    changed. *)
+
 val current : Backend.t -> Query.t -> Entry.t list
 (** [CS(now)]: the content evaluated against the backend, with the
     query's attribute selection applied. *)

@@ -18,8 +18,6 @@ type session = {
   mutable last_active : int;
 }
 
-type tombstone = { ts_dn : Dn.t; ts_csn : Csn.t }
-
 type t = {
   backend : Backend.t;
   strategy : strategy;
@@ -28,7 +26,6 @@ type t = {
   persist : (int, session) Hashtbl.t;
       (* sessions holding a push channel; every update must advance
          their synced CSN even when it yields no actions *)
-  mutable tombstones : tombstone list;  (* newest first; Tombstone only *)
   mutable next_id : int;
   mutable clock : int;  (* protocol activity ticks *)
   mutable store : Ldap_store.Store.t option;
@@ -61,10 +58,11 @@ let strategy t = t.strategy
    - [New] (id, query, synced CSN) on session creation,
    - [Removed] on sync_end/abandon/expiry/disruption,
    - [Pending] appended per-session history (Session_history),
-   - [Synced] acknowledged-CSN advance, optionally clearing pending,
-   - [Ts] a tombstone (Tombstone strategy).
+   - [Synced] acknowledged-CSN advance, optionally clearing pending.
 
-   Replay mirrors each mutation exactly; persistent push channels are
+   Replay mirrors each mutation exactly and skips kind 4, a tombstone
+   that older logs carry (the Tombstone strategy reads the backend's
+   log, so the master journals none); persistent push channels are
    process state and die with the process — reconnection presents the
    cookie, which the recovered session table answers incrementally. *)
 
@@ -108,13 +106,6 @@ let synced_record w id csn ~clear =
   DW.enum w 3;
   DW.close_seq w m
 
-let ts_record w ts =
-  let m = DW.mark w in
-  DW.integer w (Csn.to_int ts.ts_csn);
-  DW.octets w (Dn.to_string ts.ts_dn);
-  DW.enum w 4;
-  DW.close_seq w m
-
 (* The [persist] table and the dispatch index shadow [sessions]; all
    membership changes go through these helpers to keep them in sync. *)
 let clear_outq t session =
@@ -154,25 +145,6 @@ let select_action (q : Query.t) = function
   | Action.Add e -> Action.Add (Entry.select e (Query.attr_list q.Query.attrs))
   | Action.Modify e -> Action.Modify (Entry.select e (Query.attr_list q.Query.attrs))
   | (Action.Delete _ | Action.Retain _) as a -> a
-
-(* Tombstones at or below every live session's synced CSN can never be
-   replayed again ([tombstone_actions] only sends those with
-   [since < ts_csn]); without pruning the list grows with every delete
-   for the lifetime of the master. *)
-let gc_tombstones t =
-  if t.strategy = Tombstone && t.tombstones <> [] then
-    let min_synced =
-      Hashtbl.fold
-        (fun _ s acc ->
-          match acc with
-          | None -> Some s.synced_csn
-          | Some m -> Some (if Csn.( < ) s.synced_csn m then s.synced_csn else m))
-        t.sessions None
-    in
-    t.tombstones <-
-      (match min_synced with
-      | None -> []
-      | Some m -> List.filter (fun ts -> Csn.( < ) m ts.ts_csn) t.tombstones)
 
 (* --- Bounded persist-push queues -------------------------------------
    A persist channel's send can stall (receiver not draining) or fail
@@ -288,18 +260,7 @@ let classify_for t (record : Update.record) session =
         | Some _ | None -> ()
       end
 
-let add_tombstone t ts =
-  t.tombstones <- ts :: t.tombstones;
-  journal_w t (fun w -> ts_record w ts)
-
 let on_update t (record : Update.record) =
-  (if t.strategy = Tombstone then
-     match record.Update.op with
-     | Update.Delete dn -> add_tombstone t { ts_dn = dn; ts_csn = record.csn }
-     | Update.Modify_dn { dn; _ } ->
-         (* The old DN disappears: tombstone it. *)
-         add_tombstone t { ts_dn = dn; ts_csn = record.csn }
-     | Update.Add _ | Update.Modify _ -> ());
   (match t.dispatch with
   | None ->
       (* Naive dispatch: classify against every live session. *)
@@ -328,12 +289,11 @@ let on_update t (record : Update.record) =
             journal_w t (fun w -> synced_record w id record.csn ~clear:false)
           end)
         t.persist);
-  (match t.overflowed with
+  match t.overflowed with
   | [] -> ()
   | ids ->
       t.overflowed <- [];
-      List.iter (remove_session t) ids);
-  gc_tombstones t
+      List.iter (remove_session t) ids
 
 let create ?history_limit ?persist_queue_limit ?(strategy = Session_history)
     ?(dispatch = Routed) backend =
@@ -347,7 +307,6 @@ let create ?history_limit ?persist_queue_limit ?(strategy = Session_history)
         | Routed -> Some (Ldap_containment.Predicate_index.create (Backend.schema backend))
         | Naive -> None);
       persist = Hashtbl.create 16;
-      tombstones = [];
       next_id = 1;
       clock = 0;
       store = None;
@@ -503,28 +462,30 @@ let changelog_actions t session =
   in
   List.map (select_action q) (coalesce actions)
 
-(* Tombstone replay: current entries (with modifyTimestamp) plus
-   DN-only tombstones. *)
+(* The DN a record makes disappear — a tombstone — if any: the deleted
+   entry, or a renamed entry's old DN. *)
+let tombstone (r : Update.record) =
+  match r.op with
+  | Update.Delete dn | Update.Modify_dn { dn; _ } -> Some dn
+  | Update.Add _ | Update.Modify _ -> None
+
+(* Tombstone replay: current entries (with modifyTimestamp) plus the
+   DN-only tombstones of the log since the session's CSN, newest
+   first. *)
 let tombstone_actions t session =
   let schema = Backend.schema t.backend in
   let q = session.query in
   let since = session.synced_csn in
-  let changed_since e =
-    match Entry.get e "modifytimestamp" with
-    | [ ts ] -> (
-        match int_of_string_opt ts with
-        | Some c -> Csn.( < ) since (Csn.of_int c)
-        | None -> true)
-    | _ -> true
-  in
   let deletes =
-    List.filter_map
-      (fun ts -> if Csn.( < ) since ts.ts_csn then Some (Action.Delete ts.ts_dn) else None)
-      t.tombstones
+    List.fold_left
+      (fun acc r ->
+        match tombstone r with Some dn -> Action.Delete dn :: acc | None -> acc)
+      []
+      (Backend.log_since t.backend since)
   in
   let upserts_and_conservative =
     Backend.fold_entries t.backend ~init:[] ~f:(fun acc e ->
-        if not (changed_since e) then acc
+        if not (Content.changed_since since e) then acc
         else if member schema q e then Action.Add e :: acc
         else
           (* Changed entry outside the content: it may have just left
@@ -536,21 +497,33 @@ let tombstone_actions t session =
 (* Degraded mode (eq. (3)): full entries for changed members, retain
    for unchanged members. *)
 let degraded_actions t q ~since =
-  let schema = Backend.schema t.backend in
-  ignore schema;
-  let members = Content.current t.backend q in
   List.map
-    (fun e ->
-      let changed =
-        match Entry.get e "modifytimestamp" with
-        | [ ts ] -> (
-            match int_of_string_opt ts with
-            | Some c -> Csn.( < ) since (Csn.of_int c)
-            | None -> true)
-        | _ -> true
-      in
-      if changed then Action.Add e else Action.Retain (Entry.dn e))
-    members
+    (fun e -> if Content.changed_since since e then Action.Add e else Action.Retain (Entry.dn e))
+    (Content.current t.backend q)
+
+(* The one place a session is built: entered in the session table and
+   the dispatch index, with no push channel.  [pending_oldest] is its
+   buffered history, oldest first. *)
+let install_session t ~id query ~synced ~pending_oldest ~last_active =
+  let session =
+    {
+      id;
+      query;
+      matcher = Content.matcher (Backend.schema t.backend) query;
+      pending = List.rev pending_oldest;
+      pending_len = List.length pending_oldest;
+      synced_csn = synced;
+      persist_push = None;
+      outq = Queue.create ();
+      outq_len = 0;
+      last_active;
+    }
+  in
+  Hashtbl.replace t.sessions id session;
+  Option.iter
+    (fun idx -> Ldap_containment.Predicate_index.add idx id query.Query.filter)
+    t.dispatch;
+  session
 
 let new_session t query ~persist_push =
   (* Session id 0 is the reserved foreign-session marker
@@ -560,25 +533,10 @@ let new_session t query ~persist_push =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   let session =
-    {
-      id;
-      query;
-      matcher = Content.matcher (Backend.schema t.backend) query;
-      pending = [];
-      pending_len = 0;
-      synced_csn = Backend.csn t.backend;
-      persist_push = None;
-      outq = Queue.create ();
-      outq_len = 0;
-      last_active = t.clock;
-    }
+    install_session t ~id query ~synced:(Backend.csn t.backend) ~pending_oldest:[]
+      ~last_active:t.clock
   in
-  Hashtbl.replace t.sessions id session;
   set_persist t session persist_push;
-  Option.iter
-    (fun idx ->
-      Ldap_containment.Predicate_index.add idx id query.Query.filter)
-    t.dispatch;
   journal_w t (fun w -> new_record w session);
   session
 
@@ -604,16 +562,18 @@ let initial_reply t session ~mode =
   Protocol.reply ~kind:Protocol.Initial_content ~actions ~cookie:(session_cookie session ~mode)
 
 let incremental_reply t session ~mode =
-  let degraded_fallback () =
-    (* The changelog no longer reaches back to the session's CSN
-       (trimmed history): fall back to eq. (3) instead of silently
-       missing updates.  Session history is immune — its per-session
-       buffers live outside the log. *)
-    let actions =
-      List.map (select_action session.query)
-        (degraded_actions t session.query ~since:session.synced_csn)
-    in
-    (Protocol.Degraded, actions)
+  let from_log actions_of =
+    (* Changelog and Tombstone both read the backend's update log.
+       When it no longer reaches back to the session's CSN (trimmed
+       history), fall back to eq. (3) instead of silently missing
+       updates.  Session history is immune — its per-session buffers
+       live outside the log. *)
+    if Backend.log_complete_since t.backend session.synced_csn then
+      (Protocol.Incremental, actions_of t session)
+    else
+      ( Protocol.Degraded,
+        List.map (select_action session.query)
+          (degraded_actions t session.query ~since:session.synced_csn) )
   in
   let kind, actions =
     match t.strategy with
@@ -623,11 +583,8 @@ let incremental_reply t session ~mode =
         session.pending <- [];
         session.pending_len <- 0;
         (Protocol.Incremental, a)
-    | Changelog ->
-        if Backend.log_complete_since t.backend session.synced_csn then
-          (Protocol.Incremental, changelog_actions t session)
-        else degraded_fallback ()
-    | Tombstone -> (Protocol.Incremental, tombstone_actions t session)
+    | Changelog -> from_log changelog_actions
+    | Tombstone -> from_log tombstone_actions
   in
   advance_synced t session ~clear:(t.strategy = Session_history);
   Protocol.reply ~kind ~actions ~cookie:(session_cookie session ~mode)
@@ -688,7 +645,6 @@ let handle t ?push (request : Protocol.request) query =
                          resynchronization from the cookie's CSN. *)
                       Ok (degraded_reply t query ~since:csn ~mode ~persist_push))))
   in
-  gc_tombstones t;
   result
 
 (* Merkle anti-entropy service: walk steps are answered from the
@@ -709,10 +665,9 @@ let antientropy_serve t request query =
        request)
 
 let abandon t ~cookie =
-  (match parse_cookie cookie with
+  match parse_cookie cookie with
   | Some (id, _) -> remove_session t id
-  | None -> ());
-  gc_tombstones t
+  | None -> ()
 
 let expire_sessions t ~idle_limit =
   let cutoff = t.clock - idle_limit in
@@ -721,8 +676,7 @@ let expire_sessions t ~idle_limit =
       (fun id s acc -> if s.last_active <= cutoff then id :: acc else acc)
       t.sessions []
   in
-  List.iter (remove_session t) stale;
-  gc_tombstones t
+  List.iter (remove_session t) stale
 
 let schedule_expiry t engine ~every ~until ~idle_limit =
   Ldap_sim.Engine.every engine ~every ~until (fun () ->
@@ -750,7 +704,9 @@ let strategy_of_code = function
 
 (* Snapshot layout: SEQ [ strategy; next_id; clock; sessions;
    tombstones ].  Sessions are sorted by id so the image is
-   deterministic regardless of hash-table iteration order.  Emitted
+   deterministic regardless of hash-table iteration order.  The
+   tombstones SEQ keeps the layout: it is written empty and skipped on
+   read, so older images that hold a list still restore.  Emitted
    backwards into the store's checkpoint buffer (fields and list
    elements in reverse order). *)
 let snapshot_emit t w =
@@ -759,9 +715,7 @@ let snapshot_emit t w =
     |> List.sort (fun a b -> Int.compare b.id a.id)
   in
   let m = DW.mark w in
-  let mt = DW.mark w in
-  List.iter (ts_record w) (List.rev t.tombstones);
-  DW.close_seq w mt;
+  DW.close_seq w (DW.mark w);
   let ms = DW.mark w in
   List.iter
     (fun s ->
@@ -805,28 +759,8 @@ let read_snapshot c =
     in
     go []
   in
-  let tombstones =
-    let seq = Der.read_seq inner in
-    let rec go acc =
-      if Der.at_end seq then List.rev acc
-      else begin
-        let ts = Der.read_seq seq in
-        (* Same image as a [Ts] WAL record, minus the kind. *)
-        let kind = Der.read_enum ts in
-        if kind <> 4 then
-          raise (Ber_codec.Decode_error "bad tombstone image");
-        let dn =
-          match Dn.of_string (Der.read_octets ts) with
-          | Ok d -> d
-          | Error e -> raise (Ber_codec.Decode_error e)
-        in
-        let csn = Csn.of_int (Der.read_integer ts) in
-        go ({ ts_dn = dn; ts_csn = csn } :: acc)
-      end
-    in
-    go []
-  in
-  (strat, next_id, clock, sessions, tombstones)
+  ignore (Der.read_seq inner : Der.cursor);
+  (strat, next_id, clock, sessions)
 
 let replay_record t payload =
   Ldap_store.Codec.decode
@@ -837,25 +771,9 @@ let replay_record t payload =
           let id = Der.read_integer inner in
           let query = Der.read_query inner in
           let csn = Csn.of_int (Der.read_integer inner) in
-          let session =
-            {
-              id;
-              query;
-              matcher = Content.matcher (Backend.schema t.backend) query;
-              pending = [];
-              pending_len = 0;
-              synced_csn = csn;
-              persist_push = None;
-              outq = Queue.create ();
-              outq_len = 0;
-              last_active = t.clock;
-            }
-          in
-          Hashtbl.replace t.sessions id session;
-          Option.iter
-            (fun idx ->
-              Ldap_containment.Predicate_index.add idx id query.Query.filter)
-            t.dispatch;
+          ignore
+            (install_session t ~id query ~synced:csn ~pending_oldest:[]
+               ~last_active:t.clock);
           if id >= t.next_id then t.next_id <- id + 1
       | 1 -> remove_session t (Der.read_integer inner)
       | 2 -> (
@@ -878,14 +796,7 @@ let replay_record t payload =
                 s.pending_len <- 0
               end
           | None -> ())
-      | 4 ->
-          let dn =
-            match Dn.of_string (Der.read_octets inner) with
-            | Ok d -> d
-            | Error e -> raise (Ber_codec.Decode_error e)
-          in
-          let csn = Csn.of_int (Der.read_integer inner) in
-          t.tombstones <- { ts_dn = dn; ts_csn = csn } :: t.tombstones
+      | 4 -> ()
       | n ->
           raise
             (Ber_codec.Decode_error (Printf.sprintf "bad master record %d" n)))
@@ -900,38 +811,17 @@ let recover ?strategy ?dispatch backend store =
     | Some payload ->
         Result.map Option.some (Ldap_store.Codec.decode read_snapshot payload)
   in
-  let strategy =
-    match snap with Some (s, _, _, _, _) -> Some s | None -> strategy
-  in
+  let strategy = match snap with Some (s, _, _, _) -> Some s | None -> strategy in
   let t = create ?strategy ?dispatch backend in
   (match snap with
   | None -> ()
-  | Some (_, next_id, clock, sessions, tombstones) ->
+  | Some (_, next_id, clock, sessions) ->
       t.next_id <- next_id;
       t.clock <- clock;
       List.iter
         (fun (id, query, pending_oldest, synced, last_active) ->
-          let session =
-            {
-              id;
-              query;
-              matcher = Content.matcher (Backend.schema backend) query;
-              pending = List.rev pending_oldest;
-              pending_len = List.length pending_oldest;
-              synced_csn = synced;
-              persist_push = None;
-              outq = Queue.create ();
-              outq_len = 0;
-              last_active;
-            }
-          in
-          Hashtbl.replace t.sessions id session;
-          Option.iter
-            (fun idx ->
-              Ldap_containment.Predicate_index.add idx id query.Query.filter)
-            t.dispatch)
-        sessions;
-      t.tombstones <- tombstones);
+          ignore (install_session t ~id query ~synced ~pending_oldest ~last_active))
+        sessions);
   let* () =
     List.fold_left
       (fun acc payload ->
@@ -939,7 +829,6 @@ let recover ?strategy ?dispatch backend store =
         replay_record t payload)
       (Ok ()) recovery.Ldap_store.Store.records
   in
-  gc_tombstones t;
   t.store <- Some store;
   Ok (t, recovery)
 
@@ -952,14 +841,17 @@ let pending_stats t =
     t.sessions (0, 0)
 
 let history_size t =
+  let log_since_oldest_session () =
+    let oldest =
+      Hashtbl.fold
+        (fun _ s acc -> min acc (Csn.to_int s.synced_csn))
+        t.sessions (Csn.to_int (Backend.csn t.backend))
+    in
+    Backend.log_since t.backend (Csn.of_int oldest)
+  in
   match t.strategy with
   | Session_history ->
       Hashtbl.fold (fun _ s acc -> acc + List.length s.pending) t.sessions 0
-  | Changelog ->
-      let oldest =
-        Hashtbl.fold
-          (fun _ s acc -> min acc (Csn.to_int s.synced_csn))
-          t.sessions (Csn.to_int (Backend.csn t.backend))
-      in
-      List.length (Backend.log_since t.backend (Csn.of_int oldest))
-  | Tombstone -> List.length t.tombstones
+  | Changelog -> List.length (log_since_oldest_session ())
+  | Tombstone ->
+      List.length (List.filter_map tombstone (log_since_oldest_session ()))

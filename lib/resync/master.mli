@@ -11,19 +11,25 @@
       every live session's filter using the pre/post images, and the
       resulting actions are buffered per session.  Replay is minimal
       (coalesced per DN) and deletes are exact.
-    - [Changelog]: the server keeps only (operation, DN, changed
-      attributes) records.  A deleted entry's original attributes are
-      unknown, so {e every} deletion is propagated; an entry modified
-      out of the content can only be detected conservatively.
-    - [Tombstone]: deletions leave a DN-only tombstone; modification
-      times are known but pre-images are not, with the same
-      conservative consequences.
+    - [Changelog]: replay reads the backend's update log
+      ({!Ldap.Backend.log_since}) but uses only each record's
+      operation, DN, changed attributes and the entry's current
+      state.  A deleted entry's original attributes are unknown, so
+      {e every} deletion is propagated; an entry modified out of the
+      content can only be detected conservatively.
+    - [Tombstone]: replay reads the same log for DN-only tombstones —
+      the deleted DNs and renamed entries' old DNs, newest first — and
+      scans current entries by modification time; pre-images are not
+      used, with the same conservative consequences.
 
-    When a cookie is unknown (or history has been trimmed), the master
-    falls back to the degraded mode of eq. (3): it sends full entries
-    for content members changed since the cookie's CSN and [retain]
-    actions for unchanged members; the replica prunes the rest.  This
-    avoids a full reload.
+    The two baselines keep no history of their own: the log is the
+    backend's, retained as long as its change spine retains it.  When
+    it no longer reaches back to a session's CSN
+    ({!Ldap.Backend.log_complete_since} fails), or when a cookie is
+    unknown, the master falls back to the degraded mode of eq. (3): it
+    sends full entries for content members changed since the cookie's
+    CSN and [retain] actions for unchanged members; the replica prunes
+    the rest.  This avoids a full reload.
 
     The same fallback repairs disrupted sessions: a cookie whose CSN
     differs from the CSN the session advanced to means a reply (or a
@@ -31,12 +37,7 @@
     recorded it as delivered — the per-session history for that
     interval is gone, so the master discards the session and answers
     degraded from the CSN the consumer actually acknowledges, instead
-    of silently resuming with a gap.
-
-    Tombstones are garbage collected: once every live session has
-    acknowledged a CSN at or past a tombstone's, no future replay can
-    need it and it is pruned (with no sessions at all, the whole list
-    is). *)
+    of silently resuming with a gap. *)
 
 open Ldap
 
@@ -175,9 +176,11 @@ val persistent_count : t -> int
     per replicated filter) that polling avoids. *)
 
 val history_size : t -> int
-(** Current size of the history the strategy maintains: buffered
-    actions (session history), retained log records (changelog) or
-    tombstones.  The section 5.2 comparison metric. *)
+(** Current size of the history the strategy replays from: buffered
+    actions (session history), or the log records after the oldest
+    live session's CSN (changelog) and the tombstones among them
+    (tombstone) — none when no session is live.  The section 5.2
+    comparison metric. *)
 
 val pending_stats : t -> int * int
 (** Per-session history residency as (total buffered actions, largest
@@ -190,9 +193,10 @@ val parse_cookie : string -> (int * Csn.t) option
 (** {1 Durability}
 
     With a store attached, every session-table transition — creation,
-    removal, per-session pending history, acknowledged-CSN advances
-    and tombstones — is journaled, and {!checkpoint} snapshots the
-    whole table.  A restarted master recovered from its store still
+    removal, per-session pending history and acknowledged-CSN
+    advances — is journaled, and {!checkpoint} snapshots the whole
+    table.  The update log the baselines read is the backend's and
+    is made durable with it.  A restarted master recovered from its store still
     recognizes the cookies it handed out, so surviving consumers
     resume incrementally instead of being forced through degraded
     resynchronization. *)
@@ -205,7 +209,9 @@ val store : t -> Ldap_store.Store.t option
 
 val checkpoint : t -> unit
 (** Snapshots the session table (strategy, sessions with pending
-    history, tombstones) and resets the WAL.  No-op without a store. *)
+    history) and resets the WAL.  No-op without a store.  Images and
+    logs written when the master kept its own tombstone list still
+    recover; the list is skipped. *)
 
 val recover :
   ?strategy:strategy ->

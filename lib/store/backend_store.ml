@@ -14,10 +14,12 @@ let store t = t.store
 
 (* Snapshot layout: SEQ [ csn; floor; contexts; log ] where contexts
    is a SEQ of per-context SEQs of entry images (parent before
-   children, suffix entry first) and log is a SEQ of retained
-   changelog records, oldest first.  Emitted with the backwards writer
-   (fields and list elements in reverse order), byte-identical to the
-   old string-combinator image. *)
+   children, suffix entry first) and log is a SEQ of the update
+   log's retained records, oldest first (older images hold a separate
+   ring's records in the same shape and restore the same way).
+   Emitted with the backwards writer (fields and list elements in
+   reverse order), byte-identical to the old string-combinator
+   image. *)
 let snapshot_emit backend w =
   let m = DW.mark w in
   let ml = DW.mark w in

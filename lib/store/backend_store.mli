@@ -1,8 +1,8 @@
 (** Durability for a {!Ldap.Backend}: every committed update record
     is journaled to a {!Store} WAL as it happens, and {!checkpoint}
     snapshots the full server state — CSN, naming contexts with all
-    entry images (parent before children), and the changelog ring
-    with its trim floor.
+    entry images (parent before children), and the update log's
+    retained records with its trim floor.
 
     {!recover} rebuilds a backend from the latest snapshot plus the
     replayable WAL suffix via the {!Ldap.Backend} restore hooks;

@@ -258,15 +258,7 @@ let degraded_reply t query ~stored ~consumer ~since ~mode ~persist_push =
   let actions =
     List.map
       (fun e ->
-        let changed =
-          match Entry.get e "modifytimestamp" with
-          | [ ts ] -> (
-              match int_of_string_opt ts with
-              | Some c -> Csn.( < ) since (Csn.of_int c)
-              | None -> true)
-          | _ -> true
-        in
-        if changed then Resync.Action.Add e
+        if Resync.Content.changed_since since e then Resync.Action.Add e
         else Resync.Action.Retain (Entry.dn e))
       members
   in

@@ -1,4 +1,4 @@
-(* Tests for Ldap.Backend, Ldap.Changelog, Ldap.Server and
+(* Tests for Ldap.Backend and its update log, Ldap.Server and
    Ldap.Network, including the Figure 2 distributed-operation
    scenario. *)
 open Ldap
@@ -185,126 +185,117 @@ let test_log () =
   check_bool "incomplete from zero" false (Backend.log_complete_since b Csn.zero);
   check_int "trimmed length" 1 (Backend.log_length b)
 
+(* The update log lives on the content store's change spine.  These
+   run against a backend holding only its context entry, so the i-th
+   commit has CSN i. *)
+
+let log_backend () =
+  let b = Backend.create schema in
+  (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
+  b
+
+(* One commit: a modify of the context entry. *)
+let commit b i =
+  must_apply b
+    (Update.modify (dn "o=xyz") [ Update.replace_values "description" [ string_of_int i ] ])
+
+let csns records = List.map (fun (r : Update.record) -> Csn.to_int r.Update.csn) records
+
 let test_log_ring () =
-  (* The changelog ring against a reference list: [since], [length],
-     [trim] and the floor must agree through growth (wraparound) and
+  (* The log against a reference list: [log_since], [log_length],
+     [trim_log] and the floor must agree through spine growth and
      interleaved trimming. *)
-  let log = Changelog.create () in
-  let reference = ref [] in  (* newest first *)
-  let record i =
-    { Update.csn = Csn.of_int i; op = Update.delete (dn "o=xyz"); before = None;
-      after = None }
-  in
+  let b = log_backend () in
+  let reference = ref [] in  (* CSNs, newest first *)
   let check_against_reference i =
     (* Probe a handful of resume points around the current csn. *)
     List.iter
       (fun since ->
-        let expect =
-          List.filter (fun (r : Update.record) -> Csn.( < ) since r.Update.csn)
-            (List.rev !reference)
-        in
-        let got = Changelog.since log since in
-        check_int
-          (Printf.sprintf "since %d at %d" (Csn.to_int since) i)
-          (List.length expect) (List.length got);
-        List.iter2
-          (fun (a : Update.record) (b : Update.record) ->
-            check_bool "same csn" true (Csn.equal a.Update.csn b.Update.csn))
-          expect got)
-      [ Csn.zero; Csn.of_int (i / 2); Csn.of_int (max 0 (i - 3)); Csn.of_int i ]
+        Alcotest.(check (list int))
+          (Printf.sprintf "since %d at %d" since i)
+          (List.filter (fun c -> since < c) (List.rev !reference))
+          (csns (Backend.log_since b (Csn.of_int since))))
+      [ 0; i / 2; max 0 (i - 3); i ]
   in
   for i = 1 to 100 do
-    Changelog.append log (record i);
-    reference := record i :: !reference;
+    commit b i;
+    reference := i :: !reference;
     if i mod 31 = 0 then begin
       (* Drop everything below i - 10. *)
-      let before = Csn.of_int (i - 10) in
-      Changelog.trim log ~before;
-      reference :=
-        List.filter (fun (r : Update.record) -> Csn.( <= ) before r.Update.csn) !reference
+      Backend.trim_log b ~before:(Csn.of_int (i - 10));
+      reference := List.filter (fun c -> i - 10 <= c) !reference
     end;
-    check_int "length" (List.length !reference) (Changelog.length log);
+    check_int "length" (List.length !reference) (Backend.log_length b);
     if i mod 7 = 0 then check_against_reference i
   done;
   check_against_reference 100;
   (* Floor semantics: complete iff nothing above the cursor was trimmed. *)
-  check_bool "incomplete from zero" false (Changelog.complete_since log Csn.zero);
-  check_bool "complete from floor" true (Changelog.complete_since log (Changelog.floor log));
+  check_bool "incomplete from zero" false (Backend.log_complete_since b Csn.zero);
+  check_bool "complete from floor" true (Backend.log_complete_since b (Backend.log_floor b));
   (* Trimming below the floor never lowers it. *)
-  let floor = Changelog.floor log in
-  Changelog.trim log ~before:Csn.zero;
-  check_bool "floor monotone" true (Csn.equal floor (Changelog.floor log));
-  (* CSNs must be strictly increasing. *)
-  check_bool "duplicate csn rejected" true
-    (match Changelog.append log (record 100) with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  let floor = Backend.log_floor b in
+  Backend.trim_log b ~before:Csn.zero;
+  check_bool "floor monotone" true (Csn.equal floor (Backend.log_floor b))
 
-(* Edge cases around the ring's floor: trims that empty the log, trims
-   past the head, and a wraparound immediately read back at the floor. *)
-
-let ring_record i =
-  { Update.csn = Csn.of_int i; op = Update.delete (dn "o=xyz"); before = None;
-    after = None }
+(* Edge cases around the log's floor: trims that empty the log, trims
+   past the head, and a compacted spine read back at the floor. *)
 
 let test_log_trim_to_empty () =
-  let log = Changelog.create () in
-  for i = 1 to 5 do Changelog.append log (ring_record i) done;
-  Changelog.trim log ~before:(Csn.of_int 6);
-  check_int "emptied" 0 (Changelog.length log);
+  let b = log_backend () in
+  for i = 1 to 5 do commit b i done;
+  Backend.trim_log b ~before:(Csn.of_int 6);
+  check_int "emptied" 0 (Backend.log_length b);
+  check_int "spine emptied" 0 (Content_store.spine_length (Backend.content_store b));
   check_bool "floor raised to before-1" true
-    (Csn.equal (Changelog.floor log) (Csn.of_int 5));
+    (Csn.equal (Backend.log_floor b) (Csn.of_int 5));
   check_int "since floor empty" 0
-    (List.length (Changelog.since log (Changelog.floor log)));
+    (List.length (Backend.log_since b (Backend.log_floor b)));
   check_bool "complete from the floor" true
-    (Changelog.complete_since log (Csn.of_int 5));
+    (Backend.log_complete_since b (Csn.of_int 5));
   check_bool "incomplete below the floor" false
-    (Changelog.complete_since log (Csn.of_int 4));
-  (* Appending resumes normally on the empty ring. *)
-  Changelog.append log (ring_record 6);
-  check_int "one record" 1 (Changelog.length log);
+    (Backend.log_complete_since b (Csn.of_int 4));
+  (* Commits resume normally on the emptied log. *)
+  commit b 6;
+  check_int "one record" 1 (Backend.log_length b);
   check_int "replay from the floor" 1
-    (List.length (Changelog.since log (Csn.of_int 5)))
+    (List.length (Backend.log_since b (Csn.of_int 5)))
 
 let test_log_trim_past_head () =
-  let log = Changelog.create () in
-  for i = 1 to 5 do Changelog.append log (ring_record i) done;
-  (* Trim far beyond anything appended: everything goes and the floor
+  let b = log_backend () in
+  for i = 1 to 5 do commit b i done;
+  (* Trim far beyond anything committed: everything goes and the floor
      lands at before-1, not at the last record. *)
-  Changelog.trim log ~before:(Csn.of_int 100);
-  check_int "emptied" 0 (Changelog.length log);
+  Backend.trim_log b ~before:(Csn.of_int 100);
+  check_int "emptied" 0 (Backend.log_length b);
   check_bool "floor at before-1" true
-    (Csn.equal (Changelog.floor log) (Csn.of_int 99));
-  check_bool "complete from 99" true (Changelog.complete_since log (Csn.of_int 99));
-  check_bool "incomplete from 98" false (Changelog.complete_since log (Csn.of_int 98));
-  Changelog.append log (ring_record 100);
-  match Changelog.since log (Csn.of_int 99) with
+    (Csn.equal (Backend.log_floor b) (Csn.of_int 99));
+  check_bool "complete from 99" true (Backend.log_complete_since b (Csn.of_int 99));
+  check_bool "incomplete from 98" false (Backend.log_complete_since b (Csn.of_int 98));
+  for i = 6 to 100 do commit b i done;
+  match Backend.log_since b (Csn.of_int 99) with
   | [ r ] -> check_bool "resumed at 100" true (Csn.equal r.Update.csn (Csn.of_int 100))
   | l -> check_int "one record after resume" 1 (List.length l)
 
 let test_log_wraparound_since_floor () =
-  (* Fill the initial 16-slot ring, trim to move the head forward, then
-     append enough to wrap physically and read straight back at the
-     floor: the seam must be invisible in [since]. *)
-  let log = Changelog.create () in
-  for i = 1 to 16 do Changelog.append log (ring_record i) done;
-  Changelog.trim log ~before:(Csn.of_int 9);
-  check_int "eight retained" 8 (Changelog.length log);
-  for i = 17 to 24 do Changelog.append log (ring_record i) done;
-  check_int "full again" 16 (Changelog.length log);
-  check_bool "floor" true (Csn.equal (Changelog.floor log) (Csn.of_int 8));
-  let all = Changelog.since log (Changelog.floor log) in
-  check_int "all retained records" 16 (List.length all);
-  List.iteri
-    (fun k (r : Update.record) ->
-      check_bool "csn order across the seam" true
-        (Csn.equal r.Update.csn (Csn.of_int (9 + k))))
-    all;
-  check_int "suffix past the seam" 4
-    (List.length (Changelog.since log (Csn.of_int 20)));
+  (* Fill the spine's initial 64 slots (the context entry's event plus
+     63 commits), trim to move its start forward, then commit past the
+     end so the retained events are compacted to the front, and read
+     straight back at the floor: the seam must be invisible. *)
+  let b = log_backend () in
+  for i = 1 to 63 do commit b i done;
+  Backend.trim_log b ~before:(Csn.of_int 40);
+  check_int "24 retained" 24 (Backend.log_length b);
+  for i = 64 to 80 do commit b i done;
+  check_int "grown again" 41 (Backend.log_length b);
+  check_bool "floor" true (Csn.equal (Backend.log_floor b) (Csn.of_int 39));
+  Alcotest.(check (list int))
+    "csn order across the seam" (List.init 41 (fun k -> 40 + k))
+    (csns (Backend.log_since b (Backend.log_floor b)));
+  check_int "suffix past the seam" 10
+    (List.length (Backend.log_since b (Csn.of_int 70)));
   check_bool "complete from the floor" true
-    (Changelog.complete_since log (Changelog.floor log));
-  check_bool "incomplete below" false (Changelog.complete_since log (Csn.of_int 7))
+    (Backend.log_complete_since b (Backend.log_floor b));
+  check_bool "incomplete below" false (Backend.log_complete_since b (Csn.of_int 38))
 
 let test_subscribers () =
   let b = make_backend () in
@@ -768,6 +759,219 @@ let prop_count_is_search_length =
           Backend.count_matching b query = expected)
         queries)
 
+(* --- The update log against a subscribed reference ----------------------
+   Random adds, modifies, deletes and renames — failed ones included,
+   which must log nothing — interleaved with [trim_log] calls and
+   durable checkpoint/recover round trips.  A [Backend.subscribe]
+   callback keeps the reference: every committed record, minus what
+   the trims dropped, with the floor the trims raised.  Commits are
+   journaled and trims are not, so a trim is durable from the next
+   checkpoint on: recovery brings back the checkpoint's log and every
+   commit since.  A Tombstone master reading the same log must count
+   exactly the reference's deletes and renames past its one
+   session. *)
+
+module Store = Ldap_store
+module Master = Ldap_resync.Master
+
+type log_op =
+  | Log_add of int
+  | Log_delete of int
+  | Log_modify of int
+  | Log_rename of int * int
+  | Log_trim of int  (* trims before [csn - k] *)
+  | Log_checkpoint
+  | Log_recover
+
+let log_op_to_string = function
+  | Log_add i -> Printf.sprintf "add p%d" i
+  | Log_delete i -> Printf.sprintf "delete p%d" i
+  | Log_modify i -> Printf.sprintf "modify p%d" i
+  | Log_rename (i, j) -> Printf.sprintf "rename p%d p%d" i j
+  | Log_trim k -> Printf.sprintf "trim csn-%d" k
+  | Log_checkpoint -> "checkpoint"
+  | Log_recover -> "recover"
+
+let log_op_gen =
+  let open QCheck.Gen in
+  let i = int_bound 5 in
+  frequency
+    [
+      (3, map (fun i -> Log_add i) i);
+      (2, map (fun i -> Log_delete i) i);
+      (3, map (fun i -> Log_modify i) i);
+      (2, map2 (fun i j -> Log_rename (i, j)) i i);
+      (1, map (fun k -> Log_trim k) (int_bound 6));
+      (1, return Log_checkpoint);
+      (1, return Log_recover);
+    ]
+
+type log_world = {
+  medium : Store.Medium.t;
+  mutable backend : Backend.t;
+  mutable journal : Store.Backend_store.t;
+  mutable master : Master.t;
+  mutable reference : Update.record list;  (* newest first *)
+  mutable floor : int;
+  mutable checkpointed : Update.record list * int;  (* reference and floor *)
+  mutable journaled : Update.record list;  (* commits since, newest first *)
+}
+
+let pdn i = dn (Printf.sprintf "cn=p%d,o=xyz" i)
+
+(* What identifies a record across a durable round trip. *)
+let describe (r : Update.record) =
+  ( Csn.to_int r.Update.csn,
+    Update.op_kind_name r.op,
+    Dn.canonical (Update.op_target r.op),
+    Option.map (fun e -> Dn.canonical (Entry.dn e)) r.after )
+
+let is_tombstone (r : Update.record) =
+  match r.Update.op with Update.Delete _ | Update.Modify_dn _ -> true | _ -> false
+
+let follow w =
+  Backend.subscribe w.backend (fun r ->
+      w.reference <- r :: w.reference;
+      w.journaled <- r :: w.journaled)
+
+let log_world () =
+  let medium = Store.Medium.memory () in
+  let backend = log_backend () in
+  let journal = Store.Backend_store.attach backend (Store.Store.create medium ~name:"b") in
+  (* The context entry is no commit: the first snapshot carries it. *)
+  Store.Backend_store.checkpoint journal;
+  let master = Master.create ~strategy:Master.Tombstone backend in
+  Master.attach_store master (Store.Store.create medium ~name:"m");
+  let w =
+    { medium; backend; journal; master; reference = []; floor = 0; checkpointed = ([], 0);
+      journaled = [] }
+  in
+  follow w;
+  for i = 0 to 2 do
+    must_apply backend (Update.add (person (Printf.sprintf "p%d" i) "o=xyz" "0"))
+  done;
+  (* One session, pinned at CSN 3 for the rest of the run. *)
+  (match
+     Master.handle master { Ldap_resync.Protocol.mode = Ldap_resync.Protocol.Poll; cookie = None }
+       (Query.make ~base:(dn "o=xyz") (f "(objectclass=*)"))
+   with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  w
+
+let run_log_op w op =
+  let b = w.backend in
+  let csn = Csn.to_int (Backend.csn b) in
+  match op with
+  | Log_add i -> ignore (Backend.apply b (Update.add (person (Printf.sprintf "p%d" i) "o=xyz" "0")))
+  | Log_delete i -> ignore (Backend.apply b (Update.delete (pdn i)))
+  | Log_modify i ->
+      ignore
+        (Backend.apply b
+           (Update.modify (pdn i) [ Update.replace_values "serialNumber" [ string_of_int csn ] ]))
+  | Log_rename (i, j) ->
+      ignore (Backend.apply b (Update.modify_dn (pdn i) (rdn (Printf.sprintf "cn=p%d" j))))
+  | Log_trim k ->
+      let before = max 0 (csn - k) in
+      Backend.trim_log b ~before:(Csn.of_int before);
+      w.reference <- List.filter (fun (r : Update.record) -> before <= Csn.to_int r.csn) w.reference;
+      w.floor <- max w.floor (before - 1)
+  | Log_checkpoint ->
+      Store.Backend_store.checkpoint w.journal;
+      Master.checkpoint w.master;
+      w.checkpointed <- (w.reference, w.floor);
+      w.journaled <- []
+  | Log_recover ->
+      let store = Store.Store.create w.medium ~name:"b" in
+      let backend, _ =
+        match Store.Backend_store.recover schema store with Ok v -> v | Error e -> failwith e
+      in
+      w.backend <- backend;
+      w.reference <- w.journaled @ fst w.checkpointed;
+      w.floor <- snd w.checkpointed;
+      w.journal <- Store.Backend_store.attach backend store;
+      (w.master <-
+         match
+           Master.recover ~strategy:Master.Tombstone backend
+             (Store.Store.create w.medium ~name:"m")
+         with
+         | Ok (m, _) -> m
+         | Error e -> failwith e);
+      follow w
+
+let log_matches_reference w =
+  let b = w.backend in
+  let csn = Csn.to_int (Backend.csn b) in
+  let oldest_first = List.rev w.reference in
+  let since_ok since =
+    List.map describe (Backend.log_since b (Csn.of_int since))
+    = List.map describe
+        (List.filter (fun (r : Update.record) -> since < Csn.to_int r.csn) oldest_first)
+    && Backend.log_complete_since b (Csn.of_int since) = (w.floor <= since)
+  in
+  List.for_all since_ok [ 0; 3; w.floor; w.floor + 1; csn / 2; max 0 (csn - 1); csn ]
+  && Csn.to_int (Backend.log_floor b) = w.floor
+  && Backend.log_length b = List.length w.reference
+  && Master.history_size w.master
+     = List.length
+         (List.filter
+            (fun (r : Update.record) -> 3 < Csn.to_int r.csn && is_tombstone r)
+            w.reference)
+
+let prop_log_follows_reference =
+  QCheck.Test.make ~name:"backend: log = subscribed reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map log_op_to_string ops))
+       QCheck.Gen.(list_size (0 -- 40) log_op_gen))
+    (fun ops ->
+      let w = log_world () in
+      List.for_all
+        (fun op ->
+          run_log_op w op;
+          log_matches_reference w)
+        ops
+      && log_matches_reference w)
+
+let test_log_past_spine_cap () =
+  (* Past twice the spine cap the oldest half of the spine goes: the
+     floor rises past the dropped records, and nothing keeps them
+     alive.  Neither does an explicit trim. *)
+  let b = log_backend () in
+  let cap = Content_store.default_spine_cap in
+  let watch = Weak.create 2 in
+  let watched slot i =
+    match
+      Backend.apply b
+        (Update.modify (dn "o=xyz") [ Update.replace_values "description" [ string_of_int i ] ])
+    with
+    | Ok r -> Weak.set watch slot (Some r)
+    | Error e -> failwith e
+  in
+  let last = (2 * cap) + 100 in
+  watched 0 1;
+  for i = 2 to last - 1 do commit b i done;
+  watched 1 last;
+  let floor = Csn.to_int (Backend.log_floor b) in
+  check_bool "floor rose" true (floor > 0);
+  check_bool "incomplete from zero" false (Backend.log_complete_since b Csn.zero);
+  check_bool "complete from the floor" true (Backend.log_complete_since b (Backend.log_floor b));
+  Alcotest.(check (list int))
+    "retained: every record past the floor" (List.init (last - floor) (fun k -> floor + 1 + k))
+    (csns (Backend.log_since b Csn.zero));
+  check_bool "bounded by the spine" true (Backend.log_length b <= 2 * cap);
+  Gc.full_major ();
+  check_bool "dropped record released" true (Weak.get watch 0 = None);
+  check_bool "retained record still held" true (Weak.get watch 1 <> None);
+  check_int "still retained" (last - floor) (Backend.log_length b);
+  (* An explicit trim releases what it drops just the same. *)
+  (match Backend.log_since b (Backend.log_floor b) with
+  | oldest :: _ -> Weak.set watch 0 (Some oldest)
+  | [] -> Alcotest.fail "records retained");
+  Backend.trim_log b ~before:(Csn.of_int last);
+  Gc.full_major ();
+  check_bool "trimmed record released" true (Weak.get watch 0 = None);
+  check_int "only the newest left" 1 (Backend.log_length b)
+
 let suite =
   [
     Alcotest.test_case "dit basics" `Quick test_dit_basics;
@@ -795,4 +999,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_postings_follow_modifies;
     Alcotest.test_case "integer spellings" `Quick test_integer_spellings;
     QCheck_alcotest.to_alcotest prop_count_is_search_length;
+    QCheck_alcotest.to_alcotest prop_log_follows_reference;
+    Alcotest.test_case "log past twice the spine cap" `Quick test_log_past_spine_cap;
   ]

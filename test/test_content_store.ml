@@ -111,9 +111,21 @@ let test_trim_and_rescan () =
 let test_csn_stamps () =
   let s = Content_store.create () in
   check_bool "empty range" true (Content_store.spine_csn_range s = None);
-  Content_store.upsert s ~csn:(Csn.of_int 5) (entry "a" "1");
-  Content_store.upsert s ~csn:(Csn.of_int 9) (entry "b" "1");
-  Content_store.remove s ~csn:(Csn.of_int 12) (dn "cn=a,o=xyz");
+  let commit csn op =
+    Content_store.attach s { Update.csn = Csn.of_int csn; op; before = None; after = None }
+  in
+  Content_store.upsert s (entry "a" "1");
+  commit 5 (Update.add (entry "a" "1"));
+  Content_store.upsert s (entry "b" "1");
+  commit 9 (Update.add (entry "b" "1"));
+  Content_store.upsert s (entry "c" "1");
+  Content_store.remove s (dn "cn=a,o=xyz");
+  commit 12 (Update.delete (dn "cn=a,o=xyz"));
+  check_int "records" 3 (Content_store.log_length s);
+  check_bool "one record per event" true
+    (match commit 13 (Update.delete (dn "cn=b,o=xyz")) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
   (match Content_store.spine_csn_range s with
   | Some (lo, hi) ->
       check_int "oldest stamp" 5 (Csn.to_int lo);

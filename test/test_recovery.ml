@@ -642,6 +642,58 @@ let prop_incremental_image =
         (steps @ [ Checkpoint ]);
       !ok)
 
+(* --- Images written before the log moved onto the spine ------------- *)
+
+let restore_image m ~name snap wal =
+  Store.Medium.write_atomic m ~name:(name ^ ".snap") snap;
+  Store.Medium.append m ~name:(name ^ ".wal") wal;
+  Store.Store.create m ~name
+
+let test_old_ring_image () =
+  (* A backend snapshot holding the old changelog ring, plus a WAL
+     suffix: the recovered log is the one the old code recovered. *)
+  let m = Store.Medium.memory () in
+  let store = restore_image m ~name:"ring" Old_images.ring_snap Old_images.ring_wal in
+  let b, _ = must (Store.Backend_store.recover schema store) in
+  let describe (r : Update.record) =
+    ( Csn.to_int r.Update.csn,
+      Update.op_kind_name r.op,
+      Dn.to_string (Update.op_target r.op) )
+  in
+  Alcotest.(check (list (triple int string string)))
+    "log_since zero" Old_images.ring_log
+    (List.map describe (Backend.log_since b Csn.zero));
+  check_int "floor" 2 (Csn.to_int (Backend.log_floor b));
+  check_int "csn" 11 (Csn.to_int (Backend.csn b));
+  check_bool "complete from the floor" true (Backend.log_complete_since b (Csn.of_int 2));
+  check_bool "incomplete below it" false (Backend.log_complete_since b (Csn.of_int 1))
+
+let test_old_tombstone_image () =
+  (* A Tombstone master snapshot holding a tombstone list, plus a WAL
+     of tombstone records: both recover (the list is skipped), and the
+     session's next poll serves the deletes the old code served, read
+     from the recovered backend's log instead. *)
+  let m = Store.Medium.memory () in
+  let bstore = restore_image m ~name:"tsb" Old_images.tsb_snap Old_images.tsb_wal in
+  let mstore = restore_image m ~name:"tsm" Old_images.tsm_snap Old_images.tsm_wal in
+  let b, _ = must (Store.Backend_store.recover schema bstore) in
+  let master, recovery = must (Master.recover b mstore) in
+  check_bool "tombstone strategy" true (Master.strategy master = Master.Tombstone);
+  check_int "tombstone records read" 2 (List.length recovery.Store.Store.records);
+  check_int "history size" 5 (Master.history_size master);
+  let reply =
+    must
+      (Master.handle master
+         { Protocol.mode = Protocol.Poll; cookie = Some Old_images.ts_cookie }
+         (dept_query "7"))
+  in
+  check_bool "incremental" true (reply.Protocol.kind = Protocol.Incremental);
+  Alcotest.(check (list (pair string string)))
+    "same actions, same order" Old_images.ts_actions
+    (List.map
+       (fun a -> (Action.kind_name a, Dn.to_string (Action.target a)))
+       reply.Protocol.actions)
+
 let suite =
   [
     Alcotest.test_case "backend recovery" `Quick test_backend_recovery;
@@ -664,4 +716,6 @@ let suite =
     Alcotest.test_case "topology restart errors" `Quick
       test_topology_restart_errors;
     QCheck_alcotest.to_alcotest prop_incremental_image;
+    Alcotest.test_case "old ring image restores" `Quick test_old_ring_image;
+    Alcotest.test_case "old tombstone image restores" `Quick test_old_tombstone_image;
   ]

@@ -671,6 +671,40 @@ let test_session_ids_never_zero () =
   done;
   check_int "fifty sessions" 50 (Master.session_count master)
 
+let test_tombstone_newest_first () =
+  (* Tombstone replay reads the deletes and renames out of the
+     backend's log and sends their DNs newest first.  The context
+     entry has no modifyTimestamp, so it counts as changed and, being
+     outside the content, is deleted conservatively. *)
+  let b = make_backend () in
+  List.iter (fun n -> apply b (Update.add (person n ~dept:"7" ()))) [ "a"; "b"; "c" ];
+  let master = Master.create ~strategy:Master.Tombstone b in
+  let consumer = Consumer.create schema (dept_query "7") in
+  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  apply b (Update.delete (dn "cn=a,o=xyz"));
+  apply b (Update.modify_dn (dn "cn=b,o=xyz") (Result.get_ok (Dn.rdn_of_string "cn=d")));
+  apply b (Update.delete (dn "cn=c,o=xyz"));
+  check_int "history" 3 (Master.history_size master);
+  match Consumer.sync consumer master with
+  | Ok reply ->
+      Alcotest.(check (list string))
+        "deletes newest first, then the renamed entry"
+        [
+          "delete cn=c,o=xyz";
+          "delete cn=b,o=xyz";
+          "delete cn=a,o=xyz";
+          "delete o=xyz";
+          "add cn=d,o=xyz";
+        ]
+        (List.filter_map
+           (fun a ->
+             match a with
+             | Action.Delete d -> Some ("delete " ^ Dn.to_string d)
+             | Action.Add e -> Some ("add " ^ Dn.to_string (Entry.dn e))
+             | Action.Modify _ | Action.Retain _ -> None)
+           reply.Protocol.actions)
+  | Error e -> failwith e
+
 let suite =
   [
     Alcotest.test_case "initial content" `Quick test_initial_content;
@@ -702,4 +736,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_convergence;
     QCheck_alcotest.to_alcotest prop_convergence_changelog;
     QCheck_alcotest.to_alcotest prop_cookie_of_parses_back;
+    Alcotest.test_case "tombstone deletes newest first" `Quick test_tombstone_newest_first;
   ]
