@@ -6,6 +6,11 @@ let target = function
   | Add e | Modify e -> Entry.dn e
   | Delete dn | Retain dn -> dn
 
+let select (q : Query.t) = function
+  | Add e -> Add (Entry.select e (Query.attr_list q.Query.attrs))
+  | Modify e -> Modify (Entry.select e (Query.attr_list q.Query.attrs))
+  | (Delete _ | Retain _) as a -> a
+
 let entries_cost = function Add _ | Modify _ -> 1 | Delete _ | Retain _ -> 0
 
 let bytes_cost = function

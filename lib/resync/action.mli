@@ -18,6 +18,11 @@ type t =
 
 val target : t -> Dn.t
 
+val select : Query.t -> t -> t
+(** The action as transmitted to a session on the query: [Add] and
+    [Modify] entries keep only the query's attribute selection, exactly
+    like search results do. *)
+
 val entries_cost : t -> int
 (** Traffic in the paper's unit (entries transferred): 1 for [Add] and
     [Modify], 0 for the DN-only [Delete]/[Retain]. *)
@@ -27,3 +32,4 @@ val bytes_cost : t -> int
 
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit
+(** Prints the kind and the target DN, e.g. [delete cn=a,o=xyz]. *)

@@ -37,55 +37,45 @@
     recorded it as delivered — the per-session history for that
     interval is gone, so the master discards the session and answers
     degraded from the CSN the consumer actually acknowledges, instead
-    of silently resuming with a gap. *)
+    of silently resuming with a gap.
 
-open Ldap
+    Sessions, cookies, the request path, expiry and commit dispatch
+    with its bounded persist queues are the shared {!Server}'s; a
+    master is its backend history source, which admits every query. *)
 
 type strategy = Session_history | Changelog | Tombstone
 
-type dispatch =
-  | Routed
-      (** Committed updates are routed through a
-          {!Ldap_containment.Predicate_index} built over the live
-          sessions' filters: only the sessions whose filter anchors are
-          hit by the update's before/after images are classified, plus
-          a fallback set for unanchorable filters.  Per-update cost is
-          proportional to the affected sessions, not the session count.
-          Observably equivalent to [Naive]. *)
-  | Naive
-      (** Every committed update is classified against every live
-          session — the baseline linear fan-out, kept for comparison
-          and for the equivalence tests. *)
+type dispatch = Server.dispatch = Routed | Naive
+(** See {!Server.dispatch}. *)
 
 type t
 
-val create :
-  ?history_limit:int ->
-  ?persist_queue_limit:int ->
-  ?strategy:strategy ->
-  ?dispatch:dispatch ->
-  Backend.t ->
-  t
+type history
+(** A session's buffered [Session_history] actions. *)
+
+val server : t -> history Server.t
+(** The shared server this master is the history source of: its
+    transport endpoint, the Merkle service and everything below that
+    a [t] accessor forwards to. *)
+
+val create : ?strategy:strategy -> ?dispatch:dispatch -> Ldap.Backend.t -> t
 (** Subscribes to the backend's committed updates.  Default strategy is
-    [Session_history]; default dispatch is [Routed].  [history_limit]
-    is the per-session history high-water mark: a [Session_history]
-    session whose pending buffer exceeds it has the buffer dropped and
-    the session retired, so its next poll escalates to a degraded
-    snapshot-diff resynchronization (eq. (3)) instead of the master's
-    memory growing with the slowest consumer (default: unbounded).
-    [persist_queue_limit] is the analogous bound on one persist
-    session's outbound push queue (see {!push_queue_stats}; default:
-    unbounded). *)
+    [Session_history]; default dispatch is [Routed].  Both bounds
+    start unbounded. *)
 
 val history_limit : t -> int option
 val set_history_limit : t -> int option -> unit
-(** Adjusts the per-session history high-water mark at runtime. *)
+(** Sets the per-session history high-water mark: a [Session_history]
+    session whose pending buffer exceeds it has the buffer dropped and
+    the session retired, so its next poll escalates to a degraded
+    snapshot-diff resynchronization (eq. (3)) instead of the master's
+    memory growing with the slowest consumer. *)
 
-val persist_queue_limit : t -> int option
 val set_persist_queue_limit : t -> int option -> unit
-(** Adjusts the per-session persist outbound queue bound at runtime. *)
+(** Sets the bound on one persist session's outbound push queue (see
+    {!push_queue_stats}) — the analogous bound for persist mode. *)
 
-val backend : t -> Backend.t
+val backend : t -> Ldap.Backend.t
 val strategy : t -> strategy
 (** The history strategy this master was created with. *)
 
@@ -93,7 +83,7 @@ val handle :
   t ->
   ?push:Protocol.push_channel ->
   Protocol.request ->
-  Query.t ->
+  Ldap.Query.t ->
   (Protocol.reply, string) result
 (** Processes a resync search request.  [push] must be supplied for
     [Persist] mode and receives subsequent change notifications; wrap
@@ -143,18 +133,6 @@ val history_overflows : t -> int
 val abandon : t -> cookie:string -> unit
 (** Client abandoned a persistent search: equivalent to sync_end. *)
 
-val antientropy_serve :
-  t ->
-  Ldap_antientropy.Exchange.request ->
-  Query.t ->
-  (Ldap_antientropy.Exchange.reply, string) result
-(** Answers one Merkle anti-entropy walk step over the master's current
-    content as seen through [query] — the containment predicate gives
-    "what the replica should hold", so the tree is computed lazily under
-    the replica's filter.  A [Fetch] step mints a fresh session pinned
-    at the current CSN and ships its cookie with the entries, letting
-    the reconciled consumer resume incremental polling. *)
-
 val expire_sessions : t -> idle_limit:int -> unit
 (** Drops sessions idle for at least [idle_limit] requests handled by
     this master (the paper's admin time limit, measured in protocol
@@ -187,9 +165,6 @@ val pending_stats : t -> int * int
     single session's buffer) — what the scale report shows operators
     watching for a slow consumer pinning master memory. *)
 
-val parse_cookie : string -> (int * Csn.t) option
-(** Exposed for tests: session id and CSN embedded in a cookie. *)
-
 (** {1 Durability}
 
     With a store attached, every session-table transition — creation,
@@ -216,7 +191,7 @@ val checkpoint : t -> unit
 val recover :
   ?strategy:strategy ->
   ?dispatch:dispatch ->
-  Backend.t ->
+  Ldap.Backend.t ->
   Ldap_store.Store.t ->
   (t * Ldap_store.Store.recovery, string) result
 (** Rebuilds a master over an (already recovered) backend from its

@@ -1,3 +1,5 @@
+(* [Ldap] has a [Server] of its own, the LDAP directory server. *)
+module Resync_server = Server
 open Ldap
 
 type error = Net of Network.failure | Server of string
@@ -44,17 +46,18 @@ let remove_endpoint t ~name =
 
 let endpoint t name = Hashtbl.find_opt t.endpoints name
 
-let endpoint_of_master m =
+let serve server ~estimate =
   {
-    ep_schema = Backend.schema (Master.backend m);
-    ep_handle = (fun ~push request query -> Master.handle m ?push request query);
-    ep_abandon = (fun ~cookie -> Master.abandon m ~cookie);
-    ep_estimate = (fun q -> Backend.count_matching (Master.backend m) q);
-    ep_tree = (fun request query -> Master.antientropy_serve m request query);
+    ep_schema = Resync_server.schema server;
+    ep_handle = (fun ~push req q -> Resync_server.handle server ?push req q);
+    ep_abandon = (fun ~cookie -> Resync_server.abandon server ~cookie);
+    ep_estimate = estimate;
+    ep_tree = (fun req q -> Resync_server.antientropy_serve server req q);
   }
 
 let add_master t ~name master =
-  Hashtbl.replace t.endpoints name (endpoint_of_master master);
+  let estimate = Backend.count_matching (Master.backend master) in
+  Hashtbl.replace t.endpoints name (serve (Master.server master) ~estimate);
   Hashtbl.replace t.masters name master
 
 let master t name = Hashtbl.find_opt t.masters name

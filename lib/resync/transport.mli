@@ -17,6 +17,7 @@
     exactly what lets a cascading topology re-parent a consumer from a
     dead intermediate node to its grandparent. *)
 
+module Resync_server := Server
 open Ldap
 
 type t
@@ -74,6 +75,11 @@ val remove_endpoint : t -> name:string -> unit
     unaffected. *)
 
 val endpoint : t -> string -> endpoint option
+
+val serve : 's Resync_server.t -> estimate:(Query.t -> int) -> endpoint
+(** The endpoint of a ReSync server — a root master's
+    ({!Master.server}) or a topology node's: its request path, abandon
+    and Merkle service, with [estimate] as the size estimate. *)
 
 val add_master : t -> name:string -> Master.t -> unit
 (** Registers a root master as an endpoint under the host name. *)

@@ -37,7 +37,12 @@
     observer classifies each upstream-applied change against the
     persistent sessions — routed through a
     {!Ldap_containment.Predicate_index} over their filters unless
-    [Naive] dispatch is selected — and pushes the resulting actions. *)
+    [Naive] dispatch is selected — and pushes the resulting actions.
+
+    Sessions, cookies, the request path and the persist queues are the
+    shared {!Ldap_resync.Server}'s: a node is its spine-cursor history
+    source plus admission by containment, and its persist queues are
+    bound 0 — a downstream that stops draining is cut at once. *)
 
 open Ldap
 
@@ -45,7 +50,7 @@ type t
 
 val create :
   ?cache_capacity:int ->
-  ?dispatch:Ldap_resync.Master.dispatch ->
+  ?dispatch:Ldap_resync.Server.dispatch ->
   Ldap_resync.Transport.t ->
   host:string ->
   upstream:string ->
@@ -96,26 +101,14 @@ val handle :
   Ldap_resync.Protocol.request ->
   Query.t ->
   (Ldap_resync.Protocol.reply, string) result
-(** Serves one downstream resync exchange, mirroring
-    {!Ldap_resync.Master.handle}.  A non-admitted subscription fails
-    with a referral error (see {!referral_of_error}).  The node reads
-    no clock: a harness that wants serve times wraps the node's
-    transport endpoint (as the scale sweep does). *)
-
-val abandon : t -> cookie:string -> unit
-
-val antientropy_serve :
-  t ->
-  Ldap_antientropy.Exchange.request ->
-  Query.t ->
-  (Ldap_antientropy.Exchange.reply, string) result
-(** Answers one Merkle anti-entropy walk step from the node's own
-    replica content evaluated under the requesting query — the
-    tier-by-tier cascade: a leaf repairs against its node while the
-    node independently repairs against its parent.  A non-admitted
-    query fails with the same referral as {!handle}; a [Fetch] step
-    mints a downstream session so the repaired consumer can resume
-    incremental polling here. *)
+(** Serves one downstream resync exchange ({!Ldap_resync.Server.handle}).
+    A non-admitted subscription fails with a referral error (see
+    {!referral_of_error}).  The node reads no clock: a harness that
+    wants serve times wraps the node's transport endpoint (as the scale
+    sweep does).  The endpoint also answers Merkle anti-entropy walk
+    steps from the node's own replica content, with the same referral
+    — the tier-by-tier cascade: a leaf repairs against its node while
+    the node independently repairs against its parent. *)
 
 val estimate : t -> Query.t -> int
 (** Entries currently held for an admissible query; 0 when not

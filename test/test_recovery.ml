@@ -368,7 +368,7 @@ let prop_recovered_equals_live =
       let csn_of c =
         match c with
         | None -> None
-        | Some cookie -> Option.map snd (Master.parse_cookie cookie)
+        | Some cookie -> Option.map snd (Protocol.parse_cookie cookie)
       in
       let a = canon (Consumer.entries recovered) in
       let b = canon (Consumer.entries live) in
@@ -694,6 +694,39 @@ let test_old_tombstone_image () =
        (fun a -> (Action.kind_name a, Dn.to_string (Action.target a)))
        reply.Protocol.actions)
 
+let test_old_session_history_image () =
+  (* A Session_history master snapshot holding a session's pending
+     actions, plus a WAL of session records of every kind: the
+     recovered master answers the session's cookie with the old code's
+     incremental reply. *)
+  let m = Store.Medium.memory () in
+  let bstore = restore_image m ~name:"shb" Old_images.shb_snap Old_images.shb_wal in
+  let mstore = restore_image m ~name:"shm" Old_images.shm_snap Old_images.shm_wal in
+  let b, _ = must (Store.Backend_store.recover schema bstore) in
+  let master, recovery = must (Master.recover b mstore) in
+  check_bool "session history strategy" true (Master.strategy master = Master.Session_history);
+  check_int "session records read" 9 (List.length recovery.Store.Store.records);
+  check_int "one session left" 1 (Master.session_count master);
+  let reply =
+    must
+      (Master.handle master
+         { Protocol.mode = Protocol.Poll; cookie = Some Old_images.sh_cookie }
+         (dept_query "7"))
+  in
+  check_bool "incremental" true (reply.Protocol.kind = Protocol.Incremental);
+  Alcotest.(check (option string)) "cookie" (Some Old_images.sh_reply_cookie) reply.Protocol.cookie;
+  check_int "bytes" Old_images.sh_reply_bytes (Protocol.bytes_cost reply);
+  Alcotest.(check (list (triple string string (option int64))))
+    "same actions, same order" Old_images.sh_actions
+    (List.map
+       (fun a ->
+         ( Action.kind_name a,
+           Dn.to_string (Action.target a),
+           match a with
+           | Action.Add e | Action.Modify e -> Some (Entry.content_hash64 e)
+           | Action.Delete _ | Action.Retain _ -> None ))
+       reply.Protocol.actions)
+
 let suite =
   [
     Alcotest.test_case "backend recovery" `Quick test_backend_recovery;
@@ -718,4 +751,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_image;
     Alcotest.test_case "old ring image restores" `Quick test_old_ring_image;
     Alcotest.test_case "old tombstone image restores" `Quick test_old_tombstone_image;
+    Alcotest.test_case "old session history image restores" `Quick
+      test_old_session_history_image;
   ]

@@ -196,8 +196,8 @@ let test_malformed_cookie () =
     (Result.is_error
        (Master.handle master { Protocol.mode = Protocol.Poll; cookie = Some "bogus" }
           (dept_query "7")));
-  check_bool "parse_cookie" true (Master.parse_cookie "rs:3:17" = Some (3, Csn.of_int 17));
-  check_bool "parse bad" true (Master.parse_cookie "rs:x:y" = None)
+  check_bool "parse_cookie" true (Protocol.parse_cookie "rs:3:17" = Some (3, Csn.of_int 17));
+  check_bool "parse bad" true (Protocol.parse_cookie "rs:x:y" = None)
 
 (* --- Baseline comparison (section 5.2) ------------------------------- *)
 

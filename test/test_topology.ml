@@ -709,7 +709,8 @@ let streaming_materialized_test =
 
 let test_history_hwm_bounds_master () =
   let b = build_directory () in
-  let m = Master.create ~history_limit:8 b in
+  let m = Master.create b in
+  Master.set_history_limit m (Some 8);
   check_bool "limit recorded" true (Master.history_limit m = Some 8);
   let fast = Consumer.create schema (dept_query 7) in
   let slow = Consumer.create schema (dept_query 8) in
@@ -798,6 +799,55 @@ let test_acked_csn_matches_parse () =
   T.Leaf.sync leaf;
   same "after another poll"
 
+
+(* --- Persist cut ---------------------------------------------------------
+   A persist consumer that stops draining is cut from its server: a node
+   cuts it on the first stalled push, the root once the outbound queue
+   passes its bound (0 here, the node's bound).  Either way the session
+   goes, the channel closes, and reconnecting with the cookie resyncs
+   degraded to the oracle's content. *)
+
+let persist_cut ~label ~transport ~host ~persistent_count ~commit b =
+  let q = dept_query 3 in
+  let consumer = Consumer.create schema q in
+  (match Consumer.connect_persist consumer transport ~host ~from:"leaf" with
+  | Ok _ -> ()
+  | Error e -> failwith (Consumer.sync_error_to_string e));
+  check_int (label ^ ": persistent") 1 (persistent_count ());
+  Consumer.pause_connection consumer;
+  commit ();
+  check_int (label ^ ": session cut") 0 (persistent_count ());
+  check_bool (label ^ ": channel closed") false (Consumer.persist_alive consumer);
+  (match Consumer.ensure_persist consumer transport ~host ~from:"leaf" with
+  | Ok (Some o) ->
+      check_bool (label ^ ": degraded reconnect") true
+        (o.Consumer.reply.Protocol.kind = Protocol.Degraded)
+  | Ok None -> Alcotest.fail (label ^ ": expected a reconnection")
+  | Error e -> failwith (Consumer.sync_error_to_string e));
+  check_bool (label ^ ": converged") true
+    (Dn.Set.equal (Content.current_dns b q) (Consumer.dns consumer))
+
+let test_persist_cut () =
+  let b = build_directory () in
+  let t = T.Topology.create b in
+  let node =
+    must (T.Topology.add_node t ~name:"n1" ~parent:(T.Topology.root t) ~covers:[ dept_query 3 ])
+  in
+  let transport = T.Topology.transport t in
+  persist_cut ~label:"node" ~transport ~host:"n1"
+    ~persistent_count:(fun () -> T.Node.persistent_count node)
+    ~commit:(fun () ->
+      apply b (Update.add (person "cut1" ~dept:"3" ()));
+      T.Node.sync node)
+    b;
+  let m = T.Topology.master t in
+  Master.set_persist_queue_limit m (Some 0);
+  persist_cut ~label:"root" ~transport ~host:(T.Topology.root t)
+    ~persistent_count:(fun () -> Master.persistent_count m)
+    ~commit:(fun () -> apply b (Update.add (person "cut2" ~dept:"3" ())))
+    b;
+  check_int "root queue overflowed once" 1 (Master.push_overflows m)
+
 let suite =
   [
     Alcotest.test_case "tree matches star (1000 leaves)" `Slow test_tree_matches_star;
@@ -826,4 +876,5 @@ let suite =
     QCheck_alcotest.to_alcotest chain_equivalence_test;
     QCheck_alcotest.to_alcotest streaming_materialized_test;
     Alcotest.test_case "acked csn = parsed cookies" `Quick test_acked_csn_matches_parse;
+    Alcotest.test_case "persist cut at node and root" `Quick test_persist_cut;
   ]
