@@ -239,8 +239,8 @@ let dn_gen =
   map Dn.of_rdns (list_size (0 -- 4) (list_size (1 -- 3) ava))
 
 (* Entries with repeated attribute names, empty value lists, and value
-   edits after construction — including delete-then-add, which lists an
-   attribute twice in [Entry.attributes]. *)
+   edits after construction — including delete-then-add, which lists the
+   attribute once, as a fresh entry would. *)
 let entry_gen =
   let open QCheck.Gen in
   let name = oneofl [ "cn"; "mail"; "objectClass"; "sn"; "description" ] in
@@ -350,7 +350,7 @@ let test_printers_fixed_cases () =
   List.iter check_dn
     [ ""; "cn=a\\,b\\+c,o=x"; "cn=\\#lead,o=x"; "cn=\\ pad\\ ,o=x"; "cn=X+sn=Y,ou=a\\;b,o=x";
       "cn=q\\\"uote\\<\\>\\=,o=x"; "cn=back\\\\slash,o=x" ];
-  (* Delete-then-add lists the attribute twice in [Entry.attributes]. *)
+  (* Delete-then-add lists the attribute once in [Entry.attributes]. *)
   let e = Entry.make (dn "cn=a,o=x") [ ("cn", [ "a" ]); ("mail", [ "m@x" ]); ("sn", [ "s" ]) ] in
   let e = match Entry.delete_values e "mail" [] with Ok e -> e | Error m -> failwith m in
   let e = Entry.add_values e "mail" [ "n@x"; "o@x" ] in
