@@ -705,6 +705,72 @@ let test_tombstone_newest_first () =
            reply.Protocol.actions)
   | Error e -> failwith e
 
+(* --- Compiled classification = interpreted oracle --------------------
+   Random queries over a small tree, and before/after images that may be
+   absent, renamed, or sit exactly at the base, one level below it or
+   deeper, so every scope edge and every transition comes up. *)
+
+let dn_pool =
+  [ "o=xyz"; "ou=a,o=xyz"; "cn=p1,ou=a,o=xyz"; "cn=p2,ou=a,o=xyz"; "cn=p1,o=xyz";
+    "cn=q,cn=p1,ou=a,o=xyz" ]
+
+let filter_pool =
+  [ "(departmentNumber=7)"; "(objectClass=*)"; "(!(cn=p1))"; "(sn=p*)";
+    "(|(departmentNumber=7)(cn=P2))"; "(&(objectClass=inetOrgPerson)(departmentNumber>=8))";
+    "(mail=*)" ]
+
+let image_gen =
+  QCheck.Gen.(
+    let* d = oneofl dn_pool in
+    let* dept = oneofl [ "7"; "8"; "9" ] in
+    let* sn = oneofl [ "p1"; "P2"; "q" ] in
+    let* mail = oneofl [ []; [ "m@x" ] ] in
+    return
+      (Entry.make (dn d)
+         [ ("objectclass", [ "inetOrgPerson" ]); ("cn", [ "p1" ]); ("sn", [ sn ]);
+           ("departmentNumber", [ dept ]); ("mail", mail) ]))
+
+let classify_case_gen =
+  QCheck.Gen.(
+    let* base = oneofl dn_pool in
+    let* scope = oneofl [ Scope.Base; Scope.One; Scope.Sub ] in
+    let* filter = oneofl filter_pool in
+    let* before = opt image_gen in
+    let* after =
+      frequency
+        [ (1, opt image_gen);
+          (* the before-image modified in place, DN kept *)
+          (1, return (Option.map (fun e -> Entry.replace_values e "departmentNumber" [ "7" ]) before)) ]
+    in
+    return (Query.make ~scope ~base:(dn base) (f filter), before, after))
+
+let same_transition a b =
+  match (a, b) with
+  | Content.Stays_out, Content.Stays_out -> true
+  | Moves_in x, Moves_in y | Changes_within x, Changes_within y -> Entry.equal x y
+  | Moves_out x, Moves_out y -> Dn.equal x y
+  | Renames_within x, Renames_within y ->
+      Dn.equal x.old_dn y.old_dn && Entry.equal x.entry y.entry
+  | (Stays_out | Moves_in _ | Moves_out _ | Changes_within _ | Renames_within _), _ -> false
+
+let prop_classify_m_matches_oracle =
+  QCheck.Test.make ~name:"resync: classify_m = classify oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun ((q : Query.t), before, after) ->
+         let image = function
+           | None -> "none"
+           | Some e -> Format.asprintf "%a" Entry.pp e
+         in
+         Printf.sprintf "base=%s scope=%s filter=%s\nbefore=%s\nafter=%s"
+           (Dn.to_string q.base)
+           (match q.scope with Scope.Base -> "base" | One -> "one" | Sub -> "sub")
+           (Filter.to_string q.filter) (image before) (image after))
+       classify_case_gen)
+    (fun (q, before, after) ->
+      same_transition
+        (Content.classify schema q ~before ~after)
+        (Content.classify_m (Content.matcher schema q) ~before ~after))
+
 let suite =
   [
     Alcotest.test_case "initial content" `Quick test_initial_content;
@@ -737,4 +803,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_convergence_changelog;
     QCheck_alcotest.to_alcotest prop_cookie_of_parses_back;
     Alcotest.test_case "tombstone deletes newest first" `Quick test_tombstone_newest_first;
+    QCheck_alcotest.to_alcotest prop_classify_m_matches_oracle;
   ]
