@@ -32,6 +32,5 @@ let name id =
   if id < 0 || id >= !used then invalid_arg "Attr_id.name: unknown id";
   !names.(id)
 
-let count () = !used
 let equal (a : int) (b : int) = a = b
 let compare (a : int) (b : int) = Stdlib.compare a b

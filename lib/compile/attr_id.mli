@@ -24,9 +24,6 @@ val name : t -> string
 (** [name id] is the lowercased attribute name behind [id].  Raises
     [Invalid_argument] on an id never returned by {!intern}. *)
 
-val count : unit -> int
-(** Number of distinct names interned so far (also the next fresh id). *)
-
 val equal : t -> t -> bool
 (** Integer equality, monomorphic. *)
 

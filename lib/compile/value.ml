@@ -1,19 +1,5 @@
 type syntax = Case_ignore | Case_exact | Integer | Telephone
 
-let syntax_to_string = function
-  | Case_ignore -> "caseIgnore"
-  | Case_exact -> "caseExact"
-  | Integer -> "integer"
-  | Telephone -> "telephone"
-
-let syntax_of_string s =
-  match String.lowercase_ascii s with
-  | "caseignore" -> Some Case_ignore
-  | "caseexact" -> Some Case_exact
-  | "integer" -> Some Integer
-  | "telephone" -> Some Telephone
-  | _ -> None
-
 (* The helpers below return their argument itself when it is already
    in the form asked for, so normalizing a normal value allocates
    nothing.  The scans are plain recursive functions: the closures of

@@ -19,12 +19,6 @@ type syntax =
   | Telephone  (** [telephoneNumberMatch]: case-insensitive with spaces
                    and hyphens removed. *)
 
-val syntax_to_string : syntax -> string
-(** Stable identifier for serialization ("case_ignore", ...). *)
-
-val syntax_of_string : string -> syntax option
-(** Inverse of {!syntax_to_string}; [None] on unknown identifiers. *)
-
 val lowercase : string -> string
 (** [String.lowercase_ascii], except that a string with no uppercase
     letter is returned itself rather than copied. *)

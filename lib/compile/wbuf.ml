@@ -41,5 +41,4 @@ let prepend_string t s =
 let mark t = length t
 let since t m = length t - m
 let contents t = Bytes.sub_string t.buf t.pos (length t)
-let to_buffer t b = Buffer.add_subbytes b t.buf t.pos (length t)
 let view t = (t.buf, t.pos, length t)

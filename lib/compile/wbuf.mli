@@ -9,8 +9,8 @@
     (children in reverse order), then prepend its length and tag.
     Each byte is written exactly once, and one buffer is reused across
     encodes — the only per-message allocation is the final
-    {!contents}, and even that is skipped by callers that blit with
-    {!to_buffer} or hash via {!view}. *)
+    {!contents}, and even that is skipped by callers that blit or
+    hash via {!view}. *)
 
 type t
 (** A growable buffer whose contents occupy the tail of its backing
@@ -43,9 +43,6 @@ val since : t -> int -> int
 
 val contents : t -> string
 (** Copy out the buffered bytes as a string (one allocation). *)
-
-val to_buffer : t -> Buffer.t -> unit
-(** Append the buffered bytes to [b] without an intermediate string. *)
 
 val view : t -> Bytes.t * int * int
 (** [(bytes, off, len)] exposing the live region without copying —

@@ -31,8 +31,14 @@ val entries_of_string : string -> (Entry.t list, string) result
     a [version:] line. *)
 
 val change_to_string : change -> string
+(** Renders one change record as LDIF. *)
+
 val change_of_update : Update.op -> change
+(** The LDIF change record describing an update operation. *)
+
 val update_of_change : change -> Update.op
+(** The update operation a change record describes; inverse of
+    {!change_of_update}. *)
 
 val needs_base64 : string -> bool
 (** Whether a value must be base64-encoded per RFC 2849 (leading

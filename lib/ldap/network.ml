@@ -69,7 +69,6 @@ type t = {
          chain on the spot: no leg may be scheduled meanwhile. *)
   links : (string, Ldap_sim.Latency.t) Hashtbl.t;
   mutable default_latency : Ldap_sim.Latency.t;
-  mutable rpc_timeout : int option;
 }
 
 let create () =
@@ -86,7 +85,6 @@ let create () =
     inline = false;
     links = Hashtbl.create 8;
     default_latency = Ldap_sim.Latency.Zero;
-    rpc_timeout = None;
   }
 
 let attach_engine t e = t.engine <- Some e
@@ -104,8 +102,6 @@ let link_latency t ~a ~b =
     match Hashtbl.find_opt t.links (Faults.link_key a b) with
     | Some lat -> lat
     | None -> t.default_latency
-
-let set_rpc_timeout t timeout = t.rpc_timeout <- timeout
 
 let add_server t s = Hashtbl.replace t.servers (Server.name s) (Full_server s)
 let add_handler t ~name handler = Hashtbl.replace t.servers name (Handler handler)
@@ -270,12 +266,9 @@ let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
         (d_req, Ldap_sim.Engine.draw e lat)
     | None -> (0, 0)
   in
-  (* Without an explicit timeout, a lost exchange costs exactly the
-     round trip it would have taken — the minimal model that still
-     makes failures consume virtual time. *)
-  let timeout =
-    match t.rpc_timeout with Some x -> x | None -> d_req + d_rep
-  in
+  (* A lost exchange costs exactly the round trip it would have taken —
+     the minimal model that still makes failures consume virtual time. *)
+  let timeout = d_req + d_rep in
   let partitioned =
     match faults with
     | Some f -> Faults.partitioned f ~a:from ~b:host

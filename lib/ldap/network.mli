@@ -81,7 +81,7 @@ end
 
 val create : unit -> t
 (** An empty network: no hosts, zeroed counters, no engine, zero
-    latency and no RPC timeout. *)
+    latency. *)
 
 val attach_engine : t -> Ldap_sim.Engine.t -> unit
 (** Attaches a discrete-event engine.  From then on {!rpc_send} and
@@ -103,11 +103,6 @@ val set_default_latency : t -> Ldap_sim.Latency.t -> unit
 val link_latency : t -> a:string -> b:string -> Ldap_sim.Latency.t
 (** Effective distribution for a link.  With no per-link setting at
     all the default is returned without building a link key. *)
-
-val set_rpc_timeout : t -> int option -> unit
-(** Virtual time a client waits before reporting a lost exchange.
-    [None] (default) charges exactly the round trip the exchange would
-    have taken. *)
 
 val add_server : t -> Server.t -> unit
 
@@ -157,8 +152,8 @@ val rpc_send :
 
     Each leg is timed through {!after}: with a clock the request is
     served after one link-latency draw and the reply delivered after a
-    second, and failures surface after the RPC timeout
-    ({!set_rpc_timeout}); unclocked, the continuation runs before
+    second, and a failure surfaces after the round trip the exchange
+    would have taken; unclocked, the continuation runs before
     [rpc_send] returns and no latency is drawn. *)
 
 val rpc :

@@ -45,7 +45,12 @@ val region_subset : inner:t -> outer:t -> bool
     QC (section 4): every DN in [inner]'s region lies in [outer]'s. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0]: same base, scope, filter, requested attributes
+    and manageDsaIT flag. *)
+
 val compare : t -> t -> int
+(** Orders by base, then scope, filter, requested attributes and the
+    manageDsaIT flag. *)
 
 val hash : t -> int
 (** Hash consistent with {!equal}: the canonical base, the whole
@@ -56,4 +61,7 @@ module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by queries up to {!equal}. *)
 
 val to_string : t -> string
+(** One-line rendering of base, scope, filter and attributes. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}'s rendering. *)

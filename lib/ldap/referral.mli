@@ -7,5 +7,12 @@
 type t = { host : string; dn : Dn.t option }
 
 val make : host:string -> ?dn:Dn.t -> unit -> string
+(** [make ~host ?dn ()] is the URL [ldap://host/dn] ([ldap://host/]
+    without a DN). *)
+
 val parse : string -> (t, string) result
+(** Parses an LDAP URL; [Error] when the [ldap://] scheme is missing
+    or the DN does not parse. *)
+
 val parse_exn : string -> t
+(** {!parse}, raising [Invalid_argument] on error. *)

@@ -27,6 +27,7 @@ type object_class = {
 type t
 
 val empty : t
+(** A schema with no attribute types and no object classes. *)
 
 val add_attribute : t -> attribute_type -> t
 (** Registers the type under its canonical name and all aliases
@@ -45,6 +46,7 @@ val syntax_of : t -> string -> Value.syntax
 val is_single_valued : t -> string -> bool
 
 val object_class : t -> string -> object_class option
+(** Lookup of an object class by name, case-insensitive. *)
 
 val required_attributes : t -> string -> string list
 (** Mandatory attributes of a class including inherited ones.  Unknown

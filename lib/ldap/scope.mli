@@ -12,14 +12,23 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Orders [Base < One < Sub]. *)
 
 val to_int : t -> int
 (** [to_int s] is the paper's integer encoding: 0, 1 or 2. *)
 
 val of_int : int -> t option
+(** Inverse of {!to_int}; [None] outside 0..2. *)
+
 val to_string : t -> string
+(** ["base"], ["one"] or ["sub"]. *)
+
 val of_string : string -> t option
+(** Inverse of {!to_string}, case-insensitive; also accepts
+    ["onelevel"], ["single"] and ["subtree"]. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}'s rendering. *)
 
 val covers : outer:t -> inner:t -> bool
 (** [covers ~outer ~inner] is [true] when a search with scope [outer]

@@ -2,8 +2,6 @@ type t = { name : string; backend : Backend.t; default_referral : string option 
 
 let create ?default_referral ~name backend = { name; backend; default_referral }
 let name t = t.name
-let backend t = t.backend
-let default_referral t = t.default_referral
 
 type response =
   | Entries of Backend.search_result

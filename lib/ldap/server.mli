@@ -4,9 +4,13 @@
 type t
 
 val create : ?default_referral:string -> name:string -> Backend.t -> t
+(** [create ?default_referral ~name backend] serves [backend] as the
+    host [name]; a search whose base no local context holds is
+    referred to [default_referral] (the superior server), or fails
+    without one. *)
+
 val name : t -> string
-val backend : t -> Backend.t
-val default_referral : t -> string option
+(** The host name the server was created under. *)
 
 type response =
   | Entries of Backend.search_result
