@@ -19,7 +19,8 @@ let depth _ = 3
    64-bit hashes taken from the leading bytes of an MD5 digest over a
    canonical rendering: DNs in canonical form, attributes sorted by
    name with values sorted within each attribute.  Entry.attributes
-   preserves insertion order, so sorting here is what makes two
+   lists attributes in interned-id order and values in stored order,
+   neither of which replicas share, so sorting here is what makes two
    replicas holding the same logical entry agree on its hash. *)
 
 let hash64 s =
@@ -28,7 +29,7 @@ let hash64 s =
 (* Memoized on the entry: rebuilding trees across anti-entropy rounds
    re-hashes only entries mutated since the last round.  The canonical
    rendering lives with {!Entry} so snapshot-diff cursors share both
-   the definition and the per-record memo. *)
+   the definition and the per-record cache. *)
 let entry_hash = Entry.content_hash64
 
 (* The segment is keyed by the DN alone: mutating an entry's attributes

@@ -31,7 +31,7 @@ val depth : config -> int
 
 val entry_hash : Entry.t -> int64
 (** 64-bit content hash of one entry over its canonical rendering;
-    equal entries hash equal regardless of attribute insertion order. *)
+    equal entries hash equal regardless of attribute and value order. *)
 
 val segment_of_dn : config -> Dn.t -> int
 (** The segment an entry with this DN occupies.  Keyed by the DN alone

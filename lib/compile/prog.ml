@@ -2,33 +2,25 @@ type slot = {
   id : Attr_id.t;
   cid : Attr_id.t;
   syntax : Value.syntax;
+  raw : string array;
   canon : string array;
   norm : string array;
   ints : int option array;
 }
 
-type centry = { dn_canon : string; slots : slot array }
+(* Binary search over the id-sorted slot array; -1 when absent.  Top
+   level, so no closure is allocated per call. *)
+let rec search slots id lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let s = (Array.unsafe_get slots mid).id in
+    if s = id then mid else if s < id then search slots id (mid + 1) hi else search slots id lo mid
 
-let sort_slots slots =
-  Array.sort (fun a b -> Stdlib.compare a.id b.id) slots;
-  slots
+let slot_index slots id = search slots id 0 (Array.length slots)
 
-let make_centry ~dn_canon slots = { dn_canon; slots = sort_slots slots }
-
-(* Binary search over the id-sorted slot array; -1 when absent. *)
-let slot_index ce id =
-  let slots = ce.slots in
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let s = (Array.unsafe_get slots mid).id in
-      if s = id then mid else if s < id then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length slots)
-
-let find_slot ce id =
-  match slot_index ce id with -1 -> None | i -> Some ce.slots.(i)
+let find_slot slots id =
+  match slot_index slots id with -1 -> None | i -> Some slots.(i)
 
 type cmp = { c_id : Attr_id.t; c_ge : bool; c_v : string }
 
@@ -58,10 +50,10 @@ type t =
   | P_cmp_int of cmp_int
   | P_sub of sub
 
-let mem_string (a : string array) v =
-  let n = Array.length a in
-  let rec go i = i < n && (String.equal (Array.unsafe_get a i) v || go (i + 1)) in
-  go 0
+let rec mem_from (a : string array) v i =
+  i < Array.length a && (String.equal (Array.unsafe_get a i) v || mem_from a v (i + 1))
+
+let mem_string a v = mem_from a v 0
 
 (* Mirrors Value.find_from, over already-normalized strings. *)
 let find_from s ~from pat =
@@ -114,55 +106,42 @@ let cmp_int_value (p : cmp_int) (x : int option) (xs : string) =
   | None, Some _ -> 1
   | None, None -> String.compare xs p.i_vs
 
-let rec matches p ce =
+(* The loops below are top-level recursive functions rather than local
+   ones, so evaluating a program allocates no closures. *)
+let rec cmp_from c canon k =
+  k < Array.length canon
+  && (let d = String.compare (Array.unsafe_get canon k) c.c_v in
+      (if c.c_ge then d >= 0 else d <= 0) || cmp_from c canon (k + 1))
+
+let rec cmp_int_from c s k =
+  k < Array.length s.canon
+  && (let d = cmp_int_value c s.ints.(k) s.canon.(k) in
+      (if c.i_ge then d >= 0 else d <= 0) || cmp_int_from c s (k + 1))
+
+let rec sub_from p norm k =
+  k < Array.length norm && (sub_matches p (Array.unsafe_get norm k) || sub_from p norm (k + 1))
+
+let rec matches p slots =
   match p with
   | P_true -> true
   | P_false -> false
-  | P_not g -> not (matches g ce)
-  | P_all gs ->
-      let n = Array.length gs in
-      let rec go i = i >= n || (matches (Array.unsafe_get gs i) ce && go (i + 1)) in
-      go 0
-  | P_any gs ->
-      let n = Array.length gs in
-      let rec go i = i < n && (matches (Array.unsafe_get gs i) ce || go (i + 1)) in
-      go 0
-  | P_present id -> slot_index ce id >= 0
+  | P_not g -> not (matches g slots)
+  | P_all gs -> all gs slots 0
+  | P_any gs -> any gs slots 0
+  | P_present id -> slot_index slots id >= 0
   | P_eq (id, v) -> (
-      match slot_index ce id with
+      match slot_index slots id with
       | -1 -> false
-      | i -> mem_string ce.slots.(i).canon v)
+      | i -> mem_string slots.(i).canon v)
   | P_cmp c -> (
-      match slot_index ce c.c_id with
-      | -1 -> false
-      | i ->
-          let canon = ce.slots.(i).canon in
-          let n = Array.length canon in
-          let rec go k =
-            k < n
-            && (let d = String.compare (Array.unsafe_get canon k) c.c_v in
-                (if c.c_ge then d >= 0 else d <= 0)
-               || go (k + 1))
-          in
-          go 0)
+      match slot_index slots c.c_id with -1 -> false | i -> cmp_from c slots.(i).canon 0)
   | P_cmp_int c -> (
-      match slot_index ce c.i_id with
-      | -1 -> false
-      | i ->
-          let s = ce.slots.(i) in
-          let n = Array.length s.canon in
-          let rec go k =
-            k < n
-            && (let d = cmp_int_value c s.ints.(k) s.canon.(k) in
-                (if c.i_ge then d >= 0 else d <= 0)
-               || go (k + 1))
-          in
-          go 0)
+      match slot_index slots c.i_id with -1 -> false | i -> cmp_int_from c slots.(i) 0)
   | P_sub p -> (
-      match slot_index ce p.s_id with
-      | -1 -> false
-      | i ->
-          let norm = ce.slots.(i).norm in
-          let n = Array.length norm in
-          let rec go k = k < n && (sub_matches p (Array.unsafe_get norm k) || go (k + 1)) in
-          go 0)
+      match slot_index slots p.s_id with -1 -> false | i -> sub_from p slots.(i).norm 0)
+
+and all gs slots i =
+  i >= Array.length gs || (matches (Array.unsafe_get gs i) slots && all gs slots (i + 1))
+
+and any gs slots i =
+  i < Array.length gs && (matches (Array.unsafe_get gs i) slots || any gs slots (i + 1))

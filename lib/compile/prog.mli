@@ -1,22 +1,22 @@
-(** Compiled filter programs over compiled entry views.
+(** Compiled filter programs over entries' slot arrays.
 
     The interpreted evaluator ([Ldap.Filter.matches]) re-resolves each
     predicate's attribute syntax against the schema and re-normalizes
     both the entry's values and the assertion value on {e every}
-    evaluation.  This module is the target of a one-time lowering:
+    evaluation.  Here both sides are prepared once:
 
-    - a {!centry} is an entry flattened into an id-sorted array of
-      {!slot}s, each carrying the values pre-canonicalized (and, for
-      Integer syntax, pre-parsed) under the attribute's matching rule;
+    - an entry {e is} an id-sorted array of {!slot}s ([Ldap.Entry]
+      builds them when the entry is made), each carrying its raw values
+      and the same values pre-canonicalized (and, for Integer syntax,
+      pre-parsed) under the attribute's matching rule;
     - a {!t} is a filter lowered to a short-circuit bytecode tree
       whose predicates carry pre-canonicalized assertion values keyed
       by interned attribute id.
 
     {!matches} then runs with no schema lookups, no normalization and
-    no allocation.  The lowering itself lives next to [Schema] in
-    [Ldap.Filter.compile] / [Ldap.Entry.compiled]; the interpreted
-    path remains the semantic oracle (see the QCheck equivalence
-    property in the test suite). *)
+    no allocation.  The lowering lives next to [Schema] in
+    [Ldap.Filter.compile]; the interpreted path remains the semantic
+    oracle (see the QCheck equivalence property in the test suite). *)
 
 type slot = {
   id : Attr_id.t;  (** interned literal (lowercased) attribute name *)
@@ -24,7 +24,10 @@ type slot = {
       (** interned schema-canonical attribute name (aliases resolved) —
           the key the predicate index dispatches on *)
   syntax : Value.syntax;  (** matching rule resolved once from the schema *)
-  canon : string array;  (** values under [Value.canonical syntax] *)
+  raw : string array;  (** the values as stored, in order; never empty *)
+  canon : string array;
+      (** values under [Value.canonical syntax]; physically [raw] when
+          every value is already canonical *)
   norm : string array;
       (** values under [Value.normalize syntax]; physically shares
           [canon] except for Integer syntax where the two differ *)
@@ -32,21 +35,18 @@ type slot = {
       (** pre-parsed integers, [Some] per value that parses; [[||]]
           for non-Integer syntaxes *)
 }
-(** One attribute of a compiled entry. *)
+(** One attribute of an entry. *)
 
-type centry = { dn_canon : string; slots : slot array }
-(** A compiled entry view: canonical DN plus slots sorted by [id]. *)
+val slot_index : slot array -> Attr_id.t -> int
+(** Binary-search an id-sorted slot array for the slot carrying [id];
+    [-1] when the entry has no such attribute. *)
 
-val make_centry : dn_canon:string -> slot array -> centry
-(** [make_centry ~dn_canon slots] sorts [slots] by id (in place) and
-    wraps them as a compiled entry. *)
-
-val slot_index : centry -> Attr_id.t -> int
-(** Binary-search the slot carrying [id]; [-1] when the entry has no
-    such attribute. *)
-
-val find_slot : centry -> Attr_id.t -> slot option
+val find_slot : slot array -> Attr_id.t -> slot option
 (** Allocating convenience over {!slot_index} for cold callers. *)
+
+val mem_string : string array -> string -> bool
+(** [mem_string a v]: is [v] byte-equal to some element of [a]?  Does
+    not allocate. *)
 
 type cmp = { c_id : Attr_id.t; c_ge : bool; c_v : string }
 (** Ordering predicate for lexically-ordered syntaxes: does some value
@@ -84,10 +84,11 @@ type t =
 (** Filter bytecode.  Constructors carry everything evaluation needs;
     nothing is resolved at match time. *)
 
-val matches : t -> centry -> bool
-(** [matches p ce] evaluates the program against a compiled entry.
-    Agrees with [Ldap.Filter.matches schema f e] whenever [p] and
-    [ce] were compiled from [f] and [e] under the same [schema]. *)
+val matches : t -> slot array -> bool
+(** [matches p slots] evaluates the program against an entry's
+    id-sorted slots.  Agrees with [Ldap.Filter.matches schema f e]
+    whenever [p] was compiled from [f] under the schema [e] was made
+    with and [slots] are [e]'s. *)
 
 val sub_matches : sub -> string -> bool
 (** [sub_matches p v] tests one already-normalized value against a

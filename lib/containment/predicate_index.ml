@@ -21,8 +21,8 @@ type bounds = {
 }
 
 (* Anchors are keyed by the {e interned id} of the canonical attribute
-   name, matching the [cid] of the entries' compiled slots, so probing
-   does no per-update string canonicalization at all. *)
+   name, matching the [cid] of the entries' slots, so probing does no
+   per-update string canonicalization at all. *)
 type anchor =
   | A_eq of Attr_id.t * string  (* attr, canonical value *)
   | A_prefix of Attr_id.t * string  (* attr, normalized prefix, <= width *)
@@ -32,9 +32,10 @@ type anchor =
 
 type registration = Anchors of anchor list | Fallback
 
-(* Equality and prefix anchors are grouped by attribute first: a probe
-   looks an entry attribute up once, and its values only when some
-   filter anchors there, with no key tuple or prefix string built for
+(* Equality and prefix anchors are grouped by attribute first, and
+   [anchored] counts the anchors on each attribute: a probe looks an
+   entry attribute up there once, and its values only when some filter
+   anchors there, with no key tuple or prefix string built for
    attributes nobody anchors. *)
 type t = {
   schema : Schema.t;
@@ -45,7 +46,7 @@ type t = {
   le : (Attr_id.t, bounds) Hashtbl.t;
   fallback : ids;
   regs : (int, registration) Hashtbl.t;
-  cids : (string, Attr_id.t) Hashtbl.t;  (* entry attribute name -> canonical id *)
+  anchored : (Attr_id.t, int) Hashtbl.t;  (* attr -> anchors on it, when > 0 *)
 }
 
 let create schema =
@@ -58,7 +59,7 @@ let create schema =
     le = Hashtbl.create 8;
     fallback = Hashtbl.create 8;
     regs = Hashtbl.create 64;
-    cids = Hashtbl.create 32;
+    anchored = Hashtbl.create 32;
   }
 
 let length t = Hashtbl.length t.regs
@@ -189,14 +190,27 @@ let bounds_remove tbl attr bound id =
   | None -> ()
   | Some b -> if bucket_remove b.by_bound bound id then b.sorted <- None
 
-let apply_anchor t id = function
+let anchor_attr = function
+  | A_eq (a, _) | A_prefix (a, _) | A_attr a | A_ge (a, _, _) | A_le (a, _, _) -> a
+
+let count_anchor t anchor ~by =
+  let a = anchor_attr anchor in
+  match Option.value (Hashtbl.find_opt t.anchored a) ~default:0 + by with
+  | 0 -> Hashtbl.remove t.anchored a
+  | n -> Hashtbl.replace t.anchored a n
+
+let apply_anchor t id anchor =
+  count_anchor t anchor ~by:1;
+  match anchor with
   | A_eq (a, v) -> keyed_add t.eq a v id
   | A_prefix (a, p) -> keyed_add t.prefix a p id
   | A_attr a -> bucket_add t.attr a id
   | A_ge (a, syn, v) -> bounds_add t.ge a syn v id
   | A_le (a, syn, v) -> bounds_add t.le a syn v id
 
-let retract_anchor t id = function
+let retract_anchor t id anchor =
+  count_anchor t anchor ~by:(-1);
+  match anchor with
   | A_eq (a, v) -> keyed_remove t.eq a v id
   | A_prefix (a, p) -> keyed_remove t.prefix a p id
   | A_attr a -> ignore (bucket_remove t.attr a id)
@@ -278,23 +292,9 @@ let probe_bounds out tbl attr v ~dir =
         | None -> ()
       done
 
-let anchored t name =
-  let cid =
-    match Hashtbl.find t.cids name with
-    | cid -> cid
-    | exception Not_found ->
-        let cid = Attr_id.intern (Schema.canonical_attr t.schema name) in
-        Hashtbl.add t.cids name cid;
-        cid
-  in
-  Hashtbl.mem t.attr cid || Hashtbl.mem t.eq cid || Hashtbl.mem t.prefix cid
-  || Hashtbl.mem t.ge cid || Hashtbl.mem t.le cid
-
-(* Probing walks the entry's compiled slots: interned
-   canonical-attribute ids plus pre-canonicalized and pre-normalized
-   values.  A memoized view is walked whole; an entry without one (an
-   image no filter has evaluated yet) builds the slots of anchored
-   attributes only, since the others collect nothing. *)
+(* Probing walks the entry's slots: interned canonical-attribute ids
+   plus pre-canonicalized and pre-normalized values.  A slot whose
+   attribute anchors no filter costs one lookup. *)
 let probe_entry t out entry =
   let probe tbl key =
     match Hashtbl.find_opt tbl key with Some ids -> collect out ids | None -> ()
@@ -302,24 +302,26 @@ let probe_entry t out entry =
   Array.iter
     (fun (s : Prog.slot) ->
       let cid = s.Prog.cid in
-      probe t.attr cid;
-      let by_value = Hashtbl.find_opt t.eq cid in
-      let by_prefix = Hashtbl.find_opt t.prefix cid in
-      let canon = s.Prog.canon and norm = s.Prog.norm in
-      for k = 0 to Array.length canon - 1 do
-        let c = canon.(k) in
-        (match by_value with Some tbl -> probe tbl c | None -> ());
-        (match by_prefix with
-        | Some tbl ->
-            let n = norm.(k) in
-            for len = 1 to min prefix_width (String.length n) do
-              probe tbl (String.sub n 0 len)
-            done
-        | None -> ());
-        probe_bounds out t.ge cid c ~dir:`Ge;
-        probe_bounds out t.le cid c ~dir:`Le
-      done)
-    (Entry.probe_slots t.schema entry ~wanted:(anchored t))
+      if Hashtbl.mem t.anchored cid then begin
+        probe t.attr cid;
+        let by_value = Hashtbl.find_opt t.eq cid in
+        let by_prefix = Hashtbl.find_opt t.prefix cid in
+        let canon = s.Prog.canon and norm = s.Prog.norm in
+        for k = 0 to Array.length canon - 1 do
+          let c = canon.(k) in
+          (match by_value with Some tbl -> probe tbl c | None -> ());
+          (match by_prefix with
+          | Some tbl ->
+              let n = norm.(k) in
+              for len = 1 to min prefix_width (String.length n) do
+                probe tbl (String.sub n 0 len)
+              done
+          | None -> ());
+          probe_bounds out t.ge cid c ~dir:`Ge;
+          probe_bounds out t.le cid c ~dir:`Le
+        done
+      end)
+    (Entry.compiled entry)
 
 let affected t ~before ~after =
   let out = Hashtbl.create 16 in

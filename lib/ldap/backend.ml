@@ -4,24 +4,29 @@
    parent checks, and attribute postings, for indexed candidates.  The
    postings store their counts, so a conjunction prices its conjuncts
    and builds the candidate set of the cheapest one only.  They are
-   keyed by [Value.canonical], so equal Integer spellings ("07", "7")
-   share a key.  A
+   keyed by the canonical values the entries' slots hold, so equal
+   Integer spellings ("07", "7") share a key.  A
    slot id is assigned when its DN is first stored, which needs a live
    parent, and is never reused, so ascending slot order visits parents
    before their children. *)
 
 module Ids = Set.Make (Int)
 module Vmap = Map.Make (String)
+module Attr_id = Ldap_compile.Attr_id
+module Prog = Ldap_compile.Prog
 
 (* The slots holding one canonical value, and how many there are. *)
 type posting = { ids : Ids.t; card : int }
+
+(* One indexed attribute: its id and its postings by canonical value. *)
+type index = { attr : Attr_id.t; mutable by_value : posting Vmap.t }
 
 type t = {
   schema : Schema.t;
   mutable contexts : Dn.t list;  (* suffixes, deepest first *)
   estore : Content_store.t;  (* every entry; its spine is the update log *)
   mutable kids : Ids.t array;  (* slot id -> child slot ids *)
-  postings : (string, posting Vmap.t ref) Hashtbl.t;  (* attr -> value -> slots *)
+  postings : (string, index) Hashtbl.t;  (* attr -> value -> slots *)
   mutable referral_dns : Dn.Set.t;  (* referral objects, for references *)
   mutable csn : Csn.t;
   mutable subscribers : (Update.record -> unit) array;  (* registration order *)
@@ -33,7 +38,9 @@ type t = {
 let create ?(indexed = []) schema =
   let postings = Hashtbl.create 16 in
   List.iter
-    (fun a -> Hashtbl.replace postings (String.lowercase_ascii a) (ref Vmap.empty))
+    (fun a ->
+      let a = String.lowercase_ascii a in
+      Hashtbl.replace postings a { attr = Attr_id.intern a; by_value = Vmap.empty })
     ("objectclass" :: indexed);
   {
     schema;
@@ -85,39 +92,39 @@ let context_for t dn =
 (* Slot [id] joins or leaves one posting.  Set operations return their
    argument unchanged when nothing changes, so the cardinality moves
    only with real membership changes. *)
-let post table key id ~add =
-  let p = Option.value (Vmap.find_opt key !table) ~default:{ ids = Ids.empty; card = 0 } in
+let post ix key id ~add =
+  let p = Option.value (Vmap.find_opt key ix.by_value) ~default:{ ids = Ids.empty; card = 0 } in
   let ids = (if add then Ids.add else Ids.remove) id p.ids in
   if ids != p.ids then
-    table :=
-      if Ids.is_empty ids then Vmap.remove key !table
-      else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } !table
+    ix.by_value <-
+      (if Ids.is_empty ids then Vmap.remove key ix.by_value
+       else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } ix.by_value)
 
-let keys t attr values = List.map (Value.canonical (Schema.syntax_of t.schema attr)) values
+(* The posting keys of [entry] under [ix]: its slot's canonical values,
+   [[||]] without the attribute. *)
+let keys ix entry =
+  let slots = Entry.compiled entry in
+  match Prog.slot_index slots ix.attr with -1 -> [||] | i -> slots.(i).Prog.canon
 
 let note_referral t entry ~add =
   t.referral_dns <- (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
 
 (* Postings and referral bookkeeping for the entry at slot [id]. *)
 let note t id entry ~add =
-  Hashtbl.iter
-    (fun attr table ->
-      List.iter (fun key -> post table key id ~add) (keys t attr (Entry.get entry attr)))
-    t.postings;
+  Hashtbl.iter (fun _ ix -> Array.iter (fun key -> post ix key id ~add) (keys ix entry)) t.postings;
   if Entry.is_referral entry then note_referral t entry ~add
 
 (* The same bookkeeping when [entry] replaces [old] at slot [id]: only
-   the values that changed move.  An attribute whose value list is
-   physically the old one — every attribute a modify left alone —
+   the values that changed move.  An attribute a modify left alone
+   keeps its slot, so its keys are physically the old ones and it
    costs one comparison. *)
 let renote t id ~old entry =
   Hashtbl.iter
-    (fun attr table ->
-      let before = Entry.get old attr and after = Entry.get entry attr in
-      if before != after then begin
-        let kb = keys t attr before and ka = keys t attr after in
-        List.iter (fun k -> if not (List.mem k ka) then post table k id ~add:false) kb;
-        List.iter (fun k -> if not (List.mem k kb) then post table k id ~add:true) ka
+    (fun _ ix ->
+      let kb = keys ix old and ka = keys ix entry in
+      if kb != ka then begin
+        Array.iter (fun k -> if not (Prog.mem_string ka k) then post ix k id ~add:false) kb;
+        Array.iter (fun k -> if not (Prog.mem_string kb k) then post ix k id ~add:true) ka
       end)
     t.postings;
   if Entry.is_referral old <> Entry.is_referral entry then
@@ -244,7 +251,7 @@ let rec index_candidates t ~limit filter =
   | Filter.Pred (Filter.Equality (a, v)) ->
       Option.bind (table a) (fun tbl ->
           let n, ids =
-            match Vmap.find_opt (Value.canonical (syntax a) v) !tbl with
+            match Vmap.find_opt (Value.canonical (syntax a) v) tbl.by_value with
             | Some p -> (p.card, p.ids)
             | None -> (0, Ids.empty)
           in
@@ -264,7 +271,7 @@ let rec index_candidates t ~limit filter =
               | Seq.Cons _ | Seq.Nil ->
                   Some (n, lazy (List.fold_left Ids.union Ids.empty sets))
           in
-          count 0 [] (Vmap.to_seq_from prefix !tbl))
+          count 0 [] (Vmap.to_seq_from prefix tbl.by_value))
   | Filter.And gs ->
       (* Any conjunct's candidates over-approximate the result.  Price
          the equalities first, as one lookup each, so every later
@@ -332,9 +339,9 @@ let fold_matching t (q : Query.t) ~init ~f =
                || crosses_referral t ~base:q.base (Entry.dn entry))
           in
           (* Compile the filter once per search; every candidate then
-             evaluates bytecode against its memoized compiled view
-             instead of re-walking the AST with per-predicate schema
-             lookups and value normalization. *)
+             evaluates bytecode against its slots instead of
+             re-walking the AST with per-predicate schema lookups and
+             value normalization. *)
           let filter_matches = Filter.matcher t.schema q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
           let over ids =
@@ -417,13 +424,13 @@ let posting_count t (q : Query.t) =
   | Filter.Pred (Filter.Equality (a, v)) ->
       Option.map
         (fun tbl ->
-          match Vmap.find_opt (Value.canonical (Schema.syntax_of t.schema a) v) !tbl with
+          match Vmap.find_opt (Value.canonical (Schema.syntax_of t.schema a) v) tbl.by_value with
           | Some p -> p.card
           | None -> 0)
         (table a)
   | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
       Option.map
-        (fun tbl -> count_prefixed t (Value.normalize (Schema.syntax_of t.schema a) init) !tbl)
+        (fun tbl -> count_prefixed t (Value.normalize (Schema.syntax_of t.schema a) init) tbl.by_value)
         (table a)
   | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None
 
@@ -445,17 +452,18 @@ let naming_values_present entry =
         (fun e (ava : Dn.ava) -> Entry.add_values e ava.attr [ ava.value ])
         entry avas
 
+let objectclass = Attr_id.intern "objectclass"
+
 let validate_entry entry =
-  if Entry.object_classes entry = [] then
+  if Array.length (Entry.values entry objectclass) = 0 then
     Error (Printf.sprintf "entry %S has no objectClass" (Dn.to_string (Entry.dn entry)))
   else Ok ()
 
-let apply_mod schema entry (item : Update.mod_item) =
-  let syntax = Schema.syntax_of schema item.mod_attr in
+let apply_mod entry (item : Update.mod_item) =
   match item.mod_kind with
-  | Update.Add_values -> Ok (Entry.add_values ~syntax entry item.mod_attr item.mod_values)
+  | Update.Add_values -> Ok (Entry.add_values entry item.mod_attr item.mod_values)
   | Update.Replace_values -> Ok (Entry.replace_values entry item.mod_attr item.mod_values)
-  | Update.Delete_values -> Entry.delete_values ~syntax entry item.mod_attr item.mod_values
+  | Update.Delete_values -> Entry.delete_values entry item.mod_attr item.mod_values
 
 let commit t op ~before ~after ~(mutate : unit -> (unit, string) result) =
   match mutate () with
@@ -497,7 +505,7 @@ let apply t op =
           let applied =
             List.fold_left
               (fun acc item ->
-                match acc with Error _ as e -> e | Ok e -> apply_mod t.schema e item)
+                match acc with Error _ as e -> e | Ok e -> apply_mod e item)
               (Ok before) items
           in
           match Result.map stamp applied with

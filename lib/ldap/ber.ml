@@ -5,12 +5,9 @@ let element n = n + 2
 
 let dn_size dn = element (Dn.string_length dn)
 
-let rec values_size acc = function
-  | [] -> acc
-  | v :: rest -> values_size (acc + element (String.length v)) rest
-
 let attr_size acc name values =
-  acc + element (element (String.length name) + element (values_size 0 values))
+  let values_size = Array.fold_left (fun n v -> n + element (String.length v)) 0 values in
+  acc + element (element (String.length name) + element values_size)
 
 let entry_size e =
   message_overhead + dn_size (Entry.dn e)

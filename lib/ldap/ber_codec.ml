@@ -206,28 +206,23 @@ let emit_search_request w (q : Query.t) =
   Wr.octets w (Dn.to_string q.Query.base);
   Wr.close w ~tag:(app 3) m
 
-(* Backwards writer: the last value goes in first.  Recursing before
-   emitting walks the list from its end without reversing it; value
-   lists are short. *)
-let rec emit_values w = function
-  | [] -> ()
-  | v :: rest ->
-      emit_values w rest;
-      Wr.octets w v
-
+(* Backwards writer: the last attribute, and within it the last value,
+   goes in first. *)
 let emit_entry w (e : Entry.t) =
   let m = Wr.mark w in
   let mattrs = Wr.mark w in
-  List.iter
-    (fun (name, values) ->
-      let mone = Wr.mark w in
-      let mvals = Wr.mark w in
-      emit_values w values;
-      Wr.close w ~tag:tag_set mvals;
-      Wr.octets w name;
-      Wr.close w ~tag:tag_sequence mone)
-    (Entry.fold_attributes e ~init:[] ~f:(fun acc name values ->
-         (name, values) :: acc));
+  let slots = Entry.compiled e in
+  for i = Array.length slots - 1 downto 0 do
+    let s = slots.(i) in
+    let mone = Wr.mark w in
+    let mvals = Wr.mark w in
+    for k = Array.length s.raw - 1 downto 0 do
+      Wr.octets w s.raw.(k)
+    done;
+    Wr.close w ~tag:tag_set mvals;
+    Wr.octets w (Ldap_compile.Attr_id.name s.id);
+    Wr.close w ~tag:tag_sequence mone
+  done;
   Wr.close w ~tag:tag_sequence mattrs;
   Wr.octets w (Dn.to_string (Entry.dn e));
   Wr.close w ~tag:(app 4) m

@@ -1,38 +1,58 @@
 (** Directory entries: a DN plus a set of attribute/value pairs.
 
-    Attribute names are keyed canonically (lowercase, aliases resolved
-    through the schema at construction time by {!Backend}); duplicate
-    values under the attribute's matching rule are rejected silently,
+    An entry is its DN and one {!Ldap_compile.Prog.slot} per
+    attribute, sorted by interned attribute id ({!Ldap_compile.Attr_id}).
+    A slot holds the attribute's raw values and, resolved once when the
+    slot is built under the schema the entry was made with, the
+    attribute's matching rule and every value's canonical form.  Filter
+    bytecode and the predicate index evaluate the slots directly
+    ({!compiled}); the read functions below are views over them.
+    Attribute names are lowercased; values are kept as given, duplicates
+    under the attribute's matching rule being rejected by the mutators,
     as LDAP servers do. *)
 
 type t
 
-val make : Dn.t -> (string * string list) list -> t
-(** [make dn attrs] builds an entry.  Attribute names are lowercased;
-    repeated attribute names are merged; duplicate values (byte-equal)
-    are dropped. *)
+val make : ?schema:Schema.t -> Dn.t -> (string * string list) list -> t
+(** [make ?schema dn attrs] builds an entry, resolving matching rules
+    and canonical values under [schema] (default {!Schema.default}).
+    Attribute names are lowercased; repeated attribute names are
+    merged; duplicate values (byte-equal) are dropped; an attribute
+    with no values is left out. *)
 
 val dn : t -> Dn.t
+(** The entry's distinguished name. *)
+
 val with_dn : t -> Dn.t -> t
 (** The same attributes under a new DN (modify-DN support). *)
 
 val attributes : t -> (string * string list) list
-(** All attributes in insertion order, names lowercased. *)
+(** All attributes in attribute-id order, names lowercased, values in
+    stored order. *)
 
-val fold_attributes : t -> init:'a -> f:('a -> string -> string list -> 'a) -> 'a
+val fold_attributes : t -> init:'a -> f:('a -> string -> string array -> 'a) -> 'a
 (** Folds over exactly the pairs {!attributes} lists, in the same
-    order, without building the list. *)
+    order, without building a list; the value array is the entry's
+    own and must not be mutated. *)
 
 val get : t -> string -> string list
 (** Values of an attribute ([]) if absent); name is case-insensitive. *)
 
+val values : t -> Ldap_compile.Attr_id.t -> string array
+(** [values e id] is the raw values of the attribute [id] ([[||]] if
+    absent), without allocating; the array is the entry's own and
+    must not be mutated. *)
+
 val has_attribute : t -> string -> bool
+(** Whether the attribute has at least one value; name is
+    case-insensitive. *)
 
 val has_value : ?syntax:Value.syntax -> t -> string -> string -> bool
 (** [has_value e attr v] — membership under the given matching rule
     (default {!Value.Case_ignore}). *)
 
 val object_classes : t -> string list
+(** The [objectClass] values. *)
 
 val is_referral : t -> bool
 (** True when the entry's object classes include [referral]; such
@@ -40,13 +60,16 @@ val is_referral : t -> bool
     contexts (section 2.3 of the paper). *)
 
 val referral_urls : t -> string list
+(** The [ref] values of a referral entry. *)
 
-val add_values : ?syntax:Value.syntax -> t -> string -> string list -> t
-(** Adds values, skipping ones already present under the matching rule. *)
+val add_values : t -> string -> string list -> t
+(** Adds values, skipping ones already present under the attribute's
+    matching rule. *)
 
-val delete_values : ?syntax:Value.syntax -> t -> string -> string list -> (t, string) result
-(** Removes the given values; [Error] if some value is absent.  Passing
-    [[]] removes the attribute entirely. *)
+val delete_values : t -> string -> string list -> (t, string) result
+(** Removes the given values, matched under the attribute's matching
+    rule; [Error] if some value is absent.  Passing [[]] removes the
+    attribute entirely. *)
 
 val replace_values : t -> string -> string list -> t
 (** Replaces all values of the attribute ([[]] deletes it). *)
@@ -60,32 +83,17 @@ val equal : t -> t -> bool
 (** Structural equality on DN and normalized attribute sets (order
     insensitive, values compared byte-wise). *)
 
-val compiled : Schema.t -> t -> Ldap_compile.Prog.centry
-(** [compiled schema e] is the entry flattened into the compiled view
-    {!Ldap_compile.Prog.centry}: interned attribute ids (literal and
-    schema-canonical), syntaxes resolved, and every value
-    pre-canonicalized under its matching rule.  Built at most once per
-    entry record and memoized — the cache is keyed on the schema's
-    physical identity — so hot paths (filter bytecode, predicate-index
-    probes) evaluate against it with no schema lookups or
-    normalization.  {!add_values}, {!delete_values} and
-    {!replace_values} derive the new record's view from the parent's
-    memoized one, rebuilding only the changed attribute's slot; the
-    result equals the view built from scratch. *)
-
-val probe_slots : Schema.t -> t -> wanted:(string -> bool) -> Ldap_compile.Prog.slot array
-(** [probe_slots schema e ~wanted] holds, in {!compiled} order, every
-    slot of [compiled schema e] whose (lowercased) attribute name
-    [wanted] accepts, and perhaps others.  A memoized view answers with
-    all its slots; without one only the accepted slots are built, and
-    nothing is memoized, so a probe that touches few attributes does not
-    pay for a whole view. *)
+val compiled : t -> Ldap_compile.Prog.slot array
+(** The entry's slots, sorted by id: what {!Ldap_compile.Prog.matches}
+    and the predicate index evaluate.  Returned as stored, with no
+    allocation; must not be mutated.  The mutators build the changed
+    attribute's slot and share the others, so an attribute a mutation
+    left alone keeps its slot physically. *)
 
 val cached_hash : t -> compute:(t -> int64) -> int64
 (** [cached_hash e ~compute] memoizes one 64-bit content digest per
     entry record (used by the anti-entropy tree).  All callers must
-    pass the same [compute]; the cache is invalidated by mutators
-    along with the compiled view. *)
+    pass the same [compute]; a mutator's result starts with no digest. *)
 
 val content_hash64 : t -> int64
 (** 64-bit digest over the entry's canonical rendering (canonical DN,

@@ -199,7 +199,7 @@ let compile schema t =
 
 let matcher schema t =
   let prog = compile schema t in
-  fun entry -> Ldap_compile.Prog.matches prog (Entry.compiled schema entry)
+  fun entry -> Ldap_compile.Prog.matches prog (Entry.compiled entry)
 
 (* --- Printing ------------------------------------------------------- *)
 

@@ -18,7 +18,7 @@ let widen_attrs (q : Query.t) =
 
 let eval_over_entries schema (q : Query.t) entries =
   (* Compile the filter once for the whole pass; each entry then
-     evaluates through its cached compiled view.  The candidates come
+     evaluates the bytecode against its slots.  The candidates come
      in as a sequence so callers stream straight out of their content
      store instead of building an intermediate list per evaluation. *)
   let matches = Filter.matcher schema q.Query.filter in

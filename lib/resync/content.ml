@@ -7,20 +7,21 @@ let member schema (q : Query.t) entry =
    many updates, so the master caches one of these per session and
    classifies every affected update against bytecode instead of
    re-walking the filter AST. *)
-type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t; mschema : Schema.t }
+type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
 
-let matcher schema (q : Query.t) =
-  { mq = q; prog = Filter.compile schema q.Query.filter; mschema = schema }
+let matcher schema (q : Query.t) = { mq = q; prog = Filter.compile schema q.Query.filter }
 
 let matcher_query m = m.mq
 
 let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)
-  && Ldap_compile.Prog.matches m.prog (Entry.compiled m.mschema entry)
+  && Ldap_compile.Prog.matches m.prog (Entry.compiled entry)
+
+let modifytimestamp = Ldap_compile.Attr_id.intern "modifytimestamp"
 
 let changed_since since entry =
-  match Entry.get entry "modifytimestamp" with
-  | [ ts ] -> (
+  match Entry.values entry modifytimestamp with
+  | [| ts |] -> (
       match int_of_string_opt ts with
       | Some c -> Csn.( < ) since (Csn.of_int c)
       | None -> true)

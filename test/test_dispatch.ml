@@ -317,10 +317,10 @@ let equivalence_test strategy tag =
        QCheck.Gen.(list_size (80 -- 120) op_gen))
     (equivalent_run strategy)
 
-(* --- Probing without a compiled view ------------------------------------
-   An image no filter has evaluated yet is probed through the slots of
-   its anchored attributes only; the candidates must be the ones its
-   memoized view yields.  Attribute spellings include aliases and
+(* --- Probing fresh and evaluated images ----------------------------------
+   An image no filter has evaluated yet must yield the candidates an
+   evaluated one does, and the candidates must cover every filter that
+   matches either image.  Attribute spellings include aliases and
    uppercase, so the name-to-canonical-id step is exercised. *)
 
 let probe_filters =
@@ -362,10 +362,16 @@ let prop_probe_without_view =
       let fresh_before = image a and fresh_after = image b in
       let cold = candidates (Predicate_index.affected idx ~before:(Some fresh_before) ~after:(Some fresh_after)) in
       let warm_before = image a and warm_after = image b in
-      ignore (Entry.compiled schema warm_before);
-      ignore (Entry.compiled schema warm_after);
+      ignore (Entry.compiled warm_before);
+      ignore (Entry.compiled warm_after);
       let warm = candidates (Predicate_index.affected idx ~before:(Some warm_before) ~after:(Some warm_after)) in
-      cold = warm)
+      let matches fs e = Filter.matches schema (f fs) e in
+      cold = warm
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i fs ->
+                (not (matches fs fresh_before || matches fs fresh_after)) || List.mem i cold)
+              probe_filters))
 
 let suite =
   [
