@@ -63,7 +63,6 @@ let create config replica =
 let config t = t.config
 let replica t = t.replica
 let interest t = t.interest
-let observations t = t.observed
 let adaptations t = List.rev t.adaptations
 let adaptation_count t = List.length t.adaptations
 let drift_checks t = t.drift_checks
@@ -183,10 +182,5 @@ let observe t q =
   end
   else if due t.config.revolution_interval then
     ignore (adapt t ~trigger:Periodic)
-
-let trigger_to_string = function
-  | Periodic -> "periodic"
-  | Drift -> "drift"
-  | Forced -> "forced"
 
 let mode_to_string = function Delta -> "delta" | Cold_swap -> "cold-swap"

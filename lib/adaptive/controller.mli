@@ -97,7 +97,6 @@ val force_adapt : t -> adaptation option
 (** Re-selects immediately; [None] when the selected set equals the
     stored set. *)
 
-val observations : t -> int
 val adaptations : t -> adaptation list
 (** Executed adaptations, oldest first. *)
 
@@ -110,9 +109,6 @@ val unchanged_checks : t -> int
 
 val totals : t -> Transition.report
 (** Sum of all executed adaptations' reports. *)
-
-val trigger_to_string : trigger -> string
-(** ["periodic"], ["drift"] or ["forced"], for reports. *)
 
 val mode_to_string : mode -> string
 (** ["delta"] or ["cold"], for reports. *)

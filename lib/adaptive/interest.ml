@@ -17,9 +17,6 @@ let create ?(half_life = 256) () =
   if half_life <= 0 then invalid_arg "Interest.create: half_life must be > 0";
   { half_life; table = Hashtbl.create 64; now = 0; observations = 0 }
 
-let half_life t = t.half_life
-let now t = t.now
-let observations t = t.observations
 let count t = Hashtbl.length t.table
 
 let decay t cell =

@@ -23,8 +23,6 @@ val create : ?half_life:int -> unit -> t
     an untouched score halves.
     @raise Invalid_argument when [half_life <= 0]. *)
 
-val half_life : t -> int
-
 val observe : ?weight:float -> t -> Query.t -> unit
 (** Advances the clock one tick and credits [weight] (default 1.0) to
     the query's decayed score, registering it first if new. *)
@@ -48,9 +46,3 @@ val prune : t -> below:float -> int
 
 val count : t -> int
 (** Candidates currently tracked. *)
-
-val now : t -> int
-(** The observation clock. *)
-
-val observations : t -> int
-(** Total {!observe} calls (excludes {!touch}). *)

@@ -48,8 +48,6 @@ let segment_of_dn cfg dn =
 
 type t = { config : config; seg : int64 array }
 
-let config t = t.config
-
 let of_seq ?(config = default_config) entries =
   check_config config;
   let seg = Array.make config.segments 0L in

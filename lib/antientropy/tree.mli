@@ -48,15 +48,8 @@ val of_seq : ?config:config -> Entry.t Seq.t -> t
 val of_entries : ?config:config -> Entry.t list -> t
 (** {!of_seq} over a list. *)
 
-val config : t -> config
-(** The shape this tree was built with. *)
-
 val root : t -> int64
 (** Root hash: XOR of every entry hash, independent of the shape. *)
-
-val branch : t -> int -> int64
-(** One branch-tier hash.
-    @raise Invalid_argument when the index is out of range. *)
 
 val branches : t -> (int * int64) list
 (** All branch-tier hashes, in index order. *)

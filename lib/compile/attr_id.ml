@@ -33,4 +33,3 @@ let name id =
   !names.(id)
 
 let equal (a : int) (b : int) = a = b
-let compare (a : int) (b : int) = Stdlib.compare a b

@@ -26,6 +26,3 @@ val name : t -> string
 
 val equal : t -> t -> bool
 (** Integer equality, monomorphic. *)
-
-val compare : t -> t -> int
-(** Integer comparison, usable as a [Map.OrderedType]. *)

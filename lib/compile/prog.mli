@@ -89,7 +89,3 @@ val matches : t -> slot array -> bool
     id-sorted slots.  Agrees with [Ldap.Filter.matches schema f e]
     whenever [p] was compiled from [f] under the schema [e] was made
     with and [slots] are [e]'s. *)
-
-val sub_matches : sub -> string -> bool
-(** [sub_matches p v] tests one already-normalized value against a
-    substring assertion — exposed for index probing. *)

@@ -13,10 +13,6 @@
 
 open Ldap
 
-val pred_contained : Schema.t -> Filter.pred -> Filter.pred -> bool
-(** Containment of atomic predicates, e.g. [(age=30) ⊆ (age>=20)],
-    prefix assertions such as sn=smi... widening to sn=sm.... *)
-
 val same_shape_contained : Schema.t -> Filter.t -> Filter.t -> bool option
 (** Proposition 3: when the two normalized filters have the same shape
     (same template), containment follows from pointwise containment of

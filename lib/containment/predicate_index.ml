@@ -245,7 +245,6 @@ type candidates = ids
 
 let mem c id = Hashtbl.mem c id
 let iter f c = Hashtbl.iter (fun id () -> f id) c
-let count c = Hashtbl.length c
 
 let collect out ids = Hashtbl.iter (fun id () -> Hashtbl.replace out id ()) ids
 

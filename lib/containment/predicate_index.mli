@@ -63,6 +63,3 @@ val mem : candidates -> int -> bool
 
 val iter : (int -> unit) -> candidates -> unit
 (** Applies the function to every candidate id once. *)
-
-val count : candidates -> int
-(** Number of distinct candidate ids. *)

@@ -7,6 +7,3 @@ let region_and_attrs_ok ~query ~stored =
 let contained schema ~query ~stored =
   region_and_attrs_ok ~query ~stored
   && Filter_containment.contained schema query.Query.filter stored.Query.filter
-
-let admits schema ~stored query =
-  List.find_opt (fun s -> contained schema ~query ~stored:s) stored

@@ -13,13 +13,3 @@ val contained : Schema.t -> query:Query.t -> stored:Query.t -> bool
 val region_and_attrs_ok : query:Query.t -> stored:Query.t -> bool
 (** Conditions (i) and (ii) only — the cheap pre-check a replica runs
     before any filter comparison. *)
-
-val admits : Schema.t -> stored:Query.t list -> Query.t -> Query.t option
-(** Subscription admission for cascading replication: the first stored
-    query in which the subscription query is semantically contained,
-    or [None].  A replica may safely re-serve a ReSync session for the
-    subscription iff some stored query contains it (Props 1–3 make the
-    containment proof sound) — otherwise the subscriber must be
-    referred upstream.  Admission happens once per subscription, so
-    this is a plain scan; per-query answering keeps using the
-    template-bucketed {!Containment_index}. *)

@@ -51,9 +51,6 @@ val of_string : string -> (t, string) result
 
 val of_string_exn : string -> t
 
-val to_string : t -> string
-(** Holes print as [_]; also the canonical shape key. *)
-
 val shape_key : t -> string
 (** Key identifying the template's shape with hole positions; equal
     templates (same shape, same constants) have equal keys. *)
@@ -68,6 +65,3 @@ val match_filter : Schema.t -> t -> Filter.t -> string array option
     matching rule. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Prints the template in filter syntax, holes as [_]. *)

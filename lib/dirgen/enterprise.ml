@@ -23,8 +23,6 @@ let default_config =
     target_share = 0.30;
   }
 
-let paper_scale_config = { default_config with employees = 500_000 }
-
 type employee = {
   emp_dn : Dn.t;
   emp_country : int;
@@ -281,7 +279,6 @@ let location_names t = t.location_names
 let employees t = t.all
 let employees_of_country t i = t.by_country.(i)
 let person_count t = Array.length t.all
-let is_target_country t i = i < t.config.target_countries
 
 let target_countries t =
   List.init t.config.target_countries (fun i -> i)
@@ -297,8 +294,6 @@ let serial_block t i =
   if i < 0 || i >= t.config.countries then
     invalid_arg "Enterprise.serial_block: no such country";
   Namegen.serial_block ~country_index:i
-
-let employee_block e = Namegen.serial_block ~country_index:e.emp_country
 
 let partition_blocks t =
   Array.init t.config.countries (fun i ->

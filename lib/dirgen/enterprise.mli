@@ -36,11 +36,6 @@ val default_config : config
     40 locations, 5 target countries holding 30% of employees,
     seed 42. *)
 
-val paper_scale_config : config
-(** {!default_config} scaled to 500000 employees — the directory size
-    of the paper's enterprise case study, used by the end-to-end scale
-    sweep. *)
-
 type employee = {
   emp_dn : Dn.t;
   emp_country : int;
@@ -121,9 +116,6 @@ val employees_of_country : t -> int -> employee array
 val person_count : t -> int
 (** Employees generated (excludes scaffolding entries). *)
 
-val is_target_country : t -> int -> bool
-(** Whether country [i] belongs to the remote geography. *)
-
 val target_countries : t -> int list
 (** Indices of the remote-geography countries. *)
 
@@ -144,10 +136,6 @@ val serial_prefix_length : int
 val serial_block : t -> int -> string
 (** The serial country-block prefix of the country ("07" for country
     7): the key every employee serial of that country starts with. *)
-
-val employee_block : employee -> string
-(** The serial block of a generated employee (pure record access, no
-    DN parse). *)
 
 val partition_blocks : t -> (string * Dn.t) array
 (** All (serial block, country DN) pairs, indexed by country — the

@@ -19,12 +19,7 @@ let surname prng = Prng.pick prng surnames
 
 let serial ~country_index ~seq = Printf.sprintf "%02d%05d" country_index seq
 
-let block_length = 2
-
 let serial_block ~country_index = Printf.sprintf "%02d" country_index
-
-let block_of_serial s =
-  if String.length s < block_length then None else Some (String.sub s 0 block_length)
 
 let mail_local_part prng ~given ~sur ~seq =
   (* Two initials then a hash-like disambiguator: no usable prefix

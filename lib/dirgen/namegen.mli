@@ -2,7 +2,10 @@
     addresses for the synthetic enterprise directory. *)
 
 val given_name : Prng.t -> string
+(** A given name drawn from a fixed list. *)
+
 val surname : Prng.t -> string
+(** A surname drawn from a fixed list. *)
 
 val serial : country_index:int -> seq:int -> string
 (** Organized serial numbers: a country-block prefix followed by a
@@ -10,18 +13,10 @@ val serial : country_index:int -> seq:int -> string
     fixed-width layout is what makes prefix filters
     (serialNumber=07001...) describe contiguous blocks. *)
 
-val block_length : int
-(** Characters of the serial's country-block prefix (2). *)
-
 val serial_block : country_index:int -> string
 (** The country-block prefix of every serial generated for the country
     — the natural partition key of the write path: deterministic,
     derivable without parsing a DN. *)
-
-val block_of_serial : string -> string option
-(** The country-block prefix of a serial value ([None] when the value
-    is shorter than {!block_length}).  A pure string slice, so routing
-    an update by partition key never re-parses the entry's DN. *)
 
 val mail_local_part : Prng.t -> given:string -> sur:string -> seq:int -> string
 (** Unorganized local part: a name-derived token plus a pseudo-random

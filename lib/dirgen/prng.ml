@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 let next t =
   t.state <- Int64.add t.state golden;
@@ -11,10 +10,6 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let seed = Int64.to_int (next t) in
-  { state = Int64.of_int seed }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -35,8 +30,6 @@ let bool t p = float t 1.0 < p
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let pick_list t l = pick t (Array.of_list l)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

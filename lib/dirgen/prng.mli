@@ -11,10 +11,6 @@ type t
 val create : int -> t
 (** Generator seeded from an integer. *)
 
-val copy : t -> t
-val split : t -> t
-(** Child generator with an independent stream. *)
-
 val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] in [[0, bound)]; requires [bound > 0]. *)
@@ -31,7 +27,6 @@ val bool : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform element; requires a non-empty array. *)
 
-val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates. *)
 

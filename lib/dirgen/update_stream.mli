@@ -26,9 +26,14 @@ val default_config : config
 type t
 
 val create : Enterprise.t -> config -> t
-val step : t -> unit
-(** Applies one update to the master backend. *)
+(** A stream over the enterprise's master, starting from its current
+    employees. *)
 
 val steps : t -> int -> unit
+(** Applies [n] update operations to the master backend. *)
+
 val applied : t -> int
+(** Operations applied so far. *)
+
 val live_employees : t -> int
+(** Employees currently in the directory (hires minus departures). *)

@@ -43,10 +43,6 @@ let kind_name = function
   | Dept -> "department"
   | Location -> "location"
 
-let serial_block_prefix config serial =
-  let n = String.length serial in
-  String.sub serial 0 (max 1 (n - config.block_digits))
-
 let eq attr v = Filter.Pred (Filter.Equality (attr, v))
 
 let generate enterprise config =

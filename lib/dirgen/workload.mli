@@ -56,7 +56,3 @@ val mix_of : item array -> (kind * float) list
 (** Observed distribution (for reproducing Table 1). *)
 
 val kind_name : kind -> string
-
-val serial_block_prefix : config -> string -> string
-(** The block prefix of a serial under this config — the value the
-    generalized filters use. *)

@@ -655,7 +655,3 @@ let run ?(config = default_config) () =
     sw_bp_overflow = overflow;
     sw_gates = gates_of ~delta ~cold ~stall ~overflow;
   }
-
-let gates_pass g =
-  g.g_geo_delta_le_half_cold && g.g_hit_ratio_recovers && g.g_queue_bounded
-  && g.g_no_failed_installs

@@ -90,12 +90,6 @@ type bp_point = {
   bp_converged : bool;  (** Final content matches the master. *)
 }
 
-val run_backpressure : config -> overflow:bool -> bp_point
-(** Stalls a persist leaf under a committed-update burst sized to fit
-    the queue bound ([overflow:false]) or exceed it ([overflow:true]),
-    then resumes, flushes and — after an overflow — reconnects through
-    the degraded escalation. *)
-
 (** {1 Long-haul write pressure}
 
     A separate scenario for [bench scale --long-haul]: a long
@@ -168,7 +162,3 @@ type sweep = {
 val run : ?config:config -> unit -> sweep
 (** Delta run, cold run (identical seeds), both backpressure
     scenarios, gates. *)
-
-val gates_pass : gates -> bool
-(** Every gate holds. *)
-

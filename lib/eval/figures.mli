@@ -8,10 +8,6 @@
     directory, not IBM's — but who wins, by what rough factor and
     where the curves saturate should match. *)
 
-val table1 : ?scale:float -> Scenario.t -> Report.table
-(** Workload distribution: the observed query-type mix of the default
-    generator vs the paper's 58/24/16/2. *)
-
 val figure2 : unit -> Report.table
 (** Distributed operation processing: round trips and PDUs for the
     3-server referral scenario of section 2.3. *)
@@ -24,27 +20,6 @@ val figure4 : ?fractions:float list -> ?length:int -> Scenario.t -> Report.table
 (** Hit ratio vs replica size (fraction of person entries),
     serialNumber query: filter-based vs subtree-based. *)
 
-val figure5 :
-  ?fractions:float list -> ?intervals:int list -> ?length:int -> Scenario.t ->
-  Report.table
-(** Hit ratio vs replica size, department query, dynamic filter
-    selection with revolution intervals R (paper: 10000 vs 6000)
-    vs a subtree (division) replica. *)
-
-val figure6 :
-  ?config:Ldap_dirgen.Enterprise.config -> ?fractions:float list -> ?length:int ->
-  unit -> Report.table
-(** Update traffic (entries) vs hit ratio, serialNumber query,
-    filter (ReSync) vs subtree replication.  Builds a fresh directory
-    per sweep point because the update stream mutates the master. *)
-
-val figure7 :
-  ?config:Ldap_dirgen.Enterprise.config -> ?fractions:float list ->
-  ?intervals:int list -> ?length:int -> unit -> Report.table
-(** Update traffic vs hit ratio, department query, revolution interval
-    R sweep: fetch traffic from revolutions dominates; subtree traffic
-    is negligible because department entries rarely change. *)
-
 val figure8 : ?filter_counts:int list -> ?length:int -> Scenario.t -> Report.table
 (** Hit ratio vs number of stored filters, serialNumber query: cached
     user queries only / generalized filters only / both. *)
@@ -52,25 +27,6 @@ val figure8 : ?filter_counts:int list -> ?length:int -> Scenario.t -> Report.tab
 val figure9 : ?filter_counts:int list -> ?length:int -> Scenario.t -> Report.table
 (** Same sweep for the mail query: the unorganized local part defeats
     generalization; only temporal locality (caching) helps. *)
-
-val location_replication : ?length:int -> Scenario.t -> Report.table
-(** Section 7.2(c): replicating the whole (small, hot) location tree as
-    one filter gives this query type a hit ratio of 1 at a tiny cost. *)
-
-val root_base_ablation : ?length:int -> Scenario.t -> Report.table
-(** Section 3.1.1: subtree replicas cannot answer queries based at the
-    DIT root — the form minimally directory-enabled applications send —
-    while filter replicas can. *)
-
-val evolution_ablation : ?length:int -> ?interval:int -> unit -> Report.table
-(** Section 6.2: the immediate-evolution baseline (Kapitskaia et al.)
-    reconfigures the stored list far more often than periodic
-    benefit/size revolutions, for similar hit ratio. *)
-
-val consistency_classes : ?updates:int -> unit -> Report.table
-(** Section 3.2: a filter replica can refresh each object type at its
-    own rate (locations rarely, persons often); a subtree replica
-    mixing them cannot. *)
 
 val resync_ablation : ?updates:int -> ?filters:int -> unit -> Report.table
 (** Section 5.2: synchronization traffic and history size of session

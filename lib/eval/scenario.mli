@@ -71,8 +71,6 @@ val choose_subtrees :
     (training accesses whose scoped base falls under the root) /
     (entries in the subtree), filled under the entry budget. *)
 
-val subtree_size : t -> Dn.t -> int
-
 type drive = {
   queries_between_syncs : int;  (** 0 disables periodic syncs. *)
   updates_per_query : float;  (** Master update-stream interleave rate. *)

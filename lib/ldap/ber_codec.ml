@@ -67,7 +67,6 @@ let der_integer n =
   tlv tag_integer (Buffer.contents b)
 
 let der_enum ?(tag = tag_enumerated) n = tlv tag (String.make 1 (Char.chr n))
-let der_bool v = tlv tag_boolean (String.make 1 (if v then '\xff' else '\x00'))
 let der_octets ?(tag = tag_octet_string) s = tlv tag s
 let der_seq ?(tag = tag_sequence) parts = tlv tag (String.concat "" parts)
 
@@ -542,11 +541,8 @@ module Der = struct
   type nonrec cursor = cursor
 
   let integer = der_integer
-  let boolean = der_bool
   let enum n = der_enum n
-  let octets s = der_octets s
   let seq parts = der_seq parts
-  let option f = function None -> der_seq [] | Some v -> der_seq [ f v ]
 
   let with_scratch emit x =
     Ldap_compile.Wbuf.clear scratch;

@@ -35,9 +35,6 @@ val manage_dsa_it_oid : string
 (** OID of the manageDsaIT control (RFC 3296): referral objects are
     returned as ordinary entries instead of being followed. *)
 
-val resync_oid : string
-(** OID under which the paper's resync control travels. *)
-
 val resync_control : mode:string -> cookie:string option -> control
 (** Encodes the paper's [(mode, cookie)] resync control value. *)
 
@@ -78,20 +75,11 @@ module Der : sig
   val integer : int -> string
   (** DER INTEGER (non-negative, minimal two's-complement). *)
 
-  val boolean : bool -> string
-  (** DER BOOLEAN. *)
-
   val enum : int -> string
   (** DER ENUMERATED, single byte [0..255]. *)
 
-  val octets : string -> string
-  (** DER OCTET STRING. *)
-
   val seq : string list -> string
   (** DER SEQUENCE of already-encoded parts. *)
-
-  val option : ('a -> string) -> 'a option -> string
-  (** [None] as an empty SEQUENCE, [Some v] as a one-element one. *)
 
   val entry : Entry.t -> string
   (** A SearchResultEntry TLV (same image as {!entry_message}'s op). *)
@@ -127,16 +115,17 @@ module Der : sig
     (** Writer twin of {!integer}. *)
 
     val boolean : w -> bool -> unit
-    (** Writer twin of {!boolean}. *)
+    (** DER BOOLEAN. *)
 
     val enum : w -> int -> unit
     (** Writer twin of {!enum}. *)
 
     val octets : w -> string -> unit
-    (** Writer twin of {!octets}. *)
+    (** DER OCTET STRING. *)
 
     val option : w -> ('a -> unit) -> 'a option -> unit
-    (** Writer twin of {!option}; the callback must emit into [w]. *)
+    (** An optional value as a SEQUENCE of zero or one element; the
+        callback must emit into [w]. *)
 
     val entry : w -> Entry.t -> unit
     (** Writer twin of {!entry}. *)
@@ -167,7 +156,7 @@ module Der : sig
   (** Enters a SEQUENCE, returning a cursor over its contents. *)
 
   val read_option : (cursor -> 'a) -> cursor -> 'a option
-  (** Inverse of {!option}. *)
+  (** Inverse of {!W.option}. *)
 
   val read_entry : cursor -> Entry.t
   (** Inverse of {!entry}. *)

@@ -57,9 +57,6 @@ val size : t -> int
 val interned : t -> int
 (** Slot ids allocated — live entries plus tombstoned DNs. *)
 
-val iter : t -> (Entry.t -> unit) -> unit
-(** Iterates live entries in slot (insertion) order. *)
-
 val fold : t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
 (** Folds over live entries in slot order. *)
 

@@ -9,4 +9,3 @@ let ( < ) a b = a < b
 let to_int t = t
 let of_int i = i
 let to_string = string_of_int
-let pp = Format.pp_print_int

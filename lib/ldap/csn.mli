@@ -34,6 +34,3 @@ val of_int : int -> t
 
 val to_string : t -> string
 (** Decimal form, as written into modifyTimestamp and cookies. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)

@@ -196,7 +196,6 @@ let render length blit x =
 let rdn_to_string r = render (avas_length 0 0 r) blit_avas r
 let string_length t = rdns_length 0 0 t.parts
 let to_string t = render (string_length t) blit_rdns t.parts
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let canonical t = t.norm
 let equal a b = String.equal a.norm b.norm

@@ -48,8 +48,6 @@ val string_length : t -> int
 (** [String.length (to_string dn)], computed without building the
     string: wire sizes are taken on every reply. *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
 (** Equality of canonical forms: the same RDN sequence under
     case-insensitive, space-squashing value matching. *)

@@ -238,8 +238,6 @@ let rec to_string = function
   | And gs -> Printf.sprintf "(&%s)" (String.concat "" (List.map to_string gs))
   | Or gs -> Printf.sprintf "(|%s)" (String.concat "" (List.map to_string gs))
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* --- Parsing -------------------------------------------------------- *)
 
 exception Parse_error of string

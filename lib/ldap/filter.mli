@@ -94,5 +94,3 @@ val of_string_exn : string -> t
 
 val to_string : t -> string
 (** RFC 2254 printer; [of_string (to_string f)] re-reads [f]. *)
-
-val pp : Format.formatter -> t -> unit

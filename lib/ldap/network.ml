@@ -106,11 +106,6 @@ let link_latency t ~a ~b =
 let add_server t s = Hashtbl.replace t.servers (Server.name s) (Full_server s)
 let add_handler t ~name handler = Hashtbl.replace t.servers name (Handler handler)
 
-let server t name =
-  match Hashtbl.find_opt t.servers name with
-  | Some (Full_server s) -> Some s
-  | Some (Handler _) | None -> None
-
 let stats t =
   {
     round_trips = t.round_trips;

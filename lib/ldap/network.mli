@@ -111,8 +111,6 @@ val add_handler : t -> name:string -> (Query.t -> Server.response) -> unit
     partial replicas ({!Ldap_replication.Replica_server}-style
     endpoints) join the topology alongside full servers. *)
 
-val server : t -> string -> Server.t option
-
 val stats : t -> stats
 (** A snapshot of the traffic counters since creation or the last
     {!reset_stats}. *)

@@ -98,5 +98,3 @@ let to_string t =
     (Scope.to_string t.scope)
     (Filter.to_string t.filter)
     attrs
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

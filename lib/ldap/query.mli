@@ -48,10 +48,6 @@ val equal : t -> t -> bool
 (** [compare a b = 0]: same base, scope, filter, requested attributes
     and manageDsaIT flag. *)
 
-val compare : t -> t -> int
-(** Orders by base, then scope, filter, requested attributes and the
-    manageDsaIT flag. *)
-
 val hash : t -> int
 (** Hash consistent with {!equal}: the canonical base, the whole
     normalized filter, scope, attributes and the manageDsaIT flag all
@@ -62,6 +58,3 @@ module Tbl : Hashtbl.S with type key = t
 
 val to_string : t -> string
 (** One-line rendering of base, scope, filter and attributes. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}'s rendering. *)

@@ -26,17 +26,9 @@ type object_class = {
 
 type t
 
-val empty : t
-(** A schema with no attribute types and no object classes. *)
-
 val add_attribute : t -> attribute_type -> t
 (** Registers the type under its canonical name and all aliases
     (case-insensitively), replacing earlier registrations. *)
-
-val add_object_class : t -> object_class -> t
-
-val attribute_type : t -> string -> attribute_type option
-(** Lookup by canonical name or alias, case-insensitive. *)
 
 val syntax_of : t -> string -> Value.syntax
 (** Syntax of an attribute; unknown attributes default to
@@ -44,9 +36,6 @@ val syntax_of : t -> string -> Value.syntax
     undeclared attributes in filters. *)
 
 val is_single_valued : t -> string -> bool
-
-val object_class : t -> string -> object_class option
-(** Lookup of an object class by name, case-insensitive. *)
 
 val required_attributes : t -> string -> string list
 (** Mandatory attributes of a class including inherited ones.  Unknown

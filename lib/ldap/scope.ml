@@ -19,8 +19,6 @@ let of_string s =
   | "sub" | "subtree" -> Some Sub
   | _ -> None
 
-let pp ppf s = Format.pp_print_string ppf (to_string s)
-
 let covers ~outer ~inner =
   match (outer, inner) with
   | Sub, (Base | One | Sub) -> true

@@ -27,9 +27,6 @@ val of_string : string -> t option
 (** Inverse of {!to_string}, case-insensitive; also accepts
     ["onelevel"], ["single"] and ["subtree"]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}'s rendering. *)
-
 val covers : outer:t -> inner:t -> bool
 (** [covers ~outer ~inner] is [true] when a search with scope [outer]
     visits at least the entries visited by scope [inner] {e from the

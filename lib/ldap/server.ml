@@ -23,4 +23,3 @@ let handle_search t (q : Query.t) =
           | None -> Failure (Printf.sprintf "noSuchObject: %s" (Dn.to_string dn))))
 
 let handle_compare t dn ~attr ~value = Backend.compare_values t.backend dn ~attr ~value
-let handle_update t op = Backend.apply t.backend op

@@ -26,8 +26,3 @@ val handle_search : t -> Query.t -> response
 
 val handle_compare : t -> Dn.t -> attr:string -> value:string -> (bool, string) result
 (** The compare operation against the local backend. *)
-
-val handle_update : t -> Update.op -> (Update.record, string) result
-(** Updates are accepted only at the server mastering the entry; this
-    simulation treats every local backend as master for its
-    contexts. *)

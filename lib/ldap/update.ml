@@ -44,6 +44,3 @@ let delete_values attr values =
   { mod_kind = Delete_values; mod_attr = attr; mod_values = values }
 let replace_values attr values =
   { mod_kind = Replace_values; mod_attr = attr; mod_values = values }
-
-let pp_op ppf op =
-  Format.fprintf ppf "%s %s" (op_kind_name op) (Dn.to_string (op_target op))

@@ -57,6 +57,3 @@ val delete_values : string -> string list -> mod_item
 
 val replace_values : string -> string list -> mod_item
 (** Replaces every value of the attribute; an empty list deletes it. *)
-
-val pp_op : Format.formatter -> op -> unit
-(** The operation's kind and target DN, for logs and test output. *)

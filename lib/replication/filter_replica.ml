@@ -41,11 +41,6 @@ let upstream t =
   | Some ep -> Some ep
   | None -> None
 
-let master t =
-  match Resync.Transport.master t.transport t.master_host with
-  | Some m -> m
-  | None -> invalid_arg "Filter_replica.master: upstream is not a root master"
-
 let create_over ?(cache_capacity = 0) ?(host = "replica") transport ~master_host =
   let ep =
     match Resync.Transport.endpoint transport master_host with
@@ -415,11 +410,6 @@ let install_filter_seeded t q ~donors =
                 Ok Seeded
             | Error _ -> install_cold t q consumer))
 
-let merkle_sync_filter t q =
-  match C.Containment_index.find t.index q with
-  | None -> Error "Filter_replica.merkle_sync_filter: no such stored filter"
-  | Some consumer -> merkle_consumer t consumer
-
 let merkle_sync_all t =
   C.Containment_index.fold t.index ~init:[] ~f:(fun acc q consumer ->
       (q, merkle_consumer t consumer) :: acc)
@@ -447,8 +437,6 @@ type recovery_report = {
   meta_truncated : bool;
   filters : filter_recovery list;
 }
-
-let durable t = t.durable <> None
 
 let detach_store t =
   match t.durable with

@@ -55,13 +55,6 @@ val transport : t -> Ldap_resync.Transport.t
 val master_host : t -> string
 (** The endpoint name this replica currently synchronizes from. *)
 
-val master : t -> Ldap_resync.Master.t
-(** The root master behind [master_host] — reachable in-process even
-    when the simulated link is partitioned (used by flat-topology
-    callers for control-plane operations).
-    @raise Invalid_argument when the upstream endpoint is an
-    intermediate node rather than a root master. *)
-
 val retarget : t -> master_host:string -> unit
 (** Re-parents the replica to a different upstream endpoint.  Every
     stored filter's resume cookie is rewritten with
@@ -208,18 +201,14 @@ val comparisons : t -> int
     upstream's content under the stored filter and ship only the
     segments that differ ({!Ldap_antientropy.Exchange}). *)
 
-val merkle_sync_filter :
-  t -> Query.t -> (Ldap_antientropy.Exchange.report, string) result
-(** Reconciles one stored filter's content against the upstream by
-    Merkle walk ({!Ldap_resync.Consumer.merkle_sync}); the walk's wire
-    cost is recorded in {!Stats.t.merkle_bytes}.  [Error] when the
-    query is not stored, the upstream is unreachable, or the walk did
-    not converge within its round budget — the caller should fall back
-    to a cold re-subscribe. *)
-
 val merkle_sync_all :
   t -> (Query.t * (Ldap_antientropy.Exchange.report, string) result) list
-(** {!merkle_sync_filter} over every stored filter. *)
+(** Reconciles each stored filter's content against the upstream by
+    Merkle walk ({!Ldap_resync.Consumer.merkle_sync}); each walk's wire
+    cost is recorded in {!Stats.t.merkle_bytes}.  A filter's [Error]
+    means the upstream is unreachable or the walk did not converge
+    within its round budget — the caller should fall back to a cold
+    re-subscribe. *)
 
 (** {1 Durability}
 
@@ -267,9 +256,6 @@ type recovery_report = {
   meta_truncated : bool;  (** Meta WAL tail was truncated. *)
   filters : filter_recovery list;  (** One per recovered filter, by slot. *)
 }
-
-val durable : t -> bool
-(** Whether a store is attached. *)
 
 val detach_store : t -> unit
 (** Stops journaling everywhere (meta and consumers).  A simulated

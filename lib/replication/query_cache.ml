@@ -11,7 +11,6 @@ type t = {
 let create schema ~capacity =
   { schema; capacity; index = C.Containment_index.create schema; window = [] }
 
-let capacity t = t.capacity
 let length t = List.length t.window
 
 let add t q result =
@@ -40,7 +39,3 @@ let answer t q =
     | Some (_, entries) -> Some (Replica.eval_over_entries t.schema q (List.to_seq entries))
 
 let comparisons t = C.Containment_index.comparisons t.index
-
-let clear t =
-  C.Containment_index.clear t.index;
-  t.window <- []

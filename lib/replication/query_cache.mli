@@ -15,7 +15,6 @@ type t
 val create : Schema.t -> capacity:int -> t
 (** [capacity <= 0] disables the cache. *)
 
-val capacity : t -> int
 val length : t -> int
 
 val add : t -> Query.t -> Entry.t list -> unit
@@ -28,4 +27,3 @@ val answer : t -> Query.t -> Entry.t list option
     is re-evaluated against the incoming query locally. *)
 
 val comparisons : t -> int
-val clear : t -> unit

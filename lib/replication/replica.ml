@@ -2,8 +2,6 @@ open Ldap
 
 type answer = Answered of Entry.t list | Referral
 
-let is_hit = function Answered _ -> true | Referral -> false
-
 let filter_attrs_available ~available (q : Query.t) =
   match available with
   | Query.All -> true

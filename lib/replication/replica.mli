@@ -13,8 +13,6 @@ type answer =
       (** The replica cannot guarantee a complete answer — a {e miss};
           the client must go to the master (or chase a referral). *)
 
-val is_hit : answer -> bool
-
 val eval_over_entries : Schema.t -> Query.t -> Entry.t Seq.t -> Entry.t list
 (** Evaluates a query locally over a stream of candidate entries:
     scope check, filter match and attribute selection, with the filter

@@ -1,32 +1,12 @@
 open Ldap
 
-type backend =
-  | Filter_backend of Filter_replica.t
-  | Subtree_backend of Subtree_replica.t
+type t = { master_host : string; replica : Filter_replica.t }
 
-type t = { master_host : string; backend : backend }
-
-let of_filter_replica ~master_host replica =
-  { master_host; backend = Filter_backend replica }
-
-let of_subtree_replica ~master_host replica =
-  { master_host; backend = Subtree_backend replica }
-
-let sync t =
-  match t.backend with
-  | Filter_backend r -> Filter_replica.sync r
-  | Subtree_backend r -> Subtree_replica.sync r
-
-let referral_to t = Referral.make ~host:t.master_host ()
+let of_filter_replica ~master_host replica = { master_host; replica }
 
 let handle_search t q =
-  let answer =
-    match t.backend with
-    | Filter_backend r -> Filter_replica.answer r q
-    | Subtree_backend r -> Subtree_replica.answer r q
-  in
-  match answer with
+  match Filter_replica.answer t.replica q with
   | Replica.Answered entries -> Server.Entries { Backend.entries; references = [] }
-  | Replica.Referral -> Server.Referral [ referral_to t ]
+  | Replica.Referral -> Server.Referral [ Referral.make ~host:t.master_host () ]
 
 let register t net ~name = Network.add_handler net ~name (handle_search t)

@@ -1,7 +1,7 @@
 (** A partial replica exposed as a directory server.
 
-    Wraps a {!Filter_replica} (or a {!Subtree_replica}) behind the
-    {!Ldap.Server.response} interface so it can join a simulated
+    Wraps a {!Filter_replica} behind the {!Ldap.Server.response}
+    interface so it can join a simulated
     {!Ldap.Network} topology: contained queries are answered locally in
     one round trip; everything else produces a referral to the master's
     LDAP URL, which a referral-chasing client follows transparently.
@@ -22,17 +22,6 @@ val of_filter_replica :
 (** [master_host] is the network name of the server a missed query is
     referred to; the URL itself is derived via {!Ldap.Referral.make}. *)
 
-val of_subtree_replica :
-  master_host:string -> Subtree_replica.t -> t
-
-val sync : t -> unit
-(** One poll round on the wrapped replica, whichever model backs it. *)
-
-val referral_to : t -> string
-(** The LDAP URL a miss refers the client to. *)
-
-val handle_search : t -> Query.t -> Server.response
-(** [Entries] on a hit, [Referral [referral_to t]] on a miss. *)
-
 val register : t -> Network.t -> name:string -> unit
-(** Installs the replica as host [name] in the topology. *)
+(** Installs the replica as host [name] in the topology: a hit answers
+    with its entries, a miss with a referral to the master's URL. *)

@@ -119,13 +119,3 @@ let record_served_push t action =
   t.served_entries <- t.served_entries + Ldap_resync.Action.entries_cost action;
   t.served_bytes <- t.served_bytes + Ldap_resync.Action.bytes_cost action;
   t.served_actions <- t.served_actions + 1
-
-let pp ppf t =
-  Format.fprintf ppf
-    "queries=%d hits=%d (%.3f) sync=%de/%dB fetch=%de/%dB comparisons=%d \
-     retries=%d backoff=%d resyncs=%d/%dB merkle=%d/%dB failures=%d \
-     served=%dr/%de/%dB"
-    t.queries t.hits (hit_ratio t) t.sync_entries t.sync_bytes t.fetch_entries
-    t.fetch_bytes t.comparisons t.sync_retries t.sync_backoff_ticks t.resyncs
-    t.recovery_bytes t.merkle_syncs t.merkle_bytes t.sync_failures
-    t.served_replies t.served_entries t.served_bytes

@@ -46,7 +46,11 @@ type t = {
 }
 
 val create : unit -> t
+(** All counters zero. *)
+
 val reset : t -> unit
+(** Sets every counter back to zero. *)
+
 val hit_ratio : t -> float
 (** 0 when no queries were recorded. *)
 
@@ -54,7 +58,12 @@ val total_update_entries : t -> int
 (** sync + fetch, the paper's Figures 6-7 y-axis. *)
 
 val record_query : t -> hit:bool -> returned:int -> unit
+(** Accounts one query; a hit also adds the entries it returned. *)
+
 val add_reply : t -> Ldap_resync.Protocol.reply -> fetch:bool -> unit
+(** Accounts one ReSync reply's entries, bytes and actions, as fetch
+    traffic when [fetch] (the initial content of a newly installed
+    filter or subtree) and as sync traffic otherwise. *)
 
 val record_sync_outcome : t -> Ldap_resync.Consumer.outcome -> unit
 (** Accounts one successful synchronization: its retries and backoff,
@@ -74,5 +83,3 @@ val record_served_reply : t -> Ldap_resync.Protocol.reply -> unit
 
 val record_served_push : t -> Ldap_resync.Action.t -> unit
 (** Accounts one persist-mode action pushed downstream. *)
-
-val pp : Format.formatter -> t -> unit

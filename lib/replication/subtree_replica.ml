@@ -41,7 +41,6 @@ let create master ~subtrees =
   { schema; master; contexts; stats }
 
 let stats t = t.stats
-let contexts t = List.map (fun c -> (c.suffix, c.referrals)) t.contexts
 
 let size_entries t =
   List.fold_left

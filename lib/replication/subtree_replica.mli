@@ -21,8 +21,6 @@ val create : Ldap_resync.Master.t -> subtrees:Dn.t list -> t
     referrals automatically. *)
 
 val stats : t -> Stats.t
-val contexts : t -> (Dn.t * Dn.t list) list
-(** The replication contexts: suffix and referral DNs. *)
 
 val size_entries : t -> int
 (** Number of replicated entries (referral objects excluded). *)

@@ -22,6 +22,3 @@ let kind_name = function
   | Modify _ -> "modify"
   | Delete _ -> "delete"
   | Retain _ -> "retain"
-
-let pp ppf t =
-  Format.fprintf ppf "%s %s" (kind_name t) (Dn.to_string (target t))

@@ -31,5 +31,3 @@ val bytes_cost : t -> int
 (** Modelled PDU bytes ({!Ldap.Ber}). *)
 
 val kind_name : t -> string
-val pp : Format.formatter -> t -> unit
-(** Prints the kind and the target DN, e.g. [delete cn=a,o=xyz]. *)

@@ -309,8 +309,6 @@ let detach_store t =
   t.store <- None;
   t.image <- None
 
-let store t = t.store
-
 (* Compared with [==]: a DER entry image is never empty. *)
 let absent = ""
 

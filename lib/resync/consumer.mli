@@ -219,9 +219,6 @@ val detach_store : t -> unit
     consumer so nothing it does afterwards can touch the durable state
     captured at crash time. *)
 
-val store : t -> Ldap_store.Store.t option
-(** The attached store, if any. *)
-
 val checkpoint : t -> unit
 (** Snapshots cookie + entries and resets the WAL.  No-op without an
     attached store.

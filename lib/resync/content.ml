@@ -1,5 +1,6 @@
 open Ldap
 
+(* Interpreted membership: the reference behind [classify]. *)
 let member schema (q : Query.t) entry =
   Query.in_scope q (Entry.dn entry) && Filter.matches schema q.Query.filter entry
 
@@ -10,8 +11,6 @@ let member schema (q : Query.t) entry =
 type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
 
 let matcher schema (q : Query.t) = { mq = q; prog = Filter.compile schema q.Query.filter }
-
-let matcher_query m = m.mq
 
 let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)

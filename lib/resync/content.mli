@@ -4,27 +4,26 @@
     instant [t].  Given pre/post images of a committed update, an entry
     is classified as moving into the content (contributing to
     [E01]), out of it ([E10]), changing within it ([E11]) or staying
-    outside. *)
+    outside.
+
+    Production code evaluates membership one way: through a compiled
+    {!matcher}, which the master builds once per session and uses for
+    routed updates and for its Changelog and Tombstone replay alike.
+    {!classify} evaluates the same definition with the interpreted
+    filter ({!Ldap.Filter.matches}); it is kept as the reference
+    implementation that the tests check {!classify_m} against. *)
 
 open Ldap
 
-val member : Schema.t -> Query.t -> Entry.t -> bool
-(** Whether the entry belongs to the query's content: its DN is in the
-    base/scope region and the filter matches. *)
-
 type matcher
-(** {!member} with the query's filter compiled once to bytecode; the
-    master builds one per session and reuses it across every routed
-    update. *)
+(** Content membership for one query: its DN is in the base/scope
+    region and its filter, compiled once to bytecode, matches. *)
 
 val matcher : Schema.t -> Query.t -> matcher
 (** Compile a membership test for the query. *)
 
-val matcher_query : matcher -> Query.t
-(** The query the matcher was compiled from. *)
-
 val matches : matcher -> Entry.t -> bool
-(** Compiled equivalent of [member schema q entry]. *)
+(** Whether the entry belongs to the matcher's query content. *)
 
 val changed_since : Csn.t -> Entry.t -> bool
 (** Whether the entry's modifyTimestamp (the CSN that last wrote it)
@@ -50,7 +49,8 @@ type transition =
 
 val classify :
   Schema.t -> Query.t -> before:Entry.t option -> after:Entry.t option -> transition
-(** Interpreted classification (the oracle for {!classify_m}). *)
+(** Interpreted classification: the oracle for {!classify_m}, used by
+    tests only. *)
 
 val classify_m :
   matcher -> before:Entry.t option -> after:Entry.t option -> transition

@@ -148,7 +148,6 @@ let filter_attrs (q : Query.t) = Filter.attributes q.Query.filter
 (* Changelog replay: only (kind, DN, changed attrs, current state) may
    be used — no pre-images. *)
 let changelog_actions src (session : history Server.session) =
-  let schema = Backend.schema src.backend in
   let q = session.query in
   let attrs_of_interest = filter_attrs q in
   let touches_filter items =
@@ -167,11 +166,11 @@ let changelog_actions src (session : history Server.session) =
             [ Action.Delete dn ]
         | Update.Add _ -> (
             match r.after with
-            | Some e when Content.member schema q e -> [ Action.Add e ]
+            | Some e when Content.matches session.matcher e -> [ Action.Add e ]
             | Some _ | None -> [])
         | Update.Modify (dn, items) -> (
             match r.after with
-            | Some e when Content.member schema q e -> [ Action.Modify e ]
+            | Some e when Content.matches session.matcher e -> [ Action.Modify e ]
             | Some e when touches_filter items ->
                 (* Not currently in content but the modification
                    touched a filter attribute: the entry might have
@@ -183,7 +182,7 @@ let changelog_actions src (session : history Server.session) =
             (* Old DN vanishes; membership of the old entry unknown. *)
             let deletes = [ Action.Delete dn ] in
             match r.after with
-            | Some e when Content.member schema q e -> deletes @ [ Action.Add e ]
+            | Some e when Content.matches session.matcher e -> deletes @ [ Action.Add e ]
             | Some _ | None -> deletes))
       records
   in
@@ -200,7 +199,6 @@ let tombstone (r : Update.record) =
    DN-only tombstones of the log since the session's CSN, newest
    first. *)
 let tombstone_actions src (session : history Server.session) =
-  let schema = Backend.schema src.backend in
   let q = session.query in
   let since = session.synced_csn in
   let deletes =
@@ -213,7 +211,7 @@ let tombstone_actions src (session : history Server.session) =
   let upserts_and_conservative =
     Backend.fold_entries src.backend ~init:[] ~f:(fun acc e ->
         if not (Content.changed_since since e) then acc
-        else if Content.member schema q e then Action.Add e :: acc
+        else if Content.matches session.matcher e then Action.Add e :: acc
         else
           (* Changed entry outside the content: it may have just left
              it, and without a pre-image the master cannot tell. *)
@@ -315,7 +313,6 @@ let server t = t.server
 (* --- Durable state --------------------------------------------------- *)
 
 let attach_store t store = t.src.store <- Some store
-let store t = t.src.store
 
 let strategy_code = function
   | Session_history -> 0

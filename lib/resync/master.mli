@@ -179,9 +179,6 @@ val pending_stats : t -> int * int
 val attach_store : t -> Ldap_store.Store.t -> unit
 (** Starts journaling session-table transitions to the store. *)
 
-val store : t -> Ldap_store.Store.t option
-(** The attached store, if any. *)
-
 val checkpoint : t -> unit
 (** Snapshots the session table (strategy, sessions with pending
     history) and resets the WAL.  No-op without a store.  Images and

@@ -131,20 +131,6 @@ let cookie_bytes = function Some c -> String.length c | None -> 0
 let request_bytes (r : request) = Ldap.Ber.message_overhead + 1 + cookie_bytes r.cookie
 let reply_bytes (r : reply) = Ldap.Ber.message_overhead + bytes_cost r + cookie_bytes r.cookie
 
-let mode_to_string = function
-  | Poll -> "poll"
-  | Persist -> "persist"
-  | Sync_end -> "sync_end"
-
-let pp_reply ppf r =
-  let kind =
-    match r.kind with
-    | Initial_content -> "initial"
-    | Incremental -> "incremental"
-    | Degraded -> "degraded"
-  in
-  Format.fprintf ppf "%s (%d actions)" kind r.count
-
 (* --- Persist push channels ------------------------------------------- *)
 
 type push_status = Push_ok | Push_stalled | Push_gone

@@ -97,9 +97,6 @@ val reply_bytes : reply -> int
 (** Modelled wire size of a full reply PDU: envelope, every action and
     the resume cookie.  [bytes_cost] plus the envelope. *)
 
-val mode_to_string : mode -> string
-val pp_reply : Format.formatter -> reply -> unit
-
 (** {1 Persist push channels}
 
     The master side of a persist session holds a {!push_channel} rather

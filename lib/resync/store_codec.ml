@@ -1,13 +1,6 @@
 open Ldap
 module Der = Ber_codec.Der
 
-let action (a : Action.t) =
-  match a with
-  | Action.Add e -> Der.seq [ Der.enum 0; Der.entry e ]
-  | Action.Modify e -> Der.seq [ Der.enum 1; Der.entry e ]
-  | Action.Delete dn -> Der.seq [ Der.enum 2; Der.octets (Dn.to_string dn) ]
-  | Action.Retain dn -> Der.seq [ Der.enum 3; Der.octets (Dn.to_string dn) ]
-
 let read_dn c =
   match Dn.of_string (Der.read_octets c) with
   | Ok d -> d
@@ -21,8 +14,6 @@ let read_action c =
   | 2 -> Action.Delete (read_dn inner)
   | 3 -> Action.Retain (read_dn inner)
   | n -> raise (Ber_codec.Decode_error (Printf.sprintf "bad action kind %d" n))
-
-let actions l = Der.seq (List.map action l)
 
 let read_actions c =
   let inner = Der.read_seq c in
@@ -42,20 +33,11 @@ let kind_of_code = function
   | 2 -> Protocol.Degraded
   | n -> raise (Ber_codec.Decode_error (Printf.sprintf "bad reply kind %d" n))
 
-let cookie_opt c = Der.option Der.octets c
 let read_cookie_opt c = Der.read_option Der.read_octets c
 
-let reply (r : Protocol.reply) =
-  Der.seq
-    [
-      Der.enum (kind_code r.Protocol.kind);
-      actions r.Protocol.actions;
-      cookie_opt r.Protocol.cookie;
-    ]
-
-(* Writer twins emitting backwards into a reused buffer (children in
-   reverse field order, see {!Ber_codec.Der.W}); byte-identical to the
-   string encoders above. *)
+(* Encoders emitting backwards into a reused buffer (children in
+   reverse field order, see {!Ber_codec.Der.W}); the [read_*] cursors
+   above decode the images. *)
 module W = struct
   module DW = Der.W
 

@@ -8,42 +8,29 @@
 
 open Ldap
 
-val action : Action.t -> string
-(** One update action, with the full entry image for Add/Modify. *)
-
 val read_action : Ber_codec.Der.cursor -> Action.t
-(** Inverse of {!action}. *)
-
-val actions : Action.t list -> string
-(** A SEQUENCE of actions. *)
+(** Inverse of {!W.action}. *)
 
 val read_actions : Ber_codec.Der.cursor -> Action.t list
-(** Inverse of {!actions}. *)
-
-val reply : Protocol.reply -> string
-(** A whole reply — kind, actions and cookie — as {e one} value, the
-    consumer's atomicity boundary: cookie and content replay from the
-    same record or not at all. *)
+(** Inverse of {!W.actions}. *)
 
 val read_reply : Ber_codec.Der.cursor -> Protocol.reply
-(** Inverse of {!reply}. *)
+(** Inverse of {!W.reply}. *)
 
-val cookie_opt : string option -> string
-(** An optional cookie. *)
-
-(** Writer twins of the encoders above (see {!Ber_codec.Der.W}):
-    byte-identical images emitted backwards into a reused buffer for
-    the hot journal paths. *)
+(** Encoders (see {!Ber_codec.Der.W}): images emitted backwards into
+    a reused buffer for the hot journal paths. *)
 module W : sig
   val action : Ldap_compile.Wbuf.t -> Action.t -> unit
-  (** Writer twin of {!action}. *)
+  (** One update action, with the full entry image for Add/Modify. *)
 
   val actions : Ldap_compile.Wbuf.t -> Action.t list -> unit
-  (** Writer twin of {!actions}. *)
+  (** A SEQUENCE of actions. *)
 
   val reply : Ldap_compile.Wbuf.t -> Protocol.reply -> unit
-  (** Writer twin of {!reply}. *)
+  (** A whole reply — kind, actions and cookie — as {e one} value, the
+      consumer's atomicity boundary: cookie and content replay from
+      the same record or not at all. *)
 end
 
 val read_cookie_opt : Ber_codec.Der.cursor -> string option
-(** Inverse of {!cookie_opt}. *)
+(** Reads an optional cookie. *)

@@ -60,8 +60,6 @@ let add_master t ~name master =
   Hashtbl.replace t.endpoints name (serve (Master.server master) ~estimate);
   Hashtbl.replace t.masters name master
 
-let master t name = Hashtbl.find_opt t.masters name
-
 let loopback_host = "master"
 
 let loopback m =

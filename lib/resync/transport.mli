@@ -84,10 +84,6 @@ val serve : 's Resync_server.t -> estimate:(Query.t -> int) -> endpoint
 val add_master : t -> name:string -> Master.t -> unit
 (** Registers a root master as an endpoint under the host name. *)
 
-val master : t -> string -> Master.t option
-(** The master registered under the name, if the endpoint there is a
-    root master (an intermediate node endpoint answers [None]). *)
-
 val loopback_host : string
 
 val loopback : Master.t -> t

@@ -30,7 +30,6 @@ val invalidate_sizes : t -> unit
     whatever the directory looked like when they were first observed,
     and drifts as it churns. *)
 
-val fold : t -> init:'a -> f:('a -> Query.t -> stats -> 'a) -> 'a
 val count : t -> int
 (** Candidates registered so far, keyed by canonical base, scope and
     normalized filter. *)

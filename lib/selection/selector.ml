@@ -28,8 +28,6 @@ let create config replica =
     failed_installs = 0;
   }
 
-let config t = t.config
-
 let estimate t q = R.Filter_replica.estimate_size t.replica q
 
 (* Greedy selection under the size budget, best benefit/size first. *)
@@ -88,8 +86,6 @@ let schedule_revolutions t engine ~every ~until =
       t.since_revolution <- 0;
       revolution t)
 let revolutions t = t.revolutions
-let failed_installs t = t.failed_installs
-let candidate_count t = Candidate.count t.candidates
 
 let install_static replica queries =
   List.fold_left

@@ -27,9 +27,6 @@ val create : config -> Ldap_replication.Filter_replica.t -> t
 (** A selector with no statistics yet; it drives the given replica's
     stored filter set and asks its upstream for size estimates. *)
 
-val config : t -> config
-(** The configuration the selector was created with. *)
-
 val observe : t -> Query.t -> unit
 (** Feed one user query: candidate statistics are updated and, at
     every [revolution_interval]-th call, a revolution re-selects the
@@ -43,15 +40,7 @@ val schedule_revolutions : t -> Ldap_sim.Engine.t -> every:int -> until:int -> u
     filters and resets the query-count trigger, turning the interval R
     into an actual period of virtual time rather than a query count. *)
 
-
 val revolutions : t -> int
-
-val failed_installs : t -> int
-(** Install attempts that failed across all revolutions (unsatisfiable
-    candidate or fetch error).  Failures no longer vanish silently:
-    the [ldapctl adapt] report surfaces this count. *)
-
-val candidate_count : t -> int
 
 val install_static : Ldap_replication.Filter_replica.t -> Query.t list -> (unit, string) result
 (** Statically configure a filter set (no dynamic selection) — used

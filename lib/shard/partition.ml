@@ -102,7 +102,6 @@ let of_enterprise ent ~shards =
          (Ldap_dirgen.Enterprise.partition_blocks ent))
 
 let shards t = t.shards
-let attr t = t.attr
 let blocks_of t s = t.shard_blocks.(s)
 let is_structural t e = Entry.get e t.attr = []
 

@@ -28,9 +28,6 @@ open Ldap
 
 type t
 
-val structural_shard : int
-(** The shard (0) owning entries without a partition key. *)
-
 val create :
   ?attr:string -> Schema.t -> shards:int -> blocks:(string * Dn.t option) array -> t
 (** [create schema ~shards ~blocks] assigns block [i] — a (serial
@@ -46,9 +43,6 @@ val of_enterprise : Ldap_dirgen.Enterprise.t -> shards:int -> t
 
 val shards : t -> int
 (** Number of shards. *)
-
-val attr : t -> string
-(** The partition-key attribute (lowercased). *)
 
 val blocks_of : t -> int -> string list
 (** Block prefixes assigned to a shard. *)

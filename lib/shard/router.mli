@@ -47,9 +47,6 @@ open Ldap
 
 type t
 
-val default_host : string
-(** Host name the router registers under (["router"]). *)
-
 val create :
   ?host:string -> Partition.t -> Ldap_resync.Transport.t -> Shard_master.t array -> t
 (** Wires the router: every shard master is registered on the
@@ -106,9 +103,6 @@ val search : t -> Query.t -> (Entry.t list, string) result
 (** Fans a search over the cover via {!Ldap.Network.rpc}, restricted
     to each shard's owned content, and concatenates the (disjoint)
     results. *)
-
-val endpoint : t -> Ldap_resync.Transport.endpoint
-(** The router as a ReSync endpoint (what {!create} registers). *)
 
 (** Observability for reports and the [ldapctl shard] command. *)
 type shard_stat = {

@@ -4,7 +4,6 @@ module Store = Ldap_store.Store
 module Backend_store = Ldap_store.Backend_store
 
 type t = {
-  sm_id : int;
   sm_host : string;
   sm_schema : Schema.t;
   sm_backend : Backend.t;
@@ -21,7 +20,6 @@ let host_of i = Printf.sprintf "shard-%d" i
 
 let make ?strategy ?dispatch backend ~id =
   {
-    sm_id = id;
     sm_host = host_of id;
     sm_schema = Backend.schema backend;
     sm_backend = backend;
@@ -35,7 +33,6 @@ let make ?strategy ?dispatch backend ~id =
 let create ?strategy ?dispatch ?indexed schema ~id =
   make ?strategy ?dispatch (Backend.create ?indexed schema) ~id
 
-let id t = t.sm_id
 let host t = t.sm_host
 let schema t = t.sm_schema
 let backend t = t.sm_backend
@@ -98,12 +95,6 @@ let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;
   Master.checkpoint t.sm_master
 
-let wal_bytes t =
-  (match t.sm_backend_store with
-  | Some bs -> Store.wal_size (Backend_store.store bs)
-  | None -> 0)
-  + (match Master.store t.sm_master with Some s -> Store.wal_size s | None -> 0)
-
 let recover ?strategy ?dispatch ?indexed schema ~id medium ~prefix =
   let ( let* ) = Result.bind in
   let backend_name, master_name = store_names ~prefix in
@@ -116,7 +107,6 @@ let recover ?strategy ?dispatch ?indexed schema ~id medium ~prefix =
   in
   let t =
     {
-      sm_id = id;
       sm_host = host_of id;
       sm_schema = schema;
       sm_backend = backend;

@@ -22,9 +22,6 @@ type recovery = {
   rc_master : Ldap_store.Store.recovery;
 }
 
-val host_of : int -> string
-(** Transport host name of shard [i] (["shard-<i>"]). *)
-
 val create :
   ?strategy:Ldap_resync.Master.strategy ->
   ?dispatch:Ldap_resync.Master.dispatch ->
@@ -33,9 +30,6 @@ val create :
   id:int ->
   t
 (** A fresh, empty shard: backend plus master, CSN at zero. *)
-
-val id : t -> int
-(** The shard's index in its partition. *)
 
 val host : t -> string
 (** Transport host name ("shard-<id>"). *)
@@ -90,9 +84,6 @@ val attach_stores : ?sync:bool -> t -> Ldap_store.Medium.t -> prefix:string -> u
 val checkpoint : t -> unit
 (** Snapshots backend and master stores (no-op without
     {!attach_stores}). *)
-
-val wal_bytes : t -> int
-(** Combined WAL size of the shard's stores (0 when not durable). *)
 
 val recover :
   ?strategy:Ldap_resync.Master.strategy ->

@@ -16,7 +16,6 @@ let create ?(seed = 0) () =
   }
 
 let now t = Clock.now t.clock
-let clock t = t.clock
 
 let schedule t ~time run =
   if time < now t then

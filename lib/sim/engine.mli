@@ -16,10 +16,6 @@ val create : ?seed:int -> unit -> t
 val now : t -> int
 (** Current virtual time. *)
 
-val clock : t -> Clock.t
-(** The underlying clock (shared with any component that needs to read
-    virtual time without scheduling). *)
-
 val schedule : t -> time:int -> (unit -> unit) -> unit
 (** Schedule a thunk at an absolute virtual time.  Raises
     [Invalid_argument] if [time] is in the past. *)
@@ -58,9 +54,6 @@ val every_cancellable : t -> every:int -> until:int -> (unit -> unit) -> handle
 (** {!every} returning one handle for the whole periodic series —
     cancelling stops all future occurrences (the way a crashed
     replica's poll loop dies with it). *)
-
-val float01 : t -> float
-(** Next uniform float in [0, 1) from the engine's seeded stream. *)
 
 val draw : t -> Latency.t -> int
 (** Sample a latency distribution using the engine's stream. *)

@@ -22,9 +22,3 @@ let draw t ~roll =
         let d = -.float_of_int mean *. log (1.0 -. u) in
         max 0 (int_of_float (Float.round d))
       end
-
-let to_string = function
-  | Zero -> "zero"
-  | Fixed d -> Printf.sprintf "fixed(%d)" d
-  | Uniform { lo; hi } -> Printf.sprintf "uniform(%d,%d)" lo hi
-  | Exponential { mean } -> Printf.sprintf "exp(%d)" mean

@@ -15,6 +15,3 @@ type t =
 
 val draw : t -> roll:(unit -> float) -> int
 (** Sample a delay in ticks.  The result is always non-negative. *)
-
-val to_string : t -> string
-(** Short human-readable form, e.g. ["uniform(2,8)"]. *)

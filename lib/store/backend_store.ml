@@ -9,9 +9,6 @@ let attach backend store =
       Store.append_w store (fun w -> Codec.W.record w record));
   { backend; store }
 
-let backend t = t.backend
-let store t = t.store
-
 (* Snapshot layout: SEQ [ csn; floor; contexts; log ] where contexts
    is a SEQ of per-context SEQs of entry images (parent before
    children, suffix entry first) and log is a SEQ of the update

@@ -17,11 +17,6 @@ val attach : Backend.t -> Store.t -> t
 (** Starts journaling the backend's commits to the store.  Call once
     per backend lifetime, after {!recover} on restart. *)
 
-val backend : t -> Backend.t
-
-val store : t -> Store.t
-(** The store the backend journals to. *)
-
 val checkpoint : t -> unit
 (** Writes a full snapshot and resets the WAL. *)
 

@@ -9,29 +9,12 @@ let decode reader payload =
 let csn c = Der.integer (Csn.to_int c)
 let read_csn c = Csn.of_int (Der.read_integer c)
 
-let dn d = Der.octets (Dn.to_string d)
-
 let read_dn c =
   match Dn.of_string (Der.read_octets c) with
   | Ok d -> d
   | Error e -> raise (Ber_codec.Decode_error e)
 
-let entry_opt e = Der.option Der.entry e
 let read_entry_opt c = Der.read_option Der.read_entry c
-
-let mod_item (m : Update.mod_item) =
-  let kind =
-    match m.Update.mod_kind with
-    | Update.Add_values -> 0
-    | Update.Delete_values -> 1
-    | Update.Replace_values -> 2
-  in
-  Der.seq
-    [
-      Der.enum kind;
-      Der.octets m.Update.mod_attr;
-      Der.seq (List.map Der.octets m.Update.mod_values);
-    ]
 
 let read_mod_item c =
   let inner = Der.read_seq c in
@@ -50,22 +33,6 @@ let read_mod_item c =
     else vals (Der.read_octets values :: acc)
   in
   { Update.mod_kind = kind; mod_attr = attr; mod_values = vals [] }
-
-let op (o : Update.op) =
-  match o with
-  | Update.Add e -> Der.seq [ Der.enum 0; Der.entry e ]
-  | Update.Delete d -> Der.seq [ Der.enum 1; dn d ]
-  | Update.Modify (d, items) ->
-      Der.seq [ Der.enum 2; dn d; Der.seq (List.map mod_item items) ]
-  | Update.Modify_dn { dn = d; new_rdn; delete_old_rdn; new_superior } ->
-      Der.seq
-        [
-          Der.enum 3;
-          dn d;
-          Der.octets (Dn.rdn_to_string new_rdn);
-          Der.boolean delete_old_rdn;
-          Der.option (fun s -> dn s) new_superior;
-        ]
 
 let read_op c =
   let inner = Der.read_seq c in
@@ -92,15 +59,9 @@ let read_op c =
       Update.Modify_dn { dn = d; new_rdn = rdn; delete_old_rdn; new_superior }
   | n -> raise (Ber_codec.Decode_error (Printf.sprintf "bad op kind %d" n))
 
-let record (r : Update.record) =
-  Der.seq [ csn r.Update.csn; op r.Update.op; entry_opt r.Update.before;
-            entry_opt r.Update.after ]
-
-(* Writer twins of the encoders above, emitting backwards into a
-   reused buffer (see {!Ber_codec.Der.W}): children of every
-   composite go in reverse field order, and the images are
-   byte-identical to the string encoders, so the same [read_*]
-   cursors decode both. *)
+(* Encoders emitting backwards into a reused buffer (see
+   {!Ber_codec.Der.W}): children of every composite go in reverse
+   field order, and the [read_*] cursors above decode the images. *)
 module W = struct
   module DW = Der.W
 

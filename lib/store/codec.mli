@@ -21,50 +21,16 @@ val csn : Csn.t -> string
 val read_csn : Ber_codec.Der.cursor -> Csn.t
 (** Inverse of {!csn}. *)
 
-val dn : Dn.t -> string
-(** DN in string form as a DER OCTET STRING. *)
-
-val read_dn : Ber_codec.Der.cursor -> Dn.t
-(** Inverse of {!dn}. *)
-
-val entry_opt : Entry.t option -> string
-(** Optional entry image. *)
-
-val read_entry_opt : Ber_codec.Der.cursor -> Entry.t option
-(** Inverse of {!entry_opt}. *)
-
-val op : Update.op -> string
-(** One update operation, with full payload for each of the four
-    kinds. *)
-
-val read_op : Ber_codec.Der.cursor -> Update.op
-(** Inverse of {!op}. *)
-
-val record : Update.record -> string
-(** One committed-update record: CSN, operation and both images. *)
-
-(** Writer twins of the encoders above (see {!Ber_codec.Der.W}):
-    byte-identical images emitted backwards into a reused buffer, so
-    the hot journal path allocates no intermediate strings. *)
+(** Writer twins (see {!Ber_codec.Der.W}): images emitted backwards
+    into a reused buffer, so the hot journal path allocates no
+    intermediate strings. *)
 module W : sig
   val csn : Ldap_compile.Wbuf.t -> Csn.t -> unit
   (** Writer twin of {!csn}. *)
 
-  val dn : Ldap_compile.Wbuf.t -> Dn.t -> unit
-  (** Writer twin of {!dn}. *)
-
-  val entry_opt : Ldap_compile.Wbuf.t -> Entry.t option -> unit
-  (** Writer twin of {!entry_opt}. *)
-
-  val mod_item : Ldap_compile.Wbuf.t -> Update.mod_item -> unit
-  (** Writer twin of {!mod_item}'s image inside {!op}. *)
-
-  val op : Ldap_compile.Wbuf.t -> Update.op -> unit
-  (** Writer twin of {!op}. *)
-
   val record : Ldap_compile.Wbuf.t -> Update.record -> unit
-  (** Writer twin of {!record}. *)
+  (** One committed-update record: CSN, operation and both images. *)
 end
 
 val read_record : Ber_codec.Der.cursor -> Update.record
-(** Inverse of {!record}. *)
+(** Inverse of {!W.record}. *)

@@ -51,68 +51,12 @@ type file = {
 type t = {
   table : (string, file) Hashtbl.t;
   faults : Faults.t;
-  dir : string option;  (* write-through directory for disk media *)
 }
-
-(* --- Disk write-through --------------------------------------------- *)
-
-let path dir name = Filename.concat dir name
-
-let disk_write dir name contents =
-  let tmp = path dir (name ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp (path dir name)
-
-let disk_append dir name bytes =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-      (path dir name)
-  in
-  output_string oc bytes;
-  close_out oc
-
-let disk_remove dir name =
-  let p = path dir name in
-  if Sys.file_exists p then Sys.remove p
-
-let write_through t name =
-  match t.dir with
-  | None -> fun () -> ()
-  | Some dir ->
-      fun () ->
-        let file = Hashtbl.find t.table name in
-        disk_write dir name (Buffer.contents file.buf)
 
 (* --- Construction ---------------------------------------------------- *)
 
 let memory ?(faults = Faults.none) () =
-  { table = Hashtbl.create 8; faults; dir = None }
-
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let disk ?(faults = Faults.none) ~dir () =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let t = { table = Hashtbl.create 8; faults; dir = Some dir } in
-  Array.iter
-    (fun name ->
-      let p = path dir name in
-      if (not (Sys.is_directory p)) && not (Filename.check_suffix name ".tmp")
-      then begin
-        let contents = read_file p in
-        let buf = Buffer.create (String.length contents + 64) in
-        Buffer.add_string buf contents;
-        Hashtbl.replace t.table name
-          { buf; synced_len = String.length contents; first_unsynced = -1 }
-      end)
-    (Sys.readdir dir);
-  t
+  { table = Hashtbl.create 8; faults }
 
 (* --- Operations ------------------------------------------------------ *)
 
@@ -129,16 +73,12 @@ let note_unsynced f len = if f.first_unsynced < 0 then f.first_unsynced <- len
 let append t ~name bytes =
   let f = file t name in
   Buffer.add_string f.buf bytes;
-  note_unsynced f (String.length bytes);
-  Option.iter (fun dir -> disk_append dir name bytes) t.dir
+  note_unsynced f (String.length bytes)
 
 let append_sub t ~name bytes ~pos ~len =
   let f = file t name in
   Buffer.add_subbytes f.buf bytes pos len;
-  note_unsynced f len;
-  Option.iter
-    (fun dir -> disk_append dir name (Bytes.sub_string bytes pos len))
-    t.dir
+  note_unsynced f len
 
 let sync t ~name =
   match Hashtbl.find_opt t.table name with
@@ -152,8 +92,7 @@ let write_atomic_sub t ~name bytes ~pos ~len =
   Buffer.clear f.buf;
   Buffer.add_subbytes f.buf bytes pos len;
   f.synced_len <- len;
-  f.first_unsynced <- -1;
-  Option.iter (fun dir -> disk_write dir name (Bytes.sub_string bytes pos len)) t.dir
+  f.first_unsynced <- -1
 
 (* Read-only: the string is never written through the alias. *)
 let write_atomic t ~name contents =
@@ -183,19 +122,16 @@ let truncate t ~name n =
       let n = min n (Buffer.length f.buf) in
       Buffer.truncate f.buf n;
       f.synced_len <- min f.synced_len n;
-      f.first_unsynced <- -1;
-      write_through t name ()
+      f.first_unsynced <- -1
 
-let remove t ~name =
-  Hashtbl.remove t.table name;
-  Option.iter (fun dir -> disk_remove dir name) t.dir
+let remove t ~name = Hashtbl.remove t.table name
 
 let files t =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
 
 let crash t =
   Hashtbl.iter
-    (fun name f ->
+    (fun _ f ->
       if f.first_unsynced >= 0 then begin
         (match Faults.next_crash t.faults with
         | Faults.Keep_all -> f.synced_len <- Buffer.length f.buf
@@ -212,7 +148,6 @@ let crash t =
             in
             Buffer.truncate f.buf (f.synced_len + min torn (max 0 (first - 1))));
         f.synced_len <- Buffer.length f.buf;
-        f.first_unsynced <- -1;
-        write_through t name ()
+        f.first_unsynced <- -1
       end)
     t.table

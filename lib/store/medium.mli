@@ -3,9 +3,8 @@
     A medium is a namespace of flat files supporting append,
     whole-file atomic replace, sync, truncate and — the point of the
     exercise — {!crash}: the transition a process death imposes on the
-    bytes it wrote.  Two implementations share the same fault logic:
-    an in-memory medium (tests, simulator) and an on-disk one that
-    writes through to real files (used by [ldapctl store]).
+    bytes it wrote.  Media live in memory: the simulator, the tests
+    and [ldapctl store] all run on them.
 
     The fault model mirrors {!Ldap.Network.Faults}: decisions are
     deterministic, coming from an explicit script or a caller-supplied
@@ -26,10 +25,6 @@ module Faults : sig
 
   type t
 
-  val none : t
-  (** No faults: crashes keep only synced bytes ({!Lose_unsynced},
-      the honest default), reads are full. *)
-
   val create :
     ?keep_all:float ->
     ?torn_tail:float ->
@@ -46,24 +41,12 @@ module Faults : sig
   val script : t -> crash_outcome list -> unit
   (** Appends forced crash outcomes, consumed one per {!crash} before
       any probabilistic roll — the way tests stage exact failures. *)
-
-  val next_crash : t -> crash_outcome
-  (** Consumes the next scripted outcome, or rolls. *)
-
-  val read_fraction : t -> float option
-  (** [Some f] when the next read should be cut to fraction [f] of
-      its length (a short read); [None] for a full read. *)
 end
 
 type t
 
 val memory : ?faults:Faults.t -> unit -> t
 (** A purely in-memory medium. *)
-
-val disk : ?faults:Faults.t -> dir:string -> unit -> t
-(** A medium backed by real files under [dir] (created if missing).
-    Existing files are loaded and considered fully synced; mutations
-    write through, so durable state survives real process restarts. *)
 
 val append : t -> name:string -> string -> unit
 (** Appends bytes to a file, creating it when missing.  The bytes are
@@ -72,8 +55,7 @@ val append : t -> name:string -> string -> unit
 val append_sub : t -> name:string -> Bytes.t -> pos:int -> len:int -> unit
 (** Appends a region of a byte buffer without copying it into an
     intermediate string first (one append as far as crash semantics
-    are concerned).  The in-memory medium blits directly; the disk
-    write-through path still materializes the region. *)
+    are concerned): the region is blitted directly. *)
 
 val sync : t -> name:string -> unit
 (** Makes every appended byte of the file durable (fsync). *)
@@ -85,9 +67,8 @@ val write_atomic : t -> name:string -> string -> unit
 
 val write_atomic_sub : t -> name:string -> Bytes.t -> pos:int -> len:int -> unit
 (** {!write_atomic} of a byte-buffer region, blitted straight into the
-    file without an intermediate string (the disk write-through path
-    still materializes it) — how a snapshot image framed in a reused
-    buffer is installed with one copy. *)
+    file without an intermediate string — how a snapshot image framed
+    in a reused buffer is installed with one copy. *)
 
 val read : t -> name:string -> string option
 (** Whole-file contents, or [None] when the file does not exist.

@@ -14,9 +14,6 @@ let snap_file t = t.name ^ ".snap"
 let create ?(sync = true) medium ~name =
   { medium; name; sync; gen = 0; header_written = false }
 
-let name t = t.name
-let medium t = t.medium
-
 (* The first record of every log generation carries the generation
    number; recovery matches it against the snapshot's. *)
 let header_payload gen = Der.integer gen
@@ -127,9 +124,6 @@ let recover t =
 let exists t =
   Medium.size t.medium ~name:(snap_file t) > 0
   || Medium.size t.medium ~name:(wal_file t) > 0
-
-let wal_size t = Medium.size t.medium ~name:(wal_file t)
-let snapshot_size t = Medium.size t.medium ~name:(snap_file t)
 
 let destroy t =
   Medium.remove t.medium ~name:(wal_file t);

@@ -21,11 +21,6 @@ val create : ?sync:bool -> Medium.t -> name:string -> t
     whether each appended record is fsynced; without it a crash can
     lose or tear the unsynced tail, which recovery then truncates. *)
 
-val name : t -> string
-
-val medium : t -> Medium.t
-(** The medium holding the store's files. *)
-
 val append : t -> string -> unit
 (** Appends one record payload to the WAL. *)
 
@@ -66,12 +61,6 @@ val recover : t -> recovery
 
 val exists : t -> bool
 (** Whether any durable state (snapshot or log records) is present. *)
-
-val wal_size : t -> int
-(** Current WAL file size in bytes. *)
-
-val snapshot_size : t -> int
-(** Current snapshot file size in bytes. *)
 
 val destroy : t -> unit
 (** Removes the store's snapshot and log from the medium — used when

@@ -8,9 +8,6 @@
     to the last whole record, so later appends continue from a clean
     boundary.  Recovery never raises on any byte string. *)
 
-val frame_overhead : int
-(** Framing bytes added per record (magic + length + CRC). *)
-
 val prepend_be32 : Ldap_compile.Wbuf.t -> int -> unit
 (** Prepends the big-endian 32-bit encoding frame headers use (shared
     with {!Snapshot}). *)

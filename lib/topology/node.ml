@@ -283,7 +283,6 @@ let create ?(cache_capacity = 0) ?(dispatch = Server.Routed) transport ~host ~up
   t
 
 let install_cover t q = R.Filter_replica.install_filter t.replica q
-let covers t = R.Filter_replica.stored_filters t.replica
 let sync t = R.Filter_replica.sync t.replica
 let sync_async t k = R.Filter_replica.sync_async t.replica k
 let retarget t ~upstream = R.Filter_replica.retarget t.replica ~master_host:upstream

@@ -69,8 +69,6 @@ val host : t -> string
 val upstream : t -> string
 (** The endpoint this node currently synchronizes from. *)
 
-val schema : t -> Schema.t
-
 val stats : t -> Ldap_replication.Stats.t
 (** Shared with the replica: upstream-facing [sync_*]/[fetch_*]
     counters and downstream-facing [served_*] counters. *)
@@ -78,8 +76,6 @@ val stats : t -> Ldap_replication.Stats.t
 val install_cover : t -> Query.t -> (unit, string) result
 (** Starts replicating a cover query from the upstream; downstream
     subscriptions contained in it become admissible. *)
-
-val covers : t -> Query.t list
 
 val sync_async : t -> (unit -> unit) -> unit
 (** One poll round against the upstream
@@ -110,10 +106,6 @@ val handle :
     — the tier-by-tier cascade: a leaf repairs against its node while
     the node independently repairs against its parent. *)
 
-val estimate : t -> Query.t -> int
-(** Entries currently held for an admissible query; 0 when not
-    admitted. *)
-
 val session_count : t -> int
 (** Live downstream sessions at this node. *)
 
@@ -135,10 +127,6 @@ val seen_residency : t -> int
     per-session serving memory, one DN + hash per member per session
     rather than full entry snapshots. *)
 
-val referral_error : string -> string
-(** Wraps an LDAP URL into the rejection message carried over the
-    ReSync error channel. *)
-
 val referral_of_error : string -> string option
-(** The LDAP URL inside a rejection produced by {!referral_error}, or
+(** The LDAP URL inside a referral rejection this node produced, or
     [None] for any other error message. *)

@@ -80,9 +80,6 @@ val nodes : t -> Node.t list
 val leaves : t -> Leaf.t list
 (** All attached leaf consumers. *)
 
-val schema : t -> Schema.t
-(** Schema of the root backend. *)
-
 val kill_node : t -> Node.t -> unit
 (** Unregisters the node's endpoint mid-stream.  Its downstream
     sessions and its own upstream session die with it; orphans are
@@ -121,9 +118,6 @@ val drive_events :
     The caller runs the engine afterwards.
     @raise Invalid_argument if [poll_every <= 0]. *)
 
-val depth : t -> string -> int
-(** Tier of a host: 0 for the root, parents' depth + 1 otherwise. *)
-
 (** {1 Crash and restart}
 
     Complements {!kill_node}'s heal-by-reparent: a {e leaf} can crash
@@ -143,10 +137,6 @@ val enable_durability :
 
 val checkpoint_leaves : t -> unit
 (** Checkpoints every live leaf's stores. *)
-
-val medium_of : t -> name:string -> Ldap_store.Medium.t option
-(** The durable medium of a (live or crashed) leaf, if durability is
-    enabled. *)
 
 val crash_leaf : t -> Leaf.t -> unit
 (** Crashes the leaf: cancels its poll loop, imposes the crash
