@@ -1163,9 +1163,13 @@ let run_scale_at cfg ~employees =
           let k = rr.(fidx) in
           rr.(fidx) <- k + 1;
           let leaf = List.nth ls (k mod List.length ls) in
-          List.length
-            (R.Replica.eval_over_entries schema it.D.Workload.query
-               (Leaf.content_seq leaf fleet.Scenario.queries.(fidx)))
+          let stored = fleet.Scenario.queries.(fidx) in
+          (match R.Filter_replica.consumer_for (Leaf.replica leaf) stored with
+          | Some c ->
+              List.length
+                (R.Replica.eval_over_store schema it.D.Workload.query
+                   (Resync.Consumer.content c))
+          | None -> 0)
       | _ -> (
           match Backend.search backend it.D.Workload.query with
           | Ok r -> List.length r.Backend.entries

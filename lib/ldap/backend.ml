@@ -1,59 +1,37 @@
-(* Every entry of every naming context lives in one [Content_store].
-   Its slot ids key the two small tables that stand in for a tree:
-   child links, for one-level and subtree walks and the leaf and
-   parent checks, and attribute postings, for indexed candidates.  The
-   postings store their counts, so a conjunction prices its conjuncts
-   and builds the candidate set of the cheapest one only.  They are
-   keyed by the canonical values the entries' slots hold, so equal
-   Integer spellings ("07", "7") share a key.  A
-   slot id is assigned when its DN is first stored, which needs a live
-   parent, and is never reused, so ascending slot order visits parents
-   before their children. *)
+(* Every entry of every naming context lives in one [Content_store],
+   which also holds the attribute postings searches read candidates
+   from: the backend declares its [indexed] attributes (and
+   [objectclass]) to it.  The store's slot ids key the one table that
+   stands in for a tree here: child links, for one-level and subtree
+   walks and the leaf and parent checks.  A slot id is assigned when
+   its DN is first stored, which needs a live parent, and is never
+   reused, so ascending slot order visits parents before their
+   children. *)
 
 module Ids = Set.Make (Int)
-module Vmap = Map.Make (String)
 module Attr_id = Ldap_compile.Attr_id
-module Prog = Ldap_compile.Prog
-
-(* The slots holding one canonical value, and how many there are. *)
-type posting = { ids : Ids.t; card : int }
-
-(* One indexed attribute: its id and its postings by canonical value. *)
-type index = { attr : Attr_id.t; mutable by_value : posting Vmap.t }
 
 type t = {
   schema : Schema.t;
   mutable contexts : Dn.t list;  (* suffixes, deepest first *)
-  estore : Content_store.t;  (* every entry; its spine is the update log *)
+  estore : Content_store.t;  (* every entry and its postings; its spine is the update log *)
   mutable kids : Ids.t array;  (* slot id -> child slot ids *)
-  postings : (string, index) Hashtbl.t;  (* attr -> value -> slots *)
   mutable referral_dns : Dn.Set.t;  (* referral objects, for references *)
   mutable csn : Csn.t;
   mutable subscribers : (Update.record -> unit) array;  (* registration order *)
   mutable subscriber_count : int;
-  mutable stamps : int array;  (* slot id -> last posting count that saw it *)
-  mutable stamp : int;
 }
 
 let create ?(indexed = []) schema =
-  let postings = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let a = String.lowercase_ascii a in
-      Hashtbl.replace postings a { attr = Attr_id.intern a; by_value = Vmap.empty })
-    ("objectclass" :: indexed);
   {
     schema;
     contexts = [];
-    estore = Content_store.create ();
+    estore = Content_store.create ~indexed:(List.map Attr_id.intern ("objectclass" :: indexed)) ();
     kids = Array.make 64 Ids.empty;
-    postings;
     referral_dns = Dn.Set.empty;
     csn = Csn.zero;
     subscribers = [||];
     subscriber_count = 0;
-    stamps = [||];
-    stamp = 0;
   }
 
 let schema t = t.schema
@@ -61,7 +39,7 @@ let schema t = t.schema
 let no_such_object dn = Error ("no such object: " ^ Dn.to_string dn)
 let no_context dn = Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
 
-(* --- Slots, child links and postings -------------------------------- *)
+(* --- Slots, child links and referrals ------------------------------- *)
 
 let find t dn = Content_store.find t.estore dn
 let entry_at t id = Option.get (Content_store.get t.estore id)
@@ -89,52 +67,15 @@ let context_for t dn =
      is the most specific one. *)
   List.find_opt (fun s -> Dn.ancestor_of s dn) t.contexts
 
-(* Slot [id] joins or leaves one posting.  Set operations return their
-   argument unchanged when nothing changes, so the cardinality moves
-   only with real membership changes. *)
-let post ix key id ~add =
-  let p = Option.value (Vmap.find_opt key ix.by_value) ~default:{ ids = Ids.empty; card = 0 } in
-  let ids = (if add then Ids.add else Ids.remove) id p.ids in
-  if ids != p.ids then
-    ix.by_value <-
-      (if Ids.is_empty ids then Vmap.remove key ix.by_value
-       else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } ix.by_value)
-
-(* The posting keys of [entry] under [ix]: its slot's canonical values,
-   [[||]] without the attribute. *)
-let keys ix entry =
-  let slots = Entry.compiled entry in
-  match Prog.slot_index slots ix.attr with -1 -> [||] | i -> slots.(i).Prog.canon
-
 let note_referral t entry ~add =
-  t.referral_dns <- (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
-
-(* Postings and referral bookkeeping for the entry at slot [id]. *)
-let note t id entry ~add =
-  Hashtbl.iter (fun _ ix -> Array.iter (fun key -> post ix key id ~add) (keys ix entry)) t.postings;
-  if Entry.is_referral entry then note_referral t entry ~add
-
-(* The same bookkeeping when [entry] replaces [old] at slot [id]: only
-   the values that changed move.  An attribute a modify left alone
-   keeps its slot, so its keys are physically the old ones and it
-   costs one comparison. *)
-let renote t id ~old entry =
-  Hashtbl.iter
-    (fun _ ix ->
-      let kb = keys ix old and ka = keys ix entry in
-      if kb != ka then begin
-        Array.iter (fun k -> if not (Prog.mem_string ka k) then post ix k id ~add:false) kb;
-        Array.iter (fun k -> if not (Prog.mem_string kb k) then post ix k id ~add:true) ka
-      end)
-    t.postings;
-  if Entry.is_referral old <> Entry.is_referral entry then
-    note_referral t entry ~add:(Entry.is_referral entry)
+  if Entry.is_referral entry then
+    t.referral_dns <- (if add then Dn.Set.add else Dn.Set.remove) (Entry.dn entry) t.referral_dns
 
 let store t ?parent entry =
   Content_store.upsert t.estore entry;
   let id = Option.get (Content_store.id_of t.estore (Entry.dn entry)) in
   Option.iter (fun p -> set_kids t p (Ids.add id (kids t p))) parent;
-  note t id entry ~add:true
+  note_referral t entry ~add:true
 
 (* The one insert path: a live DN is replaced in place and keeps its
    children; a new one is linked under its live parent. *)
@@ -142,7 +83,11 @@ let put t entry =
   let dn = Entry.dn entry in
   match live_id t dn with
   | Some id ->
-      renote t id ~old:(entry_at t id) entry;
+      let old = entry_at t id in
+      if Entry.is_referral old <> Entry.is_referral entry then begin
+        note_referral t old ~add:false;
+        note_referral t entry ~add:true
+      end;
       Content_store.upsert t.estore entry;
       Ok ()
   | None -> (
@@ -168,7 +113,7 @@ let remove t dn =
   | Some id ->
       let parent = Option.get (Option.bind (Dn.parent dn) (live_id t)) in
       set_kids t parent (Ids.remove id (kids t parent));
-      note t id (entry_at t id) ~add:false;
+      note_referral t (entry_at t id) ~add:false;
       Content_store.remove t.estore dn;
       Ok ()
 
@@ -240,64 +185,6 @@ let crosses_referral t ~base dn =
     in
     go dn
 
-(* Candidate slots from postings: a count (an upper bound for unions)
-   and the set, built only when forced.  [None] when no posting applies
-   (fall back to a walk) or the count would pass [limit]; counting
-   stops there. *)
-let rec index_candidates t ~limit filter =
-  let table a = Hashtbl.find_opt t.postings (String.lowercase_ascii a) in
-  let syntax a = Schema.syntax_of t.schema a in
-  match filter with
-  | Filter.Pred (Filter.Equality (a, v)) ->
-      Option.bind (table a) (fun tbl ->
-          let n, ids =
-            match Vmap.find_opt (Value.canonical (syntax a) v) tbl.by_value with
-            | Some p -> (p.card, p.ids)
-            | None -> (0, Ids.empty)
-          in
-          if n <= limit then Some (n, Lazy.from_val ids) else None)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some init; _ }))
-    when syntax a <> Value.Integer ->
-      (* Substrings compare normalized forms, which for the other
-         syntaxes are the canonical keys; Integer ones walk. *)
-      Option.bind (table a) (fun tbl ->
-          let prefix = Value.normalize (syntax a) init in
-          let rec count n sets seq =
-            if n > limit then None
-            else
-              match seq () with
-              | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
-                  count (n + p.card) (p.ids :: sets) rest
-              | Seq.Cons _ | Seq.Nil ->
-                  Some (n, lazy (List.fold_left Ids.union Ids.empty sets))
-          in
-          count 0 [] (Vmap.to_seq_from prefix tbl.by_value))
-  | Filter.And gs ->
-      (* Any conjunct's candidates over-approximate the result.  Price
-         the equalities first, as one lookup each, so every later
-         conjunct stops counting once it cannot beat the best so far;
-         only the winner's set is ever built. *)
-      let eqs, others =
-        List.partition (function Filter.Pred (Filter.Equality _) -> true | _ -> false) gs
-      in
-      List.fold_left
-        (fun best g ->
-          let limit = match best with Some (n, _) -> n - 1 | None -> limit in
-          match index_candidates t ~limit g with Some _ as c -> c | None -> best)
-        None (eqs @ others)
-  | Filter.Or gs ->
-      let rec sum n sets = function
-        | [] ->
-            let union acc s = Ids.union acc (Lazy.force s) in
-            Some (n, lazy (List.fold_left union Ids.empty sets))
-        | g :: rest -> (
-            match index_candidates t ~limit:(limit - n) g with
-            | Some (n', s) -> sum (n + n') (s :: sets) rest
-            | None -> None)
-      in
-      sum 0 [] gs
-  | Filter.Pred _ | Filter.Not _ -> None
-
 let in_scope_references t (q : Query.t) =
   Dn.Set.fold
     (fun dn acc -> if Query.in_scope q dn then dn :: acc else acc)
@@ -344,18 +231,16 @@ let fold_matching t (q : Query.t) ~init ~f =
              value normalization. *)
           let filter_matches = Filter.matcher t.schema q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
-          let over ids =
-            Ids.fold
-              (fun id acc ->
-                let e = entry_at t id in
-                if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc)
-              ids init
-          in
+          let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
           let acc =
-            match (index_candidates t ~limit:max_int q.filter, q.scope) with
-            | Some (_, candidates), _ -> over (Lazy.force candidates)
+            match
+              (Content_store.fold_candidates t.estore t.schema q.filter ~init ~f:visit, q.scope)
+            with
+            | Some acc, _ -> acc
             | None, Scope.Base -> if matches base_entry then f init base_entry else init
-            | None, Scope.One -> over (kids t (Option.get (live_id t q.base)))
+            | None, Scope.One ->
+                let base = Option.get (live_id t q.base) in
+                Ids.fold (fun id acc -> visit acc (entry_at t id)) (kids t base) init
             | None, Scope.Sub ->
                 let rec walk id acc =
                   let acc = if matches (entry_at t id) then id :: acc else acc in
@@ -379,60 +264,19 @@ let compare_values t dn ~attr ~value =
   | Some entry ->
       Ok (Entry.has_value ~syntax:(Schema.syntax_of t.schema attr) entry attr value)
 
-(* Distinct slot ids across the postings whose key starts with
-   [prefix].  A multi-valued entry can sit under several such keys;
-   [t.stamps] marks the ids this count has seen, so no union is
-   built. *)
-let count_prefixed t prefix postings =
-  let interned = Content_store.interned t.estore in
-  if Array.length t.stamps < interned then
-    t.stamps <- Array.make (max interned (2 * Array.length t.stamps)) 0;
-  t.stamp <- t.stamp + 1;
-  let stamps = t.stamps and stamp = t.stamp in
-  let see id n =
-    if stamps.(id) = stamp then n
-    else begin
-      stamps.(id) <- stamp;
-      n + 1
-    end
-  in
-  let rec go n seq =
-    match seq () with
-    | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
-        go (Ids.fold see p.ids n) rest
-    | Seq.Cons _ | Seq.Nil -> n
-  in
-  go 0 (Vmap.to_seq_from prefix postings)
-
 (* The count read off the postings, touching no entry, when they hold
-   exactly the answer: a lone equality or initial-only substring on
-   an indexed attribute whose keys its matching rule compares (not
-   Integer), over the whole of the one naming context (postings span
-   every context), with no referral to exclude.  [None] otherwise. *)
+   exactly the answer: a filter the store counts (a lone equality or
+   initial-only substring on an indexed, non-Integer attribute) over
+   the whole of the one naming context (postings span every context),
+   with no referral to exclude.  [None] otherwise. *)
 let posting_count t (q : Query.t) =
-  let applies a =
+  if
     q.scope = Scope.Sub
     && (not q.manage_dsa_it)
     && Dn.Set.is_empty t.referral_dns
-    && (match t.contexts with [ suffix ] -> Dn.equal suffix q.base | _ -> false)
-    && Schema.syntax_of t.schema a <> Value.Integer
-  in
-  let table a =
-    if applies a then Hashtbl.find_opt t.postings (String.lowercase_ascii a) else None
-  in
-  match q.filter with
-  | Filter.Pred (Filter.Equality (a, v)) ->
-      Option.map
-        (fun tbl ->
-          match Vmap.find_opt (Value.canonical (Schema.syntax_of t.schema a) v) tbl.by_value with
-          | Some p -> p.card
-          | None -> 0)
-        (table a)
-  | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
-      Option.map
-        (fun tbl -> count_prefixed t (Value.normalize (Schema.syntax_of t.schema a) init) tbl.by_value)
-        (table a)
-  | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None
+    && match t.contexts with [ suffix ] -> Dn.equal suffix q.base | _ -> false
+  then Content_store.posting_count t.estore t.schema q.filter
+  else None
 
 let count_matching t q =
   match posting_count t q with

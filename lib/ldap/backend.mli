@@ -2,15 +2,19 @@
     execution, update application and the committed-update log.
 
     This is the building block for both masters and replicas.  It owns
-    one or more naming contexts (section 2.3), keeps equality/prefix
-    indexes on configured attributes, assigns a {!Csn.t} to every
+    one or more naming contexts (section 2.3), has its content store
+    keep equality/prefix indexes on configured attributes, assigns a {!Csn.t} to every
     committed update, keeps its record (pre/post images) on the
     content store's change spine — the backend's one update log — and
     notifies subscribers, which is how the ReSync master maintains
     per-session history.
 
-    Entries live in one {!Content_store}; child links and attribute
-    postings are keyed by its slot ids.  Slot order — ascending slot
+    Entries live in one {!Content_store}, which is also the search
+    engine: the backend declares its indexed attributes to it and
+    reads candidates off its postings ({!Content_store.fold_candidates}).
+    The backend keeps what a tree needs: naming contexts, referral
+    objects and child links keyed by the store's slot ids, for the
+    scope walk when no posting applies.  Slot order — ascending slot
     id — puts every parent before its children: an id is assigned when
     a DN is first stored, which needs a live parent, and never
     reused. *)
@@ -19,7 +23,8 @@ type t
 
 val create : ?indexed:string list -> Schema.t -> t
 (** An empty backend.  [indexed] lists attributes to index (defaults
-    to none; [objectclass] is always added). *)
+    to none; [objectclass] is always added): they are the postings its
+    content store declares, and searches build no others. *)
 
 val schema : t -> Schema.t
 

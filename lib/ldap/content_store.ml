@@ -16,9 +16,28 @@
      silent gap.  A backend's store also hangs each committed
      {!Update.record} on its commit's last event, which makes the spine
      the backend's one update log: a trim releases the records it
-     drops and raises the log's CSN floor past them. *)
+     drops and raises the log's CSN floor past them.
+
+   It is also the one search engine.  Attribute postings map each
+   canonical value an entry's slot holds to the slot ids holding it,
+   so equal Integer spellings ("07", "7") share a key, and store their
+   counts, so a conjunction prices its conjuncts and builds the
+   candidate set of the cheapest one only.  A backend declares its
+   postings at creation; any other store builds one the first time a
+   search asks for it.  [upsert] and [remove] keep them current. *)
+
+module Ids = Set.Make (Int)
+module Vmap = Map.Make (String)
+module Attr_id = Ldap_compile.Attr_id
+module Prog = Ldap_compile.Prog
 
 type slot = { dn : Dn.t; mutable entry : Entry.t option }
+
+(* The slots holding one canonical value, and how many there are. *)
+type posting = { ids : Ids.t; card : int }
+
+(* One indexed attribute: its id and its postings by canonical value. *)
+type index = { attr : Attr_id.t; mutable by_value : posting Vmap.t }
 
 type t = {
   ids : (string, int) Hashtbl.t;  (* canonical DN -> slot id *)
@@ -36,13 +55,18 @@ type t = {
   mutable floor_rev : int;  (* events up to this revision were dropped *)
   mutable log_floor : Csn.t;  (* records at or below it were dropped *)
   mutable log_length : int;  (* events carrying a record *)
+  mutable indexes : index list;  (* one per attribute with postings *)
+  on_demand : bool;  (* searches may add postings: no [indexed] was declared *)
+  mutable stamps : int array;  (* slot id -> last posting count that saw it *)
+  mutable stamp : int;
 }
 
 let no_record = { Update.csn = Csn.zero; op = Update.Delete Dn.root; before = None; after = None }
 
 let default_spine_cap = 16_384
 
-let create ?(spine_cap = default_spine_cap) () =
+let create ?(spine_cap = default_spine_cap) ?indexed () =
+  let index attr = { attr; by_value = Vmap.empty } in
   {
     ids = Hashtbl.create 256;
     slots = Array.make 64 None;
@@ -56,6 +80,10 @@ let create ?(spine_cap = default_spine_cap) () =
     floor_rev = 0;
     log_floor = Csn.zero;
     log_length = 0;
+    indexes = List.map index (List.sort_uniq Int.compare (Option.value indexed ~default:[]));
+    on_demand = indexed = None;
+    stamps = [||];
+    stamp = 0;
   }
 
 let size t = t.live
@@ -206,13 +234,53 @@ let spine_csn_range t =
   | oldest :: rest ->
       Some (oldest.Update.csn, (List.fold_left (fun _ r -> r) oldest rest).Update.csn)
 
+(* --- Postings -------------------------------------------------------- *)
+
+(* Slot [id] joins or leaves one posting.  Set operations return their
+   argument unchanged when nothing changes, so the cardinality moves
+   only with real membership changes. *)
+let post ix key id ~add =
+  let p = Option.value (Vmap.find_opt key ix.by_value) ~default:{ ids = Ids.empty; card = 0 } in
+  let ids = (if add then Ids.add else Ids.remove) id p.ids in
+  if ids != p.ids then
+    ix.by_value <-
+      (if Ids.is_empty ids then Vmap.remove key ix.by_value
+       else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } ix.by_value)
+
+(* The posting keys of [entry] under [ix]: its slot's canonical values,
+   [[||]] without the attribute. *)
+let keys ix entry =
+  let slots = Entry.compiled entry in
+  match Prog.slot_index slots ix.attr with -1 -> [||] | i -> slots.(i).Prog.canon
+
+let note t id entry ~add =
+  List.iter (fun ix -> Array.iter (fun key -> post ix key id ~add) (keys ix entry)) t.indexes
+
+(* The same when [entry] replaces [old] at slot [id]: only the values
+   that changed move.  An attribute a modify left alone keeps its
+   slot, so its keys are physically the old ones and it costs one
+   comparison. *)
+let renote t id ~old entry =
+  List.iter
+    (fun ix ->
+      let kb = keys ix old and ka = keys ix entry in
+      if kb != ka then begin
+        Array.iter (fun k -> if not (Prog.mem_string ka k) then post ix k id ~add:false) kb;
+        Array.iter (fun k -> if not (Prog.mem_string kb k) then post ix k id ~add:true) ka
+      end)
+    t.indexes
+
 (* --- Mutation -------------------------------------------------------- *)
 
 let upsert t entry =
   let id = intern t (Entry.dn entry) in
   (match t.slots.(id) with
   | Some s ->
-      if s.entry = None then t.live <- t.live + 1;
+      (match s.entry with
+      | None ->
+          t.live <- t.live + 1;
+          note t id entry ~add:true
+      | Some old -> renote t id ~old entry);
       s.entry <- Some entry
   | None -> assert false);
   record_event t id
@@ -226,7 +294,8 @@ let remove t dn =
   | None -> ()
   | Some id -> (
       match t.slots.(id) with
-      | Some s when s.entry <> None ->
+      | Some ({ entry = Some old; _ } as s) ->
+          note t id old ~add:false;
           s.entry <- None;
           t.live <- t.live - 1;
           record_event t id
@@ -263,4 +332,170 @@ let to_seq t =
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc e -> e :: acc))
 
-let approx_bytes t = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8)
+(* Postings are counted, not walked: a set node is 5 words, a map node
+   6 and a posting 3, and the keys are strings the entries' slots
+   already hold.  [Obj.reachable_words] keeps a table of every object
+   it visits, which would grow with every set node. *)
+let posting_words t =
+  List.fold_left
+    (fun acc ix -> Vmap.fold (fun _ (p : posting) acc -> acc + 9 + (5 * p.card)) ix.by_value (acc + 6))
+    0 t.indexes
+
+let approx_bytes t =
+  (Obj.reachable_words (Obj.repr { t with indexes = [] }) + posting_words t) * (Sys.word_size / 8)
+
+(* --- Search ---------------------------------------------------------- *)
+
+(* A new index over the live slots, in one pass from the newest slot
+   down, so each key's ids come out ascending: a set built from a
+   sorted list costs a fraction of adding the ids one by one, which
+   would rebalance the tree at every step.  A value repeated within
+   one entry meets its own id at the head of the list. *)
+let build t attr =
+  let ix = { attr; by_value = Vmap.empty } in
+  let lists = Hashtbl.create 64 in
+  for id = t.slot_count - 1 downto 0 do
+    match get t id with
+    | Some e ->
+        Array.iter
+          (fun key ->
+            match Hashtbl.find_opt lists key with
+            | Some (head :: _) when head = id -> ()
+            | Some ids -> Hashtbl.replace lists key (id :: ids)
+            | None -> Hashtbl.replace lists key [ id ])
+          (keys ix e)
+    | None -> ()
+  done;
+  Hashtbl.iter
+    (fun key ids ->
+      ix.by_value <- Vmap.add key { ids = Ids.of_list ids; card = List.length ids } ix.by_value)
+    lists;
+  ix
+
+(* The postings of attribute [a], when the store keeps them.  A store
+   that declared none builds them here when [build] asks, after which
+   [upsert] and [remove] keep them.  An attribute name never interned
+   is held by no entry; the caller scans. *)
+let index_of t a ~build:wanted =
+  match Attr_id.interned a with
+  | None -> None
+  | Some attr -> (
+      match List.find_opt (fun ix -> ix.attr = attr) t.indexes with
+      | Some _ as found -> found
+      | None when wanted && t.on_demand ->
+          let ix = build t attr in
+          t.indexes <- ix :: t.indexes;
+          Some ix
+      | None -> None)
+
+(* Candidate slots from postings: a count (an upper bound for unions)
+   and the set, built only when forced.  [None] when no posting applies
+   (the caller walks or scans) or the count would pass [limit];
+   counting stops there.  An equality, or a substring with only an
+   initial segment, asks for its attribute's postings to be built. *)
+let rec index_candidates t schema ~limit filter =
+  let syntax a = Schema.syntax_of schema a in
+  match filter with
+  | Filter.Pred (Filter.Equality (a, v)) ->
+      Option.bind (index_of t a ~build:true) (fun ix ->
+          let n, ids =
+            match Vmap.find_opt (Value.canonical (syntax a) v) ix.by_value with
+            | Some p -> (p.card, p.ids)
+            | None -> (0, Ids.empty)
+          in
+          if n <= limit then Some (n, Lazy.from_val ids) else None)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; any; final }))
+    when syntax a <> Value.Integer ->
+      (* Substrings compare normalized forms, which for the other
+         syntaxes are the canonical keys; Integer ones scan. *)
+      Option.bind (index_of t a ~build:(any = [] && final = None)) (fun ix ->
+          let prefix = Value.normalize (syntax a) init in
+          let rec count n sets seq =
+            if n > limit then None
+            else
+              match seq () with
+              | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
+                  count (n + p.card) (p.ids :: sets) rest
+              | Seq.Cons _ | Seq.Nil ->
+                  Some (n, lazy (List.fold_left Ids.union Ids.empty sets))
+          in
+          count 0 [] (Vmap.to_seq_from prefix ix.by_value))
+  | Filter.And gs ->
+      (* Any conjunct's candidates over-approximate the result.  Price
+         the equalities first, as one lookup each, so every later
+         conjunct stops counting once it cannot beat the best so far;
+         only the winner's set is ever built. *)
+      let eqs, others =
+        List.partition (function Filter.Pred (Filter.Equality _) -> true | _ -> false) gs
+      in
+      List.fold_left
+        (fun best g ->
+          let limit = match best with Some (n, _) -> n - 1 | None -> limit in
+          match index_candidates t schema ~limit g with Some _ as c -> c | None -> best)
+        None (eqs @ others)
+  | Filter.Or gs ->
+      let rec sum n sets = function
+        | [] ->
+            let union acc s = Ids.union acc (Lazy.force s) in
+            Some (n, lazy (List.fold_left union Ids.empty sets))
+        | g :: rest -> (
+            match index_candidates t schema ~limit:(limit - n) g with
+            | Some (n', s) -> sum (n + n') (s :: sets) rest
+            | None -> None)
+      in
+      sum 0 [] gs
+  | Filter.Pred _ | Filter.Not _ -> None
+
+let fold_candidates t schema filter ~init ~f =
+  Option.map
+    (fun (_, ids) ->
+      Ids.fold
+        (fun id acc -> match get t id with Some e -> f acc e | None -> acc)
+        (Lazy.force ids) init)
+    (index_candidates t schema ~limit:max_int filter)
+
+let search t schema (q : Query.t) ~init ~f =
+  let matches = Filter.matcher schema q.Query.filter in
+  let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
+  match fold_candidates t schema q.Query.filter ~init ~f:visit with
+  | Some acc -> acc
+  | None -> fold t ~init ~f:visit
+
+(* Distinct slot ids across the postings whose key starts with
+   [prefix].  A multi-valued entry can sit under several such keys;
+   [t.stamps] marks the ids this count has seen, so no union is
+   built. *)
+let count_prefixed t prefix postings =
+  if Array.length t.stamps < t.slot_count then
+    t.stamps <- Array.make (max t.slot_count (2 * Array.length t.stamps)) 0;
+  t.stamp <- t.stamp + 1;
+  let stamps = t.stamps and stamp = t.stamp in
+  let see id n =
+    if stamps.(id) = stamp then n
+    else begin
+      stamps.(id) <- stamp;
+      n + 1
+    end
+  in
+  let rec go n seq =
+    match seq () with
+    | Seq.Cons ((key, (p : posting)), rest) when String.starts_with ~prefix key ->
+        go (Ids.fold see p.ids n) rest
+    | Seq.Cons _ | Seq.Nil -> n
+  in
+  go 0 (Vmap.to_seq_from prefix postings)
+
+let posting_count t schema filter =
+  let syntax a = Schema.syntax_of schema a in
+  let table a = if syntax a <> Value.Integer then index_of t a ~build:false else None in
+  match filter with
+  | Filter.Pred (Filter.Equality (a, v)) ->
+      Option.map
+        (fun ix ->
+          match Vmap.find_opt (Value.canonical (syntax a) v) ix.by_value with
+          | Some p -> p.card
+          | None -> 0)
+        (table a)
+  | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
+      Option.map (fun ix -> count_prefixed t (Value.normalize (syntax a) init) ix.by_value) (table a)
+  | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None

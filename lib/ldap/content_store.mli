@@ -1,4 +1,5 @@
-(** DN-keyed content store with interned ids and a change spine.
+(** DN-keyed content store with interned ids, a change spine and
+    attribute postings: the one search engine.
 
     The shared shape for every layer that materializes a set of
     entries — the backend's entries, consumer replica content, and
@@ -15,26 +16,42 @@
     modifyDN writes two).  Consumer stores carry none.  Trimming the
     spine, explicitly or by the [2 * spine_cap] bound, releases the
     records it drops and raises the log's CSN floor to the newest of
-    them; the floor never goes down. *)
+    them; the floor never goes down.
+
+    Searches read candidates off {e postings}: per attribute, the slot
+    ids holding each canonical value (so equal Integer spellings share
+    a key), with their counts, so a conjunction is priced and only the
+    cheapest conjunct's candidates are built.  A backend declares its
+    postings when it creates its store and no search adds any.  Every
+    other store — a consumer's replica content — builds an attribute's
+    postings the first time a search names it in an equality, or in a
+    substring assertion with only an initial segment; a store that only
+    serves polls builds none.  {!upsert} and {!remove} keep every
+    posting current. *)
 
 type t
 
-val create : ?spine_cap:int -> unit -> t
+val create : ?spine_cap:int -> ?indexed:Ldap_compile.Attr_id.t list -> unit -> t
 (** Fresh empty store.  [spine_cap] bounds the change spine: past
     [2 * spine_cap] buffered events the oldest half is dropped
-    (default {!default_spine_cap}), advancing {!floor}. *)
+    (default {!default_spine_cap}), advancing {!floor}.  [indexed]
+    declares the attributes the store keeps postings for, and no
+    others; without it the store builds postings on demand. *)
 
 val default_spine_cap : int
 (** 16384 events. *)
 
 val upsert : t -> Entry.t -> unit
-(** Installs (or replaces) the entry under its DN and appends a spine
-    event. *)
+(** Installs (or replaces) the entry under its DN, moves its posting
+    keys and appends a spine event.  A replacement moves only the
+    values that changed: an attribute whose slot the new entry shares
+    physically with the old one costs one comparison. *)
 
 val remove : t -> Dn.t -> unit
-(** Removes the entry under [dn], appending a spine event.  No-op
-    (and no event) when the DN holds no entry.  The slot id survives
-    as a tombstone so later events can still name the DN. *)
+(** Removes the entry under [dn] and its posting keys, appending a
+    spine event.  No-op (and no event) when the DN holds no entry.
+    The slot id survives as a tombstone so later events can still
+    name the DN. *)
 
 val find : t -> Dn.t -> Entry.t option
 (** O(1) lookup by DN. *)
@@ -89,6 +106,34 @@ val trim_spine : t -> keep:int -> unit
 (** Drops all but the newest [keep] spine events, advancing {!floor}
     and releasing the records they carried. *)
 
+(** {1 Search} *)
+
+val search : t -> Schema.t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
+(** Folds [f] over the live entries in the query's scope that match
+    its filter, unprojected and in slot order: exactly the entries a
+    scan of {!to_seq} with {!Filter.matcher} and {!Query.in_scope}
+    keeps, in the same order.  Candidates come from the cheapest
+    posting that applies (see {!fold_candidates}); with none the store
+    is scanned. *)
+
+val fold_candidates :
+  t -> Schema.t -> Filter.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a option
+(** [Some] fold of [f] over a superset of the entries matching the
+    filter, read off postings and in slot order; [None] when no
+    posting applies.  An equality or an initial-segment substring
+    (except under Integer syntax) reads its attribute's postings; a
+    conjunction the cheapest conjunct's, an equality priced first; a
+    disjunction the union of its branches', when every branch has
+    some.  Nothing else does.  The caller still runs the filter on
+    each candidate. *)
+
+val posting_count : t -> Schema.t -> Filter.t -> int option
+(** The number of live entries a lone equality, or a substring with
+    only an initial segment, matches across the whole store, read off
+    postings the store already holds without touching an entry;
+    [None] for any other filter, an Integer-syntax attribute or an
+    attribute without postings. *)
+
 (** {1 Update log} *)
 
 val attach : t -> Update.record -> unit
@@ -123,5 +168,7 @@ val spine_csn_range : t -> (Csn.t * Csn.t) option
 
 val approx_bytes : t -> int
 (** Approximate heap footprint of everything reachable from the store
-    (slots, spine, and the entries themselves), for memory-residency
-    reports.  Walks the object graph — O(size), diagnostic use only. *)
+    (slots, spine, postings and the entries themselves), for
+    memory-residency reports.  Walks the object graph except the
+    postings, which are counted from their sizes — O(size),
+    diagnostic use only. *)

@@ -238,8 +238,7 @@ let seed_entries t q donors =
             Hashtbl.replace seen k ();
             Some (Resync.Action.Add e)
           end)
-        (Replica.eval_over_entries t.schema wq
-           (Resync.Consumer.entries_seq donor)))
+        (Replica.eval_over_store t.schema wq (Resync.Consumer.content donor)))
     donors
 
 let install_cold t q consumer =
@@ -311,9 +310,7 @@ let consumer_for t q = C.Containment_index.find t.index q
 let answer t q =
   match containing_consumer t q with
   | Some (_, consumer) ->
-      let entries =
-        Replica.eval_over_entries t.schema q (Resync.Consumer.entries_seq consumer)
-      in
+      let entries = Replica.eval_over_store t.schema q (Resync.Consumer.content consumer) in
       Stats.record_query t.stats ~hit:true ~returned:(List.length entries);
       Replica.Answered entries
   | None -> (

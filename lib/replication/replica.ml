@@ -14,11 +14,14 @@ let widen_attrs (q : Query.t) =
   | Query.Select l ->
       { q with Query.attrs = Query.Select (l @ Filter.attributes q.Query.filter) }
 
+let eval_over_store schema (q : Query.t) store =
+  let attrs = Query.attr_list q.Query.attrs in
+  Content_store.search store schema q ~init:[] ~f:(fun acc e -> Entry.select e attrs :: acc)
+  |> List.rev
+
 let eval_over_entries schema (q : Query.t) entries =
   (* Compile the filter once for the whole pass; each entry then
-     evaluates the bytecode against its slots.  The candidates come
-     in as a sequence so callers stream straight out of their content
-     store instead of building an intermediate list per evaluation. *)
+     evaluates the bytecode against its slots. *)
   let matches = Filter.matcher schema q.Query.filter in
   let attrs = Query.attr_list q.Query.attrs in
   Seq.fold_left

@@ -13,13 +13,22 @@ type answer =
       (** The replica cannot guarantee a complete answer — a {e miss};
           the client must go to the master (or chase a referral). *)
 
+val eval_over_store : Schema.t -> Query.t -> Content_store.t -> Entry.t list
+(** Answers a query from the content store of a containing stored
+    query ({!Content_store.search}): the entries in scope that match
+    its filter, with its attribute selection applied, in slot order.
+    Candidates come from the store's postings, built the first time a
+    query needs them, so a replica answers like an indexed backend. *)
+
 val eval_over_entries : Schema.t -> Query.t -> Entry.t Seq.t -> Entry.t list
-(** Evaluates a query locally over a stream of candidate entries:
-    scope check, filter match and attribute selection, with the filter
-    compiled once for the pass.  Used by replicas to answer a query
-    from the content of a containing stored query; callers hand in the
-    content store's iterator directly, so evaluation never copies the
-    candidate set into an intermediate list. *)
+(** The same evaluation as a scan over a stream of entries: scope
+    check, filter match and attribute selection, with the filter
+    compiled once for the pass.  For entries that are not in a content
+    store (the query cache's answer lists), for a node session's whole
+    content (usually the stored query itself, which no posting would
+    narrow), and as the oracle {!eval_over_store} must equal:
+    convergence checks and tests hand it a store's
+    {!Content_store.to_seq}. *)
 
 val filter_attrs_available : available:Query.attrs -> Query.t -> bool
 (** Whether the attributes the incoming query's filter mentions are all

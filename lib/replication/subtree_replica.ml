@@ -83,7 +83,7 @@ let answer t (q : Query.t) =
     end
     else
       let entries =
-        Replica.eval_over_entries t.schema q (Resync.Consumer.entries_seq ctx.consumer)
+        Replica.eval_over_store t.schema q (Resync.Consumer.content ctx.consumer)
       in
       let entries =
         List.filter (fun e -> not (Entry.is_referral e)) entries

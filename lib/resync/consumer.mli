@@ -183,15 +183,17 @@ val entries : t -> Entry.t list
 
 val entries_seq : t -> Entry.t Seq.t
 (** The held content as a streaming sequence over the backing
-    {!Ldap.Content_store} — what replica evaluation, anti-entropy tree
-    construction and snapshot-diff serving iterate, with no list
-    copy.  Do not mutate the consumer while consuming it. *)
+    {!Ldap.Content_store} — what convergence checks iterate, with no
+    list copy.  Do not mutate the
+    consumer while consuming it. *)
 
 val content : t -> Content_store.t
-(** The backing content store itself.  Topology nodes hold cursor
-    positions on its change spine to serve downstream snapshot-diffs
-    in O(diff); its {!Ldap.Content_store.approx_bytes} feeds memory
-    residency reports. *)
+(** The backing content store itself.  Replicas answer contained
+    queries from its search ({!Ldap.Content_store.search}); topology
+    nodes hold cursor positions on its change spine to serve
+    downstream snapshot-diffs in O(diff); its
+    {!Ldap.Content_store.approx_bytes} feeds memory residency
+    reports. *)
 
 val dns : t -> Dn.Set.t
 val find : t -> Dn.t -> Entry.t option

@@ -78,6 +78,9 @@ let node_csn consumer =
 let note_sent (st : cursor) e =
   Hashtbl.replace st.seen (Dn.canonical (Entry.dn e)) (Entry.dn e, Entry.content_hash64 e)
 
+(* A session's whole content, by scan: its query is usually the stored
+   query itself, whose postings would hold every entry, and a store
+   that only serves polls keeps none. *)
 let members replica st q =
   R.Replica.eval_over_entries (R.Filter_replica.schema replica) q
     (Resync.Consumer.entries_seq st.consumer)
@@ -215,14 +218,12 @@ let source replica cost =
 
 let handle t ?push request query = Server.handle t.server ?push request query
 
-(* Counts through the compiled matcher, building no entry. *)
+(* Counts the store search's matches, building no entry. *)
 let estimate t query =
   match R.Filter_replica.containing_consumer t.replica query with
   | Some (_, c) ->
-      let m = Resync.Content.matcher (schema t) query in
-      Seq.fold_left
-        (fun n e -> if Resync.Content.matches m e then n + 1 else n)
-        0 (Resync.Consumer.entries_seq c)
+      Content_store.search (Resync.Consumer.content c) (schema t) query ~init:0 ~f:(fun n _ ->
+          n + 1)
   | None -> 0
 
 (* --- Persist relay --------------------------------------------------

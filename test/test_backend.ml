@@ -171,6 +171,38 @@ let test_count_matching () =
   let b = make_backend () in
   check_int "count" 3 (Backend.count_matching b (q "o=xyz" "(objectclass=inetOrgPerson)"))
 
+(* The postings span every naming context and hold referral objects,
+   so a count read off them would be wrong in either case: the count
+   must be the search's. *)
+let test_count_matching_contexts_referrals () =
+  let b = make_backend () in
+  let both query =
+    check_int ("count = search " ^ Query.to_string query) (search_count b query)
+      (Backend.count_matching b query)
+  in
+  both (q "o=xyz" "(cn=alice)");
+  (match Backend.add_context b (entry "o=abc" [ ("objectclass", [ "organization" ]); ("o", [ "abc" ]) ]) with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  must_apply b (Update.add (person "alice" "o=abc" "1001"));
+  check_int "one alice under o=xyz" 1 (Backend.count_matching b (q "o=xyz" "(cn=alice)"));
+  check_int "prefix under o=abc" 1 (Backend.count_matching b (q "o=abc" "(cn=al*)"));
+  List.iter both [ q "o=xyz" "(cn=alice)"; q "o=abc" "(cn=a*)"; q "o=xyz" "(serialNumber=1001)" ];
+  let b = make_backend () in
+  must_apply b
+    (Update.add
+       (entry "cn=alice,ou=sales,o=xyz"
+          [
+            ("objectclass", [ "referral"; "extensibleObject" ]);
+            ("cn", [ "alice" ]);
+            ("ref", [ "ldap://hostB/cn=alice,ou=sales,o=xyz" ]);
+          ]));
+  check_int "referral object not counted" 1 (Backend.count_matching b (q "o=xyz" "(cn=alice)"));
+  check_int "nor under a prefix" 1 (Backend.count_matching b (q "o=xyz" "(cn=ali*)"));
+  let managed = { (q "o=xyz" "(cn=alice)") with Query.manage_dsa_it = true } in
+  check_int "manageDsaIT counts it" 2 (Backend.count_matching b managed);
+  List.iter both [ q "o=xyz" "(cn=alice)"; q "o=xyz" "(cn=a*)"; managed ]
+
 let test_log () =
   let b = make_backend () in
   let csn0 = Backend.csn b in
@@ -1001,4 +1033,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_count_is_search_length;
     QCheck_alcotest.to_alcotest prop_log_follows_reference;
     Alcotest.test_case "log past twice the spine cap" `Quick test_log_past_spine_cap;
+    Alcotest.test_case "count matching: contexts, referrals" `Quick
+      test_count_matching_contexts_referrals;
   ]
