@@ -301,7 +301,7 @@ let replay_cmd =
       ]
     in
     let filters = Eval.Scenario.select_static scenario ~rules ~train ~budget in
-    (match Ldap_selection.Selector.install_static replica filters with
+    (match Eval.Scenario.install_static replica filters with
     | Ok () -> ()
     | Error e ->
         prerr_endline e;

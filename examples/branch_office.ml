@@ -45,7 +45,7 @@ let () =
   let replica = Replication.Filter_replica.create scenario.Scenario.master in
   let rule = Selection.Generalize.Prefix_value { attr = "serialnumber"; keep = 6 } in
   let filters = Scenario.select_static scenario ~rules:[ rule ] ~train ~budget in
-  (match Selection.Selector.install_static replica filters with
+  (match Scenario.install_static replica filters with
   | Ok () -> ()
   | Error e -> failwith e);
   Printf.printf "filter replica: %d generalized filters, %d entries\n"

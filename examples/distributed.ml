@@ -14,6 +14,7 @@ module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
 module Resync = Ldap_resync
 module Selection = Ldap_selection
+module Eval = Ldap_eval
 
 let () =
   let enterprise =
@@ -36,24 +37,14 @@ let () =
         serial_pct = 1.0; mail_pct = 0.0; dept_pct = 0.0; location_pct = 0.0;
       }
   in
-  let candidates = Selection.Candidate.create () in
   let rule = Selection.Generalize.Prefix_value { attr = "serialnumber"; keep = 6 } in
-  Array.iter
-    (fun (item : Dirgen.Workload.item) ->
-      List.iter
-        (Selection.Candidate.observe candidates)
-        (Selection.Generalize.candidates [ rule ] item.Dirgen.Workload.query))
-    items;
-  let ranked =
-    Selection.Candidate.ranked candidates ~estimate:(Backend.count_matching backend)
+  let filters =
+    Eval.Scenario.select_static ~max_filters:40 ~min_hits:1
+      { Eval.Scenario.enterprise; master } ~rules:[ rule ] ~train:items ~budget:max_int
   in
-  List.iteri
-    (fun i (q, _, _) ->
-      if i < 40 then
-        match Replication.Filter_replica.install_filter replica q with
-        | Ok () -> ()
-        | Error e -> failwith e)
-    ranked;
+  (match Eval.Scenario.install_static replica filters with
+  | Ok () -> ()
+  | Error e -> failwith e);
   Replication.Replica_server.register
     (Replication.Replica_server.of_filter_replica ~master_host:"hq" replica)
     net ~name:"branch";

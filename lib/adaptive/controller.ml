@@ -3,12 +3,14 @@ module C = Ldap_containment
 module FR = Ldap_replication.Filter_replica
 module Generalize = Ldap_selection.Generalize
 
-type mode = Delta | Cold_swap
-type trigger = Periodic | Drift | Forced
+type mode = Delta | Cold_swap | Fetch
+type benefit = Hits | Decayed
+type trigger = Periodic | Drift
 
 type config = {
   rules : Generalize.rule list;
   include_queries : bool;
+  benefit : benefit;
   half_life : int;
   min_score : float;
   size_budget : int;
@@ -22,6 +24,7 @@ let default_config =
   {
     rules = [];
     include_queries = true;
+    benefit = Decayed;
     half_life = 256;
     min_score = 1.0;
     size_budget = 1000;
@@ -53,7 +56,10 @@ let create config replica =
   {
     config;
     replica;
-    interest = Interest.create ~half_life:config.half_life ();
+    interest =
+      (match config.benefit with
+      | Hits -> Interest.create ()
+      | Decayed -> Interest.create ~half_life:config.half_life ());
     observed = 0;
     adaptations = [];
     drift_checks = 0;
@@ -79,28 +85,27 @@ let covered schema stored q =
     stored
 
 (* Greedy benefit/size selection under the size budget, the section
-   6.2 shape with decayed interest as the benefit.  Candidates already
-   contained in a picked one are free and skipped; sizes are asked of
-   the upstream estimator fresh at every selection (the stale-cache
-   lesson of the Candidate table). *)
+   6.2 shape.  Sizes are asked of the upstream estimator fresh at every
+   selection: a cached price drifts as the directory churns.  Under
+   [Hits] ratio ties keep table order and contained candidates are
+   still picked, because the pinned paper figures depend on both;
+   under [Decayed] ties go by query string and a candidate an earlier
+   pick contains is free and skipped. *)
 let select t =
   let schema = FR.schema t.replica in
-  let viable =
-    List.filter (fun (_, s) -> s >= t.config.min_score)
-      (Interest.ranked t.interest)
+  let paper = t.config.benefit = Hits in
+  let priced =
+    Interest.fold t.interest ~init:[] ~f:(fun acc q score ->
+        if score < t.config.min_score then acc
+        else
+          let size = max 1 (FR.estimate_size t.replica q) in
+          (q, score /. float_of_int size, size) :: acc)
   in
   let priced =
-    List.map
-      (fun (q, score) ->
-        let size = max 1 (FR.estimate_size t.replica q) in
-        (q, score /. float_of_int size, size))
-      viable
-  in
-  let priced =
-    List.sort
+    List.stable_sort
       (fun (qa, ra, _) (qb, rb, _) ->
         match compare rb ra with
-        | 0 -> compare (Query.to_string qa) (Query.to_string qb)
+        | 0 when not paper -> compare (Query.to_string qa) (Query.to_string qb)
         | c -> c)
       priced
   in
@@ -110,7 +115,8 @@ let select t =
   let picked, _ =
     List.fold_left
       (fun (picked, used) (q, _, size) ->
-        if used + size > t.config.size_budget || covered schema picked q then (picked, used)
+        if used + size > t.config.size_budget || ((not paper) && covered schema picked q)
+        then (picked, used)
         else (q :: picked, used + size))
       ([], 0) priced
   in
@@ -122,6 +128,7 @@ let same_set a b =
 
 let adapt t ~trigger =
   let target = select t in
+  if t.config.benefit = Hits then Interest.reset t.interest;
   let current = FR.stored_filters t.replica in
   if same_set current target then begin
     t.unchanged_checks <- t.unchanged_checks + 1;
@@ -134,15 +141,14 @@ let adapt t ~trigger =
       match t.config.mode with
       | Delta -> Transition.apply t.replica plan
       | Cold_swap -> Transition.apply_cold t.replica plan
+      | Fetch -> Transition.apply_fetch t.replica plan
     in
     let a = { at = t.observed; trigger; target; plan; report } in
     t.adaptations <- a :: t.adaptations;
     Some a
   end
 
-let force_adapt t = adapt t ~trigger:Forced
-
-(* Early re-selection fires when some uncovered candidate's decayed
+(* Early re-selection fires when some uncovered candidate's
    score dominates the best candidate the stored set already covers —
    the flash-crowd / geography-flip signal that should not wait for
    the periodic revolution.  Coverage proofs, not the ranking, are
@@ -183,4 +189,7 @@ let observe t q =
   else if due t.config.revolution_interval then
     ignore (adapt t ~trigger:Periodic)
 
-let mode_to_string = function Delta -> "delta" | Cold_swap -> "cold-swap"
+let mode_to_string = function
+  | Delta -> "delta"
+  | Cold_swap -> "cold-swap"
+  | Fetch -> "fetch"

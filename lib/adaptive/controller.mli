@@ -1,16 +1,19 @@
-(** Adaptive re-selection under workload drift.
+(** Filter selection: the one engine behind every re-selection.
 
-    Glues the pieces of the adaptive subsystem together: every
-    observed user query feeds the decayed {!Interest} tracker (itself
+    Every observed user query credits the {!Interest} table (itself
     and its section 6.1 generalizations), and the stored filter set is
-    re-chosen greedily by decayed-benefit/size ratio under a size
-    budget — periodically, like a section 6.2 revolution, {e and}
-    early whenever the drift trigger fires: some uncovered candidate's
-    score dominating everything the stored set covers means the
-    workload has moved (flash crowd, geography flip) and waiting for
-    the next revolution just accumulates misses.  Transitions execute
-    as containment-seeded deltas ({!Transition.apply}) or, for the
-    baseline the sweep compares against, cold swaps. *)
+    re-chosen greedily by benefit/size ratio under a size budget.
+    Periodic re-selection every [revolution_interval] observations is
+    the section 6.2 revolution, the paper's simplification of
+    Kapitskaia et al. [12].  The controller can also re-select early,
+    whenever the drift trigger fires: some uncovered candidate's score
+    dominating everything the stored set covers means the workload has
+    moved (flash crowd, geography flip) and waiting for the next
+    revolution just accumulates misses.
+    Transitions execute as containment-seeded deltas
+    ({!Transition.apply}), as the paper's keep-and-fetch
+    ({!Transition.apply_fetch}) or, for the baseline the drift sweep
+    compares against, as cold swaps. *)
 
 open Ldap
 
@@ -18,21 +21,34 @@ open Ldap
 type mode =
   | Delta  (** Containment-seeded delta installs ({!Transition.apply}). *)
   | Cold_swap  (** Remove + refetch baseline ({!Transition.apply_cold}). *)
+  | Fetch  (** Keep stored filters, fetch new ones ({!Transition.apply_fetch}). *)
+
+(** What a candidate's benefit is. *)
+type benefit =
+  | Hits
+      (** Section 6.2: hits since the last re-selection, which resets
+          them (an unchanged one included).  Ratio ties keep table
+          order and a candidate an earlier pick contains is still
+          picked: the pinned paper figures depend on both. *)
+  | Decayed
+      (** Interest decayed by [half_life]; ratio ties by query string;
+          a candidate an earlier pick contains is skipped. *)
 
 (** Why an adaptation ran. *)
 type trigger =
   | Periodic  (** The [revolution_interval] came due. *)
   | Drift  (** The drift test fired at a [drift_check_interval]. *)
-  | Forced  (** {!force_adapt}. *)
 
 type config = {
   rules : Ldap_selection.Generalize.rule list;
       (** Section 6.1 generalizations applied to observed queries. *)
   include_queries : bool;
       (** Track each observed query itself as a candidate too. *)
-  half_life : int;  (** Interest decay half-life, in observations. *)
+  benefit : benefit;
+  half_life : int;
+      (** Interest decay half-life, in observations ([Decayed] only). *)
   min_score : float;
-      (** Candidates below this decayed score are never selected. *)
+      (** Candidates below this benefit are never selected. *)
   size_budget : int;  (** Max total replicated entries (estimated). *)
   revolution_interval : int;
       (** Periodic re-selection every this many observations
@@ -45,8 +61,9 @@ type config = {
 }
 
 val default_config : config
-(** [Delta] mode, half-life 256, budget 1000 entries, revolution every
-    200 observations, drift checks every 25 at ratio 2.0. *)
+(** [Decayed] benefit, [Delta] mode, half-life 256, budget 1000
+    entries, revolution every 200 observations, drift checks every 25
+    at ratio 2.0. *)
 
 (** One executed re-selection. *)
 type adaptation = {
@@ -76,15 +93,16 @@ val observe : t -> Query.t -> unit
 (** Feed one user query: interest is credited to the query and its
     generalizations, then the drift test and the periodic revolution
     run if their intervals came due.  A re-selection that would keep
-    the stored set identical is skipped (counted in
+    the stored set identical executes nothing (counted in
     {!unchanged_checks}) — no-op transitions cost nothing. *)
 
 val select : t -> Query.t list
 (** The filter set a re-selection would install now, in pick order:
-    the candidates scoring at least [min_score], by decayed score per
-    estimated entry (ties by query string), taken greedily while they
-    fit the size budget and no earlier pick contains them.  Asks the
-    upstream estimator for every candidate's size; changes nothing. *)
+    the candidates scoring at least [min_score], by score per
+    estimated entry (at least one), taken greedily while they fit the
+    size budget — ties and contained candidates as [benefit] says.
+    Asks the upstream estimator for every such candidate's size;
+    changes nothing. *)
 
 val drifted : t -> bool
 (** The drift test {!observe} runs every [drift_check_interval]
@@ -92,10 +110,6 @@ val drifted : t -> bool
     [min_score] and more than [drift_ratio] times the best candidate
     the stored set covers (a kind with no viable candidate, or a
     best score below zero, counts as 0.0).  Changes nothing. *)
-
-val force_adapt : t -> adaptation option
-(** Re-selects immediately; [None] when the selected set equals the
-    stored set. *)
 
 val adaptations : t -> adaptation list
 (** Executed adaptations, oldest first. *)
@@ -105,10 +119,12 @@ val drift_checks : t -> int
 (** Drift tests run (not all of them fire). *)
 
 val unchanged_checks : t -> int
-(** Re-selections skipped because the target equalled the stored set. *)
+(** Re-selections that executed nothing because the target equalled
+    the stored set; with {!adaptation_count} they make up every
+    re-selection run. *)
 
 val totals : t -> Transition.report
 (** Sum of all executed adaptations' reports. *)
 
 val mode_to_string : mode -> string
-(** ["delta"] or ["cold"], for reports. *)
+(** ["delta"], ["cold-swap"] or ["fetch"], for reports. *)

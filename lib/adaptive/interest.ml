@@ -7,29 +7,33 @@ open Ldap
 type cell = { query : Query.t; mutable score : float; mutable last : int }
 
 type t = {
-  half_life : int;
+  half_life : int option;
   table : (string, cell) Hashtbl.t;
   mutable now : int;
-  mutable observations : int;
 }
 
-let create ?(half_life = 256) () =
-  if half_life <= 0 then invalid_arg "Interest.create: half_life must be > 0";
-  { half_life; table = Hashtbl.create 64; now = 0; observations = 0 }
+let key (q : Query.t) =
+  Printf.sprintf "%s|%d|%s" (Dn.canonical q.Query.base)
+    (Scope.to_int q.Query.scope)
+    (Filter.to_string (Filter.normalize q.Query.filter))
 
-let count t = Hashtbl.length t.table
+let create ?half_life () =
+  (match half_life with
+  | Some h when h <= 0 -> invalid_arg "Interest.create: half_life must be > 0"
+  | _ -> ());
+  { half_life; table = Hashtbl.create 64; now = 0 }
 
 let decay t cell =
-  if cell.last < t.now then begin
-    let elapsed = float_of_int (t.now - cell.last) in
-    cell.score <- cell.score *. (0.5 ** (elapsed /. float_of_int t.half_life));
-    cell.last <- t.now
-  end
+  match t.half_life with
+  | Some half_life when cell.last < t.now ->
+      let elapsed = float_of_int (t.now - cell.last) in
+      cell.score <- cell.score *. (0.5 ** (elapsed /. float_of_int half_life));
+      cell.last <- t.now
+  | _ -> ()
 
 let observe ?(weight = 1.0) t q =
   t.now <- t.now + 1;
-  t.observations <- t.observations + 1;
-  let key = Query.to_string q in
+  let key = key q in
   match Hashtbl.find_opt t.table key with
   | Some cell ->
       decay t cell;
@@ -42,33 +46,21 @@ let touch t =
      entirely out of interest-free paths still ages the table. *)
   t.now <- t.now + 1
 
-let score t q =
-  match Hashtbl.find_opt t.table (Query.to_string q) with
-  | None -> 0.0
-  | Some cell ->
+let fold t ~init ~f =
+  Hashtbl.fold
+    (fun _ cell acc ->
       decay t cell;
-      cell.score
+      f acc cell.query cell.score)
+    t.table init
 
 let ranked t =
-  let cells =
-    Hashtbl.fold
-      (fun key cell acc ->
-        decay t cell;
-        (key, cell) :: acc)
-      t.table []
-  in
-  cells
+  Hashtbl.fold
+    (fun key cell acc ->
+      decay t cell;
+      (key, cell) :: acc)
+    t.table []
   |> List.sort (fun (ka, a) (kb, b) ->
          match compare b.score a.score with 0 -> compare ka kb | c -> c)
   |> List.map (fun (_, cell) -> (cell.query, cell.score))
 
-let prune t ~below =
-  let victims =
-    Hashtbl.fold
-      (fun key cell acc ->
-        decay t cell;
-        if cell.score < below then key :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) victims;
-  List.length victims
+let reset t = Hashtbl.iter (fun _ cell -> cell.score <- 0.0) t.table

@@ -100,6 +100,10 @@ let apply replica plan =
   List.iter (FR.remove_filter replica) plan.removes;
   { r with removed = List.length plan.removes }
 
+let apply_fetch replica plan =
+  let fetch = function Keep _ as s -> s | s -> Fetch (step_query s) in
+  apply replica { plan with steps = List.map fetch plan.steps }
+
 let apply_cold replica plan =
   (* The blunt remove+install baseline the sweep compares against:
      tear down the entire current set — retained regions included —

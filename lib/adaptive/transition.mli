@@ -62,6 +62,12 @@ val apply : Ldap_replication.Filter_replica.t -> plan -> report
     ({!Ldap_replication.Filter_replica.install_filter_rescoped} /
     [install_filter_seeded]), installs first, removals last. *)
 
+val apply_fetch : Ldap_replication.Filter_replica.t -> plan -> report
+(** Executes the plan as the section 6.2 replica does, knowing no
+    containment-seeded installs: [Keep] regions stay, every other
+    target query is fetched from scratch, installs first, removals
+    last. *)
+
 val apply_cold : Ldap_replication.Filter_replica.t -> plan -> report
 (** Executes the same plan as a blunt remove+install swap: the whole
     current set is torn down — [Keep] regions included — and every

@@ -90,6 +90,7 @@ let make_controller cfg mode replica =
       Controller.rules =
         [ Generalize.Prefix_value { attr = "departmentnumber"; keep = 2 } ];
       include_queries = true;
+      benefit = Decayed;
       half_life = cfg.dr_half_life;
       min_score = cfg.dr_min_score;
       size_budget = cfg.dr_budget;

@@ -3,6 +3,7 @@ module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
 module Selection = Ldap_selection
 module Resync = Ldap_resync
+module Adaptive = Ldap_adaptive
 
 let serial_rule = Selection.Generalize.Prefix_value { attr = "serialnumber"; keep = 6 }
 
@@ -13,6 +14,29 @@ let dept_rules =
   ]
 
 let mail_rule = Selection.Generalize.Prefix_value { attr = "mail"; keep = 3 }
+
+(* Section 6.2's dynamic selection: department candidates ranked by
+   hits since the last revolution, re-selected every [interval]
+   queries, new filters fetched whole. *)
+let revolutions ~interval ~budget replica =
+  Adaptive.Controller.create
+    {
+      Adaptive.Controller.default_config with
+      Adaptive.Controller.rules = dept_rules;
+      benefit = Hits;
+      min_score = 2.0;
+      size_budget = budget;
+      revolution_interval = interval;
+      drift_check_interval = 0;
+      mode = Fetch;
+    }
+    replica
+
+(* A replica that keeps failing its installs looks exactly like one
+   that chose badly unless the run says so. *)
+let check_installs controller =
+  let failed = (Adaptive.Controller.totals controller).Adaptive.Transition.failed in
+  if failed > 0 then failwith (Printf.sprintf "%d filter installs failed" failed)
 
 let serial_only length seed =
   {
@@ -281,7 +305,7 @@ let figure4 ?(fractions = [ 0.01; 0.02; 0.05; 0.10; 0.20; 0.35; 0.50 ])
         let filters =
           Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget
         in
-        (match Selection.Selector.install_static replica filters with
+        (match Scenario.install_static replica filters with
         | Ok () -> ()
         | Error e -> failwith e);
         Scenario.drive_filter scenario replica Scenario.no_updates eval;
@@ -353,25 +377,16 @@ let figure5 ?(fractions = [ 0.05; 0.10; 0.20; 0.35; 0.50 ])
         let budget = max 1 (int_of_float (fraction *. float_of_int dept_total)) in
         let dynamic interval =
           let replica = Replication.Filter_replica.create scenario.Scenario.master in
-          let selector =
-            Selection.Selector.create
-              {
-                Selection.Selector.rules = dept_rules;
-                revolution_interval = interval;
-                size_budget = budget;
-                min_hits = 2;
-                include_queries = true;
-              }
-              replica
-          in
+          let controller = revolutions ~interval ~budget replica in
           (* Warm up through the first revolution, then measure the
              adapted replica. *)
           let warmup = min interval (Array.length items / 2) in
-          Scenario.drive_filter scenario replica ~selector Scenario.no_updates
+          Scenario.drive_filter scenario replica ~controller Scenario.no_updates
             (Array.sub items 0 warmup);
           Replication.Stats.reset (Replication.Filter_replica.stats replica);
-          Scenario.drive_filter scenario replica ~selector Scenario.no_updates
+          Scenario.drive_filter scenario replica ~controller Scenario.no_updates
             (Array.sub items warmup (Array.length items - warmup));
+          check_installs controller;
           let h = hit_ratio (Replication.Filter_replica.stats replica) in
           List.iter (Replication.Filter_replica.remove_filter replica)
             (Replication.Filter_replica.stored_filters replica);
@@ -436,7 +451,7 @@ let figure6 ?(config = Dirgen.Enterprise.default_config)
     let filters =
       Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget
     in
-    (match Selection.Selector.install_static replica filters with
+    (match Scenario.install_static replica filters with
     | Ok () -> ()
     | Error e -> failwith e);
     let stream =
@@ -535,28 +550,19 @@ let figure7 ?(config = Dirgen.Enterprise.default_config)
               Dirgen.Workload.generate scenario.Scenario.enterprise (dept_only length 404)
             in
             let replica = Replication.Filter_replica.create scenario.Scenario.master in
-            let selector =
-              Selection.Selector.create
-                {
-                  Selection.Selector.rules = dept_rules;
-                  revolution_interval = interval;
-                  size_budget = budget;
-                  min_hits = 2;
-                  include_queries = true;
-                }
-                replica
-            in
+            let controller = revolutions ~interval ~budget replica in
             let stream =
               Dirgen.Update_stream.create scenario.Scenario.enterprise
                 Dirgen.Update_stream.default_config
             in
             let stats = Replication.Filter_replica.stats replica in
             let warmup = min interval (Array.length items / 2) in
-            Scenario.drive_filter scenario replica ~selector ~stream drive
+            Scenario.drive_filter scenario replica ~controller ~stream drive
               (Array.sub items 0 warmup);
             Replication.Stats.reset stats;
-            Scenario.drive_filter scenario replica ~selector ~stream drive
+            Scenario.drive_filter scenario replica ~controller ~stream drive
               (Array.sub items warmup (Array.length items - warmup));
+            check_installs controller;
             [
               Report.fmt_pct fraction;
               string_of_int interval;
@@ -603,7 +609,7 @@ let cache_vs_generalized ~title ~notes ~workload ~rules ?(filter_counts = [ 10; 
       Scenario.select_static ~max_filters:count ~min_hits:3 scenario ~rules ~train
         ~budget:max_int
     in
-    (match Selection.Selector.install_static replica filters with
+    (match Scenario.install_static replica filters with
     | Ok () -> ()
     | Error e -> failwith e);
     Scenario.drive_filter scenario replica Scenario.no_updates eval;
@@ -624,7 +630,7 @@ let cache_vs_generalized ~title ~notes ~workload ~rules ?(filter_counts = [ 10; 
       Replication.Filter_replica.create ~cache_capacity:cache scenario.Scenario.master
     in
     let filters = replica_filters in
-    (match Selection.Selector.install_static replica filters with
+    (match Scenario.install_static replica filters with
     | Ok () -> ()
     | Error e -> failwith e);
     Scenario.drive_filter scenario replica ~cache_misses:true Scenario.no_updates train;
@@ -726,7 +732,7 @@ let consistency_classes ?(updates = 4_000) () =
   let run ~per_class =
     let replica = Replication.Filter_replica.create scenario.Scenario.master in
     (match
-       Selection.Selector.install_static replica (person_filters @ division_filters)
+       Scenario.install_static replica (person_filters @ division_filters)
      with
     | Ok () -> ()
     | Error e -> failwith e);
@@ -993,7 +999,7 @@ let processing_overhead ?(filter_counts = [ 50; 100; 200; 400; 800 ])
           Scenario.select_static ~max_filters:count ~min_hits:1 scenario
             ~rules:[ serial_rule ] ~train ~budget:max_int
         in
-        (match Selection.Selector.install_static replica filters with
+        (match Scenario.install_static replica filters with
         | Ok () -> ()
         | Error e -> failwith e);
         let stored = Replication.Filter_replica.filter_count replica in
@@ -1102,7 +1108,7 @@ let root_base_ablation ?(length = 6_000) (scenario : Scenario.t) =
   (* The filter replica answers root-based queries natively. *)
   let replica = Replication.Filter_replica.create scenario.Scenario.master in
   let filters = Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget in
-  (match Selection.Selector.install_static replica filters with
+  (match Scenario.install_static replica filters with
   | Ok () -> ()
   | Error e -> failwith e);
   Scenario.drive_filter scenario replica Scenario.no_updates eval;
@@ -1137,26 +1143,22 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
   in
   (* Periodic revolutions (the paper's choice for replication). *)
   let rev_replica = Replication.Filter_replica.create scenario.Scenario.master in
-  let selector =
-    Selection.Selector.create
-      {
-        Selection.Selector.rules = dept_rules;
-        revolution_interval = interval;
-        size_budget = budget;
-        min_hits = 2;
-        include_queries = true;
-      }
-      rev_replica
-  in
-  Scenario.drive_filter scenario rev_replica ~selector Scenario.no_updates items;
+  let controller = revolutions ~interval ~budget rev_replica in
+  Scenario.drive_filter scenario rev_replica ~controller Scenario.no_updates items;
+  check_installs controller;
   let rev_stats = Replication.Filter_replica.stats rev_replica in
-  let rev_updates = Selection.Selector.revolutions selector in
+  (* Every revolution is a list update, including one that re-selects
+     the stored set unchanged. *)
+  let rev_updates =
+    Adaptive.Controller.adaptation_count controller
+    + Adaptive.Controller.unchanged_checks controller
+  in
   (* Immediate evolutions (Kapitskaia et al. [12]). *)
   let evo_replica = Replication.Filter_replica.create scenario.Scenario.master in
   let evo =
-    Selection.Evolution_baseline.create
+    Adaptive.Evolution_baseline.create
       {
-        Selection.Evolution_baseline.rules = dept_rules;
+        Adaptive.Evolution_baseline.rules = dept_rules;
         size_budget = budget;
         ageing = 0.999;
         swap_margin = 0.2;
@@ -1166,7 +1168,7 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
   in
   Array.iter
     (fun (item : Dirgen.Workload.item) ->
-      Selection.Evolution_baseline.observe evo item.Dirgen.Workload.query;
+      Adaptive.Evolution_baseline.observe evo item.Dirgen.Workload.query;
       ignore (Replication.Filter_replica.answer evo_replica item.Dirgen.Workload.query))
     items;
   let evo_stats = Replication.Filter_replica.stats evo_replica in
@@ -1190,7 +1192,7 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
           "evolutions (EDBT 2000)";
           Report.fmt_float (hit_ratio evo_stats);
           string_of_int evo_stats.Replication.Stats.fetch_entries;
-          string_of_int (Selection.Evolution_baseline.swaps evo);
+          string_of_int (Adaptive.Evolution_baseline.swaps evo);
         ];
       ]
     ()

@@ -1,7 +1,7 @@
 open Ldap
 module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
-module Selection = Ldap_selection
+module Controller = Ldap_adaptive.Controller
 module Resync = Ldap_resync
 
 type t = {
@@ -40,27 +40,33 @@ let leaf_slot f i =
 let leaf_queries f n = List.init n (fun i -> f.queries.(fst (leaf_slot f i)))
 
 let select_static ?(max_filters = max_int) ?(min_hits = 2) t ~rules ~train ~budget =
-  let backend = Dirgen.Enterprise.backend t.enterprise in
-  let candidates = Selection.Candidate.create () in
-  Array.iter
-    (fun (item : Dirgen.Workload.item) ->
-      List.iter
-        (Selection.Candidate.observe candidates)
-        (Selection.Generalize.candidates rules item.Dirgen.Workload.query))
-    train;
-  let estimate q = Backend.count_matching backend q in
-  let ranked = Selection.Candidate.ranked candidates ~estimate in
-  let chosen, _ =
-    List.fold_left
-      (fun (chosen, used) (q, (s : Selection.Candidate.stats), _) ->
-        if s.Selection.Candidate.hits < min_hits || List.length chosen >= max_filters
-        then (chosen, used)
-        else
-          let size = max 1 (Selection.Candidate.size_of candidates q ~estimate) in
-          if used + size <= budget then (q :: chosen, used + size) else (chosen, used))
-      ([], 0) ranked
+  (* The engine's greedy fill over a replica that is never installed
+     into, only asked for size estimates; it stops adding once it
+     reaches the cap, so the cap is a cut of the pick list. *)
+  let ctl =
+    Controller.create
+      {
+        Controller.default_config with
+        Controller.rules;
+        include_queries = false;
+        benefit = Hits;
+        min_score = float_of_int min_hits;
+        size_budget = budget;
+        revolution_interval = 0;
+        drift_check_interval = 0;
+      }
+      (Replication.Filter_replica.create t.master)
   in
-  List.rev chosen
+  Array.iter
+    (fun (item : Dirgen.Workload.item) -> Controller.observe ctl item.Dirgen.Workload.query)
+    train;
+  List.filteri (fun i _ -> i < max_filters) (Controller.select ctl)
+
+let install_static replica queries =
+  List.fold_left
+    (fun acc q ->
+      Result.bind acc (fun () -> Replication.Filter_replica.install_filter replica q))
+    (Ok ()) queries
 
 let subtree_size t root =
   let backend = Dirgen.Enterprise.backend t.enterprise in
@@ -116,7 +122,7 @@ let interleave drive stream ~debt =
       if n > 0 then Dirgen.Update_stream.steps stream n;
       debt -. float_of_int n
 
-let drive_filter t replica ?selector ?stream ?(cache_misses = false) drive items =
+let drive_filter t replica ?controller ?stream ?(cache_misses = false) drive items =
   let debt = ref 0.0 in
   Array.iteri
     (fun i (item : Dirgen.Workload.item) ->
@@ -126,9 +132,7 @@ let drive_filter t replica ?selector ?stream ?(cache_misses = false) drive items
         && i > 0
         && i mod drive.queries_between_syncs = 0
       then Replication.Filter_replica.sync replica;
-      (match selector with
-      | Some sel -> Selection.Selector.observe sel item.Dirgen.Workload.query
-      | None -> ());
+      Option.iter (fun c -> Controller.observe c item.Dirgen.Workload.query) controller;
       match Replication.Filter_replica.answer replica item.Dirgen.Workload.query with
       | Replication.Replica.Answered _ -> ()
       | Replication.Replica.Referral ->

@@ -5,7 +5,6 @@
 open Ldap
 module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
-module Selection = Ldap_selection
 module Resync = Ldap_resync
 
 type t = {
@@ -51,7 +50,7 @@ val select_static :
   ?max_filters:int ->
   ?min_hits:int ->
   t ->
-  rules:Selection.Generalize.rule list ->
+  rules:Ldap_selection.Generalize.rule list ->
   train:Dirgen.Workload.item array ->
   budget:int ->
   Query.t list
@@ -59,7 +58,16 @@ val select_static :
     and greedily fills the entry budget — the static configuration of
     section 6 used when dynamic selection is off.  [max_filters] caps
     the number of selected filters (for the figure 8/9 sweeps over
-    filter counts); [min_hits] prunes cold candidates (default 2). *)
+    filter counts); [min_hits] prunes cold candidates (default 2).
+    The ranking and fill are {!Ldap_adaptive.Controller.select}'s under
+    the [Hits] benefit. *)
+
+val install_static :
+  Replication.Filter_replica.t -> Query.t list -> (unit, string) result
+(** Statically configures a filter set (no dynamic selection), in
+    order, stopping at the first failed install — used for query types
+    whose generalized filters are too large to swap dynamically, like
+    the serialNumber blocks of section 7.3. *)
 
 val choose_subtrees :
   t ->
@@ -82,7 +90,7 @@ val no_updates : drive
 val drive_filter :
   t ->
   Replication.Filter_replica.t ->
-  ?selector:Selection.Selector.t ->
+  ?controller:Ldap_adaptive.Controller.t ->
   ?stream:Dirgen.Update_stream.t ->
   ?cache_misses:bool ->
   drive ->
@@ -90,7 +98,8 @@ val drive_filter :
   unit
 (** Runs the workload against a filter replica: root-based queries,
     misses answered by the master (and optionally cached), interleaved
-    updates and periodic syncs, selector observation per query. *)
+    updates and periodic syncs, controller observation per query
+    (before the query is answered). *)
 
 val drive_subtree :
   t ->

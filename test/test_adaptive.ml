@@ -47,39 +47,41 @@ let prefix_query p =
 
 (* --- Interest ----------------------------------------------------------- *)
 
+let score t q =
+  A.Interest.fold t ~init:0.0 ~f:(fun acc c s -> if Query.equal c q then s else acc)
+
 let test_interest_decay () =
   let t = A.Interest.create ~half_life:4 () in
   let q = dept_query "7" in
   A.Interest.observe t q;
   check_bool "fresh score is the weight" true
-    (abs_float (A.Interest.score t q -. 1.0) < 1e-9);
+    (abs_float (score t q -. 1.0) < 1e-9);
   for _ = 1 to 4 do
     A.Interest.touch t
   done;
   check_bool "halved after one half-life" true
-    (abs_float (A.Interest.score t q -. 0.5) < 1e-9);
+    (abs_float (score t q -. 0.5) < 1e-9);
   for _ = 1 to 4 do
     A.Interest.touch t
   done;
   check_bool "quartered after two" true
-    (abs_float (A.Interest.score t q -. 0.25) < 1e-9)
+    (abs_float (score t q -. 0.25) < 1e-9)
 
-let test_interest_ranked_and_prune () =
+let test_interest_ranked () =
   let t = A.Interest.create ~half_life:100 () in
   let a = dept_query "7" and b = dept_query "8" in
   A.Interest.observe t a;
   A.Interest.observe t b;
   A.Interest.observe t b;
-  (match A.Interest.ranked t with
-  | (first, _) :: (second, _) :: [] ->
+  (* The same candidate spelled differently shares [b]'s entry. *)
+  A.Interest.observe t
+    (Query.make ~base:(dn "O=XYZ") (f "(departmentnumber=8)"));
+  match A.Interest.ranked t with
+  | [ (first, hot); (second, _) ] ->
       check_bool "hotter first" true (Query.equal first b);
+      check_bool "one entry per key" true (hot > 2.5);
       check_bool "then colder" true (Query.equal second a)
-  | _ -> Alcotest.fail "expected two ranked entries");
-  (* Decay [a] below the floor; [b] survives the prune. *)
-  let pruned = A.Interest.prune t ~below:1.5 in
-  check_int "one pruned" 1 pruned;
-  check_int "one left" 1 (A.Interest.count t);
-  check_bool "survivor is b" true (A.Interest.score t b > 1.5)
+  | _ -> Alcotest.fail "expected two ranked entries"
 
 let test_interest_rejects_bad_half_life () =
   check_bool "half_life 0 rejected" true
@@ -302,10 +304,19 @@ let quiet_config =
     size_budget = 100;
   }
 
+(* Re-selection every second observation, nothing else. *)
+let every_second = { quiet_config with A.Controller.revolution_interval = 2 }
+
 let test_controller_zero_candidates () =
   let b = make_backend () in
-  let ctl = A.Controller.create quiet_config (FR.create (Resync.Master.create b)) in
-  check_bool "nothing to adapt to" true (A.Controller.force_adapt ctl = None);
+  let ctl =
+    A.Controller.create
+      { every_second with A.Controller.include_queries = false }
+      (FR.create (Resync.Master.create b))
+  in
+  A.Controller.observe ctl (dept_query "71");
+  A.Controller.observe ctl (dept_query "71");
+  check_int "one re-selection, nothing to adapt to" 1 (A.Controller.unchanged_checks ctl);
   check_int "no adaptations" 0 (A.Controller.adaptation_count ctl)
 
 let test_controller_budget_below_smallest () =
@@ -315,7 +326,7 @@ let test_controller_budget_below_smallest () =
   let replica = FR.create (Resync.Master.create b) in
   let ctl =
     A.Controller.create
-      { quiet_config with A.Controller.size_budget = 1 }
+      { every_second with A.Controller.size_budget = 1 }
       replica
   in
   let q = dept_query "71" in
@@ -324,8 +335,13 @@ let test_controller_budget_below_smallest () =
   (* The only viable candidate estimates at 2 entries against a budget
      of 1: selection must pick nothing and the no-op must not count as
      an adaptation. *)
-  check_bool "no adaptation fits" true (A.Controller.force_adapt ctl = None);
+  check_int "no adaptation fits" 0 (A.Controller.adaptation_count ctl);
   check_int "nothing stored" 0 (List.length (FR.stored_filters replica))
+
+let last_target ctl =
+  match List.rev (A.Controller.adaptations ctl) with
+  | a :: _ -> a.A.Controller.target
+  | [] -> Alcotest.fail "expected an adaptation"
 
 let test_controller_sizes_refreshed () =
   let b = make_backend () in
@@ -333,27 +349,50 @@ let test_controller_sizes_refreshed () =
   let replica = FR.create (Resync.Master.create b) in
   let ctl =
     A.Controller.create
-      { quiet_config with A.Controller.size_budget = 2 }
+      { every_second with A.Controller.size_budget = 2 }
       replica
   in
   let q = dept_query "71" in
   A.Controller.observe ctl q;
   A.Controller.observe ctl q;
-  (match A.Controller.force_adapt ctl with
-  | Some a ->
-      check_bool "drifted in" true
-        (List.exists (Query.equal q) a.A.Controller.target)
-  | None -> Alcotest.fail "expected an adaptation");
+  check_bool "drifted in" true (List.exists (Query.equal q) (last_target ctl));
   (* The department grows past the budget; a re-selection asking the
      estimator fresh must now drop the filter rather than keep serving
      a stale 1-entry price. *)
   for i = 0 to 4 do
     apply b (Update.add (person (Printf.sprintf "g%d" i) ~dept:"71" ()))
   done;
-  (match A.Controller.force_adapt ctl with
-  | Some a -> check_int "target emptied" 0 (List.length a.A.Controller.target)
-  | None -> Alcotest.fail "expected a shrinking adaptation");
+  A.Controller.observe ctl q;
+  A.Controller.observe ctl q;
+  check_int "a shrinking adaptation" 2 (A.Controller.adaptation_count ctl);
+  check_int "target emptied" 0 (List.length (last_target ctl));
   check_int "filter dropped" 0 (List.length (FR.stored_filters replica))
+
+(* The paper rule's revolutions reset the hit counts every time, also
+   when they leave the stored set as it was: "list updates" in the
+   section 6.2 ablation count both kinds. *)
+let test_controller_hits_reset_unchanged () =
+  let b = make_backend () in
+  apply b (Update.add (person "a" ~dept:"71" ()));
+  let replica = FR.create (Resync.Master.create b) in
+  let ctl =
+    A.Controller.create
+      { every_second with A.Controller.benefit = Hits; mode = Fetch }
+      replica
+  in
+  let q = dept_query "71" in
+  A.Controller.observe ctl q;
+  A.Controller.observe ctl q;
+  check_int "first revolution installs" 1 (A.Controller.adaptation_count ctl);
+  let revolutions () = A.Controller.adaptation_count ctl + A.Controller.unchanged_checks ctl in
+  let before = revolutions () in
+  A.Controller.observe ctl q;
+  A.Controller.observe ctl q;
+  check_int "unchanged revolution" 1 (A.Controller.unchanged_checks ctl);
+  check_int "stored set kept" 1 (List.length (FR.stored_filters replica));
+  check_int "counted once" (before + 1) (revolutions ());
+  check_bool "every hit count zero" true
+    (List.for_all (fun (_, s) -> s = 0.0) (A.Interest.ranked (A.Controller.interest ctl)))
 
 let test_controller_drift_trigger () =
   let b = make_backend () in
@@ -554,7 +593,8 @@ let decision_case_gen =
           })
         (pair (oneofl [ -5.0; -1.0; 0.0; 0.5; 1.0; 2.0 ]) (oneofl [ 0; 1; 2; 3; 5; 100 ]))
         (pair (oneofl [ 0.5; 1.0; 1.5; 2.0 ]) (oneofl [ 0; 1; 3 ]))
-        (pair (oneofl [ 0; 4; 7 ]) (oneofl [ A.Controller.Delta; A.Controller.Cold_swap ]))
+        (pair (oneofl [ 0; 4; 7 ])
+           (oneofl [ A.Controller.Delta; A.Controller.Cold_swap; A.Controller.Fetch ]))
     in
     quad config
       (list_size (0 -- 8) (pair (0 -- 15) (0 -- 3)))
@@ -607,7 +647,7 @@ let prop_controller_decisions =
 let suite =
   [
     Alcotest.test_case "interest decay" `Quick test_interest_decay;
-    Alcotest.test_case "interest ranked+prune" `Quick test_interest_ranked_and_prune;
+    Alcotest.test_case "interest ranked" `Quick test_interest_ranked;
     Alcotest.test_case "interest bad half-life" `Quick
       test_interest_rejects_bad_half_life;
     Alcotest.test_case "plan classification" `Quick test_plan_classification;
@@ -620,6 +660,8 @@ let suite =
       test_rescope_narrow_donor_goes_cold;
     Alcotest.test_case "rescope from covering donor" `Quick
       test_rescope_from_covering_donor;
+    Alcotest.test_case "controller hits reset on unchanged revolution" `Quick
+      test_controller_hits_reset_unchanged;
     Alcotest.test_case "controller zero candidates" `Quick
       test_controller_zero_candidates;
     Alcotest.test_case "controller budget too small" `Quick

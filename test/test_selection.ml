@@ -1,9 +1,11 @@
 (* Tests for filter generalization, candidate statistics and the
-   benefit/size selector (section 6). *)
+   section 6.2 benefit/size selection: the controller under the
+   paper's hit-count benefit. *)
 open Ldap
 module Resync = Ldap_resync
 module R = Ldap_replication
 module S = Ldap_selection
+module A = Ldap_adaptive
 
 let schema = Schema.default
 let check_bool = Alcotest.(check bool)
@@ -59,43 +61,21 @@ let test_candidates_contain_query () =
 (* --- Candidate statistics ---------------------------------------------- *)
 
 let test_candidate_stats () =
-  let t = S.Candidate.create () in
+  let t = A.Interest.create () in
   let a = q "o=xyz" "(serialNumber=24*)" in
   let b = q "o=xyz" "(serialNumber=25*)" in
-  S.Candidate.observe t a;
-  S.Candidate.observe t a;
-  S.Candidate.observe t b;
-  check_int "count" 2 (S.Candidate.count t);
-  let estimate _ = 10 in
-  let ranked = S.Candidate.ranked t ~estimate in
-  (match ranked with
-  | (first, stats, ratio) :: _ ->
+  A.Interest.observe t a;
+  A.Interest.observe t a;
+  A.Interest.observe t b;
+  (match A.Interest.ranked t with
+  | [ (first, hits); (_, 1.0) ] ->
       check_bool "best first" true (Query.equal first a);
-      check_int "hits" 2 stats.S.Candidate.hits;
-      check_bool "ratio" true (abs_float (ratio -. 0.2) < 1e-9)
-  | [] -> Alcotest.fail "expected ranking");
-  check_int "size cached" 10 (S.Candidate.size_of t a ~estimate:(fun _ -> 99));
-  S.Candidate.reset_hits t;
-  let ranked = S.Candidate.ranked t ~estimate in
-  check_bool "reset" true (List.for_all (fun (_, s, _) -> s.S.Candidate.hits = 0) ranked)
-
-let test_invalidate_sizes () =
-  let t = S.Candidate.create () in
-  let a = q "o=xyz" "(serialNumber=24*)" in
-  S.Candidate.observe t a;
-  check_int "first estimate cached" 10 (S.Candidate.size_of t a ~estimate:(fun _ -> 10));
-  (* Without invalidation the stale price sticks — the regression that
-     let a revolution keep ranking candidates at day-one sizes. *)
-  check_int "stale until invalidated" 10 (S.Candidate.size_of t a ~estimate:(fun _ -> 50));
-  S.Candidate.invalidate_sizes t;
-  check_int "re-asked after invalidation" 50
-    (S.Candidate.size_of t a ~estimate:(fun _ -> 50));
-  (match S.Candidate.ranked t ~estimate:(fun _ -> 99) with
-  | [ (_, _, ratio) ] ->
-      check_bool "ranking uses refreshed size" true
-        (abs_float (ratio -. (1.0 /. 50.0)) < 1e-9)
-  | _ -> Alcotest.fail "expected one candidate");
-  ()
+      check_bool "hits, undecayed" true (hits = 2.0)
+  | _ -> Alcotest.fail "expected two candidates");
+  A.Interest.reset t;
+  let ranked = A.Interest.ranked t in
+  check_int "candidates kept" 2 (List.length ranked);
+  check_bool "reset" true (List.for_all (fun (_, s) -> s = 0.0) ranked)
 
 (* --- Selector ----------------------------------------------------------- *)
 
@@ -132,29 +112,31 @@ let dept_query number =
     (Printf.sprintf "(&(departmentNumber=%s)(divisionNumber=%s))" number
        (String.sub number 0 2))
 
-let selector_config ?(interval = 10) ?(budget = 5) () =
+let paper_config ?(interval = 10) ?(budget = 5) () =
   {
-    S.Selector.rules = [];
+    A.Controller.default_config with
+    A.Controller.benefit = Hits;
     revolution_interval = interval;
     size_budget = budget;
-    min_hits = 1;
-    include_queries = true;
+    drift_check_interval = 0;
+    mode = Fetch;
   }
+
+let revolutions ctl = A.Controller.adaptation_count ctl + A.Controller.unchanged_checks ctl
+let stored replica query = List.exists (Query.equal query) (R.Filter_replica.stored_filters replica)
 
 let test_selector_revolution () =
   let _, master = make_master_with_depts () in
   let replica = R.Filter_replica.create master in
-  let selector = S.Selector.create (selector_config ()) replica in
+  let ctl = A.Controller.create (paper_config ()) replica in
   (* Nine hot queries for dept 0001, one for 0002 -> budget 5 admits both,
      best first. *)
   for _ = 1 to 9 do
-    S.Selector.observe selector (dept_query "0001")
+    A.Controller.observe ctl (dept_query "0001")
   done;
-  S.Selector.observe selector (dept_query "0002");
-  check_int "one revolution" 1 (S.Selector.revolutions selector);
-  let stored = R.Filter_replica.stored_filters replica in
-  check_bool "hot dept stored" true
-    (List.exists (fun s -> Query.equal s (dept_query "0001")) stored);
+  A.Controller.observe ctl (dept_query "0002");
+  check_int "one revolution" 1 (revolutions ctl);
+  check_bool "hot dept stored" true (stored replica (dept_query "0001"));
   (* The replica now answers the hot department locally. *)
   match R.Filter_replica.answer replica (dept_query "0001") with
   | R.Replica.Answered [ _ ] -> ()
@@ -163,13 +145,14 @@ let test_selector_revolution () =
 let test_selector_budget () =
   let _, master = make_master_with_depts () in
   let replica = R.Filter_replica.create master in
-  let selector = S.Selector.create (selector_config ~interval:100 ~budget:3 ()) replica in
+  (* 10 + 9 + ... + 1 = 55 queries: the revolution comes due on the last. *)
+  let ctl = A.Controller.create (paper_config ~interval:55 ~budget:3 ()) replica in
   for k = 0 to 9 do
     for _ = 1 to 10 - k do
-      S.Selector.observe selector (dept_query (Printf.sprintf "00%02d" k))
+      A.Controller.observe ctl (dept_query (Printf.sprintf "00%02d" k))
     done
   done;
-  S.Selector.force_revolution selector;
+  check_int "one revolution" 1 (revolutions ctl);
   check_bool "budget respected" true
     (R.Filter_replica.size_entries replica <= 3);
   check_int "three filters of size one" 3
@@ -178,29 +161,48 @@ let test_selector_budget () =
 let test_selector_adapts () =
   let _, master = make_master_with_depts () in
   let replica = R.Filter_replica.create master in
-  let selector = S.Selector.create (selector_config ~interval:20 ~budget:1 ()) replica in
+  let ctl = A.Controller.create (paper_config ~interval:20 ~budget:1 ()) replica in
   (* Phase 1: dept 0003 is hot. *)
   for _ = 1 to 20 do
-    S.Selector.observe selector (dept_query "0003")
+    A.Controller.observe ctl (dept_query "0003")
   done;
-  check_bool "phase 1 stored" true
-    (List.exists
-       (fun s -> Query.equal s (dept_query "0003"))
-       (R.Filter_replica.stored_filters replica));
+  check_bool "phase 1 stored" true (stored replica (dept_query "0003"));
   (* Phase 2: popularity shifts to dept 0107. *)
   for _ = 1 to 20 do
-    S.Selector.observe selector (dept_query "0107")
+    A.Controller.observe ctl (dept_query "0107")
   done;
-  let stored = R.Filter_replica.stored_filters replica in
-  check_bool "phase 2 stored" true
-    (List.exists (fun s -> Query.equal s (dept_query "0107")) stored);
-  check_bool "old evicted" false
-    (List.exists (fun s -> Query.equal s (dept_query "0003")) stored)
+  check_bool "phase 2 stored" true (stored replica (dept_query "0107"));
+  check_bool "old evicted" false (stored replica (dept_query "0003"))
+
+let test_invalidate_sizes () =
+  let b, master = make_master_with_depts () in
+  let replica = R.Filter_replica.create master in
+  let ctl = A.Controller.create (paper_config ~interval:2 ~budget:1 ()) replica in
+  A.Controller.observe ctl (dept_query "0001");
+  A.Controller.observe ctl (dept_query "0001");
+  check_bool "fits at one entry" true (stored replica (dept_query "0001"));
+  (* A second entry joins the department.  Every revolution re-asks the
+     estimator, so the next one prices it at two entries, over budget,
+     instead of keeping its day-one size. *)
+  ignore
+    (must
+       (Backend.apply b
+          (Update.Add
+             (Entry.make (dn "ou=extra,ou=div-00,o=xyz")
+                [
+                  ("objectclass", [ "organizationalUnit" ]);
+                  ("ou", [ "extra" ]);
+                  ("departmentNumber", [ "0001" ]);
+                  ("divisionNumber", [ "00" ]);
+                ]))));
+  A.Controller.observe ctl (dept_query "0001");
+  A.Controller.observe ctl (dept_query "0001");
+  check_bool "dropped at its new size" false (stored replica (dept_query "0001"))
 
 let test_install_static () =
   let _, master = make_master_with_depts () in
   let replica = R.Filter_replica.create master in
-  must (S.Selector.install_static replica [ dept_query "0001"; dept_query "0102" ]);
+  must (Ldap_eval.Scenario.install_static replica [ dept_query "0001"; dept_query "0102" ]);
   check_int "two installed" 2 (List.length (R.Filter_replica.stored_filters replica))
 
 (* --- Evolution baseline -------------------------------------------------- *)
@@ -210,16 +212,16 @@ let test_evolution_reacts_immediately () =
   let replica = R.Filter_replica.create master in
   let rules = [ S.Generalize.Prefix_value { attr = "departmentnumber"; keep = 2 } ] in
   let config =
-    { S.Evolution_baseline.rules; size_budget = 25; ageing = 0.95; swap_margin = 0.1;
+    { A.Evolution_baseline.rules; size_budget = 25; ageing = 0.95; swap_margin = 0.1;
       include_queries = true }
   in
-  let evo = S.Evolution_baseline.create config replica in
+  let evo = A.Evolution_baseline.create config replica in
   for _ = 1 to 5 do
-    S.Evolution_baseline.observe evo (dept_query "0001")
+    A.Evolution_baseline.observe evo (dept_query "0001")
   done;
   (* Unlike periodic revolutions, evolutions install candidates
      immediately - swaps happen within the first few queries. *)
-  check_bool "swapped early" true (S.Evolution_baseline.swaps evo >= 1);
+  check_bool "swapped early" true (A.Evolution_baseline.swaps evo >= 1);
   check_bool "stored something" true
     (List.length (R.Filter_replica.stored_filters replica) >= 1)
 

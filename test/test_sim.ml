@@ -7,7 +7,6 @@ open Ldap
 module Sim = Ldap_sim
 module Resync = Ldap_resync
 module Replication = Ldap_replication
-module Selection = Ldap_selection
 module Sweep = Ldap_eval.Sweep
 
 let schema = Schema.default
@@ -342,31 +341,6 @@ let test_scheduled_expiry () =
   check_int "expired on the clock" 0 (Resync.Master.session_count master);
   check_int "timer ran to its bound" 20 (Sim.Engine.now engine)
 
-let test_scheduled_revolutions () =
-  let b = make_backend () in
-  let net = Network.create () in
-  let transport = Resync.Transport.create net in
-  Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
-  let replica =
-    Replication.Filter_replica.create_over ~host:"r" transport ~master_host:"m"
-  in
-  let selector =
-    Selection.Selector.create
-      {
-        Selection.Selector.rules = [];
-        revolution_interval = 1000;
-        size_budget = 10;
-        min_hits = 1;
-        include_queries = false;
-      }
-      replica
-  in
-  let engine = Sim.Engine.create () in
-  Selection.Selector.schedule_revolutions selector engine ~every:10 ~until:35;
-  Sim.Engine.run engine;
-  check_int "three revolutions on the clock" 3
-    (Selection.Selector.revolutions selector)
-
 (* --- Clocked/unclocked equivalence property ---------------------------
    For the same seed (same update stream, same fault decisions) a run
    with an engine and one without must leave every consumer with
@@ -630,7 +604,6 @@ let suite =
     Alcotest.test_case "backoff advances clock" `Quick test_backoff_advances_clock;
     Alcotest.test_case "replica backoff stat" `Quick test_replica_backoff_stat;
     Alcotest.test_case "scheduled expiry" `Quick test_scheduled_expiry;
-    Alcotest.test_case "scheduled revolutions" `Quick test_scheduled_revolutions;
     Alcotest.test_case "latency/staleness ordering" `Quick test_latency_staleness_ordering;
     QCheck_alcotest.to_alcotest prop_engine_matches_legacy;
     QCheck_alcotest.to_alcotest prop_event_queue_order;
