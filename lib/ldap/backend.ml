@@ -136,7 +136,6 @@ let add_context t entry =
 let contexts t = t.contexts
 let total_entries t = Content_store.size t.estore
 let fold_entries t ~init ~f = Content_store.fold t.estore ~init ~f
-let entries_seq t = Content_store.to_seq t.estore
 let content_store t = t.estore
 
 (* --- Search --------------------------------------------------------- *)
@@ -409,7 +408,6 @@ let csn t = t.csn
 let log_since t since = Content_store.log_since t.estore since
 let log_complete_since t since = Csn.( <= ) (Content_store.log_floor t.estore) since
 let trim_log t ~before = Content_store.trim_log t.estore ~before
-let log_length t = Content_store.log_length t.estore
 let log_floor t = Content_store.log_floor t.estore
 
 (* --- Recovery --------------------------------------------------------

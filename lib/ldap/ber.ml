@@ -13,9 +13,6 @@ let entry_size e =
   message_overhead + dn_size (Entry.dn e)
   + element (Entry.fold_attributes e ~init:0 ~f:attr_size)
 
-let entry_size_selected e requested =
-  entry_size (Entry.select e requested)
-
 let referral_size urls =
   message_overhead
   + List.fold_left (fun acc u -> acc + element (String.length u)) 0 urls

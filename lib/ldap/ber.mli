@@ -17,8 +17,5 @@ val entry_size : Entry.t -> int
 (** Full entry PDU: DN plus every attribute name and value, summed
     over {!Entry.fold_attributes} without building the attribute list. *)
 
-val entry_size_selected : Entry.t -> string list option -> int
-(** Size after attribute selection ([None] = all attributes). *)
-
 val referral_size : string list -> int
 (** Referral PDU carrying the given LDAP URLs. *)

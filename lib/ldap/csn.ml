@@ -2,7 +2,6 @@ type t = int
 
 let zero = 0
 let next t = t + 1
-let compare = Int.compare
 let equal = Int.equal
 let ( <= ) a b = a <= b
 let ( < ) a b = a < b

@@ -13,9 +13,6 @@ val zero : t
 val next : t -> t
 (** The CSN after this one: what the commit following it gets. *)
 
-val compare : t -> t -> int
-(** Commit order. *)
-
 val equal : t -> t -> bool
 (** Same commit. *)
 

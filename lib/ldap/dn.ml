@@ -42,7 +42,6 @@ let of_rdns rdns =
   in
   make rdns
 
-let rdns t = t.parts
 
 (* --- Parsing (RFC 2253 escaping) --------------------------------- *)
 
@@ -213,9 +212,6 @@ let child t r =
 
 let child_ava t attr value = child t [ { attr; value } ]
 
-let rdn_canonical r =
-  norm_rdn (sort_rdn (List.map (fun a -> { a with attr = String.lowercase_ascii a.attr }) r))
-
 let rdn_of_string s =
   match of_string s with
   | Error e -> Error e
@@ -240,17 +236,6 @@ let ancestor_of ?(strict = false) a b =
     String.length b.norm - off = len && same_chars 0 && same_starts 0
 
 let parent_of a b = depth b = depth a + 1 && ancestor_of ~strict:true a b
-
-let relative_to ~ancestor dn =
-  let da = depth ancestor and db = depth dn in
-  if da > db then None
-  else if not (ancestor_of ancestor dn) then None
-  else
-    let rec take n l =
-      if n = 0 then []
-      else match l with [] -> [] | h :: t -> h :: take (n - 1) t
-    in
-    Some (take (db - da) dn.parts)
 
 module Ord = struct
   type nonrec t = t

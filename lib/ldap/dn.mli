@@ -27,11 +27,6 @@ val root : t
 
 val is_root : t -> bool
 
-val of_rdns : rdn list -> t
-(** Leaf-most RDN first.  Raises [Invalid_argument] on an empty RDN. *)
-
-val rdns : t -> rdn list
-
 val of_string : string -> (t, string) result
 (** Parses an RFC 2253 string ("cn=John Doe,ou=research,o=xyz").
     Handles [\\] escapes and [\XX] hex pairs.  The empty string parses
@@ -83,18 +78,10 @@ val parent_of : t -> t -> bool
 (** [parent_of a b] — the paper's [isparent (a, b)] — holds when [a]
     is the immediate superior of [b]. *)
 
-val rdn_canonical : rdn -> string
-(** Normalized key for an RDN; equal RDNs have equal keys. *)
-
 val rdn_of_string : string -> (rdn, string) result
 (** Parses a single RDN such as ["cn=John Doe"] or ["cn=X+sn=Y"]. *)
 
 val rdn_to_string : rdn -> string
-
-val relative_to : ancestor:t -> t -> rdn list option
-(** [relative_to ~ancestor dn] is the RDN sequence (leaf-most first)
-    of [dn] below [ancestor], or [None] when [ancestor] is not an
-    ancestor-or-self of [dn].  [Some []] means the two are equal. *)
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -99,7 +99,6 @@ let has_value ?(syntax = Value.Case_ignore) t name v =
   | -1 -> false
   | i -> Array.exists (fun x -> Value.equal syntax x v) t.slots.(i).raw
 
-let object_classes t = Array.to_list (values t objectclass)
 
 let is_referral t =
   Array.exists (fun c -> String.length c = 8 && lc c = "referral") (values t objectclass)

@@ -51,9 +51,6 @@ val has_value : ?syntax:Value.syntax -> t -> string -> string -> bool
 (** [has_value e attr v] — membership under the given matching rule
     (default {!Value.Case_ignore}). *)
 
-val object_classes : t -> string list
-(** The [objectClass] values. *)
-
 val is_referral : t -> bool
 (** True when the entry's object classes include [referral]; such
     entries carry [ref] LDAP-URL values and terminate naming
@@ -90,15 +87,11 @@ val compiled : t -> Ldap_compile.Prog.slot array
     attribute's slot and share the others, so an attribute a mutation
     left alone keeps its slot physically. *)
 
-val cached_hash : t -> compute:(t -> int64) -> int64
-(** [cached_hash e ~compute] memoizes one 64-bit content digest per
-    entry record (used by the anti-entropy tree).  All callers must
-    pass the same [compute]; a mutator's result starts with no digest. *)
-
 val content_hash64 : t -> int64
 (** 64-bit digest over the entry's canonical rendering (canonical DN,
     attributes sorted by name, values sorted within each attribute),
-    memoized via {!cached_hash}.  A pure function of the {!equal}
+    memoized in the entry record (a mutator's result starts with
+    none).  A pure function of the {!equal}
     equivalence class: equal entries always hash equal, and (modulo
     64-bit digest collisions) unequal entries hash differently — the
     property that lets snapshot-diff serving and the anti-entropy tree

@@ -32,19 +32,6 @@ let attributes t =
   fold_pred (fun acc p -> pred_attr p :: acc) [] t
   |> List.sort_uniq String.compare
 
-let rec is_positive = function
-  | Pred _ -> true
-  | Not _ -> false
-  | And gs | Or gs -> List.for_all is_positive gs
-
-let size t = fold_pred (fun n _ -> n + 1) 0 t
-
-let rec map_pred f = function
-  | Pred p -> Pred (f p)
-  | Not g -> Not (map_pred f g)
-  | And gs -> And (List.map (map_pred f) gs)
-  | Or gs -> Or (List.map (map_pred f) gs)
-
 (* --- Normalization ------------------------------------------------- *)
 
 let lc_pred p =

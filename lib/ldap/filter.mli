@@ -38,15 +38,6 @@ val pred_attr : pred -> string
 val attributes : t -> string list
 (** Attributes mentioned, lowercased, deduplicated, sorted. *)
 
-val is_positive : t -> bool
-(** No NOT operator anywhere. *)
-
-val size : t -> int
-(** Number of atomic predicates. *)
-
-val map_pred : (pred -> pred) -> t -> t
-(** Rewrites every atomic predicate, keeping the boolean structure. *)
-
 val fold_pred : ('a -> pred -> 'a) -> 'a -> t -> 'a
 (** Folds over every atomic predicate, left to right. *)
 

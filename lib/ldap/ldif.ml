@@ -1,15 +1,4 @@
-type change =
-  | Change_add of Entry.t
-  | Change_delete of Dn.t
-  | Change_modify of Dn.t * Update.mod_item list
-  | Change_modrdn of {
-      dn : Dn.t;
-      new_rdn : Dn.rdn;
-      delete_old_rdn : bool;
-      new_superior : Dn.t option;
-    }
-
-(* --- Base64 (self-contained; no external dependency) ------------------ *)
+(* --- Base64 encoding (self-contained; no external dependency) --------- *)
 
 let b64_alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
@@ -42,35 +31,6 @@ let b64_encode s =
   in
   go 0;
   Buffer.contents out
-
-let b64_value c =
-  match c with
-  | 'A' .. 'Z' -> Some (Char.code c - 65)
-  | 'a' .. 'z' -> Some (Char.code c - 71)
-  | '0' .. '9' -> Some (Char.code c + 4)
-  | '+' -> Some 62
-  | '/' -> Some 63
-  | _ -> None
-
-let b64_decode s =
-  let out = Buffer.create (String.length s * 3 / 4) in
-  let acc = ref 0 and bits = ref 0 in
-  let ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '=' then ()
-      else
-        match b64_value c with
-        | None -> ok := false
-        | Some v ->
-            acc := (!acc lsl 6) lor v;
-            bits := !bits + 6;
-            if !bits >= 8 then begin
-              bits := !bits - 8;
-              Buffer.add_char out (Char.chr ((!acc lsr !bits) land 0xff))
-            end)
-    s;
-  if !ok then Ok (Buffer.contents out) else Error "invalid base64"
 
 (* --- Printing ---------------------------------------------------------- *)
 
@@ -114,11 +74,6 @@ let entry_to_buf buf e =
     (fun (name, values) -> List.iter (fun v -> add_attr_line buf name v) values)
     (Entry.attributes e)
 
-let entry_to_string e =
-  let buf = Buffer.create 256 in
-  entry_to_buf buf e;
-  Buffer.contents buf
-
 let entries_to_string entries =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "version: 1\n\n";
@@ -128,145 +83,3 @@ let entries_to_string entries =
       entry_to_buf buf e)
     entries;
   Buffer.contents buf
-
-let change_to_string change =
-  let buf = Buffer.create 256 in
-  (match change with
-  | Change_add e ->
-      add_attr_line buf "dn" (Dn.to_string (Entry.dn e));
-      Buffer.add_string buf "changetype: add\n";
-      List.iter
-        (fun (name, values) -> List.iter (fun v -> add_attr_line buf name v) values)
-        (Entry.attributes e)
-  | Change_delete dn ->
-      add_attr_line buf "dn" (Dn.to_string dn);
-      Buffer.add_string buf "changetype: delete\n"
-  | Change_modify (dn, items) ->
-      add_attr_line buf "dn" (Dn.to_string dn);
-      Buffer.add_string buf "changetype: modify\n";
-      List.iteri
-        (fun i (item : Update.mod_item) ->
-          if i > 0 then Buffer.add_string buf "-\n";
-          let verb =
-            match item.Update.mod_kind with
-            | Update.Add_values -> "add"
-            | Update.Delete_values -> "delete"
-            | Update.Replace_values -> "replace"
-          in
-          Buffer.add_string buf (Printf.sprintf "%s: %s\n" verb item.Update.mod_attr);
-          List.iter (fun v -> add_attr_line buf item.Update.mod_attr v) item.Update.mod_values)
-        items
-  | Change_modrdn { dn; new_rdn; delete_old_rdn; new_superior } ->
-      add_attr_line buf "dn" (Dn.to_string dn);
-      Buffer.add_string buf "changetype: modrdn\n";
-      add_attr_line buf "newrdn" (Dn.rdn_to_string new_rdn);
-      Buffer.add_string buf
-        (Printf.sprintf "deleteoldrdn: %d\n" (if delete_old_rdn then 1 else 0));
-      match new_superior with
-      | Some sup -> add_attr_line buf "newsuperior" (Dn.to_string sup)
-      | None -> ());
-  Buffer.contents buf
-
-let change_of_update = function
-  | Update.Add e -> Change_add e
-  | Update.Delete dn -> Change_delete dn
-  | Update.Modify (dn, items) -> Change_modify (dn, items)
-  | Update.Modify_dn { dn; new_rdn; delete_old_rdn; new_superior } ->
-      Change_modrdn { dn; new_rdn; delete_old_rdn; new_superior }
-
-let update_of_change = function
-  | Change_add e -> Update.Add e
-  | Change_delete dn -> Update.Delete dn
-  | Change_modify (dn, items) -> Update.Modify (dn, items)
-  | Change_modrdn { dn; new_rdn; delete_old_rdn; new_superior } ->
-      Update.Modify_dn { dn; new_rdn; delete_old_rdn; new_superior }
-
-(* --- Parsing ------------------------------------------------------------ *)
-
-(* Unfold continuation lines and drop comments/blank separators,
-   returning records as lists of logical lines. *)
-let records_of_string s =
-  let lines = String.split_on_char '\n' s in
-  let logical = ref [] in
-  List.iter
-    (fun line ->
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      if String.length line > 0 && line.[0] = ' ' then begin
-        match !logical with
-        | last :: rest ->
-            logical := (last ^ String.sub line 1 (String.length line - 1)) :: rest
-        | [] -> ()
-      end
-      else logical := line :: !logical)
-    lines;
-  let logical = List.rev !logical in
-  (* Split on blank lines into records; skip comments and version. *)
-  let records = ref [] and current = ref [] in
-  List.iter
-    (fun line ->
-      if line = "" then begin
-        if !current <> [] then records := List.rev !current :: !records;
-        current := []
-      end
-      else if String.length line > 0 && line.[0] = '#' then ()
-      else if
-        String.length line >= 8 && String.lowercase_ascii (String.sub line 0 8) = "version:"
-      then ()
-      else current := line :: !current)
-    logical;
-  if !current <> [] then records := List.rev !current :: !records;
-  List.rev !records
-
-let parse_line line =
-  match String.index_opt line ':' with
-  | None -> Error (Printf.sprintf "malformed LDIF line: %S" line)
-  | Some i ->
-      let name = String.sub line 0 i in
-      let rest = String.sub line (i + 1) (String.length line - i - 1) in
-      if String.length rest > 0 && rest.[0] = ':' then
-        let v = String.trim (String.sub rest 1 (String.length rest - 1)) in
-        Result.map (fun decoded -> (name, decoded)) (b64_decode v)
-      else Ok (name, String.trim rest)
-
-let entry_of_record lines =
-  match lines with
-  | [] -> Error "empty LDIF record"
-  | dn_line :: attr_lines -> (
-      match parse_line dn_line with
-      | Error _ as e -> e
-      | Ok (name, dn_value) when String.lowercase_ascii name = "dn" -> (
-          match Dn.of_string dn_value with
-          | Error _ as e -> e
-          | Ok dn ->
-              let rec collect acc = function
-                | [] -> Ok (List.rev acc)
-                | line :: rest -> (
-                    match parse_line line with
-                    | Error _ as e -> e
-                    | Ok pair -> collect (pair :: acc) rest)
-              in
-              Result.map
-                (fun pairs ->
-                  Entry.make dn (List.map (fun (n, v) -> (n, [ v ])) pairs))
-                (collect [] attr_lines))
-      | Ok _ -> Error "LDIF record must start with dn:")
-
-let entry_of_string s =
-  match records_of_string s with
-  | [ record ] -> entry_of_record record
-  | [] -> Error "no LDIF record"
-  | _ -> Error "expected a single LDIF record"
-
-let entries_of_string s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | record :: rest -> (
-        match entry_of_record record with
-        | Error _ as e -> e
-        | Ok entry -> go (entry :: acc) rest)
-  in
-  go [] (records_of_string s)

@@ -48,13 +48,11 @@ val equal : t -> t -> bool
 (** [compare a b = 0]: same base, scope, filter, requested attributes
     and manageDsaIT flag. *)
 
-val hash : t -> int
-(** Hash consistent with {!equal}: the canonical base, the whole
-    normalized filter, scope, attributes and the manageDsaIT flag all
-    contribute. *)
-
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by queries up to {!equal}. *)
+(** Hash tables keyed by queries up to {!equal}.  The hash covers the
+    canonical base, the whole normalized filter, scope, attributes and
+    the manageDsaIT flag, so queries that differ only deep in the
+    filter land in different buckets. *)
 
 val to_string : t -> string
 (** One-line rendering of base, scope, filter and attributes. *)

@@ -22,6 +22,3 @@ let parse url =
           match Dn.of_string dn_s with
           | Ok dn -> Ok { host; dn = Some dn }
           | Error e -> Error e)
-
-let parse_exn url =
-  match parse url with Ok t -> t | Error e -> invalid_arg ("Referral.parse_exn: " ^ e)

@@ -13,6 +13,3 @@ val make : host:string -> ?dn:Dn.t -> unit -> string
 val parse : string -> (t, string) result
 (** Parses an LDAP URL; [Error] when the [ldap://] scheme is missing
     or the DN does not parse. *)
-
-val parse_exn : string -> t
-(** {!parse}, raising [Invalid_argument] on error. *)

@@ -21,5 +21,3 @@ let handle_search t (q : Query.t) =
           match t.default_referral with
           | Some url -> Referral [ url ]
           | None -> Failure (Printf.sprintf "noSuchObject: %s" (Dn.to_string dn))))
-
-let handle_compare t dn ~attr ~value = Backend.compare_values t.backend dn ~attr ~value

@@ -23,6 +23,3 @@ type response =
       (** Terminal error (e.g. noSuchObject with no superior). *)
 
 val handle_search : t -> Query.t -> response
-
-val handle_compare : t -> Dn.t -> attr:string -> value:string -> (bool, string) result
-(** The compare operation against the local backend. *)

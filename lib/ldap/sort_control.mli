@@ -9,9 +9,6 @@
 
 type key = { attr : string; reverse : bool }
 
-val key : ?reverse:bool -> string -> key
-(** [key ?reverse attr] sorts on [attr], ascending unless [reverse]. *)
-
 val sort : Schema.t -> keys:key list -> Entry.t list -> Entry.t list
 (** Stable sort by the given keys, most significant first. *)
 

@@ -39,8 +39,5 @@ let modify dn items = Modify (dn, items)
 let modify_dn ?new_superior ?(delete_old_rdn = true) dn new_rdn =
   Modify_dn { dn; new_rdn; delete_old_rdn; new_superior }
 
-let add_values attr values = { mod_kind = Add_values; mod_attr = attr; mod_values = values }
-let delete_values attr values =
-  { mod_kind = Delete_values; mod_attr = attr; mod_values = values }
 let replace_values attr values =
   { mod_kind = Replace_values; mod_attr = attr; mod_values = values }

@@ -48,12 +48,5 @@ val modify_dn : ?new_superior:Dn.t -> ?delete_old_rdn:bool -> Dn.t -> Dn.rdn -> 
 (** Renames the (leaf) entry to the new RDN, under [new_superior] when
     given.  [delete_old_rdn] defaults to [true]. *)
 
-val add_values : string -> string list -> mod_item
-(** Adds the values to the attribute. *)
-
-val delete_values : string -> string list -> mod_item
-(** Deletes the values from the attribute; an empty list deletes the
-    whole attribute. *)
-
 val replace_values : string -> string list -> mod_item
 (** Replaces every value of the attribute; an empty list deletes it. *)

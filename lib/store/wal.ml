@@ -70,7 +70,7 @@ let scan s =
   (List.rev !records, !pos, total)
 
 let recover medium ~name =
-  let contents = Option.value ~default:"" (Medium.read medium ~name) in
+  let contents = Option.value ~default:"" (Medium.read_whole medium ~name) in
   let records, valid_len, total_len = scan contents in
   let truncated = valid_len < total_len in
   if truncated then Medium.truncate medium ~name valid_len;

@@ -35,5 +35,6 @@ type recovery = {
 }
 
 val recover : Medium.t -> name:string -> recovery
-(** Scans the log, truncating the medium file to [valid_len] when a
-    torn tail is found.  A missing file recovers to the empty log. *)
+(** Scans the whole log, read with {!Medium.read_whole}, truncating
+    the medium file to [valid_len] when a torn tail is found.  A
+    missing file recovers to the empty log. *)

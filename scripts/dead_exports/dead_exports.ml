@@ -11,19 +11,19 @@
 
    Each [val] of a checked interface is classified by who references it:
    - some other production unit: fine;
-   - only test units: listed in the test-only report, which never fails;
+   - only test units: reported as reached only from tests;
    - only its own unit: flagged, it should leave the interface;
    - nothing: flagged, it should be deleted.
 
-   A flagged val named in ALLOWLIST is accepted.  Each allowlist line
-   reads [lib/path/file.mli value.path reason...]; blank lines and lines
-   starting with [#] are ignored, and the reason may not be empty.  An
-   entry that names no val, or a val that is not flagged, is stale and
-   fails the run.
+   A reported or flagged val fails the run unless ALLOWLIST names it.
+   Each allowlist line reads [lib/path/file.mli value.path reason...];
+   blank lines and lines starting with [#] are ignored, and the reason
+   may not be empty.  An entry that names no val, or a val some other
+   production unit references, is stale and fails the run.
 
-   Exit codes: 0 clean; 1 flagged vals or stale allowlist entries;
-   2 usage error, unreadable allowlist, or no [.cmt] file under ROOT
-   (the check was run before a build).
+   Exit codes: 0 clean; 1 unlisted test-only or flagged vals, or stale
+   allowlist entries; 2 usage error, unreadable allowlist, or no
+   [.cmt] file under ROOT (the check was run before a build).
 
    References are keyed by full unit name ([Ldap__Server], not
    [Server]), so two libraries' modules of the same short name stay
@@ -390,26 +390,27 @@ let () =
     |> List.map (fun v -> (v, status v))
   in
   let flagged = List.filter_map (function v, Some (`Flagged w) -> Some (v, w) | _ -> None) vals in
-  let test_only = List.filter (fun (_, st) -> st = Some `Test_only) vals in
+  let test_only = List.filter_map (function v, Some `Test_only -> Some v | _ -> None) vals in
   let is_allowed v = List.mem (v.mli, v.name) allowed in
-  let unallowed = List.filter (fun (v, _) -> not (is_allowed v)) flagged in
+  let unallowed =
+    List.filter (fun (v, _) -> not (is_allowed v))
+      (flagged @ List.map (fun v -> (v, "reached only from tests")) test_only)
+    |> List.sort (fun (a, _) (b, _) -> compare (a.mli, a.line) (b.mli, b.line))
+  in
   List.iter (fun (v, what) -> Printf.printf "%s:%d: %s is %s\n" v.mli v.line v.name what) unallowed;
   let stale =
-    let names (v, _) = (v.mli, v.name) in
     List.filter_map
       (fun entry ->
-        if List.exists (fun f -> names f = entry) flagged then None
-        else if List.exists (fun v -> names v = entry) vals then Some (entry, "it is referenced")
-        else Some (entry, "no such val"))
+        match List.find_opt (fun (v, _) -> (v.mli, v.name) = entry) vals with
+        | Some (_, Some _) -> None
+        | Some (_, None) -> Some (entry, "it has a production caller")
+        | None -> Some (entry, "no such val"))
       allowed
   in
   List.iter
     (fun ((mli, name), why) -> Printf.printf "allowlist: %s %s is stale: %s\n" mli name why)
     stale;
-  Printf.printf "test-only (reported, not failing): %d\n" (List.length test_only);
-  List.iter (fun (v, _) -> Printf.printf "  %s:%d: %s\n" v.mli v.line v.name) test_only;
-  Printf.printf "%d vals checked, %d flagged, %d allowlisted, %d test-only\n" (List.length vals)
-    (List.length flagged)
-    (List.length flagged - List.length unallowed)
-    (List.length test_only);
+  Printf.printf "%d vals checked, %d flagged, %d test-only, %d allowlisted\n" (List.length vals)
+    (List.length flagged) (List.length test_only)
+    (List.length flagged + List.length test_only - List.length unallowed);
   exit (if unallowed <> [] || stale <> [] then 1 else 0)

@@ -41,15 +41,6 @@ let test_parent_of () =
   check_bool "parent_of" true (Dn.parent_of (dn "ou=b,o=c") (dn "cn=a,ou=b,o=c"));
   check_bool "grandparent not parent" false (Dn.parent_of (dn "o=c") (dn "cn=a,ou=b,o=c"))
 
-let test_relative_to () =
-  let anc = dn "o=xyz" and d = dn "cn=a,ou=research,o=xyz" in
-  (match Dn.relative_to ~ancestor:anc d with
-  | Some rdns -> check_int "relative depth" 2 (List.length rdns)
-  | None -> Alcotest.fail "expected Some");
-  check_bool "equal gives empty" true (Dn.relative_to ~ancestor:anc anc = Some []);
-  check_bool "non-ancestor gives None" true
-    (Dn.relative_to ~ancestor:(dn "o=abc") d = None)
-
 let test_child () =
   let base = dn "o=xyz" in
   let c = Dn.child_ava base "cn" "John" in
@@ -64,7 +55,7 @@ let test_hex_escapes () =
   let d = Dn.of_string_exn "cn=\\41lice,o=x" in
   check_bool "hex decoded" true (Dn.equal d (Dn.of_string_exn "cn=Alice,o=x"));
   (* Special bytes survive a print/parse cycle. *)
-  let tricky = Dn.of_rdns [ [ { Dn.attr = "cn"; value = "a,b+c=d" } ] ] in
+  let tricky = Dn.child_ava Dn.root "cn" "a,b+c=d" in
   check_bool "special chars round trip" true
     (Dn.equal tricky (Dn.of_string_exn (Dn.to_string tricky)))
 
@@ -85,7 +76,13 @@ let rdn_gen =
     in
     map2 (fun a v -> { Dn.attr = a; value = v }) attr value)
 
-let dn_gen = QCheck.Gen.(map (fun rdns -> Dn.of_rdns (List.map (fun a -> [ a ]) rdns)) (list_size (0 -- 6) rdn_gen))
+(* A DN from its RDNs, leaf-most first. *)
+let of_rdns rdns = List.fold_right (fun r dn -> Dn.child dn [ r ]) rdns Dn.root
+
+let rec rdns dn =
+  match (Dn.rdn dn, Dn.parent dn) with Some r, Some p -> r :: rdns p | _ -> []
+
+let dn_gen = QCheck.Gen.(map of_rdns (list_size (0 -- 6) rdn_gen))
 
 let dn_arb = QCheck.make ~print:Dn.to_string dn_gen
 
@@ -127,12 +124,13 @@ let prop_ancestor_oracle =
   QCheck.Test.make ~name:"dn: ancestor_of = per-RDN oracle" ~count:1000
     (QCheck.make QCheck.Gen.(pair gen gen))
     (fun (xs, ys) ->
-      let a = Dn.of_rdns (List.map (fun x -> [ x ]) xs) in
-      let b = Dn.of_rdns (List.map (fun y -> [ y ]) (ys @ xs)) in
-      let c = Dn.of_rdns (List.map (fun y -> [ y ]) ys) in
+      let a = of_rdns xs in
+      let b = of_rdns (ys @ xs) in
+      let c = of_rdns ys in
       let oracle x y =
-        let rx = List.map Dn.rdn_canonical (Dn.rdns x) in
-        let ry = List.map Dn.rdn_canonical (Dn.rdns y) in
+        let key r = Dn.canonical (Dn.child Dn.root r) in
+        let rx = List.map key (rdns x) in
+        let ry = List.map key (rdns y) in
         let dx = List.length rx and dy = List.length ry in
         dx <= dy && List.filteri (fun i _ -> i >= dy - dx) ry = rx
       in
@@ -147,7 +145,6 @@ let suite =
     Alcotest.test_case "depth/parent" `Quick test_depth_parent;
     Alcotest.test_case "ancestor" `Quick test_ancestor;
     Alcotest.test_case "parent_of" `Quick test_parent_of;
-    Alcotest.test_case "relative_to" `Quick test_relative_to;
     Alcotest.test_case "child" `Quick test_child;
     Alcotest.test_case "canonical" `Quick test_canonical_key;
     Alcotest.test_case "hex escapes" `Quick test_hex_escapes;
