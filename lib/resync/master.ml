@@ -27,7 +27,6 @@ type source = {
 type t = { src : source; server : history Server.t }
 
 let backend t = t.src.backend
-let strategy t = t.src.strategy
 
 (* --- Durable journal --------------------------------------------------
    Session-table transitions are journaled as WAL records so a
@@ -301,12 +300,7 @@ let push_overflows t = Server.push_overflows t.server
 let push_resets t = Server.push_resets t.server
 let history_overflows t = Server.history_overflows t.server
 let session_count t = Server.session_count t.server
-let persistent_count t = Server.persistent_count t.server
 let expire_sessions t ~idle_limit = Server.expire t.server ~idle_limit
-
-let schedule_expiry t engine ~every ~until ~idle_limit =
-  Ldap_sim.Engine.every engine ~every ~until (fun () ->
-      expire_sessions t ~idle_limit)
 
 let server t = t.server
 
@@ -424,7 +418,7 @@ let replay_record t payload =
             (Ber_codec.Decode_error (Printf.sprintf "bad master record %d" n)))
     payload
 
-let recover ?strategy ?dispatch backend store =
+let recover ?strategy backend store =
   let ( let* ) = Result.bind in
   let recovery = Ldap_store.Store.recover store in
   let* snap =
@@ -434,7 +428,7 @@ let recover ?strategy ?dispatch backend store =
         Result.map Option.some (Ldap_store.Codec.decode read_snapshot payload)
   in
   let strategy = match snap with Some (s, _, _, _) -> Some s | None -> strategy in
-  let t = create ?strategy ?dispatch backend in
+  let t = create ?strategy backend in
   (match snap with
   | None -> ()
   | Some (_, next_id, clock, sessions) ->

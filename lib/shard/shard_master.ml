@@ -18,20 +18,19 @@ type recovery = { rc_backend : Store.recovery; rc_master : Store.recovery }
 
 let host_of i = Printf.sprintf "shard-%d" i
 
-let make ?strategy ?dispatch backend ~id =
+let make ?strategy backend ~id =
   {
     sm_host = host_of id;
     sm_schema = Backend.schema backend;
     sm_backend = backend;
-    sm_master = Master.create ?strategy ?dispatch backend;
+    sm_master = Master.create ?strategy backend;
     sm_backend_store = None;
     sm_service_time = 1;
     sm_busy_until = 0;
     sm_applied = 0;
   }
 
-let create ?strategy ?dispatch ?indexed schema ~id =
-  make ?strategy ?dispatch (Backend.create ?indexed schema) ~id
+let create ?strategy ?indexed schema ~id = make ?strategy (Backend.create ?indexed schema) ~id
 
 let host t = t.sm_host
 let schema t = t.sm_schema
@@ -95,14 +94,14 @@ let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;
   Master.checkpoint t.sm_master
 
-let recover ?strategy ?dispatch ?indexed schema ~id medium ~prefix =
+let recover ?strategy ?indexed schema ~id medium ~prefix =
   let ( let* ) = Result.bind in
   let backend_name, master_name = store_names ~prefix in
   let backend_store = Store.create medium ~name:backend_name in
   let* backend, rc_backend = Backend_store.recover ?indexed schema backend_store in
   let bs = Backend_store.attach backend backend_store in
   let* master, rc_master =
-    Master.recover ?strategy ?dispatch backend
+    Master.recover ?strategy backend
       (Store.create medium ~name:master_name)
   in
   let t =

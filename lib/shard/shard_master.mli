@@ -24,7 +24,6 @@ type recovery = {
 
 val create :
   ?strategy:Ldap_resync.Master.strategy ->
-  ?dispatch:Ldap_resync.Master.dispatch ->
   ?indexed:string list ->
   Schema.t ->
   id:int ->
@@ -87,7 +86,6 @@ val checkpoint : t -> unit
 
 val recover :
   ?strategy:Ldap_resync.Master.strategy ->
-  ?dispatch:Ldap_resync.Master.dispatch ->
   ?indexed:string list ->
   Schema.t ->
   id:int ->

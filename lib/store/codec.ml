@@ -6,7 +6,6 @@ let decode reader payload =
   | v -> Ok v
   | exception Ber_codec.Decode_error e -> Error ("decode: " ^ e)
 
-let csn c = Der.integer (Csn.to_int c)
 let read_csn c = Csn.of_int (Der.read_integer c)
 
 let read_dn c =

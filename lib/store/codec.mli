@@ -15,9 +15,6 @@ val decode : (Ber_codec.Der.cursor -> 'a) -> string -> ('a, string) result
 (** Runs a reader over the whole payload, catching decode and DN
     parse errors. *)
 
-val csn : Csn.t -> string
-(** CSN as a DER INTEGER. *)
-
 val read_csn : Ber_codec.Der.cursor -> Csn.t
 (** Inverse of {!csn}. *)
 

@@ -121,10 +121,6 @@ let recover t =
     snapshot_bytes = Medium.size t.medium ~name:(snap_file t);
   }
 
-let exists t =
-  Medium.size t.medium ~name:(snap_file t) > 0
-  || Medium.size t.medium ~name:(wal_file t) > 0
-
 let destroy t =
   Medium.remove t.medium ~name:(wal_file t);
   Medium.remove t.medium ~name:(snap_file t);

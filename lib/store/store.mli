@@ -59,9 +59,6 @@ val recover : t -> recovery
     appends continue the recovered log.  Never raises, whatever the
     medium holds. *)
 
-val exists : t -> bool
-(** Whether any durable state (snapshot or log records) is present. *)
-
 val destroy : t -> unit
 (** Removes the store's snapshot and log from the medium — used when
     the state machine itself is being discarded (e.g. a stored filter

@@ -41,7 +41,6 @@ let upstream t = R.Filter_replica.master_host t.replica
 let schema t = R.Filter_replica.schema t.replica
 let stats t = R.Filter_replica.stats t.replica
 let session_count t = Server.session_count t.server
-let persistent_count t = Server.persistent_count t.server
 
 (* --- Referral envelope ----------------------------------------------
    A subscription the node cannot prove contained is rejected with the
@@ -215,8 +214,6 @@ let source replica cost =
   }
 
 (* --- Serving -------------------------------------------------------- *)
-
-let handle t ?push request query = Server.handle t.server ?push request query
 
 (* Counts the store search's matches, building no entry. *)
 let estimate t query =

@@ -59,6 +59,16 @@ val create :
     relay, and registers the node as endpoint [host].  [dispatch]
     (default [Routed]) selects predicate-indexed or naive fan-out for
     the persist relay.
+
+    The endpoint serves downstream resync exchanges through
+    {!Ldap_resync.Server.handle}.  A non-admitted subscription fails
+    with a referral error (see {!referral_of_error}).  The node reads
+    no clock: a harness that wants serve times wraps the endpoint (as
+    the scale sweep does).  The endpoint also answers Merkle
+    anti-entropy walk steps from the node's own replica content, with
+    the same referral — the tier-by-tier cascade: a leaf repairs
+    against its node while the node independently repairs against its
+    parent.
     @raise Invalid_argument if no endpoint is registered at
     [upstream]. *)
 
@@ -91,25 +101,8 @@ val retarget : t -> upstream:string -> unit
 (** Re-parents the node (cookie translation included) — used when its
     upstream dies.  Downstream sessions are untouched and survive. *)
 
-val handle :
-  t ->
-  ?push:Ldap_resync.Protocol.push_channel ->
-  Ldap_resync.Protocol.request ->
-  Query.t ->
-  (Ldap_resync.Protocol.reply, string) result
-(** Serves one downstream resync exchange ({!Ldap_resync.Server.handle}).
-    A non-admitted subscription fails with a referral error (see
-    {!referral_of_error}).  The node reads no clock: a harness that
-    wants serve times wraps the node's transport endpoint (as the scale
-    sweep does).  The endpoint also answers Merkle anti-entropy walk
-    steps from the node's own replica content, with the same referral
-    — the tier-by-tier cascade: a leaf repairs against its node while
-    the node independently repairs against its parent. *)
-
 val session_count : t -> int
 (** Live downstream sessions at this node. *)
-
-val persistent_count : t -> int
 
 val cursor_stats : t -> int * int * int
 (** Incremental-serving cost counters as (polls served, DNs/entries

@@ -405,9 +405,6 @@ let restart_leaf ?(mode = Resume) t ~name =
               resume leaf (Some report)
           | Error e -> Error e))
 
-let crashed_leaves t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.crashed [] |> List.sort compare
-
 let leaf_converged t leaf =
   let schema = schema t in
   let backend = Resync.Master.backend t.master in
@@ -441,8 +438,8 @@ let rounds_to_converge ?(max_rounds = 16) t =
 let leaf_name i = Printf.sprintf "leaf%d" (i + 1)
 let node_name i = Printf.sprintf "node%d" (i + 1)
 
-let build ?faults ?strategy ?dispatch ~shape ~covers ~leaf_queries backend =
-  let t = create ?faults ?strategy ?dispatch backend in
+let build ?faults ?strategy ~shape ~covers ~leaf_queries backend =
+  let t = create ?faults ?strategy backend in
   let attach_leaves parents_of =
     let rec go i acc = function
       | [] -> Ok (List.rev acc)
@@ -460,7 +457,7 @@ let build ?faults ?strategy ?dispatch ~shape ~covers ~leaf_queries backend =
         let rec chain i parent acc =
           if i >= n then Ok (List.rev acc)
           else
-            match add_node ?dispatch t ~name:(node_name i) ~parent ~covers with
+            match add_node t ~name:(node_name i) ~parent ~covers with
             | Ok node -> chain (i + 1) (node_name i) (node :: acc)
             | Error e -> Error e
         in
@@ -470,7 +467,7 @@ let build ?faults ?strategy ?dispatch ~shape ~covers ~leaf_queries backend =
           if i >= arity then Ok (List.rev acc)
           else
             match
-              add_node ?dispatch t ~name:(node_name i) ~parent:t.root ~covers
+              add_node t ~name:(node_name i) ~parent:t.root ~covers
             with
             | Ok node -> row (i + 1) (node :: acc)
             | Error e -> Error e

@@ -38,16 +38,13 @@ val create :
 val build :
   ?faults:Network.Faults.t ->
   ?strategy:Ldap_resync.Master.strategy ->
-  ?dispatch:Ldap_resync.Master.dispatch ->
   shape:shape ->
   covers:Query.t list ->
   leaf_queries:Query.t list ->
   Backend.t ->
   (t, string) result
 (** Builds the interior per [shape] — every node storing the [covers]
-    set — then attaches one leaf per element of [leaf_queries].
-    [dispatch] selects the fan-out mechanism at the root master {e and}
-    at every interior node.  Fails if a cover install or a subscription
+    set — then attaches one leaf per element of [leaf_queries].  Fails if a cover install or a subscription
     fails (a leaf query no cover contains chases its referral to the
     root, which admits everything). *)
 
@@ -173,17 +170,12 @@ val restart_leaf :
     rejoins {!leaves}, and if {!drive_events} is active its poll loop
     resumes. *)
 
-val crashed_leaves : t -> string list
-(** Names of currently-down leaves, sorted. *)
-
 val leaf_converged : t -> Leaf.t -> bool
 (** Whether each of the leaf's subscriptions holds exactly the
     content the root backend currently defines for it. *)
 
-val converged : t -> bool
-
 val rounds_to_converge : ?max_rounds:int -> t -> int option
-(** Runs {!sync_round} until {!converged}, returning the number of
+(** Runs {!sync_round} until every leaf is {!leaf_converged}, returning the number of
     rounds needed ([Some 0] when already converged); [None] if
     [max_rounds] (default 16) rounds do not suffice. *)
 
