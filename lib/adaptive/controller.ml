@@ -66,9 +66,7 @@ let create config replica =
     unchanged_checks = 0;
   }
 
-let config t = t.config
 let replica t = t.replica
-let interest t = t.interest
 let adaptations t = List.rev t.adaptations
 let adaptation_count t = List.length t.adaptations
 let drift_checks t = t.drift_checks

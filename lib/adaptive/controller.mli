@@ -81,20 +81,20 @@ val create : config -> Ldap_replication.Filter_replica.t -> t
     does not own query answering — callers keep calling
     {!Ldap_replication.Filter_replica.answer} and feed {!observe}. *)
 
-val config : t -> config
-
 val replica : t -> Ldap_replication.Filter_replica.t
 (** The driven replica. *)
-
-val interest : t -> Interest.t
-(** The live interest tracker (inspection and tests). *)
 
 val observe : t -> Query.t -> unit
 (** Feed one user query: interest is credited to the query and its
     generalizations, then the drift test and the periodic revolution
-    run if their intervals came due.  A re-selection that would keep
-    the stored set identical executes nothing (counted in
-    {!unchanged_checks}) — no-op transitions cost nothing. *)
+    run if their intervals came due.  The drift test passes when the
+    best uncovered candidate scores at least [min_score] and more than
+    [drift_ratio] times the best candidate the stored set covers (a
+    kind with no viable candidate, or a best score below zero, counts
+    as 0.0); it then re-selects at once, with trigger [Drift].  A
+    re-selection that would keep the stored set identical executes
+    nothing (counted in {!unchanged_checks}) — no-op transitions cost
+    nothing. *)
 
 val select : t -> Query.t list
 (** The filter set a re-selection would install now, in pick order:
@@ -103,13 +103,6 @@ val select : t -> Query.t list
     size budget — ties and contained candidates as [benefit] says.
     Asks the upstream estimator for every such candidate's size;
     changes nothing. *)
-
-val drifted : t -> bool
-(** The drift test {!observe} runs every [drift_check_interval]
-    observations: the best uncovered candidate scores at least
-    [min_score] and more than [drift_ratio] times the best candidate
-    the stored set covers (a kind with no viable candidate, or a
-    best score below zero, counts as 0.0).  Changes nothing. *)
 
 val adaptations : t -> adaptation list
 (** Executed adaptations, oldest first. *)

@@ -31,15 +31,15 @@ let decay t cell =
       cell.last <- t.now
   | _ -> ()
 
-let observe ?(weight = 1.0) t q =
+let observe t q =
   t.now <- t.now + 1;
   let key = key q in
   match Hashtbl.find_opt t.table key with
   | Some cell ->
       decay t cell;
-      cell.score <- cell.score +. weight
+      cell.score <- cell.score +. 1.0
   | None ->
-      Hashtbl.replace t.table key { query = q; score = weight; last = t.now }
+      Hashtbl.replace t.table key { query = q; score = 1.0; last = t.now }
 
 let touch t =
   (* Advance the clock without crediting anyone: a query answered

@@ -28,9 +28,9 @@ val create : ?half_life:int -> unit -> t
     which an untouched score halves; without it scores never decay.
     @raise Invalid_argument when [half_life <= 0]. *)
 
-val observe : ?weight:float -> t -> Query.t -> unit
-(** Advances the clock one tick and credits [weight] (default 1.0) to
-    the query's score, registering it first if new. *)
+val observe : t -> Query.t -> unit
+(** Advances the clock one tick and credits 1.0 to the query's score,
+    registering it first if new. *)
 
 val touch : t -> unit
 (** Advances the clock one tick without crediting any candidate —

@@ -36,9 +36,6 @@ val plan : Schema.t -> current:Query.t list -> target:Query.t list -> plan
     cheap region/filter-disjointness test that is harmless to get
     wrong) and lists the stored queries the target drops. *)
 
-val step_query : step -> Query.t
-(** The target query a step installs. *)
-
 (** What actually happened when a plan ran: installs by outcome (a
     planned rescope/seed may degrade to [cold] when its preconditions
     fail at execution time), removals, and failed installs. *)

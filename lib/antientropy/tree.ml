@@ -30,7 +30,6 @@ let hash64 s =
    re-hashes only entries mutated since the last round.  The canonical
    rendering lives with {!Entry} so snapshot-diff cursors share both
    the definition and the per-record cache. *)
-let entry_hash = Entry.content_hash64
 
 (* The segment is keyed by the DN alone: mutating an entry's attributes
    changes its hash but never moves it between segments, so a single
@@ -54,11 +53,10 @@ let of_seq ?(config = default_config) entries =
   Seq.iter
     (fun e ->
       let i = segment_of_dn config (Entry.dn e) in
-      seg.(i) <- Int64.logxor seg.(i) (entry_hash e))
+      seg.(i) <- Int64.logxor seg.(i) (Entry.content_hash64 e))
     entries;
   { config; seg }
 
-let of_entries ?config entries = of_seq ?config (List.to_seq entries)
 
 let segment t i =
   if i < 0 || i >= t.config.segments then

@@ -10,7 +10,7 @@
     root, and a single-entry mutation flips exactly one
     segment-branch-root path.
 
-    Trees are cheap to build ([of_entries] is one pass) and are meant
+    Trees are cheap to build ({!of_seq} is one pass) and are meant
     to be computed lazily, per exchange, on whichever side serves. *)
 
 open Ldap
@@ -22,16 +22,9 @@ type config = { segments : int; branch_factor : int }
 val default_config : config
 (** 256 segments, 16 per branch: 16 branch hashes at the middle tier. *)
 
-val branch_count : config -> int
-(** Number of branch-tier hashes, [ceil (segments / branch_factor)]. *)
-
 val depth : config -> int
 (** Tiers of the exchange walk (root, branches, segments) — constant 3
     for this flat-array shape. *)
-
-val entry_hash : Entry.t -> int64
-(** 64-bit content hash of one entry over its canonical rendering;
-    equal entries hash equal regardless of attribute and value order. *)
 
 val segment_of_dn : config -> Dn.t -> int
 (** The segment an entry with this DN occupies.  Keyed by the DN alone
@@ -44,9 +37,6 @@ val of_seq : ?config:config -> Entry.t Seq.t -> t
     (default {!default_config}) — no list copy of the content is ever
     materialized, so building over a 500k-entry store costs the
     segment array plus the iteration. *)
-
-val of_entries : ?config:config -> Entry.t list -> t
-(** {!of_seq} over a list. *)
 
 val root : t -> int64
 (** Root hash: XOR of every entry hash, independent of the shape. *)

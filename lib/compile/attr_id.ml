@@ -32,4 +32,3 @@ let name id =
   if id < 0 || id >= !used then invalid_arg "Attr_id.name: unknown id";
   !names.(id)
 
-let equal (a : int) (b : int) = a = b

@@ -24,5 +24,3 @@ val name : t -> string
 (** [name id] is the lowercased attribute name behind [id].  Raises
     [Invalid_argument] on an id never returned by {!intern}. *)
 
-val equal : t -> t -> bool
-(** Integer equality, monomorphic. *)

@@ -19,9 +19,6 @@ let rec search slots id lo hi =
 
 let slot_index slots id = search slots id 0 (Array.length slots)
 
-let find_slot slots id =
-  match slot_index slots id with -1 -> None | i -> Some slots.(i)
-
 type cmp = { c_id : Attr_id.t; c_ge : bool; c_v : string }
 
 type cmp_int = {

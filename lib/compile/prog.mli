@@ -41,9 +41,6 @@ val slot_index : slot array -> Attr_id.t -> int
 (** Binary-search an id-sorted slot array for the slot carrying [id];
     [-1] when the entry has no such attribute. *)
 
-val find_slot : slot array -> Attr_id.t -> slot option
-(** Allocating convenience over {!slot_index} for cold callers. *)
-
 val mem_string : string array -> string -> bool
 (** [mem_string a v]: is [v] byte-equal to some element of [a]?  Does
     not allocate. *)

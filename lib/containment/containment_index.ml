@@ -153,11 +153,6 @@ let find t q =
 let mem t q = Query.Tbl.mem t.exact q
 let length t = t.count
 
-let clear t =
-  Hashtbl.reset t.buckets;
-  Query.Tbl.reset t.exact;
-  t.count <- 0
-
 let condition t ~incoming_key ~incoming ~bucket_key ~bucket_template =
   let key = (incoming_key, bucket_key) in
   match Hashtbl.find_opt t.conditions key with
@@ -386,4 +381,3 @@ let fold t ~init ~f =
 
 let iter t ~f = fold t ~init:() ~f:(fun () q p -> f q p)
 let comparisons t = t.comparisons
-let reset_comparisons t = t.comparisons <- 0

@@ -46,9 +46,6 @@ val mem : 'a t -> Query.t -> bool
 val length : 'a t -> int
 (** Number of stored queries. *)
 
-val clear : 'a t -> unit
-(** Drops every stored query. *)
-
 val find_container : 'a t -> Query.t -> (Query.t * 'a) option
 (** First stored query that semantically contains the argument
     (region, attributes and filter), or [None]. *)
@@ -69,5 +66,3 @@ val iter : 'a t -> f:(Query.t -> 'a -> unit) -> unit
 val comparisons : 'a t -> int
 (** Cumulative number of stored-query checks performed by
     {!find_container} — the processing-cost metric of section 7.4. *)
-
-val reset_comparisons : 'a t -> unit

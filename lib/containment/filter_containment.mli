@@ -13,14 +13,11 @@
 
 open Ldap
 
-val same_shape_contained : Schema.t -> Filter.t -> Filter.t -> bool option
-(** Proposition 3: when the two normalized filters have the same shape
-    (same template), containment follows from pointwise containment of
-    corresponding predicates.  [None] when the shapes differ. *)
-
 val contained : Schema.t -> Filter.t -> Filter.t -> bool
-(** Full dispatch: equality, then same-shape, then the general
-    procedure. *)
+(** Full dispatch: equality, then same shape (Proposition 3: when the
+    two normalized filters have the same template, containment follows
+    from pointwise containment of corresponding predicates), then the
+    general procedure. *)
 
 val contained_general : Schema.t -> Filter.t -> Filter.t -> bool
 (** The general Proposition 1 procedure only (exposed for testing and

@@ -62,8 +62,6 @@ let create schema =
     anchored = Hashtbl.create 32;
   }
 
-let length t = Hashtbl.length t.regs
-let fallback_count t = Hashtbl.length t.fallback
 
 (* --- anchor derivation ------------------------------------------------ *)
 

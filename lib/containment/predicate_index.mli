@@ -41,13 +41,6 @@ val add : t -> int -> Filter.t -> unit
 val remove : t -> int -> unit
 (** Unregisters the id from all anchors; unknown ids are ignored. *)
 
-val length : t -> int
-(** Number of registered subscribers. *)
-
-val fallback_count : t -> int
-(** Subscribers whose filter could not be anchored; these are
-    candidates for every update. *)
-
 type candidates
 (** Deduplicated set of subscriber ids possibly affected by one
     update. *)

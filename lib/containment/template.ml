@@ -118,20 +118,10 @@ let to_string t =
 
 let shape_key = to_string
 
-let instantiate t values =
-  let n = holes t in
-  if Array.length values <> n then
-    Error
-      (Printf.sprintf "template %s needs %d values, got %d" (to_string t) n
-         (Array.length values))
-  else
-    let subst = function Hole i -> values.(i) | Const s -> s in
-    Ok (Filter.normalize (to_filter_with subst t))
-
 (* Structural match of a normalized filter against the template,
    binding holes.  Both sides are expected in normalized form with the
    same operand ordering; template conversion and Filter.normalize
-   guarantee this for instances generated by [instantiate], and for
+   guarantee this for filters built from a template, and for
    independently parsed filters the shapes coincide whenever the
    template's value ordering is shape-determined (distinct attributes
    or operators). *)
@@ -191,4 +181,3 @@ let match_filter schema t filter =
       if !complete then Some out else None
   | exception No_match -> None
 
-let equal a b = String.equal (shape_key a) (shape_key b)

@@ -32,9 +32,6 @@ type pred =
 
 type t = And of t list | Or of t list | Not of t | Pred of pred
 
-val holes : t -> int
-(** Number of holes; hole indices are [0 .. holes - 1]. *)
-
 val hole_attrs : t -> string array
 (** [hole_attrs t] maps each hole index to the attribute whose
     assertion it fills; used to pick the matching-rule syntax for a
@@ -55,13 +52,8 @@ val shape_key : t -> string
 (** Key identifying the template's shape with hole positions; equal
     templates (same shape, same constants) have equal keys. *)
 
-val instantiate : t -> string array -> (Filter.t, string) result
-(** Replaces hole [i] with the [i]-th array element. *)
-
 val match_filter : Schema.t -> t -> Filter.t -> string array option
 (** [match_filter schema t f] checks whether the (normalized) filter
     is an instance of the template and returns the assertion values
     bound to the holes.  Constants are compared under the attribute's
     matching rule. *)
-
-val equal : t -> t -> bool

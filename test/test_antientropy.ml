@@ -24,10 +24,10 @@ let small_config = { AE.Tree.segments = 16; branch_factor = 4 }
 
 let test_depth_and_shape () =
   Alcotest.(check int) "depth" 3 (AE.Tree.depth AE.Tree.default_config);
-  Alcotest.(check int) "branches" 16
-    (AE.Tree.branch_count AE.Tree.default_config);
+  let branch_count config = List.length (AE.Tree.branches (AE.Tree.of_seq ~config Seq.empty)) in
+  Alcotest.(check int) "branches" 16 (branch_count AE.Tree.default_config);
   Alcotest.(check int) "ragged branches" 5
-    (AE.Tree.branch_count { AE.Tree.segments = 17; branch_factor = 4 });
+    (branch_count { AE.Tree.segments = 17; branch_factor = 4 });
   Alcotest.(check (list int)) "segments of branch" [ 4; 5; 6; 7 ]
     (AE.Tree.segments_of_branch small_config 1)
 
@@ -41,7 +41,7 @@ let test_entry_hash_order_independent () =
       [ ("cn", [ "x" ]); ("sn", [ "a"; "b" ]) ]
   in
   Alcotest.(check bool) "attr order irrelevant" true
-    (Int64.equal (AE.Tree.entry_hash a) (AE.Tree.entry_hash b))
+    (Int64.equal (Entry.content_hash64 a) (Entry.content_hash64 b))
 
 let test_segment_stable_under_mutation () =
   let e = mk_entry 3 ~sn:"one" ~mail:"one@x" in
@@ -61,7 +61,7 @@ let test_serve_root () =
   match reply with
   | AE.Exchange.Root_hash h ->
       Alcotest.(check bool) "root matches local tree" true
-        (Int64.equal h (AE.Tree.root (AE.Tree.of_entries entries)))
+        (Int64.equal h (AE.Tree.root (AE.Tree.of_seq (List.to_seq entries))))
   | _ -> Alcotest.fail "expected Root_hash"
 
 (* --- Generators ------------------------------------------------------- *)
@@ -100,11 +100,11 @@ let prop_root_shape_independent =
        ~print:(fun (es, _) -> Printf.sprintf "%d entries" (List.length es))
        QCheck.Gen.(pair entries_gen (int_range 0 1000)))
     (fun (entries, k) ->
-      let root0 = AE.Tree.root (AE.Tree.of_entries ~config:(List.hd shapes) entries) in
+      let root0 = AE.Tree.root (AE.Tree.of_seq ~config:(List.hd shapes) (List.to_seq entries)) in
       List.for_all
         (fun config ->
           let reordered = rotate k (List.rev entries) in
-          Int64.equal root0 (AE.Tree.root (AE.Tree.of_entries ~config reordered)))
+          Int64.equal root0 (AE.Tree.root (AE.Tree.of_seq ~config (List.to_seq reordered))))
         (List.tl shapes))
 
 (* --- Property: one mutation flips exactly one path --------------------- *)
@@ -127,11 +127,11 @@ let prop_single_mutation_single_path =
       in
       let victim = List.nth entries j in
       QCheck.assume
-        (not (Int64.equal (AE.Tree.entry_hash victim)
-                (AE.Tree.entry_hash (List.nth mutated j))));
+        (not (Int64.equal (Entry.content_hash64 victim)
+                (Entry.content_hash64 (List.nth mutated j))));
       let config = small_config in
-      let before = AE.Tree.of_entries ~config entries in
-      let after = AE.Tree.of_entries ~config mutated in
+      let before = AE.Tree.of_seq ~config (List.to_seq entries) in
+      let after = AE.Tree.of_seq ~config (List.to_seq mutated) in
       let seg_diffs =
         List.filter
           (fun s -> not (Int64.equal (AE.Tree.segment before s) (AE.Tree.segment after s)))
@@ -223,8 +223,8 @@ let prop_reconcile_reconverges =
              drift usually does, but its tail can dirty nearly all 16
              segments and legitimately tie with cold. *)
           let touched =
-            let before = AE.Tree.of_entries ~config:small_config entries in
-            let after = AE.Tree.of_entries ~config:small_config server in
+            let before = AE.Tree.of_seq ~config:small_config (List.to_seq entries) in
+            let after = AE.Tree.of_seq ~config:small_config (List.to_seq server) in
             List.length
               (List.filter
                  (fun s ->

@@ -113,6 +113,21 @@ let instance_gen =
     let* values = array_repeat arity value_gen in
     return (tmpl, values))
 
+(* The filter a template string denotes with its holes filled left to
+   right. *)
+let instance tmpl values =
+  let next = ref 0 in
+  let b = Buffer.create 64 in
+  String.iter
+    (fun c ->
+      if c = '_' then begin
+        Buffer.add_string b values.(!next);
+        incr next
+      end
+      else Buffer.add_char b c)
+    tmpl;
+  Filter.of_string_exn (Buffer.contents b)
+
 let prop_compiled_agrees_with_direct =
   QCheck.Test.make ~name:"symbolic: compiled condition = direct check" ~count:800
     (QCheck.make
@@ -127,11 +142,11 @@ let prop_compiled_agrees_with_direct =
       match Symbolic.compile schema ~left ~right with
       | None -> true
       | Some cond -> (
-          match (Template.instantiate left lv, Template.instantiate right rv) with
-          | Ok lf, Ok rf ->
-              Symbolic.eval schema cond ~left:lv ~right:rv
-              = Symbolic.contained schema lf rf
-          | _ -> true))
+          let lf = instance lt lv and rf = instance rt rv in
+          match (Template.match_filter schema left lf, Template.match_filter schema right rf) with
+          | Some lv, Some rv ->
+              Symbolic.eval schema cond ~left:lv ~right:rv = Symbolic.contained schema lf rf
+          | _ -> QCheck.Test.fail_reportf "not an instance of its template"))
 
 let suite =
   [
