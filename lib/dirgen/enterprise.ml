@@ -46,8 +46,6 @@ type t = {
   location_names : string array;
 }
 
-let serial_prefix_length = 7
-
 let code_of_country i =
   Printf.sprintf "%c%c" (Char.chr (Char.code 'a' + (i / 26 mod 26))) (Char.chr (Char.code 'a' + (i mod 26)))
 
@@ -76,14 +74,6 @@ let per_country_counts config =
         int_of_float
           ((1.0 -. config.target_share) *. float_of_int config.employees
           /. float_of_int (config.countries - config.target_countries)))
-
-let entry_count config =
-  let structural =
-    1 + config.countries + 1 + config.divisions
-    + (config.divisions * config.departments_per_division)
-    + 1 + config.locations
-  in
-  structural + Array.fold_left ( + ) 0 (per_country_counts config)
 
 let generate config ~f =
   let prng = Prng.create config.seed in
@@ -205,16 +195,6 @@ let generate config ~f =
 let indexed_attrs =
   [ "serialnumber"; "mail"; "departmentnumber"; "divisionnumber"; "uid"; "cn"; "location" ]
 
-let populate config backend =
-  let n = ref 0 in
-  generate config ~f:(fun g ->
-      incr n;
-      match g with
-      | Structural e when !n = 1 -> must (Backend.add_context backend e)
-      | Structural e | Person (_, e) -> must_apply backend (Update.add e));
-  (* Experiments measure only their own update streams. *)
-  Backend.trim_log backend ~before:(Csn.next (Backend.csn backend))
-
 let build config =
   let schema = Schema.default in
   let backend = Backend.create ~indexed:indexed_attrs schema in
@@ -279,9 +259,6 @@ let location_names t = t.location_names
 let employees t = t.all
 let employees_of_country t i = t.by_country.(i)
 let person_count t = Array.length t.all
-
-let target_countries t =
-  List.init t.config.target_countries (fun i -> i)
 
 let dept_numbers t = t.depts
 

@@ -11,7 +11,6 @@ type t
 val create : int -> t
 (** Generator seeded from an integer. *)
 
-val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] in [[0, bound)]; requires [bound > 0]. *)
 

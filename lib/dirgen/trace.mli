@@ -11,17 +11,10 @@
     the base DN again when there is no better choice. *)
 
 val save : out_channel -> Workload.item array -> unit
-(** Writes {!to_string} of the items to the channel. *)
-
-val to_string : Workload.item array -> string
-(** The trace text: a header comment, then one line per item. *)
+(** Writes the trace text: a header comment, then one line per item. *)
 
 val load : in_channel -> (Workload.item array, string) result
-(** Reads the channel to its end and parses it with {!of_string}. *)
-
-val of_string : string -> (Workload.item array, string) result
-(** Parses a trace; [Error] names the first malformed line. *)
-
-val kind_of_name : string -> Workload.kind option
-(** A query kind from its name, case-insensitive: [serialnumber] (or
-    [serial]), [mail], [department] (or [dept]), [location]. *)
+(** Reads the channel to its end and parses the trace; [Error] names
+    the first malformed line.  The kind column is case-insensitive:
+    [serialnumber] (or [serial]), [mail], [department] (or [dept]),
+    [location]. *)

@@ -185,5 +185,3 @@ let steps t n =
     step t
   done
 
-let applied t = t.applied
-let live_employees t = t.live_count

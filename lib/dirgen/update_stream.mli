@@ -31,9 +31,3 @@ val create : Enterprise.t -> config -> t
 
 val steps : t -> int -> unit
 (** Applies [n] update operations to the master backend. *)
-
-val applied : t -> int
-(** Operations applied so far. *)
-
-val live_employees : t -> int
-(** Employees currently in the directory (hires minus departures). *)

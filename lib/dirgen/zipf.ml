@@ -25,7 +25,3 @@ let sample t prng =
     if t.cumulative.(mid) < target then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let probability t rank =
-  if rank = 0 then t.cumulative.(0)
-  else t.cumulative.(rank) -. t.cumulative.(rank - 1)

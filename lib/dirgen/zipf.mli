@@ -14,6 +14,3 @@ val create : ?s:float -> int -> t
 val size : t -> int
 val sample : t -> Prng.t -> int
 (** A rank in [[0, n)], lower ranks more likely. *)
-
-val probability : t -> int -> float
-(** Probability mass of a rank. *)
