@@ -25,12 +25,10 @@ val stats : t -> Stats.t
 val size_entries : t -> int
 (** Number of replicated entries (referral objects excluded). *)
 
-val is_contained : t -> Dn.t -> bool
-(** The paper's [isContained (b, C)] decision on a base DN. *)
-
 val answer : t -> Query.t -> Replica.answer
-(** Answers from local content when [is_contained] holds for the
-    query's base; referral otherwise.  Updates the hit/miss stats. *)
+(** Answers from local content when the paper's [isContained (b, C)]
+    holds for the query's base [b]; referral otherwise.  Updates the
+    hit/miss stats. *)
 
 val sync : t -> unit
 (** One poll round on every subtree session, applying updates locally

@@ -442,5 +442,4 @@ let dns t =
   Content_store.fold t.entries ~init:Dn.Set.empty ~f:(fun acc e ->
       Dn.Set.add (Entry.dn e) acc)
 
-let find t dn = Content_store.find t.entries dn
 let size t = Content_store.size t.entries

@@ -196,9 +196,6 @@ val content : t -> Content_store.t
     reports. *)
 
 val dns : t -> Dn.Set.t
-val find : t -> Dn.t -> Entry.t option
-(** O(1) lookup in the local content. *)
-
 val size : t -> int
 
 (** {1 Durability}

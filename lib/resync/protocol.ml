@@ -96,11 +96,6 @@ let parse_composite_cookie s =
       in
       go [] parts
 
-let composite_component s ~shard =
-  match parse_composite_cookie s with
-  | None -> None
-  | Some components -> List.assoc_opt shard components
-
 type reply_kind = Initial_content | Incremental | Degraded
 
 type reply = {
@@ -140,4 +135,3 @@ type push_channel = {
   pc_close : unit -> unit;
 }
 
-let push_of_fn f = { pc_send = (fun a -> f a; Push_ok); pc_close = (fun () -> ()) }

@@ -48,12 +48,6 @@ val parse_composite_cookie : string -> (int * string) list option
     well-formed composite ([rsm:] with zero or more components).  Shard
     ids follow {!parse_cookie}'s rule: plain ASCII decimal digits. *)
 
-val composite_component : string -> shard:int -> string option
-(** The component for one shard, if the composite holds one. *)
-
-val is_composite_cookie : string -> bool
-(** Whether the cookie carries the [rsm:] composite prefix. *)
-
 type reply_kind =
   | Initial_content
       (** Null cookie: the entire content was sent as [add]s. *)
@@ -124,7 +118,3 @@ type push_channel = {
           consumer's next liveness check sees it and reconnects. *)
 }
 
-val push_of_fn : (Action.t -> unit) -> push_channel
-(** Wraps an infallible delivery function (co-located consumers,
-    tests) as a channel that always answers [Push_ok] and whose close
-    is a no-op. *)

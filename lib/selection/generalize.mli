@@ -25,10 +25,6 @@ type rule =
       (** Replace [(attr=v)] by [(attr=*﻿)] inside a conjunction (only
           when other components remain to bound the region). *)
 
-val generalize_filter : rule -> Filter.t -> Filter.t option
-(** Applies the rule to the (normalized) filter; [None] when the rule
-    does not apply anywhere. *)
-
 val candidates : rule list -> Query.t -> Query.t list
 (** All distinct generalizations of the query obtainable by applying
     each rule once, most specific first.  Every result semantically

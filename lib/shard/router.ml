@@ -26,7 +26,6 @@ let default_host = "router"
 let host t = t.rt_host
 let partition t = t.partition
 let shard t i = t.shards.(i)
-let geo_pruning t = t.geo_ok
 let cover t q = Partition.cover ~use_geo:t.geo_ok t.partition q
 let restrict t s q = Partition.restrict t.partition s q
 let shard_host t s = Shard_master.host t.shards.(s)

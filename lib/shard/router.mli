@@ -95,10 +95,6 @@ val cover : t -> Query.t -> int list
     pruning included while no committed write has violated the
     geography assumption). *)
 
-val geo_pruning : t -> bool
-(** Whether geographic pruning is still enabled (flips off permanently
-    when a write commits an entry outside its block's geography). *)
-
 val search : t -> Query.t -> (Entry.t list, string) result
 (** Fans a search over the cover via {!Ldap.Network.rpc}, restricted
     to each shard's owned content, and concatenates the (disjoint)

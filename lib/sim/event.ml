@@ -27,7 +27,6 @@ let create () =
   }
 
 let is_empty t = t.size = 0
-let length t = t.size
 
 let min_time t =
   if t.size = 0 then invalid_arg "Event.min_time: empty queue";

@@ -25,6 +25,3 @@ val pop : t -> (unit -> unit)
 (** Removes the earliest pending event and returns its thunk; its time
     is the {!min_time} read just before.  Raises [Invalid_argument] on
     an empty queue. *)
-
-val length : t -> int
-(** Number of pending events. *)
