@@ -797,6 +797,58 @@ let test_old_session_history_image () =
            | Action.Delete _ | Action.Retain _ -> None ))
        reply.Protocol.actions)
 
+(* The steps that wrote [Old_images.fr_meta_*], replayed on [m]. *)
+let fr_meta_queries () =
+  let q flt = Query.make ~base:(dn "o=xyz") (f flt) in
+  ( q Old_images.fr_q7,
+    Query.make ~base:(dn "o=xyz") ~scope:Scope.One
+      ~attrs:(Query.Select [ "cn"; "mail" ])
+      (f Old_images.fr_q8),
+    q Old_images.fr_q9 )
+
+let fr_meta_backend () =
+  let b = make_backend () in
+  List.iter (fun (n, dept) -> apply b (Update.add (person n ~dept ()))) [ ("a", "7"); ("b", "8"); ("c", "9") ];
+  b
+
+let test_old_filter_replica_meta_image () =
+  let q7, q8, q9 = fr_meta_queries () in
+  (* Today's code writes the old images byte for byte. *)
+  let replica = R.Filter_replica.create (Master.create (fr_meta_backend ())) in
+  must (R.Filter_replica.install_filter replica q7);
+  must (R.Filter_replica.install_filter replica q8);
+  let m = Store.Medium.memory () in
+  R.Filter_replica.attach_store replica m ~prefix:"fr";
+  must (R.Filter_replica.install_filter replica q9);
+  R.Filter_replica.remove_filter replica q8;
+  Alcotest.(check (option string)) "same snapshot" (Some Old_images.fr_meta_snap)
+    (Store.Medium.read m ~name:"fr.meta.snap");
+  Alcotest.(check (option string)) "same WAL" (Some Old_images.fr_meta_wal)
+    (Store.Medium.read m ~name:"fr.meta.wal");
+  (* The old images recover the old slot table: slots 1 and 2, two WAL
+     records, and the next install takes slot 3. *)
+  let b = fr_meta_backend () in
+  let live = R.Filter_replica.create (Master.create b) in
+  let m = Store.Medium.memory () in
+  ignore (restore_image m ~name:"fr.meta" Old_images.fr_meta_snap Old_images.fr_meta_wal);
+  let recovered, report =
+    must
+      (R.Filter_replica.recover_over (R.Filter_replica.transport live)
+         ~master_host:(R.Filter_replica.master_host live) m ~prefix:"fr")
+  in
+  check_int "meta records replayed" 2 report.R.Filter_replica.meta_replayed;
+  Alcotest.(check (list (pair int string)))
+    "slots"
+    [ (1, Query.to_string q7); (2, Query.to_string q9) ]
+    (List.map
+       (fun fr -> (fr.R.Filter_replica.fr_slot, Query.to_string fr.R.Filter_replica.fr_query))
+       report.R.Filter_replica.filters);
+  R.Filter_replica.sync recovered;
+  check_bool "recovered filter resyncs" true
+    (entry_sets_equal (Option.get (R.Filter_replica.consumer_for recovered q7)) b q7);
+  must (R.Filter_replica.install_filter recovered q8);
+  check_bool "next slot" true (Store.Medium.read m ~name:"fr.f3.snap" <> None)
+
 let suite =
   [
     Alcotest.test_case "backend recovery" `Quick test_backend_recovery;
@@ -825,4 +877,6 @@ let suite =
     Alcotest.test_case "old tombstone image restores" `Quick test_old_tombstone_image;
     Alcotest.test_case "old session history image restores" `Quick
       test_old_session_history_image;
+    Alcotest.test_case "old filter-replica meta image restores" `Quick
+      test_old_filter_replica_meta_image;
   ]
