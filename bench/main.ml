@@ -164,7 +164,6 @@ let ns_per_run f = (measure f).ns
 
 (* --- Micro-benchmark fixtures ---------------------------------------- *)
 
-let schema = Schema.default
 
 let fixture_entry =
   Entry.make
@@ -194,7 +193,7 @@ let deep_dn = Dn.of_string_exn dn_string
 (* A populated index with [n] stored serial-prefix queries, plus one
    query that hits and one that misses. *)
 let make_index n =
-  let index = C.Containment_index.create schema in
+  let index = C.Containment_index.create () in
   for i = 0 to n - 1 do
     let filter = Filter.of_string_exn (Printf.sprintf "(serialNumber=%05d*)" i) in
     C.Containment_index.add index (Query.make ~base:base_dn filter) i
@@ -209,12 +208,12 @@ let miss_query = Query.make ~base:base_dn (Filter.of_string_exn "(serialNumber=9
 let compiled_condition =
   let left = C.Template.of_string_exn "(serialnumber=_)" in
   let right = C.Template.of_string_exn "(serialnumber=_*)" in
-  match C.Symbolic.compile schema ~left ~right with
+  match C.Symbolic.compile ~left ~right with
   | Some c -> c
   | None -> failwith "compile failed"
 
 let small_backend =
-  let b = Backend.create ~indexed:[ "serialnumber" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber" ] () in
   (match
      Backend.add_context b
        (Entry.make base_dn [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ])
@@ -245,29 +244,29 @@ let micro_tests =
   [
     ("filter/parse", fun () -> ignore (Filter.of_string_exn filter_string : Filter.t));
     ( "filter/eval",
-      fun () -> ignore (Filter.matches schema complex_filter fixture_entry : bool) );
+      fun () -> ignore (Filter.matches complex_filter fixture_entry : bool) );
     ("filter/normalize", fun () -> ignore (Filter.normalize complex_filter : Filter.t));
     ("dn/parse", fun () -> ignore (Dn.of_string_exn dn_string : Dn.t));
     ("dn/ancestor", fun () -> ignore (Dn.ancestor_of base_dn deep_dn : bool));
     ( "containment/same-template (Prop 3)",
       fun () ->
-        ignore (C.Filter_containment.contained schema serial_filter serial_filter : bool)
+        ignore (C.Filter_containment.contained serial_filter serial_filter : bool)
     );
     ( "containment/cross-template compiled (Prop 2)",
       fun () ->
         ignore
-          (C.Symbolic.eval schema compiled_condition ~left:[| "0400456" |]
+          (C.Symbolic.eval compiled_condition ~left:[| "0400456" |]
              ~right:[| "04004" |]
             : bool) );
     ( "containment/general (Prop 1)",
       fun () ->
         ignore
-          (C.Filter_containment.contained_general schema serial_filter prefix_filter
+          (C.Filter_containment.contained_general serial_filter prefix_filter
             : bool) );
     ( "containment/general conjunctive",
       fun () ->
         ignore
-          (C.Filter_containment.contained_general schema dept_filter dept_filter : bool)
+          (C.Filter_containment.contained_general dept_filter dept_filter : bool)
     );
     ( "backend/indexed search",
       fun () -> ignore (Backend.search small_backend indexed_search_query) );
@@ -327,7 +326,7 @@ module R = Ldap_resync
 let fanout_sessions = [ 10; 100; 1000 ]
 
 let make_fanout_master ~sessions ~dispatch =
-  let b = Backend.create ~indexed:[ "serialnumber" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber" ] () in
   (match
      Backend.add_context b
        (Entry.make base_dn [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ])
@@ -1192,11 +1191,11 @@ let run_micro7 ~smoke =
   let filter_cases = ref 0 and filter_agree = ref 0 in
   List.iter
     (fun f ->
-      let m = Filter.matcher schema f in
+      let m = Filter.matcher f in
       List.iter
         (fun e ->
           incr filter_cases;
-          if Bool.equal (Filter.matches schema f e) (m e) then incr filter_agree)
+          if Bool.equal (Filter.matches f e) (m e) then incr filter_agree)
         (fixture_entry :: eval_entries))
     micro7_filters;
   let codec_cases = ref 0 and codec_identical = ref 0 in
@@ -1209,14 +1208,14 @@ let run_micro7 ~smoke =
       Ber_codec.Der.W.entry w e;
       if String.equal s (Compile.Wbuf.contents w) then incr codec_identical)
     (fixture_entry :: eval_entries);
-  let staged_condition = C.Symbolic.Compiled.compile schema compiled_condition in
+  let staged_condition = C.Symbolic.Compiled.compile compiled_condition in
   let sym_cases = ref 0 and sym_agree = ref 0 in
   List.iter
     (fun (l, r) ->
       incr sym_cases;
       if
         Bool.equal
-          (C.Symbolic.eval schema compiled_condition ~left:[| l |] ~right:[| r |])
+          (C.Symbolic.eval compiled_condition ~left:[| l |] ~right:[| r |])
           (C.Symbolic.Compiled.eval staged_condition ~left:[| l |] ~right:[| r |])
       then incr sym_agree)
     [ ("0400456", "04004"); ("0400456", "05"); ("123", "123"); ("", "0") ];
@@ -1228,20 +1227,20 @@ let run_micro7 ~smoke =
     failwith "micro: staged containment condition disagrees with Symbolic.eval";
   (* Timings: interpreted and compiled forms of the same work, measured
      in the same process by the same harness. *)
-  let filter_matcher = Filter.matcher schema complex_filter in
+  let filter_matcher = Filter.matcher complex_filter in
   let pairs =
     [
       ( "filter/eval",
         (fun () ->
           List.iter
-            (fun e -> ignore (Filter.matches schema complex_filter e : bool))
+            (fun e -> ignore (Filter.matches complex_filter e : bool))
             eval_entries),
         fun () -> List.iter (fun e -> ignore (filter_matcher e : bool)) eval_entries
       );
       ( "containment/eval (Prop 2)",
         (fun () ->
           ignore
-            (C.Symbolic.eval schema compiled_condition ~left:[| "0400456" |]
+            (C.Symbolic.eval compiled_condition ~left:[| "0400456" |]
                ~right:[| "04004" |]
               : bool)),
         fun () ->

@@ -26,7 +26,6 @@ module C = Ldap_containment
 module Dirgen = Ldap_dirgen
 module Eval = Ldap_eval
 
-let schema = Schema.default
 
 (* --- Shared argument converters --------------------------------------- *)
 
@@ -109,7 +108,7 @@ let search_cmd =
             Printf.printf "referral: %s\n" (String.concat ", " urls)
         | Ok { Backend.entries; references } ->
             let entries =
-              if keys = [] then entries else Sort_control.sort schema ~keys entries
+              if keys = [] then entries else Sort_control.sort ~keys entries
             in
             Printf.printf "%d entries (%d references)\n" (List.length entries)
               (List.length references);
@@ -160,7 +159,7 @@ let contains_cmd =
         prerr_endline e;
         exit 1
     | Ok query, Ok stored ->
-        let result = C.Query_containment.contained schema ~query ~stored in
+        let result = C.Query_containment.contained ~query ~stored in
         Printf.printf "%s\n  contained in\n%s\n=> %b\n" (Query.to_string query)
           (Query.to_string stored) result
   in
@@ -207,7 +206,7 @@ let condition_cmd =
         prerr_endline e;
         exit 1
     | Ok left, Ok right -> (
-        match C.Symbolic.compile schema ~left ~right with
+        match C.Symbolic.compile ~left ~right with
         | None -> print_endline "condition: (compilation infeasible; runtime check)"
         | Some cond ->
             Printf.printf "containment condition (Proposition 2 CNF):\n  %s\n"
@@ -565,7 +564,7 @@ let antientropy_cmd =
         let backend = Dirgen.Enterprise.backend ent in
         let master = Resync.Master.create backend in
         let transport = Resync.Transport.loopback master in
-        let consumer = Resync.Consumer.create schema query in
+        let consumer = Resync.Consumer.create query in
         (match
            Resync.Consumer.sync_over consumer transport
              ~host:Resync.Transport.loopback_host
@@ -678,7 +677,7 @@ let shard_cmd =
     let transport = Resync.Transport.create (Network.create ()) in
     let masters =
       Array.init shards (fun i ->
-          Shard.Shard_master.create (Dirgen.Enterprise.schema ent) ~id:i)
+          Shard.Shard_master.create Schema.default ~id:i)
     in
     let router = Shard.Router.create partition transport masters in
     (match Shard.Router.seed_from_backend router (Dirgen.Enterprise.backend ent) with
@@ -717,7 +716,7 @@ let shard_cmd =
            (Printf.sprintf "(serialnumber=%s*)"
               (Dirgen.Enterprise.serial_block ent 0)))
     in
-    let consumer = Resync.Consumer.create schema q in
+    let consumer = Resync.Consumer.create q in
     (match
        Resync.Consumer.sync_over consumer transport
          ~host:(Shard.Router.host router)

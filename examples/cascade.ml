@@ -23,7 +23,7 @@ let must = function Ok x -> x | Error e -> failwith e
 
 let () =
   (* Headquarters directory: two departments of consultants. *)
-  let backend = Backend.create ~indexed:[ "departmentnumber" ] Schema.default in
+  let backend = Backend.create ~indexed:[ "departmentnumber" ] () in
   must
     (Backend.add_context backend
        (Entry.make (dn "o=hq") [ ("objectclass", [ "organization" ]); ("o", [ "hq" ]) ]));

@@ -14,11 +14,10 @@ module C = Ldap_containment
 module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
 
-let schema = Schema.default
 
 (* The proxy's admission policy: cacheable query prototypes. *)
 let registry =
-  let r = C.Template_registry.create schema in
+  let r = C.Template_registry.create () in
   (match
      C.Template_registry.declare_strings r
        [ "(serialnumber=_)"; "(serialnumber=_*)"; "(mail=_)";
@@ -36,7 +35,7 @@ let () =
       { Dirgen.Enterprise.default_config with Dirgen.Enterprise.employees = 5_000 }
   in
   let backend = Dirgen.Enterprise.backend enterprise in
-  let cache = Replication.Query_cache.create schema ~capacity:200 in
+  let cache = Replication.Query_cache.create ~capacity:200 in
   let root = Dirgen.Enterprise.root_dn enterprise in
 
   let hits = ref 0 and misses = ref 0 and rejected = ref 0 in

@@ -9,7 +9,6 @@ module C = Ldap_containment
 module Resync = Ldap_resync
 module Replication = Ldap_replication
 
-let schema = Schema.default
 let dn = Dn.of_string_exn
 let filter = Filter.of_string_exn
 
@@ -17,7 +16,7 @@ let must = function Ok x -> x | Error e -> failwith e
 
 let () =
   (* 1. A master server with a handful of entries. *)
-  let master_backend = Backend.create ~indexed:[ "sn"; "departmentnumber" ] schema in
+  let master_backend = Backend.create ~indexed:[ "sn"; "departmentnumber" ] () in
   must
     (Backend.add_context master_backend
        (Entry.make (dn "o=example") [ ("objectclass", [ "organization" ]); ("o", [ "example" ]) ]));
@@ -49,7 +48,7 @@ let () =
   let stored = Query.make ~base:(dn "o=example") (filter "(departmentNumber=24*)") in
   let incoming = Query.make ~base:(dn "o=example") (filter "(&(departmentNumber=2406)(sn=doe))") in
   Printf.printf "containment: %b\n"
-    (C.Query_containment.contained schema ~query:incoming ~stored);
+    (C.Query_containment.contained ~query:incoming ~stored);
 
   (* 4. A filter-based replica of department block 24*. *)
   let master = Resync.Master.create master_backend in

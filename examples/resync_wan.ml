@@ -13,7 +13,6 @@
 open Ldap
 module Resync = Ldap_resync
 
-let schema = Schema.default
 let dn = Dn.of_string_exn
 let must = function Ok x -> x | Error e -> failwith e
 
@@ -30,7 +29,7 @@ let show_reply phase (reply : Resync.Protocol.reply) =
 
 let () =
   (* Headquarters master. *)
-  let backend = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let backend = Backend.create ~indexed:[ "departmentnumber" ] () in
   must
     (Backend.add_context backend
        (Entry.make (dn "o=hq") [ ("objectclass", [ "organization" ]); ("o", [ "hq" ]) ]));
@@ -52,7 +51,7 @@ let () =
   let query =
     Query.make ~base:(dn "o=hq") (Filter.of_string_exn "(departmentNumber=sales)")
   in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
 
   (* Phase 1: initial content. *)
   show_reply "poll #1 (no cookie)" (must (Resync.Consumer.sync consumer master));

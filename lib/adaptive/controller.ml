@@ -77,9 +77,9 @@ let totals t =
     (fun acc a -> Transition.add_report acc a.report)
     Transition.empty_report t.adaptations
 
-let covered schema stored q =
+let covered stored q =
   List.exists
-    (fun s -> C.Query_containment.contained schema ~query:q ~stored:s)
+    (fun s -> C.Query_containment.contained ~query:q ~stored:s)
     stored
 
 (* Greedy benefit/size selection under the size budget, the section
@@ -90,7 +90,6 @@ let covered schema stored q =
    under [Decayed] ties go by query string and a candidate an earlier
    pick contains is free and skipped. *)
 let select t =
-  let schema = FR.schema t.replica in
   let paper = t.config.benefit = Hits in
   let priced =
     Interest.fold t.interest ~init:[] ~f:(fun acc q score ->
@@ -113,7 +112,7 @@ let select t =
   let picked, _ =
     List.fold_left
       (fun (picked, used) (q, _, size) ->
-        if used + size > t.config.size_budget || ((not paper) && covered schema picked q)
+        if used + size > t.config.size_budget || ((not paper) && covered picked q)
         then (picked, used)
         else (q :: picked, used + size))
       ([], 0) priced
@@ -133,8 +132,7 @@ let adapt t ~trigger =
     None
   end
   else begin
-    let schema = FR.schema t.replica in
-    let plan = Transition.plan schema ~current ~target in
+    let plan = Transition.plan ~current ~target in
     let report =
       match t.config.mode with
       | Delta -> Transition.apply t.replica plan
@@ -155,14 +153,13 @@ let adapt t ~trigger =
    stops there (a kind never found, or a best score below zero, counts
    as 0.0). *)
 let drifted t =
-  let schema = FR.schema t.replica in
   let stored = FR.stored_filters t.replica in
   let viable =
     List.filter (fun (_, s) -> s >= t.config.min_score)
       (Interest.ranked t.interest)
   in
   let best ~is_covered =
-    match List.find_opt (fun (q, _) -> covered schema stored q = is_covered) viable with
+    match List.find_opt (fun (q, _) -> covered stored q = is_covered) viable with
     | Some (_, score) -> max 0.0 score
     | None -> 0.0
   in

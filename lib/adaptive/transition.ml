@@ -14,29 +14,29 @@ type plan = { steps : step list; removes : Query.t list }
    donor selection: sound to get wrong in either direction — a useless
    donor seeds nothing and the Merkle walk repairs, a missed donor
    just costs a colder install. *)
-let may_overlap schema a b =
+let may_overlap a b =
   (Query.region_subset ~inner:a ~outer:b
   || Query.region_subset ~inner:b ~outer:a
   || Query.in_scope a b.Query.base
   || Query.in_scope b a.Query.base)
-  && not (C.Filter_containment.disjoint schema a.Query.filter b.Query.filter)
+  && not (C.Filter_containment.disjoint a.Query.filter b.Query.filter)
 
-let classify schema current q =
+let classify current q =
   if List.exists (Query.equal q) current then Keep q
   else
     match
       List.find_opt
-        (fun cur -> C.Query_containment.contained schema ~query:q ~stored:cur)
+        (fun cur -> C.Query_containment.contained ~query:q ~stored:cur)
         current
     with
     | Some donor -> Rescope { query = q; donor }
     | None -> (
-        match List.filter (may_overlap schema q) current with
+        match List.filter (may_overlap q) current with
         | [] -> Fetch q
         | donors -> Seed { query = q; donors })
 
-let plan schema ~current ~target =
-  let steps = List.map (classify schema current) target in
+let plan ~current ~target =
+  let steps = List.map (classify current) target in
   let removes =
     List.filter (fun cur -> not (List.exists (Query.equal cur) target)) current
   in

@@ -30,7 +30,7 @@ type step =
 
 type plan = { steps : step list; removes : Query.t list }
 
-val plan : Schema.t -> current:Query.t list -> target:Query.t list -> plan
+val plan : current:Query.t list -> target:Query.t list -> plan
 (** Classifies every target query against the current stored set
     (first containing donor wins; overlap donors are pre-filtered by a
     cheap region/filter-disjointness test that is harmless to get

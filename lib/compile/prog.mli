@@ -83,6 +83,5 @@ type t =
 
 val matches : t -> slot array -> bool
 (** [matches p slots] evaluates the program against an entry's
-    id-sorted slots.  Agrees with [Ldap.Filter.matches schema f e]
-    whenever [p] was compiled from [f] under the schema [e] was made
-    with and [slots] are [e]'s. *)
+    id-sorted slots.  Agrees with [Ldap.Filter.matches f e]
+    whenever [p] was compiled from [f] and [slots] are [e]'s. *)

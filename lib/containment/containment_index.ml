@@ -37,7 +37,6 @@ type plan = Scan | Clause of plan_atom list
 type cond = { sym : Symbolic.t; staged : Symbolic.Compiled.cond }
 
 type 'a t = {
-  schema : Schema.t;
   buckets : (string, 'a bucket) Hashtbl.t;  (* shape key -> bucket *)
   exact : 'a stored Query.Tbl.t;
       (* every stored query under its exact form: [find] and [mem]
@@ -50,9 +49,8 @@ type 'a t = {
   mutable comparisons : int;
 }
 
-let create schema =
+let create () =
   {
-    schema;
     buckets = Hashtbl.create 64;
     exact = Query.Tbl.create 64;
     conditions = Hashtbl.create 256;
@@ -61,9 +59,9 @@ let create schema =
     comparisons = 0;
   }
 
-let decompose t (q : Query.t) =
+let decompose (q : Query.t) =
   let template = Template.of_filter q.Query.filter in
-  match Template.match_filter t.schema template q.Query.filter with
+  match Template.match_filter template q.Query.filter with
   | Some values -> (template, values)
   | None ->
       (* A filter always matches its own full generalization. *)
@@ -88,7 +86,7 @@ let column t bucket col =
       c
 
 let add t q payload =
-  let template, values = decompose t q in
+  let template, values = decompose q in
   let key = Template.shape_key template in
   let bucket =
     match Hashtbl.find_opt t.buckets key with
@@ -97,7 +95,7 @@ let add t q payload =
         let b =
           { template;
             syntaxes =
-              Array.map (Schema.syntax_of t.schema)
+              Array.map Schema.syntax_of
                 (Template.hole_attrs template);
             entries = [];
             columns = Hashtbl.create 4 }
@@ -159,9 +157,9 @@ let condition t ~incoming_key ~incoming ~bucket_key ~bucket_template =
   | Some c -> c
   | None ->
       let c =
-        Symbolic.compile t.schema ~left:incoming ~right:bucket_template
+        Symbolic.compile ~left:incoming ~right:bucket_template
         |> Option.map (fun sym ->
-               { sym; staged = Symbolic.Compiled.compile t.schema sym })
+               { sym; staged = Symbolic.Compiled.compile sym })
       in
       Hashtbl.replace t.conditions key c;
       c
@@ -189,8 +187,8 @@ let rec resolve_left values = function
 
 (* Classify one atom of a clause; [None] = the atom cannot be keyed or
    guarded, making the whole clause unusable for pruning. *)
-let plan_atom t ({ Symbolic.attr; atom } as ca) =
-  let syntax = Schema.syntax_of t.schema attr in
+let plan_atom ({ Symbolic.attr; atom } as ca) =
+  let syntax = Schema.syntax_of attr in
   let keyable = function
     | Symbolic.R col, o when r_free o -> Some (Key_eq { col; syntax; sources = [ o ] })
     | o, Symbolic.R col when r_free o -> Some (Key_eq { col; syntax; sources = [ o ] })
@@ -203,7 +201,7 @@ let plan_atom t ({ Symbolic.attr; atom } as ca) =
     | Symbolic.Point_excluded { low; high; excl } ->
         r_free low && r_free high && r_free excl
   in
-  if all_r_free then Some (Guard (Symbolic.Compiled.atom t.schema ca))
+  if all_r_free then Some (Guard (Symbolic.Compiled.atom ca))
   else
     match atom with
     | Symbolic.Equal (a, b) -> keyable (a, b)
@@ -226,11 +224,11 @@ let plan_atom t ({ Symbolic.attr; atom } as ca) =
         Some (Key_prefix { col; syntax; source = v })
     | Symbolic.Empty_range _ | Symbolic.Has_prefix _ -> None
 
-let plan_of_clause t clause =
+let plan_of_clause clause =
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | a :: rest -> (
-        match plan_atom t a with None -> None | Some p -> go (p :: acc) rest)
+        match plan_atom a with None -> None | Some p -> go (p :: acc) rest)
   in
   go [] clause
 
@@ -255,7 +253,7 @@ let plan t ~incoming_key ~bucket_key cond =
       let p =
         match cond with
         | Some { sym = Symbolic.Cnf clauses; _ } ->
-            List.filter_map (plan_of_clause t) clauses
+            List.filter_map plan_of_clause clauses
             |> List.fold_left
                  (fun best atoms ->
                    match best with
@@ -316,7 +314,7 @@ let candidates t bucket atoms ~values =
       Some (dedupe [] (List.concat lists))
 
 let find_container_where t (q : Query.t) ~pred =
-  let template, values = decompose t q in
+  let template, values = decompose q in
   let incoming_key = Template.shape_key template in
   let check_bucket bucket_key (bucket : 'a bucket) acc =
     match acc with
@@ -351,7 +349,7 @@ let find_container_where t (q : Query.t) ~pred =
                           ~right:s.values
                     | None ->
                         (* Compilation blew up: direct check. *)
-                        Filter_containment.contained t.schema q.Query.filter
+                        Filter_containment.contained q.Query.filter
                           s.query.Query.filter
                   in
                   if ok then Some (s.query, s.payload) else None)

@@ -21,7 +21,7 @@ open Ldap
 
 type 'a t
 
-val create : Schema.t -> 'a t
+val create : unit -> 'a t
 (** An empty index whose containment checks use the schema's matching
     rules. *)
 

@@ -45,9 +45,9 @@ let substring_contained syntax (s1 : Filter.substring) (s2 : Filter.substring) =
 
 let prefix_orderable = Symbolic.prefix_orderable
 
-let pred_contained schema p1 p2 =
+let pred_contained p1 p2 =
   let open Filter in
-  let syntax a = Schema.syntax_of schema a in
+  let syntax a = Schema.syntax_of a in
   if not (String.equal (pred_attr p1) (pred_attr p2)) then false
   else
     let a = pred_attr p1 in
@@ -82,13 +82,13 @@ let pred_contained schema p1 p2 =
     | Substrings (_, { initial = None; _ }), (Greater_eq _ | Less_eq _) ->
         false
 
-let same_shape_contained schema f1 f2 =
+let same_shape_contained f1 f2 =
   let f1 = Filter.normalize f1 and f2 = Filter.normalize f2 in
   (* Walk in lockstep; [dir] flips under NOT. *)
   let rec go dir a b =
     match (a, b) with
     | Filter.Pred p, Filter.Pred q ->
-        Some (if dir then pred_contained schema p q else pred_contained schema q p)
+        Some (if dir then pred_contained p q else pred_contained q p)
     | Filter.Not x, Filter.Not y -> go (not dir) x y
     | Filter.And xs, Filter.And ys | Filter.Or xs, Filter.Or ys ->
         if List.length xs <> List.length ys then None
@@ -105,13 +105,13 @@ let same_shape_contained schema f1 f2 =
 
 let contained_general = Symbolic.contained
 
-let contained schema f1 f2 =
+let contained f1 f2 =
   if Filter.equal f1 f2 then true
   else
-    match same_shape_contained schema f1 f2 with
+    match same_shape_contained f1 f2 with
     | Some true -> true
-    | Some false | None -> contained_general schema f1 f2
+    | Some false | None -> contained_general f1 f2
 
 (* [f ∧ g] inconsistent ⟺ [f ⊆ ¬g]: the Proposition 1 reduction run
    backwards, so disjointness rides the same decision procedure. *)
-let disjoint schema f g = contained_general schema f (Filter.Not g)
+let disjoint f g = contained_general f (Filter.Not g)

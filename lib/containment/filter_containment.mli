@@ -13,17 +13,17 @@
 
 open Ldap
 
-val contained : Schema.t -> Filter.t -> Filter.t -> bool
+val contained : Filter.t -> Filter.t -> bool
 (** Full dispatch: equality, then same shape (Proposition 3: when the
     two normalized filters have the same template, containment follows
     from pointwise containment of corresponding predicates), then the
     general procedure. *)
 
-val contained_general : Schema.t -> Filter.t -> Filter.t -> bool
+val contained_general : Filter.t -> Filter.t -> bool
 (** The general Proposition 1 procedure only (exposed for testing and
     benchmarking against the fast paths). *)
 
-val disjoint : Schema.t -> Filter.t -> Filter.t -> bool
+val disjoint : Filter.t -> Filter.t -> bool
 (** Sound disjointness: [true] means no entry can satisfy both filters
     — Proposition 1 run backwards ([f ∧ g] inconsistent ⟺
     [f ⊆ ¬g]).  [false] may be conservative; a shard router that

@@ -38,7 +38,6 @@ type registration = Anchors of anchor list | Fallback
    anchors there, with no key tuple or prefix string built for
    attributes nobody anchors. *)
 type t = {
-  schema : Schema.t;
   eq : (Attr_id.t, (string, ids) Hashtbl.t) Hashtbl.t;  (* attr -> canonical value *)
   prefix : (Attr_id.t, (string, ids) Hashtbl.t) Hashtbl.t;  (* attr -> prefix *)
   attr : (Attr_id.t, ids) Hashtbl.t;
@@ -49,9 +48,8 @@ type t = {
   anchored : (Attr_id.t, int) Hashtbl.t;  (* attr -> anchors on it, when > 0 *)
 }
 
-let create schema =
+let create () =
   {
-    schema;
     eq = Hashtbl.create 64;
     prefix = Hashtbl.create 64;
     attr = Hashtbl.create 16;
@@ -68,9 +66,9 @@ let create schema =
 let truncate_prefix p =
   if String.length p <= prefix_width then p else String.sub p 0 prefix_width
 
-let pred_anchor t p =
-  let canon a = Attr_id.intern (Schema.canonical_attr t.schema a) in
-  let syntax a = Schema.syntax_of t.schema a in
+let pred_anchor p =
+  let canon a = Attr_id.intern (Schema.canonical_attr a) in
+  let syntax a = Schema.syntax_of a in
   match p with
   | Filter.Equality (a, v) | Filter.Approx (a, v) ->
       (* Approx is matched as equality by [Filter.matches]. *)
@@ -103,7 +101,7 @@ let list_score anchors =
    anchors.  [None]: no sound anchoring; the subscriber must fall back
    to being a candidate for every update. *)
 let rec anchors_of t = function
-  | Filter.Pred p -> Option.map (fun a -> [ a ]) (pred_anchor t p)
+  | Filter.Pred p -> Option.map (fun a -> [ a ]) (pred_anchor p)
   | Filter.Not _ -> None
   | Filter.Or gs ->
       (* A match satisfies some disjunct, so all disjuncts must be

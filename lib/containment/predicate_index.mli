@@ -29,7 +29,7 @@ open Ldap
 
 type t
 
-val create : Schema.t -> t
+val create : unit -> t
 (** An empty index; anchors resolve attribute names and matching rules
     through the schema. *)
 

@@ -6,7 +6,7 @@
 
 open Ldap
 
-val contained : Schema.t -> query:Query.t -> stored:Query.t -> bool
+val contained : query:Query.t -> stored:Query.t -> bool
 (** Full QC check using {!Filter_containment.contained} for the filter
     leg. *)
 

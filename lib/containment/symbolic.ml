@@ -204,7 +204,7 @@ module Smap = Map.Make (String)
 (* Condition for one DNF conjunct to be inconsistent: a disjunction of
    atoms collected over its attributes.  [`Static_true] when it is
    inconsistent regardless of hole values. *)
-let conjunct_condition schema conj : [ `Static_true | `Atoms of cond_atom list ] =
+let conjunct_condition conj : [ `Static_true | `Atoms of cond_atom list ] =
   (* Group literals per attribute. *)
   let by_attr =
     List.fold_left
@@ -221,8 +221,8 @@ let conjunct_condition schema conj : [ `Static_true | `Atoms of cond_atom list ]
       if not !static then begin
         let positives = List.filter (fun l -> l.pos) lits in
         let negatives = List.filter (fun l -> not l.pos) lits in
-        let single = Schema.is_single_valued schema attr in
-        let syntax = Schema.syntax_of schema attr in
+        let single = Schema.is_single_valued attr in
+        let syntax = Schema.syntax_of attr in
         let groups =
           if single then begin
             (* All positives constrain the one value jointly. *)
@@ -288,8 +288,8 @@ let has_prefix_norm syntax ~prefix v =
   String.length v >= String.length prefix
   && String.sub v 0 (String.length prefix) = prefix
 
-let eval_atom schema ~left ~right { attr; atom } =
-  let syntax = Schema.syntax_of schema attr in
+let eval_atom ~left ~right { attr; atom } =
+  let syntax = Schema.syntax_of attr in
   try
     match atom with
     | Empty_range { low; low_strict; high; high_strict } ->
@@ -306,13 +306,13 @@ let eval_atom schema ~left ~right { attr; atom } =
         has_prefix_norm syntax ~prefix:(resolve ~left ~right p) (resolve ~left ~right v)
   with Unknown_value -> false
 
-let eval schema t ~left ~right =
+let eval t ~left ~right =
   match t with
   | Always -> true
   | Never -> false
   | Cnf clauses ->
       List.for_all
-        (fun clause -> List.exists (eval_atom schema ~left ~right) clause)
+        (fun clause -> List.exists (eval_atom ~left ~right) clause)
         clauses
 
 (* --- Compilation ----------------------------------------------------- *)
@@ -330,7 +330,7 @@ let const_atom { attr = _; atom } =
   | Point_excluded { low; high; excl } ->
       const_operand low && const_operand high && const_operand excl
 
-let compile schema ~left ~right =
+let compile ~left ~right =
   let ltree = tree_of_template (fun i -> L i) true left in
   let rtree = tree_of_template (fun i -> R i) false right in
   match dnf (TAnd [ ltree; rtree ]) with
@@ -339,7 +339,7 @@ let compile schema ~left ~right =
       let clauses =
         List.filter_map
           (fun conj ->
-            match conjunct_condition schema conj with
+            match conjunct_condition conj with
             | `Static_true -> None (* condition TRUE: contributes nothing *)
             | `Atoms atoms -> (
                 (* Fold constant atoms now. *)
@@ -348,7 +348,7 @@ let compile schema ~left ~right =
                   List.filter
                     (fun a ->
                       if const_atom a then begin
-                        if eval_atom schema ~left:[||] ~right:[||] a then
+                        if eval_atom ~left:[||] ~right:[||] a then
                           static_true := true;
                         false
                       end
@@ -362,7 +362,7 @@ let compile schema ~left ~right =
       else if clauses = [] then Some Always
       else Some (Cnf clauses)
 
-let contained schema f1 f2 =
+let contained f1 f2 =
   let const_template f =
     (* A template with zero holes: every assertion value constant. *)
     let rec conv = function
@@ -385,9 +385,9 @@ let contained schema f1 f2 =
     in
     conv (Filter.normalize f)
   in
-  match compile schema ~left:(const_template f1) ~right:(const_template f2) with
+  match compile ~left:(const_template f1) ~right:(const_template f2) with
   | None -> false
-  | Some cond -> eval schema cond ~left:[||] ~right:[||]
+  | Some cond -> eval cond ~left:[||] ~right:[||]
 
 (* --- Staged evaluation ------------------------------------------------ *)
 
@@ -457,8 +457,8 @@ module Compiled = struct
      normalized/parsed and constant [Succ]s folded here, once; the
      returned closure touches only hole values per evaluation.  Truth
      values agree with {!eval_atom} on every input. *)
-  let atom schema { attr; atom = a } : atom_fn =
-    let syntax = Schema.syntax_of schema attr in
+  let atom { attr; atom = a } : atom_fn =
+    let syntax = Schema.syntax_of attr in
     let norm v = Value.normalize syntax v in
     match a with
     | Empty_range { low; low_strict; high; high_strict } -> (
@@ -531,14 +531,14 @@ module Compiled = struct
               && String.sub v 0 (String.length p) = p
         | _, _ -> never)
 
-  let compile schema = function
+  let compile = function
     | Always -> Const true
     | Never -> Const false
     | Cnf clauses ->
         Clauses
           (Array.of_list
              (List.map
-                (fun clause -> Array.of_list (List.map (atom schema) clause))
+                (fun clause -> Array.of_list (List.map atom clause))
                 clauses))
 
   let eval cond ~left ~right =

@@ -66,13 +66,13 @@ val prefix_orderable : Value.syntax -> bool
     the premise both ways ("-2*" matches -25 < -2, "1*" matches
     10 > succ "1"). *)
 
-val compile : Schema.t -> left:Template.t -> right:Template.t -> t option
+val compile : left:Template.t -> right:Template.t -> t option
 (** Containment condition for instances of [left] in instances of
     [right].  [None] when compilation is infeasible (DNF blow-up
     beyond internal limits); callers must then fall back to a direct
     check or a conservative [false]. *)
 
-val eval : Schema.t -> t -> left:string array -> right:string array -> bool
+val eval : t -> left:string array -> right:string array -> bool
 (** Evaluates a compiled condition on concrete hole values. *)
 
 (** Staged form of {!eval}: each atom of the CNF is closed over its
@@ -92,11 +92,11 @@ module Compiled : sig
   type cond = Const of bool | Clauses of atom_fn array array
   (** Staged condition: constant, or CNF of staged atoms. *)
 
-  val atom : Schema.t -> cond_atom -> atom_fn
+  val atom : cond_atom -> atom_fn
   (** Stage a single atom (used by pruning plans to pre-stage
       guards). *)
 
-  val compile : Schema.t -> t -> cond
+  val compile : t -> cond
   (** Stage a whole condition. *)
 
   val eval : cond -> left:string array -> right:string array -> bool
@@ -104,7 +104,7 @@ module Compiled : sig
       of the source condition. *)
 end
 
-val contained : Schema.t -> Filter.t -> Filter.t -> bool
+val contained : Filter.t -> Filter.t -> bool
 (** Direct (uncompiled) containment of concrete filters: compiles the
     filters as constant-only templates, which folds every atom at
     compile time.  This is the general Proposition 1 decision

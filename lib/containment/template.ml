@@ -127,7 +127,7 @@ let shape_key = to_string
    or operators). *)
 exception No_match
 
-let match_filter schema t filter =
+let match_filter t filter =
   let bindings = Hashtbl.create 8 in
   let bind i v =
     match Hashtbl.find_opt bindings i with
@@ -138,7 +138,7 @@ let match_filter schema t filter =
     match tv with
     | Hole i -> bind i fv
     | Const c ->
-        if not (Value.equal (Schema.syntax_of schema attr) c fv) then raise No_match
+        if not (Value.equal (Schema.syntax_of attr) c fv) then raise No_match
   in
   let ovalue tv fv attr =
     match (tv, fv) with

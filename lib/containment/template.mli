@@ -52,8 +52,8 @@ val shape_key : t -> string
 (** Key identifying the template's shape with hole positions; equal
     templates (same shape, same constants) have equal keys. *)
 
-val match_filter : Schema.t -> t -> Filter.t -> string array option
-(** [match_filter schema t f] checks whether the (normalized) filter
+val match_filter : t -> Filter.t -> string array option
+(** [match_filter t f] checks whether the (normalized) filter
     is an instance of the template and returns the assertion values
     bound to the holes.  Constants are compared under the attribute's
     matching rule. *)

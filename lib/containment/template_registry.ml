@@ -5,12 +5,11 @@ type stats = { mutable observed : int; mutable admitted : int }
 type entry = { template : Template.t; stats : stats }
 
 type t = {
-  schema : Schema.t;
   mutable entries : entry list;  (* declared order *)
   mutable unclassified : int;
 }
 
-let create schema = { schema; entries = []; unclassified = 0 }
+let create () = { entries = []; unclassified = 0 }
 
 let declare t template =
   let key = Template.shape_key template in
@@ -34,7 +33,7 @@ let templates t = List.map (fun e -> e.template) t.entries
 
 let find t (q : Query.t) =
   List.find_opt
-    (fun e -> Template.match_filter t.schema e.template q.Query.filter <> None)
+    (fun e -> Template.match_filter e.template q.Query.filter <> None)
     t.entries
 
 let classify t q =

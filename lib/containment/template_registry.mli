@@ -17,7 +17,7 @@ type stats = {
   mutable admitted : int;  (** Of those, queries the caller admitted. *)
 }
 
-val create : Schema.t -> t
+val create : unit -> t
 (** A registry with no declared templates. *)
 
 val declare : t -> Template.t -> unit

@@ -196,8 +196,7 @@ let indexed_attrs =
   [ "serialnumber"; "mail"; "departmentnumber"; "divisionnumber"; "uid"; "cn"; "location" ]
 
 let build config =
-  let schema = Schema.default in
-  let backend = Backend.create ~indexed:indexed_attrs schema in
+  let backend = Backend.create ~indexed:indexed_attrs () in
   let root = Dn.of_string_exn "o=xyz" in
   let country_codes = Array.init config.countries code_of_country in
   let country_dns =
@@ -249,7 +248,7 @@ let build config =
 
 let config t = t.config
 let backend t = t.backend
-let schema t = Backend.schema t.backend
+let schema _ = Schema.default
 let root_dn t = t.root
 let country_dn t i = t.country_dns.(i)
 let country_code t i = t.country_codes.(i)

@@ -68,7 +68,8 @@ val backend : t -> Backend.t
 (** The populated, indexed backend. *)
 
 val schema : t -> Schema.t
-(** The backend's schema. *)
+(** The one schema, {!Schema.default}.  Only the end-to-end benchmark
+    still reads it, to pass to the two signatures that take it. *)
 
 val root_dn : t -> Dn.t
 (** The naming context, [o=xyz]. *)

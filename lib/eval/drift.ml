@@ -366,7 +366,7 @@ let run_backpressure cfg ~overflow =
   let updates = if overflow then limit + (2 * cfg.dr_bp_updates) else cfg.dr_bp_updates in
   Resync.Master.set_persist_queue_limit fx.fx_master (Some limit);
   let q = dept_query fx (dept_number ~division:warm_a ~dept:0) in
-  let consumer = Resync.Consumer.create (Enterprise.schema fx.fx_dir) q in
+  let consumer = Resync.Consumer.create q in
   (match
      Resync.Consumer.connect_persist consumer fx.fx_transport ~host:master_host
        ~from:"bp-leaf"
@@ -496,7 +496,6 @@ let run_long_haul cfg =
   Resync.Master.set_history_limit fx.fx_master (Some cfg.lh_history_limit);
   Resync.Master.set_persist_queue_limit fx.fx_master (Some cfg.lh_queue_limit);
   let backend = Enterprise.backend fx.fx_dir in
-  let schema = Enterprise.schema fx.fx_dir in
   let leaf_depts =
     List.init cfg.lh_leaves (fun i ->
         dept_number ~division:(i mod 8) ~dept:(i / 8))
@@ -504,11 +503,11 @@ let run_long_haul cfg =
   let persist_dept = dept_number ~division:(cfg.lh_leaves mod 8) ~dept:1 in
   let poll_consumers =
     List.map
-      (fun d -> Resync.Consumer.create schema (dept_query fx d))
+      (fun d -> Resync.Consumer.create (dept_query fx d))
       leaf_depts
   in
   let persist_consumer =
-    Resync.Consumer.create schema (dept_query fx persist_dept)
+    Resync.Consumer.create (dept_query fx persist_dept)
   in
   let poll i c =
     match

@@ -109,7 +109,6 @@ let table1 ?(scale = 1.0) (scenario : Scenario.t) =
 (* --- Figure 2 --------------------------------------------------------- *)
 
 let figure2 () =
-  let schema = Schema.default in
   let entry dn attrs = Entry.make (Dn.of_string_exn dn) attrs in
   let person name parent serial =
     entry
@@ -121,7 +120,7 @@ let figure2 () =
   in
   let must = function Ok x -> x | Error e -> failwith e in
   let must_apply b op = ignore (must (Backend.apply b op)) in
-  let backend_a = Backend.create schema in
+  let backend_a = Backend.create () in
   must
     (Backend.add_context backend_a
        (entry "o=xyz" [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ]));
@@ -143,14 +142,14 @@ let figure2 () =
             ("objectclass", [ "referral" ]);
             ("ref", [ Referral.make ~host:"hostC" ~dn:(Dn.of_string_exn "c=in,o=xyz") () ]);
           ]));
-  let backend_b = Backend.create schema in
+  let backend_b = Backend.create () in
   must
     (Backend.add_context backend_b
        (entry "ou=research,c=us,o=xyz"
           [ ("objectclass", [ "organizationalUnit" ]); ("ou", [ "research" ]) ]));
   must_apply backend_b (Update.add (person "john doe" "ou=research,c=us,o=xyz" "0456"));
   must_apply backend_b (Update.add (person "carl miller" "ou=research,c=us,o=xyz" "0457"));
-  let backend_c = Backend.create schema in
+  let backend_c = Backend.create () in
   must
     (Backend.add_context backend_c
        (entry "c=in,o=xyz" [ ("objectclass", [ "country" ]); ("c", [ "in" ]) ]));
@@ -187,8 +186,7 @@ let figure2 () =
 (* --- Figure 3 --------------------------------------------------------- *)
 
 let figure3 () =
-  let schema = Schema.default in
-  let backend = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let backend = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match
      Backend.add_context backend
        (Entry.make (Dn.of_string_exn "o=xyz")
@@ -216,7 +214,7 @@ let figure3 () =
     Query.make ~base:(Dn.of_string_exn "o=xyz")
       (Filter.of_string_exn "(departmentNumber=7)")
   in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
   let rows = ref [] in
   let record step reply =
     let actions =
@@ -787,7 +785,6 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
       ()
   in
   let backend = Dirgen.Enterprise.backend scenario.Scenario.enterprise in
-  let schema = Dirgen.Enterprise.schema scenario.Scenario.enterprise in
   let items =
     Dirgen.Workload.generate scenario.Scenario.enterprise (serial_only 4_000 707)
   in
@@ -806,7 +803,7 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
     List.map
       (fun (name, strategy) ->
         let master = Resync.Master.create ~strategy backend in
-        let consumers = List.map (fun q -> Resync.Consumer.create schema q) queries in
+        let consumers = List.map Resync.Consumer.create queries in
         List.iter
           (fun c ->
             match Resync.Consumer.sync c master with
@@ -891,7 +888,6 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
             ()
         in
         let backend = Dirgen.Enterprise.backend scenario.Scenario.enterprise in
-        let schema = Dirgen.Enterprise.schema scenario.Scenario.enterprise in
         let master = scenario.Scenario.master in
         let items =
           Dirgen.Workload.generate scenario.Scenario.enterprise
@@ -915,7 +911,7 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
         and retries = ref 0
         and resyncs = ref 0
         and failed = ref 0 in
-        let consumers = List.map (Resync.Consumer.create schema) queries in
+        let consumers = List.map Resync.Consumer.create queries in
         let poll c =
           incr polls;
           match Resync.Consumer.sync_over c transport ~host:"master" with

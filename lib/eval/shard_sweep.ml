@@ -100,7 +100,7 @@ let build_router ent ~shards transport =
   let partition = Partition.of_enterprise ent ~shards in
   let masters =
     Array.init shards (fun i ->
-        Shard_master.create (Enterprise.schema ent) ~id:i)
+        Shard_master.create Schema.default ~id:i)
   in
   let router = Router.create partition transport masters in
   must (Router.seed_from_backend router (Enterprise.backend ent));
@@ -154,7 +154,6 @@ let measure_crash config ent router transport prng =
   let country = if config.countries > 1 then 1 else 0 in
   let block = Enterprise.serial_block ent country in
   let target = Partition.of_serial partition block in
-  let schema = Enterprise.schema ent in
   let q =
     Query.make ~base:(Enterprise.root_dn ent)
       (Filter.of_string_exn (Printf.sprintf "(serialnumber=%s*)" block))
@@ -164,7 +163,7 @@ let measure_crash config ent router transport prng =
     Shard_master.attach_stores (Router.shard router i) medium
       ~prefix:(Printf.sprintf "shard-%d" i)
   done;
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let sync c =
     match Consumer.sync_over c transport ~host:(Router.host router) with
     | Ok outcome -> outcome
@@ -190,7 +189,7 @@ let measure_crash config ent router transport prng =
      and swap it back in under the same host. *)
   let recovered, recovery =
     must
-      (Shard_master.recover schema ~id:target medium
+      (Shard_master.recover ~id:target medium
          ~prefix:(Printf.sprintf "shard-%d" target))
   in
   Router.replace_shard router target recovered;
@@ -198,7 +197,7 @@ let measure_crash config ent router transport prng =
   Network.reset_stats net;
   ignore (sync consumer);
   let warm_bytes = (Network.stats net).Network.sync_bytes in
-  let cold = Consumer.create schema q in
+  let cold = Consumer.create q in
   Network.reset_stats net;
   ignore (sync cold);
   let cold_bytes = (Network.stats net).Network.sync_bytes in

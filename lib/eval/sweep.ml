@@ -616,9 +616,8 @@ let corruption_sweep ?(config = cr_default_config) () =
   in
   let backend = D.Enterprise.backend ent in
   let query = (Scenario.fleet ~filters:1 ent).Scenario.queries.(0) in
-  let schema = Backend.schema backend in
   let master = Resync.Master.create backend in
-  let consumer = Resync.Consumer.create schema query in
+  let consumer = Resync.Consumer.create query in
   let medium = Ldap_store.Medium.memory () in
   let store = Ldap_store.Store.create medium ~name:"c" in
   Resync.Consumer.attach_store consumer store;
@@ -681,7 +680,7 @@ let corruption_sweep ?(config = cr_default_config) () =
     put "c.wal" (mutate wal);
     put "c.snap" (if D.Prng.int prng 3 = 0 then mutate snap else snap);
     let fresh = Ldap_store.Store.create m ~name:"c" in
-    match Resync.Consumer.recover schema query fresh with
+    match Resync.Consumer.recover query fresh with
     | Ok (c, r) ->
         incr recovered;
         if r.Ldap_store.Store.truncated then incr truncated;
@@ -1033,7 +1032,6 @@ let run_scale_at cfg ~employees =
   in
   let build_seconds = Sys.time () -. t0 in
   let backend = D.Enterprise.backend ent in
-  let schema = D.Enterprise.schema ent in
   let all_depts = D.Enterprise.dept_numbers ent in
   let fleet = Scenario.fleet ~nodes:cfg.sc_nodes ent in
   let filters = Array.length fleet.Scenario.queries in
@@ -1167,7 +1165,7 @@ let run_scale_at cfg ~employees =
           (match R.Filter_replica.consumer_for (Leaf.replica leaf) stored with
           | Some c ->
               List.length
-                (R.Replica.eval_over_store schema it.D.Workload.query
+                (R.Replica.eval_over_store it.D.Workload.query
                    (Resync.Consumer.content c))
           | None -> 0)
       | _ -> (

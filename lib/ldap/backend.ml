@@ -12,7 +12,6 @@ module Ids = Set.Make (Int)
 module Attr_id = Ldap_compile.Attr_id
 
 type t = {
-  schema : Schema.t;
   mutable contexts : Dn.t list;  (* suffixes, deepest first *)
   estore : Content_store.t;  (* every entry and its postings; its spine is the update log *)
   mutable kids : Ids.t array;  (* slot id -> child slot ids *)
@@ -22,9 +21,8 @@ type t = {
   mutable subscriber_count : int;
 }
 
-let create ?(indexed = []) schema =
+let create ?(indexed = []) () =
   {
-    schema;
     contexts = [];
     estore = Content_store.create ~indexed:(List.map Attr_id.intern ("objectclass" :: indexed)) ();
     kids = Array.make 64 Ids.empty;
@@ -33,8 +31,6 @@ let create ?(indexed = []) schema =
     subscribers = [||];
     subscriber_count = 0;
   }
-
-let schema t = t.schema
 
 let no_such_object dn = Error ("no such object: " ^ Dn.to_string dn)
 let no_context dn = Error (Printf.sprintf "no naming context for %S" (Dn.to_string dn))
@@ -228,12 +224,12 @@ let fold_matching t (q : Query.t) ~init ~f =
              evaluates bytecode against its slots instead of
              re-walking the AST with per-predicate schema lookups and
              value normalization. *)
-          let filter_matches = Filter.matcher t.schema q.filter in
+          let filter_matches = Filter.matcher q.filter in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
           let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
           let acc =
             match
-              (Content_store.fold_candidates t.estore t.schema q.filter ~init ~f:visit, q.scope)
+              (Content_store.fold_candidates t.estore q.filter ~init ~f:visit, q.scope)
             with
             | Some acc, _ -> acc
             | None, Scope.Base -> if matches base_entry then f init base_entry else init
@@ -261,7 +257,7 @@ let compare_values t dn ~attr ~value =
   match find t dn with
   | None -> Error (Printf.sprintf "no such object: %s" (Dn.to_string dn))
   | Some entry ->
-      Ok (Entry.has_value ~syntax:(Schema.syntax_of t.schema attr) entry attr value)
+      Ok (Entry.has_value ~syntax:(Schema.syntax_of attr) entry attr value)
 
 (* The count read off the postings, touching no entry, when they hold
    exactly the answer: a filter the store counts (a lone equality or
@@ -274,7 +270,7 @@ let posting_count t (q : Query.t) =
     && (not q.manage_dsa_it)
     && Dn.Set.is_empty t.referral_dns
     && match t.contexts with [ suffix ] -> Dn.equal suffix q.base | _ -> false
-  then Content_store.posting_count t.estore t.schema q.filter
+  then Content_store.posting_count t.estore q.filter
   else None
 
 let count_matching t q =

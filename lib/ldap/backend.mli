@@ -21,12 +21,10 @@
 
 type t
 
-val create : ?indexed:string list -> Schema.t -> t
+val create : ?indexed:string list -> unit -> t
 (** An empty backend.  [indexed] lists attributes to index (defaults
     to none; [objectclass] is always added): they are the postings its
     content store declares, and searches build no others. *)
-
-val schema : t -> Schema.t
 
 val add_context : t -> Entry.t -> (unit, string) result
 (** Installs a new naming context whose suffix entry is given.  Fails

@@ -389,8 +389,8 @@ let index_of t a ~build:wanted =
    (the caller walks or scans) or the count would pass [limit];
    counting stops there.  An equality, or a substring with only an
    initial segment, asks for its attribute's postings to be built. *)
-let rec index_candidates t schema ~limit filter =
-  let syntax a = Schema.syntax_of schema a in
+let rec index_candidates t ~limit filter =
+  let syntax = Schema.syntax_of in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
       Option.bind (index_of t a ~build:true) (fun ix ->
@@ -427,7 +427,7 @@ let rec index_candidates t schema ~limit filter =
       List.fold_left
         (fun best g ->
           let limit = match best with Some (n, _) -> n - 1 | None -> limit in
-          match index_candidates t schema ~limit g with Some _ as c -> c | None -> best)
+          match index_candidates t ~limit g with Some _ as c -> c | None -> best)
         None (eqs @ others)
   | Filter.Or gs ->
       let rec sum n sets = function
@@ -435,25 +435,25 @@ let rec index_candidates t schema ~limit filter =
             let union acc s = Ids.union acc (Lazy.force s) in
             Some (n, lazy (List.fold_left union Ids.empty sets))
         | g :: rest -> (
-            match index_candidates t schema ~limit:(limit - n) g with
+            match index_candidates t ~limit:(limit - n) g with
             | Some (n', s) -> sum (n + n') (s :: sets) rest
             | None -> None)
       in
       sum 0 [] gs
   | Filter.Pred _ | Filter.Not _ -> None
 
-let fold_candidates t schema filter ~init ~f =
+let fold_candidates t filter ~init ~f =
   Option.map
     (fun (_, ids) ->
       Ids.fold
         (fun id acc -> match get t id with Some e -> f acc e | None -> acc)
         (Lazy.force ids) init)
-    (index_candidates t schema ~limit:max_int filter)
+    (index_candidates t ~limit:max_int filter)
 
-let search t schema (q : Query.t) ~init ~f =
-  let matches = Filter.matcher schema q.Query.filter in
+let search t (q : Query.t) ~init ~f =
+  let matches = Filter.matcher q.Query.filter in
   let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
-  match fold_candidates t schema q.Query.filter ~init ~f:visit with
+  match fold_candidates t q.Query.filter ~init ~f:visit with
   | Some acc -> acc
   | None -> fold t ~init ~f:visit
 
@@ -481,8 +481,8 @@ let count_prefixed t prefix postings =
   in
   go 0 (Vmap.to_seq_from prefix postings)
 
-let posting_count t schema filter =
-  let syntax a = Schema.syntax_of schema a in
+let posting_count t filter =
+  let syntax = Schema.syntax_of in
   let table a = if syntax a <> Value.Integer then index_of t a ~build:false else None in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->

@@ -100,7 +100,7 @@ val trim_spine : t -> keep:int -> unit
 
 (** {1 Search} *)
 
-val search : t -> Schema.t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
+val search : t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
 (** Folds [f] over the live entries in the query's scope that match
     its filter, unprojected and in slot order: exactly the entries a
     scan of {!to_seq} with {!Filter.matcher} and {!Query.in_scope}
@@ -109,7 +109,7 @@ val search : t -> Schema.t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> '
     is scanned. *)
 
 val fold_candidates :
-  t -> Schema.t -> Filter.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a option
+  t -> Filter.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a option
 (** [Some] fold of [f] over a superset of the entries matching the
     filter, read off postings and in slot order; [None] when no
     posting applies.  An equality or an initial-segment substring
@@ -119,7 +119,7 @@ val fold_candidates :
     some.  Nothing else does.  The caller still runs the filter on
     each candidate. *)
 
-val posting_count : t -> Schema.t -> Filter.t -> int option
+val posting_count : t -> Filter.t -> int option
 (** The number of live entries a lone equality, or a substring with
     only an initial segment, matches across the whole store, read off
     postings the store already holds without touching an entry;

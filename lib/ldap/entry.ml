@@ -2,15 +2,13 @@ module Attr_id = Ldap_compile.Attr_id
 module Prog = Ldap_compile.Prog
 
 (* An entry is its DN and one slot per attribute, sorted by interned
-   id.  A slot keeps the raw values and, resolved once under the schema
-   the entry was made with, the attribute's matching rule and the values'
-   canonical forms, so filter bytecode and the predicate index read an
+   id.  A slot keeps the raw values and, resolved once from the schema,
+   the attribute's matching rule and the values' canonical forms, so filter bytecode and the predicate index read an
    entry with no schema lookup.  Mutators replace one slot and share
    the others.  [hash] caches the content digest; every new record
    starts without one. *)
 type t = {
   dn : Dn.t;
-  schema : Schema.t;
   slots : Prog.slot array;  (* sorted by id; no slot is empty *)
   mutable hash : int64 option;
 }
@@ -35,9 +33,9 @@ let rec canonical_from syntax raw i =
 
 let no_ints : int option array = [||]
 
-let build_slot schema id values =
+let build_slot id values =
   let name = Attr_id.name id in
-  let syntax = Schema.syntax_of schema name in
+  let syntax = Schema.syntax_of name in
   let raw = Array.of_list values in
   let canon = canonical_from syntax raw 0 in
   let norm, ints =
@@ -45,12 +43,12 @@ let build_slot schema id values =
     | Integer -> (Array.map (Value.normalize syntax) raw, Array.map int_of_string_opt canon)
     | Case_ignore | Case_exact | Telephone -> (canon, no_ints)
   in
-  let cid = Attr_id.intern (Schema.canonical_attr schema name) in
+  let cid = Attr_id.intern (Schema.canonical_attr name) in
   { Prog.id; cid; syntax; raw; canon; norm; ints }
 
 let by_id (a : Prog.slot) (b : Prog.slot) = Int.compare a.id b.id
 
-let make ?(schema = Schema.default) dn pairs =
+let make dn pairs =
   (* Repeated names merge, their values in the given order. *)
   let merged =
     List.fold_left
@@ -62,11 +60,11 @@ let make ?(schema = Schema.default) dn pairs =
       [] pairs
   in
   let build (id, values) =
-    match dedup_values values with [] -> None | vs -> Some (build_slot schema id vs)
+    match dedup_values values with [] -> None | vs -> Some (build_slot id vs)
   in
   let slots = Array.of_list (List.filter_map build merged) in
   Array.sort by_id slots;
-  { dn; schema; slots; hash = None }
+  { dn; slots; hash = None }
 
 let dn t = t.dn
 let with_dn t dn = { t with dn; hash = None }
@@ -118,13 +116,13 @@ let resplice t id values =
     | [] -> Array.append (Array.sub slots 0 i) (Array.sub slots (i + 1) (Array.length slots - i - 1))
     | vs when i >= 0 ->
         let slots = Array.copy slots in
-        slots.(i) <- build_slot t.schema id vs;
+        slots.(i) <- build_slot id vs;
         slots
     | vs ->
         let n = Array.length slots in
         let rec at k = if k < n && slots.(k).Prog.id < id then at (k + 1) else k in
         let p = at 0 in
-        let out = Array.make (n + 1) (build_slot t.schema id vs) in
+        let out = Array.make (n + 1) (build_slot id vs) in
         Array.blit slots 0 out 0 p;
         Array.blit slots p out (p + 1) (n - p);
         out

@@ -2,9 +2,9 @@
 
     An entry is its DN and one {!Ldap_compile.Prog.slot} per
     attribute, sorted by interned attribute id ({!Ldap_compile.Attr_id}).
-    A slot holds the attribute's raw values and, resolved once when the
-    slot is built under the schema the entry was made with, the
-    attribute's matching rule and every value's canonical form.  Filter
+    A slot holds the attribute's raw values and, resolved once from
+    {!Schema} when the slot is built, the attribute's matching rule and
+    every value's canonical form.  Filter
     bytecode and the predicate index evaluate the slots directly
     ({!compiled}); the read functions below are views over them.
     Attribute names are lowercased; values are kept as given, duplicates
@@ -13,9 +13,9 @@
 
 type t
 
-val make : ?schema:Schema.t -> Dn.t -> (string * string list) list -> t
-(** [make ?schema dn attrs] builds an entry, resolving matching rules
-    and canonical values under [schema] (default {!Schema.default}).
+val make : Dn.t -> (string * string list) list -> t
+(** [make dn attrs] builds an entry, resolving matching rules and
+    canonical values from {!Schema}.
     Attribute names are lowercased; repeated attribute names are
     merged; duplicate values (byte-equal) are dropped; an attribute
     with no values is left out. *)

@@ -115,8 +115,8 @@ let hash f =
 
 (* --- Evaluation ----------------------------------------------------- *)
 
-let pred_matches schema p entry =
-  let syntax a = Schema.syntax_of schema a in
+let pred_matches p entry =
+  let syntax = Schema.syntax_of in
   match p with
   | Present a -> Entry.has_attribute entry a
   | Equality (a, v) | Approx (a, v) ->
@@ -130,12 +130,12 @@ let pred_matches schema p entry =
         (fun x -> Value.matches_substring (syntax a) ~initial ~any ~final x)
         (Entry.get entry a)
 
-let rec matches schema t entry =
+let rec matches t entry =
   match t with
-  | Pred p -> pred_matches schema p entry
-  | Not g -> not (matches schema g entry)
-  | And gs -> List.for_all (fun g -> matches schema g entry) gs
-  | Or gs -> List.exists (fun g -> matches schema g entry) gs
+  | Pred p -> pred_matches p entry
+  | Not g -> not (matches g entry)
+  | And gs -> List.for_all (fun g -> matches g entry) gs
+  | Or gs -> List.exists (fun g -> matches g entry) gs
 
 (* --- Compilation ----------------------------------------------------- *)
 
@@ -144,10 +144,10 @@ let rec matches schema t entry =
    filters do not resolve schema aliases against entry attributes, and
    neither may the compiled program.  The syntax lookup, by contrast,
    is alias-resolving, exactly as [pred_matches] does it. *)
-let compile_pred schema p =
+let compile_pred p =
   let open Ldap_compile in
   let id a = Attr_id.intern (String.lowercase_ascii a) in
-  let syntax a = Schema.syntax_of schema a in
+  let syntax = Schema.syntax_of in
   match p with
   | Present a -> Prog.P_present (id a)
   | Equality (a, v) | Approx (a, v) ->
@@ -172,10 +172,10 @@ let compile_pred schema p =
           s_final = Option.map norm final;
         }
 
-let compile schema t =
+let compile t =
   let open Ldap_compile in
   let rec go = function
-    | Pred p -> compile_pred schema p
+    | Pred p -> compile_pred p
     | Not g -> Prog.P_not (go g)
     | And [] -> Prog.P_true
     | Or [] -> Prog.P_false
@@ -184,8 +184,8 @@ let compile schema t =
   in
   go t
 
-let matcher schema t =
-  let prog = compile schema t in
+let matcher t =
+  let prog = compile t in
   fun entry -> Ldap_compile.Prog.matches prog (Entry.compiled entry)
 
 (* --- Printing ------------------------------------------------------- *)

@@ -57,22 +57,20 @@ val hash : t -> int
 (** Hash of the normalized form, consistent with {!equal}; every
     predicate contributes, however many there are. *)
 
-val compile : Schema.t -> t -> Ldap_compile.Prog.t
-(** [compile schema f] lowers the filter once into the flat bytecode
-    of {!Ldap_compile.Prog}: assertion values pre-canonicalized under
+val compile : t -> Ldap_compile.Prog.t
+(** [compile f] lowers the filter once into the flat bytecode of
+    {!Ldap_compile.Prog}: assertion values pre-canonicalized under
     each predicate's matching rule, attributes interned to ids,
     AND/OR as short-circuit arrays.  Evaluate with
-    [Prog.matches (compile schema f) (Entry.compiled e)], which
-    agrees with {!matches} (the interpreted oracle) on every entry
-    made under [schema]. *)
+    [Prog.matches (compile f) (Entry.compiled e)], which agrees with
+    {!matches} (the interpreted oracle) on every entry. *)
 
-val matcher : Schema.t -> t -> Entry.t -> bool
-(** [matcher schema f] compiles [f] and returns a closure evaluating
-    it against entries' slots — the convenient form for hoisting one
-    compile out of a per-entry loop.  Entries must have been made
-    under [schema]. *)
+val matcher : t -> Entry.t -> bool
+(** [matcher f] compiles [f] and returns a closure evaluating it
+    against entries' slots — the convenient form for hoisting one
+    compile out of a per-entry loop. *)
 
-val matches : Schema.t -> t -> Entry.t -> bool
+val matches : t -> Entry.t -> bool
 (** Filter evaluation over an entry, using the schema's matching rules.
     Follows LDAP three-valued semantics collapsed to two: a predicate
     on an absent attribute is false, and NOT of it is true. *)

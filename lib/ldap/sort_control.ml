@@ -2,8 +2,8 @@ type key = { attr : string; reverse : bool }
 
 let key ?(reverse = false) attr = { attr = String.lowercase_ascii attr; reverse }
 
-let compare_by schema k a b =
-  let syntax = Schema.syntax_of schema k.attr in
+let compare_by k a b =
+  let syntax = Schema.syntax_of k.attr in
   let value e = match Entry.get e k.attr with [] -> None | v :: _ -> Some v in
   let c =
     match (value a, value b) with
@@ -14,11 +14,11 @@ let compare_by schema k a b =
   in
   if k.reverse then -c else c
 
-let sort schema ~keys entries =
+let sort ~keys entries =
   let compare_entries a b =
     let rec go = function
       | [] -> 0
-      | k :: rest -> ( match compare_by schema k a b with 0 -> go rest | c -> c)
+      | k :: rest -> ( match compare_by k a b with 0 -> go rest | c -> c)
     in
     go keys
   in

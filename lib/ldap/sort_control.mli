@@ -9,7 +9,7 @@
 
 type key = { attr : string; reverse : bool }
 
-val sort : Schema.t -> keys:key list -> Entry.t list -> Entry.t list
+val sort : keys:key list -> Entry.t list -> Entry.t list
 (** Stable sort by the given keys, most significant first. *)
 
 val keys_of_string : string -> (key list, string) result

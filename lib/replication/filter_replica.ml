@@ -16,7 +16,6 @@ type durable = {
 }
 
 type t = {
-  schema : Schema.t;
   transport : Resync.Transport.t;
   mutable master_host : string;
   host : string;
@@ -42,22 +41,15 @@ let upstream t =
   | None -> None
 
 let create_over ?(cache_capacity = 0) ?(host = "replica") transport ~master_host =
-  let ep =
-    match Resync.Transport.endpoint transport master_host with
-    | Some ep -> ep
-    | None ->
-        invalid_arg
-          ("Filter_replica.create_over: no endpoint registered as " ^ master_host)
-  in
-  let schema = ep.Resync.Transport.ep_schema in
+  if Option.is_none (Resync.Transport.endpoint transport master_host) then
+    invalid_arg ("Filter_replica.create_over: no endpoint registered as " ^ master_host);
   {
-    schema;
     transport;
     master_host;
     host;
-    index = C.Containment_index.create schema;
+    index = C.Containment_index.create ();
     consumers = [];
-    cache = Query_cache.create schema ~capacity:cache_capacity;
+    cache = Query_cache.create ~capacity:cache_capacity;
     stats = Stats.create ();
     on_change = None;
     durable = None;
@@ -72,7 +64,6 @@ let create ?cache_capacity master =
   create_over ?cache_capacity (Resync.Transport.loopback master)
     ~master_host:Resync.Transport.loopback_host
 
-let schema t = t.schema
 let stats t = t.stats
 let transport t = t.transport
 let master_host t = t.master_host
@@ -170,7 +161,7 @@ let sync_consumer t consumer ~fetch =
    its filter mentions, so contained queries can be re-evaluated
    locally; answers still project to the caller's selection. *)
 let make_consumer t q =
-  let consumer = Resync.Consumer.create t.schema (Replica.widen_attrs q) in
+  let consumer = Resync.Consumer.create (Replica.widen_attrs q) in
   Resync.Consumer.set_on_change consumer (fun ~before ~after ->
       match t.on_change with
       | Some f -> f ~stored:q ~before ~after
@@ -225,7 +216,7 @@ let donor_csn consumer =
   | Some ck -> Option.map snd (Resync.Protocol.parse_cookie ck)
   | None -> None
 
-let seed_entries t q donors =
+let seed_entries q donors =
   let wq = Replica.widen_attrs q in
   let seen = Hashtbl.create 64 in
   List.concat_map
@@ -238,7 +229,7 @@ let seed_entries t q donors =
             Hashtbl.replace seen k ();
             Some (Resync.Action.Add e)
           end)
-        (Replica.eval_over_store t.schema wq (Resync.Consumer.content donor)))
+        (Replica.eval_over_store wq (Resync.Consumer.content donor)))
     donors
 
 let install_cold t q consumer =
@@ -261,7 +252,7 @@ let install_filter_rescoped t q ~donor =
             let consumer = make_consumer t q in
             Resync.Consumer.apply_reply consumer
               (Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
-                 ~actions:(seed_entries t q [ dc ])
+                 ~actions:(seed_entries q [ dc ])
                  ~cookie:(Some (Resync.Protocol.cookie_of ~id:0 ~csn)));
             match sync_consumer t consumer ~fetch:false with
             | Ok () ->
@@ -310,7 +301,7 @@ let consumer_for t q = C.Containment_index.find t.index q
 let answer t q =
   match containing_consumer t q with
   | Some (_, consumer) ->
-      let entries = Replica.eval_over_store t.schema q (Resync.Consumer.content consumer) in
+      let entries = Replica.eval_over_store q (Resync.Consumer.content consumer) in
       Stats.record_query t.stats ~hit:true ~returned:(List.length entries);
       Replica.Answered entries
   | None -> (
@@ -395,7 +386,7 @@ let install_filter_seeded t q ~donors =
            at.  An empty seed means the region pre-filter was wrong —
            a plain initial fetch is strictly cheaper than a Merkle
            walk over nothing. *)
-        match seed_entries t q dcs with
+        match seed_entries q dcs with
         | [] -> install_cold t q consumer
         | seed -> (
             Resync.Consumer.apply_reply consumer
@@ -528,7 +519,7 @@ let recover_over ?(cache_capacity = 0) ?(host = "replica") ?(sync = true)
         let* reports = acc in
         let store = consumer_store d slot in
         let* consumer, crec =
-          Resync.Consumer.recover t.schema (Replica.widen_attrs q) store
+          Resync.Consumer.recover (Replica.widen_attrs q) store
         in
         Resync.Consumer.set_on_change consumer (fun ~before ~after ->
             match t.on_change with

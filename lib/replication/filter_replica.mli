@@ -43,8 +43,6 @@ val create :
 (** Co-located convenience: wraps [master] in a private fault-free
     loopback transport. *)
 
-val schema : t -> Schema.t
-
 val stats : t -> Stats.t
 (** Counters for queries answered, synchronization and fetch traffic,
     and replies served downstream. *)

@@ -2,14 +2,13 @@ open Ldap
 module C = Ldap_containment
 
 type t = {
-  schema : Schema.t;
   capacity : int;
   index : Entry.t list C.Containment_index.t;
   mutable window : Query.t list;  (* newest first *)
 }
 
-let create schema ~capacity =
-  { schema; capacity; index = C.Containment_index.create schema; window = [] }
+let create ~capacity =
+  { capacity; index = C.Containment_index.create (); window = [] }
 
 let length t = List.length t.window
 
@@ -36,6 +35,6 @@ let answer t q =
     in
     match C.Containment_index.find_container_where t.index q ~pred:evaluable with
     | None -> None
-    | Some (_, entries) -> Some (Replica.eval_over_entries t.schema q (List.to_seq entries))
+    | Some (_, entries) -> Some (Replica.eval_over_entries Schema.default q (List.to_seq entries))
 
 let comparisons t = C.Containment_index.comparisons t.index

@@ -12,7 +12,7 @@ open Ldap
 
 type t
 
-val create : Schema.t -> capacity:int -> t
+val create : capacity:int -> t
 (** [capacity <= 0] disables the cache. *)
 
 val length : t -> int

@@ -14,15 +14,15 @@ let widen_attrs (q : Query.t) =
   | Query.Select l ->
       { q with Query.attrs = Query.Select (l @ Filter.attributes q.Query.filter) }
 
-let eval_over_store schema (q : Query.t) store =
+let eval_over_store (q : Query.t) store =
   let attrs = Query.attr_list q.Query.attrs in
-  Content_store.search store schema q ~init:[] ~f:(fun acc e -> Entry.select e attrs :: acc)
+  Content_store.search store q ~init:[] ~f:(fun acc e -> Entry.select e attrs :: acc)
   |> List.rev
 
-let eval_over_entries schema (q : Query.t) entries =
+let eval_over_entries (_ : Schema.t) (q : Query.t) entries =
   (* Compile the filter once for the whole pass; each entry then
      evaluates the bytecode against its slots. *)
-  let matches = Filter.matcher schema q.Query.filter in
+  let matches = Filter.matcher q.Query.filter in
   let attrs = Query.attr_list q.Query.attrs in
   Seq.fold_left
     (fun acc e ->

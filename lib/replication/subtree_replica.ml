@@ -8,7 +8,6 @@ type context = {
 }
 
 type t = {
-  schema : Schema.t;
   master : Resync.Master.t;
   contexts : context list;
   stats : Stats.t;
@@ -24,12 +23,11 @@ let refresh_referrals ctx =
       (Resync.Consumer.entries ctx.consumer)
 
 let create master ~subtrees =
-  let schema = Backend.schema (Resync.Master.backend master) in
   let stats = Stats.create () in
   let contexts =
     List.map
       (fun suffix ->
-        let consumer = Resync.Consumer.create schema (subtree_query suffix) in
+        let consumer = Resync.Consumer.create (subtree_query suffix) in
         let ctx = { suffix; referrals = []; consumer } in
         (match Resync.Consumer.sync consumer master with
         | Ok reply -> Stats.add_reply stats reply ~fetch:true
@@ -38,7 +36,7 @@ let create master ~subtrees =
         ctx)
       subtrees
   in
-  { schema; master; contexts; stats }
+  { master; contexts; stats }
 
 let stats t = t.stats
 
@@ -83,7 +81,7 @@ let answer t (q : Query.t) =
     end
     else
       let entries =
-        Replica.eval_over_store t.schema q (Resync.Consumer.content ctx.consumer)
+        Replica.eval_over_store q (Resync.Consumer.content ctx.consumer)
       in
       let entries =
         List.filter (fun e -> not (Entry.is_referral e)) entries

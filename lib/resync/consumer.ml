@@ -42,8 +42,7 @@ let sync_error_to_string = function
       Printf.sprintf "sync failed after %d attempts: %s" attempts
         (Network.failure_to_string last)
 
-let create schema query =
-  ignore schema;
+let create query =
   {
     query;
     entries = Content_store.create ();
@@ -406,10 +405,10 @@ let replay_record t payload =
             (Ber_codec.Decode_error (Printf.sprintf "bad consumer record %d" n)))
     payload
 
-let recover schema query store =
+let recover query store =
   let ( let* ) = Result.bind in
   let recovery = Ldap_store.Store.recover store in
-  let t = create schema query in
+  let t = create query in
   let* () =
     match recovery.Ldap_store.Store.snapshot with
     | None -> Ok ()

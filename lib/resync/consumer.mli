@@ -36,7 +36,7 @@ type sync_error =
 
 val sync_error_to_string : sync_error -> string
 
-val create : Schema.t -> Query.t -> t
+val create : Query.t -> t
 (** Fresh consumer for one subscription query, with empty content. *)
 
 val query : t -> Query.t
@@ -235,7 +235,6 @@ val checkpoint : t -> unit
     {!detach_store} drops it. *)
 
 val recover :
-  Schema.t ->
   Query.t ->
   Ldap_store.Store.t ->
   (t * Ldap_store.Store.recovery, string) result

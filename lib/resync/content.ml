@@ -1,8 +1,8 @@
 open Ldap
 
 (* Interpreted membership: the reference behind [classify]. *)
-let member schema (q : Query.t) entry =
-  Query.in_scope q (Entry.dn entry) && Filter.matches schema q.Query.filter entry
+let member (q : Query.t) entry =
+  Query.in_scope q (Entry.dn entry) && Filter.matches q.Query.filter entry
 
 (* A membership test with the filter compiled once.  Sessions live for
    many updates, so the master caches one of these per session and
@@ -10,7 +10,7 @@ let member schema (q : Query.t) entry =
    re-walking the filter AST. *)
 type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
 
-let matcher schema (q : Query.t) = { mq = q; prog = Filter.compile schema q.Query.filter }
+let matcher (q : Query.t) = { mq = q; prog = Filter.compile q.Query.filter }
 
 let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)
@@ -60,8 +60,8 @@ let classify_with is_member ~before ~after =
       (* Membership implies the corresponding image exists. *)
       assert false
 
-let classify schema q ~before ~after =
-  classify_with (member schema q) ~before ~after
+let classify q ~before ~after =
+  classify_with (member q) ~before ~after
 
 let classify_m m ~before ~after = classify_with (matches m) ~before ~after
 

@@ -19,7 +19,7 @@ type matcher
 (** Content membership for one query: its DN is in the base/scope
     region and its filter, compiled once to bytecode, matches. *)
 
-val matcher : Schema.t -> Query.t -> matcher
+val matcher : Query.t -> matcher
 (** Compile a membership test for the query. *)
 
 val matches : matcher -> Entry.t -> bool
@@ -48,7 +48,7 @@ type transition =
           new one (Figure 3, E3/E5). *)
 
 val classify :
-  Schema.t -> Query.t -> before:Entry.t option -> after:Entry.t option -> transition
+  Query.t -> before:Entry.t option -> after:Entry.t option -> transition
 (** Interpreted classification: the oracle for {!classify_m}, used by
     tests only. *)
 

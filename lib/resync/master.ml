@@ -284,7 +284,7 @@ let server_source src =
 
 let create ?(strategy = Session_history) ?(dispatch = Routed) backend =
   let src = { backend; strategy; store = None; history_limit = None } in
-  let server = Server.create ~dispatch (Backend.schema backend) (server_source src) in
+  let server = Server.create ~dispatch (server_source src) in
   Backend.subscribe backend (Server.dispatch server);
   { src; server }
 

@@ -34,7 +34,6 @@ type 's source = {
 
 type 's t = {
   source : 's source;
-  schema : Schema.t;
   sessions : (int, 's session) Hashtbl.t;
   persist : (int, 's session) Hashtbl.t;
       (* sessions holding a push channel; every commit they are offered
@@ -55,14 +54,13 @@ type 's t = {
   mutable push_queue_peak : int;
 }
 
-let create ?queue_limit ~dispatch schema source =
+let create ?queue_limit ~dispatch source =
   {
     source;
-    schema;
     sessions = Hashtbl.create 16;
     persist = Hashtbl.create 16;
     stalled = Hashtbl.create 4;
-    index = (match dispatch with Routed -> Some (PI.create schema) | Naive -> None);
+    index = (match dispatch with Routed -> Some (PI.create ()) | Naive -> None);
     next_id = 1;
     clock = 0;
     queue_limit;
@@ -73,7 +71,6 @@ let create ?queue_limit ~dispatch schema source =
     push_queue_peak = 0;
   }
 
-let schema t = t.schema
 
 (* --- Session table ----------------------------------------------------
    The persist and stalled tables and the dispatch index shadow
@@ -110,7 +107,7 @@ let install t ~id query state ~synced ~last_active =
     {
       id;
       query;
-      matcher = Content.matcher t.schema query;
+      matcher = Content.matcher query;
       state;
       synced_csn = synced;
       last_active;

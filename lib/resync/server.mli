@@ -86,12 +86,9 @@ type 's source = {
 
 type 's t
 
-val create : ?queue_limit:int -> dispatch:dispatch -> Schema.t -> 's source -> 's t
+val create : ?queue_limit:int -> dispatch:dispatch -> 's source -> 's t
 (** An empty server.  [queue_limit] bounds one persist session's
     outbound queue (default: unbounded; a node passes 0). *)
-
-val schema : 's t -> Schema.t
-(** The schema sessions' filters are compiled under. *)
 
 val handle :
   's t ->

@@ -9,7 +9,6 @@ let error_to_string = function
   | Server msg -> msg
 
 type endpoint = {
-  ep_schema : Schema.t;
   ep_handle :
     push:Protocol.push_channel option ->
     Protocol.request ->
@@ -48,7 +47,6 @@ let endpoint t name = Hashtbl.find_opt t.endpoints name
 
 let serve server ~estimate =
   {
-    ep_schema = Resync_server.schema server;
     ep_handle = (fun ~push req q -> Resync_server.handle server ?push req q);
     ep_abandon = (fun ~cookie -> Resync_server.abandon server ~cookie);
     ep_estimate = estimate;

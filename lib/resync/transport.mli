@@ -32,7 +32,6 @@ val error_to_string : error -> string
 
 (** A ReSync-serving endpoint registered under a host name. *)
 type endpoint = {
-  ep_schema : Schema.t;  (** Schema governing the served content. *)
   ep_handle :
     push:Protocol.push_channel option ->
     Protocol.request ->

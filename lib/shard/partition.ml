@@ -13,8 +13,6 @@ type plan = {
 }
 
 type t = {
-  schema : Schema.t;
-  attr : string;
   shards : int;
   prefix_len : int;
   block_geos : Dn.t option array;
@@ -32,21 +30,23 @@ type t = {
   mutable misses : int;
 }
 
-let norm_prefix t p = Value.normalize (Schema.syntax_of t.schema t.attr) p
+(* The partition-key attribute. *)
+let attr = "serialnumber"
 
-let block_filter attr prefix =
+let norm_prefix p = Value.normalize (Schema.syntax_of attr) p
+
+let block_filter prefix =
   Filter.Pred
     (Filter.Substrings (attr, { initial = Some prefix; any = []; final = None }))
 
-let union_filter attr = function
-  | [ p ] -> block_filter attr p
-  | ps -> Filter.Or (List.map (block_filter attr) ps)
+let union_filter = function
+  | [ p ] -> block_filter p
+  | ps -> Filter.Or (List.map block_filter ps)
 
-let create ?(attr = "serialnumber") schema ~shards ~blocks =
+let create ~shards ~blocks =
   if shards < 1 then invalid_arg "Partition.create: shards < 1";
   let n = Array.length blocks in
   if n = 0 then invalid_arg "Partition.create: no blocks";
-  let attr = String.lowercase_ascii attr in
   let prefix_len = String.length (fst blocks.(0)) in
   Array.iter
     (fun (p, _) ->
@@ -55,8 +55,6 @@ let create ?(attr = "serialnumber") schema ~shards ~blocks =
     blocks;
   let t =
     {
-      schema;
-      attr;
       shards;
       prefix_len;
       block_geos = Array.map snd blocks;
@@ -71,7 +69,7 @@ let create ?(attr = "serialnumber") schema ~shards ~blocks =
   in
   Array.iteri
     (fun i (p, _) ->
-      let key = norm_prefix t p in
+      let key = norm_prefix p in
       if Hashtbl.mem t.by_prefix key then
         invalid_arg "Partition.create: duplicate block prefix";
       Hashtbl.replace t.by_prefix key i;
@@ -85,17 +83,15 @@ let create ?(attr = "serialnumber") schema ~shards ~blocks =
           (List.init (shards - 1) (fun k -> t.shard_blocks.(k + 1)))
       in
       t.skip_rhs.(0) <-
-        (match others with [] -> Filter.Or [] | ps -> union_filter attr ps)
+        (match others with [] -> Filter.Or [] | ps -> union_filter ps)
     end
     else
-      t.skip_rhs.(s) <- Filter.Not (union_filter attr t.shard_blocks.(s))
+      t.skip_rhs.(s) <- Filter.Not (union_filter t.shard_blocks.(s))
   done;
   t
 
 let of_enterprise ent ~shards =
-  create
-    (Ldap_dirgen.Enterprise.schema ent)
-    ~shards
+  create ~shards
     ~blocks:
       (Array.map
          (fun (p, dn) -> (p, Some dn))
@@ -103,11 +99,11 @@ let of_enterprise ent ~shards =
 
 let shards t = t.shards
 let blocks_of t s = t.shard_blocks.(s)
-let is_structural t e = Entry.get e t.attr = []
+let is_structural e = Entry.get e attr = []
 
 let block_of_value t v =
   if String.length v < t.prefix_len then None
-  else Hashtbl.find_opt t.by_prefix (norm_prefix t (String.sub v 0 t.prefix_len))
+  else Hashtbl.find_opt t.by_prefix (norm_prefix (String.sub v 0 t.prefix_len))
 
 let of_serial t v =
   match block_of_value t v with
@@ -115,12 +111,12 @@ let of_serial t v =
   | None -> structural_shard
 
 let of_entry t e =
-  match Entry.get e t.attr with
+  match Entry.get e attr with
   | [] -> structural_shard
   | v :: _ -> of_serial t v
 
 let geo_consistent t e =
-  match Entry.get e t.attr with
+  match Entry.get e attr with
   | [] -> true
   | v :: _ -> (
       match block_of_value t v with
@@ -136,7 +132,7 @@ let ownership_filter t s =
        structural entries (no key at all) and keys in no known block
        all live here — exactly the complement of skip_rhs.(0). *)
     Filter.Not t.skip_rhs.(0)
-  else union_filter t.attr t.shard_blocks.(s)
+  else union_filter t.shard_blocks.(s)
 
 let restrict t s (q : Query.t) =
   { q with filter = Filter.normalize (Filter.And [ ownership_filter t s; q.filter ]) }
@@ -199,11 +195,11 @@ let plan_for t f =
       let skip =
         Array.init t.shards (fun s ->
             match
-              Symbolic.compile t.schema ~left:tmpl
+              Symbolic.compile ~left:tmpl
                 ~right:(const_template t.skip_rhs.(s))
             with
             | None -> None
-            | Some cond -> Some (Symbolic.Compiled.compile t.schema cond))
+            | Some cond -> Some (Symbolic.Compiled.compile cond))
       in
       let p = { pl_template = tmpl; pl_skip = skip } in
       Hashtbl.replace t.plans key p;
@@ -222,7 +218,7 @@ let assemble t ~geo ~skip =
 let cover ?(use_geo = true) t (q : Query.t) =
   let f = Filter.normalize q.filter in
   let plan = plan_for t f in
-  let values = Template.match_filter t.schema plan.pl_template f in
+  let values = Template.match_filter plan.pl_template f in
   let geo = if use_geo then geo_cover t q else None in
   assemble t ~geo ~skip:(fun s ->
       match (values, plan.pl_skip.(s)) with
@@ -233,7 +229,7 @@ let cover_uncached ?(use_geo = true) t (q : Query.t) =
   let f = Filter.normalize q.filter in
   let geo = if use_geo then geo_cover t q else None in
   assemble t ~geo ~skip:(fun s ->
-      (not (empty_shard t s)) && Symbolic.contained t.schema f t.skip_rhs.(s))
+      (not (empty_shard t s)) && Symbolic.contained f t.skip_rhs.(s))
 
 let plan_hits t = t.hits
 let plan_misses t = t.misses

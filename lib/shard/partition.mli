@@ -28,13 +28,11 @@ open Ldap
 
 type t
 
-val create :
-  ?attr:string -> Schema.t -> shards:int -> blocks:(string * Dn.t option) array -> t
-(** [create schema ~shards ~blocks] assigns block [i] — a (serial
+val create : shards:int -> blocks:(string * Dn.t option) array -> t
+(** [create ~shards ~blocks] assigns block [i] — a (serialNumber
     prefix, geography DN) pair — to shard [i mod shards].  All prefixes
-    must share one width (the fixed-width block layout); [attr]
-    (default ["serialnumber"]) is the partition-key attribute.  A
-    [None] geography disables geographic pruning for that block. *)
+    must share one width (the fixed-width block layout).  A [None]
+    geography disables geographic pruning for that block. *)
 
 val of_enterprise : Ldap_dirgen.Enterprise.t -> shards:int -> t
 (** The partition induced by a generated enterprise: one block per
@@ -47,7 +45,7 @@ val shards : t -> int
 val blocks_of : t -> int -> string list
 (** Block prefixes assigned to a shard. *)
 
-val is_structural : t -> Entry.t -> bool
+val is_structural : Entry.t -> bool
 (** Whether the entry carries no partition key — owned by shard 0 but
     replicated to every shard as DIT scaffolding. *)
 

@@ -7,7 +7,6 @@ module Exchange = Ldap_antientropy.Exchange
 type okind = Structural | Owned of int
 
 type t = {
-  schema : Schema.t;
   partition : Partition.t;
   shards : Shard_master.t array;
   transport : Transport.t;
@@ -33,7 +32,7 @@ let shard_host t s = Shard_master.host t.shards.(s)
 (* --- Ownership ----------------------------------------------------------- *)
 
 let kind_of t e =
-  if Partition.is_structural t.partition e then Structural
+  if Partition.is_structural e then Structural
   else Owned (Partition.of_entry t.partition e)
 
 (* Every shard holds a structural entry and only its owner holds a
@@ -173,7 +172,7 @@ let seed_from_backend t source =
       let mine =
         List.filter
           (fun e ->
-            Partition.is_structural t.partition e
+            Partition.is_structural e
             || Partition.of_entry t.partition e = s)
           all
       in
@@ -549,8 +548,7 @@ let ep_tree t req q =
 
 let endpoint t =
   {
-    Transport.ep_schema = t.schema;
-    ep_handle = (fun ~push req q -> ep_handle t ~push req q);
+    Transport.ep_handle = (fun ~push req q -> ep_handle t ~push req q);
     ep_abandon = (fun ~cookie -> ep_abandon t ~cookie);
     ep_estimate = (fun q -> ep_estimate t q);
     ep_tree = (fun req q -> ep_tree t req q);
@@ -566,7 +564,6 @@ let create ?(host = default_host) partition transport shards =
   if Array.length shards = 0 then invalid_arg "Router.create: no shards";
   let t =
     {
-      schema = Shard_master.schema shards.(0);
       partition;
       shards = Array.copy shards;
       transport;

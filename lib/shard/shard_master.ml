@@ -5,7 +5,6 @@ module Backend_store = Ldap_store.Backend_store
 
 type t = {
   sm_host : string;
-  sm_schema : Schema.t;
   sm_backend : Backend.t;
   sm_master : Master.t;
   mutable sm_backend_store : Backend_store.t option;
@@ -21,7 +20,6 @@ let host_of i = Printf.sprintf "shard-%d" i
 let make ?strategy backend ~id =
   {
     sm_host = host_of id;
-    sm_schema = Backend.schema backend;
     sm_backend = backend;
     sm_master = Master.create ?strategy backend;
     sm_backend_store = None;
@@ -30,10 +28,9 @@ let make ?strategy backend ~id =
     sm_applied = 0;
   }
 
-let create ?strategy ?indexed schema ~id = make ?strategy (Backend.create ?indexed schema) ~id
+let create ?strategy ?indexed (_ : Schema.t) ~id = make ?strategy (Backend.create ?indexed ()) ~id
 
 let host t = t.sm_host
-let schema t = t.sm_schema
 let backend t = t.sm_backend
 let master t = t.sm_master
 let csn t = Backend.csn t.sm_backend
@@ -94,11 +91,11 @@ let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;
   Master.checkpoint t.sm_master
 
-let recover ?strategy ?indexed schema ~id medium ~prefix =
+let recover ?strategy ?indexed ~id medium ~prefix =
   let ( let* ) = Result.bind in
   let backend_name, master_name = store_names ~prefix in
   let backend_store = Store.create medium ~name:backend_name in
-  let* backend, rc_backend = Backend_store.recover ?indexed schema backend_store in
+  let* backend, rc_backend = Backend_store.recover ?indexed backend_store in
   let bs = Backend_store.attach backend backend_store in
   let* master, rc_master =
     Master.recover ?strategy backend
@@ -107,7 +104,6 @@ let recover ?strategy ?indexed schema ~id medium ~prefix =
   let t =
     {
       sm_host = host_of id;
-      sm_schema = schema;
       sm_backend = backend;
       sm_master = master;
       sm_backend_store = Some bs;

@@ -28,13 +28,12 @@ val create :
   Schema.t ->
   id:int ->
   t
-(** A fresh, empty shard: backend plus master, CSN at zero. *)
+(** A fresh, empty shard: backend plus master, CSN at zero.  The
+    schema argument is the one schema ({!Schema.default}) and goes
+    unused: the end-to-end benchmark still passes it. *)
 
 val host : t -> string
 (** Transport host name ("shard-<id>"). *)
-
-val schema : t -> Schema.t
-(** Schema the shard's backend was built with. *)
 
 val backend : t -> Backend.t
 (** The shard's own backend (its slice of the directory). *)
@@ -87,7 +86,6 @@ val checkpoint : t -> unit
 val recover :
   ?strategy:Ldap_resync.Master.strategy ->
   ?indexed:string list ->
-  Schema.t ->
   id:int ->
   Ldap_store.Medium.t ->
   prefix:string ->

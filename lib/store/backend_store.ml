@@ -97,10 +97,10 @@ let restore_snapshot backend payload =
   Backend.restore_log backend ~floor log;
   Ok ()
 
-let recover ?indexed schema store =
+let recover ?indexed store =
   let ( let* ) = Result.bind in
   let recovery = Store.recover store in
-  let backend = Backend.create ?indexed schema in
+  let backend = Backend.create ?indexed () in
   let* () =
     match recovery.Store.snapshot with
     | None -> Ok ()

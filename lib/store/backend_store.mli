@@ -22,7 +22,6 @@ val checkpoint : t -> unit
 
 val recover :
   ?indexed:string list ->
-  Schema.t ->
   Store.t ->
   (Backend.t * Store.recovery, string) result
 (** Rebuilds a backend from durable state: loads the snapshot (empty

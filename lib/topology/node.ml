@@ -38,7 +38,6 @@ type t = {
 let replica t = t.replica
 let host t = t.host
 let upstream t = R.Filter_replica.master_host t.replica
-let schema t = R.Filter_replica.schema t.replica
 let stats t = R.Filter_replica.stats t.replica
 let session_count t = Server.session_count t.server
 
@@ -80,8 +79,8 @@ let note_sent (st : cursor) e =
 (* A session's whole content, by scan: its query is usually the stored
    query itself, whose postings would hold every entry, and a store
    that only serves polls keeps none. *)
-let members replica st q =
-  R.Replica.eval_over_entries (R.Filter_replica.schema replica) q
+let members st q =
+  R.Replica.eval_over_entries Schema.default q
     (Resync.Consumer.entries_seq st.consumer)
 
 (* A session handed its whole content: the cursor is pinned at the
@@ -130,9 +129,9 @@ let incremental_from_spine cost (session : cursor Server.session) st changed =
     changed;
   List.rev !deletes @ List.rev !upserts
 
-let incremental_by_rescan replica cost (session : cursor Server.session) =
+let incremental_by_rescan cost (session : cursor Server.session) =
   cost.rescans <- cost.rescans + 1;
-  let current = members replica session.state session.query in
+  let current = members session.state session.query in
   let fresh = Hashtbl.create (max 64 (2 * List.length current)) in
   let upserts =
     List.filter_map
@@ -160,7 +159,7 @@ let incremental_by_rescan replica cost (session : cursor Server.session) =
   session.state.seen <- fresh;
   deletes @ upserts
 
-let incremental replica cost (s : cursor Server.session) =
+let incremental cost (s : cursor Server.session) =
   cost.polls <- cost.polls + 1;
   let st = Resync.Consumer.content s.state.consumer in
   let pos = s.state.spine_pos and rev = Content_store.rev st in
@@ -169,7 +168,7 @@ let incremental replica cost (s : cursor Server.session) =
   else
     match Content_store.changes_since st pos with
     | Some changed -> Some (incremental_from_spine cost s st changed)
-    | None -> Some (incremental_by_rescan replica cost s)
+    | None -> Some (incremental_by_rescan cost s)
 
 (* Admission by containment: a subscription is served from a stored
    query proved to contain it, or referred to this node's upstream.
@@ -202,9 +201,9 @@ let source replica cost =
     Server.admit = admit replica;
     resumable = resumable replica;
     sync_point = (fun st -> node_csn st.consumer);
-    members = members replica;
+    members;
     reset;
-    incremental = incremental replica cost;
+    incremental = incremental cost;
     buffer = None;
     pushed = pushed replica;
     acked = (fun _ ~history:_ -> ());
@@ -219,8 +218,7 @@ let source replica cost =
 let estimate t query =
   match R.Filter_replica.containing_consumer t.replica query with
   | Some (_, c) ->
-      Content_store.search (Resync.Consumer.content c) (schema t) query ~init:0 ~f:(fun n _ ->
-          n + 1)
+      Content_store.search (Resync.Consumer.content c) query ~init:0 ~f:(fun n _ -> n + 1)
   | None -> 0
 
 (* --- Persist relay --------------------------------------------------
@@ -270,8 +268,7 @@ let create ?(cache_capacity = 0) ?(dispatch = Server.Routed) transport ~host ~up
   in
   let cost = { polls = 0; scanned = 0; rescans = 0 } in
   let server =
-    Server.create ~queue_limit:0 ~dispatch (R.Filter_replica.schema replica)
-      (source replica cost)
+    Server.create ~queue_limit:0 ~dispatch (source replica cost)
   in
   let t = { replica; host; cost; server } in
   R.Filter_replica.set_on_change replica (fun ~stored ~before ~after ->

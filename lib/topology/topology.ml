@@ -50,7 +50,6 @@ let root t = t.root
 let network t = t.net
 let nodes t = t.nodes
 let leaves t = t.leaves
-let schema t = Backend.schema (Resync.Master.backend t.master)
 
 let create ?faults ?strategy ?dispatch ?(root = "root") backend =
   let net = Network.create () in
@@ -406,7 +405,6 @@ let restart_leaf ?(mode = Resume) t ~name =
           | Error e -> Error e))
 
 let leaf_converged t leaf =
-  let schema = schema t in
   let backend = Resync.Master.backend t.master in
   let canon entries =
     List.sort
@@ -415,7 +413,7 @@ let leaf_converged t leaf =
   in
   List.for_all
     (fun q ->
-      let got = canon (R.Replica.eval_over_entries schema q (Leaf.content_seq leaf q)) in
+      let got = canon (R.Replica.eval_over_entries Schema.default q (Leaf.content_seq leaf q)) in
       let want = canon (Resync.Content.current backend q) in
       List.length got = List.length want && List.for_all2 Entry.equal got want)
     (Leaf.subscriptions leaf)

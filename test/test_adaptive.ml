@@ -13,7 +13,6 @@ module FR = Ldap_replication.Filter_replica
 module A = Ldap_adaptive
 module S = Ldap_selection
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -33,7 +32,7 @@ let person name ?(dept = "100") () =
     ]
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -97,7 +96,7 @@ let test_plan_classification () =
   let d81 = dept_query "81" and pref8 = prefix_query "8" in
   let current = [ pref7; d81 ] in
   let target = [ pref7; d71; pref8 ] in
-  let plan = A.Transition.plan schema ~current ~target in
+  let plan = A.Transition.plan ~current ~target in
   let step_query = function
     | A.Transition.Keep q | A.Transition.Fetch q -> q
     | A.Transition.Rescope { query; _ } | A.Transition.Seed { query; _ } -> query
@@ -122,7 +121,7 @@ let test_plan_classification () =
 
 let test_plan_cold_without_donors () =
   let plan =
-    A.Transition.plan schema ~current:[] ~target:[ dept_query "71" ]
+    A.Transition.plan ~current:[] ~target:[ dept_query "71" ]
   in
   match plan.A.Transition.steps with
   | [ A.Transition.Fetch _ ] -> ()
@@ -204,7 +203,7 @@ let run_transition_sim strategy (mask1, ops1, mask2, ops2) =
   FR.sync replica;
   let target = queries_of_mask mask2 in
   let plan =
-    A.Transition.plan schema ~current:(FR.stored_filters replica) ~target
+    A.Transition.plan ~current:(FR.stored_filters replica) ~target
   in
   let report = A.Transition.apply replica plan in
   if report.A.Transition.failed > 0 then failwith "failed installs";
@@ -446,7 +445,7 @@ let persist_fixture ~limit =
   Resync.Master.set_persist_queue_limit master (Some limit);
   let transport = Resync.Transport.create (Network.create ()) in
   Resync.Transport.add_master transport ~name:"m" master;
-  let consumer = Resync.Consumer.create schema (dept_query "71") in
+  let consumer = Resync.Consumer.create (dept_query "71") in
   (match
      Resync.Consumer.connect_persist consumer transport ~host:"m" ~from:"leaf"
    with
@@ -511,7 +510,7 @@ let test_backpressure_overflow_escalates () =
    due drift test, re-selection and [select]; the scores then agree
    to the last bit. *)
 let covered_by stored q =
-  List.exists (fun s -> Ldap_containment.Query_containment.contained schema ~query:q ~stored:s) stored
+  List.exists (fun s -> Ldap_containment.Query_containment.contained ~query:q ~stored:s) stored
 
 let viable config interest =
   List.filter (fun (_, s) -> s >= config.A.Controller.min_score) (A.Interest.ranked interest)

@@ -3,7 +3,6 @@
    scenario. *)
 open Ldap
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -37,7 +36,7 @@ let delete_values attr values =
   { Update.mod_kind = Update.Delete_values; mod_attr = attr; mod_values = values }
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "serialnumber"; "cn" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber"; "cn" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   let apply = must_apply b in
   apply (Update.add (ou "research" "o=xyz"));
@@ -227,7 +226,7 @@ let test_log () =
    commit has CSN i. *)
 
 let log_backend () =
-  let b = Backend.create schema in
+  let b = Backend.create () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -361,7 +360,7 @@ let naive_search backend (query : Query.t) =
   Backend.fold_entries backend ~init:[] ~f:(fun acc e ->
       if
         Query.in_scope query (Entry.dn e)
-        && Filter.matches schema query.Query.filter e
+        && Filter.matches query.Query.filter e
         && not (Entry.is_referral e)
       then Dn.canonical (Entry.dn e) :: acc
       else acc)
@@ -387,7 +386,7 @@ let oracle_person who parent serial dept =
     ]
 
 let oracle_backend () =
-  let b = Backend.create ~indexed:[ "serialnumber"; "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber"; "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   must_apply b (Update.add (ou "research" "o=xyz"));
   must_apply b (Update.add (ou "sales" "o=xyz"));
@@ -527,7 +526,7 @@ let figure2_network () =
   (* hostA: o=xyz with referral objects to hostB and hostC.
      hostB: ou=research,c=us,o=xyz.  hostC: c=in,o=xyz. *)
   let net = Network.create () in
-  let backend_a = Backend.create schema in
+  let backend_a = Backend.create () in
   (match Backend.add_context backend_a org with Ok () -> () | Error e -> failwith e);
   let apply_a op =
     match Backend.apply backend_a op with Ok _ -> () | Error e -> failwith e
@@ -548,7 +547,7 @@ let figure2_network () =
             ("objectclass", [ "referral" ]);
             ("ref", [ Referral.make ~host:"hostC" ~dn:(dn "c=in,o=xyz") () ]);
           ]));
-  let backend_b = Backend.create schema in
+  let backend_b = Backend.create () in
   (match
      Backend.add_context backend_b
        (entry "ou=research,c=us,o=xyz" [ ("objectclass", [ "organizationalUnit" ]); ("ou", [ "research" ]) ])
@@ -558,7 +557,7 @@ let figure2_network () =
   (match Backend.apply backend_b (Update.add (person "john doe" "ou=research,c=us,o=xyz" "0456")) with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let backend_c = Backend.create schema in
+  let backend_c = Backend.create () in
   (match
      Backend.add_context backend_c
        (entry "c=in,o=xyz" [ ("objectclass", [ "country" ]); ("c", [ "in" ]) ])
@@ -652,7 +651,7 @@ let prop_postings_follow_modifies =
       List.iter
         (fun (name, items) -> ignore (Backend.apply b (Update.modify (person_dn name) items)))
         stream;
-      let fresh = Backend.create ~indexed:[ "serialnumber"; "cn" ] schema in
+      let fresh = Backend.create ~indexed:[ "serialnumber"; "cn" ] () in
       Backend.fold_entries b ~init:() ~f:(fun () e ->
           match Backend.restore_entry fresh e with
           | Ok () -> ()
@@ -676,7 +675,7 @@ let test_integer_spellings () =
   List.iter
     (fun indexed ->
       let label s = Printf.sprintf "%s (%s)" s (String.concat "," indexed) in
-      let b = Backend.create ~indexed schema in
+      let b = Backend.create ~indexed () in
       (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
       must_apply b
         (Update.add
@@ -767,7 +766,7 @@ let prop_count_is_search_length =
        count_case_gen)
     (fun (age_indexed, two_contexts, people, queries) ->
       let indexed = [ "cn"; "departmentnumber"; "dept" ] @ if age_indexed then [ "age" ] else [] in
-      let b = Backend.create ~indexed schema in
+      let b = Backend.create ~indexed () in
       (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
       if two_contexts then
         ignore
@@ -926,7 +925,7 @@ let run_log_op w op =
   | Log_recover ->
       let store = Store.Store.create w.medium ~name:"b" in
       let backend, _ =
-        match Store.Backend_store.recover schema store with Ok v -> v | Error e -> failwith e
+        match Store.Backend_store.recover store with Ok v -> v | Error e -> failwith e
       in
       w.backend <- backend;
       w.reference <- w.journaled @ fst w.checkpointed;

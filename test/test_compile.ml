@@ -8,7 +8,6 @@ module Compile = Ldap_compile
 module C = Ldap_containment
 
 let check_bool = Alcotest.(check bool)
-let schema = Schema.default
 
 (* --- Interning and buffers -------------------------------------------- *)
 
@@ -144,17 +143,17 @@ let case_gen =
   QCheck.Gen.(
     let* f = filter_gen in
     let* attrs = attrs_gen in
-    return (Schema.default, f, Entry.make (Dn.of_string_exn "cn=p,o=xyz") attrs))
+    return (f, Entry.make (Dn.of_string_exn "cn=p,o=xyz") attrs))
 
-let print_case (_, f, e) =
+let print_case (f, e) =
   Printf.sprintf "%s on %s" (Filter.to_string f) (Format.asprintf "%a" Entry.pp e)
 
 let prop_compiled_matches =
   QCheck.Test.make ~name:"compile: bytecode matches = interpreted matches"
     ~count:1000
     (QCheck.make ~print:print_case case_gen)
-    (fun (schema, f, e) ->
-      Bool.equal (Filter.matcher schema f e) (Filter.matches schema f e))
+    (fun (f, e) ->
+      Bool.equal (Filter.matcher f e) (Filter.matches f e))
 
 (* --- Staged containment conditions ------------------------------------ *)
 
@@ -191,13 +190,13 @@ let prop_staged_symbolic =
     (fun ((lt, lv), (rt, rv)) ->
       let left = C.Template.of_string_exn lt
       and right = C.Template.of_string_exn rt in
-      match C.Symbolic.compile schema ~left ~right with
+      match C.Symbolic.compile ~left ~right with
       | None -> true
       | Some cond ->
-          let staged = C.Symbolic.Compiled.compile schema cond in
+          let staged = C.Symbolic.Compiled.compile cond in
           Bool.equal
             (C.Symbolic.Compiled.eval staged ~left:lv ~right:rv)
-            (C.Symbolic.eval schema cond ~left:lv ~right:rv))
+            (C.Symbolic.eval cond ~left:lv ~right:rv))
 
 (* --- Zero-copy DER encoding with buffer reuse -------------------------- *)
 

@@ -3,11 +3,10 @@
 open Ldap
 open Ldap_containment
 
-let schema = Schema.default
 let f = Filter.of_string_exn
 let check_bool = Alcotest.(check bool)
 
-let contained a b = Filter_containment.contained schema (f a) (f b)
+let contained a b = Filter_containment.contained (f a) (f b)
 
 let test_reflexive () =
   List.iter
@@ -87,51 +86,51 @@ let test_template_extraction () =
 let test_template_declared () =
   let t = Template.of_string_exn "(&(cn=_)(ou=research))" in
   Alcotest.(check int) "one hole" 1 (Array.length (Template.hole_attrs t));
-  (match Template.match_filter schema t (f "(&(cn=john)(ou=research))") with
+  (match Template.match_filter t (f "(&(cn=john)(ou=research))") with
   | Some [| v |] -> Alcotest.(check string) "bound value" "john" v
   | _ -> Alcotest.fail "expected match");
   check_bool "const mismatch" true
-    (Template.match_filter schema t (f "(&(cn=john)(ou=sales))") = None);
+    (Template.match_filter t (f "(&(cn=john)(ou=sales))") = None);
   (* Constants compare under the matching rule. *)
   check_bool "const case-insensitive" true
-    (Template.match_filter schema t (f "(&(cn=john)(ou=Research))") <> None)
+    (Template.match_filter t (f "(&(cn=john)(ou=Research))") <> None)
 
 (* A filter built by filling a template's hole is an instance of it,
    binding the hole to the value. *)
 let test_template_instantiate () =
   let t = Template.of_string_exn "(serialnumber=_)" in
   Alcotest.(check (option (array string))) "instance" (Some [| "0456" |])
-    (Template.match_filter schema t (f "(serialnumber=0456)"));
+    (Template.match_filter t (f "(serialnumber=0456)"));
   Alcotest.(check (option (array string))) "other attribute" None
-    (Template.match_filter schema t (f "(sn=0456)"))
+    (Template.match_filter t (f "(sn=0456)"))
 
 let test_cross_template_compile () =
   let left = Template.of_string_exn "(age=_)" in
   let right = Template.of_string_exn "(age>=_)" in
-  match Symbolic.compile schema ~left ~right with
+  match Symbolic.compile ~left ~right with
   | Some cond ->
       check_bool "30 >= 20" true
-        (Symbolic.eval schema cond ~left:[| "30" |] ~right:[| "20" |]);
+        (Symbolic.eval cond ~left:[| "30" |] ~right:[| "20" |]);
       check_bool "10 >= 20 fails" false
-        (Symbolic.eval schema cond ~left:[| "10" |] ~right:[| "20" |])
+        (Symbolic.eval cond ~left:[| "10" |] ~right:[| "20" |])
   | None -> Alcotest.fail "expected compilation"
 
 let test_cross_template_prefix () =
   let left = Template.of_string_exn "(serialnumber=_)" in
   let right = Template.of_string_exn "(serialnumber=_*)" in
-  match Symbolic.compile schema ~left ~right with
+  match Symbolic.compile ~left ~right with
   | Some cond ->
       check_bool "prefix hit" true
-        (Symbolic.eval schema cond ~left:[| "2406" |] ~right:[| "24" |]);
+        (Symbolic.eval cond ~left:[| "2406" |] ~right:[| "24" |]);
       check_bool "prefix miss" false
-        (Symbolic.eval schema cond ~left:[| "2506" |] ~right:[| "24" |])
+        (Symbolic.eval cond ~left:[| "2506" |] ~right:[| "24" |])
   | None -> Alcotest.fail "expected compilation"
 
 let test_template_pruning () =
   (* The paper: a query of template (&(sn=_)(ou=_)) can not answer (sn=_). *)
   let left = Template.of_string_exn "(sn=_)" in
   let right = Template.of_string_exn "(&(sn=_)(ou=_))" in
-  (match Symbolic.compile schema ~left ~right with
+  (match Symbolic.compile ~left ~right with
   | Some Symbolic.Never -> ()
   | Some other -> Alcotest.failf "expected Never, got %s" (Symbolic.to_string other)
   | None -> Alcotest.fail "expected compilation");
@@ -139,15 +138,15 @@ let test_template_pruning () =
      are extracted with [match_filter] so the (normalization-defined)
      hole order is respected. *)
   let left_values =
-    Option.get (Template.match_filter schema right (f "(&(sn=doe)(ou=x))"))
+    Option.get (Template.match_filter right (f "(&(sn=doe)(ou=x))"))
   in
-  let right_values = Option.get (Template.match_filter schema left (f "(sn=doe)")) in
-  match Symbolic.compile schema ~left:right ~right:left with
+  let right_values = Option.get (Template.match_filter left (f "(sn=doe)")) in
+  match Symbolic.compile ~left:right ~right:left with
   | Some (Symbolic.Cnf _ as cond) ->
       check_bool "conditional containment holds" true
-        (Symbolic.eval schema cond ~left:left_values ~right:right_values);
+        (Symbolic.eval cond ~left:left_values ~right:right_values);
       check_bool "conditional containment fails on mismatch" false
-        (Symbolic.eval schema cond ~left:left_values ~right:[| "smith" |])
+        (Symbolic.eval cond ~left:left_values ~right:[| "smith" |])
   | Some other -> Alcotest.failf "expected Cnf, got %s" (Symbolic.to_string other)
   | None -> Alcotest.fail "expected compilation"
 
@@ -156,7 +155,7 @@ let test_template_pruning () =
 let q ?(scope = Scope.Sub) ?(attrs = Query.All) base filter =
   Query.make ~scope ~attrs ~base:(Dn.of_string_exn base) (f filter)
 
-let qc query stored = Query_containment.contained schema ~query ~stored
+let qc query stored = Query_containment.contained ~query ~stored
 
 let test_qc_regions () =
   check_bool "same base sub" true (qc (q "o=xyz" "(cn=a)") (q "o=xyz" "(cn=*)"));
@@ -186,7 +185,7 @@ let test_qc_attrs () =
 (* --- Containment index ----------------------------------------------- *)
 
 let test_index_basic () =
-  let idx = Containment_index.create schema in
+  let idx = Containment_index.create () in
   Containment_index.add idx (q "o=xyz" "(serialnumber=24*)") "block24";
   Containment_index.add idx (q "o=xyz" "(&(dept=2406)(div=sw))") "d2406";
   Alcotest.(check int) "length" 2 (Containment_index.length idx);
@@ -202,7 +201,7 @@ let test_index_basic () =
     (Containment_index.find_container idx (q "o=abc" "(serialnumber=2417)") = None)
 
 let test_index_remove_replace () =
-  let idx = Containment_index.create schema in
+  let idx = Containment_index.create () in
   let query = q "o=xyz" "(serialnumber=24*)" in
   Containment_index.add idx query 1;
   Containment_index.add idx query 2;
@@ -217,7 +216,7 @@ let test_index_comparisons_counted () =
   (* Range filters compile to Empty_range conditions on both hole
      sides, which have no keyed pruning plan: a miss still scans the
      bucket and the counter sees every stored check. *)
-  let idx = Containment_index.create schema in
+  let idx = Containment_index.create () in
   for i = 0 to 9 do
     Containment_index.add idx (q "o=xyz" (Printf.sprintf "(dept>=%d)" (10 * i))) i
   done;
@@ -230,7 +229,7 @@ let test_index_comparisons_counted () =
 let test_index_pruning () =
   (* Same-template equality misses are answered from the value columns
      without touching any stored query... *)
-  let idx = Containment_index.create schema in
+  let idx = Containment_index.create () in
   for i = 0 to 99 do
     Containment_index.add idx (q "o=xyz" (Printf.sprintf "(dept=%d)" i)) i
   done;
@@ -261,7 +260,7 @@ let test_index_pruning () =
 let test_index_integer_spellings () =
   (* The column key must agree with Value.equal: "07" and "7" are the
      same Integer value even though they normalize differently. *)
-  let idx = Containment_index.create schema in
+  let idx = Containment_index.create () in
   Containment_index.add idx (q "o=xyz" "(age=7)") "seven";
   match Containment_index.find_container idx (q "o=xyz" "(age=07)") with
   | Some (_, p) -> Alcotest.(check string) "zero-padded spelling" "seven" p
@@ -270,7 +269,7 @@ let test_index_integer_spellings () =
 (* --- Template registry ------------------------------------------------ *)
 
 let test_registry () =
-  let r = Template_registry.create schema in
+  let r = Template_registry.create () in
   (match
      Template_registry.declare_strings r
        [ "(serialnumber=_)"; "(&(departmentnumber=_)(divisionnumber=_))" ]
@@ -349,9 +348,9 @@ let prop_containment_sound =
        ~print:(fun (a, b) -> Filter.to_string a ^ " in " ^ Filter.to_string b)
        (QCheck.Gen.pair small_filter_gen small_filter_gen))
     (fun (f1, f2) ->
-      if Filter_containment.contained schema f1 f2 then
+      if Filter_containment.contained f1 f2 then
         List.for_all
-          (fun e -> (not (Filter.matches schema f1 e)) || Filter.matches schema f2 e)
+          (fun e -> (not (Filter.matches f1 e)) || Filter.matches f2 e)
           small_domain_entries
       else true)
 
@@ -361,9 +360,9 @@ let prop_same_shape_agrees =
        ~print:(fun (a, b) -> Filter.to_string a ^ " in " ^ Filter.to_string b)
        (QCheck.Gen.pair small_filter_gen small_filter_gen))
     (fun (f1, f2) ->
-      (not (Filter_containment.contained schema f1 f2))
+      (not (Filter_containment.contained f1 f2))
       || List.for_all
-           (fun e -> (not (Filter.matches schema f1 e)) || Filter.matches schema f2 e)
+           (fun e -> (not (Filter.matches f1 e)) || Filter.matches f2 e)
            small_domain_entries)
 
 let test_numeric_prefix_ranges () =
@@ -410,7 +409,7 @@ let prop_exact_table_agrees =
          list_size (2 -- 6) query_gen >>= fun pool ->
          pair (return pool) (list_size (1 -- 20) (index_op_gen pool))))
     (fun (pool, ops) ->
-      let idx = Containment_index.create schema in
+      let idx = Containment_index.create () in
       List.iter
         (function
           | Put (q, i) -> Containment_index.add idx q i

@@ -218,9 +218,8 @@ let catch_up_test =
    scans every entry.  Both must keep the same entries in the same
    order, whatever the postings have been through. *)
 
-let schema = Schema.default
-let scan q s = Ldap_replication.Replica.eval_over_entries schema q (Content_store.to_seq s)
-let indexed q s = Ldap_replication.Replica.eval_over_store schema q s
+let scan q s = Ldap_replication.Replica.eval_over_entries Schema.default q (Content_store.to_seq s)
+let indexed q s = Ldap_replication.Replica.eval_over_store q s
 let names = List.map (fun e -> Dn.canonical (Entry.dn e))
 
 let same q s =
@@ -228,7 +227,7 @@ let same q s =
   List.length a = List.length b && List.for_all2 Entry.equal a b
 
 let person ?(parent = "ou=a,o=xyz") i attrs =
-  Entry.make ~schema
+  Entry.make
     (dn (Printf.sprintf "cn=e%d,%s" i parent))
     ([ ("objectclass", [ "person" ]); ("cn", [ Printf.sprintf "e%d" i ]) ] @ attrs)
 
@@ -280,7 +279,7 @@ let test_cheapest_posting () =
          ([ ("departmentNumber", [ "42" ]) ] @ if i = 7 then [ ("divisionNumber", [ "3" ]) ] else []))
   done;
   let candidates f =
-    Content_store.fold_candidates s schema (Filter.of_string_exn f) ~init:0 ~f:(fun n _ -> n + 1)
+    Content_store.fold_candidates s (Filter.of_string_exn f) ~init:0 ~f:(fun n _ -> n + 1)
   in
   check_bool "department posting" true (candidates "(departmentNumber=42)" = Some 10);
   check_bool "division wins" true
@@ -298,7 +297,7 @@ let test_declared_postings () =
   List.iter
     (fun (i, a) -> Content_store.upsert s (person i [ ("age", [ a ]); ("sn", [ "s" ^ a ]) ]))
     [ (0, "07"); (1, "7"); (2, "8") ];
-  let count f = Content_store.posting_count s schema (Filter.of_string_exn f) in
+  let count f = Content_store.posting_count s (Filter.of_string_exn f) in
   check_bool "integer equality is not counted" true (count "(age=7)" = None);
   check_bool "undeclared attribute is not counted" true (count "(sn=s7)" = None);
   check_search "undeclared attribute scans" s "(sn=s7)" [ dept 1 ];
@@ -307,7 +306,7 @@ let test_declared_postings () =
   List.iter
     (fun (i, v) -> Content_store.upsert s (person i [ ("sn", v) ]))
     [ (0, [ "ab"; "abc" ]); (1, [ "AB" ]); (2, [ "b" ]) ];
-  let count f = Content_store.posting_count s schema (Filter.of_string_exn f) in
+  let count f = Content_store.posting_count s (Filter.of_string_exn f) in
   check_bool "equality count" true (count "(sn=ab)" = Some 2);
   check_bool "prefix count sees an entry once" true (count "(sn=a*)" = Some 2);
   check_bool "substring with an any segment is not counted" true (count "(sn=a*c*)" = None)
@@ -413,7 +412,7 @@ let run_search_property (declared, ops) =
       QCheck.Test.fail_reportf "%s: indexed [%s] vs scan [%s]" (Query.to_string q)
         (String.concat " " (names (indexed q s)))
         (String.concat " " (names (scan q s)));
-    match Content_store.posting_count s schema q.Query.filter with
+    match Content_store.posting_count s q.Query.filter with
     | Some n ->
         let all = Query.make ~base:Dn.root q.Query.filter in
         let m = List.length (scan all s) in

@@ -14,7 +14,6 @@ let push_of_fn f = { Protocol.pc_send = (fun a -> f a; Protocol.Push_ok); pc_clo
 let persistent_count master =
   Server.fold (Master.server master) (fun s n -> if s.Server.push <> None then n + 1 else n) 0
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -31,7 +30,7 @@ let hits idx e =
   List.sort Int.compare !ids
 
 let test_eq_anchor () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(sn=ada)");
   Predicate_index.add idx 2 (f "(sn=bob)");
   Alcotest.(check (list int)) "sn=ada routes to 1" [ 1 ]
@@ -42,13 +41,13 @@ let test_eq_anchor () =
     (hits idx (entry "x" [ ("sn", [ "ada"; "bob" ]) ]))
 
 let test_integer_spelling_anchor () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(age=07)");
   Alcotest.(check (list int)) "(age=07) hit by age 7" [ 1 ]
     (hits idx (entry "x" [ ("age", [ "7" ]) ]))
 
 let test_prefix_anchor () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(sn=smi*)");
   Predicate_index.add idx 2 (f "(sn=abcdefg*)");  (* longer than the anchor width *)
   Alcotest.(check (list int)) "smith hits smi*" [ 1 ]
@@ -63,7 +62,7 @@ let test_prefix_anchor () =
     (hits idx (entry "x" [ ("sn", [ "abcdzzz" ]) ]))
 
 let test_presence_and_bare_substring () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(mail=*)");
   Predicate_index.add idx 2 (f "(mail=*corp*)");  (* no initial: attr anchor *)
   Alcotest.(check (list int)) "mail present hits both" [ 1; 2 ]
@@ -72,7 +71,7 @@ let test_presence_and_bare_substring () =
     (hits idx (entry "x" [ ("sn", [ "ada" ]) ]))
 
 let test_range_anchors () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(age>=30)");
   Predicate_index.add idx 2 (f "(age<=20)");
   Alcotest.(check (list int)) "35 is >=30" [ 1 ] (hits idx (entry "x" [ ("age", [ "35" ]) ]));
@@ -83,7 +82,7 @@ let test_range_anchors () =
     (hits idx (entry "x" [ ("age", [ "30" ]) ]))
 
 let test_boolean_anchors () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(&(sn=ada)(departmentnumber=7))");
   Predicate_index.add idx 2 (f "(|(sn=bob)(sn=carol))");
   Alcotest.(check (list int)) "no fallback" [] (hits idx (entry "x" [ ("l", [ "basel" ]) ]));
@@ -93,7 +92,7 @@ let test_boolean_anchors () =
     (hits idx (entry "x" [ ("sn", [ "carol" ]) ]))
 
 let test_fallback () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(!(sn=ada))");
   Predicate_index.add idx 2 (f "(|(sn=ada)(!(mail=a@x)))");  (* one bad branch poisons OR *)
   Predicate_index.add idx 3 (f "(sn=ada)");
@@ -105,7 +104,7 @@ let test_fallback () =
     (hits idx (entry "x" [ ("l", [ "basel" ]) ]))
 
 let test_remove_and_replace () =
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(sn=ada)");
   Predicate_index.add idx 2 (f "(!(sn=ada))");
   Predicate_index.remove idx 1;
@@ -125,7 +124,7 @@ let test_before_and_after_probed () =
   (* A modify that moves an entry out of a filter's content only shows
      the filter's value in the before-image; routing must probe both
      sides. *)
-  let idx = Predicate_index.create schema in
+  let idx = Predicate_index.create () in
   Predicate_index.add idx 1 (f "(departmentnumber=7)");
   let was = entry "x" [ ("departmentnumber", [ "7" ]) ] in
   let now = entry "x" [ ("departmentnumber", [ "9" ]) ] in
@@ -156,7 +155,7 @@ let person i ~dept ~mail =
     (if mail then ("mail", [ Printf.sprintf "p%d@xyz" i ]) :: base else base)
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -362,7 +361,7 @@ let prop_probe_without_view =
          show a ^ " | " ^ show b)
        QCheck.Gen.(pair (list_size (0 -- 5) probe_attr_gen) (list_size (0 -- 5) probe_attr_gen)))
     (fun (a, b) ->
-      let idx = Predicate_index.create schema in
+      let idx = Predicate_index.create () in
       List.iteri (fun i fs -> Predicate_index.add idx i (f fs)) probe_filters;
       let image attrs = Entry.make (dn "cn=p,o=xyz") (("objectclass", [ "inetOrgPerson" ]) :: attrs) in
       let fresh_before = image a and fresh_after = image b in
@@ -371,7 +370,7 @@ let prop_probe_without_view =
       ignore (Entry.compiled warm_before);
       ignore (Entry.compiled warm_after);
       let warm = candidates (Predicate_index.affected idx ~before:(Some warm_before) ~after:(Some warm_after)) in
-      let matches fs e = Filter.matches schema (f fs) e in
+      let matches fs e = Filter.matches (f fs) e in
       cold = warm
       && List.for_all Fun.id
            (List.mapi

@@ -4,7 +4,6 @@
    indexed equality and prefix lookups. *)
 open Ldap
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -25,7 +24,7 @@ let must_apply b op = match Backend.apply b op with Ok _ -> () | Error e -> fail
 let rdn s = match Dn.rdn_of_string s with Ok r -> r | Error e -> failwith e
 
 let backend indexed =
-  let b = Backend.create ~indexed schema in
+  let b = Backend.create ~indexed () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 

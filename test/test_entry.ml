@@ -75,15 +75,14 @@ let test_referral () =
 
 (* Schema -------------------------------------------------------------- *)
 
-let schema = Schema.default
 
 let test_schema_lookup () =
   check_bool "alias" true
-    (Schema.canonical_attr schema "surname" = "sn");
-  check_bool "syntax" true (Schema.syntax_of schema "age" = Value.Integer);
-  check_bool "unknown defaults" true (Schema.syntax_of schema "frobnicate" = Value.Case_ignore);
-  check_bool "single valued" true (Schema.is_single_valued schema "serialNumber");
-  check_bool "multi valued" false (Schema.is_single_valued schema "cn")
+    (Schema.canonical_attr "surname" = "sn");
+  check_bool "syntax" true (Schema.syntax_of "age" = Value.Integer);
+  check_bool "unknown defaults" true (Schema.syntax_of "frobnicate" = Value.Case_ignore);
+  check_bool "single valued" true (Schema.is_single_valued "serialNumber");
+  check_bool "multi valued" false (Schema.is_single_valued "cn")
 
 let test_ber_sizes () =
   check_bool "entry size positive" true (Ber.entry_size john > 0);
@@ -187,7 +186,7 @@ let suite =
     Alcotest.test_case "select" `Quick test_select;
     Alcotest.test_case "equal" `Quick test_equal;
     Alcotest.test_case "referral entries" `Quick test_referral;
-    Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
+    Alcotest.test_case "lookup" `Quick test_schema_lookup;
     Alcotest.test_case "ber sizes" `Quick test_ber_sizes;
     QCheck_alcotest.to_alcotest prop_derived_view_equals_rebuilt;
     Alcotest.test_case "re-added attribute listed once" `Quick test_readd_lists_once;

@@ -5,7 +5,6 @@ open Ldap
 module Resync = Ldap_resync
 module R = Ldap_replication
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -24,18 +23,18 @@ let key ?(reverse = false) attr = { Sort_control.attr; reverse }
 
 let test_sort_single_key () =
   let entries = [ person "carol" 30; person "alice" 50; person "bob" 40 ] in
-  let by_sn = Sort_control.sort schema ~keys:[ key "sn" ] entries in
+  let by_sn = Sort_control.sort ~keys:[ key "sn" ] entries in
   Alcotest.(check (list string)) "ascending sn" [ "alice"; "bob"; "carol" ]
     (List.map (fun e -> List.hd (Entry.get e "sn")) by_sn);
   let by_age_desc =
-    Sort_control.sort schema ~keys:[ key ~reverse:true "age" ] entries
+    Sort_control.sort ~keys:[ key ~reverse:true "age" ] entries
   in
   Alcotest.(check (list string)) "descending age" [ "alice"; "bob"; "carol" ]
     (List.map (fun e -> List.hd (Entry.get e "sn")) by_age_desc)
 
 let test_sort_numeric_not_lexicographic () =
   let entries = [ person "a" 9; person "b" 10; person "c" 100 ] in
-  let sorted = Sort_control.sort schema ~keys:[ key "age" ] entries in
+  let sorted = Sort_control.sort ~keys:[ key "age" ] entries in
   Alcotest.(check (list string)) "integer order" [ "9"; "10"; "100" ]
     (List.map (fun e -> List.hd (Entry.get e "age")) sorted)
 
@@ -45,7 +44,7 @@ let test_sort_missing_last () =
       [ ("objectclass", [ "person" ]); ("cn", [ "zed" ]); ("sn", [ "zed" ]) ]
   in
   let sorted =
-    Sort_control.sort schema ~keys:[ key "age" ]
+    Sort_control.sort ~keys:[ key "age" ]
       [ no_age; person "a" 10 ]
   in
   Alcotest.(check string) "missing sorts last" "zed"
@@ -59,7 +58,7 @@ let test_sort_multiple_keys () =
   in
   let entries = [ e "x" "doe" 40; e "y" "doe" 20; e "z" "abel" 60 ] in
   let sorted =
-    Sort_control.sort schema
+    Sort_control.sort
       ~keys:[ key "sn"; key "age" ] entries
   in
   Alcotest.(check (list string)) "sn then age" [ "z"; "y"; "x" ]
@@ -77,7 +76,7 @@ let test_sort_keys_of_string () =
 (* --- Compare operation --------------------------------------------------- *)
 
 let make_backend () =
-  let b = Backend.create schema in
+  let b = Backend.create () in
   must
     (Backend.add_context b
        (Entry.make (dn "o=x") [ ("objectclass", [ "organization" ]); ("o", [ "x" ]) ]));

@@ -1,7 +1,6 @@
 (* Tests for Ldap.Filter: parsing, printing, evaluation, normalization. *)
 open Ldap
 
-let schema = Schema.default
 let f = Filter.of_string_exn
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -69,37 +68,37 @@ let test_parse_errors () =
   check_bool "empty attr" true (bad "(=v)")
 
 let test_eval_equality () =
-  check_bool "eq hit" true (Filter.matches schema (f "(serialNumber=0456)") john);
-  check_bool "eq case-insensitive" true (Filter.matches schema (f "(cn=john doe)") john);
-  check_bool "eq multi-valued" true (Filter.matches schema (f "(cn=John M Doe)") john);
-  check_bool "eq miss" false (Filter.matches schema (f "(serialNumber=9999)") john);
-  check_bool "absent attr" false (Filter.matches schema (f "(uid=jd)") john)
+  check_bool "eq hit" true (Filter.matches (f "(serialNumber=0456)") john);
+  check_bool "eq case-insensitive" true (Filter.matches (f "(cn=john doe)") john);
+  check_bool "eq multi-valued" true (Filter.matches (f "(cn=John M Doe)") john);
+  check_bool "eq miss" false (Filter.matches (f "(serialNumber=9999)") john);
+  check_bool "absent attr" false (Filter.matches (f "(uid=jd)") john)
 
 let test_eval_ranges () =
-  check_bool "ge hit" true (Filter.matches schema (f "(age>=40)") john);
-  check_bool "ge miss" false (Filter.matches schema (f "(age>=43)") john);
-  check_bool "le hit" true (Filter.matches schema (f "(age<=42)") john);
+  check_bool "ge hit" true (Filter.matches (f "(age>=40)") john);
+  check_bool "ge miss" false (Filter.matches (f "(age>=43)") john);
+  check_bool "le hit" true (Filter.matches (f "(age<=42)") john);
   check_bool "integer order not lexicographic" true
-    (Filter.matches schema (f "(age>=9)") john)
+    (Filter.matches (f "(age>=9)") john)
 
 let test_eval_substrings () =
-  check_bool "prefix" true (Filter.matches schema (f "(mail=john@*)") john);
-  check_bool "suffix" true (Filter.matches schema (f "(mail=*xyz.com)") john);
-  check_bool "middle" true (Filter.matches schema (f "(mail=*@us*)") john);
-  check_bool "full pattern" true (Filter.matches schema (f "(mail=j*us*com)") john);
-  check_bool "miss" false (Filter.matches schema (f "(mail=jane@*)") john);
-  check_bool "ordered anys" false (Filter.matches schema (f "(mail=*xyz*us*)") john)
+  check_bool "prefix" true (Filter.matches (f "(mail=john@*)") john);
+  check_bool "suffix" true (Filter.matches (f "(mail=*xyz.com)") john);
+  check_bool "middle" true (Filter.matches (f "(mail=*@us*)") john);
+  check_bool "full pattern" true (Filter.matches (f "(mail=j*us*com)") john);
+  check_bool "miss" false (Filter.matches (f "(mail=jane@*)") john);
+  check_bool "ordered anys" false (Filter.matches (f "(mail=*xyz*us*)") john)
 
 let test_eval_boolean () =
   check_bool "and" true
-    (Filter.matches schema (f "(&(serialNumber=0456)(departmentNumber=80))") john);
+    (Filter.matches (f "(&(serialNumber=0456)(departmentNumber=80))") john);
   check_bool "and miss" false
-    (Filter.matches schema (f "(&(serialNumber=0456)(departmentNumber=81))") john);
+    (Filter.matches (f "(&(serialNumber=0456)(departmentNumber=81))") john);
   check_bool "or" true
-    (Filter.matches schema (f "(|(serialNumber=9)(departmentNumber=80))") john);
-  check_bool "not" true (Filter.matches schema (f "(!(serialNumber=9))") john);
-  check_bool "not absent is true" true (Filter.matches schema (f "(!(uid=x))") john);
-  check_bool "tt matches" true (Filter.matches schema Filter.tt john)
+    (Filter.matches (f "(|(serialNumber=9)(departmentNumber=80))") john);
+  check_bool "not" true (Filter.matches (f "(!(serialNumber=9))") john);
+  check_bool "not absent is true" true (Filter.matches (f "(!(uid=x))") john);
+  check_bool "tt matches" true (Filter.matches Filter.tt john)
 
 let test_normalize () =
   check_bool "flatten and" true
@@ -178,7 +177,7 @@ let prop_normalize_preserves_semantics =
   QCheck.Test.make ~name:"filter: normalize preserves evaluation" ~count:300
     filter_arb (fun fl ->
       let n = Filter.normalize fl in
-      Filter.matches schema fl john = Filter.matches schema n john)
+      Filter.matches fl john = Filter.matches n john)
 
 (* Comparing and hashing skip renormalizing filters that are already
    canonical; either way they must agree with the normalized forms. *)

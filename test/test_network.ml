@@ -2,7 +2,6 @@
    loop protection and traffic accounting. *)
 open Ldap
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -11,7 +10,7 @@ let must = function Ok x -> x | Error e -> failwith e
 let entry dn_s attrs = Entry.make (dn dn_s) attrs
 
 let simple_server name suffix entries ?default_referral () =
-  let b = Backend.create schema in
+  let b = Backend.create () in
   must (Backend.add_context b (entry suffix [ ("objectclass", [ "organization" ]); ("o", [ "x" ]) ]));
   List.iter (fun e -> ignore (must (Backend.apply b (Update.Add e)))) entries;
   Server.create ?default_referral ~name b

@@ -10,7 +10,6 @@ module Store = Ldap_store
 module R = Ldap_replication
 module T = Ldap_topology
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -29,7 +28,7 @@ let person name ?(dept = "7") () =
     ]
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -70,7 +69,7 @@ let test_backend_recovery () =
   Store.Medium.crash m;
   let b2, recovery =
     must
-      (Store.Backend_store.recover ~indexed:[ "departmentnumber" ] schema
+      (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
          (Store.Store.create m ~name:"backend"))
   in
   check_int "post-checkpoint commits replayed" 3
@@ -109,7 +108,7 @@ let test_short_read_recovery () =
   for _ = 1 to 4 do
     let b2, r =
       must
-        (Store.Backend_store.recover ~indexed:[ "departmentnumber" ] schema
+        (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
            (Store.Store.create m ~name:"backend"))
     in
     check_bool "no tail cut" false r.Store.Store.truncated;
@@ -145,7 +144,7 @@ let search_order b query =
 let recover_backend m =
   fst
     (must
-       (Store.Backend_store.recover ~indexed:[ "departmentnumber" ] schema
+       (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
           (Store.Store.create m ~name:"backend")))
 
 (* RFC 4511 section 4.9: a modifyDN with deleteoldrdn FALSE keeps the
@@ -157,7 +156,7 @@ let test_modify_dn_keeps_old_rdn () =
   apply b (Update.add (person "alice" ()));
   Store.Backend_store.checkpoint bs;
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   let new_rdn = match Dn.rdn_of_string "cn=alicia" with Ok r -> r | Error e -> failwith e in
   apply b (Update.modify_dn ~delete_old_rdn:false (dn "cn=alice,o=xyz") new_rdn);
@@ -251,7 +250,7 @@ let test_master_recovery_keeps_sessions () =
   let master = Master.create b in
   let m = Store.Medium.memory () in
   Master.attach_store master (Store.Store.create m ~name:"master");
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   ignore (poll consumer master);
@@ -273,7 +272,7 @@ let test_master_cold_cookie_degrades () =
   let b = make_backend () in
   apply b (Update.add (person "alice" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   let master2 = Master.create b in
@@ -289,7 +288,7 @@ let test_consumer_every_prefix_consistent () =
   apply b (Update.add (person "alice" ()));
   let master = Master.create b in
   let q = dept_query "7" in
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
   Consumer.attach_store consumer (Store.Store.create m ~name:"c");
   ignore (poll consumer master);
@@ -312,7 +311,7 @@ let test_consumer_every_prefix_consistent () =
     Store.Medium.append m2 ~name:"c.wal" (String.sub wal 0 cut);
     Store.Medium.sync m2 ~name:"c.wal";
     let recovered, _ =
-      must (Consumer.recover schema q (Store.Store.create m2 ~name:"c"))
+      must (Consumer.recover q (Store.Store.create m2 ~name:"c"))
     in
     ignore (poll recovered master);
     if not (entry_sets_equal recovered b q) then
@@ -343,7 +342,7 @@ let run_strategy strategy ~interrupt =
   apply b (Update.add (person "alice" ()));
   let master = Master.create ~strategy b in
   let q = dept_query "7" in
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
   Consumer.attach_store consumer (Store.Store.create m ~name:"c");
   ignore (poll consumer master);
@@ -356,7 +355,7 @@ let run_strategy strategy ~interrupt =
       Store.Medium.crash m;
       Consumer.detach_store consumer;
       let recovered, recovery =
-        must (Consumer.recover schema q (Store.Store.create m ~name:"c"))
+        must (Consumer.recover q (Store.Store.create m ~name:"c"))
       in
       check_bool
         (strategy_name strategy ^ ": journal replayed on recovery")
@@ -398,8 +397,8 @@ let prop_recovered_equals_live =
       apply b (Update.add (person "p0" ()));
       let master = Master.create b in
       let q = dept_query "7" in
-      let live = Consumer.create schema q in
-      let journaled = Consumer.create schema q in
+      let live = Consumer.create q in
+      let journaled = Consumer.create q in
       let m = Store.Medium.memory () in
       Consumer.attach_store journaled (Store.Store.create m ~name:"c");
       ignore (poll live master);
@@ -428,7 +427,7 @@ let prop_recovered_equals_live =
       Store.Medium.crash m;
       Consumer.detach_store journaled;
       let recovered, _ =
-        must (Consumer.recover schema q (Store.Store.create m ~name:"c"))
+        must (Consumer.recover q (Store.Store.create m ~name:"c"))
       in
       let csn_of c =
         match c with
@@ -660,7 +659,7 @@ let prop_incremental_image =
        QCheck.Gen.(list_size (1 -- 40) image_step_gen))
     (fun steps ->
       let q = dept_query "7" in
-      let c = Consumer.create schema q in
+      let c = Consumer.create q in
       let m = Store.Medium.memory () in
       let s = Store.Store.create m ~name:"c" in
       Consumer.attach_store c s;
@@ -699,7 +698,7 @@ let prop_incremental_image =
           | Checkpoint ->
               Consumer.checkpoint c;
               if snapshot_image m <> full_image c then ok := false;
-              let r, _ = must (Consumer.recover schema q (Store.Store.create m ~name:"c")) in
+              let r, _ = must (Consumer.recover q (Store.Store.create m ~name:"c")) in
               if
                 Consumer.cookie r <> Consumer.cookie c
                 || not
@@ -722,7 +721,7 @@ let test_old_ring_image () =
      suffix: the recovered log is the one the old code recovered. *)
   let m = Store.Medium.memory () in
   let store = restore_image m ~name:"ring" Old_images.ring_snap Old_images.ring_wal in
-  let b, _ = must (Store.Backend_store.recover schema store) in
+  let b, _ = must (Store.Backend_store.recover store) in
   let describe (r : Update.record) =
     ( Csn.to_int r.Update.csn,
       Update.op_kind_name r.op,
@@ -744,7 +743,7 @@ let test_old_tombstone_image () =
   let m = Store.Medium.memory () in
   let bstore = restore_image m ~name:"tsb" Old_images.tsb_snap Old_images.tsb_wal in
   let mstore = restore_image m ~name:"tsm" Old_images.tsm_snap Old_images.tsm_wal in
-  let b, _ = must (Store.Backend_store.recover schema bstore) in
+  let b, _ = must (Store.Backend_store.recover bstore) in
   let master, recovery = must (Master.recover b mstore) in
   (* Tombstone serving buffers nothing per session. *)
   check_bool "tombstone strategy" true (Master.pending_stats master = (0, 0));
@@ -771,7 +770,7 @@ let test_old_session_history_image () =
   let m = Store.Medium.memory () in
   let bstore = restore_image m ~name:"shb" Old_images.shb_snap Old_images.shb_wal in
   let mstore = restore_image m ~name:"shm" Old_images.shm_snap Old_images.shm_wal in
-  let b, _ = must (Store.Backend_store.recover schema bstore) in
+  let b, _ = must (Store.Backend_store.recover bstore) in
   let master, recovery = must (Master.recover b mstore) in
   (* Session history buffers the session's pending actions. *)
   check_bool "session history strategy" true (fst (Master.pending_stats master) > 0);

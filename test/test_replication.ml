@@ -5,7 +5,6 @@ open Ldap
 module Resync = Ldap_resync
 module R = Ldap_replication
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -24,7 +23,7 @@ let person name parent serial dept =
 
 (* Master: o=xyz with two country subtrees plus a research ou. *)
 let make_master () =
-  let b = Backend.create ~indexed:[ "serialnumber"; "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber"; "departmentnumber" ] () in
   must
     (Backend.add_context b
        (Entry.make (dn "o=xyz") [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ]));
@@ -73,7 +72,7 @@ let test_subtree_answer () =
 let test_subtree_partial_referral () =
   (* A replicated subtree containing a referral object cannot fully
      answer queries whose scope touches it (section 3.1.3). *)
-  let b = Backend.create schema in
+  let b = Backend.create () in
   must
     (Backend.add_context b
        (Entry.make (dn "o=xyz") [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ]));
@@ -264,7 +263,7 @@ let test_filter_replica_rename_chain () =
 (* --- Query cache -------------------------------------------------------- *)
 
 let test_query_cache_containment () =
-  let cache = R.Query_cache.create schema ~capacity:4 in
+  let cache = R.Query_cache.create ~capacity:4 in
   let block = q "o=xyz" "(serialNumber=01*)" in
   let entries = [ Entry.make (dn "cn=a,c=us,o=xyz") [ ("objectclass", [ "person" ]); ("cn", [ "a" ]); ("sn", [ "a" ]); ("serialNumber", [ "0100009" ]) ] ] in
   R.Query_cache.add cache block entries;
@@ -280,7 +279,7 @@ let test_query_cache_containment () =
     (R.Query_cache.answer cache (q "o=xyz" "(serialNumber=0200001)") = None)
 
 let test_query_cache_window () =
-  let cache = R.Query_cache.create schema ~capacity:2 in
+  let cache = R.Query_cache.create ~capacity:2 in
   let mk i = q "o=xyz" (Printf.sprintf "(serialNumber=%07d)" i) in
   R.Query_cache.add cache (mk 1) [];
   R.Query_cache.add cache (mk 2) [];
@@ -295,7 +294,7 @@ let test_query_cache_window () =
   check_bool "stale evicted" true (R.Query_cache.answer cache (mk 3) = None)
 
 let test_query_cache_disabled () =
-  let cache = R.Query_cache.create schema ~capacity:0 in
+  let cache = R.Query_cache.create ~capacity:0 in
   R.Query_cache.add cache (q "o=xyz" "(a=1)") [];
   check_int "disabled stays empty" 0 (R.Query_cache.length cache);
   check_bool "never answers" true (R.Query_cache.answer cache (q "o=xyz" "(a=1)") = None)
@@ -422,7 +421,7 @@ let prop_kept_consumers_follow_index =
       let medium = Ldap_store.Medium.memory () in
       let replica = ref (R.Filter_replica.create master) in
       R.Filter_replica.attach_store !replica medium ~prefix:"r";
-      let shadow = ref (Cidx.create schema) and installed = ref [] in
+      let shadow = ref (Cidx.create ()) and installed = ref [] in
       let added qq =
         if not (Cidx.mem !shadow qq) then begin
           Cidx.add !shadow qq ();
@@ -469,7 +468,7 @@ let prop_kept_consumers_follow_index =
                      ~prefix:"r")
               in
               replica := r;
-              shadow := Cidx.create schema;
+              shadow := Cidx.create ();
               List.iter (fun qq -> Cidx.add !shadow qq ()) !installed);
           agrees ())
         ops)

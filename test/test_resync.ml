@@ -11,7 +11,6 @@ let push_of_fn f = { Protocol.pc_send = (fun a -> f a; Protocol.Push_ok); pc_clo
 let persistent_count master =
   Server.fold (Master.server master) (fun s n -> if s.Server.push <> None then n + 1 else n) 0
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -30,7 +29,7 @@ let person name ?(dept = "100") () =
     ]
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -46,7 +45,7 @@ let test_initial_content () =
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "c" ~dept:"8" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with
   | Ok reply ->
       check_bool "initial kind" true (reply.Protocol.kind = Protocol.Initial_content);
@@ -59,7 +58,7 @@ let test_incremental_minimal () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* Entry enters content, one changes within, one leaves. *)
   apply b (Update.add (person "b" ~dept:"7" ()));
@@ -78,7 +77,7 @@ let test_rename_within_content () =
   let b = make_backend () in
   apply b (Update.add (person "e3" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let new_rdn = match Dn.rdn_of_string "cn=e5" with Ok r -> r | Error e -> failwith e in
   apply b (Update.modify_dn (dn "cn=e3,o=xyz") new_rdn);
@@ -93,7 +92,7 @@ let test_rename_within_content () =
 let test_add_then_delete_coalesces () =
   let b = make_backend () in
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.add (person "x" ~dept:"7" ()));
   apply b (Update.delete (dn "cn=x,o=xyz"));
@@ -106,7 +105,7 @@ let test_degraded_mode () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "a@x" ] ]);
   (* Kill the session server-side: the cookie becomes unknown. *)
@@ -126,7 +125,7 @@ let test_degraded_prunes_stale () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* b leaves the content while the session is lost. *)
   apply b (Update.modify (dn "cn=b,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
@@ -141,7 +140,7 @@ let test_degraded_prunes_stale () =
 let test_sync_end () =
   let b = make_backend () in
   let master = Master.create b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   check_int "one session" 1 (Master.session_count master);
   let cookie = Option.get (Consumer.cookie consumer) in
@@ -191,7 +190,7 @@ let test_attribute_selection_in_actions () =
   let query =
     Query.make ~attrs:(Query.Select [ "cn" ]) ~base:(dn "o=xyz") (f "(departmentNumber=7)")
   in
-  let consumer = Consumer.create schema query in
+  let consumer = Consumer.create query in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let e = Option.get (Content_store.find (Consumer.content consumer) (dn "cn=a,o=xyz")) in
   check_bool "cn present" true (Entry.has_attribute e "cn");
@@ -215,7 +214,7 @@ let run_strategy strategy =
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "z" ~dept:"9" ()));
   let master = Master.create ~strategy b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* Updates: one out-of-content delete, one in-content delete, one
      out-of-content add, one modify-out-of-content. *)
@@ -254,7 +253,7 @@ let test_history_sizes () =
       (fun strategy ->
         let b = make_backend () in
         let master = Master.create ~strategy b in
-        let consumer = Consumer.create schema (dept_query "7") in
+        let consumer = Consumer.create (dept_query "7") in
         (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
         (* Many out-of-content updates: session history stays empty. *)
         for i = 0 to 19 do
@@ -276,7 +275,7 @@ let test_changelog_trim_degrades () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Changelog b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   apply b (Update.delete (dn "cn=b,o=xyz"));
@@ -290,7 +289,7 @@ let test_changelog_trim_degrades () =
   let b2 = make_backend () in
   apply b2 (Update.add (person "a" ~dept:"7" ()));
   let master2 = Master.create b2 in
-  let consumer2 = Consumer.create schema (dept_query "7") in
+  let consumer2 = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer2 master2 with Ok _ -> () | Error e -> failwith e);
   apply b2 (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "m@x" ] ]);
   Backend.trim_log b2 ~before:(Csn.next (Backend.csn b2));
@@ -321,7 +320,7 @@ let converged b consumer =
 
 let test_dropped_reply_recovers () =
   let b, master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok o ->
       check_bool "initial" true (o.Consumer.reply.Protocol.kind = Protocol.Initial_content);
@@ -346,7 +345,7 @@ let test_dropped_reply_recovers () =
 
 let test_expired_session_resumes () =
   let b, master, _net, _faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -363,7 +362,7 @@ let test_expired_session_resumes () =
 
 let test_retry_exhaustion () =
   let b, _master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -392,7 +391,7 @@ let test_retry_exhaustion () =
 
 let test_persist_reconnect () =
   let b, master, _net, faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.connect_persist consumer transport ~host:"m" ~from:"consumer" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -426,7 +425,7 @@ let test_persist_reconnect () =
 
 let test_ensure_persist_noop_when_alive () =
   let b, _master, _net, _faults, transport = faulty_setup () in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.connect_persist consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -441,7 +440,7 @@ let test_tombstone_gc () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Tombstone b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.delete (dn "cn=a,o=xyz"));
   apply b (Update.delete (dn "cn=b,o=xyz"));
@@ -464,7 +463,7 @@ let test_persist_advances_synced_csn () =
      acknowledged CSN. *)
   let b = make_backend () in
   let master = Master.create ~strategy:Master.Changelog b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   let transport = Transport.loopback master in
   (match Consumer.connect_persist consumer transport ~host:Transport.loopback_host with
   | Ok _ -> ()
@@ -521,7 +520,7 @@ let run_sim ops =
   let b = make_backend () in
   let master = Master.create b in
   let query = dept_query "7" in
-  let consumer = Consumer.create schema query in
+  let consumer = Consumer.create query in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   let name i = Printf.sprintf "cn=p%d,o=xyz" i in
   List.iter
@@ -564,7 +563,7 @@ let prop_convergence_changelog =
       let b = make_backend () in
       let master = Master.create ~strategy:Master.Changelog b in
       let query = dept_query "7" in
-      let consumer = Consumer.create schema query in
+      let consumer = Consumer.create query in
       (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
       let name i = Printf.sprintf "cn=p%d,o=xyz" i in
       List.iter
@@ -687,7 +686,7 @@ let test_tombstone_newest_first () =
   let b = make_backend () in
   List.iter (fun n -> apply b (Update.add (person n ~dept:"7" ()))) [ "a"; "b"; "c" ];
   let master = Master.create ~strategy:Master.Tombstone b in
-  let consumer = Consumer.create schema (dept_query "7") in
+  let consumer = Consumer.create (dept_query "7") in
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.delete (dn "cn=a,o=xyz"));
   apply b (Update.modify_dn (dn "cn=b,o=xyz") (Result.get_ok (Dn.rdn_of_string "cn=d")));
@@ -776,8 +775,8 @@ let prop_classify_m_matches_oracle =
        classify_case_gen)
     (fun (q, before, after) ->
       same_transition
-        (Content.classify schema q ~before ~after)
-        (Content.classify_m (Content.matcher schema q) ~before ~after))
+        (Content.classify q ~before ~after)
+        (Content.classify_m (Content.matcher q) ~before ~after))
 
 let suite =
   [

@@ -7,7 +7,6 @@ module R = Ldap_replication
 module S = Ldap_selection
 module A = Ldap_adaptive
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -63,7 +62,7 @@ let test_candidates_contain_query () =
   List.iter
     (fun c ->
       check_bool "candidate contains query" true
-        (Ldap_containment.Query_containment.contained schema ~query ~stored:c))
+        (Ldap_containment.Query_containment.contained ~query ~stored:c))
     cands
 
 (* --- Candidate statistics ---------------------------------------------- *)
@@ -88,7 +87,7 @@ let test_candidate_stats () =
 (* --- Selector ----------------------------------------------------------- *)
 
 let make_master_with_depts () =
-  let b = Backend.create ~indexed:[ "departmentnumber"; "divisionnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber"; "divisionnumber" ] () in
   must
     (Backend.add_context b
        (Entry.make (dn "o=xyz") [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ]));

@@ -18,7 +18,6 @@ module Content = Ldap_resync.Content
 module Containment = Ldap_containment.Filter_containment
 module Medium = Ldap_store.Medium
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -57,7 +56,7 @@ let employee ?(dept = "100") ?block ~country ~n () =
     ]
 
 let build_source ~countries ~per =
-  let b = Backend.create ~indexed:[ "serialnumber" ] schema in
+  let b = Backend.create ~indexed:[ "serialnumber" ] () in
   must (Backend.add_context b org);
   for c = 0 to countries - 1 do
     ignore (must (Backend.apply b (Update.add (country_entry c))));
@@ -72,7 +71,7 @@ let blocks countries =
   Array.init countries (fun c -> (Printf.sprintf "%02d" c, Some (country_dn c)))
 
 let make_partition ?(countries = 4) ~shards () =
-  Partition.create schema ~shards ~blocks:(blocks countries)
+  Partition.create ~shards ~blocks:(blocks countries)
 
 (* A router over a fresh source backend.  The source stays the oracle:
    every mutation a test routes is also applied to it directly. *)
@@ -83,7 +82,7 @@ let make_router ?(countries = 4) ?(per = 3) ?strategy ~shards () =
     Transport.create ~faults:(Network.Faults.create ()) (Network.create ())
   in
   let masters =
-    Array.init shards (fun i -> Shard_master.create ?strategy schema ~id:i)
+    Array.init shards (fun i -> Shard_master.create ?strategy Schema.default ~id:i)
   in
   let router = Router.create partition transport masters in
   must (Router.seed_from_backend router source);
@@ -178,9 +177,9 @@ let test_partition_keys () =
   check_int "unknown block at shard 0" 0 (Partition.of_serial p "99000");
   check_int "short value at shard 0" 0 (Partition.of_serial p "7");
   check_int "keyed entry" 1 (Partition.of_entry p (employee ~country:1 ~n:0 ()));
-  check_bool "ou is structural" true (Partition.is_structural p (country_entry 0));
+  check_bool "ou is structural" true (Partition.is_structural (country_entry 0));
   check_bool "employee is keyed" false
-    (Partition.is_structural p (employee ~country:0 ~n:0 ()));
+    (Partition.is_structural (employee ~country:0 ~n:0 ()));
   Alcotest.(check (list string)) "shard 0 blocks" [ "00"; "02" ]
     (Partition.blocks_of p 0);
   Alcotest.(check (list string)) "shard 1 blocks" [ "01"; "03" ]
@@ -404,7 +403,7 @@ let sessions router i = Master.session_count (Shard_master.master (Router.shard 
 
 let test_resync_single_shard_session () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema (serial_query 1) in
+  let consumer = Consumer.create (serial_query 1) in
   let reply = sync_router consumer transport router in
   check_bool "initial" true (reply.Protocol.kind = Protocol.Initial_content);
   check_bool "content" true (consumer_matches_oracle consumer source);
@@ -426,7 +425,7 @@ let test_resync_single_shard_session () =
 
 let test_resync_broadcast_and_sync_end () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   check_int "sessions everywhere" 2 (sessions router 0 + sessions router 1);
   List.iter
@@ -453,7 +452,7 @@ let test_resync_broadcast_and_sync_end () =
 
 let test_mixed_kind_escalation () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   List.iter
     (fun (c, n) ->
@@ -497,7 +496,7 @@ let test_mixed_kind_escalation () =
 let test_partial_fanout_keeps_old_component () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   let before = Option.get (Consumer.cookie consumer) in
   let old_comp = Option.get (composite_component before ~shard:1) in
@@ -541,7 +540,7 @@ let test_partial_fanout_keeps_old_component () =
 let test_pruning_reply_with_failed_shard_errors () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   (* First contact: both legs would answer Initial_content.  Losing a
      shard here must fail the whole poll — merging an initial reply
      without one shard's entries would present a hole as truth. *)
@@ -558,7 +557,7 @@ let test_pruning_reply_with_failed_shard_errors () =
 let test_consumer_leg_drop_recovers () =
   let router, transport, source = make_router ~shards:2 () in
   let faults = Option.get (Transport.faults transport) in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   ignore
     (must
@@ -576,7 +575,7 @@ let test_consumer_leg_drop_recovers () =
 
 let test_persist_through_router () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   (match Consumer.connect_persist consumer transport ~host:(Router.host router) with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
@@ -592,7 +591,7 @@ let test_persist_through_router () =
 
 let test_merkle_through_router () =
   let router, transport, source = make_router ~shards:2 () in
-  let consumer = Consumer.create schema broadcast_query in
+  let consumer = Consumer.create broadcast_query in
   ignore (sync_router consumer transport router);
   (* Drift accumulates while the consumer is offline; it reconciles by
      Merkle walk instead of polling, then resumes incrementally from
@@ -626,7 +625,7 @@ let test_shard_crash_recovery () =
     Shard_master.attach_stores (Router.shard router i) medium
       ~prefix:(Printf.sprintf "shard-%d" i)
   done;
-  let consumer = Consumer.create schema (serial_query 1) in
+  let consumer = Consumer.create (serial_query 1) in
   ignore (sync_router consumer transport router);
   let update n v =
     ignore
@@ -643,7 +642,7 @@ let test_shard_crash_recovery () =
   (* Crash shard 1 and rebuild it from its stores; the consumer's
      composite cookie must resume against the recovered master. *)
   let recovered, recovery =
-    must (Shard_master.recover schema ~id:1 medium ~prefix:"shard-1")
+    must (Shard_master.recover ~id:1 medium ~prefix:"shard-1")
   in
   check_bool "post-checkpoint WAL replayed" true
     (List.length recovery.Shard_master.rc_backend.Ldap_store.Store.records >= 2);
@@ -730,7 +729,7 @@ let prop_cover_sound_and_minimal =
           (fun e ->
             let owner = Partition.of_entry p e in
             List.mem owner cov
-            || (Partition.is_structural p e && List.mem 0 cov))
+            || (Partition.is_structural e && List.mem 0 cov))
           matching
         (* Minimal: no keyed shard in the cover is provably disjoint
            from the filter over its blocks. *)
@@ -738,7 +737,7 @@ let prop_cover_sound_and_minimal =
              (fun s ->
                s = 0
                || not
-                    (Containment.disjoint schema
+                    (Containment.disjoint
                        (Filter.normalize q.Query.filter)
                        (Partition.ownership_filter p s)))
              cov)
@@ -833,8 +832,8 @@ let prop_router_equals_single_master =
       let router, transport, source = make_router ~countries:3 ~strategy ~shards () in
       let oracle_master = Master.create ~strategy source in
       let q = equiv_query qk in
-      let rc = Consumer.create schema q in
-      let oc = Consumer.create schema q in
+      let rc = Consumer.create q in
+      let oc = Consumer.create q in
       let sync_both () =
         (match Consumer.sync_over rc transport ~host:(Router.host router) with
         | Ok _ -> ()

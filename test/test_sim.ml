@@ -9,7 +9,6 @@ module Resync = Ldap_resync
 module Replication = Ldap_replication
 module Sweep = Ldap_eval.Sweep
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -28,7 +27,7 @@ let person name ?(dept = "100") () =
     ]
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -192,7 +191,7 @@ let inline_calls net faults transport =
   in
   let r1 = rpc () in
   let r2 = rpc () in
-  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let consumer = Resync.Consumer.create (dept_query "7") in
   let poll =
     match Resync.Consumer.sync_over consumer transport ~host:"m" with
     | Ok o ->
@@ -283,7 +282,7 @@ let test_backoff_advances_clock () =
   let faults = Network.Faults.create () in
   let transport = Resync.Transport.create ~faults net in
   Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
-  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let consumer = Resync.Consumer.create (dept_query "7") in
   (match Resync.Consumer.sync_over consumer transport ~host:"m" with
   | Ok _ -> ()
   | Error e -> failwith (Resync.Consumer.sync_error_to_string e));
@@ -405,7 +404,7 @@ let run_variant ~engine seed =
   in
   let transport = Resync.Transport.create ~faults net in
   Resync.Transport.add_master transport ~name:"m" (Resync.Master.create b);
-  let consumer = Resync.Consumer.create schema (dept_query "7") in
+  let consumer = Resync.Consumer.create (dept_query "7") in
   let replica =
     Replication.Filter_replica.create_over ~host:"r" transport ~master_host:"m"
   in
@@ -422,7 +421,7 @@ let run_variant ~engine seed =
     (* A fresh persist session per round, paused once established: its
        later pushes stall at the master instead of crossing the lossy
        link, so the pushes' delivery timing cannot diverge. *)
-    let pc = Resync.Consumer.create schema (dept_query "7") in
+    let pc = Resync.Consumer.create (dept_query "7") in
     let r =
       Result.map
         (fun o -> o.Resync.Consumer.attempts)

@@ -4,12 +4,11 @@
 open Ldap
 open Ldap_containment
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let t = Template.of_string_exn
 
 let compile left right =
-  match Symbolic.compile schema ~left:(t left) ~right:(t right) with
+  match Symbolic.compile ~left:(t left) ~right:(t right) with
   | Some c -> c
   | None -> Alcotest.failf "compilation of %s in %s failed" left right
 
@@ -33,7 +32,7 @@ let test_never () =
   | Symbolic.Never -> ()
   | c -> Alcotest.failf "expected Never, got %s" (Symbolic.to_string c)
 
-let eval c ~left ~right = Symbolic.eval schema c ~left ~right
+let eval c ~left ~right = Symbolic.eval c ~left ~right
 
 let test_range_conditions () =
   let c = compile "(age>=_)" "(age>=_)" in
@@ -49,7 +48,7 @@ let test_integer_discreteness () =
      x > 3 iff x >= 4. *)
   let left = t "(age>=_)" in
   let right = t "(!(age<=_))" in
-  match Symbolic.compile schema ~left ~right with
+  match Symbolic.compile ~left ~right with
   | Some c ->
       check_bool "integer gap" true (eval c ~left:[| "4" |] ~right:[| "3" |]);
       check_bool "same bound fails" false (eval c ~left:[| "3" |] ~right:[| "3" |])
@@ -139,13 +138,13 @@ let prop_compiled_agrees_with_direct =
        QCheck.Gen.(pair instance_gen instance_gen))
     (fun ((lt, lv), (rt, rv)) ->
       let left = t lt and right = t rt in
-      match Symbolic.compile schema ~left ~right with
+      match Symbolic.compile ~left ~right with
       | None -> true
       | Some cond -> (
           let lf = instance lt lv and rf = instance rt rv in
-          match (Template.match_filter schema left lf, Template.match_filter schema right rf) with
+          match (Template.match_filter left lf, Template.match_filter right rf) with
           | Some lv, Some rv ->
-              Symbolic.eval schema cond ~left:lv ~right:rv = Symbolic.contained schema lf rf
+              Symbolic.eval cond ~left:lv ~right:rv = Symbolic.contained lf rf
           | _ -> QCheck.Test.fail_reportf "not an instance of its template"))
 
 let suite =

@@ -11,7 +11,6 @@ let push_of_fn f = { Protocol.pc_send = (fun a -> f a; Protocol.Push_ok); pc_clo
 module R = Ldap_replication
 module T = Ldap_topology
 
-let schema = Schema.default
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let dn = Dn.of_string_exn
@@ -30,7 +29,7 @@ let person name ?(dept = "1") () =
     ]
 
 let make_backend () =
-  let b = Backend.create ~indexed:[ "departmentnumber" ] schema in
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
   (match Backend.add_context b org with Ok () -> () | Error e -> failwith e);
   b
 
@@ -261,7 +260,7 @@ let test_cursor_stats_fixed_script () =
 
 let test_reparented_cookie_degrades_with_retain () =
   let b, t, _ = node_fixture () in
-  let consumer = Consumer.create schema (dept_query 7) in
+  let consumer = Consumer.create (dept_query 7) in
   let transport = T.Topology.transport t in
   let sync () =
     match Consumer.sync_over consumer transport ~host:"n1" with
@@ -563,7 +562,7 @@ let oracle_map q b =
   let h = Hashtbl.create 32 in
   List.iter
     (fun e -> Hashtbl.replace h (Dn.canonical (Entry.dn e)) (Entry.content_hash64 e))
-    (R.Replica.eval_over_entries schema q (Content_store.to_seq (Backend.content_store b)));
+    (R.Replica.eval_over_entries Schema.default q (Content_store.to_seq (Backend.content_store b)));
   h
 
 let hashtbl_dump h =
@@ -578,7 +577,7 @@ let sm_run_strategy strategy ops =
     List.map
       (fun fs ->
         let q = Query.make ~base:(dn "o=xyz") (f fs) in
-        (q, Consumer.create schema q, Hashtbl.create 32))
+        (q, Consumer.create q, Hashtbl.create 32))
       sm_queries
   in
   let poll () =
@@ -717,8 +716,8 @@ let test_history_hwm_bounds_master () =
   let m = Master.create b in
   Master.set_history_limit m (Some 8);
   check_bool "limit recorded" true (Master.history_limit m = Some 8);
-  let fast = Consumer.create schema (dept_query 7) in
-  let slow = Consumer.create schema (dept_query 8) in
+  let fast = Consumer.create (dept_query 7) in
+  let slow = Consumer.create (dept_query 8) in
   let sync c = match Consumer.sync c m with Ok r -> r | Error e -> failwith e in
   ignore (sync fast);
   ignore (sync slow);
@@ -815,7 +814,7 @@ let test_acked_csn_matches_parse () =
 let persist_cut ~label ~transport ~host ~sessions ~commit b =
   let q = dept_query 3 in
   let before = sessions () in
-  let consumer = Consumer.create schema q in
+  let consumer = Consumer.create q in
   (match Consumer.connect_persist consumer transport ~host ~from:"leaf" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
