@@ -35,49 +35,13 @@ let app tag = 0x60 lor tag (* application, constructed *)
 let ctx tag = 0x80 lor tag (* context, primitive *)
 let ctxc tag = 0xa0 lor tag (* context, constructed *)
 
-let encode_length n =
-  if n < 0x80 then String.make 1 (Char.chr n)
-  else begin
-    let rec bytes acc n = if n = 0 then acc else bytes (Char.chr (n land 0xff) :: acc) (n lsr 8) in
-    let bs = bytes [] n in
-    let b = Buffer.create 5 in
-    Buffer.add_char b (Char.chr (0x80 lor List.length bs));
-    List.iter (Buffer.add_char b) bs;
-    Buffer.contents b
-  end
-
-let tlv tag body =
-  let b = Buffer.create (String.length body + 4) in
-  Buffer.add_char b (Char.chr tag);
-  Buffer.add_string b (encode_length (String.length body));
-  Buffer.add_string b body;
-  Buffer.contents b
-
-let der_integer n =
-  (* Two's-complement big-endian, minimal length; non-negative only. *)
-  if n < 0 then invalid_arg "der_integer: negative";
-  let rec bytes acc n =
-    if n = 0 then acc else bytes (Char.chr (n land 0xff) :: acc) (n lsr 8)
-  in
-  let bs = match bytes [] n with [] -> [ '\000' ] | l -> l in
-  (* Leading bit set would read as negative: prepend 0x00. *)
-  let bs = match bs with c :: _ when Char.code c >= 0x80 -> '\000' :: bs | _ -> bs in
-  let b = Buffer.create 4 in
-  List.iter (Buffer.add_char b) bs;
-  tlv tag_integer (Buffer.contents b)
-
-let der_enum ?(tag = tag_enumerated) n = tlv tag (String.make 1 (Char.chr n))
-let der_octets ?(tag = tag_octet_string) s = tlv tag s
-let der_seq ?(tag = tag_sequence) parts = tlv tag (String.concat "" parts)
-
 (* --- Backwards writer (zero-copy encode) --------------------------------- *)
 
 (* DER is [tag length body] with the length in front of a body whose
-   size is only known once it is written.  The [String.concat]
-   combinators above solve that by materializing every nested value;
-   the writer solves it by emitting into an [Ldap_compile.Wbuf]
-   backwards: body first (children in {e reverse} order), then the
-   length and tag prepended over it.  Each byte is written once. *)
+   size is only known once it is written.  The writer emits into an
+   [Ldap_compile.Wbuf] backwards: body first (children in {e reverse}
+   order), then the length and tag prepended over it, so no nested
+   value is materialized and each byte is written once. *)
 module Writer = struct
   module Wbuf = Ldap_compile.Wbuf
 
@@ -264,10 +228,13 @@ let scratch = Ldap_compile.Wbuf.create ~capacity:4096 ()
 
 let encode_to = emit_message
 
-let encode m =
+(* The image [emit] writes for [x], copied out of [scratch]. *)
+let with_scratch emit x =
   Ldap_compile.Wbuf.clear scratch;
-  emit_message scratch m;
+  emit scratch x;
   Ldap_compile.Wbuf.contents scratch
+
+let encode m = with_scratch emit_message m
 
 let encoded_size m =
   Ldap_compile.Wbuf.clear scratch;
@@ -501,13 +468,18 @@ let mode_name = function
   | 2 -> Ok "sync_end"
   | n -> Error (Printf.sprintf "unknown resync mode code %d" n)
 
+let emit_resync_value w (mode, cookie) =
+  let m = Wr.mark w in
+  Option.iter (Wr.octets w) cookie;
+  Wr.enum w (mode_code mode);
+  Wr.close w ~tag:tag_sequence m
+
 let resync_control ~mode ~cookie =
-  let value =
-    der_seq
-      ([ der_enum (mode_code mode) ]
-      @ match cookie with Some c -> [ der_octets c ] | None -> [])
-  in
-  { control_type = resync_oid; criticality = true; control_value = Some value }
+  {
+    control_type = resync_oid;
+    criticality = true;
+    control_value = Some (with_scratch emit_resync_value (mode, cookie));
+  }
 
 let decode_resync_control control =
   if control.control_type <> resync_oid then Error "not a resync control"
@@ -540,17 +512,7 @@ let entry_message ?(id = 1) e = { id; op = Search_result_entry e; controls = [] 
 module Der = struct
   type nonrec cursor = cursor
 
-  let integer = der_integer
-  let enum n = der_enum n
-  let seq parts = der_seq parts
-
-  let with_scratch emit x =
-    Ldap_compile.Wbuf.clear scratch;
-    emit scratch x;
-    Ldap_compile.Wbuf.contents scratch
-
   let entry e = with_scratch emit_entry e
-  let query q = with_scratch emit_search_request q
 
   module W = struct
     type w = Ldap_compile.Wbuf.t

@@ -72,30 +72,15 @@ module Der : sig
   type cursor
   (** Read position inside one DER value. *)
 
-  val integer : int -> string
-  (** DER INTEGER (non-negative, minimal two's-complement). *)
-
-  val enum : int -> string
-  (** DER ENUMERATED, single byte [0..255]. *)
-
-  val seq : string list -> string
-  (** DER SEQUENCE of already-encoded parts. *)
-
   val entry : Entry.t -> string
-  (** A SearchResultEntry TLV (same image as {!entry_message}'s op). *)
+  (** A SearchResultEntry TLV (same image as {!entry_message}'s op),
+      as {!W.entry} writes it. *)
 
-  val query : Query.t -> string
-  (** A SearchRequest TLV.  The [manage_dsa_it] flag travels as a
-      control at the message layer, so it is {e not} preserved. *)
-
-  (** Writer twins of the combinators above, emitting into an
-      {!Ldap_compile.Wbuf} backwards with no intermediate strings.
-      Because the buffer is written back-to-front, composite values
-      must emit their children in {e reverse} field order between
-      {!W.mark} and {!W.close_seq}; the string combinators remain the
-      readable spelling for cold paths.  Both produce byte-identical
-      DER, so records written by either are read by the same
-      [read_*] cursors. *)
+  (** The DER writer, emitting into an {!Ldap_compile.Wbuf} backwards
+      with no intermediate strings.  Because the buffer is written
+      back-to-front, composite values must emit their children in
+      {e reverse} field order between {!W.mark} and {!W.close_seq}.
+      The [read_*] cursors below read what it writes. *)
   module W : sig
     type w = Ldap_compile.Wbuf.t
     (** The target buffer. *)
@@ -112,13 +97,13 @@ module Der : sig
         given {!mark} — for wrapping an already-emitted image. *)
 
     val integer : w -> int -> unit
-    (** Writer twin of {!integer}. *)
+    (** DER INTEGER (non-negative, minimal two's-complement). *)
 
     val boolean : w -> bool -> unit
     (** DER BOOLEAN. *)
 
     val enum : w -> int -> unit
-    (** Writer twin of {!enum}. *)
+    (** DER ENUMERATED, single byte [0..255]. *)
 
     val octets : w -> string -> unit
     (** DER OCTET STRING. *)
@@ -128,10 +113,11 @@ module Der : sig
         callback must emit into [w]. *)
 
     val entry : w -> Entry.t -> unit
-    (** Writer twin of {!entry}. *)
+    (** A SearchResultEntry TLV. *)
 
     val query : w -> Query.t -> unit
-    (** Writer twin of {!query}. *)
+    (** A SearchRequest TLV.  The [manage_dsa_it] flag travels as a
+        control at the message layer, so it is {e not} preserved. *)
   end
 
   val cursor : string -> cursor
@@ -159,8 +145,8 @@ module Der : sig
   (** Inverse of {!W.option}. *)
 
   val read_entry : cursor -> Entry.t
-  (** Inverse of {!entry}. *)
+  (** Inverse of {!W.entry}. *)
 
   val read_query : cursor -> Query.t
-  (** Inverse of {!query}. *)
+  (** Inverse of {!W.query}. *)
 end

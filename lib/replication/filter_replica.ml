@@ -91,14 +91,24 @@ let retarget t ~master_host =
 (* --- Durability ------------------------------------------------------ *)
 
 module Der = Ber_codec.Der
+module DW = Der.W
 
 (* Meta WAL records: a filter installed into a slot, or a slot's
    filter removed.  Slots number consumer stores ([<prefix>.f<slot>])
-   so the name survives install/remove churn of other filters. *)
-let installed_record ~slot q =
-  Der.seq [ Der.enum 0; Der.integer slot; Der.query q ]
+   so the name survives install/remove churn of other filters.  Both
+   are written backwards, children in reverse field order. *)
+let installed_record ~slot q w =
+  let m = DW.mark w in
+  DW.query w q;
+  DW.integer w slot;
+  DW.enum w 0;
+  DW.close_seq w m
 
-let removed_record ~slot = Der.seq [ Der.enum 1; Der.integer slot ]
+let removed_record ~slot w =
+  let m = DW.mark w in
+  DW.integer w slot;
+  DW.enum w 1;
+  DW.close_seq w m
 let consumer_store_name d slot = Printf.sprintf "%s.f%d" d.prefix slot
 
 let slot_of d q =
@@ -112,16 +122,21 @@ let consumer_store d slot =
   Ldap_store.Store.create ~sync:d.sync_each d.medium
     ~name:(consumer_store_name d slot)
 
-let meta_snapshot d =
-  let slots = List.sort (fun (_, a) (_, b) -> compare a b) d.slots in
-  Der.seq
-    [
-      Der.integer d.next_slot;
-      Der.seq
-        (List.map
-           (fun (q, slot) -> Der.seq [ Der.integer slot; Der.query q ])
-           slots);
-    ]
+(* The slot table: the next slot, then each (slot, query) in slot
+   order — so the writer visits them highest slot first. *)
+let meta_snapshot d w =
+  let m = DW.mark w in
+  let ms = DW.mark w in
+  List.iter
+    (fun (q, slot) ->
+      let m = DW.mark w in
+      DW.query w q;
+      DW.integer w slot;
+      DW.close_seq w m)
+    (List.sort (fun (_, a) (_, b) -> compare b a) d.slots);
+  DW.close_seq w ms;
+  DW.integer w d.next_slot;
+  DW.close_seq w m
 
 let install_durable t q consumer =
   match t.durable with
@@ -130,7 +145,7 @@ let install_durable t q consumer =
       let slot = d.next_slot in
       d.next_slot <- slot + 1;
       d.slots <- (q, slot) :: d.slots;
-      Ldap_store.Store.append d.meta (installed_record ~slot q);
+      Ldap_store.Store.append_w d.meta (installed_record ~slot q);
       let store = consumer_store d slot in
       Resync.Consumer.attach_store consumer store;
       (* The initial content was fetched before the store existed:
@@ -145,7 +160,7 @@ let remove_durable t q =
       | None -> ()
       | Some slot ->
           d.slots <- List.filter (fun (q', _) -> not (Query.equal q' q)) d.slots;
-          Ldap_store.Store.append d.meta (removed_record ~slot);
+          Ldap_store.Store.append_w d.meta (removed_record ~slot);
           Ldap_store.Store.destroy (consumer_store d slot))
 
 let record_outcome t ~fetch outcome =
@@ -449,13 +464,13 @@ let attach_store ?(sync = true) t medium ~prefix =
       d.slots <- (q, slot) :: d.slots;
       Resync.Consumer.attach_store consumer (consumer_store d slot);
       Resync.Consumer.checkpoint consumer);
-  Ldap_store.Store.checkpoint d.meta (meta_snapshot d)
+  Ldap_store.Store.checkpoint_w d.meta (meta_snapshot d)
 
 let checkpoint t =
   match t.durable with
   | None -> ()
   | Some d ->
-      Ldap_store.Store.checkpoint d.meta (meta_snapshot d);
+      Ldap_store.Store.checkpoint_w d.meta (meta_snapshot d);
       C.Containment_index.iter t.index ~f:(fun _ consumer ->
           Resync.Consumer.checkpoint consumer)
 

@@ -47,9 +47,8 @@ module Der = Ber_codec.Der
 module DW = Der.W
 
 (* Journal records are emitted with the backwards writer straight into
-   the WAL's reused buffer — children in reverse field order, images
-   byte-identical to the old [Der.seq] spellings, so logs written by
-   either codec replay in {!replay_record}. *)
+   the WAL's reused buffer, children in reverse field order;
+   {!replay_record} reads them back. *)
 let journal_w src emit =
   match src.store with Some s -> Ldap_store.Store.append_w s emit | None -> ()
 

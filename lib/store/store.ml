@@ -16,7 +16,8 @@ let create ?(sync = true) medium ~name =
 
 (* The first record of every log generation carries the generation
    number; recovery matches it against the snapshot's. *)
-let header_payload gen = Der.integer gen
+let write_header t gen =
+  Wal.append_w ~sync:true t.medium ~name:(wal_file t) (fun w -> Der.W.integer w gen)
 
 let parse_header payload =
   match Der.read_integer (Der.cursor payload) with
@@ -26,13 +27,9 @@ let parse_header payload =
 let ensure_header t =
   if not t.header_written then begin
     if Medium.size t.medium ~name:(wal_file t) = 0 then
-      Wal.append ~sync:true t.medium ~name:(wal_file t) (header_payload t.gen);
+      write_header t t.gen;
     t.header_written <- true
   end
-
-let append t payload =
-  ensure_header t;
-  Wal.append ~sync:t.sync t.medium ~name:(wal_file t) payload
 
 let append_w t emit =
   ensure_header t;
@@ -63,11 +60,8 @@ let checkpoint_w t emit =
       Der.W.close_octets w m;
       Der.W.integer w t.gen);
   Medium.truncate t.medium ~name:(wal_file t) 0;
-  Wal.append ~sync:true t.medium ~name:(wal_file t) (header_payload t.gen);
+  write_header t t.gen;
   t.header_written <- true
-
-let checkpoint t payload =
-  checkpoint_w t (fun w -> Ldap_compile.Wbuf.prepend_string w payload)
 
 type recovery = {
   snapshot : string option;
@@ -104,8 +98,7 @@ let recover t =
          landed between snapshot install and log reset.  Discard it
          and restart the log at the snapshot's generation. *)
       Medium.truncate t.medium ~name:(wal_file t) 0;
-      Wal.append ~sync:true t.medium ~name:(wal_file t)
-        (header_payload snap_gen);
+      write_header t snap_gen;
       (List.length body, [], Medium.size t.medium ~name:(wal_file t))
     end
   in

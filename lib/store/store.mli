@@ -2,7 +2,7 @@
     on a {!Medium}, named [<name>.snap] and [<name>.wal].
 
     The client appends one WAL record per state transition and
-    periodically {!checkpoint}s the whole state, which atomically
+    periodically {!checkpoint_w}s the whole state, which atomically
     replaces the snapshot and resets the log.  {!recover} returns the
     latest good snapshot plus the WAL records to replay on top of it,
     truncating the log at the first torn or corrupt record.
@@ -21,24 +21,15 @@ val create : ?sync:bool -> Medium.t -> name:string -> t
     whether each appended record is fsynced; without it a crash can
     lose or tear the unsynced tail, which recovery then truncates. *)
 
-val append : t -> string -> unit
-(** Appends one record payload to the WAL. *)
-
 val append_w : t -> (Ldap_compile.Wbuf.t -> unit) -> unit
-(** Zero-copy twin of {!append}: [emit] writes the payload into the
-    WAL's reused buffer (see {!Wal.append_w}); the framed record is
-    byte-identical to [append] of the same payload. *)
-
-val checkpoint : t -> string -> unit
-(** Atomically installs the payload as the new snapshot and resets
-    the WAL to the new generation. *)
+(** Appends one record to the WAL: [emit] writes its payload into the
+    WAL's reused buffer (see {!Wal.append_w}). *)
 
 val checkpoint_w : t -> (Ldap_compile.Wbuf.t -> unit) -> unit
-(** Writer twin of {!checkpoint}: [emit] writes the snapshot payload
-    backwards into the reused buffer of {!Snapshot.write_w}, where it
-    is framed and checksummed in place and copied into the medium
-    once; the installed image is byte-identical to [checkpoint] of the
-    same payload. *)
+(** Atomically installs a new snapshot and resets the WAL to the new
+    generation: [emit] writes the snapshot payload backwards into the
+    reused buffer of {!Snapshot.write_w}, where it is framed and
+    checksummed in place and copied into the medium once. *)
 
 type recovery = {
   snapshot : string option;  (** Latest good snapshot payload. *)

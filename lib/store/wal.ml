@@ -34,8 +34,6 @@ let append_w ?(sync = true) medium ~name emit =
   Medium.append_sub medium ~name buf ~pos ~len:total;
   if sync then Medium.sync medium ~name
 
-let append ?sync medium ~name payload =
-  append_w ?sync medium ~name (fun w -> Wbuf.prepend_string w payload)
 
 type recovery = {
   records : string list;

@@ -15,17 +15,13 @@ val prepend_be32 : Ldap_compile.Wbuf.t -> int -> unit
 val read_be32 : string -> int -> int
 (** Inverse of {!prepend_be32}, reading at a byte offset. *)
 
-val append : ?sync:bool -> Medium.t -> name:string -> string -> unit
-(** Frames one payload and appends it; syncs by default. *)
-
 val append_w :
   ?sync:bool -> Medium.t -> name:string -> (Ldap_compile.Wbuf.t -> unit) -> unit
-(** Zero-copy twin of {!append}: [emit] writes the payload backwards
-    into a reused buffer, the frame header is prepended in place and
-    the whole record is blitted into the medium — no intermediate
-    payload/frame strings.  Byte-identical on the log to {!append} of
-    the same payload.  The buffer is shared, so [emit] must not
-    recursively call [append_w]. *)
+(** Frames one record and appends it; syncs by default.  [emit] writes
+    the payload backwards into a reused buffer, the frame header is
+    prepended in place and the whole record is blitted into the medium
+    — no intermediate payload/frame strings.  The buffer is shared, so
+    [emit] must not recursively call [append_w]. *)
 
 type recovery = {
   records : string list;  (** Whole-record payloads, oldest first. *)

@@ -218,19 +218,22 @@ let test_restore_rdn_ordered_image () =
   let image_entries =
     [ org; unit_entry "a"; member "y" "a"; member "z" "a"; unit_entry "b"; member "w" "b" ]
   in
-  let module Der = Ber_codec.Der in
-  let image =
-    Der.seq
-      [
-        (* CSNs are DER INTEGERs. *)
-        Der.integer 6;
-        Der.integer 0;
-        Der.seq [ Der.seq (List.map Der.entry image_entries) ];
-        Der.seq [];
-      ]
-  in
+  let module DW = Ber_codec.Der.W in
   let m = Store.Medium.memory () in
-  Store.Store.checkpoint (Store.Store.create m ~name:"backend") image;
+  (* SEQUENCE { csn, floor, SEQUENCE { SEQUENCE { entries } }, SEQUENCE {} },
+     written backwards. *)
+  Store.Store.checkpoint_w (Store.Store.create m ~name:"backend") (fun w ->
+      let image = DW.mark w in
+      DW.close_seq w (DW.mark w);
+      let contexts = DW.mark w in
+      let entries = DW.mark w in
+      List.iter (DW.entry w) (List.rev image_entries);
+      DW.close_seq w entries;
+      DW.close_seq w contexts;
+      (* CSNs are DER INTEGERs. *)
+      DW.integer w 0;
+      DW.integer w 6;
+      DW.close_seq w image);
   let b = recover_backend m in
   Alcotest.(check (list string))
     "image order" (List.map (fun e -> Dn.canonical (Entry.dn e)) image_entries) (slot_order b);

@@ -29,10 +29,15 @@ let test_crc32_vectors () =
 
 (* --- WAL framing ------------------------------------------------------ *)
 
+(* String payloads through the writer API. *)
+let wal_append m ~name p = Store.Wal.append_w m ~name (fun w -> Ldap_compile.Wbuf.prepend_string w p)
+let append s p = Store.Store.append_w s (fun w -> Ldap_compile.Wbuf.prepend_string w p)
+let checkpoint s p = Store.Store.checkpoint_w s (fun w -> Ldap_compile.Wbuf.prepend_string w p)
+
 let test_wal_round_trip () =
   let m = Store.Medium.memory () in
   let payloads = [ "alpha"; ""; "beta\x00binary\xff"; String.make 300 'x' ] in
-  List.iter (Store.Wal.append m ~name:"log") payloads;
+  List.iter (wal_append m ~name:"log") payloads;
   let r = Store.Wal.recover m ~name:"log" in
   check_string_list "payloads back, oldest first" payloads r.Store.Wal.records;
   check_bool "clean log" false r.Store.Wal.truncated;
@@ -41,8 +46,8 @@ let test_wal_round_trip () =
 
 let test_wal_torn_tail_truncates () =
   let m = Store.Medium.memory () in
-  Store.Wal.append m ~name:"log" "first";
-  Store.Wal.append m ~name:"log" "second";
+  wal_append m ~name:"log" "first";
+  wal_append m ~name:"log" "second";
   let good_len = Store.Medium.size m ~name:"log" in
   (* A torn third record: frame header promising more bytes than the
      file holds. *)
@@ -57,7 +62,7 @@ let test_wal_torn_tail_truncates () =
   check_int "medium file physically cut" good_len
     (Store.Medium.size m ~name:"log");
   (* Appends continue from the clean boundary. *)
-  Store.Wal.append m ~name:"log" "third";
+  wal_append m ~name:"log" "third";
   let r2 = Store.Wal.recover m ~name:"log" in
   check_string_list "log continues after truncation"
     [ "first"; "second"; "third" ]
@@ -66,9 +71,9 @@ let test_wal_torn_tail_truncates () =
 
 let test_wal_corrupt_byte_truncates () =
   let m = Store.Medium.memory () in
-  Store.Wal.append m ~name:"log" "first";
+  wal_append m ~name:"log" "first";
   let good_len = Store.Medium.size m ~name:"log" in
-  Store.Wal.append m ~name:"log" "second";
+  wal_append m ~name:"log" "second";
   (* Flip one payload byte of the second record: its CRC now fails, so
      replay must stop after the first. *)
   let bytes = Bytes.of_string (Option.get (Store.Medium.read m ~name:"log")) in
@@ -158,10 +163,10 @@ let test_write_atomic_survives_crash () =
 let test_store_checkpoint_and_replay () =
   let m = Store.Medium.memory () in
   let s = Store.Store.create m ~name:"acct" in
-  Store.Store.append s "r1";
-  Store.Store.append s "r2";
-  Store.Store.checkpoint s "state@2";
-  Store.Store.append s "r3";
+  append s "r1";
+  append s "r2";
+  checkpoint s "state@2";
+  append s "r3";
   let r = Store.Store.recover s in
   Alcotest.(check (option string))
     "snapshot from the checkpoint" (Some "state@2") r.Store.Store.snapshot;
@@ -173,10 +178,10 @@ let test_store_checkpoint_and_replay () =
 let test_store_generation_guard () =
   let m = Store.Medium.memory () in
   let s = Store.Store.create m ~name:"acct" in
-  Store.Store.append s "old1";
-  Store.Store.append s "old2";
+  append s "old1";
+  append s "old2";
   let stale_wal = Option.get (Store.Medium.read m ~name:"acct.wal") in
-  Store.Store.checkpoint s "new state";
+  checkpoint s "new state";
   (* Simulate the crash window between snapshot install and WAL reset:
      the WAL still holds the previous generation's log. *)
   Store.Medium.truncate m ~name:"acct.wal" 0;
@@ -192,8 +197,8 @@ let test_store_generation_guard () =
 let test_store_destroy () =
   let m = Store.Medium.memory () in
   let s = Store.Store.create m ~name:"acct" in
-  Store.Store.append s "r1";
-  Store.Store.checkpoint s "state";
+  append s "r1";
+  checkpoint s "state";
   let files () = List.filter (fun name -> Store.Medium.read m ~name <> None) [ "acct.snap"; "acct.wal" ] in
   check_string_list "durable state present" [ "acct.snap"; "acct.wal" ] (files ());
   Store.Store.destroy s;
@@ -214,7 +219,7 @@ let prop_wal_round_trip =
   QCheck.Test.make ~name:"store: wal record round trip" ~count:300 payloads_arb
     (fun payloads ->
       let m = Store.Medium.memory () in
-      List.iter (Store.Wal.append m ~name:"log") payloads;
+      List.iter (wal_append m ~name:"log") payloads;
       let r = Store.Wal.recover m ~name:"log" in
       r.Store.Wal.records = payloads && not r.Store.Wal.truncated)
 
@@ -222,7 +227,7 @@ let prop_every_prefix_recovers =
   QCheck.Test.make ~name:"store: every wal prefix recovers" ~count:100
     payloads_arb (fun payloads ->
       let m = Store.Medium.memory () in
-      List.iter (Store.Wal.append m ~name:"log") payloads;
+      List.iter (wal_append m ~name:"log") payloads;
       let file =
         match Store.Medium.read m ~name:"log" with Some s -> s | None -> ""
       in
@@ -307,13 +312,13 @@ let test_fixed_images () =
   (* Written now: byte-identical to the fixed files. *)
   let m = Store.Medium.memory () in
   let s = Store.Store.create m ~name:"fx" in
-  Store.Store.append s "r1";
-  Store.Store.checkpoint s "state@1";
-  Store.Store.append s (pattern 40);
+  append s "r1";
+  checkpoint s "state@1";
+  append s (pattern 40);
   Store.Store.append_w s (fun w -> Ldap_compile.Wbuf.prepend_string w "r3");
   Alcotest.(check string) "log, generation 1" fixed_wal_gen1 (file m "fx.wal");
   Store.Store.checkpoint_w s (fun w -> Ldap_compile.Wbuf.prepend_string w (pattern 200));
-  Store.Store.append s "r4";
+  append s "r4";
   Alcotest.(check string) "snapshot, generation 2" fixed_snap_gen2 (file m "fx.snap");
   Alcotest.(check string) "log, generation 2" fixed_wal_gen2 (file m "fx.wal");
   (* Read back: the fixed files recover. *)
