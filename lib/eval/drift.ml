@@ -362,9 +362,10 @@ type bp_point = {
    (plus the one in-flight dispatch). *)
 let run_backpressure cfg ~overflow =
   let fx = make_fixture cfg in
+  let server = Resync.Master.server fx.fx_master in
   let limit = cfg.dr_bp_limit in
   let updates = if overflow then limit + (2 * cfg.dr_bp_updates) else cfg.dr_bp_updates in
-  Resync.Master.set_persist_queue_limit fx.fx_master (Some limit);
+  Resync.Server.set_queue_limit server (Some limit);
   let q = dept_query fx (dept_number ~division:warm_a ~dept:0) in
   let consumer = Resync.Consumer.create q in
   (match
@@ -392,9 +393,9 @@ let run_backpressure cfg ~overflow =
     | Ok _ -> ()
     | Error e -> invalid_arg ("Drift.run_backpressure: " ^ e)
   done;
-  let peak = Resync.Master.push_queue_peak fx.fx_master in
+  let peak = Resync.Server.push_queue_peak server in
   Resync.Consumer.resume_connection consumer;
-  Resync.Master.flush_pushes fx.fx_master;
+  Resync.Server.flush_pushes server;
   let escalated =
     if not (Resync.Consumer.persist_alive consumer) then begin
       match
@@ -419,14 +420,14 @@ let run_backpressure cfg ~overflow =
            | None -> false)
          (Resync.Consumer.entries_seq consumer)
   in
-  let total_after, _ = Resync.Master.push_queue_stats fx.fx_master in
+  let total_after, _ = Resync.Server.push_queue_stats server in
   {
     bp_limit = limit;
     bp_updates = updates;
     bp_queue_peak = peak;
     bp_queue_total_after = total_after;
     bp_overflows = Resync.Master.push_overflows fx.fx_master;
-    bp_resets = Resync.Master.push_resets fx.fx_master;
+    bp_resets = Resync.Server.push_resets server;
     bp_escalated = escalated;
     bp_converged = converged;
   }
@@ -494,7 +495,7 @@ let run_long_haul cfg =
   in
   let fx = make_fixture dcfg in
   Resync.Master.set_history_limit fx.fx_master (Some cfg.lh_history_limit);
-  Resync.Master.set_persist_queue_limit fx.fx_master (Some cfg.lh_queue_limit);
+  Resync.Server.set_queue_limit (Resync.Master.server fx.fx_master) (Some cfg.lh_queue_limit);
   let backend = Enterprise.backend fx.fx_dir in
   let leaf_depts =
     List.init cfg.lh_leaves (fun i ->
@@ -557,7 +558,7 @@ let run_long_haul cfg =
       List.iteri (fun j c -> if j > 0 then poll j c) poll_consumers
   done;
   Resync.Consumer.resume_connection persist_consumer;
-  Resync.Master.flush_pushes fx.fx_master;
+  Resync.Server.flush_pushes (Resync.Master.server fx.fx_master);
   List.iteri poll poll_consumers;
   (match
      Resync.Consumer.ensure_persist persist_consumer fx.fx_transport
@@ -584,7 +585,7 @@ let run_long_haul cfg =
     lh_history_overflows = Resync.Master.history_overflows fx.fx_master;
     lh_push_overflows = Resync.Master.push_overflows fx.fx_master;
     lh_pending_max_seen = !pending_max_seen;
-    lh_push_peak = Resync.Master.push_queue_peak fx.fx_master;
+    lh_push_peak = Resync.Server.push_queue_peak (Resync.Master.server fx.fx_master);
     lh_converged =
       List.length (List.filter converged_one participants);
     lh_participants = List.length participants;

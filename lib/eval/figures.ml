@@ -267,7 +267,7 @@ let figure3 () =
     ]
     :: !rows;
   (match Resync.Consumer.cookie consumer with
-  | Some c -> Resync.Master.abandon master ~cookie:c
+  | Some c -> Resync.Server.abandon (Resync.Master.server master) ~cookie:c
   | None -> ());
   Report.make ~title:"Figure 3: an example ReSync session"
     ~notes:
@@ -933,7 +933,7 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
           Dirgen.Update_stream.steps stream (updates / rounds);
           (* Halfway through, the master drops every session (admin
              expiry): consumers must resume via degraded resync. *)
-          if round = 3 then Resync.Master.expire_sessions master ~idle_limit:0;
+          if round = 3 then Resync.Server.expire (Resync.Master.server master) ~idle_limit:0;
           List.iter poll consumers
         done;
         (* Quiesce over a clean path so convergence is checkable even

@@ -163,7 +163,7 @@ val pause_connection : t -> unit
 val resume_connection : t -> unit
 (** Clears {!pause_connection}.  Actions the master queued while the
     consumer was stalled arrive when the master next touches the
-    session ({!Master.flush_pushes} or an update dispatch). *)
+    session ({!Server.flush_pushes} or an update dispatch). *)
 
 val ensure_persist :
   ?max_attempts:int ->

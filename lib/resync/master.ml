@@ -289,17 +289,10 @@ let create ?(strategy = Session_history) ?(dispatch = Routed) backend =
 
 let history_limit t = t.src.history_limit
 let set_history_limit t limit = t.src.history_limit <- limit
-let set_persist_queue_limit t limit = Server.set_queue_limit t.server limit
 let handle t ?push request query = Server.handle t.server ?push request query
-let abandon t ~cookie = Server.abandon t.server ~cookie
-let flush_pushes t = Server.flush_pushes t.server
-let push_queue_stats t = Server.push_queue_stats t.server
-let push_queue_peak t = Server.push_queue_peak t.server
 let push_overflows t = Server.push_overflows t.server
-let push_resets t = Server.push_resets t.server
 let history_overflows t = Server.history_overflows t.server
 let session_count t = Server.session_count t.server
-let expire_sessions t ~idle_limit = Server.expire t.server ~idle_limit
 
 let server t = t.server
 

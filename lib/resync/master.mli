@@ -71,10 +71,6 @@ val set_history_limit : t -> int option -> unit
     snapshot-diff resynchronization (eq. (3)) instead of the master's
     memory growing with the slowest consumer. *)
 
-val set_persist_queue_limit : t -> int option -> unit
-(** Sets the bound on one persist session's outbound push queue (see
-    {!push_queue_stats}) — the analogous bound for persist mode. *)
-
 val backend : t -> Ldap.Backend.t
 val handle :
   t ->
@@ -91,49 +87,21 @@ val handle :
 
     A send answered [Push_stalled] parks the action on the session's
     outbound queue; the queue drains ahead of new notifications on
-    later updates and on {!flush_pushes}.  A queue growing past the
-    [persist_queue_limit] — or a send answered [Push_gone] — closes
+    later updates and on {!Server.flush_pushes}.  A queue growing past
+    the bound {!Server.set_queue_limit} sets — or a send answered
+    [Push_gone] — closes
     the channel and retires the session, so the consumer's
     reconnection escalates to a degraded resync (eq. (3)) and a
     stalled leaf costs O(bound) master memory instead of O(drift). *)
 
-val flush_pushes : t -> unit
-(** Re-attempts every stalled persist session's queued backlog — what
-    a driver calls after a paused consumer resumes draining.  Queues
-    also drain opportunistically whenever an update dispatch touches
-    their session. *)
-
-val push_queue_stats : t -> int * int
-(** Outbound persist-queue residency as (total queued actions, largest
-    single session's queue) — the bounded-backpressure counterpart of
-    {!pending_stats}. *)
-
-val push_queue_peak : t -> int
-(** Largest single-session outbound queue ever observed — with a
-    [persist_queue_limit] set this never exceeds [limit + updates per
-    dispatch], the O(bound) memory claim made observable. *)
-
 val push_overflows : t -> int
 (** Persist sessions retired because their outbound queue grew past
-    the [persist_queue_limit]. *)
-
-val push_resets : t -> int
-(** Persist sessions retired because a send found the connection dead
-    ([Push_gone]). *)
+    its bound ({!Server.push_overflows}). *)
 
 val history_overflows : t -> int
 (** Pending-history buffers dropped at the [history_limit] high-water
     mark (each retires its session into degraded escalation) — the
     observable the write-heavy long-haul sweep gates on. *)
-
-val abandon : t -> cookie:string -> unit
-(** Client abandoned a persistent search: equivalent to sync_end. *)
-
-val expire_sessions : t -> idle_limit:int -> unit
-(** Drops sessions idle for at least [idle_limit] requests handled by
-    this master (the paper's admin time limit, measured in protocol
-    activity rather than wall clock to keep the simulation
-    deterministic).  [~idle_limit:0] drops every session. *)
 
 val session_count : t -> int
 

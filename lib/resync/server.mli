@@ -105,7 +105,8 @@ val handle :
     cookie, minted again only when its CSN moved. *)
 
 val abandon : 's t -> cookie:string -> unit
-(** Removes the cookie's session, as [Sync_end] does. *)
+(** Removes the cookie's session, as [Sync_end] does: the client
+    abandoned a persistent search. *)
 
 val antientropy_serve :
   's t ->
@@ -140,7 +141,10 @@ val remove : 's t -> int -> unit
 (** Removes a session; no-op for an unknown id. *)
 
 val expire : 's t -> idle_limit:int -> unit
-(** Removes sessions idle for at least [idle_limit] requests. *)
+(** Removes sessions idle for at least [idle_limit] requests handled by
+    this server (the paper's admin time limit, measured in protocol
+    activity rather than wall clock to keep the simulation
+    deterministic).  [~idle_limit:0] removes every session. *)
 
 val session_count : 's t -> int
 (** Live sessions. *)
@@ -168,16 +172,20 @@ val relay :
     offered the change — a node relaying one stored query's change. *)
 
 val set_queue_limit : 's t -> int option -> unit
-(** Adjusts the persist outbound-queue bound. *)
+(** Adjusts the bound on one persist session's outbound push queue. *)
 
 val flush_pushes : 's t -> unit
-(** Re-attempts every stalled session's queued backlog. *)
+(** Re-attempts every stalled session's queued backlog — what a driver
+    calls after a paused consumer resumes draining.  Queues also drain
+    whenever an update dispatch touches their session. *)
 
 val push_queue_stats : 's t -> int * int
 (** Outbound-queue residency: (total queued, largest single queue). *)
 
 val push_queue_peak : 's t -> int
-(** Largest single outbound queue ever observed. *)
+(** Largest single outbound queue ever observed — with a queue bound
+    set this never exceeds [limit + updates per dispatch], the
+    O(bound) memory claim made observable. *)
 
 val push_overflows : 's t -> int
 (** Persist sessions retired for a queue past the bound. *)

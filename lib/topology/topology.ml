@@ -51,10 +51,10 @@ let network t = t.net
 let nodes t = t.nodes
 let leaves t = t.leaves
 
-let create ?faults ?strategy ?dispatch ?(root = "root") backend =
+let create ?faults ?strategy ?(root = "root") backend =
   let net = Network.create () in
   let transport = Resync.Transport.create ?faults net in
-  let master = Resync.Master.create ?strategy ?dispatch backend in
+  let master = Resync.Master.create ?strategy backend in
   Resync.Transport.add_master transport ~name:root master;
   {
     net;
@@ -70,8 +70,8 @@ let create ?faults ?strategy ?dispatch ?(root = "root") backend =
     driver = None;
   }
 
-let add_node ?dispatch t ~name ~parent ~covers =
-  let node = Node.create ?dispatch t.transport ~host:name ~upstream:parent in
+let add_node t ~name ~parent ~covers =
+  let node = Node.create t.transport ~host:name ~upstream:parent in
   let rec install = function
     | [] -> Ok ()
     | q :: rest -> (

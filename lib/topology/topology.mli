@@ -28,7 +28,6 @@ type t
 val create :
   ?faults:Network.Faults.t ->
   ?strategy:Ldap_resync.Master.strategy ->
-  ?dispatch:Ldap_resync.Master.dispatch ->
   ?root:string ->
   Backend.t ->
   t
@@ -49,12 +48,10 @@ val build :
     root, which admits everything). *)
 
 val add_node :
-  ?dispatch:Ldap_resync.Master.dispatch ->
-  t ->
-  name:string ->
-  parent:string ->
-  covers:Query.t list ->
-  (Node.t, string) result
+  t -> name:string -> parent:string -> covers:Query.t list -> (Node.t, string) result
+(** Creates node [name] under [parent], registered as an endpoint of
+    the same name, and installs the [covers] set.  Fails, leaving no
+    endpoint behind, if a cover install fails. *)
 
 val add_leaf : t -> name:string -> parent:string -> Query.t -> (Leaf.t, string) result
 (** Creates the leaf and subscribes it (with referral chasing). *)

@@ -442,7 +442,7 @@ let persist_fixture ~limit =
     apply b (Update.add (person (Printf.sprintf "p%d" i) ~dept:"71" ()))
   done;
   let master = Resync.Master.create b in
-  Resync.Master.set_persist_queue_limit master (Some limit);
+  Resync.Server.set_queue_limit (Resync.Master.server master) (Some limit);
   let transport = Resync.Transport.create (Network.create ()) in
   Resync.Transport.add_master transport ~name:"m" master;
   let consumer = Resync.Consumer.create (dept_query "71") in
@@ -455,6 +455,7 @@ let persist_fixture ~limit =
 
 let test_backpressure_parks_and_drains () =
   let b, master, _transport, consumer = persist_fixture ~limit:8 in
+  let server = Resync.Master.server master in
   Resync.Consumer.pause_connection consumer;
   for i = 0 to 2 do
     apply b
@@ -462,18 +463,19 @@ let test_backpressure_parks_and_drains () =
          (dn (Printf.sprintf "cn=p%d,o=xyz" i))
          [ Update.replace_values "mail" [ Printf.sprintf "p%d@x" i ] ])
   done;
-  let total, biggest = Resync.Master.push_queue_stats master in
+  let total, biggest = Resync.Server.push_queue_stats server in
   check_int "all parked" 3 total;
   check_int "one session holds them" 3 biggest;
   check_int "no overflow within bound" 0 (Resync.Master.push_overflows master);
   Resync.Consumer.resume_connection consumer;
-  Resync.Master.flush_pushes master;
-  check_int "queue drained" 0 (fst (Resync.Master.push_queue_stats master));
+  Resync.Server.flush_pushes server;
+  check_int "queue drained" 0 (fst (Resync.Server.push_queue_stats server));
   check_bool "connection survived" true (Resync.Consumer.persist_alive consumer);
   check_bool "content caught up" true (content_equal consumer b (dept_query "71"))
 
 let test_backpressure_overflow_escalates () =
   let b, master, transport, consumer = persist_fixture ~limit:2 in
+  let server = Resync.Master.server master in
   Resync.Consumer.pause_connection consumer;
   for i = 0 to 5 do
     apply b
@@ -482,10 +484,10 @@ let test_backpressure_overflow_escalates () =
   done;
   check_int "session retired at the bound" 1 (Resync.Master.push_overflows master);
   check_int "queue freed on retirement" 0
-    (fst (Resync.Master.push_queue_stats master));
-  check_bool "peak stayed O(bound)" true (Resync.Master.push_queue_peak master <= 3);
+    (fst (Resync.Server.push_queue_stats server));
+  check_bool "peak stayed O(bound)" true (Resync.Server.push_queue_peak server <= 3);
   Resync.Consumer.resume_connection consumer;
-  Resync.Master.flush_pushes master;
+  Resync.Server.flush_pushes server;
   check_bool "consumer noticed the cut" true
     (not (Resync.Consumer.persist_alive consumer));
   (match

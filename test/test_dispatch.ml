@@ -295,8 +295,8 @@ let equivalent_run strategy ops =
           | Error _ -> ())
       | Op_poll -> sync_all ()
       | Op_expire ->
-          Master.expire_sessions mr ~idle_limit:3;
-          Master.expire_sessions mn ~idle_limit:3)
+          Server.expire (Master.server mr) ~idle_limit:3;
+          Server.expire (Master.server mn) ~idle_limit:3)
     ops;
   sync_all ();
   List.iter

@@ -351,7 +351,7 @@ let test_filter_replica_lossy_transport () =
   (* Round 2: the master expires every session mid-stream. *)
   apply (Update.modify (dn "cn=bob,c=us,o=xyz")
            [ Update.replace_values "departmentNumber" [ "8" ] ]);
-  Resync.Master.expire_sessions master ~idle_limit:0;
+  Resync.Server.expire (Resync.Master.server master) ~idle_limit:0;
   R.Filter_replica.sync replica;
   (* Round 3: a poll abandoned after four dropped requests leaves the
      replica stale but intact; the next round catches up. *)

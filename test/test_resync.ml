@@ -109,7 +109,7 @@ let test_degraded_mode () =
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "a@x" ] ]);
   (* Kill the session server-side: the cookie becomes unknown. *)
-  Master.expire_sessions master ~idle_limit:0;
+  Server.expire (Master.server master) ~idle_limit:0;
   check_int "sessions expired" 0 (Master.session_count master);
   match Consumer.sync consumer master with
   | Ok reply ->
@@ -129,7 +129,7 @@ let test_degraded_prunes_stale () =
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   (* b leaves the content while the session is lost. *)
   apply b (Update.modify (dn "cn=b,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
-  Master.expire_sessions master ~idle_limit:0;
+  Server.expire (Master.server master) ~idle_limit:0;
   match Consumer.sync consumer master with
   | Ok reply ->
       check_bool "degraded" true (reply.Protocol.kind = Protocol.Degraded);
@@ -351,7 +351,7 @@ let test_expired_session_resumes () =
   | Error e -> failwith (Consumer.sync_error_to_string e));
   apply b (Update.add (person "d" ~dept:"7" ()));
   apply b (Update.delete (dn "cn=b,o=xyz"));
-  Master.expire_sessions master ~idle_limit:0;
+  Server.expire (Master.server master) ~idle_limit:0;
   (match Consumer.sync_over consumer transport ~host:"m" with
   | Ok o ->
       check_bool "degraded resume" true
@@ -539,7 +539,7 @@ let run_sim ops =
           | Ok rdn -> ignore (Backend.apply b (Update.modify_dn (dn (name i)) rdn))
           | Error _ -> ())
       | Op_poll -> ( match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e)
-      | Op_expire -> Master.expire_sessions master ~idle_limit:0)
+      | Op_expire -> Server.expire (Master.server master) ~idle_limit:0)
     ops;
   (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
   entry_sets_equal consumer b query

@@ -467,8 +467,8 @@ let test_mixed_kind_escalation () =
      as-is — the degraded leg prunes the consumer globally, which
      would discard shard 0's incremental update. *)
   let cookie = Option.get (Consumer.cookie consumer) in
-  Master.abandon
-    (Shard_master.master (Router.shard router 1))
+  Ldap_resync.Server.abandon
+    (Master.server (Shard_master.master (Router.shard router 1)))
     ~cookie:(Option.get (composite_component cookie ~shard:1));
   let reply = sync_router consumer transport router in
   check_bool "merged degraded" true (reply.Protocol.kind = Protocol.Degraded);

@@ -350,7 +350,7 @@ let test_scheduled_expiry () =
   check_int "three sessions" 3 (Resync.Master.session_count master);
   let engine = Sim.Engine.create () in
   every engine ~every:5 ~until:20 (fun () ->
-      Resync.Master.expire_sessions master ~idle_limit:0);
+      Resync.Server.expire (Resync.Master.server master) ~idle_limit:0);
   Sim.Engine.run engine;
   check_int "expired on the clock" 0 (Resync.Master.session_count master);
   check_int "timer ran to its bound" 20 (Sim.Engine.now engine)

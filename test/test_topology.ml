@@ -136,10 +136,12 @@ let node_fixture ?(covers = [ dept_query 7 ]) () =
 
 (* One resync exchange served by the endpoint a node registered on the
    topology's transport. *)
-let node_handle t ?push request q =
-  match Transport.endpoint (T.Topology.transport t) "n1" with
+let n1_handle transport ?push request q =
+  match Transport.endpoint transport "n1" with
   | Some ep -> ep.Transport.ep_handle ~push request q
   | None -> Alcotest.fail "no endpoint n1"
+
+let node_handle t = n1_handle (T.Topology.transport t)
 
 let test_referral_on_uncovered_subscription () =
   let _, t, _ = node_fixture () in
@@ -299,7 +301,7 @@ let test_trimmed_root_history_heals_through_node () =
   (* The root forgets the node's sessions (history trimmed / expired)
      while updates keep flowing. *)
   apply b (Update.add (person "d" ~dept:"7" ()));
-  Master.expire_sessions (T.Topology.master t) ~idle_limit:0;
+  Server.expire (Master.server (T.Topology.master t)) ~idle_limit:0;
   check_int "no sessions left at root" 0
     (Master.session_count (T.Topology.master t));
   T.Topology.sync_round t;
@@ -414,29 +416,30 @@ type twin_session = {
 let chain_person i ~dept =
   person (Printf.sprintf "p%d" i) ~dept:(string_of_int dept) ()
 
+(* Root master and node [n1] over one transport, both dispatching
+   with [dispatch]. *)
 let make_chain dispatch =
   let b = make_backend () in
   List.iter (fun i -> apply b (Update.add (chain_person i ~dept:7))) [ 0; 1; 2 ];
-  let t = T.Topology.create ~dispatch b in
-  let covers =
+  let transport = Transport.create (Network.create ()) in
+  Transport.add_master transport ~name:"root" (Master.create ~dispatch b);
+  let node = T.Node.create ~dispatch transport ~host:"n1" ~upstream:"root" in
+  List.iter
+    (fun q -> must (T.Node.install_cover node q))
     [
       Query.make ~base:(dn "o=xyz") (f "(departmentnumber=*)");
       Query.make ~base:(dn "o=xyz") (f "(sn=p*)");
-    ]
-  in
-  let node =
-    must (T.Topology.add_node ~dispatch t ~name:"n1" ~parent:(T.Topology.root t) ~covers)
-  in
-  (b, t, node)
+    ];
+  (b, transport, node)
 
-let sync_session t session ~cookie ~pushed =
+let sync_session transport session ~cookie ~pushed =
   let mode = if session.persist then Protocol.Persist else Protocol.Poll in
   let push =
     if session.persist then
       Some (push_of_fn (fun a -> pushed := a :: !pushed))
     else None
   in
-  match node_handle t ?push { Protocol.mode; cookie } session.query with
+  match n1_handle transport ?push { Protocol.mode; cookie } session.query with
   | Ok reply -> reply
   | Error e -> failwith e
 
@@ -846,7 +849,7 @@ let test_persist_cut () =
       T.Node.sync node)
     b;
   let m = T.Topology.master t in
-  Master.set_persist_queue_limit m (Some 0);
+  Server.set_queue_limit (Master.server m) (Some 0);
   persist_cut ~label:"root" ~transport ~host:(T.Topology.root t)
     ~sessions:(fun () -> Master.session_count m)
     ~commit:(fun () -> apply b (Update.add (person "cut2" ~dept:"3" ())))
