@@ -83,10 +83,10 @@ type report = {
   converged : bool;
 }
 
-let default_max_rounds = 4
+(* Walks one reconciliation may spend chasing a drifting server. *)
+let max_rounds = 4
 
-let reconcile ?(config = Tree.default_config) ?(max_rounds = default_max_rounds)
-    ~local ~apply ~rpc () =
+let reconcile ?(config = Tree.default_config) ~local ~apply ~rpc () =
   let ( let* ) = Result.bind in
   let compared = ref 0 in
   let shipped = ref 0 in

@@ -64,13 +64,12 @@ type report = {
   bytes_received : int;  (** Modelled reply bytes. *)
   converged : bool;
       (** The final root comparison matched.  [false] means the server
-          drifted faster than [max_rounds] walks could chase — the
+          drifted faster than 4 walks could chase — the
           caller should fall back to a cold resynchronization. *)
 }
 
 val reconcile :
   ?config:Tree.config ->
-  ?max_rounds:int ->
   local:(unit -> Entry.t Seq.t) ->
   apply:
     (upserts:Entry.t list -> deletes:Dn.t list -> cookie:string option -> unit) ->
@@ -78,7 +77,7 @@ val reconcile :
   unit ->
   (report, string) result
 (** Drives the walk against a server reached through [rpc] until the
-    roots match or [max_rounds] (default 4) walks are spent.  Each
+    roots match or 4 walks are spent.  Each
     round rebuilds the local tree from [local ()], fetches the entries
     of differing segments and hands them to [apply] together with the
     DNs to delete (local entries in shipped segments the server did

@@ -874,7 +874,8 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
 (* --- Section 5: synchronization over a lossy network -------------------- *)
 
 let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
-    ?(seed = 4242) ?(employees = 3_000) ?(filters = 8) () =
+    ?(employees = 3_000) ?(filters = 8) () =
+  let seed = 4242 in
   let rows =
     List.map
       (fun rate ->

@@ -35,7 +35,6 @@ val resync_ablation : ?updates:int -> ?filters:int -> unit -> Report.table
 val lossy_sync :
   ?rates:float list ->
   ?updates:int ->
-  ?seed:int ->
   ?employees:int ->
   ?filters:int ->
   unit ->

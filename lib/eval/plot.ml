@@ -1,6 +1,8 @@
 let glyphs = [| '*'; '+'; 'o'; 'x'; '#'; '@' |]
 
-let render ?(height = 12) ?y_max ~x_labels ~series () =
+let height = 12
+
+let render ?y_max ~x_labels ~series () =
   let columns = List.length x_labels in
   let y_max =
     match y_max with

@@ -6,13 +6,12 @@
     exact numbers in the tables. *)
 
 val render :
-  ?height:int ->
   ?y_max:float ->
   x_labels:string list ->
   series:(string * float list) list ->
   unit ->
   string
 (** [render ~x_labels ~series ()] draws each series with its own glyph
-    over [height] rows (default 12).  [y_max] defaults to the largest
+    over 12 rows.  [y_max] defaults to the largest
     value (at least a small epsilon).  Series shorter than the x-axis
     are drawn as far as they go. *)

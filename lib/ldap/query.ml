@@ -17,13 +17,13 @@ let norm_attrs = function
 let make ?(scope = Scope.Sub) ?(attrs = All) ?(manage_dsa_it = false) ~base filter =
   { base; scope; filter = Filter.normalize filter; attrs = norm_attrs attrs; manage_dsa_it }
 
-let of_strings ?scope ?attrs ~base filter_s =
+let of_strings ?scope ~base filter_s =
   match Dn.of_string base with
   | Error e -> Error e
   | Ok base -> (
       match Filter.of_string filter_s with
       | Error e -> Error e
-      | Ok f -> Ok (make ?scope ?attrs ~base f))
+      | Ok f -> Ok (make ?scope ~base f))
 
 let attrs_subset ~sub ~super =
   match (sub, super) with

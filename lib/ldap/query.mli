@@ -25,8 +25,7 @@ val make :
   ?scope:Scope.t -> ?attrs:attrs -> ?manage_dsa_it:bool -> base:Dn.t -> Filter.t -> t
 (** Defaults: [~scope:Sub], [~attrs:All], [~manage_dsa_it:false]. *)
 
-val of_strings :
-  ?scope:Scope.t -> ?attrs:attrs -> base:string -> string -> (t, string) result
+val of_strings : ?scope:Scope.t -> base:string -> string -> (t, string) result
 (** Parses base and filter from their string representations. *)
 
 val attrs_subset : sub:attrs -> super:attrs -> bool

@@ -40,7 +40,7 @@ let upstream t =
   | Some ep -> Some ep
   | None -> None
 
-let create_over ?(cache_capacity = 0) ?(host = "replica") transport ~master_host =
+let make ~cache_capacity ~host transport ~master_host =
   if Option.is_none (Resync.Transport.endpoint transport master_host) then
     invalid_arg ("Filter_replica.create_over: no endpoint registered as " ^ master_host);
   {
@@ -60,8 +60,11 @@ let reindexed t =
     List.rev
       (C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c -> (q, c) :: acc))
 
-let create ?cache_capacity master =
-  create_over ?cache_capacity (Resync.Transport.loopback master)
+let create_over ?(host = "replica") transport ~master_host =
+  make ~cache_capacity:0 ~host transport ~master_host
+
+let create ?(cache_capacity = 0) master =
+  make ~cache_capacity ~host:"replica" (Resync.Transport.loopback master)
     ~master_host:Resync.Transport.loopback_host
 
 let stats t = t.stats
@@ -474,10 +477,10 @@ let checkpoint t =
       C.Containment_index.iter t.index ~f:(fun _ consumer ->
           Resync.Consumer.checkpoint consumer)
 
-let recover_over ?(cache_capacity = 0) ?(host = "replica") ?(sync = true)
+let recover_over ?(host = "replica") ?(sync = true)
     transport ~master_host medium ~prefix =
   let ( let* ) = Result.bind in
-  let t = create_over ~cache_capacity ~host transport ~master_host in
+  let t = create_over ~host transport ~master_host in
   let meta = Ldap_store.Store.create ~sync medium ~name:(prefix ^ ".meta") in
   let d =
     { medium; prefix; meta; sync_each = sync; slots = []; next_slot = 0 }

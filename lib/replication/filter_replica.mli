@@ -24,24 +24,18 @@ open Ldap
 
 type t
 
-val create_over :
-  ?cache_capacity:int ->
-  ?host:string ->
-  Ldap_resync.Transport.t ->
-  master_host:string ->
-  t
+val create_over : ?host:string -> Ldap_resync.Transport.t -> master_host:string -> t
 (** A replica whose upstream lives at [master_host] on the given
-    transport (subject to its fault schedule).  [host] (default
-    ["replica"]) names this end for partition checks and accounting.
-    [cache_capacity] sizes the user-query window (default 0: no
-    caching of user queries).
+    transport (subject to its fault schedule), caching no user
+    queries.  [host] (default ["replica"]) names this end for
+    partition checks and accounting.
     @raise Invalid_argument if no endpoint is registered at
     [master_host]. *)
 
-val create :
-  ?cache_capacity:int -> Ldap_resync.Master.t -> t
+val create : ?cache_capacity:int -> Ldap_resync.Master.t -> t
 (** Co-located convenience: wraps [master] in a private fault-free
-    loopback transport. *)
+    loopback transport.  [cache_capacity] sizes the user-query window
+    (default 0: no caching of user queries). *)
 
 val stats : t -> Stats.t
 (** Counters for queries answered, synchronization and fetch traffic,
@@ -272,7 +266,6 @@ val checkpoint : t -> unit
     WAL reset).  No-op without an attached store. *)
 
 val recover_over :
-  ?cache_capacity:int ->
   ?host:string ->
   ?sync:bool ->
   Ldap_resync.Transport.t ->

@@ -168,7 +168,9 @@ let apply_reply t (reply : Protocol.reply) =
 (* --- Synchronization over a transport -------------------------------- *)
 
 let default_attempts = 4
-let default_backoff = 1
+
+(* Ticks the first retry waits; each later one doubles it. *)
+let backoff = 1
 
 (* Whether an established session recovered through a full or degraded
    resynchronization rather than a normal incremental replay. *)
@@ -179,7 +181,7 @@ let recovered ~had_cookie (reply : Protocol.reply) =
    makes one attempt, and attempt [i] failing waits
    [backoff * 2^(i-1)] ticks on a {!Network.after} timer before the
    next, so the [backoff] stat equals the virtual time spent waiting. *)
-let retrying ~max_attempts ~backoff t transport ~send k =
+let retrying ~max_attempts t transport ~send k =
   let had_cookie = t.cookie <> None in
   let rec attempt n waited =
     send (function
@@ -204,15 +206,16 @@ let retrying ~max_attempts ~backoff t transport ~send k =
   in
   attempt 1 0
 
-let sync_async ?(max_attempts = default_attempts) ?(backoff = default_backoff)
-    ?(from = "consumer") t transport ~host k =
-  retrying ~max_attempts ~backoff t transport k ~send:(fun k ->
+let poll_async ~max_attempts ?(from = "consumer") t transport ~host k =
+  retrying ~max_attempts t transport k ~send:(fun k ->
       let request = { Protocol.mode = Protocol.Poll; cookie = t.cookie } in
       Transport.exchange_async transport ~host ~from request t.query k)
 
-let sync_over ?max_attempts ?backoff ?from t transport ~host =
-  Network.await (Transport.network transport)
-    (sync_async ?max_attempts ?backoff ?from t transport ~host)
+let sync_async ?from t transport ~host k =
+  poll_async ~max_attempts:default_attempts ?from t transport ~host k
+
+let sync_over ?(max_attempts = default_attempts) ?from t transport ~host =
+  Network.await (Transport.network transport) (poll_async ~max_attempts ?from t transport ~host)
 
 (* --- Merkle anti-entropy --------------------------------------------- *)
 
@@ -220,10 +223,10 @@ let sync_over ?max_attempts ?backoff ?from t transport ~host =
    incremental reply, so the shipped entries, the deletions and the
    server's resume cookie land in one WAL record — merkle repair gets
    the same cookie/content atomicity as a polled reply. *)
-let merkle_sync ?config ?max_rounds ?(from = "consumer") t transport ~host =
+let merkle_sync ?config ?(from = "consumer") t transport ~host =
   let old_cookie = t.cookie in
   let result =
-    Ldap_antientropy.Exchange.reconcile ?config ?max_rounds
+    Ldap_antientropy.Exchange.reconcile ?config
       ~local:(fun () -> Content_store.to_seq t.entries)
       ~apply:(fun ~upserts ~deletes ~cookie ->
         let actions =
@@ -260,15 +263,15 @@ let pause_connection t =
 let resume_connection t =
   match t.conn with Some c -> Transport.resume c | None -> ()
 
-let connect_persist ?(max_attempts = default_attempts) ?(backoff = default_backoff)
-    ?(from = "consumer") ?(observe = fun (_ : Action.t) -> ()) t transport ~host =
+let connect_persist ?(max_attempts = default_attempts) ?(from = "consumer")
+    ?(observe = fun (_ : Action.t) -> ()) t transport ~host =
   let push a =
     journal_w t action_record a;
     apply_action t a;
     observe a
   in
   Network.await (Transport.network transport)
-    (retrying ~max_attempts ~backoff t transport ~send:(fun k ->
+    (retrying ~max_attempts t transport ~send:(fun k ->
          let request = { Protocol.mode = Protocol.Persist; cookie = t.cookie } in
          Transport.connect_async transport ~host ~from ~push request t.query
            (function
@@ -278,10 +281,10 @@ let connect_persist ?(max_attempts = default_attempts) ?(backoff = default_backo
                k (Ok reply)
            | Error e -> k (Error e))))
 
-let ensure_persist ?max_attempts ?backoff ?from ?observe t transport ~host =
+let ensure_persist ?from t transport ~host =
   if persist_alive t then Ok None
   else
-    match connect_persist ?max_attempts ?backoff ?from ?observe t transport ~host with
+    match connect_persist ?from t transport ~host with
     | Ok outcome -> Ok (Some outcome)
     | Error e -> Error e
 

@@ -74,8 +74,6 @@ val apply_reply : t -> Protocol.reply -> unit
     neither retained nor upserted are pruned (eq. (3)). *)
 
 val sync_async :
-  ?max_attempts:int ->
-  ?backoff:int ->
   ?from:string ->
   t ->
   Transport.t ->
@@ -83,10 +81,10 @@ val sync_async :
   ((outcome, sync_error) result -> unit) ->
   unit
 (** One poll against the master at [host] over
-    {!Transport.exchange_async}, with up to [max_attempts] (default 4)
-    attempts; attempt [i] failing waits [backoff * 2^(i-1)] ticks
-    (default base 1) on a {!Ldap.Network.after} timer, so the outcome's
-    [backoff] stat equals the virtual time spent waiting.  A reply lost
+    {!Transport.exchange_async}, with up to 4 attempts; attempt [i]
+    failing waits [2^(i-1)] ticks on a {!Ldap.Network.after} timer, so
+    the outcome's [backoff] stat equals the virtual time spent
+    waiting.  A reply lost
     after the master processed the poll is recovered on the retry: the
     master sees the stale acknowledged CSN in the cookie and answers
     with a degraded resynchronization, which the consumer applies.
@@ -94,17 +92,16 @@ val sync_async :
 
 val sync_over :
   ?max_attempts:int ->
-  ?backoff:int ->
   ?from:string ->
   t ->
   Transport.t ->
   host:string ->
   (outcome, sync_error) result
-(** {!Ldap.Network.await} of {!sync_async}. *)
+(** {!Ldap.Network.await} of {!sync_async}, with up to
+    [max_attempts] (default 4) attempts. *)
 
 val merkle_sync :
   ?config:Ldap_antientropy.Tree.config ->
-  ?max_rounds:int ->
   ?from:string ->
   t ->
   Transport.t ->
@@ -132,7 +129,6 @@ val sync : t -> Master.t -> (Protocol.reply, string) result
 
 val connect_persist :
   ?max_attempts:int ->
-  ?backoff:int ->
   ?from:string ->
   ?observe:(Action.t -> unit) ->
   t ->
@@ -148,7 +144,8 @@ val connect_persist :
     (accounting hooks, tests).
 
     The {!Ldap.Network.await} of {!Transport.connect_async} attempts
-    under the same retry loop and backoff timer as {!sync_async}. *)
+    under the same retry loop and backoff timer as {!sync_async}, with
+    up to [max_attempts] (default 4) attempts. *)
 
 val persist_alive : t -> bool
 (** Whether the current persistent connection is still delivering.
@@ -166,10 +163,7 @@ val resume_connection : t -> unit
     session ({!Server.flush_pushes} or an update dispatch). *)
 
 val ensure_persist :
-  ?max_attempts:int ->
-  ?backoff:int ->
   ?from:string ->
-  ?observe:(Action.t -> unit) ->
   t ->
   Transport.t ->
   host:string ->

@@ -289,7 +289,7 @@ let create ?(strategy = Session_history) ?(dispatch = Routed) backend =
 
 let history_limit t = t.src.history_limit
 let set_history_limit t limit = t.src.history_limit <- limit
-let handle t ?push request query = Server.handle t.server ?push request query
+let handle t request query = Server.handle t.server request query
 let push_overflows t = Server.push_overflows t.server
 let history_overflows t = Server.history_overflows t.server
 let session_count t = Server.session_count t.server

@@ -72,27 +72,12 @@ val set_history_limit : t -> int option -> unit
     memory growing with the slowest consumer. *)
 
 val backend : t -> Ldap.Backend.t
-val handle :
-  t ->
-  ?push:Protocol.push_channel ->
-  Protocol.request ->
-  Ldap.Query.t ->
-  (Protocol.reply, string) result
-(** Processes a resync search request.  [push] must be supplied for
-    [Persist] mode and receives subsequent change notifications.
-    [Poll] and [Persist] replies carry a cookie — a
-    resume handle for polls, a reconnection handle for persistent
-    sessions whose connection breaks.  [Sync_end] with a valid cookie
-    terminates the session and returns an empty reply.
-
-    A send answered [Push_stalled] parks the action on the session's
-    outbound queue; the queue drains ahead of new notifications on
-    later updates and on {!Server.flush_pushes}.  A queue growing past
-    the bound {!Server.set_queue_limit} sets — or a send answered
-    [Push_gone] — closes
-    the channel and retires the session, so the consumer's
-    reconnection escalates to a degraded resync (eq. (3)) and a
-    stalled leaf costs O(bound) master memory instead of O(drift). *)
+val handle : t -> Protocol.request -> Ldap.Query.t -> (Protocol.reply, string) result
+(** Processes a resync search request without a push channel: a
+    [Poll], whose reply carries the session's resume cookie, or a
+    [Sync_end], which terminates the cookie's session and returns an
+    empty reply.  A [Persist] session needs a channel and opens
+    through {!Server.handle} on {!server}. *)
 
 val push_overflows : t -> int
 (** Persist sessions retired because their outbound queue grew past

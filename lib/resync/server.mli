@@ -102,7 +102,18 @@ val handle :
     gets its incremental reply.  Anything else is admitted first, then
     answered with initial content (no cookie) or, in a fresh session,
     degraded mode from the cookie's CSN.  Replies carry the session's
-    cookie, minted again only when its CSN moved. *)
+    cookie, minted again only when its CSN moved: a resume handle for
+    polls, a reconnection handle for persistent sessions whose
+    connection breaks.
+
+    [push] receives a persist session's change notifications.  A send
+    answered [Push_stalled] parks the action on the session's outbound
+    queue; the queue drains ahead of new notifications on later
+    updates and on {!flush_pushes}.  A queue growing past the bound
+    {!set_queue_limit} sets — or a send answered [Push_gone] — closes
+    the channel and retires the session, so the consumer's
+    reconnection escalates to a degraded resync (eq. (3)) and a
+    stalled leaf costs O(bound) memory instead of O(drift). *)
 
 val abandon : 's t -> cookie:string -> unit
 (** Removes the cookie's session, as [Sync_end] does: the client

@@ -10,7 +10,6 @@ type t = {
   partition : Partition.t;
   shards : Shard_master.t array;
   transport : Transport.t;
-  rt_host : string;
   mutable geo_ok : bool;
   mutable searches : int;
   mutable search_contacts : int;
@@ -21,8 +20,8 @@ type t = {
   mutable escalations : int;
 }
 
-let default_host = "router"
-let host t = t.rt_host
+let router_host = "router"
+let host _ = router_host
 let partition t = t.partition
 let shard t i = t.shards.(i)
 let cover t q = Partition.cover ~use_geo:t.geo_ok t.partition q
@@ -216,7 +215,7 @@ let search t (q : Query.t) =
           Network.rpc
             (Transport.network t.transport)
             ?faults:(Transport.faults t.transport)
-            ~from:t.rt_host ~host:(shard_host t s) ~request_bytes ~reply_bytes
+            ~from:router_host ~host:(shard_host t s) ~request_bytes ~reply_bytes
             serve
         with
         | Ok (Ok entries) -> go (entries :: acc) rest
@@ -253,7 +252,7 @@ let shard_exchange t ~push ~mode s ~cookie q =
             Option.iter Transport.kill !conn_ref
       in
       match
-        Transport.connect t.transport ~host:(shard_host t s) ~from:t.rt_host
+        Transport.connect t.transport ~host:(shard_host t s) ~from:router_host
           ~push:forward req qs
       with
       | Ok (reply, conn) ->
@@ -262,7 +261,7 @@ let shard_exchange t ~push ~mode s ~cookie q =
       | Error e -> Error e)
   | _ -> (
       match
-        Transport.exchange t.transport ~host:(shard_host t s) ~from:t.rt_host
+        Transport.exchange t.transport ~host:(shard_host t s) ~from:router_host
           req qs
       with
       | Ok reply -> Ok (reply, None)
@@ -537,7 +536,7 @@ let ep_tree t req q =
     | s :: rest -> (
         match
           Transport.tree_exchange t.transport ~host:(shard_host t s)
-            ~from:t.rt_host req (restrict t s q)
+            ~from:router_host req (restrict t s q)
         with
         | Ok reply -> go ((s, reply) :: acc) rest
         | Error e -> Error (Transport.error_to_string e))
@@ -558,7 +557,7 @@ let register_shard t sm =
   Transport.add_master t.transport ~name:(Shard_master.host sm)
     (Shard_master.master sm)
 
-let create ?(host = default_host) partition transport shards =
+let create partition transport shards =
   if Array.length shards <> Partition.shards partition then
     invalid_arg "Router.create: shard array does not match partition";
   if Array.length shards = 0 then invalid_arg "Router.create: no shards";
@@ -567,7 +566,6 @@ let create ?(host = default_host) partition transport shards =
       partition;
       shards = Array.copy shards;
       transport;
-      rt_host = host;
       geo_ok = true;
       searches = 0;
       search_contacts = 0;
@@ -579,7 +577,7 @@ let create ?(host = default_host) partition transport shards =
     }
   in
   Array.iter (register_shard t) shards;
-  Transport.add_endpoint transport ~name:host (endpoint t);
+  Transport.add_endpoint transport ~name:router_host (endpoint t);
   t
 
 let replace_shard t i sm =

@@ -47,10 +47,9 @@ open Ldap
 
 type t
 
-val create :
-  ?host:string -> Partition.t -> Ldap_resync.Transport.t -> Shard_master.t array -> t
+val create : Partition.t -> Ldap_resync.Transport.t -> Shard_master.t array -> t
 (** Wires the router: every shard master is registered on the
-    transport under its host, and the router itself under [host].
+    transport under its host, and the router itself under ["router"].
     The array length must equal the partition's shard count. *)
 
 val host : t -> string

@@ -77,13 +77,13 @@ let reset_timeline t = t.sm_busy_until <- 0
 
 let store_names ~prefix = (prefix ^ "-backend", prefix ^ "-master")
 
-let attach_stores ?(sync = false) t medium ~prefix =
+let attach_stores t medium ~prefix =
   let backend_name, master_name = store_names ~prefix in
   let bs =
-    Backend_store.attach t.sm_backend (Store.create ~sync medium ~name:backend_name)
+    Backend_store.attach t.sm_backend (Store.create ~sync:false medium ~name:backend_name)
   in
   t.sm_backend_store <- Some bs;
-  Master.attach_store t.sm_master (Store.create ~sync medium ~name:master_name);
+  Master.attach_store t.sm_master (Store.create ~sync:false medium ~name:master_name);
   Backend_store.checkpoint bs;
   Master.checkpoint t.sm_master
 
@@ -91,15 +91,14 @@ let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;
   Master.checkpoint t.sm_master
 
-let recover ?strategy ?indexed ~id medium ~prefix =
+let recover ~id medium ~prefix =
   let ( let* ) = Result.bind in
   let backend_name, master_name = store_names ~prefix in
   let backend_store = Store.create medium ~name:backend_name in
-  let* backend, rc_backend = Backend_store.recover ?indexed backend_store in
+  let* backend, rc_backend = Backend_store.recover backend_store in
   let bs = Backend_store.attach backend backend_store in
   let* master, rc_master =
-    Master.recover ?strategy backend
-      (Store.create medium ~name:master_name)
+    Master.recover backend (Store.create medium ~name:master_name)
   in
   let t =
     {

@@ -74,18 +74,17 @@ val reset_timeline : t -> unit
 (** Clears the busy horizon (a sweep measuring several shard counts
     reuses the virtual clock from zero). *)
 
-val attach_stores : ?sync:bool -> t -> Ldap_store.Medium.t -> prefix:string -> unit
+val attach_stores : t -> Ldap_store.Medium.t -> prefix:string -> unit
 (** Attaches per-shard durability: backend WAL/snapshot under
     [<prefix>-backend], master session table under [<prefix>-master],
-    then checkpoints both so the medium holds a full image. *)
+    then checkpoints both so the medium holds a full image.  Records
+    are not fsynced one by one. *)
 
 val checkpoint : t -> unit
 (** Snapshots backend and master stores (no-op without
     {!attach_stores}). *)
 
 val recover :
-  ?strategy:Ldap_resync.Master.strategy ->
-  ?indexed:string list ->
   id:int ->
   Ldap_store.Medium.t ->
   prefix:string ->

@@ -4,13 +4,8 @@ module Resync = Ldap_resync
 
 type t = { replica : R.Filter_replica.t; name : string }
 
-let create ?(cache_capacity = 0) transport ~name ~parent =
-  {
-    replica =
-      R.Filter_replica.create_over ~cache_capacity ~host:name transport
-        ~master_host:parent;
-    name;
-  }
+let create transport ~name ~parent =
+  { replica = R.Filter_replica.create_over ~host:name transport ~master_host:parent; name }
 
 let replica t = t.replica
 let name t = t.name
@@ -19,23 +14,29 @@ let stats t = R.Filter_replica.stats t.replica
 
 let reparent t ~parent = R.Filter_replica.retarget t.replica ~master_host:parent
 
-let rec subscribe ?(max_referrals = 4) t q =
-  match R.Filter_replica.install_filter t.replica q with
-  | Ok () -> Ok ()
-  | Error msg -> (
-      match Node.referral_of_error msg with
-      | None -> Error msg
-      | Some url when max_referrals = 0 -> Error ("referral loop at " ^ url)
-      | Some url -> (
-          (* The parent cannot prove the subscription contained: chase
-             the referral one tier up, moving the whole leaf — every
-             other filter it holds stays admissible there, since
-             admissibility only widens toward the root. *)
-          match Referral.parse url with
-          | Error e -> Error e
-          | Ok { Referral.host; _ } ->
-              reparent t ~parent:host;
-              subscribe ~max_referrals:(max_referrals - 1) t q))
+(* Referral tiers a subscription may climb. *)
+let max_referrals = 4
+
+let subscribe t q =
+  let rec chase referrals =
+    match R.Filter_replica.install_filter t.replica q with
+    | Ok () -> Ok ()
+    | Error msg -> (
+        match Node.referral_of_error msg with
+        | None -> Error msg
+        | Some url when referrals = 0 -> Error ("referral loop at " ^ url)
+        | Some url -> (
+            (* The parent cannot prove the subscription contained: chase
+               the referral one tier up, moving the whole leaf — every
+               other filter it holds stays admissible there, since
+               admissibility only widens toward the root. *)
+            match Referral.parse url with
+            | Error e -> Error e
+            | Ok { Referral.host; _ } ->
+                reparent t ~parent:host;
+                chase (referrals - 1)))
+  in
+  chase max_referrals
 
 let sync t = R.Filter_replica.sync t.replica
 
@@ -78,9 +79,9 @@ let attach_store ?sync t medium =
 let checkpoint t = R.Filter_replica.checkpoint t.replica
 let detach_store t = R.Filter_replica.detach_store t.replica
 
-let recover ?cache_capacity ?sync transport ~name ~parent medium =
+let recover ?sync transport ~name ~parent medium =
   match
-    R.Filter_replica.recover_over ?cache_capacity ?sync ~host:name transport
+    R.Filter_replica.recover_over ?sync ~host:name transport
       ~master_host:parent medium ~prefix:name
   with
   | Ok (replica, report) -> Ok ({ replica; name }, report)

@@ -7,13 +7,10 @@ open Ldap
 
 type t
 
-val create :
-  ?cache_capacity:int ->
-  Ldap_resync.Transport.t ->
-  name:string ->
-  parent:string ->
-  t
-(** @raise Invalid_argument if no endpoint is registered at [parent]. *)
+val create : Ldap_resync.Transport.t -> name:string -> parent:string -> t
+(** A leaf named [name] synchronizing from [parent], with no query
+    cache.
+    @raise Invalid_argument if no endpoint is registered at [parent]. *)
 
 val replica : t -> Ldap_replication.Filter_replica.t
 (** The underlying filter replica holding the subscribed content. *)
@@ -28,11 +25,11 @@ val stats : t -> Ldap_replication.Stats.t
 (** Upstream-facing traffic of this leaf — the per-link byte source of
     the tree-fanout experiment. *)
 
-val subscribe : ?max_referrals:int -> t -> Query.t -> (unit, string) result
+val subscribe : t -> Query.t -> (unit, string) result
 (** Installs the query as a replicated filter at the current parent.
     If the parent rejects it with a referral (no stored cover contains
     it), the leaf re-parents to the referred host and retries, up to
-    [max_referrals] (default 4) tiers — mirroring the search referral
+    4 tiers — mirroring the search referral
     dance of Figure 2 at subscription time. *)
 
 val sync_async : t -> (unit -> unit) -> unit
@@ -87,7 +84,6 @@ val detach_store : t -> unit
     {!Ldap_replication.Filter_replica.detach_store}). *)
 
 val recover :
-  ?cache_capacity:int ->
   ?sync:bool ->
   Ldap_resync.Transport.t ->
   name:string ->

@@ -261,11 +261,8 @@ let seen_residency t =
 
 (* --- Construction --------------------------------------------------- *)
 
-let create ?(cache_capacity = 0) ?(dispatch = Server.Routed) transport ~host ~upstream =
-  let replica =
-    R.Filter_replica.create_over ~cache_capacity ~host transport
-      ~master_host:upstream
-  in
+let create ?(dispatch = Server.Routed) transport ~host ~upstream =
+  let replica = R.Filter_replica.create_over ~host transport ~master_host:upstream in
   let cost = { polls = 0; scanned = 0; rescans = 0 } in
   let server =
     Server.create ~queue_limit:0 ~dispatch (source replica cost)

@@ -49,7 +49,6 @@ open Ldap
 type t
 
 val create :
-  ?cache_capacity:int ->
   ?dispatch:Ldap_resync.Server.dispatch ->
   Ldap_resync.Transport.t ->
   host:string ->

@@ -51,10 +51,11 @@ let network t = t.net
 let nodes t = t.nodes
 let leaves t = t.leaves
 
-let create ?faults ?strategy ?(root = "root") backend =
+(* [build] reaches the transport's faults; [create] has none. *)
+let make ?faults ?(root = "root") backend =
   let net = Network.create () in
   let transport = Resync.Transport.create ?faults net in
-  let master = Resync.Master.create ?strategy backend in
+  let master = Resync.Master.create backend in
   Resync.Transport.add_master transport ~name:root master;
   {
     net;
@@ -69,6 +70,8 @@ let create ?faults ?strategy ?(root = "root") backend =
     loops = Hashtbl.create 64;
     driver = None;
   }
+
+let create ?root backend = make ?root backend
 
 let add_node t ~name ~parent ~covers =
   let node = Node.create t.transport ~host:name ~upstream:parent in
@@ -436,8 +439,8 @@ let rounds_to_converge ?(max_rounds = 16) t =
 let leaf_name i = Printf.sprintf "leaf%d" (i + 1)
 let node_name i = Printf.sprintf "node%d" (i + 1)
 
-let build ?faults ?strategy ~shape ~covers ~leaf_queries backend =
-  let t = create ?faults ?strategy backend in
+let build ?faults ~shape ~covers ~leaf_queries backend =
+  let t = make ?faults backend in
   let attach_leaves parents_of =
     let rec go i acc = function
       | [] -> Ok (List.rev acc)

@@ -25,18 +25,12 @@ type shape =
 
 type t
 
-val create :
-  ?faults:Network.Faults.t ->
-  ?strategy:Ldap_resync.Master.strategy ->
-  ?root:string ->
-  Backend.t ->
-  t
+val create : ?root:string -> Backend.t -> t
 (** A topology holding only the root master (registered as endpoint
-    [root], default ["root"]) over a fresh network. *)
+    [root], default ["root"]) over a fresh fault-free network. *)
 
 val build :
   ?faults:Network.Faults.t ->
-  ?strategy:Ldap_resync.Master.strategy ->
   shape:shape ->
   covers:Query.t list ->
   leaf_queries:Query.t list ->

@@ -15,15 +15,25 @@
    - only its own unit: flagged, it should leave the interface;
    - nothing: flagged, it should be deleted.
 
-   A reported or flagged val fails the run unless ALLOWLIST names it.
-   Each allowlist line reads [lib/path/file.mli value.path reason...];
-   blank lines and lines starting with [#] are ignored, and the reason
-   may not be empty.  An entry that names no val, or a val some other
-   production unit references, is stale and fails the run.
+   Each optional parameter [?x] of a val some other production unit
+   references is classified the same way, by who applies the val to
+   it (as [~x:] or [?x:]): some other production unit, fine; only
+   test units, reported; nothing else, flagged — it is a configuration
+   no production path can select.  The options of a reported or
+   flagged val are not checked apart from it.
 
-   Exit codes: 0 clean; 1 unlisted test-only or flagged vals, or stale
-   allowlist entries; 2 usage error, unreadable allowlist, or no
-   [.cmt] file under ROOT (the check was run before a build).
+   A reported or flagged val or option fails the run unless ALLOWLIST
+   names it.  Each allowlist line reads
+   [lib/path/file.mli value.path reason...], an option being named
+   [value.path?label]; blank lines and lines starting with [#] are
+   ignored, and the reason may not be empty.  An entry that names no
+   val or option, or one some other production unit references or
+   passes, is stale and fails the run.
+
+   Exit codes: 0 clean; 1 unlisted test-only or flagged vals or
+   options, or stale allowlist entries; 2 usage error, unreadable
+   allowlist, or no [.cmt] file under ROOT (the check was run before
+   a build).
 
    References are keyed by full unit name ([Ldap__Server], not
    [Server]), so two libraries' modules of the same short name stay
@@ -53,12 +63,17 @@ type binding =
    val's own unit.  A unit's category is [Prod] or [Test]. *)
 type who = Prod | Test | Self
 
+(* What the check finds wrong with a val or option, if anything. *)
+type finding = Test_only | Flagged of string
+
 type unit_info = {
   id : string;  (* the unit's [.cmt] path under ROOT, less the suffix *)
   category : who;
   idents : binding Ident.Tbl.t;  (* local module identifiers *)
   values : modloc Ident.Tbl.t;  (* module-level value identifiers *)
   mutable refs : (Path.t * bool) list;  (* path, whole module? *)
+  mutable passes : (Path.t * string list) list;
+      (* a value applied to optional arguments: its path, their labels *)
 }
 
 let units : (string, unit_info) Hashtbl.t = Hashtbl.create 256
@@ -178,8 +193,9 @@ and collect_module u path mb =
       | _ -> ())
   | _ -> ()
 
-(* Every value reference, every [let module] alias, and every module
-   used whole (functor argument or packed first-class module). *)
+(* Every value reference, every [let module] alias, every module used
+   whole (functor argument or packed first-class module), and the
+   optional arguments every value applied by name is passed. *)
 let collect_refs u str =
   let whole me =
     match (strip_constraint me).mod_desc with
@@ -195,6 +211,18 @@ let collect_refs u str =
         let b = match binding_of u [] me with Struct _ -> Opaque | b -> b in
         Ident.Tbl.replace u.idents id b
     | Texp_pack me -> whole me
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+        match
+          List.filter_map
+            (function
+              (* An omitted optional argument is an explicit [None]
+                 at a ghost location. *)
+              | Asttypes.Optional l, Some e when not e.exp_loc.loc_ghost -> Some l
+              | _ -> None)
+            args
+        with
+        | [] -> ()
+        | labels -> u.passes <- (p, labels) :: u.passes)
     | _ -> ());
     super.expr it e
   in
@@ -253,7 +281,14 @@ type iface_val = {
   line : int;
   name : string;  (* dotted through submodules *)
   key : string * string list * string;
+  options : string list;  (* labels of its optional parameters *)
 }
+
+let rec optional_labels ct =
+  match ct.ctyp_desc with
+  | Ttyp_arrow (Asttypes.Optional l, _, rest) -> l :: optional_labels rest
+  | Ttyp_arrow (_, _, rest) | Ttyp_poly (_, rest) -> optional_labels rest
+  | _ -> []
 
 let rec sig_vals unit mli path sg acc =
   List.fold_left
@@ -266,6 +301,7 @@ let rec sig_vals unit mli path sg acc =
             line = vd.val_loc.loc_start.pos_lnum;
             name;
             key = (unit, path, vd.val_name.txt);
+            options = optional_labels vd.val_desc;
           }
           :: acc
       | Tsig_module { md_name = { txt = Some n; _ }; md_type; _ } -> (
@@ -330,6 +366,7 @@ let () =
               idents = Ident.Tbl.create 16;
               values = Ident.Tbl.create 64;
               refs = [];
+              passes = [];
             }
           in
           Hashtbl.replace units id u;
@@ -346,28 +383,41 @@ let () =
     exit 2
   end;
   let refs : (string * string list * string, who) Hashtbl.t = Hashtbl.create 8192 in
+  let passes : (string * string list * string * string, who) Hashtbl.t = Hashtbl.create 1024 in
   let wholes = ref [] in
-  let mark u (l : modloc) s =
-    Hashtbl.add refs (l.unit, l.path, s) (if l.unit = u.id then Self else u.category)
+  let who u (l : modloc) = if l.unit = u.id then Self else u.category in
+  (* The defining modules a value path reaches, with the value's name. *)
+  let targets u = function
+    | Path.Pident id ->
+        Option.fold ~none:[]
+          ~some:(fun l -> [ (l, Ident.name id) ])
+          (Ident.Tbl.find_opt u.values id)
+    | Path.Pdot (m, s) -> (
+        match resolve_module 0 u.id m with
+        | Some l -> List.map (fun l -> (l, s)) (Option.value (value_chain 0 l s) ~default:[ l ])
+        | None -> [])
+    | Path.Papply _ | Path.Pextra_ty _ -> []
   in
   Hashtbl.iter
     (fun _ u ->
       List.iter
         (fun (p, whole) ->
-          match p with
-          | _ when whole -> (
-              match resolve_module 0 u.id p with
-              | Some l when l.unit <> u.id -> wholes := (l, u.category) :: !wholes
-              | _ -> ())
-          | Path.Pident id ->
-              Option.iter (fun l -> mark u l (Ident.name id)) (Ident.Tbl.find_opt u.values id)
-          | Path.Pdot (m, s) ->
-              Option.iter
-                (fun l ->
-                  List.iter (fun l -> mark u l s) (Option.value (value_chain 0 l s) ~default:[ l ]))
-                (resolve_module 0 u.id m)
-          | Path.Papply _ | Path.Pextra_ty _ -> ())
-        u.refs)
+          if whole then
+            match resolve_module 0 u.id p with
+            | Some l when l.unit <> u.id -> wholes := (l, u.category) :: !wholes
+            | _ -> ()
+          else
+            List.iter
+              (fun ((l : modloc), s) -> Hashtbl.add refs (l.unit, l.path, s) (who u l))
+              (targets u p))
+        u.refs;
+      List.iter
+        (fun (p, labels) ->
+          List.iter
+            (fun ((l : modloc), s) ->
+              List.iter (fun lab -> Hashtbl.add passes (l.unit, l.path, s, lab) (who u l)) labels)
+            (targets u p))
+        u.passes)
     units;
   let rec is_prefix p q =
     match (p, q) with [], _ -> true | a :: p, b :: q -> a = b && is_prefix p q | _ -> false
@@ -381,36 +431,73 @@ let () =
           !wholes
     in
     if List.mem Prod who then None
-    else if List.mem Test who then Some `Test_only
-    else if List.mem Self who then Some (`Flagged "used only inside its own module")
-    else Some (`Flagged "referenced nowhere")
+    else if List.mem Test who then Some Test_only
+    else if List.mem Self who then Some (Flagged "used only inside its own module")
+    else Some (Flagged "referenced nowhere")
+  in
+  let option_status v label =
+    let unit, path, name = v.key in
+    let who = Hashtbl.find_all passes (unit, path, name, label) in
+    if List.mem Prod who then None
+    else if List.mem Test who then Some Test_only
+    else if List.mem Self who then Some (Flagged "passed only inside its own module")
+    else Some (Flagged "passed nowhere")
   in
   let vals =
     List.sort (fun a b -> compare (a.mli, a.line, a.name) (b.mli, b.line, b.name)) !vals
     |> List.map (fun v -> (v, status v))
   in
-  let flagged = List.filter_map (function v, Some (`Flagged w) -> Some (v, w) | _ -> None) vals in
-  let test_only = List.filter_map (function v, Some `Test_only -> Some v | _ -> None) vals in
+  (* Options of the vals production reaches, named [val?label]. *)
+  let options =
+    List.concat_map
+      (fun (v, st) ->
+        if st <> None then []
+        else List.map (fun l -> ({ v with name = v.name ^ "?" ^ l }, option_status v l)) v.options)
+      vals
+  in
   let is_allowed v = List.mem (v.mli, v.name) allowed in
+  let failures items ~test_only =
+    List.filter_map
+      (fun (v, st) ->
+        match st with
+        | Some _ when is_allowed v -> None
+        | Some (Flagged w) -> Some (v, w)
+        | Some Test_only -> Some (v, test_only)
+        | None -> None)
+      items
+  in
   let unallowed =
-    List.filter (fun (v, _) -> not (is_allowed v))
-      (flagged @ List.map (fun v -> (v, "reached only from tests")) test_only)
-    |> List.sort (fun (a, _) (b, _) -> compare (a.mli, a.line) (b.mli, b.line))
+    failures vals ~test_only:"reached only from tests"
+    @ failures options ~test_only:"passed only from tests"
+    |> List.sort (fun (a, _) (b, _) -> compare (a.mli, a.line, a.name) (b.mli, b.line, b.name))
   in
   List.iter (fun (v, what) -> Printf.printf "%s:%d: %s is %s\n" v.mli v.line v.name what) unallowed;
+  let items = vals @ options in
   let stale =
     List.filter_map
       (fun entry ->
-        match List.find_opt (fun (v, _) -> (v.mli, v.name) = entry) vals with
+        match List.find_opt (fun (v, _) -> (v.mli, v.name) = entry) items with
         | Some (_, Some _) -> None
-        | Some (_, None) -> Some (entry, "it has a production caller")
-        | None -> Some (entry, "no such val"))
+        | Some (v, None) ->
+            let why =
+              if String.contains v.name '?' then "production passes it"
+              else "it has a production caller"
+            in
+            Some (entry, why)
+        | None -> Some (entry, "no such val or option"))
       allowed
   in
   List.iter
     (fun ((mli, name), why) -> Printf.printf "allowlist: %s %s is stale: %s\n" mli name why)
     stale;
-  Printf.printf "%d vals checked, %d flagged, %d test-only, %d allowlisted\n" (List.length vals)
-    (List.length flagged) (List.length test_only)
-    (List.length flagged + List.length test_only - List.length unallowed);
+  let summary what items =
+    let count p = List.length (List.filter (fun (_, st) -> p st) items) in
+    let flagged = count (function Some (Flagged _) -> true | _ -> false)
+    and test_only = count (( = ) (Some Test_only))
+    and listed = List.length (List.filter (fun (v, st) -> st <> None && is_allowed v) items) in
+    Printf.printf "%d %s checked, %d flagged, %d test-only, %d allowlisted\n"
+      (List.length items) what flagged test_only listed
+  in
+  summary "vals" vals;
+  summary "options" options;
   exit (if unallowed <> [] || stale <> [] then 1 else 0)

@@ -12,3 +12,4 @@ let total () =
   Deadfix_one.Server.used () + S.via_alias () + shadowed () + Deadfix_two.Swap.run ()
   + Deadfix_two.Value.reexported ()
   + Keys.cardinal (Keys.of_list [ 1; 2 ])
+  + Deadfix_one.Opts.configure ~prod:1 ()

@@ -231,7 +231,7 @@ let sync_session master session ~cookie ~pushed =
       Some (push_of_fn (fun a -> pushed := a :: !pushed))
     else None
   in
-  match Master.handle master ?push { Protocol.mode; cookie } session.query with
+  match Server.handle (Master.server master) ?push { Protocol.mode; cookie } session.query with
   | Ok reply -> reply
   | Error e -> failwith e
 

@@ -41,7 +41,7 @@ let test_report_format () =
 
 let test_plot_render () =
   let chart =
-    E.Plot.render ~height:5 ~y_max:1.0 ~x_labels:[ "a"; "b"; "c" ]
+    E.Plot.render ~y_max:1.0 ~x_labels:[ "a"; "b"; "c" ]
       ~series:[ ("s1", [ 0.0; 0.5; 1.0 ]); ("s2", [ 1.0; 0.5 ]) ]
       ()
   in

@@ -157,7 +157,7 @@ let test_persist_push () =
   let master = Master.create b in
   let pushed = ref [] in
   let request = { Protocol.mode = Protocol.Persist; cookie = None } in
-  (match Master.handle master
+  (match Server.handle (Master.server master)
            ~push:(push_of_fn (fun a -> pushed := a :: !pushed))
            request (dept_query "7") with
   | Ok reply -> check_int "initial empty" 0 (List.length reply.Protocol.actions)
@@ -175,7 +175,7 @@ let test_persist_filters_out_of_content () =
   let master = Master.create b in
   let pushed = ref [] in
   let request = { Protocol.mode = Protocol.Persist; cookie = None } in
-  (match Master.handle master
+  (match Server.handle (Master.server master)
            ~push:(push_of_fn (fun a -> pushed := a :: !pushed))
            request (dept_query "7") with
   | Ok _ -> ()
