@@ -84,7 +84,8 @@ let () =
 
   (* Phase 4: the master expires idle sessions; the stale cookie falls
      back to the degraded mode — retain actions instead of a reload. *)
-  Resync.Server.abandon (Resync.Master.server master) ~cookie:(Option.get (Resync.Consumer.cookie consumer));
+  Resync.Server.abandon (Resync.Master.server master)
+    ~cookie:(Option.get (Resync.Consumer.cookie consumer));
   apply (Update.modify (dn "cn=emp3,o=hq") [ Update.replace_values "telephoneNumber" [ "555-5678" ] ]);
   apply (Update.modify (dn "cn=emp4,o=hq") [ Update.replace_values "departmentNumber" [ "eng" ] ]);
   show_reply "poll #3 (stale cookie -> degraded)" (must (Resync.Consumer.sync consumer master));

@@ -94,9 +94,7 @@ let add t q payload =
     | None ->
         let b =
           { template;
-            syntaxes =
-              Array.map Schema.syntax_of
-                (Template.hole_attrs template);
+            syntaxes = Array.map Schema.syntax_of (Template.hole_attrs template);
             entries = [];
             columns = Hashtbl.create 4 }
         in

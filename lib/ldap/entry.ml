@@ -3,9 +3,9 @@ module Prog = Ldap_compile.Prog
 
 (* An entry is its DN and one slot per attribute, sorted by interned
    id.  A slot keeps the raw values and, resolved once from the schema,
-   the attribute's matching rule and the values' canonical forms, so filter bytecode and the predicate index read an
-   entry with no schema lookup.  Mutators replace one slot and share
-   the others.  [hash] caches the content digest; every new record
+   the attribute's matching rule and the values' canonical forms, so
+   filter bytecode and the predicate index read an entry with no
+   schema lookup.  Mutators replace one slot and share the others.  [hash] caches the content digest; every new record
    starts without one. *)
 type t = {
   dn : Dn.t;

@@ -50,7 +50,8 @@ let attribute_types =
 (* Every name and alias, lowercased, to its attribute type. *)
 let attrs =
   List.fold_left
-    (fun m at -> List.fold_left (fun m name -> Smap.add (key name) at m) m (at.at_canonical :: at.at_aliases))
+    (fun m at ->
+      List.fold_left (fun m name -> Smap.add (key name) at m) m (at.at_canonical :: at.at_aliases))
     Smap.empty attribute_types
 
 let syntax_of name =

@@ -454,7 +454,9 @@ let ep_abandon t ~cookie =
       List.iter
         (fun (s, comp) ->
           if s >= 0 && s < Array.length t.shards then
-            Ldap_resync.Server.abandon (Master.server (Shard_master.master t.shards.(s))) ~cookie:comp)
+            Ldap_resync.Server.abandon
+              (Master.server (Shard_master.master t.shards.(s)))
+              ~cookie:comp)
         comps
 
 let ep_estimate t q =

@@ -75,7 +75,6 @@ let test_referral () =
 
 (* Schema -------------------------------------------------------------- *)
 
-
 let test_schema_lookup () =
   check_bool "alias" true
     (Schema.canonical_attr "surname" = "sn");
@@ -186,7 +185,7 @@ let suite =
     Alcotest.test_case "select" `Quick test_select;
     Alcotest.test_case "equal" `Quick test_equal;
     Alcotest.test_case "referral entries" `Quick test_referral;
-    Alcotest.test_case "lookup" `Quick test_schema_lookup;
+    Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
     Alcotest.test_case "ber sizes" `Quick test_ber_sizes;
     QCheck_alcotest.to_alcotest prop_derived_view_equals_rebuilt;
     Alcotest.test_case "re-added attribute listed once" `Quick test_readd_lists_once;

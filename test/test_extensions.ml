@@ -164,7 +164,8 @@ let test_persistent_count () =
   let master = Resync.Master.create b in
   check_int "none" 0 (persistent_count master);
   (match
-     Resync.Server.handle (Resync.Master.server master) ~push:{ Resync.Protocol.pc_send = (fun _ -> Resync.Protocol.Push_ok); pc_close = ignore }
+     Resync.Server.handle (Resync.Master.server master)
+       ~push:{ Resync.Protocol.pc_send = (fun _ -> Resync.Protocol.Push_ok); pc_close = ignore }
        { Resync.Protocol.mode = Resync.Protocol.Persist; cookie = None }
        (Query.make ~base:(dn "o=x") (f "(sn=alice)"))
    with

@@ -810,7 +810,9 @@ let fr_meta_queries () =
 
 let fr_meta_backend () =
   let b = make_backend () in
-  List.iter (fun (n, dept) -> apply b (Update.add (person n ~dept ()))) [ ("a", "7"); ("b", "8"); ("c", "9") ];
+  List.iter
+    (fun (n, dept) -> apply b (Update.add (person n ~dept ())))
+    [ ("a", "7"); ("b", "8"); ("c", "9") ];
   b
 
 let test_old_filter_replica_meta_image () =

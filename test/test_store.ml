@@ -30,9 +30,10 @@ let test_crc32_vectors () =
 (* --- WAL framing ------------------------------------------------------ *)
 
 (* String payloads through the writer API. *)
-let wal_append m ~name p = Store.Wal.append_w m ~name (fun w -> Ldap_compile.Wbuf.prepend_string w p)
-let append s p = Store.Store.append_w s (fun w -> Ldap_compile.Wbuf.prepend_string w p)
-let checkpoint s p = Store.Store.checkpoint_w s (fun w -> Ldap_compile.Wbuf.prepend_string w p)
+let payload p w = Ldap_compile.Wbuf.prepend_string w p
+let wal_append m ~name p = Store.Wal.append_w m ~name (payload p)
+let append s p = Store.Store.append_w s (payload p)
+let checkpoint s p = Store.Store.checkpoint_w s (payload p)
 
 let test_wal_round_trip () =
   let m = Store.Medium.memory () in
