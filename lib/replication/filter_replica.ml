@@ -112,6 +112,7 @@ let removed_record ~slot w =
   DW.integer w slot;
   DW.enum w 1;
   DW.close_seq w m
+
 let consumer_store_name d slot = Printf.sprintf "%s.f%d" d.prefix slot
 
 let slot_of d q =
