@@ -46,8 +46,13 @@ type t = {
   config : config;
   replica : FR.t;
   interest : Interest.t;
+  coverage : bool Query.Tbl.t;
+      (* candidate -> whether the stored set covers it, proved at
+         replica generation [coverage_at] *)
+  mutable coverage_at : int;
   mutable observed : int;
   mutable adaptations : adaptation list;  (* newest first *)
+  mutable adaptation_count : int;  (* length of [adaptations] *)
   mutable drift_checks : int;
   mutable unchanged_checks : int;
 }
@@ -60,15 +65,18 @@ let create config replica =
       (match config.benefit with
       | Hits -> Interest.create ()
       | Decayed -> Interest.create ~half_life:config.half_life ());
+    coverage = Query.Tbl.create 256;
+    coverage_at = FR.generation replica;
     observed = 0;
     adaptations = [];
+    adaptation_count = 0;
     drift_checks = 0;
     unchanged_checks = 0;
   }
 
 let replica t = t.replica
 let adaptations t = List.rev t.adaptations
-let adaptation_count t = List.length t.adaptations
+let adaptation_count t = t.adaptation_count
 let drift_checks t = t.drift_checks
 let unchanged_checks t = t.unchanged_checks
 
@@ -141,31 +149,42 @@ let adapt t ~trigger =
     in
     let a = { at = t.observed; trigger; target; plan; report } in
     t.adaptations <- a :: t.adaptations;
+    t.adaptation_count <- t.adaptation_count + 1;
     Some a
   end
 
-(* Early re-selection fires when some uncovered candidate's
-   score dominates the best candidate the stored set already covers —
-   the flash-crowd / geography-flip signal that should not wait for
-   the periodic revolution.  Coverage proofs, not the ranking, are
-   what a check costs; the ranking is best-first, so the first viable
-   candidate of each kind carries its maximum and the search for it
-   stops there (a kind never found, or a best score below zero, counts
+(* Whether the stored set covers [q].  The answer changes only when
+   the stored set does, so it is proved once per replica generation,
+   through the replica's containment index, and memoized. *)
+let stored_covers t q =
+  let generation = FR.generation t.replica in
+  if generation <> t.coverage_at then begin
+    Query.Tbl.clear t.coverage;
+    t.coverage_at <- generation
+  end;
+  match Query.Tbl.find_opt t.coverage q with
+  | Some c -> c
+  | None ->
+      let c = FR.covers t.replica q in
+      Query.Tbl.add t.coverage q c;
+      c
+
+(* Early re-selection fires when some uncovered candidate's score
+   dominates the best candidate the stored set already covers — the
+   flash-crowd / geography-flip signal that should not wait for the
+   periodic revolution.  One pass over the table takes both maxima (a
+   kind with no viable candidate, or a best score below zero, counts
    as 0.0). *)
 let drifted t =
-  let stored = FR.stored_filters t.replica in
-  let viable =
-    List.filter (fun (_, s) -> s >= t.config.min_score)
-      (Interest.ranked t.interest)
+  let min_score = t.config.min_score in
+  let best_uncovered, best_covered =
+    Interest.fold t.interest ~init:(0.0, 0.0) ~f:(fun ((bu, bc) as acc) q score ->
+        if score < min_score then acc
+        else if stored_covers t q then if score > bc then (bu, score) else acc
+        else if score > bu then (score, bc)
+        else acc)
   in
-  let best ~is_covered =
-    match List.find_opt (fun (q, _) -> covered stored q = is_covered) viable with
-    | Some (_, score) -> max 0.0 score
-    | None -> 0.0
-  in
-  let best_uncovered = best ~is_covered:false in
-  best_uncovered >= t.config.min_score
-  && best_uncovered > t.config.drift_ratio *. best ~is_covered:true
+  best_uncovered >= min_score && best_uncovered > t.config.drift_ratio *. best_covered
 
 let observe t q =
   let candidates = Generalize.candidates t.config.rules q in

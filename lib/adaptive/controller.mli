@@ -91,7 +91,15 @@ val observe : t -> Query.t -> unit
     best uncovered candidate scores at least [min_score] and more than
     [drift_ratio] times the best candidate the stored set covers (a
     kind with no viable candidate, or a best score below zero, counts
-    as 0.0); it then re-selects at once, with trigger [Drift].  A
+    as 0.0); it then re-selects at once, with trigger [Drift].  The
+    test is one pass over the interest table.  Whether the stored set
+    covers a candidate is memoized: the memo holds for one
+    {!Ldap_replication.Filter_replica.generation} of the stored set,
+    and a candidate missing from it is proved once through the
+    replica's containment index
+    ({!Ldap_replication.Filter_replica.covers}, which counts no
+    comparisons).  An install or removal by anyone, this controller
+    or not, moves the generation and so empties the memo.  A
     re-selection that would keep the stored set identical executes
     nothing (counted in {!unchanged_checks}) — no-op transitions cost
     nothing. *)
@@ -108,6 +116,8 @@ val adaptations : t -> adaptation list
 (** Executed adaptations, oldest first. *)
 
 val adaptation_count : t -> int
+(** The length of {!adaptations}, kept as a counter. *)
+
 val drift_checks : t -> int
 (** Drift tests run (not all of them fire). *)
 

@@ -53,14 +53,4 @@ let fold t ~init ~f =
       f acc cell.query cell.score)
     t.table init
 
-let ranked t =
-  Hashtbl.fold
-    (fun key cell acc ->
-      decay t cell;
-      (key, cell) :: acc)
-    t.table []
-  |> List.sort (fun (ka, a) (kb, b) ->
-         match compare b.score a.score with 0 -> compare ka kb | c -> c)
-  |> List.map (fun (_, cell) -> (cell.query, cell.score))
-
 let reset t = Hashtbl.iter (fun _ cell -> cell.score <- 0.0) t.table

@@ -10,9 +10,9 @@
       observations, so a candidate that was hot an hour ago stops
       outranking a flash crowd without waiting for revolutions to wash
       it out.  Decay is applied lazily on read, so cost is O(1) per
-      observation and O(candidates) per ranking.
+      observation and O(candidates) per {!fold}.
 
-    The clock is the observation count, never wall time — rankings are
+    The clock is the observation count, never wall time — scores are
     deterministic for a given workload, which the drift sweep's CI
     double-run diff relies on. *)
 
@@ -40,10 +40,6 @@ val touch : t -> unit
 val fold : t -> init:'a -> f:('a -> Query.t -> float -> 'a) -> 'a
 (** Folds over every candidate with its score as of now, in table
     order (deterministic for a given sequence of observations). *)
-
-val ranked : t -> (Query.t * float) list
-(** All candidates with their scores, best first; ties broken by
-    {!key} so the order is deterministic. *)
 
 val reset : t -> unit
 (** Zeroes every score, keeping the candidates and their table order:

@@ -46,6 +46,9 @@ type 'a t = {
   plans : (string * string, plan) Hashtbl.t;
       (* (incoming shape, stored shape) -> candidate-pruning plan *)
   mutable count : int;
+  mutable beyond_holes : int;
+      (* stored queries [hole_complete] rejects: while any is stored,
+         [covers] proves linearly *)
   mutable comparisons : int;
 }
 
@@ -56,8 +59,23 @@ let create () =
     conditions = Hashtbl.create 256;
     plans = Hashtbl.create 256;
     count = 0;
+    beyond_holes = 0;
     comparisons = 0;
   }
+
+(* Bucket proofs run on template holes, where a substring assertion
+   becomes a prefix condition only when it has nothing but an initial
+   component.  One with an [any] or [final] component, on either side,
+   is beyond them: the proof comes out false where
+   [Query_containment.contained] (whose same-shape walk compares such
+   substrings directly) proves true — even for a query against
+   itself. *)
+let rec hole_complete = function
+  | Filter.Pred (Filter.Substrings (_, { Filter.any = []; final = None; _ })) -> true
+  | Filter.Pred (Filter.Substrings _) -> false
+  | Filter.Pred _ -> true
+  | Filter.Not g -> hole_complete g
+  | Filter.And gs | Filter.Or gs -> List.for_all hole_complete gs
 
 let decompose (q : Query.t) =
   let template = Template.of_filter q.Query.filter in
@@ -117,7 +135,8 @@ let add t q payload =
   | None ->
       bucket.entries <- fresh :: bucket.entries;
       Hashtbl.iter (fun col column -> column_insert t bucket col column fresh) bucket.columns;
-      t.count <- t.count + 1);
+      t.count <- t.count + 1;
+      if not (hole_complete q.Query.filter) then t.beyond_holes <- t.beyond_holes + 1);
   Query.Tbl.replace t.exact q fresh
 
 let remove t q =
@@ -130,6 +149,7 @@ let remove t q =
       let bucket = Hashtbl.find t.buckets key in
       bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
       t.count <- t.count - 1;
+      if not (hole_complete s.query.Query.filter) then t.beyond_holes <- t.beyond_holes - 1;
       if bucket.entries = [] then Hashtbl.remove t.buckets key
       else
         Hashtbl.iter
@@ -311,7 +331,9 @@ let candidates t bucket atoms ~values =
       in
       Some (dedupe [] (List.concat lists))
 
-let find_container_where t (q : Query.t) ~pred =
+(* [counted] says whether the stored queries checked add to
+   [comparisons]: a query admission's do, a coverage proof's do not. *)
+let search t (q : Query.t) ~pred ~counted =
   let template, values = decompose q in
   let incoming_key = Template.shape_key template in
   let check_bucket bucket_key (bucket : 'a bucket) acc =
@@ -334,7 +356,7 @@ let find_container_where t (q : Query.t) ~pred =
             in
             List.find_map
               (fun s ->
-                t.comparisons <- t.comparisons + 1;
+                if counted then t.comparisons <- t.comparisons + 1;
                 if
                   (not (pred s.query s.payload))
                   || not (Query_containment.region_and_attrs_ok ~query:q ~stored:s.query)
@@ -367,7 +389,16 @@ let find_container_where t (q : Query.t) ~pred =
           if String.equal key incoming_key then acc else check_bucket key bucket acc)
         t.buckets None
 
+let find_container_where t q ~pred = search t q ~pred ~counted:true
 let find_container t q = find_container_where t q ~pred:(fun _ _ -> true)
+
+let covers t (q : Query.t) =
+  if t.beyond_holes = 0 && hole_complete q.Query.filter then
+    Option.is_some (search t q ~pred:(fun _ _ -> true) ~counted:false)
+  else
+    Query.Tbl.fold
+      (fun _ s found -> found || Query_containment.contained ~query:q ~stored:s.query)
+      t.exact false
 
 let fold t ~init ~f =
   Hashtbl.fold

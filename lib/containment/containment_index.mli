@@ -56,6 +56,17 @@ val find_container_where :
     [pred] — e.g. only stored queries whose content carries the
     attributes the incoming filter needs. *)
 
+val covers : 'a t -> Query.t -> bool
+(** Whether some stored query contains the argument, as
+    {!Query_containment.contained} decides — the coverage proof of
+    filter selection.  The checks it makes are not added to
+    {!comparisons}, so a coverage proof does not read as query
+    processing.  It runs {!find_container}'s bucket and column lookups
+    unless the argument or a stored query holds a substring assertion
+    with an [any] or [final] component: the template proof misses
+    containment there, so those shapes are proved linearly against
+    every stored query. *)
+
 val fold : 'a t -> init:'b -> f:('b -> Query.t -> 'a -> 'b) -> 'b
 (** Folds over every stored query and its payload, in no particular
     order. *)

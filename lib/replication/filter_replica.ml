@@ -24,6 +24,7 @@ type t = {
       (* [index]'s stored queries and consumers in its fold order, so a
          poll round walks a list instead of the index's buckets; reset
          by [reindexed] wherever [index] gains or loses a query *)
+  mutable generation : int;  (* bumped by [reindexed] *)
   cache : Query_cache.t;
   stats : Stats.t;
   mutable on_change :
@@ -49,6 +50,7 @@ let make ~cache_capacity ~host transport ~master_host =
     host;
     index = C.Containment_index.create ();
     consumers = [];
+    generation = 0;
     cache = Query_cache.create ~capacity:cache_capacity;
     stats = Stats.create ();
     on_change = None;
@@ -56,6 +58,7 @@ let make ~cache_capacity ~host transport ~master_host =
   }
 
 let reindexed t =
+  t.generation <- t.generation + 1;
   t.consumers <-
     List.rev
       (C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c -> (q, c) :: acc))
@@ -295,6 +298,8 @@ let remove_filter t q =
 
 let consumers t = t.consumers
 let stored_filters t = List.rev_map fst t.consumers
+let generation t = t.generation
+let covers t q = C.Containment_index.covers t.index q
 
 let filter_count t = C.Containment_index.length t.index + Query_cache.length t.cache
 
@@ -549,11 +554,15 @@ let recover_over ?(host = "replica") ?(sync = true)
         (* A truncated WAL or a stale generation means durable replay
            lost acknowledged updates: the recovered content may lag the
            CSN any surviving cookie claims, or just silently lag the
-           master.  Resynchronize {e before} this filter serves reads —
-           Merkle anti-entropy first (ships only the drift), cold
-           re-fetch if the walk cannot converge or the link is down. *)
+           master.  A slot with no snapshot lost its files outright:
+           every slot is checkpointed when it is installed or attached.
+           Resynchronize {e before} this filter serves reads — Merkle
+           anti-entropy first (ships only the drift), cold re-fetch if
+           the walk cannot converge or the link is down. *)
         let damaged =
-          crec.Ldap_store.Store.truncated || crec.Ldap_store.Store.stale > 0
+          crec.Ldap_store.Store.truncated
+          || crec.Ldap_store.Store.stale > 0
+          || Option.is_none crec.Ldap_store.Store.snapshot
         in
         let resync =
           if not damaged then Resync_none

@@ -129,6 +129,21 @@ val consumers : t -> (Query.t * Ldap_resync.Consumer.t) list
     the engine's latency draws.  The list is kept, not rebuilt: reading
     it allocates nothing. *)
 
+val generation : t -> int
+(** A counter that changes whenever the stored filter set does: every
+    install (cold, rescoped or seeded), removal and recovered filter
+    bumps it.  A caller that derives something from the stored set —
+    the controller's coverage memo — keeps it while the generation it
+    was derived at is current. *)
+
+val covers : t -> Query.t -> bool
+(** Whether some stored query contains [q] (region, attributes and
+    filter) as {!Ldap_containment.Query_containment.contained} decides,
+    proved through the replica's containment index
+    ({!Ldap_containment.Containment_index.covers}).  Unlike {!answer}
+    it asks nothing of the attributes the stored content carries, and
+    its checks do not count toward {!comparisons}. *)
+
 val filter_count : t -> int
 (** Stored filters plus cached user queries — the section 7.4 x-axis. *)
 
@@ -238,7 +253,9 @@ type filter_recovery = {
   fr_snapshot_bytes : int;  (** Snapshot size. *)
   fr_resync : forced_resync;
       (** [Resync_none] unless recovery found the WAL truncated or
-          stale, in which case the filter was resynchronized {e before}
+          stale, or no snapshot at all (every slot is checkpointed when
+          installed or attached, so a missing one means its files were
+          lost), in which case the filter was resynchronized {e before}
           the replica serves reads — Merkle first, cold fallback. *)
 }
 

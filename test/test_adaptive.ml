@@ -49,6 +49,14 @@ let prefix_query p =
 let score t q =
   A.Interest.fold t ~init:0.0 ~f:(fun acc c s -> if Query.equal c q then s else acc)
 
+(* Every candidate with its score as of now, best first, ties by key. *)
+let ranked t =
+  A.Interest.fold t ~init:[] ~f:(fun acc q s -> (q, s) :: acc)
+  |> List.sort (fun (qa, a) (qb, b) ->
+         match compare b a with
+         | 0 -> compare (A.Interest.key qa) (A.Interest.key qb)
+         | c -> c)
+
 let test_interest_decay () =
   let t = A.Interest.create ~half_life:4 () in
   let q = dept_query "7" in
@@ -75,7 +83,7 @@ let test_interest_ranked () =
   (* The same candidate spelled differently shares [b]'s entry. *)
   A.Interest.observe t
     (Query.make ~base:(dn "O=XYZ") (f "(departmentnumber=8)"));
-  match A.Interest.ranked t with
+  match ranked t with
   | [ (first, hot); (second, _) ] ->
       check_bool "hotter first" true (Query.equal first b);
       check_bool "one entry per key" true (hot > 2.5);
@@ -502,20 +510,21 @@ let test_backpressure_overflow_escalates () =
 
 (* --- Controller decisions against their definitions --------------------- *)
 
-(* The definitions the controller's early-exit drift test and
+(* The definitions the controller's memoized drift test and
    budget-first selection must agree with: a fold over every viable
-   candidate, and the greedy loop that proves coverage before it
-   checks the budget.  Both read [interest], a tracker the test feeds
-   the same credits [Controller.observe] gives its own: the query and
-   its generalizations.  Scores decay lazily, one step per read, so
-   the tracker is read whenever the controller reads its own: at each
-   due drift test, re-selection and [select]; the scores then agree
-   to the last bit. *)
+   candidate that proves coverage against the stored set one filter at
+   a time, and the greedy loop that proves coverage before it checks
+   the budget.  Both read [interest], a tracker the test feeds the same
+   credits [Controller.observe] gives its own: the query and its
+   generalizations.  Scores decay lazily, one step per read, so the
+   tracker is read whenever the controller reads its own: at each due
+   drift test, re-selection and [select]; the scores then agree to the
+   last bit. *)
 let covered_by stored q =
   List.exists (fun s -> Ldap_containment.Query_containment.contained ~query:q ~stored:s) stored
 
 let viable config interest =
-  List.filter (fun (_, s) -> s >= config.A.Controller.min_score) (A.Interest.ranked interest)
+  List.filter (fun (_, s) -> s >= config.A.Controller.min_score) (ranked interest)
 
 let oracle_drifted config interest ctl =
   let stored = FR.stored_filters (A.Controller.replica ctl) in
@@ -552,7 +561,9 @@ let oracle_select config interest ctl =
           ([], 0) priced))
 
 (* Queries the stream observes, and stored filters that may or may not
-   be among them ("99", "9" and the whole tree never are). *)
+   be among them ("99", "9", the whole tree and the suffix never are).
+   The suffix filter covers "71" and "81" only by a substring proof the
+   containment index's template holes cannot make. *)
 let decision_queries =
   [|
     dept_query "71"; dept_query "72"; dept_query "81"; dept_query "82";
@@ -563,17 +574,32 @@ let stray_filters =
   [|
     dept_query "71"; prefix_query "7"; prefix_query "8"; dept_query "99";
     prefix_query "9"; Query.make ~base:(dn "o=xyz") (f "(objectclass=*)");
+    Query.make ~base:(dn "o=xyz") (f "(departmentNumber=*1)");
   |]
 
-type dstep = Observe of int | Check
+(* [Install] and [Remove] change the stored set behind the controller's
+   back, between drift checks: a coverage memo that outlived the set
+   it was proved against would make the drift test disagree with the
+   definition. *)
+type dstep = Observe of int | Check | Install of int | Remove of int
 
 let print_dstep = function
   | Observe i -> Printf.sprintf "obs %s" (Query.to_string decision_queries.(i))
   | Check -> "check"
+  | Install i -> Printf.sprintf "install %s" (Query.to_string stray_filters.(i))
+  | Remove i -> Printf.sprintf "remove %s" (Query.to_string stray_filters.(i))
 
 let decision_case_gen =
   QCheck.Gen.(
-    let step = frequency [ (4, map (fun i -> Observe i) (0 -- 5)); (1, return Check) ] in
+    let step =
+      frequency
+        [
+          (8, map (fun i -> Observe i) (0 -- 5));
+          (2, return Check);
+          (1, map (fun i -> Install i) (0 -- 6));
+          (1, map (fun i -> Remove i) (0 -- 6));
+        ]
+    in
     let config =
       map3
         (fun (min_score, size_budget) (drift_ratio, every) (revolution_interval, mode) ->
@@ -595,7 +621,7 @@ let decision_case_gen =
     in
     quad config
       (list_size (0 -- 8) (pair (0 -- 15) (0 -- 3)))
-      (0 -- 63)
+      (0 -- 127)
       (list_size (0 -- 40) step))
 
 let print_decision_case (c, people, mask, steps) =
@@ -637,7 +663,7 @@ let prop_controller_decisions =
         incr observed;
         let drift = due config.A.Controller.drift_check_interval && oracle_drifted config interest ctl in
         let periodic = due config.A.Controller.revolution_interval in
-        if drift || periodic then ignore (A.Interest.ranked interest);
+        if drift || periodic then A.Interest.fold interest ~init:() ~f:(fun () _ _ -> ());
         let count = A.Controller.adaptation_count ctl
         and unchanged = A.Controller.unchanged_checks ctl in
         A.Controller.observe ctl q;
@@ -650,7 +676,16 @@ let prop_controller_decisions =
       in
       let agree () = List.equal Query.equal (A.Controller.select ctl) (oracle_select config interest ctl) in
       List.for_all
-        (function Observe i -> observe decision_queries.(i) | Check -> agree ())
+        (function
+          | Observe i -> observe decision_queries.(i)
+          | Check -> agree ()
+          | Install i -> (
+              match FR.install_filter replica stray_filters.(i) with
+              | Ok () -> true
+              | Error e -> failwith e)
+          | Remove i ->
+              FR.remove_filter replica stray_filters.(i);
+              true)
         steps
       && agree ())
 

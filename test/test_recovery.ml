@@ -572,6 +572,48 @@ let test_checkpoint_crash_window_resyncs () =
   R.Filter_replica.sync replica2;
   check_bool "cookie resumes incrementally" true (entry_sets_equal c b (dept_query "7"))
 
+let test_lost_consumer_store_resyncs () =
+  (* Every slot is checkpointed when it is installed or attached, so a
+     slot whose snapshot and log are both gone lost its files.
+     Recovery must repair it before it serves reads, not answer from
+     the empty content an absent store recovers to. *)
+  let b = make_backend () in
+  apply b (Update.add (person "alice" ()));
+  apply b (Update.add (person "bob" ()));
+  let replica = R.Filter_replica.create (Master.create b) in
+  let m = Store.Medium.memory () in
+  R.Filter_replica.attach_store replica m ~prefix:"r";
+  let q = dept_query "7" in
+  must (R.Filter_replica.install_filter replica q);
+  R.Filter_replica.detach_store replica;
+  (* The meta store survives; the slot's consumer store does not. *)
+  Store.Medium.remove m ~name:"r.f0.snap";
+  Store.Medium.remove m ~name:"r.f0.wal";
+  let replica2, report =
+    must
+      (R.Filter_replica.recover_over
+         (R.Filter_replica.transport replica)
+         ~master_host:(R.Filter_replica.master_host replica)
+         m ~prefix:"r")
+  in
+  (match report.R.Filter_replica.filters with
+  | [ fr ] ->
+      check_bool "lost store forces a resync" true
+        (match fr.R.Filter_replica.fr_resync with
+        | R.Filter_replica.Resync_merkle | R.Filter_replica.Resync_cold -> true
+        | R.Filter_replica.Resync_none -> false)
+  | frs -> Alcotest.failf "expected one filter recovery, got %d" (List.length frs));
+  (* No poll has run: the answer comes from what recovery restored. *)
+  let expected = canon (Content.current b q) in
+  check_int "master holds both" 2 (List.length expected);
+  match R.Filter_replica.answer replica2 q with
+  | R.Replica.Answered entries ->
+      let entries = canon entries in
+      check_bool "answer equals the master's before any poll" true
+        (List.length entries = List.length expected
+        && List.for_all2 Entry.equal entries expected)
+  | R.Replica.Referral -> Alcotest.fail "stored query referred"
+
 (* --- Incremental checkpoint image ≡ full encode (property) ------------- *)
 
 (* The checkpoint body from before the consumer kept its image between
@@ -862,6 +904,8 @@ let suite =
     Alcotest.test_case "restore rdn-ordered image" `Quick test_restore_rdn_ordered_image;
     Alcotest.test_case "checkpoint crash window" `Quick
       test_checkpoint_crash_window_resyncs;
+    Alcotest.test_case "lost consumer store resyncs" `Quick
+      test_lost_consumer_store_resyncs;
     Alcotest.test_case "master keeps sessions" `Quick
       test_master_recovery_keeps_sessions;
     Alcotest.test_case "cold master degrades" `Quick
