@@ -36,19 +36,21 @@ type plan = Scan | Clause of plan_atom list
    per-candidate evaluations. *)
 type cond = { sym : Symbolic.t; staged : Symbolic.Compiled.cond }
 
+(* What one (incoming shape, stored shape) pair compiles to. *)
+type pair = { cond : cond option; plan : plan }
+
 type 'a t = {
   buckets : (string, 'a bucket) Hashtbl.t;  (* shape key -> bucket *)
   exact : 'a stored Query.Tbl.t;
       (* every stored query under its exact form: [find] and [mem]
          answer here without decomposing into a template *)
-  conditions : (string * string, cond option) Hashtbl.t;
-      (* (incoming shape, stored shape) -> compiled condition *)
-  plans : (string * string, plan) Hashtbl.t;
-      (* (incoming shape, stored shape) -> candidate-pruning plan *)
+  pairs : (string * string, pair) Hashtbl.t;
+      (* (incoming shape, stored shape) -> compiled condition and
+         candidate-pruning plan *)
   mutable count : int;
   mutable beyond_holes : int;
       (* stored queries [hole_complete] rejects: while any is stored,
-         [covers] proves linearly *)
+         admission and coverage prove linearly *)
   mutable comparisons : int;
 }
 
@@ -56,8 +58,7 @@ let create () =
   {
     buckets = Hashtbl.create 64;
     exact = Query.Tbl.create 64;
-    conditions = Hashtbl.create 256;
-    plans = Hashtbl.create 256;
+    pairs = Hashtbl.create 256;
     count = 0;
     beyond_holes = 0;
     comparisons = 0;
@@ -69,7 +70,7 @@ let create () =
    is beyond them: the proof comes out false where
    [Query_containment.contained] (whose same-shape walk compares such
    substrings directly) proves true — even for a query against
-   itself. *)
+   itself.  [search] proves those linearly. *)
 let rec hole_complete = function
   | Filter.Pred (Filter.Substrings (_, { Filter.any = []; final = None; _ })) -> true
   | Filter.Pred (Filter.Substrings _) -> false
@@ -169,19 +170,6 @@ let find t q =
 let mem t q = Query.Tbl.mem t.exact q
 let length t = t.count
 
-let condition t ~incoming_key ~incoming ~bucket_key ~bucket_template =
-  let key = (incoming_key, bucket_key) in
-  match Hashtbl.find_opt t.conditions key with
-  | Some c -> c
-  | None ->
-      let c =
-        Symbolic.compile ~left:incoming ~right:bucket_template
-        |> Option.map (fun sym ->
-               { sym; staged = Symbolic.Compiled.compile sym })
-      in
-      Hashtbl.replace t.conditions key c;
-      c
-
 (* --- candidate pruning ------------------------------------------------ *)
 
 let rec r_free = function
@@ -263,25 +251,29 @@ let plan_cost atoms =
   in
   (prefixes, eqs, guards)
 
-let plan t ~incoming_key ~bucket_key cond =
+let plan_of_cond = function
+  | Some { sym = Symbolic.Cnf clauses; _ } ->
+      List.filter_map plan_of_clause clauses
+      |> List.fold_left
+           (fun best atoms ->
+             match best with
+             | Some b when plan_cost b <= plan_cost atoms -> best
+             | Some _ | None -> Some atoms)
+           None
+      |> Option.fold ~none:Scan ~some:(fun atoms -> Clause atoms)
+  | Some { sym = Symbolic.Always | Symbolic.Never; _ } | None -> Scan
+
+let pair_for t ~incoming_key ~incoming ~bucket_key ~bucket_template =
   let key = (incoming_key, bucket_key) in
-  match Hashtbl.find_opt t.plans key with
+  match Hashtbl.find_opt t.pairs key with
   | Some p -> p
   | None ->
-      let p =
-        match cond with
-        | Some { sym = Symbolic.Cnf clauses; _ } ->
-            List.filter_map plan_of_clause clauses
-            |> List.fold_left
-                 (fun best atoms ->
-                   match best with
-                   | Some b when plan_cost b <= plan_cost atoms -> best
-                   | Some _ | None -> Some atoms)
-                 None
-            |> Option.fold ~none:Scan ~some:(fun atoms -> Clause atoms)
-        | Some { sym = Symbolic.Always | Symbolic.Never; _ } | None -> Scan
+      let cond =
+        Symbolic.compile ~left:incoming ~right:bucket_template
+        |> Option.map (fun sym -> { sym; staged = Symbolic.Compiled.compile sym })
       in
-      Hashtbl.replace t.plans key p;
+      let p = { cond; plan = plan_of_cond cond } in
+      Hashtbl.replace t.pairs key p;
       p
 
 (* Stored queries of [bucket] that can satisfy the planned clause for
@@ -331,9 +323,7 @@ let candidates t bucket atoms ~values =
       in
       Some (dedupe [] (List.concat lists))
 
-(* [counted] says whether the stored queries checked add to
-   [comparisons]: a query admission's do, a coverage proof's do not. *)
-let search t (q : Query.t) ~pred ~counted =
+let indexed_search t (q : Query.t) ~pred ~counted =
   let template, values = decompose q in
   let incoming_key = Template.shape_key template in
   let check_bucket bucket_key (bucket : 'a bucket) acc =
@@ -341,13 +331,13 @@ let search t (q : Query.t) ~pred ~counted =
     | Some _ -> acc
     | None -> (
         match
-          condition t ~incoming_key ~incoming:template ~bucket_key
+          pair_for t ~incoming_key ~incoming:template ~bucket_key
             ~bucket_template:bucket.template
         with
-        | Some { sym = Symbolic.Never; _ } -> None
-        | cond ->
+        | { cond = Some { sym = Symbolic.Never; _ }; _ } -> None
+        | { cond; plan } ->
             let entries =
-              match plan t ~incoming_key ~bucket_key cond with
+              match plan with
               | Scan -> bucket.entries
               | Clause atoms -> (
                   match candidates t bucket atoms ~values with
@@ -389,16 +379,30 @@ let search t (q : Query.t) ~pred ~counted =
           if String.equal key incoming_key then acc else check_bucket key bucket acc)
         t.buckets None
 
+(* Every stored query in turn, each check counted as the bucket search
+   counts its candidates. *)
+let linear_search t (q : Query.t) ~pred ~counted =
+  Query.Tbl.fold
+    (fun _ s found ->
+      match found with
+      | Some _ -> found
+      | None ->
+          if counted then t.comparisons <- t.comparisons + 1;
+          if pred s.query s.payload && Query_containment.contained ~query:q ~stored:s.query
+          then Some (s.query, s.payload)
+          else None)
+    t.exact None
+
+(* [counted] says whether the stored queries checked add to
+   [comparisons]: a query admission's do, a coverage proof's do not. *)
+let search t (q : Query.t) ~pred ~counted =
+  if t.beyond_holes = 0 && hole_complete q.Query.filter then
+    indexed_search t q ~pred ~counted
+  else linear_search t q ~pred ~counted
+
 let find_container_where t q ~pred = search t q ~pred ~counted:true
 let find_container t q = find_container_where t q ~pred:(fun _ _ -> true)
-
-let covers t (q : Query.t) =
-  if t.beyond_holes = 0 && hole_complete q.Query.filter then
-    Option.is_some (search t q ~pred:(fun _ _ -> true) ~counted:false)
-  else
-    Query.Tbl.fold
-      (fun _ s found -> found || Query_containment.contained ~query:q ~stored:s.query)
-      t.exact false
+let covers t q = Option.is_some (search t q ~pred:(fun _ _ -> true) ~counted:false)
 
 let fold t ~init ~f =
   Hashtbl.fold

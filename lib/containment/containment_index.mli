@@ -8,8 +8,9 @@
       template, so an incoming query is only compared against buckets
       whose template can potentially contain its own;
     - per template pair, the containment condition is compiled once
-      ({!Symbolic.compile}) and cached; pairs whose condition is
-      [Never] are skipped entirely;
+      ({!Symbolic.compile}) and cached in one table with its
+      candidate-pruning plan; pairs whose condition is [Never] are
+      skipped entirely;
     - within a bucket, checking a stored query evaluates the compiled
       CNF on the two assertion-value vectors — for same-template pairs
       this is Proposition 3's pointwise comparison.
@@ -48,7 +49,13 @@ val length : 'a t -> int
 
 val find_container : 'a t -> Query.t -> (Query.t * 'a) option
 (** First stored query that semantically contains the argument
-    (region, attributes and filter), or [None]. *)
+    (region, attributes and filter), or [None].  It runs the bucket
+    and column lookups above unless the argument or a stored query
+    holds a substring assertion with an [any] or [final] component:
+    the template proof misses containment there, so those shapes are
+    proved linearly against every stored query
+    ({!Query_containment.contained}), each check counted in
+    {!comparisons} as a bucket candidate is. *)
 
 val find_container_where :
   'a t -> Query.t -> pred:(Query.t -> 'a -> bool) -> (Query.t * 'a) option
@@ -61,11 +68,8 @@ val covers : 'a t -> Query.t -> bool
     {!Query_containment.contained} decides — the coverage proof of
     filter selection.  The checks it makes are not added to
     {!comparisons}, so a coverage proof does not read as query
-    processing.  It runs {!find_container}'s bucket and column lookups
-    unless the argument or a stored query holds a substring assertion
-    with an [any] or [final] component: the template proof misses
-    containment there, so those shapes are proved linearly against
-    every stored query. *)
+    processing.  It searches as {!find_container} does, linear
+    fallback included. *)
 
 val fold : 'a t -> init:'b -> f:('b -> Query.t -> 'a -> 'b) -> 'b
 (** Folds over every stored query and its payload, in no particular

@@ -89,7 +89,7 @@ let synced_record w id csn ~clear =
 
 type net = Net_added of Entry.t | Net_modified of Entry.t | Net_deleted of Dn.t
 
-let coalesce actions_oldest_first =
+let coalesce_table actions_oldest_first =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   let set dn state =
@@ -138,6 +138,13 @@ let coalesce actions_oldest_first =
       | Some (Net_deleted dn) -> deletes := Action.Delete dn :: !deletes)
     (List.rev !order);
   List.rev !deletes @ List.rev !upserts
+
+(* Most polls replay an empty or one-action history, which is already
+   minimal: those skip the table. *)
+let coalesce = function
+  | [] | [ Action.Retain _ ] -> []
+  | [ _ ] as single -> single
+  | actions -> coalesce_table actions
 
 (* --- Strategy-specific replies ----------------------------------------- *)
 

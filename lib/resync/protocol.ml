@@ -11,7 +11,8 @@ type request = { mode : mode; cookie : string option }
    server's session id is discarded, and the new server sees an unknown
    session and resynchronizes degraded from that CSN. *)
 
-let cookie_of ~id ~csn = Printf.sprintf "rs:%d:%d" id (Ldap.Csn.to_int csn)
+let cookie_of ~id ~csn =
+  String.concat ":" [ "rs"; string_of_int id; string_of_int (Ldap.Csn.to_int csn) ]
 
 (* The decimal number spelled by [s.[i]] up to (not including) [stop]:
    one or more ASCII digits and nothing else, no larger than [max_int].
@@ -28,13 +29,14 @@ let rec digits s i stop n =
 
 let decimal s i stop = if i >= stop then -1 else digits s i stop 0
 
-let rec index_colon s i = if i >= String.length s || s.[i] = ':' then i else index_colon s (i + 1)
+(* The first index at or after [i] holding [c], or the length of [s]. *)
+let rec index_char c s i = if i >= String.length s || s.[i] = c then i else index_char c s (i + 1)
 
 let parse_cookie s =
   let n = String.length s in
   if n < 3 || s.[0] <> 'r' || s.[1] <> 's' || s.[2] <> ':' then None
   else
-    let c = index_colon s 3 in
+    let c = index_char ':' s 3 in
     let id = decimal s 3 c and csn = decimal s (c + 1) n in
     if id < 0 || csn < 0 then None else Some (id, Ldap.Csn.of_int csn)
 
@@ -57,17 +59,30 @@ let reparent_cookie s =
 
 let composite_prefix = "rsm:"
 
-let is_composite_cookie s =
-  String.length s >= String.length composite_prefix
-  && String.sub s 0 (String.length composite_prefix) = composite_prefix
+let is_composite_cookie s = String.starts_with ~prefix:composite_prefix s
 
 let composite_cookie components =
   let components =
     List.sort (fun (a, _) (b, _) -> Int.compare a b) components
   in
   composite_prefix
-  ^ String.concat "|"
-      (List.map (fun (shard, c) -> Printf.sprintf "%d@%s" shard c) components)
+  ^ String.concat "|" (List.map (fun (shard, c) -> string_of_int shard ^ "@" ^ c) components)
+
+(* A component's shard id runs from [i] to its '@', its cookie from
+   there to the next '|' or the end. *)
+let is_canonical_composite s =
+  let n = String.length s in
+  let rec component i prev =
+    let at = index_char '@' s i in
+    let bar = index_char '|' s at in
+    let shard = if at < n then decimal s i at else -1 in
+    shard > prev
+    && (s.[i] <> '0' || at = i + 1)
+    && bar > at + 1
+    && (bar = n || component (bar + 1) shard)
+  in
+  let body = String.length composite_prefix in
+  is_composite_cookie s && (n = body || component body (-1))
 
 let parse_composite_cookie s =
   if not (is_composite_cookie s) then None

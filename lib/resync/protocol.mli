@@ -43,6 +43,13 @@ val composite_cookie : (int * string) list -> string
     format is tier-independent: any router parses any router's
     composite. *)
 
+val is_canonical_composite : string -> bool
+(** Whether the string is a composite cookie spelled exactly as
+    {!composite_cookie} spells its own components: shard ids strictly
+    increasing and written without leading zeros.  A router that
+    presents such a cookie back unchanged hands out the same bytes it
+    would mint.  Allocates nothing. *)
+
 val parse_composite_cookie : string -> (int * string) list option
 (** Components of a composite cookie, or [None] if the string is not a
     well-formed composite ([rsm:] with zero or more components).  Shard

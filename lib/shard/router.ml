@@ -10,6 +10,9 @@ type t = {
   partition : Partition.t;
   shards : Shard_master.t array;
   transport : Transport.t;
+  restricted : Query.t option array Query.Tbl.t;
+      (* session query -> its restriction to each shard, built on first
+         use: every poll of one query hands a shard the same value *)
   mutable geo_ok : bool;
   mutable searches : int;
   mutable search_contacts : int;
@@ -27,6 +30,39 @@ let shard t i = t.shards.(i)
 let cover t q = Partition.cover ~use_geo:t.geo_ok t.partition q
 let restrict t s q = Partition.restrict t.partition s q
 let shard_host t s = Shard_master.host t.shards.(s)
+
+(* How many queries the restriction memo may hold beyond the shard
+   sessions that use them: a subscribing consumer's query is restricted
+   before its first shard session opens. *)
+let memo_slack = 16
+
+let shard_sessions t =
+  Array.fold_left
+    (fun n sm -> n + Master.session_count (Shard_master.master sm))
+    0 t.shards
+
+(* A shard's slice of a session query is fixed by the query alone, so
+   the memo serves every poll after the first.  A query's entry goes at
+   its [Sync_end]; a query whose sessions went another way (abandoned,
+   expired, retired) lingers until an insertion finds the memo past its
+   bound and empties it. *)
+let restricted t s q =
+  let row =
+    match Query.Tbl.find_opt t.restricted q with
+    | Some row -> row
+    | None ->
+        if Query.Tbl.length t.restricted >= shard_sessions t + memo_slack then
+          Query.Tbl.reset t.restricted;
+        let row = Array.make (Array.length t.shards) None in
+        Query.Tbl.replace t.restricted q row;
+        row
+  in
+  match row.(s) with
+  | Some qs -> qs
+  | None ->
+      let qs = restrict t s q in
+      row.(s) <- Some qs;
+      qs
 
 (* --- Ownership ----------------------------------------------------------- *)
 
@@ -235,7 +271,7 @@ type leg = {
 
 let shard_exchange t ~push ~mode s ~cookie q =
   let req = { Protocol.mode; cookie } in
-  let qs = restrict t s q in
+  let qs = restricted t s q in
   match (mode, push) with
   | Protocol.Persist, Some dpush -> (
       (* Relay shard pushes into the downstream channel.  A downstream
@@ -297,14 +333,27 @@ let escalate t ~push ~mode leg q =
   | Ok (reply, conn) -> Ok { leg with lg_reply = reply; lg_conn = conn }
   | Error e -> Error (Transport.error_to_string e)
 
-let merged_reply ~kind ~stale legs =
-  let components =
-    stale
-    @ List.filter_map
-        (fun leg ->
-          Option.map (fun c -> (leg.lg_shard, c)) leg.lg_reply.Protocol.cookie)
-        legs
-  in
+(* When every leg answered with the component it was presented, the
+   merged components are the presented ones, so a presented cookie
+   already in canonical form is exactly the one [composite_cookie]
+   would mint. *)
+let merged_cookie ~presented ~stale legs =
+  match presented with
+  | Some c
+    when List.for_all
+           (fun leg -> Option.equal String.equal leg.lg_reply.Protocol.cookie leg.lg_old)
+           legs
+         && Protocol.is_canonical_composite c ->
+      c
+  | Some _ | None ->
+      Protocol.composite_cookie
+        (stale
+        @ List.filter_map
+            (fun leg ->
+              Option.map (fun c -> (leg.lg_shard, c)) leg.lg_reply.Protocol.cookie)
+            legs)
+
+let merged_reply ~presented ~kind ~stale legs =
   let actions =
     (* An ownership move lands as a delete on the old shard's leg and
        an add on the new shard's, both for the same DN; per-leg action
@@ -315,8 +364,7 @@ let merged_reply ~kind ~stale legs =
       (fun a b -> Int.compare (rank a) (rank b))
       (List.concat_map (fun leg -> leg.lg_reply.Protocol.actions) legs)
   in
-  Protocol.reply ~kind ~actions
-    ~cookie:(Some (Protocol.composite_cookie components))
+  Protocol.reply ~kind ~actions ~cookie:(Some (merged_cookie ~presented ~stale legs))
 
 let handle_poll t ~push mode req_cookie q =
   if mode = Protocol.Persist && push = None then
@@ -355,7 +403,8 @@ let handle_poll t ~push mode req_cookie q =
     in
     match failed with
     | [] ->
-        if all_incremental then Ok (merged_reply ~kind:Protocol.Incremental ~stale legs)
+        if all_incremental then
+          Ok (merged_reply ~presented:req_cookie ~kind:Protocol.Incremental ~stale legs)
         else if
           List.for_all
             (fun leg -> leg.lg_reply.Protocol.kind <> Protocol.Incremental)
@@ -370,7 +419,7 @@ let handle_poll t ~push mode req_cookie q =
             then Protocol.Initial_content
             else Protocol.Degraded
           in
-          Ok (merged_reply ~kind ~stale legs)
+          Ok (merged_reply ~presented:req_cookie ~kind ~stale legs)
         end
         else begin
           (* Mixed: an Initial/Degraded leg prunes the consumer
@@ -400,7 +449,7 @@ let handle_poll t ~push mode req_cookie q =
                 then Protocol.Initial_content
                 else Protocol.Degraded
               in
-              Ok (merged_reply ~kind ~stale legs)
+              Ok (merged_reply ~presented:req_cookie ~kind ~stale legs)
         end
     | (s, _, e) :: _ ->
         if legs <> [] && all_incremental then begin
@@ -414,7 +463,7 @@ let handle_poll t ~push mode req_cookie q =
                 (fun (s, old, _) -> Option.map (fun c -> (s, c)) old)
                 failed
           in
-          Ok (merged_reply ~kind:Protocol.Incremental ~stale legs)
+          Ok (merged_reply ~presented:req_cookie ~kind:Protocol.Incremental ~stale legs)
         end
         else begin
           (* A pruning reply merged with a missing shard would discard
@@ -440,6 +489,7 @@ let handle_sync_end t req_cookie q =
               if s >= 0 && s < Array.length t.shards then
                 sync_end_shard t s comp q)
             comps;
+          Query.Tbl.remove t.restricted q;
           Ok (Protocol.reply ~kind:Protocol.Incremental ~actions:[] ~cookie:None))
 
 let ep_handle t ~push (req : Protocol.request) q =
@@ -538,7 +588,7 @@ let ep_tree t req q =
     | s :: rest -> (
         match
           Transport.tree_exchange t.transport ~host:(shard_host t s)
-            ~from:router_host req (restrict t s q)
+            ~from:router_host req (restricted t s q)
         with
         | Ok reply -> go ((s, reply) :: acc) rest
         | Error e -> Error (Transport.error_to_string e))
@@ -568,6 +618,7 @@ let create partition transport shards =
       partition;
       shards = Array.copy shards;
       transport;
+      restricted = Query.Tbl.create 64;
       geo_ok = true;
       searches = 0;
       search_contacts = 0;
@@ -611,6 +662,7 @@ type report = {
   rp_partials : int;
   rp_escalations : int;
   rp_geo_pruning : bool;
+  rp_restricted_queries : int;
 }
 
 (* Structural entries count once, at shard 0. *)
@@ -650,6 +702,7 @@ let report t =
     rp_partials = t.partials;
     rp_escalations = t.escalations;
     rp_geo_pruning = t.geo_ok;
+    rp_restricted_queries = Query.Tbl.length t.restricted;
   }
 
 let pp_report ppf r =
@@ -669,7 +722,8 @@ let pp_report ppf r =
     "plan cache: %d hits / %d misses (%.2f hit ratio)@,\
      searches: %d over %d shard contacts@,\
      polls: %d over %d shard contacts@,\
-     moves %d, partial merges %d, escalations %d, geo pruning %b@]"
+     moves %d, partial merges %d, escalations %d, geo pruning %b@,\
+     restriction memo: %d queries@]"
     r.rp_plan_hits r.rp_plan_misses hit_ratio r.rp_searches r.rp_search_contacts
     r.rp_polls r.rp_poll_contacts r.rp_moves r.rp_partials r.rp_escalations
-    r.rp_geo_pruning
+    r.rp_geo_pruning r.rp_restricted_queries

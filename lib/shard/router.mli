@@ -41,7 +41,29 @@
     disjoint and segment hashes aggregate by XOR, so the union's tree
     is the per-index XOR of the shard trees, and a [Fetch] merges the
     shipped entries with a composite of the per-shard resume
-    cookies. *)
+    cookies.
+
+    {b What a steady poll rebuilds: nothing.}  A shard's slice of a
+    consumer's content is fixed by the consumer's query, so the router
+    memoizes, per session query, the {!Partition.restrict}ion it sent
+    each shard.  Every exchange that opens, resumes or ends a shard
+    session — poll, persist, [Sync_end], escalation and the Merkle
+    walk — sends the memoized value, so a shard master sees the
+    physically same query on each poll and proves it equal to its
+    session's with one pointer test.  {!search} and the size estimate
+    restrict afresh: their queries do not repeat.  The cover is still
+    planned per poll.  The memo is bounded by live state: a query's
+    entry goes at its [Sync_end], and an insertion that finds the memo
+    holding as many queries as the shard masters hold sessions in
+    total, plus 16, empties it first.  So no insertion leaves more
+    queries than that total plus 16.
+
+    A merged reply whose covered legs all answered with the component
+    they were presented hands back the presented cookie itself when
+    that cookie is already in {!Ldap_resync.Protocol.composite_cookie}'s
+    form ({!Ldap_resync.Protocol.is_canonical_composite}); otherwise it
+    mints one.  Either way the bytes are those [composite_cookie]
+    prints for the merged components. *)
 
 open Ldap
 
@@ -125,6 +147,9 @@ type report = {
   rp_partials : int;  (** Poll replies merged with a failed shard. *)
   rp_escalations : int;  (** Incremental legs degraded on mixed merges. *)
   rp_geo_pruning : bool;
+  rp_restricted_queries : int;
+      (** Session queries in the restriction memo (see the module
+          doc). *)
 }
 
 val report : t -> report

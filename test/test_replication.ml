@@ -132,6 +132,30 @@ let test_filter_replica_containment_answer () =
   check_int "hits" 2 stats.R.Stats.hits;
   check_int "queries" 3 stats.R.Stats.queries
 
+(* Substrings with an [any] or [final] component are beyond the
+   template proof; admission proves them linearly, so a replica storing
+   one answers it and what it contains. *)
+let test_filter_replica_final_substring () =
+  let b, master = make_master () in
+  ignore (must (Backend.apply b (Update.add (person "ba" "c=in,o=xyz" "0200003" "9"))));
+  let replica = R.Filter_replica.create master in
+  must (R.Filter_replica.install_filter replica (q "o=xyz" "(cn=*a)"));
+  List.iter
+    (fun filter ->
+      let query = q "o=xyz" filter in
+      let expected =
+        match Backend.search b query with
+        | Ok { Backend.entries; _ } -> entries
+        | Error _ -> Alcotest.fail "master search failed"
+      in
+      let dns l = List.sort Dn.compare (List.map Entry.dn l) in
+      match R.Filter_replica.answer replica query with
+      | R.Replica.Answered entries ->
+          check_bool (filter ^ " answered with the master's entries") true
+            (expected <> [] && dns entries = dns expected)
+      | R.Replica.Referral -> Alcotest.fail (filter ^ " referred"))
+    [ "(cn=*a)"; "(cn=ba)" ]
+
 let test_filter_replica_no_false_answers () =
   (* A query matching entries outside every stored filter must refer,
      even if some matching entries are held. *)
@@ -481,6 +505,7 @@ let suite =
     Alcotest.test_case "subtree sync" `Quick test_subtree_sync;
     Alcotest.test_case "filter containment answer" `Quick test_filter_replica_containment_answer;
     Alcotest.test_case "filter no false answers" `Quick test_filter_replica_no_false_answers;
+    Alcotest.test_case "filter final substring" `Quick test_filter_replica_final_substring;
     Alcotest.test_case "filter sync traffic" `Quick test_filter_replica_sync_traffic;
     Alcotest.test_case "filter install/remove" `Quick test_filter_replica_install_remove;
     Alcotest.test_case "filter user cache" `Quick test_filter_replica_user_cache;

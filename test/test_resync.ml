@@ -658,6 +658,48 @@ let prop_cookie_of_parses_back =
       | None -> false)
       && Protocol.parse_composite_cookie composite = Some [ (shard, cookie) ])
 
+(* Cookies are built by concatenation; they must print exactly as the
+   [Printf] forms they replaced, over every int and component list. *)
+let prop_cookies_match_printf =
+  QCheck.Test.make ~name:"resync: cookies print as their Printf forms" ~count:500
+    QCheck.(
+      triple int int
+        (small_list (pair int (string_gen_of_size Gen.(0 -- 12) Gen.printable))))
+    (fun (id, csn_i, comps) ->
+      let csn = Csn.of_int csn_i in
+      let printf_composite =
+        "rsm:"
+        ^ String.concat "|"
+            (List.map
+               (fun (shard, c) -> Printf.sprintf "%d@%s" shard c)
+               (List.sort (fun (a, _) (b, _) -> Int.compare a b) comps))
+      in
+      String.equal (Protocol.cookie_of ~id ~csn) (Printf.sprintf "rs:%d:%d" id csn_i)
+      && String.equal (Protocol.composite_cookie comps) printf_composite)
+
+let test_canonical_composite () =
+  List.iter
+    (fun (s, want) ->
+      check_bool (Printf.sprintf "canonical %S" s) want (Protocol.is_canonical_composite s))
+    [
+      ("rsm:", true);
+      ("rsm:0@rs:1:2", true);
+      ("rsm:0@rs:1:2|3@rs:4:5", true);
+      ("rsm:10@rs:1:2|12@rs:1:2", true);
+      (Protocol.composite_cookie [ (3, "rs:4:5"); (0, "rs:1:2") ], true);
+      (* Unsorted, repeated or zero-padded shard ids. *)
+      ("rsm:3@rs:4:5|0@rs:1:2", false);
+      ("rsm:1@rs:4:5|1@rs:1:2", false);
+      ("rsm:00@rs:1:2", false);
+      ("rsm:0@rs:1:2|03@rs:4:5", false);
+      (* Not composites at all. *)
+      ("rs:1:2", false);
+      ("rsm:1@", false);
+      ("rsm:1@rs:1:2|", false);
+      ("rsm:x@rs:1:2", false);
+      ("rsm:rs:1:2", false);
+    ]
+
 let test_session_ids_never_zero () =
   (* Id 0 is the reserved foreign-session marker of reparented cookies:
      a master minting it would make a reparented consumer look locally
@@ -809,6 +851,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_convergence;
     QCheck_alcotest.to_alcotest prop_convergence_changelog;
     QCheck_alcotest.to_alcotest prop_cookie_of_parses_back;
+    QCheck_alcotest.to_alcotest prop_cookies_match_printf;
+    Alcotest.test_case "canonical composite" `Quick test_canonical_composite;
     Alcotest.test_case "tombstone deletes newest first" `Quick test_tombstone_newest_first;
     QCheck_alcotest.to_alcotest prop_classify_m_matches_oracle;
   ]

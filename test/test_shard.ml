@@ -450,6 +450,73 @@ let test_resync_broadcast_and_sync_end () =
   | Error e -> failwith (Transport.error_to_string e));
   check_int "sessions ended" 0 (sessions router 0 + sessions router 1)
 
+(* --- What a steady poll rebuilds ----------------------------------------- *)
+
+let poll_cookie transport router q cookie =
+  match
+    Transport.exchange transport ~host:(Router.host router) ~from:"consumer"
+      { Protocol.mode = Protocol.Poll; cookie = Some cookie }
+      q
+  with
+  | Ok reply -> Option.get reply.Protocol.cookie
+  | Error e -> failwith (Transport.error_to_string e)
+
+let test_idle_poll_reuses_cookie () =
+  let router, transport, _ = make_router ~shards:2 () in
+  let consumer = Consumer.create broadcast_query in
+  ignore (sync_router consumer transport router);
+  let c1 = Option.get (Consumer.cookie consumer) in
+  let c2 = poll_cookie transport router broadcast_query c1 in
+  check_bool "idle poll answers with the presented cookie" true (c2 == c1);
+  let c3 = poll_cookie transport router broadcast_query c2 in
+  check_bool "and so does the next" true (c3 == c2)
+
+let test_noncanonical_cookie_reminted () =
+  let router, transport, _ = make_router ~shards:2 () in
+  let consumer = Consumer.create broadcast_query in
+  ignore (sync_router consumer transport router);
+  let comps = Option.get (Protocol.parse_composite_cookie (Option.get (Consumer.cookie consumer))) in
+  check_int "a component per shard" 2 (List.length comps);
+  let spell fmt order =
+    "rsm:" ^ String.concat "|" (List.map (fun (s, c) -> Printf.sprintf fmt s c) (order comps))
+  in
+  List.iter
+    (fun (what, presented) ->
+      Alcotest.(check string)
+        (what ^ " cookie answered in canonical form")
+        (Protocol.composite_cookie comps)
+        (poll_cookie transport router broadcast_query presented))
+    [ ("unsorted", spell "%d@%s" List.rev); ("zero-padded", spell "%02d@%s" Fun.id) ]
+
+(* The restriction memo holds a subscribed query until its [Sync_end];
+   queries whose sessions went without one never push it past the
+   shard sessions plus its slack of 16. *)
+let test_restriction_memo_bounded () =
+  let router, transport, _ = make_router ~shards:2 () in
+  let memo () = (Router.report router).Router.rp_restricted_queries in
+  let ep = Option.get (Transport.endpoint transport (Router.host router)) in
+  for i = 0 to 59 do
+    let q = Query.make ~base:root (f (Printf.sprintf "(telephoneNumber=555-%04d)" i)) in
+    let consumer = Consumer.create q in
+    ignore (sync_router consumer transport router);
+    let cookie = Option.get (Consumer.cookie consumer) in
+    check_bool "subscribed query memoized" true (memo () >= 1);
+    check_bool "memo within its bound" true
+      (memo () <= sessions router 0 + sessions router 1 + 16);
+    if i mod 2 = 0 then begin
+      let before = memo () in
+      (match
+         Transport.exchange transport ~host:(Router.host router) ~from:"consumer"
+           { Protocol.mode = Protocol.Sync_end; cookie = Some cookie }
+           q
+       with
+      | Ok _ -> ()
+      | Error e -> failwith (Transport.error_to_string e));
+      check_int "sync_end drops the query" (before - 1) (memo ())
+    end
+    else ep.Transport.ep_abandon ~cookie
+  done
+
 let test_mixed_kind_escalation () =
   let router, transport, source = make_router ~shards:2 () in
   let consumer = Consumer.create broadcast_query in
@@ -753,6 +820,7 @@ type sim_op =
   | Op_del of int
   | Op_rename of int * int
   | Op_poll
+  | Op_resubscribe
 
 let sim_op_gen =
   QCheck.Gen.(
@@ -765,6 +833,7 @@ let sim_op_gen =
         (1, map (fun i -> Op_del i) (int_bound 8));
         (1, map (fun (i, k) -> Op_rename (i, k)) (pair (int_bound 8) (int_bound 2)));
         (3, return Op_poll);
+        (1, return Op_resubscribe);
       ])
 
 let sim_update = function
@@ -790,7 +859,7 @@ let sim_update = function
         (match Dn.rdn_of_string (Printf.sprintf "cn=r%d" k) with
         | Ok r -> r
         | Error e -> failwith e)
-  | Op_poll -> assert false
+  | Op_poll | Op_resubscribe -> assert false
 
 let equiv_case_gen =
   QCheck.Gen.(
@@ -818,6 +887,7 @@ let prop_router_equals_single_master =
            | Op_del i -> Printf.sprintf "del %d" i
            | Op_rename (i, k) -> Printf.sprintf "rename %d->r%d" i k
            | Op_poll -> "poll"
+           | Op_resubscribe -> "resubscribe"
          in
          Printf.sprintf "shards=%d strategy=%d query=%d ops=[%s]" s st qk
            (String.concat "; " (List.map op_name ops)))
@@ -832,22 +902,37 @@ let prop_router_equals_single_master =
       let router, transport, source = make_router ~countries:3 ~strategy ~shards () in
       let oracle_master = Master.create ~strategy source in
       let q = equiv_query qk in
-      let rc = Consumer.create q in
-      let oc = Consumer.create q in
+      let rc = ref (Consumer.create q) in
+      let oc = ref (Consumer.create q) in
       let sync_both () =
-        (match Consumer.sync_over rc transport ~host:(Router.host router) with
+        (match Consumer.sync_over !rc transport ~host:(Router.host router) with
         | Ok _ -> ()
         | Error e -> failwith (Consumer.sync_error_to_string e));
-        (match Consumer.sync oc oracle_master with
+        (match Consumer.sync !oc oracle_master with
         | Ok _ -> ()
         | Error e -> failwith e);
-        entries_equal (Consumer.entries rc) (Consumer.entries oc)
+        entries_equal (Consumer.entries !rc) (Consumer.entries !oc)
+      in
+      (* Both consumers end their sessions and subscribe afresh: the
+         router rebuilds the restrictions its [Sync_end] dropped. *)
+      let resubscribe () =
+        let sync_end c = { Protocol.mode = Protocol.Sync_end; cookie = Consumer.cookie c } in
+        (match Transport.exchange transport ~host:(Router.host router) (sync_end !rc) q with
+        | Ok _ -> ()
+        | Error e -> failwith (Transport.error_to_string e));
+        (match Master.handle oracle_master (sync_end !oc) q with
+        | Ok _ -> ()
+        | Error e -> failwith e);
+        rc := Consumer.create q;
+        oc := Consumer.create q;
+        sync_both ()
       in
       sync_both ()
       && List.for_all
            (fun op ->
              match op with
              | Op_poll -> sync_both ()
+             | Op_resubscribe -> resubscribe ()
              | _ ->
                  let u = sim_update op in
                  (match (Router.apply router u, Backend.apply source u) with
@@ -877,6 +962,10 @@ let suite =
     Alcotest.test_case "resync single shard" `Quick test_resync_single_shard_session;
     Alcotest.test_case "resync broadcast+sync_end" `Quick
       test_resync_broadcast_and_sync_end;
+    Alcotest.test_case "idle poll reuses cookie" `Quick test_idle_poll_reuses_cookie;
+    Alcotest.test_case "non-canonical cookie reminted" `Quick
+      test_noncanonical_cookie_reminted;
+    Alcotest.test_case "restriction memo bounded" `Quick test_restriction_memo_bounded;
     Alcotest.test_case "mixed-kind escalation" `Quick test_mixed_kind_escalation;
     Alcotest.test_case "partial fan-out keeps old component" `Quick
       test_partial_fanout_keeps_old_component;
