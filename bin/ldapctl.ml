@@ -451,8 +451,11 @@ let store_cmd =
         Store.Medium.memory ~faults ()
       else Store.Medium.memory ()
     in
-    R.Filter_replica.attach_store ~sync:(not torn) replica medium
-      ~prefix:"replica";
+    (match R.Filter_replica.open_store ~sync:(not torn) replica medium ~prefix:"replica" with
+    | Ok _ -> ()
+    | Error e ->
+        Printf.eprintf "open_store: %s\n" e;
+        exit 1);
     Array.iter
       (fun q ->
         match R.Filter_replica.install_filter replica q with
@@ -474,16 +477,16 @@ let store_cmd =
     (* Simulated crash: fault-roll the medium, detach the zombie. *)
     Store.Medium.crash medium;
     R.Filter_replica.detach_store replica;
-    match
-      R.Filter_replica.recover_over
+    let restarted =
+      R.Filter_replica.create_over
         (R.Filter_replica.transport replica)
         ~master_host:(R.Filter_replica.master_host replica)
-        medium ~prefix:"replica"
-    with
+    in
+    match R.Filter_replica.open_store ~sync:(not torn) restarted medium ~prefix:"replica" with
     | Error e ->
         Printf.eprintf "recovery failed: %s\n" e;
         exit 1
-    | Ok (_, report) ->
+    | Ok report ->
         let rows =
           List.map
             (fun (fr : R.Filter_replica.filter_recovery) ->

@@ -160,8 +160,10 @@ let measure_crash config ent router transport prng =
   in
   let medium = Medium.memory () in
   for i = 0 to shards - 1 do
-    Shard_master.attach_stores (Router.shard router i) medium
-      ~prefix:(Printf.sprintf "shard-%d" i)
+    ignore
+      (must
+         (Shard_master.open_store (Router.shard router i) medium
+            ~prefix:(Printf.sprintf "shard-%d" i)))
   done;
   let consumer = Consumer.create q in
   let sync c =
@@ -185,12 +187,11 @@ let measure_crash config ent router transport prng =
   ignore (sync consumer);
   Shard_master.checkpoint (Router.shard router target);
   burst config.crash_updates;
-  (* Crash: the in-memory shard is gone; rebuild it from its medium
-     and swap it back in under the same host. *)
-  let recovered, recovery =
-    must
-      (Shard_master.recover ~id:target medium
-         ~prefix:(Printf.sprintf "shard-%d" target))
+  (* Crash: the in-memory shard is gone; a shard created as it was
+     reopens its medium and is swapped back in under the same host. *)
+  let recovered = Shard_master.create Schema.default ~id:target in
+  let recovery =
+    must (Shard_master.open_store recovered medium ~prefix:(Printf.sprintf "shard-%d" target))
   in
   Router.replace_shard router target recovered;
   let net = Transport.network transport in

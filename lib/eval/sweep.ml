@@ -620,7 +620,9 @@ let corruption_sweep ?(config = cr_default_config) () =
   let consumer = Resync.Consumer.create query in
   let medium = Ldap_store.Medium.memory () in
   let store = Ldap_store.Store.create medium ~name:"c" in
-  Resync.Consumer.attach_store consumer store;
+  (match Resync.Consumer.open_store consumer store with
+  | Ok _ -> ()
+  | Error e -> failwith ("corruption sweep open: " ^ e));
   let stream =
     D.Update_stream.create ent
       { D.Update_stream.default_config with seed = config.cr_seed + 1 }
@@ -680,8 +682,9 @@ let corruption_sweep ?(config = cr_default_config) () =
     put "c.wal" (mutate wal);
     put "c.snap" (if D.Prng.int prng 3 = 0 then mutate snap else snap);
     let fresh = Ldap_store.Store.create m ~name:"c" in
-    match Resync.Consumer.recover query fresh with
-    | Ok (c, r) ->
+    let c = Resync.Consumer.create query in
+    match Resync.Consumer.open_store c fresh with
+    | Ok r ->
         incr recovered;
         if r.Ldap_store.Store.truncated then incr truncated;
         if r.Ldap_store.Store.stale > 0 then incr discarded;

@@ -145,19 +145,27 @@ let meta_snapshot d w =
   DW.integer w d.next_slot;
   DW.close_seq w m
 
+(* Gives an installed filter's consumer the next slot and a fresh
+   store there: opening the emptied store checkpoints the content the
+   initial fetch brought in (and the cookie).  A slot number can
+   outlive a crash that lost its meta record, so whatever an earlier
+   run left under it goes first. *)
+let open_slot d q consumer =
+  let slot = d.next_slot in
+  d.next_slot <- slot + 1;
+  d.slots <- (q, slot) :: d.slots;
+  let store = consumer_store d slot in
+  Ldap_store.Store.destroy store;
+  match Resync.Consumer.open_store consumer store with
+  | Ok _ -> slot
+  | Error e -> invalid_arg ("Filter_replica: a destroyed store opened non-empty: " ^ e)
+
 let install_durable t q consumer =
   match t.durable with
   | None -> ()
   | Some d ->
-      let slot = d.next_slot in
-      d.next_slot <- slot + 1;
-      d.slots <- (q, slot) :: d.slots;
-      Ldap_store.Store.append_w d.meta (installed_record ~slot q);
-      let store = consumer_store d slot in
-      Resync.Consumer.attach_store consumer store;
-      (* The initial content was fetched before the store existed:
-         a checkpoint captures it (and the cookie) in the snapshot. *)
-      Resync.Consumer.checkpoint consumer
+      let slot = open_slot d q consumer in
+      Ldap_store.Store.append_w d.meta (installed_record ~slot q)
 
 let remove_durable t q =
   match t.durable with
@@ -458,23 +466,6 @@ let detach_store t =
       C.Containment_index.iter t.index ~f:(fun _ consumer ->
           Resync.Consumer.detach_store consumer)
 
-let attach_store ?(sync = true) t medium ~prefix =
-  let meta = Ldap_store.Store.create ~sync medium ~name:(prefix ^ ".meta") in
-  let d =
-    { medium; prefix; meta; sync_each = sync; slots = []; next_slot = 0 }
-  in
-  t.durable <- Some d;
-  (* Filters installed before durability was enabled get slots and
-     stores now; checkpointing captures their content, and the meta
-     checkpoint below makes the slot table itself durable. *)
-  C.Containment_index.iter t.index ~f:(fun q consumer ->
-      let slot = d.next_slot in
-      d.next_slot <- slot + 1;
-      d.slots <- (q, slot) :: d.slots;
-      Resync.Consumer.attach_store consumer (consumer_store d slot);
-      Resync.Consumer.checkpoint consumer);
-  Ldap_store.Store.checkpoint_w d.meta (meta_snapshot d)
-
 let checkpoint t =
   match t.durable with
   | None -> ()
@@ -483,120 +474,126 @@ let checkpoint t =
       C.Containment_index.iter t.index ~f:(fun _ consumer ->
           Resync.Consumer.checkpoint consumer)
 
-let recover_over ?(host = "replica") ?(sync = true)
-    transport ~master_host medium ~prefix =
+(* Meta snapshot: the next slot, then each (slot, query); WAL records:
+   a filter installed into a slot (0) or a slot's filter removed (1).
+   Both rebuild [slots], restored slots in any order. *)
+let restore_meta d payload =
+  Ldap_store.Codec.decode
+    (fun c ->
+      let inner = Der.read_seq c in
+      d.next_slot <- Der.read_integer inner;
+      let slots = Der.read_seq inner in
+      while not (Der.at_end slots) do
+        let s = Der.read_seq slots in
+        let slot = Der.read_integer s in
+        let q = Der.read_query s in
+        d.slots <- (q, slot) :: d.slots
+      done)
+    payload
+
+let replay_meta d payload =
+  Ldap_store.Codec.decode
+    (fun c ->
+      let inner = Der.read_seq c in
+      match Der.read_enum inner with
+      | 0 ->
+          let slot = Der.read_integer inner in
+          let q = Der.read_query inner in
+          d.slots <- (q, slot) :: d.slots;
+          if slot >= d.next_slot then d.next_slot <- slot + 1
+      | 1 ->
+          let slot = Der.read_integer inner in
+          d.slots <- List.filter (fun (_, s) -> s <> slot) d.slots
+      | n ->
+          raise (Ber_codec.Decode_error (Printf.sprintf "bad replica meta record %d" n)))
+    payload
+
+(* Reopens one restored slot's consumer from its store — content and
+   cookie come from the store, not a re-fetch; the next poll resumes
+   ReSync from the durable cookie. *)
+let open_restored t d (q, slot) =
   let ( let* ) = Result.bind in
-  let t = create_over ~host transport ~master_host in
+  let consumer = make_consumer t q in
+  let* crec = Resync.Consumer.open_store consumer (consumer_store d slot) in
+  C.Containment_index.add t.index q consumer;
+  reindexed t;
+  (* A truncated WAL or a stale generation means durable replay lost
+     acknowledged updates: the recovered content may lag the CSN any
+     surviving cookie claims, or just silently lag the master.  A slot
+     with no snapshot lost its files outright: every slot is
+     checkpointed when its store is opened.  Resynchronize {e before}
+     this filter serves reads — Merkle anti-entropy first (ships only
+     the drift), cold re-fetch if the walk cannot converge or the link
+     is down. *)
+  let damaged =
+    crec.Ldap_store.Store.truncated
+    || crec.Ldap_store.Store.stale > 0
+    || Option.is_none crec.Ldap_store.Store.snapshot
+  in
+  let resync =
+    if not damaged then Resync_none
+    else
+      match merkle_consumer t consumer with
+      | Ok _ -> Resync_merkle
+      | Error _ ->
+          Resync.Consumer.set_cookie consumer None;
+          (match sync_consumer t consumer ~fetch:true with
+          | Ok () -> ()
+          | Error _ -> Stats.record_sync_failure t.stats);
+          Resync_cold
+  in
+  (* A lost store opened empty, which checkpointed the empty consumer:
+     checkpoint the repaired one, or a crash that loses the unsynced
+     repair would leave that empty image standing as undamaged. *)
+  if Option.is_none crec.Ldap_store.Store.snapshot then Resync.Consumer.checkpoint consumer;
+  Ok
+    {
+      fr_query = q;
+      fr_slot = slot;
+      fr_cookie = Resync.Consumer.cookie consumer;
+      fr_entries = Resync.Consumer.size consumer;
+      fr_replayed = List.length crec.Ldap_store.Store.records;
+      fr_truncated = crec.Ldap_store.Store.truncated;
+      fr_truncation_point = crec.Ldap_store.Store.truncation_point;
+      fr_stale = crec.Ldap_store.Store.stale;
+      fr_wal_bytes = crec.Ldap_store.Store.wal_bytes;
+      fr_snapshot_bytes = crec.Ldap_store.Store.snapshot_bytes;
+      fr_resync = resync;
+    }
+
+let open_store ?(sync = true) t medium ~prefix =
+  let ( let* ) = Result.bind in
   let meta = Ldap_store.Store.create ~sync medium ~name:(prefix ^ ".meta") in
-  let d =
-    { medium; prefix; meta; sync_each = sync; slots = []; next_slot = 0 }
+  let d = { medium; prefix; meta; sync_each = sync; slots = []; next_slot = 0 } in
+  let* recovery =
+    Ldap_store.Store.open_state meta
+      ~populated:(t.consumers <> [])
+      ~snapshot:(restore_meta d) ~replay:(replay_meta d)
+      ~attach:(fun () -> t.durable <- Some d)
+      ~checkpoint:(fun () ->
+        (* Filters installed before the store was opened get slots
+           and stores now; the meta checkpoint makes the slot table
+           itself durable. *)
+        List.iter (fun (q, consumer) -> ignore (open_slot d q consumer : int)) t.consumers;
+        Ldap_store.Store.checkpoint_w meta (meta_snapshot d))
   in
-  let recovery = Ldap_store.Store.recover meta in
-  let* () =
-    match recovery.Ldap_store.Store.snapshot with
-    | None -> Ok ()
-    | Some payload ->
-        Ldap_store.Codec.decode
-          (fun c ->
-            let inner = Der.read_seq c in
-            d.next_slot <- Der.read_integer inner;
-            let slots = Der.read_seq inner in
-            while not (Der.at_end slots) do
-              let s = Der.read_seq slots in
-              let slot = Der.read_integer s in
-              let q = Der.read_query s in
-              d.slots <- (q, slot) :: d.slots
-            done)
-          payload
+  (* The slots the store restored, in slot order: the ones whose
+     filter has no consumer yet (none when the store was empty). *)
+  let restored =
+    List.filter (fun (q, _) -> not (C.Containment_index.mem t.index q)) d.slots
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
   in
-  let* () =
-    List.fold_left
-      (fun acc payload ->
-        let* () = acc in
-        Ldap_store.Codec.decode
-          (fun c ->
-            let inner = Der.read_seq c in
-            match Der.read_enum inner with
-            | 0 ->
-                let slot = Der.read_integer inner in
-                let q = Der.read_query inner in
-                d.slots <- (q, slot) :: d.slots;
-                if slot >= d.next_slot then d.next_slot <- slot + 1
-            | 1 ->
-                let slot = Der.read_integer inner in
-                d.slots <- List.filter (fun (_, s) -> s <> slot) d.slots
-            | n ->
-                raise
-                  (Ber_codec.Decode_error
-                     (Printf.sprintf "bad replica meta record %d" n)))
-          payload)
-      (Ok ()) recovery.Ldap_store.Store.records
-  in
-  t.durable <- Some d;
-  (* Rebuild the containment index from each slot's durable consumer
-     state — content and cookie come from the store, not a re-fetch;
-     the next poll resumes ReSync from the durable cookie. *)
-  let slots = List.sort (fun (_, a) (_, b) -> compare a b) d.slots in
   let* filters =
     List.fold_left
-      (fun acc (q, slot) ->
+      (fun acc slot ->
         let* reports = acc in
-        let store = consumer_store d slot in
-        let* consumer, crec =
-          Resync.Consumer.recover (Replica.widen_attrs q) store
-        in
-        Resync.Consumer.set_on_change consumer (fun ~before ~after ->
-            match t.on_change with
-            | Some f -> f ~stored:q ~before ~after
-            | None -> ());
-        C.Containment_index.add t.index q consumer;
-        reindexed t;
-        (* A truncated WAL or a stale generation means durable replay
-           lost acknowledged updates: the recovered content may lag the
-           CSN any surviving cookie claims, or just silently lag the
-           master.  A slot with no snapshot lost its files outright:
-           every slot is checkpointed when it is installed or attached.
-           Resynchronize {e before} this filter serves reads — Merkle
-           anti-entropy first (ships only the drift), cold re-fetch if
-           the walk cannot converge or the link is down. *)
-        let damaged =
-          crec.Ldap_store.Store.truncated
-          || crec.Ldap_store.Store.stale > 0
-          || Option.is_none crec.Ldap_store.Store.snapshot
-        in
-        let resync =
-          if not damaged then Resync_none
-          else
-            match merkle_consumer t consumer with
-            | Ok _ -> Resync_merkle
-            | Error _ ->
-                Resync.Consumer.set_cookie consumer None;
-                (match sync_consumer t consumer ~fetch:true with
-                | Ok () -> ()
-                | Error _ -> Stats.record_sync_failure t.stats);
-                Resync_cold
-        in
-        Ok
-          ({
-             fr_query = q;
-             fr_slot = slot;
-             fr_cookie = Resync.Consumer.cookie consumer;
-             fr_entries = Resync.Consumer.size consumer;
-             fr_replayed = List.length crec.Ldap_store.Store.records;
-             fr_truncated = crec.Ldap_store.Store.truncated;
-             fr_truncation_point = crec.Ldap_store.Store.truncation_point;
-             fr_stale = crec.Ldap_store.Store.stale;
-             fr_wal_bytes = crec.Ldap_store.Store.wal_bytes;
-             fr_snapshot_bytes = crec.Ldap_store.Store.snapshot_bytes;
-             fr_resync = resync;
-           }
-          :: reports))
-      (Ok []) slots
+        let* report = open_restored t d slot in
+        Ok (report :: reports))
+      (Ok []) restored
   in
   Ok
-    ( t,
-      {
-        meta_replayed = List.length recovery.Ldap_store.Store.records;
-        meta_truncated = recovery.Ldap_store.Store.truncated;
-        filters = List.rev filters;
-      } )
+    {
+      meta_replayed = List.length recovery.Ldap_store.Store.records;
+      meta_truncated = recovery.Ldap_store.Store.truncated;
+      filters = List.rev filters;
+    }

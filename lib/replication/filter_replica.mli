@@ -223,10 +223,11 @@ val merkle_sync_all :
     installed filters) plus one consumer store per stored filter on a
     shared {!Ldap_store.Medium}, all under a common name prefix.
     Installs and removals are journaled; each consumer journals the
-    replies it applies.  {!recover_over} rebuilds the replica — index,
-    content and resume cookies — from the medium without re-fetching,
-    so the first poll after a restart resumes ReSync from the durable
-    cookie instead of reloading content. *)
+    replies it applies.  {!open_store} over a medium a restarted
+    replica left behind restores it — index, content and resume
+    cookies — without re-fetching, so the first poll after a restart
+    resumes ReSync from the durable cookie instead of reloading
+    content. *)
 
 (** How a damaged filter was brought back in sync during recovery. *)
 type forced_resync =
@@ -254,7 +255,7 @@ type filter_recovery = {
   fr_resync : forced_resync;
       (** [Resync_none] unless recovery found the WAL truncated or
           stale, or no snapshot at all (every slot is checkpointed when
-          installed or attached, so a missing one means its files were
+          its store is opened, so a missing one means its files were
           lost), in which case the filter was resynchronized {e before}
           the replica serves reads — Merkle first, cold fallback. *)
 }
@@ -272,26 +273,21 @@ val detach_store : t -> unit
     finishing after the crash cannot touch the durable state captured
     at crash time. *)
 
-val attach_store : ?sync:bool -> t -> Ldap_store.Medium.t -> prefix:string -> unit
-(** Makes the replica durable on the medium under [prefix]: already
-    installed filters get slots and checkpointed consumer stores, and
-    subsequent installs/removals/replies are journaled.  [sync]
-    (default true) controls per-record fsync of every store. *)
+val open_store :
+  ?sync:bool -> t -> Ldap_store.Medium.t -> prefix:string -> (recovery_report, string) result
+(** Makes the replica durable on the medium under [prefix], by
+    {!Ldap_store.Store.open_state}'s rule on its meta store.  Over an
+    empty medium, already installed filters get slots and
+    checkpointed consumer stores, and the report lists no filter.
+    Over a non-empty one the replica, which must hold no filter yet,
+    is restored: the meta store's slot table, then each slot's
+    consumer (snapshot + WAL replay, torn tails truncated), each
+    registered in the containment index and reported; a damaged slot
+    is resynchronized before the call returns (see {!forced_resync}).
+    Either way installs, removals and replies are journaled from then
+    on.  [sync] (default true) controls per-record fsync of every
+    store; reopen a restarted replica with the [sync] it ran with. *)
 
 val checkpoint : t -> unit
 (** Checkpoints the meta store and every consumer store (snapshot +
-    WAL reset).  No-op without an attached store. *)
-
-val recover_over :
-  ?host:string ->
-  ?sync:bool ->
-  Ldap_resync.Transport.t ->
-  master_host:string ->
-  Ldap_store.Medium.t ->
-  prefix:string ->
-  (t * recovery_report, string) result
-(** Rebuilds a durable replica from the medium: recovers the meta
-    store's slot table, then each slot's consumer (snapshot + WAL
-    replay, torn tails truncated), and re-registers everything in the
-    containment index.  An empty medium recovers to a fresh replica
-    with no filters. *)
+    WAL reset).  No-op without an opened store. *)

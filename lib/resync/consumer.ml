@@ -305,8 +305,6 @@ let sync t master =
 
 (* --- Durable state --------------------------------------------------- *)
 
-let attach_store t store = t.store <- Some store
-
 let detach_store t =
   t.store <- None;
   t.image <- None
@@ -408,33 +406,23 @@ let replay_record t payload =
             (Ber_codec.Decode_error (Printf.sprintf "bad consumer record %d" n)))
     payload
 
-let recover query store =
-  let ( let* ) = Result.bind in
-  let recovery = Ldap_store.Store.recover store in
-  let t = create query in
-  let* () =
-    match recovery.Ldap_store.Store.snapshot with
-    | None -> Ok ()
-    | Some payload ->
-        Ldap_store.Codec.decode
-          (fun c ->
-            let inner = Der.read_seq c in
-            t.cookie <- Store_codec.read_cookie_opt inner;
-            let entries = Der.read_seq inner in
-            while not (Der.at_end entries) do
-              Content_store.upsert t.entries (Der.read_entry entries)
-            done)
-          payload
-  in
-  let* () =
-    List.fold_left
-      (fun acc payload ->
-        let* () = acc in
-        replay_record t payload)
-      (Ok ()) recovery.Ldap_store.Store.records
-  in
-  t.store <- Some store;
-  Ok (t, recovery)
+let restore_snapshot t payload =
+  Ldap_store.Codec.decode
+    (fun c ->
+      let inner = Der.read_seq c in
+      t.cookie <- Store_codec.read_cookie_opt inner;
+      let entries = Der.read_seq inner in
+      while not (Der.at_end entries) do
+        Content_store.upsert t.entries (Der.read_entry entries)
+      done)
+    payload
+
+let open_store t store =
+  Ldap_store.Store.open_state store
+    ~populated:(Option.is_some t.cookie || Content_store.size t.entries > 0)
+    ~snapshot:(restore_snapshot t) ~replay:(replay_record t)
+    ~attach:(fun () -> t.store <- Some store)
+    ~checkpoint:(fun () -> checkpoint t)
 
 let entries t = Content_store.to_list t.entries
 let entries_seq t = Content_store.to_seq t.entries

@@ -194,17 +194,21 @@ val size : t -> int
 
 (** {1 Durability}
 
-    With a store attached, every applied reply is journaled as {e one}
+    With a store opened, every applied reply is journaled as {e one}
     WAL record carrying the new cookie and all actions — the
     atomicity boundary that keeps the durable cookie from running
     ahead of durable content when a crash lands mid-apply; persist
     pushes journal one record per action.  A restarted consumer
-    recovered from its store resumes ReSync from the durable cookie
+    reopened over its store resumes ReSync from the durable cookie
     instead of re-fetching. *)
 
-val attach_store : t -> Ldap_store.Store.t -> unit
-(** Starts journaling state transitions to the store.  Checkpoint
-    once after attaching to an already-populated consumer. *)
+val open_store : t -> Ldap_store.Store.t -> (Ldap_store.Store.recovery, string) result
+(** Opens the consumer's store by {!Ldap_store.Store.open_state}'s
+    rule: an empty store checkpoints the consumer as it stands (the
+    content an initial fetch already brought in, say); a non-empty
+    one is restored into it — snapshot, then WAL replay with torn
+    tails truncated — which must then hold no entry and no cookie.
+    Journaling resumes either way.  Returns what recovery read. *)
 
 val detach_store : t -> unit
 (** Stops journaling and drops the checkpoint cache (see
@@ -214,7 +218,7 @@ val detach_store : t -> unit
 
 val checkpoint : t -> unit
 (** Snapshots cookie + entries and resets the WAL.  No-op without an
-    attached store.
+    opened store.
 
     The image is [SEQUENCE { SEQUENCE { entry... }, cookie option }]
     with entries in ascending DN order.  A consumer with a store keeps
@@ -223,15 +227,8 @@ val checkpoint : t -> unit
     change spine ({!Ldap.Content_store.changes_since}): the cost is in
     proportion to the entries changed since the last checkpoint, plus
     one copy of the image, and the order is re-sorted only when an
-    entry joined or left.  The first checkpoint after attaching or
-    recovering, and any checkpoint after the spine was trimmed past the
+    entry joined or left.  The first checkpoint after opening a
+    store, and any checkpoint after the spine was trimmed past the
     last one, re-encodes everything.  The cache holds about one image;
     {!detach_store} drops it. *)
 
-val recover :
-  Query.t ->
-  Ldap_store.Store.t ->
-  (t * Ldap_store.Store.recovery, string) result
-(** Rebuilds a consumer from durable state: loads the snapshot,
-    replays the WAL (truncating a torn tail), and re-attaches the
-    store.  An empty store recovers to a fresh consumer. *)

@@ -305,8 +305,6 @@ let server t = t.server
 
 (* --- Durable state --------------------------------------------------- *)
 
-let attach_store t store = t.src.store <- Some store
-
 let strategy_code = function
   | Session_history -> 0
   | Changelog -> 1
@@ -417,35 +415,34 @@ let replay_record t payload =
             (Ber_codec.Decode_error (Printf.sprintf "bad master record %d" n)))
     payload
 
-let recover ?strategy backend store =
+let strategy_name = function
+  | Session_history -> "session history"
+  | Changelog -> "changelog"
+  | Tombstone -> "tombstone"
+
+let restore_snapshot t payload =
   let ( let* ) = Result.bind in
-  let recovery = Ldap_store.Store.recover store in
-  let* snap =
-    match recovery.Ldap_store.Store.snapshot with
-    | None -> Ok None
-    | Some payload ->
-        Result.map Option.some (Ldap_store.Codec.decode read_snapshot payload)
-  in
-  let strategy = match snap with Some (s, _, _, _) -> Some s | None -> strategy in
-  let t = create ?strategy backend in
-  (match snap with
-  | None -> ()
-  | Some (_, next_id, clock, sessions) ->
-      Server.restore t.server ~next_id ~clock;
-      List.iter
-        (fun (id, query, pending_oldest, synced, last_active) ->
-          let h = { pending = List.rev pending_oldest; pending_len = List.length pending_oldest } in
-          ignore (Server.install t.server ~id query h ~synced ~last_active))
-        sessions);
-  let* () =
-    List.fold_left
-      (fun acc payload ->
-        let* () = acc in
-        replay_record t payload)
-      (Ok ()) recovery.Ldap_store.Store.records
-  in
-  t.src.store <- Some store;
-  Ok (t, recovery)
+  let* strategy, next_id, clock, sessions = Ldap_store.Codec.decode read_snapshot payload in
+  if strategy <> t.src.strategy then
+    Error
+      (Printf.sprintf "Master.open_store: the store holds a %s master, this one runs %s"
+         (strategy_name strategy) (strategy_name t.src.strategy))
+  else begin
+    Server.restore t.server ~next_id ~clock;
+    List.iter
+      (fun (id, query, pending_oldest, synced, last_active) ->
+        let h = { pending = List.rev pending_oldest; pending_len = List.length pending_oldest } in
+        ignore (Server.install t.server ~id query h ~synced ~last_active))
+      sessions;
+    Ok ()
+  end
+
+let open_store t store =
+  Ldap_store.Store.open_state store
+    ~populated:(Server.session_count t.server > 0)
+    ~snapshot:(restore_snapshot t) ~replay:(replay_record t)
+    ~attach:(fun () -> t.src.store <- Some store)
+    ~checkpoint:(fun () -> checkpoint t)
 
 (* Per-session history residency: (total buffered actions, largest
    single session's buffer) — what the scale report shows operators. *)

@@ -50,8 +50,12 @@ type dispatch = Server.dispatch = Routed | Naive
 
 type t
 
-type history
-(** A session's buffered [Session_history] actions. *)
+type history = private {
+  mutable pending : Action.t list;  (** Newest first. *)
+  mutable pending_len : int;  (** [List.length pending]. *)
+}
+(** A session's buffered [Session_history] actions, read-only outside
+    this module. *)
 
 val server : t -> history Server.t
 (** The shared server this master is the history source of: its
@@ -104,33 +108,30 @@ val pending_stats : t -> int * int
 
 (** {1 Durability}
 
-    With a store attached, every session-table transition — creation,
+    With a store opened, every session-table transition — creation,
     removal, per-session pending history and acknowledged-CSN
     advances — is journaled, and {!checkpoint} snapshots the whole
     table.  The update log the baselines read is the backend's and
-    is made durable with it.  A restarted master recovered from its store still
-    recognizes the cookies it handed out, so surviving consumers
-    resume incrementally instead of being forced through degraded
-    resynchronization. *)
+    is made durable with it.  A restarted master reopened over its
+    store still recognizes the cookies it handed out, so surviving
+    consumers resume incrementally instead of being forced through
+    degraded resynchronization. *)
 
-val attach_store : t -> Ldap_store.Store.t -> unit
-(** Starts journaling session-table transitions to the store. *)
+val open_store : t -> Ldap_store.Store.t -> (Ldap_store.Store.recovery, string) result
+(** Opens the master's store by {!Ldap_store.Store.open_state}'s
+    rule.  An empty store checkpoints the session table as it stands.
+    A non-empty one is restored into the master, which must have no
+    session yet: snapshot, then WAL replay, then journaling resumes.
+    The master keeps the strategy and dispatch it was created with —
+    a snapshot naming another strategy is an [Error] — and its
+    [Routed] dispatch index is rebuilt from the restored sessions'
+    filters.  Its backend's store may be opened before or after:
+    restoring a backend notifies no subscriber.  Persistent push
+    channels are not restored — they die with the process, and
+    consumers re-establish them by presenting their cookies. *)
 
 val checkpoint : t -> unit
 (** Snapshots the session table (strategy, sessions with pending
     history) and resets the WAL.  No-op without a store.  Images and
     logs written when the master kept its own tombstone list still
-    recover; the list is skipped. *)
-
-val recover :
-  ?strategy:strategy ->
-  Ldap.Backend.t ->
-  Ldap_store.Store.t ->
-  (t * Ldap_store.Store.recovery, string) result
-(** Rebuilds a master over an (already recovered) backend from its
-    durable session table: loads the snapshot, replays the WAL and
-    re-attaches the store.  The snapshot's strategy wins over the
-    [strategy] argument; the [Routed] dispatch index is rebuilt from
-    the recovered sessions' filters.  Persistent push channels are not
-    recovered — they die with the process, and consumers re-establish
-    them by presenting their cookies. *)
+    restore; the list is skipped. *)

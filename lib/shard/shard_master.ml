@@ -15,11 +15,10 @@ type t = {
 
 type recovery = { rc_backend : Store.recovery; rc_master : Store.recovery }
 
-let host_of i = Printf.sprintf "shard-%d" i
-
-let make ?strategy backend ~id =
+let create ?strategy ?indexed (_ : Schema.t) ~id =
+  let backend = Backend.create ?indexed () in
   {
-    sm_host = host_of id;
+    sm_host = Printf.sprintf "shard-%d" id;
     sm_backend = backend;
     sm_master = Master.create ?strategy backend;
     sm_backend_store = None;
@@ -27,8 +26,6 @@ let make ?strategy backend ~id =
     sm_busy_until = 0;
     sm_applied = 0;
   }
-
-let create ?strategy ?indexed (_ : Schema.t) ~id = make ?strategy (Backend.create ?indexed ()) ~id
 
 let host t = t.sm_host
 let backend t = t.sm_backend
@@ -75,40 +72,18 @@ let enqueue_write t ~now =
 let busy_until t = t.sm_busy_until
 let reset_timeline t = t.sm_busy_until <- 0
 
-let store_names ~prefix = (prefix ^ "-backend", prefix ^ "-master")
-
-let attach_stores t medium ~prefix =
-  let backend_name, master_name = store_names ~prefix in
-  let bs =
-    Backend_store.attach t.sm_backend (Store.create ~sync:false medium ~name:backend_name)
+let open_store t medium ~prefix =
+  let ( let* ) = Result.bind in
+  let* bs, rc_backend =
+    Backend_store.open_store t.sm_backend
+      (Store.create ~sync:false medium ~name:(prefix ^ "-backend"))
   in
   t.sm_backend_store <- Some bs;
-  Master.attach_store t.sm_master (Store.create ~sync:false medium ~name:master_name);
-  Backend_store.checkpoint bs;
-  Master.checkpoint t.sm_master
+  let* rc_master =
+    Master.open_store t.sm_master (Store.create ~sync:false medium ~name:(prefix ^ "-master"))
+  in
+  Ok { rc_backend; rc_master }
 
 let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;
   Master.checkpoint t.sm_master
-
-let recover ~id medium ~prefix =
-  let ( let* ) = Result.bind in
-  let backend_name, master_name = store_names ~prefix in
-  let backend_store = Store.create medium ~name:backend_name in
-  let* backend, rc_backend = Backend_store.recover backend_store in
-  let bs = Backend_store.attach backend backend_store in
-  let* master, rc_master =
-    Master.recover backend (Store.create medium ~name:master_name)
-  in
-  let t =
-    {
-      sm_host = host_of id;
-      sm_backend = backend;
-      sm_master = master;
-      sm_backend_store = Some bs;
-      sm_service_time = 1;
-      sm_busy_until = 0;
-      sm_applied = 0;
-    }
-  in
-  Ok (t, { rc_backend; rc_master })

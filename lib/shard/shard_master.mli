@@ -16,7 +16,7 @@ open Ldap
 
 type t
 
-(** What recovering a shard's two stores read back. *)
+(** What opening a shard's two stores read back. *)
 type recovery = {
   rc_backend : Ldap_store.Store.recovery;
   rc_master : Ldap_store.Store.recovery;
@@ -74,22 +74,18 @@ val reset_timeline : t -> unit
 (** Clears the busy horizon (a sweep measuring several shard counts
     reuses the virtual clock from zero). *)
 
-val attach_stores : t -> Ldap_store.Medium.t -> prefix:string -> unit
-(** Attaches per-shard durability: backend WAL/snapshot under
+val open_store : t -> Ldap_store.Medium.t -> prefix:string -> (recovery, string) result
+(** Makes the shard durable on the medium: backend WAL/snapshot under
     [<prefix>-backend], master session table under [<prefix>-master],
-    then checkpoints both so the medium holds a full image.  Records
-    are not fsynced one by one. *)
+    each opened by {!Ldap_store.Store.open_state}'s rule.  Over an
+    empty medium both are checkpointed, so it holds a full image.
+    After a crash, open the medium under a shard {!create}d as the
+    lost one was: its backend is restored with the indexes and its
+    master with the strategy that [create] gave them, journaling
+    resumes, and surviving consumers of this shard resume
+    incrementally; other shards are untouched.  Records are not
+    fsynced one by one. *)
 
 val checkpoint : t -> unit
-(** Snapshots backend and master stores (no-op without
-    {!attach_stores}). *)
-
-val recover :
-  id:int ->
-  Ldap_store.Medium.t ->
-  prefix:string ->
-  (t * recovery, string) result
-(** Rebuilds the shard from its medium after a crash: backend from
-    snapshot + WAL replay, master session table on top, journaling
-    re-armed.  Surviving consumers of this shard resume incrementally;
-    other shards are untouched. *)
+(** Snapshots backend and master stores (no-op before
+    {!open_store}). *)

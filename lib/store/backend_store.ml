@@ -4,11 +4,6 @@ module DW = Der.W
 
 type t = { backend : Backend.t; store : Store.t }
 
-let attach backend store =
-  Backend.subscribe backend (fun record ->
-      Store.append_w store (fun w -> Codec.W.record w record));
-  { backend; store }
-
 (* Snapshot layout: SEQ [ csn; floor; contexts; log ] where contexts
    is a SEQ of per-context SEQs of entry images (parent before
    children, suffix entry first) and log is a SEQ of the update
@@ -97,21 +92,17 @@ let restore_snapshot backend payload =
   Backend.restore_log backend ~floor log;
   Ok ()
 
-let recover ?indexed store =
-  let ( let* ) = Result.bind in
-  let recovery = Store.recover store in
-  let backend = Backend.create ?indexed () in
-  let* () =
-    match recovery.Store.snapshot with
-    | None -> Ok ()
-    | Some payload -> restore_snapshot backend payload
+let open_store backend store =
+  let t = { backend; store } in
+  let populated =
+    Backend.contexts backend <> [] || not (Csn.equal (Backend.csn backend) Csn.zero)
   in
-  let* () =
-    List.fold_left
-      (fun acc payload ->
-        let* () = acc in
-        let* record = Codec.decode Codec.read_record payload in
-        Backend.replay_record backend record)
-      (Ok ()) recovery.Store.records
-  in
-  Ok (backend, recovery)
+  Store.open_state store ~populated
+    ~snapshot:(restore_snapshot backend)
+    ~replay:(fun payload ->
+      Result.bind (Codec.decode Codec.read_record payload) (Backend.replay_record backend))
+    ~attach:(fun () ->
+      Backend.subscribe backend (fun record ->
+          Store.append_w store (fun w -> Codec.W.record w record)))
+    ~checkpoint:(fun () -> checkpoint t)
+  |> Result.map (fun recovery -> (t, recovery))

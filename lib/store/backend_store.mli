@@ -4,27 +4,24 @@
     entry images (parent before children), and the update log's
     retained records with its trim floor.
 
-    {!recover} rebuilds a backend from the latest snapshot plus the
-    replayable WAL suffix via the {!Ldap.Backend} restore hooks;
-    subscribers (ReSync masters, dispatch indexes) re-attach to the
-    recovered instance as they would to a fresh one. *)
+    {!open_store} is the one way in, fresh or on restart: over an
+    empty store it checkpoints the backend as it stands; over a
+    non-empty one it restores the latest snapshot plus the replayable
+    WAL suffix into an empty backend through the {!Ldap.Backend}
+    restore hooks.  The backend comes from {!Ldap.Backend.create}
+    either way, so its indexes are the ones it was created with.
+    Restoring notifies no subscriber, so a ReSync master may be
+    created over the backend before its store is opened. *)
 
 open Ldap
 
 type t
 
-val attach : Backend.t -> Store.t -> t
-(** Starts journaling the backend's commits to the store.  Call once
-    per backend lifetime, after {!recover} on restart. *)
+val open_store : Backend.t -> Store.t -> (t * Store.recovery, string) result
+(** Opens the backend's store by {!Store.open_state}'s rule — an
+    empty store checkpoints the backend; a non-empty one is restored
+    into it, which must then be empty (no context, CSN zero) — and
+    journals its commits from then on.  Returns what recovery read. *)
 
 val checkpoint : t -> unit
 (** Writes a full snapshot and resets the WAL. *)
-
-val recover :
-  ?indexed:string list ->
-  Store.t ->
-  (Backend.t * Store.recovery, string) result
-(** Rebuilds a backend from durable state: loads the snapshot (empty
-    backend when there is none), replays the WAL records on top, and
-    reports what recovery found.  [indexed] mirrors
-    {!Ldap.Backend.create}. *)

@@ -114,6 +114,22 @@ let recover t =
     snapshot_bytes = Medium.size t.medium ~name:(snap_file t);
   }
 
+let open_state t ~populated ~snapshot ~replay ~attach ~checkpoint =
+  let ( let* ) = Result.bind in
+  let recovery = recover t in
+  let fresh = Option.is_none recovery.snapshot && recovery.records = [] in
+  let* () =
+    if fresh then Ok ()
+    else if populated then
+      Error ("Store.open_state: " ^ t.name ^ " holds state, and the value opened over it is not empty")
+    else
+      let* () = match recovery.snapshot with None -> Ok () | Some payload -> snapshot payload in
+      List.fold_left (fun acc payload -> Result.bind acc (fun () -> replay payload)) (Ok ()) recovery.records
+  in
+  attach ();
+  if fresh then checkpoint ();
+  Ok recovery
+
 let destroy t =
   Medium.remove t.medium ~name:(wal_file t);
   Medium.remove t.medium ~name:(snap_file t);

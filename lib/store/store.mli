@@ -3,9 +3,9 @@
 
     The client appends one WAL record per state transition and
     periodically {!checkpoint_w}s the whole state, which atomically
-    replaces the snapshot and resets the log.  {!recover} returns the
-    latest good snapshot plus the WAL records to replay on top of it,
-    truncating the log at the first torn or corrupt record.
+    replaces the snapshot and resets the log.  {!open_state} reads back
+    the latest good snapshot plus the WAL records to replay on top of
+    it, truncating the log at the first torn or corrupt record.
 
     Snapshot and log are tied together by a generation number: the
     checkpoint bumps it, stamps the new snapshot with it and starts
@@ -45,10 +45,26 @@ type recovery = {
   snapshot_bytes : int;  (** Snapshot file size. *)
 }
 
-val recover : t -> recovery
-(** Reads back durable state and re-arms the handle: subsequent
-    appends continue the recovered log.  Never raises, whatever the
-    medium holds. *)
+val open_state :
+  t ->
+  populated:bool ->
+  snapshot:(string -> (unit, string) result) ->
+  replay:(string -> (unit, string) result) ->
+  attach:(unit -> unit) ->
+  checkpoint:(unit -> unit) ->
+  (recovery, string) result
+(** How every durable role opens its store over a value its [create]
+    made.  The store is read back first: that never raises, whatever
+    the medium holds, and re-arms the handle so later appends continue
+    the recovered log.  When it holds nothing (no snapshot, no record),
+    [attach] starts journaling and [checkpoint] writes the value's
+    current state — fresh or already populated — as the first image.
+    When it holds state, the value must be empty ([populated] false):
+    [snapshot] restores the image, [replay] applies each WAL record on
+    top, oldest first, and only then does [attach] resume journaling,
+    so replay journals nothing.  A populated value over a non-empty
+    store is an [Error], as is a failed restore.  Returns what
+    recovery read. *)
 
 val destroy : t -> unit
 (** Removes the store's snapshot and log from the medium — used when

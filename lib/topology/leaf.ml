@@ -73,16 +73,6 @@ let content_seq t q =
 
 (* --- Durability ------------------------------------------------------ *)
 
-let attach_store ?sync t medium =
-  R.Filter_replica.attach_store ?sync t.replica medium ~prefix:t.name
-
+let open_store ?sync t medium = R.Filter_replica.open_store ?sync t.replica medium ~prefix:t.name
 let checkpoint t = R.Filter_replica.checkpoint t.replica
 let detach_store t = R.Filter_replica.detach_store t.replica
-
-let recover ?sync transport ~name ~parent medium =
-  match
-    R.Filter_replica.recover_over ?sync ~host:name transport
-      ~master_host:parent medium ~prefix:name
-  with
-  | Ok (replica, report) -> Ok ({ replica; name }, report)
-  | Error _ as e -> e

@@ -72,9 +72,17 @@ val content_seq : t -> Query.t -> Entry.t Seq.t
 
 (** {1 Durability} *)
 
-val attach_store : ?sync:bool -> t -> Ldap_store.Medium.t -> unit
+val open_store :
+  ?sync:bool ->
+  t ->
+  Ldap_store.Medium.t ->
+  (Ldap_replication.Filter_replica.recovery_report, string) result
 (** Makes the leaf's replica durable on the medium, under the leaf's
-    name as prefix (see {!Ldap_replication.Filter_replica.attach_store}). *)
+    name as prefix ({!Ldap_replication.Filter_replica.open_store}).
+    A restarted leaf is a fresh {!create} opened over the medium its
+    predecessor left: subscriptions, content and resume cookies come
+    from durable state, so the next poll resumes ReSync incrementally
+    instead of re-fetching. *)
 
 val checkpoint : t -> unit
 (** Checkpoints every store of the leaf's replica. *)
@@ -82,15 +90,3 @@ val checkpoint : t -> unit
 val detach_store : t -> unit
 (** Stops journaling (see
     {!Ldap_replication.Filter_replica.detach_store}). *)
-
-val recover :
-  ?sync:bool ->
-  Ldap_resync.Transport.t ->
-  name:string ->
-  parent:string ->
-  Ldap_store.Medium.t ->
-  (t * Ldap_replication.Filter_replica.recovery_report, string) result
-(** Rebuilds a restarted leaf from its medium: subscriptions, content
-    and resume cookies come from durable state, so the next poll
-    resumes ReSync incrementally instead of re-fetching.
-    @raise Invalid_argument if no endpoint is registered at [parent]. *)

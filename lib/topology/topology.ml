@@ -91,32 +91,33 @@ let add_node t ~name ~parent ~covers =
       Resync.Transport.remove_endpoint t.transport ~name;
       Error e
 
-(* A topology with durability enabled gives each leaf its own medium;
-   leaves added later are attached on creation, before their first
-   fetch, so the initial content is journaled too. *)
-let leaf_medium t name =
+(* A topology with durability enabled gives each leaf its own medium
+   and opens the leaf over it: a new leaf before its first fetch, so
+   its initial content is journaled too; a restarted one over what its
+   predecessor left. *)
+let open_leaf t leaf =
   match t.durability with
-  | None -> None
+  | None -> Ok None
   | Some d ->
-      Some
-        (match Hashtbl.find_opt d.dmedia name with
+      let name = Leaf.name leaf in
+      let medium =
+        match Hashtbl.find_opt d.dmedia name with
         | Some m -> m
         | None ->
             let m = Ldap_store.Medium.memory ?faults:d.dfaults () in
             Hashtbl.replace d.dmedia name m;
-            m)
+            m
+      in
+      Result.map Option.some (Leaf.open_store ~sync:d.dsync leaf medium)
 
 let add_leaf t ~name ~parent query =
   let leaf = Leaf.create t.transport ~name ~parent in
-  (match (t.durability, leaf_medium t name) with
-  | Some d, Some m -> Leaf.attach_store ~sync:d.dsync leaf m
-  | _ -> ());
-  match Leaf.subscribe leaf query with
-  | Ok () ->
-      Hashtbl.replace t.parents name (Leaf.parent leaf);
-      t.leaves <- leaf :: t.leaves;
-      Ok leaf
-  | Error e -> Error e
+  let ( let* ) = Result.bind in
+  let* _ = open_leaf t leaf in
+  let* () = Leaf.subscribe leaf query in
+  Hashtbl.replace t.parents name (Leaf.parent leaf);
+  t.leaves <- leaf :: t.leaves;
+  Ok leaf
 
 (* --- Failure handling ------------------------------------------------ *)
 
@@ -304,15 +305,14 @@ let drive_events ?on_leaf_poll t engine ~poll_every ~until =
 (* --- Crash and restart ----------------------------------------------- *)
 
 let enable_durability ?faults ?(sync = true) t =
-  let d = { dmedia = Hashtbl.create 16; dfaults = faults; dsync = sync } in
-  t.durability <- Some d;
-  (* Already-attached leaves become durable now: their current content
-     is checkpointed into their media by [attach_store]. *)
+  t.durability <- Some { dmedia = Hashtbl.create 16; dfaults = faults; dsync = sync };
+  (* Already-populated leaves become durable now: opening each over
+     its fresh medium checkpoints its current content. *)
   List.iter
     (fun leaf ->
-      match leaf_medium t (Leaf.name leaf) with
-      | Some m -> Leaf.attach_store ~sync leaf m
-      | None -> ())
+      match open_leaf t leaf with
+      | Ok _ -> ()
+      | Error e -> invalid_arg ("Topology.enable_durability: " ^ e))
     t.leaves
 
 let checkpoint_leaves t = List.iter Leaf.checkpoint t.leaves
@@ -362,7 +362,10 @@ let restart_leaf ?(mode = Resume) t ~name =
       in
       let cold () =
         (* Cold restart: a fresh leaf re-subscribes from scratch —
-           every subscription pays a full initial fetch. *)
+           every subscription pays a full initial fetch — over a fresh
+           medium, so its journal starts from the new content rather
+           than from the image the crash left. *)
+        Option.iter (fun d -> Hashtbl.remove d.dmedia name) t.durability;
         let leaf = Leaf.create t.transport ~name ~parent in
         let rec re_subscribe = function
           | [] -> resume leaf None
@@ -371,21 +374,21 @@ let restart_leaf ?(mode = Resume) t ~name =
               | Ok () -> re_subscribe rest
               | Error e -> Error e)
         in
-        re_subscribe info.ci_queries
+        match open_leaf t leaf with
+        | Ok _ -> re_subscribe info.ci_queries
+        | Error e -> Error e
       in
       match (mode, medium_of t ~name) with
       | Cold, _ | _, None -> cold ()
-      | (Resume | Merkle), Some medium -> (
-          (* Durable restart: subscriptions, content and resume cookies
-             come from the medium; the next poll resumes ReSync from
-             the durable cookie instead of re-fetching.  (A damaged
-             store — torn or stale WAL — already forces anti-entropy
-             inside the recovery itself.) *)
-          let sync =
-            match t.durability with Some d -> d.dsync | None -> true
-          in
-          match Leaf.recover ~sync t.transport ~name ~parent medium with
-          | Ok (leaf, report) ->
+      | (Resume | Merkle), Some _ -> (
+          (* Durable restart: a fresh leaf opened over the medium gets
+             its subscriptions, content and resume cookies from it; the
+             next poll resumes ReSync from the durable cookie instead
+             of re-fetching.  (A damaged store — torn or stale WAL —
+             already forces anti-entropy inside the open itself.) *)
+          let leaf = Leaf.create t.transport ~name ~parent in
+          match open_leaf t leaf with
+          | Ok report ->
               (* [Merkle] additionally reconciles every subscription
                  right now, whatever the store's damage flags said —
                  the mode for a restart known to have lost updates
@@ -404,7 +407,7 @@ let restart_leaf ?(mode = Resume) t ~name =
                         | Some c -> Resync.Consumer.set_cookie c None
                         | None -> ()))
                   (Leaf.merkle_sync leaf);
-              resume leaf (Some report)
+              resume leaf report
           | Error e -> Error e))
 
 let leaf_converged t leaf =

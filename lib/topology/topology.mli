@@ -48,7 +48,9 @@ val add_node :
     endpoint behind, if a cover install fails. *)
 
 val add_leaf : t -> name:string -> parent:string -> Query.t -> (Leaf.t, string) result
-(** Creates the leaf and subscribes it (with referral chasing). *)
+(** Creates the leaf and subscribes it (with referral chasing); on a
+    durable topology the leaf is opened over its own medium first, so
+    its initial content is journaled. *)
 
 val transport : t -> Ldap_resync.Transport.t
 (** The shared fault-injectable transport every tier exchanges over. *)
@@ -117,7 +119,9 @@ val drive_events :
 val enable_durability :
   ?faults:Ldap_store.Medium.Faults.t -> ?sync:bool -> t -> unit
 (** Gives every leaf (present and future) its own in-memory durable
-    medium and attaches its stores.  [faults] is shared across media —
+    medium and opens the leaf over it ({!Leaf.open_store}): a present
+    leaf's content is checkpointed, a future one is opened before its
+    first fetch.  [faults] is shared across media —
     scripted crash outcomes are consumed in crash-call order.  [sync]
     (default true) controls per-record fsync; with [sync:false] only
     checkpoints are durable and a crash loses (or tears) the journal
@@ -145,7 +149,9 @@ type restart_mode =
           to have silently lost updates (e.g. an unsynced WAL).  A
           subscription whose walk fails drops its cookie and re-fetches
           cold at the next poll. *)
-  | Cold  (** Ignore durable state: re-subscribe with full fetches. *)
+  | Cold
+      (** Ignore durable state: re-subscribe with full fetches, over a
+          fresh medium when the topology is durable. *)
 
 val restart_leaf :
   ?mode:restart_mode ->
@@ -153,12 +159,15 @@ val restart_leaf :
   name:string ->
   (Leaf.t * Ldap_replication.Filter_replica.recovery_report option, string)
   result
-(** Restarts a crashed leaf under its closest live parent.  With
-    durability the leaf is rebuilt from its medium (report returned)
-    per [mode] (default [Resume]); without durable state — or with
-    [mode = Cold] — a fresh leaf re-subscribes to the crashed leaf's
-    queries with full initial fetches ([None]).  Either way the leaf
-    rejoins {!leaves}, and if {!drive_events} is active its poll loop
+(** Restarts a crashed leaf under its closest live parent: a fresh
+    {!Leaf.create}.  With durability it is opened over the crashed
+    leaf's medium (report returned) per [mode] (default [Resume]);
+    without durable state — or with [mode = Cold] — it re-subscribes
+    to the crashed leaf's queries with full initial fetches ([None]),
+    journaled from the start onto a fresh medium under the same faults
+    when the topology is durable, so a later durable restart resumes
+    from what the cold leaf acknowledged.  Either way the leaf rejoins
+    {!leaves}, and if {!drive_events} is active its poll loop
     resumes. *)
 
 val leaf_converged : t -> Leaf.t -> bool

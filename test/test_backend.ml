@@ -28,6 +28,7 @@ let ou name parent =
     [ ("objectclass", [ "organizationalUnit" ]); ("ou", [ name ]) ]
 
 let must_apply b op = match Backend.apply b op with Ok _ -> () | Error e -> failwith e
+let must = function Ok v -> v | Error e -> failwith e
 let rdn s = match Dn.rdn_of_string s with Ok r -> r | Error e -> failwith e
 let log_length b = List.length (Backend.log_since b Csn.zero)
 let add_values attr values = { Update.mod_kind = Update.Add_values; mod_attr = attr; mod_values = values }
@@ -878,11 +879,11 @@ let follow w =
 let log_world () =
   let medium = Store.Medium.memory () in
   let backend = log_backend () in
-  let journal = Store.Backend_store.attach backend (Store.Store.create medium ~name:"b") in
-  (* The context entry is no commit: the first snapshot carries it. *)
-  Store.Backend_store.checkpoint journal;
+  (* The context entry is no commit: the first snapshot, which
+     opening the empty store writes, carries it. *)
+  let journal, _ = must (Store.Backend_store.open_store backend (Store.Store.create medium ~name:"b")) in
   let master = Master.create ~strategy:Master.Tombstone backend in
-  Master.attach_store master (Store.Store.create medium ~name:"m");
+  ignore (must (Master.open_store master (Store.Store.create medium ~name:"m")));
   let w =
     { medium; backend; journal; master; reference = []; floor = 0; checkpointed = ([], 0);
       journaled = [] }
@@ -923,21 +924,17 @@ let run_log_op w op =
       w.checkpointed <- (w.reference, w.floor);
       w.journaled <- []
   | Log_recover ->
-      let store = Store.Store.create w.medium ~name:"b" in
-      let backend, _ =
-        match Store.Backend_store.recover store with Ok v -> v | Error e -> failwith e
-      in
+      (* The restarted pair is created as the first was; the master
+         goes first, since restoring the backend notifies nobody. *)
+      let backend = Backend.create () in
+      let master = Master.create ~strategy:Master.Tombstone backend in
+      let journal, _ = must (Store.Backend_store.open_store backend (Store.Store.create w.medium ~name:"b")) in
+      ignore (must (Master.open_store master (Store.Store.create w.medium ~name:"m")));
       w.backend <- backend;
       w.reference <- w.journaled @ fst w.checkpointed;
       w.floor <- snd w.checkpointed;
-      w.journal <- Store.Backend_store.attach backend store;
-      (w.master <-
-         match
-           Master.recover ~strategy:Master.Tombstone backend
-             (Store.Store.create w.medium ~name:"m")
-         with
-         | Ok (m, _) -> m
-         | Error e -> failwith e);
+      w.journal <- journal;
+      w.master <- master;
       follow w
 
 let log_matches_reference w =

@@ -3,7 +3,8 @@
    the consumer's cookie+content atomicity boundary (every WAL prefix
    recovers to a state one poll away from convergence), observational
    equivalence of interrupted and uninterrupted runs under all three
-   history strategies, and topology-level crash/restart. *)
+   history strategies, topology-level crash/restart, and for each
+   durable role a "reopened = live" property over two crashes. *)
 open Ldap
 open Ldap_resync
 module Store = Ldap_store
@@ -52,12 +53,33 @@ let poll consumer master =
   | Ok reply -> reply
   | Error e -> failwith e
 
+(* A restart: a role created as the lost one was, opened over the
+   store it left. *)
+let reopen_backend store =
+  let b = Backend.create ~indexed:[ "departmentnumber" ] () in
+  let _, recovery = must (Store.Backend_store.open_store b store) in
+  (b, recovery)
+
+let reopen_consumer q store =
+  let c = Consumer.create q in
+  (c, must (Consumer.open_store c store))
+
+let reopen_replica live m ~prefix =
+  let r =
+    R.Filter_replica.create_over (R.Filter_replica.transport live)
+      ~master_host:(R.Filter_replica.master_host live)
+  in
+  (r, must (R.Filter_replica.open_store r m ~prefix))
+
+let open_backend b m =
+  fst (must (Store.Backend_store.open_store b (Store.Store.create m ~name:"backend")))
+
 (* --- Backend recovery ------------------------------------------------- *)
 
 let test_backend_recovery () =
   let b = make_backend () in
   let m = Store.Medium.memory () in
-  let bs = Store.Backend_store.attach b (Store.Store.create m ~name:"backend") in
+  let bs = open_backend b m in
   apply b (Update.add (person "alice" ()));
   apply b (Update.add (person "bob" ~dept:"8" ()));
   Store.Backend_store.checkpoint bs;
@@ -67,11 +89,7 @@ let test_backend_recovery () =
        [ Update.replace_values "departmentNumber" [ "9" ] ]);
   apply b (Update.delete (dn "cn=bob,o=xyz"));
   Store.Medium.crash m;
-  let b2, recovery =
-    must
-      (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
-         (Store.Store.create m ~name:"backend"))
-  in
+  let b2, recovery = reopen_backend (Store.Store.create m ~name:"backend") in
   check_int "post-checkpoint commits replayed" 3
     (List.length recovery.Store.Store.records);
   check_bool "snapshot present" true (recovery.Store.Store.snapshot <> None);
@@ -98,7 +116,7 @@ let test_short_read_recovery () =
   in
   let m = Store.Medium.memory ~faults () in
   let b = make_backend () in
-  let bs = Store.Backend_store.attach b (Store.Store.create m ~name:"backend") in
+  let bs = open_backend b m in
   apply b (Update.add (person "alice" ()));
   Store.Backend_store.checkpoint bs;
   for i = 1 to 10 do
@@ -106,11 +124,7 @@ let test_short_read_recovery () =
   done;
   let wal_size = Store.Medium.size m ~name:"backend.wal" in
   for _ = 1 to 4 do
-    let b2, r =
-      must
-        (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
-           (Store.Store.create m ~name:"backend"))
-    in
+    let b2, r = reopen_backend (Store.Store.create m ~name:"backend") in
     check_bool "no tail cut" false r.Store.Store.truncated;
     check_int "all ten records replayed" 10 (List.length r.Store.Store.records);
     check_int "the WAL keeps its size" wal_size (Store.Medium.size m ~name:"backend.wal");
@@ -141,18 +155,14 @@ let search_order b query =
   | Ok { Backend.entries; _ } -> List.map (fun e -> Dn.canonical (Entry.dn e)) entries
   | Error _ -> []
 
-let recover_backend m =
-  fst
-    (must
-       (Store.Backend_store.recover ~indexed:[ "departmentnumber" ]
-          (Store.Store.create m ~name:"backend")))
+let recover_backend m = fst (reopen_backend (Store.Store.create m ~name:"backend"))
 
 (* RFC 4511 section 4.9: a modifyDN with deleteoldrdn FALSE keeps the
    old RDN value in the renamed entry, and so must every copy of it. *)
 let test_modify_dn_keeps_old_rdn () =
   let b = make_backend () in
   let m = Store.Medium.memory () in
-  let bs = Store.Backend_store.attach b (Store.Store.create m ~name:"backend") in
+  let bs = open_backend b m in
   apply b (Update.add (person "alice" ()));
   Store.Backend_store.checkpoint bs;
   let master = Master.create b in
@@ -199,8 +209,8 @@ let test_snapshot_slot_order () =
     [ "o=xyz"; "ou=b,o=xyz"; "ou=a,o=xyz"; "cn=y,ou=a,o=xyz"; "cn=z,ou=a,o=xyz" ]
     (slot_order b);
   let m = Store.Medium.memory () in
-  let bs = Store.Backend_store.attach b (Store.Store.create m ~name:"backend") in
-  Store.Backend_store.checkpoint bs;
+  (* Opening the empty store checkpoints the populated backend. *)
+  ignore (open_backend b m);
   apply b (Update.add (member "w" "b"));
   Store.Medium.crash m;
   let b2 = recover_backend m in
@@ -252,16 +262,15 @@ let test_master_recovery_keeps_sessions () =
   apply b (Update.add (person "alice" ()));
   let master = Master.create b in
   let m = Store.Medium.memory () in
-  Master.attach_store master (Store.Store.create m ~name:"master");
+  ignore (must (Master.open_store master (Store.Store.create m ~name:"master")));
   let consumer = Consumer.create (dept_query "7") in
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   ignore (poll consumer master);
   apply b (Update.add (person "erin" ()));
   Store.Medium.crash m;
-  let master2, _ =
-    must (Master.recover b (Store.Store.create m ~name:"master"))
-  in
+  let master2 = Master.create b in
+  ignore (must (Master.open_store master2 (Store.Store.create m ~name:"master")));
   (* The restarted master still recognizes the cookie it handed out:
      the next poll replays incrementally instead of resyncing. *)
   let reply = poll consumer master2 in
@@ -293,7 +302,7 @@ let test_consumer_every_prefix_consistent () =
   let q = dept_query "7" in
   let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
-  Consumer.attach_store consumer (Store.Store.create m ~name:"c");
+  ignore (must (Consumer.open_store consumer (Store.Store.create m ~name:"c")));
   ignore (poll consumer master);
   apply b (Update.add (person "dave" ()));
   apply b (Update.delete (dn "cn=alice,o=xyz"));
@@ -304,6 +313,8 @@ let test_consumer_every_prefix_consistent () =
        [ Update.replace_values "departmentNumber" [ "8" ] ]);
   ignore (poll consumer master);
   let wal = Option.get (Store.Medium.read m ~name:"c.wal") in
+  (* The empty consumer's image, which opening the store wrote. *)
+  let snap = Option.get (Store.Medium.read m ~name:"c.snap") in
   (* Cookie and content travel in one WAL record, so any byte-prefix
      of the journal — any crash point — recovers to a state the master
      can bring to convergence in a single poll.  A cookie journaled
@@ -311,11 +322,11 @@ let test_consumer_every_prefix_consistent () =
      actions forever. *)
   for cut = 0 to String.length wal do
     let m2 = Store.Medium.memory () in
+    Store.Medium.write_atomic_sub m2 ~name:"c.snap" (Bytes.of_string snap) ~pos:0
+      ~len:(String.length snap);
     Store.Medium.append m2 ~name:"c.wal" (String.sub wal 0 cut);
     Store.Medium.sync m2 ~name:"c.wal";
-    let recovered, _ =
-      must (Consumer.recover q (Store.Store.create m2 ~name:"c"))
-    in
+    let recovered, _ = reopen_consumer q (Store.Store.create m2 ~name:"c") in
     ignore (poll recovered master);
     if not (entry_sets_equal recovered b q) then
       Alcotest.failf "prefix of %d bytes did not reconverge" cut
@@ -347,7 +358,7 @@ let run_strategy strategy ~interrupt =
   let q = dept_query "7" in
   let consumer = Consumer.create q in
   let m = Store.Medium.memory () in
-  Consumer.attach_store consumer (Store.Store.create m ~name:"c");
+  ignore (must (Consumer.open_store consumer (Store.Store.create m ~name:"c")));
   ignore (poll consumer master);
   phase1 b;
   ignore (poll consumer master);
@@ -357,9 +368,7 @@ let run_strategy strategy ~interrupt =
          durable cookie, not from scratch. *)
       Store.Medium.crash m;
       Consumer.detach_store consumer;
-      let recovered, recovery =
-        must (Consumer.recover q (Store.Store.create m ~name:"c"))
-      in
+      let recovered, recovery = reopen_consumer q (Store.Store.create m ~name:"c") in
       check_bool
         (strategy_name strategy ^ ": journal replayed on recovery")
         true
@@ -385,65 +394,6 @@ let test_interrupted_equals_uninterrupted () =
         (List.length plain = List.length resumed
         && List.for_all2 Entry.equal plain resumed))
     [ Master.Session_history; Master.Changelog; Master.Tombstone ]
-
-(* --- Snapshot/replay ≡ in-memory (property) ---------------------------- *)
-
-let ops_arb =
-  (* (op code, person index, checkpoint after?) per step. *)
-  QCheck.(list_of_size (Gen.int_range 1 12) (triple (int_bound 3) (int_bound 5) bool))
-
-let prop_recovered_equals_live =
-  QCheck.Test.make ~count:60
-    ~name:"recovery: snapshot+replay equals in-memory consumer" ops_arb
-    (fun steps ->
-      let b = make_backend () in
-      apply b (Update.add (person "p0" ()));
-      let master = Master.create b in
-      let q = dept_query "7" in
-      let live = Consumer.create q in
-      let journaled = Consumer.create q in
-      let m = Store.Medium.memory () in
-      Consumer.attach_store journaled (Store.Store.create m ~name:"c");
-      ignore (poll live master);
-      ignore (poll journaled master);
-      List.iter
-        (fun (code, i, ckpt) ->
-          let name = Printf.sprintf "p%d" i in
-          let target = dn (Printf.sprintf "cn=%s,o=xyz" name) in
-          (match code with
-          | 0 -> ignore (Backend.apply b (Update.add (person name ())))
-          | 1 -> ignore (Backend.apply b (Update.delete target))
-          | 2 ->
-              ignore
-                (Backend.apply b
-                   (Update.modify target
-                      [ Update.replace_values "departmentNumber" [ "8" ] ]))
-          | _ ->
-              ignore
-                (Backend.apply b
-                   (Update.modify target
-                      [ Update.replace_values "departmentNumber" [ "7" ] ])));
-          ignore (poll live master);
-          ignore (poll journaled master);
-          if ckpt then Consumer.checkpoint journaled)
-        steps;
-      Store.Medium.crash m;
-      Consumer.detach_store journaled;
-      let recovered, _ =
-        must (Consumer.recover q (Store.Store.create m ~name:"c"))
-      in
-      let csn_of c =
-        match c with
-        | None -> None
-        | Some cookie -> Option.map snd (Protocol.parse_cookie cookie)
-      in
-      let a = canon (Consumer.entries recovered) in
-      let b = canon (Consumer.entries live) in
-      (* Session ids differ (two sessions at the same master), so the
-         cookies agree on the acknowledged CSN, not byte-for-byte. *)
-      csn_of (Consumer.cookie recovered) = csn_of (Consumer.cookie live)
-      && List.length a = List.length b
-      && List.for_all2 Entry.equal a b)
 
 (* --- Topology crash/restart ------------------------------------------- *)
 
@@ -502,6 +452,32 @@ let test_topology_cold_restart () =
   check_bool "cold restart re-subscribes and converges" true
     (T.Topology.leaf_converged t leaf)
 
+(* A cold restart of a durable leaf journals onto a fresh medium, so a
+   later resume comes back with what the cold leaf acknowledged, not
+   with the image the first crash left. *)
+let test_topology_cold_then_resume () =
+  let b, t = build_star () in
+  T.Topology.enable_durability t;
+  let q = dept_query "1" in
+  let leaf_of () =
+    List.find (fun l -> List.exists (Query.equal q) (T.Leaf.subscriptions l)) (T.Topology.leaves t)
+  in
+  let name = T.Leaf.name (leaf_of ()) in
+  T.Topology.crash_leaf t (leaf_of ());
+  ignore (must (T.Topology.restart_leaf ~mode:T.Topology.Cold t ~name));
+  apply b (Update.add (person "cold1" ~dept:"1" ()));
+  apply b (Update.add (person "cold2" ~dept:"1" ()));
+  T.Topology.sync_round t;
+  let before = leaf_of () in
+  let acked = T.Leaf.acked_csn before in
+  let entries = List.length (T.Leaf.content before q) in
+  check_int "the cold leaf caught up" (Csn.to_int (Backend.csn b)) (Csn.to_int acked);
+  T.Topology.crash_leaf t before;
+  let leaf, report = must (T.Topology.restart_leaf ~mode:T.Topology.Resume t ~name) in
+  check_bool "durable restart" true (report <> None);
+  check_int "acked CSN survives" (Csn.to_int acked) (Csn.to_int (T.Leaf.acked_csn leaf));
+  check_int "entries survive" entries (List.length (T.Leaf.content leaf q))
+
 let test_topology_restart_errors () =
   let _, t = build_star () in
   let victim = List.hd (T.Topology.leaves t) in
@@ -528,7 +504,7 @@ let test_checkpoint_crash_window_resyncs () =
   let master = Master.create b in
   let replica = R.Filter_replica.create master in
   let m = Store.Medium.memory () in
-  R.Filter_replica.attach_store replica m ~prefix:"replica";
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"replica"));
   must (R.Filter_replica.install_filter replica (dept_query "7"));
   R.Filter_replica.sync replica;
   R.Filter_replica.checkpoint replica;
@@ -547,13 +523,7 @@ let test_checkpoint_crash_window_resyncs () =
   R.Filter_replica.detach_store replica;
   (* The master moves on while the replica is down. *)
   apply b (Update.add (person "erin" ()));
-  let replica2, report =
-    must
-      (R.Filter_replica.recover_over
-         (R.Filter_replica.transport replica)
-         ~master_host:(R.Filter_replica.master_host replica)
-         m ~prefix:"replica")
-  in
+  let replica2, report = reopen_replica replica m ~prefix:"replica" in
   (match report.R.Filter_replica.filters with
   | [ fr ] ->
       check_bool "stale-generation records discarded" true
@@ -582,20 +552,14 @@ let test_lost_consumer_store_resyncs () =
   apply b (Update.add (person "bob" ()));
   let replica = R.Filter_replica.create (Master.create b) in
   let m = Store.Medium.memory () in
-  R.Filter_replica.attach_store replica m ~prefix:"r";
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"r"));
   let q = dept_query "7" in
   must (R.Filter_replica.install_filter replica q);
   R.Filter_replica.detach_store replica;
   (* The meta store survives; the slot's consumer store does not. *)
   Store.Medium.remove m ~name:"r.f0.snap";
   Store.Medium.remove m ~name:"r.f0.wal";
-  let replica2, report =
-    must
-      (R.Filter_replica.recover_over
-         (R.Filter_replica.transport replica)
-         ~master_host:(R.Filter_replica.master_host replica)
-         m ~prefix:"r")
-  in
+  let replica2, report = reopen_replica replica m ~prefix:"r" in
   (match report.R.Filter_replica.filters with
   | [ fr ] ->
       check_bool "lost store forces a resync" true
@@ -707,7 +671,7 @@ let prop_incremental_image =
       let c = Consumer.create q in
       let m = Store.Medium.memory () in
       let s = Store.Store.create m ~name:"c" in
-      Consumer.attach_store c s;
+      ignore (must (Consumer.open_store c s));
       let n = ref 0 in
       let reply kind actions =
         incr n;
@@ -738,12 +702,15 @@ let prop_incremental_image =
               reply Protocol.Initial_content (List.map (fun i -> Action.Add (image_entry i 1)) l)
           | Trim -> Content_store.trim_spine (Consumer.content c) ~keep:0
           | Reattach ->
+              (* Reopened over an emptied store: the populated
+                 consumer's image is encoded afresh. *)
               Consumer.detach_store c;
-              Consumer.attach_store c s
+              Store.Store.destroy s;
+              ignore (must (Consumer.open_store c s))
           | Checkpoint ->
               Consumer.checkpoint c;
               if snapshot_image m <> full_image c then ok := false;
-              let r, _ = must (Consumer.recover q (Store.Store.create m ~name:"c")) in
+              let r, _ = reopen_consumer q (Store.Store.create m ~name:"c") in
               if
                 Consumer.cookie r <> Consumer.cookie c
                 || not
@@ -766,7 +733,8 @@ let test_old_ring_image () =
      suffix: the recovered log is the one the old code recovered. *)
   let m = Store.Medium.memory () in
   let store = restore_image m ~name:"ring" Old_images.ring_snap Old_images.ring_wal in
-  let b, _ = must (Store.Backend_store.recover store) in
+  let b = Backend.create () in
+  ignore (must (Store.Backend_store.open_store b store));
   let describe (r : Update.record) =
     ( Csn.to_int r.Update.csn,
       Update.op_kind_name r.op,
@@ -788,8 +756,10 @@ let test_old_tombstone_image () =
   let m = Store.Medium.memory () in
   let bstore = restore_image m ~name:"tsb" Old_images.tsb_snap Old_images.tsb_wal in
   let mstore = restore_image m ~name:"tsm" Old_images.tsm_snap Old_images.tsm_wal in
-  let b, _ = must (Store.Backend_store.recover bstore) in
-  let master, recovery = must (Master.recover b mstore) in
+  let b = Backend.create () in
+  ignore (must (Store.Backend_store.open_store b bstore));
+  let master = Master.create ~strategy:Master.Tombstone b in
+  let recovery = must (Master.open_store master mstore) in
   (* Tombstone serving buffers nothing per session. *)
   check_bool "tombstone strategy" true (Master.pending_stats master = (0, 0));
   check_int "tombstone records read" 2 (List.length recovery.Store.Store.records);
@@ -815,8 +785,10 @@ let test_old_session_history_image () =
   let m = Store.Medium.memory () in
   let bstore = restore_image m ~name:"shb" Old_images.shb_snap Old_images.shb_wal in
   let mstore = restore_image m ~name:"shm" Old_images.shm_snap Old_images.shm_wal in
-  let b, _ = must (Store.Backend_store.recover bstore) in
-  let master, recovery = must (Master.recover b mstore) in
+  let b = Backend.create () in
+  ignore (must (Store.Backend_store.open_store b bstore));
+  let master = Master.create b in
+  let recovery = must (Master.open_store master mstore) in
   (* Session history buffers the session's pending actions. *)
   check_bool "session history strategy" true (fst (Master.pending_stats master) > 0);
   check_int "session records read" 9 (List.length recovery.Store.Store.records);
@@ -864,7 +836,7 @@ let test_old_filter_replica_meta_image () =
   must (R.Filter_replica.install_filter replica q7);
   must (R.Filter_replica.install_filter replica q8);
   let m = Store.Medium.memory () in
-  R.Filter_replica.attach_store replica m ~prefix:"fr";
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"fr"));
   must (R.Filter_replica.install_filter replica q9);
   R.Filter_replica.remove_filter replica q8;
   Alcotest.(check (option string)) "same snapshot" (Some Old_images.fr_meta_snap)
@@ -877,11 +849,7 @@ let test_old_filter_replica_meta_image () =
   let live = R.Filter_replica.create (Master.create b) in
   let m = Store.Medium.memory () in
   ignore (restore_image m ~name:"fr.meta" Old_images.fr_meta_snap Old_images.fr_meta_wal);
-  let recovered, report =
-    must
-      (R.Filter_replica.recover_over (R.Filter_replica.transport live)
-         ~master_host:(R.Filter_replica.master_host live) m ~prefix:"fr")
-  in
+  let recovered, report = reopen_replica live m ~prefix:"fr" in
   check_int "meta records replayed" 2 report.R.Filter_replica.meta_replayed;
   Alcotest.(check (list (pair int string)))
     "slots"
@@ -894,6 +862,503 @@ let test_old_filter_replica_meta_image () =
     (entry_sets_equal (Option.get (R.Filter_replica.consumer_for recovered q7)) b q7);
   must (R.Filter_replica.install_filter recovered q8);
   check_bool "next slot" true (Store.Medium.read m ~name:"fr.f3.snap" <> None)
+
+(* --- Reopened ≡ live (properties) ---------------------------------------
+   Each durable role runs random op scripts over an in-memory medium in
+   two lives: ops, a crash with a drawn outcome, a reopen (a role
+   created as the lost one was, opened over the medium it left), more
+   ops, a second crash and reopen.  The live role is its own twin: its
+   structural digest is taken at the durable point (the open or the
+   last checkpoint) and after the last op, and a reopened role must
+   equal the digest at the record boundary the crash leaves — the last
+   one when no unsynced record can be lost ([sync], or [Keep_all]),
+   else the durable point, since every record after a checkpoint is
+   unsynced without [sync].  The second crash shows a reopen that
+   journals with a [sync] other than the first open's. *)
+
+module Faults = Store.Medium.Faults
+
+type commit =
+  | Add of int * int  (* person, department *)
+  | Move of int * int
+  | Delete of int
+  | Rename of int * int
+
+type op =
+  | Commit of commit
+  | Poll of int  (* consumer k polls *)
+  | End of int  (* consumer k ends its session *)
+  | Install of int  (* a query of [pool] *)
+  | Remove of int
+  | Checkpoint
+
+let pname i = Printf.sprintf "p%d" i
+let pdn i = dn (Printf.sprintf "cn=%s,o=xyz" (pname i))
+
+let op_to_string = function
+  | Commit (Add (i, d)) -> Printf.sprintf "add %d/%d" i d
+  | Commit (Move (i, d)) -> Printf.sprintf "move %d/%d" i d
+  | Commit (Delete i) -> Printf.sprintf "delete %d" i
+  | Commit (Rename (i, j)) -> Printf.sprintf "rename %d->%d" i j
+  | Poll k -> Printf.sprintf "poll %d" k
+  | End k -> Printf.sprintf "end %d" k
+  | Install k -> Printf.sprintf "install %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Checkpoint -> "checkpoint"
+
+let outcome_name = function
+  | Faults.Keep_all -> "keep-all"
+  | Faults.Torn_tail -> "torn-tail"
+  | Faults.Lose_unsynced -> "lose-unsynced"
+
+let commit_gen =
+  let open QCheck.Gen in
+  let i = int_bound 5 and d = int_range 7 9 in
+  frequency
+    [
+      (3, map2 (fun i d -> Add (i, d)) i d);
+      (3, map2 (fun i d -> Move (i, d)) i d);
+      (2, map (fun i -> Delete i) i);
+      (1, map2 (fun i j -> Rename (i, j)) i i);
+    ]
+
+(* Two lives, each a crash outcome and an op script drawn by [op]. *)
+let lives_arb ~extra ~show op =
+  let open QCheck.Gen in
+  let life = pair (oneofl [ Faults.Keep_all; Faults.Torn_tail; Faults.Lose_unsynced ]) (list_size (0 -- 12) op) in
+  QCheck.make
+    ~print:(fun (x, lives) ->
+      String.concat " / "
+        (show x
+        :: List.map
+             (fun (o, ops) -> outcome_name o ^ ": " ^ String.concat "; " (List.map op_to_string ops))
+             lives))
+    (pair extra (list_repeat 2 life))
+
+let commit_to b c =
+  let update =
+    match c with
+    | Add (i, d) -> Update.add (person (pname i) ~dept:(string_of_int d) ())
+    | Move (i, d) -> Update.modify (pdn i) [ Update.replace_values "departmentNumber" [ string_of_int d ] ]
+    | Delete i -> Update.delete (pdn i)
+    | Rename (i, j) -> Update.modify_dn (pdn i) (Result.get_ok (Dn.rdn_of_string ("cn=" ^ pname j)))
+  in
+  (* A refused update changes nothing and journals nothing. *)
+  ignore (Backend.apply b update)
+
+(* Crashes [m] with [outcome] on every WAL in [wals]: a zero-byte
+   append marks each one unsynced, so each draws exactly one scripted
+   outcome, which tears or loses only what was really unsynced. *)
+let crash_with m faults outcome wals =
+  let wals = List.filter (fun name -> Store.Medium.size m ~name > 0) wals in
+  List.iter (fun name -> Store.Medium.append m ~name "") wals;
+  Faults.script faults (List.map (fun _ -> outcome) wals);
+  Store.Medium.crash m
+
+(* The two lives: [step] runs an op on the role (true when it made a
+   durable point); [reopen] crashes, reopens and returns the new role
+   with the adjustment its own repairs make to the expected digest.
+   A mismatch reports the digests' lines, [show] flattening them. *)
+let reopened_equals_live ~sync ~lives ~start ~step ~digest ~show ~reopen =
+  let role = ref (start ()) in
+  List.for_all
+    (fun (outcome, ops) ->
+      let durable = ref (digest !role) in
+      List.iter (fun op -> if step !role op then durable := digest !role) ops;
+      let last = digest !role in
+      let reopened, adjust = reopen !role outcome in
+      role := reopened;
+      let expected = adjust (if sync || outcome = Faults.Keep_all then last else !durable) in
+      let got = digest reopened in
+      got = expected
+      || QCheck.Test.fail_reportf "after %s, expected:@.%s@.reopened:@.%s" (outcome_name outcome)
+           (String.concat "\n" (show expected)) (String.concat "\n" (show got)))
+    lives
+
+let entries_digest entries =
+  List.sort compare
+    (List.map (fun e -> Dn.canonical (Entry.dn e) ^ " " ^ Int64.to_string (Entry.content_hash64 e)) entries)
+
+(* Content, CSN and log, and postings on the declared attribute. *)
+let backend_digest b =
+  let record (r : Update.record) =
+    Printf.sprintf "log %d %s %s %s" (Csn.to_int r.Update.csn) (Update.op_kind_name r.op)
+      (Dn.canonical (Update.op_target r.op))
+      (match r.after with Some e -> Int64.to_string (Entry.content_hash64 e) | None -> "-")
+  in
+  let postings d =
+    match
+      Content_store.posting_count (Backend.content_store b)
+        (f (Printf.sprintf "(departmentNumber=%d)" d))
+    with
+    | Some n -> Printf.sprintf "postings %d: %d" d n
+    | None -> Printf.sprintf "postings %d: none" d
+  in
+  (Printf.sprintf "csn %d floor %d" (Csn.to_int (Backend.csn b)) (Csn.to_int (Backend.log_floor b))
+  :: List.map (fun d -> "context " ^ Dn.canonical d) (Backend.contexts b))
+  @ entries_digest (Backend.fold_entries b ~init:[] ~f:(fun acc e -> e :: acc))
+  @ List.map record (Backend.log_since b (Backend.log_floor b))
+  @ List.map postings [ 7; 8; 9 ]
+
+(* The session table: ids, queries, synced CSNs and pending history. *)
+let master_digest m =
+  let server = Master.server m in
+  let session (s : Master.history Server.session) =
+    Printf.sprintf "session %d %s synced %d pending %d [%s]" s.id (Query.to_string s.query)
+      (Csn.to_int s.synced_csn) s.state.Master.pending_len
+      (String.concat ","
+         (List.map
+            (fun a -> Action.kind_name a ^ " " ^ Dn.canonical (Action.target a))
+            s.state.Master.pending))
+  in
+  Printf.sprintf "next id %d" (Server.next_id server)
+  :: List.map session
+       (List.sort
+          (fun (a : Master.history Server.session) b -> Int.compare a.id b.id)
+          (Server.fold server List.cons []))
+
+let consumer_digest c =
+  Option.value ~default:"no cookie" (Consumer.cookie c) :: entries_digest (Consumer.entries c)
+
+let queries = [| dept_query "7"; dept_query "8"; dept_query "9" |]
+
+(* Consumers of a master, as the cookies they hold. *)
+let poll_master m cookies k =
+  match Master.handle m { Protocol.mode = Protocol.Poll; cookie = cookies.(k) } queries.(k) with
+  | Ok reply -> cookies.(k) <- reply.Protocol.cookie
+  | Error _ -> ()
+
+let end_master m cookies k =
+  (match cookies.(k) with
+  | Some _ as cookie -> ignore (Master.handle m { Protocol.mode = Protocol.Sync_end; cookie } queries.(k))
+  | None -> ());
+  cookies.(k) <- None
+
+let prop_backend_reopen =
+  QCheck.Test.make ~count:150 ~name:"reopen: backend store = live"
+    (lives_arb ~extra:QCheck.Gen.bool ~show:(Printf.sprintf "sync %b")
+       QCheck.Gen.(frequency [ (5, map (fun c -> Commit c) commit_gen); (1, return Checkpoint) ]))
+    (fun (sync, lives) ->
+      let faults = Faults.create () in
+      let m = Store.Medium.memory ~faults () in
+      let store () = Store.Store.create ~sync m ~name:"b" in
+      let journal = ref None in
+      let open_over b =
+        let bs, _ = must (Store.Backend_store.open_store b (store ())) in
+        journal := Some bs;
+        b
+      in
+      reopened_equals_live ~sync ~lives
+        ~start:(fun () -> open_over (make_backend ()))
+        ~step:(fun b -> function
+          | Commit c ->
+              commit_to b c;
+              false
+          | Checkpoint ->
+              Option.iter Store.Backend_store.checkpoint !journal;
+              true
+          | _ -> false)
+        ~digest:backend_digest ~show:Fun.id
+        ~reopen:(fun _ outcome ->
+          crash_with m faults outcome [ "b.wal" ];
+          (open_over (Backend.create ~indexed:[ "departmentnumber" ] ()), Fun.id)))
+
+let strategies = [ Master.Session_history; Master.Changelog; Master.Tombstone ]
+
+let prop_master_reopen =
+  QCheck.Test.make ~count:150 ~name:"reopen: master = live"
+    (lives_arb
+       ~extra:QCheck.Gen.(triple bool (oneofl strategies) (oneofl [ Master.Routed; Master.Naive ]))
+       ~show:(fun (sync, s, d) ->
+         Printf.sprintf "sync %b, %s, %s" sync (strategy_name s)
+           (if d = Master.Routed then "routed" else "naive"))
+       QCheck.Gen.(
+         frequency
+           [
+             (4, map (fun c -> Commit c) commit_gen);
+             (3, map (fun k -> Poll k) (int_bound 2));
+             (1, map (fun k -> End k) (int_bound 2));
+             (1, return Checkpoint);
+           ]))
+    (fun ((sync, strategy, dispatch), lives) ->
+      let faults = Faults.create () in
+      let m = Store.Medium.memory ~faults () in
+      let cookies = Array.make 3 None in
+      let journal = ref None in
+      (* The master is created first: restoring the backend notifies
+         no subscriber. *)
+      let open_pair b =
+        let master = Master.create ~strategy ~dispatch b in
+        let bs, _ = must (Store.Backend_store.open_store b (Store.Store.create ~sync m ~name:"b")) in
+        ignore (must (Master.open_store master (Store.Store.create ~sync m ~name:"m")));
+        journal := Some bs;
+        master
+      in
+      reopened_equals_live ~sync ~lives
+        ~start:(fun () -> open_pair (make_backend ()))
+        ~step:(fun master -> function
+          | Commit c ->
+              commit_to (Master.backend master) c;
+              false
+          | Poll k ->
+              poll_master master cookies k;
+              false
+          | End k ->
+              end_master master cookies k;
+              false
+          | Checkpoint ->
+              Option.iter Store.Backend_store.checkpoint !journal;
+              Master.checkpoint master;
+              true
+          | Install _ | Remove _ -> false)
+        ~digest:(fun master ->
+          master_digest master @ [ Printf.sprintf "backend csn %d" (Csn.to_int (Backend.csn (Master.backend master))) ])
+        ~show:Fun.id
+        ~reopen:(fun _ outcome ->
+          crash_with m faults outcome [ "b.wal"; "m.wal" ];
+          (open_pair (Backend.create ~indexed:[ "departmentnumber" ] ()), Fun.id)))
+
+let prop_shard_reopen =
+  QCheck.Test.make ~count:150 ~name:"reopen: shard master = live"
+    (lives_arb ~extra:(QCheck.Gen.oneofl strategies) ~show:strategy_name
+       QCheck.Gen.(
+         frequency
+           [
+             (4, map (fun c -> Commit c) commit_gen);
+             (3, map (fun k -> Poll k) (int_bound 2));
+             (1, map (fun k -> End k) (int_bound 2));
+             (1, return Checkpoint);
+           ]))
+    (fun (strategy, lives) ->
+      let faults = Faults.create () in
+      let m = Store.Medium.memory ~faults () in
+      let cookies = Array.make 3 None in
+      let create () =
+        Ldap_shard.Shard_master.create ~strategy ~indexed:[ "departmentnumber" ] Schema.default ~id:0
+      in
+      let opened sm =
+        ignore (must (Ldap_shard.Shard_master.open_store sm m ~prefix:"s"));
+        sm
+      in
+      reopened_equals_live ~sync:false ~lives
+        ~start:(fun () ->
+          let sm = create () in
+          must (Ldap_shard.Shard_master.seed sm ~contexts:[ org ] []);
+          opened sm)
+        ~step:(fun sm -> function
+          | Commit c ->
+              commit_to (Ldap_shard.Shard_master.backend sm) c;
+              false
+          | Poll k ->
+              poll_master (Ldap_shard.Shard_master.master sm) cookies k;
+              false
+          | End k ->
+              end_master (Ldap_shard.Shard_master.master sm) cookies k;
+              false
+          | Checkpoint ->
+              Ldap_shard.Shard_master.checkpoint sm;
+              true
+          | Install _ | Remove _ -> false)
+        ~digest:(fun sm ->
+          backend_digest (Ldap_shard.Shard_master.backend sm)
+          @ master_digest (Ldap_shard.Shard_master.master sm))
+        ~show:Fun.id
+        ~reopen:(fun _ outcome ->
+          crash_with m faults outcome [ "s-backend.wal"; "s-master.wal" ];
+          (opened (create ()), Fun.id)))
+
+(* A leaf over a live master: the pool's queries come and go, and the
+   test keeps the slot each filter was given (the next slot after the
+   last one handed out, never reused) to compare with what a reopen
+   reports. *)
+let pool =
+  [| dept_query "7"; dept_query "8"; Query.make ~base:(dn "o=xyz") (f "(cn=p1*)") |]
+
+type slots = { mutable table : (string * int) list; mutable next : int; mutable ever : int }
+
+let leaf_digest leaf slot_of =
+  List.sort compare
+    (List.map
+       (fun (q, c) ->
+         let q = Query.to_string q in
+         (q, slot_of q, consumer_digest c))
+       (R.Filter_replica.consumers (T.Leaf.replica leaf)))
+
+let prop_leaf_reopen =
+  QCheck.Test.make ~count:150 ~name:"reopen: leaf = live"
+    (lives_arb ~extra:QCheck.Gen.bool ~show:(Printf.sprintf "sync %b")
+       QCheck.Gen.(
+         frequency
+           [
+             (3, map (fun c -> Commit c) commit_gen);
+             (3, return (Poll 0));
+             (2, map (fun k -> Install k) (int_bound 2));
+             (1, map (fun k -> Remove k) (int_bound 2));
+             (1, return Checkpoint);
+           ]))
+    (fun (sync, lives) ->
+      let b = make_backend () in
+      let transport = Transport.loopback (Master.create b) in
+      let faults = Faults.create () in
+      let m = Store.Medium.memory ~faults () in
+      let slots = { table = []; next = 0; ever = 0 } in
+      let create () = T.Leaf.create transport ~name:"leaf" ~parent:Transport.loopback_host in
+      (* The digest carries the slot table and the next slot, so the
+         expected boundary tells the reopened leaf's model too. *)
+      let digest leaf =
+        (slots.next, leaf_digest leaf (fun q -> List.assoc q slots.table))
+      in
+      reopened_equals_live ~sync ~lives
+        ~start:(fun () ->
+          let leaf = create () in
+          ignore (must (T.Leaf.open_store ~sync leaf m));
+          leaf)
+        ~step:(fun leaf op ->
+          let stored q = List.exists (Query.equal q) (T.Leaf.subscriptions leaf) in
+          match op with
+          | Commit c ->
+              commit_to b c;
+              false
+          | Poll _ ->
+              T.Leaf.sync leaf;
+              false
+          | Install k when not (stored pool.(k)) ->
+              must (T.Leaf.subscribe leaf pool.(k));
+              slots.table <- (Query.to_string pool.(k), slots.next) :: slots.table;
+              slots.next <- slots.next + 1;
+              slots.ever <- max slots.ever slots.next;
+              false
+          | Remove k when stored pool.(k) ->
+              R.Filter_replica.remove_filter (T.Leaf.replica leaf) pool.(k);
+              slots.table <- List.remove_assoc (Query.to_string pool.(k)) slots.table;
+              false
+          | Checkpoint ->
+              T.Leaf.checkpoint leaf;
+              true
+          | Install _ | Remove _ | End _ -> false)
+        ~digest
+        ~show:(fun (next, filters) ->
+          Printf.sprintf "next slot %d" next
+          :: List.concat_map
+               (fun (q, slot, lines) -> Printf.sprintf "filter %s slot %d" q slot :: lines)
+               filters)
+        ~reopen:(fun live outcome ->
+          T.Leaf.detach_store live;
+          crash_with m faults outcome
+            ("leaf.meta.wal" :: List.init slots.ever (Printf.sprintf "leaf.f%d.wal"));
+          let leaf = create () in
+          let report = must (T.Leaf.open_store ~sync leaf m) in
+          slots.table <-
+            List.map
+              (fun (fr : R.Filter_replica.filter_recovery) ->
+                (Query.to_string fr.R.Filter_replica.fr_query, fr.R.Filter_replica.fr_slot))
+              report.R.Filter_replica.filters;
+          (* The repairs the open made are journaled like any reply;
+             a checkpoint makes them the next life's durable point. *)
+          T.Leaf.checkpoint leaf;
+          (* A slot the open repaired (damaged or lost) holds the
+             master's current content, whatever the crash left, under
+             a cookie no newer than the master: a Merkle walk that
+             finds the roots already equal keeps the cookie it found,
+             or none. *)
+          let repaired =
+            List.filter_map
+              (fun (fr : R.Filter_replica.filter_recovery) ->
+                if fr.R.Filter_replica.fr_resync = R.Filter_replica.Resync_none then None
+                else Some (Query.to_string fr.R.Filter_replica.fr_query))
+              report.R.Filter_replica.filters
+          in
+          let adjust (next, filters) =
+            slots.next <- next;
+            ( next,
+              List.map
+                (fun ((q, slot, _) as expected) ->
+                  if not (List.mem q repaired) then expected
+                  else
+                    let c =
+                      snd
+                        (List.find
+                           (fun (q', _) -> Query.to_string q' = q)
+                           (R.Filter_replica.consumers (T.Leaf.replica leaf)))
+                    in
+                    let cookie =
+                      match Consumer.cookie c with
+                      | None -> "no cookie"
+                      | Some cookie -> (
+                          match Protocol.parse_cookie cookie with
+                          | Some (_, csn) when not (Csn.( < ) (Backend.csn b) csn) -> cookie
+                          | _ -> "repaired ahead of the master")
+                    in
+                    (q, slot, cookie :: entries_digest (Content.current b (Consumer.query c))))
+                filters )
+          in
+          (leaf, adjust)))
+
+let prop_recovered_equals_live =
+  QCheck.Test.make ~count:150
+    ~name:"recovery: snapshot+replay equals in-memory consumer"
+    (lives_arb ~extra:QCheck.Gen.bool ~show:(Printf.sprintf "sync %b")
+       QCheck.Gen.(
+         frequency
+           [ (3, map (fun c -> Commit c) commit_gen); (3, return (Poll 0)); (1, return Checkpoint) ]))
+    (fun (sync, lives) ->
+      let b = make_backend () in
+      apply b (Update.add (person "p0" ()));
+      let master = Master.create b in
+      let q = dept_query "7" in
+      let faults = Faults.create () in
+      let m = Store.Medium.memory ~faults () in
+      let opened c =
+        ignore (must (Consumer.open_store c (Store.Store.create ~sync m ~name:"c")));
+        c
+      in
+      (* A consumer with no store polls alongside: after every poll the
+         journaled one agrees with it on content and acknowledged CSN
+         (the session ids differ, two sessions at one master). *)
+      let unjournaled = Consumer.create q in
+      let csn_of c = Option.map snd (Option.bind (Consumer.cookie c) Protocol.parse_cookie) in
+      reopened_equals_live ~sync ~lives
+        ~start:(fun () -> opened (Consumer.create q))
+        ~step:(fun c -> function
+          | Commit x ->
+              commit_to b x;
+              false
+          | Poll _ ->
+              ignore (poll c master);
+              ignore (poll unjournaled master);
+              if
+                csn_of c <> csn_of unjournaled
+                || entries_digest (Consumer.entries c) <> entries_digest (Consumer.entries unjournaled)
+              then QCheck.Test.fail_report "a poll left the journaled consumer unlike one with no store";
+              false
+          | Checkpoint ->
+              Consumer.checkpoint c;
+              true
+          | End _ | Install _ | Remove _ -> false)
+        ~digest:consumer_digest ~show:Fun.id
+        ~reopen:(fun live outcome ->
+          Consumer.detach_store live;
+          crash_with m faults outcome [ "c.wal" ];
+          (opened (Consumer.create q), Fun.id)))
+
+(* The strategy is [create]'s: a store a master of another strategy
+   left is refused, as is a store opened under a populated master. *)
+let test_master_open_rules () =
+  let b = make_backend () in
+  apply b (Update.add (person "alice" ()));
+  let m = Store.Medium.memory () in
+  let master = Master.create b in
+  ignore (must (Master.open_store master (Store.Store.create m ~name:"master")));
+  ignore (poll (Consumer.create (dept_query "7")) master);
+  Master.checkpoint master;
+  let store () = Store.Store.create m ~name:"master" in
+  check_bool "a changelog master refuses a session-history store" true
+    (Result.is_error (Master.open_store (Master.create ~strategy:Master.Changelog b) (store ())));
+  check_bool "a populated master refuses a non-empty store" true
+    (Result.is_error (Master.open_store master (store ())));
+  let reopened = Master.create b in
+  ignore (must (Master.open_store reopened (store ())));
+  check_int "a master created as the lost one was reopens it" 1 (Master.session_count reopened)
 
 let suite =
   [
@@ -914,10 +1379,16 @@ let suite =
       test_consumer_every_prefix_consistent;
     Alcotest.test_case "interrupted = uninterrupted" `Quick
       test_interrupted_equals_uninterrupted;
+    Alcotest.test_case "master open rules" `Quick test_master_open_rules;
     QCheck_alcotest.to_alcotest prop_recovered_equals_live;
+    QCheck_alcotest.to_alcotest prop_backend_reopen;
+    QCheck_alcotest.to_alcotest prop_master_reopen;
+    QCheck_alcotest.to_alcotest prop_shard_reopen;
+    QCheck_alcotest.to_alcotest prop_leaf_reopen;
     Alcotest.test_case "topology durable restart" `Quick
       test_topology_durable_restart;
     Alcotest.test_case "topology cold restart" `Quick test_topology_cold_restart;
+    Alcotest.test_case "topology cold then resume" `Quick test_topology_cold_then_resume;
     Alcotest.test_case "topology restart errors" `Quick
       test_topology_restart_errors;
     QCheck_alcotest.to_alcotest prop_incremental_image;

@@ -444,7 +444,7 @@ let prop_kept_consumers_follow_index =
       let _, master = make_master () in
       let medium = Ldap_store.Medium.memory () in
       let replica = ref (R.Filter_replica.create master) in
-      R.Filter_replica.attach_store !replica medium ~prefix:"r";
+      ignore (must (R.Filter_replica.open_store !replica medium ~prefix:"r"));
       let shadow = ref (Cidx.create ()) and installed = ref [] in
       let added qq =
         if not (Cidx.mem !shadow qq) then begin
@@ -485,12 +485,11 @@ let prop_kept_consumers_follow_index =
               removed query_pool.(i)
           | Recover ->
               R.Filter_replica.detach_store !replica;
-              let r, _ =
-                must
-                  (R.Filter_replica.recover_over (R.Filter_replica.transport !replica)
-                     ~master_host:(R.Filter_replica.master_host !replica) medium
-                     ~prefix:"r")
+              let r =
+                R.Filter_replica.create_over (R.Filter_replica.transport !replica)
+                  ~master_host:(R.Filter_replica.master_host !replica)
               in
+              ignore (must (R.Filter_replica.open_store r medium ~prefix:"r"));
               replica := r;
               shadow := Cidx.create ();
               List.iter (fun qq -> Cidx.add !shadow qq ()) !installed);

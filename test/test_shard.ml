@@ -685,12 +685,39 @@ let test_merkle_through_router () =
     (reply.Protocol.kind = Protocol.Incremental);
   check_bool "converged" true (consumer_matches_oracle consumer source)
 
+(* A shard reopened after a crash is one [create]d as the lost one
+   was, so it keeps the postings [~indexed] gave it. *)
+let test_shard_reopen_keeps_postings () =
+  let create () = Shard_master.create Schema.default ~indexed:[ "departmentnumber" ] ~id:0 in
+  let live = create () in
+  must (Shard_master.seed live ~contexts:[ org ] [ country_entry 0 ]);
+  let medium = Medium.memory () in
+  ignore (must (Shard_master.open_store live medium ~prefix:"shard-0"));
+  for n = 0 to 2 do
+    let dept = if n = 1 then "2" else "1" in
+    ignore (must (Shard_master.apply live (Update.add (employee ~dept ~country:0 ~n ()))))
+  done;
+  Shard_master.checkpoint live;
+  let postings sm =
+    Content_store.posting_count
+      (Backend.content_store (Shard_master.backend sm))
+      (f "(departmentNumber=1)")
+  in
+  Alcotest.(check (option int)) "live postings" (Some 2) (postings live);
+  Medium.crash medium;
+  let reopened = create () in
+  ignore (must (Shard_master.open_store reopened medium ~prefix:"shard-0"));
+  check_int "entries reopened" (Shard_master.entries live) (Shard_master.entries reopened);
+  Alcotest.(check (option int)) "reopened postings" (Some 2) (postings reopened)
+
 let test_shard_crash_recovery () =
   let router, transport, source = make_router ~shards:2 () in
   let medium = Medium.memory () in
   for i = 0 to 1 do
-    Shard_master.attach_stores (Router.shard router i) medium
-      ~prefix:(Printf.sprintf "shard-%d" i)
+    ignore
+      (must
+         (Shard_master.open_store (Router.shard router i) medium
+            ~prefix:(Printf.sprintf "shard-%d" i)))
   done;
   let consumer = Consumer.create (serial_query 1) in
   ignore (sync_router consumer transport router);
@@ -706,11 +733,11 @@ let test_shard_crash_recovery () =
   Shard_master.checkpoint (Router.shard router 1);
   update 1 "555-8001";
   update 2 "555-8002";
-  (* Crash shard 1 and rebuild it from its stores; the consumer's
-     composite cookie must resume against the recovered master. *)
-  let recovered, recovery =
-    must (Shard_master.recover ~id:1 medium ~prefix:"shard-1")
-  in
+  (* Crash shard 1 and reopen its stores under a shard created as it
+     was; the consumer's composite cookie must resume against the
+     recovered master. *)
+  let recovered = Shard_master.create Schema.default ~id:1 in
+  let recovery = must (Shard_master.open_store recovered medium ~prefix:"shard-1") in
   check_bool "post-checkpoint WAL replayed" true
     (List.length recovery.Shard_master.rc_backend.Ldap_store.Store.records >= 2);
   Router.replace_shard router 1 recovered;
@@ -975,6 +1002,7 @@ let suite =
     Alcotest.test_case "persist through router" `Quick test_persist_through_router;
     Alcotest.test_case "merkle through router" `Quick test_merkle_through_router;
     Alcotest.test_case "shard crash recovery" `Quick test_shard_crash_recovery;
+    Alcotest.test_case "reopened shard keeps postings" `Quick test_shard_reopen_keeps_postings;
     QCheck_alcotest.to_alcotest prop_cover_sound_and_minimal;
     QCheck_alcotest.to_alcotest prop_router_equals_single_master;
   ]

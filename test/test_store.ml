@@ -161,6 +161,18 @@ let test_write_atomic_survives_crash () =
 
 (* --- Store: snapshot + WAL + generation guard ------------------------- *)
 
+(* What opening the store reads back, into a value that takes
+   nothing. *)
+let recover s =
+  match
+    Store.Store.open_state s ~populated:false
+      ~snapshot:(fun _ -> Ok ())
+      ~replay:(fun _ -> Ok ())
+      ~attach:ignore ~checkpoint:ignore
+  with
+  | Ok r -> r
+  | Error e -> failwith e
+
 let test_store_checkpoint_and_replay () =
   let m = Store.Medium.memory () in
   let s = Store.Store.create m ~name:"acct" in
@@ -168,7 +180,7 @@ let test_store_checkpoint_and_replay () =
   append s "r2";
   checkpoint s "state@2";
   append s "r3";
-  let r = Store.Store.recover s in
+  let r = recover s in
   Alcotest.(check (option string))
     "snapshot from the checkpoint" (Some "state@2") r.Store.Store.snapshot;
   check_string_list "only post-checkpoint records replay" [ "r3" ]
@@ -188,7 +200,7 @@ let test_store_generation_guard () =
   Store.Medium.truncate m ~name:"acct.wal" 0;
   Store.Medium.append m ~name:"acct.wal" stale_wal;
   Store.Medium.sync m ~name:"acct.wal";
-  let r = Store.Store.recover (Store.Store.create m ~name:"acct") in
+  let r = recover (Store.Store.create m ~name:"acct") in
   Alcotest.(check (option string))
     "newer snapshot wins" (Some "new state") r.Store.Store.snapshot;
   check_string_list "stale-generation records not replayed" []
@@ -332,7 +344,7 @@ let test_fixed_images () =
   let m = Store.Medium.memory () in
   write_file m ~name:"fx.snap" fixed_snap_gen2;
   write_file m ~name:"fx.wal" fixed_wal_gen2;
-  let r = Store.Store.recover (Store.Store.create m ~name:"fx") in
+  let r = recover (Store.Store.create m ~name:"fx") in
   Alcotest.(check (option string)) "snapshot payload" (Some (pattern 200))
     r.Store.Store.snapshot;
   check_string_list "records after the snapshot" [ "r4" ] r.Store.Store.records;
