@@ -289,8 +289,8 @@ let replay_cmd =
     let train = Array.sub items 0 (n / 2) in
     let eval = Array.sub items (n / 2) (n - (n / 2)) in
     let replica =
-      Ldap_replication.Filter_replica.create ~cache_capacity:cache
-        scenario.Eval.Scenario.master
+      Ldap_replication.Filter_replica.create_over ~cache_capacity:cache
+        scenario.Eval.Scenario.transport ~master_host:Eval.Scenario.master_host
     in
     let rules =
       [
@@ -417,7 +417,6 @@ let topology_cmd =
 (* --- store --------------------------------------------------------------- *)
 
 let store_cmd =
-  let module Resync = Ldap_resync in
   let module R = Ldap_replication in
   let module Store = Ldap_store in
   let filters_arg =
@@ -435,11 +434,10 @@ let store_cmd =
                    the crash, so recovery must truncate.")
   in
   let run employees seed filters updates torn =
-    let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
-    let backend = Dirgen.Enterprise.backend ent in
+    let scenario = Eval.Scenario.setup ~config:(enterprise_config employees seed) () in
+    let ent = scenario.Eval.Scenario.enterprise in
     let fleet = Eval.Scenario.fleet ~filters ent in
-    let master = Resync.Master.create backend in
-    let replica = R.Filter_replica.create master in
+    let replica = Eval.Scenario.replica scenario in
     let medium =
       if torn then
         let prng = Dirgen.Prng.create (seed + 3) in
@@ -563,14 +561,12 @@ let antientropy_cmd =
         prerr_endline e;
         exit 1
     | Ok query -> (
-        let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
-        let backend = Dirgen.Enterprise.backend ent in
-        let master = Resync.Master.create backend in
-        let transport = Resync.Transport.loopback master in
+        let scenario = Eval.Scenario.setup ~config:(enterprise_config employees seed) () in
+        let ent = scenario.Eval.Scenario.enterprise in
+        let transport = scenario.Eval.Scenario.transport in
         let consumer = Resync.Consumer.create query in
         (match
-           Resync.Consumer.sync_over consumer transport
-             ~host:Resync.Transport.loopback_host
+           Resync.Consumer.sync_over consumer transport ~host:Eval.Scenario.master_host
          with
         | Ok _ -> ()
         | Error e ->
@@ -588,7 +584,7 @@ let antientropy_cmd =
         let config = { AE.Tree.default_config with AE.Tree.segments } in
         match
           Resync.Consumer.merkle_sync ~config consumer transport
-            ~host:Resync.Transport.loopback_host
+            ~host:Eval.Scenario.master_host
         with
         | Error e ->
             prerr_endline ("merkle sync failed: " ^ e);

@@ -42,7 +42,7 @@ let () =
   let eval = Array.sub items 4_000 4_000 in
 
   (* Filter-based branch replica: generalized serial blocks. *)
-  let replica = Replication.Filter_replica.create scenario.Scenario.master in
+  let replica = Scenario.replica scenario in
   let rule = Selection.Generalize.Prefix_value { attr = "serialnumber"; keep = 6 } in
   let filters = Scenario.select_static scenario ~rules:[ rule ] ~train ~budget in
   (match Scenario.install_static replica filters with
@@ -59,7 +59,10 @@ let () =
       (Dirgen.Enterprise.country_dn scenario.Scenario.enterprise)
   in
   let subtrees = Scenario.choose_subtrees scenario ~roots ~train ~budget in
-  let subtree = Replication.Subtree_replica.create scenario.Scenario.master ~subtrees in
+  let subtree =
+    Replication.Subtree_replica.create scenario.Scenario.transport
+      ~master_host:Scenario.master_host ~subtrees
+  in
   Printf.printf "subtree replica: %d country subtrees, %d entries\n\n"
     (List.length subtrees)
     (Replication.Subtree_replica.size_entries subtree);

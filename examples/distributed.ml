@@ -12,22 +12,23 @@
 open Ldap
 module Dirgen = Ldap_dirgen
 module Replication = Ldap_replication
-module Resync = Ldap_resync
 module Selection = Ldap_selection
 module Eval = Ldap_eval
 
 let () =
-  let enterprise =
-    Dirgen.Enterprise.build
-      { Dirgen.Enterprise.default_config with Dirgen.Enterprise.employees = 5_000 }
+  let scenario =
+    Eval.Scenario.setup
+      ~config:{ Dirgen.Enterprise.default_config with Dirgen.Enterprise.employees = 5_000 }
+      ()
   in
+  let enterprise = scenario.Eval.Scenario.enterprise in
   let backend = Dirgen.Enterprise.backend enterprise in
-  let master = Resync.Master.create backend in
 
-  (* Topology: hq is a full server, branch is a replica endpoint. *)
-  let net = Network.create () in
+  (* Topology: hq is a full server, branch is a replica endpoint, on
+     the network the replica synchronizes over. *)
+  let net = scenario.Eval.Scenario.net in
   Network.add_server net (Server.create ~name:"hq" backend);
-  let replica = Replication.Filter_replica.create master in
+  let replica = Eval.Scenario.replica scenario in
   (* Replicate the hottest serial blocks for the branch's geography. *)
   let items =
     Dirgen.Workload.generate enterprise
@@ -40,7 +41,7 @@ let () =
   let rule = Selection.Generalize.Prefix_value { attr = "serialnumber"; keep = 6 } in
   let filters =
     Eval.Scenario.select_static ~max_filters:40 ~min_hits:1
-      { Eval.Scenario.enterprise; master } ~rules:[ rule ] ~train:items ~budget:max_int
+      scenario ~rules:[ rule ] ~train:items ~budget:max_int
   in
   (match Eval.Scenario.install_static replica filters with
   | Ok () -> ()

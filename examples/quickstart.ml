@@ -50,9 +50,12 @@ let () =
   Printf.printf "containment: %b\n"
     (C.Query_containment.contained ~query:incoming ~stored);
 
-  (* 4. A filter-based replica of department block 24*. *)
+  (* 4. A filter-based replica of department block 24*, reaching the
+     master over a simulated network. *)
   let master = Resync.Master.create master_backend in
-  let replica = Replication.Filter_replica.create master in
+  let transport = Resync.Transport.create (Network.create ()) in
+  Resync.Transport.add_master transport ~name:"master" master;
+  let replica = Replication.Filter_replica.create_over transport ~master_host:"master" in
   must (Replication.Filter_replica.install_filter replica stored);
   Printf.printf "replica holds %d entries for %d filter(s)\n"
     (Replication.Filter_replica.size_entries replica)

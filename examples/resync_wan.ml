@@ -46,15 +46,25 @@ let () =
     apply (Update.add (person (Printf.sprintf "emp%d" i) (if i <= 4 then "sales" else "eng")))
   done;
   let master = Resync.Master.create backend in
+  (* The WAN between branch and headquarters: every poll and the
+     persistent connection below cross this one transport. *)
+  let net = Network.create () in
+  let transport = Resync.Transport.create net in
+  Resync.Transport.add_master transport ~name:"hq" master;
 
   (* Branch consumer for the sales department. *)
   let query =
     Query.make ~base:(dn "o=hq") (Filter.of_string_exn "(departmentNumber=sales)")
   in
   let consumer = Resync.Consumer.create query in
+  let poll () =
+    match Resync.Consumer.sync_over consumer transport ~host:"hq" with
+    | Ok outcome -> outcome.Resync.Consumer.reply
+    | Error e -> failwith (Resync.Consumer.sync_error_to_string e)
+  in
 
   (* Phase 1: initial content. *)
-  show_reply "poll #1 (no cookie)" (must (Resync.Consumer.sync consumer master));
+  show_reply "poll #1 (no cookie)" (poll ());
   Printf.printf "  branch now holds %d sales entries\n\n" (Resync.Consumer.size consumer);
 
   (* Phase 2: normal life — hires, departures, transfers. *)
@@ -62,16 +72,15 @@ let () =
   apply (Update.modify (dn "cn=emp1,o=hq") [ Update.replace_values "departmentNumber" [ "eng" ] ]);
   apply (Update.delete (dn "cn=emp2,o=hq"));
   apply (Update.modify (dn "cn=emp3,o=hq") [ Update.replace_values "telephoneNumber" [ "555-1234" ] ]);
-  show_reply "poll #2 (session history replay)" (must (Resync.Consumer.sync consumer master));
+  show_reply "poll #2 (session history replay)" (poll ());
   Printf.printf "  branch now holds %d sales entries\n\n" (Resync.Consumer.size consumer);
 
   (* Phase 3: switch to persistent notifications, routed through the
-     same transport abstraction as every poll. *)
-  let transport = Resync.Transport.loopback master in
+     same transport as every poll.  Each push is an event on the
+     network's engine; running it delivers them. *)
   let pushed = ref 0 in
   (match
-     Resync.Consumer.connect_persist consumer transport
-       ~host:Resync.Transport.loopback_host
+     Resync.Consumer.connect_persist consumer transport ~host:"hq"
        ~observe:(fun _ -> incr pushed)
    with
   | Ok _ -> ()
@@ -79,6 +88,7 @@ let () =
   apply (Update.add (person "emp8" "sales"));
   apply (Update.delete (dn "cn=emp8,o=hq"));
   apply (Update.add (person "emp9" "sales"));
+  Ldap_sim.Engine.run (Network.engine net);
   Printf.printf "persist phase: %d notifications pushed live\n" !pushed;
   Printf.printf "  branch now holds %d sales entries\n\n" (Resync.Consumer.size consumer);
 
@@ -88,7 +98,7 @@ let () =
     ~cookie:(Option.get (Resync.Consumer.cookie consumer));
   apply (Update.modify (dn "cn=emp3,o=hq") [ Update.replace_values "telephoneNumber" [ "555-5678" ] ]);
   apply (Update.modify (dn "cn=emp4,o=hq") [ Update.replace_values "departmentNumber" [ "eng" ] ]);
-  show_reply "poll #3 (stale cookie -> degraded)" (must (Resync.Consumer.sync consumer master));
+  show_reply "poll #3 (stale cookie -> degraded)" (poll ());
   Printf.printf "  branch now holds %d sales entries\n\n" (Resync.Consumer.size consumer);
 
   (* Convergence check against the master's actual content. *)

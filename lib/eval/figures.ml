@@ -210,6 +210,11 @@ let figure3 () =
   apply (Update.add (person "e2" "7"));
   apply (Update.add (person "e3" "7"));
   let master = Resync.Master.create backend in
+  (* One network for the whole session: the polls and the persistent
+     connection cross the same transport. *)
+  let net = Network.create () in
+  let transport = Resync.Transport.create net in
+  Resync.Transport.add_master transport ~name:"master" master;
   let query =
     Query.make ~base:(Dn.of_string_exn "o=xyz")
       (Filter.of_string_exn "(departmentNumber=7)")
@@ -227,25 +232,25 @@ let figure3 () =
     in
     rows := [ step; actions; string_of_int (Resync.Consumer.size consumer) ] :: !rows
   in
+  let poll step =
+    match Resync.Consumer.sync_over consumer transport ~host:"master" with
+    | Ok outcome -> record step outcome.Resync.Consumer.reply
+    | Error e -> failwith (Resync.Consumer.sync_error_to_string e)
+  in
   (* Poll 1: initial content E1 E2 E3. *)
-  (match Resync.Consumer.sync consumer master with
-  | Ok reply -> record "S, (poll, null)" reply
-  | Error e -> failwith e);
+  poll "S, (poll, null)";
   (* Interval: E4 appears (A), E1 and E2 leave (M out / D), E3 changes (M). *)
   apply (Update.add (person "e4" "7"));
   apply (Update.modify (dn "e1") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   apply (Update.delete (dn "e2"));
   apply (Update.modify (dn "e3") [ Update.replace_values "mail" [ "e3@xyz.com" ] ]);
-  (match Resync.Consumer.sync consumer master with
-  | Ok reply -> record "S, (poll, cookie)" reply
-  | Error e -> failwith e);
+  poll "S, (poll, cookie)";
   (* Persistent phase: E3 renamed to E5 (R): delete + add pushed live
-     through the transport's connection handle. *)
-  let transport = Resync.Transport.loopback master in
+     through the transport's connection handle, delivered once the
+     network's engine runs. *)
   let pushed = ref [] in
   (match
-     Resync.Consumer.connect_persist consumer transport
-       ~host:Resync.Transport.loopback_host
+     Resync.Consumer.connect_persist consumer transport ~host:"master"
        ~observe:(fun a -> pushed := a :: !pushed)
    with
   | Ok _ -> ()
@@ -253,6 +258,7 @@ let figure3 () =
   (match Dn.rdn_of_string "cn=e5" with
   | Ok rdn -> apply (Update.modify_dn (dn "e3") rdn)
   | Error e -> failwith e);
+  Ldap_sim.Engine.run (Network.engine net);
   let pushed = List.rev !pushed in
   rows :=
     [
@@ -299,7 +305,7 @@ let figure4 ?(fractions = [ 0.01; 0.02; 0.05; 0.10; 0.20; 0.35; 0.50 ])
       (fun fraction ->
         let budget = int_of_float (fraction *. float_of_int persons) in
         (* Filter-based: static generalized prefix filters. *)
-        let replica = Replication.Filter_replica.create scenario.Scenario.master in
+        let replica = Scenario.replica scenario in
         let filters =
           Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget
         in
@@ -313,7 +319,10 @@ let figure4 ?(fractions = [ 0.01; 0.02; 0.05; 0.10; 0.20; 0.35; 0.50 ])
           (Replication.Filter_replica.stored_filters replica);
         (* Subtree-based: country subtrees, evaluated on scoped queries. *)
         let subtrees = Scenario.choose_subtrees scenario ~roots:country_roots ~train ~budget in
-        let subtree = Replication.Subtree_replica.create scenario.Scenario.master ~subtrees in
+        let subtree =
+          Replication.Subtree_replica.create scenario.Scenario.transport
+            ~master_host:Scenario.master_host ~subtrees
+        in
         Scenario.drive_subtree scenario subtree Scenario.no_updates eval;
         let s_hit = hit_ratio (Replication.Subtree_replica.stats subtree) in
         let s_size = Replication.Subtree_replica.size_entries subtree in
@@ -374,7 +383,7 @@ let figure5 ?(fractions = [ 0.05; 0.10; 0.20; 0.35; 0.50 ])
       (fun fraction ->
         let budget = max 1 (int_of_float (fraction *. float_of_int dept_total)) in
         let dynamic interval =
-          let replica = Replication.Filter_replica.create scenario.Scenario.master in
+          let replica = Scenario.replica scenario in
           let controller = revolutions ~interval ~budget replica in
           (* Warm up through the first revolution, then measure the
              adapted replica. *)
@@ -394,7 +403,10 @@ let figure5 ?(fractions = [ 0.05; 0.10; 0.20; 0.35; 0.50 ])
         let subtrees =
           Scenario.choose_subtrees scenario ~roots:division_roots ~train ~budget
         in
-        let subtree = Replication.Subtree_replica.create scenario.Scenario.master ~subtrees in
+        let subtree =
+          Replication.Subtree_replica.create scenario.Scenario.transport
+            ~master_host:Scenario.master_host ~subtrees
+        in
         Scenario.drive_subtree scenario subtree Scenario.no_updates items;
         let s_hit = hit_ratio (Replication.Subtree_replica.stats subtree) in
         (fraction, dynamic_ratios, s_hit))
@@ -445,7 +457,7 @@ let figure6 ?(config = Dirgen.Enterprise.default_config)
       Dirgen.Workload.generate scenario.Scenario.enterprise (serial_only length 303)
     in
     let train, eval = split_halves items in
-    let replica = Replication.Filter_replica.create scenario.Scenario.master in
+    let replica = Scenario.replica scenario in
     let filters =
       Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget
     in
@@ -477,7 +489,10 @@ let figure6 ?(config = Dirgen.Enterprise.default_config)
     in
     let train, eval = split_halves items in
     let subtrees = Scenario.choose_subtrees scenario ~roots:country_roots ~train ~budget in
-    let subtree = Replication.Subtree_replica.create scenario.Scenario.master ~subtrees in
+    let subtree =
+      Replication.Subtree_replica.create scenario.Scenario.transport
+        ~master_host:Scenario.master_host ~subtrees
+    in
     let stream =
       Dirgen.Update_stream.create scenario.Scenario.enterprise
         Dirgen.Update_stream.default_config
@@ -547,7 +562,7 @@ let figure7 ?(config = Dirgen.Enterprise.default_config)
             let items =
               Dirgen.Workload.generate scenario.Scenario.enterprise (dept_only length 404)
             in
-            let replica = Replication.Filter_replica.create scenario.Scenario.master in
+            let replica = Scenario.replica scenario in
             let controller = revolutions ~interval ~budget replica in
             let stream =
               Dirgen.Update_stream.create scenario.Scenario.enterprise
@@ -590,7 +605,8 @@ let cache_vs_generalized ~title ~notes ~workload ~rules ?(filter_counts = [ 10; 
   let train, eval = split_halves items in
   let run_user_only count =
     let replica =
-      Replication.Filter_replica.create ~cache_capacity:count scenario.Scenario.master
+      Replication.Filter_replica.create_over ~cache_capacity:count
+        scenario.Scenario.transport ~master_host:Scenario.master_host
     in
     (* Warm the cache on the training half, then measure. *)
     Scenario.drive_filter scenario replica ~cache_misses:true Scenario.no_updates train;
@@ -599,7 +615,7 @@ let cache_vs_generalized ~title ~notes ~workload ~rules ?(filter_counts = [ 10; 
     hit_ratio (Replication.Filter_replica.stats replica)
   in
   let run_generalized_only count =
-    let replica = Replication.Filter_replica.create scenario.Scenario.master in
+    let replica = Scenario.replica scenario in
     (* min_hits 3: only clearly beneficial generalizations, so the
        curve saturates once the workload's semantic locality is
        exhausted — as in the paper. *)
@@ -625,7 +641,8 @@ let cache_vs_generalized ~title ~notes ~workload ~rules ?(filter_counts = [ 10; 
        cache of recent user queries. *)
     let cache = max 1 (count - List.length replica_filters) in
     let replica =
-      Replication.Filter_replica.create ~cache_capacity:cache scenario.Scenario.master
+      Replication.Filter_replica.create_over ~cache_capacity:cache
+        scenario.Scenario.transport ~master_host:Scenario.master_host
     in
     let filters = replica_filters in
     (match Scenario.install_static replica filters with
@@ -728,7 +745,7 @@ let consistency_classes ?(updates = 4_000) () =
       modify_phone_w = 0.40 }
   in
   let run ~per_class =
-    let replica = Replication.Filter_replica.create scenario.Scenario.master in
+    let replica = Scenario.replica scenario in
     (match
        Scenario.install_static replica (person_filters @ division_filters)
      with
@@ -799,18 +816,22 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
       ("tombstone", Resync.Master.Tombstone);
     ]
   in
+  (* Each strategy's master joins the scenario's transport under its
+     own host name. *)
+  let poll host c =
+    match Resync.Consumer.sync_over c scenario.Scenario.transport ~host with
+    | Ok outcome -> outcome.Resync.Consumer.reply
+    | Error e -> failwith (Resync.Consumer.sync_error_to_string e)
+  in
   let masters =
     List.map
       (fun (name, strategy) ->
         let master = Resync.Master.create ~strategy backend in
+        let host = "master/" ^ name in
+        Resync.Transport.add_master scenario.Scenario.transport ~name:host master;
         let consumers = List.map Resync.Consumer.create queries in
-        List.iter
-          (fun c ->
-            match Resync.Consumer.sync c master with
-            | Ok _ -> ()
-            | Error e -> failwith e)
-          consumers;
-        (name, master, consumers))
+        List.iter (fun c -> ignore (poll host c)) consumers;
+        (name, (master, host), consumers))
       strategies
   in
   let stream =
@@ -827,18 +848,16 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
   for _ = 1 to rounds do
     Dirgen.Update_stream.steps stream (updates / rounds);
     List.iter
-      (fun (name, master, consumers) ->
+      (fun (name, (master, host), consumers) ->
         let peak = Resync.Master.history_size master in
         let old = Option.value ~default:0 (Hashtbl.find_opt peaks name) in
         Hashtbl.replace peaks name (max old peak);
         List.iter
           (fun c ->
-            match Resync.Consumer.sync c master with
-            | Ok reply ->
-                record name
-                  (Resync.Protocol.entries_cost reply)
-                  (Resync.Protocol.actions_count reply)
-            | Error e -> failwith e)
+            let reply = poll host c in
+            record name
+              (Resync.Protocol.entries_cost reply)
+              (Resync.Protocol.actions_count reply))
           consumers)
       masters
   done;
@@ -905,9 +924,11 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
             ~roll:(fun () -> Dirgen.Prng.float prng 1.0)
             ()
         in
-        let net = Network.create () in
+        (* A lossy transport over the scenario's network: its
+           exchanges share the scenario's clock and byte counters. *)
+        let net = scenario.Scenario.net in
         let transport = Resync.Transport.create ~faults net in
-        Resync.Transport.add_master transport ~name:"master" master;
+        Resync.Transport.add_master transport ~name:Scenario.master_host master;
         let polls = ref 0
         and retries = ref 0
         and resyncs = ref 0
@@ -915,7 +936,7 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
         let consumers = List.map Resync.Consumer.create queries in
         let poll c =
           incr polls;
-          match Resync.Consumer.sync_over c transport ~host:"master" with
+          match Resync.Consumer.sync_over c transport ~host:Scenario.master_host with
           | Ok o ->
               retries := !retries + (o.Resync.Consumer.attempts - 1);
               if o.Resync.Consumer.resynced then incr resyncs
@@ -937,13 +958,15 @@ let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
           if round = 3 then Resync.Server.expire (Resync.Master.server master) ~idle_limit:0;
           List.iter poll consumers
         done;
-        (* Quiesce over a clean path so convergence is checkable even
-           at high loss; the lossy rounds above did the damage. *)
-        let clean = Resync.Transport.create net in
-        Resync.Transport.add_master clean ~name:"master" master;
+        (* Quiesce over the scenario's clean transport so convergence
+           is checkable even at high loss; the lossy rounds above did
+           the damage. *)
         List.iter
           (fun c ->
-            match Resync.Consumer.sync_over c clean ~host:"master" with
+            match
+              Resync.Consumer.sync_over c scenario.Scenario.transport
+                ~host:Scenario.master_host
+            with
             | Ok _ -> ()
             | Error e -> failwith (Resync.Consumer.sync_error_to_string e))
           consumers;
@@ -991,7 +1014,7 @@ let processing_overhead ?(filter_counts = [ 50; 100; 200; 400; 800 ])
   let rows =
     List.map
       (fun count ->
-        let replica = Replication.Filter_replica.create scenario.Scenario.master in
+        let replica = Scenario.replica scenario in
         let filters =
           Scenario.select_static ~max_filters:count ~min_hits:1 scenario
             ~rules:[ serial_rule ] ~train ~budget:max_int
@@ -1043,7 +1066,7 @@ let location_replication ?(length = 4_000) (scenario : Scenario.t) =
     }
   in
   let items = Dirgen.Workload.generate scenario.Scenario.enterprise workload in
-  let replica = Replication.Filter_replica.create scenario.Scenario.master in
+  let replica = Scenario.replica scenario in
   let root = Dirgen.Enterprise.root_dn scenario.Scenario.enterprise in
   let stored = Query.make ~base:root (Filter.of_string_exn "(location=*)") in
   (match Replication.Filter_replica.install_filter replica stored with
@@ -1089,7 +1112,10 @@ let root_base_ablation ?(length = 6_000) (scenario : Scenario.t) =
       (Dirgen.Enterprise.country_dn scenario.Scenario.enterprise)
   in
   let subtrees = Scenario.choose_subtrees scenario ~roots:country_roots ~train ~budget in
-  let subtree = Replication.Subtree_replica.create scenario.Scenario.master ~subtrees in
+  let subtree =
+    Replication.Subtree_replica.create scenario.Scenario.transport
+      ~master_host:Scenario.master_host ~subtrees
+  in
   (* Same replica, same queries - only the base differs. *)
   Array.iter
     (fun (item : Dirgen.Workload.item) ->
@@ -1103,7 +1129,7 @@ let root_base_ablation ?(length = 6_000) (scenario : Scenario.t) =
     eval;
   let root_hit = hit_ratio (Replication.Subtree_replica.stats subtree) in
   (* The filter replica answers root-based queries natively. *)
-  let replica = Replication.Filter_replica.create scenario.Scenario.master in
+  let replica = Scenario.replica scenario in
   let filters = Scenario.select_static scenario ~rules:[ serial_rule ] ~train ~budget in
   (match Scenario.install_static replica filters with
   | Ok () -> ()
@@ -1139,7 +1165,7 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
     Dirgen.Workload.generate scenario.Scenario.enterprise (dept_only length 1111)
   in
   (* Periodic revolutions (the paper's choice for replication). *)
-  let rev_replica = Replication.Filter_replica.create scenario.Scenario.master in
+  let rev_replica = Scenario.replica scenario in
   let controller = revolutions ~interval ~budget rev_replica in
   Scenario.drive_filter scenario rev_replica ~controller Scenario.no_updates items;
   check_installs controller;
@@ -1151,7 +1177,7 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
     + Adaptive.Controller.unchanged_checks controller
   in
   (* Immediate evolutions (Kapitskaia et al. [12]). *)
-  let evo_replica = Replication.Filter_replica.create scenario.Scenario.master in
+  let evo_replica = Scenario.replica scenario in
   let evo =
     Adaptive.Evolution_baseline.create
       {

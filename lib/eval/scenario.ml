@@ -7,12 +7,21 @@ module Resync = Ldap_resync
 type t = {
   enterprise : Dirgen.Enterprise.t;
   master : Resync.Master.t;
+  net : Network.t;
+  transport : Resync.Transport.t;
 }
+
+let master_host = "master"
 
 let setup ?(config = Dirgen.Enterprise.default_config) () =
   let enterprise = Dirgen.Enterprise.build config in
   let master = Resync.Master.create (Dirgen.Enterprise.backend enterprise) in
-  { enterprise; master }
+  let net = Network.create () in
+  let transport = Resync.Transport.create net in
+  Resync.Transport.add_master transport ~name:master_host master;
+  { enterprise; master; net; transport }
+
+let replica t = Replication.Filter_replica.create_over t.transport ~master_host
 
 let dept_query ent number =
   Query.make
@@ -55,7 +64,7 @@ let select_static ?(max_filters = max_int) ?(min_hits = 2) t ~rules ~train ~budg
         revolution_interval = 0;
         drift_check_interval = 0;
       }
-      (Replication.Filter_replica.create t.master)
+      (replica t)
   in
   Array.iter
     (fun (item : Dirgen.Workload.item) -> Controller.observe ctl item.Dirgen.Workload.query)

@@ -10,11 +10,28 @@ module Resync = Ldap_resync
 type t = {
   enterprise : Dirgen.Enterprise.t;
   master : Resync.Master.t;
+  net : Network.t;
+      (** The scenario's one network: every exchange of every replica
+          and consumer built over {!field-transport} is an event on its
+          engine, so all of them are ordered on one clock. *)
+  transport : Resync.Transport.t;
+      (** The ReSync transport over [net], with [master] registered at
+          {!master_host} and no fault schedule. *)
 }
 
+val master_host : string
+(** The host name the scenario's master is registered under
+    (["master"]). *)
+
 val setup : ?config:Dirgen.Enterprise.config -> unit -> t
-(** Builds the directory ([Enterprise.default_config] by default) and
-    a master over its backend. *)
+(** Builds the directory ([Enterprise.default_config] by default), a
+    master over its backend, and the scenario's network and transport
+    with that master registered at {!master_host}. *)
+
+val replica : t -> Replication.Filter_replica.t
+(** A filter replica over the scenario's transport, synchronizing from
+    its master and caching no user queries
+    ({!Replication.Filter_replica.create_over}). *)
 
 (** {1 Department fleets}
 

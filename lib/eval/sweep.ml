@@ -617,6 +617,8 @@ let corruption_sweep ?(config = cr_default_config) () =
   let backend = D.Enterprise.backend ent in
   let query = (Scenario.fleet ~filters:1 ent).Scenario.queries.(0) in
   let master = Resync.Master.create backend in
+  let transport = Resync.Transport.create (Network.create ()) in
+  Resync.Transport.add_master transport ~name:"master" master;
   let consumer = Resync.Consumer.create query in
   let medium = Ldap_store.Medium.memory () in
   let store = Ldap_store.Store.create medium ~name:"c" in
@@ -628,9 +630,10 @@ let corruption_sweep ?(config = cr_default_config) () =
       { D.Update_stream.default_config with seed = config.cr_seed + 1 }
   in
   let poll () =
-    match Resync.Consumer.sync consumer master with
+    match Resync.Consumer.sync_over consumer transport ~host:"master" with
     | Ok _ -> ()
-    | Error e -> failwith ("corruption sweep poll: " ^ e)
+    | Error e ->
+        failwith ("corruption sweep poll: " ^ Resync.Consumer.sync_error_to_string e)
   in
   poll ();
   D.Update_stream.steps stream config.cr_updates_before;
@@ -640,7 +643,6 @@ let corruption_sweep ?(config = cr_default_config) () =
   poll ();
   let wal = Option.value ~default:"" (Ldap_store.Medium.read medium ~name:"c.wal") in
   let snap = Option.value ~default:"" (Ldap_store.Medium.read medium ~name:"c.snap") in
-  let transport = Resync.Transport.loopback master in
   let canon entries =
     List.sort
       (fun a b -> compare (Dn.canonical (Entry.dn a)) (Dn.canonical (Entry.dn b)))
@@ -697,22 +699,14 @@ let corruption_sweep ?(config = cr_default_config) () =
           r.Ldap_store.Store.truncated || r.Ldap_store.Store.stale > 0
         in
         (if damaged then
-           match
-             Resync.Consumer.merkle_sync c transport
-               ~host:Resync.Transport.loopback_host
-           with
+           match Resync.Consumer.merkle_sync c transport ~host:"master" with
            | Ok { Ldap_antientropy.Exchange.converged = true; _ } ->
                incr repaired_merkle
            | Ok _ | Error _ ->
                incr repaired_cold;
                Resync.Consumer.set_cookie c None;
-               ignore
-                 (Resync.Consumer.sync_over c transport
-                    ~host:Resync.Transport.loopback_host)
-         else
-           ignore
-             (Resync.Consumer.sync_over c transport
-                ~host:Resync.Transport.loopback_host));
+               ignore (Resync.Consumer.sync_over c transport ~host:"master")
+         else ignore (Resync.Consumer.sync_over c transport ~host:"master"));
         if diverged c then incr stale
     | Error _ -> ()
     | exception _ -> incr panics

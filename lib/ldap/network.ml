@@ -60,7 +60,7 @@ type t = {
   mutable sync_rpcs : int;
   mutable sync_bytes : int;
   mutable dropped_pdus : int;
-  mutable engine : Ldap_sim.Engine.t option;
+  mutable engine : Ldap_sim.Engine.t;
   mutable inline : bool;
       (* An {!await} issued from inside an event is completing its
          chain on the spot: no leg may be scheduled meanwhile. *)
@@ -78,13 +78,19 @@ let create () =
     sync_rpcs = 0;
     sync_bytes = 0;
     dropped_pdus = 0;
-    engine = None;
+    engine = Ldap_sim.Engine.create ();
     inline = false;
     links = Hashtbl.create 8;
     default_latency = Ldap_sim.Latency.Zero;
   }
 
-let attach_engine t e = t.engine <- Some e
+(* The engine being replaced is run to quiescence first, so no event
+   queued on it (a push in flight, a retry timer) is lost; [Engine.run]
+   raises if it is running. *)
+let attach_engine t e =
+  Ldap_sim.Engine.run t.engine;
+  t.engine <- e
+
 let engine t = t.engine
 
 let set_link_latency t ~a ~b lat =
@@ -218,44 +224,39 @@ let search t ~from (q : Query.t) =
 let account_push t ~bytes = t.sync_bytes <- t.sync_bytes + bytes
 let account_dropped t = t.dropped_pdus <- t.dropped_pdus + 1
 
-(* The one timing decision: legs are engine events unless there is no
-   engine or an inline {!await} is running. *)
-let clock t = if t.inline then None else t.engine
-
+(* The one timing decision: legs are engine events unless an inline
+   {!await} is running. *)
 let after t ~delay f =
-  match clock t with
-  | Some e -> Ldap_sim.Engine.after e ~delay f
-  | None -> f ()
+  if t.inline then f () else Ldap_sim.Engine.after t.engine ~delay f
 
 let await t start =
   let cell = ref None in
   let k r = cell := Some r in
-  (match t.engine with
-  | Some e when not (Ldap_sim.Engine.running e) ->
-      start k;
-      Ldap_sim.Engine.run e
-  | Some _ ->
-      (* Inside an event the loop cannot be re-entered: run the chain
-         unclocked. *)
-      let outer = t.inline in
-      t.inline <- true;
-      Fun.protect ~finally:(fun () -> t.inline <- outer) (fun () -> start k)
-  | None -> start k);
+  (if not (Ldap_sim.Engine.running t.engine) then begin
+     start k;
+     Ldap_sim.Engine.run t.engine
+   end
+   else begin
+     (* Inside an event the loop cannot be re-entered: run the chain
+        inline, in zero virtual time. *)
+     let outer = t.inline in
+     t.inline <- true;
+     Fun.protect ~finally:(fun () -> t.inline <- outer) (fun () -> start k)
+   end);
   match !cell with
   | Some r -> r
   | None -> invalid_arg "Network.await: the continuation never fired"
 
 let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
   t.sync_rpcs <- t.sync_rpcs + 1;
-  (* Latencies are drawn only for timed legs, so an unclocked exchange
+  (* Latencies are drawn only for timed legs, so an inline exchange
      leaves the engine's random stream untouched. *)
   let d_req, d_rep =
-    match clock t with
-    | Some e ->
-        let lat = link_latency t ~a:from ~b:host in
-        let d_req = Ldap_sim.Engine.draw e lat in
-        (d_req, Ldap_sim.Engine.draw e lat)
-    | None -> (0, 0)
+    if t.inline then (0, 0)
+    else
+      let lat = link_latency t ~a:from ~b:host in
+      let d_req = Ldap_sim.Engine.draw t.engine lat in
+      (d_req, Ldap_sim.Engine.draw t.engine lat)
   in
   (* A lost exchange costs exactly the round trip it would have taken —
      the minimal model that still makes failures consume virtual time. *)

@@ -63,12 +63,8 @@ let reindexed t =
     List.rev
       (C.Containment_index.fold t.index ~init:[] ~f:(fun acc q c -> (q, c) :: acc))
 
-let create_over ?(host = "replica") transport ~master_host =
-  make ~cache_capacity:0 ~host transport ~master_host
-
-let create ?(cache_capacity = 0) master =
-  make ~cache_capacity ~host:"replica" (Resync.Transport.loopback master)
-    ~master_host:Resync.Transport.loopback_host
+let create_over ?(host = "replica") ?(cache_capacity = 0) transport ~master_host =
+  make ~cache_capacity ~host transport ~master_host
 
 let stats t = t.stats
 let transport t = t.transport

@@ -24,18 +24,16 @@ open Ldap
 
 type t
 
-val create_over : ?host:string -> Ldap_resync.Transport.t -> master_host:string -> t
+val create_over :
+  ?host:string -> ?cache_capacity:int -> Ldap_resync.Transport.t -> master_host:string -> t
 (** A replica whose upstream lives at [master_host] on the given
-    transport (subject to its fault schedule), caching no user
-    queries.  [host] (default ["replica"]) names this end for
-    partition checks and accounting.
+    transport (subject to its fault schedule); the one way to make a
+    replica, so its exchanges share the scenario's network and clock.
+    [host] (default ["replica"]) names this end for partition checks
+    and accounting.  [cache_capacity] sizes the user-query window
+    (default 0: no caching of user queries).
     @raise Invalid_argument if no endpoint is registered at
     [master_host]. *)
-
-val create : ?cache_capacity:int -> Ldap_resync.Master.t -> t
-(** Co-located convenience: wraps [master] in a private fault-free
-    loopback transport.  [cache_capacity] sizes the user-query window
-    (default 0: no caching of user queries). *)
 
 val stats : t -> Stats.t
 (** Counters for queries answered, synchronization and fetch traffic,

@@ -8,17 +8,21 @@
 
     Content is kept in sync with the master through ReSync sessions
     whose query is the subtree specification (base [Si], scope SUBTREE,
-    filter [(objectclass=*﻿)]) — the reduction noted in section 3. *)
+    filter [(objectclass=*﻿)]) — the reduction noted in section 3.
+    Those sessions poll over a {!Ldap_resync.Transport}, on the same
+    network and clock as the rest of the scenario. *)
 
 open Ldap
 
 type t
 
-val create : Ldap_resync.Master.t -> subtrees:Dn.t list -> t
+val create : Ldap_resync.Transport.t -> master_host:string -> subtrees:Dn.t list -> t
 (** Replicates the given subtrees, fetching their initial content from
-    the master.  A subtree rooted at a DN the master does not hold is
-    simply empty.  Referral objects inside the subtrees become context
-    referrals automatically. *)
+    the master at [master_host] on the transport
+    ({!Ldap_resync.Consumer.sync_over}).  A subtree rooted at a DN the
+    master does not hold is simply empty.  Referral objects inside the
+    subtrees become context referrals automatically.
+    @raise Invalid_argument if a fetch fails. *)
 
 val stats : t -> Stats.t
 

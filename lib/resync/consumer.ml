@@ -7,7 +7,6 @@ type t = {
   mutable parsed : string;  (* the cookie [csn] was read from, compared with [==] *)
   mutable csn : Csn.t option;
   mutable conn : Transport.conn option;
-  mutable loopback : (Master.t * Transport.t) option;
   mutable on_change :
     (before:Entry.t option -> after:Entry.t option -> unit) option;
   mutable store : Ldap_store.Store.t option;
@@ -50,7 +49,6 @@ let create query =
     parsed = "";
     csn = None;
     conn = None;
-    loopback = None;
     on_change = None;
     store = None;
     image = None;
@@ -263,7 +261,7 @@ let pause_connection t =
 let resume_connection t =
   match t.conn with Some c -> Transport.resume c | None -> ()
 
-let connect_persist ?(max_attempts = default_attempts) ?(from = "consumer")
+let connect_persist ?(from = "consumer")
     ?(observe = fun (_ : Action.t) -> ()) t transport ~host =
   let push a =
     journal_w t action_record a;
@@ -271,7 +269,7 @@ let connect_persist ?(max_attempts = default_attempts) ?(from = "consumer")
     observe a
   in
   Network.await (Transport.network transport)
-    (retrying ~max_attempts t transport ~send:(fun k ->
+    (retrying ~max_attempts:default_attempts t transport ~send:(fun k ->
          let request = { Protocol.mode = Protocol.Persist; cookie = t.cookie } in
          Transport.connect_async transport ~host ~from ~push request t.query
            (function
@@ -287,21 +285,6 @@ let ensure_persist ?from t transport ~host =
     match connect_persist ?from t transport ~host with
     | Ok outcome -> Ok (Some outcome)
     | Error e -> Error e
-
-(* --- Co-located compatibility path ----------------------------------- *)
-
-let loopback_for t master =
-  match t.loopback with
-  | Some (m, transport) when m == master -> transport
-  | Some _ | None ->
-      let transport = Transport.loopback master in
-      t.loopback <- Some (master, transport);
-      transport
-
-let sync t master =
-  match sync_over t (loopback_for t master) ~host:Transport.loopback_host with
-  | Ok outcome -> Ok outcome.reply
-  | Error e -> Error (sync_error_to_string e)
 
 (* --- Durable state --------------------------------------------------- *)
 

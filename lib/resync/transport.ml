@@ -58,13 +58,6 @@ let add_master t ~name master =
   Hashtbl.replace t.endpoints name (serve (Master.server master) ~estimate);
   Hashtbl.replace t.masters name master
 
-let loopback_host = "master"
-
-let loopback m =
-  let t = create (Network.create ()) in
-  add_master t ~name:loopback_host m;
-  t
-
 (* The one exchange path: endpoint lookup, the RPC, and the mapping of
    its result onto [error]. *)
 let call t ~host ~from ~request_bytes ~reply_bytes serve k =
@@ -136,23 +129,19 @@ let connect_async t ~host ?(from = "consumer") ~push request query k =
             && Network.Faults.next_outcome f = Network.Faults.Deliver
       in
       if delivered then begin
-        (match Network.engine t.net with
-        | Some e ->
-            (* Scheduled delivery, one link-latency draw per push; the
-               per-connection clamp keeps pushes FIFO even when a later
-               push draws a smaller latency.  The connection may die in
-               flight, in which case the push is discarded on arrival. *)
-            let d = Ldap_sim.Engine.draw e (Network.link_latency t.net ~a:from ~b:host) in
-            let at = max (Ldap_sim.Engine.now e + d) conn.last_delivery in
-            conn.last_delivery <- at;
-            Ldap_sim.Engine.schedule e ~time:at (fun () ->
-                if conn.alive then begin
-                  Network.account_push t.net ~bytes:(Action.bytes_cost action);
-                  push action
-                end)
-        | None ->
-            Network.account_push t.net ~bytes:(Action.bytes_cost action);
-            push action);
+        (* Scheduled delivery, one link-latency draw per push; the
+           per-connection clamp keeps pushes FIFO even when a later
+           push draws a smaller latency.  The connection may die in
+           flight, in which case the push is discarded on arrival. *)
+        let e = Network.engine t.net in
+        let d = Ldap_sim.Engine.draw e (Network.link_latency t.net ~a:from ~b:host) in
+        let at = max (Ldap_sim.Engine.now e + d) conn.last_delivery in
+        conn.last_delivery <- at;
+        Ldap_sim.Engine.schedule e ~time:at (fun () ->
+            if conn.alive then begin
+              Network.account_push t.net ~bytes:(Action.bytes_cost action);
+              push action
+            end);
         Protocol.Push_ok
       end
       else begin

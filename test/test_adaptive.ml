@@ -200,7 +200,7 @@ let content_equal consumer b q =
 let run_transition_sim strategy (mask1, ops1, mask2, ops2) =
   let b = make_backend () in
   let master = Resync.Master.create ~strategy b in
-  let replica = FR.create master in
+  let replica = Net_fixture.replica_of master in
   List.iter
     (fun q ->
       match FR.install_filter replica q with
@@ -258,7 +258,7 @@ let test_rescope_narrow_donor_goes_cold () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
   apply b (Update.add (person "b" ~dept:"72" ()));
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   (* The donor only replicates cn: it cannot seed a target that needs
      full entries, so the install must degrade to a cold fetch instead
      of baking missing-attribute images into retained content. *)
@@ -283,7 +283,7 @@ let test_rescope_from_covering_donor () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
   apply b (Update.add (person "b" ~dept:"72" ()));
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   let donor = prefix_query "7" in
   (match FR.install_filter replica donor with
   | Ok () -> ()
@@ -320,7 +320,7 @@ let test_controller_zero_candidates () =
   let ctl =
     A.Controller.create
       { every_second with A.Controller.include_queries = false }
-      (FR.create (Resync.Master.create b))
+      (Net_fixture.replica_of (Resync.Master.create b))
   in
   A.Controller.observe ctl (dept_query "71");
   A.Controller.observe ctl (dept_query "71");
@@ -331,7 +331,7 @@ let test_controller_budget_below_smallest () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
   apply b (Update.add (person "b" ~dept:"71" ()));
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   let ctl =
     A.Controller.create
       { every_second with A.Controller.size_budget = 1 }
@@ -354,7 +354,7 @@ let last_target ctl =
 let test_controller_sizes_refreshed () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   let ctl =
     A.Controller.create
       { every_second with A.Controller.size_budget = 2 }
@@ -382,7 +382,7 @@ let test_controller_sizes_refreshed () =
 let test_controller_hits_reset_unchanged () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   let ctl =
     A.Controller.create
       { every_second with A.Controller.benefit = Hits; mode = Fetch }
@@ -410,7 +410,7 @@ let test_controller_drift_trigger () =
   for i = 0 to 2 do
     apply b (Update.add (person (Printf.sprintf "b%d" i) ~dept:"81" ()))
   done;
-  let replica = FR.create (Resync.Master.create b) in
+  let replica = Net_fixture.replica_of (Resync.Master.create b) in
   let ctl =
     A.Controller.create
       {
@@ -462,7 +462,7 @@ let persist_fixture ~limit =
   (b, master, transport, consumer)
 
 let test_backpressure_parks_and_drains () =
-  let b, master, _transport, consumer = persist_fixture ~limit:8 in
+  let b, master, transport, consumer = persist_fixture ~limit:8 in
   let server = Resync.Master.server master in
   Resync.Consumer.pause_connection consumer;
   for i = 0 to 2 do
@@ -477,6 +477,8 @@ let test_backpressure_parks_and_drains () =
   check_int "no overflow within bound" 0 (Resync.Master.push_overflows master);
   Resync.Consumer.resume_connection consumer;
   Resync.Server.flush_pushes server;
+  (* The flushed pushes are events on the network's engine. *)
+  Ldap_sim.Engine.run (Network.engine (Resync.Transport.network transport));
   check_int "queue drained" 0 (fst (Resync.Server.push_queue_stats server));
   check_bool "connection survived" true (Resync.Consumer.persist_alive consumer);
   check_bool "content caught up" true (content_equal consumer b (dept_query "71"))
@@ -647,7 +649,7 @@ let prop_controller_decisions =
             (Backend.apply b
                (Update.add (person (Printf.sprintf "p%d" i) ~dept:pool_depts.(d) ()))))
         people;
-      let replica = FR.create (Resync.Master.create b) in
+      let replica = Net_fixture.replica_of (Resync.Master.create b) in
       Array.iteri
         (fun i q ->
           if mask land (1 lsl i) <> 0 then

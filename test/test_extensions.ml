@@ -104,7 +104,7 @@ let test_replica_server_end_to_end () =
   let master = Resync.Master.create b in
   let net = Network.create () in
   Network.add_server net (Server.create ~name:"hq" b);
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (Query.make ~base:(dn "o=x") (f "(sn=alice)")));
   R.Replica_server.register
     (R.Replica_server.of_filter_replica ~master_host:"hq" replica)
@@ -130,7 +130,7 @@ let test_sync_where () =
   let b = make_backend () in
   ignore (must (Backend.apply b (Update.Add (person "bob" 40))));
   let master = Resync.Master.create b in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let q_alice = Query.make ~base:(dn "o=x") (f "(sn=alice)") in
   let q_bob = Query.make ~base:(dn "o=x") (f "(sn=bob)") in
   must (R.Filter_replica.install_filter replica q_alice);

@@ -49,7 +49,10 @@ let is_contained replica base =
 
 let test_subtree_is_contained () =
   let _, master = make_master () in
-  let replica = R.Subtree_replica.create master ~subtrees:[ dn "c=us,o=xyz" ] in
+  let replica =
+    R.Subtree_replica.create (Net_fixture.transport_of master)
+      ~master_host:Net_fixture.host ~subtrees:[ dn "c=us,o=xyz" ]
+  in
   check_bool "inside" true (is_contained replica (dn "cn=alice,c=us,o=xyz"));
   check_bool "suffix itself" true (is_contained replica (dn "c=us,o=xyz"));
   check_bool "other country" false (is_contained replica (dn "cn=chen,c=in,o=xyz"));
@@ -57,7 +60,10 @@ let test_subtree_is_contained () =
 
 let test_subtree_answer () =
   let _, master = make_master () in
-  let replica = R.Subtree_replica.create master ~subtrees:[ dn "c=us,o=xyz" ] in
+  let replica =
+    R.Subtree_replica.create (Net_fixture.transport_of master)
+      ~master_host:Net_fixture.host ~subtrees:[ dn "c=us,o=xyz" ]
+  in
   (match R.Subtree_replica.answer replica (q "c=us,o=xyz" "(serialNumber=0100001)") with
   | R.Replica.Answered [ e ] -> check_bool "entry" true (Entry.has_value e "cn" "alice")
   | _ -> Alcotest.fail "expected one entry");
@@ -84,7 +90,10 @@ let test_subtree_partial_referral () =
        (Entry.make (dn "ou=research,c=us,o=xyz")
           [ ("objectclass", [ "referral" ]); ("ref", [ "ldap://hostB/ou=research,c=us,o=xyz" ]) ]));
   let master = Resync.Master.create b in
-  let replica = R.Subtree_replica.create master ~subtrees:[ dn "c=us,o=xyz" ] in
+  let replica =
+    R.Subtree_replica.create (Net_fixture.transport_of master)
+      ~master_host:Net_fixture.host ~subtrees:[ dn "c=us,o=xyz" ]
+  in
   (* Base under the referral: not contained. *)
   check_bool "under referral" false
     (is_contained replica (dn "cn=x,ou=research,c=us,o=xyz"));
@@ -99,7 +108,10 @@ let test_subtree_partial_referral () =
 
 let test_subtree_sync () =
   let b, master = make_master () in
-  let replica = R.Subtree_replica.create master ~subtrees:[ dn "c=us,o=xyz" ] in
+  let replica =
+    R.Subtree_replica.create (Net_fixture.transport_of master)
+      ~master_host:Net_fixture.host ~subtrees:[ dn "c=us,o=xyz" ]
+  in
   check_int "initial size" 3 (R.Subtree_replica.size_entries replica);
   ignore (must (Backend.apply b (Update.add (person "eve" "c=us,o=xyz" "0100003" "7"))));
   ignore (must (Backend.apply b (Update.add (person "farah" "c=in,o=xyz" "0200003" "8"))));
@@ -113,7 +125,7 @@ let test_subtree_sync () =
 
 let test_filter_replica_containment_answer () =
   let _, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (q "o=xyz" "(serialNumber=01*)"));
   check_int "entries" 2 (R.Filter_replica.size_entries replica);
   (* Exact containment across templates: equality inside prefix. *)
@@ -138,7 +150,7 @@ let test_filter_replica_containment_answer () =
 let test_filter_replica_final_substring () =
   let b, master = make_master () in
   ignore (must (Backend.apply b (Update.add (person "ba" "c=in,o=xyz" "0200003" "9"))));
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (q "o=xyz" "(cn=*a)"));
   List.iter
     (fun filter ->
@@ -160,7 +172,7 @@ let test_filter_replica_no_false_answers () =
   (* A query matching entries outside every stored filter must refer,
      even if some matching entries are held. *)
   let _, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (q "o=xyz" "(departmentNumber=7)"));
   match R.Filter_replica.answer replica (q "o=xyz" "(serialNumber=0100001)") with
   | R.Replica.Referral -> ()
@@ -169,7 +181,7 @@ let test_filter_replica_no_false_answers () =
 
 let test_filter_replica_sync_traffic () =
   let b, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (q "o=xyz" "(departmentNumber=7)"));
   let stats = R.Filter_replica.stats replica in
   check_int "install counted as fetch" 2 stats.R.Stats.fetch_entries;
@@ -188,7 +200,7 @@ let test_filter_replica_sync_traffic () =
 
 let test_filter_replica_install_remove () =
   let _, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let query = q "o=xyz" "(departmentNumber=7)" in
   must (R.Filter_replica.install_filter replica query);
   must (R.Filter_replica.install_filter replica query);
@@ -200,7 +212,7 @@ let test_filter_replica_install_remove () =
 
 let test_filter_replica_user_cache () =
   let b, master = make_master () in
-  let replica = R.Filter_replica.create ~cache_capacity:2 master in
+  let replica = Net_fixture.replica_of ~cache_capacity:2 master in
   let query = q "o=xyz" "(serialNumber=0200001)" in
   (match R.Filter_replica.answer replica query with
   | R.Replica.Referral -> ()
@@ -224,7 +236,7 @@ let test_filter_replica_attrs_respected () =
   (* A stored query projecting a subset of attributes cannot answer an
      all-attributes query (condition (ii) of QC). *)
   let _, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let narrow =
     Query.make ~attrs:(Query.Select [ "cn" ]) ~base:(dn "o=xyz") (f "(departmentNumber=7)")
   in
@@ -246,7 +258,10 @@ let test_filter_replica_attrs_respected () =
 
 let test_subtree_scopes () =
   let _, master = make_master () in
-  let replica = R.Subtree_replica.create master ~subtrees:[ dn "c=us,o=xyz" ] in
+  let replica =
+    R.Subtree_replica.create (Net_fixture.transport_of master)
+      ~master_host:Net_fixture.host ~subtrees:[ dn "c=us,o=xyz" ]
+  in
   (match
      R.Subtree_replica.answer replica
        (q ~scope:Scope.Base "c=us,o=xyz" "(objectclass=country)")
@@ -268,7 +283,7 @@ let test_subtree_scopes () =
 let test_filter_replica_rename_chain () =
   (* Rename chains at the master replay safely at the replica. *)
   let b, master = make_master () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (q "o=xyz" "(departmentNumber=7)"));
   let rdn s = match Dn.rdn_of_string s with Ok r -> r | Error e -> failwith e in
   (* alice -> tmp; bob -> alice: DN reuse within one sync interval. *)
@@ -330,7 +345,7 @@ let prop_no_wrong_answers =
     QCheck.(pair (int_range 0 3) (int_range 1 9))
     (fun (prefix_case, serial_digit) ->
       let b, master = make_master () in
-      let replica = R.Filter_replica.create master in
+      let replica = Net_fixture.replica_of master in
       let stored =
         match prefix_case with
         | 0 -> q "o=xyz" "(serialNumber=01*)"
@@ -443,7 +458,7 @@ let prop_kept_consumers_follow_index =
     (fun ops ->
       let _, master = make_master () in
       let medium = Ldap_store.Medium.memory () in
-      let replica = ref (R.Filter_replica.create master) in
+      let replica = ref (Net_fixture.replica_of master) in
       ignore (must (R.Filter_replica.open_store !replica medium ~prefix:"r"));
       let shadow = ref (Cidx.create ()) and installed = ref [] in
       let added qq =

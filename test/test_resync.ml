@@ -39,14 +39,18 @@ let dept_query dept = Query.make ~base:(dn "o=xyz") (f (Printf.sprintf "(departm
 
 let kinds actions = List.map Action.kind_name actions |> List.sort String.compare
 
+let transport_of = Net_fixture.transport_of
+let poll = Net_fixture.poll
+
 let test_initial_content () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "c" ~dept:"8" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with
+  (match poll tr consumer with
   | Ok reply ->
       check_bool "initial kind" true (reply.Protocol.kind = Protocol.Initial_content);
       check_int "two adds" 2 (Protocol.entries_cost reply)
@@ -58,13 +62,14 @@ let test_incremental_minimal () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   (* Entry enters content, one changes within, one leaves. *)
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "a@x" ] ]);
   apply b (Update.modify (dn "cn=b,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply ->
       (* b moved in then out: coalesced away.  Only a's modify remains. *)
       Alcotest.(check (list string)) "only modify" [ "modify" ] (kinds reply.Protocol.actions);
@@ -77,11 +82,12 @@ let test_rename_within_content () =
   let b = make_backend () in
   apply b (Update.add (person "e3" ~dept:"7" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   let new_rdn = match Dn.rdn_of_string "cn=e5" with Ok r -> r | Error e -> failwith e in
   apply b (Update.modify_dn (dn "cn=e3,o=xyz") new_rdn);
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply ->
       Alcotest.(check (list string)) "delete+add" [ "add"; "delete" ]
         (kinds reply.Protocol.actions);
@@ -92,11 +98,12 @@ let test_rename_within_content () =
 let test_add_then_delete_coalesces () =
   let b = make_backend () in
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   apply b (Update.add (person "x" ~dept:"7" ()));
   apply b (Update.delete (dn "cn=x,o=xyz"));
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply -> check_int "nothing sent" 0 (List.length reply.Protocol.actions)
   | Error e -> failwith e
 
@@ -105,13 +112,14 @@ let test_degraded_mode () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "a@x" ] ]);
   (* Kill the session server-side: the cookie becomes unknown. *)
   Server.expire (Master.server master) ~idle_limit:0;
   check_int "sessions expired" 0 (Master.session_count master);
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply ->
       check_bool "degraded kind" true (reply.Protocol.kind = Protocol.Degraded);
       (* a changed since the cookie: resent; b unchanged: retained. *)
@@ -125,12 +133,13 @@ let test_degraded_prunes_stale () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   (* b leaves the content while the session is lost. *)
   apply b (Update.modify (dn "cn=b,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   Server.expire (Master.server master) ~idle_limit:0;
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply ->
       check_bool "degraded" true (reply.Protocol.kind = Protocol.Degraded);
       check_bool "b pruned" true (Content_store.find (Consumer.content consumer) (dn "cn=b,o=xyz") = None);
@@ -140,8 +149,9 @@ let test_degraded_prunes_stale () =
 let test_sync_end () =
   let b = make_backend () in
   let master = Master.create b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   check_int "one session" 1 (Master.session_count master);
   let cookie = Option.get (Consumer.cookie consumer) in
   (match
@@ -187,11 +197,12 @@ let test_attribute_selection_in_actions () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"7" ()));
   let master = Master.create b in
+  let tr = transport_of master in
   let query =
     Query.make ~attrs:(Query.Select [ "cn" ]) ~base:(dn "o=xyz") (f "(departmentNumber=7)")
   in
   let consumer = Consumer.create query in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   let e = Option.get (Content_store.find (Consumer.content consumer) (dn "cn=a,o=xyz")) in
   check_bool "cn present" true (Entry.has_attribute e "cn");
   check_bool "dept absent" false (Entry.has_attribute e "departmentnumber")
@@ -214,8 +225,9 @@ let run_strategy strategy =
   apply b (Update.add (person "b" ~dept:"7" ()));
   apply b (Update.add (person "z" ~dept:"9" ()));
   let master = Master.create ~strategy b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   (* Updates: one out-of-content delete, one in-content delete, one
      out-of-content add, one modify-out-of-content. *)
   apply b (Update.delete (dn "cn=z,o=xyz"));
@@ -223,7 +235,7 @@ let run_strategy strategy =
   apply b (Update.add (person "y" ~dept:"9" ()));
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   let reply =
-    match Consumer.sync consumer master with Ok r -> r | Error e -> failwith e
+    match poll tr consumer with Ok r -> r | Error e -> failwith e
   in
   (consumer, reply, b)
 
@@ -253,8 +265,9 @@ let test_history_sizes () =
       (fun strategy ->
         let b = make_backend () in
         let master = Master.create ~strategy b in
+        let tr = transport_of master in
         let consumer = Consumer.create (dept_query "7") in
-        (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+        (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
         (* Many out-of-content updates: session history stays empty. *)
         for i = 0 to 19 do
           apply b (Update.add (person (Printf.sprintf "n%d" i) ~dept:"9" ()))
@@ -275,12 +288,13 @@ let test_changelog_trim_degrades () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Changelog b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   apply b (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "departmentNumber" [ "9" ] ]);
   apply b (Update.delete (dn "cn=b,o=xyz"));
   Backend.trim_log b ~before:(Csn.next (Backend.csn b));
-  (match Consumer.sync consumer master with
+  (match poll tr consumer with
   | Ok reply ->
       check_bool "degraded fallback" true (reply.Protocol.kind = Protocol.Degraded)
   | Error e -> failwith e);
@@ -289,11 +303,12 @@ let test_changelog_trim_degrades () =
   let b2 = make_backend () in
   apply b2 (Update.add (person "a" ~dept:"7" ()));
   let master2 = Master.create b2 in
+  let tr2 = transport_of master2 in
   let consumer2 = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer2 master2 with Ok _ -> () | Error e -> failwith e);
+  (match poll tr2 consumer2 with Ok _ -> () | Error e -> failwith e);
   apply b2 (Update.modify (dn "cn=a,o=xyz") [ Update.replace_values "mail" [ "m@x" ] ]);
   Backend.trim_log b2 ~before:(Csn.next (Backend.csn b2));
-  match Consumer.sync consumer2 master2 with
+  match poll tr2 consumer2 with
   | Ok reply ->
       check_bool "incremental despite trim" true
         (reply.Protocol.kind = Protocol.Incremental);
@@ -390,18 +405,22 @@ let test_retry_exhaustion () =
   | Error e -> failwith (Consumer.sync_error_to_string e)
 
 let test_persist_reconnect () =
-  let b, master, _net, faults, transport = faulty_setup () in
+  let b, master, net, faults, transport = faulty_setup () in
+  (* Pushes are events on the network's engine: run it to deliver them. *)
+  let deliver () = Ldap_sim.Engine.run (Network.engine net) in
   let consumer = Consumer.create (dept_query "7") in
   (match Consumer.connect_persist consumer transport ~host:"m" ~from:"consumer" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
   check_bool "connected" true (Consumer.persist_alive consumer);
   apply b (Update.add (person "p1" ~dept:"7" ()));
+  deliver ();
   check_int "push applied" 3 (Consumer.size consumer);
   (* The link drops: the next push dies and takes the connection with
      it — detected lazily, like half-open TCP. *)
   Network.Faults.partition faults ~a:"consumer" ~b:"m";
   apply b (Update.add (person "p2" ~dept:"7" ()));
+  deliver ();
   check_bool "connection broken" false (Consumer.persist_alive consumer);
   check_int "push lost" 3 (Consumer.size consumer);
   apply b (Update.add (person "p3" ~dept:"7" ()));
@@ -420,6 +439,7 @@ let test_persist_reconnect () =
   check_bool "converged" true (converged b consumer);
   (* New pushes flow through the fresh connection. *)
   apply b (Update.add (person "p4" ~dept:"7" ()));
+  deliver ();
   check_bool "live again" true (converged b consumer);
   check_int "one persistent session" 1 (persistent_count master)
 
@@ -440,12 +460,13 @@ let test_tombstone_gc () =
   apply b (Update.add (person "a" ~dept:"7" ()));
   apply b (Update.add (person "b" ~dept:"7" ()));
   let master = Master.create ~strategy:Master.Tombstone b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   apply b (Update.delete (dn "cn=a,o=xyz"));
   apply b (Update.delete (dn "cn=b,o=xyz"));
   check_int "tombstones retained for the live session" 2 (Master.history_size master);
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   (* Every session has acknowledged past both deletes: nothing can
      replay them again. *)
   check_int "tombstones pruned after poll" 0 (Master.history_size master);
@@ -464,8 +485,8 @@ let test_persist_advances_synced_csn () =
   let b = make_backend () in
   let master = Master.create ~strategy:Master.Changelog b in
   let consumer = Consumer.create (dept_query "7") in
-  let transport = Transport.loopback master in
-  (match Consumer.connect_persist consumer transport ~host:Transport.loopback_host with
+  let transport = transport_of master in
+  (match Consumer.connect_persist consumer transport ~host:"master" with
   | Ok _ -> ()
   | Error e -> failwith (Consumer.sync_error_to_string e));
   for i = 0 to 19 do
@@ -519,9 +540,10 @@ let entry_sets_equal consumer backend query =
 let run_sim ops =
   let b = make_backend () in
   let master = Master.create b in
+  let tr = transport_of master in
   let query = dept_query "7" in
   let consumer = Consumer.create query in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   let name i = Printf.sprintf "cn=p%d,o=xyz" i in
   List.iter
     (fun op ->
@@ -538,10 +560,10 @@ let run_sim ops =
           match Dn.rdn_of_string (Printf.sprintf "cn=p%d" j) with
           | Ok rdn -> ignore (Backend.apply b (Update.modify_dn (dn (name i)) rdn))
           | Error _ -> ())
-      | Op_poll -> ( match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e)
+      | Op_poll -> ( match poll tr consumer with Ok _ -> () | Error e -> failwith e)
       | Op_expire -> Server.expire (Master.server master) ~idle_limit:0)
     ops;
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   entry_sets_equal consumer b query
 
 let prop_convergence =
@@ -562,9 +584,10 @@ let prop_convergence_changelog =
          bounded history via the degraded fallback. *)
       let b = make_backend () in
       let master = Master.create ~strategy:Master.Changelog b in
+      let tr = transport_of master in
       let query = dept_query "7" in
       let consumer = Consumer.create query in
-      (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+      (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
       let name i = Printf.sprintf "cn=p%d,o=xyz" i in
       List.iter
         (fun op ->
@@ -584,10 +607,10 @@ let prop_convergence_changelog =
               | Ok rdn -> ignore (Backend.apply b (Update.modify_dn (dn (name i)) rdn))
               | Error _ -> ())
           | Op_poll -> (
-              match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e)
+              match poll tr consumer with Ok _ -> () | Error e -> failwith e)
           | Op_expire -> Backend.trim_log b ~before:(Csn.next (Backend.csn b)))
         ops;
-      (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+      (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
       entry_sets_equal consumer b query)
 
 (* --- Cookie round trips and session-id hygiene ----------------------- *)
@@ -728,13 +751,14 @@ let test_tombstone_newest_first () =
   let b = make_backend () in
   List.iter (fun n -> apply b (Update.add (person n ~dept:"7" ()))) [ "a"; "b"; "c" ];
   let master = Master.create ~strategy:Master.Tombstone b in
+  let tr = transport_of master in
   let consumer = Consumer.create (dept_query "7") in
-  (match Consumer.sync consumer master with Ok _ -> () | Error e -> failwith e);
+  (match poll tr consumer with Ok _ -> () | Error e -> failwith e);
   apply b (Update.delete (dn "cn=a,o=xyz"));
   apply b (Update.modify_dn (dn "cn=b,o=xyz") (Result.get_ok (Dn.rdn_of_string "cn=d")));
   apply b (Update.delete (dn "cn=c,o=xyz"));
   check_int "history" 3 (Master.history_size master);
-  match Consumer.sync consumer master with
+  match poll tr consumer with
   | Ok reply ->
       Alcotest.(check (list string))
         "deletes newest first, then the renamed entry"

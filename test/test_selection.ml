@@ -138,7 +138,7 @@ let stored replica query = List.exists (Query.equal query) (R.Filter_replica.sto
 
 let test_selector_revolution () =
   let _, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let ctl = A.Controller.create (paper_config ()) replica in
   (* Nine hot queries for dept 0001, one for 0002 -> budget 5 admits both,
      best first. *)
@@ -155,7 +155,7 @@ let test_selector_revolution () =
 
 let test_selector_budget () =
   let _, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   (* 10 + 9 + ... + 1 = 55 queries: the revolution comes due on the last. *)
   let ctl = A.Controller.create (paper_config ~interval:55 ~budget:3 ()) replica in
   for k = 0 to 9 do
@@ -171,7 +171,7 @@ let test_selector_budget () =
 
 let test_selector_adapts () =
   let _, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let ctl = A.Controller.create (paper_config ~interval:20 ~budget:1 ()) replica in
   (* Phase 1: dept 0003 is hot. *)
   for _ = 1 to 20 do
@@ -187,7 +187,7 @@ let test_selector_adapts () =
 
 let test_invalidate_sizes () =
   let b, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let ctl = A.Controller.create (paper_config ~interval:2 ~budget:1 ()) replica in
   A.Controller.observe ctl (dept_query "0001");
   A.Controller.observe ctl (dept_query "0001");
@@ -212,7 +212,7 @@ let test_invalidate_sizes () =
 
 let test_install_static () =
   let _, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   must (Ldap_eval.Scenario.install_static replica [ dept_query "0001"; dept_query "0102" ]);
   check_int "two installed" 2 (List.length (R.Filter_replica.stored_filters replica))
 
@@ -220,7 +220,7 @@ let test_install_static () =
 
 let test_evolution_reacts_immediately () =
   let _, master = make_master_with_depts () in
-  let replica = R.Filter_replica.create master in
+  let replica = Net_fixture.replica_of master in
   let rules = [ S.Generalize.Prefix_value { attr = "departmentnumber"; keep = 2 } ] in
   let config =
     { A.Evolution_baseline.rules; size_budget = 25; ageing = 0.95; swap_margin = 0.1;

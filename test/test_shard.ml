@@ -652,6 +652,8 @@ let test_persist_through_router () =
        (route_apply router source
           (Update.modify (emp_dn 1 1)
              [ Update.replace_values "telephonenumber" [ "555-6000" ] ])));
+  (* The relayed push is an event on the network's engine. *)
+  Ldap_sim.Engine.run (Network.engine (Transport.network transport));
   check_bool "push relayed through router" true
     (consumer_matches_oracle consumer source);
   check_bool "connection alive" true (Consumer.persist_alive consumer)
@@ -928,6 +930,7 @@ let prop_router_equals_single_master =
       in
       let router, transport, source = make_router ~countries:3 ~strategy ~shards () in
       let oracle_master = Master.create ~strategy source in
+      let oracle = Net_fixture.transport_of oracle_master in
       let q = equiv_query qk in
       let rc = ref (Consumer.create q) in
       let oc = ref (Consumer.create q) in
@@ -935,7 +938,7 @@ let prop_router_equals_single_master =
         (match Consumer.sync_over !rc transport ~host:(Router.host router) with
         | Ok _ -> ()
         | Error e -> failwith (Consumer.sync_error_to_string e));
-        (match Consumer.sync !oc oracle_master with
+        (match Net_fixture.poll oracle !oc with
         | Ok _ -> ()
         | Error e -> failwith e);
         entries_equal (Consumer.entries !rc) (Consumer.entries !oc)

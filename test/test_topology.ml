@@ -575,6 +575,7 @@ let sm_run_strategy strategy ops =
   let b = make_backend () in
   List.iter (fun i -> apply b (Update.add (chain_person i ~dept:7))) [ 0; 1; 2 ];
   let m = Master.create ~strategy b in
+  let tr = Net_fixture.transport_of m in
   let mail_seq = ref 0 in
   let sessions =
     List.map
@@ -587,7 +588,7 @@ let sm_run_strategy strategy ops =
     List.iter
       (fun (q, consumer, snapshot) ->
         let reply =
-          match Consumer.sync consumer m with
+          match Net_fixture.poll tr consumer with
           | Ok r -> r
           | Error e -> failwith e
         in
@@ -721,7 +722,8 @@ let test_history_hwm_bounds_master () =
   check_bool "limit recorded" true (Master.history_limit m = Some 8);
   let fast = Consumer.create (dept_query 7) in
   let slow = Consumer.create (dept_query 8) in
-  let sync c = match Consumer.sync c m with Ok r -> r | Error e -> failwith e in
+  let tr = Net_fixture.transport_of m in
+  let sync c = match Net_fixture.poll tr c with Ok r -> r | Error e -> failwith e in
   ignore (sync fast);
   ignore (sync slow);
   check_int "both sessions live" 2 (Master.session_count m);
