@@ -27,19 +27,6 @@ let schedule t ~time run =
 
 let after t ~delay run = schedule t ~time:(now t + max 0 delay) run
 
-(* Cancellation wraps the scheduled thunk with a flag check: the queue
-   entry stays (Event.t has no removal), it just fires as a no-op.
-   Determinism is unaffected — the entry keeps its time and sequence
-   number whether or not it was cancelled. *)
-type handle = { mutable cancelled : bool }
-
-let cancel h = h.cancelled <- true
-
-let schedule_cancellable t ~time run =
-  let h = { cancelled = false } in
-  schedule t ~time (fun () -> if not h.cancelled then run ());
-  h
-
 (* splitmix64, same constants as Ldap_dirgen.Prng; ldap_sim sits below
    ldap in the dependency order so it keeps its own copy. *)
 let golden = 0x9E3779B97F4A7C15L

@@ -2,13 +2,17 @@
     random stream for latency draws.
 
     Determinism rule: for a given seed and an identical sequence of
-    [schedule]/[schedule_cancellable]/[after]/[draw] calls, a
-    run executes the same events at the same virtual times in the same
-    order.  Events at equal times fire in scheduling order (ties broken
-    by a per-engine sequence number), so callers never depend on heap
-    internals.  A cancelled event still takes its place in that order,
-    as a no-op.  Events run under {!run} (to quiescence) or
-    {!run_until} (to a time bound). *)
+    [schedule]/[after]/[draw] calls, a run executes the same events at
+    the same virtual times in the same order.  Events at equal times
+    fire in scheduling order (ties broken by a per-engine sequence
+    number), so callers never depend on heap internals.  An event is
+    never removed: a caller that wants one silenced makes its thunk a
+    no-op (the topology's poll loops check a generation number), so it
+    still takes its place in that order.  Events run under {!run} (to
+    quiescence) or {!run_until} (to a time bound).
+
+    Every [Ldap.Network] owns one engine: each exchange leg, retry
+    timer and persist push of the network is an event on it. *)
 
 type t
 
@@ -26,20 +30,6 @@ val schedule : t -> time:int -> (unit -> unit) -> unit
 val after : t -> delay:int -> (unit -> unit) -> unit
 (** Schedule a thunk [delay] ticks from now.  Negative delays clamp
     to zero. *)
-
-type handle
-(** A cancellation handle on a scheduled event.  Cancelling does not
-    remove the queue entry — it fires as a no-op — so timing and
-    ordering of the remaining events are unchanged (the determinism
-    rule holds with or without cancellations). *)
-
-val cancel : handle -> unit
-(** Marks the event cancelled: when its time comes, nothing runs.
-    Idempotent. *)
-
-val schedule_cancellable : t -> time:int -> (unit -> unit) -> handle
-(** {!schedule} returning a cancellation handle — how a simulated
-    crash silences a node's pending activity. *)
 
 val draw : t -> Latency.t -> int
 (** Sample a latency distribution using the engine's stream. *)

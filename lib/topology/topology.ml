@@ -23,13 +23,6 @@ type driver = {
   dr_on_leaf_poll : (Leaf.t -> start:int -> finish:int -> unit) option;
 }
 
-(* A participant's poll loop: its latest scheduled occurrence plus a
-   liveness token.  The token lets a loop be superseded even while an
-   exchange is in flight (nothing scheduled to cancel): the in-flight
-   continuation re-checks its own token and quietly stops rescheduling
-   once a replacement loop owns the name. *)
-type loop_handle = { mutable lh_event : Ldap_sim.Engine.handle; lh_live : bool ref }
-
 type t = {
   net : Network.t;
   transport : Resync.Transport.t;
@@ -40,7 +33,9 @@ type t = {
   mutable leaves : Leaf.t list;
   mutable durability : durability option;
   crashed : (string, crash_info) Hashtbl.t;
-  loops : (string, loop_handle) Hashtbl.t;
+  generations : (string, int ref) Hashtbl.t;
+      (* per participant: bumped by a crash, a poke or a restart; a
+         poll loop launched under an older number does nothing *)
   mutable driver : driver option;
 }
 
@@ -67,7 +62,7 @@ let make ?faults ?(root = "root") backend =
     leaves = [];
     durability = None;
     crashed = Hashtbl.create 8;
-    loops = Hashtbl.create 64;
+    generations = Hashtbl.create 64;
     driver = None;
   }
 
@@ -161,28 +156,26 @@ let depth t host =
    previous one {e completes}, which keeps at most one exchange chain in
    flight per participant.  Quiescence is reached once every loop passes
    [until]. *)
-(* One participant's self-rescheduling poll loop.  Every scheduled
-   occurrence is cancellable and the latest handle is recorded under
-   the participant's name, so a crash can silence the loop; the
-   crashed-set check covers the window where an exchange is already in
-   flight when the crash fires, and the liveness token the window where
-   the loop was superseded by a {!poke_loop} relaunch (either way the
-   continuation must not reschedule). *)
+(* The participant's generation cell, made at its first use. *)
+let generation t name =
+  match Hashtbl.find_opt t.generations name with
+  | Some g -> g
+  | None ->
+      let g = ref 0 in
+      Hashtbl.replace t.generations name g;
+      g
+
+(* Stops the participant's current poll loop, whatever it is doing: a
+   queued occurrence still pops at its time, as a no-op, and an
+   exchange in flight completes without rescheduling. *)
+let bump t name = incr (generation t name)
+
+(* One participant's self-rescheduling poll loop, live while the
+   participant's generation is the one it was launched under. *)
 let launch_loop t d name stagger sync_async ~completed =
-  let live = ref true in
-  let alive () =
-    !live && not (Hashtbl.length t.crashed > 0 && Hashtbl.mem t.crashed name)
-  in
-  (* Registered under [name] once; later occurrences update it in place. *)
-  let registered = ref None in
-  let record h =
-    match !registered with
-    | Some lh -> lh.lh_event <- h
-    | None ->
-        let lh = { lh_event = h; lh_live = live } in
-        registered := Some lh;
-        Hashtbl.replace t.loops name lh
-  in
+  let gen = generation t name in
+  let launched = !gen in
+  let alive () = !gen = launched in
   let rec poll () =
     if alive () then begin
       let start = Ldap_sim.Engine.now d.dr_engine in
@@ -190,16 +183,12 @@ let launch_loop t d name stagger sync_async ~completed =
           if alive () then begin
             completed ~start ~finish:(Ldap_sim.Engine.now d.dr_engine);
             let next = Ldap_sim.Engine.now d.dr_engine + d.dr_poll_every in
-            if next <= d.dr_until then
-              record
-                (Ldap_sim.Engine.schedule_cancellable d.dr_engine ~time:next
-                   poll)
+            if next <= d.dr_until then Ldap_sim.Engine.schedule d.dr_engine ~time:next poll
           end)
     end
   in
   let first = Ldap_sim.Engine.now d.dr_engine + stagger in
-  if first <= d.dr_until then
-    record (Ldap_sim.Engine.schedule_cancellable d.dr_engine ~time:first poll)
+  if first <= d.dr_until then Ldap_sim.Engine.schedule d.dr_engine ~time:first poll
 
 let launch_leaf_loop t d stagger leaf =
   let completed ~start ~finish =
@@ -214,20 +203,14 @@ let launch_node_loop t d stagger node =
     (Node.sync_async node)
     ~completed:(fun ~start:_ ~finish:_ -> ())
 
-(* Kills a participant's current loop — pending occurrence cancelled,
-   in-flight continuation invalidated through its token — and starts a
-   replacement polling {e now}.  Used by {!heal} so a re-parented
-   participant recovers at re-parent time instead of waiting out the
-   rest of its poll period. *)
+(* Stops a participant's current loop and starts a replacement
+   polling {e now}.  Used by {!heal} so a re-parented participant
+   recovers at re-parent time instead of waiting out the rest of its
+   poll period. *)
 let poke_loop t name relaunch =
   match t.driver with
   | Some d when Ldap_sim.Engine.now d.dr_engine <= d.dr_until ->
-      (match Hashtbl.find_opt t.loops name with
-      | Some { lh_event; lh_live } ->
-          Ldap_sim.Engine.cancel lh_event;
-          lh_live := false
-      | None -> ());
-      Hashtbl.remove t.loops name;
+      bump t name;
       relaunch d
   | _ -> ()
 
@@ -328,12 +311,7 @@ let crash_leaf t leaf =
     invalid_arg ("Topology.crash_leaf: " ^ name ^ " is already down");
   Hashtbl.replace t.crashed name
     { ci_parent = Leaf.parent leaf; ci_queries = Leaf.subscriptions leaf };
-  (match Hashtbl.find_opt t.loops name with
-  | Some { lh_event; lh_live } ->
-      Ldap_sim.Engine.cancel lh_event;
-      lh_live := false
-  | None -> ());
-  Hashtbl.remove t.loops name;
+  bump t name;
   (* Impose the crash on the durable medium first, then detach the
      zombie in-memory leaf: an exchange still in flight when the crash
      fires can no longer journal into post-crash durable state. *)
@@ -352,6 +330,7 @@ let restart_leaf ?(mode = Resume) t ~name =
       let parent = live_host t info.ci_parent in
       let resume leaf report =
         Hashtbl.remove t.crashed name;
+        bump t name;
         Hashtbl.replace t.parents name (Leaf.parent leaf);
         t.leaves <- leaf :: t.leaves;
         (match t.driver with

@@ -79,10 +79,11 @@ val heal : t -> unit
 (** Re-parents every participant whose upstream endpoint vanished to
     its closest live ancestor, translating cookies so content is kept
     and the next poll resumes in degraded mode.  With {!drive_events}
-    active, each healed participant's poll loop is poked — the pending
-    occurrence is cancelled (or the in-flight one invalidated) and a
-    replacement polls immediately — so recovery starts at heal time
-    instead of waiting out the remainder of the poll period. *)
+    active, each healed participant's poll loop is poked — its
+    generation is bumped, so the pending occurrence pops as a no-op and
+    an in-flight poll does not reschedule, and a replacement polls
+    immediately — so recovery starts at heal time instead of waiting
+    out the remainder of the poll period. *)
 
 val sync_round : t -> unit
 (** {!heal}, then one poll round children-before-parents: all leaves,
@@ -111,10 +112,16 @@ val drive_events :
 (** {1 Crash and restart}
 
     Complements {!kill_node}'s heal-by-reparent: a {e leaf} can crash
-    — its poll loop is cancelled, its durable medium takes the
-    configured crash transition — and later restart, either recovered
-    from durable state (resuming ReSync from the durable cookie) or
-    cold (re-subscribing with full fetches). *)
+    — its poll loop stops, its durable medium takes the configured
+    crash transition — and later restart, either recovered from
+    durable state (resuming ReSync from the durable cookie) or cold
+    (re-subscribing with full fetches).
+
+    Every participant has a generation number.  Crashing it, poking it
+    ({!heal}) or restarting it bumps the number, and a poll loop
+    launched under an older number does nothing: its queued occurrence
+    still pops at its virtual time, as a no-op, and its in-flight poll
+    completes without reporting or rescheduling. *)
 
 val enable_durability :
   ?faults:Ldap_store.Medium.Faults.t -> ?sync:bool -> t -> unit
@@ -131,7 +138,7 @@ val checkpoint_leaves : t -> unit
 (** Checkpoints every live leaf's stores. *)
 
 val crash_leaf : t -> Leaf.t -> unit
-(** Crashes the leaf: cancels its poll loop, imposes the crash
+(** Crashes the leaf: stops its poll loop, imposes the crash
     transition on its medium (unsynced bytes lost or torn per the
     fault schedule), detaches the zombie in-memory object and removes
     it from {!leaves}.  The master keeps the leaf's sessions until
