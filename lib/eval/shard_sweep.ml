@@ -211,9 +211,12 @@ let measure_crash config ent router transport prng =
     List.length recovery.Shard_master.rc_backend.Ldap_store.Store.records,
     dns consumer = dns cold )
 
-let point config ent ~shards =
+(* Each point's router and shard masters join the scenario's network
+   on a transport of their own. *)
+let point config (sc : Scenario.t) ~shards =
+  let ent = sc.Scenario.enterprise in
   let prng = Prng.create (config.seed + shards) in
-  let transport = Transport.create (Network.create ()) in
+  let transport = Transport.create sc.Scenario.net in
   let router = build_router ent ~shards transport in
   let makespan, throughput =
     measure_throughput config router (write_burst ent prng config.writes)
@@ -246,18 +249,20 @@ let point config ent ~shards =
   }
 
 let run ?(config = default_config) () =
-  let ent =
-    Enterprise.build
-      {
-        Enterprise.default_config with
-        seed = config.seed;
-        countries = config.countries;
-        employees = config.employees;
-        target_countries = min 5 (max 1 (config.countries / 2));
-      }
+  let sc =
+    Scenario.setup
+      ~config:
+        {
+          Enterprise.default_config with
+          seed = config.seed;
+          countries = config.countries;
+          employees = config.employees;
+          target_countries = min 5 (max 1 (config.countries / 2));
+        }
+      ()
   in
   let points =
-    List.map (fun shards -> point config ent ~shards) config.shard_counts
+    List.map (fun shards -> point config sc ~shards) config.shard_counts
   in
   let base =
     match List.find_opt (fun p -> p.sp_shards = 1) points with
