@@ -91,6 +91,7 @@ let reconcile ?(config = Tree.default_config) ~local ~apply ~rpc () =
   let compared = ref 0 in
   let shipped = ref 0 in
   let entries_shipped = ref 0 in
+  let fetched = ref false in
   let sent = ref 0 in
   let received = ref 0 in
   let send req =
@@ -118,7 +119,10 @@ let reconcile ?(config = Tree.default_config) ~local ~apply ~rpc () =
      landing upstream mid-walk make a round ship a cookie ahead of
      already-compared segments — the re-walk closes exactly that
      window, and a server drifting faster than [max_rounds] rounds can
-     chase is reported unconverged so the caller can fall back cold. *)
+     chase is reported unconverged so the caller can fall back cold.
+     Roots that match before any fetch still take one: an empty one
+     ships nothing but mints the cookie, which the next round's root
+     comparison verifies like any other. *)
   let rec round r =
     if r > max_rounds then Ok (make_report (r - 1) false)
     else
@@ -126,7 +130,7 @@ let reconcile ?(config = Tree.default_config) ~local ~apply ~rpc () =
       let* reply = send Root in
       match reply with
       | Root_hash h when Int64.equal h (Tree.root tree) ->
-          Ok (make_report r true)
+          if !fetched then Ok (make_report r true) else fetch r []
       | Root_hash _ -> (
           let* reply = send (Branches config) in
           match reply with
@@ -140,35 +144,31 @@ let reconcile ?(config = Tree.default_config) ~local ~apply ~rpc () =
                       compared := !compared + List.length remote;
                       match Tree.diff_segments tree remote with
                       | [] -> round (r + 1)
-                      | sids -> (
-                          let* reply = send (Fetch (config, sids)) in
-                          match reply with
-                          | Segment_entries { entries; cookie } ->
-                              shipped := !shipped + List.length sids;
-                              entries_shipped :=
-                                !entries_shipped + List.length entries;
-                              let fetched =
-                                List.fold_left
-                                  (fun acc e -> Dn.Set.add (Entry.dn e) acc)
-                                  Dn.Set.empty entries
-                              in
-                              let deletes =
-                                Seq.filter_map
-                                  (fun e ->
-                                    let dn = Entry.dn e in
-                                    if
-                                      in_segments config sids dn
-                                      && not (Dn.Set.mem dn fetched)
-                                    then Some dn
-                                    else None)
-                                  (local ())
-                                |> List.of_seq
-                              in
-                              apply ~upserts:entries ~deletes ~cookie;
-                              round (r + 1)
-                          | _ -> Error "anti-entropy: unexpected fetch reply"))
+                      | sids -> fetch r sids)
                   | _ -> Error "anti-entropy: unexpected segment reply"))
           | _ -> Error "anti-entropy: unexpected branch reply")
       | _ -> Error "anti-entropy: unexpected root reply"
+  and fetch r sids =
+    let* reply = send (Fetch (config, sids)) in
+    match reply with
+    | Segment_entries { entries; cookie } ->
+        fetched := true;
+        shipped := !shipped + List.length sids;
+        entries_shipped := !entries_shipped + List.length entries;
+        let shipped_dns =
+          List.fold_left (fun acc e -> Dn.Set.add (Entry.dn e) acc) Dn.Set.empty entries
+        in
+        let deletes =
+          Seq.filter_map
+            (fun e ->
+              let dn = Entry.dn e in
+              if in_segments config sids dn && not (Dn.Set.mem dn shipped_dns) then Some dn
+              else None)
+            (local ())
+          |> List.of_seq
+        in
+        apply ~upserts:entries ~deletes ~cookie;
+        round (r + 1)
+    | _ -> Error "anti-entropy: unexpected fetch reply"
   in
   round 1

@@ -77,12 +77,15 @@ val reconcile :
   unit ->
   (report, string) result
 (** Drives the walk against a server reached through [rpc] until the
-    roots match or 4 walks are spent.  Each
+    roots match after a fetch, or 4 walks are spent.  Each
     round rebuilds the local tree from [local ()], fetches the entries
     of differing segments and hands them to [apply] together with the
     DNs to delete (local entries in shipped segments the server did
     not return) and the server's resume cookie; the following round's
     root comparison verifies the application converged — closing the
     race where updates land upstream between segment comparison and
-    fetch.  Errors from [rpc] (transport loss, server rejection)
-    abort the reconciliation. *)
+    fetch.  Roots that match before any fetch still take one, of no
+    segments: it ships nothing, but [apply] receives the cookie the
+    server mints, so a repaired consumer always resumes from the
+    server's current point.  Errors from [rpc] (transport loss,
+    server rejection) abort the reconciliation. *)
