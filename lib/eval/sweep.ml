@@ -45,18 +45,19 @@ let smoke_config =
     seed = 7;
   }
 
-let enterprise cfg =
-  D.Enterprise.build
-    {
-      D.Enterprise.default_config with
-      seed = cfg.seed;
-      employees = cfg.employees;
-      countries = 4;
-      divisions = 4;
-      departments_per_division = 12;
-      locations = 8;
-      target_countries = 2;
-    }
+let enterprise_config cfg =
+  {
+    D.Enterprise.default_config with
+    seed = cfg.seed;
+    employees = cfg.employees;
+    countries = 4;
+    divisions = 4;
+    departments_per_division = 12;
+    locations = 8;
+    target_countries = 2;
+  }
+
+let enterprise cfg = D.Enterprise.build (enterprise_config cfg)
 
 let upstream_bytes (s : R.Stats.t) =
   s.R.Stats.sync_bytes + s.R.Stats.fetch_bytes + s.R.Stats.merkle_bytes
@@ -605,20 +606,22 @@ let corruption_sweep ?(config = cr_default_config) () =
      flipped.  Whatever the damage, recovery must return (possibly
      with truncation), never raise — and must never leave the replica
      serving stale reads: a damaged recovery (torn or stale WAL) is
-     repaired in place by Merkle anti-entropy (cold re-fetch as
-     fallback), and a clean one resumes from its durable cookie with
+     repaired in place by the repair ladder (Merkle walk, cold re-fetch
+     as fallback), and a clean one resumes from its durable cookie with
      one poll, exactly the path a restarted replica takes before
      answering queries.  Any trial still divergent afterwards counts
      as stale. *)
-  let ent =
-    enterprise
-      { default_config with seed = config.cr_seed; employees = config.cr_employees }
+  let sc =
+    Scenario.setup
+      ~config:
+        (enterprise_config
+           { default_config with seed = config.cr_seed; employees = config.cr_employees })
+      ()
   in
+  let ent = sc.Scenario.enterprise and transport = sc.Scenario.transport in
+  let host = Scenario.master_host in
   let backend = D.Enterprise.backend ent in
   let query = (Scenario.fleet ~filters:1 ent).Scenario.queries.(0) in
-  let master = Resync.Master.create backend in
-  let transport = Resync.Transport.create (Network.create ()) in
-  Resync.Transport.add_master transport ~name:"master" master;
   let consumer = Resync.Consumer.create query in
   let medium = Ldap_store.Medium.memory () in
   let store = Ldap_store.Store.create medium ~name:"c" in
@@ -630,7 +633,7 @@ let corruption_sweep ?(config = cr_default_config) () =
       { D.Update_stream.default_config with seed = config.cr_seed + 1 }
   in
   let poll () =
-    match Resync.Consumer.sync_over consumer transport ~host:"master" with
+    match Resync.Consumer.sync_over consumer transport ~host with
     | Ok _ -> ()
     | Error e ->
         failwith ("corruption sweep poll: " ^ Resync.Consumer.sync_error_to_string e)
@@ -691,22 +694,18 @@ let corruption_sweep ?(config = cr_default_config) () =
         if r.Ldap_store.Store.truncated then incr truncated;
         if r.Ldap_store.Store.stale > 0 then incr discarded;
         (* Close the recovery before the replica serves reads: damaged
-           durable state forces an immediate resync (Merkle first,
-           cold fallback); clean state resumes from its coherent
-           durable cookie with one poll — which also recovers a
-           cleanly-lost WAL tail via the master's degraded reply. *)
+           durable state goes through the repair ladder at once; clean
+           state resumes from its coherent durable cookie with one
+           poll — which also recovers a cleanly-lost WAL tail via the
+           master's degraded reply. *)
         let damaged =
           r.Ldap_store.Store.truncated || r.Ldap_store.Store.stale > 0
         in
         (if damaged then
-           match Resync.Consumer.merkle_sync c transport ~host:"master" with
-           | Ok { Ldap_antientropy.Exchange.converged = true; _ } ->
-               incr repaired_merkle
-           | Ok _ | Error _ ->
-               incr repaired_cold;
-               Resync.Consumer.set_cookie c None;
-               ignore (Resync.Consumer.sync_over c transport ~host:"master")
-         else ignore (Resync.Consumer.sync_over c transport ~host:"master"));
+           match Resync.Consumer.repair c transport ~host with
+           | Resync.Consumer.Merkle _ -> incr repaired_merkle
+           | Cold _ -> incr repaired_cold
+         else ignore (Resync.Consumer.sync_over c transport ~host));
         if diverged c then incr stale
     | Error _ -> ()
     | exception _ -> incr panics

@@ -183,6 +183,20 @@ let sync_consumer t consumer ~fetch =
     ~from:t.host
   |> Result.map (record_outcome t ~fetch)
 
+(* The consumer's repair ladder ({!Resync.Consumer.repair}), with its
+   costs recorded: the walk's bytes whether or not it converged, and a
+   cold fetch as fetch traffic, or as a sync failure when it failed. *)
+let repair t consumer =
+  let r = Resync.Consumer.repair consumer t.transport ~host:t.master_host ~from:t.host in
+  (match r with
+  | Resync.Consumer.Merkle report -> Stats.record_merkle t.stats report
+  | Cold { walk; fetch } -> (
+      Result.iter (Stats.record_merkle t.stats) walk;
+      match fetch with
+      | Ok outcome -> record_outcome t ~fetch:true outcome
+      | Error _ -> Stats.record_sync_failure t.stats));
+  r
+
 (* The session fetches the stored query's attributes plus the ones
    its filter mentions, so contained queries can be re-evaluated
    locally; answers still project to the caller's selection. *)
@@ -258,20 +272,13 @@ let seed_entries q donors =
         (Replica.eval_over_store wq (Resync.Consumer.content donor)))
     donors
 
-let install_cold t q consumer =
-  Resync.Consumer.set_cookie consumer None;
-  match sync_consumer t consumer ~fetch:true with
-  | Ok () ->
-      register_consumer t q consumer;
-      Ok Cold
-  | Error e -> Error (Resync.Consumer.sync_error_to_string e)
+let install_fetched t q = Result.map (fun () -> Cold) (install_filter t q)
 
 let install_filter_rescoped t q ~donor =
   if C.Containment_index.mem t.index q then Ok Kept
   else
-    let fallback () = Result.map (fun () -> Cold) (install_filter t q) in
     match C.Containment_index.find t.index donor with
-    | None -> fallback ()
+    | None -> install_fetched t q
     | Some dc -> (
         match (donor_attrs_cover ~donor q, donor_csn dc) with
         | true, Some csn -> (
@@ -285,7 +292,41 @@ let install_filter_rescoped t q ~donor =
                 register_consumer t q consumer;
                 Ok Rescoped
             | Error e -> Error (Resync.Consumer.sync_error_to_string e))
-        | false, _ | _, None -> fallback ())
+        | false, _ | _, None -> install_fetched t q)
+
+let install_filter_seeded t q ~donors =
+  if C.Containment_index.mem t.index q then Ok Kept
+  else
+    let dcs =
+      List.filter_map
+        (fun donor ->
+          if donor_attrs_cover ~donor q then
+            C.Containment_index.find t.index donor
+          else None)
+        donors
+    in
+    (* Seed whatever the donors already hold for [q]; the repair
+       ladder's Merkle walk then ships only the differing segments and
+       mints the resume cookie, and a failed walk fetches cold.  No
+       foreign-session cookie here: without containment there is no
+       single CSN the seed is complete at.  No donor, or an empty
+       seed, means the region pre-filter was wrong — a plain initial
+       fetch is strictly cheaper than a Merkle walk over nothing. *)
+    match seed_entries q dcs with
+    | [] -> install_fetched t q
+    | seed -> (
+        let consumer = make_consumer t q in
+        Resync.Consumer.apply_reply consumer
+          (Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
+             ~actions:seed ~cookie:None);
+        match repair t consumer with
+        | Resync.Consumer.Merkle _ ->
+            register_consumer t q consumer;
+            Ok Seeded
+        | Cold { fetch = Ok _; _ } ->
+            register_consumer t q consumer;
+            Ok Cold
+        | Cold { fetch = Error e; _ } -> Error (Resync.Consumer.sync_error_to_string e))
 
 let remove_filter t q =
   (* End the session at the upstream before dropping local state (a
@@ -379,60 +420,7 @@ let sync t = sync_where t (fun _ -> true)
 let comparisons t =
   C.Containment_index.comparisons t.index + Query_cache.comparisons t.cache
 
-(* --- Merkle anti-entropy --------------------------------------------- *)
-
-let merkle_consumer t consumer =
-  match
-    Resync.Consumer.merkle_sync consumer t.transport ~host:t.master_host
-      ~from:t.host
-  with
-  | Ok report ->
-      Stats.record_merkle t.stats report;
-      if report.Ldap_antientropy.Exchange.converged then Ok report
-      else Error "anti-entropy did not converge within the round budget"
-  | Error e -> Error e
-
-let install_filter_seeded t q ~donors =
-  if C.Containment_index.mem t.index q then Ok Kept
-  else
-    let dcs =
-      List.filter_map
-        (fun donor ->
-          if donor_attrs_cover ~donor q then
-            C.Containment_index.find t.index donor
-          else None)
-        donors
-    in
-    let consumer = make_consumer t q in
-    match dcs with
-    | [] -> install_cold t q consumer
-    | dcs -> (
-        (* Seed whatever the donors already hold for [q]; the Merkle
-           walk then ships only the differing segments and mints the
-           resume cookie.  No foreign-session cookie here: without
-           containment there is no single CSN the seed is complete
-           at.  An empty seed means the region pre-filter was wrong —
-           a plain initial fetch is strictly cheaper than a Merkle
-           walk over nothing. *)
-        match seed_entries q dcs with
-        | [] -> install_cold t q consumer
-        | seed -> (
-            Resync.Consumer.apply_reply consumer
-              (Resync.Protocol.reply ~kind:Resync.Protocol.Initial_content
-                 ~actions:seed ~cookie:None);
-            match merkle_consumer t consumer with
-            | Ok _ ->
-                register_consumer t q consumer;
-                Ok Seeded
-            | Error _ -> install_cold t q consumer))
-
-let merkle_sync_all t =
-  C.Containment_index.fold t.index ~init:[] ~f:(fun acc q consumer ->
-      (q, merkle_consumer t consumer) :: acc)
-
 (* --- Durable state --------------------------------------------------- *)
-
-type forced_resync = Resync_none | Resync_merkle | Resync_cold
 
 type filter_recovery = {
   fr_query : Query.t;
@@ -445,7 +433,7 @@ type filter_recovery = {
   fr_stale : int;
   fr_wal_bytes : int;
   fr_snapshot_bytes : int;
-  fr_resync : forced_resync;
+  fr_resync : Resync.Consumer.repair option;
 }
 
 type recovery_report = {
@@ -518,26 +506,13 @@ let open_restored t d (q, slot) =
      surviving cookie claims, or just silently lag the master.  A slot
      with no snapshot lost its files outright: every slot is
      checkpointed when its store is opened.  Resynchronize {e before}
-     this filter serves reads — Merkle anti-entropy first (ships only
-     the drift), cold re-fetch if the walk cannot converge or the link
-     is down. *)
+     this filter serves reads, through the repair ladder. *)
   let damaged =
     crec.Ldap_store.Store.truncated
     || crec.Ldap_store.Store.stale > 0
     || Option.is_none crec.Ldap_store.Store.snapshot
   in
-  let resync =
-    if not damaged then Resync_none
-    else
-      match merkle_consumer t consumer with
-      | Ok _ -> Resync_merkle
-      | Error _ ->
-          Resync.Consumer.set_cookie consumer None;
-          (match sync_consumer t consumer ~fetch:true with
-          | Ok () -> ()
-          | Error _ -> Stats.record_sync_failure t.stats);
-          Resync_cold
-  in
+  let resync = if damaged then Some (repair t consumer) else None in
   (* A lost store opened empty, which checkpointed the empty consumer:
      checkpoint the repaired one, or a crash that loses the unsynced
      repair would leave that empty image standing as undamaged. *)
@@ -556,6 +531,23 @@ let open_restored t d (q, slot) =
       fr_snapshot_bytes = crec.Ldap_store.Store.snapshot_bytes;
       fr_resync = resync;
     }
+
+let repair_all t report =
+  let repaired =
+    List.map (fun (q, consumer) -> (q, consumer, repair t consumer)) t.consumers
+  in
+  let settle fr =
+    match List.find_opt (fun (q, _, _) -> Query.equal q fr.fr_query) repaired with
+    | Some (_, consumer, r) ->
+        {
+          fr with
+          fr_cookie = Resync.Consumer.cookie consumer;
+          fr_entries = Resync.Consumer.size consumer;
+          fr_resync = Some r;
+        }
+    | None -> fr
+  in
+  { report with filters = List.map settle report.filters }
 
 let open_store ?(sync = true) t medium ~prefix =
   let ( let* ) = Result.bind in

@@ -94,7 +94,9 @@ type install_how =
   | Seeded
       (** Seeded from overlapping donors, then Merkle-reconciled so
           only the differing segments shipped. *)
-  | Cold  (** Preconditions failed: plain initial-content fetch. *)
+  | Cold
+      (** Preconditions failed, or the seeded install's walk did: plain
+          initial-content fetch. *)
 
 val install_filter_rescoped :
   t -> Query.t -> donor:Query.t -> (install_how, string) result
@@ -112,10 +114,11 @@ val install_filter_seeded :
   t -> Query.t -> donors:Query.t list -> (install_how, string) result
 (** Installs [q] seeded from the union of the stored [donors]' entries
     evaluated under [q] (deduplicated by DN), then reconciled by
-    Merkle anti-entropy — only the segments the seed got wrong ship.
-    Donors not stored or with insufficient attribute projections are
-    ignored; with no usable donor, or when the walk fails, the install
-    degrades to a cold fetch. *)
+    the repair ladder ({!Ldap_resync.Consumer.repair}) — only the
+    segments the seed got wrong ship.  Donors not stored or with
+    insufficient attribute projections are ignored; with no usable
+    donor the install is a plain cold fetch, and when the walk fails
+    the ladder fetches cold ([Cold] either way). *)
 
 val stored_filters : t -> Query.t list
 (** Every stored query, in the reverse of {!consumers}' order. *)
@@ -198,23 +201,6 @@ val sync_where : t -> (Query.t -> bool) -> unit
 val comparisons : t -> int
 (** Total containment comparisons performed (stored + cached). *)
 
-(** {1 Merkle anti-entropy}
-
-    The third recovery mode, between durable resume (cheap, needs an
-    intact WAL and an acceptable cookie) and cold re-subscribe
-    (always works, re-ships everything): walk a hash tree against the
-    upstream's content under the stored filter and ship only the
-    segments that differ ({!Ldap_antientropy.Exchange}). *)
-
-val merkle_sync_all :
-  t -> (Query.t * (Ldap_antientropy.Exchange.report, string) result) list
-(** Reconciles each stored filter's content against the upstream by
-    Merkle walk ({!Ldap_resync.Consumer.merkle_sync}); each walk's wire
-    cost is recorded in {!Stats.t.merkle_bytes}.  A filter's [Error]
-    means the upstream is unreachable or the walk did not converge
-    within its round budget — the caller should fall back to a cold
-    re-subscribe. *)
-
 (** {1 Durability}
 
     A durable replica keeps one meta store (the slot-numbered table of
@@ -226,14 +212,6 @@ val merkle_sync_all :
     cookies — without re-fetching, so the first poll after a restart
     resumes ReSync from the durable cookie instead of reloading
     content. *)
-
-(** How a damaged filter was brought back in sync during recovery. *)
-type forced_resync =
-  | Resync_none  (** Durable state was intact: plain resume. *)
-  | Resync_merkle  (** Merkle anti-entropy repaired the drift. *)
-  | Resync_cold
-      (** The walk failed (or could not converge): cookie dropped and
-          content re-fetched from scratch. *)
 
 (** Per-filter recovery outcome, as reported by [ldapctl store]. *)
 type filter_recovery = {
@@ -250,12 +228,13 @@ type filter_recovery = {
           other than the recovered snapshot's. *)
   fr_wal_bytes : int;  (** WAL size after recovery. *)
   fr_snapshot_bytes : int;  (** Snapshot size. *)
-  fr_resync : forced_resync;
-      (** [Resync_none] unless recovery found the WAL truncated or
-          stale, or no snapshot at all (every slot is checkpointed when
-          its store is opened, so a missing one means its files were
-          lost), in which case the filter was resynchronized {e before}
-          the replica serves reads — Merkle first, cold fallback. *)
+  fr_resync : Ldap_resync.Consumer.repair option;
+      (** [None] unless recovery found the WAL truncated or stale, or
+          no snapshot at all (every slot is checkpointed when its store
+          is opened, so a missing one means its files were lost), in
+          which case the filter was brought back in sync {e before}
+          the replica serves reads, by the repair ladder
+          ({!Ldap_resync.Consumer.repair}): the step that did it. *)
 }
 
 (** Whole-replica recovery outcome. *)
@@ -281,10 +260,17 @@ val open_store :
     is restored: the meta store's slot table, then each slot's
     consumer (snapshot + WAL replay, torn tails truncated), each
     registered in the containment index and reported; a damaged slot
-    is resynchronized before the call returns (see {!forced_resync}).
+    is repaired before the call returns (see [fr_resync]).
     Either way installs, removals and replies are journaled from then
     on.  [sync] (default true) controls per-record fsync of every
     store; reopen a restarted replica with the [sync] it ran with. *)
+
+val repair_all : t -> recovery_report -> recovery_report
+(** Runs the repair ladder ({!Ldap_resync.Consumer.repair}) over every
+    stored filter in {!consumers}' order, whatever [report]'s damage
+    flags said — for a restart known to have lost updates.  Returns
+    [report] with each filter's [fr_resync], [fr_cookie] and
+    [fr_entries] as the repair left them. *)
 
 val checkpoint : t -> unit
 (** Checkpoints the meta store and every consumer store (snapshot +

@@ -221,7 +221,7 @@ let sync_over ?(max_attempts = default_attempts) ?from t transport ~host =
    incremental reply, so the shipped entries, the deletions and the
    server's resume cookie land in one WAL record — merkle repair gets
    the same cookie/content atomicity as a polled reply. *)
-let merkle_sync ?config ?(from = "consumer") t transport ~host =
+let merkle_walk ?config ~from t transport ~host =
   let old_cookie = t.cookie in
   let result =
     Ldap_antientropy.Exchange.reconcile ?config
@@ -249,6 +249,25 @@ let merkle_sync ?config ?(from = "consumer") t transport ~host =
       | _ -> ())
   | _ -> ());
   result
+
+let merkle_sync ?config t transport ~host =
+  merkle_walk ?config ~from:"consumer" t transport ~host
+
+(* --- The repair ladder ------------------------------------------------ *)
+
+type repair =
+  | Merkle of Ldap_antientropy.Exchange.report
+  | Cold of {
+      walk : (Ldap_antientropy.Exchange.report, string) result;
+      fetch : (outcome, sync_error) result;
+    }
+
+let repair ?(from = "consumer") t transport ~host =
+  match merkle_walk ~from t transport ~host with
+  | Ok ({ Ldap_antientropy.Exchange.converged = true; _ } as report) -> Merkle report
+  | walk ->
+      t.cookie <- None;
+      Cold { walk; fetch = sync_over ~from t transport ~host }
 
 (* --- Persist mode ---------------------------------------------------- *)
 

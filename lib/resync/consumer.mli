@@ -106,7 +106,6 @@ val sync_over :
 
 val merkle_sync :
   ?config:Ldap_antientropy.Tree.config ->
-  ?from:string ->
   t ->
   Transport.t ->
   host:string ->
@@ -120,9 +119,26 @@ val merkle_sync :
     cookie in a single WAL record — after which the consumer polls
     incrementally from the new cookie.  The previously held cookie's
     session is abandoned at the endpoint once the walk converges.
-    This is the recovery mode for a replica whose WAL is truncated or
-    whose cookie the upstream rejected: cheaper than a cold reload
-    whenever drift is small. *)
+    Recovery goes through {!repair}, which falls back cold when the
+    walk fails. *)
+
+(** Which step of {!repair} brought the consumer level with its
+    upstream. *)
+type repair =
+  | Merkle of Ldap_antientropy.Exchange.report  (** The walk converged. *)
+  | Cold of {
+      walk : (Ldap_antientropy.Exchange.report, string) result;
+          (** The walk that failed or did not converge; a report still
+              carries its wire cost. *)
+      fetch : (outcome, sync_error) result;  (** The cold fetch after it. *)
+    }
+
+val repair : ?from:string -> t -> Transport.t -> host:string -> repair
+(** The one escalation past ReSync's degraded resync, for a consumer
+    whose durable state is damaged or known to have lost updates: a
+    {!merkle_sync} walk, and when it errors or does not converge, the
+    cookie dropped and the content fetched cold with {!sync_over}
+    before the call returns. *)
 
 val connect_persist :
   ?from:string ->

@@ -366,6 +366,14 @@ let merged_reply ~presented ~kind ~stale legs =
   in
   Protocol.reply ~kind ~actions ~cookie:(Some (merged_cookie ~presented ~stale legs))
 
+(* The kind of a merged reply: incremental or initial content when
+   every leg is, degraded otherwise. *)
+let merged_kind legs =
+  let all kind = List.for_all (fun leg -> leg.lg_reply.Protocol.kind = kind) legs in
+  if all Protocol.Incremental then Protocol.Incremental
+  else if all Protocol.Initial_content then Protocol.Initial_content
+  else Protocol.Degraded
+
 let handle_poll t ~push mode req_cookie q =
   if mode = Protocol.Persist && push = None then
     Error "persist mode requires a push channel"
@@ -401,26 +409,17 @@ let handle_poll t ~push mode req_cookie q =
         (fun leg -> leg.lg_reply.Protocol.kind = Protocol.Incremental)
         legs
     in
+    let merged legs =
+      Ok (merged_reply ~presented:req_cookie ~kind:(merged_kind legs) ~stale legs)
+    in
     match failed with
     | [] ->
-        if all_incremental then
-          Ok (merged_reply ~presented:req_cookie ~kind:Protocol.Incremental ~stale legs)
-        else if
-          List.for_all
-            (fun leg -> leg.lg_reply.Protocol.kind <> Protocol.Incremental)
-            legs
-        then begin
-          let kind =
-            if
-              List.for_all
-                (fun leg ->
-                  leg.lg_reply.Protocol.kind = Protocol.Initial_content)
-                legs
-            then Protocol.Initial_content
-            else Protocol.Degraded
-          in
-          Ok (merged_reply ~presented:req_cookie ~kind ~stale legs)
-        end
+        if
+          all_incremental
+          || List.for_all
+               (fun leg -> leg.lg_reply.Protocol.kind <> Protocol.Incremental)
+               legs
+        then merged legs
         else begin
           (* Mixed: an Initial/Degraded leg prunes the consumer
              globally, so Incremental legs must be replayed degraded
@@ -439,17 +438,7 @@ let handle_poll t ~push mode req_cookie q =
           | Error e ->
               kill_legs ();
               Error ("shard escalation failed: " ^ e)
-          | Ok legs ->
-              let kind =
-                if
-                  List.for_all
-                    (fun leg ->
-                      leg.lg_reply.Protocol.kind = Protocol.Initial_content)
-                    legs
-                then Protocol.Initial_content
-                else Protocol.Degraded
-              in
-              Ok (merged_reply ~presented:req_cookie ~kind ~stale legs)
+          | Ok legs -> merged legs
         end
     | (s, _, e) :: _ ->
         if legs <> [] && all_incremental then begin
@@ -539,6 +528,18 @@ let empty_tree_reply = function
       Exchange.Segment_entries
         { entries = []; cookie = Some (Protocol.composite_cookie []) }
 
+(* One tier's hash lists, XOR-merged; every leg must answer that tier
+   ([hashes] reads its list, [make] rebuilds the reply). *)
+let merge_hashes legs ~hashes ~make =
+  let rec collect acc = function
+    | [] -> Ok (make (xor_assoc acc))
+    | (_, reply) :: rest -> (
+        match hashes reply with
+        | Some hs -> collect (hs :: acc) rest
+        | None -> Error "inconsistent anti-entropy replies")
+  in
+  collect [] legs
+
 let merge_tree req legs =
   match legs with
   | [] -> Ok (empty_tree_reply req)
@@ -550,19 +551,13 @@ let merge_tree req legs =
       in
       fold 0L legs
   | (_, Exchange.Branch_hashes _) :: _ ->
-      let rec collect acc = function
-        | [] -> Ok (Exchange.Branch_hashes (xor_assoc (List.rev acc)))
-        | (_, Exchange.Branch_hashes hs) :: rest -> collect (hs :: acc) rest
-        | _ -> Error "inconsistent anti-entropy replies"
-      in
-      collect [] legs
+      merge_hashes legs
+        ~hashes:(function Exchange.Branch_hashes hs -> Some hs | _ -> None)
+        ~make:(fun hs -> Exchange.Branch_hashes hs)
   | (_, Exchange.Segment_hashes _) :: _ ->
-      let rec collect acc = function
-        | [] -> Ok (Exchange.Segment_hashes (xor_assoc (List.rev acc)))
-        | (_, Exchange.Segment_hashes hs) :: rest -> collect (hs :: acc) rest
-        | _ -> Error "inconsistent anti-entropy replies"
-      in
-      collect [] legs
+      merge_hashes legs
+        ~hashes:(function Exchange.Segment_hashes hs -> Some hs | _ -> None)
+        ~make:(fun hs -> Exchange.Segment_hashes hs)
   | (_, Exchange.Segment_entries _) :: _ ->
       let rec collect entries comps = function
         | [] ->

@@ -42,8 +42,6 @@ let sync t = R.Filter_replica.sync t.replica
 
 let sync_async t k = R.Filter_replica.sync_async t.replica k
 
-let merkle_sync t = R.Filter_replica.merkle_sync_all t.replica
-
 let subscriptions t = R.Filter_replica.stored_filters t.replica
 
 (* The CSN this leaf has acknowledged across every subscription: the

@@ -40,15 +40,6 @@ val sync_async : t -> (unit -> unit) -> unit
 val sync : t -> unit
 (** {!Ldap.Network.await} of {!sync_async}. *)
 
-val merkle_sync :
-  t ->
-  (Query.t * (Ldap_antientropy.Exchange.report, string) result) list
-(** Merkle anti-entropy reconciliation of every subscription against
-    the current parent
-    ({!Ldap_replication.Filter_replica.merkle_sync_all}) — the
-    recovery mode used when the leaf's durable state is damaged or its
-    cookie rejected; ships only drifted segments. *)
-
 val acked_csn : t -> Ldap.Csn.t
 (** The CSN this leaf has acknowledged across all subscriptions — the
     minimum of its resume cookies' CSNs, since a leaf is only as fresh

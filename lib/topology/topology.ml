@@ -17,7 +17,6 @@ type crash_info = { ci_parent : string; ci_queries : Query.t list }
 (* The event-driven poll configuration, kept so a restarted leaf can
    resume its own poll loop. *)
 type driver = {
-  dr_engine : Ldap_sim.Engine.t;
   dr_poll_every : int;
   dr_until : int;
   dr_on_leaf_poll : (Leaf.t -> start:int -> finish:int -> unit) option;
@@ -173,22 +172,23 @@ let bump t name = incr (generation t name)
 (* One participant's self-rescheduling poll loop, live while the
    participant's generation is the one it was launched under. *)
 let launch_loop t d name stagger sync_async ~completed =
+  let engine = Network.engine t.net in
   let gen = generation t name in
   let launched = !gen in
   let alive () = !gen = launched in
   let rec poll () =
     if alive () then begin
-      let start = Ldap_sim.Engine.now d.dr_engine in
+      let start = Ldap_sim.Engine.now engine in
       sync_async (fun () ->
           if alive () then begin
-            completed ~start ~finish:(Ldap_sim.Engine.now d.dr_engine);
-            let next = Ldap_sim.Engine.now d.dr_engine + d.dr_poll_every in
-            if next <= d.dr_until then Ldap_sim.Engine.schedule d.dr_engine ~time:next poll
+            completed ~start ~finish:(Ldap_sim.Engine.now engine);
+            let next = Ldap_sim.Engine.now engine + d.dr_poll_every in
+            if next <= d.dr_until then Ldap_sim.Engine.schedule engine ~time:next poll
           end)
     end
   in
-  let first = Ldap_sim.Engine.now d.dr_engine + stagger in
-  if first <= d.dr_until then Ldap_sim.Engine.schedule d.dr_engine ~time:first poll
+  let first = Ldap_sim.Engine.now engine + stagger in
+  if first <= d.dr_until then Ldap_sim.Engine.schedule engine ~time:first poll
 
 let launch_leaf_loop t d stagger leaf =
   let completed ~start ~finish =
@@ -203,16 +203,22 @@ let launch_node_loop t d stagger node =
     (Node.sync_async node)
     ~completed:(fun ~start:_ ~finish:_ -> ())
 
+(* The driver while its loops may still schedule: before [until]. *)
+let live_driver t =
+  match t.driver with
+  | Some d when Ldap_sim.Engine.now (Network.engine t.net) <= d.dr_until -> Some d
+  | _ -> None
+
 (* Stops a participant's current loop and starts a replacement
    polling {e now}.  Used by {!heal} so a re-parented participant
    recovers at re-parent time instead of waiting out the rest of its
    poll period. *)
 let poke_loop t name relaunch =
-  match t.driver with
-  | Some d when Ldap_sim.Engine.now d.dr_engine <= d.dr_until ->
+  match live_driver t with
+  | Some d ->
       bump t name;
       relaunch d
-  | _ -> ()
+  | None -> ()
 
 (* Re-parents every participant whose upstream endpoint has vanished to
    its closest live ancestor (usually the grandparent).  Cookie
@@ -263,10 +269,11 @@ let sync_round t =
 
 let drive_events ?on_leaf_poll t engine ~poll_every ~until =
   if poll_every <= 0 then invalid_arg "Topology.drive_events: poll_every must be positive";
+  if engine != Network.engine t.net then
+    invalid_arg "Topology.drive_events: not the engine of the topology's network";
   heal t;
   let d =
     {
-      dr_engine = engine;
       dr_poll_every = poll_every;
       dr_until = until;
       dr_on_leaf_poll = on_leaf_poll;
@@ -333,10 +340,7 @@ let restart_leaf ?(mode = Resume) t ~name =
         bump t name;
         Hashtbl.replace t.parents name (Leaf.parent leaf);
         t.leaves <- leaf :: t.leaves;
-        (match t.driver with
-        | Some d when Ldap_sim.Engine.now d.dr_engine <= d.dr_until ->
-            launch_leaf_loop t d 0 leaf
-        | _ -> ());
+        Option.iter (fun d -> launch_leaf_loop t d 0 leaf) (live_driver t);
         Ok (leaf, report)
       in
       let cold () =
@@ -367,26 +371,14 @@ let restart_leaf ?(mode = Resume) t ~name =
              already forces anti-entropy inside the open itself.) *)
           let leaf = Leaf.create t.transport ~name ~parent in
           match open_leaf t leaf with
-          | Ok report ->
-              (* [Merkle] additionally reconciles every subscription
-                 right now, whatever the store's damage flags said —
-                 the mode for a restart known to have lost updates
-                 (e.g. an unsynced WAL).  A filter whose walk fails
-                 falls back cold: its cookie is dropped so the next
-                 poll re-fetches from scratch. *)
-              if mode = Merkle then
-                List.iter
-                  (fun (q, r) ->
-                    match r with
-                    | Ok _ -> ()
-                    | Error _ -> (
-                        match
-                          R.Filter_replica.consumer_for (Leaf.replica leaf) q
-                        with
-                        | Some c -> Resync.Consumer.set_cookie c None
-                        | None -> ()))
-                  (Leaf.merkle_sync leaf);
-              resume leaf report
+          | Ok report when mode = Merkle ->
+              (* [Merkle] additionally runs the repair ladder over every
+                 subscription right now, whatever the store's damage
+                 flags said — the mode for a restart known to have lost
+                 updates (e.g. an unsynced WAL). *)
+              resume leaf
+                (Option.map (R.Filter_replica.repair_all (Leaf.replica leaf)) report)
+          | Ok report -> resume leaf report
           | Error e -> Error e))
 
 let leaf_converged t leaf =

@@ -106,8 +106,11 @@ val drive_events :
     pass [until], keeping run-to-quiescence terminating.
     [on_leaf_poll] fires at each completed leaf poll with its virtual
     start/finish times — the hook the latency/staleness sweep samples.
-    The caller runs the engine afterwards.
-    @raise Invalid_argument if [poll_every <= 0]. *)
+    The engine is the topology's own clock,
+    [Network.engine (network t)]: a restarted leaf's loop is launched
+    on it too.  The caller runs the engine afterwards.
+    @raise Invalid_argument if [poll_every <= 0] or [engine] is not
+    the network's engine. *)
 
 (** {1 Crash and restart}
 
@@ -151,11 +154,13 @@ type restart_mode =
       (** Durable recovery; anti-entropy only if the store itself
           reports damage (torn or stale WAL). *)
   | Merkle
-      (** Durable recovery, then Merkle anti-entropy over every
-          subscription regardless of damage flags — for a restart known
-          to have silently lost updates (e.g. an unsynced WAL).  A
-          subscription whose walk fails drops its cookie and re-fetches
-          cold at the next poll. *)
+      (** Durable recovery, then the repair ladder over every
+          subscription regardless of damage flags
+          ({!Ldap_replication.Filter_replica.repair_all}) — for a
+          restart known to have silently lost updates (e.g. an
+          unsynced WAL).  A subscription whose Merkle walk fails
+          re-fetches cold before the restart returns; the report's
+          [fr_resync] names the step that repaired each one. *)
   | Cold
       (** Ignore durable state: re-subscribe with full fetches, over a
           fresh medium when the topology is durable. *)

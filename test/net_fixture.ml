@@ -1,13 +1,14 @@
 (* The one network a test builds around a master it holds directly: a
-   transport over a fresh network, with the master registered at
-   [host].  Every poll and replica of the test crosses it. *)
+   transport over a fresh network, under [faults] if given, with the
+   master registered at [host].  Every poll and replica of the test
+   crosses it. *)
 open Ldap
 open Ldap_resync
 
 let host = "master"
 
-let transport_of master =
-  let t = Transport.create (Network.create ()) in
+let transport_of ?faults master =
+  let t = Transport.create ?faults (Network.create ()) in
   Transport.add_master t ~name:host master;
   t
 

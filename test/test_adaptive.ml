@@ -279,6 +279,35 @@ let test_rescope_narrow_donor_goes_cold () =
   | Some c -> check_bool "cold content complete" true (content_equal c b narrow)
   | None -> Alcotest.fail "target not installed"
 
+let test_seeded_walk_fails_goes_cold () =
+  (* A planned seed whose Merkle walk loses its first exchange: the
+     repair ladder fetches the target cold inside [Transition.apply],
+     and the report counts it cold. *)
+  let b = make_backend () in
+  apply b (Update.add (person "a" ~dept:"81" ()));
+  apply b (Update.add (person "b" ~dept:"82" ()));
+  let faults = Network.Faults.create () in
+  let replica =
+    FR.create_over
+      (Net_fixture.transport_of ~faults (Resync.Master.create b))
+      ~master_host:Net_fixture.host
+  in
+  (match FR.install_filter replica (dept_query "81") with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let target = prefix_query "8" in
+  let plan = A.Transition.plan ~current:(FR.stored_filters replica) ~target:[ target ] in
+  (match plan.A.Transition.steps with
+  | [ A.Transition.Seed _ ] -> ()
+  | _ -> Alcotest.fail "the overlapping target should seed");
+  Network.Faults.script faults [ Network.Faults.Drop_request ];
+  let report = A.Transition.apply replica plan in
+  check_int "installed cold" 1 report.A.Transition.cold;
+  check_int "not seeded" 0 report.A.Transition.seeded;
+  match FR.consumer_for replica target with
+  | Some c -> check_bool "content equals the master's" true (content_equal c b target)
+  | None -> Alcotest.fail "target not installed"
+
 let test_rescope_from_covering_donor () =
   let b = make_backend () in
   apply b (Update.add (person "a" ~dept:"71" ()));
@@ -705,6 +734,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_tombstone;
     Alcotest.test_case "rescope narrow donor goes cold" `Quick
       test_rescope_narrow_donor_goes_cold;
+    Alcotest.test_case "seeded walk fails: cold" `Quick test_seeded_walk_fails_goes_cold;
     Alcotest.test_case "rescope from covering donor" `Quick
       test_rescope_from_covering_donor;
     Alcotest.test_case "controller hits reset on unchanged revolution" `Quick

@@ -539,7 +539,7 @@ let test_checkpoint_crash_window_resyncs () =
       check_bool "stale-generation records discarded" true
         (fr.R.Filter_replica.fr_stale > 0);
       check_bool "recovery forced a resync" true
-        (fr.R.Filter_replica.fr_resync <> R.Filter_replica.Resync_none)
+        (Option.is_some fr.R.Filter_replica.fr_resync)
   | frs -> Alcotest.failf "expected one filter recovery, got %d" (List.length frs));
   (* The repair ran before the replica could serve: content already
      matches the master including the missed update. *)
@@ -574,8 +574,8 @@ let test_lost_consumer_store_resyncs () =
   | [ fr ] ->
       check_bool "lost store forces a resync" true
         (match fr.R.Filter_replica.fr_resync with
-        | R.Filter_replica.Resync_merkle | R.Filter_replica.Resync_cold -> true
-        | R.Filter_replica.Resync_none -> false)
+        | Some (Consumer.Merkle _ | Consumer.Cold _) -> true
+        | None -> false)
   | frs -> Alcotest.failf "expected one filter recovery, got %d" (List.length frs));
   (* No poll has run: the answer comes from what recovery restored. *)
   let expected = canon (Content.current b q) in
@@ -610,7 +610,9 @@ let repaired_by_merkle report =
   match report.R.Filter_replica.filters with
   | [ fr ] ->
       check_bool "repaired by Merkle walk" true
-        (fr.R.Filter_replica.fr_resync = R.Filter_replica.Resync_merkle)
+        (match fr.R.Filter_replica.fr_resync with
+        | Some (Consumer.Merkle _) -> true
+        | Some (Consumer.Cold _) | None -> false)
   | frs -> Alcotest.failf "expected one filter recovery, got %d" (List.length frs)
 
 let test_lost_empty_store_mints_cookie () =
@@ -652,6 +654,108 @@ let test_torn_matching_slot_mints_cookie () =
   let replica2, report = reopen_replica replica m ~prefix:"r" in
   repaired_by_merkle report;
   check_repaired_cookie b replica2 q
+
+(* --- The repair ladder's cold step -------------------------------------- *)
+
+(* Each caller of the repair ladder, with the Merkle walk's first
+   exchange dropped: the ladder must fetch cold before it returns, so
+   the replica equals the master at once and reports the cold step. *)
+
+let drop_first_exchange faults =
+  Network.Faults.script faults [ Network.Faults.Drop_request ]
+
+let is_cold = function
+  | Some (Consumer.Cold { walk = Error _; fetch = Ok _ }) -> true
+  | Some (Consumer.Cold _ | Consumer.Merkle _) | None -> false
+
+let test_torn_slot_walk_fails_cold () =
+  let b = make_backend () in
+  apply b (Update.add (person "alice" ()));
+  let faults = Network.Faults.create () in
+  let replica =
+    R.Filter_replica.create_over
+      (Net_fixture.transport_of ~faults (Master.create b))
+      ~master_host:Net_fixture.host
+  in
+  let m = Store.Medium.memory () in
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"r"));
+  let q = dept_query "7" in
+  must (R.Filter_replica.install_filter replica q);
+  R.Filter_replica.checkpoint replica;
+  apply b (Update.add (person "bob" ()));
+  R.Filter_replica.sync replica;
+  R.Filter_replica.detach_store replica;
+  Store.Medium.truncate m ~name:"r.f0.wal" 5;
+  apply b (Update.add (person "carol" ()));
+  drop_first_exchange faults;
+  let replica2, report = reopen_replica replica m ~prefix:"r" in
+  (match report.R.Filter_replica.filters with
+  | [ fr ] ->
+      check_bool "torn slot" true fr.R.Filter_replica.fr_truncated;
+      check_bool "repaired by the cold step" true (is_cold fr.R.Filter_replica.fr_resync)
+  | frs -> Alcotest.failf "expected one filter recovery, got %d" (List.length frs));
+  let c = Option.get (R.Filter_replica.consumer_for replica2 q) in
+  check_bool "content equals the master's before any poll" true (entry_sets_equal c b q);
+  check_bool "the cold fetch counts as fetch traffic" true
+    ((R.Filter_replica.stats replica2).R.Stats.fetch_entries > 0)
+
+let test_consumer_repair_walk_fails_cold () =
+  (* The corruption sweep's call: a consumer reopened over a torn
+     store, repaired directly. *)
+  let b = make_backend () in
+  apply b (Update.add (person "alice" ()));
+  let faults = Network.Faults.create () in
+  let tr = Net_fixture.transport_of ~faults (Master.create b) in
+  let q = dept_query "7" in
+  let m = Store.Medium.memory () in
+  let c0, _ = reopen_consumer q (Store.Store.create m ~name:"c") in
+  ignore (poll tr c0);
+  Consumer.checkpoint c0;
+  apply b (Update.add (person "bob" ()));
+  ignore (poll tr c0);
+  Consumer.detach_store c0;
+  Store.Medium.truncate m ~name:"c.wal" 5;
+  apply b (Update.add (person "carol" ()));
+  let c, recovery = reopen_consumer q (Store.Store.create m ~name:"c") in
+  check_bool "torn store" true recovery.Store.Store.truncated;
+  drop_first_exchange faults;
+  check_bool "repaired by the cold step" true
+    (is_cold (Some (Consumer.repair c tr ~host:Net_fixture.host)));
+  check_bool "content equals the master's" true (entry_sets_equal c b q);
+  check_bool "the cookie names the master's CSN" true
+    (match Consumer.cookie_csn c with
+    | Some csn -> Csn.equal csn (Backend.csn b)
+    | None -> false)
+
+let test_topology_merkle_restart_walk_fails_cold () =
+  (* A durable leaf misses updates while down; its Merkle restart's
+     walk is dropped.  The leaf must not rejoin serving its stale
+     recovered content without a cookie: the ladder fetches cold
+     before [restart_leaf] returns. *)
+  let b = build_directory () in
+  let faults = Network.Faults.create () in
+  let leaf_queries = List.init 4 (fun i -> dept_query (string_of_int (i + 1))) in
+  let t =
+    must (T.Topology.build ~faults ~shape:T.Topology.Star ~covers:[] ~leaf_queries b)
+  in
+  T.Topology.enable_durability t;
+  let victim = List.hd (T.Topology.leaves t) in
+  let name = T.Leaf.name victim in
+  let q = List.hd (T.Leaf.subscriptions victim) in
+  let dept = List.find (fun d -> Query.equal q (dept_query d)) [ "1"; "2"; "3"; "4" ] in
+  T.Topology.crash_leaf t victim;
+  apply b (Update.add (person "late" ~dept ()));
+  drop_first_exchange faults;
+  let leaf, report = must (T.Topology.restart_leaf ~mode:T.Topology.Merkle t ~name) in
+  check_bool "the restarted leaf equals the master at once" true
+    (T.Topology.leaf_converged t leaf);
+  match report with
+  | Some { R.Filter_replica.filters = [ fr ]; _ } ->
+      check_bool "repaired by the cold step" true (is_cold fr.R.Filter_replica.fr_resync);
+      let c = Option.get (R.Filter_replica.consumer_for (T.Leaf.replica leaf) q) in
+      check_bool "the report reads the repaired cookie" true
+        (fr.R.Filter_replica.fr_cookie = Consumer.cookie c)
+  | _ -> Alcotest.fail "expected a durable report with one filter"
 
 (* --- Incremental checkpoint image ≡ full encode (property) ------------- *)
 
@@ -1338,7 +1442,7 @@ let prop_leaf_reopen =
           let repaired =
             List.filter_map
               (fun (fr : R.Filter_replica.filter_recovery) ->
-                if fr.R.Filter_replica.fr_resync = R.Filter_replica.Resync_none then None
+                if Option.is_none fr.R.Filter_replica.fr_resync then None
                 else Some (Query.to_string fr.R.Filter_replica.fr_query))
               report.R.Filter_replica.filters
           in
@@ -1478,4 +1582,9 @@ let suite =
       test_lost_empty_store_mints_cookie;
     Alcotest.test_case "torn matching slot mints a cookie" `Quick
       test_torn_matching_slot_mints_cookie;
+    Alcotest.test_case "torn slot walk fails: cold" `Quick test_torn_slot_walk_fails_cold;
+    Alcotest.test_case "consumer repair walk fails: cold" `Quick
+      test_consumer_repair_walk_fails_cold;
+    Alcotest.test_case "topology Merkle restart walk fails: cold" `Quick
+      test_topology_merkle_restart_walk_fails_cold;
   ]

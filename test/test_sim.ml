@@ -447,6 +447,18 @@ let loop_topology ?latency ~until () =
     ~on_leaf_poll:(fun _ ~start ~finish -> polls := (start, finish) :: !polls);
   (topo, node, leaf, engine, polls)
 
+let test_drive_events_one_clock () =
+  (* The topology's poll loops run on its network's engine; any other
+     engine is refused. *)
+  let b = make_backend () in
+  apply b (Update.add (person "a" ~dept:"7" ()));
+  let topo = Topo.create b in
+  ignore (must (Topo.add_leaf topo ~name:"l1" ~parent:(Topo.root topo) (dept_query "7")));
+  check_bool "a foreign engine is refused" true
+    (match Topo.drive_events topo (Sim.Engine.create ()) ~poll_every:10 ~until:10 with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let test_superseded_loop_no_op () =
   (* At tick 5 the leaf's node dies and [heal] re-parents the leaf,
      relaunching its loop at once.  The old loop's occurrence queued
@@ -552,6 +564,7 @@ let suite =
   [
     Alcotest.test_case "event order deterministic" `Quick test_event_order;
     Alcotest.test_case "superseded loop no-op" `Quick test_superseded_loop_no_op;
+    Alcotest.test_case "drive_events: one clock" `Quick test_drive_events_one_clock;
     Alcotest.test_case "crashed in-flight poll" `Quick test_crashed_in_flight_poll;
     Alcotest.test_case "schedule bounds" `Quick test_schedule_bounds;
     Alcotest.test_case "every + run_until" `Quick test_every_and_run_until;
