@@ -134,8 +134,8 @@ val generation : t -> int
 (** A counter that changes whenever the stored filter set does: every
     install (cold, rescoped or seeded), removal and recovered filter
     bumps it.  A caller that derives something from the stored set —
-    the controller's coverage memo — keeps it while the generation it
-    was derived at is current. *)
+    the controller's coverage memo, a node session's resolved consumer
+    — keeps it while the generation it was derived at is current. *)
 
 val covers : t -> Query.t -> bool
 (** Whether some stored query contains [q] (region, attributes and

@@ -82,15 +82,18 @@ let clear_outq t s =
   Hashtbl.remove t.stalled s.id
 
 let set_persist t s push =
-  s.push <- push;
-  match push with
-  | Some _ ->
+  match (s.push, push) with
+  | None, None -> () (* a poll session polling again: [persist] never held it *)
+  | _, Some _ ->
+      s.push <- push;
       (* A replaced channel's undelivered queue belongs to the dead
          connection; the (re)establishment reply covers that interval,
          so the queue is dropped rather than replayed out of band. *)
       clear_outq t s;
       Hashtbl.replace t.persist s.id s
-  | None -> Hashtbl.remove t.persist s.id
+  | Some _, None ->
+      s.push <- None;
+      Hashtbl.remove t.persist s.id
 
 let remove t id =
   match Hashtbl.find_opt t.sessions id with

@@ -6,13 +6,24 @@ module Exchange = Ldap_antientropy.Exchange
 
 type okind = Structural | Owned of int
 
+(* A session query's memo entry. *)
+type memo = {
+  slices : Query.t option array;
+      (* its restriction to each shard, built on first use: every poll
+         of one query hands a shard the same value *)
+  mutable cookie : string;
+      (* the composite cookie last parsed or minted for it, or [""] *)
+  comps : string array;
+      (* [cookie]'s component for each shard, [""] where it has none;
+         kept in place, so a poll that parses nothing retains nothing
+         new either *)
+}
+
 type t = {
   partition : Partition.t;
   shards : Shard_master.t array;
   transport : Transport.t;
-  restricted : Query.t option array Query.Tbl.t;
-      (* session query -> its restriction to each shard, built on first
-         use: every poll of one query hands a shard the same value *)
+  restricted : memo Query.Tbl.t;  (* session query -> its memo entry *)
   mutable geo_ok : bool;
   mutable searches : int;
   mutable search_contacts : int;
@@ -46,22 +57,24 @@ let shard_sessions t =
    its [Sync_end]; a query whose sessions went another way (abandoned,
    expired, retired) lingers until an insertion finds the memo past its
    bound and empties it. *)
+let memo t q =
+  match Query.Tbl.find_opt t.restricted q with
+  | Some m -> m
+  | None ->
+      if Query.Tbl.length t.restricted >= shard_sessions t + memo_slack then
+        Query.Tbl.reset t.restricted;
+      let n = Array.length t.shards in
+      let m = { slices = Array.make n None; cookie = ""; comps = Array.make n "" } in
+      Query.Tbl.replace t.restricted q m;
+      m
+
 let restricted t s q =
-  let row =
-    match Query.Tbl.find_opt t.restricted q with
-    | Some row -> row
-    | None ->
-        if Query.Tbl.length t.restricted >= shard_sessions t + memo_slack then
-          Query.Tbl.reset t.restricted;
-        let row = Array.make (Array.length t.shards) None in
-        Query.Tbl.replace t.restricted q row;
-        row
-  in
-  match row.(s) with
+  let m = memo t q in
+  match m.slices.(s) with
   | Some qs -> qs
   | None ->
       let qs = restrict t s q in
-      row.(s) <- Some qs;
+      m.slices.(s) <- Some qs;
       qs
 
 (* --- Ownership ----------------------------------------------------------- *)
@@ -303,12 +316,43 @@ let shard_exchange t ~push ~mode s ~cookie q =
       | Ok reply -> Ok (reply, None)
       | Error e -> Error e)
 
-let components_of req_cookie =
+(* Most polls present the very cookie string the last reply handed
+   back, so the query's memo keeps the components of the last cookie
+   parsed or minted for it and reuses them for that same string.  A
+   cookie is remembered only when each component names a distinct
+   shard of this router; no shard cookie is empty. *)
+let remember m c comps =
+  let n = Array.length m.comps in
+  Array.fill m.comps 0 n "";
+  let rec fill = function
+    | [] -> true
+    | (s, comp) :: rest ->
+        s >= 0 && s < n
+        && String.length m.comps.(s) = 0
+        && String.length comp > 0
+        && begin
+             m.comps.(s) <- comp;
+             fill rest
+           end
+  in
+  m.cookie <- (if fill comps then c else "")
+
+let remembered m =
+  let acc = ref [] in
+  for s = Array.length m.comps - 1 downto 0 do
+    if String.length m.comps.(s) > 0 then acc := (s, m.comps.(s)) :: !acc
+  done;
+  !acc
+
+let components_of m req_cookie =
   match req_cookie with
   | None -> []
+  | Some c when c == m.cookie -> remembered m
   | Some c -> (
       match Protocol.parse_composite_cookie c with
-      | Some comps -> comps
+      | Some comps ->
+          remember m c comps;
+          comps
       (* A foreign (non-composite) cookie names sessions no shard
          knows: start over — the initial reply prunes the consumer
          clean, which is the sound answer. *)
@@ -337,7 +381,7 @@ let escalate t ~push ~mode leg q =
    merged components are the presented ones, so a presented cookie
    already in canonical form is exactly the one [composite_cookie]
    would mint. *)
-let merged_cookie ~presented ~stale legs =
+let merged_cookie m ~presented ~stale legs =
   match presented with
   | Some c
     when List.for_all
@@ -346,14 +390,21 @@ let merged_cookie ~presented ~stale legs =
          && Protocol.is_canonical_composite c ->
       c
   | Some _ | None ->
-      Protocol.composite_cookie
-        (stale
+      let comps =
+        stale
         @ List.filter_map
             (fun leg ->
               Option.map (fun c -> (leg.lg_shard, c)) leg.lg_reply.Protocol.cookie)
-            legs)
+            legs
+      in
+      let c = Protocol.composite_cookie comps in
+      (* The query's next poll presents this string, whose parse is
+         the components it was minted from: no shard cookie holds a
+         '|'. *)
+      remember m c comps;
+      c
 
-let merged_reply ~presented ~kind ~stale legs =
+let merged_reply m ~presented ~kind ~stale legs =
   let actions =
     (* An ownership move lands as a delete on the old shard's leg and
        an add on the new shard's, both for the same DN; per-leg action
@@ -364,7 +415,7 @@ let merged_reply ~presented ~kind ~stale legs =
       (fun a b -> Int.compare (rank a) (rank b))
       (List.concat_map (fun leg -> leg.lg_reply.Protocol.actions) legs)
   in
-  Protocol.reply ~kind ~actions ~cookie:(Some (merged_cookie ~presented ~stale legs))
+  Protocol.reply ~kind ~actions ~cookie:(Some (merged_cookie m ~presented ~stale legs))
 
 (* The kind of a merged reply: incremental or initial content when
    every leg is, degraded otherwise. *)
@@ -378,7 +429,8 @@ let handle_poll t ~push mode req_cookie q =
   if mode = Protocol.Persist && push = None then
     Error "persist mode requires a push channel"
   else begin
-    let components = components_of req_cookie in
+    let m = memo t q in
+    let components = components_of m req_cookie in
     let cov = cover t q in
     t.polls <- t.polls + 1;
     t.poll_contacts <- t.poll_contacts + List.length cov;
@@ -410,7 +462,7 @@ let handle_poll t ~push mode req_cookie q =
         legs
     in
     let merged legs =
-      Ok (merged_reply ~presented:req_cookie ~kind:(merged_kind legs) ~stale legs)
+      Ok (merged_reply m ~presented:req_cookie ~kind:(merged_kind legs) ~stale legs)
     in
     match failed with
     | [] ->
@@ -452,7 +504,7 @@ let handle_poll t ~push mode req_cookie q =
                 (fun (s, old, _) -> Option.map (fun c -> (s, c)) old)
                 failed
           in
-          Ok (merged_reply ~presented:req_cookie ~kind:Protocol.Incremental ~stale legs)
+          Ok (merged_reply m ~presented:req_cookie ~kind:Protocol.Incremental ~stale legs)
         end
         else begin
           (* A pruning reply merged with a missing shard would discard

@@ -1,7 +1,6 @@
 type t = {
   clock : Clock.t;
   queue : Event.t;
-  mutable seq : int;
   mutable rng : int64;
   mutable running : bool;
 }
@@ -10,7 +9,6 @@ let create ?(seed = 0) () =
   {
     clock = Clock.create ();
     queue = Event.create ();
-    seq = 0;
     rng = Int64.of_int seed;
     running = false;
   }
@@ -21,9 +19,7 @@ let schedule t ~time run =
   if time < now t then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %d is before now %d" time (now t));
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  Event.add t.queue ~time ~seq run
+  Event.add t.queue ~time run
 
 let after t ~delay run = schedule t ~time:(now t + max 0 delay) run
 

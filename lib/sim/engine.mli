@@ -4,8 +4,8 @@
     Determinism rule: for a given seed and an identical sequence of
     [schedule]/[after]/[draw] calls, a run executes the same events at
     the same virtual times in the same order.  Events at equal times
-    fire in scheduling order (ties broken by a per-engine sequence
-    number), so callers never depend on heap internals.  An event is
+    fire in scheduling order ({!Event}'s per-tick buckets are FIFO), so
+    callers never depend on queue internals.  An event is
     never removed: a caller that wants one silenced makes its thunk a
     no-op (the topology's poll loops check a generation number), so it
     still takes its place in that order.  Events run under {!run} (to

@@ -14,7 +14,8 @@ type cursor = {
   stored : Query.t;  (* the node's stored query this session is served from *)
   mutable consumer : Resync.Consumer.t;
       (* the stored query's consumer, resolved at admission and again
-         on every fast-path poll *)
+         by a poll that finds [stamp] out of date *)
+  mutable stamp : int;  (* the replica generation [consumer] was resolved at *)
   mutable seen : (string, Dn.t * int64) Hashtbl.t;
       (* canonical DN -> (DN, content hash of the sent selected image) *)
   mutable spine_pos : int;  (* store revision this session has consumed *)
@@ -178,12 +179,35 @@ let admit replica query =
   match R.Filter_replica.containing_consumer replica query with
   | None -> refer replica
   | Some (stored, consumer) ->
-      Ok { stored; consumer; seen = Hashtbl.create 1; spine_pos = store_rev consumer }
+      Ok
+        {
+          stored;
+          consumer;
+          stamp = R.Filter_replica.generation replica;
+          seen = Hashtbl.create 1;
+          spine_pos = store_rev consumer;
+        }
 
+(* A cursor below every store's floor: the next reply rescans. *)
+let off_spine = -1
+
+(* The replica's generation moves with every install, removal and
+   recovered filter — everything that can retire a stored query's
+   consumer — so a poll at the generation its session resolved its
+   consumer at skips the lookup.  A new consumer brings a new store,
+   whose spine the cursor is not on: the session's next reply diffs
+   the whole content against its sent-image table. *)
 let resumable replica st =
+  let generation = R.Filter_replica.generation replica in
+  st.stamp = generation
+  ||
   match consumer_of replica st.stored with
   | Some c ->
-      if c != st.consumer then st.consumer <- c;
+      if c != st.consumer then begin
+        st.consumer <- c;
+        st.spine_pos <- off_spine
+      end;
+      st.stamp <- generation;
       true
   | None -> false
 

@@ -29,7 +29,13 @@
     streaming.  Containment is proved once per session, when it is
     created: a poll from a live session, for its own query, at the
     CSN it was handed, whose stored query is still installed, goes
-    straight to its cursor.  Sessions presenting an unknown cookie —
+    straight to its cursor.  The session looks its stored query's
+    consumer up again only when the replica's
+    {!Ldap_replication.Filter_replica.generation} moved since it last
+    did; a consumer replaced meanwhile (the query removed and
+    installed again, or restored by a durable reopen) has a new
+    content store, so the session's next reply rescans it against the
+    sent-image table.  Sessions presenting an unknown cookie —
     or one whose CSN the node cannot match, or whose stored query was
     removed — are re-admitted and answered in degraded mode (eq. (3))
     from the cookie's CSN.

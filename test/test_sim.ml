@@ -489,25 +489,37 @@ let test_crashed_in_flight_poll () =
 (* --- Event queue order ------------------------------------------------
 
    A random script of [schedule]s (some of whose events schedule a
-   child when they fire) and [run_until]s a few ticks ahead, with
-   delays of 0 to 3 ticks so many events share a time, runs against the
-   engine and against a reference that keeps the pending events in a
-   plain list and always takes the least [(time, seq)] — seq counting
-   schedules in order.  Both must fire the same events at the same
-   times. *)
+   child when they fire) and [run_until]s runs against the engine and
+   against a reference that keeps the pending events in a plain list
+   and always takes the least [(time, seq)] — seq counting schedules in
+   order.  Both must fire the same events at the same times.  Most
+   delays are 0 to 3 ticks, so many events share a time; the rest
+   straddle the queue's bucket ring (256 ticks) or reach well past it
+   into the overflow heap.  Same-tick bursts land in one bucket,
+   children are often scheduled with zero delay from inside their
+   parent, and a [run_until] may stop far short of the next pending
+   event before more is scheduled ahead of it. *)
 
 type queue_op = Sched of int * int option | Advance of int
 
 let queue_ops =
   let open QCheck.Gen in
-  let delay = int_bound 3 in
-  list_size (int_range 0 300)
-    (frequency
-       [
-         (3, map (fun d -> Sched (d, None)) delay);
-         (1, map2 (fun d c -> Sched (d, Some c)) delay delay);
-         (3, map (fun d -> Advance d) (int_bound 2));
-       ])
+  let delay =
+    frequency [ (4, int_bound 3); (2, int_range 250 262); (2, int_range 263 1_000) ]
+  in
+  let child = frequency [ (2, return 0); (1, delay) ] in
+  map List.concat
+    (list_size (int_range 0 200)
+       (frequency
+          [
+            (3, map (fun d -> [ Sched (d, None) ]) delay);
+            (2, map2 (fun d c -> [ Sched (d, Some c) ]) delay child);
+            (1, map2 (fun n d -> List.init n (fun _ -> Sched (d, None))) (int_range 2 6) delay);
+            ( 3,
+              map
+                (fun d -> [ Advance d ])
+                (frequency [ (3, int_bound 2); (1, int_range 100 600) ]) );
+          ]))
 
 let reference_fires ops =
   let pending = ref [] and seq = ref 0 and now = ref 0 and fired = ref [] in

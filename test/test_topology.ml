@@ -230,6 +230,44 @@ let test_csn_mismatch_and_unknown_session_degrade () =
   check_bool "unknown session degrades" true (kind_is Protocol.Degraded r);
   check_int "new member resent, old ones retained" 3 (List.length r.Protocol.actions)
 
+(* A live session whose stored query gets a new consumer between two
+   polls — the query removed and installed again, or the replica's
+   durable store reopened under it — is served from the new consumer.
+   The retired one is polled by nobody, so a leaf answered from it
+   would never see the updates that follow.  Each swap also brings in
+   a member the leaf has not been sent, which the new consumer's spine
+   does not list as a change after the session's cursor. *)
+let converge_after_update b t name =
+  apply b (Update.add (person name ~dept:"7" ()));
+  for i = 1 to 8 do
+    apply b
+      (Update.modify (dn "cn=a,o=xyz")
+         [ Update.replace_values "mail" [ Printf.sprintf "%s%d@xyz" name i ] ]);
+    T.Topology.sync_round t
+  done;
+  check_bool ("leaf converges after " ^ name) true
+    (Option.is_some (T.Topology.rounds_to_converge t))
+
+let test_replaced_consumer_resumes () =
+  let b, t, node = node_fixture () in
+  let replica = T.Node.replica node in
+  let m = Ldap_store.Medium.memory () in
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"n1"));
+  let leaf = must (T.Topology.add_leaf t ~name:"l1" ~parent:"n1" (dept_query 7)) in
+  converge_after_update b t "d";
+  apply b (Update.add (person "x" ~dept:"7" ()));
+  R.Filter_replica.remove_filter replica (dept_query 7);
+  must (R.Filter_replica.install_filter replica (dept_query 7));
+  converge_after_update b t "e";
+  apply b (Update.add (person "y" ~dept:"7" ()));
+  T.Node.sync node;
+  R.Filter_replica.detach_store replica;
+  R.Filter_replica.remove_filter replica (dept_query 7);
+  ignore (must (R.Filter_replica.open_store replica m ~prefix:"n1"));
+  converge_after_update b t "f";
+  check_bool "leaf stayed at the node" true (T.Leaf.parent leaf = "n1");
+  check_int "one session" 1 (T.Node.session_count node)
+
 (* The node's serving counters for a fixed script: the values the
    full admission path produced for every poll before known sessions
    skipped it. *)
@@ -873,6 +911,8 @@ let suite =
     Alcotest.test_case "removed cover: referral" `Quick test_removed_cover_referral;
     Alcotest.test_case "CSN mismatch and unknown session degrade" `Quick
       test_csn_mismatch_and_unknown_session_degrade;
+    Alcotest.test_case "replaced consumer: session resumes" `Quick
+      test_replaced_consumer_resumes;
     Alcotest.test_case "cursor stats for a fixed script" `Quick
       test_cursor_stats_fixed_script;
     Alcotest.test_case "re-parented cookie degrades with retain" `Quick
