@@ -184,6 +184,11 @@ let prefix_filter = Filter.of_string_exn "(serialNumber=04004*)"
 let complex_filter =
   Filter.of_string_exn "(&(objectclass=inetOrgPerson)(|(sn=doe)(sn=smith))(age>=30))"
 
+(* Containment takes normal filters, as every query carries. *)
+let serial_normal = Filter.normalize serial_filter
+let dept_normal = Filter.normalize dept_filter
+let prefix_normal = Filter.normalize prefix_filter
+
 let filter_string = "(&(objectclass=inetOrgPerson)(|(sn=doe)(sn=smith))(age>=30))"
 
 let dn_string = "cn=john doe 0456,ou=research,c=us,o=xyz"
@@ -245,12 +250,12 @@ let micro_tests =
     ("filter/parse", fun () -> ignore (Filter.of_string_exn filter_string : Filter.t));
     ( "filter/eval",
       fun () -> ignore (Filter.matches complex_filter fixture_entry : bool) );
-    ("filter/normalize", fun () -> ignore (Filter.normalize complex_filter : Filter.t));
+    ("filter/normalize", fun () -> ignore (Filter.normalize complex_filter : Filter.normal));
     ("dn/parse", fun () -> ignore (Dn.of_string_exn dn_string : Dn.t));
     ("dn/ancestor", fun () -> ignore (Dn.ancestor_of base_dn deep_dn : bool));
     ( "containment/same-template (Prop 3)",
       fun () ->
-        ignore (C.Filter_containment.contained serial_filter serial_filter : bool)
+        ignore (C.Filter_containment.contained serial_normal serial_normal : bool)
     );
     ( "containment/cross-template compiled (Prop 2)",
       fun () ->
@@ -261,12 +266,12 @@ let micro_tests =
     ( "containment/general (Prop 1)",
       fun () ->
         ignore
-          (C.Filter_containment.contained_general serial_filter prefix_filter
+          (C.Filter_containment.contained_general serial_normal prefix_normal
             : bool) );
     ( "containment/general conjunctive",
       fun () ->
         ignore
-          (C.Filter_containment.contained_general dept_filter dept_filter : bool)
+          (C.Filter_containment.contained_general dept_normal dept_normal : bool)
     );
     ( "backend/indexed search",
       fun () -> ignore (Backend.search small_backend indexed_search_query) );

@@ -251,7 +251,7 @@ let workload_cmd =
     Array.iteri
       (fun i (item : Dirgen.Workload.item) ->
         if i < 10 then
-          Printf.printf "  %s\n" (Filter.to_string item.Dirgen.Workload.query.Query.filter))
+          Printf.printf "  %s\n" (Filter.to_string (item.Dirgen.Workload.query.Query.filter :> Filter.t)))
       items
   in
   let doc = "Generate a Table 1 workload, print its mix, optionally save a trace." in

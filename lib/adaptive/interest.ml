@@ -15,7 +15,7 @@ type t = {
 let key (q : Query.t) =
   Printf.sprintf "%s|%d|%s" (Dn.canonical q.Query.base)
     (Scope.to_int q.Query.scope)
-    (Filter.to_string (Filter.normalize q.Query.filter))
+    (Filter.to_string (q.Query.filter :> Filter.t))
 
 let create ?half_life () =
   (match half_life with

@@ -1,6 +1,7 @@
 open Ldap
 
-type 'a stored = { query : Query.t; values : string array; payload : 'a }
+(* [key] is the shape key of the stored query's bucket. *)
+type 'a stored = { query : Query.t; key : string; values : string array; payload : 'a }
 
 type 'a bucket = {
   template : Template.t;
@@ -120,7 +121,7 @@ let add t q payload =
         Hashtbl.replace t.buckets key b;
         b
   in
-  let fresh = { query = q; values; payload } in
+  let fresh = { query = q; key; values; payload } in
   (match Query.Tbl.find_opt t.exact q with
   | Some old ->
       (* Equal queries have equal hole values, so the replacement lives
@@ -137,7 +138,7 @@ let add t q payload =
       bucket.entries <- fresh :: bucket.entries;
       Hashtbl.iter (fun col column -> column_insert t bucket col column fresh) bucket.columns;
       t.count <- t.count + 1;
-      if not (hole_complete q.Query.filter) then t.beyond_holes <- t.beyond_holes + 1);
+      if not (hole_complete (q.Query.filter :> Filter.t)) then t.beyond_holes <- t.beyond_holes + 1);
   Query.Tbl.replace t.exact q fresh
 
 let remove t q =
@@ -146,12 +147,11 @@ let remove t q =
   | Some s ->
       Query.Tbl.remove t.exact q;
       let values = s.values in
-      let key = Template.shape_key (Template.of_filter s.query.Query.filter) in
-      let bucket = Hashtbl.find t.buckets key in
+      let bucket = Hashtbl.find t.buckets s.key in
       bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
       t.count <- t.count - 1;
-      if not (hole_complete s.query.Query.filter) then t.beyond_holes <- t.beyond_holes - 1;
-      if bucket.entries = [] then Hashtbl.remove t.buckets key
+      if not (hole_complete (s.query.Query.filter :> Filter.t)) then t.beyond_holes <- t.beyond_holes - 1;
+      if bucket.entries = [] then Hashtbl.remove t.buckets s.key
       else
         Hashtbl.iter
           (fun col column ->
@@ -396,7 +396,7 @@ let linear_search t (q : Query.t) ~pred ~counted =
 (* [counted] says whether the stored queries checked add to
    [comparisons]: a query admission's do, a coverage proof's do not. *)
 let search t (q : Query.t) ~pred ~counted =
-  if t.beyond_holes = 0 && hole_complete q.Query.filter then
+  if t.beyond_holes = 0 && hole_complete (q.Query.filter :> Filter.t) then
     indexed_search t q ~pred ~counted
   else linear_search t q ~pred ~counted
 

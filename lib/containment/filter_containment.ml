@@ -82,8 +82,7 @@ let pred_contained p1 p2 =
     | Substrings (_, { initial = None; _ }), (Greater_eq _ | Less_eq _) ->
         false
 
-let same_shape_contained f1 f2 =
-  let f1 = Filter.normalize f1 and f2 = Filter.normalize f2 in
+let same_shape_contained (f1 : Filter.normal) (f2 : Filter.normal) =
   (* Walk in lockstep; [dir] flips under NOT. *)
   let rec go dir a b =
     match (a, b) with
@@ -101,7 +100,7 @@ let same_shape_contained f1 f2 =
             (Some true) xs ys
     | (Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _), _ -> None
   in
-  go true f1 f2
+  go true (f1 :> Filter.t) (f2 :> Filter.t)
 
 let contained_general = Symbolic.contained
 
@@ -114,4 +113,4 @@ let contained f1 f2 =
 
 (* [f ∧ g] inconsistent ⟺ [f ⊆ ¬g]: the Proposition 1 reduction run
    backwards, so disjointness rides the same decision procedure. *)
-let disjoint f g = contained_general f (Filter.Not g)
+let disjoint f g = contained_general f (Filter.negate g)

@@ -2,7 +2,7 @@
     not [F2] (section 4.1).
 
     Three decision procedures, dispatched by {!contained}:
-    - structural equality of normalized filters;
+    - structural equality of normal filters;
     - the same-template pointwise check of Proposition 3 (linear in
       the number of predicates);
     - the general Proposition 1 procedure via {!Symbolic.contained}.
@@ -13,17 +13,17 @@
 
 open Ldap
 
-val contained : Filter.t -> Filter.t -> bool
+val contained : Filter.normal -> Filter.normal -> bool
 (** Full dispatch: equality, then same shape (Proposition 3: when the
-    two normalized filters have the same template, containment follows
+    two normal filters have the same template, containment follows
     from pointwise containment of corresponding predicates), then the
     general procedure. *)
 
-val contained_general : Filter.t -> Filter.t -> bool
+val contained_general : Filter.normal -> Filter.normal -> bool
 (** The general Proposition 1 procedure only (exposed for testing and
     benchmarking against the fast paths). *)
 
-val disjoint : Filter.t -> Filter.t -> bool
+val disjoint : Filter.normal -> Filter.normal -> bool
 (** Sound disjointness: [true] means no entry can satisfy both filters
     — Proposition 1 run backwards ([f ∧ g] inconsistent ⟺
     [f ⊆ ¬g]).  [false] may be conservative; a shard router that

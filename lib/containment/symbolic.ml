@@ -363,29 +363,7 @@ let compile ~left ~right =
       else Some (Cnf clauses)
 
 let contained f1 f2 =
-  let const_template f =
-    (* A template with zero holes: every assertion value constant. *)
-    let rec conv = function
-      | Filter.Pred p -> Template.Pred (conv_pred p)
-      | Filter.Not g -> Template.Not (conv g)
-      | Filter.And gs -> Template.And (List.map conv gs)
-      | Filter.Or gs -> Template.Or (List.map conv gs)
-    and conv_pred = function
-      | Filter.Equality (a, v) -> Template.Equality (a, Template.Const v)
-      | Filter.Greater_eq (a, v) -> Template.Greater_eq (a, Template.Const v)
-      | Filter.Less_eq (a, v) -> Template.Less_eq (a, Template.Const v)
-      | Filter.Present a -> Template.Present a
-      | Filter.Approx (a, v) -> Template.Approx (a, Template.Const v)
-      | Filter.Substrings (a, { initial; any; final }) ->
-          Template.Substrings
-            ( a,
-              Option.map (fun s -> Template.Const s) initial,
-              List.map (fun s -> Template.Const s) any,
-              Option.map (fun s -> Template.Const s) final )
-    in
-    conv (Filter.normalize f)
-  in
-  match compile ~left:(const_template f1) ~right:(const_template f2) with
+  match compile ~left:(Template.constant f1) ~right:(Template.constant f2) with
   | None -> false
   | Some cond -> eval cond ~left:[||] ~right:[||]
 

@@ -104,7 +104,7 @@ module Compiled : sig
       of the source condition. *)
 end
 
-val contained : Filter.t -> Filter.t -> bool
+val contained : Filter.normal -> Filter.normal -> bool
 (** Direct (uncompiled) containment of concrete filters: compiles the
     filters as constant-only templates, which folds every atom at
     compile time.  This is the general Proposition 1 decision

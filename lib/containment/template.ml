@@ -47,9 +47,9 @@ let hole_attrs t =
   go t;
   out
 
-(* Convert a normalized filter, turning values into holes (when [hole]
+(* Convert a normal filter, turning values into holes (when [hole]
    says so) numbered left-to-right. *)
-let of_filter_gen ~hole filter =
+let of_filter_gen ~hole (filter : Filter.normal) =
   let counter = ref 0 in
   let conv_value s =
     if hole s then begin
@@ -75,14 +75,15 @@ let of_filter_gen ~hole filter =
           (a, Option.map conv_value initial, List.map conv_value any,
            Option.map conv_value final)
   in
-  conv (Filter.normalize filter)
+  conv (filter :> Filter.t)
 
 let of_filter filter = of_filter_gen ~hole:(fun _ -> true) filter
+let constant filter = of_filter_gen ~hole:(fun _ -> false) filter
 
 let of_string s =
   match Filter.of_string s with
   | Error e -> Error e
-  | Ok f -> Ok (of_filter_gen ~hole:(fun v -> v = "_") f)
+  | Ok f -> Ok (of_filter_gen ~hole:(fun v -> v = "_") (Filter.normalize f))
 
 let of_string_exn s =
   match of_string s with
@@ -118,16 +119,15 @@ let to_string t =
 
 let shape_key = to_string
 
-(* Structural match of a normalized filter against the template,
-   binding holes.  Both sides are expected in normalized form with the
-   same operand ordering; template conversion and Filter.normalize
-   guarantee this for filters built from a template, and for
-   independently parsed filters the shapes coincide whenever the
-   template's value ordering is shape-determined (distinct attributes
-   or operators). *)
+(* Structural match of a normal filter against the template, binding
+   holes.  Both sides are in normal form with the same operand
+   ordering; template conversion guarantees this for filters built
+   from a template, and for independently parsed filters the shapes
+   coincide whenever the template's value ordering is shape-determined
+   (distinct attributes or operators). *)
 exception No_match
 
-let match_filter t filter =
+let match_filter t (filter : Filter.normal) =
   let bindings = Hashtbl.create 8 in
   let bind i v =
     match Hashtbl.find_opt bindings i with
@@ -168,7 +168,7 @@ let match_filter t filter =
         ovalue f s.final a
     | _ -> raise No_match
   in
-  match go t (Filter.normalize filter) with
+  match go t (filter :> Filter.t) with
   | () ->
       let n = holes t in
       let out = Array.make n "" in

@@ -37,14 +37,19 @@ val hole_attrs : t -> string array
     assertion it fills; used to pick the matching-rule syntax for a
     hole's bound values. *)
 
-val of_filter : Filter.t -> t
+val of_filter : Filter.normal -> t
 (** Full generalization: every assertion value (and every substring
-    component) becomes a hole.  The filter is normalized first. *)
+    component) becomes a hole. *)
+
+val constant : Filter.normal -> t
+(** The template with no hole: every assertion value a constant.
+    Compiling a condition against it folds every atom on that side. *)
 
 val of_string : string -> (t, string) result
 (** Parses a declared template: assertion values consisting of the
     single character ['_'] become holes, everything else is constant.
-    [(&(cn=_)(ou=research))] has one hole. *)
+    [(&(cn=_)(ou=research))] has one hole.  The parsed filter is
+    normalized first, so holes are numbered as in {!of_filter}. *)
 
 val of_string_exn : string -> t
 
@@ -52,8 +57,7 @@ val shape_key : t -> string
 (** Key identifying the template's shape with hole positions; equal
     templates (same shape, same constants) have equal keys. *)
 
-val match_filter : t -> Filter.t -> string array option
-(** [match_filter t f] checks whether the (normalized) filter
-    is an instance of the template and returns the assertion values
-    bound to the holes.  Constants are compared under the attribute's
-    matching rule. *)
+val match_filter : t -> Filter.normal -> string array option
+(** [match_filter t f] checks whether the filter is an instance of the
+    template and returns the assertion values bound to the holes.
+    Constants are compared under the attribute's matching rule. *)

@@ -14,7 +14,7 @@ let item_line (item : Workload.item) =
     (Workload.kind_name item.Workload.kind)
     (Scope.to_string q.Query.scope)
     (Dn.to_string q.Query.base)
-    (Filter.to_string q.Query.filter)
+    (Filter.to_string (q.Query.filter :> Filter.t))
     (Dn.to_string item.Workload.scoped.Query.base)
 
 let to_string items =

@@ -1142,7 +1142,7 @@ let run_scale_at cfg ~employees =
           when String.lowercase_ascii a = "departmentnumber" ->
             Hashtbl.find_opt dept_index v
         | _ -> acc)
-      None it.D.Workload.query.Query.filter
+      None (it.D.Workload.query.Query.filter :> Filter.t)
   in
   let rr = Array.make filters 0 in
   let query_hits = ref 0 in

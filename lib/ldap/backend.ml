@@ -224,12 +224,12 @@ let fold_matching t (q : Query.t) ~init ~f =
              evaluates bytecode against its slots instead of
              re-walking the AST with per-predicate schema lookups and
              value normalization. *)
-          let filter_matches = Filter.matcher q.filter in
+          let filter_matches = Filter.matcher (q.filter :> Filter.t) in
           let matches entry = (not (is_excluded entry)) && filter_matches entry in
           let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
           let acc =
             match
-              (Content_store.fold_candidates t.estore q.filter ~init ~f:visit, q.scope)
+              (Content_store.fold_candidates t.estore (q.filter :> Filter.t) ~init ~f:visit, q.scope)
             with
             | Some acc, _ -> acc
             | None, Scope.Base -> if matches base_entry then f init base_entry else init
@@ -270,7 +270,7 @@ let posting_count t (q : Query.t) =
     && (not q.manage_dsa_it)
     && Dn.Set.is_empty t.referral_dns
     && match t.contexts with [ suffix ] -> Dn.equal suffix q.base | _ -> false
-  then Content_store.posting_count t.estore q.filter
+  then Content_store.posting_count t.estore (q.filter :> Filter.t)
   else None
 
 let count_matching t q =

@@ -160,7 +160,7 @@ let emit_search_request w (q : Query.t) =
   let ma = Wr.mark w in
   List.iter (fun a -> Wr.octets w a) (List.rev attrs);
   Wr.close w ~tag:tag_sequence ma;
-  emit_filter w q.Query.filter;
+  emit_filter w (q.Query.filter :> Filter.t);
   Wr.boolean w false (* typesOnly *);
   Wr.integer w 0 (* timeLimit *);
   Wr.integer w 0 (* sizeLimit *);

@@ -78,28 +78,11 @@ and rebuild mk same gs =
   let sorted = List.sort_uniq structural_compare flattened in
   match sorted with [ g ] -> g | l -> mk l
 
-(* [normalize] rebuilds a filter passing this check unchanged:
-   lowercase attributes, no singleton or nested same-kind AND/OR,
-   operands strictly sorted.  Filters built by [Query.make] pass it, so
-   comparing and hashing them allocates nothing. *)
-let rec is_normal = function
-  | Pred p -> not (String.exists (fun c -> c >= 'A' && c <= 'Z') (raw_attr p))
-  | Not g -> is_normal g
-  | And gs -> operands_normal (function And _ -> true | _ -> false) gs
-  | Or gs -> operands_normal (function Or _ -> true | _ -> false) gs
+type normal = t
 
-and operands_normal same gs =
-  let rec sorted = function
-    | x :: (y :: _ as rest) -> structural_compare x y < 0 && sorted rest
-    | [ _ ] | [] -> true
-  in
-  (match gs with [ _ ] -> false | _ -> true)
-  && List.for_all (fun g -> (not (same g)) && is_normal g) gs
-  && sorted gs
-
-let canonical f = if is_normal f then f else normalize f
-let equal a b = a == b || structural_compare (canonical a) (canonical b) = 0
-let compare a b = if a == b then 0 else structural_compare (canonical a) (canonical b)
+let negate g = Not g
+let equal a b = a == b || structural_compare a b = 0
+let compare a b = if a == b then 0 else structural_compare a b
 
 (* Every predicate, however deep, feeds the hash: [Hashtbl.hash] alone
    stops after ten meaningful values, which would put filters that
@@ -111,7 +94,7 @@ let hash f =
     | And gs -> List.fold_left (fun h g -> (31 * h) + go g) 5 gs
     | Or gs -> List.fold_left (fun h g -> (31 * h) + go g) 7 gs
   in
-  go (canonical f)
+  go f
 
 (* --- Evaluation ----------------------------------------------------- *)
 

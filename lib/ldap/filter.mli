@@ -41,21 +41,34 @@ val attributes : t -> string list
 val fold_pred : ('a -> pred -> 'a) -> 'a -> t -> 'a
 (** Folds over every atomic predicate, left to right. *)
 
-val normalize : t -> t
-(** Canonical form: flattens nested AND/OR, drops single-operand
-    AND/OR wrappers, lowercases attribute names, sorts operands of
-    AND/OR structurally.  Idempotent; used for template extraction and
-    structural equality. *)
+type normal = private t
+(** A filter in normal form: nested AND/OR flattened, single-operand
+    AND/OR wrappers dropped, attribute names lowercased, AND/OR
+    operands sorted and deduplicated structurally.  {!normalize} is
+    the only way in (besides {!negate}, which keeps the form), so a
+    value of this type never needs normalizing again; [(f :> t)]
+    reads it as a plain filter. *)
 
-val equal : t -> t -> bool
-(** Structural equality of normalized forms. *)
+val normalize : t -> normal
+(** The normal form of a filter.  Idempotent: normalizing a normal
+    filter rebuilds the same tree.  A filter is normalized where it
+    enters: {!Query.make}, a shard's restriction, generalization's
+    output and template parsing. *)
 
-val compare : t -> t -> int
-(** Total order on normalized forms, agreeing with {!equal}. *)
+val negate : normal -> normal
+(** [(!f)]: the negation of a normal filter is normal as it stands. *)
 
-val hash : t -> int
-(** Hash of the normalized form, consistent with {!equal}; every
-    predicate contributes, however many there are. *)
+val equal : normal -> normal -> bool
+(** Structural equality; two filters are equivalent up to operand
+    order, nesting and attribute case exactly when their normal forms
+    are equal. *)
+
+val compare : normal -> normal -> int
+(** Total structural order, agreeing with {!equal}. *)
+
+val hash : normal -> int
+(** Structural hash, consistent with {!equal}; every predicate
+    contributes, however many there are. *)
 
 val compile : t -> Ldap_compile.Prog.t
 (** [compile f] lowers the filter once into the flat bytecode of

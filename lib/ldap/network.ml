@@ -184,7 +184,7 @@ let search t ~from (q : Query.t) =
               | Error e -> Error e
               | Ok { Referral.host = next; dn } ->
                   let q' =
-                    match dn with Some base -> { q with base } | None -> q
+                    match dn with Some base -> Query.with_base q base | None -> q
                   in
                   go acc (hops + 1) ((next, q', `Chase) :: rest))
           | Server.Entries { entries; references } ->
@@ -197,7 +197,7 @@ let search t ~from (q : Query.t) =
                         let base = Option.value ~default:q.base dn in
                         (* Continuation reference: modified base, same
                            scope and filter (Figure 2). *)
-                        Some (host, { q with base }, `Reference))
+                        Some (host, Query.with_base q base, `Reference))
                   references
               in
               let acc =

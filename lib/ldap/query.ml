@@ -3,7 +3,7 @@ type attrs = All | Select of string list
 type t = {
   base : Dn.t;
   scope : Scope.t;
-  filter : Filter.t;
+  filter : Filter.normal;
   attrs : attrs;
   manage_dsa_it : bool;
 }
@@ -16,6 +16,10 @@ let norm_attrs = function
 
 let make ?(scope = Scope.Sub) ?(attrs = All) ?(manage_dsa_it = false) ~base filter =
   { base; scope; filter = Filter.normalize filter; attrs = norm_attrs attrs; manage_dsa_it }
+
+let with_base q base = { q with base }
+let with_filter q filter = { q with filter }
+let with_attrs q attrs = { q with attrs = norm_attrs attrs }
 
 let of_strings ?scope ~base filter_s =
   match Dn.of_string base with
@@ -96,5 +100,5 @@ let to_string t =
   in
   Printf.sprintf "base=%S scope=%s filter=%s attrs=%s" (Dn.to_string t.base)
     (Scope.to_string t.scope)
-    (Filter.to_string t.filter)
+    (Filter.to_string (t.filter :> Filter.t))
     attrs

@@ -6,13 +6,13 @@ let filter_attrs_available ~available (q : Query.t) =
   match available with
   | Query.All -> true
   | Query.Select stored_attrs ->
-      List.for_all (fun a -> List.mem a stored_attrs) (Filter.attributes q.Query.filter)
+      List.for_all (fun a -> List.mem a stored_attrs) (Filter.attributes (q.Query.filter :> Filter.t))
 
 let widen_attrs (q : Query.t) =
   match q.Query.attrs with
   | Query.All -> q
   | Query.Select l ->
-      { q with Query.attrs = Query.Select (l @ Filter.attributes q.Query.filter) }
+      Query.with_attrs q (Query.Select (l @ Filter.attributes (q.Query.filter :> Filter.t)))
 
 let eval_over_store (q : Query.t) store =
   let attrs = Query.attr_list q.Query.attrs in
@@ -22,7 +22,7 @@ let eval_over_store (q : Query.t) store =
 let eval_over_entries (_ : Schema.t) (q : Query.t) entries =
   (* Compile the filter once for the whole pass; each entry then
      evaluates the bytecode against its slots. *)
-  let matches = Filter.matcher q.Query.filter in
+  let matches = Filter.matcher (q.Query.filter :> Filter.t) in
   let attrs = Query.attr_list q.Query.attrs in
   Seq.fold_left
     (fun acc e ->

@@ -2,7 +2,7 @@ open Ldap
 
 (* Interpreted membership: the reference behind [classify]. *)
 let member (q : Query.t) entry =
-  Query.in_scope q (Entry.dn entry) && Filter.matches q.Query.filter entry
+  Query.in_scope q (Entry.dn entry) && Filter.matches (q.Query.filter :> Filter.t) entry
 
 (* A membership test with the filter compiled once.  Sessions live for
    many updates, so the master caches one of these per session and
@@ -10,7 +10,7 @@ let member (q : Query.t) entry =
    re-walking the filter AST. *)
 type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
 
-let matcher (q : Query.t) = { mq = q; prog = Filter.compile q.Query.filter }
+let matcher (q : Query.t) = { mq = q; prog = Filter.compile (q.Query.filter :> Filter.t) }
 
 let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)
@@ -33,7 +33,7 @@ let current backend q =
 
 let current_dns backend q =
   (* Evaluate without attribute selection cost: DNs suffice. *)
-  let slim = { q with Query.attrs = Query.Select [ "objectclass" ] } in
+  let slim = Query.with_attrs q (Query.Select [ "objectclass" ]) in
   List.fold_left
     (fun acc e -> Dn.Set.add (Entry.dn e) acc)
     Dn.Set.empty (current backend slim)

@@ -148,7 +148,7 @@ let coalesce = function
 
 (* --- Strategy-specific replies ----------------------------------------- *)
 
-let filter_attrs (q : Query.t) = Filter.attributes q.Query.filter
+let filter_attrs (q : Query.t) = Filter.attributes (q.Query.filter :> Filter.t)
 
 (* Changelog replay: only (kind, DN, changed attrs, current state) may
    be used — no pre-images. *)

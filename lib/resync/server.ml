@@ -122,7 +122,7 @@ let install t ~id query state ~synced ~last_active =
     }
   in
   Hashtbl.replace t.sessions id s;
-  Option.iter (fun idx -> PI.add idx id query.Query.filter) t.index;
+  Option.iter (fun idx -> PI.add idx id (query.Query.filter :> Filter.t)) t.index;
   if id >= t.next_id then t.next_id <- id + 1;
   s
 

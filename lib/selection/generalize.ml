@@ -17,8 +17,10 @@ let apply_to_pred rule (p : Filter.pred) ~in_conjunction =
       Some (Filter.Present a)
   | (Prefix_value _ | Widen_to_presence _), _ -> None
 
-(* Apply the rule to the first applicable predicate. *)
-let generalize_filter rule filter =
+(* Apply the rule to the first applicable predicate of a normal
+   filter; the result is normalized again, since a rewritten operand
+   may sort elsewhere among its siblings. *)
+let generalize_filter rule (filter : Filter.normal) =
   let applied = ref false in
   let rec go ~in_conjunction f =
     match f with
@@ -33,7 +35,7 @@ let generalize_filter rule filter =
     | Filter.And gs -> Filter.And (List.map (go ~in_conjunction:true) gs)
     | Filter.Or gs -> Filter.Or (List.map (go ~in_conjunction:false) gs)
   in
-  let result = go ~in_conjunction:false (Filter.normalize filter) in
+  let result = go ~in_conjunction:false (filter :> Filter.t) in
   if !applied then Some (Filter.normalize result) else None
 
 let candidates rules (q : Query.t) =
@@ -41,8 +43,7 @@ let candidates rules (q : Query.t) =
     List.filter_map
       (fun rule ->
         match generalize_filter rule q.Query.filter with
-        | Some f when not (Filter.equal f q.Query.filter) ->
-            Some { q with Query.filter = f }
+        | Some f when not (Filter.equal f q.Query.filter) -> Some (Query.with_filter q f)
         | Some _ | None -> None)
       rules
   in

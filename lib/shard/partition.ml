@@ -19,12 +19,13 @@ type t = {
   block_shard : int array;
   by_prefix : (string, int) Hashtbl.t;  (* normalized prefix -> block index *)
   shard_blocks : string list array;
-  skip_rhs : Filter.t array;
+  skip_rhs : Filter.normal array;
       (* Skip shard [s] iff query ⊆ skip_rhs.(s): for s > 0 that is
          ¬(blocks of s); for shard 0 it is the union of every OTHER
          shard's blocks (structural and unknown-block entries live at
          shard 0, so only a query provably confined to other shards'
          blocks can skip it). *)
+  owns : Filter.normal array;  (* [ownership_filter], per shard *)
   plans : (string, plan) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -39,10 +40,6 @@ let block_filter prefix =
   Filter.Pred
     (Filter.Substrings (attr, { initial = Some prefix; any = []; final = None }))
 
-let union_filter = function
-  | [ p ] -> block_filter p
-  | ps -> Filter.Or (List.map block_filter ps)
-
 let create ~shards ~blocks =
   if shards < 1 then invalid_arg "Partition.create: shards < 1";
   let n = Array.length blocks in
@@ -53,42 +50,45 @@ let create ~shards ~blocks =
       if String.length p <> prefix_len then
         invalid_arg "Partition.create: block prefixes must share one width")
     blocks;
-  let t =
-    {
-      shards;
-      prefix_len;
-      block_geos = Array.map snd blocks;
-      block_shard = Array.init n (fun i -> i mod shards);
-      by_prefix = Hashtbl.create (2 * n);
-      shard_blocks = Array.make shards [];
-      skip_rhs = Array.make shards Filter.tt;
-      plans = Hashtbl.create 16;
-      hits = 0;
-      misses = 0;
-    }
-  in
+  let block_shard = Array.init n (fun i -> i mod shards) in
+  let by_prefix = Hashtbl.create (2 * n) in
+  let shard_blocks = Array.make shards [] in
   Array.iteri
     (fun i (p, _) ->
       let key = norm_prefix p in
-      if Hashtbl.mem t.by_prefix key then
+      if Hashtbl.mem by_prefix key then
         invalid_arg "Partition.create: duplicate block prefix";
-      Hashtbl.replace t.by_prefix key i;
-      let s = t.block_shard.(i) in
-      t.shard_blocks.(s) <- t.shard_blocks.(s) @ [ p ])
+      Hashtbl.replace by_prefix key i;
+      let s = block_shard.(i) in
+      shard_blocks.(s) <- shard_blocks.(s) @ [ p ])
     blocks;
-  for s = 0 to shards - 1 do
-    if s = 0 then begin
-      let others =
-        List.concat
-          (List.init (shards - 1) (fun k -> t.shard_blocks.(k + 1)))
-      in
-      t.skip_rhs.(0) <-
-        (match others with [] -> Filter.Or [] | ps -> union_filter ps)
-    end
-    else
-      t.skip_rhs.(s) <- Filter.Not (union_filter t.shard_blocks.(s))
-  done;
-  t
+  let union ps = Filter.normalize (Filter.Or (List.map block_filter ps)) in
+  let skip_rhs =
+    Array.init shards (fun s ->
+        if s = structural_shard then union (List.concat (List.tl (Array.to_list shard_blocks)))
+        else Filter.negate (union shard_blocks.(s)))
+  in
+  {
+    shards;
+    prefix_len;
+    block_geos = Array.map snd blocks;
+    block_shard;
+    by_prefix;
+    shard_blocks;
+    skip_rhs;
+    owns =
+      Array.init shards (fun s ->
+          if s = structural_shard then
+            (* Everything not provably another shard's: shard 0's own
+               blocks, structural entries (no key at all) and keys in
+               no known block all live here — exactly the complement
+               of skip_rhs.(0). *)
+            Filter.negate skip_rhs.(0)
+          else union shard_blocks.(s));
+    plans = Hashtbl.create 16;
+    hits = 0;
+    misses = 0;
+  }
 
 let of_enterprise ent ~shards =
   create ~shards
@@ -126,16 +126,11 @@ let geo_consistent t e =
           | None -> true (* block opted out of geographic pruning *)
           | Some g -> Dn.ancestor_of ~strict:true g (Entry.dn e)))
 
-let ownership_filter t s =
-  if s = structural_shard then
-    (* Everything not provably another shard's: shard 0's own blocks,
-       structural entries (no key at all) and keys in no known block
-       all live here — exactly the complement of skip_rhs.(0). *)
-    Filter.Not t.skip_rhs.(0)
-  else union_filter t.shard_blocks.(s)
+let ownership_filter t s = t.owns.(s)
 
 let restrict t s (q : Query.t) =
-  { q with filter = Filter.normalize (Filter.And [ ownership_filter t s; q.filter ]) }
+  Query.with_filter q
+    (Filter.normalize (Filter.And [ (t.owns.(s) :> Filter.t); (q.filter :> Filter.t) ]))
 
 (* Geographic pruning: when the query base sits inside some block's
    geography subtree, only shards owning a block whose geography
@@ -160,29 +155,6 @@ let geo_cover t (q : Query.t) =
     if !anchored then Some keep else None
   end
 
-(* Template with every assertion value constant: the skip conditions'
-   right-hand sides are concrete filters, so their holes fold away at
-   compile time and evaluating a plan needs only the query's values. *)
-let rec const_template (f : Filter.t) : Template.t =
-  match f with
-  | Filter.And fs -> Template.And (List.map const_template fs)
-  | Filter.Or fs -> Template.Or (List.map const_template fs)
-  | Filter.Not g -> Template.Not (const_template g)
-  | Filter.Pred p ->
-      Template.Pred
-        (match p with
-        | Filter.Equality (a, v) -> Template.Equality (a, Template.Const v)
-        | Filter.Greater_eq (a, v) -> Template.Greater_eq (a, Template.Const v)
-        | Filter.Less_eq (a, v) -> Template.Less_eq (a, Template.Const v)
-        | Filter.Present a -> Template.Present a
-        | Filter.Approx (a, v) -> Template.Approx (a, Template.Const v)
-        | Filter.Substrings (a, s) ->
-            Template.Substrings
-              ( a,
-                Option.map (fun v -> Template.Const v) s.initial,
-                List.map (fun v -> Template.Const v) s.any,
-                Option.map (fun v -> Template.Const v) s.final ))
-
 let plan_for t f =
   let tmpl = Template.of_filter f in
   let key = Template.shape_key tmpl in
@@ -196,7 +168,7 @@ let plan_for t f =
         Array.init t.shards (fun s ->
             match
               Symbolic.compile ~left:tmpl
-                ~right:(const_template t.skip_rhs.(s))
+                ~right:(Template.constant t.skip_rhs.(s))
             with
             | None -> None
             | Some cond -> Some (Symbolic.Compiled.compile cond))
@@ -216,9 +188,8 @@ let assemble t ~geo ~skip =
   !out
 
 let cover ?(use_geo = true) t (q : Query.t) =
-  let f = Filter.normalize q.filter in
-  let plan = plan_for t f in
-  let values = Template.match_filter plan.pl_template f in
+  let plan = plan_for t q.filter in
+  let values = Template.match_filter plan.pl_template q.filter in
   let geo = if use_geo then geo_cover t q else None in
   assemble t ~geo ~skip:(fun s ->
       match (values, plan.pl_skip.(s)) with
@@ -226,10 +197,9 @@ let cover ?(use_geo = true) t (q : Query.t) =
       | _ -> false)
 
 let cover_uncached ?(use_geo = true) t (q : Query.t) =
-  let f = Filter.normalize q.filter in
   let geo = if use_geo then geo_cover t q else None in
   assemble t ~geo ~skip:(fun s ->
-      (not (empty_shard t s)) && Symbolic.contained f t.skip_rhs.(s))
+      (not (empty_shard t s)) && Symbolic.contained q.filter t.skip_rhs.(s))
 
 let plan_hits t = t.hits
 let plan_misses t = t.misses

@@ -63,7 +63,7 @@ val geo_consistent : t -> Entry.t -> bool
     geography).  A router flips geographic pruning off the first time
     a committed write violates this. *)
 
-val ownership_filter : t -> int -> Filter.t
+val ownership_filter : t -> int -> Filter.normal
 (** The filter describing what a shard {e owns}: for shards [> 0] the
     disjunction of their blocks' prefix assertions; for shard 0 the
     {e complement} of every other shard's blocks, so structural
@@ -73,7 +73,7 @@ val ownership_filter : t -> int -> Filter.t
 
 val restrict : t -> int -> Query.t -> Query.t
 (** The query as one shard must serve it: the filter conjoined with
-    the shard's {!ownership_filter}. *)
+    the shard's {!ownership_filter}, normalized again. *)
 
 val cover : ?use_geo:bool -> t -> Query.t -> int list
 (** Minimal sound shard cover of a query, in shard order.  Shard

@@ -251,7 +251,7 @@ let search t (q : Query.t) =
         in
         let request_bytes =
           Ber.message_overhead + Ber.dn_size qs.base
-          + String.length (Filter.to_string qs.filter)
+          + String.length (Filter.to_string (qs.filter :> Filter.t))
         in
         let reply_bytes = function
           | Ok entries ->

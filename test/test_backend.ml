@@ -204,7 +204,7 @@ let test_count_matching_contexts_referrals () =
           ]));
   check_int "referral object not counted" 1 (Backend.count_matching b (q "o=xyz" "(cn=alice)"));
   check_int "nor under a prefix" 1 (Backend.count_matching b (q "o=xyz" "(cn=ali*)"));
-  let managed = { (q "o=xyz" "(cn=alice)") with Query.manage_dsa_it = true } in
+  let managed = Query.make ~manage_dsa_it:true ~base:(dn "o=xyz") (f "(cn=alice)") in
   check_int "manageDsaIT counts it" 2 (Backend.count_matching b managed);
   List.iter both [ q "o=xyz" "(cn=alice)"; q "o=xyz" "(cn=a*)"; managed ]
 
@@ -361,7 +361,7 @@ let naive_search backend (query : Query.t) =
   Backend.fold_entries backend ~init:[] ~f:(fun acc e ->
       if
         Query.in_scope query (Entry.dn e)
-        && Filter.matches query.Query.filter e
+        && Filter.matches (query.Query.filter :> Filter.t) e
         && not (Entry.is_referral e)
       then Dn.canonical (Entry.dn e) :: acc
       else acc)

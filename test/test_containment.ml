@@ -6,7 +6,8 @@ open Ldap_containment
 let f = Filter.of_string_exn
 let check_bool = Alcotest.(check bool)
 
-let contained a b = Filter_containment.contained (f a) (f b)
+let n s = Filter.normalize (f s)
+let contained a b = Filter_containment.contained (n a) (n b)
 
 let test_reflexive () =
   List.iter
@@ -76,33 +77,33 @@ let test_unsatisfiable_left () =
   check_bool "multi-valued not empty" false (contained "(&(cn=a)(cn=b))" "(cn=zzz)")
 
 let test_template_extraction () =
-  let t = Template.of_filter (f "(&(sn=doe)(givenname=john))") in
+  let t = Template.of_filter (n "(&(sn=doe)(givenname=john))") in
   Alcotest.(check int) "holes" 2 (Array.length (Template.hole_attrs t));
-  let t2 = Template.of_filter (f "(&(sn=smith)(givenname=jane))") in
+  let t2 = Template.of_filter (n "(&(sn=smith)(givenname=jane))") in
   check_bool "same shape" true (Template.shape_key t = Template.shape_key t2);
-  let t3 = Template.of_filter (f "(sn=doe)") in
+  let t3 = Template.of_filter (n "(sn=doe)") in
   check_bool "different shape" false (Template.shape_key t = Template.shape_key t3)
 
 let test_template_declared () =
   let t = Template.of_string_exn "(&(cn=_)(ou=research))" in
   Alcotest.(check int) "one hole" 1 (Array.length (Template.hole_attrs t));
-  (match Template.match_filter t (f "(&(cn=john)(ou=research))") with
+  (match Template.match_filter t (n "(&(cn=john)(ou=research))") with
   | Some [| v |] -> Alcotest.(check string) "bound value" "john" v
   | _ -> Alcotest.fail "expected match");
   check_bool "const mismatch" true
-    (Template.match_filter t (f "(&(cn=john)(ou=sales))") = None);
+    (Template.match_filter t (n "(&(cn=john)(ou=sales))") = None);
   (* Constants compare under the matching rule. *)
   check_bool "const case-insensitive" true
-    (Template.match_filter t (f "(&(cn=john)(ou=Research))") <> None)
+    (Template.match_filter t (n "(&(cn=john)(ou=Research))") <> None)
 
 (* A filter built by filling a template's hole is an instance of it,
    binding the hole to the value. *)
 let test_template_instantiate () =
   let t = Template.of_string_exn "(serialnumber=_)" in
   Alcotest.(check (option (array string))) "instance" (Some [| "0456" |])
-    (Template.match_filter t (f "(serialnumber=0456)"));
+    (Template.match_filter t (n "(serialnumber=0456)"));
   Alcotest.(check (option (array string))) "other attribute" None
-    (Template.match_filter t (f "(sn=0456)"))
+    (Template.match_filter t (n "(sn=0456)"))
 
 let test_cross_template_compile () =
   let left = Template.of_string_exn "(age=_)" in
@@ -138,9 +139,9 @@ let test_template_pruning () =
      are extracted with [match_filter] so the (normalization-defined)
      hole order is respected. *)
   let left_values =
-    Option.get (Template.match_filter right (f "(&(sn=doe)(ou=x))"))
+    Option.get (Template.match_filter right (n "(&(sn=doe)(ou=x))"))
   in
-  let right_values = Option.get (Template.match_filter left (f "(sn=doe)")) in
+  let right_values = Option.get (Template.match_filter left (n "(sn=doe)")) in
   match Symbolic.compile ~left:right ~right:left with
   | Some (Symbolic.Cnf _ as cond) ->
       check_bool "conditional containment holds" true
@@ -348,7 +349,7 @@ let prop_containment_sound =
        ~print:(fun (a, b) -> Filter.to_string a ^ " in " ^ Filter.to_string b)
        (QCheck.Gen.pair small_filter_gen small_filter_gen))
     (fun (f1, f2) ->
-      if Filter_containment.contained f1 f2 then
+      if Filter_containment.contained (Filter.normalize f1) (Filter.normalize f2) then
         List.for_all
           (fun e -> (not (Filter.matches f1 e)) || Filter.matches f2 e)
           small_domain_entries
@@ -360,7 +361,7 @@ let prop_same_shape_agrees =
        ~print:(fun (a, b) -> Filter.to_string a ^ " in " ^ Filter.to_string b)
        (QCheck.Gen.pair small_filter_gen small_filter_gen))
     (fun (f1, f2) ->
-      (not (Filter_containment.contained f1 f2))
+      (not (Filter_containment.contained (Filter.normalize f1) (Filter.normalize f2)))
       || List.for_all
            (fun e -> (not (Filter.matches f1 e)) || Filter.matches f2 e)
            small_domain_entries)
@@ -423,7 +424,10 @@ let prop_exact_table_agrees =
       = Containment_index.fold idx ~init:0 ~f:(fun n _ _ -> n + 1)
       && List.for_all
            (fun q ->
-             let respelled = { q with Query.filter = Filter.And [ q.Query.filter ] } in
+             let respelled =
+               Query.make ~scope:q.Query.scope ~attrs:q.Query.attrs ~base:q.Query.base
+                 (Filter.And [ (q.Query.filter :> Filter.t) ])
+             in
              List.for_all
                (fun probe ->
                  Containment_index.find idx probe = scan q

@@ -412,13 +412,13 @@ let run_search_property (declared, ops) =
       QCheck.Test.fail_reportf "%s: indexed [%s] vs scan [%s]" (Query.to_string q)
         (String.concat " " (names (indexed q s)))
         (String.concat " " (names (scan q s)));
-    match Content_store.posting_count s q.Query.filter with
+    match Content_store.posting_count s (q.Query.filter :> Filter.t) with
     | Some n ->
-        let all = Query.make ~base:Dn.root q.Query.filter in
+        let all = Query.make ~base:Dn.root (q.Query.filter :> Filter.t) in
         let m = List.length (scan all s) in
         if n <> m then
           QCheck.Test.fail_reportf "%s: posting count %d vs %d matching"
-            (Filter.to_string q.Query.filter) n m
+            (Filter.to_string (q.Query.filter :> Filter.t)) n m
     | None -> ()
   in
   List.iter

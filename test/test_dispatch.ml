@@ -269,7 +269,7 @@ let equivalent_run strategy ops =
         let rn = sync_session mn s ~cookie:cn ~pushed:s.pushed_n in
         if not (reply_equal rr rn) then
           QCheck.Test.fail_reportf "divergent reply for %s (%s)"
-            (Filter.to_string s.query.Query.filter)
+            (Filter.to_string (s.query.Query.filter :> Filter.t))
             (if s.persist then "persist" else "poll");
         s.cookies <- (rr.Protocol.cookie, rn.Protocol.cookie))
       sessions
@@ -306,7 +306,7 @@ let equivalent_run strategy ops =
         not (List.length pr = List.length pn && List.for_all2 action_equal pr pn)
       then
         QCheck.Test.fail_reportf "divergent push stream for %s (%d vs %d actions)"
-          (Filter.to_string s.query.Query.filter)
+          (Filter.to_string (s.query.Query.filter :> Filter.t))
           (List.length pr) (List.length pn))
     sessions;
   if Master.session_count mr <> Master.session_count mn then

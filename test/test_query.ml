@@ -137,7 +137,9 @@ let test_hash_spreads_covers () =
   Alcotest.(check int) "400 bindings" 400 stats.Hashtbl.num_bindings;
   Alcotest.(check bool) "no crowded bucket" true (stats.Hashtbl.max_bucket_length <= 6);
   let q = List.hd covers in
-  let respelled = { q with Query.filter = Filter.And [ Filter.Or [ q.Query.filter ] ] } in
+  let respelled =
+    Query.make ~base (Filter.And [ Filter.Or [ (q.Query.filter :> Filter.t) ] ])
+  in
   Alcotest.(check (option int)) "equal queries find one binding" (Some 0)
     (Query.Tbl.find_opt tbl respelled)
 

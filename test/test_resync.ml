@@ -837,7 +837,7 @@ let prop_classify_m_matches_oracle =
          Printf.sprintf "base=%s scope=%s filter=%s\nbefore=%s\nafter=%s"
            (Dn.to_string q.base)
            (match q.scope with Scope.Base -> "base" | One -> "one" | Sub -> "sub")
-           (Filter.to_string q.filter) (image before) (image after))
+           (Filter.to_string (q.filter :> Filter.t)) (image before) (image after))
        classify_case_gen)
     (fun (q, before, after) ->
       same_transition

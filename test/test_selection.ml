@@ -30,7 +30,7 @@ let generalize rule filter =
 
 let test_prefix_generalization () =
   (match generalize prefix_rule (f "(serialNumber=2406)") with
-  | Some g -> check_bool "prefix" true (Filter.equal g (f "(serialNumber=24*)"))
+  | Some g -> check_bool "prefix" true (Filter.equal g (Filter.normalize (f "(serialNumber=24*)")))
   | None -> Alcotest.fail "expected generalization");
   check_bool "short value unchanged" true
     (generalize prefix_rule (f "(serialNumber=24)") = None);
@@ -44,7 +44,7 @@ let test_presence_generalization () =
    with
   | Some g ->
       check_bool "widened" true
-        (Filter.equal g (f "(&(divisionNumber=24)(departmentNumber=*))"))
+        (Filter.equal g (Filter.normalize (f "(&(divisionNumber=24)(departmentNumber=*))")))
   | None -> Alcotest.fail "expected generalization");
   (* Outside a conjunction the rule must not fire (it would match the
      whole directory). *)

@@ -833,8 +833,7 @@ let prop_cover_sound_and_minimal =
              (fun s ->
                s = 0
                || not
-                    (Containment.disjoint
-                       (Filter.normalize q.Query.filter)
+                    (Containment.disjoint q.Query.filter
                        (Partition.ownership_filter p s)))
              cov)
 

@@ -125,7 +125,7 @@ let instance tmpl values =
       end
       else Buffer.add_char b c)
     tmpl;
-  Filter.of_string_exn (Buffer.contents b)
+  Filter.normalize (Filter.of_string_exn (Buffer.contents b))
 
 let prop_compiled_agrees_with_direct =
   QCheck.Test.make ~name:"symbolic: compiled condition = direct check" ~count:800

@@ -508,7 +508,7 @@ let equivalent_chain_run ops =
         let rn = sync_session tn s ~cookie:cn ~pushed:s.pushed_n in
         if not (reply_equal rr rn) then
           QCheck.Test.fail_reportf "divergent reply for %s (%s)"
-            (Filter.to_string s.query.Query.filter)
+            (Filter.to_string (s.query.Query.filter :> Filter.t))
             (if s.persist then "persist" else "poll");
         s.cookies <- (rr.Protocol.cookie, rn.Protocol.cookie))
       sessions
@@ -545,7 +545,7 @@ let equivalent_chain_run ops =
         not (List.length pr = List.length pn && List.for_all2 action_equal pr pn)
       then
         QCheck.Test.fail_reportf "divergent push stream for %s (%d vs %d)"
-          (Filter.to_string s.query.Query.filter)
+          (Filter.to_string (s.query.Query.filter :> Filter.t))
           (List.length pr) (List.length pn))
     sessions;
   if T.Node.session_count nr <> T.Node.session_count nn then
@@ -649,7 +649,7 @@ let sm_run_strategy strategy ops =
             | Master.Session_history -> "session-history"
             | Master.Changelog -> "changelog"
             | Master.Tombstone -> "tombstone")
-            (Filter.to_string q.Query.filter);
+            (Filter.to_string (q.Query.filter :> Filter.t));
         (* The consumer's own application must agree with both. *)
         if not (Dn.Set.equal (Content.current_dns b q) (Consumer.dns consumer))
         then QCheck.Test.fail_reportf "consumer content diverged";
@@ -680,7 +680,7 @@ let sm_run_strategy strategy ops =
               | Action.Delete d -> record (Dn.canonical d) None
               | Action.Retain _ -> ())
             reply.Protocol.actions;
-          let fail fmt = QCheck.Test.fail_reportf fmt (Filter.to_string q.Query.filter) in
+          let fail fmt = QCheck.Test.fail_reportf fmt (Filter.to_string (q.Query.filter :> Filter.t)) in
           let in_diff = Hashtbl.create 8 in
           Hashtbl.iter
             (fun k v ->
