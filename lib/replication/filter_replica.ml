@@ -533,8 +533,17 @@ let open_restored t d (q, slot) =
     }
 
 let repair_all t report =
+  (* A slot the open found damaged was repaired there already. *)
+  let repaired_at_open q =
+    List.exists
+      (fun fr -> Option.is_some fr.fr_resync && Query.equal q fr.fr_query)
+      report.filters
+  in
   let repaired =
-    List.map (fun (q, consumer) -> (q, consumer, repair t consumer)) t.consumers
+    List.filter_map
+      (fun (q, consumer) ->
+        if repaired_at_open q then None else Some (q, consumer, repair t consumer))
+      t.consumers
   in
   let settle fr =
     match List.find_opt (fun (q, _, _) -> Query.equal q fr.fr_query) repaired with

@@ -268,9 +268,11 @@ val open_store :
 val repair_all : t -> recovery_report -> recovery_report
 (** Runs the repair ladder ({!Ldap_resync.Consumer.repair}) over every
     stored filter in {!consumers}' order, whatever [report]'s damage
-    flags said — for a restart known to have lost updates.  Returns
-    [report] with each filter's [fr_resync], [fr_cookie] and
-    [fr_entries] as the repair left them. *)
+    flags said — for a restart known to have lost updates — except a
+    filter whose [fr_resync] is already set: {!open_store} repaired
+    that one, and it keeps its entry.  Returns [report] with each
+    repaired filter's [fr_resync], [fr_cookie] and [fr_entries] as the
+    repair left them. *)
 
 val checkpoint : t -> unit
 (** Checkpoints the meta store and every consumer store (snapshot +

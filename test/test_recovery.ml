@@ -757,6 +757,34 @@ let test_topology_merkle_restart_walk_fails_cold () =
         (fr.R.Filter_replica.fr_cookie = Consumer.cookie c)
   | _ -> Alcotest.fail "expected a durable report with one filter"
 
+let test_topology_merkle_restart_walks_once () =
+  (* A durable leaf that syncs only at checkpoints journals one poll,
+     then crashes with its log torn: its open already repairs the torn
+     slot, so the Merkle restart's ladder must not walk it again. *)
+  let b = build_directory () in
+  let leaf_queries = List.init 4 (fun i -> dept_query (string_of_int (i + 1))) in
+  let t = must (T.Topology.build ~shape:T.Topology.Star ~covers:[] ~leaf_queries b) in
+  let faults = Store.Medium.Faults.create () in
+  T.Topology.enable_durability ~faults ~sync:false t;
+  T.Topology.checkpoint_leaves t;
+  let victim = List.hd (T.Topology.leaves t) in
+  let name = T.Leaf.name victim in
+  let q = List.hd (T.Leaf.subscriptions victim) in
+  let dept = List.find (fun d -> Query.equal q (dept_query d)) [ "1"; "2"; "3"; "4" ] in
+  apply b (Update.add (person "journaled" ~dept ()));
+  T.Topology.sync_round t;
+  Store.Medium.Faults.script faults [ Store.Medium.Faults.Torn_tail ];
+  T.Topology.crash_leaf t victim;
+  let leaf, report = must (T.Topology.restart_leaf ~mode:T.Topology.Merkle t ~name) in
+  check_bool "the restarted leaf equals the master" true (T.Topology.leaf_converged t leaf);
+  match report with
+  | Some { R.Filter_replica.filters = [ fr ]; _ } ->
+      check_bool "torn slot" true fr.R.Filter_replica.fr_truncated;
+      check_bool "repaired by the open" true (Option.is_some fr.R.Filter_replica.fr_resync);
+      check_int "one Merkle walk" 1
+        (R.Filter_replica.stats (T.Leaf.replica leaf)).R.Stats.merkle_syncs
+  | _ -> Alcotest.fail "expected a durable report with one filter"
+
 (* --- Incremental checkpoint image ≡ full encode (property) ------------- *)
 
 (* The checkpoint body from before the consumer kept its image between
@@ -1587,4 +1615,6 @@ let suite =
       test_consumer_repair_walk_fails_cold;
     Alcotest.test_case "topology Merkle restart walk fails: cold" `Quick
       test_topology_merkle_restart_walk_fails_cold;
+    Alcotest.test_case "topology Merkle restart walks a torn slot once" `Quick
+      test_topology_merkle_restart_walks_once;
   ]
