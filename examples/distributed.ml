@@ -5,7 +5,8 @@
    Clients always talk to the branch: contained queries are answered in
    one round trip, everything else produces a referral that the client
    chases to the master — so correctness never depends on what the
-   replica holds, only latency does.
+   replica holds, only latency does.  Every answer is checked against
+   the master's own search; a mismatch fails the run.
 
    Run with: dune exec examples/distributed.exe *)
 
@@ -27,7 +28,7 @@ let () =
   (* Topology: hq is a full server, branch is a replica endpoint, on
      the network the replica synchronizes over. *)
   let net = scenario.Eval.Scenario.net in
-  Network.add_server net (Server.create ~name:"hq" backend);
+  Network.add_handler net ~name:"hq" (Server.handler backend);
   let replica = Eval.Scenario.replica scenario in
   (* Replicate the hottest serial blocks for the branch's geography. *)
   let items =
@@ -46,31 +47,41 @@ let () =
   (match Eval.Scenario.install_static replica filters with
   | Ok () -> ()
   | Error e -> failwith e);
-  Replication.Replica_server.register
-    (Replication.Replica_server.of_filter_replica ~master_host:"hq" replica)
-    net ~name:"branch";
+  Network.add_handler net ~name:"branch"
+    (Replication.Replica_server.handler ~master_host:"hq" replica);
   Printf.printf "branch replica: %d filters, %d entries\n\n"
     (List.length (Replication.Filter_replica.stored_filters replica))
     (Replication.Filter_replica.size_entries replica);
 
-  (* Clients at the branch run the workload against "branch" only. *)
+  (* Clients at the branch run the workload against "branch" only;
+     each search hop is one RPC exchange. *)
   let total = 1_000 in
   let local = ref 0 and chased = ref 0 in
+  let dns entries =
+    List.sort compare (List.map (fun e -> Dn.canonical (Entry.dn e)) entries)
+  in
   Network.reset_stats net;
   Array.iteri
     (fun i (item : Dirgen.Workload.item) ->
       if i < total then begin
-        let before = (Network.stats net).Network.round_trips in
-        (match Network.search net ~from:"branch" item.Dirgen.Workload.query with
-        | Ok _ -> ()
-        | Error e -> failwith e);
-        let cost = (Network.stats net).Network.round_trips - before in
-        if cost = 1 then incr local else incr chased
+        let q = item.Dirgen.Workload.query in
+        let before = (Network.stats net).Network.sync_rpcs in
+        let answer =
+          match Network.search net ~from:"branch" q with
+          | Ok entries -> entries
+          | Error e -> failwith e
+        in
+        let cost = (Network.stats net).Network.sync_rpcs - before in
+        if cost = 1 then incr local else incr chased;
+        match Backend.search backend q with
+        | Ok { Backend.entries; _ } when dns entries = dns answer -> ()
+        | Ok _ -> failwith ("answer differs from the master's: " ^ Query.to_string q)
+        | Error _ -> failwith ("the master cannot answer: " ^ Query.to_string q)
       end)
     items;
   let stats = Network.stats net in
   Printf.printf "%d queries: %d answered at the branch, %d chased to hq\n" total
     !local !chased;
   Printf.printf "round trips: %d (vs %d without the replica)\n"
-    stats.Network.round_trips (2 * total);
+    stats.Network.sync_rpcs (2 * total);
   Printf.printf "every query returned the same answer the master would give.\n"

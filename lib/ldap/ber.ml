@@ -13,6 +13,15 @@ let entry_size e =
   message_overhead + dn_size (Entry.dn e)
   + element (Entry.fold_attributes e ~init:0 ~f:attr_size)
 
+(* Referral PDU carrying the given LDAP URLs. *)
 let referral_size urls =
   message_overhead
   + List.fold_left (fun acc u -> acc + element (String.length u)) 0 urls
+
+let search_request_size (q : Query.t) =
+  message_overhead + dn_size q.base
+  + String.length (Filter.to_string (q.filter :> Filter.t))
+
+let search_reply_size ~entries ~references =
+  List.fold_left (fun acc e -> acc + entry_size e) message_overhead entries
+  + List.fold_left (fun acc urls -> acc + referral_size urls) 0 references

@@ -17,5 +17,9 @@ val entry_size : Entry.t -> int
 (** Full entry PDU: DN plus every attribute name and value, summed
     over {!Entry.fold_attributes} without building the attribute list. *)
 
-val referral_size : string list -> int
-(** Referral PDU carrying the given LDAP URLs. *)
+val search_request_size : Query.t -> int
+(** Search request PDU: base DN plus the filter's string form. *)
+
+val search_reply_size : entries:Entry.t list -> references:string list list -> int
+(** A search's reply: its entry and referral PDUs plus the final
+    result message's envelope. *)

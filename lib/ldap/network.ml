@@ -1,7 +1,4 @@
 type stats = {
-  round_trips : int;
-  entry_pdus : int;
-  referral_pdus : int;
   bytes : int;
   sync_rpcs : int;
   sync_bytes : int;
@@ -49,13 +46,8 @@ module Faults = struct
         else Deliver
 end
 
-type node = Full_server of Server.t | Handler of (Query.t -> Server.response)
-
 type t = {
-  servers : (string, node) Hashtbl.t;
-  mutable round_trips : int;
-  mutable entry_pdus : int;
-  mutable referral_pdus : int;
+  handlers : (string, Query.t -> Server.response) Hashtbl.t;
   mutable bytes : int;
   mutable sync_rpcs : int;
   mutable sync_bytes : int;
@@ -70,10 +62,7 @@ type t = {
 
 let create () =
   {
-    servers = Hashtbl.create 8;
-    round_trips = 0;
-    entry_pdus = 0;
-    referral_pdus = 0;
+    handlers = Hashtbl.create 8;
     bytes = 0;
     sync_rpcs = 0;
     sync_bytes = 0;
@@ -106,14 +95,10 @@ let link_latency t ~a ~b =
     | Some lat -> lat
     | None -> t.default_latency
 
-let add_server t s = Hashtbl.replace t.servers (Server.name s) (Full_server s)
-let add_handler t ~name handler = Hashtbl.replace t.servers name (Handler handler)
+let add_handler t ~name handler = Hashtbl.replace t.handlers name handler
 
 let stats t =
   {
-    round_trips = t.round_trips;
-    entry_pdus = t.entry_pdus;
-    referral_pdus = t.referral_pdus;
     bytes = t.bytes;
     sync_rpcs = t.sync_rpcs;
     sync_bytes = t.sync_bytes;
@@ -121,103 +106,10 @@ let stats t =
   }
 
 let reset_stats t =
-  t.round_trips <- 0;
-  t.entry_pdus <- 0;
-  t.referral_pdus <- 0;
   t.bytes <- 0;
   t.sync_rpcs <- 0;
   t.sync_bytes <- 0;
   t.dropped_pdus <- 0
-
-let account_response t (resp : Server.response) =
-  t.round_trips <- t.round_trips + 1;
-  t.bytes <- t.bytes + Ber.message_overhead;
-  match resp with
-  | Server.Entries { entries; references } ->
-      t.entry_pdus <- t.entry_pdus + List.length entries;
-      t.referral_pdus <- t.referral_pdus + List.length references;
-      List.iter (fun e -> t.bytes <- t.bytes + Ber.entry_size e) entries;
-      List.iter (fun urls -> t.bytes <- t.bytes + Ber.referral_size urls) references
-  | Server.Referral urls ->
-      t.referral_pdus <- t.referral_pdus + 1;
-      t.bytes <- t.bytes + Ber.referral_size urls
-  | Server.Failure _ -> ()
-
-let send t ~host q =
-  match Hashtbl.find_opt t.servers host with
-  | None -> Server.Failure (Printf.sprintf "unknown host: %s" host)
-  | Some node ->
-      let resp =
-        match node with
-        | Full_server s -> Server.handle_search s q
-        | Handler h -> h q
-      in
-      account_response t resp;
-      resp
-
-
-let max_hops = 32
-
-let search t ~from (q : Query.t) =
-  (* Work queue of (host, query, origin); a revisit while chasing a
-     referral is a loop (error), a revisit through a continuation
-     reference is a benign duplicate (skipped). *)
-  let visited = Hashtbl.create 16 in
-  let key host (q : Query.t) = host ^ "|" ^ Dn.canonical q.base in
-  (* Entries are accumulated in reverse and deduplicated by canonical
-     DN: overlapping continuation references may return the same entry
-     from two servers. *)
-  let seen = Hashtbl.create 64 in
-  let rec go acc hops = function
-    | [] -> Ok (List.rev acc)
-    | (host, q, origin) :: rest ->
-        if hops > max_hops then Error "referral limit exceeded"
-        else if Hashtbl.mem visited (key host q) then
-          if origin = `Chase then Error "referral loop detected"
-          else go acc hops rest
-        else begin
-          Hashtbl.add visited (key host q) ();
-          match send t ~host q with
-          | Server.Failure msg -> Error msg
-          | Server.Referral urls -> (
-              match pick_url urls with
-              | Error e -> Error e
-              | Ok { Referral.host = next; dn } ->
-                  let q' =
-                    match dn with Some base -> Query.with_base q base | None -> q
-                  in
-                  go acc (hops + 1) ((next, q', `Chase) :: rest))
-          | Server.Entries { entries; references } ->
-              let follow_ups =
-                List.filter_map
-                  (fun urls ->
-                    match pick_url urls with
-                    | Error _ -> None
-                    | Ok { Referral.host; dn } ->
-                        let base = Option.value ~default:q.base dn in
-                        (* Continuation reference: modified base, same
-                           scope and filter (Figure 2). *)
-                        Some (host, Query.with_base q base, `Reference))
-                  references
-              in
-              let acc =
-                List.fold_left
-                  (fun acc e ->
-                    let k = Dn.canonical (Entry.dn e) in
-                    if Hashtbl.mem seen k then acc
-                    else begin
-                      Hashtbl.add seen k ();
-                      e :: acc
-                    end)
-                  acc entries
-              in
-              go acc (hops + 1) (follow_ups @ rest)
-        end
-  and pick_url = function
-    | [] -> Error "empty referral"
-    | url :: _ -> Referral.parse url
-  in
-  go [] 0 [ (from, q, `Reference) ]
 
 (* --- Generic fault-injectable RPC ------------------------------------ *)
 
@@ -301,3 +193,81 @@ let rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve k =
 
 let rpc t ?faults ~from ~host ~request_bytes ~reply_bytes serve =
   await t (rpc_send t ?faults ~from ~host ~request_bytes ~reply_bytes serve)
+
+(* --- Referral-chasing search ----------------------------------------- *)
+
+let client_host = "client"
+let max_hops = 32
+
+let reply_size = function
+  | Server.Entries { entries; references } -> Ber.search_reply_size ~entries ~references
+  | Server.Referral urls -> Ber.search_reply_size ~entries:[] ~references:[ urls ]
+  | Server.Failure _ -> Ber.search_reply_size ~entries:[] ~references:[]
+
+let search t ~from (q : Query.t) =
+  (* Work queue of (host, query, origin); a revisit while chasing a
+     referral is a loop (error), a revisit through a continuation
+     reference is a benign duplicate (skipped).  Entries are
+     accumulated in reverse and deduplicated by canonical DN:
+     overlapping continuation references may return the same entry
+     from two servers. *)
+  let visited = Hashtbl.create 16 and seen = Hashtbl.create 64 in
+  (* Where a referral's first URL sends the query, at the base it
+     names (Figure 2's modified base), same scope and filter. *)
+  let target urls (q : Query.t) =
+    match urls with
+    | [] -> Error "empty referral"
+    | url :: _ ->
+        Referral.parse url
+        |> Result.map (fun { Referral.host; dn } ->
+               (host, Query.with_base q (Option.value ~default:q.base dn)))
+  in
+  let fresh e =
+    let id = Dn.canonical (Entry.dn e) in
+    let is_new = not (Hashtbl.mem seen id) in
+    if is_new then Hashtbl.add seen id ();
+    is_new
+  in
+  let rec go acc hops queue k =
+    match queue with
+    | [] -> k (Ok (List.rev acc))
+    | _ when hops > max_hops -> k (Error "referral limit exceeded")
+    | (host, (q : Query.t), origin) :: rest -> (
+        let key = host ^ "|" ^ Dn.canonical q.base in
+        if Hashtbl.mem visited key then
+          if origin = `Chase then k (Error "referral loop detected") else go acc hops rest k
+        else begin
+          Hashtbl.add visited key ();
+          match Hashtbl.find_opt t.handlers host with
+          | None -> k (Error ("unknown host: " ^ host))
+          | Some handler ->
+              let request_bytes = Ber.search_request_size q in
+              (* The search's share of the bytes {!rpc_send} counts. *)
+              let reply_bytes r =
+                let n = reply_size r in
+                t.bytes <- t.bytes + request_bytes + n;
+                n
+              in
+              rpc_send t ~from:client_host ~host ~request_bytes ~reply_bytes
+                (fun () -> handler q)
+                (function
+                  | Error f -> k (Error (failure_to_string f))
+                  | Ok (Server.Failure msg) -> k (Error msg)
+                  | Ok (Server.Referral urls) -> (
+                      match target urls q with
+                      | Ok (next, q') -> go acc (hops + 1) ((next, q', `Chase) :: rest) k
+                      | Error e -> k (Error e))
+                  | Ok (Server.Entries { entries; references }) ->
+                      let follow_ups =
+                        List.filter_map
+                          (fun urls ->
+                            match target urls q with
+                            | Ok (h, q') -> Some (h, q', `Reference)
+                            | Error _ -> None)
+                          references
+                      in
+                      let acc = List.rev_append (List.filter fresh entries) acc in
+                      go acc (hops + 1) (follow_ups @ rest) k)
+        end)
+  in
+  await t (go [] 0 [ (from, q, `Reference) ])

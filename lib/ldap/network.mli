@@ -1,19 +1,17 @@
-(** Simulated multi-server topology, referral-chasing client and the
-    generic fault-injectable RPC transport.
+(** Simulated multi-server topology with one exchange path:
+    {!rpc_send}, a generic request/reply exchange timed on the
+    network's own discrete-event engine, and {!await}, which derives
+    every synchronous exchange from its asynchronous form.  ReSync,
+    anti-entropy, shard-router and client-search traffic all cross it.
 
-    Reproduces the distributed operation processing of Figure 2: the
-    client sends a search to some server; a server that does not hold
-    the target namespace answers with its default (superior) referral;
-    a server that does answers with entries plus continuation
-    references for subordinate contexts, which the client chases with
-    modified bases.  Round trips, PDUs and modelled bytes are counted
-    so the referral-cost argument of section 2.3 can be measured.
+    {!search} reproduces the distributed operation processing of
+    Figure 2: a server that does not hold the target namespace answers
+    with its default (superior) referral; one that does answers with
+    entries plus continuation references, which the client chases with
+    modified bases.  Each hop is one exchange, so the round trips of
+    section 2.3's referral-cost argument are counted in [sync_rpcs].
 
-    Beyond searches, the module provides {!rpc_send}: a generic
-    request/reply exchange over which higher layers (the ReSync
-    transport) route their traffic, timed on the network's own
-    discrete-event engine, and {!await}, which derives every
-    synchronous exchange from its asynchronous form.  An optional {!Faults} schedule decides, per
+    An optional {!Faults} schedule decides, per
     exchange, whether the request is lost before reaching the server,
     the server transiently refuses, or the reply is lost after the
     server processed the request — the three failure shapes the ReSync
@@ -25,11 +23,8 @@
 type t
 
 type stats = {
-  round_trips : int;  (** Client→server search requests sent. *)
-  entry_pdus : int;
-  referral_pdus : int;
-  bytes : int;  (** Search traffic, modelled via {!Ber}. *)
-  sync_rpcs : int;  (** RPC exchanges attempted (ReSync traffic). *)
+  bytes : int;  (** The {!search} exchanges' share of [sync_bytes]. *)
+  sync_rpcs : int;  (** RPC exchanges attempted, search hops included. *)
   sync_bytes : int;  (** RPC request/reply/push bytes, via {!Ber}. *)
   dropped_pdus : int;  (** Requests, replies and pushes lost to faults. *)
 }
@@ -110,12 +105,10 @@ val link_latency : t -> a:string -> b:string -> Ldap_sim.Latency.t
 (** Effective distribution for a link.  With no per-link setting at
     all the default is returned without building a link key. *)
 
-val add_server : t -> Server.t -> unit
-
 val add_handler : t -> name:string -> (Query.t -> Server.response) -> unit
-(** Registers an arbitrary search handler under a host name — how
-    partial replicas ({!Ldap_replication.Replica_server}-style
-    endpoints) join the topology alongside full servers. *)
+(** Registers a search handler under a host name: a full server
+    ({!Server.handler}) or a partial replica
+    ({!Ldap_replication.Replica_server.handler}). *)
 
 val stats : t -> stats
 (** A snapshot of the traffic counters since creation or the last
@@ -123,14 +116,6 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 (** Zeroes every traffic counter. *)
-
-val search :
-  t -> from:string -> Query.t -> (Entry.t list, string) result
-(** Chases referrals and continuation references until the result set
-    is complete.  Fails on unknown hosts, referral loops (guarded by a
-    visited set) or server failures.  Entries are deduplicated by
-    canonical DN: overlapping continuation references contribute one
-    copy, in first-seen order. *)
 
 val rpc_send :
   t ->
@@ -192,3 +177,13 @@ val account_push : t -> bytes:int -> unit
 
 val account_dropped : t -> unit
 (** Accounts one PDU lost to faults outside {!rpc_send} (e.g. a push). *)
+
+val search :
+  t -> from:string -> Query.t -> (Entry.t list, string) result
+(** Sends the search to host [from] and chases referrals and
+    continuation references until the result set is complete: {!await}
+    of a chain whose every hop is one fault-free {!rpc_send} from host
+    ["client"].  Fails on unknown hosts, referral loops (guarded by a
+    visited set) or server failures.  Entries are deduplicated by
+    canonical DN: overlapping continuation references contribute one
+    copy, in first-seen order. *)

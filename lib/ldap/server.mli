@@ -1,16 +1,6 @@
-(** A named directory server: a backend plus distributed-directory
-    glue (default referral to a superior server, section 2.3). *)
-
-type t
-
-val create : ?default_referral:string -> name:string -> Backend.t -> t
-(** [create ?default_referral ~name backend] serves [backend] as the
-    host [name]; a search whose base no local context holds is
-    referred to [default_referral] (the superior server), or fails
-    without one. *)
-
-val name : t -> string
-(** The host name the server was created under. *)
+(** A directory server's search handler: a backend plus
+    distributed-directory glue (default referral to a superior server,
+    section 2.3). *)
 
 type response =
   | Entries of Backend.search_result
@@ -22,4 +12,8 @@ type response =
   | Failure of string
       (** Terminal error (e.g. noSuchObject with no superior). *)
 
-val handle_search : t -> Query.t -> response
+val handler : ?default_referral:string -> Backend.t -> Query.t -> response
+(** [handler ?default_referral backend] serves searches over [backend];
+    a search whose base no local context holds is referred to
+    [default_referral] (the superior server), or fails without one.
+    Registered under a host name with {!Network.add_handler}. *)

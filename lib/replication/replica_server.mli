@@ -15,13 +15,8 @@
 
 open Ldap
 
-type t
-
-val of_filter_replica :
-  master_host:string -> Filter_replica.t -> t
-(** [master_host] is the network name of the server a missed query is
-    referred to; the URL itself is derived via {!Ldap.Referral.make}. *)
-
-val register : t -> Network.t -> name:string -> unit
-(** Installs the replica as host [name] in the topology: a hit answers
-    with its entries, a miss with a referral to the master's URL. *)
+val handler :
+  master_host:string -> Filter_replica.t -> Query.t -> Server.response
+(** The replica's search handler, for {!Ldap.Network.add_handler}: a
+    hit answers with its entries, a miss with a referral to
+    [master_host]'s URL (derived via {!Ldap.Referral.make}). *)

@@ -249,23 +249,16 @@ let search t (q : Query.t) =
           | Error (Backend.Base_referral { urls; _ }) ->
               Error ("referral: " ^ String.concat " " urls)
         in
-        let request_bytes =
-          Ber.message_overhead + Ber.dn_size qs.base
-          + String.length (Filter.to_string (qs.filter :> Filter.t))
-        in
-        let reply_bytes = function
-          | Ok entries ->
-              List.fold_left
-                (fun acc e -> acc + Ber.entry_size e)
-                Ber.message_overhead entries
-          | Error _ -> Ber.message_overhead
+        let reply_bytes r =
+          let entries = Result.value r ~default:[] in
+          Ber.search_reply_size ~entries ~references:[]
         in
         match
           Network.rpc
             (Transport.network t.transport)
             ?faults:(Transport.faults t.transport)
-            ~from:router_host ~host:(shard_host t s) ~request_bytes ~reply_bytes
-            serve
+            ~from:router_host ~host:(shard_host t s)
+            ~request_bytes:(Ber.search_request_size qs) ~reply_bytes serve
         with
         | Ok (Ok entries) -> go (entries :: acc) rest
         | Ok (Error e) -> Error e

@@ -571,13 +571,13 @@ let figure2_network () =
   let url_a = Referral.make ~host:"hostA" () in
   let servers =
     [
-      Server.create ~name:"hostA" backend_a;
-      Server.create ~name:"hostB" ~default_referral:url_a backend_b;
-      Server.create ~name:"hostC" ~default_referral:url_a backend_c;
+      ("hostA", Server.handler backend_a);
+      ("hostB", Server.handler ~default_referral:url_a backend_b);
+      ("hostC", Server.handler ~default_referral:url_a backend_c);
     ]
   in
-  List.iter (Network.add_server net) servers;
-  (net, fun name -> List.find (fun s -> Server.name s = name) servers)
+  List.iter (fun (name, handler) -> Network.add_handler net ~name handler) servers;
+  (net, fun name -> List.assoc name servers)
 
 let referral_host url =
   match Referral.parse url with Ok r -> r.Referral.host | Error e -> failwith e
@@ -593,13 +593,13 @@ let test_figure2_round_trips () =
       check_int "entries" 7 (List.length entries);
       (* Four round trips: hostB (default referral), hostA (entries +
          2 references), hostB and hostC with modified bases. *)
-      check_int "round trips" 4 (Network.stats net).Network.round_trips
+      check_int "round trips" 4 (Network.stats net).Network.sync_rpcs
 
 (* One round trip, no chasing: what a minimally directory-enabled
    application sees when it hits a partial server (section 3.1.1). *)
 let test_figure2_no_chase () =
   let _, server = figure2_network () in
-  match Server.handle_search (server "hostB") (q "o=xyz" "(objectclass=*)") with
+  match server "hostB" (q "o=xyz" "(objectclass=*)") with
   | Server.Referral [ url ] -> check_bool "superior referral" true (referral_host url = "hostA")
   | _ -> Alcotest.fail "expected default referral"
 
@@ -607,7 +607,7 @@ let test_base_referral () =
   let _, server = figure2_network () in
   (* Searching hostA below the referral object for hostB. *)
   match
-    Server.handle_search (server "hostA") (q "cn=john doe,ou=research,c=us,o=xyz" "(objectclass=*)")
+    server "hostA" (q "cn=john doe,ou=research,c=us,o=xyz" "(objectclass=*)")
   with
   | Server.Referral [ url ] -> check_bool "subordinate referral" true (referral_host url = "hostB")
   | _ -> Alcotest.fail "expected base referral"

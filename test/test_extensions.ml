@@ -103,26 +103,24 @@ let test_replica_server_end_to_end () =
   ignore (must (Backend.apply b (Update.Add (person "bob" 40))));
   let master = Resync.Master.create b in
   let net = Network.create () in
-  Network.add_server net (Server.create ~name:"hq" b);
+  Network.add_handler net ~name:"hq" (Server.handler b);
   let replica = Net_fixture.replica_of master in
   must (R.Filter_replica.install_filter replica (Query.make ~base:(dn "o=x") (f "(sn=alice)")));
-  R.Replica_server.register
-    (R.Replica_server.of_filter_replica ~master_host:"hq" replica)
-    net ~name:"branch";
+  Network.add_handler net ~name:"branch" (R.Replica_server.handler ~master_host:"hq" replica);
   Network.reset_stats net;
   (* Contained query: answered at the branch in one round trip. *)
   (match Network.search net ~from:"branch" (Query.make ~base:(dn "o=x") (f "(sn=alice)")) with
   | Ok [ e ] -> check_bool "alice" true (Entry.has_value e "sn" "alice")
   | Ok l -> Alcotest.failf "expected 1, got %d" (List.length l)
   | Error e -> Alcotest.fail e);
-  check_int "one round trip" 1 (Network.stats net).Network.round_trips;
+  check_int "one round trip" 1 (Network.stats net).Network.sync_rpcs;
   (* Uncontained query: chased to hq, still correct. *)
   Network.reset_stats net;
   (match Network.search net ~from:"branch" (Query.make ~base:(dn "o=x") (f "(sn=bob)")) with
   | Ok [ e ] -> check_bool "bob" true (Entry.has_value e "sn" "bob")
   | Ok l -> Alcotest.failf "expected 1, got %d" (List.length l)
   | Error e -> Alcotest.fail e);
-  check_int "two round trips" 2 (Network.stats net).Network.round_trips
+  check_int "two round trips" 2 (Network.stats net).Network.sync_rpcs
 
 (* --- Per-filter sync classes (section 3.2) -------------------------------- *)
 

@@ -9,11 +9,13 @@ let must = function Ok x -> x | Error e -> failwith e
 
 let entry dn_s attrs = Entry.make (dn dn_s) attrs
 
-let simple_server name suffix entries ?default_referral () =
+(* Registers a full server for [suffix] holding [entries] as host
+   [name]. *)
+let simple_server net name suffix entries ?default_referral () =
   let b = Backend.create () in
   must (Backend.add_context b (entry suffix [ ("objectclass", [ "organization" ]); ("o", [ "x" ]) ]));
   List.iter (fun e -> ignore (must (Backend.apply b (Update.Add e)))) entries;
-  Server.create ?default_referral ~name b
+  Network.add_handler net ~name (Server.handler ?default_referral b)
 
 let q base = Query.make ~base:(dn base) Filter.tt
 
@@ -25,44 +27,41 @@ let test_unknown_host () =
 
 let test_single_server () =
   let net = Network.create () in
-  Network.add_server net
-    (simple_server "a" "o=x"
-       [ entry "cn=e,o=x" [ ("objectclass", [ "person" ]); ("cn", [ "e" ]); ("sn", [ "e" ]) ] ]
-       ());
+  simple_server net "a" "o=x"
+    [ entry "cn=e,o=x" [ ("objectclass", [ "person" ]); ("cn", [ "e" ]); ("sn", [ "e" ]) ] ]
+    ();
   (match Network.search net ~from:"a" (q "o=x") with
   | Ok entries -> check_int "entries" 2 (List.length entries)
   | Error e -> Alcotest.fail e);
   let stats = Network.stats net in
-  check_int "one round trip" 1 stats.Network.round_trips;
-  check_int "entry pdus" 2 stats.Network.entry_pdus;
-  check_bool "bytes counted" true (stats.Network.bytes > 0)
+  check_int "one round trip" 1 stats.Network.sync_rpcs;
+  check_bool "bytes counted" true (stats.Network.bytes > 0);
+  check_int "search bytes are exchange bytes" stats.Network.sync_bytes stats.Network.bytes
 
 let test_referral_loop_guard () =
   (* Two servers whose default referrals point at each other: the
      client must terminate rather than bounce forever. *)
   let net = Network.create () in
-  Network.add_server net
-    (simple_server "a" "o=a" [] ~default_referral:(Referral.make ~host:"b" ()) ());
-  Network.add_server net
-    (simple_server "b" "o=b" [] ~default_referral:(Referral.make ~host:"a" ()) ());
+  simple_server net "a" "o=a" [] ~default_referral:(Referral.make ~host:"b" ()) ();
+  simple_server net "b" "o=b" [] ~default_referral:(Referral.make ~host:"a" ()) ();
   match Network.search net ~from:"a" (q "o=zzz") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected loop detection failure"
 
 let test_no_superior_fails () =
   let net = Network.create () in
-  Network.add_server net (simple_server "a" "o=a" [] ());
+  simple_server net "a" "o=a" [] ();
   match Network.search net ~from:"a" (q "o=other") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected noSuchObject"
 
 let test_stats_reset () =
   let net = Network.create () in
-  Network.add_server net (simple_server "a" "o=x" [] ());
+  simple_server net "a" "o=x" [] ();
   ignore (Network.search net ~from:"a" (q "o=x"));
   Network.reset_stats net;
   let stats = Network.stats net in
-  check_int "round trips" 0 stats.Network.round_trips;
+  check_int "round trips" 0 stats.Network.sync_rpcs;
   check_int "bytes" 0 stats.Network.bytes
 
 let test_overlap_dedupe () =
@@ -148,6 +147,43 @@ let test_rpc_refuse_and_partition () =
   | Ok () -> check_bool "healed link delivers" true !served
   | Error _ -> Alcotest.fail "expected delivery after heal"
 
+(* --- A search is timed on the engine --------------------------------- *)
+
+(* Host a refers every search to b, which holds o=x. *)
+let referral_chain () =
+  let net = Network.create () in
+  Network.set_default_latency net (Ldap_sim.Latency.Fixed 3);
+  simple_server net "a" "o=a" [] ~default_referral:(Referral.make ~host:"b" ()) ();
+  simple_server net "b" "o=x"
+    [ entry "cn=e,o=x" [ ("objectclass", [ "person" ]); ("cn", [ "e" ]); ("sn", [ "e" ]) ] ]
+    ();
+  net
+
+let entry_dns = function
+  | Ok entries -> List.map (fun e -> Dn.to_string (Entry.dn e)) entries
+  | Error e -> Alcotest.fail e
+
+let test_search_timed () =
+  (* Two hops, each a request and a reply leg of 3 ticks. *)
+  let net = referral_chain () in
+  let engine = Network.engine net in
+  let found = entry_dns (Network.search net ~from:"a" (q "cn=e,o=x")) in
+  Alcotest.(check (list string)) "entry" [ "cn=e,o=x" ] found;
+  check_int "one exchange a hop" 2 (Network.stats net).Network.sync_rpcs;
+  check_int "clock advanced" 12 (Ldap_sim.Engine.now engine)
+
+let test_search_inline () =
+  (* Issued from inside an event, the same chain completes on the spot. *)
+  let net = referral_chain () in
+  let engine = Network.engine net in
+  let found = ref [] in
+  Ldap_sim.Engine.after engine ~delay:0 (fun () ->
+      found := entry_dns (Network.search net ~from:"a" (q "cn=e,o=x")));
+  Ldap_sim.Engine.run engine;
+  Alcotest.(check (list string)) "entry" [ "cn=e,o=x" ] !found;
+  check_int "one exchange a hop" 2 (Network.stats net).Network.sync_rpcs;
+  check_int "clock unchanged" 0 (Ldap_sim.Engine.now engine)
+
 let suite =
   [
     Alcotest.test_case "unknown host" `Quick test_unknown_host;
@@ -160,4 +196,6 @@ let suite =
     Alcotest.test_case "rpc drop request" `Quick test_rpc_drop_request;
     Alcotest.test_case "rpc drop reply" `Quick test_rpc_drop_reply;
     Alcotest.test_case "rpc refuse+partition" `Quick test_rpc_refuse_and_partition;
+    Alcotest.test_case "search timed" `Quick test_search_timed;
+    Alcotest.test_case "search inline" `Quick test_search_inline;
   ]
