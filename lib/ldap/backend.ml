@@ -2,19 +2,18 @@
    which also holds the attribute postings searches read candidates
    from: the backend declares its [indexed] attributes (and
    [objectclass]) to it.  The store's slot ids key the one table that
-   stands in for a tree here: child links, for one-level and subtree
-   walks and the leaf and parent checks.  A slot id is assigned when
-   its DN is first stored, which needs a live parent, and is never
-   reused, so ascending slot order visits parents before their
-   children. *)
+   stands in for a tree here: child links, an id vector per slot, for
+   one-level and subtree walks and the leaf and parent checks.  A slot
+   id is assigned when its DN is first stored, which needs a live
+   parent, and is never reused, so ascending slot order visits parents
+   before their children. *)
 
-module Ids = Set.Make (Int)
 module Attr_id = Ldap_compile.Attr_id
 
 type t = {
   mutable contexts : Dn.t list;  (* suffixes, deepest first *)
   estore : Content_store.t;  (* every entry and its postings; its spine is the update log *)
-  mutable kids : Ids.t array;  (* slot id -> child slot ids *)
+  mutable kids : Id_vec.t array;  (* slot id -> child slot ids, [Id_vec.empty] for none *)
   mutable referral_dns : Dn.Set.t;  (* referral objects, for references *)
   mutable csn : Csn.t;
   mutable subscribers : (Update.record -> unit) array;  (* registration order *)
@@ -25,7 +24,7 @@ let create ?(indexed = []) () =
   {
     contexts = [];
     estore = Content_store.create ~indexed:(List.map Attr_id.intern ("objectclass" :: indexed)) ();
-    kids = Array.make 64 Ids.empty;
+    kids = Array.make 64 Id_vec.empty;
     referral_dns = Dn.Set.empty;
     csn = Csn.zero;
     subscribers = [||];
@@ -45,18 +44,14 @@ let live_id t dn =
   | Some id when Option.is_some (Content_store.get t.estore id) -> Some id
   | Some _ | None -> None
 
-let kids t id = if id < Array.length t.kids then t.kids.(id) else Ids.empty
+let kids t id = if id < Array.length t.kids then t.kids.(id) else Id_vec.empty
 
-let set_kids t id ids =
+let link t parent id =
   let n = Array.length t.kids in
-  if id >= n then begin
-    let grown = Array.make (max (2 * n) (id + 1)) Ids.empty in
-    Array.blit t.kids 0 grown 0 n;
-    t.kids <- grown
-  end;
-  t.kids.(id) <- ids
+  if parent >= n then t.kids <- Array.append t.kids (Array.make (max n (parent + 1 - n)) Id_vec.empty);
+  t.kids.(parent) <- Id_vec.add t.kids.(parent) id
 
-let is_leaf t id = Ids.is_empty (kids t id)
+let is_leaf t id = Id_vec.card (kids t id) = 0
 
 let context_for t dn =
   (* contexts are sorted deepest first, so the first covering context
@@ -70,7 +65,7 @@ let note_referral t entry ~add =
 let store t ?parent entry =
   Content_store.upsert t.estore entry;
   let id = Option.get (Content_store.id_of t.estore (Entry.dn entry)) in
-  Option.iter (fun p -> set_kids t p (Ids.add id (kids t p))) parent;
+  Option.iter (fun p -> link t p id) parent;
   note_referral t entry ~add:true
 
 (* The one insert path: a live DN is replaced in place and keeps its
@@ -108,7 +103,7 @@ let remove t dn =
       Error ("entry is not a leaf: " ^ Dn.to_string dn)
   | Some id ->
       let parent = Option.get (Option.bind (Dn.parent dn) (live_id t)) in
-      set_kids t parent (Ids.remove id (kids t parent));
+      Id_vec.remove (kids t parent) id;
       note_referral t (entry_at t id) ~add:false;
       Content_store.remove t.estore dn;
       Ok ()
@@ -235,11 +230,11 @@ let fold_matching t (q : Query.t) ~init ~f =
             | None, Scope.Base -> if matches base_entry then f init base_entry else init
             | None, Scope.One ->
                 let base = Option.get (live_id t q.base) in
-                Ids.fold (fun id acc -> visit acc (entry_at t id)) (kids t base) init
+                Id_vec.fold (fun id acc -> visit acc (entry_at t id)) (kids t base) init
             | None, Scope.Sub ->
                 let rec walk id acc =
                   let acc = if matches (entry_at t id) then id :: acc else acc in
-                  Ids.fold walk (kids t id) acc
+                  Id_vec.fold walk (kids t id) acc
                 in
                 walk (Option.get (live_id t q.base)) []
                 |> List.sort Int.compare

@@ -18,26 +18,29 @@
      the backend's one update log: a trim releases the records it
      drops and raises the log's CSN floor past them.
 
-   It is also the one search engine.  Attribute postings map each
-   canonical value an entry's slot holds to the slot ids holding it,
-   so equal Integer spellings ("07", "7") share a key, and store their
-   counts, so a conjunction prices its conjuncts and builds the
-   candidate set of the cheapest one only.  A backend declares its
-   postings at creation; any other store builds one the first time a
-   search asks for it.  [upsert] and [remove] keep them current. *)
+   It is also the one search engine.  Attribute postings hash each
+   canonical value an entry's slot holds (equal Integer spellings
+   share a key) to an ascending id vector with its live count, so a
+   conjunction prices its conjuncts and builds only the cheapest one's
+   candidates, a sorted id vector.  A backend declares its postings at
+   creation; any other store builds one the first time a search asks
+   for it.  [upsert] and [remove] keep them current. *)
 
-module Ids = Set.Make (Int)
-module Vmap = Map.Make (String)
+module Vtbl = Hashtbl.Make (String)
 module Attr_id = Ldap_compile.Attr_id
 module Prog = Ldap_compile.Prog
 
 type slot = { dn : Dn.t; mutable entry : Entry.t option }
 
-(* The slots holding one canonical value, and how many there are. *)
-type posting = { ids : Ids.t; card : int }
-
-(* One indexed attribute: its id and its postings by canonical value. *)
-type index = { attr : Attr_id.t; mutable by_value : posting Vmap.t }
+(* One indexed attribute: its id, its postings by canonical value
+   and, for each prefix length a walk has used, its postings grouped
+   by their keys' first that many bytes. *)
+type index = {
+  attr : Attr_id.t;
+  by_value : Id_vec.t Vtbl.t;
+  mutable by_prefix : (int * Id_vec.t list Vtbl.t) list;
+  mutable stale : int;  (* emptied postings still in the groups *)
+}
 
 type t = {
   ids : (string, int) Hashtbl.t;  (* canonical DN -> slot id *)
@@ -66,7 +69,7 @@ let no_record = { Update.csn = Csn.zero; op = Update.Delete Dn.root; before = No
 let spine_cap = 16_384
 
 let create ?indexed () =
-  let index attr = { attr; by_value = Vmap.empty } in
+  let index attr = { attr; by_value = Vtbl.create 64; by_prefix = []; stale = 0 } in
   {
     ids = Hashtbl.create 256;
     slots = Array.make 64 None;
@@ -233,16 +236,41 @@ let spine_csn_range t =
 
 (* --- Postings -------------------------------------------------------- *)
 
-(* Slot [id] joins or leaves one posting.  Set operations return their
-   argument unchanged when nothing changes, so the cardinality moves
-   only with real membership changes. *)
+(* Posting [v] of a new [key] joins its group in a prefix table. *)
+let regroup key v (len, groups) =
+  if String.length key >= len then begin
+    let prefix = String.sub key 0 len in
+    Vtbl.replace groups prefix (v :: Option.value (Vtbl.find_opt groups prefix) ~default:[])
+  end
+
+(* An emptied posting stays in its groups, where it counts nothing,
+   until they hold as many of them as the table holds keys. *)
+let prune ix =
+  ix.stale <- ix.stale + 1;
+  if ix.stale > Vtbl.length ix.by_value then begin
+    let live _ vs = match List.filter (fun v -> Id_vec.card v > 0) vs with [] -> None | vs -> Some vs in
+    List.iter (fun (_, groups) -> Vtbl.filter_map_inplace live groups) ix.by_prefix;
+    ix.stale <- 0
+  end
+
+(* Slot [id] joins or leaves one posting.  A key enters the table with
+   its first id, and its prefix groups with it, and leaves with its
+   last. *)
 let post ix key id ~add =
-  let p = Option.value (Vmap.find_opt key ix.by_value) ~default:{ ids = Ids.empty; card = 0 } in
-  let ids = (if add then Ids.add else Ids.remove) id p.ids in
-  if ids != p.ids then
-    ix.by_value <-
-      (if Ids.is_empty ids then Vmap.remove key ix.by_value
-       else Vmap.add key { ids; card = (if add then p.card + 1 else p.card - 1) } ix.by_value)
+  match Vtbl.find ix.by_value key with
+  | v when add -> ignore (Id_vec.add v id)
+  | v ->
+      Id_vec.remove v id;
+      if Id_vec.card v = 0 then begin
+        Vtbl.remove ix.by_value key;
+        if ix.by_prefix <> [] then prune ix
+      end
+  | exception Not_found ->
+      if add then begin
+        let v = Id_vec.add Id_vec.empty id in
+        Vtbl.add ix.by_value key v;
+        if ix.by_prefix <> [] then List.iter (regroup key v) ix.by_prefix
+      end
 
 (* The posting keys of [entry] under [ix]: its slot's canonical values,
    [[||]] without the attribute. *)
@@ -304,16 +332,16 @@ let get t id = match t.slots.(id) with Some s -> s.entry | None -> None
 let find t dn = match id_of t dn with None -> None | Some id -> get t id
 
 
-let iter t f =
+let iteri t f =
   for i = 0 to t.slot_count - 1 do
     match t.slots.(i) with
-    | Some { entry = Some e; _ } -> f e
+    | Some { entry = Some e; _ } -> f i e
     | Some _ | None -> ()
   done
 
 let fold t ~init ~f =
   let acc = ref init in
-  iter t (fun e -> acc := f !acc e);
+  iteri t (fun _ e -> acc := f !acc e);
   !acc
 
 let to_seq t =
@@ -328,13 +356,22 @@ let to_seq t =
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc e -> e :: acc))
 
-(* Postings are counted, not walked: a set node is 5 words, a map node
-   6 and a posting 3, and the keys are strings the entries' slots
-   already hold.  [Obj.reachable_words] keeps a table of every object
-   it visits, which would grow with every set node. *)
+(* Postings are counted, not walked: tables by their buckets and rows,
+   a posting by its vector's capacity, dead ids included, a prefix
+   group by its string, its list and the emptied postings it still
+   holds.  The keys are strings the entries' slots already hold.
+   [Obj.reachable_words] keeps a table of every object it visits,
+   which would grow with every posting. *)
 let posting_words t =
+  let table rows tbl = 5 + 1 + (Vtbl.stats tbl).num_buckets + Vtbl.fold rows tbl 0 in
+  let member n v = n + 3 + if Id_vec.card v = 0 then Id_vec.words v else 0 in
+  let group len _ vs n = List.fold_left member (n + 4 + 2 + (len / 8)) vs in
   List.fold_left
-    (fun acc ix -> Vmap.fold (fun _ (p : posting) acc -> acc + 9 + (5 * p.card)) ix.by_value (acc + 6))
+    (fun acc ix ->
+      List.fold_left
+        (fun acc (len, groups) -> acc + 3 + 3 + table (group len) groups)
+        (acc + 4 + 3 + table (fun _ v n -> n + 4 + Id_vec.words v) ix.by_value)
+        ix.by_prefix)
     0 t.indexes
 
 let approx_bytes t =
@@ -342,31 +379,28 @@ let approx_bytes t =
 
 (* --- Search ---------------------------------------------------------- *)
 
-(* A new index over the live slots, in one pass from the newest slot
-   down, so each key's ids come out ascending: a set built from a
-   sorted list costs a fraction of adding the ids one by one, which
-   would rebalance the tree at every step.  A value repeated within
-   one entry meets its own id at the head of the list. *)
+(* A new index over the live slots in one ascending pass, so every
+   id appends to its posting. *)
 let build t attr =
-  let ix = { attr; by_value = Vmap.empty } in
-  let lists = Hashtbl.create 64 in
-  for id = t.slot_count - 1 downto 0 do
-    match get t id with
-    | Some e ->
-        Array.iter
-          (fun key ->
-            match Hashtbl.find_opt lists key with
-            | Some (head :: _) when head = id -> ()
-            | Some ids -> Hashtbl.replace lists key (id :: ids)
-            | None -> Hashtbl.replace lists key [ id ])
-          (keys ix e)
-    | None -> ()
-  done;
-  Hashtbl.iter
-    (fun key ids ->
-      ix.by_value <- Vmap.add key { ids = Ids.of_list ids; card = List.length ids } ix.by_value)
-    lists;
+  let ix = { attr; by_value = Vtbl.create 64; by_prefix = []; stale = 0 } in
+  iteri t (fun id e -> Array.iter (fun key -> post ix key id ~add:true) (keys ix e));
   ix
+
+(* The postings whose key starts with [prefix], in no order.  The first
+   walk with a prefix of this length groups the keys by their first
+   that many bytes; [post] keeps the groups after it. *)
+let prefixed ix prefix =
+  let len = String.length prefix in
+  let groups =
+    match List.assoc_opt len ix.by_prefix with
+    | Some groups -> groups
+    | None ->
+        let groups = Vtbl.create 64 in
+        Vtbl.iter (fun key v -> regroup key v (len, groups)) ix.by_value;
+        ix.by_prefix <- (len, groups) :: ix.by_prefix;
+        groups
+  in
+  Option.value (Vtbl.find_opt groups prefix) ~default:[]
 
 (* The postings of attribute [a], when the store keeps them.  A store
    that declared none builds them here when [build] asks, after which
@@ -394,28 +428,19 @@ let rec index_candidates t ~limit filter =
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
       Option.bind (index_of t a ~build:true) (fun ix ->
-          let n, ids =
-            match Vmap.find_opt (Value.canonical (syntax a) v) ix.by_value with
-            | Some p -> (p.card, p.ids)
-            | None -> (0, Ids.empty)
+          let ids =
+            Option.value (Vtbl.find_opt ix.by_value (Value.canonical (syntax a) v)) ~default:Id_vec.empty
           in
-          if n <= limit then Some (n, Lazy.from_val ids) else None)
+          if Id_vec.card ids <= limit then Some (Id_vec.card ids, Lazy.from_val ids) else None)
   | Filter.Pred (Filter.Substrings (a, { initial = Some init; any; final }))
     when syntax a <> Value.Integer ->
       (* Substrings compare normalized forms, which for the other
          syntaxes are the canonical keys; Integer ones scan. *)
       Option.bind (index_of t a ~build:(any = [] && final = None)) (fun ix ->
-          let prefix = Value.normalize (syntax a) init in
-          let rec count n sets seq =
-            if n > limit then None
-            else
-              match seq () with
-              | Seq.Cons ((key, p), rest) when String.starts_with ~prefix key ->
-                  count (n + p.card) (p.ids :: sets) rest
-              | Seq.Cons _ | Seq.Nil ->
-                  Some (n, lazy (List.fold_left Ids.union Ids.empty sets))
-          in
-          count 0 [] (Vmap.to_seq_from prefix ix.by_value))
+          let vecs = prefixed ix (Value.normalize (syntax a) init) in
+          let rec count n = function v :: vs when n <= limit -> count (n + Id_vec.card v) vs | _ -> n in
+          let n = count 0 vecs in
+          if n > limit then None else Some (n, lazy (Id_vec.union vecs)))
   | Filter.And gs ->
       (* Any conjunct's candidates over-approximate the result.  Price
          the equalities first, as one lookup each, so every later
@@ -431,9 +456,7 @@ let rec index_candidates t ~limit filter =
         None (eqs @ others)
   | Filter.Or gs ->
       let rec sum n sets = function
-        | [] ->
-            let union acc s = Ids.union acc (Lazy.force s) in
-            Some (n, lazy (List.fold_left union Ids.empty sets))
+        | [] -> Some (n, lazy (Id_vec.union (List.map Lazy.force sets)))
         | g :: rest -> (
             match index_candidates t ~limit:(limit - n) g with
             | Some (n', s) -> sum (n + n') (s :: sets) rest
@@ -445,7 +468,7 @@ let rec index_candidates t ~limit filter =
 let fold_candidates t filter ~init ~f =
   Option.map
     (fun (_, ids) ->
-      Ids.fold
+      Id_vec.fold
         (fun id acc -> match get t id with Some e -> f acc e | None -> acc)
         (Lazy.force ids) init)
     (index_candidates t ~limit:max_int filter)
@@ -461,7 +484,7 @@ let search t (q : Query.t) ~init ~f =
    [prefix].  A multi-valued entry can sit under several such keys;
    [t.stamps] marks the ids this count has seen, so no union is
    built. *)
-let count_prefixed t prefix postings =
+let count_prefixed t ix prefix =
   if Array.length t.stamps < t.slot_count then
     t.stamps <- Array.make (max t.slot_count (2 * Array.length t.stamps)) 0;
   t.stamp <- t.stamp + 1;
@@ -473,25 +496,15 @@ let count_prefixed t prefix postings =
       n + 1
     end
   in
-  let rec go n seq =
-    match seq () with
-    | Seq.Cons ((key, (p : posting)), rest) when String.starts_with ~prefix key ->
-        go (Ids.fold see p.ids n) rest
-    | Seq.Cons _ | Seq.Nil -> n
-  in
-  go 0 (Vmap.to_seq_from prefix postings)
+  List.fold_left (fun n v -> Id_vec.fold see v n) 0 (prefixed ix prefix)
 
 let posting_count t filter =
   let syntax = Schema.syntax_of in
   let table a = if syntax a <> Value.Integer then index_of t a ~build:false else None in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
-      Option.map
-        (fun ix ->
-          match Vmap.find_opt (Value.canonical (syntax a) v) ix.by_value with
-          | Some p -> p.card
-          | None -> 0)
-        (table a)
+      let find ix = Vtbl.find_opt ix.by_value (Value.canonical (syntax a) v) in
+      Option.map (fun ix -> Option.fold ~none:0 ~some:Id_vec.card (find ix)) (table a)
   | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
-      Option.map (fun ix -> count_prefixed t (Value.normalize (syntax a) init) ix.by_value) (table a)
+      Option.map (fun ix -> count_prefixed t ix (Value.normalize (syntax a) init)) (table a)
   | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None

@@ -19,16 +19,16 @@
     records it drops and raises the log's CSN floor to the newest of
     them; the floor never goes down.
 
-    Searches read candidates off {e postings}: per attribute, the slot
-    ids holding each canonical value (so equal Integer spellings share
-    a key), with their counts, so a conjunction is priced and only the
-    cheapest conjunct's candidates are built.  A backend declares its
-    postings when it creates its store and no search adds any.  Every
+    Searches read candidates off {e postings}: per attribute, a hash
+    table from each canonical value (equal Integer spellings share a
+    key) to the ascending vector of slot ids holding it, with its live
+    count, so a conjunction is priced and only the cheapest conjunct's
+    candidates are built.  A prefix walk reads the postings grouped by
+    their keys' first bytes, grouped at the first walk of that width.
+    A backend declares its postings when it creates its store; every
     other store — a consumer's replica content — builds an attribute's
-    postings the first time a search names it in an equality, or in a
-    substring assertion with only an initial segment; a store that only
-    serves polls builds none.  {!upsert} and {!remove} keep every
-    posting current. *)
+    postings the first time a search names it in an equality or an
+    initial-only substring.  {!upsert} and {!remove} keep them all. *)
 
 type t
 
@@ -159,5 +159,5 @@ val approx_bytes : t -> int
 (** Approximate heap footprint of everything reachable from the store
     (slots, spine, postings and the entries themselves), for
     memory-residency reports.  Walks the object graph except the
-    postings, which are counted from their sizes — O(size),
-    diagnostic use only. *)
+    postings, which are counted from their tables' buckets and rows
+    and their vectors' capacity — O(size), diagnostic use only. *)

@@ -1,4 +1,4 @@
-module Smap = Map.Make (String)
+module Stbl = Hashtbl.Make (String)
 
 let key = Value.lowercase
 
@@ -49,22 +49,20 @@ let attribute_types =
 
 (* Every name and alias, lowercased, to its attribute type. *)
 let attrs =
-  List.fold_left
-    (fun m at ->
-      List.fold_left (fun m name -> Smap.add (key name) at m) m (at.at_canonical :: at.at_aliases))
-    Smap.empty attribute_types
+  let names at = List.to_seq (List.map (fun n -> (key n, at)) (at.at_canonical :: at.at_aliases)) in
+  Stbl.of_seq (Seq.concat_map names (List.to_seq attribute_types))
 
 let syntax_of name =
-  match Smap.find (key name) attrs with
+  match Stbl.find attrs (key name) with
   | at -> at.at_syntax
   | exception Not_found -> Value.Case_ignore
 
 let is_single_valued name =
-  match Smap.find_opt (key name) attrs with Some at -> at.at_single_value | None -> false
+  match Stbl.find_opt attrs (key name) with Some at -> at.at_single_value | None -> false
 
 let canonical_attr name =
   let k = key name in
-  match Smap.find k attrs with at -> at.at_canonical | exception Not_found -> k
+  match Stbl.find attrs k with at -> at.at_canonical | exception Not_found -> k
 
 type t = unit
 

@@ -446,6 +446,287 @@ let search_property =
        QCheck.Gen.(pair bool (list_size (1 -- 40) sq_op_gen)))
     run_search_property
 
+(* --- Postings against a model ------------------------------------------
+
+   Long scripts of add, remove, modify, revive and rename over 80 DNs,
+   on a store declaring two postings: [departmentNumber], whose few
+   keys each hold many slots, so removals mark ids dead, compaction
+   runs and a revived slot's id lands inside a vector or is un-marked
+   there; and [mail], whose keys hold one slot each and share
+   prefixes.  The test keeps every posting as a [Set.Make(Int)] of
+   slot ids.  After each step, every key's equality candidates must be
+   the model's ids in ascending order, and every key's and every
+   key prefix's posting count and candidates the model's. *)
+
+module Ids = Set.Make (Int)
+
+type pm_op =
+  | Pm_add of int * string list * int
+  | Pm_remove of int
+  | Pm_modify of int * string list
+  | Pm_revive of int * string list
+  | Pm_rename of int * int
+
+let pm_names = 80
+let pm_depts = [ "a"; "ab"; "abc"; "b"; "ba"; "c" ]
+let pm_mails = List.init 40 (Printf.sprintf "m%d")
+
+let pm_prefixes keys =
+  List.sort_uniq compare
+    (List.concat_map (fun k -> List.init (String.length k + 1) (String.sub k 0)) keys)
+
+let pm_op_gen =
+  let open QCheck.Gen in
+  let name = 0 -- (pm_names - 1) and depts = list_size (1 -- 2) (oneofl pm_depts) in
+  frequency
+    [
+      (5, map3 (fun i ds m -> Pm_add (i, ds, m)) name depts (0 -- 39));
+      (3, map (fun i -> Pm_remove i) name);
+      (2, map2 (fun i ds -> Pm_modify (i, ds)) name depts);
+      (2, map2 (fun k ds -> Pm_revive (k, ds)) nat depts);
+      (1, map2 (fun i j -> Pm_rename (i, j)) name name);
+    ]
+
+let pm_print = function
+  | Pm_add (i, ds, m) -> Printf.sprintf "add(e%d,%s,m%d)" i (String.concat "|" ds) m
+  | Pm_remove i -> Printf.sprintf "remove(e%d)" i
+  | Pm_modify (i, ds) -> Printf.sprintf "modify(e%d,%s)" i (String.concat "|" ds)
+  | Pm_revive (k, ds) -> Printf.sprintf "revive(#%d,%s)" k (String.concat "|" ds)
+  | Pm_rename (i, j) -> Printf.sprintf "rename(e%d,e%d)" i j
+
+let run_posting_model ops =
+  let s = Content_store.create ~indexed:(List.map Ldap_compile.Attr_id.intern [ "departmentnumber"; "mail" ]) () in
+  let model = Hashtbl.create 64 in
+  let live = Hashtbl.create 64 in
+  let post attr key id ~add =
+    let ids = Option.value (Hashtbl.find_opt model (attr, key)) ~default:Ids.empty in
+    Hashtbl.replace model (attr, key) ((if add then Ids.add else Ids.remove) id ids)
+  in
+  let id_of i = Option.get (Content_store.id_of s (dn (dept i))) in
+  let note i ~add =
+    let ds, m = Hashtbl.find live i in
+    List.iter (fun d -> post "departmentNumber" d (id_of i) ~add) ds;
+    post "mail" m (id_of i) ~add
+  in
+  let put i ds m =
+    if Hashtbl.mem live i then note i ~add:false;
+    Content_store.upsert s (person i [ ("departmentNumber", ds); ("mail", [ m ]) ]);
+    Hashtbl.replace live i (ds, m);
+    note i ~add:true
+  in
+  let remove i =
+    note i ~add:false;
+    Hashtbl.remove live i;
+    Content_store.remove s (dn (dept i))
+  in
+  let id_list = Option.map (fun l -> List.rev l) in
+  let candidates filter =
+    id_list
+      (Content_store.fold_candidates s filter ~init:[] ~f:(fun acc e ->
+           Option.get (Content_store.id_of s (Entry.dn e)) :: acc))
+  in
+  let expect label filter ids =
+    let n = Ids.cardinal ids in
+    if Content_store.posting_count s filter <> Some n then
+      QCheck.Test.fail_reportf "%s %s: posting count %s, model %d" label (Filter.to_string filter)
+        (Option.fold ~none:"none" ~some:string_of_int (Content_store.posting_count s filter))
+        n;
+    if candidates filter <> Some (Ids.elements ids) then
+      QCheck.Test.fail_reportf "%s %s: candidates [%s], model [%s]" label (Filter.to_string filter)
+        (String.concat " " (List.map string_of_int (Option.value (candidates filter) ~default:[])))
+        (String.concat " " (List.map string_of_int (Ids.elements ids)))
+  in
+  let check label =
+    List.iter
+      (fun (attr, keys) ->
+        let ids key = Option.value (Hashtbl.find_opt model (attr, key)) ~default:Ids.empty in
+        List.iter (fun key -> expect label (Filter.Pred (Filter.Equality (attr, key))) (ids key)) keys;
+        List.iter
+          (fun prefix ->
+            let union =
+              List.fold_left
+                (fun acc key -> if String.starts_with ~prefix key then Ids.union acc (ids key) else acc)
+                Ids.empty keys
+            in
+            expect label
+              (Filter.Pred
+                 (Filter.Substrings (attr, { Filter.initial = Some prefix; any = []; final = None })))
+              union)
+          (pm_prefixes keys))
+      [ ("departmentNumber", pm_depts); ("mail", pm_mails) ]
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Pm_add (i, ds, m) -> put i ds (Printf.sprintf "m%d" m)
+      | Pm_remove i -> if Hashtbl.mem live i then remove i
+      | Pm_modify (i, ds) -> (
+          match Hashtbl.find_opt live i with
+          | Some (_, m) ->
+              note i ~add:false;
+              let e = Option.get (Content_store.find s (dn (dept i))) in
+              Content_store.upsert s (Entry.replace_values e "departmentNumber" ds);
+              Hashtbl.replace live i (ds, m);
+              note i ~add:true
+          | None -> ())
+      | Pm_revive (k, ds) -> (
+          let dead =
+            List.filter
+              (fun i -> (not (Hashtbl.mem live i)) && Content_store.id_of s (dn (dept i)) <> None)
+              (List.init pm_names Fun.id)
+          in
+          match dead with
+          | [] -> ()
+          | _ -> put (List.nth dead (k mod List.length dead)) ds (Printf.sprintf "m%d" (k mod 40)))
+      | Pm_rename (i, j) -> (
+          match Hashtbl.find_opt live i with
+          | Some (ds, m) when not (Hashtbl.mem live j) ->
+              remove i;
+              put j ds m
+          | Some _ | None -> ()));
+      check (pm_print op))
+    ops;
+  true
+
+let posting_model_property =
+  QCheck.Test.make ~count:25 ~name:"content-store: postings = Set.Make(Int) model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pm_print ops))
+       QCheck.Gen.(list_size (150 -- 300) pm_op_gen))
+    run_posting_model
+
+(* --- Child links against a model --------------------------------------
+
+   Random adds, deletes and modifyDNs of leaves under three containers
+   (one nested in another).  A one-level or subtree search whose
+   filter no posting answers walks the backend's child links; it must
+   return exactly the model's children or descendants, in ascending
+   slot order. *)
+
+type bm_op = Bm_add of int * int | Bm_delete of int | Bm_move of int * int * int
+
+let bm_containers = [| "ou=a,o=xyz"; "ou=b,o=xyz"; "ou=c,ou=a,o=xyz" |]
+let bm_leaf i c = Printf.sprintf "cn=e%d,%s" i bm_containers.(c)
+
+let bm_op_gen =
+  let open QCheck.Gen in
+  let name = 0 -- 69 and container = 0 -- 2 in
+  frequency
+    [
+      (4, map2 (fun i c -> Bm_add (i, c)) name container);
+      (2, map (fun i -> Bm_delete i) name);
+      (3, map3 (fun i j c -> Bm_move (i, j, c)) name name container);
+    ]
+
+let bm_print = function
+  | Bm_add (i, c) -> "add " ^ bm_leaf i c
+  | Bm_delete i -> Printf.sprintf "delete e%d" i
+  | Bm_move (i, j, c) -> Printf.sprintf "move e%d -> %s" i (bm_leaf j c)
+
+let run_child_model ops =
+  let b = Backend.create ~indexed:[ "cn" ] () in
+  let apply op = match Backend.apply b op with Ok _ -> () | Error e -> failwith e in
+  (match Backend.add_context b (Entry.make (dn "o=xyz") [ ("objectclass", [ "organization" ]); ("o", [ "xyz" ]) ]) with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  (* The backend adds each container's naming value. *)
+  Array.iter
+    (fun c -> apply (Update.add (Entry.make (dn c) [ ("objectclass", [ "organizationalUnit" ]) ])))
+    bm_containers;
+  let live = Hashtbl.create 64 in
+  let canon s = Dn.canonical (dn s) in
+  let top = canon "o=xyz" and cans = Array.map canon bm_containers in
+  (* The model's tree: each DN's canonical form and its parent's. *)
+  let parent_of = Hashtbl.create 64 in
+  Hashtbl.replace parent_of cans.(0) top;
+  Hashtbl.replace parent_of cans.(1) top;
+  Hashtbl.replace parent_of cans.(2) cans.(0);
+  let leaf_names = Array.init 70 (fun i -> Array.init 3 (fun c -> canon (bm_leaf i c))) in
+  let model_parents () =
+    Hashtbl.fold (fun i c acc -> (leaf_names.(i).(c), cans.(c)) :: acc) live
+      ((top, "") :: Hashtbl.fold (fun d p acc -> (d, p) :: acc) parent_of [])
+  in
+  let rec under base (d, p) =
+    d = base || (p <> "" && under base (p, Option.value (Hashtbl.find_opt parent_of p) ~default:""))
+  in
+  let check label scope base =
+    let base = canon base in
+    let in_scope ((_, p) as node) = if scope = Scope.One then p = base else under base node in
+    let expected = List.sort compare (List.map fst (List.filter in_scope (model_parents ()))) in
+    let q = Query.make ~scope ~base:(dn base) (Filter.of_string_exn "(objectClass=*)") in
+    match Backend.search b q with
+    | Error _ -> QCheck.Test.fail_reportf "%s: search under %s failed" label base
+    | Ok { Backend.entries; _ } ->
+        let got = List.map (fun e -> Dn.canonical (Entry.dn e)) entries in
+        let slots =
+          List.map (fun e -> Option.get (Content_store.id_of (Backend.content_store b) (Entry.dn e))) entries
+        in
+        if List.sort compare got <> expected then
+          QCheck.Test.fail_reportf "%s: %s under %s gave [%s], model [%s]" label
+            (if scope = Scope.One then "one-level" else "subtree")
+            base (String.concat " " got) (String.concat " " expected);
+        if slots <> List.sort compare slots then
+          QCheck.Test.fail_reportf "%s: results under %s not in slot order" label base
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Bm_add (i, c) ->
+          if not (Hashtbl.mem live i) then begin
+            apply (Update.add (person ~parent:bm_containers.(c) i []));
+            Hashtbl.replace live i c
+          end
+      | Bm_delete i -> (
+          match Hashtbl.find_opt live i with
+          | Some c ->
+              apply (Update.delete (dn (bm_leaf i c)));
+              Hashtbl.remove live i
+          | None -> ())
+      | Bm_move (i, j, c) -> (
+          match Hashtbl.find_opt live i with
+          | Some from when i = j || not (Hashtbl.mem live j) ->
+              if not (i = j && from = c) then begin
+                let new_rdn = [ { Dn.attr = "cn"; value = Printf.sprintf "e%d" j } ] in
+                apply (Update.modify_dn ~new_superior:(dn bm_containers.(c)) (dn (bm_leaf i from)) new_rdn);
+                Hashtbl.remove live i;
+                Hashtbl.replace live j c
+              end
+          | Some _ | None -> ()));
+      let label = bm_print op in
+      Array.iter (fun c -> check label Scope.One c) bm_containers;
+      check label Scope.One "o=xyz";
+      check label Scope.Sub "o=xyz";
+      check label Scope.Sub "ou=a,o=xyz")
+    ops;
+  true
+
+let child_model_property =
+  QCheck.Test.make ~count:40 ~name:"backend: child links = model under random updates"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map bm_print ops))
+       QCheck.Gen.(list_size (50 -- 200) bm_op_gen))
+    run_child_model
+
+(* The footprint estimate counts postings from their sizes — id vector
+   capacity and dead ids, table rows and buckets, prefix groups — and
+   must agree with a walk of the whole store within 0.5%. *)
+let test_posting_footprint () =
+  let s =
+    Content_store.create ~indexed:(List.map Ldap_compile.Attr_id.intern [ "departmentnumber"; "mail" ]) ()
+  in
+  for i = 0 to 299 do
+    Content_store.upsert s
+      (person i [ ("departmentNumber", [ string_of_int (i mod 7) ]); ("mail", [ Printf.sprintf "m%d" i ]) ])
+  done;
+  for i = 0 to 299 do
+    if i mod 5 = 0 then Content_store.remove s (dn (dept i))
+  done;
+  ignore (Content_store.posting_count s (Filter.of_string_exn "(mail=m1*)"));
+  let estimate = Content_store.approx_bytes s / (Sys.word_size / 8) in
+  let walked = Obj.reachable_words (Obj.repr s) in
+  if abs (estimate - walked) * 200 > walked then
+    Alcotest.failf "estimate %d words, walk %d" estimate walked
+
 let suite =
   [
     Alcotest.test_case "upsert/find/remove/revive" `Quick test_upsert_find_remove;
@@ -458,4 +739,7 @@ let suite =
     Alcotest.test_case "cheapest posting" `Quick test_cheapest_posting;
     Alcotest.test_case "declared postings" `Quick test_declared_postings;
     QCheck_alcotest.to_alcotest search_property;
+    QCheck_alcotest.to_alcotest posting_model_property;
+    QCheck_alcotest.to_alcotest child_model_property;
+    Alcotest.test_case "posting footprint" `Quick test_posting_footprint;
   ]
