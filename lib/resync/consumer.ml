@@ -132,12 +132,24 @@ let action_record w a =
   DW.enum w 1;
   DW.close_seq w m
 
+(* An incremental reply with no action whose cookie is absent or the
+   one held: replaying it would change nothing. *)
+let no_op t (reply : Protocol.reply) =
+  reply.Protocol.kind = Protocol.Incremental
+  && reply.Protocol.actions = []
+  &&
+  match (reply.Protocol.cookie, t.cookie) with
+  | None, _ -> true
+  | Some c, Some held -> String.equal c held
+  | Some _, None -> false
+
 let apply_reply t (reply : Protocol.reply) =
   (* Write-ahead: the whole reply — new cookie and all actions — is
      journaled as one WAL record before any in-memory mutation, so a
      crash mid-apply replays cookie and content together or not at
-     all; the durable cookie can never run ahead of durable content. *)
-  journal_w t reply_record reply;
+     all; the durable cookie can never run ahead of durable content.
+     A no-op reply is not journaled. *)
+  if not (no_op t reply) then journal_w t reply_record reply;
   (* The cookie is stored before the actions are applied: an observer
      registered with {!set_on_change} fires during application, and
      anything it derives from this consumer's state — e.g. the CSN an

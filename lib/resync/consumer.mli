@@ -75,7 +75,10 @@ val set_on_change :
 
 val apply_reply : t -> Protocol.reply -> unit
 (** Applies all actions.  For a [Degraded] reply, entries that were
-    neither retained nor upserted are pruned (eq. (3)). *)
+    neither retained nor upserted are pruned (eq. (3)).  With a store,
+    the reply is journaled first as one WAL record, unless it is an
+    [Incremental] reply with no action whose cookie is absent or the
+    one held: replaying that would change nothing. *)
 
 val sync_async :
   ?from:string ->

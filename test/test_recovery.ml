@@ -301,6 +301,36 @@ let test_master_cold_cookie_degrades () =
     (reply.Protocol.kind <> Protocol.Incremental);
   check_bool "still converges" true (entry_sets_equal consumer b (dept_query "7"))
 
+(* --- Consumer: a no-op reply is not journaled ------------------------- *)
+
+(* An incremental reply with no action whose cookie is absent or the
+   one held changes nothing, so it leaves the WAL as it is; a reopen
+   still equals the live consumer.  A reply that moves the cookie is
+   journaled. *)
+let test_consumer_skips_no_op_replies () =
+  let q = dept_query "7" in
+  let c = Consumer.create q in
+  let m = Store.Medium.memory () in
+  ignore (must (Consumer.open_store c (Store.Store.create m ~name:"c")));
+  let reply ?(actions = []) cookie =
+    Consumer.apply_reply c (Protocol.reply ~kind:Protocol.Incremental ~actions ~cookie)
+  in
+  let wal () = Option.value (Store.Medium.read m ~name:"c.wal") ~default:"" in
+  reply ~actions:[ Action.Add (person "alice" ()) ] (Some "rs:1:1");
+  let before = wal () in
+  reply (Some "rs:1:1");
+  reply None;
+  Alcotest.(check string) "no-op replies leave the WAL unchanged" before (wal ());
+  let reopened, _ = reopen_consumer q (Store.Store.create m ~name:"c") in
+  check_bool "reopen = live: cookie" true (Consumer.cookie reopened = Consumer.cookie c);
+  check_bool "reopen = live: content" true
+    (let a = canon (Consumer.entries reopened) and b = canon (Consumer.entries c) in
+     List.length a = List.length b && List.for_all2 Entry.equal a b);
+  reply (Some "rs:1:2");
+  check_bool "a cookie move is journaled" true (String.length (wal ()) > String.length before);
+  let reopened, _ = reopen_consumer q (Store.Store.create m ~name:"c") in
+  check_bool "reopen = live: moved cookie" true (Consumer.cookie reopened = Some "rs:1:2")
+
 (* --- Consumer atomicity: every WAL prefix is consistent --------------- *)
 
 let test_consumer_every_prefix_consistent () =
@@ -1617,4 +1647,6 @@ let suite =
       test_topology_merkle_restart_walk_fails_cold;
     Alcotest.test_case "topology Merkle restart walks a torn slot once" `Quick
       test_topology_merkle_restart_walks_once;
+    Alcotest.test_case "consumer skips no-op replies" `Quick
+      test_consumer_skips_no_op_replies;
   ]
