@@ -1,28 +1,28 @@
-(* Benchmark harness.
+(* Benchmark harness: micro-benchmarks and the extension sweeps.  The
+   paper's own tables and figures have one runner, `ldapctl experiment`
+   (pinned by test/experiments_quick.expected); this harness does not
+   re-run them.
 
-   Two halves:
-   1. Experiment regeneration: every table and figure of the paper's
-      evaluation (section 7), the protocol illustrations (Figures 2-3)
-      and the section 5.2 history ablation, printed as ASCII tables by
-      Ldap_eval.Figures.
-   2. Micro-benchmarks backing the section 7.4 claims about
-      query-processing cost: template vs general containment, index
-      lookup cost as the number of stored filters grows, plus substrate
-      primitives (filter parse/eval, DN algebra, indexed search), all
-      timed by a hand-rolled warm-up + least-squares harness.
+   Usage: main.exe [--json]
+          main.exe SWEEP [--smoke] [--json]
 
-   Usage: main.exe [--quick] [--micro-only | --figures-only | --smoke
-                   | --json]
-          main.exe SWEEP [--quick | --smoke] [--json]
-   where SWEEP is one of micro, tree-fanout, latency-staleness,
-   crash-restart, anti-entropy, shard, scale (also [--long-haul]) or
-   adapt.  An unknown sweep or flag is an error (exit 124), never a
-   silent full run.  A sweep's --json writes BENCH_PRn.json; with
-   --smoke (or --quick) it writes BENCH_PRn.smoke.json instead, so a
-   smoke run never overwrites the committed full-scale results.
-   Every sweep is one row of the sweep table below (subcommand, result
-   file, smoke and default configuration, run); the sweeps themselves
-   live in Ldap_eval and every JSON file goes through Ldap_eval.Json.
+   With no sweep named it runs the micro-benchmarks backing the
+   section 7.4 claims about query-processing cost (template vs general
+   containment, index lookup cost as the number of stored filters
+   grows, substrate primitives such as filter parse/eval, DN algebra
+   and indexed search, timed by a hand-rolled warm-up + least-squares
+   harness) and the update fan-out sweep (routed vs naive dispatch);
+   --json writes them to BENCH_PR2.json.
+
+   SWEEP is one of micro, tree-fanout, latency-staleness,
+   crash-restart, anti-entropy, shard, scale or adapt.  An unknown
+   sweep or flag is an error (exit 124), never a silent full run.  A
+   sweep's --json writes BENCH_PRn.json; with --smoke it writes
+   BENCH_PRn.smoke.json instead, so a smoke run never overwrites the
+   committed full-scale results.  Every sweep is one row
+   of the sweep table below (subcommand, result file, smoke and default
+   configuration, run); the sweeps themselves live in Ldap_eval and
+   every JSON file goes through Ldap_eval.Json.
 
    micro runs the compiled-vs-interpreted comparison for the hot paths
    (filter bytecode vs AST interpretation, zero-copy DER writer vs
@@ -68,31 +68,24 @@
    are O(selection) by design and are reported ungated as
    serve_all_p99_us.
 
-   scale --long-haul instead runs the long write-pressure scenario
-   (Ldap_eval.Drift.run_long_haul): a sustained committed-update
-   stream against a master with both the session-history high-water
-   mark and the persist queue bound set, a laggard leaf that never
-   polls and a persist leaf that stops draining.  Gates: both
-   escalation counters fire, both buffers stay within one action of
-   their bounds, and every participant reconverges.
-
    adapt runs the drift scenario sweep (Ldap_eval.Drift): the
    five-phase shifting workload in delta-transition and cold-swap
    modes plus both persist-backpressure scenarios and the long-haul
-   point; with --json it writes BENCH_PR10.json.  Gates: the
+   write-pressure point (Ldap_eval.Drift.run_long_haul: a sustained
+   committed-update stream against a master with both the
+   session-history high-water mark and the persist queue bound set, a
+   laggard leaf that never polls and a persist leaf that stops
+   draining); with --json it writes BENCH_PR10.json.  Gates: the
    geography-flip delta transition ships at most half the cold-swap
    bytes, every drift phase's tail hit ratio recovers, the stalled
-   leaf's master-side queue stays bounded and drains, and no
-   transition leaves failed installs.
+   leaf's master-side queue stays bounded and drains, no transition
+   leaves failed installs, and in the long-haul point both escalation
+   counters fire, both buffers stay within one action of their bounds
+   and every participant reconverges.
 
    Every full (non-smoke) JSON dump also records the process peak RSS
    (VmHWM) so memory regressions show up across PRs; smoke JSON omits
-   it to stay bit-deterministic for the CI double-run diffs.
-
-   --smoke runs a seconds-scale deterministic subset (the protocol
-   illustrations plus a tiny lossy-network sweep) and is wired into
-   the default test alias as an end-to-end exercise of the bench
-   harness. *)
+   it to stay bit-deterministic for the CI double-run diffs. *)
 
 open Ldap
 module C = Ldap_containment
@@ -424,7 +417,7 @@ type sweep =
   | Sweep : {
       name : string;
       doc : string;
-      pr : int option;
+      pr : int;
       smoke : 'c;
       default : 'c;
       run : 'c -> (string * Json.t) list;
@@ -447,17 +440,16 @@ let peak_rss () = ("peak_rss_kb", Json.Int (Ldap_topology.Sweep.peak_rss_kb ()))
    place of the smoke/default tag. *)
 let run_sweep (Sweep s) ~smoke ~json =
   let fields = s.run (if smoke then s.smoke else s.default) in
-  match s.pr with
-  | Some n when json ->
-      let path = bench_path n ~smoke in
-      let config =
-        if List.mem_assoc "config" fields then []
-        else [ ("config", Json.String (if smoke then "smoke" else "default")) ]
-      in
-      Json.write path
-        (Json.Obj (config @ fields @ if smoke then [] else [ peak_rss () ]));
-      Printf.printf "wrote %s\n%!" path
-  | _ -> ()
+  if json then begin
+    let path = bench_path s.pr ~smoke in
+    let config =
+      if List.mem_assoc "config" fields then []
+      else [ ("config", Json.String (if smoke then "smoke" else "default")) ]
+    in
+    Json.write path
+      (Json.Obj (config @ fields @ if smoke then [] else [ peak_rss () ]));
+    Printf.printf "wrote %s\n%!" path
+  end
 
 let fanout_json (sessions, routed, naive) =
   Json.(
@@ -653,8 +645,8 @@ let run_shard config =
        ~notes:
          [
            "per shard count a router distributes one enterprise directory over";
-           "filter-described partitions: a write burst is booked into virtual";
-           "per-shard service timelines (throughput = writes/makespan), the";
+           "filter-described partitions: a write burst lands at once and each";
+           "shard serves its share in turn (throughput = writes/makespan), the";
            "query mix is fanned over containment-derived shard covers, and one";
            "shard crashes and recovers from its WAL+snapshot while a consumer";
            "resumes its composite cookie (warm) vs re-fetching cold.";
@@ -1091,50 +1083,6 @@ let run_adapt (config, lh_config) =
       ("long_haul", lh_json lh_config lh);
     ]
 
-let run_scale_long_haul config =
-  let p = Drift.run_long_haul config in
-  Eval.Report.print
-    (Eval.Report.make
-       ~title:"Long-haul write pressure: history HWM + persist queue bounds"
-       ~notes:
-         [
-           "a long committed-update stream with one leaf that never polls";
-           "(history HWM must escalate it) and a persist leaf that stops";
-           "draining (queue must overflow); both buffers stay within one";
-           "action of their bounds and every participant reconverges";
-         ]
-       ~columns:
-         [
-           "updates"; "hist limit"; "q limit"; "hist ovf"; "push ovf";
-           "pend max"; "push peak"; "converged";
-         ]
-       ~rows:
-         [
-           [
-             string_of_int p.lh_committed;
-             string_of_int config.Drift.lh_history_limit;
-             string_of_int config.Drift.lh_queue_limit;
-             string_of_int p.lh_history_overflows;
-             string_of_int p.lh_push_overflows;
-             string_of_int p.lh_pending_max_seen;
-             string_of_int p.lh_push_peak;
-             Printf.sprintf "%d/%d" p.lh_converged
-               p.lh_participants;
-           ];
-         ]
-       ());
-  if not (Drift.lh_gates_pass config p) then
-    failwith
-      ("scale --long-haul: gates failed: " ^ Json.to_string (lh_json config p));
-  Printf.printf
-    "long-haul gates: %d history + %d push overflows, pending max %d <= \
-     %d+1, push peak %d <= %d+1, converged %d/%d\n%!"
-    p.lh_history_overflows p.lh_push_overflows
-    p.lh_pending_max_seen config.lh_history_limit
-    p.lh_push_peak config.lh_queue_limit p.lh_converged
-    p.lh_participants;
-  []
-
 (* --- Compiled vs interpreted hot paths -------------------------------- *)
 
 (* A spread of entries for the filter-eval pair: half match the complex
@@ -1348,120 +1296,75 @@ let sweeps =
   [
     Sweep
       {
-        name = "micro"; doc = "Compiled-vs-interpreted hot paths."; pr = Some 7;
+        name = "micro"; doc = "Compiled-vs-interpreted hot paths."; pr = 7;
         smoke = true; default = false; run = (fun smoke -> run_micro7 ~smoke);
       };
     Sweep
       {
-        name = "tree-fanout"; doc = "Flat star vs 2-tier tree fan-out sweep."; pr = Some 3;
+        name = "tree-fanout"; doc = "Flat star vs 2-tier tree fan-out sweep."; pr = 3;
         smoke = Sweep.smoke_config; default = Sweep.default_config; run = run_tree_fanout;
       };
     Sweep
       {
         name = "latency-staleness"; doc = "Discrete-event response-time and staleness sweep.";
-        pr = Some 4; smoke = Sweep.lat_smoke_config; default = Sweep.lat_default_config;
+        pr = 4; smoke = Sweep.lat_smoke_config; default = Sweep.lat_default_config;
         run = run_latency_staleness;
       };
     Sweep
       {
         name = "crash-restart"; doc = "Durable-store recovery and WAL-corruption sweep.";
-        pr = Some 5; smoke = Sweep.cr_smoke_config; default = Sweep.cr_default_config;
+        pr = 5; smoke = Sweep.cr_smoke_config; default = Sweep.cr_default_config;
         run = run_crash_restart;
       };
     Sweep
       {
-        name = "anti-entropy"; doc = "Merkle vs cold re-fetch across drift."; pr = Some 6;
+        name = "anti-entropy"; doc = "Merkle vs cold re-fetch across drift."; pr = 6;
         smoke = (Sweep.ae_smoke_config, 1.0); default = (Sweep.ae_default_config, 0.25);
         run = run_anti_entropy;
       };
     Sweep
       {
-        name = "shard"; doc = "Partitioned-directory sweep."; pr = Some 8;
+        name = "shard"; doc = "Partitioned-directory sweep."; pr = 8;
         smoke = Shard_sweep.smoke_config; default = Shard_sweep.default_config; run = run_shard;
       };
     Sweep
       {
-        name = "scale"; doc = "Paper-scale content-plane sweep."; pr = Some 9;
+        name = "scale"; doc = "Paper-scale content-plane sweep."; pr = 9;
         smoke = Sweep.scale_smoke_config; default = Sweep.scale_default_config; run = run_scale;
       };
-    (* Reached as [scale --long-haul]; writes no JSON. *)
     Sweep
       {
-        name = "long-haul"; doc = "Run the long write-pressure scenario instead."; pr = None;
-        smoke = Drift.lh_smoke_config; default = Drift.lh_default_config;
-        run = run_scale_long_haul;
-      };
-    Sweep
-      {
-        name = "adapt"; doc = "Adaptive replication drift sweep."; pr = Some 10;
+        name = "adapt"; doc = "Adaptive replication drift sweep."; pr = 10;
         smoke = (Drift.smoke_config, Drift.lh_smoke_config);
         default = (Drift.default_config, Drift.lh_default_config);
         run = run_adapt;
       };
   ]
 
-let sweep name = List.find (fun (Sweep s) -> String.equal s.name name) sweeps
-
-let smoke () =
-  Eval.Report.print (Eval.Figures.figure2 ());
-  Eval.Report.print (Eval.Figures.figure3 ());
-  Eval.Report.print
-    (Eval.Figures.lossy_sync ~rates:[ 0.0; 0.2 ] ~updates:200 ~employees:800
-       ~filters:4 ());
-  (* The paper-scale sweep, scaled down: every runtest exercises the
-     content plane end to end, gates included. *)
-  run_sweep (sweep "scale") ~smoke:true ~json:false
-
 open Cmdliner
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
-let smoke_flag = flag "smoke" "Seconds-scale deterministic subset."
-let json_flag = flag "json" "Write the results as BENCH_PRn.json (BENCH_PRn.smoke.json with --smoke)."
-let quick_flag = flag "quick" "Reduced scale; for a sweep, the same as --smoke."
 
-(* One subcommand per row; the long-haul row is reached through the
-   scale subcommand's flag. *)
 let subcommand (Sweep s as row) =
-  let cmd extra pick =
-    Cmd.v (Cmd.info s.name ~doc:s.doc)
-      Term.(
-        const (fun x quick smoke json ->
-            run_sweep (pick x) ~smoke:(quick || smoke) ~json)
-        $ extra $ quick_flag $ smoke_flag $ json_flag)
-  in
-  match s.name with
-  | "long-haul" -> None
-  | "scale" ->
-      let (Sweep lh as long_haul) = sweep "long-haul" in
-      Some (cmd (flag lh.name lh.doc) (fun on -> if on then long_haul else row))
-  | _ -> Some (cmd (Term.const ()) (fun () -> row))
+  Cmd.v (Cmd.info s.name ~doc:s.doc)
+    Term.(
+      const (fun smoke json -> run_sweep row ~smoke ~json)
+      $ flag "smoke" "Seconds-scale deterministic subset."
+      $ flag "json" "Write the results as BENCH_PRn.json (BENCH_PRn.smoke.json with --smoke).")
 
-let default quick micro_only figures_only smoke_only json =
-  if smoke_only then smoke ()
-  else if json then begin
-    let micro = run_micro () in
-    let fanout = run_fanout () in
-    write_json ~path:"BENCH_PR2.json" ~micro ~fanout
-  end
-  else begin
-    if not micro_only then Eval.Figures.all ~quick ();
-    if not figures_only then begin
-      ignore (run_micro ());
-      ignore (run_fanout ())
-    end
-  end
+(* With no sweep named: the micro-benchmarks and the update fan-out
+   sweep. *)
+let default json =
+  let micro = run_micro () in
+  let fanout = run_fanout () in
+  if json then write_json ~path:"BENCH_PR2.json" ~micro ~fanout
 
 let () =
   let cmd =
     Cmd.group
-      (Cmd.info "main" ~doc:"Paper figures, micro-benchmarks and sweeps.")
+      (Cmd.info "main" ~doc:"Micro-benchmarks and sweeps.")
       ~default:
-        Term.(
-          const default $ quick_flag
-          $ flag "micro-only" "Skip the paper figures."
-          $ flag "figures-only" "Skip the micro-benchmarks."
-          $ flag "smoke" "Protocol illustrations plus a tiny lossy-network and scale sweep."
-          $ flag "json" "Micro-benchmarks and fan-out sweep into BENCH_PR2.json.")
-      (List.filter_map subcommand sweeps)
+        Term.(const default $ flag "json" "Micro-benchmarks and fan-out sweep into BENCH_PR2.json.")
+      (List.map subcommand sweeps)
   in
   exit (Cmd.eval cmd)

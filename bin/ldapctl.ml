@@ -4,21 +4,18 @@
    Subcommands:
      gen        - build a synthetic enterprise directory and print stats
      search     - run an LDAP search against a generated directory
+     export     - export matching entries as LDIF
+     compare    - LDAP compare against a generated directory
      contains   - check semantic containment of two queries
      condition  - show the compiled cross-template containment CNF
-     resync     - run a scripted ReSync session against a tiny master
      workload   - generate a workload and print its distribution
+     replay     - replay a saved workload trace against a filter replica
      experiment - run one of the paper's tables/figures
-     topology   - build a cascading replication topology and summarize it
      store      - journal a replica, crash it, and report its recovery
      antientropy - reconcile a drifted replica by Merkle walk and report it
-     shard      - partition a directory over shards and report the router
-     scale      - build the paper-scale topology and report content-plane
-                  residency (per-tier entries, session history, cursors,
-                  store bytes)
-     adapt      - drive the drifting workload against an adaptive replica
-                  and report hit-ratio recovery, transition traffic and
-                  plan outcomes (incl. failed installs) *)
+
+   The topology, sharding, scale and drift scenarios each have one
+   runner, their sweep in bench/main.exe, which gates and pins them. *)
 
 open Cmdliner
 open Ldap
@@ -215,13 +212,6 @@ let condition_cmd =
   let doc = "Compile and print the cross-template containment condition." in
   Cmd.v (Cmd.info "condition" ~doc) Term.(const run $ t1 $ t2)
 
-(* --- resync -------------------------------------------------------------- *)
-
-let resync_cmd =
-  let run () = Eval.Report.print (Eval.Figures.figure3 ()) in
-  let doc = "Replay the paper's Figure 3 ReSync session and print the trace." in
-  Cmd.v (Cmd.info "resync" ~doc) Term.(const run $ const ())
-
 (* --- workload ------------------------------------------------------------ *)
 
 let workload_cmd =
@@ -319,100 +309,6 @@ let replay_cmd =
   let doc = "Replay a workload trace against a filter replica and report hit ratio." in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(const run $ employees_arg $ seed_arg $ trace $ budget_pct $ cache)
-
-(* --- topology ------------------------------------------------------------ *)
-
-let topology_cmd =
-  let module T = Ldap_topology in
-  let leaves_arg =
-    Arg.(value & opt int 200
-         & info [ "leaves" ] ~doc:"Number of leaf consumers.")
-  in
-  let arity_arg =
-    Arg.(value & opt int 4
-         & info [ "arity" ] ~doc:"Interior nodes of the tree (or chain length).")
-  in
-  let filters_arg =
-    Arg.(value & opt int 12
-         & info [ "filters" ] ~doc:"Distinct department filters (and interior covers).")
-  in
-  let updates_arg =
-    Arg.(value & opt int 100
-         & info [ "updates" ] ~doc:"Update-stream steps applied at the root.")
-  in
-  let shape_arg =
-    Arg.(value & opt string "tree"
-         & info [ "shape" ] ~doc:"Topology shape: star, tree or chain.")
-  in
-  let run employees seed leaves arity filters updates shape_name =
-    let shape =
-      match String.lowercase_ascii shape_name with
-      | "star" -> T.Topology.Star
-      | "tree" -> T.Topology.Tree { arity }
-      | "chain" -> T.Topology.Chain arity
-      | other ->
-          Printf.eprintf "unknown shape %S (star|tree|chain)\n" other;
-          exit 1
-    in
-    let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
-    let backend = Dirgen.Enterprise.backend ent in
-    let fleet = Eval.Scenario.fleet ~filters ent in
-    let filters = Array.length fleet.Eval.Scenario.queries in
-    let covers = fleet.Eval.Scenario.covers.(0) in
-    let leaf_queries = Eval.Scenario.leaf_queries fleet leaves in
-    match T.Topology.build ~shape ~covers ~leaf_queries backend with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok t ->
-        let stream =
-          Dirgen.Update_stream.create ent
-            { Dirgen.Update_stream.default_config with seed = seed + 1 }
-        in
-        Dirgen.Update_stream.steps stream updates;
-        let rounds = T.Topology.rounds_to_converge t in
-        Printf.printf
-          "%s: %d leaves over %d interior nodes, %d covers, %d updates\n"
-          shape_name leaves
-          (List.length (T.Topology.nodes t))
-          filters updates;
-        let rows =
-          List.map
-            (fun (s : T.Topology.tier_summary) ->
-              [
-                string_of_int s.T.Topology.tier;
-                string_of_int s.T.Topology.members;
-                string_of_int s.T.Topology.sessions;
-                string_of_int s.T.Topology.upstream_bytes;
-                string_of_int s.T.Topology.served_bytes;
-              ])
-            (T.Topology.tier_summaries t)
-        in
-        Eval.Report.print
-          (Eval.Report.make
-             ~title:(Printf.sprintf "Per-tier summary (%s)" shape_name)
-             ~notes:
-               [
-                 (match rounds with
-                 | Some r -> Printf.sprintf "converged after %d poll rounds" r
-                 | None -> "did not converge (raise rounds cap?)");
-                 Printf.sprintf "root-link Ber bytes: %d"
-                   (T.Topology.root_link_bytes t);
-                 "upstream B: bytes members paid on their upstream links;";
-                 "served B: bytes members served to the tier below";
-               ]
-             ~columns:[ "tier"; "members"; "sessions"; "upstream B"; "served B" ]
-             ~rows ())
-  in
-  let doc =
-    "Build a cascading replication topology (star, k-ary tree or chain of \
-     intermediate nodes), drive an update workload through it and print a \
-     per-tier session and byte summary."
-  in
-  Cmd.v (Cmd.info "topology" ~doc)
-    Term.(
-      const run $ employees_arg $ seed_arg $ leaves_arg $ arity_arg
-      $ filters_arg $ updates_arg $ shape_arg)
 
 (* --- store --------------------------------------------------------------- *)
 
@@ -657,382 +553,6 @@ let experiment_cmd =
   let doc = "Run one of the paper's tables or figures." in
   Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ which $ quick)
 
-(* --- shard -------------------------------------------------------------- *)
-
-let shard_cmd =
-  let module Shard = Ldap_shard in
-  let module Resync = Ldap_resync in
-  let shards_arg =
-    let doc = "Number of shards to partition the directory over." in
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc)
-  in
-  let writes_arg =
-    let doc = "Routed write burst driven before reporting." in
-    Arg.(value & opt int 500 & info [ "writes" ] ~doc)
-  in
-  let run employees seed shards writes =
-    let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
-    let partition = Shard.Partition.of_enterprise ent ~shards in
-    let transport = Resync.Transport.create (Network.create ()) in
-    let masters =
-      Array.init shards (fun i ->
-          Shard.Shard_master.create Schema.default ~id:i)
-    in
-    let router = Shard.Router.create partition transport masters in
-    (match Shard.Router.seed_from_backend router (Dirgen.Enterprise.backend ent) with
-    | Ok () -> ()
-    | Error e ->
-        Printf.eprintf "seeding failed: %s\n" e;
-        exit 1);
-    (* Drive a routed burst, the per-block query mix and one subscribed
-       consumer so the report shows live counters, not an idle router. *)
-    let prng = Dirgen.Prng.create seed in
-    let emps = Dirgen.Enterprise.employees ent in
-    for i = 1 to writes do
-      let e = emps.(Dirgen.Prng.int prng (Array.length emps)) in
-      ignore
-        (Shard.Router.apply router
-           (Update.modify e.Dirgen.Enterprise.emp_dn
-              [
-                Update.replace_values "telephonenumber"
-                  [ Printf.sprintf "555-%04d" (i mod 10_000) ];
-              ]))
-    done;
-    let root = Dirgen.Enterprise.root_dn ent in
-    let countries = (Dirgen.Enterprise.config ent).Dirgen.Enterprise.countries in
-    for c = 0 to countries - 1 do
-      let q =
-        Query.make ~base:root
-          (Filter.of_string_exn
-             (Printf.sprintf "(serialnumber=%s*)"
-                (Dirgen.Enterprise.serial_block ent c)))
-      in
-      ignore (Shard.Router.search router q)
-    done;
-    let q =
-      Query.make ~base:root
-        (Filter.of_string_exn
-           (Printf.sprintf "(serialnumber=%s*)"
-              (Dirgen.Enterprise.serial_block ent 0)))
-    in
-    let consumer = Resync.Consumer.create q in
-    (match
-       Resync.Consumer.sync_over consumer transport
-         ~host:(Shard.Router.host router)
-     with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "consumer sync failed: %s\n"
-          (Resync.Consumer.sync_error_to_string e);
-        exit 1);
-    Format.printf "%a@." Shard.Router.pp_report (Shard.Router.report router)
-  in
-  let doc =
-    "Partition a generated directory over filter-described shards, drive a \
-     routed workload and print the router's report (per-shard entry counts \
-     and CSN heads, coverage-plan cache hit ratio, fan-out counters)."
-  in
-  Cmd.v
-    (Cmd.info "shard" ~doc)
-    Term.(const run $ employees_arg $ seed_arg $ shards_arg $ writes_arg)
-
-(* --- scale -------------------------------------------------------------- *)
-
-let scale_cmd =
-  let module T = Ldap_topology in
-  let module Resync = Ldap_resync in
-  let module R = Ldap_replication in
-  let nodes_arg =
-    Arg.(value & opt int 4
-         & info [ "nodes" ] ~doc:"Interior nodes splitting the department filters.")
-  in
-  let leaves_arg =
-    Arg.(value & opt int 48 & info [ "leaves" ] ~doc:"Leaf consumers.")
-  in
-  let updates_arg =
-    Arg.(value & opt int 50
-         & info [ "updates" ] ~doc:"Update-stream steps driven through the topology.")
-  in
-  let history_arg =
-    Arg.(value & opt int 512
-         & info [ "history-limit" ]
-             ~doc:"Root master per-session history high-water mark.")
-  in
-  let run employees seed nodes leaves updates history_limit =
-    let ent = Dirgen.Enterprise.build (enterprise_config employees seed) in
-    let backend = Dirgen.Enterprise.backend ent in
-    let fleet = Eval.Scenario.fleet ~nodes ent in
-    let filters = Array.length fleet.Eval.Scenario.queries in
-    let node_count = Array.length fleet.Eval.Scenario.covers in
-    let t = T.Topology.create backend in
-    Resync.Master.set_history_limit (T.Topology.master t) (Some history_limit);
-    Array.iteri
-      (fun i covers ->
-        match
-          T.Topology.add_node t
-            ~name:(Printf.sprintf "node%d" i)
-            ~parent:(T.Topology.root t) ~covers
-        with
-        | Ok _ -> ()
-        | Error e ->
-            Printf.eprintf "add_node: %s\n" e;
-            exit 1)
-      fleet.Eval.Scenario.covers;
-    for i = 0 to leaves - 1 do
-      let fidx, node = Eval.Scenario.leaf_slot fleet i in
-      match
-        T.Topology.add_leaf t
-          ~name:(Printf.sprintf "leaf%d" i)
-          ~parent:(Printf.sprintf "node%d" node)
-          fleet.Eval.Scenario.queries.(fidx)
-      with
-      | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "add_leaf: %s\n" e;
-          exit 1
-    done;
-    let stream =
-      Dirgen.Update_stream.create ent
-        { Dirgen.Update_stream.default_config with seed = seed + 1 }
-    in
-    (* Interleave commits with poll rounds so the change spine, session
-       history and cursors all carry realistic residue. *)
-    let rounds = 5 in
-    for r = 1 to rounds do
-      Dirgen.Update_stream.steps stream
-        ((updates * r / rounds) - (updates * (r - 1) / rounds));
-      T.Topology.sync_round t
-    done;
-    let store = Backend.content_store backend in
-    let node_entries =
-      List.fold_left
-        (fun acc n -> acc + R.Filter_replica.size_entries (T.Node.replica n))
-        0 (T.Topology.nodes t)
-    in
-    let leaf_entries =
-      List.fold_left
-        (fun acc l -> acc + R.Filter_replica.size_entries (T.Leaf.replica l))
-        0 (T.Topology.leaves t)
-    in
-    let tier_rows =
-      List.map
-        (fun (s : T.Topology.tier_summary) ->
-          let entries =
-            match s.T.Topology.tier with
-            | 0 -> Backend.total_entries backend
-            | 1 -> node_entries
-            | _ -> leaf_entries
-          in
-          [
-            string_of_int s.T.Topology.tier;
-            string_of_int s.T.Topology.members;
-            string_of_int entries;
-            string_of_int s.T.Topology.sessions;
-            string_of_int s.T.Topology.upstream_bytes;
-            string_of_int s.T.Topology.served_bytes;
-          ])
-        (T.Topology.tier_summaries t)
-    in
-    Eval.Report.print
-      (Eval.Report.make ~title:"Per-tier content residency"
-         ~notes:
-           [
-             Printf.sprintf "%d department filters split over %d nodes, %d leaves"
-               filters node_count leaves;
-             "entries: directory size (tier 0) / summed replica content below";
-           ]
-         ~columns:[ "tier"; "members"; "entries"; "sessions"; "upstream B"; "served B" ]
-         ~rows:tier_rows ());
-    let polls, scanned, rescans =
-      List.fold_left
-        (fun (a, b, c) n ->
-          let p, s, r = T.Node.cursor_stats n in
-          (a + p, b + s, c + r))
-        (0, 0, 0) (T.Topology.nodes t)
-    in
-    let seen =
-      List.fold_left (fun acc n -> acc + T.Node.seen_residency n) 0 (T.Topology.nodes t)
-    in
-    let depth_max =
-      List.fold_left
-        (fun acc n -> List.fold_left max acc (T.Node.cursor_depths n))
-        0 (T.Topology.nodes t)
-    in
-    let master = T.Topology.master t in
-    let pending_total, pending_max = Resync.Master.pending_stats master in
-    let low, high =
-      match Content_store.spine_csn_range store with
-      | Some (a, b) -> (Csn.to_string a, Csn.to_string b)
-      | None -> ("-", "-")
-    in
-    Eval.Report.print
-      (Eval.Report.make ~title:"Content plane"
-         ~notes:
-           [
-             "spine: the root store's bounded CSN-ordered change ring;";
-             "cursor depth: spine distance a session still has to walk;";
-             "pending: actions buffered for straggling sessions (capped by";
-             "the history high-water mark, beyond which polls degrade)";
-           ]
-         ~columns:[ "metric"; "value" ]
-         ~rows:
-           [
-             [ "store entries"; string_of_int (Content_store.size store) ];
-             [ "store interned ids"; string_of_int (Content_store.interned store) ];
-             [ "store bytes (reachable)"; string_of_int (Content_store.approx_bytes store) ];
-             [ "spine length"; string_of_int (Content_store.spine_length store) ];
-             [ "spine csn range"; Printf.sprintf "%s .. %s" low high ];
-             [ "incremental polls"; string_of_int polls ];
-             [ "spine entries scanned"; string_of_int scanned ];
-             [ "rescans"; string_of_int rescans ];
-             [ "sent-image residency"; string_of_int seen ];
-             [ "cursor depth max"; string_of_int depth_max ];
-             [ "master sessions"; string_of_int (Resync.Master.session_count master) ];
-             [ "master history entries"; string_of_int (Resync.Master.history_size master) ];
-             [ "master pending total"; string_of_int pending_total ];
-             [ "master pending max"; string_of_int pending_max ];
-             [
-               "history limit";
-               (match Resync.Master.history_limit master with
-               | Some l -> string_of_int l
-               | None -> "unbounded");
-             ];
-           ]
-         ())
-  in
-  let doc =
-    "Build the paper-scale topology (node tier over the department filters, \
-     round-robin leaf fleet), drive an update stream through it, and report \
-     content-plane residency: per-tier entry counts, the root content \
-     store's size/spine/bytes, node cursor statistics and the master's \
-     session-history occupancy."
-  in
-  Cmd.v (Cmd.info "scale" ~doc)
-    Term.(
-      const run $ employees_arg $ seed_arg $ nodes_arg $ leaves_arg
-      $ updates_arg $ history_arg)
-
-(* --- adapt --------------------------------------------------------------- *)
-
-let adapt_cmd =
-  let module A = Ldap_adaptive in
-  let module Drift = Eval.Drift in
-  let queries_arg =
-    Arg.(
-      value & opt int 240
-      & info [ "queries" ] ~doc:"Queries driven per workload phase.")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 3_000
-      & info [ "budget" ] ~doc:"Selection size budget, estimated entries.")
-  in
-  let mode_arg =
-    let modes =
-      [ ("delta", A.Controller.Delta); ("cold", A.Controller.Cold_swap) ]
-    in
-    Arg.(
-      value
-      & opt (enum modes) A.Controller.Delta
-      & info [ "mode" ]
-          ~doc:
-            "Transition mode: $(b,delta) (containment-planned rescopes and \
-             seeds) or $(b,cold) (blunt remove+install swaps).")
-  in
-  let run employees seed queries budget mode =
-    let config =
-      {
-        Drift.default_config with
-        Drift.dr_employees = employees;
-        dr_seed = seed;
-        dr_phase_queries = queries;
-        dr_budget = budget;
-      }
-    in
-    let r = Drift.run_mode config mode in
-    let phase_row tag (p : Drift.phase_point) =
-      [
-        tag;
-        p.Drift.pp_name;
-        string_of_int p.Drift.pp_queries;
-        Printf.sprintf "%.2f" p.Drift.pp_head_hit;
-        Printf.sprintf "%.2f" p.Drift.pp_tail_hit;
-        string_of_int p.Drift.pp_update_bytes;
-        string_of_int p.Drift.pp_transition_bytes;
-        Printf.sprintf "%d (%d drift)" p.Drift.pp_adaptations
-          p.Drift.pp_drift_adaptations;
-        A.Transition.report_to_string p.Drift.pp_report;
-      ]
-    in
-    Eval.Report.print
-      (Eval.Report.make
-         ~title:
-           (Printf.sprintf "Adaptive replication under drift (%s mode)"
-              (A.Controller.mode_to_string mode))
-         ~notes:
-           [
-             "five scripted phases: warmup, flash crowd, geography flip,";
-             "rename storm, and a second replica joining mid-drift;";
-             "head/tail: the phase's first-half vs last-third hit ratio";
-           ]
-         ~columns:
-           [
-             "replica"; "phase"; "queries"; "head"; "tail"; "update B";
-             "trans B"; "adapt"; "plan outcomes";
-           ]
-         ~rows:
-           (List.map
-              (fun (p : Drift.phase_point) ->
-                phase_row
-                  (if String.equal p.Drift.pp_name "join-mid-drift" then
-                     "joiner"
-                   else "primary")
-                  p)
-              r.Drift.rr_phases)
-         ());
-    let t = r.Drift.rr_totals in
-    Eval.Report.print
-      (Eval.Report.make ~title:"Adaptation summary"
-         ~notes:
-           [
-             "unchanged: drift checks and revolutions whose target set";
-             "matched the stored set, so no transition ran; failed installs";
-             "are plan steps whose install errored (should be zero)";
-           ]
-         ~columns:[ "metric"; "value" ]
-         ~rows:
-           [
-             [ "adaptations"; string_of_int r.Drift.rr_adaptations ];
-             [
-               "  drift-triggered"; string_of_int r.Drift.rr_drift_adaptations;
-             ];
-             [ "unchanged checks"; string_of_int r.Drift.rr_unchanged_checks ];
-             [ "transition bytes"; string_of_int r.Drift.rr_transition_bytes ];
-             [ "installs kept"; string_of_int t.A.Transition.kept ];
-             [ "installs rescoped"; string_of_int t.A.Transition.rescoped ];
-             [ "installs seeded"; string_of_int t.A.Transition.seeded ];
-             [ "installs cold"; string_of_int t.A.Transition.cold ];
-             [ "filters removed"; string_of_int t.A.Transition.removed ];
-             [ "failed installs"; string_of_int r.Drift.rr_failed_installs ];
-           ]
-         ());
-    if r.Drift.rr_failed_installs > 0 then begin
-      Printf.eprintf "warning: %d install(s) failed during transitions\n"
-        r.Drift.rr_failed_installs;
-      exit 1
-    end
-  in
-  let doc =
-    "Drive the drifting workload (flash crowd, geography flip, rename storm, \
-     mid-drift join) against an interest-tracked adaptive replica and report \
-     per-phase hit-ratio recovery, transition traffic and plan outcomes — \
-     including any failed installs, which otherwise die silently."
-  in
-  Cmd.v (Cmd.info "adapt" ~doc)
-    Term.(
-      const run $ employees_arg $ seed_arg $ queries_arg $ budget_arg
-      $ mode_arg)
-
 let () =
   let doc = "Filter-based LDAP directory replication (ICDCS 2005 reproduction)." in
   let info = Cmd.info "ldapctl" ~version:"1.0.0" ~doc in
@@ -1041,7 +561,6 @@ let () =
        (Cmd.group info
           [
             gen_cmd; search_cmd; export_cmd; compare_cmd; contains_cmd;
-            condition_cmd; resync_cmd; workload_cmd; replay_cmd; experiment_cmd;
-            topology_cmd; store_cmd; antientropy_cmd; shard_cmd; scale_cmd;
-            adapt_cmd;
+            condition_cmd; workload_cmd; replay_cmd; experiment_cmd; store_cmd;
+            antientropy_cmd;
           ]))

@@ -123,7 +123,3 @@ let apply_cold replica plan =
       empty_report plan.steps
   in
   { r with removed = List.length plan.removes + List.length kept_current }
-
-let report_to_string r =
-  Printf.sprintf "kept=%d rescoped=%d seeded=%d cold=%d removed=%d failed=%d"
-    r.kept r.rescoped r.seeded r.cold r.removed r.failed

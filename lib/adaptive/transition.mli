@@ -71,5 +71,3 @@ val apply_cold : Ldap_replication.Filter_replica.t -> plan -> report
     target query is fetched from scratch.  This is what a
     non-delta-aware replica does on re-selection; the baseline the
     drift sweep's transition-byte gate compares {!apply} against. *)
-
-val report_to_string : report -> string

@@ -11,12 +11,9 @@ type config = {
   dr_seed : int;
   dr_budget : int;  (** Controller size budget, estimated entries. *)
   dr_half_life : int;
-  dr_min_score : float;
   dr_drift_check : int;
-  dr_drift_ratio : float;
   dr_revolution : int;
   dr_phase_queries : int;
-  dr_update_every : int;  (** Queries between a commit + leaf poll. *)
   dr_bp_limit : int;  (** Persist outbound queue bound. *)
   dr_bp_updates : int;  (** Updates committed against the stalled leaf. *)
 }
@@ -27,12 +24,9 @@ let default_config =
     dr_seed = 11;
     dr_budget = 3000;
     dr_half_life = 256;
-    dr_min_score = 1.0;
     dr_drift_check = 25;
-    dr_drift_ratio = 1.5;
     dr_revolution = 200;
     dr_phase_queries = 240;
-    dr_update_every = 10;
     dr_bp_limit = 32;
     dr_bp_updates = 20;
   }
@@ -43,15 +37,20 @@ let smoke_config =
     dr_seed = 11;
     dr_budget = 700;
     dr_half_life = 128;
-    dr_min_score = 1.0;
     dr_drift_check = 20;
-    dr_drift_ratio = 1.5;
     dr_revolution = 160;
     dr_phase_queries = 160;
-    dr_update_every = 10;
     dr_bp_limit = 8;
     dr_bp_updates = 6;
   }
+
+(* Controller settings every configuration shares: the interest score
+   a candidate filter needs, and the drift check's trigger ratio. *)
+let min_score = 1.0
+let drift_ratio = 1.5
+
+(* Queries between a committed update and a leaf poll. *)
+let update_every = 10
 
 (* --- Scenario fixture ------------------------------------------------- *)
 
@@ -88,11 +87,11 @@ let make_controller cfg mode replica =
       include_queries = true;
       benefit = Decayed;
       half_life = cfg.dr_half_life;
-      min_score = cfg.dr_min_score;
+      min_score;
       size_budget = cfg.dr_budget;
       revolution_interval = cfg.dr_revolution;
       drift_check_interval = cfg.dr_drift_check;
-      drift_ratio = cfg.dr_drift_ratio;
+      drift_ratio;
       mode;
     }
     replica
@@ -198,7 +197,7 @@ let run_phase cfg fx ctl ~name ~pick ~update =
     Controller.observe ctl q;
     if Controller.adaptation_count ctl > a0 then
       transition_bytes := !transition_bytes + (sync_bytes fx - b0);
-    if (i + 1) mod cfg.dr_update_every = 0 then begin
+    if (i + 1) mod update_every = 0 then begin
       (match update with
       | Churn -> commit_churn fx
       | Rename dept -> commit_rename fx ~dept);
@@ -434,7 +433,6 @@ let run_backpressure cfg ~overflow =
 
 type lh_config = {
   lh_employees : int;
-  lh_seed : int;
   lh_updates : int;
   lh_leaves : int;  (** Polling leaves (leaf 0 is the laggard). *)
   lh_poll_every : int;  (** Updates between a normal leaf's polls. *)
@@ -445,7 +443,6 @@ type lh_config = {
 let lh_default_config =
   {
     lh_employees = 4000;
-    lh_seed = 17;
     lh_updates = 12000;
     lh_leaves = 6;
     lh_poll_every = 50;
@@ -456,7 +453,6 @@ let lh_default_config =
 let lh_smoke_config =
   {
     lh_employees = 1200;
-    lh_seed = 17;
     lh_updates = 1500;
     lh_leaves = 4;
     lh_poll_every = 40;
@@ -488,7 +484,7 @@ let run_long_haul cfg =
     {
       default_config with
       dr_employees = cfg.lh_employees;
-      dr_seed = cfg.lh_seed;
+      dr_seed = 17;
     }
   in
   let fx = make_fixture dcfg in

@@ -28,12 +28,9 @@ type config = {
   dr_seed : int;
   dr_budget : int;  (** Controller size budget, estimated entries. *)
   dr_half_life : int;
-  dr_min_score : float;
   dr_drift_check : int;
-  dr_drift_ratio : float;
   dr_revolution : int;
   dr_phase_queries : int;
-  dr_update_every : int;  (** Queries between a commit + leaf poll. *)
   dr_bp_limit : int;  (** Persist outbound queue bound. *)
   dr_bp_updates : int;  (** Updates committed against the stalled leaf. *)
 }
@@ -72,9 +69,6 @@ type run_result = {
   rr_failed_installs : int;
 }
 
-val run_mode : config -> Controller.mode -> run_result
-(** Runs the five-phase workload in one mode over a fresh fixture. *)
-
 val find_phase : run_result -> string -> phase_point
 (** The named phase; raises [Not_found] for an unknown name. *)
 
@@ -92,18 +86,18 @@ type bp_point = {
 
 (** {1 Long-haul write pressure}
 
-    A separate scenario for [bench scale --long-haul]: a long
-    committed-update stream against a master with both the session
+    A separate scenario, run and gated by [bench/main.exe adapt]
+    after the drift sweep: a long committed-update stream against a master with both the session
     history high-water mark and the persist queue bound set.  One
     polling leaf never polls during the run (its history must hit the
     HWM and escalate), a persist leaf stops draining a third of the
     way in (its queue must overflow and retire), and everyone else
     polls on a steady cadence.  At the end every participant must
-    reconverge through the degraded escalations. *)
+    reconverge through the degraded escalations.  The directory is
+    seeded with 17. *)
 
 type lh_config = {
   lh_employees : int;
-  lh_seed : int;
   lh_updates : int;
   lh_leaves : int;  (** Polling leaves (leaf 0 is the laggard). *)
   lh_poll_every : int;  (** Updates between a normal leaf's polls. *)

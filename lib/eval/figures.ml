@@ -903,8 +903,8 @@ let resync_ablation ?(updates = 4_000) ?(filters = 20) () =
 
 (* --- Section 5: synchronization over a lossy network -------------------- *)
 
-let lossy_sync ?(rates = [ 0.0; 0.05; 0.15; 0.30 ]) ?(updates = 2_000)
-    ?(employees = 3_000) ?(filters = 8) () =
+let lossy_sync ~updates =
+  let rates = [ 0.0; 0.05; 0.15; 0.30 ] and employees = 3_000 and filters = 8 in
   let seed = 4242 in
   let rows =
     List.map
@@ -1362,7 +1362,7 @@ let experiments =
     ( "evolution",
       fun s -> evolution_ablation ~length:(length s 12_000) ~interval:(interval s 2_000) () );
     ("ablation", fun _ -> resync_ablation ());
-    ("lossy", fun s -> lossy_sync ~updates:(max 100 (length s 2_000)) ());
+    ("lossy", fun s -> lossy_sync ~updates:(max 100 (length s 2_000)));
     ("overhead", fun s -> processing_overhead (sc s));
     ( "tree-fanout",
       fun s ->

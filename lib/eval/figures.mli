@@ -8,14 +8,6 @@
     directory, not IBM's — but who wins, by what rough factor and
     where the curves saturate should match. *)
 
-val figure2 : unit -> Report.table
-(** Distributed operation processing: round trips and PDUs for the
-    3-server referral scenario of section 2.3. *)
-
-val figure3 : unit -> Report.table
-(** The example ReSync session of Figure 3: message sequence across
-    two polls and a persistent phase, with entries E1..E5. *)
-
 val figure4 : ?fractions:float list -> ?length:int -> Scenario.t -> Report.table
 (** Hit ratio vs replica size (fraction of person entries),
     serialNumber query: filter-based vs subtree-based. *)
@@ -31,20 +23,6 @@ val figure9 : ?filter_counts:int list -> ?length:int -> Scenario.t -> Report.tab
 val resync_ablation : ?updates:int -> ?filters:int -> unit -> Report.table
 (** Section 5.2: synchronization traffic and history size of session
     history vs changelog vs tombstone under the same update stream. *)
-
-val lossy_sync :
-  ?rates:float list ->
-  ?updates:int ->
-  ?employees:int ->
-  ?filters:int ->
-  unit ->
-  Report.table
-(** Section 5 under injected faults: consumers poll through a
-    transport that drops requests and replies at each rate (split
-    evenly) and suffers a forced session expiry mid-run.  Reports
-    retries, degraded resyncs and abandoned polls, and checks every
-    consumer converges to the master's content after a final clean
-    poll. *)
 
 val processing_overhead : ?filter_counts:int list -> ?length:int -> Scenario.t -> Report.table
 (** Section 7.4: containment comparisons per query as the number of

@@ -7,39 +7,38 @@ module Transport = Ldap_resync.Transport
 module Medium = Ldap_store.Medium
 
 type config = {
-  shard_counts : int list;
   employees : int;
   countries : int;
   writes : int;
   queries : int;
-  service_time : int;
   crash_updates : int;
-  seed : int;
 }
 
 let default_config =
   {
-    shard_counts = [ 1; 2; 4; 8 ];
     employees = 4_000;
     countries = 20;
     writes = 2_000;
     queries = 200;
-    service_time = 4;
     crash_updates = 40;
-    seed = 42;
   }
 
 let smoke_config =
   {
-    shard_counts = [ 1; 2; 4; 8 ];
     employees = 800;
     countries = 10;
     writes = 240;
     queries = 60;
-    service_time = 4;
     crash_updates = 10;
-    seed = 42;
   }
+
+let shard_counts = [ 1; 2; 4; 8 ]
+
+(* Virtual ticks one write occupies a shard. *)
+let service_time = 4
+
+(* Seeds the directory and every stream. *)
+let seed = 42
 
 type point = {
   sp_shards : int;
@@ -108,13 +107,19 @@ let build_router ent ~shards transport =
 
 (* --- Per-point measurements -------------------------------------------- *)
 
-let measure_throughput config router ops =
-  Router.reset_timelines router;
-  List.iter
-    (fun i -> Shard_master.set_service_time (Router.shard router i) config.service_time)
-    (List.init (Partition.shards (Router.partition router)) Fun.id);
-  List.iter (fun op -> ignore (must (snd (Router.apply_at router ~now:0 op)))) ops;
-  let makespan = max 1 (Router.makespan router) in
+let applied router =
+  List.map (fun s -> s.Router.ss_applied) (Router.report router).Router.rp_shards
+
+(* Every write of the burst arrives at time 0 and a shard serves its
+   writes one after another, so the burst completes when the busiest
+   shard has served its share. *)
+let measure_throughput router ops =
+  let before = applied router in
+  List.iter (fun op -> ignore (must (Router.apply router op))) ops;
+  let busiest =
+    List.fold_left2 (fun acc b a -> max acc (a - b)) 0 before (applied router)
+  in
+  let makespan = max 1 (service_time * busiest) in
   (makespan, float_of_int (List.length ops) /. float_of_int makespan)
 
 let measure_fanout ent router queries =
@@ -215,11 +220,11 @@ let measure_crash config ent router transport prng =
    on a transport of their own. *)
 let point config (sc : Scenario.t) ~shards =
   let ent = sc.Scenario.enterprise in
-  let prng = Prng.create (config.seed + shards) in
+  let prng = Prng.create (seed + shards) in
   let transport = Transport.create sc.Scenario.net in
   let router = build_router ent ~shards transport in
   let makespan, throughput =
-    measure_throughput config router (write_burst ent prng config.writes)
+    measure_throughput router (write_burst ent prng config.writes)
   in
   let single_cover_max, fanout_avg, fanout_ratio =
     measure_fanout ent router (query_mix ent prng config.queries)
@@ -254,7 +259,7 @@ let run ?(config = default_config) () =
       ~config:
         {
           Enterprise.default_config with
-          seed = config.seed;
+          seed;
           countries = config.countries;
           employees = config.employees;
           target_countries = min 5 (max 1 (config.countries / 2));
@@ -262,7 +267,7 @@ let run ?(config = default_config) () =
       ()
   in
   let points =
-    List.map (fun shards -> point config sc ~shards) config.shard_counts
+    List.map (fun shards -> point config sc ~shards) shard_counts
   in
   let base =
     match List.find_opt (fun p -> p.sp_shards = 1) points with

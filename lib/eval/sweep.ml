@@ -22,7 +22,6 @@ type config = {
   arity : int;
   updates : int;
   employees : int;
-  seed : int;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     arity = 4;
     updates = 200;
     employees = 4000;
-    seed = 7;
   }
 
 let smoke_config =
@@ -42,14 +40,35 @@ let smoke_config =
     arity = 2;
     updates = 60;
     employees = 800;
-    seed = 7;
   }
 
-let enterprise_config cfg =
+(* Settings that every configuration of the tree-fanout, latency,
+   crash/restart and anti-entropy sweeps shares.  The seed seeds the
+   directory; offsets from it seed the update stream (+1), the engine
+   (+2), the fault rolls (+3) and the corruption trials (+5). *)
+let seed = 7
+
+(* Uniform per-link latency bounds, virtual ticks. *)
+let link_lo = 2
+let link_hi = 8
+
+(* Virtual ticks between committed updates (latency, crash/restart). *)
+let update_every = 20
+
+(* Total loss probability of the lossy latency variants, split evenly
+   between dropped requests and dropped replies. *)
+let drop_rate = 0.2
+
+(* Fraction of leaves crashed (at least one) and virtual ticks between
+   a leaf's polls, in the crash/restart and anti-entropy sweeps. *)
+let crash_fraction = 0.25
+let crash_poll_every = 40
+
+let enterprise_config ~employees =
   {
     D.Enterprise.default_config with
-    seed = cfg.seed;
-    employees = cfg.employees;
+    seed;
+    employees;
     countries = 4;
     divisions = 4;
     departments_per_division = 12;
@@ -57,7 +76,7 @@ let enterprise_config cfg =
     target_countries = 2;
   }
 
-let enterprise cfg = D.Enterprise.build (enterprise_config cfg)
+let enterprise ~employees = D.Enterprise.build (enterprise_config ~employees)
 
 let upstream_bytes (s : R.Stats.t) =
   s.R.Stats.sync_bytes + s.R.Stats.fetch_bytes + s.R.Stats.merkle_bytes
@@ -76,7 +95,7 @@ let shape_name = function
   | Topology.Tree { arity } -> Printf.sprintf "tree%d" arity
 
 let run_point cfg shape n =
-  let ent = enterprise cfg in
+  let ent = enterprise ~employees:cfg.employees in
   let backend = D.Enterprise.backend ent in
   (* Interior nodes store exactly the distinct leaf filters, so a
      node's content is the union of what its leaves need and nothing
@@ -92,7 +111,7 @@ let run_point cfg shape n =
       let build_total = participants_bytes t in
       let stream =
         D.Update_stream.create ent
-          { D.Update_stream.default_config with seed = cfg.seed + 1 }
+          { D.Update_stream.default_config with seed = seed + 1 }
       in
       D.Update_stream.steps stream cfg.updates;
       let convergence_rounds =
@@ -126,13 +145,8 @@ type lat_config = {
   lat_filters : int;
   lat_arity : int;
   lat_employees : int;
-  lat_seed : int;
   lat_poll_every : int;
-  lat_update_every : int;
   lat_updates : int;
-  lat_link_lo : int;
-  lat_link_hi : int;
-  lat_drop_rate : float;
   lat_horizon : int;
 }
 
@@ -142,13 +156,8 @@ let lat_default_config =
     lat_filters = 8;
     lat_arity = 4;
     lat_employees = 2000;
-    lat_seed = 7;
     lat_poll_every = 50;
-    lat_update_every = 20;
     lat_updates = 40;
-    lat_link_lo = 2;
-    lat_link_hi = 8;
-    lat_drop_rate = 0.2;
     lat_horizon = 1600;
   }
 
@@ -158,13 +167,8 @@ let lat_smoke_config =
     lat_filters = 4;
     lat_arity = 2;
     lat_employees = 400;
-    lat_seed = 7;
     lat_poll_every = 40;
-    lat_update_every = 20;
     lat_updates = 12;
-    lat_link_lo = 2;
-    lat_link_hi = 8;
-    lat_drop_rate = 0.2;
     lat_horizon = 700;
   }
 
@@ -273,7 +277,7 @@ let recovery_ticks t engine ~affected ~restart_time ~poll_every ~until =
 
 let run_lat_point cfg shape ~lossy =
   let module Sim = Ldap_sim.Engine in
-  let ent = enterprise { default_config with seed = cfg.lat_seed; employees = cfg.lat_employees } in
+  let ent = enterprise ~employees:cfg.lat_employees in
   let backend = D.Enterprise.backend ent in
   let fleet = Scenario.fleet ~filters:cfg.lat_filters ent in
   let covers = fleet.Scenario.covers.(0) in
@@ -282,14 +286,14 @@ let run_lat_point cfg shape ~lossy =
      variants start from an identical, fully fetched topology; the roll
      consumes no PRNG draws while muted, keeping runs reproducible. *)
   let faults_active = ref false in
-  let fault_prng = D.Prng.create (cfg.lat_seed + 3) in
+  let fault_prng = D.Prng.create (seed + 3) in
   let faults =
     if not lossy then None
     else
       Some
         (Network.Faults.create
-           ~drop_request:(cfg.lat_drop_rate /. 2.0)
-           ~drop_reply:(cfg.lat_drop_rate /. 2.0)
+           ~drop_request:(drop_rate /. 2.0)
+           ~drop_reply:(drop_rate /. 2.0)
            ~roll:(fun () ->
              if !faults_active then D.Prng.float fault_prng 1.0 else 1.0)
            ())
@@ -299,21 +303,19 @@ let run_lat_point cfg shape ~lossy =
   | Ok t ->
       (* The engine attaches only after the build: all fetches above ran
          immediately at time 0. *)
-      let engine =
-        clock t ~seed:(cfg.lat_seed + 2) ~lo:cfg.lat_link_lo ~hi:cfg.lat_link_hi
-      in
+      let engine = clock t ~seed:(seed + 2) ~lo:link_lo ~hi:link_hi in
       faults_active := true;
-      (* Update stream: one committed update every [lat_update_every]
+      (* Update stream: one committed update every [update_every]
          ticks, each recording (CSN, commit time) for the staleness
          match below. *)
       let stream =
         D.Update_stream.create ent
-          { D.Update_stream.default_config with seed = cfg.lat_seed + 1 }
+          { D.Update_stream.default_config with seed = seed + 1 }
       in
       let update_times = ref [] in
       let rec update_tick remaining =
         if remaining > 0 then
-          Sim.after engine ~delay:cfg.lat_update_every (fun () ->
+          Sim.after engine ~delay:update_every (fun () ->
               D.Update_stream.steps stream 1;
               update_times :=
                 (Csn.to_int (Backend.csn backend), Sim.now engine) :: !update_times;
@@ -366,12 +368,8 @@ type cr_config = {
   cr_consumers : int;
   cr_filters : int;
   cr_employees : int;
-  cr_seed : int;
-  cr_poll_every : int;
-  cr_update_every : int;
   cr_updates_before : int;
   cr_updates_after : int;
-  cr_crash_fraction : float;
   cr_horizon : int;
   cr_corruptions : int;
 }
@@ -381,12 +379,8 @@ let cr_default_config =
     cr_consumers = 24;
     cr_filters = 12;
     cr_employees = 1200;
-    cr_seed = 7;
-    cr_poll_every = 40;
-    cr_update_every = 20;
     cr_updates_before = 20;
     cr_updates_after = 40;
-    cr_crash_fraction = 0.25;
     cr_horizon = 2000;
     cr_corruptions = 40;
   }
@@ -396,12 +390,8 @@ let cr_smoke_config =
     cr_consumers = 8;
     cr_filters = 3;
     cr_employees = 300;
-    cr_seed = 7;
-    cr_poll_every = 40;
-    cr_update_every = 20;
     cr_updates_before = 6;
     cr_updates_after = 6;
-    cr_crash_fraction = 0.25;
     cr_horizon = 900;
     cr_corruptions = 12;
   }
@@ -427,14 +417,12 @@ type cr_point = {
 
 let run_cr_point cfg mode =
   let module Sim = Ldap_sim.Engine in
-  let ent =
-    enterprise { default_config with seed = cfg.cr_seed; employees = cfg.cr_employees }
-  in
+  let ent = enterprise ~employees:cfg.cr_employees in
   let backend = D.Enterprise.backend ent in
   let fleet = Scenario.fleet ~filters:cfg.cr_filters ent in
   let leaf_queries = Scenario.leaf_queries fleet cfg.cr_consumers in
   let affected =
-    crashed_leaves ~fraction:cfg.cr_crash_fraction ~consumers:cfg.cr_consumers
+    crashed_leaves ~fraction:crash_fraction ~consumers:cfg.cr_consumers
   in
   let is_affected name = List.mem name affected in
   let t =
@@ -473,7 +461,7 @@ let run_cr_point cfg mode =
          the torn variant syncs only at checkpoints and every crash
          tears the unsynced journal tail (the classic partial-write),
          which recovery must truncate. *)
-      let fault_prng = D.Prng.create (cfg.cr_seed + 3) in
+      let fault_prng = D.Prng.create (seed + 3) in
       (match mode with
       | Durable -> Topology.enable_durability ~sync:true t
       | Durable_torn ->
@@ -485,21 +473,21 @@ let run_cr_point cfg mode =
           Topology.enable_durability ~faults ~sync:false t;
           Topology.checkpoint_leaves t
       | Cold | Reparent -> ());
-      let engine = clock t ~seed:(cfg.cr_seed + 2) ~lo:2 ~hi:8 in
+      let engine = clock t ~seed:(seed + 2) ~lo:link_lo ~hi:link_hi in
       let stream =
         D.Update_stream.create ent
-          { D.Update_stream.default_config with seed = cfg.cr_seed + 1 }
+          { D.Update_stream.default_config with seed = seed + 1 }
       in
       let total_updates = cfg.cr_updates_before + cfg.cr_updates_after in
       let rec update_tick remaining =
         if remaining > 0 then
-          Sim.after engine ~delay:cfg.cr_update_every (fun () ->
+          Sim.after engine ~delay:update_every (fun () ->
               D.Update_stream.steps stream 1;
               update_tick (remaining - 1))
       in
       update_tick total_updates;
-      let crash_time = cfg.cr_updates_before * cfg.cr_update_every in
-      let restart_time = (total_updates + 1) * cfg.cr_update_every in
+      let crash_time = cfg.cr_updates_before * update_every in
+      let restart_time = (total_updates + 1) * update_every in
       (* Bytes already paid by an affected leaf when its recovery
          starts; resync bytes are what it pays on top of this.  Crash
          modes restart with a fresh leaf (baseline 0); reparent keeps
@@ -554,7 +542,7 @@ let run_cr_point cfg mode =
                   | Error _ -> restart_failed := true)
                 affected);
       let recovery_ticks =
-        recovery_ticks t engine ~affected ~restart_time ~poll_every:cfg.cr_poll_every
+        recovery_ticks t engine ~affected ~restart_time ~poll_every:crash_poll_every
           ~until:cfg.cr_horizon
       in
       if !restart_failed then failwith "crash-restart: a leaf failed to restart";
@@ -612,11 +600,7 @@ let corruption_sweep ?(config = cr_default_config) () =
      answering queries.  Any trial still divergent afterwards counts
      as stale. *)
   let sc =
-    Scenario.setup
-      ~config:
-        (enterprise_config
-           { default_config with seed = config.cr_seed; employees = config.cr_employees })
-      ()
+    Scenario.setup ~config:(enterprise_config ~employees:config.cr_employees) ()
   in
   let ent = sc.Scenario.enterprise and transport = sc.Scenario.transport in
   let host = Scenario.master_host in
@@ -630,7 +614,7 @@ let corruption_sweep ?(config = cr_default_config) () =
   | Error e -> failwith ("corruption sweep open: " ^ e));
   let stream =
     D.Update_stream.create ent
-      { D.Update_stream.default_config with seed = config.cr_seed + 1 }
+      { D.Update_stream.default_config with seed = seed + 1 }
   in
   let poll () =
     match Resync.Consumer.sync_over consumer transport ~host with
@@ -657,7 +641,7 @@ let corruption_sweep ?(config = cr_default_config) () =
     List.length got <> List.length reference
     || not (List.for_all2 Entry.equal got reference)
   in
-  let prng = D.Prng.create (config.cr_seed + 5) in
+  let prng = D.Prng.create (seed + 5) in
   let recovered = ref 0 and truncated = ref 0 and discarded = ref 0 in
   let repaired_merkle = ref 0 and repaired_cold = ref 0 in
   let stale = ref 0 and panics = ref 0 in
@@ -726,9 +710,6 @@ let corruption_sweep ?(config = cr_default_config) () =
 type ae_config = {
   ae_consumers : int;
   ae_employees : int;
-  ae_seed : int;
-  ae_poll_every : int;
-  ae_crash_fraction : float;
   ae_drifts : float list;
   ae_horizon : int;
 }
@@ -737,9 +718,6 @@ let ae_default_config =
   {
     ae_consumers = 16;
     ae_employees = 1200;
-    ae_seed = 7;
-    ae_poll_every = 40;
-    ae_crash_fraction = 0.25;
     ae_drifts = [ 0.0; 0.05; 0.1; 0.25; 0.5 ];
     ae_horizon = 1200;
   }
@@ -748,9 +726,6 @@ let ae_smoke_config =
   {
     ae_consumers = 8;
     ae_employees = 400;
-    ae_seed = 7;
-    ae_poll_every = 40;
-    ae_crash_fraction = 0.25;
     ae_drifts = [ 0.0; 0.1; 0.5 ];
     ae_horizon = 800;
   }
@@ -777,10 +752,7 @@ type ae_point = {
    captured at restart time, before regular polling resumes. *)
 let run_ae_mode cfg drift mode =
   let module Sim = Ldap_sim.Engine in
-  let ent =
-    enterprise
-      { default_config with seed = cfg.ae_seed; employees = cfg.ae_employees }
-  in
+  let ent = enterprise ~employees:cfg.ae_employees in
   let backend = D.Enterprise.backend ent in
   let base = D.Enterprise.root_dn ent in
   let query_of d =
@@ -798,7 +770,7 @@ let run_ae_mode cfg drift mode =
     List.init cfg.ae_consumers (fun i -> query_of (i mod divisions))
   in
   let affected =
-    crashed_leaves ~fraction:cfg.ae_crash_fraction ~consumers:cfg.ae_consumers
+    crashed_leaves ~fraction:crash_fraction ~consumers:cfg.ae_consumers
   in
   let is_affected name = List.mem name affected in
   let t =
@@ -810,13 +782,13 @@ let run_ae_mode cfg drift mode =
      downed replicas recover exactly their pre-drift checkpoint. *)
   Topology.enable_durability ~sync:false t;
   Topology.checkpoint_leaves t;
-  let engine = clock t ~seed:(cfg.ae_seed + 2) ~lo:2 ~hi:8 in
+  let engine = clock t ~seed:(seed + 2) ~lo:link_lo ~hi:link_hi in
   let updates =
     int_of_float (Float.round (drift *. float_of_int cfg.ae_employees))
   in
   let stream =
     D.Update_stream.create ent
-      { D.Update_stream.default_config with seed = cfg.ae_seed + 1 }
+      { D.Update_stream.default_config with seed = seed + 1 }
   in
   let crash_time = 10 in
   let drift_time = 20 in
@@ -842,7 +814,7 @@ let run_ae_mode cfg drift mode =
           | Error _ -> restart_failed := true)
         affected);
   let ticks =
-    recovery_ticks t engine ~affected ~restart_time ~poll_every:cfg.ae_poll_every
+    recovery_ticks t engine ~affected ~restart_time ~poll_every:crash_poll_every
       ~until:cfg.ae_horizon
   in
   if !restart_failed then failwith "anti-entropy sweep: a leaf failed to restart";
@@ -888,7 +860,6 @@ type scale_config = {
   sc_baseline_employees : int;
   sc_nodes : int;
   sc_leaf_points : int list;
-  sc_seed : int;
   sc_poll_every : int;
   sc_update_every : int;
   sc_updates : int;
@@ -905,7 +876,6 @@ let scale_default_config =
     sc_baseline_employees = 60_000;
     sc_nodes = 10;
     sc_leaf_points = [ 250; 500; 1000 ];
-    sc_seed = 11;
     sc_poll_every = 50;
     sc_update_every = 10;
     sc_updates = 200;
@@ -930,7 +900,6 @@ let scale_smoke_config =
     sc_baseline_employees = 800;
     sc_nodes = 4;
     sc_leaf_points = [ 12; 24; 48 ];
-    sc_seed = 11;
     sc_poll_every = 40;
     sc_update_every = 20;
     sc_updates = 24;
@@ -1020,11 +989,15 @@ let time_serves transport ~host ~all ~incr =
               reply);
         }
 
+(* Seeds the scale sweep's directory; offsets from it seed the update
+   stream (+1), the engine (+2) and the query workload (+4). *)
+let scale_seed = 11
+
 let run_scale_at cfg ~employees =
   let module Sim = Ldap_sim.Engine in
   let t0 = Sys.time () in
   let ent =
-    D.Enterprise.build { cfg.sc_base with employees; seed = cfg.sc_seed }
+    D.Enterprise.build { cfg.sc_base with employees; seed = scale_seed }
   in
   let build_seconds = Sys.time () -. t0 in
   let backend = D.Enterprise.backend ent in
@@ -1081,7 +1054,7 @@ let run_scale_at cfg ~employees =
         (target, live, if cfg.sc_full then Ldap_topology.Sweep.current_rss_kb () else 0)
         :: !memory)
     leaf_points;
-  let engine = clock t ~seed:(cfg.sc_seed + 2) ~lo:1 ~hi:4 in
+  let engine = clock t ~seed:(scale_seed + 2) ~lo:1 ~hi:4 in
   (* Diurnal load: the gap between updates shrinks and stretches with a
      sinusoidal factor in [0.25, 1.75] over a two-day horizon, so polls
      see both quiet and busy spine segments. *)
@@ -1097,7 +1070,7 @@ let run_scale_at cfg ~employees =
   in
   let stream =
     D.Update_stream.create ent
-      { D.Update_stream.default_config with seed = cfg.sc_seed + 1 }
+      { D.Update_stream.default_config with seed = scale_seed + 1 }
   in
   let update_times = ref [] in
   let updates_done = ref 0 in
@@ -1122,7 +1095,7 @@ let run_scale_at cfg ~employees =
     D.Workload.generate ent
       {
         D.Workload.default_config with
-        seed = cfg.sc_seed + 4;
+        seed = scale_seed + 4;
         length = cfg.sc_queries;
         dept_drift_every = max 1 (cfg.sc_queries / 8);
       }

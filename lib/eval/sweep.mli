@@ -2,7 +2,11 @@
     latency/staleness, crash/restart with WAL corruption, anti-entropy
     drift and the paper-scale content plane.  Every sweep builds its
     replica fleet with {!Scenario.fleet} and returns plain records;
-    [bench/main.exe] renders and gates them. *)
+    [bench/main.exe] renders and gates them.
+
+    The tree-fanout, latency, crash/restart and anti-entropy sweeps
+    share one directory seed (7) and uniform 2–8 tick links; the
+    scale sweep seeds its directory with 11. *)
 
 val percentile : empty:'a -> 'a array -> float -> 'a
 (** [percentile ~empty sorted p] is the sample at index
@@ -45,7 +49,6 @@ type config = {
   arity : int;  (** Interior nodes of the tree shape. *)
   updates : int;  (** Update burst length between build and measure. *)
   employees : int;
-  seed : int;
 }
 
 val default_config : config
@@ -66,21 +69,13 @@ type lat_config = {
   lat_filters : int;  (** Distinct leaf filters (and interior covers). *)
   lat_arity : int;  (** Interior nodes of the tree variant. *)
   lat_employees : int;  (** Directory size. *)
-  lat_seed : int;  (** Seeds directory, updates, faults and engine. *)
   lat_poll_every : int;  (** Virtual ticks between a participant's polls. *)
-  lat_update_every : int;  (** Virtual ticks between committed updates. *)
-  lat_updates : int;  (** Updates committed during the run. *)
-  lat_link_lo : int;  (** Uniform per-link latency lower bound (ticks). *)
-  lat_link_hi : int;  (** Uniform per-link latency upper bound (ticks). *)
-  lat_drop_rate : float;
-      (** Total loss probability of the lossy variants, split evenly
-          between dropped requests and dropped replies. *)
+  lat_updates : int;  (** Updates committed during the run, one every 20 ticks. *)
   lat_horizon : int;  (** Virtual time when poll loops stop rescheduling. *)
 }
 
 val lat_default_config : lat_config
-(** 48 consumers, 8 filters, arity 4, uniform 2–8 tick links, 20%
-    loss, horizon 1600. *)
+(** 48 consumers, 8 filters, arity 4, horizon 1600. *)
 
 val lat_smoke_config : lat_config
 (** CI-sized: 12 consumers, 4 filters, arity 2, horizon 700. *)
@@ -109,7 +104,8 @@ val latency_staleness : ?config:lat_config -> unit -> lat_point list
     lossy, over identical seeds.  Per variant the topology is built
     synchronously (no virtual time), then a discrete-event engine is
     attached, updates are committed on a periodic schedule and every
-    participant polls on its own staggered loop; each completed leaf
+    participant polls on its own staggered loop (the lossy variants
+    drop 20% of exchanges, half requests and half replies); each completed leaf
     poll samples its response time, and staleness is the virtual time
     from an update's commit until a leaf first acknowledged a CSN at or
     past it.  Expected ordering: tree staleness ≥ star (one extra tier
@@ -124,12 +120,8 @@ type cr_config = {
   cr_consumers : int;  (** Leaves in the star topology. *)
   cr_filters : int;  (** Distinct leaf filters. *)
   cr_employees : int;  (** Directory size. *)
-  cr_seed : int;  (** Seeds directory, updates, faults and engine. *)
-  cr_poll_every : int;  (** Virtual ticks between a leaf's polls. *)
-  cr_update_every : int;  (** Virtual ticks between committed updates. *)
   cr_updates_before : int;  (** Updates committed before the crash. *)
   cr_updates_after : int;  (** Updates committed while the leaves are down. *)
-  cr_crash_fraction : float;  (** Fraction of leaves crashed (at least one). *)
   cr_horizon : int;  (** Virtual time when poll loops stop rescheduling. *)
   cr_corruptions : int;  (** Trials of the randomized corruption sweep. *)
 }
@@ -162,8 +154,8 @@ type cr_point = {
 }
 
 val crash_restart : ?config:cr_config -> unit -> cr_point list
-(** Runs all four modes over identical seeds: a star is built, a
-    fraction of its leaves crash after the first update batch, more
+(** Runs all four modes over identical seeds: a star is built, a quarter
+    of its leaves crash after the first update batch, more
     updates are committed while they are down, and they restart (or
     are reparented) once the updates stop.  Durable modes recover
     from per-leaf media and resume ReSync from the durable cookie;
@@ -204,9 +196,6 @@ val corruption_sweep : ?config:cr_config -> unit -> corruption_summary
 type ae_config = {
   ae_consumers : int;  (** Leaves in the star topology. *)
   ae_employees : int;  (** Directory size. *)
-  ae_seed : int;  (** Seeds directory, updates and engine. *)
-  ae_poll_every : int;  (** Virtual ticks between a leaf's polls. *)
-  ae_crash_fraction : float;  (** Fraction of leaves crashed (at least one). *)
   ae_drifts : float list;
       (** Drift fractions swept: each downed replica misses
           [round (drift * employees)] updates. *)
@@ -268,7 +257,6 @@ type scale_config = {
   sc_baseline_employees : int;  (** Same topology, smaller directory. *)
   sc_nodes : int;  (** Interior nodes splitting the dept filters. *)
   sc_leaf_points : int list;  (** Cumulative leaf counts to sample at. *)
-  sc_seed : int;
   sc_poll_every : int;
   sc_update_every : int;  (** Nominal gap; diurnally modulated. *)
   sc_updates : int;

@@ -228,12 +228,6 @@ let trim_log t ~before =
   trim_spine t ~keep:(t.spine_len - last_older t.spine_start 0);
   raise_log_floor t (Csn.of_int (Csn.to_int before - 1))
 
-let spine_csn_range t =
-  match log_since t t.log_floor with
-  | [] -> None
-  | oldest :: rest ->
-      Some (oldest.Update.csn, (List.fold_left (fun _ r -> r) oldest rest).Update.csn)
-
 (* --- Postings -------------------------------------------------------- *)
 
 (* Posting [v] of a new [key] joins its group in a prefix table. *)

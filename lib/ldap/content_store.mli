@@ -151,10 +151,6 @@ val trim_log : t -> before:Csn.t -> unit
 (** Drops the spine through the last event carrying a record with CSN
     below [before], and raises {!log_floor} to [before - 1]. *)
 
-val spine_csn_range : t -> (Csn.t * Csn.t) option
-(** CSNs of the oldest and newest retained records; [None] when the
-    spine carries none. *)
-
 val approx_bytes : t -> int
 (** Approximate heap footprint of everything reachable from the store
     (slots, spine, postings and the entries themselves), for

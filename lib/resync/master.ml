@@ -294,7 +294,6 @@ let create ?(strategy = Session_history) ?(dispatch = Routed) backend =
   Backend.subscribe backend (Server.dispatch server);
   { src; server }
 
-let history_limit t = t.src.history_limit
 let set_history_limit t limit = t.src.history_limit <- limit
 let handle t request query = Server.handle t.server request query
 let push_overflows t = Server.push_overflows t.server

@@ -67,7 +67,6 @@ val create : ?strategy:strategy -> ?dispatch:dispatch -> Ldap.Backend.t -> t
     [Session_history]; default dispatch is [Routed].  Both bounds
     start unbounded. *)
 
-val history_limit : t -> int option
 val set_history_limit : t -> int option -> unit
 (** Sets the per-session history high-water mark: a [Session_history]
     session whose pending buffer exceeds it has the buffer dropped and

@@ -196,16 +196,6 @@ let apply t op =
       | Structural -> apply_structural t op
       | Owned s -> apply_owned t s op)
 
-let apply_at t ~now op =
-  let s = match route_of_op t op with Structural -> 0 | Owned s -> s in
-  let done_at = Shard_master.enqueue_write t.shards.(s) ~now in
-  (done_at, apply t op)
-
-let makespan t =
-  Array.fold_left (fun acc sm -> max acc (Shard_master.busy_until sm)) 0 t.shards
-
-let reset_timelines t = Array.iter Shard_master.reset_timeline t.shards
-
 (* --- Seeding ----------------------------------------------------------- *)
 
 let seed_from_backend t source =
@@ -687,7 +677,6 @@ type shard_stat = {
   ss_csn : Csn.t;
   ss_sessions : int;
   ss_applied : int;
-  ss_busy_until : int;
 }
 
 type report = {
@@ -726,7 +715,6 @@ let report t =
              ss_csn = Shard_master.csn sm;
              ss_sessions = Master.session_count (Shard_master.master sm);
              ss_applied = Shard_master.applied sm;
-             ss_busy_until = Shard_master.busy_until sm;
            })
          t.shards)
   in
@@ -744,26 +732,3 @@ let report t =
     rp_geo_pruning = t.geo_ok;
     rp_restricted_queries = Query.Tbl.length t.restricted;
   }
-
-let pp_report ppf r =
-  let hit_ratio =
-    let total = r.rp_plan_hits + r.rp_plan_misses in
-    if total = 0 then 0.0 else float_of_int r.rp_plan_hits /. float_of_int total
-  in
-  Format.fprintf ppf "@[<v>shards:@,";
-  List.iter
-    (fun s ->
-      Format.fprintf ppf
-        "  %-10s entries %6d  owned %6d  csn %s  sessions %3d  applied %6d@,"
-        s.ss_host s.ss_entries s.ss_owned (Csn.to_string s.ss_csn)
-        s.ss_sessions s.ss_applied)
-    r.rp_shards;
-  Format.fprintf ppf
-    "plan cache: %d hits / %d misses (%.2f hit ratio)@,\
-     searches: %d over %d shard contacts@,\
-     polls: %d over %d shard contacts@,\
-     moves %d, partial merges %d, escalations %d, geo pruning %b@,\
-     restriction memo: %d queries@]"
-    r.rp_plan_hits r.rp_plan_misses hit_ratio r.rp_searches r.rp_search_contacts
-    r.rp_polls r.rp_poll_contacts r.rp_moves r.rp_partials r.rp_escalations
-    r.rp_geo_pruning r.rp_restricted_queries

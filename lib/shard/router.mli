@@ -100,17 +100,6 @@ val apply : t -> Update.op -> (Update.record, string) result
     after-image whose key moved ownership is re-homed with a delete at
     the old shard and an add at the new. *)
 
-val apply_at : t -> now:int -> Update.op -> int * (Update.record, string) result
-(** {!apply} plus service-time accounting: books the write into the
-    owning shard's virtual timeline and returns its completion tick. *)
-
-val makespan : t -> int
-(** Latest busy horizon across shards — the virtual completion time of
-    everything booked so far. *)
-
-val reset_timelines : t -> unit
-(** Zeroes every shard's busy horizon. *)
-
 val cover : t -> Query.t -> int list
 (** The shard cover the router would fan a query over (geographic
     pruning included while no committed write has violated the
@@ -121,7 +110,8 @@ val search : t -> Query.t -> (Entry.t list, string) result
     to each shard's owned content, and concatenates the (disjoint)
     results. *)
 
-(** Observability for reports and the [ldapctl shard] command. *)
+(** Per-shard state and routing counters, read by the shard sweep and
+    the end-to-end benchmark. *)
 type shard_stat = {
   ss_id : int;
   ss_host : string;
@@ -132,7 +122,6 @@ type shard_stat = {
   ss_csn : Csn.t;
   ss_sessions : int;
   ss_applied : int;
-  ss_busy_until : int;
 }
 
 type report = {
@@ -154,6 +143,3 @@ type report = {
 
 val report : t -> report
 (** Snapshot of per-shard state and the router's routing counters. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Human-readable rendering of {!report} (shard table + counters). *)

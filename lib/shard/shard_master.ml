@@ -8,8 +8,6 @@ type t = {
   sm_backend : Backend.t;
   sm_master : Master.t;
   mutable sm_backend_store : Backend_store.t option;
-  mutable sm_service_time : int;
-  mutable sm_busy_until : int;
   mutable sm_applied : int;
 }
 
@@ -22,8 +20,6 @@ let create ?strategy ?indexed (_ : Schema.t) ~id =
     sm_backend = backend;
     sm_master = Master.create ?strategy backend;
     sm_backend_store = None;
-    sm_service_time = 1;
-    sm_busy_until = 0;
     sm_applied = 0;
   }
 
@@ -62,15 +58,6 @@ let apply t op =
       t.sm_applied <- t.sm_applied + 1;
       Ok r
   | Error _ as e -> e
-
-let set_service_time t n = t.sm_service_time <- max 1 n
-
-let enqueue_write t ~now =
-  t.sm_busy_until <- max now t.sm_busy_until + t.sm_service_time;
-  t.sm_busy_until
-
-let busy_until t = t.sm_busy_until
-let reset_timeline t = t.sm_busy_until <- 0
 
 let open_store t medium ~prefix =
   let ( let* ) = Result.bind in

@@ -5,12 +5,7 @@
     Each shard is an ordinary master — the router registers it on the
     transport under its {!host} and speaks plain ReSync to it — so
     crash/restart of a single shard reuses the existing durable-store
-    and Merkle recovery paths unchanged, independently of its peers.
-
-    Write service is modelled on the virtual clock: {!enqueue_write}
-    advances a per-shard busy horizon by the configured service time,
-    so a sweep measures aggregate throughput as writes-over-makespan
-    across shards, which is where partitioning pays. *)
+    and Merkle recovery paths unchanged, independently of its peers. *)
 
 open Ldap
 
@@ -58,21 +53,6 @@ val seed : t -> contexts:Entry.t list -> Entry.t list -> (unit, string) result
 
 val apply : t -> Update.op -> (Update.record, string) result
 (** Commits one update at this shard (advancing its CSN stream). *)
-
-val set_service_time : t -> int -> unit
-(** Virtual ticks one write occupies the shard (default 1). *)
-
-val enqueue_write : t -> now:int -> int
-(** Books one write into the shard's service timeline: the shard is
-    busy from [max now busy] for one service time; returns the new
-    busy horizon (the write's completion tick). *)
-
-val busy_until : t -> int
-(** The shard's current busy horizon. *)
-
-val reset_timeline : t -> unit
-(** Clears the busy horizon (a sweep measuring several shard counts
-    reuses the virtual clock from zero). *)
 
 val open_store : t -> Ldap_store.Medium.t -> prefix:string -> (recovery, string) result
 (** Makes the shard durable on the medium: backend WAL/snapshot under

@@ -486,47 +486,3 @@ let root_link_bytes t =
     else acc
   in
   List.fold_left of_leaf (List.fold_left of_node 0 t.nodes) t.leaves
-
-type tier_summary = {
-  tier : int;
-  members : int;
-  sessions : int;  (** Downstream ReSync sessions held at this tier. *)
-  upstream_bytes : int;  (** Ber bytes members paid on their upstream links. *)
-  served_bytes : int;  (** Ber bytes members served downstream. *)
-}
-
-let tier_summaries t =
-  let tbl = Hashtbl.create 8 in
-  let add tier ~sessions ~up ~served =
-    let m, s, u, v =
-      match Hashtbl.find_opt tbl tier with
-      | Some (m, s, u, v) -> (m, s, u, v)
-      | None -> (0, 0, 0, 0)
-    in
-    Hashtbl.replace tbl tier (m + 1, s + sessions, u + up, v + served)
-  in
-  (* The root pays nothing upstream; what it serves is exactly what
-     its direct children pay on their root links. *)
-  add 0
-    ~sessions:(Resync.Master.session_count t.master)
-    ~up:0 ~served:(root_link_bytes t);
-  List.iter
-    (fun node ->
-      let st = Node.stats node in
-      add
-        (depth t (Node.host node))
-        ~sessions:(Node.session_count node) ~up:(upstream_bytes st)
-        ~served:st.R.Stats.served_bytes)
-    t.nodes;
-  List.iter
-    (fun leaf ->
-      add (depth t (Leaf.name leaf)) ~sessions:0
-        ~up:(upstream_bytes (Leaf.stats leaf))
-        ~served:0)
-    t.leaves;
-  Hashtbl.fold
-    (fun tier (members, sessions, up, served) acc ->
-      { tier; members; sessions; upstream_bytes = up; served_bytes = served }
-      :: acc)
-    tbl []
-  |> List.sort (fun a b -> compare a.tier b.tier)

@@ -195,16 +195,3 @@ val root_link_bytes : t -> int
 (** Ber bytes that crossed links terminating at the root: the summed
     upstream traffic of participants currently attached to it — every
     leaf in a star, only the interior nodes in a tree. *)
-
-(** Aggregated per-tier accounting for reports and the CLI. *)
-type tier_summary = {
-  tier : int;
-  members : int;
-  sessions : int;  (** Downstream ReSync sessions held at this tier. *)
-  upstream_bytes : int;  (** Ber bytes members paid on their upstream links. *)
-  served_bytes : int;  (** Ber bytes members served downstream. *)
-}
-
-val tier_summaries : t -> tier_summary list
-(** One row per tier, shallowest first; tier 0 is the root (sessions =
-    the master's live session count). *)

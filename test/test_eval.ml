@@ -57,15 +57,6 @@ let test_plot_render () =
   check_bool "legend" true (contains "s1" && contains "s2");
   check_bool "glyphs" true (contains "*" && contains "+")
 
-let test_figure2_round_trips () =
-  let t = E.Figures.figure2 () in
-  check_bool "4 round trips" true (cell t ~row:0 ~col:"round trips" = "4");
-  check_bool "replica needs 1" true (cell t ~row:1 ~col:"round trips" = "1")
-
-let test_figure3_trace () =
-  let t = E.Figures.figure3 () in
-  check_bool "three messages" true (List.length t.E.Report.rows = 3)
-
 let test_figure4_shape () =
   let t =
     E.Figures.figure4 ~fractions:[ 0.05; 0.30 ] ~length:3_000 (Lazy.force scenario)
@@ -193,8 +184,6 @@ let suite =
     Alcotest.test_case "department fleet" `Quick test_department_fleet;
     Alcotest.test_case "report format" `Quick test_report_format;
     Alcotest.test_case "plot render" `Quick test_plot_render;
-    Alcotest.test_case "figure2 round trips" `Quick test_figure2_round_trips;
-    Alcotest.test_case "figure3 trace" `Quick test_figure3_trace;
     Alcotest.test_case "figure4 shape" `Slow test_figure4_shape;
     Alcotest.test_case "figure8 shape" `Slow test_figure8_shape;
     Alcotest.test_case "figure9 shape" `Slow test_figure9_shape;

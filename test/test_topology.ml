@@ -757,7 +757,6 @@ let test_history_hwm_bounds_master () =
   let b = build_directory () in
   let m = Master.create b in
   Master.set_history_limit m (Some 8);
-  check_bool "limit recorded" true (Master.history_limit m = Some 8);
   let fast = Consumer.create (dept_query 7) in
   let slow = Consumer.create (dept_query 8) in
   let tr = Net_fixture.transport_of m in
