@@ -1137,6 +1137,91 @@ let str_entry e =
   in
   str_tlv 0x64 (str_tlv 0x04 (Dn.to_string (Entry.dn e)) ^ str_tlv 0x30 attrs)
 
+(* --- Routed vs single-master search ------------------------------------ *)
+
+module E = Ldap_dirgen.Enterprise
+module W = Ldap_dirgen.Workload
+
+(* One directory, served twice: by its own backend (the single master)
+   and by a router over four shards seeded from it.  Each query kind
+   of Table 1 gets its first [per_kind] generated queries. *)
+type routed_fixture = {
+  rf_source : Backend.t;
+  rf_router : Ldap_shard.Router.t;
+  rf_kinds : (W.kind * Query.t list) list;
+}
+
+let routed_fixture ~smoke =
+  let ent = E.build { E.default_config with seed = 11; employees = (if smoke then 2_000 else 20_000) } in
+  let partition = Ldap_shard.Partition.of_enterprise ent ~shards:4 in
+  let masters =
+    Array.init 4 (fun i ->
+        Ldap_shard.Shard_master.create (E.schema ent) ~indexed:E.indexed_attrs ~id:i)
+  in
+  let router =
+    Ldap_shard.Router.create partition (R.Transport.create (Network.create ())) masters
+  in
+  (match Ldap_shard.Router.seed_from_backend router (E.backend ent) with
+  | Ok () -> ()
+  | Error e -> failwith ("micro: seeding the shards: " ^ e));
+  let items = W.generate ent { W.default_config with W.seed = 11; length = 2_000 } in
+  let per_kind = 8 in
+  let of_kind k =
+    Array.to_list items
+    |> List.filter (fun (it : W.item) -> it.W.kind = k)
+    |> List.filteri (fun i _ -> i < per_kind)
+    |> List.map (fun (it : W.item) -> it.W.query)
+  in
+  {
+    rf_source = E.backend ent;
+    rf_router = router;
+    rf_kinds = List.map (fun k -> (k, of_kind k)) [ W.Serial; W.Mail; W.Dept; W.Location ];
+  }
+
+(* A fresh value of the query, as each client request is: its program
+   is not compiled yet. *)
+let fresh (q : Query.t) = Query.with_filter q q.Query.filter
+
+let single_search rf q =
+  match Backend.search rf.rf_source (fresh q) with
+  | Ok { Backend.entries; _ } -> entries
+  | Error _ -> failwith "micro: single-master search failed"
+
+let routed_search rf q =
+  match Ldap_shard.Router.search rf.rf_router (fresh q) with
+  | Ok entries -> entries
+  | Error e -> failwith ("micro: routed search failed: " ^ e)
+
+(* Shards stamp modifyTimestamp from their own CSN streams: compare
+   the answers without it. *)
+let same_answer a b =
+  let prep l =
+    List.map (fun e -> Entry.replace_values e "modifytimestamp" [ "0" ]) l
+    |> List.sort (fun x y -> Dn.compare (Entry.dn x) (Entry.dn y))
+  in
+  let a = prep a and b = prep b in
+  List.length a = List.length b && List.for_all2 Entry.equal a b
+
+let minor_words_per_call ~calls f =
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* Per kind: (kind, single-master us, routed us, single words, routed
+   words), each per search. *)
+let routed_timings rf =
+  List.map
+    (fun (k, qs) ->
+      let n = float_of_int (List.length qs) in
+      let single () = List.iter (fun q -> ignore (single_search rf q)) qs in
+      let routed () = List.iter (fun q -> ignore (routed_search rf q)) qs in
+      let us f = (measure f).ns /. 1000. /. n in
+      let words f = minor_words_per_call ~calls:20 f /. n in
+      (W.kind_name k, us single, us routed, words single, words routed))
+    rf.rf_kinds
+
 let run_micro7 ~smoke =
   (* Equivalence first: the compiled paths must agree with the
      interpreted oracles on every fixture.  The counts are
@@ -1178,6 +1263,18 @@ let run_micro7 ~smoke =
     failwith "micro: writer codec image differs from string combinators";
   if !sym_agree <> !sym_cases then
     failwith "micro: staged containment condition disagrees with Symbolic.eval";
+  let rf = routed_fixture ~smoke in
+  let routed_cases = ref 0 and routed_agree = ref 0 in
+  List.iter
+    (fun (_, qs) ->
+      List.iter
+        (fun q ->
+          incr routed_cases;
+          if same_answer (routed_search rf q) (single_search rf q) then incr routed_agree)
+        qs)
+    rf.rf_kinds;
+  if !routed_agree <> !routed_cases then
+    failwith "micro: a routed search answered other than the single master";
   (* Timings: interpreted and compiled forms of the same work, measured
      in the same process by the same harness. *)
   let filter_matcher = Filter.matcher complex_filter in
@@ -1236,6 +1333,27 @@ let run_micro7 ~smoke =
               ])
             timed)
        ());
+  let routed = routed_timings rf in
+  Eval.Report.print
+    (Eval.Report.make ~title:"Routed vs single-master search (4 shards)"
+       ~notes:
+         [
+           "per search of a fresh query value: the router restricts it to";
+           "each shard in its cover and merges the legs' answers";
+         ]
+       ~columns:[ "kind"; "single us"; "routed us"; "single words"; "routed words" ]
+       ~rows:
+         (List.map
+            (fun (k, su, ru, sw, rw) ->
+              [
+                k;
+                Printf.sprintf "%.2f" su;
+                Printf.sprintf "%.2f" ru;
+                Printf.sprintf "%.0f" sw;
+                Printf.sprintf "%.0f" rw;
+              ])
+            routed)
+       ());
   let speedup_of name =
     let _, _, _, s = List.find (fun (n, _, _, _) -> String.equal n name) timed in
     s
@@ -1264,6 +1382,8 @@ let run_micro7 ~smoke =
           ("codec_identical", Int !codec_identical);
           ("symbolic_cases", Int !sym_cases);
           ("symbolic_agree", Int !sym_agree);
+          ("routed_cases", Int !routed_cases);
+          ("routed_agree", Int !routed_agree);
         ])
   in
   if smoke then [ ("equivalence", equivalence) ]
@@ -1286,6 +1406,18 @@ let run_micro7 ~smoke =
                   ("compiled_r2", float 4 fc.r2);
                 ])
             timed );
+        ( "routed_search",
+          list
+            (fun (k, su, ru, sw, rw) ->
+              Obj
+                [
+                  ("kind", String k);
+                  ("single_us", float 2 su);
+                  ("routed_us", float 2 ru);
+                  ("single_minor_words", float 0 sw);
+                  ("routed_minor_words", float 0 rw);
+                ])
+            routed );
         ("fanout", list fanout_json fanout);
         ("latency_staleness", list lat_json lat);
       ]

@@ -1,7 +1,7 @@
 open Ldap
 
-(* [key] is the shape key of the stored query's bucket. *)
-type 'a stored = { query : Query.t; key : string; values : string array; payload : 'a }
+(* [key] is the shape id of the stored query's bucket. *)
+type 'a stored = { query : Query.t; key : int; values : string array; payload : 'a }
 
 type 'a bucket = {
   template : Template.t;
@@ -40,12 +40,22 @@ type cond = { sym : Symbolic.t; staged : Symbolic.Compiled.cond }
 (* What one (incoming shape, stored shape) pair compiles to. *)
 type pair = { cond : cond option; plan : plan }
 
+(* Buckets by shape id, hashed by the printed shape: a search visits
+   the other buckets in the order it did when shapes were printed, so
+   it finds the same first container. *)
+module Buckets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Template.shape_hash
+end)
+
 type 'a t = {
-  buckets : (string, 'a bucket) Hashtbl.t;  (* shape key -> bucket *)
+  buckets : 'a bucket Buckets.t;  (* shape id -> bucket *)
   exact : 'a stored Query.Tbl.t;
       (* every stored query under its exact form: [find] and [mem]
          answer here without decomposing into a template *)
-  pairs : (string * string, pair) Hashtbl.t;
+  pairs : (int * int, pair) Hashtbl.t;
       (* (incoming shape, stored shape) -> compiled condition and
          candidate-pruning plan *)
   mutable count : int;
@@ -57,7 +67,7 @@ type 'a t = {
 
 let create () =
   {
-    buckets = Hashtbl.create 64;
+    buckets = Buckets.create 64;
     exact = Query.Tbl.create 64;
     pairs = Hashtbl.create 256;
     count = 0;
@@ -109,7 +119,7 @@ let add t q payload =
   let template, values = decompose q in
   let key = Template.shape_key template in
   let bucket =
-    match Hashtbl.find_opt t.buckets key with
+    match Buckets.find_opt t.buckets key with
     | Some b -> b
     | None ->
         let b =
@@ -118,7 +128,7 @@ let add t q payload =
             entries = [];
             columns = Hashtbl.create 4 }
         in
-        Hashtbl.replace t.buckets key b;
+        Buckets.replace t.buckets key b;
         b
   in
   let fresh = { query = q; key; values; payload } in
@@ -147,11 +157,11 @@ let remove t q =
   | Some s ->
       Query.Tbl.remove t.exact q;
       let values = s.values in
-      let bucket = Hashtbl.find t.buckets s.key in
+      let bucket = Buckets.find t.buckets s.key in
       bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
       t.count <- t.count - 1;
       if not (hole_complete (s.query.Query.filter :> Filter.t)) then t.beyond_holes <- t.beyond_holes - 1;
-      if bucket.entries = [] then Hashtbl.remove t.buckets s.key
+      if bucket.entries = [] then Buckets.remove t.buckets s.key
       else
         Hashtbl.iter
           (fun col column ->
@@ -367,16 +377,16 @@ let indexed_search t (q : Query.t) ~pred ~counted =
   in
   (* Same-template bucket first: it answers most hits cheaply. *)
   let same =
-    match Hashtbl.find_opt t.buckets incoming_key with
+    match Buckets.find_opt t.buckets incoming_key with
     | Some bucket -> check_bucket incoming_key bucket None
     | None -> None
   in
   match same with
   | Some _ as hit -> hit
   | None ->
-      Hashtbl.fold
+      Buckets.fold
         (fun key bucket acc ->
-          if String.equal key incoming_key then acc else check_bucket key bucket acc)
+          if Int.equal key incoming_key then acc else check_bucket key bucket acc)
         t.buckets None
 
 (* Every stored query in turn, each check counted as the bucket search
@@ -405,7 +415,7 @@ let find_container t q = find_container_where t q ~pred:(fun _ _ -> true)
 let covers t q = Option.is_some (search t q ~pred:(fun _ _ -> true) ~counted:false)
 
 let fold t ~init ~f =
-  Hashtbl.fold
+  Buckets.fold
     (fun _ bucket acc ->
       List.fold_left (fun acc s -> f acc s.query s.payload) acc bucket.entries)
     t.buckets init

@@ -117,7 +117,42 @@ let to_string t =
   let subst = function Hole _ -> "_" | Const s -> s in
   Filter.to_string (to_filter_with subst t)
 
-let shape_key = to_string
+(* --- Shape ids ------------------------------------------------------- *)
+
+(* Every operand and value feeds the hash: [Hashtbl.hash] alone stops
+   after ten meaningful values, which would put the many shapes that
+   differ only in a late operand into one bucket. *)
+let rec hash = function
+  | Pred p -> Hashtbl.hash p
+  | Not g -> 3 + (31 * hash g)
+  | And gs -> List.fold_left (fun h g -> (31 * h) + hash g) 5 gs
+  | Or gs -> List.fold_left (fun h g -> (31 * h) + hash g) 7 gs
+
+module Shapes = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( = )
+  let hash = hash
+end)
+
+(* Shape ids, interned as [Ldap_compile.Attr_id] interns attribute
+   names: one table for the process, an id per distinct template, and
+   beside it each id's printed hash. *)
+let shapes : int Shapes.t = Shapes.create 64
+let printed_hashes = ref (Array.make 64 0)
+
+let shape_key t =
+  match Shapes.find_opt shapes t with
+  | Some id -> id
+  | None ->
+      let id = Shapes.length shapes in
+      if id = Array.length !printed_hashes then
+        printed_hashes := Array.append !printed_hashes (Array.make id 0);
+      !printed_hashes.(id) <- Hashtbl.hash (to_string t);
+      Shapes.add shapes t id;
+      id
+
+let shape_hash id = !printed_hashes.(id)
 
 (* Structural match of a normal filter against the template, binding
    holes.  Both sides are in normal form with the same operand
@@ -128,11 +163,14 @@ let shape_key = to_string
 exception No_match
 
 let match_filter t (filter : Filter.normal) =
-  let bindings = Hashtbl.create 8 in
+  let n = holes t in
+  let out = Array.make n "" and bound = Bytes.make n '0' in
   let bind i v =
-    match Hashtbl.find_opt bindings i with
-    | Some v' when v <> v' -> raise No_match
-    | _ -> Hashtbl.replace bindings i v
+    if Bytes.get bound i = '0' then begin
+      out.(i) <- v;
+      Bytes.set bound i '1'
+    end
+    else if not (String.equal out.(i) v) then raise No_match
   in
   let value tv fv attr =
     match tv with
@@ -169,15 +207,6 @@ let match_filter t (filter : Filter.normal) =
     | _ -> raise No_match
   in
   match go t (filter :> Filter.t) with
-  | () ->
-      let n = holes t in
-      let out = Array.make n "" in
-      let complete = ref true in
-      for i = 0 to n - 1 do
-        match Hashtbl.find_opt bindings i with
-        | Some v -> out.(i) <- v
-        | None -> complete := false
-      done;
-      if !complete then Some out else None
+  | () -> if Bytes.contains bound '0' then None else Some out
   | exception No_match -> None
 

@@ -2,7 +2,8 @@ open Ldap
 
 type stats = { mutable observed : int; mutable admitted : int }
 
-type entry = { template : Template.t; stats : stats }
+(* [key] is the template's shape id. *)
+type entry = { template : Template.t; key : int; stats : stats }
 
 type t = {
   mutable entries : entry list;  (* declared order *)
@@ -11,10 +12,12 @@ type t = {
 
 let create () = { entries = []; unclassified = 0 }
 
+let declared t key = List.find_opt (fun e -> e.key = key) t.entries
+
 let declare t template =
   let key = Template.shape_key template in
-  if not (List.exists (fun e -> Template.shape_key e.template = key) t.entries) then
-    t.entries <- t.entries @ [ { template; stats = { observed = 0; admitted = 0 } } ]
+  if declared t key = None then
+    t.entries <- t.entries @ [ { template; key; stats = { observed = 0; admitted = 0 } } ]
 
 let declare_strings t specs =
   List.fold_left
@@ -58,9 +61,6 @@ let admit t q =
 let unclassified t = t.unclassified
 
 let stats_of t template =
-  let key = Template.shape_key template in
-  Option.map
-    (fun e -> e.stats)
-    (List.find_opt (fun e -> Template.shape_key e.template = key) t.entries)
+  Option.map (fun e -> e.stats) (declared t (Template.shape_key template))
 
-let report t = List.map (fun e -> (Template.shape_key e.template, e.stats)) t.entries
+let report t = List.map (fun e -> (Template.to_string e.template, e.stats)) t.entries

@@ -215,12 +215,15 @@ let fold_matching t (q : Query.t) ~init ~f =
             && (Entry.is_referral entry
                || crosses_referral t ~base:q.base (Entry.dn entry))
           in
-          (* Compile the filter once per search; every candidate then
-             evaluates bytecode against its slots instead of
+          (* The query's program, compiled once per query value: every
+             candidate evaluates bytecode against its slots instead of
              re-walking the AST with per-predicate schema lookups and
              value normalization. *)
-          let filter_matches = Filter.matcher (q.filter :> Filter.t) in
-          let matches entry = (not (is_excluded entry)) && filter_matches entry in
+          let prog = Query.program q in
+          let matches entry =
+            (not (is_excluded entry))
+            && Ldap_compile.Prog.matches prog (Entry.compiled entry)
+          in
           let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
           let acc =
             match

@@ -20,7 +20,7 @@ let referral_size urls =
 
 let search_request_size (q : Query.t) =
   message_overhead + dn_size q.base
-  + String.length (Filter.to_string (q.filter :> Filter.t))
+  + Filter.printed_length (q.filter :> Filter.t)
 
 let search_reply_size ~entries ~references =
   List.fold_left (fun acc e -> acc + entry_size e) message_overhead entries

@@ -18,7 +18,8 @@ val entry_size : Entry.t -> int
     over {!Entry.fold_attributes} without building the attribute list. *)
 
 val search_request_size : Query.t -> int
-(** Search request PDU: base DN plus the filter's string form. *)
+(** Search request PDU: base DN plus the filter's string form, whose
+    length is counted without printing it ({!Filter.printed_length}). *)
 
 val search_reply_size : entries:Entry.t list -> references:string list list -> int
 (** A search's reply: its entry and referral PDUs plus the final

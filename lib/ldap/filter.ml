@@ -155,17 +155,81 @@ let compile_pred p =
           s_final = Option.map norm final;
         }
 
-let compile t =
+(* How dear a conjunct is to test: an equality is one lookup and one
+   string compare, another predicate walks its values, a negation or a
+   disjunction runs a sub-program.  A compiled conjunction tests its
+   conjuncts in this order, so a cheap equality that fails skips the
+   rest. *)
+let rank = function
+  | Pred (Equality _ | Approx _) -> 0
+  | Pred _ -> 1
+  | Not _ | And _ | Or _ -> 2
+
+(* A program's conjunction holds the operands' nodes rank by rank,
+   each rank in operand order.  [shuttle] walks the operands of rank
+   [r] and, from slot [k] on, copies each one's node from [nodes]
+   (operand order) into [ranked], or back when [back]; it returns the
+   next free slot. *)
+let rec shuttle ~back ranked k r gs nodes i =
+  match gs with
+  | [] -> k
+  | g :: rest ->
+      if rank g = r then begin
+        if back then nodes.(i) <- ranked.(k) else ranked.(k) <- nodes.(i);
+        shuttle ~back ranked (k + 1) r rest nodes (i + 1)
+      end
+      else shuttle ~back ranked k r rest nodes (i + 1)
+
+let shuttle_all ~back ranked gs nodes =
+  let k = shuttle ~back ranked 0 0 gs nodes 0 in
+  ignore (shuttle ~back ranked (shuttle ~back ranked k 1 gs nodes 0) 2 gs nodes 0)
+
+let ranked_of gs nodes =
+  let ranked = Array.make (Array.length nodes) Ldap_compile.Prog.P_true in
+  shuttle_all ~back:false ranked gs nodes;
+  ranked
+
+let nodes_of gs ranked =
+  let nodes = Array.make (Array.length ranked) Ldap_compile.Prog.P_true in
+  shuttle_all ~back:true ranked gs nodes;
+  nodes
+
+let rec compile t =
   let open Ldap_compile in
-  let rec go = function
-    | Pred p -> compile_pred p
-    | Not g -> Prog.P_not (go g)
-    | And [] -> Prog.P_true
-    | Or [] -> Prog.P_false
-    | And gs -> Prog.P_all (Array.of_list (List.map go gs))
-    | Or gs -> Prog.P_any (Array.of_list (List.map go gs))
+  match t with
+  | Pred p -> compile_pred p
+  | Not g -> Prog.P_not (compile g)
+  | And [] -> Prog.P_true
+  | Or [] -> Prog.P_false
+  | And gs -> Prog.P_all (ranked_of gs (Array.of_list (List.map compile gs)))
+  | Or gs -> Prog.P_any (Array.of_list (List.map compile gs))
+
+let operands f prog =
+  match (f, prog) with
+  | And gs, Ldap_compile.Prog.P_all ranked -> (gs, nodes_of gs ranked)
+  | And gs, _ -> (gs, [||])
+  | f, prog -> ([ f ], [| prog |])
+
+(* Both operand lists are sorted and deduplicated, so their sorted
+   union is a merge; nothing below an operand is looked at again. *)
+let conjoin a pa b pb =
+  let ga, na = operands a pa and gb, nb = operands b pb in
+  let rec merge i j xs ys gs nodes =
+    match (xs, ys) with
+    | [], [] -> (List.rev gs, List.rev nodes)
+    | x :: xs', [] -> merge (i + 1) j xs' [] (x :: gs) (na.(i) :: nodes)
+    | [], y :: ys' -> merge i (j + 1) [] ys' (y :: gs) (nb.(j) :: nodes)
+    | x :: xs', y :: ys' ->
+        let c = structural_compare x y in
+        if c < 0 then merge (i + 1) j xs' ys (x :: gs) (na.(i) :: nodes)
+        else if c > 0 then merge i (j + 1) xs ys' (y :: gs) (nb.(j) :: nodes)
+        else merge (i + 1) (j + 1) xs' ys' (x :: gs) (na.(i) :: nodes)
   in
-  go t
+  match merge 0 0 ga gb [] [] with
+  | [ g ], [ p ] -> (g, p)
+  | [], _ -> (And [], Ldap_compile.Prog.P_true)
+  | gs, nodes ->
+      (And gs, Ldap_compile.Prog.P_all (ranked_of gs (Array.of_list nodes)))
 
 let matcher t =
   let prog = compile t in
@@ -201,6 +265,33 @@ let pred_to_string = function
   | Present a -> Printf.sprintf "(%s=*)" a
   | Substrings (a, s) -> Printf.sprintf "(%s=%s)" a (substring_to_string s)
   | Approx (a, v) -> Printf.sprintf "(%s~=%s)" a (escape_assertion v)
+
+let escaped_length v =
+  let n = ref (String.length v) in
+  for i = 0 to String.length v - 1 do
+    match v.[i] with
+    | '*' | '(' | ')' | '\\' | '\000' -> n := !n + 2
+    | _ -> ()
+  done;
+  !n
+
+let opt_length = function Some s -> escaped_length s | None -> 0
+
+let pred_length = function
+  | Equality (a, v) -> String.length a + escaped_length v + 3
+  | Greater_eq (a, v) | Less_eq (a, v) | Approx (a, v) ->
+      String.length a + escaped_length v + 4
+  | Present a -> String.length a + 4
+  | Substrings (a, { initial; any; final }) ->
+      List.fold_left
+        (fun n s -> n + escaped_length s + 1)
+        (String.length a + opt_length initial + opt_length final + 4)
+        any
+
+let rec printed_length = function
+  | Pred p -> pred_length p
+  | Not g -> printed_length g + 3
+  | And gs | Or gs -> List.fold_left (fun n g -> n + printed_length g) 3 gs
 
 let rec to_string = function
   | Pred p -> pred_to_string p

@@ -74,9 +74,21 @@ val compile : t -> Ldap_compile.Prog.t
 (** [compile f] lowers the filter once into the flat bytecode of
     {!Ldap_compile.Prog}: assertion values pre-canonicalized under
     each predicate's matching rule, attributes interned to ids,
-    AND/OR as short-circuit arrays.  Evaluate with
-    [Prog.matches (compile f) (Entry.compiled e)], which agrees with
-    {!matches} (the interpreted oracle) on every entry. *)
+    AND/OR as short-circuit arrays.  An AND tests its cheapest
+    conjuncts first: equalities, then the other predicates, then
+    negations and disjunctions, each group in operand order.
+    Evaluate with [Prog.matches (compile f) (Entry.compiled e)], which
+    agrees with {!matches} (the interpreted oracle) on every entry.
+    A query's program is compiled once, by {!Query.program}. *)
+
+val conjoin :
+  normal -> Ldap_compile.Prog.t -> normal -> Ldap_compile.Prog.t ->
+  normal * Ldap_compile.Prog.t
+(** [conjoin a pa b pb], where [pa] and [pb] are the programs
+    {!compile} made of [a] and [b]: the normal form of [(&(a)(b))]
+    and its program.  Both equal what {!normalize} and {!compile}
+    would make, but neither is run: the two sorted operand lists are
+    merged and each operand keeps the node it was compiled to. *)
 
 val matcher : t -> Entry.t -> bool
 (** [matcher f] compiles [f] and returns a closure evaluating it
@@ -96,3 +108,7 @@ val of_string_exn : string -> t
 
 val to_string : t -> string
 (** RFC 2254 printer; [of_string (to_string f)] re-reads [f]. *)
+
+val printed_length : t -> int
+(** [String.length (to_string f)], counted without building the
+    string: the size a search request's filter is modelled at. *)

@@ -6,6 +6,7 @@ type t = {
   filter : Filter.normal;
   attrs : attrs;
   manage_dsa_it : bool;
+  mutable prog : Ldap_compile.Prog.t option;
 }
 
 let norm_attrs = function
@@ -15,11 +16,30 @@ let norm_attrs = function
       else Select (List.sort_uniq String.compare (List.map String.lowercase_ascii names))
 
 let make ?(scope = Scope.Sub) ?(attrs = All) ?(manage_dsa_it = false) ~base filter =
-  { base; scope; filter = Filter.normalize filter; attrs = norm_attrs attrs; manage_dsa_it }
+  {
+    base;
+    scope;
+    filter = Filter.normalize filter;
+    attrs = norm_attrs attrs;
+    manage_dsa_it;
+    prog = None;
+  }
+
+let program q =
+  match q.prog with
+  | Some p -> p
+  | None ->
+      let p = Filter.compile (q.filter :> Filter.t) in
+      q.prog <- Some p;
+      p
 
 let with_base q base = { q with base }
-let with_filter q filter = { q with filter }
+let with_filter q filter = { q with filter; prog = None }
 let with_attrs q attrs = { q with attrs = norm_attrs attrs }
+
+let conjoin q f prog =
+  let filter, prog = Filter.conjoin f prog q.filter (program q) in
+  { q with filter; prog = Some prog }
 
 let of_strings ?scope ~base filter_s =
   match Dn.of_string base with

@@ -9,7 +9,12 @@
     normalizes it once, where the query enters (a client request, a
     decoded DER request, a subscription), and the record is private,
     so no query can be built around a filter that is not.  The layers
-    below read [q.filter] as normal and never normalize it again. *)
+    below read [q.filter] as normal and never normalize it again.
+
+    A query also carries its filter's compiled program
+    ({!Filter.compile}), made the first time {!program} asks for it
+    and kept for the value's life: every search, session matcher and
+    replica evaluation of one query value runs the same program. *)
 
 type attrs =
   | All  (** The ["*"] wildcard: every user attribute. *)
@@ -25,6 +30,10 @@ type t = private {
           entries instead of generating referrals.  Subtree replication
           sessions use it so referral objects travel with their
           context's content. *)
+  mutable prog : Ldap_compile.Prog.t option;
+      (** The compiled filter once {!program} has made it; read it
+          through {!program}.  {!equal}, {!Tbl}'s hash and every
+          other comparison here ignore it. *)
 }
 
 val make :
@@ -33,17 +42,27 @@ val make :
     Normalizes the filter ({!Filter.normalize}) and the attribute
     list. *)
 
+val program : t -> Ldap_compile.Prog.t
+(** The filter's compiled program: compiled on the first call for
+    this value, the same program on every later one. *)
+
 val with_base : t -> Dn.t -> t
 (** The same query at another base: a referral or continuation
-    reference chased to the region it names. *)
+    reference chased to the region it names.  Keeps the program. *)
 
 val with_filter : t -> Filter.normal -> t
-(** The same query over another normal filter: a shard's restriction
-    or a generalization. *)
+(** The same query over another normal filter: a generalization.
+    Drops the program; the new value compiles its own. *)
 
 val with_attrs : t -> attrs -> t
 (** The same query requesting other attributes (normalized as by
-    {!make}). *)
+    {!make}).  Keeps the program. *)
+
+val conjoin : t -> Filter.normal -> Ldap_compile.Prog.t -> t
+(** [conjoin q f p], where [p] is [f]'s compiled program: the same
+    query over the normal form of [(&(f)(q.filter))], with its program
+    built from [p] and [q]'s own ({!Filter.conjoin}): a shard's
+    restriction, which neither normalizes nor compiles. *)
 
 val of_strings : ?scope:Scope.t -> base:string -> string -> (t, string) result
 (** Parses base and filter from their string representations. *)

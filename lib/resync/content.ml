@@ -10,7 +10,7 @@ let member (q : Query.t) entry =
    re-walking the filter AST. *)
 type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
 
-let matcher (q : Query.t) = { mq = q; prog = Filter.compile (q.Query.filter :> Filter.t) }
+let matcher (q : Query.t) = { mq = q; prog = Query.program q }
 
 let matches m entry =
   Query.in_scope m.mq (Entry.dn entry)

@@ -26,7 +26,8 @@ type t = {
          shard 0, so only a query provably confined to other shards'
          blocks can skip it). *)
   owns : Filter.normal array;  (* [ownership_filter], per shard *)
-  plans : (string, plan) Hashtbl.t;
+  owns_prog : Ldap_compile.Prog.t array;  (* each [owns] compiled once *)
+  plans : (int, plan) Hashtbl.t;  (* shape id -> plan *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -68,6 +69,16 @@ let create ~shards ~blocks =
         if s = structural_shard then union (List.concat (List.tl (Array.to_list shard_blocks)))
         else Filter.negate (union shard_blocks.(s)))
   in
+  let owns =
+    Array.init shards (fun s ->
+        if s = structural_shard then
+          (* Everything not provably another shard's: shard 0's own
+             blocks, structural entries (no key at all) and keys in
+             no known block all live here — exactly the complement of
+             skip_rhs.(0). *)
+          Filter.negate skip_rhs.(0)
+        else union shard_blocks.(s))
+  in
   {
     shards;
     prefix_len;
@@ -76,15 +87,8 @@ let create ~shards ~blocks =
     by_prefix;
     shard_blocks;
     skip_rhs;
-    owns =
-      Array.init shards (fun s ->
-          if s = structural_shard then
-            (* Everything not provably another shard's: shard 0's own
-               blocks, structural entries (no key at all) and keys in
-               no known block all live here — exactly the complement
-               of skip_rhs.(0). *)
-            Filter.negate skip_rhs.(0)
-          else union shard_blocks.(s));
+    owns;
+    owns_prog = Array.map (fun (f : Filter.normal) -> Filter.compile (f :> Filter.t)) owns;
     plans = Hashtbl.create 16;
     hits = 0;
     misses = 0;
@@ -128,9 +132,7 @@ let geo_consistent t e =
 
 let ownership_filter t s = t.owns.(s)
 
-let restrict t s (q : Query.t) =
-  Query.with_filter q
-    (Filter.normalize (Filter.And [ (t.owns.(s) :> Filter.t); (q.filter :> Filter.t) ]))
+let restrict t s q = Query.conjoin q t.owns.(s) t.owns_prog.(s)
 
 (* Geographic pruning: when the query base sits inside some block's
    geography subtree, only shards owning a block whose geography

@@ -16,8 +16,8 @@
     total.
 
     Query covers are computed from a compiled plan cached per filter
-    {e shape} (the {!Ldap_containment.Template.shape_key} of the
-    query's full generalization), mirroring the pruning-plan cache of
+    {e shape} (the interned {!Ldap_containment.Template.shape_key} id
+    of the query's full generalization), mirroring the pruning-plan cache of
     {!Ldap_containment.Containment_index}: the per-shard disjointness
     conditions are compiled and staged once per shape, and evaluating a
     concrete query touches only its assertion values.  All pruning is
@@ -73,7 +73,12 @@ val ownership_filter : t -> int -> Filter.normal
 
 val restrict : t -> int -> Query.t -> Query.t
 (** The query as one shard must serve it: the filter conjoined with
-    the shard's {!ownership_filter}, normalized again. *)
+    the shard's {!ownership_filter}.  A merge, not a new normal form:
+    the ownership filter is normalized and compiled once, in
+    {!create}, and {!Ldap.Query.conjoin} merges its conjuncts into the
+    query's sorted ones and builds the program from the two compiled
+    parts.  The result equals [Filter.normalize (And [owns; q])] and
+    its program equals that filter's compile. *)
 
 val cover : ?use_geo:bool -> t -> Query.t -> int list
 (** Minimal sound shard cover of a query, in shard order.  Shard

@@ -17,6 +17,8 @@ type memo = {
       (* [cookie]'s component for each shard, [""] where it has none;
          kept in place, so a poll that parses nothing retains nothing
          new either *)
+  mutable cov : (bool * int list) option;
+      (* its cover and the [geo_ok] it was computed under *)
 }
 
 type t = {
@@ -29,6 +31,7 @@ type t = {
   mutable search_contacts : int;
   mutable polls : int;
   mutable poll_contacts : int;
+  mutable cover_reuses : int;
   mutable moves : int;
   mutable partials : int;
   mutable escalations : int;
@@ -64,9 +67,24 @@ let memo t q =
       if Query.Tbl.length t.restricted >= shard_sessions t + memo_slack then
         Query.Tbl.reset t.restricted;
       let n = Array.length t.shards in
-      let m = { slices = Array.make n None; cookie = ""; comps = Array.make n "" } in
+      let m =
+        { slices = Array.make n None; cookie = ""; comps = Array.make n ""; cov = None }
+      in
       Query.Tbl.replace t.restricted q m;
       m
+
+(* A poll's cover is fixed by its query and [geo_ok], which only ever
+   switches off: the memo keeps it until that happens.  A reuse counts
+   as the plan-cache hit the recomputation would have been. *)
+let memo_cover t m q =
+  match m.cov with
+  | Some (geo_ok, cov) when Bool.equal geo_ok t.geo_ok ->
+      t.cover_reuses <- t.cover_reuses + 1;
+      cov
+  | Some _ | None ->
+      let cov = cover t q in
+      m.cov <- Some (t.geo_ok, cov);
+      cov
 
 let restricted t s q =
   let m = memo t q in
@@ -414,7 +432,7 @@ let handle_poll t ~push mode req_cookie q =
   else begin
     let m = memo t q in
     let components = components_of m req_cookie in
-    let cov = cover t q in
+    let cov = memo_cover t m q in
     t.polls <- t.polls + 1;
     t.poll_contacts <- t.poll_contacts + List.length cov;
     let stale =
@@ -654,6 +672,7 @@ let create partition transport shards =
       search_contacts = 0;
       polls = 0;
       poll_contacts = 0;
+      cover_reuses = 0;
       moves = 0;
       partials = 0;
       escalations = 0;
@@ -720,7 +739,7 @@ let report t =
   in
   {
     rp_shards;
-    rp_plan_hits = Partition.plan_hits t.partition;
+    rp_plan_hits = Partition.plan_hits t.partition + t.cover_reuses;
     rp_plan_misses = Partition.plan_misses t.partition;
     rp_searches = t.searches;
     rp_search_contacts = t.search_contacts;

@@ -51,8 +51,12 @@
     walk — sends the memoized value, so a shard master sees the
     physically same query on each poll and proves it equal to its
     session's with one pointer test.  {!search} and the size estimate
-    restrict afresh: their queries do not repeat.  The cover is still
-    planned per poll.  The memo is bounded by live state: a query's
+    restrict afresh: their queries do not repeat, and a restriction is
+    a merge of two prepared parts ({!Partition.restrict}).  The memo
+    also keeps the query's cover with the geography flag it was
+    planned under; a poll plans it again only after a write switched
+    geographic pruning off, so the next poll contacts the widened
+    cover.  The memo is bounded by live state: a query's
     entry goes at its [Sync_end], and an insertion that finds the memo
     holding as many queries as the shard masters hold sessions in
     total, plus 16, empties it first.  So no insertion leaves more
@@ -127,6 +131,10 @@ type shard_stat = {
 type report = {
   rp_shards : shard_stat list;
   rp_plan_hits : int;
+      (** Covers answered without compiling a plan: from the
+          partition's per-shape plan cache, or a poll's cover reused
+          from the memo, which stands for the plan-cache hit its
+          recomputation would have been. *)
   rp_plan_misses : int;
   rp_searches : int;
   rp_search_contacts : int;  (** Shards contacted by searches. *)

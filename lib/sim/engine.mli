@@ -32,7 +32,10 @@ val after : t -> delay:int -> (unit -> unit) -> unit
     to zero. *)
 
 val draw : t -> Latency.t -> int
-(** Sample a latency distribution using the engine's stream. *)
+(** Sample a latency distribution using the engine's stream: a delay
+    in ticks, never negative.  A [Uniform] or [Exponential] draw takes
+    one roll from the stream, a [Zero] or [Fixed] one none.  Allocates
+    nothing. *)
 
 val run : t -> unit
 (** Run events until the queue is empty (quiescence).  Raises

@@ -1,9 +1,8 @@
 (** Per-link latency distributions.
 
-    A distribution is sampled with a caller-supplied uniform roll in
-    [0, 1) so the engine controls the random stream.  [Zero] and
-    [Fixed] consume no roll, keeping draws reproducible when a link is
-    switched between deterministic and random latencies. *)
+    {!Engine.draw} samples one from the engine's random stream.  [Zero]
+    and [Fixed] consume no roll, keeping draws reproducible when a link
+    is switched between deterministic and random latencies. *)
 
 type t =
   | Zero  (** Immediate delivery — the pre-engine behaviour. *)
@@ -13,5 +12,3 @@ type t =
       (** Exponentially distributed delay with the given mean, rounded to
           the nearest tick. *)
 
-val draw : t -> roll:(unit -> float) -> int
-(** Sample a delay in ticks.  The result is always non-negative. *)

@@ -166,6 +166,45 @@ let prop_escape_round_trip =
       | Ok back -> equiv fl back
       | Error _ -> false)
 
+(* Every predicate kind, values holding each character the printer
+   escapes, and NOT/AND/OR nested three deep. *)
+let printed_filter_gen =
+  let open QCheck.Gen in
+  let attr = oneofl [ "cn"; "sn"; "serialNumber"; "x" ] in
+  let value = string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '*'; '('; ')'; '\\'; '\000' ]) (0 -- 6) in
+  let segment = map (fun v -> if v = "" then None else Some v) value in
+  let pred =
+    oneof
+      [
+        map2 (fun a v -> Filter.Equality (a, v)) attr value;
+        map2 (fun a v -> Filter.Greater_eq (a, v)) attr value;
+        map2 (fun a v -> Filter.Less_eq (a, v)) attr value;
+        map2 (fun a v -> Filter.Approx (a, v)) attr value;
+        map (fun a -> Filter.Present a) attr;
+        map2
+          (fun a (initial, any, final) -> Filter.Substrings (a, { Filter.initial; any; final }))
+          attr
+          (triple segment (list_size (0 -- 3) value) segment);
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then map (fun p -> Filter.Pred p) pred
+    else
+      frequency
+        [
+          (2, map (fun p -> Filter.Pred p) pred);
+          (1, map (fun g -> Filter.Not g) (tree (depth - 1)));
+          (1, map (fun gs -> Filter.And gs) (list_size (0 -- 3) (tree (depth - 1))));
+          (1, map (fun gs -> Filter.Or gs) (list_size (0 -- 3) (tree (depth - 1))));
+        ]
+  in
+  tree 3
+
+let prop_printed_length =
+  QCheck.Test.make ~name:"filter: printed length = String.length to_string" ~count:1000
+    (QCheck.make ~print:Filter.to_string printed_filter_gen) (fun fl ->
+      Filter.printed_length fl = String.length (Filter.to_string fl))
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"filter: print/parse round-trip" ~count:500 filter_arb
     (fun fl -> equiv fl (Filter.of_string_exn (Filter.to_string fl)))
@@ -243,6 +282,7 @@ let suite =
     Alcotest.test_case "escape round trip" `Quick test_escape_round_trip;
     QCheck_alcotest.to_alcotest prop_escape_round_trip;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_printed_length;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_compare_hash_normalized;

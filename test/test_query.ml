@@ -143,6 +143,30 @@ let test_hash_spreads_covers () =
   Alcotest.(check (option int)) "equal queries find one binding" (Some 0)
     (Query.Tbl.find_opt tbl respelled)
 
+(* A query value compiles its program once: a rewrite of its base or
+   attributes keeps that program, a rewrite of its filter drops it, and
+   equality and hashing never look at it. *)
+let test_program_kept_and_dropped () =
+  let base = Dn.of_string_exn "o=xyz" in
+  let q = Query.make ~base (Filter.of_string_exn "(&(sn=doe)(departmentNumber=2406))") in
+  Alcotest.(check bool) "not compiled by make" true (q.Query.prog = None);
+  let p = Query.program q in
+  Alcotest.(check bool) "compiled once" true (Query.program q == p);
+  let fresh = Query.make ~base (Filter.of_string_exn "(&(departmentNumber=2406)(sn=doe))") in
+  Alcotest.(check bool) "equal ignores the program" true (Query.equal q fresh);
+  let tbl = Query.Tbl.create 4 in
+  Query.Tbl.replace tbl fresh ();
+  Alcotest.(check bool) "hash ignores the program" true (Query.Tbl.mem tbl q);
+  let narrowed = Query.with_attrs q (Query.Select [ "cn" ]) in
+  Alcotest.(check bool) "with_attrs keeps it" true (Query.program narrowed == p);
+  let moved = Query.with_base q (Dn.of_string_exn "c=us,o=xyz") in
+  Alcotest.(check bool) "with_base keeps it" true (Query.program moved == p);
+  let other = Filter.normalize (Filter.of_string_exn "(sn=smith)") in
+  let refiltered = Query.with_filter q other in
+  Alcotest.(check bool) "with_filter drops it" true (refiltered.Query.prog = None);
+  Alcotest.(check bool) "and compiles its own" true
+    (Query.program refiltered = Filter.compile (other :> Filter.t))
+
 let suite =
   [
     Alcotest.test_case "in_scope" `Quick test_in_scope;
@@ -152,5 +176,7 @@ let suite =
     Alcotest.test_case "referral urls" `Quick test_referral_urls;
     Alcotest.test_case "scope misc" `Quick test_scope_misc;
     Alcotest.test_case "hash spreads department covers" `Quick test_hash_spreads_covers;
+    Alcotest.test_case "program kept by with_attrs, dropped by with_filter" `Quick
+      test_program_kept_and_dropped;
     QCheck_alcotest.to_alcotest prop_region_subset_oracle;
   ]

@@ -397,6 +397,39 @@ let test_geo_pruning_disabled_by_violation () =
   check_bool "stray still found" true
     (search_matches_oracle router source (serial_query 3))
 
+(* A poll's cover is memoized with the geography flag it was planned
+   under: once a write breaks geography, the next poll must contact
+   the widened cover, or the consumer would miss the stray entry. *)
+let test_poll_after_geo_violation_widens () =
+  let router, transport, source = make_router ~shards:4 () in
+  let q = Query.make ~base:(country_dn 1) (f "(objectclass=inetOrgPerson)") in
+  let consumer = Consumer.create q in
+  let contacts () = (Router.report router).Router.rp_poll_contacts in
+  ignore (sync_router consumer transport router);
+  let first = contacts () in
+  check_int "pruned poll contacts shards 0 and 1" 2 first;
+  ignore (sync_router consumer transport router);
+  check_int "an idle poll reuses the pruned cover" 2 (contacts () - first);
+  let stray =
+    Entry.make (dn "cn=stray,ou=c1,o=shard")
+      [
+        ("objectclass", [ "inetOrgPerson" ]);
+        ("cn", [ "stray" ]);
+        ("sn", [ "stray" ]);
+        ("serialNumber", [ serial 3 0 ]);
+      ]
+  in
+  ignore (must (route_apply router source (Update.add stray)));
+  check_bool "pruning off" false (Router.report router).Router.rp_geo_pruning;
+  let before = contacts () in
+  ignore (sync_router consumer transport router);
+  check_int "the next poll contacts every shard" 4 (contacts () - before);
+  check_bool "stray entry reached the consumer" true
+    (List.exists
+       (fun e -> Dn.equal (Entry.dn e) (Entry.dn stray))
+       (Consumer.entries consumer));
+  check_bool "converged" true (consumer_matches_oracle consumer source)
+
 (* --- ReSync through the router ------------------------------------------ *)
 
 let sessions router i = Master.session_count (Shard_master.master (Router.shard router i))
@@ -837,6 +870,81 @@ let prop_cover_sound_and_minimal =
                        (Partition.ownership_filter p s)))
              cov)
 
+(* A restriction is a merge, yet it must build exactly the normal
+   form and program a fresh normalization and compile would: for every
+   shard, over queries that overlap, repeat or contradict the ownership
+   conjunct. *)
+let restriction_filter_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        filter_gen;
+        map2
+          (fun b q -> Printf.sprintf "(&(!(serialNumber=%02d*))%s)" b q)
+          (int_bound 4) filter_gen;
+        map2
+          (fun (b, c) q -> Printf.sprintf "(&(|(serialNumber=%02d*)(serialNumber=%02d*))%s)" b c q)
+          (pair (int_bound 4) (int_bound 4))
+          filter_gen;
+        return "(|(serialNumber=01*)(serialNumber=03*))";
+        return "(!(|(serialNumber=01*)(serialNumber=02*)(serialNumber=03*)))";
+      ])
+
+let prop_restriction_is_normal_merge =
+  QCheck.Test.make ~name:"partition: merged restriction = normalize (And [owns; q])"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, f_) -> Printf.sprintf "shards=%d filter=%s" s f_)
+       QCheck.Gen.(pair (1 -- 4) restriction_filter_gen))
+    (fun (shards, filter_s) ->
+      let p = make_partition ~countries:4 ~shards () in
+      let q = Query.make ~base:root (f filter_s) in
+      List.for_all
+        (fun s ->
+          let r = Partition.restrict p s q in
+          let expected =
+            Filter.normalize
+              (Filter.And [ (Partition.ownership_filter p s :> Filter.t); (q.Query.filter :> Filter.t) ])
+          in
+          (r.Query.filter :> Filter.t) = (expected :> Filter.t)
+          && Query.program r = Filter.compile (expected :> Filter.t))
+        (List.init shards Fun.id))
+
+(* The program a restriction builds from its two compiled parts decides
+   every enterprise entry as the interpreted filter does, for each of
+   the workload's query kinds at each shard. *)
+let test_restricted_program_matches () =
+  let module E = Ldap_dirgen.Enterprise in
+  let module W = Ldap_dirgen.Workload in
+  let ent = E.build { E.default_config with E.employees = 400 } in
+  let items = W.generate ent { W.default_config with W.length = 60 } in
+  let entries = Backend.fold_entries (E.backend ent) ~init:[] ~f:(fun acc e -> e :: acc) in
+  let p = Partition.of_enterprise ent ~shards:4 in
+  let cases = ref 0 in
+  Array.iter
+    (fun (it : W.item) ->
+      List.iter
+        (fun q ->
+          for s = 0 to 3 do
+            let r = Partition.restrict p s q in
+            let prog = Query.program r in
+            List.iter
+              (fun e ->
+                incr cases;
+                if
+                  not
+                    (Bool.equal
+                       (Ldap_compile.Prog.matches prog (Entry.compiled e))
+                       (Filter.matches (r.Query.filter :> Filter.t) e))
+                then
+                  Alcotest.failf "shard %d, %s: program disagrees on %s" s
+                    (Query.to_string r) (Dn.to_string (Entry.dn e)))
+              entries
+          done)
+        [ it.W.query; it.W.scoped ])
+    items;
+  check_bool "every kind checked" true (!cases > 0)
+
 (* Random routed histories: the router over any shard count must be
    observationally equivalent to a single master over the same
    backend, for searches and for a subscribed consumer, under every
@@ -988,6 +1096,10 @@ let suite =
     Alcotest.test_case "structural write" `Quick test_structural_write;
     Alcotest.test_case "geo pruning disabled" `Quick
       test_geo_pruning_disabled_by_violation;
+    Alcotest.test_case "poll after a geography break widens its cover" `Quick
+      test_poll_after_geo_violation_widens;
+    Alcotest.test_case "restricted program = Filter.matches" `Quick
+      test_restricted_program_matches;
     Alcotest.test_case "resync single shard" `Quick test_resync_single_shard_session;
     Alcotest.test_case "resync broadcast+sync_end" `Quick
       test_resync_broadcast_and_sync_end;
@@ -1006,5 +1118,6 @@ let suite =
     Alcotest.test_case "shard crash recovery" `Quick test_shard_crash_recovery;
     Alcotest.test_case "reopened shard keeps postings" `Quick test_shard_reopen_keeps_postings;
     QCheck_alcotest.to_alcotest prop_cover_sound_and_minimal;
+    QCheck_alcotest.to_alcotest prop_restriction_is_normal_merge;
     QCheck_alcotest.to_alcotest prop_router_equals_single_master;
   ]
