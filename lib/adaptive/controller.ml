@@ -92,11 +92,11 @@ let covered stored q =
 
 (* Greedy benefit/size selection under the size budget, the section
    6.2 shape.  Sizes are asked of the upstream estimator fresh at every
-   selection: a cached price drifts as the directory churns.  Under
-   [Hits] ratio ties keep table order and contained candidates are
-   still picked, because the pinned paper figures depend on both;
-   under [Decayed] ties go by query string and a candidate an earlier
-   pick contains is free and skipped. *)
+   selection: a cached price drifts as the directory churns.  Among
+   equal ratios the earlier-observed candidate comes first: the fold
+   visits candidates in first-observation order and the sort is
+   stable.  Under [Hits] a candidate an earlier pick contains is still
+   picked, as in the paper; under [Decayed] it is free and skipped. *)
 let select t =
   let paper = t.config.benefit = Hits in
   let priced =
@@ -107,12 +107,7 @@ let select t =
           (q, score /. float_of_int size, size) :: acc)
   in
   let priced =
-    List.stable_sort
-      (fun (qa, ra, _) (qb, rb, _) ->
-        match compare rb ra with
-        | 0 when not paper -> compare (Query.to_string qa) (Query.to_string qb)
-        | c -> c)
-      priced
+    List.stable_sort (fun (_, ra, _) (_, rb, _) -> Float.compare rb ra) (List.rev priced)
   in
   (* The budget test comes first: it is one comparison, and a
      candidate that does not fit is skipped whether or not a picked

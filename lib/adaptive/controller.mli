@@ -23,16 +23,17 @@ type mode =
   | Cold_swap  (** Remove + refetch baseline ({!Transition.apply_cold}). *)
   | Fetch  (** Keep stored filters, fetch new ones ({!Transition.apply_fetch}). *)
 
-(** What a candidate's benefit is. *)
+(** What a candidate's benefit is.  Under both, {!select} breaks a tie
+    in benefit per entry one way: the candidate first observed earlier
+    wins. *)
 type benefit =
   | Hits
       (** Section 6.2: hits since the last re-selection, which resets
-          them (an unchanged one included).  Ratio ties keep table
-          order and a candidate an earlier pick contains is still
-          picked: the pinned paper figures depend on both. *)
+          them (an unchanged one included).  A candidate an earlier
+          pick contains is still picked, as in the paper. *)
   | Decayed
-      (** Interest decayed by [half_life]; ratio ties by query string;
-          a candidate an earlier pick contains is skipped. *)
+      (** Interest decayed by [half_life]; a candidate an earlier pick
+          contains is skipped. *)
 
 (** Why an adaptation ran. *)
 type trigger =

@@ -15,11 +15,13 @@ type info = { query : Query.t; mutable benefit : float; mutable size : int optio
 type t = {
   config : config;
   replica : R.Filter_replica.t;
-  table : (string, info) Hashtbl.t;
+  table : info Interest.Tbl.t;
+  infos : info Queue.t;  (* first-observation order *)
   mutable swaps : int;
 }
 
-let create config replica = { config; replica; table = Hashtbl.create 64; swaps = 0 }
+let create config replica =
+  { config; replica; table = Interest.Tbl.create 64; infos = Queue.create (); swaps = 0 }
 
 let size_of t info =
   match info.size with
@@ -29,17 +31,19 @@ let size_of t info =
       info.size <- Some n;
       n
 
-let age t = Hashtbl.iter (fun _ i -> i.benefit <- i.benefit *. t.config.ageing) t.table
+let age t = Queue.iter (fun i -> i.benefit <- i.benefit *. t.config.ageing) t.infos
 
 let bump t q =
-  let k = Interest.key q in
-  match Hashtbl.find_opt t.table k with
+  match Interest.Tbl.find_opt t.table q with
   | Some i -> i.benefit <- i.benefit +. 1.0
-  | None -> Hashtbl.replace t.table k { query = q; benefit = 1.0; size = None }
+  | None ->
+      let i = { query = q; benefit = 1.0; size = None } in
+      Interest.Tbl.replace t.table q i;
+      Queue.add i t.infos
 
 let stored_infos t =
   let stored = R.Filter_replica.stored_filters t.replica in
-  List.filter_map (fun q -> Hashtbl.find_opt t.table (Interest.key q)) stored
+  List.filter_map (Interest.Tbl.find_opt t.table) stored
 
 let weakest_actual t =
   match stored_infos t with
@@ -61,15 +65,15 @@ let try_evolve t =
   let stored = R.Filter_replica.stored_filters t.replica in
   let is_stored q = List.exists (Query.equal q) stored in
   let best_candidate =
-    Hashtbl.fold
-      (fun _ i best ->
+    Queue.fold
+      (fun best i ->
         if is_stored i.query then best
         else
           let ratio = i.benefit /. float_of_int (size_of t i) in
           match best with
           | Some (_, r) when r >= ratio -> best
           | _ -> Some (i, ratio))
-      t.table None
+      None t.infos
   in
   match best_candidate with
   | None -> ()

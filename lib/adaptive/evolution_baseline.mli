@@ -32,11 +32,12 @@ val create : config -> Ldap_replication.Filter_replica.t -> t
 val observe : t -> Query.t -> unit
 (** Feed one user query: every benefit ages by [ageing], the query's
     generalizations (and the query itself under [include_queries]) gain
-    one.  The best non-stored candidate by benefit/size is then
-    installed on the spot when it fits the budget with a positive
-    ratio, or else replaces the weakest stored filter when its ratio
-    beats that filter's by the factor [1 + swap_margin] (and it fits
-    once the weakest is gone). *)
+    one.  Candidates are keyed as {!Interest.Tbl} keys them.  The best
+    non-stored candidate by benefit/size, the earliest observed among
+    equals, is then installed on the spot when it fits the budget with
+    a positive ratio, or else replaces the weakest stored filter when
+    its ratio beats that filter's by the factor [1 + swap_margin] (and
+    it fits once the weakest is gone). *)
 
 val swaps : t -> int
 (** Number of immediate evolutions performed (each caused fetch

@@ -6,22 +6,27 @@ open Ldap
    the same workload produces the same scores. *)
 type cell = { query : Query.t; mutable score : float; mutable last : int }
 
+module Tbl = Hashtbl.Make (struct
+  type t = Query.t
+
+  let equal (a : t) (b : t) =
+    Dn.equal a.base b.base && Scope.equal a.scope b.scope && Filter.equal a.filter b.filter
+
+  let hash (q : t) = (31 * Hashtbl.hash (Dn.canonical q.base)) + Filter.hash q.filter
+end)
+
 type t = {
   half_life : int option;
-  table : (string, cell) Hashtbl.t;
+  table : cell Tbl.t;
+  order : cell Queue.t;  (* first-observation order *)
   mutable now : int;
 }
-
-let key (q : Query.t) =
-  Printf.sprintf "%s|%d|%s" (Dn.canonical q.Query.base)
-    (Scope.to_int q.Query.scope)
-    (Filter.to_string (q.Query.filter :> Filter.t))
 
 let create ?half_life () =
   (match half_life with
   | Some h when h <= 0 -> invalid_arg "Interest.create: half_life must be > 0"
   | _ -> ());
-  { half_life; table = Hashtbl.create 64; now = 0 }
+  { half_life; table = Tbl.create 64; order = Queue.create (); now = 0 }
 
 let decay t cell =
   match t.half_life with
@@ -33,13 +38,14 @@ let decay t cell =
 
 let observe t q =
   t.now <- t.now + 1;
-  let key = key q in
-  match Hashtbl.find_opt t.table key with
+  match Tbl.find_opt t.table q with
   | Some cell ->
       decay t cell;
       cell.score <- cell.score +. 1.0
   | None ->
-      Hashtbl.replace t.table key { query = q; score = 1.0; last = t.now }
+      let cell = { query = q; score = 1.0; last = t.now } in
+      Tbl.replace t.table q cell;
+      Queue.add cell t.order
 
 let touch t =
   (* Advance the clock without crediting anyone: a query answered
@@ -47,10 +53,10 @@ let touch t =
   t.now <- t.now + 1
 
 let fold t ~init ~f =
-  Hashtbl.fold
-    (fun _ cell acc ->
+  Queue.fold
+    (fun acc cell ->
       decay t cell;
       f acc cell.query cell.score)
-    t.table init
+    init t.order
 
-let reset t = Hashtbl.iter (fun _ cell -> cell.score <- 0.0) t.table
+let reset t = Queue.iter (fun cell -> cell.score <- 0.0) t.order

@@ -1,8 +1,8 @@
 (** The candidate table: per-candidate benefit for filter selection.
 
     Every observation credits a candidate query; candidates are keyed
-    by {!key}, so two generalizations that normalize alike share one
-    entry.  Two benefit rules share the table:
+    as {!Tbl} keys them, so two generalizations that normalize alike
+    share one entry.  Two benefit rules share the table:
 
     - without a [half_life], a score counts hits until {!reset} — the
       benefit since the last revolution of section 6.2;
@@ -13,15 +13,18 @@
       observation and O(candidates) per {!fold}.
 
     The clock is the observation count, never wall time — scores are
-    deterministic for a given workload, which the drift sweep's CI
-    double-run diff relies on. *)
+    deterministic for a given workload, which the drift sweep's
+    pinned smoke output relies on. *)
 
 open Ldap
 
 type t
 
-val key : Query.t -> string
-(** Canonical base, scope and normalized filter: the table's key. *)
+module Tbl : Hashtbl.S with type key = Query.t
+(** Hash tables keyed as this table keys its candidates: by canonical
+    base ({!Ldap.Dn.equal}), scope and normal filter
+    ({!Ldap.Filter.equal}, {!Ldap.Filter.hash}).  Requested attributes
+    and the manageDsaIT flag are ignored, and nothing is printed. *)
 
 val create : ?half_life:int -> unit -> t
 (** An empty table.  [half_life] is the number of observations over
@@ -38,9 +41,9 @@ val touch : t -> unit
     candidates. *)
 
 val fold : t -> init:'a -> f:('a -> Query.t -> float -> 'a) -> 'a
-(** Folds over every candidate with its score as of now, in table
-    order (deterministic for a given sequence of observations). *)
+(** Folds over every candidate with its score as of now, in the order
+    the candidates were first observed. *)
 
 val reset : t -> unit
-(** Zeroes every score, keeping the candidates and their table order:
-    the start of a new revolution interval. *)
+(** Zeroes every score, keeping the candidates and their order: the
+    start of a new revolution interval. *)

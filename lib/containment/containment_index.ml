@@ -4,6 +4,7 @@ open Ldap
 type 'a stored = { query : Query.t; key : int; values : string array; payload : 'a }
 
 type 'a bucket = {
+  shape : int;  (* the template's shape id *)
   template : Template.t;
   syntaxes : Value.syntax array;
       (* hole index -> the syntax of the attribute filling it, resolved
@@ -40,18 +41,9 @@ type cond = { sym : Symbolic.t; staged : Symbolic.Compiled.cond }
 (* What one (incoming shape, stored shape) pair compiles to. *)
 type pair = { cond : cond option; plan : plan }
 
-(* Buckets by shape id, hashed by the printed shape: a search visits
-   the other buckets in the order it did when shapes were printed, so
-   it finds the same first container. *)
-module Buckets = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Template.shape_hash
-end)
-
 type 'a t = {
-  buckets : 'a bucket Buckets.t;  (* shape id -> bucket *)
+  mutable order : 'a bucket list;  (* every bucket, in creation order *)
+  buckets : (int, 'a bucket) Hashtbl.t;  (* shape id -> bucket *)
   exact : 'a stored Query.Tbl.t;
       (* every stored query under its exact form: [find] and [mem]
          answer here without decomposing into a template *)
@@ -67,7 +59,8 @@ type 'a t = {
 
 let create () =
   {
-    buckets = Buckets.create 64;
+    order = [];
+    buckets = Hashtbl.create 64;
     exact = Query.Tbl.create 64;
     pairs = Hashtbl.create 256;
     count = 0;
@@ -119,16 +112,18 @@ let add t q payload =
   let template, values = decompose q in
   let key = Template.shape_key template in
   let bucket =
-    match Buckets.find_opt t.buckets key with
+    match Hashtbl.find_opt t.buckets key with
     | Some b -> b
     | None ->
         let b =
-          { template;
+          { shape = key;
+            template;
             syntaxes = Array.map Schema.syntax_of (Template.hole_attrs template);
             entries = [];
             columns = Hashtbl.create 4 }
         in
-        Buckets.replace t.buckets key b;
+        Hashtbl.replace t.buckets key b;
+        t.order <- t.order @ [ b ];
         b
   in
   let fresh = { query = q; key; values; payload } in
@@ -157,11 +152,14 @@ let remove t q =
   | Some s ->
       Query.Tbl.remove t.exact q;
       let values = s.values in
-      let bucket = Buckets.find t.buckets s.key in
+      let bucket = Hashtbl.find t.buckets s.key in
       bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
       t.count <- t.count - 1;
       if not (hole_complete (s.query.Query.filter :> Filter.t)) then t.beyond_holes <- t.beyond_holes - 1;
-      if bucket.entries = [] then Buckets.remove t.buckets s.key
+      if bucket.entries = [] then begin
+        Hashtbl.remove t.buckets s.key;
+        t.order <- List.filter (fun b -> b != bucket) t.order
+      end
       else
         Hashtbl.iter
           (fun col column ->
@@ -336,72 +334,66 @@ let candidates t bucket atoms ~values =
 let indexed_search t (q : Query.t) ~pred ~counted =
   let template, values = decompose q in
   let incoming_key = Template.shape_key template in
-  let check_bucket bucket_key (bucket : 'a bucket) acc =
-    match acc with
-    | Some _ -> acc
-    | None -> (
-        match
-          pair_for t ~incoming_key ~incoming:template ~bucket_key
-            ~bucket_template:bucket.template
-        with
-        | { cond = Some { sym = Symbolic.Never; _ }; _ } -> None
-        | { cond; plan } ->
-            let entries =
-              match plan with
-              | Scan -> bucket.entries
-              | Clause atoms -> (
-                  match candidates t bucket atoms ~values with
-                  | None -> bucket.entries
-                  | Some cs -> cs)
-            in
-            List.find_map
-              (fun s ->
-                if counted then t.comparisons <- t.comparisons + 1;
-                if
-                  (not (pred s.query s.payload))
-                  || not (Query_containment.region_and_attrs_ok ~query:q ~stored:s.query)
-                then None
-                else
-                  let ok =
-                    match cond with
-                    | Some c ->
-                        Symbolic.Compiled.eval c.staged ~left:values
-                          ~right:s.values
-                    | None ->
-                        (* Compilation blew up: direct check. *)
-                        Filter_containment.contained q.Query.filter
-                          s.query.Query.filter
-                  in
-                  if ok then Some (s.query, s.payload) else None)
-              entries)
+  let check_bucket (bucket : 'a bucket) =
+    match
+      pair_for t ~incoming_key ~incoming:template ~bucket_key:bucket.shape
+        ~bucket_template:bucket.template
+    with
+    | { cond = Some { sym = Symbolic.Never; _ }; _ } -> None
+    | { cond; plan } ->
+        let entries =
+          match plan with
+          | Scan -> bucket.entries
+          | Clause atoms -> (
+              match candidates t bucket atoms ~values with
+              | None -> bucket.entries
+              | Some cs -> cs)
+        in
+        List.find_map
+          (fun s ->
+            if counted then t.comparisons <- t.comparisons + 1;
+            if
+              (not (pred s.query s.payload))
+              || not (Query_containment.region_and_attrs_ok ~query:q ~stored:s.query)
+            then None
+            else
+              let ok =
+                match cond with
+                | Some c ->
+                    Symbolic.Compiled.eval c.staged ~left:values ~right:s.values
+                | None ->
+                    (* Compilation blew up: direct check. *)
+                    Filter_containment.contained q.Query.filter s.query.Query.filter
+              in
+              if ok then Some (s.query, s.payload) else None)
+          entries
   in
   (* Same-template bucket first: it answers most hits cheaply. *)
   let same =
-    match Buckets.find_opt t.buckets incoming_key with
-    | Some bucket -> check_bucket incoming_key bucket None
+    match Hashtbl.find_opt t.buckets incoming_key with
+    | Some bucket -> check_bucket bucket
     | None -> None
   in
   match same with
   | Some _ as hit -> hit
   | None ->
-      Buckets.fold
-        (fun key bucket acc ->
-          if Int.equal key incoming_key then acc else check_bucket key bucket acc)
-        t.buckets None
+      List.find_map
+        (fun b -> if Int.equal b.shape incoming_key then None else check_bucket b)
+        t.order
 
-(* Every stored query in turn, each check counted as the bucket search
-   counts its candidates. *)
+(* Every stored query in {!fold}'s order, each check counted as the
+   bucket search counts its candidates. *)
 let linear_search t (q : Query.t) ~pred ~counted =
-  Query.Tbl.fold
-    (fun _ s found ->
-      match found with
-      | Some _ -> found
-      | None ->
+  List.find_map
+    (fun b ->
+      List.find_map
+        (fun s ->
           if counted then t.comparisons <- t.comparisons + 1;
           if pred s.query s.payload && Query_containment.contained ~query:q ~stored:s.query
           then Some (s.query, s.payload)
           else None)
-    t.exact None
+        b.entries)
+    t.order
 
 (* [counted] says whether the stored queries checked add to
    [comparisons]: a query admission's do, a coverage proof's do not. *)
@@ -415,10 +407,10 @@ let find_container t q = find_container_where t q ~pred:(fun _ _ -> true)
 let covers t q = Option.is_some (search t q ~pred:(fun _ _ -> true) ~counted:false)
 
 let fold t ~init ~f =
-  Buckets.fold
-    (fun _ bucket acc ->
+  List.fold_left
+    (fun acc bucket ->
       List.fold_left (fun acc s -> f acc s.query s.payload) acc bucket.entries)
-    t.buckets init
+    init t.order
 
 let iter t ~f = fold t ~init:() ~f:(fun () q p -> f q p)
 let comparisons t = t.comparisons

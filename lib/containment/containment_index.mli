@@ -49,13 +49,16 @@ val length : 'a t -> int
 
 val find_container : 'a t -> Query.t -> (Query.t * 'a) option
 (** First stored query that semantically contains the argument
-    (region, attributes and filter), or [None].  It runs the bucket
-    and column lookups above unless the argument or a stored query
-    holds a substring assertion with an [any] or [final] component:
-    the template proof misses containment there, so those shapes are
-    proved linearly against every stored query
-    ({!Query_containment.contained}), each check counted in
-    {!comparisons} as a bucket candidate is. *)
+    (region, attributes and filter), or [None]: the argument's own
+    shape's bucket first, then the others in {!fold}'s order, each
+    bucket's candidates as its column lookups list them.  Which
+    container answers thus follows the admissions, never hash-table
+    layout.  It runs the bucket and column lookups above unless the
+    argument or a stored query holds a substring assertion with an
+    [any] or [final] component: the template proof misses containment
+    there, so those shapes are proved linearly against every stored
+    query in {!fold}'s order ({!Query_containment.contained}), each
+    check counted in {!comparisons} as a bucket candidate is. *)
 
 val find_container_where :
   'a t -> Query.t -> pred:(Query.t -> 'a -> bool) -> (Query.t * 'a) option
@@ -72,8 +75,9 @@ val covers : 'a t -> Query.t -> bool
     fallback included. *)
 
 val fold : 'a t -> init:'b -> f:('b -> Query.t -> 'a -> 'b) -> 'b
-(** Folds over every stored query and its payload, in no particular
-    order. *)
+(** Folds over every stored query and its payload: bucket by bucket in
+    creation order (an emptied bucket goes, and is created anew, last,
+    by a later {!add}), each bucket's most recent admission first. *)
 
 val iter : 'a t -> f:(Query.t -> 'a -> unit) -> unit
 (** {!fold} for effects. *)

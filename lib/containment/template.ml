@@ -136,23 +136,16 @@ module Shapes = Hashtbl.Make (struct
 end)
 
 (* Shape ids, interned as [Ldap_compile.Attr_id] interns attribute
-   names: one table for the process, an id per distinct template, and
-   beside it each id's printed hash. *)
+   names: one table for the process, an id per distinct template. *)
 let shapes : int Shapes.t = Shapes.create 64
-let printed_hashes = ref (Array.make 64 0)
 
 let shape_key t =
   match Shapes.find_opt shapes t with
   | Some id -> id
   | None ->
       let id = Shapes.length shapes in
-      if id = Array.length !printed_hashes then
-        printed_hashes := Array.append !printed_hashes (Array.make id 0);
-      !printed_hashes.(id) <- Hashtbl.hash (to_string t);
       Shapes.add shapes t id;
       id
-
-let shape_hash id = !printed_hashes.(id)
 
 (* Structural match of a normal filter against the template, binding
    holes.  Both sides are in normal form with the same operand

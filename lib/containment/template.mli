@@ -56,16 +56,9 @@ val of_string_exn : string -> t
 val shape_key : t -> int
 (** The template's shape id: equal templates (same shape, same holes,
     same constants) get the same id, distinct ones distinct ids.  Ids
-    are interned in one table for the process, the first sight of a
-    shape printing it once ({!shape_hash}); every later lookup hashes
-    the template without printing anything. *)
-
-val shape_hash : int -> int
-(** [Hashtbl.hash] of the printed shape ({!to_string}) of a
-    {!shape_key} id, computed when the id was interned.  A table keyed
-    by shape ids that hashes with it places and visits its keys
-    exactly as one keyed by the printed shapes would, so the order of
-    a fold over it is what it was when shapes were printed strings. *)
+    are interned in one table for the process, numbered from 0 in the
+    order shapes are first seen; a lookup hashes the template
+    structurally and prints nothing. *)
 
 val to_string : t -> string
 (** The template printed as a filter, holes as [_]. *)

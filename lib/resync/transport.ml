@@ -26,22 +26,15 @@ type t = {
   net : Network.t;
   faults : Network.Faults.t option;
   endpoints : (string, endpoint) Hashtbl.t;
-  masters : (string, Master.t) Hashtbl.t;  (* endpoints that are root masters *)
 }
 
-let create ?faults net =
-  { net; faults; endpoints = Hashtbl.create 4; masters = Hashtbl.create 4 }
+let create ?faults net = { net; faults; endpoints = Hashtbl.create 4 }
 
 let network t = t.net
 let faults t = t.faults
 
-let add_endpoint t ~name ep =
-  Hashtbl.replace t.endpoints name ep;
-  Hashtbl.remove t.masters name
-
-let remove_endpoint t ~name =
-  Hashtbl.remove t.endpoints name;
-  Hashtbl.remove t.masters name
+let add_endpoint t ~name ep = Hashtbl.replace t.endpoints name ep
+let remove_endpoint t ~name = Hashtbl.remove t.endpoints name
 
 let endpoint t name = Hashtbl.find_opt t.endpoints name
 
@@ -55,8 +48,7 @@ let serve server ~estimate =
 
 let add_master t ~name master =
   let estimate = Backend.count_matching (Master.backend master) in
-  Hashtbl.replace t.endpoints name (serve (Master.server master) ~estimate);
-  Hashtbl.replace t.masters name master
+  Hashtbl.replace t.endpoints name (serve (Master.server master) ~estimate)
 
 (* The one exchange path: endpoint lookup, the RPC, and the mapping of
    its result onto [error]. *)

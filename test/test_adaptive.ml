@@ -49,12 +49,13 @@ let prefix_query p =
 let score t q =
   A.Interest.fold t ~init:0.0 ~f:(fun acc c s -> if Query.equal c q then s else acc)
 
-(* Every candidate with its score as of now, best first, ties by key. *)
+(* Every candidate with its score as of now, best first, ties by query
+   string. *)
 let ranked t =
   A.Interest.fold t ~init:[] ~f:(fun acc q s -> (q, s) :: acc)
   |> List.sort (fun (qa, a) (qb, b) ->
          match compare b a with
-         | 0 -> compare (A.Interest.key qa) (A.Interest.key qb)
+         | 0 -> compare (Query.to_string qa) (Query.to_string qb)
          | c -> c)
 
 let test_interest_decay () =
@@ -89,6 +90,26 @@ let test_interest_ranked () =
       check_bool "one entry per key" true (hot > 2.5);
       check_bool "then colder" true (Query.equal second a)
   | _ -> Alcotest.fail "expected two ranked entries"
+
+(* The fold visits candidates in the order they were first observed,
+   however often and in whatever spelling they recur, and a reset keeps
+   that order. *)
+let test_interest_fold_order () =
+  let t = A.Interest.create () in
+  let depts = List.init 40 (fun i -> string_of_int (100 + (i * 7919 mod 900))) in
+  List.iter (fun d -> A.Interest.observe t (dept_query d)) depts;
+  List.iter
+    (fun d ->
+      A.Interest.observe t
+        (Query.make ~base:(dn "O=XYZ") (f (Printf.sprintf "(departmentnumber=%s)" d))))
+    (List.rev depts);
+  let order () =
+    List.rev (A.Interest.fold t ~init:[] ~f:(fun acc q _ -> Query.to_string q :: acc))
+  in
+  let expected = List.map (fun d -> Query.to_string (dept_query d)) depts in
+  Alcotest.(check (list string)) "first-observation order" expected (order ());
+  A.Interest.reset t;
+  Alcotest.(check (list string)) "kept across a reset" expected (order ())
 
 let test_interest_rejects_bad_half_life () =
   check_bool "half_life 0 rejected" true
@@ -344,6 +365,32 @@ let quiet_config =
 (* Re-selection every second observation, nothing else. *)
 let every_second = { quiet_config with A.Controller.revolution_interval = 2 }
 
+(* Two candidates of one entry each, observed once each, and a budget
+   of one entry: their ratios tie, and the one observed first is
+   selected, whichever that is.  A half-life of [max_int] keeps every
+   decayed score at exactly 1.0, so [Decayed] ties as [Hits] does. *)
+let test_controller_ties_go_to_earlier () =
+  let b = make_backend () in
+  apply b (Update.add (person "a" ~dept:"71" ()));
+  apply b (Update.add (person "b" ~dept:"72" ()));
+  List.iter
+    (fun benefit ->
+      List.iter
+        (fun (first, second) ->
+          let ctl =
+            A.Controller.create
+              { quiet_config with A.Controller.benefit; half_life = max_int; size_budget = 1 }
+              (Net_fixture.replica_of (Resync.Master.create b))
+          in
+          A.Controller.observe ctl (dept_query first);
+          A.Controller.observe ctl (dept_query second);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s observed first" first)
+            [ Query.to_string (dept_query first) ]
+            (List.map Query.to_string (A.Controller.select ctl)))
+        [ ("71", "72"); ("72", "71") ])
+    [ A.Controller.Hits; A.Controller.Decayed ]
+
 let test_controller_zero_candidates () =
   let b = make_backend () in
   let ctl =
@@ -550,7 +597,9 @@ let test_backpressure_overflow_escalates () =
    generalizations.  Scores decay lazily, one step per read, so the
    tracker is read whenever the controller reads its own: at each due
    drift test, re-selection and [select]; the scores then agree to the
-   last bit. *)
+   last bit.  [first_seen] lists the candidates in the order they were
+   first observed, one per base, scope and filter: equal ratios go to
+   the earlier one. *)
 let covered_by stored q =
   List.exists (fun s -> Ldap_containment.Query_containment.contained ~query:q ~stored:s) stored
 
@@ -568,7 +617,14 @@ let oracle_drifted config interest ctl =
   best_uncovered >= config.A.Controller.min_score
   && best_uncovered > config.A.Controller.drift_ratio *. best_covered
 
-let oracle_select config interest ctl =
+let same_candidate (a : Query.t) (b : Query.t) =
+  Dn.equal a.base b.base && Scope.equal a.scope b.scope && Filter.equal a.filter b.filter
+
+let rec position q i = function
+  | [] -> Alcotest.fail ("never observed: " ^ Query.to_string q)
+  | c :: rest -> if same_candidate q c then i else position q (i + 1) rest
+
+let oracle_select config interest first_seen ctl =
   let replica = A.Controller.replica ctl in
   let priced =
     List.map
@@ -578,7 +634,7 @@ let oracle_select config interest ctl =
       (viable config interest)
     |> List.sort (fun (qa, ra, _) (qb, rb, _) ->
            match compare rb ra with
-           | 0 -> compare (Query.to_string qa) (Query.to_string qb)
+           | 0 -> compare (position qa 0 first_seen) (position qb 0 first_seen)
            | c -> c)
   in
   let budget = config.A.Controller.size_budget in
@@ -686,10 +742,14 @@ let prop_controller_decisions =
         stray_filters;
       let ctl = A.Controller.create config replica in
       let interest = A.Interest.create ~half_life:config.A.Controller.half_life () in
-      let observed = ref 0 in
+      let observed = ref 0 and first_seen = ref [] in
       let due every = every > 0 && !observed mod every = 0 in
       let observe q =
-        List.iter (A.Interest.observe interest)
+        List.iter
+          (fun c ->
+            A.Interest.observe interest c;
+            if not (List.exists (same_candidate c) !first_seen) then
+              first_seen := !first_seen @ [ c ])
           (q :: S.Generalize.candidates config.A.Controller.rules q);
         incr observed;
         let drift = due config.A.Controller.drift_check_interval && oracle_drifted config interest ctl in
@@ -705,7 +765,10 @@ let prop_controller_decisions =
             let last = List.nth adaptations (List.length adaptations - 1) in
             last.A.Controller.trigger = if drift then A.Controller.Drift else A.Controller.Periodic
       in
-      let agree () = List.equal Query.equal (A.Controller.select ctl) (oracle_select config interest ctl) in
+      let agree () =
+        List.equal Query.equal (A.Controller.select ctl)
+          (oracle_select config interest !first_seen ctl)
+      in
       List.for_all
         (function
           | Observe i -> observe decision_queries.(i)
@@ -724,6 +787,8 @@ let suite =
   [
     Alcotest.test_case "interest decay" `Quick test_interest_decay;
     Alcotest.test_case "interest ranked" `Quick test_interest_ranked;
+    Alcotest.test_case "interest: fold in first-observation order" `Quick
+      test_interest_fold_order;
     Alcotest.test_case "interest bad half-life" `Quick
       test_interest_rejects_bad_half_life;
     Alcotest.test_case "plan classification" `Quick test_plan_classification;
@@ -741,6 +806,8 @@ let suite =
       test_controller_hits_reset_unchanged;
     Alcotest.test_case "controller zero candidates" `Quick
       test_controller_zero_candidates;
+    Alcotest.test_case "controller: equal ratios go to the earlier-observed candidate"
+      `Quick test_controller_ties_go_to_earlier;
     Alcotest.test_case "controller budget too small" `Quick
       test_controller_budget_below_smallest;
     Alcotest.test_case "controller refreshes sizes" `Quick

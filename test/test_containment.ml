@@ -213,6 +213,44 @@ let test_index_remove_replace () =
   Containment_index.remove idx query;
   Alcotest.(check int) "removed" 0 (Containment_index.length idx)
 
+(* Which container answers a query, how many checks that takes and
+   the fold's order follow the admissions alone.  [churned] first
+   admits and removes 300 other shapes, growing its tables; it must
+   answer as [fresh] does.  Every container below holds the first
+   probe and has a shape of its own, so the first admitted answers. *)
+let test_index_order_follows_admissions () =
+  let containers =
+    [ "(cn=a)"; "(sn=b)"; "(cn=a*)"; "(sn=b*)"; "(|(cn=a)(ou=z))"; "(|(sn=b)(ou=z))";
+      "(|(cn=a)(l=x))"; "(cn=*)"; "(sn=*)"; "(|(sn=b)(l=x))" ]
+  in
+  let probes =
+    [ "(&(cn=a)(sn=b))"; "(&(cn=a)(mail=m))"; "(&(sn=b)(l=y))"; "(cn=a)"; "(&(cn=abc)(sn=bcd))";
+      "(cn=*c)"; "(ou=z)" ]
+  in
+  let admit idx = List.iteri (fun i c -> Containment_index.add idx (q "o=xyz" c) i) containers in
+  let fresh = Containment_index.create () in
+  admit fresh;
+  let churned = Containment_index.create () in
+  let others = List.init 300 (fun i -> q "o=xyz" (Printf.sprintf "(x%d=v)" i)) in
+  List.iter (fun o -> Containment_index.add churned o (-1)) others;
+  List.iter (Containment_index.remove churned) others;
+  admit churned;
+  let answers idx =
+    List.map
+      (fun p -> Option.map snd (Containment_index.find_container idx (q "o=xyz" p)))
+      probes
+  in
+  let fold idx = List.rev (Containment_index.fold idx ~init:[] ~f:(fun acc _ i -> i :: acc)) in
+  let fresh_answers = answers fresh in
+  Alcotest.(check (option int)) "first admitted answers" (Some 0) (List.hd fresh_answers);
+  Alcotest.(check (list (option int))) "same containers" fresh_answers (answers churned);
+  Alcotest.(check int) "same comparisons" (Containment_index.comparisons fresh)
+    (Containment_index.comparisons churned);
+  Alcotest.(check (list int)) "fold in admission order"
+    (List.init (List.length containers) Fun.id)
+    (fold fresh);
+  Alcotest.(check (list int)) "same fold order" (fold fresh) (fold churned)
+
 let test_index_comparisons_counted () =
   (* Range filters compile to Empty_range conditions on both hole
      sides, which have no keyed pruning plan: a miss still scans the
@@ -551,6 +589,8 @@ let suite =
     Alcotest.test_case "index basic" `Quick test_index_basic;
     Alcotest.test_case "index remove/replace" `Quick test_index_remove_replace;
     Alcotest.test_case "index comparisons" `Quick test_index_comparisons_counted;
+    Alcotest.test_case "containment index: order follows admissions" `Quick
+      test_index_order_follows_admissions;
     Alcotest.test_case "index pruning" `Quick test_index_pruning;
     Alcotest.test_case "index integer spellings" `Quick test_index_integer_spellings;
     Alcotest.test_case "template registry" `Quick test_registry;
