@@ -19,7 +19,7 @@
     retired, reconnection escalates to a degraded resync).
 
     Everything is deterministic — no wall clock, explicit PRNG seeds —
-    so CI can diff two runs' JSON byte-for-byte. *)
+    so the smoke run's JSON is pinned byte for byte. *)
 
 open Ldap_adaptive
 

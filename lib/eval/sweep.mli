@@ -265,7 +265,7 @@ type scale_config = {
   sc_history_limit : int;  (** Root master session-history high-water mark. *)
   sc_full : bool;
       (** Include wall-clock and RSS measurements (excluded under smoke
-          so the emitted JSON is bit-deterministic for CI diffing). *)
+          so the emitted JSON is bit-deterministic and can be pinned). *)
 }
 
 val scale_default_config : scale_config
