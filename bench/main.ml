@@ -204,8 +204,8 @@ let hit_query n = Query.make ~base:base_dn
 let miss_query = Query.make ~base:base_dn (Filter.of_string_exn "(serialNumber=99999x)")
 
 let compiled_condition =
-  let left = C.Template.of_string_exn "(serialnumber=_)" in
-  let right = C.Template.of_string_exn "(serialnumber=_*)" in
+  let left = Template.of_string_exn "(serialnumber=_)" in
+  let right = Template.of_string_exn "(serialnumber=_*)" in
   match C.Symbolic.compile ~left ~right with
   | Some c -> c
   | None -> failwith "compile failed"
@@ -1370,7 +1370,7 @@ let run_micro7 ~smoke =
        failwith (Printf.sprintf "micro: codec speedup %.1fx below the 1.5x floor" c));
   (* End-to-end context for the full run: the PR 2 fan-out sweep and a
      latency/staleness sweep, both now running over the compiled paths
-     (predicate-index dispatch, compiled session matchers, writer
+     (predicate-index dispatch, compiled session membership, writer
      journalling). *)
   let equivalence =
     Json.(

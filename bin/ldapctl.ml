@@ -198,7 +198,7 @@ let condition_cmd =
          & info [] ~docv:"RIGHT" ~doc:"Containing-side template, e.g. '(serialnumber=_*)'.")
   in
   let run left right =
-    match (C.Template.of_string left, C.Template.of_string right) with
+    match (Template.of_string left, Template.of_string right) with
     | Error e, _ | _, Error e ->
         prerr_endline e;
         exit 1

@@ -1,7 +1,8 @@
 open Ldap
 
-(* [key] is the shape id of the stored query's bucket. *)
-type 'a stored = { query : Query.t; key : int; values : string array; payload : 'a }
+(* A stored query's shape id (its bucket) and hole values are its own
+   [Query.shape], kept on the query value. *)
+type 'a stored = { query : Query.t; payload : 'a }
 
 type 'a bucket = {
   shape : int;  (* the template's shape id *)
@@ -82,19 +83,13 @@ let rec hole_complete = function
   | Filter.Not g -> hole_complete g
   | Filter.And gs | Filter.Or gs -> List.for_all hole_complete gs
 
-let decompose (q : Query.t) =
-  let template = Template.of_filter q.Query.filter in
-  match Template.match_filter template q.Query.filter with
-  | Some values -> (template, values)
-  | None ->
-      (* A filter always matches its own full generalization. *)
-      assert false
+let values_of s = snd (Query.shape s.query)
 
 let column_key (_ : 'a t) bucket col v =
   Value.canonical bucket.syntaxes.(col) v
 
 let column_insert t bucket col column s =
-  let key = column_key t bucket col s.values.(col) in
+  let key = column_key t bucket col (values_of s).(col) in
   match Hashtbl.find_opt column key with
   | Some l -> l := s :: !l
   | None -> Hashtbl.add column key (ref [ s ])
@@ -109,12 +104,12 @@ let column t bucket col =
       c
 
 let add t q payload =
-  let template, values = decompose q in
-  let key = Template.shape_key template in
+  let key, values = Query.shape q in
   let bucket =
     match Hashtbl.find_opt t.buckets key with
     | Some b -> b
     | None ->
+        let template = Template.of_filter q.Query.filter in
         let b =
           { shape = key;
             template;
@@ -126,7 +121,7 @@ let add t q payload =
         t.order <- t.order @ [ b ];
         b
   in
-  let fresh = { query = q; key; values; payload } in
+  let fresh = { query = q; payload } in
   (match Query.Tbl.find_opt t.exact q with
   | Some old ->
       (* Equal queries have equal hole values, so the replacement lives
@@ -151,13 +146,13 @@ let remove t q =
   | None -> ()
   | Some s ->
       Query.Tbl.remove t.exact q;
-      let values = s.values in
-      let bucket = Hashtbl.find t.buckets s.key in
+      let key, values = Query.shape s.query in
+      let bucket = Hashtbl.find t.buckets key in
       bucket.entries <- List.filter (fun s' -> s' != s) bucket.entries;
       t.count <- t.count - 1;
       if not (hole_complete (s.query.Query.filter :> Filter.t)) then t.beyond_holes <- t.beyond_holes - 1;
       if bucket.entries = [] then begin
-        Hashtbl.remove t.buckets s.key;
+        Hashtbl.remove t.buckets key;
         t.order <- List.filter (fun b -> b != bucket) t.order
       end
       else
@@ -271,13 +266,13 @@ let plan_of_cond = function
       |> Option.fold ~none:Scan ~some:(fun atoms -> Clause atoms)
   | Some { sym = Symbolic.Always | Symbolic.Never; _ } | None -> Scan
 
-let pair_for t ~incoming_key ~incoming ~bucket_key ~bucket_template =
-  let key = (incoming_key, bucket_key) in
+let pair_for t (q : Query.t) bucket =
+  let key = (fst (Query.shape q), bucket.shape) in
   match Hashtbl.find_opt t.pairs key with
   | Some p -> p
   | None ->
       let cond =
-        Symbolic.compile ~left:incoming ~right:bucket_template
+        Symbolic.compile ~left:(Template.of_filter q.Query.filter) ~right:bucket.template
         |> Option.map (fun sym -> { sym; staged = Symbolic.Compiled.compile sym })
       in
       let p = { cond; plan = plan_of_cond cond } in
@@ -332,13 +327,9 @@ let candidates t bucket atoms ~values =
       Some (dedupe [] (List.concat lists))
 
 let indexed_search t (q : Query.t) ~pred ~counted =
-  let template, values = decompose q in
-  let incoming_key = Template.shape_key template in
+  let incoming_key, values = Query.shape q in
   let check_bucket (bucket : 'a bucket) =
-    match
-      pair_for t ~incoming_key ~incoming:template ~bucket_key:bucket.shape
-        ~bucket_template:bucket.template
-    with
+    match pair_for t q bucket with
     | { cond = Some { sym = Symbolic.Never; _ }; _ } -> None
     | { cond; plan } ->
         let entries =
@@ -360,7 +351,7 @@ let indexed_search t (q : Query.t) ~pred ~counted =
               let ok =
                 match cond with
                 | Some c ->
-                    Symbolic.Compiled.eval c.staged ~left:values ~right:s.values
+                    Symbolic.Compiled.eval c.staged ~left:values ~right:(values_of s)
                 | None ->
                     (* Compilation blew up: direct check. *)
                     Filter_containment.contained q.Query.filter s.query.Query.filter

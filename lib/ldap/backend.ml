@@ -215,16 +215,8 @@ let fold_matching t (q : Query.t) ~init ~f =
             && (Entry.is_referral entry
                || crosses_referral t ~base:q.base (Entry.dn entry))
           in
-          (* The query's program, compiled once per query value: every
-             candidate evaluates bytecode against its slots instead of
-             re-walking the AST with per-predicate schema lookups and
-             value normalization. *)
-          let prog = Query.program q in
-          let matches entry =
-            (not (is_excluded entry))
-            && Ldap_compile.Prog.matches prog (Entry.compiled entry)
-          in
-          let visit acc e = if Query.in_scope q (Entry.dn e) && matches e then f acc e else acc in
+          let matches entry = (not (is_excluded entry)) && Query.matches q entry in
+          let visit acc e = if matches e then f acc e else acc in
           let acc =
             match
               (Content_store.fold_candidates t.estore (q.filter :> Filter.t) ~init ~f:visit, q.scope)

@@ -468,12 +468,7 @@ let fold_candidates t filter ~init ~f =
     (index_candidates t ~limit:max_int filter)
 
 let search t (q : Query.t) ~init ~f =
-  let prog = Query.program q in
-  let visit acc e =
-    if Query.in_scope q (Entry.dn e) && Ldap_compile.Prog.matches prog (Entry.compiled e)
-    then f acc e
-    else acc
-  in
+  let visit acc e = if Query.matches q e then f acc e else acc in
   match fold_candidates t (q.Query.filter :> Filter.t) ~init ~f:visit with
   | Some acc -> acc
   | None -> fold t ~init ~f:visit

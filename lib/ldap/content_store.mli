@@ -103,10 +103,9 @@ val trim_spine : t -> keep:int -> unit
 val search : t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
 (** Folds [f] over the live entries in the query's scope that match
     its filter, unprojected and in slot order: exactly the entries a
-    scan of {!to_seq} with the query's program ({!Query.program}) and
-    {!Query.in_scope} keeps, in the same order.  Candidates come from the cheapest
-    posting that applies (see {!fold_candidates}); with none the store
-    is scanned. *)
+    scan of {!to_seq} with {!Query.matches} keeps, in the same order.
+    Candidates come from the cheapest posting that applies (see
+    {!fold_candidates}); with none the store is scanned. *)
 
 val fold_candidates :
   t -> Filter.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a option

@@ -79,7 +79,7 @@ val compile : t -> Ldap_compile.Prog.t
     negations and disjunctions, each group in operand order.
     Evaluate with [Prog.matches (compile f) (Entry.compiled e)], which
     agrees with {!matches} (the interpreted oracle) on every entry.
-    A query's program is compiled once, by {!Query.program}. *)
+    A query's program is compiled once, by {!Query.matches}. *)
 
 val conjoin :
   normal -> Ldap_compile.Prog.t -> normal -> Ldap_compile.Prog.t ->

@@ -7,6 +7,7 @@ type t = {
   attrs : attrs;
   manage_dsa_it : bool;
   mutable prog : Ldap_compile.Prog.t option;
+  mutable classified : (int * string array) option;
 }
 
 let norm_attrs = function
@@ -23,6 +24,7 @@ let make ?(scope = Scope.Sub) ?(attrs = All) ?(manage_dsa_it = false) ~base filt
     attrs = norm_attrs attrs;
     manage_dsa_it;
     prog = None;
+    classified = None;
   }
 
 let program q =
@@ -33,13 +35,22 @@ let program q =
       q.prog <- Some p;
       p
 
+let shape q =
+  match q.classified with
+  | Some s -> s
+  | None ->
+      let template, values = Template.classify q.filter in
+      let s = (Template.shape_key template, values) in
+      q.classified <- Some s;
+      s
+
 let with_base q base = { q with base }
-let with_filter q filter = { q with filter; prog = None }
+let with_filter q filter = { q with filter; prog = None; classified = None }
 let with_attrs q attrs = { q with attrs = norm_attrs attrs }
 
 let conjoin q f prog =
   let filter, prog = Filter.conjoin f prog q.filter (program q) in
-  { q with filter; prog = Some prog }
+  { q with filter; prog = Some prog; classified = None }
 
 let of_strings ?scope ~base filter_s =
   match Dn.of_string base with
@@ -62,6 +73,9 @@ let in_scope t dn =
   | Scope.Base -> Dn.equal t.base dn
   | Scope.One -> Dn.parent_of t.base dn
   | Scope.Sub -> Dn.ancestor_of t.base dn
+
+let matches q e =
+  in_scope q (Entry.dn e) && Ldap_compile.Prog.matches (program q) (Entry.compiled e)
 
 (* Region containment from algorithm QC (section 4): the (base, scope)
    region of [inner] must fall inside that of [outer]. *)

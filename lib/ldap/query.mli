@@ -11,10 +11,13 @@
     so no query can be built around a filter that is not.  The layers
     below read [q.filter] as normal and never normalize it again.
 
-    A query also carries its filter's compiled program
-    ({!Filter.compile}), made the first time {!program} asks for it
-    and kept for the value's life: every search, session matcher and
-    replica evaluation of one query value runs the same program. *)
+    A query also carries what the layers above would otherwise derive
+    again, each made the first time it is asked for and kept for the
+    value's life: its compiled program ({!Filter.compile}), which
+    {!matches} runs for every search, session and replica evaluation,
+    and its {!shape}, which the containment index and the shard
+    partition read.  A query never asked (a shard's restriction, a
+    master session's query) never pays for either. *)
 
 type attrs =
   | All  (** The ["*"] wildcard: every user attribute. *)
@@ -31,9 +34,12 @@ type t = private {
           sessions use it so referral objects travel with their
           context's content. *)
   mutable prog : Ldap_compile.Prog.t option;
-      (** The compiled filter once {!program} has made it; read it
-          through {!program}.  {!equal}, {!Tbl}'s hash and every
-          other comparison here ignore it. *)
+      (** The compiled filter once {!matches} (or {!conjoin}) has
+          made it.  {!equal}, {!Tbl}'s hash and every other
+          comparison here ignore it. *)
+  mutable classified : (int * string array) option;
+      (** The {!shape} once made.  Ignored by every comparison, as
+          [prog] is. *)
 }
 
 val make :
@@ -42,27 +48,37 @@ val make :
     Normalizes the filter ({!Filter.normalize}) and the attribute
     list. *)
 
-val program : t -> Ldap_compile.Prog.t
-(** The filter's compiled program: compiled on the first call for
-    this value, the same program on every later one. *)
+val shape : t -> int * string array
+(** [(id, values)]: the shape id ({!Template.shape_key}) of the
+    filter's full generalization ({!Template.of_filter}) and its hole
+    values by hole number, as {!Template.match_filter} binds them.
+    Made by one walk ({!Template.classify}) on the first call for this
+    value; every later call returns the same pair. *)
+
+val matches : t -> Entry.t -> bool
+(** The one membership test: the entry's DN is in the base/scope
+    region ({!in_scope}), tested first, and the query's program,
+    compiled on the first call for this value, matches its slots. *)
 
 val with_base : t -> Dn.t -> t
 (** The same query at another base: a referral or continuation
-    reference chased to the region it names.  Keeps the program. *)
+    reference chased to the region it names.  Keeps the program and
+    the shape. *)
 
 val with_filter : t -> Filter.normal -> t
 (** The same query over another normal filter: a generalization.
-    Drops the program; the new value compiles its own. *)
+    Drops the program and the shape; the new value makes its own. *)
 
 val with_attrs : t -> attrs -> t
 (** The same query requesting other attributes (normalized as by
-    {!make}).  Keeps the program. *)
+    {!make}).  Keeps the program and the shape. *)
 
 val conjoin : t -> Filter.normal -> Ldap_compile.Prog.t -> t
 (** [conjoin q f p], where [p] is [f]'s compiled program: the same
     query over the normal form of [(&(f)(q.filter))], with its program
     built from [p] and [q]'s own ({!Filter.conjoin}): a shard's
-    restriction, which neither normalizes nor compiles. *)
+    restriction, which neither normalizes nor compiles.  Drops the
+    shape. *)
 
 val of_strings : ?scope:Scope.t -> base:string -> string -> (t, string) result
 (** Parses base and filter from their string representations. *)

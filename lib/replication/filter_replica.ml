@@ -358,12 +358,12 @@ let size_entries t =
 let estimate_size t q =
   match upstream t with Some ep -> ep.Resync.Transport.ep_estimate q | None -> 0
 
-let evaluable (stored : Query.t) _ q =
-  Replica.filter_attrs_available ~available:(Replica.widen_attrs stored).Query.attrs q
-
+(* Every stored consumer was made from its stored query widened
+   ([make_consumer]), so the consumer's own query already carries the
+   attributes a contained query can be evaluated over. *)
 let containing_consumer t q =
-  C.Containment_index.find_container_where t.index q ~pred:(fun stored c ->
-      evaluable stored c q)
+  C.Containment_index.find_container_where t.index q ~pred:(fun _ c ->
+      Replica.filter_attrs_available ~available:(Resync.Consumer.query c).Query.attrs q)
 
 let consumer_for t q = C.Containment_index.find t.index q
 

@@ -20,15 +20,8 @@ let eval_over_store (q : Query.t) store =
   |> List.rev
 
 let eval_over_entries (_ : Schema.t) (q : Query.t) entries =
-  (* The query's program, compiled once per query value; each entry
-     evaluates the bytecode against its slots. *)
-  let prog = Query.program q in
   let attrs = Query.attr_list q.Query.attrs in
   Seq.fold_left
-    (fun acc e ->
-      if Query.in_scope q (Entry.dn e) && Ldap_compile.Prog.matches prog (Entry.compiled e)
-      then
-        Entry.select e attrs :: acc
-      else acc)
+    (fun acc e -> if Query.matches q e then Entry.select e attrs :: acc else acc)
     [] entries
   |> List.rev

@@ -21,14 +21,13 @@ val eval_over_store : Query.t -> Content_store.t -> Entry.t list
     query needs them, so a replica answers like an indexed backend. *)
 
 val eval_over_entries : Schema.t -> Query.t -> Entry.t Seq.t -> Entry.t list
-(** The same evaluation as a scan over a stream of entries: scope
-    check, filter match and attribute selection, with the filter
-    compiled once for the pass.  For entries that are not in a content
-    store (the query cache's answer lists), for a node session's whole
-    content (usually the stored query itself, which no posting would
-    narrow), and as the oracle {!eval_over_store} must equal:
-    convergence checks and tests hand it a store's
-    {!Content_store.to_seq}.  The schema argument is the one schema
+(** The same evaluation as a scan over a stream of entries:
+    membership ({!Ldap.Query.matches}) and attribute selection.  For
+    entries that are not in a content store (the query cache's answer
+    lists), for a node session's whole content (usually the stored
+    query itself, which no posting would narrow), and as the oracle
+    {!eval_over_store} must equal: convergence checks and tests hand it
+    a store's {!Content_store.to_seq}.  The schema argument is the one schema
     ({!Schema.default}) and goes unused: the end-to-end benchmark still
     passes it. *)
 

@@ -4,18 +4,6 @@ open Ldap
 let member (q : Query.t) entry =
   Query.in_scope q (Entry.dn entry) && Filter.matches (q.Query.filter :> Filter.t) entry
 
-(* A membership test with the filter compiled once.  Sessions live for
-   many updates, so the master caches one of these per session and
-   classifies every affected update against bytecode instead of
-   re-walking the filter AST. *)
-type matcher = { mq : Query.t; prog : Ldap_compile.Prog.t }
-
-let matcher (q : Query.t) = { mq = q; prog = Query.program q }
-
-let matches m entry =
-  Query.in_scope m.mq (Entry.dn entry)
-  && Ldap_compile.Prog.matches m.prog (Entry.compiled entry)
-
 let modifytimestamp = Ldap_compile.Attr_id.intern "modifytimestamp"
 
 let changed_since since entry =
@@ -63,7 +51,7 @@ let classify_with is_member ~before ~after =
 let classify q ~before ~after =
   classify_with (member q) ~before ~after
 
-let classify_m m ~before ~after = classify_with (matches m) ~before ~after
+let classify_m q ~before ~after = classify_with (Query.matches q) ~before ~after
 
 let actions_of_transition = function
   | Stays_out -> []

@@ -6,24 +6,15 @@
     [E01]), out of it ([E10]), changing within it ([E11]) or staying
     outside.
 
-    Production code evaluates membership one way: through a compiled
-    {!matcher}, which the master builds once per session and uses for
-    routed updates and for its Changelog and Tombstone replay alike.
-    {!classify} evaluates the same definition with the interpreted
-    filter ({!Ldap.Filter.matches}); it is kept as the reference
-    implementation that the tests check {!classify_m} against. *)
+    Production code evaluates membership one way, with
+    {!Ldap.Query.matches} on the session's query: routed updates
+    ({!classify_m}) and the master's Changelog and Tombstone replay
+    alike.  {!classify} evaluates the same definition with the
+    interpreted filter ({!Ldap.Filter.matches}); it is kept as the
+    reference implementation that the tests check {!classify_m}
+    against. *)
 
 open Ldap
-
-type matcher
-(** Content membership for one query: its DN is in the base/scope
-    region and its filter, compiled once to bytecode, matches. *)
-
-val matcher : Query.t -> matcher
-(** Compile a membership test for the query. *)
-
-val matches : matcher -> Entry.t -> bool
-(** Whether the entry belongs to the matcher's query content. *)
 
 val changed_since : Csn.t -> Entry.t -> bool
 (** Whether the entry's modifyTimestamp (the CSN that last wrote it)
@@ -53,8 +44,8 @@ val classify :
     tests only. *)
 
 val classify_m :
-  matcher -> before:Entry.t option -> after:Entry.t option -> transition
-(** Same classification driven by a compiled {!matcher}. *)
+  Query.t -> before:Entry.t option -> after:Entry.t option -> transition
+(** Same classification driven by {!Ldap.Query.matches}. *)
 
 val actions_of_transition : transition -> Action.t list
 (** The PDUs a session must emit for the transition, in order. *)

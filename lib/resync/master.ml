@@ -171,11 +171,11 @@ let changelog_actions src (session : history Server.session) =
             [ Action.Delete dn ]
         | Update.Add _ -> (
             match r.after with
-            | Some e when Content.matches session.matcher e -> [ Action.Add e ]
+            | Some e when Query.matches session.query e -> [ Action.Add e ]
             | Some _ | None -> [])
         | Update.Modify (dn, items) -> (
             match r.after with
-            | Some e when Content.matches session.matcher e -> [ Action.Modify e ]
+            | Some e when Query.matches session.query e -> [ Action.Modify e ]
             | Some e when touches_filter items ->
                 (* Not currently in content but the modification
                    touched a filter attribute: the entry might have
@@ -187,7 +187,7 @@ let changelog_actions src (session : history Server.session) =
             (* Old DN vanishes; membership of the old entry unknown. *)
             let deletes = [ Action.Delete dn ] in
             match r.after with
-            | Some e when Content.matches session.matcher e -> deletes @ [ Action.Add e ]
+            | Some e when Query.matches session.query e -> deletes @ [ Action.Add e ]
             | Some _ | None -> deletes))
       records
   in
@@ -216,7 +216,7 @@ let tombstone_actions src (session : history Server.session) =
   let upserts_and_conservative =
     Backend.fold_entries src.backend ~init:[] ~f:(fun acc e ->
         if not (Content.changed_since since e) then acc
-        else if Content.matches session.matcher e then Action.Add e :: acc
+        else if Query.matches session.query e then Action.Add e :: acc
         else
           (* Changed entry outside the content: it may have just left
              it, and without a pre-image the master cannot tell. *)

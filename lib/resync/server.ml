@@ -6,7 +6,6 @@ type dispatch = Routed | Naive
 type 's session = {
   id : int;
   query : Query.t;
-  matcher : Content.matcher;
   state : 's;
   mutable synced_csn : Csn.t;
   mutable last_active : int;
@@ -110,7 +109,6 @@ let install t ~id query state ~synced ~last_active =
     {
       id;
       query;
-      matcher = Content.matcher query;
       state;
       synced_csn = synced;
       last_active;
@@ -351,12 +349,13 @@ let history_overflows t = t.history_overflows
 
 (* --- Commit dispatch ---------------------------------------------------
    One committed change, offered to the sessions it may concern.  A
-   session classifies it through its compiled matcher; transmitted
-   entries honour the session query's attribute selection. *)
+   session classifies it by its query's membership test
+   ([Query.matches]); transmitted entries honour the session query's
+   attribute selection. *)
 
 let classify s ~before ~after =
   List.map (Action.select s.query)
-    (Content.actions_of_transition (Content.classify_m s.matcher ~before ~after))
+    (Content.actions_of_transition (Content.classify_m s.query ~before ~after))
 
 let ack t s csn =
   s.synced_csn <- csn;

@@ -36,7 +36,6 @@ type dispatch =
 type 's session = {
   id : int;
   query : Query.t;
-  matcher : Content.matcher;  (** [query] compiled once. *)
   state : 's;
   mutable synced_csn : Csn.t;  (** The CSN the consumer was last handed. *)
   mutable last_active : int;  (** Activity clock at the last request. *)

@@ -1,5 +1,4 @@
 open Ldap
-module Template = Ldap_containment.Template
 module Symbolic = Ldap_containment.Symbolic
 
 let structural_shard = 0
@@ -7,10 +6,7 @@ let structural_shard = 0
 (* One staged cover plan per filter shape: for each shard, the
    compiled "provably holds no answer" condition ([None] when
    compilation was infeasible — that shard is then always contacted). *)
-type plan = {
-  pl_template : Template.t;
-  pl_skip : Symbolic.Compiled.cond option array;
-}
+type plan = Symbolic.Compiled.cond option array
 
 type t = {
   shards : int;
@@ -157,16 +153,15 @@ let geo_cover t (q : Query.t) =
     if !anchored then Some keep else None
   end
 
-let plan_for t f =
-  let tmpl = Template.of_filter f in
-  let key = Template.shape_key tmpl in
+let plan_for t key (f : Filter.normal) =
   match Hashtbl.find_opt t.plans key with
   | Some p ->
       t.hits <- t.hits + 1;
       p
   | None ->
       t.misses <- t.misses + 1;
-      let skip =
+      let tmpl = Template.of_filter f in
+      let p =
         Array.init t.shards (fun s ->
             match
               Symbolic.compile ~left:tmpl
@@ -175,7 +170,6 @@ let plan_for t f =
             | None -> None
             | Some cond -> Some (Symbolic.Compiled.compile cond))
       in
-      let p = { pl_template = tmpl; pl_skip = skip } in
       Hashtbl.replace t.plans key p;
       p
 
@@ -190,13 +184,13 @@ let assemble t ~geo ~skip =
   !out
 
 let cover ?(use_geo = true) t (q : Query.t) =
-  let plan = plan_for t q.filter in
-  let values = Template.match_filter plan.pl_template q.filter in
+  let key, values = Query.shape q in
+  let plan = plan_for t key q.filter in
   let geo = if use_geo then geo_cover t q else None in
   assemble t ~geo ~skip:(fun s ->
-      match (values, plan.pl_skip.(s)) with
-      | Some vs, Some cond -> Symbolic.Compiled.eval cond ~left:vs ~right:[||]
-      | _ -> false)
+      match plan.(s) with
+      | Some cond -> Symbolic.Compiled.eval cond ~left:values ~right:[||]
+      | None -> false)
 
 let cover_uncached ?(use_geo = true) t (q : Query.t) =
   let geo = if use_geo then geo_cover t q else None in

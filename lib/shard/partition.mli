@@ -16,11 +16,12 @@
     total.
 
     Query covers are computed from a compiled plan cached per filter
-    {e shape} (the interned {!Ldap_containment.Template.shape_key} id
-    of the query's full generalization), mirroring the pruning-plan cache of
-    {!Ldap_containment.Containment_index}: the per-shard disjointness
-    conditions are compiled and staged once per shape, and evaluating a
-    concrete query touches only its assertion values.  All pruning is
+    {e shape}, keyed by the query's own {!Ldap.Query.shape} id (the
+    interned id of its full generalization), mirroring the
+    pruning-plan cache of {!Ldap_containment.Containment_index}: the
+    per-shard disjointness conditions are compiled and staged once per
+    shape, and evaluating a concrete query reads only the hole values
+    its shape carries.  All pruning is
     sound-conservative: a shard is skipped only when it provably holds
     no answer; any failure to prove merely contacts one shard more. *)
 

@@ -110,7 +110,7 @@ let incremental_from_spine cost (session : cursor Server.session) st changed =
       let key = Dn.canonical dn in
       let now =
         match Content_store.find st dn with
-        | Some e when Resync.Content.matches session.matcher e ->
+        | Some e when Query.matches session.query e ->
             Some (Entry.select e select)
         | Some _ | None -> None
       in

@@ -188,8 +188,8 @@ let prop_staged_symbolic =
            (String.concat "," (Array.to_list rv)))
        QCheck.Gen.(pair instance_gen instance_gen))
     (fun ((lt, lv), (rt, rv)) ->
-      let left = C.Template.of_string_exn lt
-      and right = C.Template.of_string_exn rt in
+      let left = Template.of_string_exn lt
+      and right = Template.of_string_exn rt in
       match C.Symbolic.compile ~left ~right with
       | None -> true
       | Some cond ->

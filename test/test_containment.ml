@@ -568,6 +568,53 @@ let prop_index_coverage_agrees =
            (fun q -> Option.is_some (Containment_index.find_container idx q) = linear q)
            candidates)
 
+(* Random filters for the one-walk classification: every predicate
+   kind over a few attribute names, so attributes repeat, and
+   substrings with one to three [any] parts, under NOT, AND and OR. *)
+let classify_filter_gen =
+  let open QCheck.Gen in
+  let attr = oneofl [ "cn"; "sn"; "age" ] and value = oneofl [ "a"; "b"; "ab"; "7" ] in
+  let maybe = oneof [ return None; map Option.some value ] in
+  let pred =
+    oneof
+      [
+        map2 (fun a v -> Filter.Equality (a, v)) attr value;
+        map2 (fun a v -> Filter.Greater_eq (a, v)) attr value;
+        map2 (fun a v -> Filter.Less_eq (a, v)) attr value;
+        map2 (fun a v -> Filter.Approx (a, v)) attr value;
+        map (fun a -> Filter.Present a) attr;
+        map2
+          (fun a (initial, any, final) -> Filter.Substrings (a, { Filter.initial; any; final }))
+          attr
+          (triple maybe (list_size (1 -- 3) value) maybe);
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then map (fun p -> Filter.Pred p) pred
+    else
+      frequency
+        [
+          (2, map (fun p -> Filter.Pred p) pred);
+          (1, map (fun g -> Filter.Not g) (tree (depth - 1)));
+          (2, map (fun gs -> Filter.And gs) (list_size (2 -- 4) (tree (depth - 1))));
+          (2, map (fun gs -> Filter.Or gs) (list_size (2 -- 4) (tree (depth - 1))));
+        ]
+  in
+  tree 3
+
+(* [Template.classify] walks the filter once; it must give the shape id
+   and hole values that building the full generalization and matching
+   the filter against it give, hole for hole. *)
+let prop_classify_one_walk =
+  QCheck.Test.make ~name:"template: classify = of_filter then match_filter" ~count:1000
+    (QCheck.make ~print:Filter.to_string classify_filter_gen)
+    (fun g ->
+      let f = Filter.normalize g in
+      let t, values = Template.classify f in
+      let full = Template.of_filter f in
+      Template.shape_key t = Template.shape_key full
+      && Template.match_filter full f = Some values)
+
 let suite =
   [
     Alcotest.test_case "reflexive" `Quick test_reflexive;
@@ -598,4 +645,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_same_shape_agrees;
     QCheck_alcotest.to_alcotest prop_exact_table_agrees;
     QCheck_alcotest.to_alcotest prop_index_coverage_agrees;
+    QCheck_alcotest.to_alcotest prop_classify_one_walk;
   ]

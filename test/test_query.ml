@@ -143,29 +143,58 @@ let test_hash_spreads_covers () =
   Alcotest.(check (option int)) "equal queries find one binding" (Some 0)
     (Query.Tbl.find_opt tbl respelled)
 
-(* A query value compiles its program once: a rewrite of its base or
-   attributes keeps that program, a rewrite of its filter drops it, and
-   equality and hashing never look at it. *)
+(* A query value compiles its program and classifies its shape once
+   each: a rewrite of its base or attributes keeps both, a rewrite of
+   its filter (a generalization or a shard's restriction) drops both,
+   and equality and hashing never look at either. *)
 let test_program_kept_and_dropped () =
   let base = Dn.of_string_exn "o=xyz" in
   let q = Query.make ~base (Filter.of_string_exn "(&(sn=doe)(departmentNumber=2406))") in
   Alcotest.(check bool) "not compiled by make" true (q.Query.prog = None);
-  let p = Query.program q in
-  Alcotest.(check bool) "compiled once" true (Query.program q == p);
+  (* An entry in every region below, so [matches] reaches the program. *)
+  let entry = Entry.make (Dn.of_string_exn "cn=john doe,c=us,o=xyz") [ ("sn", [ "doe" ]) ] in
+  let program (q : Query.t) =
+    ignore (Query.matches q entry : bool);
+    Option.get q.Query.prog
+  in
+  let p = program q in
+  Alcotest.(check bool) "compiled once" true (program q == p);
   let fresh = Query.make ~base (Filter.of_string_exn "(&(departmentNumber=2406)(sn=doe))") in
   Alcotest.(check bool) "equal ignores the program" true (Query.equal q fresh);
   let tbl = Query.Tbl.create 4 in
   Query.Tbl.replace tbl fresh ();
   Alcotest.(check bool) "hash ignores the program" true (Query.Tbl.mem tbl q);
   let narrowed = Query.with_attrs q (Query.Select [ "cn" ]) in
-  Alcotest.(check bool) "with_attrs keeps it" true (Query.program narrowed == p);
+  Alcotest.(check bool) "with_attrs keeps it" true (program narrowed == p);
   let moved = Query.with_base q (Dn.of_string_exn "c=us,o=xyz") in
-  Alcotest.(check bool) "with_base keeps it" true (Query.program moved == p);
+  Alcotest.(check bool) "with_base keeps it" true (program moved == p);
   let other = Filter.normalize (Filter.of_string_exn "(sn=smith)") in
   let refiltered = Query.with_filter q other in
   Alcotest.(check bool) "with_filter drops it" true (refiltered.Query.prog = None);
   Alcotest.(check bool) "and compiles its own" true
-    (Query.program refiltered = Filter.compile (other :> Filter.t))
+    (program refiltered = Filter.compile (other :> Filter.t));
+  Alcotest.(check bool) "not classified by make" true (q.Query.classified = None);
+  let s = Query.shape q in
+  Alcotest.(check bool) "classified once" true (Query.shape q == s);
+  Alcotest.(check bool) "shape = of_filter, match_filter" true
+    (let full = Template.of_filter q.Query.filter in
+     s = (Template.shape_key full, Option.get (Template.match_filter full q.Query.filter)));
+  Alcotest.(check bool) "equal ignores the shape" true (Query.equal q fresh);
+  Alcotest.(check bool) "with_attrs keeps the shape" true
+    (Query.shape (Query.with_attrs q (Query.Select [ "cn" ])) == s);
+  Alcotest.(check bool) "with_base keeps the shape" true
+    (Query.shape (Query.with_base q (Dn.of_string_exn "c=us,o=xyz")) == s);
+  Alcotest.(check bool) "with_filter drops the shape" true
+    ((Query.with_filter q other).Query.classified = None);
+  Alcotest.(check bool) "and classifies its own" true
+    (Query.shape (Query.with_filter q other) = Query.shape (Query.make ~base (other :> Filter.t)));
+  let owns = Filter.normalize (Filter.of_string_exn "(serialnumber=04*)") in
+  let restricted = Query.conjoin q owns (Filter.compile (owns :> Filter.t)) in
+  Alcotest.(check bool) "conjoin drops the shape" true (restricted.Query.classified = None);
+  Alcotest.(check bool) "and classifies its own" true
+    (Query.shape restricted
+    = Query.shape
+        (Query.make ~base (Filter.And [ (owns :> Filter.t); (q.Query.filter :> Filter.t) ])))
 
 let suite =
   [

@@ -842,7 +842,7 @@ let prop_classify_m_matches_oracle =
     (fun (q, before, after) ->
       same_transition
         (Content.classify q ~before ~after)
-        (Content.classify_m (Content.matcher q) ~before ~after))
+        (Content.classify_m q ~before ~after))
 
 let suite =
   [

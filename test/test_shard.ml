@@ -907,7 +907,7 @@ let prop_restriction_is_normal_merge =
               (Filter.And [ (Partition.ownership_filter p s :> Filter.t); (q.Query.filter :> Filter.t) ])
           in
           (r.Query.filter :> Filter.t) = (expected :> Filter.t)
-          && Query.program r = Filter.compile (expected :> Filter.t))
+          && r.Query.prog = Some (Filter.compile (expected :> Filter.t)))
         (List.init shards Fun.id))
 
 (* The program a restriction builds from its two compiled parts decides
@@ -927,7 +927,7 @@ let test_restricted_program_matches () =
         (fun q ->
           for s = 0 to 3 do
             let r = Partition.restrict p s q in
-            let prog = Query.program r in
+            let prog = Option.get r.Query.prog in
             List.iter
               (fun e ->
                 incr cases;
