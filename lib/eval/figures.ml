@@ -1231,108 +1231,12 @@ let evolution_ablation ?(length = 12_000) ?(interval = 2_000) () =
       ]
     ()
 
-(* --- Topology sweeps --------------------------------------------------
-   One report per sweep: bench/main.exe prints these over its smoke or
-   default points, and the experiment table below over the same
-   configurations. *)
-
-let tree_fanout points =
-  Report.make ~title:"Tree fan-out: flat star vs 2-tier tree"
-    ~notes:
-      [
-        "root sessions and root-link bytes stay flat in the tree (only the";
-        "interior nodes hold root sessions); the star grows both linearly;";
-        "the tree pays one extra convergence round for the extra tier";
-      ]
-    ~columns:
-      [
-        "shape"; "consumers"; "root sessions"; "build root B"; "update root B";
-        "update total B"; "rounds";
-      ]
-    ~rows:
-      (List.map
-         (fun (p : Sweep.point) ->
-           [
-             p.Sweep.shape;
-             string_of_int p.Sweep.consumers;
-             string_of_int p.Sweep.root_sessions;
-             string_of_int p.Sweep.build_root_bytes;
-             string_of_int p.Sweep.update_root_bytes;
-             string_of_int p.Sweep.update_total_bytes;
-             string_of_int p.Sweep.convergence_rounds;
-           ])
-         points)
-    ()
-
-let latency_staleness points =
-  Report.make
-    ~title:"Latency/staleness: star vs tree, clean vs lossy (virtual ticks)"
-    ~notes:
-      [
-        "event-driven run: every participant polls on its own staggered loop";
-        "over links with uniform latency; staleness is commit-to-leaf-ack time.";
-        "expected: tree staleness >= star (extra tier), lossy response >= clean";
-      ]
-    ~columns:
-      [
-        "shape"; "faults"; "polls"; "resp p50"; "resp p90"; "resp max";
-        "stale p50"; "stale p90"; "stale max"; "censored";
-      ]
-    ~rows:
-      (List.map
-         (fun (p : Sweep.lat_point) ->
-           [
-             p.Sweep.lp_shape;
-             p.Sweep.lp_faults;
-             string_of_int p.Sweep.lp_polls;
-             string_of_int p.Sweep.lp_resp_p50;
-             string_of_int p.Sweep.lp_resp_p90;
-             string_of_int p.Sweep.lp_resp_max;
-             string_of_int p.Sweep.lp_stale_p50;
-             string_of_int p.Sweep.lp_stale_p90;
-             string_of_int p.Sweep.lp_stale_max;
-             string_of_int p.Sweep.lp_stale_censored;
-           ])
-         points)
-    ()
-
-let crash_restart points =
-  Report.make ~title:"Crash/restart recovery: durable resume vs cold re-fetch"
-    ~notes:
-      [
-        "a fraction of star leaves crash mid-run, updates land while down,";
-        "then they restart; durable modes recover from WAL+snapshot and";
-        "resume ReSync from the durable cookie, cold re-fetches everything.";
-        "expected: durable resync bytes < cold; torn tails truncate cleanly";
-      ]
-    ~columns:
-      [
-        "mode"; "affected"; "resync bytes"; "replayed"; "truncated";
-        "recover mean"; "recover max"; "converged";
-      ]
-    ~rows:
-      (List.map
-         (fun (p : Sweep.cr_point) ->
-           [
-             p.Sweep.cp_mode;
-             string_of_int p.Sweep.cp_affected;
-             string_of_int p.Sweep.cp_resync_bytes;
-             string_of_int p.Sweep.cp_replayed;
-             string_of_int p.Sweep.cp_truncated;
-             string_of_int p.Sweep.cp_recover_ticks_mean;
-             string_of_int p.Sweep.cp_recover_ticks_max;
-             string_of_int p.Sweep.cp_converged;
-           ])
-         points)
-    ()
-
 (* --- The experiment table ---------------------------------------------- *)
 
 (* Sizes shared by every experiment of one run.  The scenario is built
    on first use and shared by every experiment after it, so a run that
-   needs none (fig2, the sweeps) never builds the directory. *)
+   needs none (fig2) never builds the directory. *)
 type sizing = {
-  quick : bool;
   config : Dirgen.Enterprise.config;
   scale : float;
   scenario : Scenario.t Lazy.t;
@@ -1364,24 +1268,6 @@ let experiments =
     ("ablation", fun _ -> resync_ablation ());
     ("lossy", fun s -> lossy_sync ~updates:(max 100 (length s 2_000)));
     ("overhead", fun s -> processing_overhead (sc s));
-    ( "tree-fanout",
-      fun s ->
-        tree_fanout
-          (Sweep.tree_fanout
-             ~config:(if s.quick then Sweep.smoke_config else Sweep.default_config)
-             ()) );
-    ( "latency",
-      fun s ->
-        latency_staleness
-          (Sweep.latency_staleness
-             ~config:(if s.quick then Sweep.lat_smoke_config else Sweep.lat_default_config)
-             ()) );
-    ( "crash-restart",
-      fun s ->
-        crash_restart
-          (Sweep.crash_restart
-             ~config:(if s.quick then Sweep.cr_smoke_config else Sweep.cr_default_config)
-             ()) );
   ]
 
 let experiment_names = List.map fst experiments
@@ -1394,7 +1280,6 @@ let run ?(quick = false) names =
   in
   let s =
     {
-      quick;
       config;
       scale = (if quick then 0.2 else 1.0);
       scenario = lazy (Scenario.setup ~config ());

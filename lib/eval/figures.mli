@@ -29,33 +29,14 @@ val processing_overhead : ?filter_counts:int list -> ?length:int -> Scenario.t -
     stored filters grows (the time side is measured by the Bechamel
     benchmarks). *)
 
-val tree_fanout : Sweep.point list -> Report.table
-(** The cascading-topology experiment (section 5 extension): flat star
-    vs 2-tier k-ary tree of intermediate nodes at growing consumer
-    counts — root sessions, root-link Ber bytes and convergence
-    rounds, one row per {!Sweep.tree_fanout} point. *)
-
-val latency_staleness : Sweep.lat_point list -> Report.table
-(** The discrete-event latency/staleness sweep: star vs tree, clean vs
-    lossy links, with per-poll response-time and per-update staleness
-    percentiles in virtual ticks, one row per
-    {!Sweep.latency_staleness} point. *)
-
-val crash_restart : Sweep.cr_point list -> Report.table
-(** The crash/restart recovery sweep: durable-cookie resume (clean and
-    torn-tail WAL) vs cold re-fetch vs reparent, comparing resync
-    bytes and virtual recovery time, one row per
-    {!Sweep.crash_restart} point. *)
-
 val experiment_names : string list
 (** The experiment table's names, in the order {!all} prints them:
     table1, fig2 .. fig9, location, consistency, rootbase, evolution,
-    ablation, lossy, overhead, tree-fanout, latency, crash-restart. *)
+    ablation, lossy, overhead. *)
 
 val run : ?quick:bool -> string list -> unit
 (** Runs the named experiments in order over one shared scenario and
-    prints their tables.  [quick] shrinks directory and workload sizes
-    and runs the sweeps at their smoke configurations.  Raises
+    prints their tables.  [quick] shrinks directory and workload sizes.  Raises
     [Invalid_argument] on a name outside {!experiment_names}. *)
 
 val all : ?quick:bool -> unit -> unit

@@ -26,7 +26,7 @@ let escape s =
 
 let scalar = function List _ | Obj _ -> false | _ -> true
 
-let to_string v =
+let render ~compact v =
   let b = Buffer.create 1024 in
   let rec go indent = function
     | Null -> Buffer.add_string b "null"
@@ -45,7 +45,7 @@ let to_string v =
       go (indent ^ "  ") v
     in
     Buffer.add_char b opening;
-    if List.for_all (fun (_, v) -> scalar v) members then
+    if compact || List.for_all (fun (_, v) -> scalar v) members then
       List.iteri
         (fun i m ->
           if i > 0 then Buffer.add_string b ", ";
@@ -64,6 +64,9 @@ let to_string v =
   in
   go "" v;
   Buffer.contents b
+
+let to_string = render ~compact:false
+let compact = render ~compact:true
 
 let write path v =
   let oc = open_out path in

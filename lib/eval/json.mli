@@ -28,6 +28,10 @@ val to_string : t -> string
     newline becomes backslash-n and every other control character a
     backslash-u00XX escape. *)
 
+val compact : t -> string
+(** {!to_string} with every container on one line, as in a table
+    cell. *)
+
 val write : string -> t -> unit
 (** [write path v] replaces the file at [path] with [to_string v] and
     a newline. *)

@@ -9,6 +9,18 @@ type table = {
 let make ~title ?(notes = []) ?(appendix = "") ~columns ~rows () =
   { title; notes; columns; rows; appendix }
 
+let of_json ~title ?notes ~keys rows =
+  let cell row key =
+    match row with
+    | Json.Obj members -> (
+        match List.assoc_opt key members with
+        | Some (Json.String s) -> s
+        | Some v -> Json.compact v
+        | None -> invalid_arg ("Report.of_json: a row has no member " ^ key))
+    | _ -> invalid_arg "Report.of_json: a row is not an object"
+  in
+  make ~title ?notes ~columns:keys ~rows:(List.map (fun row -> List.map (cell row) keys) rows) ()
+
 let fmt_float v = Printf.sprintf "%.3f" v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 

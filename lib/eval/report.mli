@@ -1,8 +1,9 @@
 (** Aligned ASCII tables for experiment output.
 
-    Every figure/table reproduction prints one of these so
-    [bench/main.exe] output can be compared side by side with the
-    paper. *)
+    Every figure/table reproduction prints one of these, so
+    [ldapctl experiment] output can be compared side by side with the
+    paper; every [bench/main.exe] sweep prints its JSON rows as one
+    ({!of_json}). *)
 
 type table = {
   title : string;
@@ -18,6 +19,13 @@ val make :
   rows:string list list -> unit -> table
 (** A table; [notes] default to none and [appendix] to empty.  Rows
     may be shorter than [columns]. *)
+
+val of_json : title:string -> ?notes:string list -> keys:string list -> Json.t list -> table
+(** The table of a sweep's JSON rows: one column per key, headed by
+    the key, one row per [Json.Obj].  A cell is the member's
+    {!Json.compact} literal, so a number keeps the digits the file
+    prints, except that a string prints without quotes.  Raises
+    [Invalid_argument] on a row that is not an object or lacks a key. *)
 
 val print : table -> unit
 (** Prints {!to_string} and a blank line to stdout. *)

@@ -273,7 +273,8 @@ val scale_default_config : scale_config
     filters, leaves sampled at 250/500/1000. *)
 
 val scale_smoke_config : scale_config
-(** Scaled down for [dune runtest] and the CI determinism check. *)
+(** Scaled down for [dune runtest], whose pin of its JSON keeps that
+    output deterministic. *)
 
 type scale_run = {
   sr_employees : int;

@@ -134,6 +134,30 @@ let test_json_numbers () =
   check_string "nested container indented" "{\n  \"l\": [1, 2],\n  \"e\": []\n}"
     (s (E.Json.Obj [ ("l", E.Json.list (fun i -> E.Json.Int i) [ 1; 2 ]); ("e", E.Json.List []) ]))
 
+(* A sweep table's cells are the literals its JSON file holds. *)
+let test_report_of_json () =
+  let row shape polls ratio =
+    E.Json.(Obj [ ("shape", String shape); ("polls", Int polls); ("ratio", float 3 ratio);
+                  ("report", Obj [ ("kept", Int 1); ("cold", List [ Int 2 ]) ]) ])
+  in
+  let t =
+    E.Report.of_json ~title:"t" ~keys:[ "shape"; "polls"; "ratio"; "report" ]
+      [ row "star" 171 0.5; row "tree2" (-3) 0.125 ]
+  in
+  Alcotest.(check (list string)) "columns are the keys" [ "shape"; "polls"; "ratio"; "report" ]
+    t.E.Report.columns;
+  Alcotest.(check (list (list string)))
+    "cells"
+    [
+      [ "star"; "171"; "0.500"; {|{"kept": 1, "cold": [2]}|} ];
+      [ "tree2"; "-3"; "0.125"; {|{"kept": 1, "cold": [2]}|} ];
+    ]
+    t.E.Report.rows;
+  check_bool "missing key raises" true
+    (match E.Report.of_json ~title:"t" ~keys:[ "shape"; "absent" ] [ row "star" 1 0.0 ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_percentile () =
   let pct = E.Sweep.percentile ~empty:0 in
   check_int "empty" 0 (pct [||] 0.5);
@@ -152,7 +176,7 @@ let test_experiment_table () =
     [
       "table1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9";
       "location"; "consistency"; "rootbase"; "evolution"; "ablation"; "lossy";
-      "overhead"; "tree-fanout"; "latency"; "crash-restart";
+      "overhead";
     ]
     E.Figures.experiment_names;
   check_bool "unknown name rejected" true
@@ -183,6 +207,7 @@ let suite =
     Alcotest.test_case "experiment table" `Quick test_experiment_table;
     Alcotest.test_case "department fleet" `Quick test_department_fleet;
     Alcotest.test_case "report format" `Quick test_report_format;
+    Alcotest.test_case "report of json rows" `Quick test_report_of_json;
     Alcotest.test_case "plot render" `Quick test_plot_render;
     Alcotest.test_case "figure4 shape" `Slow test_figure4_shape;
     Alcotest.test_case "figure8 shape" `Slow test_figure8_shape;
