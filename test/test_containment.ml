@@ -84,6 +84,12 @@ let test_template_extraction () =
   let t3 = Template.of_filter (n "(sn=doe)") in
   check_bool "different shape" false (Template.shape_key t = Template.shape_key t3)
 
+(* Holes inside one substring assertion number final first, then the
+   middle components left to right, then initial. *)
+let test_template_substring_hole_order () =
+  let _, values = Template.classify (n "(cn=i*a1*a2*f)") in
+  Alcotest.(check (array string)) "hole values" [| "f"; "a1"; "a2"; "i" |] values
+
 let test_template_declared () =
   let t = Template.of_string_exn "(&(cn=_)(ou=research))" in
   Alcotest.(check int) "one hole" 1 (Array.length (Template.hole_attrs t));
@@ -626,6 +632,8 @@ let suite =
     Alcotest.test_case "negation cases" `Quick test_negation_cases;
     Alcotest.test_case "unsatisfiable left" `Quick test_unsatisfiable_left;
     Alcotest.test_case "template extraction" `Quick test_template_extraction;
+    Alcotest.test_case "template substring hole order" `Quick
+      test_template_substring_hole_order;
     Alcotest.test_case "template declared" `Quick test_template_declared;
     Alcotest.test_case "template instantiate" `Quick test_template_instantiate;
     Alcotest.test_case "cross-template compile" `Quick test_cross_template_compile;
