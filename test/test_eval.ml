@@ -159,9 +159,9 @@ let test_report_of_json () =
     | exception Invalid_argument _ -> true)
 
 let test_percentile () =
-  let pct = E.Sweep.percentile ~empty:0 in
+  let pct = Ldap_sweeps.Common.percentile ~empty:0 in
   check_int "empty" 0 (pct [||] 0.5);
-  check_bool "empty float" true (E.Sweep.percentile ~empty:0.0 [||] 0.99 = 0.0);
+  check_bool "empty float" true (Ldap_sweeps.Common.percentile ~empty:0.0 [||] 0.99 = 0.0);
   List.iter (fun p -> check_int "single sample" 7 (pct [| 7 |] p)) [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
   let known = [| 3; 5; 8; 13; 21; 34; 55; 89; 144; 233 |] in
   List.iter

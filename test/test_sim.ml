@@ -6,7 +6,7 @@ open Ldap
 module Sim = Ldap_sim
 module Resync = Ldap_resync
 module Replication = Ldap_replication
-module Sweep = Ldap_eval.Sweep
+module Latency = Ldap_sweeps.Latency
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -388,39 +388,38 @@ let test_attach_engine_drains () =
 (* --- Latency/staleness sweep shape ----------------------------------- *)
 
 let test_latency_staleness_ordering () =
-  let config = Sweep.lat_smoke_config in
-  let points = Sweep.latency_staleness ~config () in
+  let config = Latency.smoke in
+  let points = Latency.points config in
   check_int "four variants" 4 (List.length points);
   let find shape faults =
     List.find
-      (fun (p : Sweep.lat_point) ->
-        p.Sweep.lp_shape = shape && p.Sweep.lp_faults = faults)
+      (fun (p : Latency.point) -> p.shape = shape && p.faults = faults)
       points
   in
-  let tree_shape = Printf.sprintf "tree%d" config.Sweep.lat_arity in
+  let tree_shape = Printf.sprintf "tree%d" config.arity in
   let star_clean = find "star" "clean" and tree_clean = find tree_shape "clean" in
   let star_lossy = find "star" "lossy" and tree_lossy = find tree_shape "lossy" in
   List.iter
-    (fun (p : Sweep.lat_point) ->
-      check_bool "polls sampled" true (p.Sweep.lp_polls > 0);
-      check_bool "staleness sampled" true (p.lp_stale_samples > 0);
-      check_bool "nonzero response time" true (p.lp_resp_p50 > 0);
-      check_bool "nonzero staleness" true (p.lp_stale_p50 > 0);
+    (fun (p : Latency.point) ->
+      check_bool "polls sampled" true (p.polls > 0);
+      check_bool "staleness sampled" true (p.stale_samples > 0);
+      check_bool "nonzero response time" true (p.resp_p50 > 0);
+      check_bool "nonzero staleness" true (p.stale_p50 > 0);
       check_bool "percentiles ordered" true
-        (p.lp_resp_p50 <= p.lp_resp_p90
-        && p.lp_resp_p90 <= p.lp_resp_p99
-        && p.lp_resp_p99 <= p.lp_resp_max
-        && p.lp_stale_p50 <= p.lp_stale_p90
-        && p.lp_stale_p90 <= p.lp_stale_p99
-        && p.lp_stale_p99 <= p.lp_stale_max))
+        (p.resp_p50 <= p.resp_p90
+        && p.resp_p90 <= p.resp_p99
+        && p.resp_p99 <= p.resp_max
+        && p.stale_p50 <= p.stale_p90
+        && p.stale_p90 <= p.stale_p99
+        && p.stale_p99 <= p.stale_max))
     points;
   check_bool "tree staleness >= star (extra tier)" true
-    (tree_clean.Sweep.lp_stale_p90 >= star_clean.Sweep.lp_stale_p90);
+    (tree_clean.stale_p90 >= star_clean.stale_p90);
   check_bool "lossy response >= clean (retries burn virtual time)" true
-    (star_lossy.Sweep.lp_resp_p90 >= star_clean.Sweep.lp_resp_p90
-    && tree_lossy.Sweep.lp_resp_p90 >= tree_clean.Sweep.lp_resp_p90);
+    (star_lossy.resp_p90 >= star_clean.resp_p90
+    && tree_lossy.resp_p90 >= tree_clean.resp_p90);
   (* Same config, same seed: the sweep is deterministic. *)
-  let points2 = Sweep.latency_staleness ~config () in
+  let points2 = Latency.points config in
   check_bool "deterministic rerun" true (points = points2)
 
 (* --- Stopping a poll loop: the participant's generation ---------------- *)
