@@ -22,13 +22,15 @@
    the hot paths (filter bytecode vs AST interpretation, zero-copy DER
    writer vs string combinators, staged vs interpreted containment
    conditions) and routed vs single-master search, checks each pair
-   agrees on every fixture and enforces a speedup floor.  Its full run
+   agrees on every fixture and enforces a speedup floor (filter/eval's
+   on the median of five interpreted/compiled fit pairs).  Its full run
    adds the section 7.4 micro-benchmarks (template vs general
    containment, index lookup cost as the number of stored filters
    grows, substrate primitives such as filter parse/eval, DN algebra
    and indexed search) and the update fan-out sweep (routed vs naive
    dispatch), and its --json writes BENCH_PR7.json.  --smoke lowers
-   the floor, skips those two and restricts the JSON to the
+   the floor and reads it off the table's one fit pair, skips those
+   two and restricts the JSON to the
    deterministic equivalence counts, which test/micro_smoke.expected
    pins.  Timings come from a hand-rolled warm-up + least-squares
    harness.
@@ -606,7 +608,22 @@ let micro ~smoke =
     [ "kind"; "single_us"; "routed_us"; "single_minor_words"; "routed_minor_words" ]
     routed_rows;
   let filter_floor = if smoke then 2.0 else 10.0 in
-  let s = speedup "filter/eval" in
+  (* A full run's floor reads the median speedup of five interleaved
+     interpreted/compiled fit pairs, the table's among them: one pair
+     on a loaded host has read 9.4x with the code unchanged. *)
+  let s =
+    let table = speedup "filter/eval" in
+    if smoke then table
+    else
+      let _, interp, comp = List.find (fun (n, _, _) -> String.equal n "filter/eval") pairs in
+      let more =
+        List.init 4 (fun _ ->
+            let fi = measure interp in
+            let fc = measure comp in
+            fi.ns /. fc.ns)
+      in
+      List.nth (List.sort Float.compare (table :: more)) 2
+  in
   if s < filter_floor then
     failwith
       (Printf.sprintf "micro: filter/eval speedup %.1fx below the %.1fx floor" s

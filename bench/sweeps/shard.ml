@@ -202,7 +202,7 @@ let measure_crash config ent router transport prng =
   in
   ( warm_bytes,
     cold_bytes,
-    List.length recovery.Shard_master.rc_backend.Ldap_store.Store.records,
+    List.length recovery.Ldap_store.Store.records,
     dns consumer = dns cold )
 
 (* Each point's router and shard masters join the scenario's network

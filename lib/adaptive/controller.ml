@@ -35,10 +35,8 @@ let default_config =
   }
 
 type adaptation = {
-  at : int;
   trigger : trigger;
   target : Query.t list;
-  plan : Transition.plan;
   report : Transition.report;
 }
 
@@ -142,7 +140,7 @@ let adapt t ~trigger =
       | Cold_swap -> Transition.apply_cold t.replica plan
       | Fetch -> Transition.apply_fetch t.replica plan
     in
-    let a = { at = t.observed; trigger; target; plan; report } in
+    let a = { trigger; target; report } in
     t.adaptations <- a :: t.adaptations;
     t.adaptation_count <- t.adaptation_count + 1;
     Some a

@@ -68,10 +68,8 @@ val default_config : config
 
 (** One executed re-selection. *)
 type adaptation = {
-  at : int;  (** Observation count when it ran. *)
   trigger : trigger;
   target : Query.t list;  (** The newly selected filter set. *)
-  plan : Transition.plan;
   report : Transition.report;  (** What the execution actually did. *)
 }
 

@@ -30,7 +30,6 @@ type t = {
   mutable live : live array;  (* compacted on delete *)
   mutable live_count : int;
   next_seq : int array;  (* per country, for hires *)
-  mutable applied : int;
 }
 
 let create enterprise config =
@@ -55,7 +54,6 @@ let create enterprise config =
     live;
     live_count = Array.length live;
     next_seq;
-    applied = 0;
   }
 
 type op_kind = Phone | MailMod | Hire | Leave | Rename | DeptMod
@@ -80,11 +78,7 @@ let add_live t entry_dn country =
 let backend t = Enterprise.backend t.enterprise
 
 let apply t op =
-  match Backend.apply (backend t) op with
-  | Ok _ ->
-      t.applied <- t.applied + 1;
-      true
-  | Error _ -> false
+  match Backend.apply (backend t) op with Ok _ -> true | Error _ -> false
 
 let hire t =
   let countries = (Enterprise.config t.enterprise).Enterprise.countries in

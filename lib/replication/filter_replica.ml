@@ -371,15 +371,15 @@ let answer t q =
   match containing_consumer t q with
   | Some (_, consumer) ->
       let entries = Replica.eval_over_store q (Resync.Consumer.content consumer) in
-      Stats.record_query t.stats ~hit:true ~returned:(List.length entries);
+      Stats.record_query t.stats ~hit:true;
       Replica.Answered entries
   | None -> (
       match Query_cache.answer t.cache q with
       | Some entries ->
-          Stats.record_query t.stats ~hit:true ~returned:(List.length entries);
+          Stats.record_query t.stats ~hit:true;
           Replica.Answered entries
       | None ->
-          Stats.record_query t.stats ~hit:false ~returned:0;
+          Stats.record_query t.stats ~hit:false;
           Replica.Referral)
 
 let record_miss_result t q entries = Query_cache.add t.cache q entries

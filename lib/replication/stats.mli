@@ -5,25 +5,20 @@
     (bringing in newly selected filters during revolutions) — the two
     components of section 7.3.
 
-    In a cascading topology a replica has two faces, counted
-    separately so tiered traffic is attributable per link:
-
-    - {e upstream-facing}: traffic on the link to this replica's
-      master — the [sync_*], [fetch_*] and recovery counters;
-    - {e downstream-facing}: ReSync traffic this replica re-serves to
-      its own consumers when acting as an intermediate master — the
-      [served_*] counters. *)
+    Every counter is traffic on the link to this replica's master (the
+    [sync_*], [fetch_*], recovery and Merkle counters), so in a
+    cascading topology each tier's counters are that tier's upstream
+    link.  What a node re-serves to its own consumers is counted on
+    their links, by their own counters. *)
 
 type t = {
   mutable queries : int;
   mutable hits : int;
-  mutable entries_returned : int;
   mutable sync_entries : int;  (** Upstream resync traffic, in entries. *)
   mutable sync_bytes : int;
   mutable sync_actions : int;  (** Including DN-only deletes/retains. *)
   mutable fetch_entries : int;  (** Revolution fetch traffic, in entries. *)
   mutable fetch_bytes : int;
-  mutable comparisons : int;  (** Containment checks performed. *)
   mutable sync_retries : int;  (** Re-sent exchanges after transport loss. *)
   mutable sync_backoff_ticks : int;  (** Modelled ticks spent backing off. *)
   mutable resyncs : int;
@@ -37,12 +32,6 @@ type t = {
       (** Total modelled wire bytes of those walks — hash messages both
           ways plus the shipped segment entries. *)
   mutable sync_failures : int;  (** Polls abandoned with the retry budget spent. *)
-  mutable served_replies : int;
-      (** Downstream-facing: resync replies served to own consumers. *)
-  mutable served_entries : int;  (** Downstream traffic, in entries. *)
-  mutable served_bytes : int;  (** Downstream traffic, modelled bytes. *)
-  mutable served_actions : int;
-      (** Downstream actions, including pushed persist notifications. *)
 }
 
 val create : unit -> t
@@ -57,8 +46,8 @@ val hit_ratio : t -> float
 val total_update_entries : t -> int
 (** sync + fetch, the paper's Figures 6-7 y-axis. *)
 
-val record_query : t -> hit:bool -> returned:int -> unit
-(** Accounts one query; a hit also adds the entries it returned. *)
+val record_query : t -> hit:bool -> unit
+(** Accounts one query, a hit or a miss. *)
 
 val add_reply : t -> Ldap_resync.Protocol.reply -> fetch:bool -> unit
 (** Accounts one ReSync reply's entries, bytes and actions, as fetch
@@ -76,10 +65,3 @@ val record_merkle : t -> Ldap_antientropy.Exchange.report -> unit
 (** Accounts one Merkle anti-entropy reconciliation: its request and
     reply bytes land in [merkle_bytes] (upstream-facing, like
     [sync_bytes]). *)
-
-val record_served_reply : t -> Ldap_resync.Protocol.reply -> unit
-(** Accounts one reply served downstream by this replica acting as an
-    intermediate master. *)
-
-val record_served_push : t -> Ldap_resync.Action.t -> unit
-(** Accounts one persist-mode action pushed downstream. *)

@@ -64,7 +64,7 @@ let is_contained t base =
 
 let answer t (q : Query.t) =
   if not (is_contained t q.Query.base) then begin
-    Stats.record_query t.stats ~hit:false ~returned:0;
+    Stats.record_query t.stats ~hit:false;
     Replica.Referral
   end
   else begin
@@ -79,7 +79,7 @@ let answer t (q : Query.t) =
       List.exists (fun r -> Query.in_scope q r) ctx.referrals
     in
     if scope_has_referral then begin
-      Stats.record_query t.stats ~hit:false ~returned:0;
+      Stats.record_query t.stats ~hit:false;
       Replica.Referral
     end
     else
@@ -89,7 +89,7 @@ let answer t (q : Query.t) =
       let entries =
         List.filter (fun e -> not (Entry.is_referral e)) entries
       in
-      Stats.record_query t.stats ~hit:true ~returned:(List.length entries);
+      Stats.record_query t.stats ~hit:true;
       Replica.Answered entries
   end
 

@@ -285,7 +285,6 @@ let server_source src =
         journal_w src (fun w -> synced_record w s.id s.synced_csn ~clear));
     opened = (fun s -> journal_w src (fun w -> new_record w s));
     closed = (fun id -> journal_w src (fun w -> removed_record w id));
-    served = ignore;
   }
 
 let create ?(strategy = Session_history) ?(dispatch = Routed) backend =

@@ -28,7 +28,6 @@ type 's source = {
   acked : 's session -> history:bool -> unit;
   opened : 's session -> unit;
   closed : int -> unit;
-  served : Protocol.reply -> unit;
 }
 
 type 's t = {
@@ -171,9 +170,7 @@ let cookie s =
 let respond t s ~kind ~actions ~history =
   s.synced_csn <- t.source.sync_point s.state;
   t.source.acked s ~history;
-  let r = Protocol.reply ~kind ~actions ~cookie:(Some (cookie s)) in
-  t.source.served r;
-  r
+  Protocol.reply ~kind ~actions ~cookie:(Some (cookie s))
 
 let initial t s =
   let entries = t.source.members s.state s.query in

@@ -80,7 +80,6 @@ type 's source = {
           delivered the session's history. *)
   opened : 's session -> unit;  (** A session was created. *)
   closed : int -> unit;  (** The session with this id was removed. *)
-  served : Protocol.reply -> unit;  (** A poll or persist reply. *)
 }
 
 type 's t

@@ -688,15 +688,7 @@ let replace_shard t i sm =
 
 (* --- Reports ----------------------------------------------------------- *)
 
-type shard_stat = {
-  ss_id : int;
-  ss_host : string;
-  ss_entries : int;
-  ss_owned : int;
-  ss_csn : Csn.t;
-  ss_sessions : int;
-  ss_applied : int;
-}
+type shard_stat = { ss_owned : int; ss_applied : int }
 
 type report = {
   rp_shards : shard_stat list;
@@ -726,15 +718,7 @@ let report t =
     Array.to_list
       (Array.mapi
          (fun i sm ->
-           {
-             ss_id = i;
-             ss_host = Shard_master.host sm;
-             ss_entries = Shard_master.entries sm;
-             ss_owned = owned t i;
-             ss_csn = Shard_master.csn sm;
-             ss_sessions = Master.session_count (Shard_master.master sm);
-             ss_applied = Shard_master.applied sm;
-           })
+           { ss_owned = owned t i; ss_applied = Shard_master.applied sm })
          t.shards)
   in
   {

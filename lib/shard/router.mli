@@ -117,15 +117,10 @@ val search : t -> Query.t -> (Entry.t list, string) result
 (** Per-shard state and routing counters, read by the shard sweep and
     the end-to-end benchmark. *)
 type shard_stat = {
-  ss_id : int;
-  ss_host : string;
-  ss_entries : int;  (** Entries held, placeholders included. *)
   ss_owned : int;
       (** Entries this shard owns; structural entries count at shard 0,
           so the values sum to the number of distinct DNs. *)
-  ss_csn : Csn.t;
-  ss_sessions : int;
-  ss_applied : int;
+  ss_applied : int;  (** Updates applied since creation or recovery. *)
 }
 
 type report = {

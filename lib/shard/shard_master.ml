@@ -11,8 +11,6 @@ type t = {
   mutable sm_applied : int;
 }
 
-type recovery = { rc_backend : Store.recovery; rc_master : Store.recovery }
-
 let create ?strategy ?indexed (_ : Schema.t) ~id =
   let backend = Backend.create ?indexed () in
   {
@@ -27,7 +25,6 @@ let host t = t.sm_host
 let backend t = t.sm_backend
 let master t = t.sm_master
 let csn t = Backend.csn t.sm_backend
-let entries t = Backend.total_entries t.sm_backend
 let applied t = t.sm_applied
 
 let seed t ~contexts entries =
@@ -61,15 +58,15 @@ let apply t op =
 
 let open_store t medium ~prefix =
   let ( let* ) = Result.bind in
-  let* bs, rc_backend =
+  let* bs, recovery =
     Backend_store.open_store t.sm_backend
       (Store.create ~sync:false medium ~name:(prefix ^ "-backend"))
   in
   t.sm_backend_store <- Some bs;
-  let* rc_master =
+  let* _ =
     Master.open_store t.sm_master (Store.create ~sync:false medium ~name:(prefix ^ "-master"))
   in
-  Ok { rc_backend; rc_master }
+  Ok recovery
 
 let checkpoint t =
   Option.iter Backend_store.checkpoint t.sm_backend_store;

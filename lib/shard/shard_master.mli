@@ -11,12 +11,6 @@ open Ldap
 
 type t
 
-(** What opening a shard's two stores read back. *)
-type recovery = {
-  rc_backend : Ldap_store.Store.recovery;
-  rc_master : Ldap_store.Store.recovery;
-}
-
 val create :
   ?strategy:Ldap_resync.Master.strategy ->
   ?indexed:string list ->
@@ -39,10 +33,6 @@ val master : t -> Ldap_resync.Master.t
 val csn : t -> Csn.t
 (** Head of the shard's own CSN stream. *)
 
-val entries : t -> int
-(** Entries currently held (owned content plus structural
-    placeholders). *)
-
 val applied : t -> int
 (** Updates applied at this shard since creation/recovery. *)
 
@@ -54,10 +44,12 @@ val seed : t -> contexts:Entry.t list -> Entry.t list -> (unit, string) result
 val apply : t -> Update.op -> (Update.record, string) result
 (** Commits one update at this shard (advancing its CSN stream). *)
 
-val open_store : t -> Ldap_store.Medium.t -> prefix:string -> (recovery, string) result
+val open_store :
+  t -> Ldap_store.Medium.t -> prefix:string -> (Ldap_store.Store.recovery, string) result
 (** Makes the shard durable on the medium: backend WAL/snapshot under
     [<prefix>-backend], master session table under [<prefix>-master],
-    each opened by {!Ldap_store.Store.open_state}'s rule.  Over an
+    each opened by {!Ldap_store.Store.open_state}'s rule, and returns
+    what the backend's store read back.  Over an
     empty medium both are checkpointed, so it holds a full image.
     After a crash, open the medium under a shard {!create}d as the
     lost one was: its backend is restored with the indexes and its

@@ -38,7 +38,6 @@ let append_w ?(sync = true) medium ~name emit =
 type recovery = {
   records : string list;
   valid_len : int;
-  total_len : int;
   truncated : bool;
 }
 
@@ -72,4 +71,4 @@ let recover medium ~name =
   let records, valid_len, total_len = scan contents in
   let truncated = valid_len < total_len in
   if truncated then Medium.truncate medium ~name valid_len;
-  { records; valid_len; total_len; truncated }
+  { records; valid_len; truncated }

@@ -26,7 +26,6 @@ val append_w :
 type recovery = {
   records : string list;  (** Whole-record payloads, oldest first. *)
   valid_len : int;  (** Byte offset of the end of the last whole record. *)
-  total_len : int;  (** File length before truncation. *)
   truncated : bool;  (** Whether a torn/corrupt tail was cut off. *)
 }
 

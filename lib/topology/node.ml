@@ -213,12 +213,10 @@ let resumable replica st =
 
 (* A relayed change's actions update the sent-image table whether or
    not the push gets through: a cut session resyncs degraded anyway. *)
-let pushed replica (s : cursor Server.session) a =
-  (match a with
+let pushed (s : cursor Server.session) = function
   | Resync.Action.Add e | Resync.Action.Modify e -> note_sent s.state e
   | Resync.Action.Delete dn -> Hashtbl.remove s.state.seen (Dn.canonical dn)
-  | Resync.Action.Retain _ -> ());
-  R.Stats.record_served_push (R.Filter_replica.stats replica) a
+  | Resync.Action.Retain _ -> ()
 
 let source replica cost =
   {
@@ -229,11 +227,10 @@ let source replica cost =
     reset;
     incremental = incremental cost;
     buffer = None;
-    pushed = pushed replica;
+    pushed;
     acked = (fun _ ~history:_ -> ());
     opened = ignore;
     closed = ignore;
-    served = R.Stats.record_served_reply (R.Filter_replica.stats replica);
   }
 
 (* --- Serving -------------------------------------------------------- *)

@@ -85,8 +85,8 @@ val upstream : t -> string
 (** The endpoint this node currently synchronizes from. *)
 
 val stats : t -> Ldap_replication.Stats.t
-(** Shared with the replica: upstream-facing [sync_*]/[fetch_*]
-    counters and downstream-facing [served_*] counters. *)
+(** Shared with the replica: the [sync_*]/[fetch_*] counters of the
+    link to this node's upstream. *)
 
 val install_cover : t -> Query.t -> (unit, string) result
 (** Starts replicating a cover query from the upstream; downstream

@@ -1,7 +1,7 @@
 (** Process memory readers for the benchmarks.
 
-    The sweeps themselves live in the evaluation harness
-    ([Ldap_eval.Sweep]); these two readers stay here because the
+    The sweeps themselves live in the bench library [Ldap_sweeps]
+    ([bench/sweeps]); these two readers stay here because the
     end-to-end benchmark reads [peak_rss_kb] from this module. *)
 
 val current_rss_kb : unit -> int

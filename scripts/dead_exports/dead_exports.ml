@@ -22,16 +22,37 @@
    no production path can select.  The options of a reported or
    flagged val are not checked apart from it.
 
-   A reported or flagged val or option fails the run unless ALLOWLIST
-   names it.  Each allowlist line reads
-   [lib/path/file.mli value.path reason...], an option being named
-   [value.path?label]; blank lines and lines starting with [#] are
-   ignored, and the reason may not be empty.  An entry that names no
-   val or option, or one some other production unit references or
-   passes, is stale and fails the run.
+   Each label of a record type declared in a [lib/] unit (in its
+   interface, or in its implementation when the interface does not
+   export the type's definition) is classified by who reads it.  A
+   label is read by a field access [e.l], except one on the right-hand
+   side of an assignment to the same label ([x.l <- x.l + 1] only
+   writes it); by a record pattern naming it; by a [{ r with ... }]
+   copy that keeps it; and by a polymorphic comparison or hash ([=],
+   [compare], [Hashtbl.hash], ...) of a value whose type holds the
+   record, which reads every label.  Read by a production unit, its
+   own included: fine; only by test units: reported; by nothing:
+   flagged.
 
-   Exit codes: 0 clean; 1 unlisted test-only or flagged vals or
-   options, or stale allowlist entries; 2 usage error, unreadable
+   Each constructor of a variant type declared in a [lib/] unit is
+   classified the same way by who builds it, in an expression (a
+   pattern matches it, it does not build it): a production unit, fine;
+   only test units, reported; nothing, flagged — it is a configuration
+   no production path can select.  A use of a type that re-exports
+   another's definition ([type t = M.t = A | B]) counts for both.
+
+   A reported or flagged val, option, field or constructor fails the
+   run unless ALLOWLIST names it.  Each allowlist line reads
+   [lib/path/file.mli value.path reason...], an option being named
+   [value.path?label], a field [type.label] and a constructor
+   [type.Constructor] (behind the path of their submodule, if any);
+   blank lines and lines starting with [#] are ignored, and the reason
+   may not be empty.  An entry that names nothing the check classifies,
+   or one that production references, passes, reads or builds, is
+   stale and fails the run.
+
+   Exit codes: 0 clean; 1 unlisted test-only or flagged vals, options,
+   fields or constructors, or stale allowlist entries; 2 usage error, unreadable
    allowlist, or no [.cmt] file under ROOT (the check was run before
    a build).
 
@@ -63,17 +84,26 @@ type binding =
    val's own unit.  A unit's category is [Prod] or [Test]. *)
 type who = Prod | Test | Self
 
-(* What the check finds wrong with a val or option, if anything. *)
+(* What the check finds wrong with an item, if anything. *)
 type finding = Test_only | Flagged of string
+
+(* What an item is: an interface val, an optional parameter of one, a
+   record label or a variant constructor. *)
+type kind = Val | Option | Field | Constructor
 
 type unit_info = {
   id : string;  (* the unit's [.cmt] path under ROOT, less the suffix *)
   category : who;
   idents : binding Ident.Tbl.t;  (* local module identifiers *)
   values : modloc Ident.Tbl.t;  (* module-level value identifiers *)
+  types : modloc Ident.Tbl.t;  (* module-level type identifiers *)
   mutable refs : (Path.t * bool) list;  (* path, whole module? *)
   mutable passes : (Path.t * string list) list;
       (* a value applied to optional arguments: its path, their labels *)
+  mutable uses : (Path.t * string) list;
+      (* a label read or a constructor built, with the type it belongs to *)
+  mutable compared : Path.t list;
+      (* types of the values a polymorphic comparison or hash reads *)
 }
 
 let units : (string, unit_info) Hashtbl.t = Hashtbl.create 256
@@ -104,6 +134,20 @@ let includes : (string * string list, string * Path.t) Hashtbl.t =
 (* Values defined directly in a module. *)
 let defined : (string * string list * string, unit) Hashtbl.t =
   Hashtbl.create 4096
+
+(* Types defined directly in a module. *)
+let types_defined : (string * string list * string, unit) Hashtbl.t =
+  Hashtbl.create 1024
+
+(* A type whose definition names another ([type t = M.t = ...]): that
+   other type's path, read in the defining unit. *)
+let manifests : (string * string list * string, string * Path.t) Hashtbl.t =
+  Hashtbl.create 256
+
+(* Each record type's labels, and the types they hold: a comparison of
+   the record reads all of them and reaches into the held types. *)
+let records : (string * string list * string, string list * Path.t list) Hashtbl.t =
+  Hashtbl.create 256
 
 (* --- Files ------------------------------------------------------------ *)
 
@@ -143,6 +187,35 @@ let category_of source =
 
 (* --- Collection --------------------------------------------------------- *)
 
+(* The type constructors a type expression is built from. *)
+let rec constrs depth ty =
+  if depth > 16 then []
+  else
+    match Types.get_desc ty with
+    | Tconstr (p, args, _) -> p :: List.concat_map (constrs (depth + 1)) args
+    | Ttuple tys -> List.concat_map (constrs (depth + 1)) tys
+    | _ -> []
+
+let owner ty = match Types.get_desc ty with Tconstr (p, _, _) -> Some p | _ -> None
+
+(* The argument types of a function type. *)
+let rec arguments ty =
+  match Types.get_desc ty with Tarrow (_, a, b, _) -> a :: arguments b | _ -> []
+
+let collect_type u path (d : type_declaration) =
+  let key = (u.id, path, d.typ_name.txt) in
+  Ident.Tbl.replace u.types d.typ_id { unit = u.id; path };
+  Hashtbl.replace types_defined key ();
+  Option.iter
+    (fun p -> Hashtbl.replace manifests key (u.id, p))
+    (Option.bind d.typ_type.type_manifest owner);
+  match d.typ_kind with
+  | Ttype_record lds ->
+      Hashtbl.replace records key
+        ( List.map (fun ld -> ld.ld_name.txt) lds,
+          List.concat_map (fun ld -> constrs 0 ld.ld_type.ctyp_type) lds )
+  | Ttype_variant _ | Ttype_abstract | Ttype_open -> ()
+
 let rec strip_constraint me =
   match me.mod_desc with
   | Tmod_constraint (me, _, _, _) -> strip_constraint me
@@ -169,6 +242,7 @@ let rec collect_structure u path str =
       | Tstr_primitive vd ->
           Ident.Tbl.replace u.values vd.val_id here;
           Hashtbl.replace defined (u.id, path, Ident.name vd.val_id) ()
+      | Tstr_type (_, decls) -> List.iter (collect_type u path) decls
       | Tstr_module mb -> collect_module u path mb
       | Tstr_recmodule mbs -> List.iter (collect_module u path) mbs
       | Tstr_include { incl_mod; _ } -> (
@@ -193,44 +267,81 @@ and collect_module u path mb =
       | _ -> ())
   | _ -> ()
 
+(* The polymorphic comparisons and hashes: each reads every label of
+   the records its arguments hold. *)
+let polymorphic =
+  List.map (( ^ ) "Stdlib.")
+    [ "="; "<>"; "<"; ">"; "<="; ">="; "compare"; "min"; "max"; "Hashtbl.hash" ]
+
 (* Every value reference, every [let module] alias, every module used
-   whole (functor argument or packed first-class module), and the
-   optional arguments every value applied by name is passed. *)
+   whole (functor argument or packed first-class module), the
+   optional arguments every value applied by name is passed, every
+   label read, every constructor built and every polymorphic
+   comparison. *)
 let collect_refs u str =
   let whole me =
     match (strip_constraint me).mod_desc with
     | Tmod_ident (p, _) -> u.refs <- (p, true) :: u.refs
     | _ -> ()
   in
+  let use ty name = Option.iter (fun p -> u.uses <- (p, name) :: u.uses) (owner ty) in
+  let read (l : Types.label_description) = use l.lbl_res l.lbl_name in
+  (* The labels whose assignments enclose the expression visited. *)
+  let assigned = ref [] in
+  let same_label (a : Types.label_description) (b : Types.label_description) =
+    a.lbl_name = b.lbl_name && Option.equal Path.same (owner a.lbl_res) (owner b.lbl_res)
+  in
   let super = Tast_iterator.default_iterator in
   let expr it e =
-    (match e.exp_desc with
-    | Texp_ident (p, _, _) -> u.refs <- (p, false) :: u.refs
-    | Texp_letmodule (Some id, _, _, me, _) ->
-        (* A local structure has no canonical location. *)
-        let b = match binding_of u [] me with Struct _ -> Opaque | b -> b in
-        Ident.Tbl.replace u.idents id b
-    | Texp_pack me -> whole me
-    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-        match
-          List.filter_map
-            (function
-              (* An omitted optional argument is an explicit [None]
-                 at a ghost location. *)
-              | Asttypes.Optional l, Some e when not e.exp_loc.loc_ghost -> Some l
-              | _ -> None)
-            args
-        with
-        | [] -> ()
-        | labels -> u.passes <- (p, labels) :: u.passes)
+    match e.exp_desc with
+    | Texp_setfield (target, _, l, rhs) ->
+        it.Tast_iterator.expr it target;
+        let outer = !assigned in
+        assigned := l :: outer;
+        it.expr it rhs;
+        assigned := outer
+    | desc ->
+        (match desc with
+        | Texp_ident (p, _, _) ->
+            u.refs <- (p, false) :: u.refs;
+            if List.mem (Path.name p) polymorphic then
+              u.compared <- List.concat_map (constrs 0) (arguments e.exp_type) @ u.compared
+        | Texp_field (_, _, l) -> if not (List.exists (same_label l) !assigned) then read l
+        | Texp_record { fields; extended_expression = Some _; _ } ->
+            Array.iter (function l, Kept _ -> read l | _, Overridden _ -> ()) fields
+        | Texp_construct (_, c, _) -> use c.cstr_res c.cstr_name
+        | Texp_letmodule (Some id, _, _, me, _) ->
+            (* A local structure has no canonical location. *)
+            let b = match binding_of u [] me with Struct _ -> Opaque | b -> b in
+            Ident.Tbl.replace u.idents id b
+        | Texp_pack me -> whole me
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+            match
+              List.filter_map
+                (function
+                  (* An omitted optional argument is an explicit [None]
+                     at a ghost location. *)
+                  | Asttypes.Optional l, Some e when not e.exp_loc.loc_ghost -> Some l
+                  | _ -> None)
+                args
+            with
+            | [] -> ()
+            | labels -> u.passes <- (p, labels) :: u.passes)
+        | _ -> ());
+        super.expr it e
+  in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun it p ->
+    (match p.pat_desc with
+    | Tpat_record (fields, _) -> List.iter (fun (_, l, _) -> read l) fields
     | _ -> ());
-    super.expr it e
+    super.pat it p
   in
   let module_expr it me =
     (match me.mod_desc with Tmod_apply (_, arg, _) -> whole arg | _ -> ());
     super.module_expr it me
   in
-  let it = { super with expr; module_expr } in
+  let it = { super with expr; pat; module_expr } in
   it.structure it str
 
 (* --- Resolution ----------------------------------------------------------- *)
@@ -263,25 +374,54 @@ and normalize depth l =
   | None -> Some l
 
 (* The modules a reference to [l.s] reaches: [l] itself and, when [l]
-   does not define [s], each module down the include chain to the one
-   that does.  [None] when no module on the chain defines it. *)
-let rec value_chain depth l s =
+   does not define [s] (by the table [defined]), each module down the
+   include chain to the one that does.  [None] when no module on the
+   chain defines it. *)
+let rec include_chain defined depth l s =
   if depth > max_depth then None
   else if Hashtbl.mem defined (l.unit, l.path, s) then Some [ l ]
   else
     Hashtbl.find_all includes (l.unit, l.path)
     |> List.find_map (fun (unit, p) ->
-           Option.bind (resolve_module depth unit p) (fun l' -> value_chain (depth + 1) l' s))
+           Option.bind (resolve_module depth unit p) (fun l' ->
+               include_chain defined (depth + 1) l' s))
     |> Option.map (fun chain -> l :: chain)
 
-(* --- Interfaces --------------------------------------------------------- *)
+(* The type definitions a type path from [unit] names: the defining
+   module's and, when that definition names another type, the
+   other's. *)
+let rec type_keys depth unit p =
+  let defining =
+    match p with
+    | _ when depth > max_depth -> None
+    | Path.Pident id ->
+        Option.bind (Hashtbl.find_opt units unit) (fun u ->
+            Option.map (fun l -> (l, Ident.name id)) (Ident.Tbl.find_opt u.types id))
+    | Path.Pdot (m, s) ->
+        Option.bind (resolve_module depth unit m) (fun l ->
+            Option.map
+              (fun chain -> (List.hd (List.rev chain), s))
+              (include_chain types_defined depth l s))
+    | Path.Papply _ | Path.Pextra_ty _ -> None
+  in
+  match defining with
+  | Some (l, s) ->
+      let key = (l.unit, l.path, s) in
+      key
+      :: Option.fold ~none:[]
+           ~some:(fun (unit', p') -> type_keys (depth + 1) unit' p')
+           (Hashtbl.find_opt manifests key)
+  | None -> []
 
-type iface_val = {
-  mli : string;
+(* --- Declarations --------------------------------------------------------- *)
+
+type item = {
+  file : string;
   line : int;
-  name : string;  (* dotted through submodules *)
+  name : string;  (* dotted through submodules (and a label's type) *)
   key : string * string list * string;
-  options : string list;  (* labels of its optional parameters *)
+  kind : kind;
+  options : string list;  (* labels of a val's optional parameters *)
 }
 
 let rec optional_labels ct =
@@ -290,26 +430,60 @@ let rec optional_labels ct =
   | Ttyp_arrow (_, _, rest) | Ttyp_poly (_, rest) -> optional_labels rest
   | _ -> []
 
-let rec sig_vals unit mli path sg acc =
+(* The labels and constructors a type declaration declares. *)
+let type_items unit file path (d : type_declaration) =
+  let item kind name (loc : Location.t) =
+    let path = path @ [ d.typ_name.txt ] in
+    {
+      file;
+      line = loc.loc_start.pos_lnum;
+      name = String.concat "." (path @ [ name ]);
+      key = (unit, path, name);
+      kind;
+      options = [];
+    }
+  in
+  match d.typ_kind with
+  | Ttype_record lds -> List.map (fun ld -> item Field ld.ld_name.txt ld.ld_loc) lds
+  | Ttype_variant cds -> List.map (fun cd -> item Constructor cd.cd_name.txt cd.cd_loc) cds
+  | Ttype_abstract | Ttype_open -> []
+
+(* The vals, labels and constructors an interface declares. *)
+let rec sig_items unit mli path sg acc =
   List.fold_left
     (fun acc item ->
       match item.sig_desc with
       | Tsig_value vd ->
           let name = String.concat "." (path @ [ vd.val_name.txt ]) in
           {
-            mli;
+            file = mli;
             line = vd.val_loc.loc_start.pos_lnum;
             name;
             key = (unit, path, vd.val_name.txt);
+            kind = Val;
             options = optional_labels vd.val_desc;
           }
           :: acc
+      | Tsig_type (_, decls) -> List.concat_map (type_items unit mli path) decls @ acc
       | Tsig_module { md_name = { txt = Some n; _ }; md_type; _ } -> (
           match md_type.mty_desc with
-          | Tmty_signature s -> sig_vals unit mli (path @ [ n ]) s acc
+          | Tmty_signature s -> sig_items unit mli (path @ [ n ]) s acc
           | _ -> acc)
       | _ -> acc)
     acc sg.sig_items
+
+(* The labels and constructors an implementation declares. *)
+let rec str_items unit ml path str acc =
+  List.fold_left
+    (fun acc item ->
+      match item.str_desc with
+      | Tstr_type (_, decls) -> List.concat_map (type_items unit ml path) decls @ acc
+      | Tstr_module { mb_name = { txt = Some n; _ }; mb_expr; _ } -> (
+          match (strip_constraint mb_expr).mod_desc with
+          | Tmod_structure s -> str_items unit ml (path @ [ n ]) s acc
+          | _ -> acc)
+      | _ -> acc)
+    acc str.str_items
 
 (* --- Allowlist ------------------------------------------------------------ *)
 
@@ -350,7 +524,7 @@ let () =
   in
   let allowed = match allow with Some f -> read_allowlist f | None -> [] in
   let files = if Sys.file_exists root && Sys.is_directory root then walk root [] else [] in
-  let vals = ref [] in
+  let declared = ref [] and implemented = ref [] in
   let cmts = ref 0 in
   List.iter
     (fun file ->
@@ -359,23 +533,30 @@ let () =
       match (cmt.cmt_sourcefile, cmt.cmt_annots) with
       | Some src, Cmt_format.Implementation str ->
           incr cmts;
+          let ml = source_of ~root file src in
           let u =
             {
               id;
-              category = category_of (source_of ~root file src);
+              category = category_of ml;
               idents = Ident.Tbl.create 16;
               values = Ident.Tbl.create 64;
+              types = Ident.Tbl.create 16;
               refs = [];
               passes = [];
+              uses = [];
+              compared = [];
             }
           in
           Hashtbl.replace units id u;
           Hashtbl.add by_name cmt.cmt_modname id;
           collect_structure u [] str;
-          collect_refs u str
+          collect_refs u str;
+          if String.starts_with ~prefix:"lib/" ml then
+            implemented := str_items id ml [] str !implemented
       | Some src, Cmt_format.Interface sg ->
           let mli = source_of ~root file src in
-          if String.starts_with ~prefix:"lib/" mli then vals := sig_vals id mli [] sg !vals
+          if String.starts_with ~prefix:"lib/" mli then
+            declared := sig_items id mli [] sg !declared
       | _ -> ())
     files;
   if !cmts = 0 then begin
@@ -384,6 +565,9 @@ let () =
   end;
   let refs : (string * string list * string, who) Hashtbl.t = Hashtbl.create 8192 in
   let passes : (string * string list * string * string, who) Hashtbl.t = Hashtbl.create 1024 in
+  (* Labels read and constructors built, keyed by the type's module path
+     and name, and the label or constructor. *)
+  let used : (string * string list * string, who) Hashtbl.t = Hashtbl.create 4096 in
   let wholes = ref [] in
   let who u (l : modloc) = if l.unit = u.id then Self else u.category in
   (* The defining modules a value path reaches, with the value's name. *)
@@ -394,7 +578,9 @@ let () =
           (Ident.Tbl.find_opt u.values id)
     | Path.Pdot (m, s) -> (
         match resolve_module 0 u.id m with
-        | Some l -> List.map (fun l -> (l, s)) (Option.value (value_chain 0 l s) ~default:[ l ])
+        | Some l ->
+            List.map (fun l -> (l, s))
+              (Option.value (include_chain defined 0 l s) ~default:[ l ])
         | None -> [])
     | Path.Papply _ | Path.Pextra_ty _ -> []
   in
@@ -417,7 +603,29 @@ let () =
             (fun ((l : modloc), s) ->
               List.iter (fun lab -> Hashtbl.add passes (l.unit, l.path, s, lab) (who u l)) labels)
             (targets u p))
-        u.passes)
+        u.passes;
+      List.iter
+        (fun (p, name) ->
+          List.iter
+            (fun (unit, path, t) -> Hashtbl.add used (unit, path @ [ t ], name) u.category)
+            (type_keys 0 u.id p))
+        u.uses;
+      (* A comparison reads every label of each record it reaches. *)
+      let seen = Hashtbl.create 16 in
+      let rec compare_type unit p =
+        List.iter
+          (fun ((unit', path, t) as key) ->
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.replace seen key ();
+              Option.iter
+                (fun (labels, held) ->
+                  List.iter (fun l -> Hashtbl.add used (unit', path @ [ t ], l) u.category) labels;
+                  List.iter (compare_type unit') held)
+                (Hashtbl.find_opt records key)
+            end)
+          (type_keys 0 unit p)
+      in
+      List.iter (compare_type u.id) u.compared)
     units;
   let rec is_prefix p q =
     match (p, q) with [], _ -> true | a :: p, b :: q -> a = b && is_prefix p q | _ -> false
@@ -443,48 +651,81 @@ let () =
     else if List.mem Self who then Some (Flagged "passed only inside its own module")
     else Some (Flagged "passed nowhere")
   in
-  let vals =
-    List.sort (fun a b -> compare (a.mli, a.line, a.name) (b.mli, b.line, b.name)) !vals
-    |> List.map (fun v -> (v, status v))
+  let use_status v =
+    let who = Hashtbl.find_all used v.key in
+    if List.mem Prod who then None
+    else if List.mem Test who then Some Test_only
+    else Some (Flagged (if v.kind = Field then "read nowhere" else "built nowhere"))
   in
+  let place v = (v.file, v.line, v.name) in
+  let by_place = List.sort (fun a b -> compare (place a) (place b)) in
+  let vals = by_place (List.filter (fun v -> v.kind = Val) !declared) |> List.map (fun v -> (v, status v)) in
   (* Options of the vals production reaches, named [val?label]. *)
   let options =
     List.concat_map
       (fun (v, st) ->
         if st <> None then []
-        else List.map (fun l -> ({ v with name = v.name ^ "?" ^ l }, option_status v l)) v.options)
+        else
+          List.map
+            (fun l -> ({ v with name = v.name ^ "?" ^ l; kind = Option }, option_status v l))
+            v.options)
       vals
   in
-  let is_allowed v = List.mem (v.mli, v.name) allowed in
-  let failures items ~test_only =
+  (* An implementation's types count where its interface does not
+     declare them. *)
+  let types =
+    let in_interface = List.map (fun v -> v.key) !declared in
+    List.filter (fun v -> v.kind <> Val) !declared
+    @ List.filter (fun v -> not (List.mem v.key in_interface)) !implemented
+    |> by_place
+    |> List.map (fun v -> (v, use_status v))
+  in
+  let fields = List.filter (fun (v, _) -> v.kind = Field) types
+  and constructors = List.filter (fun (v, _) -> v.kind = Constructor) types in
+  let items = vals @ options @ types in
+  let is_allowed v = List.mem (v.file, v.name) allowed in
+  let unallowed =
     List.filter_map
       (fun (v, st) ->
         match st with
         | Some _ when is_allowed v -> None
         | Some (Flagged w) -> Some (v, w)
-        | Some Test_only -> Some (v, test_only)
+        | Some Test_only ->
+            Some
+              ( v,
+                match v.kind with
+                | Val -> "reached only from tests"
+                | Option -> "passed only from tests"
+                | Field -> "read only from tests"
+                | Constructor -> "built only from tests" )
         | None -> None)
       items
+    |> List.sort (fun (a, _) (b, _) -> compare (place a) (place b))
   in
-  let unallowed =
-    failures vals ~test_only:"reached only from tests"
-    @ failures options ~test_only:"passed only from tests"
-    |> List.sort (fun (a, _) (b, _) -> compare (a.mli, a.line, a.name) (b.mli, b.line, b.name))
-  in
-  List.iter (fun (v, what) -> Printf.printf "%s:%d: %s is %s\n" v.mli v.line v.name what) unallowed;
-  let items = vals @ options in
+  List.iter (fun (v, what) -> Printf.printf "%s:%d: %s is %s\n" v.file v.line v.name what) unallowed;
   let stale =
     List.filter_map
-      (fun entry ->
-        match List.find_opt (fun (v, _) -> (v.mli, v.name) = entry) items with
+      (fun ((_, name) as entry) ->
+        match List.find_opt (fun (v, _) -> (v.file, v.name) = entry) items with
         | Some (_, Some _) -> None
         | Some (v, None) ->
-            let why =
-              if String.contains v.name '?' then "production passes it"
-              else "it has a production caller"
+            Some
+              ( entry,
+                match v.kind with
+                | Val -> "it has a production caller"
+                | Option -> "production passes it"
+                | Field -> "production reads it"
+                | Constructor -> "production builds it" )
+        | None ->
+            (* A field or constructor entry names its type, a
+               lowercase segment, right before the last. *)
+            let typed =
+              match List.rev (String.split_on_char '.' name) with
+              | _ :: t :: _ -> t <> "" && Char.lowercase_ascii t.[0] = t.[0]
+              | _ -> false
             in
-            Some (entry, why)
-        | None -> Some (entry, "no such val or option"))
+            Some
+              (entry, if typed then "no such field or constructor" else "no such val or option"))
       allowed
   in
   List.iter
@@ -500,4 +741,6 @@ let () =
   in
   summary "vals" vals;
   summary "options" options;
+  summary "fields" fields;
+  summary "constructors" constructors;
   exit (if unallowed <> [] || stale <> [] then 1 else 0)

@@ -13,3 +13,15 @@ let total () =
   + Deadfix_two.Value.reexported ()
   + Keys.cardinal (Keys.of_list [ 1; 2 ])
   + Deadfix_one.Opts.configure ~prod:1 ()
+
+module R = Deadfix_one.Records
+
+let records () =
+  let c = { R.unread = 0; bumped = 0; probed = 0; matched = 0; used = 1 } in
+  c.bumped <- c.bumped + 1;
+  let { R.matched; _ } = c in
+  let s = { R.kept = 1; replaced = 2 } in
+  let s = { s with R.replaced = 3 } in
+  let same = { R.left = 1; right = 2 } = { R.left = 1; right = 3 } in
+  let mode = match R.Built with R.Built -> 1 | R.Test_built -> 2 | R.Matched_only -> 3 in
+  c.used + matched + s.R.replaced + Bool.to_int same + mode
