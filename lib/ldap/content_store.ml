@@ -21,8 +21,9 @@
    It is also the one search engine.  Attribute postings hash each
    canonical value an entry's slot holds (equal Integer spellings
    share a key) to an ascending id vector with its live count, so a
-   conjunction prices its conjuncts and builds only the cheapest one's
-   candidates, a sorted id vector.  A backend declares its postings at
+   conjunction prices its conjuncts, takes the cheapest one's
+   candidates, a sorted id vector, and keeps those that every other
+   equality conjunct's posting holds.  A backend declares its postings at
    creation; any other store builds one the first time a search asks
    for it.  [upsert] and [remove] keep them current. *)
 
@@ -412,20 +413,37 @@ let index_of t a ~build:wanted =
           Some ix
       | None -> None)
 
-(* Candidate slots from postings: a count (an upper bound for unions)
-   and the set, built only when forced.  [None] when no posting applies
-   (the caller walks or scans) or the count would pass [limit];
-   counting stops there.  An equality, or a substring with only an
-   initial segment, asks for its attribute's postings to be built. *)
+(* The posting of [a=v] under [a]'s index [ix]: empty when no entry
+   holds the key. *)
+let posting ix a v =
+  match Vtbl.find ix.by_value (Value.canonical (Schema.syntax_of a) v) with
+  | ids -> ids
+  | exception Not_found -> Id_vec.empty
+
+(* The largest count that still beats [best]. *)
+let bound ~limit = function Some (n, _) -> n - 1 | None -> limit
+
+let rec in_all id = function [] -> true | v :: vs -> Id_vec.mem v id && in_all id vs
+
+(* The ids of [ids] that every posting of [within] holds, ascending. *)
+let narrow ids within =
+  Id_vec.fold (fun id acc -> if in_all id within then Id_vec.add acc id else acc) ids Id_vec.empty
+
+(* Candidate slots from postings: a count (an upper bound for unions
+   and conjunctions) and the set, built only when forced.  [None] when
+   no posting applies (the caller walks or scans) or the count would
+   pass [limit]; counting stops there.  An equality, or a substring
+   with only an initial segment, asks for its attribute's postings to
+   be built. *)
 let rec index_candidates t ~limit filter =
   let syntax = Schema.syntax_of in
   match filter with
-  | Filter.Pred (Filter.Equality (a, v)) ->
-      Option.bind (index_of t a ~build:true) (fun ix ->
-          let ids =
-            Option.value (Vtbl.find_opt ix.by_value (Value.canonical (syntax a) v)) ~default:Id_vec.empty
-          in
-          if Id_vec.card ids <= limit then Some (Id_vec.card ids, Lazy.from_val ids) else None)
+  | Filter.Pred (Filter.Equality (a, v)) -> (
+      match index_of t a ~build:true with
+      | Some ix ->
+          let ids = posting ix a v in
+          if Id_vec.card ids <= limit then Some (Id_vec.card ids, Lazy.from_val ids) else None
+      | None -> None)
   | Filter.Pred (Filter.Substrings (a, { initial = Some init; any; final }))
     when syntax a <> Value.Integer ->
       (* Substrings compare normalized forms, which for the other
@@ -435,19 +453,11 @@ let rec index_candidates t ~limit filter =
           let rec count n = function v :: vs when n <= limit -> count (n + Id_vec.card v) vs | _ -> n in
           let n = count 0 vecs in
           if n > limit then None else Some (n, lazy (Id_vec.union vecs)))
-  | Filter.And gs ->
-      (* Any conjunct's candidates over-approximate the result.  Price
-         the equalities first, as one lookup each, so every later
-         conjunct stops counting once it cannot beat the best so far;
-         only the winner's set is ever built. *)
-      let eqs, others =
-        List.partition (function Filter.Pred (Filter.Equality _) -> true | _ -> false) gs
-      in
-      List.fold_left
-        (fun best g ->
-          let limit = match best with Some (n, _) -> n - 1 | None -> limit in
-          match index_candidates t ~limit g with Some _ as c -> c | None -> best)
-        None (eqs @ others)
+  | Filter.And gs -> (
+      match conjunction t ~limit gs with
+      | Some (n, ids, []) -> Some (n, ids)
+      | Some (n, ids, within) -> Some (n, lazy (narrow (Lazy.force ids) within))
+      | None -> None)
   | Filter.Or gs ->
       let rec sum n sets = function
         | [] -> Some (n, lazy (Id_vec.union (List.map Lazy.force sets)))
@@ -459,13 +469,69 @@ let rec index_candidates t ~limit filter =
       sum 0 [] gs
   | Filter.Pred _ | Filter.Not _ -> None
 
+(* A conjunction's candidates: the cheapest conjunct's count and set,
+   and the postings of its other equality conjuncts, each of which a
+   candidate must also be in (a posting holds every entry its equality
+   matches).  The equalities are looked up once each and priced first,
+   so every later conjunct stops counting once it cannot beat the best
+   so far; only the winner's set is ever built.  An equality whose
+   attribute has no postings does not narrow. *)
+and conjunction t ~limit gs = equalities t ~limit gs [] None gs
+
+(* Prices each equality conjunct of [gs] in turn, gathering their
+   postings, then the others. *)
+and equalities t ~limit gs postings cheapest = function
+  | Filter.Pred (Filter.Equality (a, v)) :: eqs -> (
+      match index_of t a ~build:true with
+      | Some ix ->
+          let p = posting ix a v in
+          let n = Id_vec.card p in
+          let cheapest =
+            if n <= bound ~limit cheapest then Some (n, Lazy.from_val p) else cheapest
+          in
+          equalities t ~limit gs (p :: postings) cheapest eqs
+      | None -> equalities t ~limit gs postings cheapest eqs)
+  | _ :: eqs -> equalities t ~limit gs postings cheapest eqs
+  | [] -> (
+      match others t ~limit cheapest gs with
+      | Some (n, ids) as best ->
+          (* An equality that won does not narrow its own set. *)
+          let within =
+            if best == cheapest then
+              let won = Lazy.force ids in
+              List.filter (fun p -> p != won) postings
+            else postings
+          in
+          Some (n, ids, within)
+      | None -> None)
+
+(* Prices the other conjuncts against the best so far. *)
+and others t ~limit best = function
+  | Filter.Pred (Filter.Equality _) :: gs -> others t ~limit best gs
+  | g :: gs -> (
+      match index_candidates t ~limit:(bound ~limit best) g with
+      | Some _ as c -> others t ~limit c gs
+      | None -> others t ~limit best gs)
+  | [] -> best
+
 let fold_candidates t filter ~init ~f =
-  Option.map
-    (fun (_, ids) ->
-      Id_vec.fold
-        (fun id acc -> match get t id with Some e -> f acc e | None -> acc)
-        (Lazy.force ids) init)
-    (index_candidates t ~limit:max_int filter)
+  let visit id acc = match get t id with Some e -> f acc e | None -> acc in
+  match filter with
+  | Filter.And gs ->
+      (* Narrowed while folding: the set is never built. *)
+      Option.map
+        (fun (_, ids, within) ->
+          let keep =
+            match within with
+            | [] -> visit
+            | _ -> fun id acc -> if in_all id within then visit id acc else acc
+          in
+          Id_vec.fold keep (Lazy.force ids) init)
+        (conjunction t ~limit:max_int gs)
+  | _ ->
+      Option.map
+        (fun (_, ids) -> Id_vec.fold visit (Lazy.force ids) init)
+        (index_candidates t ~limit:max_int filter)
 
 let search t (q : Query.t) ~init ~f =
   let visit acc e = if Query.matches q e then f acc e else acc in
@@ -496,8 +562,7 @@ let posting_count t filter =
   let table a = if syntax a <> Value.Integer then index_of t a ~build:false else None in
   match filter with
   | Filter.Pred (Filter.Equality (a, v)) ->
-      let find ix = Vtbl.find_opt ix.by_value (Value.canonical (syntax a) v) in
-      Option.map (fun ix -> Option.fold ~none:0 ~some:Id_vec.card (find ix)) (table a)
+      Option.map (fun ix -> Id_vec.card (posting ix a v)) (table a)
   | Filter.Pred (Filter.Substrings (a, { initial = Some init; any = []; final = None })) ->
       Option.map (fun ix -> count_prefixed t ix (Value.normalize (syntax a) init)) (table a)
   | Filter.Pred _ | Filter.Not _ | Filter.And _ | Filter.Or _ -> None

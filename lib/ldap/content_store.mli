@@ -22,8 +22,9 @@
     Searches read candidates off {e postings}: per attribute, a hash
     table from each canonical value (equal Integer spellings share a
     key) to the ascending vector of slot ids holding it, with its live
-    count, so a conjunction is priced and only the cheapest conjunct's
-    candidates are built.  A prefix walk reads the postings grouped by
+    count, so a conjunction is priced, only the cheapest conjunct's
+    candidates are walked, and each is kept only when every other
+    equality conjunct's posting holds it.  A prefix walk reads the postings grouped by
     their keys' first bytes, grouped at the first walk of that width.
     A backend declares its postings when it creates its store; every
     other store — a consumer's replica content — builds an attribute's
@@ -104,7 +105,7 @@ val search : t -> Query.t -> init:'a -> f:('a -> Entry.t -> 'a) -> 'a
 (** Folds [f] over the live entries in the query's scope that match
     its filter, unprojected and in slot order: exactly the entries a
     scan of {!to_seq} with {!Query.matches} keeps, in the same order.
-    Candidates come from the cheapest posting that applies (see
+    Candidates come from the postings that apply (see
     {!fold_candidates}); with none the store is scanned. *)
 
 val fold_candidates :
@@ -113,7 +114,9 @@ val fold_candidates :
     filter, read off postings and in slot order; [None] when no
     posting applies.  An equality or an initial-segment substring
     (except under Integer syntax) reads its attribute's postings; a
-    conjunction the cheapest conjunct's, an equality priced first; a
+    conjunction the cheapest conjunct's, an equality priced first,
+    skipping each id that the posting of another equality conjunct
+    lacks (one whose attribute has no postings skips none); a
     disjunction the union of its branches', when every branch has
     some.  Nothing else does.  The caller still runs the filter on
     each candidate. *)

@@ -17,6 +17,10 @@ let find v id =
   done;
   !lo
 
+let mem v id =
+  let p = find v id in
+  p < v.len && v.ids.(p) = id
+
 let insert v p id =
   let old = v.ids in
   if v.len = Array.length old then begin

@@ -21,6 +21,10 @@ val remove : t -> int -> unit
 val card : t -> int
 (** Live ids held. *)
 
+val mem : t -> int -> bool
+(** Whether the id is live in the vector: a binary search, so a dead
+    id, held as its complement, is not a member. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the live ids in ascending order.  [f] must not mutate
     the vector. *)

@@ -688,7 +688,7 @@ let replace_shard t i sm =
 
 (* --- Reports ----------------------------------------------------------- *)
 
-type shard_stat = { ss_owned : int; ss_applied : int }
+type shard_stat = { ss_applied : int }
 
 type report = {
   rp_shards : shard_stat list;
@@ -714,15 +714,9 @@ let owned t i =
       | Owned _ | Structural -> n)
 
 let report t =
-  let rp_shards =
-    Array.to_list
-      (Array.mapi
-         (fun i sm ->
-           { ss_owned = owned t i; ss_applied = Shard_master.applied sm })
-         t.shards)
-  in
   {
-    rp_shards;
+    rp_shards =
+      Array.to_list (Array.map (fun sm -> { ss_applied = Shard_master.applied sm }) t.shards);
     rp_plan_hits = Partition.plan_hits t.partition + t.cover_reuses;
     rp_plan_misses = Partition.plan_misses t.partition;
     rp_searches = t.searches;

@@ -117,9 +117,6 @@ val search : t -> Query.t -> (Entry.t list, string) result
 (** Per-shard state and routing counters, read by the shard sweep and
     the end-to-end benchmark. *)
 type shard_stat = {
-  ss_owned : int;
-      (** Entries this shard owns; structural entries count at shard 0,
-          so the values sum to the number of distinct DNs. *)
   ss_applied : int;  (** Updates applied since creation or recovery. *)
 }
 
@@ -145,4 +142,10 @@ type report = {
 }
 
 val report : t -> report
-(** Snapshot of per-shard state and the router's routing counters. *)
+(** Snapshot of per-shard state and the router's routing counters:
+    O(shards), no entry is read. *)
+
+val owned : t -> int -> int
+(** [owned t i] counts the entries shard [i] owns; structural entries
+    count at shard 0, so the counts over all shards sum to the number
+    of distinct DNs.  Walks the shard's whole content. *)

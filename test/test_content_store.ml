@@ -292,7 +292,26 @@ let test_cheapest_posting () =
   check_bool "either order" true
     (candidates "(&(divisionNumber=3)(departmentNumber=42))" = Some 1);
   check_bool "negation has none" true (candidates "(!(divisionNumber=3))" = None);
-  check_search "priced" s "(&(departmentNumber=42)(divisionNumber=3))" [ dept 7 ]
+  check_search "priced" s "(&(departmentNumber=42)(divisionNumber=3))" [ dept 7 ];
+  (* Neither posting holds one entry, their intersection does: the
+     cheaper one is narrowed by the other, while folding and, under a
+     disjunction, as a built set. *)
+  let s = Content_store.create () in
+  for i = 0 to 9 do
+    Content_store.upsert s
+      (person i
+         [
+           ("departmentNumber", [ (if i <= 4 then "42" else "43") ]);
+           ("divisionNumber", [ (if i >= 4 then "3" else "4") ]);
+         ])
+  done;
+  let candidates f =
+    Content_store.fold_candidates s (Filter.of_string_exn f) ~init:0 ~f:(fun n _ -> n + 1)
+  in
+  check_bool "intersection" true (candidates "(&(departmentNumber=42)(divisionNumber=3))" = Some 1);
+  check_bool "intersection under a disjunction" true
+    (candidates "(|(&(departmentNumber=42)(divisionNumber=3))(departmentNumber=44))" = Some 1);
+  check_search "narrowed" s "(&(divisionNumber=3)(departmentNumber=42))" [ dept 4 ]
 
 (* A store given [indexed] keeps those postings and builds no others;
    its counts read off them. *)
@@ -460,8 +479,11 @@ let search_property =
    there; and [mail], whose keys hold one slot each and share
    prefixes.  The test keeps every posting as a [Set.Make(Int)] of
    slot ids.  After each step, every key's equality candidates must be
-   the model's ids in ascending order, and every key's and every
-   key prefix's posting count and candidates the model's. *)
+   the model's ids in ascending order, every key's and every key
+   prefix's posting count and candidates the model's, and the
+   candidates of every department-and-mail conjunction, alone and as
+   the branch of a disjunction, the model's intersection of the two
+   keys' ids. *)
 
 module Ids = Set.Make (Int)
 
@@ -530,21 +552,41 @@ let run_posting_model ops =
       (Content_store.fold_candidates s filter ~init:[] ~f:(fun acc e ->
            Option.get (Content_store.id_of s (Entry.dn e)) :: acc))
   in
+  let expect_candidates label filter ids =
+    if candidates filter <> Some (Ids.elements ids) then
+      QCheck.Test.fail_reportf "%s %s: candidates [%s], model [%s]" label (Filter.to_string filter)
+        (String.concat " " (List.map string_of_int (Option.value (candidates filter) ~default:[])))
+        (String.concat " " (List.map string_of_int (Ids.elements ids)))
+  in
   let expect label filter ids =
     let n = Ids.cardinal ids in
     if Content_store.posting_count s filter <> Some n then
       QCheck.Test.fail_reportf "%s %s: posting count %s, model %d" label (Filter.to_string filter)
         (Option.fold ~none:"none" ~some:string_of_int (Content_store.posting_count s filter))
         n;
-    if candidates filter <> Some (Ids.elements ids) then
-      QCheck.Test.fail_reportf "%s %s: candidates [%s], model [%s]" label (Filter.to_string filter)
-        (String.concat " " (List.map string_of_int (Option.value (candidates filter) ~default:[])))
-        (String.concat " " (List.map string_of_int (Ids.elements ids)))
+    expect_candidates label filter ids
   in
+  let ids attr key = Option.value (Hashtbl.find_opt model (attr, key)) ~default:Ids.empty in
   let check label =
     List.iter
+      (fun d ->
+        List.iter
+          (fun m ->
+            let both =
+              Filter.And
+                [
+                  Filter.Pred (Filter.Equality ("departmentNumber", d));
+                  Filter.Pred (Filter.Equality ("mail", m));
+                ]
+            in
+            let inter = Ids.inter (ids "departmentNumber" d) (ids "mail" m) in
+            expect_candidates label both inter;
+            expect_candidates label (Filter.Or [ both ]) inter)
+          pm_mails)
+      pm_depts;
+    List.iter
       (fun (attr, keys) ->
-        let ids key = Option.value (Hashtbl.find_opt model (attr, key)) ~default:Ids.empty in
+        let ids = ids attr in
         List.iter (fun key -> expect label (Filter.Pred (Filter.Equality (attr, key))) (ids key)) keys;
         List.iter
           (fun prefix ->

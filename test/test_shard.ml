@@ -276,8 +276,7 @@ let test_write_routing () =
   check_bool "search sees the write" true
     (search_matches_oracle router source (serial_query 1))
 
-let owned router =
-  List.map (fun st -> st.Router.ss_owned) (Router.report router).Router.rp_shards
+let owned router = List.init (Partition.shards (Router.partition router)) (Router.owned router)
 
 let check_owned_total router source =
   check_int "owned counts sum to distinct DNs" (Backend.total_entries source)
