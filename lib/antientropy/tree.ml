@@ -26,10 +26,9 @@ let depth _ = 3
 let hash64 s =
   Bytes.get_int64_be (Bytes.unsafe_of_string (Digest.string s)) 0
 
-(* Memoized on the entry: rebuilding trees across anti-entropy rounds
-   re-hashes only entries mutated since the last round.  The canonical
-   rendering lives with {!Entry} so snapshot-diff cursors share both
-   the definition and the per-record cache. *)
+(* Memoized on the entry ({!Entry.content_hash64}): rebuilding trees
+   across anti-entropy rounds re-hashes only entries mutated since the
+   last round. *)
 
 (* The segment is keyed by the DN alone: mutating an entry's attributes
    changes its hash but never moves it between segments, so a single

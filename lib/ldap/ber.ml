@@ -9,9 +9,11 @@ let attr_size acc name values =
   let values_size = Array.fold_left (fun n v -> n + element (String.length v)) 0 values in
   acc + element (element (String.length name) + element values_size)
 
-let entry_size e =
+let walk_entry e =
   message_overhead + dn_size (Entry.dn e)
   + element (Entry.fold_attributes e ~init:0 ~f:attr_size)
+
+let entry_size e = Entry.encoded_size e ~compute:walk_entry
 
 (* Referral PDU carrying the given LDAP URLs. *)
 let referral_size urls =

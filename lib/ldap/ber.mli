@@ -15,7 +15,9 @@ val dn_size : Dn.t -> int
 
 val entry_size : Entry.t -> int
 (** Full entry PDU: DN plus every attribute name and value, summed
-    over {!Entry.fold_attributes} without building the attribute list. *)
+    over {!Entry.fold_attributes} without building the attribute list,
+    once per entry record ({!Entry.encoded_size}): later calls on the
+    same record read the cached figure. *)
 
 val search_request_size : Query.t -> int
 (** Search request PDU: base DN plus the filter's string form, whose

@@ -60,7 +60,7 @@ type t = {
   mutable log_length : int;  (* events carrying a record *)
   mutable indexes : index list;  (* one per attribute with postings *)
   on_demand : bool;  (* searches may add postings: no [indexed] was declared *)
-  mutable stamps : int array;  (* slot id -> last posting count that saw it *)
+  mutable stamps : int array;  (* slot id -> last dedup pass that saw it *)
   mutable stamp : int;
 }
 
@@ -174,18 +174,28 @@ let record_event t id =
   t.spine.(t.spine_start + t.spine_len) <- id;
   t.spine_len <- t.spine_len + 1
 
+(* A stamp no slot id carries yet, [t.stamps] grown to cover every
+   id: one pass that dedups slot ids marks each id it has seen with
+   it, so no set is built. *)
+let next_stamp t =
+  if Array.length t.stamps < t.slot_count then
+    t.stamps <- Array.make (max t.slot_count (2 * Array.length t.stamps)) 0;
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
 let changes_since t since =
   if since >= rev t then Some []
   else if since < t.floor_rev then None
   else begin
     let first = t.spine_start + (since - t.floor_rev) in
     let stop = t.spine_start + t.spine_len in
-    let seen = Hashtbl.create 32 in
+    let stamp = next_stamp t in
+    let stamps = t.stamps in
     let acc = ref [] in
     for i = first to stop - 1 do
       let id = t.spine.(i) in
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
+      if stamps.(id) <> stamp then begin
+        stamps.(id) <- stamp;
         acc := dn_of t id :: !acc
       end
     done;
@@ -541,13 +551,11 @@ let search t (q : Query.t) ~init ~f =
 
 (* Distinct slot ids across the postings whose key starts with
    [prefix].  A multi-valued entry can sit under several such keys;
-   [t.stamps] marks the ids this count has seen, so no union is
+   a fresh stamp marks the ids this count has seen, so no union is
    built. *)
 let count_prefixed t ix prefix =
-  if Array.length t.stamps < t.slot_count then
-    t.stamps <- Array.make (max t.slot_count (2 * Array.length t.stamps)) 0;
-  t.stamp <- t.stamp + 1;
-  let stamps = t.stamps and stamp = t.stamp in
+  let stamp = next_stamp t in
+  let stamps = t.stamps in
   let see id n =
     if stamps.(id) = stamp then n
     else begin

@@ -5,13 +5,17 @@ module Prog = Ldap_compile.Prog
    id.  A slot keeps the raw values and, resolved once from the schema,
    the attribute's matching rule and the values' canonical forms, so
    filter bytecode and the predicate index read an entry with no
-   schema lookup.  Mutators replace one slot and share the others.  [hash] caches the content digest; every new record
-   starts without one. *)
+   schema lookup.  Mutators replace one slot and share the others.
+   [hash] caches the content digest and [size] the encoded size
+   ([no_size] until asked); every new record starts without either. *)
 type t = {
   dn : Dn.t;
   slots : Prog.slot array;  (* sorted by id; no slot is empty *)
   mutable hash : int64 option;
+  mutable size : int;
 }
+
+let no_size = -1
 
 let lc = Value.lowercase
 let objectclass = Attr_id.intern "objectclass"
@@ -64,10 +68,10 @@ let make dn pairs =
   in
   let slots = Array.of_list (List.filter_map build merged) in
   Array.sort by_id slots;
-  { dn; slots; hash = None }
+  { dn; slots; hash = None; size = no_size }
 
 let dn t = t.dn
-let with_dn t dn = { t with dn; hash = None }
+let with_dn t dn = { t with dn; hash = None; size = no_size }
 let compiled t = t.slots
 
 let values t id =
@@ -127,7 +131,7 @@ let resplice t id values =
         Array.blit slots p out (p + 1) (n - p);
         out
   in
-  if slots == t.slots then t else { t with slots; hash = None }
+  if slots == t.slots then t else { t with slots; hash = None; size = no_size }
 
 (* Whether [v] equals some value of [s] under the slot's matching rule. *)
 let present (s : Prog.slot) v = Prog.mem_string s.canon (Value.canonical s.syntax v)
@@ -169,7 +173,7 @@ let select t requested =
           t.slots []
       in
       if List.compare_length_with kept (Array.length t.slots) = 0 then t
-      else { t with slots = Array.of_list kept; hash = None }
+      else { t with slots = Array.of_list kept; hash = None; size = no_size }
 
 (* --- Equality and the content digest ----------------------------------- *)
 
@@ -190,6 +194,10 @@ let equal a b =
          x.id = y.id && (x.raw == y.raw || sorted_values x = sorted_values y))
        a.slots b.slots
 
+let encoded_size t ~compute =
+  if t.size = no_size then t.size <- compute t;
+  t.size
+
 let cached_hash t ~compute =
   match t.hash with
   | Some h -> h
@@ -201,8 +209,7 @@ let cached_hash t ~compute =
 (* Canonical rendering: canonical DN, then attributes sorted by name
    with values sorted within each attribute — exactly the data [equal]
    compares, so the digest is a pure function of the equality class.
-   The anti-entropy tree and the node cursor's sent-image table both
-   hash through here, sharing the per-record cache. *)
+   The anti-entropy tree hashes through here. *)
 let canonical_rendering t =
   let b = Buffer.create 128 in
   Buffer.add_string b (Dn.canonical t.dn);

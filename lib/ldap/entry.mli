@@ -88,14 +88,23 @@ val compiled : t -> Ldap_compile.Prog.slot array
     left alone keeps its slot physically. *)
 
 val content_hash64 : t -> int64
-(** 64-bit digest over the entry's canonical rendering (canonical DN,
-    attributes sorted by name, values sorted within each attribute),
-    memoized in the entry record (a mutator's result starts with
-    none).  A pure function of the {!equal}
-    equivalence class: equal entries always hash equal, and (modulo
-    64-bit digest collisions) unequal entries hash differently — the
-    property that lets snapshot-diff serving and the anti-entropy tree
-    compare content by hash instead of by entry. *)
+(** 64-bit digest (MD5) over the entry's canonical rendering
+    (canonical DN, attributes sorted by name, values sorted within
+    each attribute), memoized in the entry record (a mutator's result
+    starts with none).  A pure function of the {!equal} equivalence
+    class: equal entries always hash equal, and (modulo 64-bit digest
+    collisions) unequal entries hash differently — the property that
+    lets the anti-entropy Merkle tree ({!Ldap_antientropy.Tree}, its
+    one caller) compare content by hash instead of by entry.  Code
+    that holds both entries compares them with {!equal} instead. *)
+
+val encoded_size : t -> compute:(t -> int) -> int
+(** [encoded_size e ~compute] is [compute e], computed at most once
+    per entry record and then read from the record: every constructor
+    and mutator result starts without a size, so the cache always
+    describes the record it sits on.  {!Ber.entry_size} is the one
+    caller, so every wire-size figure reads one walk per entry
+    version; another [compute] would share (and clobber) that cache. *)
 
 val pp : Format.formatter -> t -> unit
 (** LDIF-ish rendering for debugging and the CLI. *)

@@ -4,20 +4,22 @@ module R = Ldap_replication
 module Server = Resync.Server
 
 (* A downstream session tracks what it has sent as a cursor over the
-   stored consumer's content-store change spine plus a table of sent
-   image hashes — never a full entry-map snapshot.  Serving a poll
-   walks only the DNs mutated since [spine_pos] (O(diff)); the hash
-   table arbitrates Add vs Modify vs no-op per changed DN and costs
-   one DN string and a hash per member instead of the entries
-   themselves. *)
+   stored consumer's content-store change spine plus a table of the
+   sent images — never a copy of the content.  Serving a poll walks
+   only the DNs mutated since [spine_pos] (O(diff)); the table
+   arbitrates Add vs Modify vs no-op per changed DN by comparing the
+   current image with the sent one: physically first (an unchanged
+   stored entry is the same record), then by {!Entry.equal}.  A sent
+   image is usually the stored entry itself, so the table costs a
+   binding per member, not an entry. *)
 type cursor = {
   stored : Query.t;  (* the node's stored query this session is served from *)
   mutable consumer : Resync.Consumer.t;
       (* the stored query's consumer, resolved at admission and again
          by a poll that finds [stamp] out of date *)
   mutable stamp : int;  (* the replica generation [consumer] was resolved at *)
-  mutable seen : (string, Dn.t * int64) Hashtbl.t;
-      (* canonical DN -> (DN, content hash of the sent selected image) *)
+  mutable seen : (string, Entry.t) Hashtbl.t;
+      (* canonical DN -> the selected image last sent *)
   mutable spine_pos : int;  (* store revision this session has consumed *)
 }
 
@@ -72,10 +74,14 @@ let store_rev c = Content_store.rev (Resync.Consumer.content c)
 let node_csn consumer =
   match Resync.Consumer.cookie_csn consumer with Some csn -> csn | None -> Csn.zero
 
-(* Entries are already selected when hashed, so the hash identifies
-   the image as sent downstream, not the stored one. *)
-let note_sent (st : cursor) e =
-  Hashtbl.replace st.seen (Dn.canonical (Entry.dn e)) (Entry.dn e, Entry.content_hash64 e)
+(* Entries are already selected when noted: the table holds the image
+   as sent downstream, not the stored one. *)
+let note_sent (st : cursor) e = Hashtbl.replace st.seen (Dn.canonical (Entry.dn e)) e
+
+(* Whether [img] is what was sent as [sent]: {!Entry.equal}, the
+   equivalence class the entry's content digest hashes, decided
+   without hashing. *)
+let unchanged img sent = img == sent || Entry.equal img sent
 
 (* A session's whole content, by scan: its query is usually the stored
    query itself, whose postings would hold every entry, and a store
@@ -94,11 +100,11 @@ let reset (s : cursor Server.session) entries =
 
 (* Incremental replies stream the stored consumer's change spine from
    the session's cursor: only the DNs mutated since its last poll are
-   examined, the [seen] hash table resolving each to Add / Modify /
+   examined, the [seen] table resolving each to Add / Modify /
    Delete / no-op — the node keeps no per-session action history and
    no per-session content copy, the replica's store {e is} the
    history.  A cursor that fell off the trimmed spine rebuilds by one
-   full diff against the hash table and resumes streaming.  Deletes
+   full diff against the table and resumes streaming.  Deletes
    first, like the master's coalescer. *)
 let incremental_from_spine cost (session : cursor Server.session) st changed =
   let select = Query.attr_list session.query.Query.attrs in
@@ -115,17 +121,17 @@ let incremental_from_spine cost (session : cursor Server.session) st changed =
         | Some _ | None -> None
       in
       match (now, Hashtbl.find_opt seen key) with
-      | Some img, Some (_, h0) ->
-          if not (Int64.equal (Entry.content_hash64 img) h0) then begin
+      | Some img, Some sent ->
+          if not (unchanged img sent) then begin
             note_sent session.state img;
             upserts := Resync.Action.Modify img :: !upserts
           end
       | Some img, None ->
           note_sent session.state img;
           upserts := Resync.Action.Add img :: !upserts
-      | None, Some (dn0, _) ->
+      | None, Some sent ->
           Hashtbl.remove seen key;
-          deletes := Resync.Action.Delete dn0 :: !deletes
+          deletes := Resync.Action.Delete (Entry.dn sent) :: !deletes
       | None, None -> ())
     changed;
   List.rev !deletes @ List.rev !upserts
@@ -139,22 +145,21 @@ let incremental_by_rescan cost (session : cursor Server.session) =
       (fun e ->
         cost.scanned <- cost.scanned + 1;
         let key = Dn.canonical (Entry.dn e) in
-        let h = Entry.content_hash64 e in
         let action =
           match Hashtbl.find_opt session.state.seen key with
-          | Some (_, h0) when Int64.equal h h0 -> None
+          | Some sent when unchanged e sent -> None
           | Some _ -> Some (Resync.Action.Modify e)
           | None -> Some (Resync.Action.Add e)
         in
-        Hashtbl.replace fresh key (Entry.dn e, h);
+        Hashtbl.replace fresh key e;
         action)
       current
   in
   let deletes =
     Hashtbl.fold
-      (fun key (dn, _) acc ->
+      (fun key sent acc ->
         cost.scanned <- cost.scanned + 1;
-        if Hashtbl.mem fresh key then acc else Resync.Action.Delete dn :: acc)
+        if Hashtbl.mem fresh key then acc else Resync.Action.Delete (Entry.dn sent) :: acc)
       session.state.seen []
   in
   session.state.seen <- fresh;

@@ -21,11 +21,14 @@
     Unlike the root master, the node keeps no per-session action
     history: its replica content {e is} the history.  Each session
     holds a cursor on the stored consumer's {!Ldap.Content_store}
-    change spine plus a table of sent image hashes; a poll walks only
-    the DNs mutated since the cursor — O(diff in the stored content),
-    not O(directory) — with the hash table deciding Add vs Modify vs
-    no-op per changed DN.  A cursor that fell off the trimmed spine
-    rebuilds with one full diff against the hash table and resumes
+    change spine plus a table of the images it sent, keyed by
+    canonical DN; a poll walks only the DNs mutated since the cursor —
+    O(diff in the stored content), not O(directory) — with the table
+    deciding Add vs Modify vs no-op per changed DN.  An image is
+    unchanged when it is the sent record itself or {!Ldap.Entry.equal}
+    to it, so serving hashes nothing: MD5 digests live only in the
+    anti-entropy Merkle tree.  A cursor that fell off the trimmed spine
+    rebuilds with one full diff against the table and resumes
     streaming.  Containment is proved once per session, when it is
     created: a poll from a live session, for its own query, at the
     CSN it was handed, whose stored query is still installed, goes
@@ -121,9 +124,12 @@ val cursor_depths : t -> int list
     spine events (store revision minus the session's cursor). *)
 
 val seen_residency : t -> int
-(** Total sent-image hash-table entries across sessions — the node's
-    per-session serving memory, one DN + hash per member per session
-    rather than full entry snapshots. *)
+(** Total sent-image table bindings across sessions — the node's
+    per-session serving memory, one binding per member per session.
+    A binding holds the image as sent, which is the stored entry record
+    itself for a session that selects every attribute (until the
+    entry next changes and the session's next poll replaces it), so
+    the table copies no content. *)
 
 val referral_of_error : string -> string option
 (** The LDAP URL inside a referral rejection this node produced, or

@@ -62,7 +62,13 @@ let test_equal () =
   let b = Entry.make (dn "cn=a,o=x") [ ("sn", [ "y"; "x" ]); ("cn", [ "a" ]) ] in
   check_bool "order-insensitive equal" true (Entry.equal a b);
   let c = Entry.make (dn "cn=a,o=x") [ ("cn", [ "a" ]) ] in
-  check_bool "different attrs" false (Entry.equal a c)
+  check_bool "different attrs" false (Entry.equal a c);
+  let respelled = Entry.make (dn "CN=a, O=x") [ ("sn", [ "y"; "x" ]); ("cn", [ "a" ]) ] in
+  check_bool "respelled DN equal" true (Entry.equal a respelled);
+  check_bool "respelled DN, same digest" true
+    (Int64.equal (Entry.content_hash64 a) (Entry.content_hash64 respelled));
+  let back = Entry.replace_values (Entry.replace_values a "sn" [ "z" ]) "sn" [ "y"; "x" ] in
+  check_bool "modified back: another record, equal" true (back != a && Entry.equal a back)
 
 let test_referral () =
   let r =
@@ -130,6 +136,115 @@ let prop_derived_view_equals_rebuilt =
       Entry.compiled final = Entry.compiled rebuilt
       && Int64.equal (Entry.content_hash64 final) (Entry.content_hash64 rebuilt))
 
+(* --- Equality is the digest's equivalence class -----------------------
+   Entries over a small alphabet, so equal and unequal pairs both come
+   up often: the DN spelt several ways, multi-valued attributes listed
+   in varying orders, and every mutator and a DER round trip applied
+   on top. *)
+
+let dn_spellings = [| "cn=a,o=x"; "CN=a, O=x"; "cn=a,o=x "; "cn=b,o=x"; "cn=a,ou=y,o=x" |]
+let attr_names = [ "cn"; "mail"; "objectClass"; "description"; "age" ]
+let value_pool = [ "a"; "b"; "c"; "A"; "07"; "7" ]
+
+let spec_gen =
+  let open QCheck.Gen in
+  pair (0 -- (Array.length dn_spellings - 1))
+    (list_size (0 -- 4) (pair (oneofl attr_names) (list_size (1 -- 3) (oneofl value_pool))))
+
+type mutation =
+  | M_values of value_op * string * string list
+  | M_dn of int
+  | M_select of string list
+  | M_decode
+
+let mutation_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 3,
+        map3
+          (fun op a vs -> M_values (op, a, vs))
+          (oneofl [ Add_v; Replace_v; Delete_v ])
+          (oneofl attr_names)
+          (list_size (0 -- 3) (oneofl value_pool)) );
+      (1, map (fun i -> M_dn i) (0 -- (Array.length dn_spellings - 1)));
+      (1, map (fun l -> M_select l) (list_size (0 -- 3) (oneofl ("*" :: attr_names))));
+      (1, return M_decode);
+    ]
+
+let mutation_name = function
+  | M_values (op, a, vs) -> Printf.sprintf "%s %s [%s]" (op_name op) a (String.concat "," vs)
+  | M_dn i -> "dn " ^ dn_spellings.(i)
+  | M_select l -> Printf.sprintf "select [%s]" (String.concat "," l)
+  | M_decode -> "der decode"
+
+let mutate e = function
+  | M_values (op, a, vs) -> apply_value_op e (op, a, vs)
+  | M_dn i -> Entry.with_dn e (dn dn_spellings.(i))
+  | M_select l -> Entry.select e (Some l)
+  | M_decode -> Ber_codec.Der.read_entry (Ber_codec.Der.cursor (Ber_codec.Der.entry e))
+
+let make_spec (d, attrs) = Entry.make (dn dn_spellings.(d)) attrs
+
+(* The same content respelled: attributes and values listed in another
+   order under another spelling of the DN. *)
+let respelled_gen (d, attrs) =
+  let open QCheck.Gen in
+  let same_dn i = Dn.equal (dn dn_spellings.(i)) (dn dn_spellings.(d)) in
+  oneofl (List.filter same_dn (List.init (Array.length dn_spellings) Fun.id)) >>= fun d' ->
+  flatten_l (List.map (fun (a, vs) -> map (fun vs -> (a, vs)) (shuffle_l vs)) attrs) >>= fun attrs ->
+  map (fun attrs -> (d', attrs)) (shuffle_l attrs)
+
+let pair_gen =
+  let open QCheck.Gen in
+  spec_gen >>= fun spec ->
+  oneof [ respelled_gen spec; spec_gen ] >>= fun other ->
+  list_size (0 -- 3) mutation_gen >>= fun ma ->
+  list_size (0 -- 3) mutation_gen >>= fun mb -> return (spec, other, ma, mb)
+
+let print_spec (d, attrs) =
+  Printf.sprintf "%s {%s}" dn_spellings.(d)
+    (String.concat "; " (List.map (fun (a, vs) -> a ^ "=" ^ String.concat "," vs) attrs))
+
+let prop_equal_iff_same_digest =
+  QCheck.Test.make ~name:"entry: equal <=> same content_hash64" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, ma, mb) ->
+         Printf.sprintf "%s / %s / [%s] / [%s]" (print_spec a) (print_spec b)
+           (String.concat "; " (List.map mutation_name ma))
+           (String.concat "; " (List.map mutation_name mb)))
+       pair_gen)
+    (fun (sa, sb, ma, mb) ->
+      let a = List.fold_left mutate (make_spec sa) ma in
+      let b = List.fold_left mutate (make_spec sb) mb in
+      let same = Int64.equal (Entry.content_hash64 a) (Entry.content_hash64 b) in
+      Bool.equal (Entry.equal a b) same && Bool.equal (Entry.equal b a) same)
+
+(* --- The size cache describes its own record -------------------------
+   Every step first fills the cache of the entry it starts from; the
+   result's size must still be what a freshly made entry of the same
+   content measures. *)
+
+let fresh_size e = Ber.entry_size (Entry.make (Entry.dn e) (Entry.attributes e))
+
+let prop_cached_size_is_fresh =
+  QCheck.Test.make ~name:"entry: cached encoded size = fresh size" ~count:500
+    (QCheck.make
+       ~print:(fun (spec, steps) ->
+         Printf.sprintf "%s / [%s]" (print_spec spec)
+           (String.concat "; " (List.map mutation_name steps)))
+       QCheck.Gen.(pair spec_gen (list_size (1 -- 6) mutation_gen)))
+    (fun (spec, steps) ->
+      let e = make_spec spec in
+      Ber.entry_size e = fresh_size e
+      && snd
+           (List.fold_left
+              (fun (e, ok) step ->
+                ignore (Ber.entry_size e : int);
+                let e' = mutate e step in
+                (e', ok && Ber.entry_size e' = fresh_size e'))
+              (e, true) steps))
+
 (* An attribute that is removed and then added back is listed once:
    the entry reads exactly like a fresh one with the same content. *)
 let test_readd_lists_once () =
@@ -188,6 +303,8 @@ let suite =
     Alcotest.test_case "schema lookup" `Quick test_schema_lookup;
     Alcotest.test_case "ber sizes" `Quick test_ber_sizes;
     QCheck_alcotest.to_alcotest prop_derived_view_equals_rebuilt;
+    QCheck_alcotest.to_alcotest prop_equal_iff_same_digest;
+    QCheck_alcotest.to_alcotest prop_cached_size_is_fresh;
     Alcotest.test_case "re-added attribute listed once" `Quick test_readd_lists_once;
     Alcotest.test_case "entry footprint" `Quick test_entry_footprint;
   ]

@@ -667,21 +667,26 @@ let test_reparent_malformed () =
     [ "rsm:0x1@rs:1:2"; "rsm:-1@rs:1:2"; "rsm:+1@rs:1:2"; "rsm:1_0@rs:1:2"; "rsm:@rs:1:2" ]
 
 (* Every cookie a server can mint parses back, over the whole range of
-   session ids and CSNs, and so does every composite of them. *)
+   session ids and CSNs, and so does every composite of them.
+   [cookie_of] writes its digits into one buffer, so at every
+   digit-width boundary it must also spell exactly the concatenation
+   it replaced. *)
 let prop_cookie_of_parses_back =
-  let nat = QCheck.oneof [ QCheck.int_bound 1000; QCheck.int_bound max_int; QCheck.always max_int ] in
+  let edge = QCheck.oneofl [ 0; 9; 10; 99; 100; max_int / 10; max_int - 1; max_int ] in
+  let nat = QCheck.oneof [ QCheck.int_bound 1000; QCheck.int_bound max_int; edge ] in
   QCheck.Test.make ~name:"resync: cookie_of parses back" ~count:500
     QCheck.(triple nat nat nat)
     (fun (id, csn_i, shard) ->
       let csn = Csn.of_int csn_i in
       let cookie = Protocol.cookie_of ~id ~csn in
       let composite = Protocol.composite_cookie [ (shard, cookie) ] in
-      (match Protocol.parse_cookie cookie with
-      | Some (id', csn') -> id' = id && Csn.equal csn' csn
-      | None -> false)
+      String.equal cookie (String.concat ":" [ "rs"; string_of_int id; string_of_int csn_i ])
+      && (match Protocol.parse_cookie cookie with
+         | Some (id', csn') -> id' = id && Csn.equal csn' csn
+         | None -> false)
       && Protocol.parse_composite_cookie composite = Some [ (shard, cookie) ])
 
-(* Cookies are built by concatenation; they must print exactly as the
+(* Cookies are built without [Printf]; they must print exactly as the
    [Printf] forms they replaced, over every int and component list. *)
 let prop_cookies_match_printf =
   QCheck.Test.make ~name:"resync: cookies print as their Printf forms" ~count:500

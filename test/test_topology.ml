@@ -268,6 +268,30 @@ let test_replaced_consumer_resumes () =
   check_bool "leaf stayed at the node" true (T.Leaf.parent leaf = "n1");
   check_int "one session" 1 (T.Node.session_count node)
 
+(* A member modified and then modified back between two polls is
+   unchanged for its session, although the node's store now holds
+   another record: the cursor compares the image it sent by content,
+   not by record.  The session selects attributes, so the stamped
+   modifyTimestamp is not part of its image. *)
+let test_modified_back_sends_nothing () =
+  let b, t, node = node_fixture () in
+  let q = Query.make ~attrs:(Query.Select [ "cn"; "mail" ]) ~base:(dn "o=xyz") (f "(departmentNumber=7)") in
+  let first = reply_of (poll t q) in
+  check_int "initial content" 2 (List.length first.Protocol.actions);
+  let a = dn "cn=a,o=xyz" in
+  apply b (Update.modify a [ Update.replace_values "mail" [ "a@xyz" ] ]);
+  T.Node.sync node;
+  apply b (Update.modify a [ Update.replace_values "mail" [] ]);
+  T.Node.sync node;
+  let back = reply_of (poll t ~cookie:(reply_cookie first) q) in
+  check_bool "polled incrementally" true (kind_is Protocol.Incremental back);
+  check_int "no action for content sent already" 0 (List.length back.Protocol.actions);
+  apply b (Update.modify a [ Update.replace_values "mail" [ "a@xyz" ] ]);
+  T.Node.sync node;
+  let changed = reply_of (poll t ~cookie:(reply_cookie back) q) in
+  check_bool "a real change is one Modify" true
+    (match changed.Protocol.actions with [ Action.Modify e ] -> Dn.equal (Entry.dn e) a | _ -> false)
+
 (* The node's serving counters for a fixed script: the values the
    full admission path produced for every poll before known sessions
    skipped it. *)
@@ -912,6 +936,8 @@ let suite =
       test_csn_mismatch_and_unknown_session_degrade;
     Alcotest.test_case "replaced consumer: session resumes" `Quick
       test_replaced_consumer_resumes;
+    Alcotest.test_case "modified back between polls: no action" `Quick
+      test_modified_back_sends_nothing;
     Alcotest.test_case "cursor stats for a fixed script" `Quick
       test_cursor_stats_fixed_script;
     Alcotest.test_case "re-parented cookie degrades with retain" `Quick
