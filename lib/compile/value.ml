@@ -42,12 +42,25 @@ let squash_spaces s =
     Buffer.contents b
   end
 
+let is_phone_separator c = c = ' ' || c = '-'
+
 let strip_phone s =
   if not (has_phone_separator s 0) then s
   else begin
-    let b = Buffer.create (String.length s) in
-    String.iter (fun c -> if c <> ' ' && c <> '-' then Buffer.add_char b c) s;
-    Buffer.contents b
+    let kept = ref 0 in
+    for i = 0 to String.length s - 1 do
+      if not (is_phone_separator (String.unsafe_get s i)) then incr kept
+    done;
+    let b = Bytes.create !kept in
+    let k = ref 0 in
+    for i = 0 to String.length s - 1 do
+      let c = String.unsafe_get s i in
+      if not (is_phone_separator c) then begin
+        Bytes.unsafe_set b !k c;
+        incr k
+      end
+    done;
+    Bytes.unsafe_to_string b
   end
 
 let normalize syntax v =

@@ -33,10 +33,12 @@ type anchor =
 type registration = Anchors of anchor list | Fallback
 
 (* Equality and prefix anchors are grouped by attribute first, and
-   [anchored] counts the anchors on each attribute: a probe looks an
-   entry attribute up there once, and its values only when some filter
-   anchors there, with no key tuple or prefix string built for
-   attributes nobody anchors. *)
+   [anchored] counts the anchors on each attribute, indexed by its id:
+   a probe reads an entry attribute's count there, and looks its
+   values up only when some filter anchors there, with no key tuple or
+   prefix string built for attributes nobody anchors.  [out] is the
+   one candidate table, emptied by each lookup, and [gather] the one
+   closure that fills it. *)
 type t = {
   eq : (Attr_id.t, (string, ids) Hashtbl.t) Hashtbl.t;  (* attr -> canonical value *)
   prefix : (Attr_id.t, (string, ids) Hashtbl.t) Hashtbl.t;  (* attr -> prefix *)
@@ -45,10 +47,13 @@ type t = {
   le : (Attr_id.t, bounds) Hashtbl.t;
   fallback : ids;
   regs : (int, registration) Hashtbl.t;
-  anchored : (Attr_id.t, int) Hashtbl.t;  (* attr -> anchors on it, when > 0 *)
+  mutable anchored : int array;  (* attr -> anchors on it; 0 past the end *)
+  out : ids;
+  gather : int -> unit -> unit;
 }
 
 let create () =
+  let out = Hashtbl.create 16 in
   {
     eq = Hashtbl.create 64;
     prefix = Hashtbl.create 64;
@@ -57,7 +62,9 @@ let create () =
     le = Hashtbl.create 8;
     fallback = Hashtbl.create 8;
     regs = Hashtbl.create 64;
-    anchored = Hashtbl.create 32;
+    anchored = [||];
+    out;
+    gather = (fun id () -> Hashtbl.replace out id ());
   }
 
 
@@ -191,9 +198,13 @@ let anchor_attr = function
 
 let count_anchor t anchor ~by =
   let a = anchor_attr anchor in
-  match Option.value (Hashtbl.find_opt t.anchored a) ~default:0 + by with
-  | 0 -> Hashtbl.remove t.anchored a
-  | n -> Hashtbl.replace t.anchored a n
+  let n = Array.length t.anchored in
+  if a >= n then begin
+    let grown = Array.make (max (a + 1) (2 * n)) 0 in
+    Array.blit t.anchored 0 grown 0 n;
+    t.anchored <- grown
+  end;
+  t.anchored.(a) <- t.anchored.(a) + by
 
 let apply_anchor t id anchor =
   count_anchor t anchor ~by:1;
@@ -242,8 +253,6 @@ type candidates = ids
 let mem c id = Hashtbl.mem c id
 let iter f c = Hashtbl.iter (fun id () -> f id) c
 
-let collect out ids = Hashtbl.iter (fun id () -> Hashtbl.replace out id ()) ids
-
 let sorted_bounds b =
   match b.sorted with
   | Some s -> s
@@ -263,7 +272,7 @@ let count_le b s v =
   done;
   !lo
 
-let probe_bounds out tbl attr v ~dir =
+let probe_bounds t tbl attr v ~dir =
   match Hashtbl.find_opt tbl attr with
   | None -> ()
   | Some b ->
@@ -283,44 +292,59 @@ let probe_bounds out tbl attr v ~dir =
       in
       for i = first to last do
         match Hashtbl.find_opt b.by_bound s.(i) with
-        | Some ids -> collect out ids
+        | Some ids -> Hashtbl.iter t.gather ids
         | None -> ()
       done
 
-(* Probing walks the entry's slots: interned canonical-attribute ids
+(* Probing reads an entry's slots: interned canonical-attribute ids
    plus pre-canonicalized and pre-normalized values.  A slot whose
-   attribute anchors no filter costs one lookup. *)
-let probe_entry t out entry =
-  let probe tbl key =
-    match Hashtbl.find_opt tbl key with Some ids -> collect out ids | None -> ()
-  in
-  Array.iter
-    (fun (s : Prog.slot) ->
-      let cid = s.Prog.cid in
-      if Hashtbl.mem t.anchored cid then begin
-        probe t.attr cid;
-        let by_value = Hashtbl.find_opt t.eq cid in
-        let by_prefix = Hashtbl.find_opt t.prefix cid in
-        let canon = s.Prog.canon and norm = s.Prog.norm in
-        for k = 0 to Array.length canon - 1 do
-          let c = canon.(k) in
-          (match by_value with Some tbl -> probe tbl c | None -> ());
-          (match by_prefix with
-          | Some tbl ->
-              let n = norm.(k) in
-              for len = 1 to min prefix_width (String.length n) do
-                probe tbl (String.sub n 0 len)
-              done
-          | None -> ());
-          probe_bounds out t.ge cid c ~dir:`Ge;
-          probe_bounds out t.le cid c ~dir:`Le
-        done
-      end)
-    (Entry.compiled entry)
+   attribute anchors no filter costs one array read. *)
+let probe t tbl key =
+  match Hashtbl.find_opt tbl key with Some ids -> Hashtbl.iter t.gather ids | None -> ()
 
+let probe_slot t (s : Prog.slot) =
+  let cid = s.Prog.cid in
+  if cid < Array.length t.anchored && t.anchored.(cid) > 0 then begin
+    probe t t.attr cid;
+    let by_value = Hashtbl.find_opt t.eq cid in
+    let by_prefix = Hashtbl.find_opt t.prefix cid in
+    let canon = s.Prog.canon and norm = s.Prog.norm in
+    for k = 0 to Array.length canon - 1 do
+      let c = canon.(k) in
+      (match by_value with Some tbl -> probe t tbl c | None -> ());
+      (match by_prefix with
+      | Some tbl ->
+          let n = norm.(k) in
+          for len = 1 to min prefix_width (String.length n) do
+            probe t tbl (String.sub n 0 len)
+          done
+      | None -> ());
+      probe_bounds t t.ge cid c ~dir:`Ge;
+      probe_bounds t t.le cid c ~dir:`Le
+    done
+  end
+
+(* Both images' slots are sorted by attribute id, and a modify's
+   after-image shares every slot it left alone with the before-image:
+   such a slot was probed with the before-image, so the after-image
+   skips it. *)
 let affected t ~before ~after =
-  let out = Hashtbl.create 16 in
-  collect out t.fallback;
-  Option.iter (probe_entry t out) before;
-  Option.iter (probe_entry t out) after;
-  out
+  Hashtbl.reset t.out;
+  Hashtbl.iter t.gather t.fallback;
+  let bs = match before with Some e -> Entry.compiled e | None -> [||] in
+  for i = 0 to Array.length bs - 1 do
+    probe_slot t bs.(i)
+  done;
+  (match after with
+  | None -> ()
+  | Some e ->
+      let a = Entry.compiled e in
+      let j = ref 0 in
+      for i = 0 to Array.length a - 1 do
+        let s = a.(i) in
+        while !j < Array.length bs && bs.(!j).Prog.id < s.Prog.id do
+          incr j
+        done;
+        if not (!j < Array.length bs && bs.(!j) == s) then probe_slot t s
+      done);
+  t.out

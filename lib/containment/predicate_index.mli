@@ -49,7 +49,12 @@ val affected : t -> before:Entry.t option -> after:Entry.t option -> candidates
 (** Subscribers whose filter may match the update's before- or
     after-image (superset semantics; includes the fallback set).  Cost
     is proportional to the probe count of the two entries plus the
-    result size, independent of the number of subscribers. *)
+    result size, independent of the number of subscribers: a slot the
+    after-image shares physically with the before-image is probed
+    once, and a slot whose attribute no filter anchors costs an array
+    read.  The result is the index's one candidate table, which the
+    next [affected] on the same index empties and refills: read it
+    before asking again. *)
 
 val mem : candidates -> int -> bool
 (** Whether the subscriber id is among the candidates. *)

@@ -30,4 +30,13 @@ val of_int : int -> t
     modifyTimestamp values. *)
 
 val to_string : t -> string
-(** Decimal form, as written into modifyTimestamp and cookies. *)
+(** Decimal form, as written into modifyTimestamp and cookies:
+    [string_of_int] of {!to_int}, byte for byte. *)
+
+val decimal_width : int -> int
+(** [String.length (string_of_int n)], computed without building it. *)
+
+val write_decimal : Bytes.t -> stop:int -> int -> unit
+(** [write_decimal b ~stop n] writes [string_of_int n] into [b] so that
+    it ends just before [stop]; the caller sized [b] with
+    {!decimal_width}. *)

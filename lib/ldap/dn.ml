@@ -7,9 +7,9 @@ type rdn = ava list
    parts is a suffix of [norm] and ancestry tests compare in place. *)
 type t = { parts : rdn list; norm : string; starts : int array }
 
-let norm_value v = String.lowercase_ascii (Value.normalize Value.Case_ignore v)
+let norm_value v = Value.lowercase (Value.normalize Value.Case_ignore v)
 
-let norm_ava a = Printf.sprintf "%s=%s" a.attr (norm_value a.value)
+let norm_ava a = String.concat "=" [ a.attr; norm_value a.value ]
 
 let sort_rdn (r : rdn) : rdn =
   List.sort
@@ -202,13 +202,34 @@ let compare a b = String.compare a.norm b.norm
 let depth t = Array.length t.starts
 let rdn t = match t.parts with [] -> None | r :: _ -> Some r
 
+(* The parent and a child share their parts with [t], and cut or
+   extend its canonical string and offsets: the same values [make]
+   builds from the parts, without re-deriving every part's form. *)
 let parent t =
-  match t.parts with [] -> None | _ :: rest -> Some (make rest)
+  match t.parts with
+  | [] -> None
+  | [ _ ] -> Some root
+  | _ :: rest ->
+      let off = t.starts.(1) in
+      let starts = Array.sub t.starts 1 (Array.length t.starts - 1) in
+      Array.iteri (fun i s -> starts.(i) <- s - off) starts;
+      Some { parts = rest; norm = String.sub t.norm off (String.length t.norm - off); starts }
+
+let lower_attr a =
+  let attr = Value.lowercase a.attr in
+  if attr == a.attr then a else { a with attr }
 
 let child t r =
-  let r = sort_rdn (List.map (fun a -> { a with attr = String.lowercase_ascii a.attr }) r) in
+  let r = sort_rdn (List.map lower_attr r) in
   if r = [] then invalid_arg "Dn.child: empty RDN";
-  make (r :: t.parts)
+  let head = norm_rdn r in
+  if t.parts = [] then { parts = [ r ]; norm = head; starts = [| 0 |] }
+  else begin
+    let shift = String.length head + 1 in
+    let starts = Array.make (Array.length t.starts + 1) 0 in
+    Array.iteri (fun i s -> starts.(i + 1) <- s + shift) t.starts;
+    { parts = r :: t.parts; norm = String.concat "," [ head; t.norm ]; starts }
+  end
 
 let child_ava t attr value = child t [ { attr; value } ]
 

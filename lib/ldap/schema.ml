@@ -64,6 +64,40 @@ let canonical_attr name =
   let k = key name in
   match Stbl.find attrs k with at -> at.at_canonical | exception Not_found -> k
 
+(* The same two facts per interned attribute id, resolved from the
+   table above the first time an id is asked about and read by index
+   afterwards, so building a slot hashes no name.  [cids.(id) < 0]
+   marks an id not resolved yet. *)
+module Attr_id = Ldap_compile.Attr_id
+
+let cids = ref [||]
+let syntaxes = ref [||]
+
+let resolve id =
+  let n = Array.length !cids in
+  if id >= n then begin
+    let grow a fill =
+      let b = Array.make (max (id + 1) (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    cids := grow !cids (-1);
+    syntaxes := grow !syntaxes Value.Case_ignore
+  end;
+  let name = Attr_id.name id in
+  !syntaxes.(id) <- syntax_of name;
+  !cids.(id) <- Attr_id.intern (canonical_attr name)
+
+let resolved id = id < Array.length !cids && !cids.(id) >= 0
+
+let canonical_id id =
+  if not (resolved id) then resolve id;
+  !cids.(id)
+
+let syntax_of_id id =
+  if not (resolved id) then resolve id;
+  !syntaxes.(id)
+
 type t = unit
 
 let default = ()

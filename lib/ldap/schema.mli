@@ -20,6 +20,14 @@ val canonical_attr : string -> string
 (** Canonical lowercase spelling used as a key everywhere (resolves
     aliases; unknown attributes are just lowercased). *)
 
+val canonical_id : Ldap_compile.Attr_id.t -> Ldap_compile.Attr_id.t
+(** [canonical_id id] is the interned {!canonical_attr} of the
+    attribute [id] names.  Resolved once per id, then an array read. *)
+
+val syntax_of_id : Ldap_compile.Attr_id.t -> Value.syntax
+(** [syntax_of_id id] is {!syntax_of} the attribute [id] names.
+    Resolved once per id, then an array read. *)
+
 type t
 (** A token for the one schema, carried only by the three signatures
     the end-to-end benchmark calls with it ({!Ldap_dirgen.Enterprise.schema},

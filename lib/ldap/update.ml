@@ -1,6 +1,6 @@
-type mod_kind = Add_values | Delete_values | Replace_values
+type mod_kind = Entry.mod_kind = Add_values | Delete_values | Replace_values
 
-type mod_item = { mod_kind : mod_kind; mod_attr : string; mod_values : string list }
+type mod_item = Entry.mod_item = { mod_kind : mod_kind; mod_attr : string; mod_values : string list }
 
 type op =
   | Add of Entry.t

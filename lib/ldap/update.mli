@@ -7,9 +7,9 @@
     filter, whether the entry moved into, out of, or within the
     filter's content (the E01/E10/E11 classification of section 5.1). *)
 
-type mod_kind = Add_values | Delete_values | Replace_values
+type mod_kind = Entry.mod_kind = Add_values | Delete_values | Replace_values
 
-type mod_item = { mod_kind : mod_kind; mod_attr : string; mod_values : string list }
+type mod_item = Entry.mod_item = { mod_kind : mod_kind; mod_attr : string; mod_values : string list }
 
 type op =
   | Add of Entry.t

@@ -11,31 +11,17 @@ type request = { mode : mode; cookie : string option }
    server's session id is discarded, and the new server sees an unknown
    session and resynchronizes degraded from that CSN. *)
 
-(* [string_of_int n]'s length.  Digits are taken off [-|n|], which
-   holds [min_int] too. *)
-let decimal_width n =
-  let rec go m w = if m > -10 then w else go (m / 10) (w + 1) in
-  if n < 0 then go n 2 else go (-n) 1
-
-(* Writes [string_of_int n] into [b], ending just before [stop]. *)
-let write_decimal b ~stop n =
-  let rec go i m =
-    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' - (m mod 10)));
-    if m <= -10 then go (i - 1) (m / 10) else i
-  in
-  let first = go (stop - 1) (if n < 0 then n else -n) in
-  if n < 0 then Bytes.unsafe_set b (first - 1) '-'
-
 (* The digits go straight into the one result string. *)
 let cookie_of ~id ~csn =
-  let csn = Ldap.Csn.to_int csn in
-  let wi = decimal_width id in
-  let n = 3 + wi + 1 + decimal_width csn in
+  let module C = Ldap.Csn in
+  let csn = C.to_int csn in
+  let wi = C.decimal_width id in
+  let n = 3 + wi + 1 + C.decimal_width csn in
   let b = Bytes.create n in
   Bytes.unsafe_blit_string "rs:" 0 b 0 3;
-  write_decimal b ~stop:(3 + wi) id;
+  C.write_decimal b ~stop:(3 + wi) id;
   Bytes.unsafe_set b (3 + wi) ':';
-  write_decimal b ~stop:n csn;
+  C.write_decimal b ~stop:n csn;
   Bytes.unsafe_to_string b
 
 (* The decimal number spelled by [s.[i]] up to (not including) [stop]:
