@@ -667,6 +667,79 @@ let prop_postings_follow_modifies =
             (pool @ [ "alice"; "bob"; "carol"; "inetOrgPerson"; "person" ]))
         indexed_attrs)
 
+(* --- One post-image per modify -------------------------------------------- *)
+
+(* A modify's after-image is built in one edit, its stamp included; it
+   must be what applying the items one at a time and then stamping
+   builds, down to the encoded size, and the backend must file it as
+   that: its referral set follows an objectClass change. *)
+let post_image_gen =
+  let open QCheck.Gen in
+  let referral =
+    oneofl
+      [
+        add_values "objectClass" [ "referral" ];
+        add_values "ref" [ "ldap://b.example/o=xyz" ];
+        delete_values "objectClass" [ "referral" ];
+        Update.replace_values "objectClass" [ "inetOrgPerson"; "referral" ];
+      ]
+  in
+  let* name, items = modify_gen in
+  let* extra = list_size (0 -- 1) referral in
+  return (name, List.filteri (fun i _ -> i < 3) (extra @ items))
+
+let item_print (i : Update.mod_item) =
+  Printf.sprintf "%s %s [%s]"
+    (match i.mod_kind with Add_values -> "add" | Delete_values -> "delete" | Replace_values -> "replace")
+    i.mod_attr (String.concat ";" i.mod_values)
+
+(* The item alone, as the one-item mutators apply it. *)
+let apply_item e (i : Update.mod_item) =
+  match i.mod_kind with
+  | Delete_values -> Entry.delete_values e i.mod_attr i.mod_values
+  | Replace_values -> Ok (Entry.replace_values e i.mod_attr i.mod_values)
+  | Add_values -> Entry.edit e [ i ]
+
+let referral_count b =
+  match Backend.search b (q "o=xyz" "(objectclass=*)") with
+  | Ok r -> List.length r.Backend.references
+  | Error _ -> -1
+
+let prop_post_image =
+  QCheck.Test.make ~name:"backend: modify post-image = mutators then stamp" ~count:300
+    (QCheck.make
+       ~print:(fun stream ->
+         String.concat " / "
+           (List.map (fun (n, items) -> n ^ ": " ^ String.concat ", " (List.map item_print items)) stream))
+       QCheck.Gen.(list_size (1 -- 6) post_image_gen))
+    (fun stream ->
+      let b = make_backend () in
+      List.for_all
+        (fun (name, items) ->
+          let target = person_dn name in
+          let before = Option.get (Backend.find b target) in
+          let stamp = Csn.to_string (Csn.next (Backend.csn b)) in
+          let expected =
+            List.fold_left (fun acc i -> Result.bind acc (fun e -> apply_item e i)) (Ok before) items
+            |> Result.map (fun e -> Entry.replace_values e "modifytimestamp" [ stamp ])
+          in
+          let referrals =
+            Backend.fold_entries b ~init:0 ~f:(fun n e -> if Entry.is_referral e then n + 1 else n)
+          in
+          match (Backend.apply b (Update.modify target items), expected) with
+          | Ok { Update.after = Some after; _ }, Ok expected ->
+              Entry.equal after expected
+              && Ber.entry_size after = Ber.entry_size expected
+              && Option.get (Backend.find b target) == after
+              && referral_count b
+                 = referrals
+                   + Bool.to_int (Entry.is_referral after)
+                   - Bool.to_int (Entry.is_referral before)
+          | Error _, Error _ -> true
+          | Error _, Ok expected -> Entry.get expected "objectclass" = []
+          | Ok _, _ -> false)
+        stream)
+
 (* --- Integer postings and counts --------------------------------------- *)
 
 (* Integer equality compares numbers, so "07" and "7" are one value:
@@ -1035,6 +1108,7 @@ let suite =
     Alcotest.test_case "figure 2 no chase" `Quick test_figure2_no_chase;
     Alcotest.test_case "base referral" `Quick test_base_referral;
     QCheck_alcotest.to_alcotest prop_postings_follow_modifies;
+    QCheck_alcotest.to_alcotest prop_post_image;
     Alcotest.test_case "integer spellings" `Quick test_integer_spellings;
     QCheck_alcotest.to_alcotest prop_count_is_search_length;
     QCheck_alcotest.to_alcotest prop_log_follows_reference;

@@ -378,6 +378,31 @@ let prop_probe_without_view =
                 (not (matches fs fresh_before || matches fs fresh_after)) || List.mem i cold)
               probe_filters))
 
+(* A modify's after-image shares every slot the modify left alone
+   with its before-image, and [affected] probes those once: that must
+   lose no candidate either image alone would bring. *)
+let prop_shared_slots_probed_once =
+  QCheck.Test.make ~count:300 ~name:"dispatch: affected = union of single-image probes"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let show attrs =
+           String.concat "; " (List.map (fun (n, vs) -> n ^ "=" ^ String.concat "," vs) attrs)
+         in
+         show a ^ " | " ^ show b)
+       QCheck.Gen.(pair (list_size (0 -- 5) probe_attr_gen) (list_size (1 -- 3) probe_attr_gen)))
+    (fun (a, changes) ->
+      let idx = Predicate_index.create () in
+      List.iteri (fun i fs -> Predicate_index.add idx i (f fs)) probe_filters;
+      let before = Entry.make (dn "cn=p,o=xyz") (("objectclass", [ "inetOrgPerson" ]) :: a) in
+      let item (attr, values) =
+        { Update.mod_kind = (if List.length values = 1 then Add_values else Replace_values); mod_attr = attr; mod_values = values }
+      in
+      let after = Result.get_ok (Entry.edit ~stamp:"7" before (List.map item changes)) in
+      let both = candidates (Predicate_index.affected idx ~before:(Some before) ~after:(Some after)) in
+      let old = candidates (Predicate_index.affected idx ~before:(Some before) ~after:None) in
+      let fresh = candidates (Predicate_index.affected idx ~before:None ~after:(Some after)) in
+      both = List.sort_uniq Int.compare (old @ fresh))
+
 let suite =
   [
     Alcotest.test_case "eq anchors" `Quick test_eq_anchor;
@@ -393,4 +418,5 @@ let suite =
     QCheck_alcotest.to_alcotest (equivalence_test Master.Changelog "changelog");
     QCheck_alcotest.to_alcotest (equivalence_test Master.Tombstone "tombstone");
     QCheck_alcotest.to_alcotest prop_probe_without_view;
+    QCheck_alcotest.to_alcotest prop_shared_slots_probed_once;
   ]

@@ -138,6 +138,47 @@ let prop_ancestor_oracle =
         (fun (x, y) -> Dn.ancestor_of x y = oracle x y)
         [ (a, b); (c, b); (a, c); (c, a); (b, a) ])
 
+(* A DN derived by [Dn.child] from its parent, and each of its
+   [Dn.parent]s, is the DN built from the same parts at once
+   ([Dn.of_string], through [of_rdns]): same canonical string, depth
+   and ancestry against every suffix.  Values carry escaped bytes and
+   inner runs of spaces, attribute names mixed case, and RDNs up to
+   three values; no value starts or ends with a space, which a parse
+   would trim. *)
+let prop_child_parent_from_parts =
+  let open QCheck.Gen in
+  let inner = oneofl [ 'a'; 'B'; 'z'; ' '; ','; '+'; '='; '\\'; '#'; '"'; ';'; '<' ] in
+  let value =
+    map2
+      (fun c s -> Printf.sprintf "%c%s" c s)
+      (oneofl [ 'a'; 'Q'; '#'; ','; '=' ])
+      (map (fun s -> if String.ends_with ~suffix:" " s then s ^ "x" else s) (string_size ~gen:inner (0 -- 5)))
+  in
+  let ava = map2 (fun attr value -> { Dn.attr; value }) (oneofl [ "cn"; "CN"; "Ou"; "uid"; "SN"; "dc" ]) value in
+  let rdn = list_size (1 -- 3) ava in
+  QCheck.Test.make ~count:500 ~name:"dn: child and parent = built from parts"
+    (QCheck.make
+       ~print:(fun rdns -> String.concat "," (List.map Dn.rdn_to_string rdns))
+       (list_size (1 -- 5) rdn))
+    (fun rdns ->
+      let built rdns = dn (String.concat "," (List.map Dn.rdn_to_string rdns)) in
+      let suffixes = List.init (List.length rdns + 1) (fun k -> built (List.filteri (fun i _ -> i >= k) rdns)) in
+      let same d b =
+        String.equal (Dn.canonical d) (Dn.canonical b)
+        && Dn.depth d = Dn.depth b
+        && List.for_all
+             (fun s ->
+               Dn.ancestor_of s d = Dn.ancestor_of s b
+               && Dn.ancestor_of ~strict:true s d = Dn.ancestor_of ~strict:true s b
+               && Dn.ancestor_of d s = Dn.ancestor_of b s)
+             suffixes
+      in
+      let rec up d = function
+        | [] -> Dn.is_root d && Dn.parent d = None
+        | _ :: rest as parts -> same d (built parts) && up (Option.get (Dn.parent d)) rest
+      in
+      up (List.fold_right (fun r d -> Dn.child d r) rdns Dn.root) rdns)
+
 let suite =
   [
     Alcotest.test_case "parse/print" `Quick test_parse_print;
@@ -154,4 +195,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ancestor_transitive;
     QCheck_alcotest.to_alcotest prop_canonical_consistent;
     QCheck_alcotest.to_alcotest prop_ancestor_oracle;
+    QCheck_alcotest.to_alcotest prop_child_parent_from_parts;
   ]
