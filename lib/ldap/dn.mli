@@ -61,10 +61,13 @@ val rdn : t -> rdn option
 (** Leaf-most RDN; [None] for the root. *)
 
 val parent : t -> t option
-(** Immediate superior; [None] for the root. *)
+(** Immediate superior; [None] for the root.  Cut from [t]'s canonical
+    string and part offsets, which it shares its parts with. *)
 
 val child : t -> rdn -> t
-(** [child dn r] names [r] directly beneath [dn]. *)
+(** [child dn r] names [r] directly beneath [dn]: [dn]'s canonical
+    string and offsets extended by [r]'s, byte for byte what parsing
+    the whole DN builds, with only [r] normalized. *)
 
 val child_ava : t -> string -> string -> t
 (** [child_ava dn attr value] is [child dn [{attr; value}]]. *)
