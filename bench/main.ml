@@ -25,8 +25,10 @@
    agrees on every fixture and enforces a speedup floor (filter/eval's
    on the median of five interpreted/compiled fit pairs).  It then
    times leaf polls over a department fleet, empty and after one
-   change per department, and commits of each kind the update stream
-   makes with the root master serving the fleet's nodes.  Its full run
+   change per department, commits of each kind the update stream
+   makes with the root master serving the fleet's nodes, and the
+   checkpoints of a durable consumer after no change, 6 modifies and
+   a join plus a leave (gated on the 6-modify allocation).  Its full run
    adds the section 7.4 micro-benchmarks (template vs general
    containment, index lookup cost as the number of stored filters
    grows, substrate primitives such as filter parse/eval, DN algebra
@@ -782,6 +784,140 @@ let commit_costs ~smoke =
          lone lone_commit_bound);
   rows
 
+(* --- Checkpoint costs -------------------------------------------------------
+   What one [Consumer.checkpoint] costs a durable consumer holding 51
+   nine-attribute entries, the size of a crash-rejoin leaf's content:
+   with nothing changed since the last checkpoint, after a reply of 6
+   modifies, and after a reply with one join and one leave.  Each
+   change arrives as a journaled reply, untimed, as a leaf's poll
+   brings it; only the checkpoint is timed.  A row reports the median
+   and quartiles of the rounds' ns per checkpoint and the minor words
+   per checkpoint. *)
+
+let checkpoint_entry i v =
+  let cn = Printf.sprintf "person %03d" i in
+  Entry.make
+    (Dn.of_string_exn (Printf.sprintf "cn=%s,ou=dept 7,c=aa,o=xyz" cn))
+    [
+      ("objectclass", [ "inetOrgPerson" ]); ("cn", [ cn ]); ("sn", [ "person" ]);
+      ("givenName", [ Printf.sprintf "given%03d" i ]);
+      ("serialNumber", [ Printf.sprintf "07%05d" i ]);
+      ("mail", [ Printf.sprintf "p%03d.%d@aa.xyz.com" i v ]);
+      ("departmentNumber", [ "0007" ]); ("telephoneNumber", [ Printf.sprintf "555-%04d" v ]);
+      ("age", [ string_of_int (20 + (i mod 40)) ]);
+    ]
+
+type durable_consumer = {
+  dc : R.Consumer.t;
+  dc_live : int array;  (* entry numbers held *)
+  mutable dc_next : int;  (* the next entry number a join takes *)
+  mutable dc_replies : int;
+  dc_rng : Random.State.t;
+}
+
+let checkpoint_live = 51
+
+let durable_consumer () =
+  let dc = R.Consumer.create (Query.make ~base:base_dn (Filter.of_string_exn "(departmentNumber=0007)")) in
+  (match R.Consumer.open_store dc (Ldap_store.Store.create (Ldap_store.Medium.memory ()) ~name:"leaf") with
+  | Ok _ -> ()
+  | Error e -> failwith ("micro: checkpoint costs: " ^ e));
+  { dc; dc_live = Array.init checkpoint_live Fun.id; dc_next = checkpoint_live; dc_replies = 0;
+    dc_rng = Random.State.make [| 11 |] }
+
+let checkpoint_reply d actions =
+  d.dc_replies <- d.dc_replies + 1;
+  R.Consumer.apply_reply d.dc
+    (R.Protocol.reply ~kind:R.Protocol.Incremental ~actions
+       ~cookie:(Some (Printf.sprintf "rs:1:%d" d.dc_replies)))
+
+let checkpoint_kinds = [ "nothing changed"; "6 modifies"; "1 join + 1 leave" ]
+
+(* The journaled reply a row's checkpoint follows. *)
+let checkpoint_change d = function
+  | "nothing changed" -> ()
+  | "6 modifies" ->
+      checkpoint_reply d
+        (List.init 6 (fun _ ->
+             let i = d.dc_live.(Random.State.int d.dc_rng checkpoint_live) in
+             R.Action.Modify (checkpoint_entry i (d.dc_replies + Random.State.int d.dc_rng 1000))))
+  | _ ->
+      let k = Random.State.int d.dc_rng checkpoint_live in
+      let leaving = d.dc_live.(k) in
+      d.dc_live.(k) <- d.dc_next;
+      d.dc_next <- d.dc_next + 1;
+      checkpoint_reply d
+        [
+          R.Action.Delete (Entry.dn (checkpoint_entry leaving 0));
+          R.Action.Add (checkpoint_entry d.dc_live.(k) 0);
+        ]
+
+(* [n] checkpoints of [kind], each after its change: (CPU seconds,
+   minor words) of the checkpoints alone. *)
+let checkpoint_round d kind n =
+  let t = ref 0. and words = ref 0. in
+  for _ = 1 to n do
+    checkpoint_change d kind;
+    let w0 = Gc.minor_words () and t0 = Sys.time () in
+    R.Consumer.checkpoint d.dc;
+    t := !t +. (Sys.time () -. t0);
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  (!t, !words)
+
+(* 155 minor words per checkpoint after 6 modifies when the image was kept
+   and each entry's DER image was the one its journal record wrote,
+   plus 25%: a change that allocates more fails the smoke run under
+   dune runtest. *)
+let modify_checkpoint_bound = 194.
+
+let checkpoint_costs ~smoke =
+  let d = durable_consumer () in
+  checkpoint_reply d (List.map (fun i -> R.Action.Add (checkpoint_entry i 0)) (Array.to_list d.dc_live));
+  R.Consumer.checkpoint d.dc;
+  let batch = if smoke then 50 else 200 and rounds = if smoke then 3 else 9 in
+  List.iter (fun kind -> ignore (checkpoint_round d kind batch)) checkpoint_kinds;
+  let samples = Hashtbl.create 4 in
+  for _ = 1 to rounds do
+    List.iter
+      (fun kind ->
+        let s = checkpoint_round d kind batch in
+        Hashtbl.replace samples kind (s :: Option.value (Hashtbl.find_opt samples kind) ~default:[]))
+      checkpoint_kinds
+  done;
+  let per_checkpoint kind =
+    let ss = Hashtbl.find samples kind in
+    let words = List.fold_left (fun acc (_, w) -> acc +. w) 0. ss in
+    (ss, words /. float_of_int (rounds * batch))
+  in
+  let row kind =
+    let ss, words = per_checkpoint kind in
+    let q1, med, q3 = quartiles (List.map (fun (t, _) -> t *. 1e9 /. float_of_int batch) ss) in
+    Json.(
+      Obj
+        [
+          ("change", String kind); ("checkpoints", Int (rounds * batch));
+          ("ns_per_checkpoint", float 0 med); ("ns_q1", float 0 q1); ("ns_q3", float 0 q3);
+          ("minor_words_per_checkpoint", float 1 words);
+        ])
+  in
+  let rows = List.map row checkpoint_kinds in
+  print_table
+    ~title:(Printf.sprintf "Checkpoint costs (durable consumer, %d entries)" checkpoint_live)
+    ~notes:
+      [
+        "ns and minor words per Consumer.checkpoint; the change before each";
+        "arrives as one journaled reply, untimed";
+      ]
+    [ "change"; "checkpoints"; "ns_per_checkpoint"; "ns_q1"; "ns_q3"; "minor_words_per_checkpoint" ]
+    rows;
+  let _, modify_words = per_checkpoint "6 modifies" in
+  if modify_words > modify_checkpoint_bound then
+    failwith
+      (Printf.sprintf "micro: a checkpoint after 6 modifies allocates %.1f words, over the %.0f gate"
+         modify_words modify_checkpoint_bound);
+  rows
+
 let micro ~smoke =
   (* Equivalence first: the compiled paths must agree with the
      interpreted oracles on every fixture.  The counts are
@@ -924,6 +1060,7 @@ let micro ~smoke =
     routed_rows;
   let polls = poll_costs ~smoke in
   let commits = commit_costs ~smoke in
+  let checkpoints = checkpoint_costs ~smoke in
   let filter_floor = if smoke then 2.0 else 10.0 in
   (* A full run's floor reads the median speedup of five interleaved
      interpreted/compiled fit pairs, the table's among them: one pair
@@ -975,7 +1112,7 @@ let micro ~smoke =
       [
         ("equivalence", equivalence); ("micro", List compiled_rows);
         ("routed_search", List routed_rows); ("poll_costs", List polls);
-        ("commit_costs", List commits);
+        ("commit_costs", List commits); ("checkpoint_costs", List checkpoints);
         ("processing_costs", List costs); ("fanout", List fanout);
       ]
 

@@ -171,7 +171,7 @@ let emit_search_request w (q : Query.t) =
 
 (* Backwards writer: the last attribute, and within it the last value,
    goes in first. *)
-let emit_entry w (e : Entry.t) =
+let encode_entry w (e : Entry.t) =
   let m = Wr.mark w in
   let mattrs = Wr.mark w in
   let slots = Entry.compiled e in
@@ -189,6 +189,13 @@ let emit_entry w (e : Entry.t) =
   Wr.close w ~tag:tag_sequence mattrs;
   Wr.octets w (Dn.to_string (Entry.dn e));
   Wr.close w ~tag:(app 4) m
+
+(* An entry's image is copied when its record keeps one, which only
+   [Der.entry] and [Der.W.keep_entry] fill. *)
+let emit_entry w e =
+  match Entry.cached_der e with
+  | Some s -> Ldap_compile.Wbuf.prepend_string w s
+  | None -> encode_entry w e
 
 let emit_done w (r : result_done) =
   let m = Wr.mark w in
@@ -512,7 +519,8 @@ let entry_message ?(id = 1) e = { id; op = Search_result_entry e; controls = [] 
 module Der = struct
   type nonrec cursor = cursor
 
-  let entry e = with_scratch emit_entry e
+  let encode e = with_scratch encode_entry e
+  let entry e = Entry.der e ~compute:encode
 
   module W = struct
     type w = Ldap_compile.Wbuf.t
@@ -530,6 +538,7 @@ module Der = struct
           let m = mark w in
           f v;
           close_seq w m
+    let keep_entry w e = Ldap_compile.Wbuf.prepend_string w (entry e)
     let entry = emit_entry
     let query = emit_search_request
   end

@@ -74,7 +74,9 @@ module Der : sig
 
   val entry : Entry.t -> string
   (** A SearchResultEntry TLV (same image as {!entry_message}'s op),
-      as {!W.entry} writes it. *)
+      as {!W.entry} writes it, encoded at most once per entry record
+      and kept on it ({!Entry.der}): the image a durable consumer's
+      journal and checkpoint share. *)
 
   (** The DER writer, emitting into an {!Ldap_compile.Wbuf} backwards
       with no intermediate strings.  Because the buffer is written
@@ -113,7 +115,15 @@ module Der : sig
         callback must emit into [w]. *)
 
     val entry : w -> Entry.t -> unit
-    (** A SearchResultEntry TLV. *)
+    (** A SearchResultEntry TLV: the image the entry keeps
+        ({!Entry.cached_der}) copied, else a fresh encode, which is
+        not kept — so a whole-directory checkpoint or a master's
+        journal never grows the entries it writes. *)
+
+    val keep_entry : w -> Entry.t -> unit
+    (** {!entry}'s bytes, encoded at most once per entry record and
+        kept on it ({!Der.entry}): a consumer's journal writes through
+        this, so its next checkpoint copies the image. *)
 
     val query : w -> Query.t -> unit
     (** A SearchRequest TLV.  The [manage_dsa_it] flag travels as a

@@ -7,7 +7,7 @@
     maps canonical DNs to entries through dense interned slot ids and
     records every mutation on a bounded {e change spine}: a ring of
     (revision, slot id) events in commit order.  A reader holding the
-    revision it last consumed can enumerate exactly the DNs changed
+    revision it last consumed can enumerate exactly the slots changed
     since — O(diff), not O(directory) — and is told to rescan when the
     spine was trimmed past its position, never served a silent gap.
 
@@ -81,6 +81,10 @@ val id_of : t -> Dn.t -> int option
     DN was never stored.  Ids are dense, assigned in first-upsert
     order and never reused. *)
 
+val dn_of : t -> int -> Dn.t
+(** The DN slot [id] was interned for, live or tombstoned.  Raises
+    [Invalid_argument] for an id not yet allocated. *)
+
 val get : t -> int -> Entry.t option
 (** O(1) access by slot id: the live entry, or [None] for a tombstone
     or an id not yet allocated.  Raises [Invalid_argument] for an id
@@ -112,11 +116,13 @@ val spine_length : t -> int
     [rev - spine_length]: the floor, before which trimmed events are
     gone. *)
 
-val changes_since : t -> int -> Dn.t list option
-(** [changes_since t r] is [Some dns] — the distinct DNs mutated after
-    revision [r], oldest-first by first occurrence — when the spine
-    still reaches back to [r]; [None] when [r] predates the floor and
-    the caller must rescan.  [Some []] when nothing changed. *)
+val changes_since : t -> int -> int list option
+(** [changes_since t r] is [Some ids] — the distinct slot ids mutated
+    after revision [r], oldest-first by first occurrence — when the
+    spine still reaches back to [r]; [None] when [r] predates the floor
+    and the caller must rescan.  [Some []] when nothing changed.  A
+    reader takes each slot's entry with {!get} and its DN with
+    {!dn_of}, so no DN is hashed back to its id. *)
 
 val trim_spine : t -> keep:int -> unit
 (** Drops all but the newest [keep] spine events, advancing the floor

@@ -7,13 +7,15 @@ module Prog = Ldap_compile.Prog
    rule and the values' canonical forms, so filter bytecode and the
    predicate index read an entry with no schema lookup.  An [edit]
    replaces the changed slots and shares the others.
-   [hash] caches the content digest and [size] the encoded size
-   ([no_size] until asked); every new record starts without either. *)
+   [hash] caches the content digest, [size] the encoded size
+   ([no_size] until asked) and [der] the DER image; every new record
+   starts without any of them. *)
 type t = {
   dn : Dn.t;
   slots : Prog.slot array;  (* sorted by id; no slot is empty *)
   mutable hash : int64 option;
   mutable size : int;
+  mutable der : string option;
 }
 
 let no_size = -1
@@ -77,7 +79,7 @@ let make dn pairs =
   in
   let slots = Array.of_list (List.filter_map build merged) in
   Array.sort by_id slots;
-  { dn; slots; hash = None; size = no_size }
+  { dn; slots; hash = None; size = no_size; der = None }
 
 let dn t = t.dn
 let compiled t = t.slots
@@ -235,8 +237,8 @@ let edit ?dn ?stamp t items =
       let dn = match dn with Some dn -> dn | None -> t.dn in
       match edits with
       | [] when dn == t.dn -> Ok t
-      | [] -> Ok { t with dn; hash = None; size = no_size }
-      | _ -> Ok { dn; slots = splice t.slots edits; hash = None; size = no_size })
+      | [] -> Ok { t with dn; hash = None; size = no_size; der = None }
+      | _ -> Ok { dn; slots = splice t.slots edits; hash = None; size = no_size; der = None })
 
 let edit1 t mod_kind mod_attr mod_values = edit t [ { mod_kind; mod_attr; mod_values } ]
 
@@ -257,7 +259,7 @@ let select t requested =
           t.slots []
       in
       if List.compare_length_with kept (Array.length t.slots) = 0 then t
-      else { t with slots = Array.of_list kept; hash = None; size = no_size }
+      else { t with slots = Array.of_list kept; hash = None; size = no_size; der = None }
 
 (* --- Equality and the content digest ----------------------------------- *)
 
@@ -281,6 +283,16 @@ let equal a b =
 let encoded_size t ~compute =
   if t.size = no_size then t.size <- compute t;
   t.size
+
+let der t ~compute =
+  match t.der with
+  | Some s -> s
+  | None ->
+      let s = compute t in
+      t.der <- Some s;
+      s
+
+let cached_der t = t.der
 
 let cached_hash t ~compute =
   match t.hash with

@@ -121,5 +121,21 @@ val encoded_size : t -> compute:(t -> int) -> int
     caller, so every wire-size figure reads one walk per entry
     version; another [compute] would share (and clobber) that cache. *)
 
+val der : t -> compute:(t -> string) -> string
+(** [der e ~compute] is [compute e], computed at most once per entry
+    record and then kept on it, as {!encoded_size} keeps the size:
+    every constructor and mutator result ({!make}, {!edit} with or
+    without [~dn], {!select}, a decode) starts without an image, so
+    the cache always describes the record it sits on.
+    {!Ber_codec.Der} is the one caller ({!Ber_codec.Der.entry} and
+    {!Ber_codec.Der.W.keep_entry}), and [compute] gives its DER image;
+    a durable consumer fills the cache as it journals an entry and
+    its checkpoint reads it, so one entry version is encoded once
+    however often it is written. *)
+
+val cached_der : t -> string option
+(** The image {!der} kept on this record, if any; never computes one.
+    The DER writers copy it instead of encoding the entry again. *)
+
 val pp : Format.formatter -> t -> unit
 (** LDIF-ish rendering for debugging and the CLI. *)

@@ -126,7 +126,8 @@ let consumer_store d slot =
     ~name:(consumer_store_name d slot)
 
 (* The slot table: the next slot, then each (slot, query) in slot
-   order — so the writer visits them highest slot first. *)
+   order — so the writer visits them highest slot first.  No tail CRC
+   is known: the whole payload is checksummed. *)
 let meta_snapshot d w =
   let m = DW.mark w in
   let ms = DW.mark w in
@@ -139,7 +140,8 @@ let meta_snapshot d w =
     (List.sort (fun (_, a) (_, b) -> compare b a) d.slots);
   DW.close_seq w ms;
   DW.integer w d.next_slot;
-  DW.close_seq w m
+  DW.close_seq w m;
+  (0, 0)
 
 (* Gives an installed filter's consumer the next slot and a fresh
    store there: opening the emptied store checkpoints the content the

@@ -320,7 +320,8 @@ let strategy_of_code = function
    tombstones SEQ keeps the layout: it is written empty and skipped on
    read, so older images that hold a list still restore.  Emitted
    backwards into the store's checkpoint buffer (fields and list
-   elements in reverse order). *)
+   elements in reverse order); no tail CRC is known, so the whole
+   payload is checksummed. *)
 let snapshot_emit t w =
   let sessions =
     Server.fold t.server List.cons []
@@ -343,7 +344,8 @@ let snapshot_emit t w =
   DW.integer w (Server.clock t.server);
   DW.integer w (Server.next_id t.server);
   DW.enum w (strategy_code t.src.strategy);
-  DW.close_seq w m
+  DW.close_seq w m;
+  (0, 0)
 
 let checkpoint t =
   match t.src.store with

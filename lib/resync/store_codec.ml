@@ -37,18 +37,20 @@ let read_cookie_opt c = Der.read_option Der.read_octets c
 
 (* Encoders emitting backwards into a reused buffer (children in
    reverse field order, see {!Ber_codec.Der.W}); the [read_*] cursors
-   above decode the images. *)
+   above decode the images.  [entry] writes each entry: the
+   consumer's records keep the image on the entry, the master's do
+   not. *)
 module W = struct
   module DW = Der.W
 
-  let action w (a : Action.t) =
+  let action_with entry w (a : Action.t) =
     let m = DW.mark w in
     (match a with
     | Action.Add e ->
-        DW.entry w e;
+        entry w e;
         DW.enum w 0
     | Action.Modify e ->
-        DW.entry w e;
+        entry w e;
         DW.enum w 1
     | Action.Delete dn ->
         DW.octets w (Dn.to_string dn);
@@ -58,15 +60,18 @@ module W = struct
         DW.enum w 3);
     DW.close_seq w m
 
-  let actions w l =
+  let actions_with entry w l =
     let m = DW.mark w in
-    List.iter (action w) (List.rev l);
+    List.iter (action_with entry w) (List.rev l);
     DW.close_seq w m
+
+  let action = action_with DW.keep_entry
+  let actions = actions_with DW.entry
 
   let reply w (r : Protocol.reply) =
     let m = DW.mark w in
     DW.option w (DW.octets w) r.Protocol.cookie;
-    actions w r.Protocol.actions;
+    actions_with DW.keep_entry w r.Protocol.actions;
     DW.enum w (kind_code r.Protocol.kind);
     DW.close_seq w m
 end

@@ -18,13 +18,18 @@ val read_reply : Ber_codec.Der.cursor -> Protocol.reply
 (** Inverse of {!W.reply}. *)
 
 (** Encoders (see {!Ber_codec.Der.W}): images emitted backwards into
-    a reused buffer for the hot journal paths. *)
+    a reused buffer for the hot journal paths.  The consumer's records
+    ({!action}, {!reply}) keep each entry's image on the entry
+    ({!Ber_codec.Der.W.keep_entry}), so its next checkpoint copies it
+    instead of encoding again; the master's ({!actions}) only copy an
+    image an entry already keeps. *)
 module W : sig
   val action : Ldap_compile.Wbuf.t -> Action.t -> unit
-  (** One update action, with the full entry image for Add/Modify. *)
+  (** One update action, with the full entry image for Add/Modify:
+      a consumer's persist push. *)
 
   val actions : Ldap_compile.Wbuf.t -> Action.t list -> unit
-  (** A SEQUENCE of actions. *)
+  (** A SEQUENCE of actions: a master's pending history. *)
 
   val reply : Ldap_compile.Wbuf.t -> Protocol.reply -> unit
   (** A whole reply — kind, actions and cookie — as {e one} value, the

@@ -11,7 +11,8 @@ type t = { backend : Backend.t; store : Store.t }
    ring's records in the same shape and restore the same way).
    Emitted with the backwards writer (fields and list elements in
    reverse order), byte-identical to the old string-combinator
-   image. *)
+   image.  An entry's kept DER image is copied, but none is kept here,
+   and no tail CRC is known: the whole payload is checksummed. *)
 let snapshot_emit backend w =
   let m = DW.mark w in
   let ml = DW.mark w in
@@ -35,7 +36,8 @@ let snapshot_emit backend w =
   DW.close_seq w mc;
   Codec.W.csn w (Backend.log_floor backend);
   Codec.W.csn w (Backend.csn backend);
-  DW.close_seq w m
+  DW.close_seq w m;
+  (0, 0)
 
 let checkpoint t = Store.checkpoint_w t.store (snapshot_emit t.backend)
 

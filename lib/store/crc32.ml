@@ -60,3 +60,64 @@ let bytes_sub b ~pos ~len =
 (* Read-only: the string is never written through the alias. *)
 let sub s ~pos ~len = bytes_sub (Bytes.unsafe_of_string s) ~pos ~len
 let string s = sub s ~pos:0 ~len:(String.length s)
+
+(* --- Combining -----------------------------------------------------------
+   zlib's crc32_combine: the CRC of [a ^ b] is the CRC of [a] shifted
+   through [len b] zero bytes, xored with the CRC of [b].  Shifting is
+   a multiplication by x^(8 len) modulo the polynomial; [multmodp]
+   multiplies two reflected residues, [x2n.(k)] is x^(2^k) and
+   [x2nmodp n k] is x^(n 2^k) from their binary powers.  [shifts]
+   memoizes x^(8 len) per length below [memo_cap], filled on demand:
+   the pieces a snapshot folds are entries whose lengths repeat from
+   one checkpoint to the next. *)
+
+(* Branch-free: bit [k] of [a] selects [b] times x^(31-k) by a mask,
+   so the bits of a random residue cost no mispredicted branches. *)
+let multmodp a b =
+  let p = ref 0 and b = ref b in
+  for k = 31 downto 0 do
+    p := !p lxor (!b land -((a lsr k) land 1));
+    b := (!b lsr 1) lxor (0xEDB88320 land -(!b land 1))
+  done;
+  !p
+
+let x2n =
+  let t = Array.make 32 0 in
+  t.(0) <- 1 lsl 30;
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+let x2nmodp n k =
+  let p = ref (1 lsl 31) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 = 1 then p := multmodp x2n.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
+
+let memo_cap = 1 lsl 16
+let shifts = ref [||]
+
+let shift len =
+  if len >= memo_cap then x2nmodp len 3
+  else begin
+    let n = Array.length !shifts in
+    if len >= n then begin
+      let grown = Array.make (min memo_cap (max (len + 1) (2 * n))) 0 in
+      Array.blit !shifts 0 grown 0 n;
+      shifts := grown
+    end;
+    match !shifts.(len) with
+    | 0 ->
+        let s = x2nmodp len 3 in
+        !shifts.(len) <- s;
+        s
+    | s -> s
+  end
+
+let combine crc1 crc2 ~len2 =
+  if len2 < 0 then invalid_arg "Crc32.combine";
+  multmodp (shift len2) crc1 lxor crc2

@@ -16,3 +16,12 @@ val bytes_sub : Bytes.t -> pos:int -> len:int -> int
     WAL writer frame a record without materializing the payload as a
     string.  Raises [Invalid_argument] when the range is not inside
     the buffer. *)
+
+val combine : int -> int -> len2:int -> int
+(** [combine crc1 crc2 ~len2] is the checksum of [a ^ b] given [crc1],
+    the checksum of [a], and [crc2], that of [b], which is [len2]
+    bytes long — zlib's [crc32_combine], in O(32) steps once the
+    shift for [len2] is known (shifts for lengths under 64 KB are
+    kept after their first use).  The checksum of the empty string is
+    [0], so [combine crc 0 ~len2:0 = crc].  Raises [Invalid_argument]
+    for a negative [len2]. *)

@@ -1,7 +1,8 @@
 (* Image layout: "SNP1" | 4-byte BE CRC-32 of payload | payload.  The
    payload is emitted backwards into a reused buffer, checksummed in
    place, the header prepended over it, and the whole image blitted
-   into the medium once. *)
+   into the medium once.  The emitter hands back the CRC of the tail
+   it already knows, so only the bytes before it are read. *)
 
 module Wbuf = Ldap_compile.Wbuf
 
@@ -11,9 +12,10 @@ let scratch = Wbuf.create ~capacity:4096 ()
 let write_w medium ~name emit =
   let w = scratch in
   Wbuf.clear w;
-  emit w;
+  let tail_crc, tail_len = emit w in
   let buf, pos, len = Wbuf.view w in
-  Wal.prepend_be32 w (Crc32.bytes_sub buf ~pos ~len);
+  let head = Crc32.bytes_sub buf ~pos ~len:(len - tail_len) in
+  Wal.prepend_be32 w (Crc32.combine head tail_crc ~len2:tail_len);
   Wbuf.prepend_string w magic;
   let buf, pos, len = Wbuf.view w in
   Medium.write_atomic_sub medium ~name buf ~pos ~len

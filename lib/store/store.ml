@@ -41,7 +41,8 @@ let append_w t emit =
    length-delimited.  [emit] writes the client payload backwards into
    the snapshot writer's reused buffer; it is wrapped as the OCTET
    STRING and the generation prepended in place, so the image reaches
-   the medium with one copy. *)
+   the medium with one copy, and the tail [emit] knows the CRC of
+   stays the image's tail. *)
 let parse_snap s =
   let c = Der.cursor s in
   match
@@ -56,9 +57,10 @@ let checkpoint_w t emit =
   t.gen <- t.gen + 1;
   Snapshot.write_w t.medium ~name:(snap_file t) (fun w ->
       let m = Der.W.mark w in
-      emit w;
+      let tail = emit w in
       Der.W.close_octets w m;
-      Der.W.integer w t.gen);
+      Der.W.integer w t.gen;
+      tail);
   Medium.truncate t.medium ~name:(wal_file t) 0;
   write_header t t.gen;
   t.header_written <- true

@@ -25,11 +25,15 @@ val append_w : t -> (Ldap_compile.Wbuf.t -> unit) -> unit
 (** Appends one record to the WAL: [emit] writes its payload into the
     WAL's reused buffer (see {!Wal.append_w}). *)
 
-val checkpoint_w : t -> (Ldap_compile.Wbuf.t -> unit) -> unit
+val checkpoint_w : t -> (Ldap_compile.Wbuf.t -> int * int) -> unit
 (** Atomically installs a new snapshot and resets the WAL to the new
     generation: [emit] writes the snapshot payload backwards into the
     reused buffer of {!Snapshot.write_w}, where it is framed and
-    checksummed in place and copied into the medium once. *)
+    checksummed in place and copied into the medium once.  [emit]
+    returns the CRC-32 and length of a tail of the payload whose
+    checksum it already knows, [(0, 0)] for none, as
+    {!Snapshot.write_w}'s does: the framing goes before the payload,
+    so the tail stays a tail of the image. *)
 
 type recovery = {
   snapshot : string option;  (** Latest good snapshot payload. *)

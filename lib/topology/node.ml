@@ -103,19 +103,20 @@ let reset (s : cursor Server.session) entries =
    examined, the [seen] table resolving each to Add / Modify /
    Delete / no-op — the node keeps no per-session action history and
    no per-session content copy, the replica's store {e is} the
-   history.  A cursor that fell off the trimmed spine rebuilds by one
-   full diff against the table and resumes streaming.  Deletes
-   first, like the master's coalescer. *)
+   history.  The spine names slot ids, so each is read by id and its
+   DN is the slot's own.  A cursor that fell off the trimmed spine
+   rebuilds by one full diff against the table and resumes streaming.
+   Deletes first, like the master's coalescer. *)
 let incremental_from_spine cost (session : cursor Server.session) st changed =
   let select = Query.attr_list session.query.Query.attrs in
   let seen = session.state.seen in
   let deletes = ref [] and upserts = ref [] in
   List.iter
-    (fun dn ->
+    (fun id ->
       cost.scanned <- cost.scanned + 1;
-      let key = Dn.canonical dn in
+      let key = Dn.canonical (Content_store.dn_of st id) in
       let now =
-        match Content_store.find st dn with
+        match Content_store.get st id with
         | Some e when Query.matches session.query e ->
             Some (Entry.select e select)
         | Some _ | None -> None

@@ -78,7 +78,7 @@ let test_changes_since () =
   (match Content_store.changes_since s r with
   | Some l ->
       check_bool "deduped oldest-first" true
-        (dns_of l = [ "cn=c,o=xyz"; "cn=a,o=xyz" ])
+        (dns_of (List.map (Content_store.dn_of s) l) = [ "cn=c,o=xyz"; "cn=a,o=xyz" ])
   | None -> Alcotest.fail "spine should cover r");
   (* Deletes are events too. *)
   Content_store.remove s (dn "cn=b,o=xyz");
@@ -142,7 +142,7 @@ let test_csn_stamps () =
 
    Model the store as a plain (name -> value) map.  At a random point a
    cursor snapshots the map and records the revision; after more random
-   ops it catches up: [changes_since] either lists the DNs to re-read
+   ops it catches up: [changes_since] either lists the slots to re-read
    (patching the snapshot from the live store must reproduce the
    current model exactly) or demands a rescan — and it may only demand
    a rescan when the spine really was trimmed past the cursor. *)
@@ -191,9 +191,9 @@ let run_catch_up (keep, before, after) =
           "rescan demanded but spine covers the cursor (floor %d, cursor %d)" (floor s) cursor
   | Some changed ->
       List.iter
-        (fun d ->
-          let key = Dn.canonical d in
-          match Content_store.find s d with
+        (fun id ->
+          let key = Dn.canonical (Content_store.dn_of s id) in
+          match Content_store.get s id with
           | Some e -> Hashtbl.replace snapshot key (int_of_string (List.hd (Entry.get e "sn")))
           | None -> Hashtbl.remove snapshot key)
         changed;

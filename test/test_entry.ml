@@ -249,6 +249,53 @@ let prop_cached_size_is_fresh =
                 (e', ok && Ber.entry_size e' = fresh_size e'))
               (e, true) steps))
 
+(* --- The DER cache describes its own record --------------------------
+   Every step first fills the DER cache of the entry it starts from;
+   the result's image, cached or not, must still be what a freshly
+   made entry of the same content encodes to.  The last entry, whose
+   cache no step filled, is then journaled by a durable consumer,
+   which keeps its image, and checkpointed, which reads it: the kept
+   image must be the fresh one too. *)
+
+let fresh_der e = Ber_codec.Der.entry (Entry.make (Entry.dn e) (Entry.attributes e))
+
+let written e =
+  let w = Ldap_compile.Wbuf.create () in
+  Ber_codec.Der.W.entry w e;
+  Ldap_compile.Wbuf.contents w
+
+let journal_and_checkpoint e =
+  let module R = Ldap_resync in
+  let c = R.Consumer.create (Query.make ~base:(dn "o=xyz") (Filter.of_string_exn "(cn=*)")) in
+  let store = Ldap_store.Store.create (Ldap_store.Medium.memory ()) ~name:"c" in
+  ignore (Result.get_ok (R.Consumer.open_store c store));
+  R.Consumer.apply_reply c
+    (R.Protocol.reply ~kind:R.Protocol.Incremental ~actions:[ R.Action.Add e ] ~cookie:(Some "rs:1:1"));
+  let journaled = Entry.cached_der e in
+  R.Consumer.checkpoint c;
+  (journaled, Entry.cached_der e)
+
+let prop_cached_der_is_fresh =
+  QCheck.Test.make ~name:"entry: cached DER image = fresh encode" ~count:500
+    (QCheck.make
+       ~print:(fun (spec, steps) ->
+         Printf.sprintf "%s / [%s]" (print_spec spec)
+           (String.concat "; " (List.map mutation_name steps)))
+       QCheck.Gen.(pair spec_gen (list_size (1 -- 6) mutation_gen)))
+    (fun (spec, steps) ->
+      let e = make_spec spec in
+      let e, ok =
+        List.fold_left
+          (fun (e, ok) step ->
+            let ok = ok && Ber_codec.Der.entry e = fresh_der e in
+            let e' = mutate e step in
+            (e', ok && written e' = fresh_der e'))
+          (e, written e = fresh_der e)
+          steps
+      in
+      let fresh = Some (fresh_der e) in
+      ok && journal_and_checkpoint e = (fresh, fresh))
+
 (* An attribute that is removed and then added back is listed once:
    the entry reads exactly like a fresh one with the same content. *)
 let test_readd_lists_once () =
@@ -309,6 +356,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_derived_view_equals_rebuilt;
     QCheck_alcotest.to_alcotest prop_equal_iff_same_digest;
     QCheck_alcotest.to_alcotest prop_cached_size_is_fresh;
+    QCheck_alcotest.to_alcotest prop_cached_der_is_fresh;
     Alcotest.test_case "re-added attribute listed once" `Quick test_readd_lists_once;
     Alcotest.test_case "entry footprint" `Quick test_entry_footprint;
   ]

@@ -13,8 +13,12 @@ let check_string_list = Alcotest.(check (list string))
 let write_file m ~name s =
   Store.Medium.write_atomic_sub m ~name (Bytes.of_string s) ~pos:0 ~len:(String.length s)
 
+(* The payload is the tail whose CRC the emitter knows: the writer
+   folds it in rather than reading it. *)
 let write_snapshot m ~name payload =
-  Store.Snapshot.write_w m ~name (fun w -> Ldap_compile.Wbuf.prepend_string w payload)
+  Store.Snapshot.write_w m ~name (fun w ->
+      Ldap_compile.Wbuf.prepend_string w payload;
+      (Store.Crc32.string payload, String.length payload))
 
 (* --- CRC-32 ----------------------------------------------------------- *)
 
@@ -33,7 +37,10 @@ let test_crc32_vectors () =
 let payload p w = Ldap_compile.Wbuf.prepend_string w p
 let wal_append m ~name p = Store.Wal.append_w m ~name (payload p)
 let append s p = Store.Store.append_w s (payload p)
-let checkpoint s p = Store.Store.checkpoint_w s (payload p)
+let checkpoint s p =
+  Store.Store.checkpoint_w s (fun w ->
+      payload p w;
+      (Store.Crc32.string p, String.length p))
 
 let test_wal_round_trip () =
   let m = Store.Medium.memory () in
@@ -301,6 +308,36 @@ let prop_crc32_slicing =
                    = crc32_bytewise s ~pos ~len:(len - 1)))
            (List.init 10 Fun.id))
 
+(* A snapshot's CRC is folded from its pieces' CRCs: cut random bytes
+   into random pieces, among them empty ones, lengths that are not
+   multiples of 8 and pieces over 64 KB (past the memoized shifts),
+   and the fold of [combine] over the pieces must be the CRC of the
+   whole. *)
+let piece_len_gen =
+  QCheck.Gen.(
+    frequency
+      [ (2, return 0); (5, 1 -- 40); (3, 41 -- 3_000); (1, 65_530 -- 70_000) ])
+
+let prop_crc32_combine =
+  QCheck.Test.make ~name:"store: crc32 combine fold = crc32 of the whole" ~count:150
+    (QCheck.make
+       ~print:(fun (seed, lens) ->
+         Printf.sprintf "seed %d, pieces [%s]" seed
+           (String.concat "; " (List.map string_of_int lens)))
+       QCheck.Gen.(pair (int_bound 1_000_000) (list_size (0 -- 8) piece_len_gen)))
+    (fun (seed, lens) ->
+      let rng = Random.State.make [| seed |] in
+      let pieces =
+        List.map (fun n -> String.init n (fun _ -> Char.chr (Random.State.int rng 256))) lens
+      in
+      let folded =
+        List.fold_left
+          (fun acc p -> Store.Crc32.combine acc (Store.Crc32.string p) ~len2:(String.length p))
+          0 pieces
+      in
+      let whole = Bytes.of_string (String.concat "" pieces) in
+      folded = Store.Crc32.bytes_sub whole ~pos:0 ~len:(Bytes.length whole))
+
 let pattern n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff))
 
 (* Files a store wrote before the snapshot writer and the CRC changed,
@@ -330,7 +367,9 @@ let test_fixed_images () =
   append s (pattern 40);
   Store.Store.append_w s (fun w -> Ldap_compile.Wbuf.prepend_string w "r3");
   Alcotest.(check string) "log, generation 1" fixed_wal_gen1 (file m "fx.wal");
-  Store.Store.checkpoint_w s (fun w -> Ldap_compile.Wbuf.prepend_string w (pattern 200));
+  Store.Store.checkpoint_w s (fun w ->
+      Ldap_compile.Wbuf.prepend_string w (pattern 200);
+      (0, 0));
   append s "r4";
   Alcotest.(check string) "snapshot, generation 2" fixed_snap_gen2 (file m "fx.snap");
   Alcotest.(check string) "log, generation 2" fixed_wal_gen2 (file m "fx.wal");
@@ -399,6 +438,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wal_round_trip;
     QCheck_alcotest.to_alcotest prop_every_prefix_recovers;
     QCheck_alcotest.to_alcotest prop_crc32_slicing;
+    QCheck_alcotest.to_alcotest prop_crc32_combine;
     Alcotest.test_case "parent images recover" `Quick test_fixed_images;
     Alcotest.test_case "1,000 unsynced appends" `Quick test_many_unsynced_appends;
   ]
